@@ -12,10 +12,14 @@
 //! * **sanity** — parallel wall-clock does not collapse (speedup well above
 //!   the channel-overhead floor).
 //!
-//! The *speedup gates* (≥ 2× at 4 workers in full mode, ≥ 1× in `--smoke`)
-//! are enforced only when the machine actually has that many cores —
-//! `cpu_cores` is recorded in the JSON so a reader can tell a 1-core
-//! container's numbers from a real multicore run.
+//! The *speedup gates* — `--smoke`: two workers within 10% of one on
+//! `scan_filter_project` and `hash_join`; full mode: ≥ 2× at 4 workers —
+//! are enforced only when the machine actually has that many cores. Every
+//! run records `cpu_cores` and `columnar` next to its timing, so a reader
+//! can tell a 1-core container's numbers from a real multicore run, and a
+//! kernel run from a row-path one. (`cpu_cores` counts what the OS
+//! schedules on: two hyperthreads of one core, or two vCPUs of a busy
+//! host, report 2 and scale like 1.)
 //!
 //! ```bash
 //! cargo run --release --bin bench_parallel                    # 1M rows → BENCH_parallel.json
@@ -23,35 +27,48 @@
 //! cargo run --release --bin bench_parallel -- --out out.json --seed 42
 //! ```
 
-use pyro::common::Tuple;
 use pyro::core::PhysOp;
 use pyro::Session;
 use pyro_bench::{banner, workloads};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 const BATCH_SIZE: usize = 1024;
-const REPS: usize = 5;
+const REPS: usize = 9;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[derive(Debug, Clone)]
 struct RunStats {
     elapsed_ms: f64,
     rows: usize,
-    /// Row payloads are kept only until the parity assert runs, then freed
-    /// (full mode would otherwise pin several million tuples per bench).
-    rows_sorted: Vec<Tuple>,
-    rows_exact: Vec<Tuple>,
+    /// Order-insensitive and order-sensitive digests of the output, for the
+    /// parity assert. Digests, not the rows: holding several million tuples
+    /// per timed run alive makes the next run fault in fresh memory, which
+    /// the timing then charges to whichever allocator arena is coldest.
+    multiset_digest: u64,
+    sequence_digest: u64,
     comparisons: u64,
     run_pages_written: u64,
     run_pages_read: u64,
     runs_created: u64,
+    columnar: bool,
+    cpu_cores: usize,
+}
+
+fn cpu_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1)
 }
 
 impl RunStats {
     fn json(&self) -> String {
         format!(
-            "{{\"elapsed_ms\": {:.3}, \"rows\": {}, \"comparisons\": {}, \"run_pages_written\": {}, \"run_pages_read\": {}, \"runs_created\": {}}}",
+            "{{\"elapsed_ms\": {:.3}, \"columnar\": {}, \"cpu_cores\": {}, \"rows\": {}, \"comparisons\": {}, \"run_pages_written\": {}, \"run_pages_read\": {}, \"runs_created\": {}}}",
             self.elapsed_ms,
+            self.columnar,
+            self.cpu_cores,
             self.rows,
             self.comparisons,
             self.run_pages_written,
@@ -64,24 +81,32 @@ impl RunStats {
 /// One timed execution: compile (including worker spawn) + drain.
 fn run_once(session: &Session, sql: &str, workers: usize) -> RunStats {
     let plan = session.plan(sql).expect("plan");
+    let columnar = session.columnar();
     let start = Instant::now();
     let out = plan
-        .compile_with_workers(session.catalog(), BATCH_SIZE, workers)
+        .compile_bound_columnar(session.catalog(), BATCH_SIZE, workers, &[], columnar)
         .expect("compile")
         .run()
         .expect("run");
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut rows_sorted = out.rows.clone();
-    rows_sorted.sort();
+    let (mut multiset_digest, mut sequence_digest) = (0u64, 0u64);
+    for row in &out.rows {
+        let mut h = DefaultHasher::new();
+        row.hash(&mut h);
+        multiset_digest = multiset_digest.wrapping_add(h.finish());
+        sequence_digest = sequence_digest.rotate_left(5) ^ h.finish();
+    }
     RunStats {
         elapsed_ms,
         rows: out.rows.len(),
-        rows_sorted,
-        rows_exact: out.rows,
+        multiset_digest,
+        sequence_digest,
         comparisons: out.metrics.comparisons(),
         run_pages_written: out.metrics.run_pages_written(),
         run_pages_read: out.metrics.run_pages_read(),
         runs_created: out.metrics.runs_created(),
+        columnar,
+        cpu_cores: cpu_cores(),
     }
 }
 
@@ -153,15 +178,16 @@ impl BenchResult {
 fn assert_parity(result: &BenchResult) {
     let serial = result.serial();
     for (w, stats) in &result.runs[1..] {
+        assert_eq!(serial.rows, stats.rows, "{}: workers={w}", result.name);
         if result.ordered {
             assert_eq!(
-                serial.rows_exact, stats.rows_exact,
+                serial.sequence_digest, stats.sequence_digest,
                 "{}: ordered rows diverged at workers={w}",
                 result.name
             );
         } else {
             assert_eq!(
-                serial.rows_sorted, stats.rows_sorted,
+                serial.multiset_digest, stats.multiset_digest,
                 "{}: row multiset diverged at workers={w}",
                 result.name
             );
@@ -198,18 +224,13 @@ fn run_bench(
 ) -> BenchResult {
     banner(&format!("{name}  ({rows_in} input rows)"));
     let runs = measure(session, sql);
-    let mut result = BenchResult {
+    let result = BenchResult {
         name,
         rows_in,
         ordered,
         runs,
     };
     assert_parity(&result);
-    // Parity checked: release the row payloads before the next bench runs.
-    for (_, s) in &mut result.runs {
-        s.rows_sorted = Vec::new();
-        s.rows_exact = Vec::new();
-    }
     for (w, s) in &result.runs {
         println!(
             "workers={w}    : {:>10.1} ms   ({} rows, {} comparisons, {} run pages)",
@@ -243,9 +264,7 @@ fn main() {
         .map(|s| s.parse().expect("--seed takes a u64"))
         .unwrap_or(pyro::datagen::SEED);
     let n: usize = if smoke { 200_000 } else { 1_000_000 };
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
+    let cores = cpu_cores();
     banner(&format!(
         "bench_parallel  (mode={}, cpu_cores={cores}, seed={seed:#x})",
         if smoke { "smoke" } else { "full" }
@@ -298,15 +317,20 @@ fn main() {
             join.speedup_at(4)
         );
     }
-    if cores >= 2 {
-        // Small margin under the nominal "≥ 1×" so wall-clock noise on a
-        // contended 2-core CI runner can't abort a defect-free build.
-        assert!(
-            headline.speedup_at(2).max(headline.speedup_at(4)) >= 0.9,
-            "parallel scan_filter_project slower than serial on a multicore machine ({:.2}x)",
-            headline.speedup_at(2).max(headline.speedup_at(4))
-        );
-    } else {
+    if cores >= 2 && smoke {
+        // A second worker must at least pay for itself. The margin under
+        // the nominal "≥ 1×" keeps wall-clock noise on a contended 2-core
+        // CI runner from aborting a defect-free build.
+        for bench in [headline, join] {
+            assert!(
+                bench.speedup_at(2) >= 0.9,
+                "{} at 2 workers slower than serial on a multicore machine ({:.2}x)",
+                bench.name,
+                bench.speedup_at(2)
+            );
+        }
+    }
+    if cores < 2 {
         // Single core: threads only add overhead; bound how much.
         assert!(
             headline.speedup_at(2).max(headline.speedup_at(4)) >= 0.3,

@@ -10,7 +10,7 @@
 //! selections instead of materializing rows.
 //!
 //! Rows materialize back into [`Tuple`]s only at pipeline breakers (sorts,
-//! aggregates, merge joins, exchanges) via [`ColumnarBatch::to_rows`]; the
+//! aggregates, merge joins) via [`ColumnarBatch::to_rows`]; the
 //! converters are the seam that keeps the strict row/batch counter-parity
 //! contract intact, because none of the columnar kernels charge metrics.
 

@@ -7,14 +7,15 @@
 //!
 //! With `workers > 1` ([`compile_with_workers`]) the compiler additionally
 //! performs pipeline-breaker detection: maximal subtrees of
-//! parallel-safe operators are instantiated as worker fragments behind
-//! exchange operators (see `crate::parallel`), while breakers — sorts,
-//! merge joins, aggregates, anything whose counters or output depend on the
-//! exact input sequence — stay serial and receive either the exact serial
-//! row sequence (an order-preserving merge over range-partitioned workers)
-//! or an unparallelized child.
+//! parallel-safe operators are instantiated as worker fragments behind an
+//! exchange (see `crate::parallel`), while breakers — sorts, merge joins,
+//! aggregates, anything whose counters or output depend on the exact input
+//! sequence — stay serial and receive either the exact serial row sequence
+//! (a gather that releases morsels in file order) or an unparallelized
+//! child. The columnar kernels engage the same way on both sides of an
+//! exchange: the flags depend on the plan shape, never on `workers`.
 
-use crate::logical::{AggSpec, NExpr};
+use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
 use pyro_catalog::Catalog;
 use pyro_common::{KeySpec, PyroError, Result, Schema, Value};
@@ -60,8 +61,8 @@ pub fn compile_with_workers(
 ) -> Result<Pipeline> {
     // Standalone callers hand us a bare physical tree, so the query's
     // ORDER BY demand is unknown; assume any root-guaranteed order must be
-    // delivered (always correct, at worst an ordered merge where an
-    // arrival-order gather would have done). `OptimizedPlan` knows the
+    // delivered (always correct, at worst an ordered gather where an
+    // arrival-order one would have done). `OptimizedPlan` knows the
     // actual demand and calls [`compile_with_workers_demand`] instead.
     compile_with_workers_demand(
         root,
@@ -115,11 +116,12 @@ pub fn compile_bound(
 }
 
 /// [`compile_bound`] with the columnar-execution knob made explicit.
-/// `columnar = true` (the default everywhere above) lets the serial batch
-/// path run Filter / Project / inner HashJoin subtrees over columnar
-/// batches with vectorized kernels; `false` forces the row-at-a-time batch
-/// implementations (the `SessionBuilder::columnar(false)` escape hatch, and
-/// the reference side of A/B parity tests). Either way the row pull
+/// `columnar = true` (the default everywhere above) lets the batch path —
+/// serial or inside worker fragments — run Filter / Project / inner
+/// HashJoin subtrees over columnar batches with vectorized kernels; `false`
+/// forces the row-at-a-time batch implementations (the
+/// `SessionBuilder::columnar(false)` escape hatch, and the reference side
+/// of A/B parity tests). Either way the row pull
 /// (`next()`), all counters, and the produced rows are identical.
 #[allow(clippy::too_many_arguments)]
 pub fn compile_bound_columnar(
@@ -177,10 +179,11 @@ fn sequence_insensitive(op: &PhysOp) -> bool {
 /// children via `next_columnar`, so a single row-only operator anywhere
 /// below would force a rows→columns conversion at every batch, which
 /// benchmarking shows loses more than the kernels gain. Pipeline breakers
-/// (sorts, aggregates, merge joins, exchanges) deliberately stay row-based:
-/// their comparison/run-I/O counters are the paper's subject and must stay
-/// bit-identical to the row path.
-fn columnar_capable(node: &PhysNode) -> bool {
+/// (sorts, aggregates, merge joins) deliberately stay row-based: their
+/// comparison/run-I/O counters are the paper's subject and must stay
+/// bit-identical to the row path. An exchange standing in for a capable
+/// subtree hands over whichever layout its consumer pulls.
+pub(crate) fn columnar_capable(node: &PhysNode) -> bool {
     match &node.op {
         PhysOp::TableScan { .. }
         | PhysOp::ClusteredIndexScan { .. }
@@ -198,8 +201,8 @@ fn columnar_capable(node: &PhysNode) -> bool {
 /// Compiles a subtree. `exact` records whether some consumer above this
 /// point depends on the exact serial row sequence (a sort's comparison
 /// count, a Limit's chosen prefix, a merge join's group pairing); when set,
-/// only exact-sequence parallelism (range partitioning + ordered merge) is
-/// allowed here.
+/// only exact-sequence parallelism (a gather releasing morsels in file
+/// order) is allowed here.
 pub(crate) fn compile_sub(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result<BoxOp> {
     if ctx.workers > 1 {
         if let Some(op) = crate::parallel::try_parallel(node, ctx, exact)? {
@@ -213,7 +216,7 @@ fn budget(catalog: &Catalog) -> SortBudget {
     SortBudget::new(catalog.sort_memory_blocks(), catalog.device().block_size())
 }
 
-pub(crate) fn key_spec(schema: &Schema, order: &SortOrder) -> Result<KeySpec> {
+fn key_spec(schema: &Schema, order: &SortOrder) -> Result<KeySpec> {
     Ok(KeySpec::new(
         order
             .attrs()
@@ -221,6 +224,23 @@ pub(crate) fn key_spec(schema: &Schema, order: &SortOrder) -> Result<KeySpec> {
             .map(|a| schema.index_of(a))
             .collect::<Result<Vec<_>>>()?,
     ))
+}
+
+/// Resolves equi-join pairs to the key column positions of each side.
+pub(crate) fn pair_cols(
+    pairs: &[JoinPair],
+    left: &Schema,
+    right: &Schema,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let l_cols = pairs
+        .iter()
+        .map(|p| left.index_of(&p.left))
+        .collect::<Result<_>>()?;
+    let r_cols = pairs
+        .iter()
+        .map(|p| right.index_of(&p.right))
+        .collect::<Result<_>>()?;
+    Ok((l_cols, r_cols))
 }
 
 /// Compiles a named expression against a schema. Parameter placeholders
@@ -344,12 +364,10 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
     // A sequence-sensitive serial operator demands its children's exact
     // serial row sequence; a pass-through one just inherits the demand.
     let child_exact = exact || !sequence_insensitive(&node.op);
-    // Columnar kernels only engage on the serial path: with workers > 1
-    // the subtree may have been split into morsel fragments, which exchange
-    // rows. Each qualifying node decides for itself; the check is
-    // recursive, so a flagged parent's children are flagged too (or are
-    // scans, which serve `next_columnar` natively without a flag).
-    let vectorize = ctx.columnar && ctx.workers == 1 && columnar_capable(node);
+    // Each qualifying node decides for itself; the check is recursive, so
+    // a flagged parent's children are flagged too — or are scans or
+    // exchanges, which serve `next_columnar` natively without a flag.
+    let vectorize = ctx.columnar && columnar_capable(node);
     let mut op: BoxOp = match &node.op {
         PhysOp::TableScan { table, .. } | PhysOp::ClusteredIndexScan { table, .. } => {
             let handle = ctx.catalog.table(table)?;
@@ -428,14 +446,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
         PhysOp::HashJoin { kind, pairs } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
-            let l_cols = pairs
-                .iter()
-                .map(|p| left.schema().index_of(&p.left))
-                .collect::<Result<Vec<_>>>()?;
-            let r_cols = pairs
-                .iter()
-                .map(|p| right.schema().index_of(&p.right))
-                .collect::<Result<Vec<_>>>()?;
+            let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
             let mut j = HashJoin::new(
                 left,
                 right,
@@ -449,14 +460,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
         PhysOp::NestedLoopsJoin { kind, pairs } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
-            let l_cols = pairs
-                .iter()
-                .map(|p| left.schema().index_of(&p.left))
-                .collect::<Result<Vec<_>>>()?;
-            let r_cols = pairs
-                .iter()
-                .map(|p| right.schema().index_of(&p.right))
-                .collect::<Result<Vec<_>>>()?;
+            let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
             Box::new(NestedLoopsJoin::new(
                 left,
                 right,

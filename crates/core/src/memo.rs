@@ -1,6 +1,6 @@
 //! Memo-based bottom-up plan enumeration.
 //!
-//! The legacy search ([`crate::optimizer::best_plan`]) is a top-down
+//! The legacy search (`crate::optimizer::best_plan`) is a top-down
 //! recursion over optimization goals `(node, required order)` with a memo
 //! table keyed by the goal (orders rep-normalized through the
 //! [`crate::equiv::EquivMap`], so equivalent orders share one memo group).

@@ -1,226 +1,346 @@
-//! Exchange operators for shared-nothing intra-query parallelism.
+//! The exchange operator for intra-query parallelism, built on
+//! `std::thread` + one bounded `std::sync::mpsc` channel (zero external
+//! deps).
 //!
-//! Three shapes, all built on `std::thread` + bounded `std::sync::mpsc`
-//! channels (zero external deps):
+//! A [`Gather`] deals one file out to N worker threads a morsel at a time
+//! ([`MorselSource`]). For every morsel it claims, a worker instantiates the
+//! fragment's operator chain over a scan of just that page range
+//! ([`FragmentFn`]), drains it, and sends the batches downstream tagged with
+//! the morsel's sequence number — so a worker's batches never span a morsel,
+//! and a morsel usually travels as one message.
+//! The consumer side runs in one of two modes, chosen by the source:
 //!
-//! * [`Gather`] — runs N worker [`Fragment`]s to completion and streams
-//!   their output batches in arrival order. Used when no consumer above the
-//!   exchange is sequence-sensitive, so any interleaving is acceptable
-//!   (rows are a multiset-faithful reproduction of serial execution).
-//! * [`GatherMerge`] — runs N workers whose individual streams are sorted
-//!   on a declared key and k-way-merges them, breaking ties toward the
-//!   lowest worker index. With workers over *contiguous* input ranges this
-//!   reproduces the serial row sequence exactly, which is what lets
-//!   order-sensitive consumers (merge joins, partial sorts, group
-//!   aggregates) run unchanged above a parallel scan.
-//! * [`repartition`] — hash-partitions N producer fragments' rows across M
-//!   consumer [`PartitionSource`]s (the build/probe feeds of a partitioned
-//!   hash join), using a deterministic FNV-1a key hash so both sides of a
-//!   join route equal keys to the same partition in every run.
+//! * **arrival order** (no claim window) — batches are handed on as they
+//!   arrive. Used when no consumer above the exchange is
+//!   sequence-sensitive: the rows are a multiset-faithful reproduction of
+//!   serial execution.
+//! * **ordered** (a windowed source) — morsels are released in sequence
+//!   order from a reorder buffer. What the head morsel has sent goes
+//!   straight through; batches of later morsels wait in their slot until
+//!   every earlier morsel is complete. A morsel's sequence number is its position
+//!   in the file, and a fragment chain of filters and projections emits a
+//!   morsel's surviving rows in scan order, so the released stream **is the
+//!   serial row sequence** — with no sort key and no comparison. The window
+//!   bounds the buffer: a worker may not claim a morsel more than `window`
+//!   sequence numbers past the head.
 //!
-//! **Metrics rule.** Worker fragments never touch the pipeline's shared
-//! [`ExecMetrics`]: each fragment charges its own block, and the exchange
-//! that owns the workers folds those blocks into the pipeline metrics — in
-//! worker-index order — when the last fragment finishes. The exchange's own
-//! bookkeeping (merge comparisons, partition hashing) is parallelization
-//! infrastructure, not the paper's order-enforcement work, and is charged
-//! nowhere. Together with the compiler's rule that parallel fragments
-//! contain only counter-free operators (scans, filters, projections, hash
-//! joins), this keeps all four counters bit-identical to `workers = 1`.
+//! Workers hand batches over in the form the consumer first pulls: row
+//! batches for a row consumer (so `to_rows` of a columnar fragment happens
+//! on the worker, in parallel), columnar batches for a columnar one.
+//!
+//! Before it spawns anyone, a gather *primes* its chain on the consumer
+//! thread, which makes every hash join in it build the table the workers
+//! will share (see `Fragment::prime`): builds finish before probes start,
+//! so nested exchanges run one after the other, never `workers` threads
+//! each at once.
+//!
+//! **Metrics rule.** Fragments contain only counter-free operators (scans,
+//! filters, projections, inner hash joins) and the exchange's own
+//! bookkeeping is parallelization infrastructure, not the paper's
+//! order-enforcement work, so nothing here touches `ExecMetrics`: all four
+//! counters stay bit-identical to `workers = 1`.
 
-use crate::metrics::{ExecMetrics, MetricsRef};
 use crate::op::{BoxOp, Operator};
-use pyro_common::{KeySpec, Result, Schema, Tuple};
+use crate::scan::{Morsel, MorselSource};
+use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
+use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Batches (or an error) in flight between a worker and its consumer.
-type Msg = Result<Vec<Tuple>>;
+/// The recipe for one parallel fragment: wraps the scan of a claimed morsel
+/// in the fragment's operator chain. Called once per morsel, on the worker
+/// that claimed it.
+pub type FragmentFn = Arc<dyn Fn(BoxOp) -> BoxOp + Send + Sync>;
 
-/// The row-path shim every exchange operator shares: drain the operator's
-/// `pending` buffer, refilling it one `next_batch` at a time. A macro
-/// rather than a helper because the refill needs `&mut self` while the
-/// buffer is a field of the same `self`.
-macro_rules! row_path_via_pending {
-    () => {
-        fn next(&mut self) -> Result<Option<Tuple>> {
-            loop {
-                if let Some(t) = self.pending.next() {
-                    return Ok(Some(t));
-                }
-                match self.next_batch()? {
-                    Some(batch) => self.pending = batch.into_iter(),
-                    None => return Ok(None),
-                }
-            }
-        }
-    };
+/// A batch in either layout.
+enum Batch {
+    Rows(Vec<Tuple>),
+    Cols(ColumnarBatch),
 }
 
-/// A compiled operator tree destined for one worker thread, paired with the
-/// private counter block everything in the tree charges.
-pub struct Fragment {
-    /// The worker's operator tree.
-    pub op: BoxOp,
-    /// The worker's private metrics, merged into the pipeline block by the
-    /// owning exchange at teardown.
-    pub metrics: MetricsRef,
+impl Batch {
+    fn into_rows(self) -> Vec<Tuple> {
+        match self {
+            Batch::Rows(rows) => rows,
+            Batch::Cols(cols) => cols.to_rows(),
+        }
+    }
+
+    fn into_cols(self) -> ColumnarBatch {
+        match self {
+            Batch::Rows(rows) => ColumnarBatch::from_rows(&rows),
+            Batch::Cols(cols) => cols,
+        }
+    }
+}
+
+/// A worker hands a morsel's output over in as few messages as it can — on
+/// a small machine every message may cost the consumer a sleep and a wake,
+/// which is dearer than a batch — but no more than this many batches at a
+/// time, so a high-fan-out join cannot make it hoard a morsel's worth of
+/// matches.
+const PART_BATCHES: usize = 16;
+
+/// What a worker tells the consumer.
+enum Msg {
+    /// The next output batches of morsel `seq`, in order; `last` marks the
+    /// morsel complete (a morsel that produced nothing sends one empty,
+    /// `last` part).
+    Part {
+        seq: usize,
+        batches: Vec<Batch>,
+        last: bool,
+    },
+    /// The worker's operator chain failed, or the worker is unwinding.
+    Failed(PyroError),
+}
+
+/// Tells the consumer when a worker dies unwinding: without it an ordered
+/// gather would wait forever for the dead worker's morsel to complete. The
+/// consumer then joins the workers, which re-raises the panic itself.
+struct PanicNotice<'a>(&'a SyncSender<Msg>);
+
+impl Drop for PanicNotice<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(Msg::Failed(PyroError::Exec(
+                "exchange worker panicked".into(),
+            )));
+        }
+    }
+}
+
+/// Everything a worker needs, shared by all of them.
+#[derive(Clone)]
+struct Fragment {
+    source: Arc<MorselSource>,
+    leaf_schema: Schema,
+    chain: FragmentFn,
 }
 
 impl Fragment {
-    /// Pairs an operator tree with a fresh private counter block.
-    pub fn new(op: BoxOp) -> Fragment {
-        Fragment {
-            op,
-            metrics: ExecMetrics::new(),
+    /// Instantiates the chain over an empty page range and pulls it once, on
+    /// the calling thread. Nothing comes out, but a hash join drains its
+    /// build side on its first pull — so every table the workers will share
+    /// exists before the first worker does. No worker ever parks behind a
+    /// build, and a build side's own exchange (a big one has one) has come
+    /// and gone before this one's threads start: a pipeline runs at most
+    /// `workers` threads at a time, however many exchanges it nests.
+    fn prime(&self, columnar: bool) -> Result<()> {
+        let nothing = Morsel {
+            seq: 0,
+            start: 0,
+            end: 0,
+        };
+        let mut op = (self.chain)(Box::new(
+            self.source.scan(&nothing, self.leaf_schema.clone()),
+        ));
+        if columnar {
+            op.next_columnar()?;
+        } else {
+            op.next_batch()?;
         }
+        Ok(())
     }
-}
 
-/// Deterministic 64-bit FNV-1a hash of the key columns of a tuple, over the
-/// same tag + payload-bits encoding `Value`'s `Hash` impl uses — so rows
-/// that are equal as hash-join keys land in the same partition, in every
-/// process and every run.
-pub fn hash_key(t: &Tuple, cols: &[usize]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for &c in cols {
-        match t.get(c) {
-            pyro_common::Value::Null => eat(&[0]),
-            pyro_common::Value::Int(i) => {
-                eat(&[1]);
-                eat(&i.to_le_bytes());
-            }
-            pyro_common::Value::Double(d) => {
-                eat(&[2]);
-                eat(&d.to_bits().to_le_bytes());
-            }
-            pyro_common::Value::Str(s) => {
-                eat(&[3]);
-                eat(s.as_bytes());
-                eat(&[0xff]);
-            }
-        }
-    }
-    h
-}
-
-/// Drives one worker fragment to completion, pushing batches downstream.
-/// A failed send means the consumer is gone (completion or abort): exit.
-fn drive(mut op: BoxOp, tx: SyncSender<Msg>) {
-    loop {
-        match op.next_batch() {
-            Ok(Some(batch)) => {
-                if tx.send(Ok(batch)).is_err() {
-                    return;
+    /// One worker: claim, instantiate, drain, repeat. A failed send means
+    /// the consumer is gone (completion or abort): exit.
+    fn work(&self, batch: usize, columnar: bool, tx: &SyncSender<Msg>) {
+        let _notice = PanicNotice(tx);
+        while let Some(morsel) = self.source.claim() {
+            let mut leaf: BoxOp = Box::new(self.source.scan(&morsel, self.leaf_schema.clone()));
+            leaf.set_batch_size(batch);
+            let mut op = (self.chain)(leaf);
+            op.set_batch_size(batch);
+            let mut batches = Vec::new();
+            loop {
+                let pulled = if columnar {
+                    op.next_columnar().map(|b| b.map(Batch::Cols))
+                } else {
+                    op.next_batch().map(|b| b.map(Batch::Rows))
+                };
+                let last = match pulled {
+                    Ok(Some(b)) => {
+                        batches.push(b);
+                        false
+                    }
+                    Ok(None) => true,
+                    Err(e) => {
+                        let _ = tx.send(Msg::Failed(e));
+                        return;
+                    }
+                };
+                if last || batches.len() >= PART_BATCHES {
+                    let part = Msg::Part {
+                        seq: morsel.seq,
+                        batches: std::mem::take(&mut batches),
+                        last,
+                    };
+                    if tx.send(part).is_err() {
+                        return;
+                    }
+                }
+                if last {
+                    break;
                 }
             }
-            Ok(None) => return,
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
         }
     }
 }
 
-/// Joins finished worker threads and folds their private metrics into the
-/// pipeline block, in worker-index order (the deterministic merge rule).
-/// A worker panic re-raises on the consumer — results must never be
-/// silently truncated — except while already unwinding (exchange teardown
-/// runs from `Drop`), where a second panic would abort the process.
-fn join_and_merge(handles: Vec<JoinHandle<()>>, metrics: &[MetricsRef], parent: &MetricsRef) {
-    let mut worker_panic = None;
-    for h in handles {
-        if let Err(payload) = h.join() {
-            worker_panic = Some(payload);
-        }
-    }
-    for m in metrics {
-        parent.merge_from(m);
-    }
-    if let Some(payload) = worker_panic {
-        if !std::thread::panicking() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-enum GatherState {
-    Idle(Vec<Fragment>),
+enum State {
+    Idle,
     Running {
         rx: Receiver<Msg>,
         handles: Vec<JoinHandle<()>>,
-        metrics: Vec<MetricsRef>,
     },
     Done,
 }
 
-/// Unordered exchange: N worker fragments feed one output stream in
-/// arrival order. Workers spawn lazily on the first pull and are joined —
-/// and their metrics merged — when the stream ends (or on error/drop, so a
-/// abandoned pipeline never leaks a thread).
+/// One morsel's place in the reorder buffer.
+#[derive(Default)]
+struct Slot {
+    batches: Vec<Batch>,
+    done: bool,
+}
+
+/// N workers over one morsel queue feeding one output stream — in arrival
+/// order, or in morsel-sequence order when the queue has a claim window
+/// (see the module doc). Workers spawn lazily on the first pull and are
+/// joined when the stream ends, fails, or is dropped, so an abandoned
+/// pipeline never leaks a thread.
 pub struct Gather {
     schema: Schema,
-    parent: MetricsRef,
-    state: GatherState,
+    fragment: Fragment,
+    workers: usize,
+    state: State,
+    /// Batches cleared to be handed on, in output order.
+    ready: VecDeque<Batch>,
+    /// Ordered mode: the lowest incomplete morsel, and the buffer for it
+    /// and its successors (`slots[i]` is morsel `head + i`).
+    head: usize,
+    slots: VecDeque<Slot>,
     /// Row-path leftovers (the exchange is batch-native).
     pending: std::vec::IntoIter<Tuple>,
     batch: usize,
 }
 
 impl Gather {
-    /// An unordered exchange over `fragments`, merging worker metrics into
-    /// `parent` at teardown.
-    pub fn new(schema: Schema, fragments: Vec<Fragment>, parent: MetricsRef) -> Gather {
+    /// An exchange producing `schema` rows: `workers` threads claim morsels
+    /// from `source`, scan them as `leaf_schema` and run each through
+    /// `chain`. Ordered iff `source` has a claim window.
+    pub fn new(
+        schema: Schema,
+        source: Arc<MorselSource>,
+        leaf_schema: Schema,
+        chain: FragmentFn,
+        workers: usize,
+    ) -> Gather {
         Gather {
             schema,
-            parent,
-            state: GatherState::Idle(fragments),
+            fragment: Fragment {
+                source,
+                leaf_schema,
+                chain,
+            },
+            workers: workers.max(1),
+            state: State::Idle,
+            ready: VecDeque::new(),
+            head: 0,
+            slots: VecDeque::new(),
             pending: Vec::new().into_iter(),
             batch: crate::op::DEFAULT_BATCH_SIZE,
         }
     }
 
-    fn start(&mut self) {
-        let GatherState::Idle(fragments) = std::mem::replace(&mut self.state, GatherState::Done)
-        else {
-            return;
-        };
-        let (tx, rx) = sync_channel::<Msg>(fragments.len().max(1) * 2);
-        let mut handles = Vec::with_capacity(fragments.len());
-        let mut metrics = Vec::with_capacity(fragments.len());
-        for frag in fragments {
-            metrics.push(frag.metrics.clone());
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || drive(frag.op, tx)));
-        }
-        self.state = GatherState::Running {
-            rx,
-            handles,
-            metrics,
-        };
+    fn start(&mut self, columnar: bool) -> Result<()> {
+        // Until the workers are up, a failure leaves the stream ended.
+        self.state = State::Done;
+        self.fragment.prime(columnar)?;
+        let (tx, rx) = sync_channel::<Msg>(self.workers * 2);
+        let handles = (0..self.workers)
+            .map(|_| {
+                let (fragment, tx, batch) = (self.fragment.clone(), tx.clone(), self.batch);
+                std::thread::spawn(move || fragment.work(batch, columnar, &tx))
+            })
+            .collect();
+        self.state = State::Running { rx, handles };
+        Ok(())
     }
 
-    /// Tears the exchange down: drops the receiver (unblocking any worker
-    /// mid-send), joins all workers, merges their metrics.
+    /// Tears the exchange down: closes the morsel queue (waking workers
+    /// parked on the window), drops the receiver (unblocking workers
+    /// mid-send) and joins everyone. A worker panic re-raises here, on the
+    /// consumer — results must never be silently truncated — except while
+    /// already unwinding (teardown also runs from `Drop`), where a second
+    /// panic would abort the process.
     fn finish(&mut self) {
-        if let GatherState::Running {
-            rx,
-            handles,
-            metrics,
-        } = std::mem::replace(&mut self.state, GatherState::Done)
-        {
+        if let State::Running { rx, handles } = std::mem::replace(&mut self.state, State::Done) {
+            self.fragment.source.close();
             drop(rx);
-            join_and_merge(handles, &metrics, &self.parent);
+            let mut worker_panic = None;
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    worker_panic = Some(payload);
+                }
+            }
+            if let Some(payload) = worker_panic {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// Ordered mode: files a part under its morsel, then clears everything
+    /// the head morsel has so far — and every complete morsel behind it —
+    /// for output. `seq` is never below `head`: a morsel the head has moved
+    /// past is complete, and its worker has moved on.
+    fn reorder(&mut self, seq: usize, batches: Vec<Batch>, last: bool) {
+        let i = seq - self.head;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, Slot::default);
+        }
+        self.slots[i].batches.extend(batches);
+        self.slots[i].done |= last;
+        while let Some(slot) = self.slots.front_mut() {
+            self.ready.extend(slot.batches.drain(..));
+            if !slot.done {
+                return;
+            }
+            self.slots.pop_front();
+            self.head += 1;
+            self.fragment.source.release(self.head);
+        }
+    }
+
+    /// The next batch in the mode's order, in whatever layout the workers
+    /// were started with (the first pull decides).
+    fn pull(&mut self, columnar: bool) -> Result<Option<Batch>> {
+        if let State::Idle = self.state {
+            self.start(columnar)?;
+        }
+        let ordered = self.fragment.source.is_windowed();
+        loop {
+            if let Some(b) = self.ready.pop_front() {
+                return Ok(Some(b));
+            }
+            let State::Running { rx, .. } = &self.state else {
+                return Ok(None);
+            };
+            match rx.recv() {
+                Ok(Msg::Part { seq, batches, last }) if ordered => self.reorder(seq, batches, last),
+                Ok(Msg::Part { batches, .. }) => self.ready.extend(batches),
+                Ok(Msg::Failed(e)) => {
+                    self.slots.clear();
+                    self.finish();
+                    return Err(e);
+                }
+                // Every worker has exited and the channel is drained: each
+                // claimed morsel is complete and already cleared for output.
+                Err(_) => self.finish(),
+            }
         }
     }
 }
@@ -230,23 +350,24 @@ impl Operator for Gather {
         &self.schema
     }
 
-    row_path_via_pending!();
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next(&mut self) -> Result<Option<Tuple>> {
         loop {
-            match &mut self.state {
-                GatherState::Idle(_) => self.start(),
-                GatherState::Running { rx, .. } => match rx.recv() {
-                    Ok(Ok(batch)) => return Ok(Some(batch)),
-                    Ok(Err(e)) => {
-                        self.finish();
-                        return Err(e);
-                    }
-                    Err(_) => self.finish(),
-                },
-                GatherState::Done => return Ok(None),
+            if let Some(t) = self.pending.next() {
+                return Ok(Some(t));
+            }
+            match self.next_batch()? {
+                Some(batch) => self.pending = batch.into_iter(),
+                None => return Ok(None),
             }
         }
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+        Ok(self.pull(false)?.map(Batch::into_rows))
+    }
+
+    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        Ok(self.pull(true)?.map(Batch::into_cols))
     }
 
     fn batch_size(&self) -> usize {
@@ -255,11 +376,6 @@ impl Operator for Gather {
 
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
-        if let GatherState::Idle(fragments) = &mut self.state {
-            for f in fragments {
-                f.op.set_batch_size(self.batch);
-            }
-        }
     }
 }
 
@@ -269,551 +385,209 @@ impl Drop for Gather {
     }
 }
 
-struct MergeInput {
-    rx: Receiver<Msg>,
-    buf: std::vec::IntoIter<Tuple>,
-    head: Option<Tuple>,
-    open: bool,
-}
-
-impl MergeInput {
-    /// Ensures `head` holds this worker's next row unless its stream ended.
-    fn refill(&mut self) -> Result<()> {
-        while self.head.is_none() {
-            if let Some(t) = self.buf.next() {
-                self.head = Some(t);
-                return Ok(());
-            }
-            if !self.open {
-                return Ok(());
-            }
-            match self.rx.recv() {
-                Ok(Ok(batch)) => self.buf = batch.into_iter(),
-                Ok(Err(e)) => {
-                    self.open = false;
-                    return Err(e);
-                }
-                Err(_) => self.open = false,
-            }
-        }
-        Ok(())
-    }
-}
-
-enum MergeState {
-    Idle(Vec<Fragment>),
-    Running {
-        inputs: Vec<MergeInput>,
-        handles: Vec<JoinHandle<()>>,
-        metrics: Vec<MetricsRef>,
-    },
-    Done,
-}
-
-/// Order-preserving exchange: each worker's stream is sorted on `key`; the
-/// operator k-way-merges them, breaking key ties toward the lowest worker
-/// index. Given workers over contiguous input ranges, the output sequence
-/// is exactly the serial one. Merge comparisons are exchange overhead and
-/// are deliberately **not** charged to `ExecMetrics` (see the module doc).
-pub struct GatherMerge {
-    schema: Schema,
-    key: KeySpec,
-    parent: MetricsRef,
-    state: MergeState,
-    pending: std::vec::IntoIter<Tuple>,
-    batch: usize,
-}
-
-impl GatherMerge {
-    /// An ordered exchange over `fragments`, each of which must produce
-    /// rows sorted on `key`.
-    pub fn new(
-        schema: Schema,
-        fragments: Vec<Fragment>,
-        key: KeySpec,
-        parent: MetricsRef,
-    ) -> GatherMerge {
-        GatherMerge {
-            schema,
-            key,
-            parent,
-            state: MergeState::Idle(fragments),
-            pending: Vec::new().into_iter(),
-            batch: crate::op::DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    fn start(&mut self) {
-        let MergeState::Idle(fragments) = std::mem::replace(&mut self.state, MergeState::Done)
-        else {
-            return;
-        };
-        let mut inputs = Vec::with_capacity(fragments.len());
-        let mut handles = Vec::with_capacity(fragments.len());
-        let mut metrics = Vec::with_capacity(fragments.len());
-        for frag in fragments {
-            // One private channel per worker: the merge needs to know which
-            // worker each batch came from.
-            let (tx, rx) = sync_channel::<Msg>(2);
-            metrics.push(frag.metrics.clone());
-            handles.push(std::thread::spawn(move || drive(frag.op, tx)));
-            inputs.push(MergeInput {
-                rx,
-                buf: Vec::new().into_iter(),
-                head: None,
-                open: true,
-            });
-        }
-        self.state = MergeState::Running {
-            inputs,
-            handles,
-            metrics,
-        };
-    }
-
-    fn finish(&mut self) {
-        if let MergeState::Running {
-            inputs,
-            handles,
-            metrics,
-        } = std::mem::replace(&mut self.state, MergeState::Done)
-        {
-            drop(inputs);
-            join_and_merge(handles, &metrics, &self.parent);
-        }
-    }
-
-    /// Pops the globally smallest head row (ties → lowest worker index), or
-    /// `None` when every worker stream is exhausted.
-    fn pop_min(&mut self) -> Result<Option<Tuple>> {
-        let refilled = {
-            let MergeState::Running { inputs, .. } = &mut self.state else {
-                return Ok(None);
-            };
-            inputs.iter_mut().try_for_each(MergeInput::refill)
-        };
-        if let Err(e) = refilled {
-            self.finish();
-            return Err(e);
-        }
-        let MergeState::Running { inputs, .. } = &mut self.state else {
-            return Ok(None);
-        };
-        let mut best: Option<usize> = None;
-        for i in 0..inputs.len() {
-            let Some(candidate) = &inputs[i].head else {
-                continue;
-            };
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let current = inputs[b].head.as_ref().expect("best has a head");
-                    // Strictly-less keeps the earliest worker on ties.
-                    if self.key.compare(candidate, current) == std::cmp::Ordering::Less {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        match best {
-            Some(i) => Ok(inputs[i].head.take()),
-            None => Ok(None),
-        }
-    }
-}
-
-impl Operator for GatherMerge {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    row_path_via_pending!();
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if let MergeState::Idle(_) = self.state {
-            self.start();
-        }
-        if let MergeState::Done = self.state {
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(self.batch);
-        while out.len() < self.batch {
-            match self.pop_min()? {
-                Some(t) => out.push(t),
-                None => {
-                    self.finish();
-                    break;
-                }
-            }
-        }
-        Ok(if out.is_empty() { None } else { Some(out) })
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn set_batch_size(&mut self, rows: usize) {
-        self.batch = rows.max(1);
-        if let MergeState::Idle(fragments) = &mut self.state {
-            for f in fragments {
-                f.op.set_batch_size(self.batch);
-            }
-        }
-    }
-}
-
-impl Drop for GatherMerge {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// Everything needed to launch the producer side of a repartition, parked
-/// until the first consumer pulls.
-struct RepartLaunch {
-    producers: Vec<Fragment>,
-    senders: Vec<SyncSender<Msg>>,
-    key_cols: Arc<[usize]>,
-    batch: usize,
-}
-
-/// State shared by the [`PartitionSource`]s of one repartition exchange.
-/// The last source to drop joins the producer threads and merges their
-/// metrics (all receivers are gone by then, so blocked producers unwind via
-/// failed sends).
-struct RepartCore {
-    launch: Mutex<Option<RepartLaunch>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    metrics: Vec<MetricsRef>,
-    parent: MetricsRef,
-}
-
-impl RepartCore {
-    /// Spawns the producer threads exactly once, on first demand.
-    fn ensure_started(&self) {
-        let mut launch = self.launch.lock().expect("repartition launch poisoned");
-        let Some(l) = launch.take() else { return };
-        let mut handles = self.handles.lock().expect("repartition handles poisoned");
-        for frag in l.producers {
-            let senders = l.senders.clone();
-            let key_cols = l.key_cols.clone();
-            let batch = l.batch;
-            handles.push(std::thread::spawn(move || {
-                route(frag.op, senders, &key_cols, batch)
-            }));
-        }
-        // `l.senders` drops here: once every producer finishes, consumers
-        // see their channels disconnect.
-    }
-}
-
-impl Drop for RepartCore {
-    fn drop(&mut self) {
-        let mut producer_panic = None;
-        for h in self
-            .handles
-            .get_mut()
-            .expect("repartition handles poisoned")
-            .drain(..)
-        {
-            if let Err(payload) = h.join() {
-                producer_panic = Some(payload);
-            }
-        }
-        for m in &self.metrics {
-            self.parent.merge_from(m);
-        }
-        // A panicked producer closed its channels early, which consumers
-        // read as a clean end of stream — re-raise so a truncated partition
-        // can never pass as a complete result. This drop runs on whichever
-        // thread released the last `PartitionSource` (typically a join
-        // worker, whose panic the owning gather re-raises on the consumer);
-        // skip only if that thread is already unwinding.
-        if let Some(payload) = producer_panic {
-            if !std::thread::panicking() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-}
-
-/// One producer thread: pulls its fragment's batches and routes each row to
-/// the consumer owning `hash_key % partitions`, re-batching per consumer so
-/// channel traffic stays amortized.
-fn route(mut op: BoxOp, senders: Vec<SyncSender<Msg>>, key_cols: &[usize], batch: usize) {
-    let n = senders.len();
-    let mut outs: Vec<Vec<Tuple>> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
-    let mut alive = vec![true; n];
-    loop {
-        match op.next_batch() {
-            Ok(Some(rows)) => {
-                for t in rows {
-                    let p = (hash_key(&t, key_cols) % n as u64) as usize;
-                    if !alive[p] {
-                        continue;
-                    }
-                    outs[p].push(t);
-                    if outs[p].len() >= batch {
-                        let full = std::mem::replace(&mut outs[p], Vec::with_capacity(batch));
-                        if senders[p].send(Ok(full)).is_err() {
-                            alive[p] = false;
-                        }
-                    }
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                for (p, s) in senders.iter().enumerate() {
-                    if alive[p] {
-                        let _ = s.send(Err(e.clone()));
-                    }
-                }
-                return;
-            }
-        }
-    }
-    for (p, s) in senders.iter().enumerate() {
-        if alive[p] && !outs[p].is_empty() {
-            let _ = s.send(Ok(std::mem::take(&mut outs[p])));
-        }
-    }
-}
-
-/// One partition's stream out of a [`repartition`] exchange: an operator
-/// yielding exactly the producer rows whose key hashes to this partition.
-pub struct PartitionSource {
-    // Field order matters: `rx` must drop before `core` so the last
-    // source's receiver is gone when `RepartCore::drop` joins producers.
-    rx: Receiver<Msg>,
-    core: Arc<RepartCore>,
-    schema: Schema,
-    pending: std::vec::IntoIter<Tuple>,
-    batch: usize,
-    done: bool,
-}
-
-impl Operator for PartitionSource {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    row_path_via_pending!();
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.core.ensure_started();
-        match self.rx.recv() {
-            Ok(Ok(batch)) => Ok(Some(batch)),
-            Ok(Err(e)) => {
-                self.done = true;
-                Err(e)
-            }
-            Err(_) => {
-                self.done = true;
-                Ok(None)
-            }
-        }
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn set_batch_size(&mut self, rows: usize) {
-        self.batch = rows.max(1);
-    }
-}
-
-/// Splits the output of `producers` into `partitions` streams by a
-/// deterministic hash of `key_cols`. Producer threads spawn lazily when any
-/// partition is first pulled; their metrics merge into `parent` when the
-/// last [`PartitionSource`] is dropped.
-pub fn repartition(
-    producers: Vec<Fragment>,
-    key_cols: Vec<usize>,
-    partitions: usize,
-    batch: usize,
-    schema: Schema,
-    parent: MetricsRef,
-) -> Vec<PartitionSource> {
-    let partitions = partitions.max(1);
-    let batch = batch.max(1);
-    let metrics: Vec<MetricsRef> = producers.iter().map(|f| f.metrics.clone()).collect();
-    let mut senders = Vec::with_capacity(partitions);
-    let mut receivers = Vec::with_capacity(partitions);
-    for _ in 0..partitions {
-        let (tx, rx) = sync_channel::<Msg>(producers.len().max(1) * 2);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let core = Arc::new(RepartCore {
-        launch: Mutex::new(Some(RepartLaunch {
-            producers,
-            senders,
-            key_cols: key_cols.into(),
-            batch,
-        })),
-        handles: Mutex::new(Vec::new()),
-        metrics,
-        parent,
-    });
-    receivers
-        .into_iter()
-        .map(|rx| PartitionSource {
-            rx,
-            core: core.clone(),
-            schema: schema.clone(),
-            pending: Vec::new().into_iter(),
-            batch,
-            done: false,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, collect_batched, ValuesOp};
-    use pyro_common::Value;
+    use crate::expr::{CmpOp, Expr};
+    use crate::filter::Filter;
+    use crate::join::{HashJoin, SharedBuild};
+    use crate::op::{collect, collect_batched, FaultyOp, ValuesOp};
+    use pyro_common::{KeySpec, Value};
+    use pyro_storage::{write_file, SimDevice, TupleFile};
 
-    fn rows(n: i64) -> Vec<Tuple> {
-        (0..n)
+    fn schema() -> Schema {
+        Schema::ints(&["k", "v"])
+    }
+
+    /// `n` rows `(i % 13, i)` on 128-byte pages: a few dozen pages, so
+    /// two-page morsels give every worker many claims.
+    fn file(n: i64) -> (TupleFile, Vec<Tuple>) {
+        let rows: Vec<Tuple> = (0..n)
             .map(|i| Tuple::new(vec![Value::Int(i % 13), Value::Int(i)]))
-            .collect()
-    }
-
-    fn fragments_over(chunks: Vec<Vec<Tuple>>) -> Vec<Fragment> {
-        chunks
-            .into_iter()
-            .map(|c| Fragment::new(Box::new(ValuesOp::new(Schema::ints(&["k", "v"]), c))))
-            .collect()
-    }
-
-    #[test]
-    fn gather_yields_union_of_fragments() {
-        let all = rows(100);
-        let frags = fragments_over(vec![
-            all[..40].to_vec(),
-            all[40..41].to_vec(),
-            Vec::new(),
-            all[41..].to_vec(),
-        ]);
-        let parent = ExecMetrics::new();
-        // Charge one fragment's private metrics to watch the merge happen.
-        frags[1].metrics.add_comparisons(7);
-        let g = Gather::new(Schema::ints(&["k", "v"]), frags, parent.clone());
-        let mut out = collect_batched(Box::new(g)).unwrap();
-        out.sort();
-        let mut expect = all;
-        expect.sort();
-        assert_eq!(out, expect);
-        assert_eq!(parent.comparisons(), 7, "worker metrics merged at finish");
-    }
-
-    #[test]
-    fn gather_row_path_works() {
-        let all = rows(10);
-        let g = Gather::new(
-            Schema::ints(&["k", "v"]),
-            fragments_over(vec![all[..5].to_vec(), all[5..].to_vec()]),
-            ExecMetrics::new(),
-        );
-        let mut out = collect(Box::new(g)).unwrap();
-        out.sort();
-        let mut expect = all;
-        expect.sort();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn gather_drop_mid_stream_joins_workers() {
-        // Far more rows than channel capacity: workers will block on send.
-        let all = rows(20_000);
-        let mut g = Gather::new(
-            Schema::ints(&["k", "v"]),
-            fragments_over(vec![all[..10_000].to_vec(), all[10_000..].to_vec()]),
-            ExecMetrics::new(),
-        );
-        let first = g.next_batch().unwrap();
-        assert!(first.is_some());
-        drop(g); // must not deadlock or leak threads
-    }
-
-    #[test]
-    fn gather_merge_reproduces_serial_sequence() {
-        // Globally sorted input split into contiguous ranges with duplicate
-        // keys straddling the boundary: the merge must reproduce the exact
-        // original sequence (ties to the earlier worker).
-        let mut all: Vec<Tuple> = (0..300)
-            .map(|i| Tuple::new(vec![Value::Int(i / 3), Value::Int(i)]))
             .collect();
-        all.sort();
-        let frags = fragments_over(vec![
-            all[..100].to_vec(),
-            all[100..200].to_vec(),
-            all[200..].to_vec(),
-        ]);
-        let parent = ExecMetrics::new();
-        let g = GatherMerge::new(
-            Schema::ints(&["k", "v"]),
-            frags,
-            KeySpec::new(vec![0]),
-            parent.clone(),
-        );
-        let out = collect_batched(Box::new(g)).unwrap();
-        assert_eq!(out, all, "exact serial sequence, ties by worker index");
-        assert_eq!(
-            parent.comparisons(),
-            0,
-            "merge comparisons are infrastructure, never charged"
-        );
+        let file = write_file(SimDevice::with_block_size(128), &rows).unwrap();
+        (file, rows)
+    }
+
+    fn gather(
+        file: &TupleFile,
+        window: Option<usize>,
+        chain: FragmentFn,
+        workers: usize,
+    ) -> Gather {
+        let source = MorselSource::with_morsel_pages(file, 2, window);
+        let mut g = Gather::new(schema(), source, schema(), chain, workers);
+        g.set_batch_size(16);
+        g
+    }
+
+    fn identity() -> FragmentFn {
+        Arc::new(|leaf| leaf)
+    }
+
+    fn faulty(after: usize, panic: bool) -> FragmentFn {
+        Arc::new(move |child| {
+            Box::new(FaultyOp {
+                child,
+                after,
+                panic,
+            })
+        })
     }
 
     #[test]
-    fn repartition_routes_every_row_exactly_once_and_aligns_keys() {
-        let all = rows(500);
-        let sources = repartition(
-            fragments_over(vec![all[..250].to_vec(), all[250..].to_vec()]),
-            vec![0],
-            4,
-            64,
-            Schema::ints(&["k", "v"]),
-            ExecMetrics::new(),
-        );
-        let mut seen = Vec::new();
-        for (p, src) in sources.into_iter().enumerate() {
-            let part = collect_batched(Box::new(src)).unwrap();
-            for t in &part {
-                assert_eq!(
-                    (hash_key(t, &[0]) % 4) as usize,
-                    p,
-                    "row in wrong partition"
-                );
+    fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
+        let (file, rows) = file(600);
+        for workers in [1, 2, 4] {
+            let by_batch = collect_batched(Box::new(gather(&file, None, identity(), workers)));
+            let by_row = collect(Box::new(gather(&file, None, identity(), workers)));
+            let mut g = gather(&file, None, identity(), workers);
+            let mut by_col = Vec::new();
+            while let Some(b) = g.next_columnar().unwrap() {
+                by_col.extend(b.to_rows());
             }
-            seen.extend(part);
+            for mut out in [by_batch.unwrap(), by_row.unwrap(), by_col] {
+                out.sort_by_key(|t| t.get(1).as_int());
+                assert_eq!(out, rows, "workers={workers}");
+            }
         }
-        seen.sort();
-        let mut expect = all;
-        expect.sort();
-        assert_eq!(seen, expect);
+    }
+
+    /// The ordered gather is the file, exactly — including when a filter
+    /// empties whole runs of morsels (`v` in 100..400 is ~20 consecutive
+    /// two-page morsels): an empty morsel must still be marked complete or
+    /// the window would never move past it.
+    #[test]
+    fn ordered_gather_reproduces_file_order_past_empty_morsels() {
+        let (file, rows) = file(600);
+        let keep = |lo: i64, hi: i64| -> FragmentFn {
+            let pred = Expr::and_all(vec![
+                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(lo)),
+                Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(hi)),
+            ]);
+            Arc::new(move |leaf| Box::new(Filter::new(leaf, pred.clone())))
+        };
+        for workers in [1, 2, 4] {
+            for window in [1, 2, 8] {
+                let all =
+                    collect_batched(Box::new(gather(&file, Some(window), identity(), workers)));
+                assert_eq!(all.unwrap(), rows, "workers={workers} window={window}");
+                let tail = collect_batched(Box::new(gather(
+                    &file,
+                    Some(window),
+                    keep(400, 600),
+                    workers,
+                )));
+                assert_eq!(
+                    tail.unwrap(),
+                    rows[400..],
+                    "workers={workers} window={window}"
+                );
+                let none = collect(Box::new(gather(&file, Some(window), keep(9, 9), workers)));
+                assert_eq!(none.unwrap(), Vec::new());
+            }
+        }
+    }
+
+    /// Dropping either kind of gather mid-stream — workers parked on the
+    /// window, on the full channel, or mid-morsel — joins every thread:
+    /// this test hangs if one is left behind, and the `Arc` count proves
+    /// none still holds the fragment.
+    #[test]
+    fn drop_mid_stream_joins_every_worker() {
+        let (file, _) = file(5_000);
+        for window in [None, Some(1), Some(8)] {
+            let chain = identity();
+            let mut g = gather(&file, window, chain.clone(), 4);
+            assert!(g.next_batch().unwrap().is_some());
+            drop(g);
+            assert_eq!(Arc::strong_count(&chain), 1, "window={window:?}");
+        }
     }
 
     #[test]
-    fn hash_key_is_deterministic_and_type_tagged() {
-        let a = Tuple::new(vec![Value::Int(1), Value::Str("x".into())]);
-        let b = Tuple::new(vec![Value::Int(1), Value::Str("x".into())]);
-        assert_eq!(hash_key(&a, &[0, 1]), hash_key(&b, &[0, 1]));
-        let c = Tuple::new(vec![Value::Double(1.0), Value::Str("x".into())]);
-        assert_ne!(
-            hash_key(&a, &[0]),
-            hash_key(&c, &[0]),
-            "Int(1) and Double(1.0) are distinct join keys"
+    fn worker_error_is_typed_and_worker_panic_reraises_on_the_consumer() {
+        let (file, _) = file(600);
+        for window in [None, Some(2)] {
+            let err = collect_batched(Box::new(gather(&file, window, faulty(7, false), 2)));
+            assert_eq!(err.unwrap_err(), PyroError::Exec("boom".into()));
+
+            let chain = faulty(7, true);
+            let g = gather(&file, window, chain.clone(), 2);
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| collect(Box::new(g))))
+                    .expect_err("the worker's panic must not be swallowed");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            assert_eq!(Arc::strong_count(&chain), 1, "every worker joined");
+        }
+    }
+
+    /// A fragment of hash joins shares one build: it is drained exactly
+    /// once however many workers and morsels probe it, and its failure —
+    /// typed or panicking — reaches the consumer before any worker starts.
+    #[test]
+    fn shared_build_is_built_once_and_its_failure_surfaces() {
+        let (file, rows) = file(600);
+        let join_on = |build: BoxOp| -> FragmentFn {
+            let shared = SharedBuild::new(build, KeySpec::new(vec![0]), false);
+            Arc::new(move |leaf| {
+                Box::new(HashJoin::with_shared_build(
+                    shared.clone(),
+                    leaf,
+                    KeySpec::new(vec![0]),
+                ))
+            })
+        };
+        let build_rows = || -> BoxOp {
+            let rows = (0..5).map(|k| Tuple::new(vec![Value::Int(k), Value::Int(-k)]));
+            Box::new(ValuesOp::new(Schema::ints(&["bk", "bv"]), rows.collect()))
+        };
+        let joined = Schema::ints(&["bk", "bv", "k", "v"]);
+        let run = |chain: FragmentFn| {
+            let source = MorselSource::with_morsel_pages(&file, 2, None);
+            collect_batched(Box::new(Gather::new(
+                joined.clone(),
+                source,
+                schema(),
+                chain,
+                3,
+            )))
+        };
+
+        let mut out = run(join_on(build_rows())).unwrap();
+        out.sort_by_key(|t| t.get(3).as_int());
+        let expect: Vec<Tuple> = rows
+            .iter()
+            .filter(|t| t.get(0).as_int().unwrap() < 5)
+            .map(|t| {
+                Tuple::new(vec![
+                    t.get(0).clone(),
+                    Value::Int(-t.get(0).as_int().unwrap()),
+                ])
+                .concat(t)
+            })
+            .collect();
+        assert_eq!(
+            out, expect,
+            "a second drain of the build side would find it empty"
         );
-        assert_ne!(hash_key(&a, &[0]), hash_key(&a, &[1]));
+
+        let failing = Box::new(FaultyOp {
+            child: build_rows(),
+            after: 3,
+            panic: false,
+        });
+        assert_eq!(
+            run(join_on(failing)).unwrap_err(),
+            PyroError::Exec("boom".into())
+        );
+        let panicking = Box::new(FaultyOp {
+            child: build_rows(),
+            after: 3,
+            panic: true,
+        });
+        let chain = join_on(panicking);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(chain)))
+            .expect_err("a panicking build must not be swallowed");
     }
 }

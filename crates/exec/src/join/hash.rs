@@ -4,57 +4,249 @@
 //! the plan shape SYS1 chose for Query 3 (paper Fig. 11a). Build side is
 //! materialized into a hash table; NULL keys never match (and are emitted
 //! padded by the outer variants).
+//!
+//! A finished build side is immutable — the outer joins' "found a partner"
+//! bits live on the probing operator, not in the table — so the workers of
+//! a parallel inner join share one table behind an `Arc` ([`SharedBuild`]):
+//! it is built once, by whoever needs it first, and every worker probes its
+//! own morsels against it.
 
 use super::JoinKind;
 use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{
-    ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, Result, Schema, Tuple, Value,
+    ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple,
+    Value,
 };
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Hash join; the **left** input is the build side.
 pub struct HashJoin {
+    build: BuildSide,
     right: BoxOp,
     left_schema_len: usize,
     right_schema_len: usize,
     left_key: KeySpec,
-    right_key: KeySpec,
     kind: JoinKind,
     schema: Schema,
-    state: Option<BuildState>,
-    build_input: Option<BoxOp>,
+    /// The finished build side; `None` until the first pull.
+    table: Option<Arc<Built>>,
+    probe: RowProbe,
     pending: std::vec::IntoIter<Tuple>,
     /// Full-outer only: after probe ends, emit unmatched build rows.
     drain_unmatched: bool,
-    /// Reused probe-key buffer: the table lookup borrows it as a slice, so
-    /// probing allocates nothing per row.
-    probe_key: Vec<Value>,
-    build_stash: Stash,
     probe_stash: Stash,
     batch: usize,
     /// When set (by the plan compiler, inner joins over fully columnar
     /// subtrees only) the batch pull runs the vectorized build/probe kernel.
     columnar: bool,
-    /// Vectorized build state; `None` until the first columnar pull.
-    col_build: Option<ColBuild>,
     /// The probe batch currently being walked: `(batch, selection, cursor)`.
     probe_pos: Option<(ColumnarBatch, Vec<u32>, usize)>,
 }
 
-struct BuildState {
-    table: HashMap<Vec<Value>, Vec<(Tuple, std::cell::Cell<bool>)>>,
-    /// Build rows with NULL keys (never match; emitted by FULL OUTER).
+/// Where the build side comes from.
+enum BuildSide {
+    /// Serial join: this operator drains its own left input, once.
+    Own(Option<BoxOp>),
+    /// One worker's copy of a parallel inner join.
+    Shared(Arc<SharedBuild>),
+}
+
+/// The granularity the build input is drained at — the one the join itself
+/// is being pulled at, so the pull styles never interleave on the input.
+#[derive(Clone, Copy)]
+enum Pull {
+    Row,
+    Batch,
+    Columnar,
+}
+
+/// A finished build side.
+enum Built {
+    /// Every build-key column came back integer-typed from a columnar
+    /// drain: tight chained hash table over flattened `i64` keys.
+    Vector(VectorTable),
+    /// Everything else: the rows themselves plus a key index.
+    Rows(RowTable),
+}
+
+impl Built {
+    /// Drains `input` and builds the table form `pull` calls for. Rows are
+    /// inserted in arrival order under every form, which is what makes the
+    /// per-probe-row match order identical across them.
+    fn drain(input: &mut BoxOp, key_cols: &[usize], pull: Pull) -> Result<Built> {
+        let mut rows = RowTable::default();
+        match pull {
+            Pull::Row => {
+                while let Some(t) = input.next()? {
+                    rows.insert(t, key_cols);
+                }
+            }
+            Pull::Batch => {
+                while let Some(batch) = input.next_batch()? {
+                    for t in batch {
+                        rows.insert(t, key_cols);
+                    }
+                }
+            }
+            Pull::Columnar => {
+                let mut builders: Vec<ColumnBuilder> = (0..input.schema().len())
+                    .map(|_| ColumnBuilder::new())
+                    .collect();
+                while let Some(b) = input.next_columnar()? {
+                    for (c, builder) in builders.iter_mut().enumerate() {
+                        builder.append_column(b.column(c), b.sel());
+                    }
+                }
+                let cols: Vec<ColumnVec> =
+                    builders.into_iter().map(ColumnBuilder::finish).collect();
+                if key_cols
+                    .iter()
+                    .all(|&c| matches!(cols[c].data(), ColumnData::Int(_)))
+                {
+                    return Ok(Built::Vector(VectorTable::build(cols, key_cols)));
+                }
+                // Non-integer keys: rebuild the exact row stream for the row
+                // table, so match semantics (`Value` equality, NULL
+                // handling) cannot diverge from the row path.
+                for i in 0..cols.first().map_or(0, ColumnVec::len) {
+                    let t = Tuple::new(cols.iter().map(|c| c.value_at(i)).collect());
+                    rows.insert(t, key_cols);
+                }
+            }
+        }
+        Ok(Built::Rows(rows))
+    }
+
+    /// The row table, for the row-granularity probe. A columnar drain is the
+    /// only source of a vector table and it is only ever requested by the
+    /// columnar pull, so the error marks interleaved pull styles.
+    fn rows(&self) -> Result<&RowTable> {
+        match self {
+            Built::Rows(t) => Ok(t),
+            Built::Vector(_) => Err(PyroError::Exec(
+                "hash join pulled row-wise after a columnar build".into(),
+            )),
+        }
+    }
+}
+
+/// Row-form build side: the keyed rows in arrival order plus an index from
+/// key to their positions (ascending, so a probe row meets its matches in
+/// build arrival order).
+#[derive(Default)]
+struct RowTable {
+    rows: Vec<Tuple>,
+    index: HashMap<Vec<Value>, Vec<usize>>,
+    /// Build rows with NULL keys (never match; emitted by LEFT/FULL OUTER).
     null_rows: Vec<Tuple>,
 }
 
-/// Result of the columnar build phase.
-enum ColBuild {
-    /// Every build-key column came back integer-typed: tight chained hash
-    /// table over flattened `i64` keys.
-    Vector(VectorTable),
-    /// Non-integer build keys present — the row table (in `state`) is
-    /// authoritative and the columnar pull shims through the row probe.
-    RowFallback,
+impl RowTable {
+    fn insert(&mut self, t: Tuple, key_cols: &[usize]) {
+        let key = t.key(key_cols);
+        if key.iter().any(Value::is_null) {
+            self.null_rows.push(t);
+        } else {
+            self.index.entry(key).or_default().push(self.rows.len());
+            self.rows.push(t);
+        }
+    }
+}
+
+/// What a row-granularity probe mutates, kept apart from the (possibly
+/// shared) table it reads.
+struct RowProbe {
+    right_key: KeySpec,
+    /// Reused probe-key buffer: the table lookup borrows it as a slice, so
+    /// probing allocates nothing per row.
+    key: Vec<Value>,
+    /// FULL OUTER only: the left arity an unmatched probe row is padded to.
+    pad_left: Option<usize>,
+    /// LEFT/FULL OUTER only: `seen[i]` ⇔ `RowTable::rows[i]` found a
+    /// partner. Empty for inner joins, which never read it.
+    seen: Vec<bool>,
+}
+
+impl RowProbe {
+    /// Probes one right row against the build table, appending all
+    /// produced rows (matches, or the full-outer pad) to `out`. Shared by
+    /// both row-granularity pull paths so match semantics can never
+    /// diverge.
+    fn probe(&mut self, table: &RowTable, probe: &Tuple, out: &mut Vec<Tuple>) {
+        probe.key_into(self.right_key.cols(), &mut self.key);
+        let before = out.len();
+        if !self.key.iter().any(Value::is_null) {
+            if let Some(matches) = table.index.get(self.key.as_slice()) {
+                for &i in matches {
+                    if let Some(seen) = self.seen.get_mut(i) {
+                        *seen = true;
+                    }
+                    out.push(table.rows[i].concat(probe));
+                }
+            }
+        }
+        if out.len() == before {
+            if let Some(arity) = self.pad_left {
+                // Right row without partner.
+                out.push(Tuple::nulls(arity).concat(probe));
+            }
+        }
+    }
+}
+
+/// The build side of a parallel inner hash join: drained and built exactly
+/// once, by whichever join over it is pulled first, while any others wait;
+/// after that every worker probes the same immutable table. (A
+/// [`crate::Gather`] makes that first pull itself, before it has workers.)
+pub struct SharedBuild {
+    schema: Schema,
+    key: KeySpec,
+    columnar: bool,
+    /// The build input until the builder takes it.
+    input: Mutex<Option<BoxOp>>,
+    built: OnceLock<Result<Arc<Built>>>,
+}
+
+impl SharedBuild {
+    /// A build side over `input`, keyed on `key`; `columnar` picks the
+    /// drain granularity (and must match the probing joins' flag).
+    pub fn new(input: BoxOp, key: KeySpec, columnar: bool) -> Arc<SharedBuild> {
+        Arc::new(SharedBuild {
+            schema: input.schema().clone(),
+            key,
+            columnar,
+            input: Mutex::new(Some(input)),
+            built: OnceLock::new(),
+        })
+    }
+
+    /// The finished table — built here if this is the first caller,
+    /// otherwise after waiting for the caller that is building it. A build
+    /// error is handed to every caller. If the building thread panics, the
+    /// next caller finds the input gone and reports that instead (the panic
+    /// itself unwinds the builder, and reaches the consumer through the
+    /// builder's exchange if it was a worker).
+    fn get(&self) -> Result<Arc<Built>> {
+        self.built
+            .get_or_init(|| {
+                let input = self
+                    .input
+                    .lock()
+                    .map_err(|_| PyroError::Exec("shared hash-join build lock poisoned".into()))?
+                    .take();
+                let mut input = input.ok_or_else(|| {
+                    PyroError::Exec("shared hash-join build abandoned by its builder".into())
+                })?;
+                let pull = if self.columnar {
+                    Pull::Columnar
+                } else {
+                    Pull::Batch
+                };
+                Built::drain(&mut input, self.key.cols(), pull).map(Arc::new)
+            })
+            .clone()
+    }
 }
 
 /// A chained hash table over the concatenated build side, all in flat
@@ -78,7 +270,7 @@ const NIL: u32 = u32::MAX;
 /// Multiply-xorshift hash over `k` flattened key words (kernel-internal —
 /// nothing about it leaks into row-path semantics).
 #[inline]
-fn hash_keys(keys: &[i64]) -> u64 {
+fn hash_words(keys: &[i64]) -> u64 {
     let mut h = 0x9E37_79B9_7F4A_7C15u64;
     for &x in keys {
         h ^= x as u64;
@@ -115,7 +307,7 @@ impl VectorTable {
             if !valid[i] {
                 continue;
             }
-            let b = (hash_keys(&keys[i * k..i * k + k]) as usize) & (cap - 1);
+            let b = (hash_words(&keys[i * k..i * k + k]) as usize) & (cap - 1);
             next[i] = first[b];
             first[b] = i as u32;
         }
@@ -133,7 +325,7 @@ impl VectorTable {
     /// arrival order.
     #[inline]
     fn matches_into(&self, key: &[i64], out: &mut Vec<u32>) {
-        let mut slot = self.first[(hash_keys(key) as usize) & self.mask];
+        let mut slot = self.first[(hash_words(key) as usize) & self.mask];
         while slot != NIL {
             let i = slot as usize;
             if self.keys[i * self.k..i * self.k + self.k] == *key {
@@ -180,26 +372,62 @@ impl HashJoin {
         right_key: KeySpec,
         kind: JoinKind,
     ) -> Self {
-        assert_eq!(left_key.len(), right_key.len());
-        let schema = left.schema().join(right.schema());
-        HashJoin {
-            left_schema_len: left.schema().len(),
-            right_schema_len: right.schema().len(),
-            right,
+        let left_schema = left.schema().clone();
+        HashJoin::over(
+            BuildSide::Own(Some(left)),
+            &left_schema,
             left_key,
+            right,
             right_key,
             kind,
-            schema,
-            state: None,
-            build_input: Some(left),
+        )
+    }
+
+    /// One worker's inner join against a build side shared with the other
+    /// workers of the same parallel join.
+    pub fn with_shared_build(build: Arc<SharedBuild>, right: BoxOp, right_key: KeySpec) -> Self {
+        let (schema, key, columnar) = (build.schema.clone(), build.key.clone(), build.columnar);
+        let mut join = HashJoin::over(
+            BuildSide::Shared(build),
+            &schema,
+            key,
+            right,
+            right_key,
+            JoinKind::Inner,
+        );
+        join.columnar = columnar;
+        join
+    }
+
+    fn over(
+        build: BuildSide,
+        left_schema: &Schema,
+        left_key: KeySpec,
+        right: BoxOp,
+        right_key: KeySpec,
+        kind: JoinKind,
+    ) -> Self {
+        assert_eq!(left_key.len(), right_key.len());
+        HashJoin {
+            build,
+            left_schema_len: left_schema.len(),
+            right_schema_len: right.schema().len(),
+            schema: left_schema.join(right.schema()),
+            right,
+            left_key,
+            kind,
+            table: None,
+            probe: RowProbe {
+                right_key,
+                key: Vec::new(),
+                pad_left: matches!(kind, JoinKind::FullOuter).then_some(left_schema.len()),
+                seen: Vec::new(),
+            },
             pending: Vec::new().into_iter(),
             drain_unmatched: false,
-            probe_key: Vec::new(),
-            build_stash: Stash::new(),
             probe_stash: Stash::new(),
             batch: DEFAULT_BATCH_SIZE,
             columnar: false,
-            col_build: None,
             probe_pos: None,
         }
     }
@@ -212,60 +440,38 @@ impl HashJoin {
         self.columnar = on && matches!(self.kind, JoinKind::Inner);
     }
 
-    fn build(&mut self, batched: bool) -> Result<BuildState> {
-        let mut input = self.build_input.take().expect("build once");
-        let mut table: HashMap<Vec<Value>, Vec<(Tuple, std::cell::Cell<bool>)>> = HashMap::new();
-        let mut null_rows = Vec::new();
-        while let Some(t) = pull_row(&mut input, &mut self.build_stash, batched)? {
-            let key = t.key(self.left_key.cols());
-            if key.iter().any(Value::is_null) {
-                null_rows.push(t);
-            } else {
-                table
-                    .entry(key)
-                    .or_default()
-                    .push((t, std::cell::Cell::new(false)));
+    /// The finished build side, building (or waiting for) it on first use.
+    fn built(&mut self, pull: Pull) -> Result<Arc<Built>> {
+        if let Some(t) = &self.table {
+            return Ok(t.clone());
+        }
+        let built = match &mut self.build {
+            BuildSide::Own(input) => {
+                let mut input = input.take().ok_or_else(|| {
+                    PyroError::Exec("hash join re-pulled after its build failed".into())
+                })?;
+                Arc::new(Built::drain(&mut input, self.left_key.cols(), pull)?)
             }
+            BuildSide::Shared(shared) => shared.get()?,
+        };
+        if let (Built::Rows(t), JoinKind::LeftOuter | JoinKind::FullOuter) = (&*built, self.kind) {
+            self.probe.seen = vec![false; t.rows.len()];
         }
-        Ok(BuildState { table, null_rows })
-    }
-
-    /// Probes one right row against the build table, appending all
-    /// produced rows (matches, or the full-outer pad) to `out`. Shared by
-    /// both pull paths so match semantics can never diverge.
-    fn probe_row(&mut self, probe: &Tuple, out: &mut Vec<Tuple>) {
-        probe.key_into(self.right_key.cols(), &mut self.probe_key);
-        let state = self.state.as_ref().expect("built");
-        let before = out.len();
-        if !self.probe_key.iter().any(Value::is_null) {
-            if let Some(matches) = state.table.get(self.probe_key.as_slice()) {
-                for (l, seen) in matches {
-                    seen.set(true);
-                    out.push(l.concat(probe));
-                }
-            }
-        }
-        if out.len() == before && matches!(self.kind, JoinKind::FullOuter) {
-            // Right row without partner.
-            out.push(Tuple::nulls(self.left_schema_len).concat(probe));
-        }
+        self.table = Some(built.clone());
+        Ok(built)
     }
 
     /// Probes one right row (or, at probe end, stages the outer-join
     /// drains), leaving produced rows in `self.pending`. `Ok(false)` means
     /// the stream is complete.
-    fn step(&mut self, batched: bool) -> Result<bool> {
-        if self.state.is_none() {
-            let built = self.build(batched)?;
-            self.state = Some(built);
-        }
+    fn step(&mut self, table: &RowTable, batched: bool) -> Result<bool> {
         if self.drain_unmatched {
             return Ok(false);
         }
         match pull_row(&mut self.right, &mut self.probe_stash, batched)? {
             Some(probe) => {
                 let mut out = Vec::new();
-                self.probe_row(&probe, &mut out);
+                self.probe.probe(table, &probe, &mut out);
                 if !out.is_empty() {
                     self.pending = out.into_iter();
                 }
@@ -275,19 +481,17 @@ impl HashJoin {
                 // rows once.
                 self.drain_unmatched = true;
                 if matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-                    let state = self.state.as_ref().expect("built");
                     let pad = Tuple::nulls(self.right_schema_len);
-                    let mut out: Vec<Tuple> = Vec::new();
-                    for bucket in state.table.values() {
-                        for (l, seen) in bucket {
-                            if !seen.get() {
-                                out.push(l.concat(&pad));
-                            }
-                        }
-                    }
-                    for l in &state.null_rows {
-                        out.push(l.concat(&pad));
-                    }
+                    let unmatched = table
+                        .rows
+                        .iter()
+                        .zip(&self.probe.seen)
+                        .filter(|(_, seen)| !**seen)
+                        .map(|(l, _)| l);
+                    let mut out: Vec<Tuple> = unmatched
+                        .chain(&table.null_rows)
+                        .map(|l| l.concat(&pad))
+                        .collect();
                     // Deterministic order for tests.
                     out.sort();
                     self.pending = out.into_iter();
@@ -298,58 +502,6 @@ impl HashJoin {
             }
         }
         Ok(true)
-    }
-
-    /// Columnar build: drains the left input's columnar stream into one
-    /// concatenated set of owned columns (batch arrival order — identical
-    /// to the row build's pull order), then picks the table form. Integer
-    /// key columns get the flat chained table; anything else materializes
-    /// the same rows into the row table and the probe shims through the
-    /// row path.
-    fn build_columnar(&mut self) -> Result<()> {
-        let mut input = self.build_input.take().expect("build once");
-        let mut builders: Vec<ColumnBuilder> = (0..self.left_schema_len)
-            .map(|_| ColumnBuilder::new())
-            .collect();
-        while let Some(b) = input.next_columnar()? {
-            for (c, builder) in builders.iter_mut().enumerate() {
-                builder.append_column(b.column(c), b.sel());
-            }
-        }
-        let cols: Vec<ColumnVec> = builders.into_iter().map(ColumnBuilder::finish).collect();
-        let all_int = self
-            .left_key
-            .cols()
-            .iter()
-            .all(|&c| matches!(cols[c].data(), ColumnData::Int(_)));
-        if all_int {
-            self.col_build = Some(ColBuild::Vector(VectorTable::build(
-                cols,
-                self.left_key.cols(),
-            )));
-            return Ok(());
-        }
-        // Row fallback: rebuild the exact row stream and hand it to the row
-        // table so match semantics (Value equality, NULL handling) cannot
-        // diverge from the row path.
-        let n = cols.first().map_or(0, ColumnVec::len);
-        let mut table: HashMap<Vec<Value>, Vec<(Tuple, std::cell::Cell<bool>)>> = HashMap::new();
-        let mut null_rows = Vec::new();
-        for i in 0..n {
-            let t = Tuple::new(cols.iter().map(|c| c.value_at(i)).collect());
-            let key = t.key(self.left_key.cols());
-            if key.iter().any(Value::is_null) {
-                null_rows.push(t);
-            } else {
-                table
-                    .entry(key)
-                    .or_default()
-                    .push((t, std::cell::Cell::new(false)));
-            }
-        }
-        self.state = Some(BuildState { table, null_rows });
-        self.col_build = Some(ColBuild::RowFallback);
-        Ok(())
     }
 
     /// The row-granularity batch pull (original path); also serves the
@@ -366,10 +518,8 @@ impl HashJoin {
         if out.len() >= self.batch {
             return Ok(Some(out));
         }
-        if self.state.is_none() {
-            let built = self.build(true)?;
-            self.state = Some(built);
-        }
+        let built = self.built(Pull::Batch)?;
+        let table = built.rows()?;
         // Probe loop: matches go straight into the output batch — no
         // per-probe-row staging vector. A probe row with several matches
         // may overshoot the batch size by one match set (allowed by the
@@ -377,11 +527,11 @@ impl HashJoin {
         while !self.drain_unmatched && out.len() < self.batch {
             match pull_row(&mut self.right, &mut self.probe_stash, true)? {
                 Some(probe) => {
-                    self.probe_row(&probe, &mut out);
+                    self.probe.probe(table, &probe, &mut out);
                 }
                 None => {
                     // Stage the outer-join drain through the shared path.
-                    if !self.step(true)? && self.pending.len() == 0 {
+                    if !self.step(table, true)? && self.pending.len() == 0 {
                         break;
                     }
                     while out.len() < self.batch {
@@ -473,12 +623,17 @@ impl Operator for HashJoin {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
+        if let Some(t) = self.pending.next() {
+            return Ok(Some(t));
+        }
+        let built = self.built(Pull::Row)?;
+        let table = built.rows()?;
         loop {
+            if !self.step(table, false)? {
+                return Ok(None);
+            }
             if let Some(t) = self.pending.next() {
                 return Ok(Some(t));
-            }
-            if !self.step(false)? {
-                return Ok(None);
             }
         }
     }
@@ -494,24 +649,19 @@ impl Operator for HashJoin {
     /// once; probing extracts integer key words per probe batch, walks the
     /// flat chains, and gathers output column-at-a-time. Emission order is
     /// the row path's exactly: probe stream order, matches per probe row in
-    /// build arrival order. Non-integer build keys shim through the row
-    /// probe (`RowFallback`).
+    /// build arrival order. Non-integer build keys (a row table) and the
+    /// outer joins (whose pads need the seen-bits) shim through the row
+    /// probe.
     fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        if !matches!(self.kind, JoinKind::Inner) {
-            // Outer pads need the row table's seen-bits; shim.
-            return Ok(self
-                .next_batch_rows()?
-                .map(|b| ColumnarBatch::from_rows(&b)));
+        if matches!(self.kind, JoinKind::Inner) {
+            let built = self.built(Pull::Columnar)?;
+            if let Built::Vector(table) = &*built {
+                return self.probe_columnar(table);
+            }
         }
-        if self.col_build.is_none() {
-            self.build_columnar()?;
-        }
-        // Detach the build state so the probe loop can borrow `self`
-        // mutably (pulling the right child) while reading the table.
-        let built = self.col_build.take().expect("built");
-        let result = self.probe_columnar(&built);
-        self.col_build = Some(built);
-        result
+        Ok(self
+            .next_batch_rows()?
+            .map(|b| ColumnarBatch::from_rows(&b)))
     }
 
     fn batch_size(&self) -> usize {
@@ -524,15 +674,7 @@ impl Operator for HashJoin {
 }
 
 impl HashJoin {
-    fn probe_columnar(&mut self, built: &ColBuild) -> Result<Option<ColumnarBatch>> {
-        let table = match built {
-            ColBuild::RowFallback => {
-                return Ok(self
-                    .next_batch_rows()?
-                    .map(|b| ColumnarBatch::from_rows(&b)));
-            }
-            ColBuild::Vector(t) => t,
-        };
+    fn probe_columnar(&mut self, table: &VectorTable) -> Result<Option<ColumnarBatch>> {
         let mut build_idx: Vec<u32> = Vec::new();
         let mut probe_idx: Vec<u32> = Vec::new();
         loop {
@@ -542,7 +684,7 @@ impl HashJoin {
                     &pb,
                     &sel,
                     cursor,
-                    self.right_key.cols(),
+                    self.probe.right_key.cols(),
                     self.batch,
                     &mut build_idx,
                     &mut probe_idx,
@@ -778,5 +920,106 @@ mod tests {
         let out = collect_batched(Box::new(op)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), &Value::Int(2));
+    }
+
+    fn probe_rows(part: i64) -> Vec<Tuple> {
+        (0..40)
+            .map(|i| Tuple::new(vec![Value::Int(i % 7), Value::Int(part * 100 + i)]))
+            .collect()
+    }
+
+    /// Runs four joins over one shared build concurrently, all reaching
+    /// their first pull together, and returns each one's result.
+    fn probe_shared_concurrently(
+        shared: &Arc<SharedBuild>,
+    ) -> Vec<std::thread::Result<Result<Vec<Tuple>>>> {
+        use crate::op::collect_batched;
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|part| {
+                    let (shared, barrier) = (shared.clone(), &barrier);
+                    s.spawn(move || {
+                        let probe = ValuesOp::new(Schema::ints(&["c", "d"]), probe_rows(part));
+                        let join = HashJoin::with_shared_build(
+                            shared,
+                            Box::new(probe),
+                            KeySpec::new(vec![0]),
+                        );
+                        barrier.wait();
+                        collect_batched(Box::new(join))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    }
+
+    fn build_rows() -> BoxOp {
+        Box::new(ValuesOp::new(
+            Schema::ints(&["a", "b"]),
+            rows(&[(1, 10), (3, 30), (3, 31), (9, 90)]),
+        ))
+    }
+
+    /// Whichever join needs the shared table first builds it while the
+    /// others wait; all of them probe that one table, in either form.
+    #[test]
+    fn shared_build_serves_concurrent_joins_from_one_drain() {
+        for columnar in [false, true] {
+            let shared = SharedBuild::new(build_rows(), KeySpec::new(vec![0]), columnar);
+            let mut out: Vec<Tuple> = probe_shared_concurrently(&shared)
+                .into_iter()
+                .flat_map(|r| r.expect("no panic").expect("no error"))
+                .collect();
+            out.sort();
+            let mut expect = Vec::new();
+            for part in 0..4 {
+                let probe = ValuesOp::new(Schema::ints(&["c", "d"]), probe_rows(part));
+                let serial = HashJoin::new(
+                    build_rows(),
+                    Box::new(probe),
+                    KeySpec::new(vec![0]),
+                    KeySpec::new(vec![0]),
+                    JoinKind::Inner,
+                );
+                expect.extend(collect(Box::new(serial)).unwrap());
+            }
+            expect.sort();
+            assert!(!expect.is_empty());
+            assert_eq!(out, expect, "columnar={columnar}");
+        }
+    }
+
+    /// A failed shared build fails every join with the build's own error;
+    /// a panicking one takes down the join that was building, and the
+    /// waiting ones get a typed error instead of a table.
+    #[test]
+    fn shared_build_failure_reaches_every_waiting_join() {
+        use crate::op::FaultyOp;
+        let faulty = |panic: bool| -> BoxOp {
+            Box::new(FaultyOp {
+                child: build_rows(),
+                after: 2,
+                panic,
+            })
+        };
+        let shared = SharedBuild::new(faulty(false), KeySpec::new(vec![0]), false);
+        for r in probe_shared_concurrently(&shared) {
+            assert_eq!(
+                r.expect("no panic").unwrap_err(),
+                PyroError::Exec("boom".into())
+            );
+        }
+        let shared = SharedBuild::new(faulty(true), KeySpec::new(vec![0]), false);
+        let results = probe_shared_concurrently(&shared);
+        assert_eq!(
+            results.iter().filter(|r| r.is_err()).count(),
+            1,
+            "the builder"
+        );
+        for r in results.into_iter().flatten() {
+            assert!(matches!(r, Err(PyroError::Exec(m)) if m.contains("abandoned")));
+        }
     }
 }

@@ -5,7 +5,7 @@ mod hash;
 mod merge;
 mod nl;
 
-pub use hash::HashJoin;
+pub use hash::{HashJoin, SharedBuild};
 pub use merge::MergeJoin;
 pub use nl::NestedLoopsJoin;
 

@@ -38,11 +38,11 @@ pub mod sort;
 pub mod union;
 pub mod vector;
 
-pub use exchange::{hash_key, repartition, Fragment, Gather, GatherMerge, PartitionSource};
+pub use exchange::{FragmentFn, Gather};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, MetricsRef};
 pub use op::{
     collect, collect_batched, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp, DEFAULT_BATCH_SIZE,
 };
-pub use scan::{FileScan, MorselScan, MorselSource};
+pub use scan::{FileScan, Morsel, MorselSource, MORSEL_PAGES};
 pub use vector::{eval_column, VecPredicate};

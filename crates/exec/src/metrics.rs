@@ -16,12 +16,12 @@ use std::sync::Arc;
 /// warmth legitimately varies run to run.
 ///
 /// The counters are relaxed atomics so a metrics block can cross thread
-/// boundaries, but the parallel engine does **not** share one block between
-/// workers: each worker fragment charges its own `ExecMetrics` and the
-/// exchange operator that owns the workers merges them into the pipeline's
-/// block — in worker-index order — when the last fragment finishes (see
-/// [`ExecMetrics::merge_from`]). Addition commutes, so merged totals are
-/// bit-identical to serial execution whenever the per-worker work is.
+/// boundaries (a pipeline can run on any thread, and a hash join's build
+/// side may be drained by another thread than the one that compiled it).
+/// The parallel engine's worker fragments hold only counter-free operators,
+/// so they charge nothing at all; the metered operators run serially and
+/// see serial-identical input, which is what keeps every total
+/// bit-identical to serial execution.
 #[derive(Debug, Default)]
 pub struct ExecMetrics {
     comparisons: AtomicU64,
@@ -72,18 +72,6 @@ impl ExecMetrics {
     /// device cold).
     pub fn add_cache_misses(&self, n: u64) {
         self.cache_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Folds another counter block into this one (the per-worker metrics
-    /// merge performed at exchange teardown). The source is left untouched.
-    pub fn merge_from(&self, other: &ExecMetrics) {
-        self.add_comparisons(other.comparisons());
-        self.add_run_pages_written(other.run_pages_written());
-        self.add_run_pages_read(other.run_pages_read());
-        self.runs_created
-            .fetch_add(other.runs_created(), Ordering::Relaxed);
-        self.add_cache_hits(other.cache_hits());
-        self.add_cache_misses(other.cache_misses());
     }
 
     /// Total scalar comparisons so far.
@@ -150,27 +138,5 @@ mod tests {
         m.reset();
         assert_eq!(m.comparisons(), 0);
         assert_eq!(m.run_io(), 0);
-    }
-
-    #[test]
-    fn merge_folds_all_four_counters() {
-        let a = ExecMetrics::new();
-        a.add_comparisons(10);
-        let b = ExecMetrics::new();
-        b.add_comparisons(5);
-        b.add_run_pages_written(2);
-        b.add_run_pages_read(1);
-        b.add_run();
-        b.add_cache_hits(4);
-        b.add_cache_misses(2);
-        a.merge_from(&b);
-        assert_eq!(a.comparisons(), 15);
-        assert_eq!(a.run_pages_written(), 2);
-        assert_eq!(a.run_pages_read(), 1);
-        assert_eq!(a.runs_created(), 1);
-        assert_eq!(a.cache_hits(), 4);
-        assert_eq!(a.cache_misses(), 2);
-        // merge is non-destructive
-        assert_eq!(b.comparisons(), 5);
     }
 }

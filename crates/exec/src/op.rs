@@ -408,6 +408,33 @@ impl Operator for ValuesOp {
     }
 }
 
+/// Test operator: passes `child` through row by row until it has handed on
+/// `after` rows, then fails — with a typed error, or by panicking.
+#[cfg(test)]
+pub(crate) struct FaultyOp {
+    pub(crate) child: BoxOp,
+    pub(crate) after: usize,
+    pub(crate) panic: bool,
+}
+
+#[cfg(test)]
+impl Operator for FaultyOp {
+    fn schema(&self) -> &Schema {
+        self.child.schema()
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>> {
+        if self.after == 0 {
+            if self.panic {
+                panic!("boom");
+            }
+            return Err(pyro_common::PyroError::Exec("boom".into()));
+        }
+        self.after -= 1;
+        self.child.next()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

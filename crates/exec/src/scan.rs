@@ -1,20 +1,20 @@
-//! Access paths: table scan, clustered scan and covering-index scan —
-//! serial ([`FileScan`]) and morsel-driven parallel ([`MorselScan`]).
+//! Access paths: table scan, clustered scan and covering-index scan — all
+//! one [`FileScan`] — plus the [`MorselSource`] queue that deals a file out
+//! to the workers of a parallel scan one page range at a time.
 //!
-//! All of them read a [`TupleFile`] sequentially; what differs is the schema
-//! they expose and the sort order they guarantee (knowledge the *optimizer*
-//! holds — the operators themselves just stream pages, counting I/O via the
-//! device).
+//! Every access path reads a [`TupleFile`] sequentially; what differs is the
+//! schema it exposes and the sort order it guarantees (knowledge the
+//! *optimizer* holds — the operator itself just streams pages, counting I/O
+//! via the device).
 
 use crate::op::{Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema, Tuple, Value};
 use pyro_storage::{TupleFile, TupleFileScan};
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Pages claimed per morsel. At the default 4 KB block size this is ~128 KB
-/// of encoded tuples per claim — large enough that the shared counter is
+/// of encoded tuples per claim — large enough that the shared queue is
 /// touched rarely, small enough that stragglers rebalance.
 pub const MORSEL_PAGES: usize = 32;
 
@@ -50,9 +50,9 @@ impl FileScan {
     }
 
     /// Scans only the half-open page range `[start, end)` of `file` — one
-    /// worker's share of a range-partitioned parallel scan. The tuple count
-    /// of a partial range is unknown up front, so `size_hint` stays
-    /// unbounded.
+    /// morsel of a parallel scan, or the pages an index seek narrowed the
+    /// file to. The tuple count of a partial range is unknown up front, so
+    /// `size_hint` stays unbounded.
     pub fn over_pages(schema: Schema, file: &TupleFile, start: usize, end: usize) -> Self {
         FileScan {
             schema,
@@ -188,126 +188,127 @@ pub fn eq_key_page_range(
     Ok((first_ge.saturating_sub(1), lo))
 }
 
-/// The shared work queue of a morsel-driven parallel scan: worker scans
-/// claim fixed-size page ranges of one file from an atomic cursor, so fast
-/// workers naturally take more morsels (Leis et al.'s load-balancing
-/// property) without any coordination beyond one `fetch_add`.
+/// One claimed morsel: its sequence number — morsel `i` covers pages
+/// `[i * pages_per_morsel, ..)`, so ascending sequence numbers *are* file
+/// order — and its half-open page range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Morsel {
+    /// Position of this morsel in file order.
+    pub seq: usize,
+    /// First page of the morsel.
+    pub start: usize,
+    /// One past the last page of the morsel.
+    pub end: usize,
+}
+
+#[derive(Debug)]
+struct Cursor {
+    /// Sequence number of the next unclaimed morsel.
+    next: usize,
+    /// Lowest sequence number the consumer has not released yet (ordered
+    /// gathers only; stays 0 otherwise).
+    head: usize,
+    closed: bool,
+}
+
+/// The shared work queue of a morsel-driven parallel scan: workers claim
+/// fixed-size page ranges of one file, so fast workers naturally take more
+/// morsels (Leis et al.'s load-balancing property) at the cost of one short
+/// critical section per [`MORSEL_PAGES`] pages.
+///
+/// A queue with a *window* additionally refuses to hand out a morsel more
+/// than `window` sequence numbers past the oldest one the consumer has not
+/// yet [released](MorselSource::release): that bounds what an ordered
+/// gather has to buffer while it waits for the oldest morsel to complete.
 #[derive(Debug)]
 pub struct MorselSource {
     file: TupleFile,
-    next_page: AtomicUsize,
     pages_per_morsel: usize,
+    window: Option<usize>,
+    cursor: Mutex<Cursor>,
+    /// Signalled when `head` advances or the queue closes.
+    moved: Condvar,
 }
 
 impl MorselSource {
-    /// A shared morsel queue over `file` with [`MORSEL_PAGES`]-page morsels.
-    pub fn new(file: &TupleFile) -> Arc<MorselSource> {
-        MorselSource::with_morsel_pages(file, MORSEL_PAGES)
+    /// A shared morsel queue over `file` with [`MORSEL_PAGES`]-page morsels
+    /// and, if given, a claim window (see the type doc).
+    pub fn new(file: &TupleFile, window: Option<usize>) -> Arc<MorselSource> {
+        MorselSource::with_morsel_pages(file, MORSEL_PAGES, window)
     }
 
     /// A shared morsel queue with an explicit morsel size in pages.
-    pub fn with_morsel_pages(file: &TupleFile, pages: usize) -> Arc<MorselSource> {
+    pub fn with_morsel_pages(
+        file: &TupleFile,
+        pages: usize,
+        window: Option<usize>,
+    ) -> Arc<MorselSource> {
         Arc::new(MorselSource {
             file: file.clone(),
-            next_page: AtomicUsize::new(0),
             pages_per_morsel: pages.max(1),
+            window: window.map(|w| w.max(1)),
+            cursor: Mutex::new(Cursor {
+                next: 0,
+                head: 0,
+                closed: false,
+            }),
+            moved: Condvar::new(),
         })
     }
 
-    /// Claims the next unclaimed page range, or `None` when the file is
-    /// fully claimed. Each page is claimed exactly once across all workers,
-    /// so total device reads match a serial scan.
-    pub fn claim(&self) -> Option<(usize, usize)> {
+    /// True iff claims are bounded by a window — the mark of an ordered
+    /// gather's queue.
+    pub fn is_windowed(&self) -> bool {
+        self.window.is_some()
+    }
+
+    /// Every update under this lock is a single field store, so the cursor
+    /// is valid at every step and a poisoned lock is safe to keep using.
+    fn cursor(&self) -> MutexGuard<'_, Cursor> {
+        self.cursor.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next unclaimed morsel, waiting while it lies past the
+    /// window; `None` once the file is fully claimed or the queue is
+    /// [closed](MorselSource::close). Each page is claimed exactly once
+    /// across all workers, so total device reads match a serial scan.
+    pub fn claim(&self) -> Option<Morsel> {
         let total = self.file.block_count() as usize;
-        let start = self
-            .next_page
-            .fetch_add(self.pages_per_morsel, Ordering::Relaxed);
-        if start >= total {
-            return None;
-        }
-        Some((start, (start + self.pages_per_morsel).min(total)))
-    }
-}
-
-/// One worker's scan operator over a shared [`MorselSource`]: streams the
-/// morsels it claims, in claim order. Several `MorselScan`s over the same
-/// source partition the file between them dynamically.
-pub struct MorselScan {
-    schema: Schema,
-    source: Arc<MorselSource>,
-    current: Option<TupleFileScan>,
-    pending: Vec<Tuple>,
-    batch: usize,
-}
-
-impl MorselScan {
-    /// A worker scan pulling morsels from `source`, exposing `schema`.
-    pub fn new(schema: Schema, source: Arc<MorselSource>) -> Self {
-        MorselScan {
-            schema,
-            source,
-            current: None,
-            pending: Vec::new(),
-            batch: DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    /// Installs the next claimed morsel; `false` when the file is done.
-    fn advance(&mut self) -> bool {
-        match self.source.claim() {
-            Some((start, end)) => {
-                self.current = Some(self.source.file.scan_pages(start, end));
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl Operator for MorselScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
+        let mut cur = self.cursor();
         loop {
-            if let Some(scan) = &mut self.current {
-                if let Some(t) = scan.next_tuple()? {
-                    return Ok(Some(t));
-                }
-                self.current = None;
+            let start = cur.next * self.pages_per_morsel;
+            if cur.closed || start >= total {
+                return None;
             }
-            if !self.advance() {
-                return Ok(None);
+            if self.window.is_none_or(|w| cur.next < cur.head + w) {
+                let seq = cur.next;
+                cur.next += 1;
+                return Some(Morsel {
+                    seq,
+                    start,
+                    end: (start + self.pages_per_morsel).min(total),
+                });
             }
+            cur = self.moved.wait(cur).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        while self.pending.len() < self.batch {
-            if let Some(scan) = &mut self.current {
-                if !scan.fill_chunk(&mut self.pending, self.batch)? {
-                    self.current = None;
-                }
-            } else if !self.advance() {
-                break;
-            }
-        }
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        if self.pending.len() <= self.batch {
-            return Ok(Some(std::mem::take(&mut self.pending)));
-        }
-        Ok(Some(self.pending.drain(..self.batch).collect()))
+    /// Consumer side of the window: every morsel below `head` has been
+    /// handed on, so claims up to `head + window` may proceed.
+    pub fn release(&self, head: usize) {
+        self.cursor().head = head;
+        self.moved.notify_all();
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
+    /// Ends the queue early: pending and future claims return `None`.
+    pub fn close(&self) {
+        self.cursor().closed = true;
+        self.moved.notify_all();
     }
 
-    fn set_batch_size(&mut self, rows: usize) {
-        self.batch = rows.max(1);
+    /// A scan over one claimed morsel, exposing `schema`.
+    pub fn scan(&self, morsel: &Morsel, schema: Schema) -> FileScan {
+        FileScan::over_pages(schema, &self.file, morsel.start, morsel.end)
     }
 }
 
@@ -484,39 +485,59 @@ mod tests {
     }
 
     #[test]
-    fn morsel_scans_partition_file_exactly_once() {
+    fn morsels_partition_file_exactly_once_in_file_order() {
         let (dev, file, rows) = sample_file(200, 128);
-        let source = MorselSource::with_morsel_pages(&file, 3);
+        let source = MorselSource::with_morsel_pages(&file, 3, None);
         dev.reset_io();
         let mut out = Vec::new();
-        // Two workers drain the shared queue serially here; page accounting
-        // and multiset coverage are what we pin (threaded use is exercised
-        // by the exchange tests).
-        for _ in 0..2 {
-            let scan = MorselScan::new(Schema::ints(&["a", "b"]), source.clone());
+        let mut seq = 0;
+        while let Some(m) = source.claim() {
+            assert_eq!(
+                (m.seq, m.start),
+                (seq, seq * 3),
+                "claims ascend in file order"
+            );
+            seq += 1;
+            let scan = source.scan(&m, Schema::ints(&["a", "b"]));
             out.extend(collect_batched(Box::new(scan)).unwrap());
         }
         assert_eq!(dev.io().reads, file.block_count(), "each page read once");
-        out.sort();
-        let mut expect = rows;
-        expect.sort();
-        assert_eq!(out, expect);
+        assert_eq!(
+            out, rows,
+            "morsels in sequence order concatenate to the file"
+        );
     }
 
+    /// A claim past the window parks until the consumer releases the head;
+    /// closing the queue frees parked and future claims alike.
     #[test]
-    fn morsel_scan_row_and_batch_paths_agree() {
-        let (_dev, file, rows) = sample_file(50, 128);
-        let by_row = collect(Box::new(MorselScan::new(
-            Schema::ints(&["a", "b"]),
-            MorselSource::with_morsel_pages(&file, 2),
-        )) as BoxOp)
-        .unwrap();
-        let by_batch = collect_batched(Box::new(MorselScan::new(
-            Schema::ints(&["a", "b"]),
-            MorselSource::with_morsel_pages(&file, 2),
-        )) as BoxOp)
-        .unwrap();
-        assert_eq!(by_row, rows);
-        assert_eq!(by_batch, rows);
+    fn window_parks_claims_until_release_or_close() {
+        let (_dev, file, _) = sample_file(200, 128);
+        let source = MorselSource::with_morsel_pages(&file, 1, Some(2));
+        assert!(source.is_windowed());
+        assert_eq!(source.claim().map(|m| m.seq), Some(0));
+        assert_eq!(source.claim().map(|m| m.seq), Some(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| {
+                tx.send(()).unwrap();
+                source.claim().map(|m| m.seq)
+            });
+            rx.recv().unwrap();
+            source.release(1);
+            assert_eq!(
+                parked.join().unwrap(),
+                Some(2),
+                "head 1 + window 2 admits 2"
+            );
+            let parked = s.spawn(|| {
+                tx.send(()).unwrap();
+                source.claim()
+            });
+            rx.recv().unwrap();
+            source.close();
+            assert_eq!(parked.join().unwrap(), None);
+        });
+        assert_eq!(source.claim(), None, "closed for good");
     }
 }

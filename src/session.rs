@@ -166,9 +166,10 @@ impl SessionBuilder {
     }
 
     /// Enables or disables columnar execution (default: enabled). When on,
-    /// serial Filter / Project / inner-hash-join subtrees over base-table
-    /// scans exchange columnar (structure-of-arrays) batches and run
-    /// vectorized kernels; rows materialize only at the subtree root. Rows
+    /// Filter / Project / inner-hash-join subtrees over base-table scans —
+    /// serial or inside the worker fragments of a parallel plan — exchange
+    /// columnar (structure-of-arrays) batches and run vectorized kernels;
+    /// rows materialize only at the subtree root. Rows
     /// and all `ExecMetrics` counters are columnar-invariant — the knob
     /// changes CPU efficiency, never results — so `false` exists as an
     /// escape hatch and for A/B measurement, not correctness.

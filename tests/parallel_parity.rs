@@ -1,79 +1,90 @@
 //! Serial/parallel parity: for every paper-query workload and strategy,
-//! executing with `workers ∈ {2, 4}` must reproduce `workers = 1` exactly —
-//! identical row multisets (identical row *sequences* for ordered outputs)
-//! and bit-identical totals for all four `ExecMetrics` counters, spill
-//! paths included.
+//! executing at `columnar ∈ {on, off}` × `workers ∈ {1, 2, 4}` must
+//! reproduce the serial row engine exactly — identical row multisets
+//! (identical row *sequences* for ordered outputs) and bit-identical totals
+//! for all four `ExecMetrics` counters, spill paths included.
 //!
 //! This is the invariant that lets the morsel-parallel engine claim the
 //! paper's figures unchanged: parallelism may only change wall-clock, never
 //! what work the order-enforcement machinery does. It holds by
 //! construction — parallel fragments contain only counter-free operators,
-//! sequence-sensitive consumers receive the exact serial sequence (ordered
-//! gather over contiguous ranges) or an unparallelized child, and exchange
-//! bookkeeping is never charged — and this suite pins it.
+//! sequence-sensitive consumers receive the exact serial sequence (a gather
+//! releasing morsels in file order) or an unparallelized child, and
+//! exchange bookkeeping is never charged — and this suite pins it.
 
-use pyro::common::Tuple;
+use pyro::common::{Column, DataType, Schema, Tuple, Value};
 use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::MetricsRef;
-use pyro::{Session, Strategy};
+use pyro::{Session, SortOrder, Strategy};
 
-const WORKER_COUNTS: [usize; 2] = [2, 4];
+/// `(columnar, workers)`: the first is the reference every other mode must
+/// reproduce — the serial row-batch engine.
+const MODES: [(bool, usize); 6] = [
+    (false, 1),
+    (true, 1),
+    (false, 2),
+    (true, 2),
+    (false, 4),
+    (true, 4),
+];
 
 struct Reference {
     rows: Vec<Tuple>,
     metrics: MetricsRef,
 }
 
-/// Runs `sql` at `workers = 1` as the reference, then at each probe worker
-/// count, asserting counter parity always and row parity as a sequence
-/// (`ordered`) or multiset.
+/// Runs `sql` in the reference mode, then in every other mode, asserting
+/// counter parity always and row parity as a sequence (`ordered`) or
+/// multiset. Leaves the session at its defaults (columnar on, one worker).
 fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
-    session.set_workers(1);
-    let reference = {
-        let out = session.sql(sql).unwrap();
-        Reference {
-            rows: out.rows().to_vec(),
-            metrics: out.metrics().clone(),
-        }
-    };
-    for &w in &WORKER_COUNTS {
+    let mut reference: Option<Reference> = None;
+    for (columnar, w) in MODES {
+        session.set_columnar(columnar);
         session.set_workers(w);
         let out = session.sql(sql).unwrap();
+        let Some(reference) = &reference else {
+            reference = Some(Reference {
+                rows: out.rows().to_vec(),
+                metrics: out.metrics().clone(),
+            });
+            continue;
+        };
+        let mode = format!("columnar={columnar} workers={w}");
         if ordered {
-            assert_eq!(
-                reference.rows,
-                out.rows(),
-                "ordered rows diverged (workers={w}): {sql}"
+            assert!(
+                reference.rows == out.rows(),
+                "ordered rows diverged ({mode}): {sql}"
             );
         } else {
             let mut a = reference.rows.clone();
             let mut b = out.rows().to_vec();
             a.sort();
             b.sort();
-            assert_eq!(a, b, "row multiset diverged (workers={w}): {sql}");
+            assert!(a == b, "row multiset diverged ({mode}): {sql}");
         }
         let (a, b) = (&reference.metrics, out.metrics());
         assert_eq!(
             a.comparisons(),
             b.comparisons(),
-            "comparisons diverged (workers={w}): {sql}"
+            "comparisons diverged ({mode}): {sql}"
         );
         assert_eq!(
             a.run_pages_written(),
             b.run_pages_written(),
-            "run pages written diverged (workers={w}): {sql}"
+            "run pages written diverged ({mode}): {sql}"
         );
         assert_eq!(
             a.run_pages_read(),
             b.run_pages_read(),
-            "run pages read diverged (workers={w}): {sql}"
+            "run pages read diverged ({mode}): {sql}"
         );
         assert_eq!(
             a.runs_created(),
             b.runs_created(),
-            "runs created diverged (workers={w}): {sql}"
+            "runs created diverged ({mode}): {sql}"
         );
     }
+    session.set_columnar(true);
     session.set_workers(1);
 }
 
@@ -144,8 +155,8 @@ fn full_outer_join_query_parity() {
     qtables::load_q4(session.catalog_mut(), 400).unwrap();
     for hash in [true, false] {
         session.set_hash_operators(hash);
-        // Unordered: with hashing on this is a nested partitioned hash
-        // join — the deepest exchange composition the compiler builds.
+        // Unordered: with hashing on these are FULL OUTER hash joins, which
+        // are serial breakers over (possibly parallel) children.
         assert_parallel_parity(
             &mut session,
             "SELECT * FROM r1 FULL OUTER JOIN r2 \
@@ -244,6 +255,147 @@ fn spill_paths_parity() {
             "test premise: this workload must spill ({sql})"
         );
         assert_parallel_parity(&mut session, sql, true);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The exchange's own corner cases, on tables big enough to span morsels
+// ---------------------------------------------------------------------
+
+/// `big(k, g, s)`: 30k rows clustered on `k`; `g = k % 100`, and `s` is a
+/// string key that is NULL on every 11th row. `small` is 700 rows of the
+/// same shape (far less than one morsel), `keys(g, s)` 100 distinct
+/// pairs, one of them NULL-keyed.
+fn exchange_session() -> Session {
+    let str_key = |i: i64| {
+        if i % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Str(format!("s{}", i % 100))
+        }
+    };
+    let schema = |names: [&str; 3]| {
+        Schema::new(vec![
+            Column::new(names[0], DataType::Int),
+            Column::new(names[1], DataType::Int),
+            Column::new(names[2], DataType::Str),
+        ])
+    };
+    let rows = |n: i64| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 100), str_key(i)]))
+            .collect()
+    };
+    // A sort budget above `big`'s page count keeps it eligible as a hash
+    // join's build side (no grace-partitioning surcharge in the cost model).
+    let mut session = Session::builder().sort_memory_blocks(1_000).build();
+    session
+        .register_table(
+            "big",
+            schema(["k", "g", "s"]),
+            SortOrder::new(["k"]),
+            &rows(30_000),
+        )
+        .unwrap();
+    session
+        .register_table(
+            "small",
+            schema(["sk", "sg", "ss"]),
+            SortOrder::new(["sk"]),
+            &rows(700),
+        )
+        .unwrap();
+    let keys: Vec<Tuple> = (0..100)
+        .map(|i| Tuple::new(vec![Value::Int(i), str_key(i)]))
+        .collect();
+    session
+        .register_table(
+            "keys",
+            Schema::new(vec![
+                Column::new("kg", DataType::Int),
+                Column::new("ks", DataType::Str),
+            ]),
+            SortOrder::new(["kg"]),
+            &keys,
+        )
+        .unwrap();
+    let pages = session.catalog().table("big").unwrap().heap.block_count();
+    assert!(
+        pages > 128,
+        "test premise: big spans several morsels ({pages} pages)"
+    );
+    session
+}
+
+#[test]
+fn ordered_gather_corner_cases_parity() {
+    let mut session = exchange_session();
+    // The filter keeps a sliver at the far end of the file: every morsel
+    // before it comes back empty, and the ordered gather's window must
+    // still move past them — then a sliver at the near end, with nothing
+    // but empty morsels after it.
+    assert_parallel_parity(
+        &mut session,
+        "SELECT k, g FROM big WHERE k > 29950 ORDER BY k",
+        true,
+    );
+    assert_parallel_parity(
+        &mut session,
+        "SELECT k, g FROM big WHERE k < 40 ORDER BY k",
+        true,
+    );
+    // Nothing survives at all.
+    assert_parallel_parity(
+        &mut session,
+        "SELECT k FROM big WHERE g > 500 ORDER BY k",
+        true,
+    );
+    // LIMIT without ORDER BY: the serial prefix, from file order alone.
+    assert_parallel_parity(
+        &mut session,
+        "SELECT k, s FROM big WHERE g = 7 LIMIT 120",
+        true,
+    );
+}
+
+#[test]
+fn shared_build_hash_join_corner_cases_parity() {
+    let mut session = exchange_session();
+    let queries = [
+        // Int-keyed: the vector table (columnar on) or the row table (off).
+        "SELECT k, kg, ks FROM keys, big WHERE kg = g",
+        // Str-keyed, with NULL keys on both sides: the shared row table in
+        // every mode; NULL never matches NULL.
+        "SELECT k, kg FROM keys, big WHERE ks = s",
+        // A probe side smaller than one morsel: the join itself stays
+        // serial and only its big build side runs behind an exchange.
+        "SELECT k, sk FROM big, small WHERE g = sg",
+        // Join under join: the outer build side is itself a parallel join.
+        "SELECT b1.k, b2.k, kg FROM keys, big b1, big b2 \
+         WHERE kg = b1.g AND b1.g = b2.g AND b2.k < 30 AND b1.k > 29000",
+    ];
+    for sql in queries {
+        let plan = session.explain(sql).unwrap();
+        assert!(
+            plan.contains("Hash Join"),
+            "test premise: a hash join\n{plan}"
+        );
+        assert_parallel_parity(&mut session, sql, false);
+    }
+}
+
+/// FULL OUTER joins are merge-only in the optimizer: a serial breaker whose
+/// inputs (a sort over an ordered gather, a bare ordered gather) must
+/// arrive in exact serial sequence. (LEFT OUTER *hash* joins, which the SQL
+/// dialect cannot spell, are covered by the `parallel.rs` unit tests.)
+#[test]
+fn full_outer_join_over_ordered_gathers_parity() {
+    let mut session = exchange_session();
+    for sql in [
+        "SELECT * FROM keys FULL OUTER JOIN big ON (kg = g)",
+        "SELECT * FROM big FULL OUTER JOIN keys ON (k = kg)",
+    ] {
+        assert_parallel_parity(&mut session, sql, false);
     }
 }
 

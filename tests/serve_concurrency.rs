@@ -128,6 +128,10 @@ fn concurrent_prepared_statements_share_one_plan() {
         .collect();
     assert!(reference.iter().any(|r| !r.is_empty()), "premise: matches");
 
+    // The first prepare happens-before the racing ones: four threads that
+    // all look the text up before any of them has inserted it would all
+    // miss, legitimately.
+    session.prepare(sql).unwrap();
     let session = Arc::new(session);
     let reference = Arc::new(reference);
     let handles: Vec<_> = (0..4)
@@ -146,10 +150,10 @@ fn concurrent_prepared_statements_share_one_plan() {
     for h in handles {
         h.join().expect("worker thread must not panic");
     }
-    // All four threads prepared the same text: one miss, three hits.
+    // All four threads prepared the text the main thread had planned.
     let stats = session.plan_cache_stats().unwrap();
     assert!(
-        stats.hits >= 3,
+        stats.hits >= 4,
         "prepares after the first must hit: {stats:?}"
     );
 }
