@@ -12,9 +12,9 @@
 //! * **sanity** — parallel wall-clock does not collapse (speedup well above
 //!   the channel-overhead floor).
 //!
-//! The *speedup gates* — `--smoke`: two workers within 10% of one on
-//! `scan_filter_project` and `hash_join`; full mode: ≥ 2× at 4 workers —
-//! are enforced only when the machine actually has that many cores. Every
+//! The *speedup gates* — two workers within 10% of one on
+//! `scan_filter_project` and `hash_join`, and in full mode ≥ 2× at 4 workers
+//! — are enforced only when the machine actually has that many cores. Every
 //! run records `cpu_cores` and `columnar` next to its timing, so a reader
 //! can tell a 1-core container's numbers from a real multicore run, and a
 //! kernel run from a row-path one. (`cpu_cores` counts what the OS
@@ -27,27 +27,20 @@
 //! cargo run --release --bin bench_parallel -- --out out.json --seed 42
 //! ```
 
+use pyro::common::Tuple;
 use pyro::core::PhysOp;
 use pyro::Session;
 use pyro_bench::{banner, workloads};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 const BATCH_SIZE: usize = 1024;
-const REPS: usize = 9;
+const REPS: usize = 5;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[derive(Debug, Clone)]
 struct RunStats {
     elapsed_ms: f64,
     rows: usize,
-    /// Order-insensitive and order-sensitive digests of the output, for the
-    /// parity assert. Digests, not the rows: holding several million tuples
-    /// per timed run alive makes the next run fault in fresh memory, which
-    /// the timing then charges to whichever allocator arena is coldest.
-    multiset_digest: u64,
-    sequence_digest: u64,
     comparisons: u64,
     run_pages_written: u64,
     run_pages_read: u64,
@@ -78,8 +71,8 @@ impl RunStats {
     }
 }
 
-/// One timed execution: compile (including worker spawn) + drain.
-fn run_once(session: &Session, sql: &str, workers: usize) -> RunStats {
+/// One execution: compile (including worker spawn) + drain, timed.
+fn run_once(session: &Session, sql: &str, workers: usize) -> (RunStats, Vec<Tuple>) {
     let plan = session.plan(sql).expect("plan");
     let columnar = session.columnar();
     let start = Instant::now();
@@ -89,34 +82,31 @@ fn run_once(session: &Session, sql: &str, workers: usize) -> RunStats {
         .run()
         .expect("run");
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (mut multiset_digest, mut sequence_digest) = (0u64, 0u64);
-    for row in &out.rows {
-        let mut h = DefaultHasher::new();
-        row.hash(&mut h);
-        multiset_digest = multiset_digest.wrapping_add(h.finish());
-        sequence_digest = sequence_digest.rotate_left(5) ^ h.finish();
-    }
-    RunStats {
+    let stats = RunStats {
         elapsed_ms,
         rows: out.rows.len(),
-        multiset_digest,
-        sequence_digest,
         comparisons: out.metrics.comparisons(),
         run_pages_written: out.metrics.run_pages_written(),
         run_pages_read: out.metrics.run_pages_read(),
         runs_created: out.metrics.runs_created(),
         columnar,
         cpu_cores: cpu_cores(),
-    }
+    };
+    (stats, out.rows)
 }
 
 /// Interleaved reps (w=1, w=2, w=4, w=1, …) so machine-load drift hits all
-/// worker counts equally; keeps each count's fastest rep.
+/// worker counts equally; keeps each count's fastest rep. The rows of a
+/// timed run are dropped at once: keeping result sets alive between timed
+/// runs (several million tuples in full mode) makes the next run fault in
+/// and fragment fresh allocator memory, which the timing then charges to
+/// whichever worker count happens to run next. Row parity has its own
+/// untimed pass, [`assert_row_parity`].
 fn measure(session: &Session, sql: &str) -> Vec<(usize, RunStats)> {
     let mut best: Vec<Option<RunStats>> = vec![None; WORKER_COUNTS.len()];
     for _ in 0..REPS {
         for (slot, &w) in WORKER_COUNTS.iter().enumerate() {
-            let stats = run_once(session, sql, w);
+            let (stats, _) = run_once(session, sql, w);
             if best[slot]
                 .as_ref()
                 .is_none_or(|b| stats.elapsed_ms < b.elapsed_ms)
@@ -130,6 +120,31 @@ fn measure(session: &Session, sql: &str) -> Vec<(usize, RunStats)> {
         .zip(best)
         .map(|(&w, s)| (w, s.expect("reps > 0")))
         .collect()
+}
+
+/// Row parity, after the timing: every parallel worker count must produce
+/// the serial run's rows — the exact sequence for an `ordered` bench, the
+/// same multiset otherwise.
+fn assert_row_parity(session: &Session, name: &str, ordered: bool, sql: &str) {
+    let rows_at = |workers: usize| {
+        let (_, mut rows) = run_once(session, sql, workers);
+        if !ordered {
+            rows.sort();
+        }
+        rows
+    };
+    let serial = rows_at(WORKER_COUNTS[0]);
+    for &w in &WORKER_COUNTS[1..] {
+        assert!(
+            serial == rows_at(w),
+            "{name}: {} diverged at workers={w}",
+            if ordered {
+                "ordered rows"
+            } else {
+                "row multiset"
+            }
+        );
+    }
 }
 
 struct BenchResult {
@@ -174,24 +189,12 @@ impl BenchResult {
 }
 
 /// Parity: the whole point of the exchange design — parallel execution may
-/// only change wall-clock, never rows or the four paper counters.
+/// only change wall-clock, never rows ([`assert_row_parity`]) or the four
+/// paper counters.
 fn assert_parity(result: &BenchResult) {
     let serial = result.serial();
     for (w, stats) in &result.runs[1..] {
         assert_eq!(serial.rows, stats.rows, "{}: workers={w}", result.name);
-        if result.ordered {
-            assert_eq!(
-                serial.sequence_digest, stats.sequence_digest,
-                "{}: ordered rows diverged at workers={w}",
-                result.name
-            );
-        } else {
-            assert_eq!(
-                serial.multiset_digest, stats.multiset_digest,
-                "{}: row multiset diverged at workers={w}",
-                result.name
-            );
-        }
         assert_eq!(
             serial.comparisons, stats.comparisons,
             "{}: comparisons diverged at workers={w}",
@@ -224,6 +227,7 @@ fn run_bench(
 ) -> BenchResult {
     banner(&format!("{name}  ({rows_in} input rows)"));
     let runs = measure(session, sql);
+    assert_row_parity(session, name, ordered, sql);
     let result = BenchResult {
         name,
         rows_in,
@@ -317,7 +321,7 @@ fn main() {
             join.speedup_at(4)
         );
     }
-    if cores >= 2 && smoke {
+    if cores >= 2 {
         // A second worker must at least pay for itself. The margin under
         // the nominal "≥ 1×" keeps wall-clock noise on a contended 2-core
         // CI runner from aborting a defect-free build.
@@ -329,8 +333,7 @@ fn main() {
                 bench.speedup_at(2)
             );
         }
-    }
-    if cores < 2 {
+    } else {
         // Single core: threads only add overhead; bound how much.
         assert!(
             headline.speedup_at(2).max(headline.speedup_at(4)) >= 0.3,

@@ -67,11 +67,14 @@ pub(crate) fn try_parallel(
     // An exact consumer gets morsels back in file order; the window bounds
     // how far ahead of the oldest unfinished morsel the workers may run.
     let source = MorselSource::new(&file, exact.then_some(2 * ctx.workers));
+    let mut builds = Vec::new();
+    let chain = fragment(node, ctx, &mut builds)?;
     let mut op: BoxOp = Box::new(Gather::new(
         node.schema.clone(),
         source,
         leaf.schema.clone(),
-        fragment(node, ctx)?,
+        chain,
+        builds,
         ctx.workers,
     ));
     op.set_batch_size(ctx.batch);
@@ -142,14 +145,20 @@ fn scan_file(node: &PhysNode, catalog: &Catalog) -> Result<TupleFile> {
 /// Builds the recipe a worker applies to each morsel scan of the driving
 /// leaf: the subtree's operators above that leaf, flagged columnar exactly
 /// as `compile_serial` flags them. Expressions compile once, here; the
-/// recipe only clones them.
-fn fragment(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<FragmentFn> {
+/// recipe only clones them. The build side of every hash join in the chain
+/// is appended to `builds`, for the exchange to build before its workers
+/// start probing.
+fn fragment(
+    node: &Arc<PhysNode>,
+    ctx: &CompileCtx,
+    builds: &mut Vec<Arc<SharedBuild>>,
+) -> Result<FragmentFn> {
     let vectorize = ctx.columnar && columnar_capable(node);
     Ok(match &node.op {
         PhysOp::Filter { predicate } => {
             let child = &node.children[0];
             let pred = compile_expr_bound(predicate, &child.schema, ctx.params)?;
-            let below = fragment(child, ctx)?;
+            let below = fragment(child, ctx, builds)?;
             Arc::new(move |leaf| {
                 let mut f = Filter::new(below(leaf), pred.clone());
                 f.set_columnar(vectorize);
@@ -162,7 +171,7 @@ fn fragment(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<FragmentFn> {
                 .iter()
                 .map(|it| compile_expr_bound(&it.expr, &child.schema, ctx.params))
                 .collect::<Result<Vec<_>>>()?;
-            let below = fragment(child, ctx)?;
+            let below = fragment(child, ctx, builds)?;
             let schema = node.schema.clone();
             Arc::new(move |leaf| {
                 let mut p = Project::new(below(leaf), exprs.clone(), schema.clone());
@@ -182,7 +191,8 @@ fn fragment(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<FragmentFn> {
                 KeySpec::new(l_cols),
                 vectorize,
             );
-            let below = fragment(right, ctx)?;
+            builds.push(build.clone());
+            let below = fragment(right, ctx, builds)?;
             let (r_key, batch) = (KeySpec::new(r_cols), ctx.batch);
             Arc::new(move |leaf| {
                 let mut j = HashJoin::with_shared_build(build.clone(), below(leaf), r_key.clone());

@@ -28,11 +28,15 @@
 //! batches for a row consumer (so `to_rows` of a columnar fragment happens
 //! on the worker, in parallel), columnar batches for a columnar one.
 //!
-//! Before it spawns anyone, a gather *primes* its chain on the consumer
-//! thread, which makes every hash join in it build the table the workers
-//! will share (see `Fragment::prime`): builds finish before probes start,
-//! so nested exchanges run one after the other, never `workers` threads
-//! each at once.
+//! Before it spawns anyone, a gather builds — on the consumer thread — every
+//! hash-join table its chain probes ([`SharedBuild::build`]): builds finish
+//! before probes start, so no worker ever parks behind a build, and nested
+//! exchanges (a big build side has its own) run one after the other, never
+//! `workers` threads each at once.
+//!
+//! An error is final: once a pull has returned `Err`, every later pull
+//! returns the same error — never leftover batches, never a clean
+//! end-of-stream that would pass a truncated result off as complete.
 //!
 //! **Metrics rule.** Fragments contain only counter-free operators (scans,
 //! filters, projections, inner hash joins) and the exchange's own
@@ -40,8 +44,9 @@
 //! order-enforcement work, so nothing here touches `ExecMetrics`: all four
 //! counters stay bit-identical to `workers = 1`.
 
+use crate::join::SharedBuild;
 use crate::op::{BoxOp, Operator};
-use crate::scan::{Morsel, MorselSource};
+use crate::scan::MorselSource;
 use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -120,30 +125,6 @@ struct Fragment {
 }
 
 impl Fragment {
-    /// Instantiates the chain over an empty page range and pulls it once, on
-    /// the calling thread. Nothing comes out, but a hash join drains its
-    /// build side on its first pull — so every table the workers will share
-    /// exists before the first worker does. No worker ever parks behind a
-    /// build, and a build side's own exchange (a big one has one) has come
-    /// and gone before this one's threads start: a pipeline runs at most
-    /// `workers` threads at a time, however many exchanges it nests.
-    fn prime(&self, columnar: bool) -> Result<()> {
-        let nothing = Morsel {
-            seq: 0,
-            start: 0,
-            end: 0,
-        };
-        let mut op = (self.chain)(Box::new(
-            self.source.scan(&nothing, self.leaf_schema.clone()),
-        ));
-        if columnar {
-            op.next_columnar()?;
-        } else {
-            op.next_batch()?;
-        }
-        Ok(())
-    }
-
     /// One worker: claim, instantiate, drain, repeat. A failed send means
     /// the consumer is gone (completion or abort): exit.
     fn work(&self, batch: usize, columnar: bool, tx: &SyncSender<Msg>) {
@@ -196,6 +177,8 @@ enum State {
         handles: Vec<JoinHandle<()>>,
     },
     Done,
+    /// A build or a worker failed; every later pull repeats the error.
+    Failed(PyroError),
 }
 
 /// One morsel's place in the reorder buffer.
@@ -213,6 +196,9 @@ struct Slot {
 pub struct Gather {
     schema: Schema,
     fragment: Fragment,
+    /// The hash-join tables `fragment.chain` probes, built before the
+    /// workers start.
+    builds: Vec<Arc<SharedBuild>>,
     workers: usize,
     state: State,
     /// Batches cleared to be handed on, in output order.
@@ -229,12 +215,14 @@ pub struct Gather {
 impl Gather {
     /// An exchange producing `schema` rows: `workers` threads claim morsels
     /// from `source`, scan them as `leaf_schema` and run each through
-    /// `chain`. Ordered iff `source` has a claim window.
+    /// `chain`, whose hash joins probe `builds`. Ordered iff `source` has a
+    /// claim window.
     pub fn new(
         schema: Schema,
         source: Arc<MorselSource>,
         leaf_schema: Schema,
         chain: FragmentFn,
+        builds: Vec<Arc<SharedBuild>>,
         workers: usize,
     ) -> Gather {
         Gather {
@@ -244,6 +232,7 @@ impl Gather {
                 leaf_schema,
                 chain,
             },
+            builds,
             workers: workers.max(1),
             state: State::Idle,
             ready: VecDeque::new(),
@@ -254,10 +243,14 @@ impl Gather {
         }
     }
 
+    /// Builds the shared tables, then spawns the workers. A build side's
+    /// own exchange has come and gone before this one's threads start: a
+    /// pipeline runs at most `workers` threads at a time, however many
+    /// exchanges it nests.
     fn start(&mut self, columnar: bool) -> Result<()> {
-        // Until the workers are up, a failure leaves the stream ended.
-        self.state = State::Done;
-        self.fragment.prime(columnar)?;
+        for build in &self.builds {
+            build.build()?;
+        }
         let (tx, rx) = sync_channel::<Msg>(self.workers * 2);
         let handles = (0..self.workers)
             .map(|_| {
@@ -315,11 +308,28 @@ impl Gather {
         }
     }
 
+    /// Ends the stream on `e`: discards everything buffered, joins the
+    /// workers and latches the error for later pulls.
+    fn fail(&mut self, e: PyroError) -> PyroError {
+        self.ready.clear();
+        self.slots.clear();
+        self.pending = Vec::new().into_iter();
+        self.finish();
+        self.state = State::Failed(e.clone());
+        e
+    }
+
     /// The next batch in the mode's order, in whatever layout the workers
     /// were started with (the first pull decides).
     fn pull(&mut self, columnar: bool) -> Result<Option<Batch>> {
-        if let State::Idle = self.state {
-            self.start(columnar)?;
+        match &self.state {
+            State::Idle => {
+                if let Err(e) = self.start(columnar) {
+                    return Err(self.fail(e));
+                }
+            }
+            State::Failed(e) => return Err(e.clone()),
+            State::Running { .. } | State::Done => {}
         }
         let ordered = self.fragment.source.is_windowed();
         loop {
@@ -332,11 +342,7 @@ impl Gather {
             match rx.recv() {
                 Ok(Msg::Part { seq, batches, last }) if ordered => self.reorder(seq, batches, last),
                 Ok(Msg::Part { batches, .. }) => self.ready.extend(batches),
-                Ok(Msg::Failed(e)) => {
-                    self.slots.clear();
-                    self.finish();
-                    return Err(e);
-                }
+                Ok(Msg::Failed(e)) => return Err(self.fail(e)),
                 // Every worker has exited and the channel is drained: each
                 // claimed morsel is complete and already cleared for output.
                 Err(_) => self.finish(),
@@ -416,7 +422,7 @@ mod tests {
         workers: usize,
     ) -> Gather {
         let source = MorselSource::with_morsel_pages(file, 2, window);
-        let mut g = Gather::new(schema(), source, schema(), chain, workers);
+        let mut g = Gather::new(schema(), source, schema(), chain, Vec::new(), workers);
         g.set_batch_size(16);
         g
     }
@@ -522,39 +528,75 @@ mod tests {
         }
     }
 
-    /// A fragment of hash joins shares one build: it is drained exactly
-    /// once however many workers and morsels probe it, and its failure —
-    /// typed or panicking — reaches the consumer before any worker starts.
+    /// After a failure the stream stays failed: a second pull must not hand
+    /// out batches that were buffered behind the error, nor a clean end.
+    /// (Only the tenth morsel to be claimed fails, so batches do flow first
+    /// and later morsels are in flight when the error arrives.)
+    #[test]
+    fn an_error_is_latched_for_every_later_pull() {
+        let (file, _) = file(5_000);
+        let boom = PyroError::Exec("boom".into());
+        for window in [None, Some(8)] {
+            let claims = std::sync::atomic::AtomicUsize::new(0);
+            let chain: FragmentFn = Arc::new(move |child| {
+                let after = match claims.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
+                    9 => 0,
+                    _ => usize::MAX,
+                };
+                Box::new(FaultyOp {
+                    child,
+                    after,
+                    panic: false,
+                })
+            });
+            let mut g = gather(&file, window, chain, 4);
+            let mut pulls = 0;
+            let err = loop {
+                match g.next_batch() {
+                    Ok(Some(_)) => pulls += 1,
+                    Ok(None) => panic!("stream ended cleanly after {pulls} batches"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(err, boom, "window={window:?}");
+            assert_eq!(g.next_batch().unwrap_err(), boom);
+            assert_eq!(g.next_columnar().unwrap_err(), boom);
+            assert_eq!(g.next().unwrap_err(), boom);
+        }
+    }
+
+    /// A fragment of hash joins shares one build: the exchange drains it
+    /// exactly once, before any worker starts, however many workers and
+    /// morsels probe it — and its failure, typed or panicking, reaches the
+    /// consumer and stays there.
     #[test]
     fn shared_build_is_built_once_and_its_failure_surfaces() {
         let (file, rows) = file(600);
-        let join_on = |build: BoxOp| -> FragmentFn {
-            let shared = SharedBuild::new(build, KeySpec::new(vec![0]), false);
-            Arc::new(move |leaf| {
-                Box::new(HashJoin::with_shared_build(
-                    shared.clone(),
-                    leaf,
-                    KeySpec::new(vec![0]),
-                ))
-            })
-        };
         let build_rows = || -> BoxOp {
             let rows = (0..5).map(|k| Tuple::new(vec![Value::Int(k), Value::Int(-k)]));
             Box::new(ValuesOp::new(Schema::ints(&["bk", "bv"]), rows.collect()))
         };
-        let joined = Schema::ints(&["bk", "bv", "k", "v"]);
-        let run = |chain: FragmentFn| {
-            let source = MorselSource::with_morsel_pages(&file, 2, None);
-            collect_batched(Box::new(Gather::new(
-                joined.clone(),
-                source,
+        let join_on = |build: BoxOp| -> Gather {
+            let shared = SharedBuild::new(build, KeySpec::new(vec![0]), false);
+            let probe = shared.clone();
+            let chain: FragmentFn = Arc::new(move |leaf| {
+                Box::new(HashJoin::with_shared_build(
+                    probe.clone(),
+                    leaf,
+                    KeySpec::new(vec![0]),
+                ))
+            });
+            Gather::new(
+                Schema::ints(&["bk", "bv", "k", "v"]),
+                MorselSource::with_morsel_pages(&file, 2, None),
                 schema(),
                 chain,
+                vec![shared],
                 3,
-            )))
+            )
         };
 
-        let mut out = run(join_on(build_rows())).unwrap();
+        let mut out = collect_batched(Box::new(join_on(build_rows()))).unwrap();
         out.sort_by_key(|t| t.get(3).as_int());
         let expect: Vec<Tuple> = rows
             .iter()
@@ -572,22 +614,22 @@ mod tests {
             "a second drain of the build side would find it empty"
         );
 
-        let failing = Box::new(FaultyOp {
+        let mut g = join_on(Box::new(FaultyOp {
             child: build_rows(),
             after: 3,
             panic: false,
-        });
-        assert_eq!(
-            run(join_on(failing)).unwrap_err(),
-            PyroError::Exec("boom".into())
-        );
-        let panicking = Box::new(FaultyOp {
+        }));
+        for _ in 0..2 {
+            assert_eq!(g.next_batch().unwrap_err(), PyroError::Exec("boom".into()));
+        }
+        let g = join_on(Box::new(FaultyOp {
             child: build_rows(),
             after: 3,
             panic: true,
-        });
-        let chain = join_on(panicking);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(chain)))
-            .expect_err("a panicking build must not be swallowed");
+        }));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            collect_batched(Box::new(g))
+        }))
+        .expect_err("a panicking build must not be swallowed");
     }
 }

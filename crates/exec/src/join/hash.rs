@@ -196,9 +196,10 @@ impl RowProbe {
 }
 
 /// The build side of a parallel inner hash join: drained and built exactly
-/// once, by whichever join over it is pulled first, while any others wait;
-/// after that every worker probes the same immutable table. (A
-/// [`crate::Gather`] makes that first pull itself, before it has workers.)
+/// once — by [`SharedBuild::build`], or by whichever join over it is pulled
+/// first, while any others wait; after that every worker probes the same
+/// immutable table. (A [`crate::Gather`] calls `build` itself, before it
+/// has workers, so in a compiled pipeline nobody waits.)
 pub struct SharedBuild {
     schema: Schema,
     key: KeySpec,
@@ -219,6 +220,13 @@ impl SharedBuild {
             input: Mutex::new(Some(input)),
             built: OnceLock::new(),
         })
+    }
+
+    /// Drains the input and builds the table now, on the calling thread,
+    /// unless that has already happened; reports the build's error if it
+    /// failed.
+    pub fn build(&self) -> Result<()> {
+        self.get().map(|_| ())
     }
 
     /// The finished table — built here if this is the first caller,

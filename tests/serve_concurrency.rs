@@ -128,32 +128,42 @@ fn concurrent_prepared_statements_share_one_plan() {
         .collect();
     assert!(reference.iter().any(|r| !r.is_empty()), "premise: matches");
 
-    // The first prepare happens-before the racing ones: four threads that
-    // all look the text up before any of them has inserted it would all
-    // miss, legitimately.
-    session.prepare(sql).unwrap();
+    // Four first-time prepares of the same text race against an empty
+    // cache. The cache is lookup-then-insert, not single-flight: racers
+    // that look the text up before any of them has inserted it all miss,
+    // legitimately. What must hold however they interleave: every prepare
+    // is counted once, at least one planned from scratch, they all end up
+    // behind ONE cached entry, and every statement answers correctly.
+    let before = session.plan_cache_stats().unwrap();
     let session = Arc::new(session);
     let reference = Arc::new(reference);
+    let barrier = Arc::new(std::sync::Barrier::new(4));
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let session = Arc::clone(&session);
             let reference = Arc::clone(&reference);
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                barrier.wait();
                 let stmt = session.prepare(sql).unwrap();
                 for (i, k) in [1i64, 2, 3].iter().enumerate() {
                     let out = stmt.execute(&[pyro::common::Value::Int(*k)]).unwrap();
                     assert_eq!(out.rows(), &reference[i][..], "binding {k}");
                 }
+                stmt.cache_hit().expect("session has a plan cache")
             })
         })
         .collect();
-    for h in handles {
-        h.join().expect("worker thread must not panic");
-    }
-    // All four threads prepared the text the main thread had planned.
+    let hits = handles
+        .into_iter()
+        .map(|h| h.join().expect("worker thread must not panic"))
+        .filter(|&hit| hit)
+        .count() as u64;
     let stats = session.plan_cache_stats().unwrap();
-    assert!(
-        stats.hits >= 4,
-        "prepares after the first must hit: {stats:?}"
-    );
+    assert!(hits <= 3, "someone planned the text first: {stats:?}");
+    assert_eq!(stats.hits - before.hits, hits, "{stats:?}");
+    assert_eq!(stats.misses - before.misses, 4 - hits, "{stats:?}");
+    assert_eq!(stats.entries, before.entries + 1, "one shared entry");
+    // With the entry resident, a later prepare is a hit.
+    assert_eq!(session.prepare(sql).unwrap().cache_hit(), Some(true));
 }
