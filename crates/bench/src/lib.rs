@@ -1,7 +1,7 @@
 //! # pyro-bench
 //!
 //! Shared plumbing for the figure-regeneration binaries (`src/bin/fig*.rs`)
-//! and the Criterion micro-benches. Each binary reproduces one figure or
+//! and the `bench_*` measurement bins. Each binary reproduces one figure or
 //! experiment of the paper; see `DESIGN.md` §5 for the full index and
 //! `EXPERIMENTS.md` for paper-vs-measured notes.
 

@@ -9,14 +9,21 @@
 //! physical row indices that survive upstream filters — so filters refine
 //! selections instead of materializing rows.
 //!
-//! Rows materialize back into [`Tuple`]s only at pipeline breakers (sorts,
-//! aggregates, merge joins) via [`ColumnarBatch::to_rows`]; the
-//! converters are the seam that keeps the strict row/batch counter-parity
-//! contract intact, because none of the columnar kernels charge metrics.
+//! Sorts, merge joins and sort-based grouping run on this layout too: they
+//! compare rows in place ([`ColumnVec::compare`], with an order-preserving
+//! 8-byte [`CellRef::norm_prefix`] in front of it), budget memory with
+//! [`ColumnarBatch::row_byte_sizes`] and emit by [`ColumnarBatch::gather`].
+//! Rows materialize back into [`Tuple`]s once, at the plan root, via
+//! [`ColumnarBatch::to_rows`].
 
-use crate::tuple::Tuple;
+use crate::tuple::{KeySpec, Tuple};
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::sync::Arc;
+
+/// Row index that [`ColumnBuilder::append_gather`] reads as "no row here":
+/// it appends a NULL cell (outer-join padding).
+pub const NULL_ROW: u32 = u32::MAX;
 
 /// A growable bitmap marking NULL cells; bit `i` set means row `i` is NULL.
 ///
@@ -56,6 +63,12 @@ impl NullBitmap {
             self.set_bits += 1;
         }
         self.len += 1;
+    }
+
+    /// Appends `n` clear bits (`n` non-NULL rows) a word at a time.
+    pub fn extend_false(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
     }
 
     /// Returns whether row `i` is NULL.
@@ -125,6 +138,20 @@ impl StrArena {
         self.bytes.extend_from_slice(b);
         let end = u32::try_from(self.bytes.len()).expect("string arena exceeds u32 offsets");
         self.offsets.push(end);
+    }
+
+    /// Appends cells `start..end` of `other`: one byte copy plus rebased
+    /// offsets.
+    pub fn extend_range(&mut self, other: &StrArena, start: usize, end: usize) {
+        let (lo, hi) = (other.offsets[start] as usize, other.offsets[end] as usize);
+        let before = self.bytes.len();
+        u32::try_from(before + (hi - lo)).expect("string arena exceeds u32 offsets");
+        self.bytes.extend_from_slice(&other.bytes[lo..hi]);
+        self.offsets.extend(
+            other.offsets[start + 1..=end]
+                .iter()
+                .map(|&o| (before + (o as usize - lo)) as u32),
+        );
     }
 
     /// Returns the raw bytes of cell `i` (hot-loop comparisons).
@@ -228,6 +255,61 @@ impl<'a> CellRef<'a> {
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
+
+    /// Equality identical to [`Value`]'s derived `==`: same variant and same
+    /// payload, doubles by `f64 ==` (so `-0.0 == 0.0`, `NaN != NaN`, and
+    /// `Int(2) != Double(2.0)` although they *order* equal).
+    pub fn value_eq(self, other: CellRef<'_>) -> bool {
+        match (self, other) {
+            (CellRef::Null, CellRef::Null) => true,
+            (CellRef::Int(a), CellRef::Int(b)) => a == b,
+            (CellRef::Double(a), CellRef::Double(b)) => a == b,
+            (CellRef::Str(a), CellRef::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Order-preserving 8-byte normalized key: for any two cells,
+    /// `a.norm_prefix() < b.norm_prefix()` implies `a.order(b) == Less`, so
+    /// a sort compares the prefixes inline and falls through to
+    /// [`ColumnVec::compare`] only on a tie.
+    ///
+    /// One scale serves every type, which is what lets a heterogeneous
+    /// column (or a column whose batches differ in representation) share it:
+    /// numerics take the lower half — the sign-flipped total-order bits of
+    /// the value's `f64` image, which is the image `Value`'s `Ord` itself
+    /// compares mixed `Int`/`Double` on — strings the upper half as their
+    /// first eight bytes big-endian, NULL the maximum (NULLS LAST). The low
+    /// bit each half gives up only widens ties: integers beyond ±2^52 and
+    /// strings agreeing on 63 bits fall through to the typed compare.
+    #[inline]
+    pub fn norm_prefix(self) -> u64 {
+        match self {
+            CellRef::Null => u64::MAX,
+            CellRef::Int(v) => numeric_prefix(v as f64),
+            CellRef::Double(d) => numeric_prefix(d),
+            CellRef::Str(s) => str_prefix(s.as_bytes()),
+        }
+    }
+}
+
+/// Lower half of the normalized-key scale: `f64::total_cmp` order as an
+/// ascending unsigned integer, shifted under the string half.
+#[inline]
+fn numeric_prefix(d: f64) -> u64 {
+    let bits = d.to_bits();
+    let flipped = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    flipped >> 1
+}
+
+/// Upper half of the normalized-key scale: the first eight bytes,
+/// zero-padded, big-endian.
+#[inline]
+fn str_prefix(b: &[u8]) -> u64 {
+    let mut head = [0u8; 8];
+    let n = b.len().min(8);
+    head[..n].copy_from_slice(&b[..n]);
+    (1 << 63) | (u64::from_be_bytes(head) >> 1)
 }
 
 /// One column of a [`ColumnarBatch`]: typed cell storage plus a null bitmap.
@@ -293,6 +375,219 @@ impl ColumnVec {
     /// Materializes cell `i` into an owned [`Value`].
     pub fn value_at(&self, i: usize) -> Value {
         self.cell(i).to_value()
+    }
+
+    /// Orders cell `i` against cell `j` of `other` exactly as
+    /// [`CellRef::order`] (and so [`Value`]'s `Ord`) would, comparing typed
+    /// storage in place: no `CellRef`, no UTF-8 check.
+    #[inline]
+    pub fn compare(&self, i: usize, other: &ColumnVec, j: usize) -> Ordering {
+        match (self.nulls.get(i), other.nulls.get(j)) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Greater,
+            (false, true) => return Ordering::Less,
+            (false, false) => {}
+        }
+        match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i].cmp(&b[j]),
+            (ColumnData::Double(a), ColumnData::Double(b)) => a[i].total_cmp(&b[j]),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i).cmp(b.bytes_at(j)),
+            _ => self.cell(i).order(other.cell(j)),
+        }
+    }
+
+    /// [`CellRef::value_eq`] of cell `i` and cell `j` of `other`, on typed
+    /// storage in place.
+    #[inline]
+    pub fn value_eq(&self, i: usize, other: &ColumnVec, j: usize) -> bool {
+        match (self.nulls.get(i), other.nulls.get(j)) {
+            (true, true) => return true,
+            (false, false) => {}
+            _ => return false,
+        }
+        match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i) == b.bytes_at(j),
+            _ => self.cell(i).value_eq(other.cell(j)),
+        }
+    }
+
+    /// Writes [`CellRef::norm_prefix`] of every cell to
+    /// `out[row * stride + at]`, one typed pass. Returns whether the
+    /// prefixes are *exact* for this column: equal prefixes then mean equal
+    /// cells, and a tie needs no typed compare. That holds for an `Int`
+    /// column within ±2^52 (its `f64` image loses nothing) and for a `Str`
+    /// column of at most seven bytes a cell, none ending in a NUL (the
+    /// zero padding then hides nothing).
+    fn write_norm_prefixes(&self, out: &mut [u64], stride: usize, at: usize) -> bool {
+        let slots = out.iter_mut().skip(at).step_by(stride);
+        let nulls = &self.nulls;
+        let mut exact = true;
+        match &self.data {
+            ColumnData::Int(v) => {
+                for (i, (slot, &x)) in slots.zip(v).enumerate() {
+                    exact &= x.unsigned_abs() >> 52 == 0;
+                    *slot = match nulls.any() && nulls.get(i) {
+                        true => u64::MAX,
+                        false => numeric_prefix(x as f64),
+                    };
+                }
+            }
+            ColumnData::Str(a) => {
+                for (i, slot) in slots.enumerate() {
+                    let b = a.bytes_at(i);
+                    exact &= b.len() < 8 && b.last() != Some(&0);
+                    *slot = match nulls.any() && nulls.get(i) {
+                        true => u64::MAX,
+                        false => str_prefix(b),
+                    };
+                }
+            }
+            ColumnData::Double(_) | ColumnData::Mixed(_) => {
+                exact = false;
+                for (i, slot) in slots.enumerate() {
+                    *slot = self.cell(i).norm_prefix();
+                }
+            }
+        }
+        exact
+    }
+
+    /// The first row in `from..limit` whose cell is not equal to cell
+    /// `first` — `limit` when there is none: where the run of equal cells
+    /// that row `first` belongs to ends. Equal means [`ColumnVec::compare`]
+    /// says `Equal`, or with `by_value` that [`ColumnVec::value_eq`] holds.
+    pub fn run_end(&self, first: usize, from: usize, limit: usize, by_value: bool) -> usize {
+        let found = match &self.data {
+            ColumnData::Int(v) if !self.nulls.any() => {
+                let x = v[first];
+                v[from..limit].iter().position(|&y| y != x)
+            }
+            ColumnData::Str(a) if !self.nulls.any() => {
+                let x = a.bytes_at(first);
+                (from..limit).position(|i| a.bytes_at(i) != x)
+            }
+            _ if by_value => (from..limit).position(|i| !self.value_eq(first, self, i)),
+            _ => (from..limit).position(|i| self.compare(first, self, i) != Ordering::Equal),
+        };
+        found.map_or(limit, |at| from + at)
+    }
+
+    /// Adds every cell's [`Value::byte_size`] to its row's slot in `sizes`,
+    /// one typed pass.
+    fn add_byte_sizes(&self, sizes: &mut [u32]) {
+        let nulls = &self.nulls;
+        match &self.data {
+            ColumnData::Int(_) | ColumnData::Double(_) if !nulls.any() => {
+                sizes.iter_mut().for_each(|s| *s += 9);
+            }
+            ColumnData::Int(_) | ColumnData::Double(_) => {
+                for (i, s) in sizes.iter_mut().enumerate() {
+                    *s += if nulls.get(i) { 1 } else { 9 };
+                }
+            }
+            ColumnData::Str(a) => {
+                for (i, s) in sizes.iter_mut().enumerate() {
+                    *s += if nulls.get(i) {
+                        1
+                    } else {
+                        5 + a.bytes_at(i).len() as u32
+                    };
+                }
+            }
+            ColumnData::Mixed(v) => {
+                for (s, x) in sizes.iter_mut().zip(v) {
+                    *s += x.byte_size() as u32;
+                }
+            }
+        }
+    }
+}
+
+/// The normalized keys of a batch's rows under a [`KeySpec`]: one
+/// [`CellRef::norm_prefix`] per key column per physical row, row-major, so
+/// that comparing two rows walks two short dense arrays and touches column
+/// storage only where a prefix tie is not already decisive.
+///
+/// The comparison charges what [`KeySpec::compare_counting`] charges for
+/// the same two rows boxed — `first differing key column + 1`, all columns
+/// when equal — because it walks the columns in the same order and stops at
+/// the same one.
+#[derive(Debug, Default)]
+pub struct NormKeys {
+    width: usize,
+    prefixes: Vec<u64>,
+    /// Per key column: prefix equality is cell equality (see
+    /// `ColumnVec::write_norm_prefixes`).
+    exact: Vec<bool>,
+}
+
+impl NormKeys {
+    /// Normalizes every physical row of `batch` under `key`.
+    pub fn new(batch: &ColumnarBatch, key: &KeySpec) -> NormKeys {
+        let width = key.len();
+        let mut prefixes = vec![0u64; batch.num_rows() * width];
+        let exact = key
+            .cols()
+            .iter()
+            .enumerate()
+            .map(|(at, &c)| {
+                batch
+                    .column(c)
+                    .write_norm_prefixes(&mut prefixes, width, at)
+            })
+            .collect();
+        NormKeys {
+            width,
+            prefixes,
+            exact,
+        }
+    }
+
+    /// Row `row`'s prefix of the first key column (0 under an empty key):
+    /// what a sort entry carries inline.
+    #[inline]
+    pub fn first(&self, row: usize) -> u64 {
+        match self.width {
+            0 => 0,
+            w => self.prefixes[row * w],
+        }
+    }
+
+    /// Orders row `i` of `a` against row `j` of `b` under `key` — `self`
+    /// being `a`'s keys and `other` `b`'s — returning the ordering and the
+    /// scalar comparisons to charge.
+    #[inline]
+    pub fn compare(
+        &self,
+        a: &ColumnarBatch,
+        i: usize,
+        other: &NormKeys,
+        b: &ColumnarBatch,
+        j: usize,
+        key: &KeySpec,
+    ) -> (Ordering, u64) {
+        let w = self.width;
+        let (pa, pb) = (
+            &self.prefixes[i * w..(i + 1) * w],
+            &other.prefixes[j * w..(j + 1) * w],
+        );
+        let mut n = 0;
+        for (c, (x, y)) in pa.iter().zip(pb).enumerate() {
+            n += 1;
+            if x != y {
+                return (x.cmp(y), n);
+            }
+            if !(self.exact[c] && other.exact[c]) {
+                let col = key.cols()[c];
+                match a.column(col).compare(i, b.column(col), j) {
+                    Ordering::Equal => {}
+                    non_eq => return (non_eq, n),
+                }
+            }
+        }
+        (Ordering::Equal, n)
     }
 }
 
@@ -441,55 +736,117 @@ impl ColumnBuilder {
     /// Appends the rows of `col` selected by `sel` (all rows when `None`),
     /// using bulk typed copies whenever the representations line up.
     pub fn append_column(&mut self, col: &ColumnVec, sel: Option<&[u32]>) {
-        if let Some(sel) = sel {
-            for &i in sel {
-                self.push_cell(col.cell(i as usize));
-            }
-            return;
-        }
-        let n = col.len();
-        // Bulk fast path: matching (or adoptable) representation and no
-        // NULLs on either side lets us memcpy the typed storage.
-        if !col.nulls.any() {
-            match (&mut self.rep, &col.data) {
-                (BuilderRep::Int(dst), ColumnData::Int(src)) => {
-                    dst.extend_from_slice(src);
-                    self.bulk_valid(n);
-                    return;
-                }
-                (BuilderRep::Double(dst), ColumnData::Double(src)) => {
-                    dst.extend_from_slice(src);
-                    self.bulk_valid(n);
-                    return;
-                }
-                (BuilderRep::Untyped, ColumnData::Int(src)) if self.len == 0 => {
-                    self.rep = BuilderRep::Int(src.clone());
-                    self.bulk_valid(n);
-                    return;
-                }
-                (BuilderRep::Untyped, ColumnData::Double(src)) if self.len == 0 => {
-                    self.rep = BuilderRep::Double(src.clone());
-                    self.bulk_valid(n);
-                    return;
-                }
-                (BuilderRep::Untyped, ColumnData::Str(src)) if self.len == 0 => {
-                    self.rep = BuilderRep::Str(src.clone());
-                    self.bulk_valid(n);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        for i in 0..n {
-            self.push_cell(col.cell(i));
+        match sel {
+            Some(sel) => self.append_gather(col, sel),
+            None => self.append_range(col, 0, col.len()),
         }
     }
 
-    fn bulk_valid(&mut self, n: usize) {
+    /// Appends `n` NULL cells.
+    pub fn push_nulls(&mut self, n: usize) {
         for _ in 0..n {
-            self.nulls.push(false);
+            self.push_null();
+        }
+    }
+
+    /// Appends cell `i` of `col`, copying typed storage directly when the
+    /// representations line up.
+    #[inline]
+    pub fn push_from(&mut self, col: &ColumnVec, i: usize) {
+        if col.nulls.get(i) {
+            return self.push_null();
+        }
+        match (&mut self.rep, &col.data) {
+            (BuilderRep::Int(dst), ColumnData::Int(src)) => dst.push(src[i]),
+            (BuilderRep::Double(dst), ColumnData::Double(src)) => dst.push(src[i]),
+            (BuilderRep::Str(dst), ColumnData::Str(src)) => dst.push_bytes(src.bytes_at(i)),
+            _ => return self.push_cell(col.cell(i)),
+        }
+        self.nulls.push(false);
+        self.len += 1;
+    }
+
+    /// While only NULLs (or nothing) have been pushed, adopts `data`'s
+    /// representation so typed appends can copy storage directly.
+    fn adopt(&mut self, data: &ColumnData) {
+        if matches!(self.rep, BuilderRep::Untyped) {
+            self.rep = match data {
+                ColumnData::Int(_) => BuilderRep::Int(vec![0; self.len]),
+                ColumnData::Double(_) => BuilderRep::Double(vec![0.0; self.len]),
+                ColumnData::Str(_) => {
+                    let mut a = StrArena::new();
+                    for _ in 0..self.len {
+                        a.push("");
+                    }
+                    BuilderRep::Str(a)
+                }
+                ColumnData::Mixed(_) => BuilderRep::Mixed(vec![Value::Null; self.len]),
+            };
+        }
+    }
+
+    /// Appends rows `start..end` of `col`: a slice copy of the typed storage
+    /// when the representations line up, cell by cell otherwise.
+    pub fn append_range(&mut self, col: &ColumnVec, start: usize, end: usize) {
+        let n = end - start;
+        self.adopt(&col.data);
+        match (&mut self.rep, &col.data) {
+            (BuilderRep::Int(dst), ColumnData::Int(src)) => {
+                dst.extend_from_slice(&src[start..end]);
+            }
+            (BuilderRep::Double(dst), ColumnData::Double(src)) => {
+                dst.extend_from_slice(&src[start..end]);
+            }
+            (BuilderRep::Str(dst), ColumnData::Str(src)) => dst.extend_range(src, start, end),
+            _ => {
+                for i in start..end {
+                    self.push_cell(col.cell(i));
+                }
+                return;
+            }
+        }
+        if col.nulls.any() {
+            for i in start..end {
+                self.nulls.push(col.nulls.get(i));
+            }
+        } else {
+            self.nulls.extend_false(n);
         }
         self.len += n;
+    }
+
+    /// Appends the rows of `col` at `idx`, in `idx` order (any order,
+    /// repeats allowed); an index of [`NULL_ROW`] appends a NULL cell — the
+    /// padding side of an outer join. With no NULL in sight and the
+    /// representations lined up it is one typed dispatch, then a tight
+    /// loop; otherwise cell by cell.
+    pub fn append_gather(&mut self, col: &ColumnVec, idx: &[u32]) {
+        self.adopt(&col.data);
+        let plain = !col.nulls.any() && !idx.contains(&NULL_ROW);
+        match (&mut self.rep, &col.data) {
+            (BuilderRep::Int(dst), ColumnData::Int(src)) if plain => {
+                dst.extend(idx.iter().map(|&i| src[i as usize]));
+            }
+            (BuilderRep::Double(dst), ColumnData::Double(src)) if plain => {
+                dst.extend(idx.iter().map(|&i| src[i as usize]));
+            }
+            (BuilderRep::Str(dst), ColumnData::Str(src)) if plain => {
+                for &i in idx {
+                    dst.push_bytes(src.bytes_at(i as usize));
+                }
+            }
+            _ => {
+                for &i in idx {
+                    match i {
+                        NULL_ROW => self.push_null(),
+                        i => self.push_from(col, i as usize),
+                    }
+                }
+                return;
+            }
+        }
+        self.nulls.extend_false(idx.len());
+        self.len += idx.len();
     }
 
     /// Rebuilds the current cells as `Mixed` after a type conflict.
@@ -682,6 +1039,61 @@ impl ColumnarBatch {
             sel: self.sel.clone(),
         }
     }
+
+    /// A dense batch holding the physical rows at `idx`, in `idx` order —
+    /// how sorts and joins emit. [`NULL_ROW`] entries become all-NULL rows.
+    pub fn gather(&self, idx: &[u32]) -> ColumnarBatch {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| {
+                let mut b = ColumnBuilder::new();
+                b.append_gather(c, idx);
+                Arc::new(b.finish())
+            })
+            .collect();
+        Self::from_columns(columns, idx.len())
+    }
+
+    /// The same rows without a selection vector: the batch itself when it
+    /// has none, a gathered copy of the selected rows otherwise.
+    pub fn into_dense(self) -> ColumnarBatch {
+        match &self.sel {
+            None => self,
+            Some(sel) => self.gather(sel),
+        }
+    }
+
+    /// A dense batch of this batch's physical rows `from..` followed by the
+    /// selected rows of `next` — how a streaming consumer carries the rows
+    /// of a still-open group over to its next input batch, so a group never
+    /// straddles two batches.
+    pub fn carry_into(&self, from: usize, next: &ColumnarBatch) -> ColumnarBatch {
+        debug_assert_eq!(self.arity(), next.arity());
+        let rows = self.rows - from + next.len();
+        let columns = self
+            .columns
+            .iter()
+            .zip(&next.columns)
+            .map(|(a, b)| {
+                let mut out = ColumnBuilder::new();
+                out.append_range(a, from, self.rows);
+                out.append_column(b, next.sel());
+                Arc::new(out.finish())
+            })
+            .collect();
+        Self::from_columns(columns, rows)
+    }
+
+    /// [`Tuple::byte_size`] of every physical row, computed column at a
+    /// time — what a sort's memory budget is charged in.
+    pub fn row_byte_sizes(&self) -> Vec<u32> {
+        let mut sizes = vec![16u32; self.rows];
+        for c in &self.columns {
+            c.add_byte_sizes(&mut sizes);
+        }
+        sizes
+    }
 }
 
 #[cfg(test)]
@@ -837,6 +1249,271 @@ mod tests {
         assert_eq!(col.value_at(100), Value::Int(0));
         assert_eq!(col.value_at(101), Value::Int(50));
         assert_eq!(col.value_at(102), Value::Int(99));
+    }
+
+    /// Every kind of cell, including the pairs an 8-byte prefix cannot
+    /// tell apart: both zeros, NaNs of both signs, integers past 2^53, the
+    /// empty string against NULL, strings agreeing on 8+ bytes or differing
+    /// only by a trailing NUL.
+    fn every_kind_of_value() -> Vec<Value> {
+        let mut vals = vec![Value::Null];
+        for i in [i64::MIN, -7, -1, 0, 1, 2, 1 << 53, (1 << 53) + 1, i64::MAX] {
+            vals.push(Value::Int(i));
+        }
+        for d in [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            2.0,
+            2.5,
+            9007199254740992.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            vals.push(Value::Double(d));
+        }
+        for s in [
+            "",
+            "\0",
+            "a",
+            "ab",
+            "ab\0",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefgi",
+            "\u{10ffff}\u{10ffff}",
+        ] {
+            vals.push(Value::Str(s.into()));
+        }
+        vals
+    }
+
+    fn one_column(vals: &[Value]) -> ColumnarBatch {
+        let rows: Vec<Tuple> = vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+        ColumnarBatch::from_rows(&rows)
+    }
+
+    #[test]
+    fn norm_prefix_never_contradicts_value_order() {
+        let vals = every_kind_of_value();
+        for a in &vals {
+            for b in &vals {
+                let (pa, pb) = (
+                    CellRef::from_value(a).norm_prefix(),
+                    CellRef::from_value(b).norm_prefix(),
+                );
+                if pa != pb {
+                    assert_eq!(pa.cmp(&pb), a.cmp(b), "prefixes of {a:?} and {b:?}");
+                }
+            }
+        }
+    }
+
+    /// The normalized key — prefix first, typed compare on a tie unless the
+    /// column's prefixes are exact — orders every pair of values exactly as
+    /// `Value::cmp`, whether the two sit in one heterogeneous column or in
+    /// two batches of different representations, and charges one
+    /// comparison for the one key column.
+    #[test]
+    fn normalized_key_orders_every_pair_as_value_cmp() {
+        let key = KeySpec::new(vec![0]);
+        let vals = every_kind_of_value();
+        let is = |f: fn(&Value) -> bool| -> Vec<Value> {
+            let mut some: Vec<Value> = vals.iter().filter(|v| f(v)).cloned().collect();
+            some.push(Value::Null);
+            some
+        };
+        let groups = [
+            vals.clone(),
+            is(|v| matches!(v, Value::Int(_))),
+            is(|v| matches!(v, Value::Int(i) if i.unsigned_abs() < 100)),
+            is(|v| matches!(v, Value::Double(_))),
+            is(|v| matches!(v, Value::Str(_))),
+            is(|v| matches!(v, Value::Str(s) if s.len() < 8 && !s.ends_with('\0'))),
+        ];
+        let keyed: Vec<(ColumnarBatch, NormKeys)> = groups
+            .iter()
+            .map(|g| {
+                let batch = one_column(g);
+                let norms = NormKeys::new(&batch, &key);
+                (batch, norms)
+            })
+            .collect();
+        // Small integers and short strings are exact; nothing else is.
+        let exact: Vec<bool> = keyed.iter().map(|(_, n)| n.exact[0]).collect();
+        assert_eq!(exact, [false, false, true, false, false, true]);
+        for (ga, (ba, na)) in groups.iter().zip(&keyed) {
+            for (gb, (bb, nb)) in groups.iter().zip(&keyed) {
+                for (i, a) in ga.iter().enumerate() {
+                    for (j, b) in gb.iter().enumerate() {
+                        assert_eq!(
+                            na.compare(ba, i, nb, bb, j, &key),
+                            (a.cmp(b), 1),
+                            "{a:?} vs {b:?}"
+                        );
+                        assert_eq!(ba.column(0).compare(i, bb.column(0), j), a.cmp(b));
+                        assert_eq!(ba.column(0).value_eq(i, bb.column(0), j), a == b);
+                        assert_eq!(na.first(i), CellRef::from_value(a).norm_prefix());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_column_normalized_compare_counts_like_compare_counting() {
+        let rows: Vec<Tuple> = [(1, "x", 2.0), (1, "x", 3.0), (1, "y", 0.0), (2, "a", 0.0)]
+            .iter()
+            .map(|&(a, b, c)| {
+                Tuple::new(vec![Value::Int(a), Value::Str(b.into()), Value::Double(c)])
+            })
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        let key = KeySpec::new(vec![0, 1, 2]);
+        let norms = NormKeys::new(&batch, &key);
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in rows.iter().enumerate() {
+                let expect = key.compare_counting(a, b);
+                assert_eq!(norms.compare(&batch, i, &norms, &batch, j, &key), expect);
+                assert_eq!(key.compare_columnar(&batch, i, &batch, j), expect);
+            }
+        }
+        // No key columns: every pair ties for free.
+        let none = KeySpec::default();
+        let norms = NormKeys::new(&batch, &none);
+        assert_eq!(norms.first(2), 0);
+        assert_eq!(
+            norms.compare(&batch, 0, &norms, &batch, 3, &none),
+            (Ordering::Equal, 0)
+        );
+    }
+
+    /// `group_end` must find the boundary, and charge for it, exactly as
+    /// testing row after row against the group's first row would.
+    #[test]
+    fn group_end_matches_row_by_row_testing() {
+        let rows: Vec<Tuple> = (0..200i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Int(i / 90),
+                    if i % 40 == 39 {
+                        Value::Null
+                    } else {
+                        Value::Str(format!("s{}", i / 7))
+                    },
+                    Value::Double(if i == 100 { f64::NAN } else { (i / 3) as f64 }),
+                ])
+            })
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        for cols in [vec![0], vec![0, 1], vec![1, 0], vec![0, 1, 2], vec![]] {
+            let key = KeySpec::new(cols);
+            for by_value in [false, true] {
+                for first in [0usize, 5, 89, 100, 199] {
+                    for limit in [first + 1, 150.max(first + 1), 200] {
+                        let mut cost = 0;
+                        let mut end = limit;
+                        for (i, row) in rows.iter().enumerate().take(limit).skip(first + 1) {
+                            let differs = key.cols().iter().position(|&c| {
+                                if by_value {
+                                    rows[first].get(c) != row.get(c)
+                                } else {
+                                    rows[first].get(c).cmp(row.get(c)) != Ordering::Equal
+                                }
+                            });
+                            cost += differs.map_or(key.len(), |at| at + 1) as u64;
+                            if differs.is_some() {
+                                end = i;
+                                break;
+                            }
+                        }
+                        assert_eq!(
+                            key.group_end(&batch, first, first + 1, limit, by_value),
+                            (end, cost),
+                            "{key:?} by_value={by_value} first={first} limit={limit}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_byte_sizes_match_tuple_byte_size() {
+        let vals = every_kind_of_value();
+        let rows: Vec<Tuple> = (0..vals.len())
+            .map(|i| {
+                Tuple::new(vec![
+                    vals[i].clone(),
+                    Value::Int(i as i64),
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str("x".repeat(i))
+                    },
+                ])
+            })
+            .collect();
+        let sizes = ColumnarBatch::from_rows(&rows).row_byte_sizes();
+        let expect: Vec<u32> = rows.iter().map(|t| t.byte_size() as u32).collect();
+        assert_eq!(sizes, expect);
+    }
+
+    #[test]
+    fn gather_range_and_carry_build_the_rows_asked_for() {
+        let vals = every_kind_of_value();
+        let rows: Vec<Tuple> = (0..vals.len())
+            .map(|i| {
+                Tuple::new(vec![
+                    vals[i].clone(),
+                    Value::Int(i as i64),
+                    Value::Str(format!("r{i}")),
+                ])
+            })
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        let show = |b: &ColumnarBatch| format!("{:?}", b.to_rows());
+        // Gather: any order, repeats, and NULL_ROW padding.
+        let idx = [5u32, 0, NULL_ROW, 5, 29];
+        let expect: Vec<Tuple> = idx
+            .iter()
+            .map(|&i| match i {
+                NULL_ROW => Tuple::nulls(3),
+                i => rows[i as usize].clone(),
+            })
+            .collect();
+        assert_eq!(show(&batch.gather(&idx)), format!("{expect:?}"));
+        // Carry: the tail of one batch in front of the selected rows of the
+        // next, as one dense batch.
+        let mut next = ColumnarBatch::from_rows(&rows[..10]);
+        next.set_sel(vec![1, 4, 9]);
+        let carried = batch.carry_into(27, &next);
+        let mut expect = rows[27..].to_vec();
+        expect.extend([rows[1].clone(), rows[4].clone(), rows[9].clone()]);
+        assert!(carried.sel().is_none());
+        assert_eq!(show(&carried), format!("{expect:?}"));
+        assert_eq!(
+            show(&next.clone().into_dense()),
+            format!("{:?}", &expect[3..])
+        );
+        // A typed range appended after NULLs only: the builder adopts the
+        // type and back-fills placeholders.
+        let ints = ColumnarBatch::from_rows(&rows);
+        let mut b = ColumnBuilder::new();
+        b.push_nulls(2);
+        b.append_range(ints.column(1), 3, 6);
+        b.push_from(ints.column(1), 7);
+        let col = b.finish();
+        assert!(matches!(col.data(), ColumnData::Int(_)));
+        let got: Vec<Value> = (0..col.len()).map(|i| col.value_at(i)).collect();
+        let int = Value::Int;
+        assert_eq!(
+            got,
+            [Value::Null, Value::Null, int(3), int(4), int(5), int(7)]
+        );
     }
 
     #[test]

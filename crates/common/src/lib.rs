@@ -16,7 +16,9 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use columnar::{CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap};
+pub use columnar::{
+    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NormKeys, NullBitmap, NULL_ROW,
+};
 pub use error::{PyroError, Result};
 pub use schema::{Column, DataType, Schema};
 pub use tuple::{KeySpec, Tuple};

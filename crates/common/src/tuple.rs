@@ -1,5 +1,6 @@
 //! Row representation and key extraction.
 
+use crate::columnar::ColumnarBatch;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -174,6 +175,69 @@ impl KeySpec {
             }
         }
         (Ordering::Equal, n)
+    }
+
+    /// [`KeySpec::compare_counting`] over columnar rows: physical row `i` of
+    /// `a` against physical row `j` of `b`, same ordering and same count.
+    pub fn compare_columnar(
+        &self,
+        a: &ColumnarBatch,
+        i: usize,
+        b: &ColumnarBatch,
+        j: usize,
+    ) -> (Ordering, u64) {
+        let mut n = 0;
+        for &c in &self.cols {
+            n += 1;
+            match a.column(c).compare(i, b.column(c), j) {
+                Ordering::Equal => continue,
+                non_eq => return (non_eq, n),
+            }
+        }
+        (Ordering::Equal, n)
+    }
+
+    /// Where the group that physical row `first` of `batch` opens ends:
+    /// the first row in `from..limit` that differs from it on some key
+    /// column (`limit` when none does), found one typed column pass at a
+    /// time. Rows differ when their cells do not compare `Equal` — or, with
+    /// `by_value`, when they are not `==` as [`Value`]s.
+    ///
+    /// Also returns the comparisons that testing rows `from..=end` against
+    /// row `first` one by one, left to right, stopping at each row's first
+    /// differing column, would have made: every row before `end` agrees on
+    /// all columns, and row `end` (if there is one) on the columns before
+    /// the last one that cut the group short.
+    pub fn group_end(
+        &self,
+        batch: &ColumnarBatch,
+        first: usize,
+        mut from: usize,
+        limit: usize,
+        by_value: bool,
+    ) -> (usize, u64) {
+        // Look ahead in growing windows: a leading key column with long runs
+        // must not be scanned to the end of its run for every short group.
+        let mut window = 16;
+        let mut cost = 0;
+        loop {
+            let stop = limit.min(from + window);
+            let mut end = stop;
+            let mut boundary_cost = 0;
+            for (at, &c) in self.cols.iter().enumerate() {
+                let e = batch.column(c).run_end(first, from, end, by_value);
+                if e < end {
+                    end = e;
+                    boundary_cost = at as u64 + 1;
+                }
+            }
+            cost += (end - from) as u64 * self.cols.len() as u64 + boundary_cost;
+            if end < stop || stop == limit {
+                return (end, cost);
+            }
+            from = stop;
+            window *= 4;
+        }
     }
 
     /// True iff `a` and `b` agree on every key column.

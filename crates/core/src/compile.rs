@@ -12,8 +12,11 @@
 //! aggregates, anything whose counters or output depend on the exact input
 //! sequence — stay serial and receive either the exact serial row sequence
 //! (a gather that releases morsels in file order) or an unparallelized
-//! child. The columnar kernels engage the same way on both sides of an
-//! exchange: the flags depend on the plan shape, never on `workers`.
+//! child. Serial does not mean row-based: the breakers of the paper's
+//! plans are columnar themselves and pull column vectors from the gather,
+//! so a plan converts to rows once, at its root (see `columnar_capable`).
+//! The columnar kernels engage the same way on both sides of an exchange:
+//! the flags depend on the plan shape, never on `workers`.
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
@@ -29,6 +32,7 @@ use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro_exec::{BoxOp, ExecMetrics, Expr, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
+use pyro_storage::TupleFile;
 use std::sync::Arc;
 
 /// Compiles a physical plan into a runnable [`Pipeline`] (operator tree +
@@ -118,11 +122,14 @@ pub fn compile_bound(
 /// [`compile_bound`] with the columnar-execution knob made explicit.
 /// `columnar = true` (the default everywhere above) lets the batch path —
 /// serial or inside worker fragments — run Filter / Project / inner
-/// HashJoin subtrees over columnar batches with vectorized kernels; `false`
-/// forces the row-at-a-time batch implementations (the
+/// HashJoin over columnar batches with vectorized kernels wherever the
+/// subtree below is columnar throughout; `false` makes those three answer
+/// `next_batch` with their row-batch implementations (the
 /// `SessionBuilder::columnar(false)` escape hatch, and the reference side
-/// of A/B parity tests). Either way the row pull
-/// (`next()`), all counters, and the produced rows are identical.
+/// of A/B parity tests). Sorts, merge joins and sort-based aggregates have
+/// no row-batch implementation to fall back to: they are columnar under
+/// either setting. Either way the row pull (`next()`), all counters, and
+/// the produced rows are identical.
 #[allow(clippy::too_many_arguments)]
 pub fn compile_bound_columnar(
     root: &Arc<PhysNode>,
@@ -173,27 +180,38 @@ fn sequence_insensitive(op: &PhysOp) -> bool {
 }
 
 /// True iff every operator in this subtree produces columnar batches
-/// natively — scans decode pages straight into column vectors, and
-/// Filter / Project / inner HashJoin run vectorized kernels. Only such
-/// subtrees get their roots flagged columnar: a flagged operator pulls its
-/// children via `next_columnar`, so a single row-only operator anywhere
-/// below would force a rows→columns conversion at every batch, which
-/// benchmarking shows loses more than the kernels gain. Pipeline breakers
-/// (sorts, aggregates, merge joins) deliberately stay row-based: their
-/// comparison/run-I/O counters are the paper's subject and must stay
-/// bit-identical to the row path. An exchange standing in for a capable
-/// subtree hands over whichever layout its consumer pulls.
+/// natively, so that pulling its root with `next_columnar` converts nothing
+/// anywhere below: scans decode pages straight into column vectors, Filter /
+/// Project / inner HashJoin run vectorized kernels, and the paper's own
+/// operators — both sort enforcers, merge joins of every kind and the
+/// sort-based aggregate — sort, pair and group rows in place in the column
+/// vectors and emit by gather. Those four charge `ExecMetrics`, and charge
+/// the same numbers whichever way they are pulled (see `pyro_exec::sort`),
+/// which is why they can sit anywhere in a columnar subtree.
+///
+/// What the flag decides is only where a plan's *one* conversion to rows
+/// happens. Filter, Project and HashJoin keep a row-batch implementation
+/// (ROADMAP item 3(c) retires it); a flagged one answers `next_batch` with
+/// `next_columnar` + `to_rows` instead. The root of a capable plan is either
+/// flagged or one of the four operators, whose `next_batch` is always
+/// `next_columnar` + `to_rows` — so a capable plan converts exactly once, at
+/// its root. Below an operator that is not capable (nested loops, hash
+/// aggregate, distinct, limit) the default `next_columnar` shim converts at
+/// that operator's seam. An exchange standing in for a capable subtree
+/// hands over whichever layout its consumer pulls.
 pub(crate) fn columnar_capable(node: &PhysNode) -> bool {
     match &node.op {
         PhysOp::TableScan { .. }
         | PhysOp::ClusteredIndexScan { .. }
         | PhysOp::CoveringIndexScan { .. } => true,
-        PhysOp::Filter { .. } | PhysOp::Project { .. } => columnar_capable(&node.children[0]),
-        PhysOp::HashJoin { kind, .. } => {
-            matches!(kind, pyro_exec::join::JoinKind::Inner)
-                && columnar_capable(&node.children[0])
-                && columnar_capable(&node.children[1])
-        }
+        PhysOp::HashJoin { kind, .. } if !matches!(kind, pyro_exec::join::JoinKind::Inner) => false,
+        PhysOp::Filter { .. }
+        | PhysOp::Project { .. }
+        | PhysOp::HashJoin { .. }
+        | PhysOp::Sort { .. }
+        | PhysOp::PartialSort { .. }
+        | PhysOp::MergeJoin { .. }
+        | PhysOp::SortAggregate { .. } => node.children.iter().all(|c| columnar_capable(c)),
         _ => false,
     }
 }
@@ -302,26 +320,25 @@ fn compile_aggs(aggs: &[AggSpec], schema: &Schema, params: &[Value]) -> Result<V
         .collect()
 }
 
-/// Compiles the child of a filter. When the child is a scan of a sorted
-/// file and the bound predicate pins an equality prefix of that order, the
-/// scan compiles over the binary-searched page range that can hold matching
-/// tuples instead of the whole file — an index *seek*. The caller's
-/// residual filter keeps the semantics exact: the restriction only skips
-/// pages that cannot match, and the probe reads are charged to the device
-/// like any other I/O.
-fn compile_filter_child(
-    child: &Arc<PhysNode>,
-    predicate: &NExpr,
-    ctx: &CompileCtx,
-    exact: bool,
-) -> Result<BoxOp> {
-    let seek = match &child.op {
+/// An index *seek*: the sorted file to search, the columns (positions in
+/// the scan's schema) a predicate pins by equality, and their values.
+struct Seek {
+    file: TupleFile,
+    cols: Vec<usize>,
+    key: Vec<Value>,
+}
+
+/// The seek a filter over `child` can make: `child` must be a scan of a
+/// sorted file and the bound predicate must pin an equality prefix of that
+/// order.
+fn seek_key(child: &PhysNode, predicate: &NExpr, ctx: &CompileCtx) -> Result<Option<Seek>> {
+    let (file, order) = match &child.op {
         PhysOp::ClusteredIndexScan { table, alias } => {
             let handle = ctx.catalog.table(table)?;
-            Some((
+            (
                 handle.heap.clone(),
                 handle.meta.clustering.rename(|a| format!("{alias}.{a}")),
-            ))
+            )
         }
         PhysOp::CoveringIndexScan {
             table,
@@ -332,30 +349,56 @@ fn compile_filter_child(
             let meta = handle.meta.indexes.iter().find(|i| i.name == *index);
             match (handle.index_files.get(index), meta) {
                 (Some(file), Some(meta)) => {
-                    Some((file.clone(), meta.key.rename(|a| format!("{alias}.{a}"))))
+                    (file.clone(), meta.key.rename(|a| format!("{alias}.{a}")))
                 }
-                _ => None,
+                _ => return Ok(None),
             }
         }
-        _ => None,
+        _ => return Ok(None),
     };
-    if let Some((file, order)) = seek {
-        let key = crate::seek::eq_prefix_values(predicate, &order, ctx.params);
-        if !key.is_empty() {
-            let cols = order.attrs()[..key.len()]
-                .iter()
-                .map(|a| child.schema.index_of(a))
-                .collect::<Result<Vec<_>>>()?;
-            let (start, end) = pyro_exec::scan::eq_key_page_range(&file, &cols, &key)?;
-            let mut op: BoxOp = Box::new(FileScan::over_pages(
-                child.schema.clone(),
-                &file,
-                start,
-                end,
-            ));
-            op.set_batch_size(ctx.batch);
-            return Ok(op);
-        }
+    let key = crate::seek::eq_prefix_values(predicate, &order, ctx.params);
+    if key.is_empty() {
+        return Ok(None);
+    }
+    let cols = order.attrs()[..key.len()]
+        .iter()
+        .map(|a| child.schema.index_of(a))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Some(Seek { file, cols, key }))
+}
+
+/// True iff `node` is a filter that compiles to a seek (see
+/// [`compile_filter_child`]). Such a filter reads the few pages that can
+/// hold its key; dealing the whole file out to workers instead would read
+/// all of it.
+pub(crate) fn seeks(node: &PhysNode, ctx: &CompileCtx) -> Result<bool> {
+    match &node.op {
+        PhysOp::Filter { predicate } => Ok(seek_key(&node.children[0], predicate, ctx)?.is_some()),
+        _ => Ok(false),
+    }
+}
+
+/// Compiles the child of a filter. When the filter can seek, the scan
+/// compiles over the binary-searched page range that can hold matching
+/// tuples instead of the whole file. The caller's residual filter keeps the
+/// semantics exact: the restriction only skips pages that cannot match, and
+/// the probe reads are charged to the device like any other I/O.
+fn compile_filter_child(
+    child: &Arc<PhysNode>,
+    predicate: &NExpr,
+    ctx: &CompileCtx,
+    exact: bool,
+) -> Result<BoxOp> {
+    if let Some(Seek { file, cols, key }) = seek_key(child, predicate, ctx)? {
+        let (start, end) = pyro_exec::scan::eq_key_page_range(&file, &cols, &key)?;
+        let mut op: BoxOp = Box::new(FileScan::over_pages(
+            child.schema.clone(),
+            &file,
+            start,
+            end,
+        ));
+        op.set_batch_size(ctx.batch);
+        return Ok(op);
     }
     compile_sub(child, ctx, exact)
 }
@@ -508,7 +551,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::{JoinPair, LogicalPlan};
+    use crate::logical::{JoinPair, LogicalPlan, ProjItem};
     use crate::optimizer::Optimizer;
     use pyro_common::{Tuple, Value};
 
@@ -553,6 +596,244 @@ mod tests {
         let rows = plan.execute(&cat).unwrap().rows;
         assert_eq!(rows.len(), 100, "self-join on unique key");
         assert_eq!(rows[0].arity(), 4);
+    }
+
+    /// The tables of the paper's six statements (`benchmark`'s
+    /// `paper_order`), a few hundred rows each, clustered the way the
+    /// evaluation clusters them.
+    fn paper_catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        let mut add = |name: &str, cols: &[&str], clustering: &[&str], rows: i64| {
+            let width = cols.len() as i64;
+            let sorted_on: Vec<usize> = clustering
+                .iter()
+                .map(|c| cols.iter().position(|x| x == c).unwrap())
+                .collect();
+            let mut data: Vec<Tuple> = (0..rows)
+                .map(|i| {
+                    Tuple::new(
+                        (0..width)
+                            .map(|c| Value::Int((i * (c + 3) + c) % (5 + 2 * c)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            data.sort_by(|a, b| KeySpec::new(sorted_on.clone()).compare(a, b));
+            cat.register_table(
+                name,
+                Schema::ints(cols),
+                SortOrder::new(clustering.iter().copied()),
+                &data,
+            )
+            .unwrap();
+        };
+        let ps = ["ps_partkey", "ps_suppkey", "ps_availqty"];
+        add("partsupp", &ps, &["ps_suppkey"], 120);
+        let li = ["l_partkey", "l_suppkey", "l_quantity", "l_linestatus"];
+        add("lineitem", &li, &["l_suppkey"], 600);
+        for r in ["r1", "r2", "r3"] {
+            add(r, &["c1", "c2", "c3", "c4", "c5"], &[], 150);
+        }
+        let tran = [
+            "userid",
+            "basketid",
+            "parentorderid",
+            "waveid",
+            "childorderid",
+            "trantype",
+            "quantity",
+            "price",
+        ];
+        add("tran", &tran, &["userid", "basketid"], 300);
+        let basket = ["prodtype", "symbol", "exchange", "qty"];
+        add("basket", &basket, &["prodtype", "symbol"], 200);
+        add("analytics", &basket, &["prodtype"], 200);
+        let c1 = ["make", "year", "city", "color", "sellreason"];
+        add("catalog1", &c1, &["year"], 200);
+        let c2 = ["make", "year", "city", "color", "breakdowns"];
+        add("catalog2", &c2, &["make"], 200);
+        add("rating", &["make", "year", "rating"], &["make"], 20);
+        cat
+    }
+
+    fn pairs(left: &str, right: &str, cols: &[(&str, &str)]) -> Vec<JoinPair> {
+        cols.iter()
+            .map(|(l, r)| JoinPair::new(format!("{left}.{l}"), format!("{right}.{r}")))
+            .collect()
+    }
+
+    /// Query 2-6 and Example 1 as logical plans.
+    fn paper_statements() -> Vec<(&'static str, LogicalPlan)> {
+        use crate::logical::AggSpec;
+        use pyro_exec::agg::AggFunc;
+        use pyro_exec::join::JoinKind;
+        use pyro_exec::CmpOp;
+        let agg = |func, arg: NExpr, name: &str| AggSpec {
+            func,
+            arg,
+            name: name.into(),
+        };
+        let supp_part = [("ps_suppkey", "l_suppkey"), ("ps_partkey", "l_partkey")];
+        let group = [
+            "partsupp.ps_suppkey",
+            "partsupp.ps_partkey",
+            "partsupp.ps_availqty",
+        ];
+
+        let mut q2 = LogicalPlan::new();
+        let (ps, li) = (q2.scan("partsupp"), q2.scan("lineitem"));
+        let j = q2.join(ps, li, pairs("partsupp", "lineitem", &supp_part));
+        let count = agg(AggFunc::Count, NExpr::col("lineitem.l_partkey"), "n");
+        let g = q2.aggregate(j, group.to_vec(), vec![count]);
+        q2.order_by(g, SortOrder::new(group[..2].iter().copied()));
+
+        let mut q3 = LogicalPlan::new();
+        let (ps, li) = (q3.scan("partsupp"), q3.scan("lineitem"));
+        let open = q3.filter(li, NExpr::col_eq_lit("lineitem.l_linestatus", 1i64));
+        let j = q3.join(ps, open, pairs("partsupp", "lineitem", &supp_part));
+        let sum = agg(AggFunc::Sum, NExpr::col("lineitem.l_quantity"), "total");
+        let g = q3.aggregate(j, vec![group[2], group[1], group[0]], vec![sum]);
+        let having = NExpr::Cmp(
+            CmpOp::Gt,
+            Box::new(NExpr::col("total")),
+            Box::new(NExpr::col("partsupp.ps_availqty")),
+        );
+        let h = q3.filter(g, having);
+        q3.order_by(h, SortOrder::new(["partsupp.ps_partkey"]));
+
+        let mut q4 = LogicalPlan::new();
+        let (r1, r2, r3) = (q4.scan("r1"), q4.scan("r2"), q4.scan("r3"));
+        let on = [("c5", "c5"), ("c4", "c4"), ("c3", "c3")];
+        let j = q4.join_kind(r1, r2, JoinKind::FullOuter, pairs("r1", "r2", &on));
+        let on = [("c1", "c1"), ("c4", "c4"), ("c5", "c5")];
+        q4.join_kind(j, r3, JoinKind::FullOuter, pairs("r1", "r3", &on));
+
+        let mut q5 = LogicalPlan::new();
+        let (t1, t2) = (q5.scan_as("tran", "t1"), q5.scan_as("tran", "t2"));
+        let new = q5.filter(t1, NExpr::col_eq_lit("t1.trantype", 0i64));
+        let executed = q5.filter(t2, NExpr::col_eq_lit("t2.trantype", 1i64));
+        let order_cols = [
+            "userid",
+            "parentorderid",
+            "basketid",
+            "waveid",
+            "childorderid",
+        ];
+        let on: Vec<(&str, &str)> = order_cols.iter().map(|c| (*c, *c)).collect();
+        let j = q5.join(new, executed, pairs("t1", "t2", &on));
+        let value = |t: &str| {
+            NExpr::Mul(
+                Box::new(NExpr::col(format!("{t}.quantity"))),
+                Box::new(NExpr::col(format!("{t}.price"))),
+            )
+        };
+        q5.aggregate(
+            j,
+            order_cols.iter().map(|c| format!("t1.{c}")).collect(),
+            vec![
+                agg(AggFunc::Min, value("t1"), "ordervalue"),
+                agg(AggFunc::Sum, value("t2"), "executedvalue"),
+            ],
+        );
+
+        let mut q6 = LogicalPlan::new();
+        let (b, a) = (q6.scan_as("basket", "b"), q6.scan_as("analytics", "a"));
+        let on = [
+            ("prodtype", "prodtype"),
+            ("symbol", "symbol"),
+            ("exchange", "exchange"),
+        ];
+        q6.join(b, a, pairs("b", "a", &on));
+
+        let mut ex1 = LogicalPlan::new();
+        let c1 = ex1.scan_as("catalog1", "c1");
+        let c2 = ex1.scan_as("catalog2", "c2");
+        let r = ex1.scan_as("rating", "r");
+        let on = [
+            ("city", "city"),
+            ("make", "make"),
+            ("year", "year"),
+            ("color", "color"),
+        ];
+        let j = ex1.join(c1, c2, pairs("c1", "c2", &on));
+        let j = ex1.join(
+            j,
+            r,
+            pairs("c1", "r", &[("make", "make"), ("year", "year")]),
+        );
+        let out = [
+            "c1.make",
+            "c1.year",
+            "c1.color",
+            "c1.city",
+            "c1.sellreason",
+            "c2.breakdowns",
+            "r.rating",
+        ];
+        let p = ex1.project(j, out.iter().map(|c| ProjItem::col(*c)).collect());
+        ex1.order_by(p, SortOrder::new(out));
+
+        vec![
+            ("q2", q2),
+            ("q3", q3),
+            ("q4", q4),
+            ("q5", q5),
+            ("q6", q6),
+            ("ex1", ex1),
+        ]
+    }
+
+    /// A plan of the paper's statements is columnar from its scans to its
+    /// root: every operator in it pulls and hands on column vectors, so the
+    /// one conversion to rows is the root's `next_batch`. (A node that is
+    /// not capable would convert at its seam — the default `next_columnar`
+    /// is `next_batch` + `from_rows`.)
+    #[test]
+    fn paper_statement_plans_convert_to_rows_only_at_the_root() {
+        use pyro_exec::join::JoinKind;
+        let cat = paper_catalog();
+        let mut seen = [0usize; 5];
+        for (label, logical) in paper_statements() {
+            let plan = Optimizer::new(&cat)
+                .with_hash(false)
+                .optimize(&logical)
+                .unwrap();
+            let mut incapable = Vec::new();
+            plan.root.walk(&mut |n| {
+                if !columnar_capable(n) {
+                    incapable.push(n.op.name());
+                }
+            });
+            assert!(
+                incapable.is_empty(),
+                "{label}: {incapable:?} would convert below the root\n{}",
+                plan.explain()
+            );
+            let kinds: [&dyn Fn(&PhysNode) -> bool; 5] = [
+                &|n| matches!(n.op, PhysOp::Sort { .. }),
+                &|n| matches!(n.op, PhysOp::PartialSort { .. }),
+                &|n| matches!(n.op, PhysOp::MergeJoin { kind, .. } if kind == JoinKind::Inner),
+                &|n| matches!(n.op, PhysOp::MergeJoin { kind, .. } if kind == JoinKind::FullOuter),
+                &|n| matches!(n.op, PhysOp::SortAggregate { .. }),
+            ];
+            for (count, kind) in seen.iter_mut().zip(kinds) {
+                *count += plan.root.count_nodes(&kind);
+            }
+            // And the plan runs: row pulls and batch pulls agree.
+            let by_row = plan.compile(&cat).unwrap().run_tuple_at_a_time().unwrap();
+            let by_batch = plan.compile(&cat).unwrap().run().unwrap();
+            assert_eq!(by_row.rows, by_batch.rows, "{label}");
+            assert_eq!(
+                by_row.metrics.comparisons(),
+                by_batch.metrics.comparisons(),
+                "{label}"
+            );
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "test premise: sorts, partial sorts, inner and full outer merge joins and \
+             sort aggregates all occur (saw {seen:?})"
+        );
     }
 
     #[test]

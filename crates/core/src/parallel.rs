@@ -29,11 +29,16 @@
 //!    which reproduces the serial row sequence exactly — whether or not the
 //!    file has a declared sort order — so the consumer's counters are
 //!    bit-identical to serial.
-//! 3. Otherwise, or when the driving file is a single morsel (nothing to
-//!    split: threads would be pure overhead), the subtree root compiles
-//!    serially and its inputs get the same chance.
+//! 3. Otherwise — or when the driving file is a single morsel (nothing to
+//!    split: threads would be pure overhead), or a filter directly over the
+//!    driving scan pins an equality prefix of the file's order (it compiles
+//!    to a seek over the few pages that can hold its key; dealing the whole
+//!    file out would read all of it) — the subtree root compiles serially
+//!    and its inputs get the same chance.
 
-use crate::compile::{columnar_capable, compile_expr_bound, compile_sub, pair_cols, CompileCtx};
+use crate::compile::{
+    columnar_capable, compile_expr_bound, compile_sub, pair_cols, seeks, CompileCtx,
+};
 use crate::plan::{PhysNode, PhysOp};
 use pyro_catalog::Catalog;
 use pyro_common::{KeySpec, PyroError, Result};
@@ -56,7 +61,7 @@ pub(crate) fn try_parallel(
     } else {
         parallel_safe(node)
     };
-    if !eligible {
+    if !eligible || seeks(filter_over(driving_leaf(node), node), ctx)? {
         return Ok(None);
     }
     let leaf = driving_leaf(node);
@@ -120,6 +125,22 @@ fn driving_leaf(node: &Arc<PhysNode>) -> &Arc<PhysNode> {
         PhysOp::Filter { .. } | PhysOp::Project { .. } => driving_leaf(&node.children[0]),
         PhysOp::HashJoin { .. } => driving_leaf(&node.children[1]),
         _ => node,
+    }
+}
+
+/// The operator directly above `leaf` on the way down from `node` (the
+/// only place a seekable filter can sit), or `node` itself when it is the
+/// leaf.
+fn filter_over<'a>(leaf: &Arc<PhysNode>, node: &'a Arc<PhysNode>) -> &'a Arc<PhysNode> {
+    let below = match &node.op {
+        PhysOp::Filter { .. } | PhysOp::Project { .. } => &node.children[0],
+        PhysOp::HashJoin { .. } => &node.children[1],
+        _ => return node,
+    };
+    if Arc::ptr_eq(below, leaf) {
+        node
+    } else {
+        filter_over(leaf, below)
     }
 }
 

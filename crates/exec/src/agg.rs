@@ -9,8 +9,14 @@
 
 use crate::expr::Expr;
 use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{Column, DataType, KeySpec, Result, Schema, Tuple, Value};
+use crate::vector::eval_column;
+use pyro_common::{
+    CellRef, Column, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, DataType, KeySpec,
+    Result, Schema, Tuple, Value,
+};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,29 +92,68 @@ impl AccState {
     }
 
     fn update(&mut self, v: Value) {
-        if v.is_null() {
+        self.update_cell(CellRef::from_value(&v));
+    }
+
+    /// Folds one cell in; a value is boxed only when the state keeps it.
+    fn update_cell(&mut self, c: CellRef<'_>) {
+        if c.is_null() {
             return; // SQL aggregates ignore NULLs
         }
+        let before = |c: CellRef<'_>, cur: &Value| c.order(CellRef::from_value(cur));
         match self {
-            AccState::Count(c) => *c += 1,
+            AccState::Count(n) => *n += 1,
             AccState::Sum(acc) => {
-                *acc = if acc.is_null() { v } else { acc.add(&v) };
+                *acc = if acc.is_null() {
+                    c.to_value()
+                } else {
+                    acc.add(&c.to_value())
+                };
             }
             AccState::Min(m) => {
-                if m.as_ref().is_none_or(|cur| v < *cur) {
-                    *m = Some(v);
+                if m.as_ref()
+                    .is_none_or(|cur| before(c, cur) == Ordering::Less)
+                {
+                    *m = Some(c.to_value());
                 }
             }
             AccState::Max(m) => {
-                if m.as_ref().is_none_or(|cur| v > *cur) {
-                    *m = Some(v);
+                if m.as_ref()
+                    .is_none_or(|cur| before(c, cur) == Ordering::Greater)
+                {
+                    *m = Some(c.to_value());
                 }
             }
             AccState::Avg { sum, n, any } => {
-                if let Some(x) = v.as_double() {
-                    *sum += x;
-                    *n += 1;
-                    *any = true;
+                let x = match c {
+                    CellRef::Int(i) => i as f64,
+                    CellRef::Double(d) => d,
+                    _ => return,
+                };
+                *sum += x;
+                *n += 1;
+                *any = true;
+            }
+        }
+    }
+
+    /// Folds cells `rows` of `col` in, in row order. COUNT and integer SUM
+    /// over a column without NULLs take one typed pass (wrapping addition
+    /// is associative, so the total is the cell-by-cell one).
+    fn update_range(&mut self, col: &ColumnVec, rows: std::ops::Range<usize>) {
+        match (&mut *self, col.data()) {
+            (AccState::Count(n), _) if !col.nulls().any() => *n += rows.len() as i64,
+            (AccState::Sum(acc), ColumnData::Int(v))
+                if !col.nulls().any() && matches!(acc, Value::Null | Value::Int(_)) =>
+            {
+                if let Some((&head, tail)) = v[rows].split_first() {
+                    let start = acc.as_int().map_or(head, |a| a.wrapping_add(head));
+                    *acc = Value::Int(tail.iter().fold(start, |a, &x| a.wrapping_add(x)));
+                }
+            }
+            _ => {
+                for i in rows {
+                    self.update_cell(col.cell(i));
                 }
             }
         }
@@ -143,15 +188,47 @@ fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Sche
 }
 
 /// Streaming aggregate over an input sorted by the grouping columns.
+///
+/// Tuple-at-a-time `next` folds boxed rows (the oracle); `next_columnar`
+/// evaluates each aggregate's argument column at a time, finds group
+/// boundaries by comparing rows in place and folds cells — no row is boxed.
 pub struct GroupAggregate {
     child: BoxOp,
     group_key: KeySpec,
     aggs: Vec<AggExpr>,
     schema: Schema,
+    /// Row path: the open group's first row and accumulators.
     current: Option<(Tuple, Vec<AccState>)>,
+    columnar: ColumnarGroups,
     done: bool,
-    stash: Stash,
+    /// Set by a `Limit` above: one group per pull.
+    demand_driven: bool,
     batch: usize,
+}
+
+/// Columnar-path state of [`GroupAggregate`].
+#[derive(Default)]
+struct ColumnarGroups {
+    /// The current input batch (dense), each aggregate's argument evaluated
+    /// over it, and the next row to fold.
+    input: Option<(ColumnarBatch, Vec<Arc<ColumnVec>>)>,
+    pos: usize,
+    /// The open group, if any.
+    open: Option<OpenGroup>,
+    /// Finished groups not yet emitted, one builder per output column.
+    out: Vec<ColumnBuilder>,
+    out_rows: usize,
+}
+
+/// The group being folded on the columnar path. Every later row is
+/// compared against its first row, as on the row path.
+struct OpenGroup {
+    /// The batch the first row arrived in, once input has moved past it;
+    /// `None` while that is still the current batch.
+    kept: Option<ColumnarBatch>,
+    /// The first row's position in that batch.
+    row: usize,
+    states: Vec<AccState>,
 }
 
 impl GroupAggregate {
@@ -166,8 +243,9 @@ impl GroupAggregate {
             aggs,
             schema,
             current: None,
+            columnar: ColumnarGroups::default(),
             done: false,
-            stash: Stash::new(),
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
@@ -178,13 +256,17 @@ impl GroupAggregate {
         Tuple::new(values)
     }
 
-    /// Consumes input until one group closes (or input ends).
-    fn next_group(&mut self, batched: bool) -> Result<Option<Tuple>> {
+    fn fresh_states(&self) -> Vec<AccState> {
+        self.aggs.iter().map(|a| AccState::new(a.func)).collect()
+    }
+
+    /// Row path: consumes input until one group closes (or input ends).
+    fn next_group(&mut self) -> Result<Option<Tuple>> {
         if self.done {
             return Ok(None);
         }
         loop {
-            match pull_row(&mut self.child, &mut self.stash, batched)? {
+            match self.child.next()? {
                 Some(t) => {
                     let same = match &self.current {
                         Some((rep, _)) => self.group_key.eq_on(rep, &t),
@@ -197,8 +279,7 @@ impl GroupAggregate {
                         }
                     } else {
                         let finished = self.current.take();
-                        let mut states: Vec<AccState> =
-                            self.aggs.iter().map(|a| AccState::new(a.func)).collect();
+                        let mut states = self.fresh_states();
                         for (agg, st) in self.aggs.iter().zip(states.iter_mut()) {
                             st.update(agg.arg.eval(&t)?);
                         }
@@ -218,6 +299,129 @@ impl GroupAggregate {
             }
         }
     }
+
+    /// Columnar path: pulls the next input batch and evaluates the
+    /// aggregate arguments over it. `false` at end of input.
+    fn load_batch(&mut self) -> Result<bool> {
+        let Some(batch) = self.child.next_columnar()? else {
+            return Ok(false);
+        };
+        let batch = batch.into_dense();
+        // The open group's first row stays reachable past its batch.
+        if let (Some(open), Some((old, _))) = (&mut self.columnar.open, &self.columnar.input) {
+            open.kept.get_or_insert_with(|| old.clone());
+        }
+        let mut args = Vec::with_capacity(self.aggs.len());
+        for agg in &self.aggs {
+            args.push(match eval_column(&agg.arg, &batch) {
+                Some(col) => col,
+                // A shape the kernel does not vectorize: interpret it row
+                // by row, once per batch.
+                None => {
+                    let mut b = ColumnBuilder::new();
+                    for t in batch.to_rows() {
+                        b.push_value(&agg.arg.eval(&t)?);
+                    }
+                    Arc::new(b.finish())
+                }
+            });
+        }
+        self.columnar.input = Some((batch, args));
+        self.columnar.pos = 0;
+        Ok(true)
+    }
+
+    /// Columnar path: moves the open group (if any) to the output
+    /// builders; `current` is the current input batch.
+    fn close_group(&mut self, current: &ColumnarBatch) {
+        let st = &mut self.columnar;
+        let Some(group) = st.open.take() else {
+            return;
+        };
+        if st.out.is_empty() {
+            st.out = (0..self.schema.len())
+                .map(|_| ColumnBuilder::new())
+                .collect();
+        }
+        let rep = group.kept.as_ref().unwrap_or(current);
+        let (keys, results) = st.out.split_at_mut(self.group_key.len());
+        for (b, &c) in keys.iter_mut().zip(self.group_key.cols()) {
+            b.push_from(rep.column(c), group.row);
+        }
+        for (b, state) in results.iter_mut().zip(group.states) {
+            b.push_value(&state.finish());
+        }
+        st.out_rows += 1;
+    }
+
+    /// Columnar path: folds rows of the current batch, a group's range at a
+    /// time, until `want` groups are finished or the batch ends.
+    fn fold_rows(&mut self, batch: &ColumnarBatch, args: &[Arc<ColumnVec>], want: usize) {
+        let rows = batch.num_rows();
+        while self.columnar.pos < rows && self.columnar.out_rows < want {
+            let from = self.columnar.pos;
+            // Where the open group ends in this batch. A group opened in an
+            // earlier batch is continued row by row against its first row
+            // there; one opened here is a run of this batch's rows.
+            let key = &self.group_key;
+            let end = match &self.columnar.open {
+                Some(OpenGroup {
+                    kept: Some(rep),
+                    row,
+                    ..
+                }) => (from..rows)
+                    .find(|&i| key.compare_columnar(rep, *row, batch, i).0 != Ordering::Equal)
+                    .unwrap_or(rows),
+                Some(open) => key.group_end(batch, open.row, from, rows, false).0,
+                None => from,
+            };
+            if end == from {
+                // Row `from` opens a new group.
+                self.close_group(batch);
+                self.columnar.open = Some(OpenGroup {
+                    kept: None,
+                    row: from,
+                    states: self.fresh_states(),
+                });
+            }
+            let end = end.max(from + 1);
+            let open = self.columnar.open.as_mut().expect("a group is open");
+            for (state, arg) in open.states.iter_mut().zip(args) {
+                state.update_range(arg, from..end);
+            }
+            self.columnar.pos = end;
+        }
+    }
+
+    fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        let want = if self.demand_driven { 1 } else { self.batch };
+        while !self.done && self.columnar.out_rows < want {
+            let exhausted = self
+                .columnar
+                .input
+                .as_ref()
+                .is_none_or(|(b, _)| self.columnar.pos == b.num_rows());
+            if exhausted && !self.load_batch()? {
+                self.done = true;
+                // A group can only be open if there was a batch to open it.
+                if let Some((last, _)) = self.columnar.input.take() {
+                    self.close_group(&last);
+                }
+                break;
+            }
+            let (batch, args) = self.columnar.input.take().expect("a batch was loaded");
+            self.fold_rows(&batch, &args, want);
+            self.columnar.input = Some((batch, args));
+        }
+        let st = &mut self.columnar;
+        if st.out_rows == 0 {
+            return Ok(None);
+        }
+        st.out_rows = 0;
+        Ok(Some(ColumnarBatch::from_builders(std::mem::take(
+            &mut st.out,
+        ))))
+    }
 }
 
 impl Operator for GroupAggregate {
@@ -226,18 +430,23 @@ impl Operator for GroupAggregate {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        self.next_group(false)
+        self.next_group()
     }
 
     fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        let mut out = Vec::new();
-        while out.len() < self.batch {
-            match self.next_group(true)? {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(self.next_columnar()?.map(|b| b.to_rows()))
+    }
+
+    /// Emits up to a batch of finished groups per call; under a `Limit`,
+    /// one group per call, so the input is read exactly as far as
+    /// tuple-at-a-time pulls would read it.
+    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        self.pull_columnar()
+    }
+
+    fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
+        self.child.set_demand_driven();
     }
 
     fn batch_size(&self) -> usize {

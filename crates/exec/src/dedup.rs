@@ -90,6 +90,10 @@ impl Operator for SortDistinct {
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }
+
+    fn set_demand_driven(&mut self) {
+        self.child.set_demand_driven();
+    }
 }
 
 /// Hash-based DISTINCT: no input-order requirement, materializes a set.
@@ -146,6 +150,10 @@ impl Operator for HashDistinct {
 
     fn set_batch_size(&mut self, rows: usize) {
         self.child.set_batch_size(rows);
+    }
+
+    fn set_demand_driven(&mut self) {
+        self.child.set_demand_driven();
     }
 }
 

@@ -98,6 +98,10 @@ impl Operator for Filter {
         }
     }
 
+    fn set_demand_driven(&mut self) {
+        self.child.set_demand_driven();
+    }
+
     fn batch_size(&self) -> usize {
         self.child.batch_size()
     }

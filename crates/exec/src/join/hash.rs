@@ -679,6 +679,11 @@ impl Operator for HashJoin {
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }
+
+    /// The probe side streams; the build side is drained whole.
+    fn set_demand_driven(&mut self) {
+        self.right.set_demand_driven();
+    }
 }
 
 impl HashJoin {

@@ -21,11 +21,18 @@
 
 use super::JoinKind;
 use crate::metrics::MetricsRef;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{KeySpec, Result, Schema, Tuple};
+use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, Tuple, NULL_ROW};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Merge join over key-sorted inputs.
+///
+/// Two implementations share the group-pairing logic line for line:
+/// tuple-at-a-time `next` buffers each group as a `Vec<Tuple>` and
+/// concatenates boxed rows (the oracle); `next_columnar` keeps each group as
+/// a row range of its input batch and emits `(left row, right row)` index
+/// pairs gathered column at a time, with [`NULL_ROW`] for outer padding.
 pub struct MergeJoin {
     left: BoxOp,
     right: BoxOp,
@@ -45,9 +52,57 @@ pub struct MergeJoin {
     /// the output stays sorted on the left key columns (NULLS LAST).
     deferred_right: Vec<Tuple>,
     deferred_flushed: bool,
-    left_stash: Stash,
-    right_stash: Stash,
+    columnar: Columnar,
+    /// Set by a `Limit` above: one productive group pairing per pull.
+    demand_driven: bool,
     batch: usize,
+}
+
+/// One input of the columnar path: the current batch (dense), the current
+/// group as a row range of it, and how far the scan for the group's end got.
+/// The row at `end`, if any, is the head of the next group. Rows of a group
+/// still open when the batch runs out are carried over in front of the next
+/// batch, so a group is always one range of one batch.
+#[derive(Default)]
+struct Side {
+    batch: Option<ColumnarBatch>,
+    rows: usize,
+    start: usize,
+    end: usize,
+    scan: usize,
+    /// The input is exhausted.
+    done: bool,
+}
+
+impl Side {
+    fn group(&self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+
+    fn batch(&self) -> &ColumnarBatch {
+        self.batch.as_ref().expect("a group lives in a batch")
+    }
+}
+
+/// Columnar-path state.
+#[derive(Default)]
+struct Columnar {
+    sides: [Side; 2],
+    /// Output rows not yet gathered, as row ids into each side's current
+    /// batch ([`NULL_ROW`] = padding). Gathered before either batch changes.
+    pairs: [Vec<u32>; 2],
+    /// Output rows already gathered, one builder per output column.
+    out: Vec<ColumnBuilder>,
+    out_rows: usize,
+    /// FULL OUTER: rows of the current right batch to defer, not yet
+    /// gathered (gathered together with `pairs`).
+    defer: Vec<u32>,
+    /// FULL OUTER: the right columns of the deferred right-padded rows.
+    deferred: Vec<ColumnBuilder>,
+    /// The merged stream ended; only the deferred tail is left.
+    ended: bool,
+    /// The deferred tail once built, and how much of it went out.
+    tail: Option<(ColumnarBatch, usize)>,
 }
 
 impl MergeJoin {
@@ -79,8 +134,8 @@ impl MergeJoin {
             pending: Vec::new().into_iter(),
             deferred_right: Vec::new(),
             deferred_flushed: false,
-            left_stash: Stash::new(),
-            right_stash: Stash::new(),
+            columnar: Columnar::default(),
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
@@ -89,8 +144,6 @@ impl MergeJoin {
     /// comparisons accumulate in `acc`.
     fn read_group(
         source: &mut BoxOp,
-        stash: &mut Stash,
-        batched: bool,
         key: &KeySpec,
         head: &mut Option<Tuple>,
         acc: &mut u64,
@@ -100,7 +153,7 @@ impl MergeJoin {
         };
         let mut group = vec![first];
         loop {
-            match pull_row(source, stash, batched)? {
+            match source.next()? {
                 None => break,
                 Some(t) => {
                     let (ord, n) = key.compare_counting(&group[0], &t);
@@ -117,27 +170,15 @@ impl MergeJoin {
         Ok(group)
     }
 
-    fn refill_left(&mut self, batched: bool, acc: &mut u64) -> Result<()> {
-        self.left_group = Self::read_group(
-            &mut self.left,
-            &mut self.left_stash,
-            batched,
-            &self.left_key,
-            &mut self.left_next,
-            acc,
-        )?;
+    fn refill_left(&mut self, acc: &mut u64) -> Result<()> {
+        self.left_group =
+            Self::read_group(&mut self.left, &self.left_key, &mut self.left_next, acc)?;
         Ok(())
     }
 
-    fn refill_right(&mut self, batched: bool, acc: &mut u64) -> Result<()> {
-        self.right_group = Self::read_group(
-            &mut self.right,
-            &mut self.right_stash,
-            batched,
-            &self.right_key,
-            &mut self.right_next,
-            acc,
-        )?;
+    fn refill_right(&mut self, acc: &mut u64) -> Result<()> {
+        self.right_group =
+            Self::read_group(&mut self.right, &self.right_key, &mut self.right_next, acc)?;
         Ok(())
     }
 
@@ -159,37 +200,45 @@ impl MergeJoin {
         ord
     }
 
+    fn pads_left(&self) -> bool {
+        matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter)
+    }
+
+    fn pads_right(&self) -> bool {
+        matches!(self.kind, JoinKind::FullOuter)
+    }
+
     fn emit_left_unmatched(&self, group: Vec<Tuple>, out: &mut Vec<Tuple>) {
-        if matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
+        if self.pads_left() {
             let pad = Tuple::nulls(self.right.schema().len());
             out.extend(group.into_iter().map(|l| l.concat(&pad)));
         }
     }
 
     fn emit_right_unmatched(&mut self, group: Vec<Tuple>) {
-        if matches!(self.kind, JoinKind::FullOuter) {
+        if self.pads_right() {
             let pad = Tuple::nulls(self.left.schema().len());
             self.deferred_right
                 .extend(group.into_iter().map(|r| pad.concat(&r)));
         }
     }
 
-    /// Advances group state and produces the next batch of output rows;
+    /// Row path: advances group state and produces the next output rows;
     /// comparisons are charged to the metrics once per call.
-    fn advance(&mut self, batched: bool) -> Result<Vec<Tuple>> {
+    fn advance(&mut self) -> Result<Vec<Tuple>> {
         let mut acc = 0;
-        let out = self.advance_inner(batched, &mut acc);
+        let out = self.advance_inner(&mut acc);
         self.metrics.add_comparisons(acc);
         out
     }
 
-    fn advance_inner(&mut self, batched: bool, acc: &mut u64) -> Result<Vec<Tuple>> {
+    fn advance_inner(&mut self, acc: &mut u64) -> Result<Vec<Tuple>> {
         if !self.started {
             self.started = true;
-            self.left_next = pull_row(&mut self.left, &mut self.left_stash, batched)?;
-            self.right_next = pull_row(&mut self.right, &mut self.right_stash, batched)?;
-            self.refill_left(batched, acc)?;
-            self.refill_right(batched, acc)?;
+            self.left_next = self.left.next()?;
+            self.right_next = self.right.next()?;
+            self.refill_left(acc)?;
+            self.refill_right(acc)?;
         }
         let mut out = Vec::new();
         while out.is_empty() {
@@ -198,7 +247,7 @@ impl MergeJoin {
                 (false, true) => {
                     let g = std::mem::take(&mut self.left_group);
                     self.emit_left_unmatched(g, &mut out);
-                    self.refill_left(batched, acc)?;
+                    self.refill_left(acc)?;
                     if out.is_empty() && self.left_group.is_empty() {
                         return Ok(out);
                     }
@@ -207,7 +256,7 @@ impl MergeJoin {
                 (true, false) => {
                     let g = std::mem::take(&mut self.right_group);
                     self.emit_right_unmatched(g);
-                    self.refill_right(batched, acc)?;
+                    self.refill_right(acc)?;
                     if out.is_empty() && self.right_group.is_empty() {
                         return Ok(out);
                     }
@@ -225,12 +274,12 @@ impl MergeJoin {
                 Ordering::Less => {
                     let g = std::mem::take(&mut self.left_group);
                     self.emit_left_unmatched(g, &mut out);
-                    self.refill_left(batched, acc)?;
+                    self.refill_left(acc)?;
                 }
                 Ordering::Greater => {
                     let g = std::mem::take(&mut self.right_group);
                     self.emit_right_unmatched(g);
-                    self.refill_right(batched, acc)?;
+                    self.refill_right(acc)?;
                 }
                 Ordering::Equal if lnull || rnull => {
                     // Equal but NULL-keyed: both groups are unmatched.
@@ -238,8 +287,8 @@ impl MergeJoin {
                     let gr = std::mem::take(&mut self.right_group);
                     self.emit_left_unmatched(gl, &mut out);
                     self.emit_right_unmatched(gr);
-                    self.refill_left(batched, acc)?;
-                    self.refill_right(batched, acc)?;
+                    self.refill_left(acc)?;
+                    self.refill_right(acc)?;
                 }
                 Ordering::Equal => {
                     let gl = std::mem::take(&mut self.left_group);
@@ -250,18 +299,19 @@ impl MergeJoin {
                             out.push(l.concat(r));
                         }
                     }
-                    self.refill_left(batched, acc)?;
-                    self.refill_right(batched, acc)?;
+                    self.refill_left(acc)?;
+                    self.refill_right(acc)?;
                 }
             }
         }
         Ok(out)
     }
 
-    /// Produces pending rows if none are buffered. `Ok(false)` means the
-    /// stream (including the deferred full-outer tail) is complete.
-    fn replenish(&mut self, batched: bool) -> Result<bool> {
-        let produced = self.advance(batched)?;
+    /// Row path: produces pending rows if none are buffered. `Ok(false)`
+    /// means the stream (including the deferred full-outer tail) is
+    /// complete.
+    fn replenish(&mut self) -> Result<bool> {
+        let produced = self.advance()?;
         if produced.is_empty() {
             // End of the merged stream: release the deferred right-padded
             // rows (NULL left keys sort last).
@@ -277,6 +327,257 @@ impl MergeJoin {
         self.pending = produced.into_iter();
         Ok(true)
     }
+
+    /// Columnar path: gathers the pending index pairs into the output
+    /// builders. Must run before either side's batch is replaced.
+    fn flush_pairs(&mut self) {
+        let st = &mut self.columnar;
+        if !st.defer.is_empty() {
+            if st.deferred.is_empty() {
+                st.deferred = (0..self.right.schema().len())
+                    .map(|_| ColumnBuilder::new())
+                    .collect();
+            }
+            let right = st.sides[1].batch();
+            for (builder, col) in st.deferred.iter_mut().zip(right.columns()) {
+                builder.append_gather(col, &st.defer);
+            }
+            st.defer.clear();
+        }
+        let n = st.pairs[0].len();
+        if n == 0 {
+            return;
+        }
+        if st.out.is_empty() {
+            st.out = (0..self.schema.len())
+                .map(|_| ColumnBuilder::new())
+                .collect();
+        }
+        let left_arity = self.left.schema().len();
+        for (c, builder) in st.out.iter_mut().enumerate() {
+            let (w, col) = if c < left_arity {
+                (0, c)
+            } else {
+                (1, c - left_arity)
+            };
+            match &st.sides[w].batch {
+                Some(batch) => builder.append_gather(batch.column(col), &st.pairs[w]),
+                // Nothing was ever read from this side: all padding.
+                None => builder.push_nulls(n),
+            }
+        }
+        st.out_rows += n;
+        st.pairs[0].clear();
+        st.pairs[1].clear();
+    }
+
+    /// Columnar path: [`Self::read_group`] over row ranges — the head row
+    /// opens the group, every following row is compared against it, the
+    /// first that differs becomes the next head.
+    fn refill(&mut self, w: usize, acc: &mut u64) -> Result<()> {
+        let s = &mut self.columnar.sides[w];
+        s.start = s.end;
+        s.scan = s.start + 1;
+        loop {
+            let key = if w == 0 {
+                &self.left_key
+            } else {
+                &self.right_key
+            };
+            let s = &mut self.columnar.sides[w];
+            if s.start < s.rows {
+                let batch = s.batch.as_ref().expect("rows of a batch");
+                let (end, cost) = key.group_end(batch, s.start, s.scan, s.rows, false);
+                *acc += cost;
+                s.scan = end;
+                if end < s.rows {
+                    s.end = end;
+                    return Ok(());
+                }
+            }
+            if s.done {
+                s.end = s.rows;
+                return Ok(());
+            }
+            // The batch ran out with the group (if any) still open.
+            self.flush_pairs();
+            let input = if w == 0 {
+                &mut self.left
+            } else {
+                &mut self.right
+            };
+            let s = &mut self.columnar.sides[w];
+            match input.next_columnar()? {
+                None => s.done = true,
+                Some(next) => {
+                    let merged = match &s.batch {
+                        Some(old) if s.start < s.rows => old.carry_into(s.start, &next),
+                        _ => next.into_dense(),
+                    };
+                    s.scan -= s.start;
+                    s.start = 0;
+                    s.rows = merged.num_rows();
+                    s.batch = Some(merged);
+                }
+            }
+        }
+    }
+
+    fn group_key_has_null(&self, w: usize) -> bool {
+        let (s, key) = match w {
+            0 => (&self.columnar.sides[0], &self.left_key),
+            _ => (&self.columnar.sides[1], &self.right_key),
+        };
+        key.cols()
+            .iter()
+            .any(|&c| s.batch().column(c).is_null(s.start))
+    }
+
+    fn cross_compare_groups(&self, acc: &mut u64) -> Ordering {
+        let [l, r] = &self.columnar.sides;
+        let mut ord = Ordering::Equal;
+        for (&lc, &rc) in self.left_key.cols().iter().zip(self.right_key.cols()) {
+            *acc += 1;
+            ord = l
+                .batch()
+                .column(lc)
+                .compare(l.start, r.batch().column(rc), r.start);
+            if ord != Ordering::Equal {
+                break;
+            }
+        }
+        ord
+    }
+
+    /// Columnar path: the left group goes out NULL-padded (outer joins).
+    fn pad_left_group(&mut self) {
+        if self.pads_left() {
+            let st = &mut self.columnar;
+            let g = st.sides[0].group();
+            st.pairs[1].extend(g.clone().map(|_| NULL_ROW));
+            st.pairs[0].extend(g.map(|r| r as u32));
+        }
+    }
+
+    /// Columnar path: the right group joins the deferred tail (full outer).
+    fn defer_right_group(&mut self) {
+        if self.pads_right() {
+            let st = &mut self.columnar;
+            st.defer.extend(st.sides[1].group().map(|r| r as u32));
+        }
+    }
+
+    /// Columnar path: one turn of [`Self::advance_inner`]'s loop. Returns
+    /// `false` once both inputs are exhausted.
+    fn step(&mut self, acc: &mut u64) -> Result<bool> {
+        if !self.started {
+            self.started = true;
+            self.refill(0, acc)?;
+            self.refill(1, acc)?;
+        }
+        let [l, r] = &self.columnar.sides;
+        match (l.group().is_empty(), r.group().is_empty()) {
+            (true, true) => return Ok(false),
+            (false, true) => {
+                self.pad_left_group();
+                self.refill(0, acc)?;
+                return Ok(true);
+            }
+            (true, false) => {
+                self.defer_right_group();
+                self.refill(1, acc)?;
+                return Ok(true);
+            }
+            (false, false) => {}
+        }
+        let lnull = self.group_key_has_null(0);
+        let rnull = self.group_key_has_null(1);
+        match self.cross_compare_groups(acc) {
+            Ordering::Less => {
+                self.pad_left_group();
+                self.refill(0, acc)?;
+            }
+            Ordering::Greater => {
+                self.defer_right_group();
+                self.refill(1, acc)?;
+            }
+            Ordering::Equal if lnull || rnull => {
+                self.pad_left_group();
+                self.defer_right_group();
+                self.refill(0, acc)?;
+                self.refill(1, acc)?;
+            }
+            Ordering::Equal => {
+                let st = &mut self.columnar;
+                let (gl, gr) = (st.sides[0].group(), st.sides[1].group());
+                for l in gl {
+                    st.pairs[0].extend(gr.clone().map(|_| l as u32));
+                    st.pairs[1].extend(gr.clone().map(|r| r as u32));
+                }
+                self.refill(0, acc)?;
+                self.refill(1, acc)?;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Columnar path: the next slice of the deferred full-outer tail — NULL
+    /// left columns, the deferred right columns — built on first use.
+    fn next_tail(&mut self) -> Option<ColumnarBatch> {
+        let st = &mut self.columnar;
+        if st.tail.is_none() {
+            let right: Vec<_> = std::mem::take(&mut st.deferred)
+                .into_iter()
+                .map(|b| Arc::new(b.finish()))
+                .collect();
+            let rows = right.first().map_or(0, |c| c.len());
+            let mut columns: Vec<_> = (0..self.left.schema().len())
+                .map(|_| {
+                    let mut b = ColumnBuilder::new();
+                    b.push_nulls(rows);
+                    Arc::new(b.finish())
+                })
+                .collect();
+            columns.extend(right);
+            st.tail = Some((ColumnarBatch::from_columns(columns, rows), 0));
+        }
+        let (tail, pos) = st.tail.as_mut().expect("just built");
+        if *pos == tail.num_rows() {
+            return None;
+        }
+        let end = (*pos + self.batch).min(tail.num_rows());
+        let mut out = tail.clone();
+        out.set_sel((*pos as u32..end as u32).collect());
+        *pos = end;
+        Some(out)
+    }
+
+    fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        if !self.columnar.ended {
+            // Pair groups until a batchful is out — or, when the consumer
+            // may stop early, only until something is.
+            let want = if self.demand_driven { 1 } else { self.batch };
+            let mut acc = 0;
+            let mut stepped = Ok(true);
+            while self.columnar.out_rows + self.columnar.pairs[0].len() < want {
+                stepped = self.step(&mut acc);
+                if !matches!(stepped, Ok(true)) {
+                    break;
+                }
+            }
+            self.metrics.add_comparisons(acc);
+            self.columnar.ended = !stepped?;
+            self.flush_pairs();
+            let st = &mut self.columnar;
+            if st.out_rows > 0 {
+                st.out_rows = 0;
+                return Ok(Some(ColumnarBatch::from_builders(std::mem::take(
+                    &mut st.out,
+                ))));
+            }
+        }
+        Ok(self.next_tail())
+    }
 }
 
 impl Operator for MergeJoin {
@@ -289,48 +590,28 @@ impl Operator for MergeJoin {
             if let Some(t) = self.pending.next() {
                 return Ok(Some(t));
             }
-            if !self.replenish(false)? {
+            if !self.replenish()? {
                 return Ok(None);
             }
         }
     }
 
     fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        // Leftovers buffered by a previous oversized pairing drain first.
-        let mut out = Vec::new();
-        while out.len() < self.batch {
-            match self.pending.next() {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        if !out.is_empty() {
-            return Ok(Some(out));
-        }
-        let produced = self.advance(true)?;
-        if produced.is_empty() {
-            // End of the merged stream: release the deferred right-padded
-            // rows (NULL left keys sort last).
-            if !self.deferred_flushed {
-                self.deferred_flushed = true;
-                if !self.deferred_right.is_empty() {
-                    let tail = std::mem::take(&mut self.deferred_right);
-                    if tail.len() <= self.batch {
-                        return Ok(Some(tail));
-                    }
-                    self.pending = tail.into_iter();
-                    return self.next_batch();
-                }
-            }
-            return Ok(None);
-        }
-        // Hand a whole group pairing over without re-buffering; only
-        // oversized pairings go through the pending cursor.
-        if produced.len() <= self.batch {
-            return Ok(Some(produced));
-        }
-        self.pending = produced.into_iter();
-        self.next_batch()
+        Ok(self.next_columnar()?.map(|b| b.to_rows()))
+    }
+
+    /// Emits whole group pairings, about a batchful per call (one pairing
+    /// may overshoot it, as the batch contract allows) — or, under a
+    /// `Limit`, one productive pairing per call, so the inputs are read
+    /// exactly as far as tuple-at-a-time pulls would read them.
+    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        self.pull_columnar()
+    }
+
+    fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
+        self.left.set_demand_driven();
+        self.right.set_demand_driven();
     }
 
     fn batch_size(&self) -> usize {

@@ -195,6 +195,11 @@ impl Operator for NestedLoopsJoin {
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }
+
+    /// The outer (left) side streams; the inner side is buffered whole.
+    fn set_demand_driven(&mut self) {
+        self.left.set_demand_driven();
+    }
 }
 
 // Silence unused import warning for Value (used in keys_match via is_null).

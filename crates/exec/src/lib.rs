@@ -1,10 +1,11 @@
 //! # pyro-exec
 //!
 //! A Volcano-style (pull-based) execution engine that exchanges rows
-//! **batch-at-a-time** — every operator implements both tuple-wise
-//! [`Operator::next`] and the batch pull [`Operator::next_batch`] (see
-//! `op.rs` for the batch contract; counter totals are identical on either
-//! path) — built to make the paper's §3 claims observable:
+//! **batch-at-a-time** — every operator implements tuple-wise
+//! [`Operator::next`], the row-batch pull [`Operator::next_batch`] and the
+//! columnar pull [`Operator::next_columnar`] (see `op.rs` for the batch
+//! contract; counter totals are identical on every path, with `next` as the
+//! oracle) — built to make the paper's §3 claims observable:
 //!
 //! * [`sort::StandardReplacementSort`] (SRS) — classical replacement
 //!   selection with run spilling and multi-pass merging; falls back to a

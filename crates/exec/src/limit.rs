@@ -17,7 +17,10 @@ pub struct Limit {
 
 impl Limit {
     /// Wraps `child`, keeping the first `k` rows.
-    pub fn new(child: BoxOp, k: u64) -> Self {
+    pub fn new(mut child: BoxOp, k: u64) -> Self {
+        // This operator is why a stream may be cut short: from here down,
+        // operators do only the work their next output row needs.
+        child.set_demand_driven();
         Limit {
             child,
             remaining: k,
@@ -71,6 +74,10 @@ impl Operator for Limit {
                 Ok(None)
             }
         }
+    }
+
+    fn set_demand_driven(&mut self) {
+        self.child.set_demand_driven();
     }
 
     fn batch_size(&self) -> usize {

@@ -1,21 +1,29 @@
-//! The Volcano operator interface, in both granularities: classic
-//! tuple-at-a-time `next()` and batch-at-a-time `next_batch()`.
+//! The Volcano operator interface, in three granularities: classic
+//! tuple-at-a-time `next()`, row batches via `next_batch()`, and columnar
+//! batches via `next_columnar()`.
 //!
-//! **Batch contract.** One `next_batch()` call on an operator configured for
-//! batch size `B` performs exactly the same per-row work — and charges
-//! exactly the same [`crate::ExecMetrics`] — as up to `B` consecutive
-//! `next()` calls would; it returns `Ok(None)` only at end of stream, and a
-//! short (even partial) batch does *not* signal the end. This equivalence is
-//! what keeps counter totals bit-identical between the two paths (the
-//! paper's Experiment A figures depend on it) while letting batch-native
-//! operators skip per-row virtual dispatch, reuse buffers, and charge
-//! metrics once per batch. Base-table device reads are the one deliberate
-//! exception: a [`Stash`] refill pulls a whole child batch, so under early
-//! termination (Top-K) the batch path may read up to one batch of input
-//! beyond demand — bounded read-ahead, like any paged scan; `ExecMetrics`
-//! (comparisons, run I/O) still match exactly. The two pull styles must not
-//! be interleaved on the same operator: batch-native operators stash
-//! buffered input that the row path does not see.
+//! **Batch contract.** One `next_batch()` (or `next_columnar()`) call on an
+//! operator configured for batch size `B` performs exactly the same per-row
+//! work — and charges exactly the same [`crate::ExecMetrics`] — as up to `B`
+//! consecutive `next()` calls would; it returns `Ok(None)` only at end of
+//! stream, and a short (even partial) batch does *not* signal the end. This
+//! equivalence is what keeps counter totals bit-identical between the
+//! paths (the paper's Experiment A figures depend on it) while letting
+//! batch-native operators skip per-row virtual dispatch, reuse buffers, and
+//! charge metrics once per batch. Tuple-at-a-time `next()` is the oracle:
+//! the parity suites hold every other path to its rows and its counters.
+//!
+//! An operator that works ahead to fill its batch (a partial sort closing
+//! several segments, a merge join pairing several groups) relies on its
+//! output being consumed. When a `Limit` above may cut the stream short it
+//! says so through [`Operator::set_demand_driven`], and such operators then
+//! do one unit of work per pull. Base-table device reads are the one
+//! deliberate exception: a consumer pulls a whole child batch, so under
+//! early termination (Top-K) the batch paths may read up to one batch of
+//! input beyond demand — bounded read-ahead, like any paged scan;
+//! `ExecMetrics` (comparisons, run I/O) still match exactly. The pull
+//! styles must not be interleaved on the same operator: batch-native
+//! operators buffer input that the row path does not see.
 
 use crate::metrics::MetricsRef;
 use pyro_common::{ColumnarBatch, Result, Schema, Tuple};
@@ -76,7 +84,9 @@ pub trait Operator {
     ///
     /// The default implementation is the row shim — it loops [`Operator::
     /// next`] — so third-party operators keep working unchanged; every
-    /// in-tree operator overrides it with a native batch implementation.
+    /// in-tree operator overrides it, with a native row-batch
+    /// implementation or with [`Operator::next_columnar`] +
+    /// [`ColumnarBatch::to_rows`].
     fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
         let cap = self.batch_size().max(1);
         let mut out = Vec::new();
@@ -97,15 +107,30 @@ pub trait Operator {
     ///
     /// The default shims the row batch through
     /// [`ColumnarBatch::from_rows`], so any operator can sit under a
-    /// vectorized parent; the hot operators (scan, filter, project, hash
-    /// join) override it with kernels that never box a row. None of those
-    /// operators charge `ExecMetrics`, which is why the columnar path is
-    /// outside the counter-parity contract's blast radius: converters only
-    /// change *how* cells are laid out, never what work the metered
-    /// operators do.
+    /// columnar parent. Scan, filter, project and the inner hash join
+    /// override it with kernels that never box a row and charge no
+    /// `ExecMetrics`. So do the operators that *do* charge them — both sort
+    /// enforcers, the merge join and the sort-based aggregate: they pull
+    /// their inputs with `next_columnar`, sort 16-byte `(normalized key
+    /// prefix, row id)` entries, find segment and group boundaries by
+    /// comparing rows in place, and emit by gather, charging per comparison
+    /// exactly what `next()` charges for the same two rows (see
+    /// [`crate::sort`]). For those four, `next_batch` *is* `next_columnar`
+    /// followed by [`ColumnarBatch::to_rows`].
     fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
         Ok(self.next_batch()?.map(|b| ColumnarBatch::from_rows(&b)))
     }
+
+    /// Tells the operator that its consumer may stop pulling before the end
+    /// of the stream (a [`crate::limit::Limit`] calls this on its input).
+    /// An operator that otherwise works ahead to fill its batch — closing
+    /// several sort segments, pairing several join groups — must from then
+    /// on do only the work its next output row needs before returning, so
+    /// that a stream cut short has charged exactly what tuple-at-a-time
+    /// pulls of the same rows would have. Streaming operators pass the call
+    /// on to the inputs they stream from; operators that consume an input
+    /// whole before producing anything do not. Default: no-op.
+    fn set_demand_driven(&mut self) {}
 
     /// The operator's configured batch granularity in rows.
     fn batch_size(&self) -> usize {
@@ -163,8 +188,8 @@ pub fn collect_batched(mut op: BoxOp) -> Result<Vec<Tuple>> {
 }
 
 /// Batched-input adapter: buffers one child batch and hands rows out one at
-/// a time, so an operator whose logic is inherently row-wise (replacement
-/// selection, group detection, hash build) can consume its input in batches
+/// a time, so an operator whose logic is inherently row-wise (hash build,
+/// nested loops, duplicate elimination) can consume its input in batches
 /// without changing a single per-row decision.
 #[derive(Default)]
 pub struct Stash {
@@ -189,24 +214,6 @@ impl Stash {
                 None => return Ok(None),
             }
         }
-    }
-
-    /// The next whole chunk of input: buffered rows first (the remainder of
-    /// a batch partially consumed row-wise), then a fresh child batch.
-    /// Bulk consumers (sort ingest) use this to move rows by `Vec` append
-    /// instead of one iterator step per row.
-    pub fn next_chunk(&mut self, child: &mut BoxOp) -> Result<Option<Vec<Tuple>>> {
-        if self.buf.len() > 0 {
-            return Ok(Some(self.buf.by_ref().collect()));
-        }
-        child.next_batch()
-    }
-
-    /// Puts unconsumed rows back so the next pull (row- or chunk-wise)
-    /// returns them first. The stash must be empty.
-    pub fn preload(&mut self, rows: Vec<Tuple>) {
-        debug_assert_eq!(self.buf.len(), 0, "preload over buffered rows");
-        self.buf = rows.into_iter();
     }
 }
 

@@ -127,6 +127,10 @@ impl Operator for Project {
         Ok(Some(batch.with_columns(columns)))
     }
 
+    fn set_demand_driven(&mut self) {
+        self.child.set_demand_driven();
+    }
+
     fn batch_size(&self) -> usize {
         self.child.batch_size()
     }

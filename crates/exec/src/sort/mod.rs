@@ -5,14 +5,23 @@
 //! [`pyro_storage::TupleFile`]s whose page writes/reads are charged to the
 //! pipeline's [`crate::ExecMetrics`] as *run I/O* — the quantity the paper's
 //! Experiments A1–A4 measure.
+//!
+//! Each operator has two implementations. Tuple-at-a-time `next` sorts boxed
+//! tuples with [`pyro_common::KeySpec::compare_counting`]; it is the oracle.
+//! `next_columnar` (and `next_batch`, which is `next_columnar` + `to_rows`)
+//! never boxes a row: it sorts 16-byte `(normalized key prefix, row id)`
+//! entries (the `entry` module says why that reproduces the oracle's
+//! counters number for number), spills rows encoded straight from column
+//! vectors, and emits by gather.
 
+mod entry;
 mod heap;
 mod mrs;
 mod runs;
 mod srs;
 
 pub use mrs::PartialSort;
-pub use runs::{InMemorySortStream, MergeStream};
+pub use runs::{ColumnarMergeStream, InMemorySortStream, MergeStream};
 pub use srs::StandardReplacementSort;
 
 use crate::metrics::MetricsRef;

@@ -18,16 +18,56 @@
 //! input, `k` columns sharing one value) MRS behaves like a plain external
 //! sort, the convergence Fig. 9's right edge shows.
 
-use super::runs::{InMemorySortStream, MergeStream};
+use super::entry::{sort_rows_into, Entry, Keyed};
+use super::runs::{write_run_rows, ColumnarMergeStream, InMemorySortStream, MergeStream};
 use super::{sort_buffer, SortBudget};
 use crate::metrics::MetricsRef;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{KeySpec, Result, Schema, Tuple};
+use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
 use pyro_storage::{IntoStore, StoreRef, TupleFile};
 
 enum Output {
     Buffered(InMemorySortStream),
     Merging(MergeStream),
+}
+
+/// Columnar-path state. The operator works on one dense input batch at a
+/// time; rows of a segment still open when the batch runs out are carried
+/// over in front of the next one ([`ColumnarBatch::carry_into`]), so a
+/// segment's in-memory rows always sit in one batch: they are sorted as
+/// 16-byte entries addressed by row id and emitted by one gather.
+#[derive(Default)]
+struct Columnar {
+    /// The current input batch (no selection vector), with its rows'
+    /// normalized suffix keys.
+    batch: Option<Keyed>,
+    /// [`Tuple::byte_size`] of each of its rows.
+    sizes: Vec<u32>,
+    /// Next row of `batch` not yet looked at.
+    pos: usize,
+    /// True between a segment's first row and its close.
+    open: bool,
+    /// First row of the open segment still in memory (rows before it were
+    /// spilled, or belong to closed segments).
+    seg_start: usize,
+    /// Budget bytes held by the open segment's in-memory rows.
+    seg_bytes: usize,
+    /// Row ids of `batch`'s closed in-memory segments, in output order.
+    sorted: Vec<u32>,
+    /// How many of `sorted` were emitted.
+    emitted: usize,
+    /// The closed oversized segment being drained (after `sorted`).
+    merging: Option<ColumnarMergeStream>,
+    /// Entry buffer reused by every segment sort.
+    scratch: Vec<Entry>,
+}
+
+/// What one step of the columnar segment scan came to.
+enum Step {
+    /// A segment closed: there is more to emit.
+    Closed,
+    /// The batch ran out inside a segment (or before one).
+    NeedInput,
 }
 
 /// The MRS operator: enforces the full key given a sorted prefix.
@@ -41,21 +81,26 @@ pub struct PartialSort {
     store: StoreRef,
     budget: SortBudget,
     metrics: MetricsRef,
-    /// Buffered tuples of the currently accumulating segment.
+    /// Row path: buffered tuples of the currently accumulating segment.
     buffer: Vec<Tuple>,
     buffer_bytes: usize,
-    /// Prefix values identifying the current segment (set on its first
-    /// tuple, cleared when it closes). Survives buffer spills.
+    /// Row path: prefix values identifying the current segment (set on its
+    /// first tuple, cleared when it closes). Survives buffer spills.
     segment_key: Option<Vec<pyro_common::Value>>,
     /// Spill runs of the current segment (only when it outgrew memory).
     segment_runs: Vec<TupleFile>,
-    /// First tuple of the *next* segment, read but not yet accumulated.
+    /// Row path: first tuple of the *next* segment, read but not yet
+    /// accumulated.
     pending: Option<Tuple>,
-    /// Segment currently being drained to the parent.
+    /// Row path: segment currently being drained to the parent.
     output: Option<Output>,
+    columnar: Columnar,
     input_done: bool,
     segments_seen: u64,
-    stash: Stash,
+    /// Set once a pull failed; every later pull repeats the error.
+    failed: Option<PyroError>,
+    /// Set by a `Limit` above: close one segment per pull, not a batchful.
+    demand_driven: bool,
     batch: usize,
 }
 
@@ -90,9 +135,11 @@ impl PartialSort {
             segment_runs: Vec::new(),
             pending: None,
             output: None,
+            columnar: Columnar::default(),
             input_done: false,
             segments_seen: 0,
-            stash: Stash::new(),
+            failed: None,
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
@@ -163,9 +210,7 @@ impl PartialSort {
     }
 
     /// Admits one tuple into the current segment's buffer, spilling first
-    /// when the byte budget would overflow. Shared by both ingest paths so
-    /// spill boundaries (and the charged comparisons behind them) are
-    /// identical row-wise and batch-wise.
+    /// when the byte budget would overflow.
     fn admit(&mut self, t: Tuple) -> Result<()> {
         if self.buffer_bytes + t.byte_size() > self.budget.bytes() && !self.buffer.is_empty() {
             self.spill_buffer()?;
@@ -175,21 +220,13 @@ impl PartialSort {
         Ok(())
     }
 
-    /// Accumulates input until the current segment ends (or input does).
-    /// Returns `true` if a segment was closed.
-    fn fill_segment(&mut self, batched: bool) -> Result<bool> {
-        if batched {
-            self.fill_segment_batched()
-        } else {
-            self.fill_segment_rows()
-        }
-    }
-
-    fn fill_segment_rows(&mut self) -> Result<bool> {
+    /// Row path: accumulates input until the current segment ends (or input
+    /// does). Returns `true` if a segment was closed.
+    fn fill_segment(&mut self) -> Result<bool> {
         loop {
             let t = match self.pending.take() {
                 Some(t) => Some(t),
-                None => pull_row(&mut self.child, &mut self.stash, false)?,
+                None => self.child.next()?,
             };
             let Some(t) = t else {
                 self.input_done = true;
@@ -216,55 +253,7 @@ impl PartialSort {
         }
     }
 
-    /// Batch-granularity ingest: walks whole child batches instead of
-    /// issuing a per-row pull. At a segment boundary the unconsumed tail of
-    /// the batch is stashed for the next segment. Boundary checks, charged
-    /// comparisons and spill points are per-row exactly as in
-    /// [`Self::fill_segment_rows`].
-    fn fill_segment_batched(&mut self) -> Result<bool> {
-        // The row deferred at the previous boundary opens this segment; it
-        // can never itself be a boundary (the key was just cleared).
-        if let Some(t) = self.pending.take() {
-            debug_assert!(self.segment_key.is_none(), "pending row mid-segment");
-            self.segment_key = Some(self.prefix_key_of(&t));
-            self.admit(t)?;
-        }
-        loop {
-            let Some(chunk) = self.stash.next_chunk(&mut self.child)? else {
-                self.input_done = true;
-                if !self.buffer.is_empty() || !self.segment_runs.is_empty() {
-                    self.close_segment()?;
-                    return Ok(true);
-                }
-                return Ok(false);
-            };
-            let mut it = chunk.into_iter();
-            while let Some(t) = it.next() {
-                match &self.segment_key {
-                    None => self.segment_key = Some(self.prefix_key_of(&t)),
-                    Some(key) if !self.prefix.is_empty() => {
-                        let key = key.clone();
-                        if !self.matches_segment(&key, &t) {
-                            self.pending = Some(t);
-                            self.stash.preload(it.collect());
-                            self.close_segment()?;
-                            return Ok(true);
-                        }
-                    }
-                    Some(_) => {} // empty prefix: one segment spans the input
-                }
-                self.admit(t)?;
-            }
-        }
-    }
-}
-
-impl Operator for PartialSort {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn pull_row(&mut self) -> Result<Option<Tuple>> {
         loop {
             if let Some(out) = &mut self.output {
                 let t = match out {
@@ -279,37 +268,248 @@ impl Operator for PartialSort {
             if self.input_done && self.buffer.is_empty() && self.segment_runs.is_empty() {
                 return Ok(None);
             }
-            if !self.fill_segment(false)? {
+            if !self.fill_segment()? {
                 return Ok(None);
             }
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        // One chunk of the current segment per call — a whole segment when
-        // it fits the batch (handed over zero-copy by the sort stream).
-        // Short batches are fine under the batch contract, and demand-
-        // driven behaviour (Top-K closing only the segments it needs) is
-        // preserved: no segment beyond the emitted chunk is filled or
-        // sorted (input read-ahead is bounded by one child batch).
+    /// Columnar path: sorts rows `seg_start..end` of `batch` on the suffix
+    /// and writes them as one run of the open segment.
+    fn spill_rows(&mut self, batch: &Keyed, end: usize) -> Result<()> {
+        let st = &mut self.columnar;
+        let mut rows = Vec::with_capacity(end - st.seg_start);
+        sort_rows_into(
+            batch,
+            &self.suffix,
+            st.seg_start..end,
+            &self.metrics,
+            &mut st.scratch,
+            &mut rows,
+        );
+        let run = write_run_rows(&self.store, &batch.batch, &rows, &self.metrics)?;
+        self.segment_runs.push(run);
+        st.seg_start = end;
+        st.seg_bytes = 0;
+        Ok(())
+    }
+
+    /// Columnar path: closes the open segment, whose last row is row
+    /// `end - 1` of `batch`.
+    fn close_rows(&mut self, batch: &Keyed, end: usize) -> Result<()> {
+        self.segments_seen += 1;
+        self.columnar.open = false;
+        if self.segment_runs.is_empty() {
+            let st = &mut self.columnar;
+            sort_rows_into(
+                batch,
+                &self.suffix,
+                st.seg_start..end,
+                &self.metrics,
+                &mut st.scratch,
+                &mut st.sorted,
+            );
+        } else {
+            if self.columnar.seg_start < end {
+                self.spill_rows(batch, end)?;
+            }
+            let runs = std::mem::take(&mut self.segment_runs);
+            self.columnar.merging = Some(ColumnarMergeStream::new(
+                &self.store,
+                runs,
+                self.suffix.clone(),
+                self.schema.len(),
+                self.budget,
+                self.metrics.clone(),
+            )?);
+        }
+        self.columnar.seg_start = end;
+        self.columnar.seg_bytes = 0;
+        Ok(())
+    }
+
+    /// Columnar path: scans the current batch from `pos` to the end of the
+    /// segment there, admitting rows against the budget as it goes —
+    /// [`Self::fill_segment`]'s loop over row ids instead of tuples, same
+    /// boundary test, same spill points. Comparisons are charged once per
+    /// call.
+    fn scan_segment(&mut self) -> Result<Step> {
+        let Some(batch) = self.columnar.batch.take() else {
+            return Ok(Step::NeedInput);
+        };
+        let mut acc = 0;
+        let step = self.scan_rows(&batch, &mut acc);
+        self.metrics.add_comparisons(acc);
+        self.columnar.batch = Some(batch);
+        step
+    }
+
+    fn scan_rows(&mut self, batch: &Keyed, acc: &mut u64) -> Result<Step> {
+        let rows = batch.batch.num_rows();
+        if self.columnar.pos == rows {
+            return Ok(Step::NeedInput);
+        }
+        let mut from = self.columnar.pos;
+        if !self.columnar.open {
+            // A segment's first row is admitted untested.
+            self.columnar.open = true;
+            self.columnar.seg_start = from;
+            from += 1;
+        }
+        // Every later row is tested against the segment's prefix values —
+        // here the row before it, which carries them — by the row path's
+        // test: `Value ==`, left to right, stopping at the first mismatch.
+        let end = if self.prefix.is_empty() {
+            rows // one segment spans the input
+        } else {
+            let (end, cost) = self
+                .prefix
+                .group_end(&batch.batch, from - 1, from, rows, true);
+            *acc += cost;
+            end
+        };
+        let budget = self.budget.bytes();
+        for i in self.columnar.pos..end {
+            let size = self.columnar.sizes[i] as usize;
+            if self.columnar.seg_bytes + size > budget && self.columnar.seg_start < i {
+                self.spill_rows(batch, i)?;
+            }
+            self.columnar.seg_bytes += size;
+        }
+        self.columnar.pos = end;
+        if end == rows {
+            return Ok(Step::NeedInput);
+        }
+        self.close_rows(batch, end)?;
+        Ok(Step::Closed)
+    }
+
+    /// Columnar path: replaces the exhausted batch by the open segment's
+    /// in-memory rows followed by the next input batch. At end of input the
+    /// open segment, if any, closes. Returns `false` when there is nothing
+    /// more to produce.
+    fn refill(&mut self) -> Result<bool> {
+        let st = &mut self.columnar;
+        debug_assert_eq!(st.emitted, st.sorted.len(), "a dying batch owes rows");
+        let next = match self.input_done {
+            true => None,
+            false => self.child.next_columnar()?,
+        };
+        let Some(next) = next else {
+            self.input_done = true;
+            if !st.open {
+                return Ok(false);
+            }
+            let (batch, end) = (st.batch.take().expect("an open segment"), st.pos);
+            let closed = self.close_rows(&batch, end);
+            self.columnar.batch = Some(batch);
+            return closed.map(|()| true);
+        };
+        let rows = st.batch.as_ref().map_or(0, |b| b.batch.num_rows());
+        // The open segment's rows stay; when all of them were spilled its
+        // last row still does, for the next row's boundary test.
+        let from = match st.open {
+            true => st.seg_start.min(rows - 1),
+            false => rows,
+        };
+        let merged = match &st.batch {
+            Some(old) if from < rows => old.batch.carry_into(from, &next),
+            _ => next.into_dense(),
+        };
+        st.sizes = merged.row_byte_sizes();
+        st.batch = Some(Keyed::new(merged, &self.suffix));
+        st.pos = rows - from;
+        st.seg_start = st.seg_start.saturating_sub(from);
+        st.sorted.clear();
+        st.emitted = 0;
+        Ok(true)
+    }
+
+    fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
         loop {
-            if let Some(o) = &mut self.output {
-                let chunk = match o {
-                    Output::Buffered(s) => s.next_chunk(self.batch),
-                    Output::Merging(m) => m.next_chunk(self.batch)?,
-                };
-                match chunk {
-                    Some(c) => return Ok(Some(c)),
-                    None => self.output = None,
+            let st = &mut self.columnar;
+            let ready = st.sorted.len() - st.emitted;
+            // Closed segments go out first, a batchful at a time — or at
+            // once when nothing more may be closed before they are out: a
+            // merge is waiting behind them, or the consumer may stop early.
+            let wanted = if st.merging.is_some() || self.demand_driven {
+                1
+            } else {
+                self.batch
+            };
+            if ready >= wanted {
+                return Ok(Some(self.emit(ready.min(self.batch))));
+            }
+            if let Some(m) = &mut st.merging {
+                match m.next_columnar(self.batch)? {
+                    Some(b) => return Ok(Some(b)),
+                    None => st.merging = None,
+                }
+                continue;
+            }
+            if let Step::NeedInput = self.scan_segment()? {
+                // The batch is about to be replaced: what it still owes
+                // goes out first.
+                if ready > 0 {
+                    return Ok(Some(self.emit(ready)));
+                }
+                if !self.refill()? {
+                    return Ok(None);
                 }
             }
-            if self.input_done && self.buffer.is_empty() && self.segment_runs.is_empty() {
-                return Ok(None);
-            }
-            if !self.fill_segment(true)? {
-                return Ok(None);
-            }
         }
+    }
+
+    /// Gathers the next `n` sorted rows of the current batch.
+    fn emit(&mut self, n: usize) -> ColumnarBatch {
+        let st = &mut self.columnar;
+        let batch = &st.batch.as_ref().expect("sorted rows of a batch").batch;
+        let out = batch.gather(&st.sorted[st.emitted..st.emitted + n]);
+        st.emitted += n;
+        out
+    }
+
+    fn latch<T>(&mut self, pulled: Result<T>) -> Result<T> {
+        if let Err(e) = &pulled {
+            self.failed = Some(e.clone());
+        }
+        pulled
+    }
+}
+
+impl Operator for PartialSort {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let pulled = self.pull_row();
+        self.latch(pulled)
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+        Ok(self.next_columnar()?.map(|b| b.to_rows()))
+    }
+
+    /// Emits up to a batch of sorted rows per call, closing as many
+    /// segments as that takes — unless a `Limit` sits above, in which case
+    /// at most one segment closes per call, so Top-K closes exactly the
+    /// segments tuple-at-a-time pulls would. Short batches are fine under
+    /// the batch contract.
+    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let pulled = self.pull_columnar();
+        self.latch(pulled)
+    }
+
+    fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
+        self.child.set_demand_driven();
     }
 
     fn batch_size(&self) -> usize {

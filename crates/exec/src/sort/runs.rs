@@ -1,9 +1,13 @@
 //! Spill-run plumbing shared by SRS and MRS: writing runs, k-way merging
-//! with bounded fan-in, and the streaming output adapters.
+//! with bounded fan-in, and the streaming output adapters — once over boxed
+//! tuples for the row path ([`MergeStream`]), once over column vectors for
+//! the columnar path ([`ColumnarMergeStream`]). Both make the same
+//! comparisons in the same order and read and write the same pages.
 
+use super::entry::Keyed;
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use pyro_common::{KeySpec, Result, Tuple};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Tuple};
 use pyro_storage::{StoreRef, TupleFile, TupleFileScan, TupleFileWriter};
 use std::cmp::Ordering;
 
@@ -18,6 +22,24 @@ pub(crate) fn write_run(
     let mut w = TupleFileWriter::new(store);
     for t in tuples {
         w.append(&t)?;
+    }
+    let file = w.finish()?;
+    metrics.add_run_pages_written(file.block_count());
+    metrics.add_run();
+    Ok(file)
+}
+
+/// [`write_run`] for physical rows `rows` of `batch`, in that order: the
+/// same pages, no boxed tuple.
+pub(crate) fn write_run_rows(
+    store: &StoreRef,
+    batch: &ColumnarBatch,
+    rows: &[u32],
+    metrics: &MetricsRef,
+) -> Result<TupleFile> {
+    let mut w = TupleFileWriter::new(store);
+    for &r in rows {
+        w.append_row(batch.columns(), r as usize)?;
     }
     let file = w.finish()?;
     metrics.add_run_pages_written(file.block_count());
@@ -93,26 +115,6 @@ impl MergeStream {
         out
     }
 
-    /// Pops up to `max_rows` tuples in merge order; comparisons accumulate
-    /// locally and hit the shared metrics once per chunk. `Ok(None)` only
-    /// at end of the merged stream.
-    pub fn next_chunk(&mut self, max_rows: usize) -> Result<Option<Vec<Tuple>>> {
-        let mut acc = 0;
-        let mut out = Vec::new();
-        while out.len() < max_rows.max(1) {
-            match self.pop_smallest(&mut acc) {
-                Ok(Some(t)) => out.push(t),
-                Ok(None) => break,
-                Err(e) => {
-                    self.metrics.add_comparisons(acc);
-                    return Err(e);
-                }
-            }
-        }
-        self.metrics.add_comparisons(acc);
-        Ok(if out.is_empty() { None } else { Some(out) })
-    }
-
     fn pop_smallest(&mut self, acc: &mut u64) -> Result<Option<Tuple>> {
         // Linear scan over ≤ fan-in heads: simple and cache-friendly for the
         // small fan-ins used here.
@@ -175,26 +177,170 @@ impl InMemorySortStream {
         self.pos += 1;
         Some(t)
     }
+}
 
-    /// Next chunk of up to `max_rows` tuples; `None` at end of buffer. An
-    /// untouched buffer that fits the chunk is handed over whole — zero
-    /// copies, zero allocation — which is the common case for a
-    /// partial-sort segment smaller than the batch size.
-    pub fn next_chunk(&mut self, max_rows: usize) -> Option<Vec<Tuple>> {
-        let remaining = self.buf.len() - self.pos;
-        if remaining == 0 {
-            return None;
+/// One run of a [`ColumnarMergeStream`]: the scan, the page it is on decoded
+/// into column vectors, and the position of its head row there.
+struct ColumnarRun {
+    scan: TupleFileScan,
+    file: Option<TupleFile>,
+    /// The current page with its rows' normalized keys; `None` once the
+    /// run is exhausted.
+    page: Option<Keyed>,
+    pos: usize,
+}
+
+impl ColumnarRun {
+    /// Moves to the first row of the next page; at the end of the run the
+    /// head goes and the file's pages are freed.
+    fn load(&mut self, arity: usize, key: &KeySpec) -> Result<()> {
+        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+        self.pos = 0;
+        if self.scan.fill_columns(&mut builders, 1)? {
+            self.page = Some(Keyed::new(ColumnarBatch::from_builders(builders), key));
+        } else {
+            self.page = None;
+            if let Some(f) = self.file.take() {
+                f.delete();
+            }
         }
-        let n = remaining.min(max_rows.max(1));
-        if self.pos == 0 && n == self.buf.len() {
-            return Some(std::mem::take(&mut self.buf));
+        Ok(())
+    }
+
+    /// Steps past the head row.
+    fn advance(&mut self, arity: usize, key: &KeySpec) -> Result<()> {
+        self.pos += 1;
+        if self.pos < self.page.as_ref().expect("a head row").batch.num_rows() {
+            Ok(())
+        } else {
+            self.load(arity, key)
         }
-        let mut out = Vec::with_capacity(n);
-        for slot in &mut self.buf[self.pos..self.pos + n] {
-            out.push(std::mem::take(slot));
+    }
+}
+
+/// [`MergeStream`] over column vectors: runs are read a page at a time
+/// straight into columns, heads are compared on their normalized prefix
+/// first, and output is gathered into batches — no `Tuple` is boxed. Same
+/// linear scan over the heads, so the same comparisons in the same order;
+/// same run pages charged at the same points.
+pub struct ColumnarMergeStream {
+    runs: Vec<ColumnarRun>,
+    key: KeySpec,
+    arity: usize,
+    metrics: MetricsRef,
+}
+
+impl ColumnarMergeStream {
+    /// Opens the given sorted runs of `arity`-column rows for merging,
+    /// with intermediate passes exactly as [`MergeStream::new`] makes them.
+    pub fn new(
+        store: &StoreRef,
+        mut files: Vec<TupleFile>,
+        key: KeySpec,
+        arity: usize,
+        budget: SortBudget,
+        metrics: MetricsRef,
+    ) -> Result<ColumnarMergeStream> {
+        let fan_in = budget.fan_in();
+        while files.len() > fan_in {
+            let batch: Vec<TupleFile> = files.drain(..fan_in).collect();
+            let mut merged = ColumnarMergeStream::open(batch, key.clone(), arity, metrics.clone())?;
+            let mut w = TupleFileWriter::new(store);
+            let mut acc = 0;
+            while let Some(i) = merged.smallest(&mut acc) {
+                let run = &merged.runs[i];
+                let page = run.page.as_ref().expect("the winner has a head");
+                w.append_row(page.batch.columns(), run.pos)?;
+                merged.runs[i].advance(arity, &key)?;
+            }
+            metrics.add_comparisons(acc);
+            let out = w.finish()?;
+            metrics.add_run_pages_written(out.block_count());
+            files.push(out);
         }
-        self.pos += n;
-        Some(out)
+        ColumnarMergeStream::open(files, key, arity, metrics)
+    }
+
+    fn open(
+        files: Vec<TupleFile>,
+        key: KeySpec,
+        arity: usize,
+        metrics: MetricsRef,
+    ) -> Result<ColumnarMergeStream> {
+        let mut runs = Vec::with_capacity(files.len());
+        for file in files {
+            metrics.add_run_pages_read(file.block_count());
+            let mut run = ColumnarRun {
+                scan: file.scan(),
+                file: Some(file),
+                page: None,
+                pos: 0,
+            };
+            run.load(arity, &key)?;
+            runs.push(run);
+        }
+        Ok(ColumnarMergeStream {
+            runs,
+            key,
+            arity,
+            metrics,
+        })
+    }
+
+    /// The run holding the globally smallest head (the first such run on a
+    /// tie, as in [`MergeStream`]); comparisons accumulate in `acc`.
+    fn smallest(&self, acc: &mut u64) -> Option<usize> {
+        let mut best: Option<(usize, &ColumnarRun, &Keyed)> = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            let Some(page) = &run.page else { continue };
+            best = Some(match best {
+                None => (i, run, page),
+                Some((b, b_run, b_page)) => {
+                    let (ord, n) = page.norms.compare(
+                        &page.batch,
+                        run.pos,
+                        &b_page.norms,
+                        &b_page.batch,
+                        b_run.pos,
+                        &self.key,
+                    );
+                    *acc += n;
+                    if ord == Ordering::Less {
+                        (i, run, page)
+                    } else {
+                        (b, b_run, b_page)
+                    }
+                }
+            });
+        }
+        best.map(|(i, _, _)| i)
+    }
+
+    /// Pops up to `max_rows` rows in merge order into one batch;
+    /// comparisons hit the shared metrics once per call. `Ok(None)` only at
+    /// end of the merged stream.
+    pub fn next_columnar(&mut self, max_rows: usize) -> Result<Option<ColumnarBatch>> {
+        let mut acc = 0;
+        let out = self.pop_into_batch(max_rows.max(1), &mut acc);
+        self.metrics.add_comparisons(acc);
+        out
+    }
+
+    fn pop_into_batch(&mut self, max_rows: usize, acc: &mut u64) -> Result<Option<ColumnarBatch>> {
+        let mut builders: Vec<ColumnBuilder> =
+            (0..self.arity).map(|_| ColumnBuilder::new()).collect();
+        let mut rows = 0;
+        while rows < max_rows {
+            let Some(i) = self.smallest(acc) else { break };
+            let run = &self.runs[i];
+            let page = run.page.as_ref().expect("the winner has a head");
+            for (b, col) in builders.iter_mut().zip(page.batch.columns()) {
+                b.push_from(col, run.pos);
+            }
+            rows += 1;
+            self.runs[i].advance(self.arity, &self.key)?;
+        }
+        Ok((rows > 0).then(|| ColumnarBatch::from_builders(builders)))
     }
 }
 

@@ -14,22 +14,34 @@
 //!   the deficiency [`super::PartialSort`] removes.
 //! * Merge the runs with bounded fan-in (multi-pass if needed).
 
+use super::entry::{sort_rows_into, Entry, Keyed, Sources};
 use super::heap::RsHeap;
-use super::runs::{InMemorySortStream, MergeStream};
+use super::runs::{ColumnarMergeStream, InMemorySortStream, MergeStream};
 use super::{sort_buffer, SortBudget};
 use crate::metrics::MetricsRef;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{KeySpec, Result, Schema, Tuple};
+use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
 use pyro_storage::{IntoStore, StoreRef, TupleFile, TupleFileWriter};
 use std::cmp::Ordering;
 
 enum State {
     /// Input not yet consumed.
     Pending,
-    /// Whole input fit in memory.
+    /// Row path: whole input fit in memory.
     InMemory(InMemorySortStream),
-    /// Merging spill runs.
+    /// Row path: merging spill runs.
     Merging(MergeStream),
+    /// Columnar path: whole input fit in memory — the input as one dense
+    /// batch, its row ids in sorted order, and how many were emitted.
+    Sorted {
+        batch: ColumnarBatch,
+        order: Vec<u32>,
+        pos: usize,
+    },
+    /// Columnar path: merging spill runs.
+    MergingColumnar(ColumnarMergeStream),
+    /// A pull failed; every later pull repeats the error.
+    Failed(PyroError),
     Done,
 }
 
@@ -42,8 +54,26 @@ pub struct StandardReplacementSort {
     budget: SortBudget,
     metrics: MetricsRef,
     state: State,
-    stash: Stash,
     batch: usize,
+}
+
+/// Where replacement selection reads its next input row from: a dense
+/// batch, the next unread row, and the slot the batch is filed under once a
+/// heap entry points into it.
+struct Input {
+    batch: ColumnarBatch,
+    pos: usize,
+    src: Option<u32>,
+}
+
+impl Input {
+    fn new(batch: ColumnarBatch, pos: usize) -> Input {
+        Input {
+            batch: batch.into_dense(),
+            pos,
+            src: None,
+        }
+    }
 }
 
 impl StandardReplacementSort {
@@ -66,50 +96,43 @@ impl StandardReplacementSort {
             budget,
             metrics,
             state: State::Pending,
-            stash: Stash::new(),
             batch: DEFAULT_BATCH_SIZE,
         }
     }
 
-    /// Consumes the input: in-memory sort or replacement selection into
-    /// runs. Run-formation comparisons (heap sifts and admission checks)
-    /// accumulate locally and are charged in bulk, not per row.
-    fn build(&mut self, batched: bool) -> Result<State> {
-        let mut child = self.child.take().expect("build called once");
+    fn take_child(&mut self) -> BoxOp {
+        // A failed build latches `State::Failed`, so `Pending` is seen once.
+        self.child.take().expect("the input is consumed once")
+    }
+
+    /// Seals `writer` as one more run of this sort.
+    fn seal_run(&self, writer: TupleFileWriter, runs: &mut Vec<TupleFile>) -> Result<()> {
+        let file = writer.finish()?;
+        self.metrics.add_run_pages_written(file.block_count());
+        self.metrics.add_run();
+        runs.push(file);
+        Ok(())
+    }
+
+    /// Row path. Consumes the input: in-memory sort or replacement
+    /// selection into runs. Run-formation comparisons (heap sifts and
+    /// admission checks) accumulate locally and are charged in bulk, not
+    /// per row.
+    fn build(&mut self) -> Result<State> {
+        let mut child = self.take_child();
         let budget_bytes = self.budget.bytes();
 
-        // Buffer until the budget overflows or input ends. The batched path
-        // ingests whole child batches (one Vec move per batch instead of a
-        // per-row pull); byte accounting and the overflow boundary are
-        // per-row in both paths, so the buffered prefix — and therefore
-        // every downstream comparison and run counter — is identical.
+        // Buffer until the budget overflows or input ends.
         let mut buffer: Vec<Tuple> = Vec::new();
         let mut bytes = 0usize;
         let mut overflow: Option<Tuple> = None;
-        if batched {
-            'ingest: while let Some(chunk) = self.stash.next_chunk(&mut child)? {
-                let mut it = chunk.into_iter();
-                while let Some(t) = it.next() {
-                    if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
-                        overflow = Some(t);
-                        // Unconsumed rows feed the replacement-selection
-                        // refill loop below.
-                        self.stash.preload(it.collect());
-                        break 'ingest;
-                    }
-                    bytes += t.byte_size();
-                    buffer.push(t);
-                }
+        while let Some(t) = child.next()? {
+            if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
+                overflow = Some(t);
+                break;
             }
-        } else {
-            while let Some(t) = pull_row(&mut child, &mut self.stash, false)? {
-                if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
-                    overflow = Some(t);
-                    break;
-                }
-                bytes += t.byte_size();
-                buffer.push(t);
-            }
+            bytes += t.byte_size();
+            buffer.push(t);
         }
 
         if overflow.is_none() {
@@ -119,9 +142,11 @@ impl StandardReplacementSort {
         }
 
         // Replacement selection: heapify the buffer as run 0, then cycle.
-        let mut heap = RsHeap::new(self.key.clone(), self.metrics.clone());
+        let key = &self.key;
+        let cmp = |a: &Tuple, b: &Tuple| key.compare_counting(a, b);
+        let mut heap = RsHeap::new(self.metrics.clone());
         for t in buffer {
-            heap.push(0, t);
+            heap.push(0, t, &cmp);
         }
         let mut admission_cmps: u64 = 0;
         let mut next_input = overflow;
@@ -134,40 +159,33 @@ impl StandardReplacementSort {
                 None => break,
                 Some(r) if r != current_run => {
                     // Current run exhausted: seal its file, open the next.
-                    let file = writer.finish()?;
-                    self.metrics.add_run_pages_written(file.block_count());
-                    self.metrics.add_run();
-                    runs.push(file);
-                    writer = TupleFileWriter::new(&self.store);
+                    let full = std::mem::replace(&mut writer, TupleFileWriter::new(&self.store));
+                    self.seal_run(full, &mut runs)?;
                     current_run = r;
                 }
                 Some(_) => {}
             }
-            let (_, tuple) = heap.pop().expect("peek_run returned Some");
+            let (_, tuple) = heap.pop(&cmp).expect("peek_run returned Some");
             writer.append(&tuple)?;
 
             // Refill from input while there is input left. The just-emitted
             // tuple is the floor for current-run admission: anything smaller
             // must wait for the next run or the run would become unsorted.
             if let Some(incoming) = next_input.take() {
-                let (ord, n) = self.key.compare_counting(&incoming, &tuple);
+                let (ord, n) = cmp(&incoming, &tuple);
                 admission_cmps += n;
                 let run = if ord == Ordering::Less {
                     current_run + 1
                 } else {
                     current_run
                 };
-                heap.push(run, incoming);
-                next_input = pull_row(&mut child, &mut self.stash, batched)?;
+                heap.push(run, incoming, &cmp);
+                next_input = child.next()?;
             }
         }
         heap.flush_comparisons();
         self.metrics.add_comparisons(admission_cmps);
-        // Seal the final run.
-        let file = writer.finish()?;
-        self.metrics.add_run_pages_written(file.block_count());
-        self.metrics.add_run();
-        runs.push(file);
+        self.seal_run(writer, &mut runs)?;
 
         let merge = MergeStream::new(
             &self.store,
@@ -178,19 +196,130 @@ impl StandardReplacementSort {
         )?;
         Ok(State::Merging(merge))
     }
-}
 
-impl Operator for StandardReplacementSort {
-    fn schema(&self) -> &Schema {
-        &self.schema
+    /// Columnar path: [`Self::build`] step for step — same budget
+    /// boundary, same heap operations in the same order, same runs — over
+    /// column vectors. The buffered prefix of the input is copied into one
+    /// dense batch; if the input ends there it is sorted in place,
+    /// otherwise it seeds the heap and later input rows are addressed in
+    /// the batches they arrived in.
+    fn build_columnar(&mut self) -> Result<State> {
+        let mut child = self.take_child();
+        let budget_bytes = self.budget.bytes();
+        let arity = self.schema.len();
+
+        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+        let (mut bytes, mut rows) = (0usize, 0usize);
+        let mut input: Option<Input> = None;
+        while let Some(b) = child.next_columnar()? {
+            let b = b.into_dense();
+            let sizes = b.row_byte_sizes();
+            // Rows of this batch that still fit the budget (the first row
+            // always does).
+            let mut fits = 0;
+            for &size in &sizes {
+                if bytes + size as usize > budget_bytes && rows > 0 {
+                    break;
+                }
+                bytes += size as usize;
+                rows += 1;
+                fits += 1;
+            }
+            for (builder, col) in builders.iter_mut().zip(b.columns()) {
+                builder.append_range(col, 0, fits);
+            }
+            if fits < sizes.len() {
+                input = Some(Input::new(b, fits));
+                break;
+            }
+        }
+        let base = Keyed::new(ColumnarBatch::from_builders(builders), &self.key);
+
+        if input.is_none() {
+            // Everything fits: pure CPU sort, zero disk I/O.
+            let mut order = Vec::with_capacity(rows);
+            sort_rows_into(
+                &base,
+                &self.key,
+                0..rows,
+                &self.metrics,
+                &mut Vec::new(),
+                &mut order,
+            );
+            return Ok(State::Sorted {
+                batch: base.batch,
+                order,
+                pos: 0,
+            });
+        }
+
+        // Replacement selection: heapify the buffer as run 0, then cycle.
+        let key = &self.key;
+        let mut srcs = Sources::default();
+        let mut heap = RsHeap::new(self.metrics.clone());
+        let base_src = srcs.add(base, rows);
+        for r in 0..rows {
+            let e = srcs.get(base_src).entry(base_src, r);
+            heap.push(0, e, &|a, b| srcs.compare(key, a, b));
+        }
+        let mut admission_cmps: u64 = 0;
+        let mut next_input = next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, arity)?;
+        let mut runs: Vec<TupleFile> = Vec::new();
+        let mut current_run: u32 = 0;
+        let mut writer = TupleFileWriter::new(&self.store);
+
+        loop {
+            match heap.peek_run() {
+                None => break,
+                Some(r) if r != current_run => {
+                    let full = std::mem::replace(&mut writer, TupleFileWriter::new(&self.store));
+                    self.seal_run(full, &mut runs)?;
+                    current_run = r;
+                }
+                Some(_) => {}
+            }
+            let (_, out) = heap
+                .pop(&|a, b| srcs.compare(key, a, b))
+                .expect("peek_run returned Some");
+            writer.append_row(srcs.get(out.src).batch.columns(), out.row as usize)?;
+
+            let admitted = next_input.take();
+            if let Some(incoming) = admitted {
+                let (ord, n) = srcs.compare(key, &incoming, &out);
+                admission_cmps += n;
+                let run = if ord == Ordering::Less {
+                    current_run + 1
+                } else {
+                    current_run
+                };
+                heap.push(run, incoming, &|a, b| srcs.compare(key, a, b));
+            }
+            // The popped row's batch may go now that the admission check
+            // against it is done.
+            srcs.release(out.src, input.as_ref().and_then(|i| i.src));
+            if admitted.is_some() {
+                next_input = next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, arity)?;
+            }
+        }
+        heap.flush_comparisons();
+        self.metrics.add_comparisons(admission_cmps);
+        self.seal_run(writer, &mut runs)?;
+
+        let merge = ColumnarMergeStream::new(
+            &self.store,
+            runs,
+            self.key.clone(),
+            arity,
+            self.budget,
+            self.metrics.clone(),
+        )?;
+        Ok(State::MergingColumnar(merge))
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn pull_row(&mut self) -> Result<Option<Tuple>> {
         loop {
             match &mut self.state {
-                State::Pending => {
-                    self.state = self.build(false)?;
-                }
+                State::Pending => self.state = self.build()?,
                 State::InMemory(s) => {
                     let t = s.next_tuple();
                     if t.is_none() {
@@ -205,34 +334,133 @@ impl Operator for StandardReplacementSort {
                     }
                     return Ok(t);
                 }
+                State::Failed(e) => return Err(e.clone()),
                 State::Done => return Ok(None),
+                State::Sorted { .. } | State::MergingColumnar(_) => {
+                    return Err(interleaved());
+                }
             }
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
         loop {
             match &mut self.state {
-                State::Pending => {
-                    self.state = self.build(true)?;
+                State::Pending => self.state = self.build_columnar()?,
+                State::Sorted { batch, order, pos } => {
+                    if *pos == order.len() {
+                        self.state = State::Done;
+                        return Ok(None);
+                    }
+                    let end = (*pos + self.batch).min(order.len());
+                    let out = batch.gather(&order[*pos..end]);
+                    *pos = end;
+                    return Ok(Some(out));
                 }
-                State::InMemory(s) => {
-                    let c = s.next_chunk(self.batch);
+                State::MergingColumnar(m) => {
+                    let c = m.next_columnar(self.batch)?;
                     if c.is_none() {
                         self.state = State::Done;
                     }
                     return Ok(c);
                 }
-                State::Merging(m) => {
-                    let c = m.next_chunk(self.batch)?;
-                    if c.is_none() {
-                        self.state = State::Done;
-                    }
-                    return Ok(c);
-                }
+                State::Failed(e) => return Err(e.clone()),
                 State::Done => return Ok(None),
+                State::InMemory(_) | State::Merging(_) => return Err(interleaved()),
             }
         }
+    }
+
+    /// Latches a failed pull: the input may be half consumed and a run half
+    /// written, so there is nothing to resume.
+    fn latch<T>(&mut self, pulled: Result<T>) -> Result<T> {
+        if let Err(e) = &pulled {
+            self.state = State::Failed(e.clone());
+        }
+        pulled
+    }
+}
+
+fn interleaved() -> PyroError {
+    PyroError::Exec("row and columnar pulls interleaved on one sort".into())
+}
+
+/// The next input row of replacement selection as a heap entry, or `None`
+/// at end of input. A batch is filed in `srcs` when its first row is
+/// handed out; when input moves past a batch no entry points into any
+/// more, the batch goes. When `srcs` has come to hold several times the
+/// rows the heap does — a few long-lived rows each pinning a whole batch —
+/// the heap's rows are copied into one batch of their own first.
+fn next_entry(
+    child: &mut BoxOp,
+    input: &mut Option<Input>,
+    srcs: &mut Sources,
+    heap: &mut RsHeap<Entry>,
+    key: &KeySpec,
+    arity: usize,
+) -> Result<Option<Entry>> {
+    loop {
+        let Some(cur) = input else { return Ok(None) };
+        if cur.pos < cur.batch.num_rows() {
+            let src = match cur.src {
+                Some(src) => src,
+                None => {
+                    if srcs.rows() > 4 * (heap.len() + cur.batch.num_rows()) {
+                        compact(srcs, heap, key, arity);
+                    }
+                    let src = srcs.add(Keyed::new(cur.batch.clone(), key), 0);
+                    cur.src = Some(src);
+                    src
+                }
+            };
+            srcs.retain(src);
+            let e = srcs.get(src).entry(src, cur.pos);
+            cur.pos += 1;
+            return Ok(Some(e));
+        }
+        if let Some(src) = cur.src {
+            srcs.drop_if_dead(src);
+        }
+        *input = child.next_columnar()?.map(|b| Input::new(b, 0));
+    }
+}
+
+/// Copies every row a heap entry points at into one fresh batch, repoints
+/// the entries (keys untouched, so the heap order stands) and drops the
+/// batches they used to pin.
+fn compact(srcs: &mut Sources, heap: &mut RsHeap<Entry>, key: &KeySpec, arity: usize) {
+    let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+    for e in heap.items_mut() {
+        let from = &srcs.get(e.src).batch;
+        for (b, col) in builders.iter_mut().zip(from.columns()) {
+            b.push_from(col, e.row as usize);
+        }
+    }
+    srcs.clear();
+    let packed = Keyed::new(ColumnarBatch::from_builders(builders), key);
+    let src = srcs.add(packed, heap.len());
+    for (row, e) in heap.items_mut().enumerate() {
+        (e.src, e.row) = (src, row as u32);
+    }
+}
+
+impl Operator for StandardReplacementSort {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>> {
+        let pulled = self.pull_row();
+        self.latch(pulled)
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+        Ok(self.next_columnar()?.map(|b| b.to_rows()))
+    }
+
+    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        let pulled = self.pull_columnar();
+        self.latch(pulled)
     }
 
     fn batch_size(&self) -> usize {

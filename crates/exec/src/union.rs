@@ -67,6 +67,12 @@ impl Operator for UnionAll {
             input.set_batch_size(rows);
         }
     }
+
+    fn set_demand_driven(&mut self) {
+        for input in &mut self.inputs {
+            input.set_demand_driven();
+        }
+    }
 }
 
 /// Merge union over inputs sorted on the same key: preserves the order and
@@ -199,6 +205,12 @@ impl Operator for MergeUnion {
 
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
+    }
+
+    fn set_demand_driven(&mut self) {
+        for input in &mut self.inputs {
+            input.set_demand_driven();
+        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! Simple, compact, and deliberately *real* — the sort experiments must pay
 //! genuine serialization CPU, like the systems the paper measured.
 
-use pyro_common::{ColumnBuilder, PyroError, Result, Tuple, Value};
+use pyro_common::{ColumnBuilder, ColumnData, ColumnVec, PyroError, Result, Tuple, Value};
+use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -29,21 +30,53 @@ pub fn encoded_len(tuple: &Tuple) -> usize {
 fn encode_tuple(tuple: &Tuple, out: &mut Vec<u8>) {
     out.extend_from_slice(&(tuple.arity() as u16).to_le_bytes());
     for v in tuple.values() {
-        match v {
-            Value::Null => out.push(TAG_NULL),
-            Value::Int(i) => {
+        encode_value(v, out);
+    }
+}
+
+#[inline]
+fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(TAG_NULL),
+        Value::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(TAG_DOUBLE);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        Value::Str(s) => encode_str(s.as_bytes(), out),
+    }
+}
+
+#[inline]
+fn encode_str(s: &[u8], out: &mut Vec<u8>) {
+    out.push(TAG_STR);
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s);
+}
+
+/// Encodes physical row `row` of `cols` byte for byte as [`encode_tuple`]
+/// encodes the same row boxed, reading typed storage in place.
+fn encode_row(cols: &[Arc<ColumnVec>], row: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(cols.len() as u16).to_le_bytes());
+    for c in cols {
+        if c.is_null(row) {
+            out.push(TAG_NULL);
+            continue;
+        }
+        match c.data() {
+            ColumnData::Int(v) => {
                 out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
+                out.extend_from_slice(&v[row].to_le_bytes());
             }
-            Value::Double(d) => {
+            ColumnData::Double(v) => {
                 out.push(TAG_DOUBLE);
-                out.extend_from_slice(&d.to_le_bytes());
+                out.extend_from_slice(&v[row].to_le_bytes());
             }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+            ColumnData::Str(a) => encode_str(a.bytes_at(row), out),
+            ColumnData::Mixed(v) => encode_value(&v[row], out),
         }
     }
 }
@@ -86,6 +119,29 @@ impl PageBuilder {
         self.count += 1;
         self.buf[0..2].copy_from_slice(&self.count.to_le_bytes());
         Ok(true)
+    }
+
+    /// [`PageBuilder::try_push`] for physical row `row` of `cols` — same
+    /// bytes, same page boundaries, same error, no boxed tuple. Returns the
+    /// row's encoded length, or `None` when it does not fit this page.
+    pub fn try_push_row(&mut self, cols: &[Arc<ColumnVec>], row: usize) -> Result<Option<usize>> {
+        // Encode first, keep it only if it fits: one pass over the cells.
+        let start = self.buf.len();
+        encode_row(cols, row, &mut self.buf);
+        let need = self.buf.len() - start;
+        if self.buf.len() > self.capacity {
+            self.buf.truncate(start);
+            if 2 + need > self.capacity {
+                return Err(PyroError::Storage(format!(
+                    "tuple of {need} encoded bytes exceeds page capacity {}",
+                    self.capacity
+                )));
+            }
+            return Ok(None);
+        }
+        self.count += 1;
+        self.buf[0..2].copy_from_slice(&self.count.to_le_bytes());
+        Ok(Some(need))
     }
 
     /// Number of tuples currently in the page.

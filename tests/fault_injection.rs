@@ -269,3 +269,135 @@ fn short_read_is_a_typed_io_error() {
         "expected a typed short-read Io error, got {err:?}"
     );
 }
+
+// ---------------------------------------------------------------------
+// Sorts over a dying spill device, or a dying input: the failure must be a
+// typed error on the pull that hits it AND on every pull after it — on all
+// three pull paths — never a panic ("build called once") and never a
+// clean end of stream over half-sorted data.
+// ---------------------------------------------------------------------
+
+use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
+use pyro::exec::{BoxOp, ExecMetrics, Operator, ValuesOp};
+use pyro_common::{ColumnarBatch, KeySpec};
+
+/// Hands `rows` rows of its child on, then fails every pull.
+struct DyingInput {
+    child: BoxOp,
+    rows: usize,
+}
+
+impl Operator for DyingInput {
+    fn schema(&self) -> &Schema {
+        self.child.schema()
+    }
+
+    fn next(&mut self) -> pyro::Result<Option<Tuple>> {
+        if self.rows == 0 {
+            return Err(PyroError::Exec("input died".into()));
+        }
+        self.rows -= 1;
+        self.child.next()
+    }
+}
+
+/// One pull through the named path, reduced to whether it produced rows.
+fn pull(op: &mut BoxOp, path: &str) -> pyro::Result<bool> {
+    Ok(match path {
+        "next" => op.next()?.is_some(),
+        "next_batch" => op.next_batch()?.is_some(),
+        _ => op
+            .next_columnar()?
+            .as_ref()
+            .is_some_and(|b: &ColumnarBatch| !b.is_empty()),
+    })
+}
+
+/// Pulls `op` until it fails, then twice more: the same error each time.
+fn assert_failure_is_latched(what: &str, mut op: BoxOp, path: &str, expect: &str) {
+    let first = loop {
+        match pull(&mut op, path) {
+            Ok(true) => {}
+            Ok(false) => panic!("{what} via {path}: clean end of stream over a fault"),
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        format!("{first:?}").contains(expect),
+        "{what} via {path}: expected {expect}, got {first:?}"
+    );
+    for _ in 0..2 {
+        assert_eq!(
+            pull(&mut op, path).expect_err("a failed sort stays failed"),
+            first,
+            "{what} via {path}: a later pull must repeat the error"
+        );
+    }
+}
+
+#[test]
+fn a_sort_that_failed_stays_failed_on_every_pull_path() {
+    // 600 rows of ~34 budget bytes against 3 blocks of 256: the sorts
+    // below spill from the start. Column 0 is one value throughout — one
+    // oversized partial-sort segment — column 1 descends.
+    let data: Vec<Tuple> = (0..600)
+        .map(|i| Tuple::new(vec![Value::Int(1), Value::Int(600 - i)]))
+        .collect();
+    let source = |data: &[Tuple]| -> BoxOp {
+        Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), data.to_vec()))
+    };
+    let key = KeySpec::new(vec![0, 1]);
+    let budget = SortBudget::new(3, 256);
+    for path in ["next", "next_batch", "next_columnar"] {
+        // The spill device dies on its third page write.
+        let dying_device = |name: &str| {
+            let dir = fresh_dir(&format!("fault_sort_{name}_{path}"));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let file = FileDevice::create_with_block_size(dir.join("spill.pyro"), 256)
+                .expect("create device");
+            FaultDevice::wrap(file, FaultPlan::none().fail_after_writes(2)).as_device()
+        };
+        let srs = StandardReplacementSort::new(
+            source(&data),
+            key.clone(),
+            dying_device("srs"),
+            budget,
+            ExecMetrics::new(),
+        );
+        assert_failure_is_latched("SRS run write", Box::new(srs), path, "injected fault");
+        let mrs = PartialSort::new(
+            source(&data),
+            key.clone(),
+            1,
+            dying_device("mrs"),
+            budget,
+            ExecMetrics::new(),
+        );
+        assert_failure_is_latched("MRS mid-spill", Box::new(mrs), path, "injected fault");
+
+        // The input dies after 100 rows, over a healthy device.
+        let dying_input = || -> BoxOp {
+            Box::new(DyingInput {
+                child: source(&data),
+                rows: 100,
+            })
+        };
+        let srs = StandardReplacementSort::new(
+            dying_input(),
+            key.clone(),
+            pyro::storage::SimDevice::with_block_size(256),
+            budget,
+            ExecMetrics::new(),
+        );
+        assert_failure_is_latched("SRS input", Box::new(srs), path, "input died");
+        let mrs = PartialSort::new(
+            dying_input(),
+            key.clone(),
+            1,
+            pyro::storage::SimDevice::with_block_size(256),
+            budget,
+            ExecMetrics::new(),
+        );
+        assert_failure_is_latched("MRS input", Box::new(mrs), path, "input died");
+    }
+}

@@ -384,6 +384,43 @@ fn shared_build_hash_join_corner_cases_parity() {
     }
 }
 
+/// A filter pinning an equality prefix of its file's order compiles to a
+/// seek over the few pages that can hold the key. More workers must not
+/// turn it back into a scan of the whole file dealt out in morsels — under
+/// a projection, and as the probe side of a join, too.
+#[test]
+fn seekable_filter_seeks_at_every_worker_count() {
+    let mut session = exchange_session();
+    let pages = session.catalog().table("big").unwrap().heap.block_count();
+    for sql in [
+        "SELECT k, g, s FROM big WHERE k = 12345",
+        "SELECT g FROM big WHERE k = 29999 AND g > 5",
+        "SELECT k, kg FROM keys, big WHERE kg = g AND k = 777",
+    ] {
+        let plan = session.explain(sql).unwrap();
+        let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+        assert!(
+            lines
+                .windows(2)
+                .any(|w| w[0].starts_with("Filter") && w[1].starts_with("C.Idx Scan [big]")),
+            "test premise: a filter directly over the clustered scan of big\n{plan}"
+        );
+        assert_parallel_parity(&mut session, sql, false);
+        for workers in [1, 2, 4] {
+            session.set_workers(workers);
+            let device = session.catalog().device().clone();
+            device.reset_io();
+            assert_eq!(session.sql(sql).unwrap().rows().len(), 1, "{sql}");
+            let reads = device.io().reads;
+            assert!(
+                reads < pages / 4,
+                "workers={workers}: {reads} page reads for a seek into {pages} pages: {sql}"
+            );
+        }
+        session.set_workers(1);
+    }
+}
+
 /// FULL OUTER joins are merge-only in the optimizer: a serial breaker whose
 /// inputs (a sort over an ordered gather, a bare ordered gather) must
 /// arrive in exact serial sequence. (LEFT OUTER *hash* joins, which the SQL

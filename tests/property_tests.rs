@@ -367,3 +367,336 @@ fn mrs_zero_io_when_fitting() {
         assert_eq!(m.run_io(), 0);
     });
 }
+
+// ---------------------------------------------------------------------
+// Pull-path differential: the four operators that sort, pair and group
+// rows in place in the column vectors must give, pulled through
+// `next_batch` and `next_columnar`, exactly the rows and exactly the four
+// counters tuple-at-a-time `next` gives — over every cell type, NULLs,
+// heavy duplicates, empty and one-row inputs, and budgets that do and do
+// not spill.
+// ---------------------------------------------------------------------
+
+use pyro::exec::limit::Limit;
+use pyro::exec::{collect_batched, BoxOp, MetricsRef, Operator};
+use std::cell::Cell;
+
+/// What a generated column holds.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// Integers from a small domain: heavy duplicates.
+    Int,
+    /// Doubles including both zeros, infinities and a NaN.
+    Double,
+    /// Strings that agree on their first 8+ bytes.
+    Str,
+    /// All of the above in one column.
+    Mixed,
+}
+
+fn cell(rng: &mut StdRng, kind: Kind, nulls: bool) -> Value {
+    if nulls && rng.gen_bool(0.15) {
+        return Value::Null;
+    }
+    match kind {
+        Kind::Int => Value::Int(rng.gen_range(-3i64..4)),
+        Kind::Double => Value::Double(
+            [-1.5, -0.0, 0.0, 2.0, 2.5, f64::INFINITY, f64::NAN][rng.gen_range(0..7usize)],
+        ),
+        Kind::Str => Value::Str(
+            [
+                "",
+                "a",
+                "common-prefix",
+                "common-prefix-a",
+                "common-prefix-b",
+                "common-prefiy",
+                "zz",
+            ][rng.gen_range(0..7usize)]
+            .to_string(),
+        ),
+        Kind::Mixed => {
+            let kind = [Kind::Int, Kind::Double, Kind::Str][rng.gen_range(0..3usize)];
+            cell(rng, kind, false)
+        }
+    }
+}
+
+/// Up to `max_rows` rows (often none or one) of three generated key columns
+/// plus the row's ordinal.
+fn table(rng: &mut StdRng, max_rows: usize) -> Vec<Tuple> {
+    let kinds: Vec<Kind> = (0..3)
+        .map(|_| [Kind::Int, Kind::Double, Kind::Str, Kind::Mixed][rng.gen_range(0..4usize)])
+        .collect();
+    let nulls = rng.gen_bool(0.5);
+    let len = match rng.gen_range(0..8u64) {
+        0 => 0,
+        1 => 1,
+        _ => rng.gen_range(2..=max_rows),
+    };
+    (0..len)
+        .map(|i| {
+            let mut v: Vec<Value> = kinds.iter().map(|&k| cell(rng, k, nulls)).collect();
+            v.push(Value::Int(i as i64));
+            Tuple::new(v)
+        })
+        .collect()
+}
+
+fn schema4(prefix: &str) -> Schema {
+    let names: Vec<String> = (0..4).map(|i| format!("{prefix}{i}")).collect();
+    Schema::ints(&names.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+/// `rows` as an operator handing them on `input_batch` at a time, so that
+/// segments, groups and runs straddle input batches.
+fn source(prefix: &str, rows: &[Tuple], input_batch: usize) -> BoxOp {
+    let mut op = ValuesOp::new(schema4(prefix), rows.to_vec());
+    op.set_batch_size(input_batch);
+    Box::new(op)
+}
+
+/// A sort budget with 128-byte blocks: everything fits, a spill with a
+/// one-pass merge, or a spill merged two runs at a time.
+fn budget(rng: &mut StdRng) -> SortBudget {
+    match rng.gen_range(0..3u64) {
+        0 => SortBudget::new(10_000, 128),
+        1 => SortBudget::new(rng.gen_range(8u64..40), 128),
+        _ => SortBudget::new(3, 128),
+    }
+}
+
+fn drain_columnar(mut op: BoxOp) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    while let Some(b) = op.next_columnar().unwrap() {
+        out.extend(b.to_rows());
+    }
+    out
+}
+
+fn counters(m: &MetricsRef) -> [u64; 4] {
+    [
+        m.comparisons(),
+        m.run_pages_written(),
+        m.run_pages_read(),
+        m.runs_created(),
+    ]
+}
+
+/// Builds the operator afresh for every pull path and batch size and holds
+/// rows (compared through `Debug`, under which a NaN equals itself and the
+/// two zeros differ) and counters to what `next` produced.
+fn assert_pull_paths_agree(what: &str, build: &dyn Fn() -> (BoxOp, MetricsRef)) {
+    let (op, m) = build();
+    let expect = (format!("{:?}", collect(op).unwrap()), counters(&m));
+    for bs in [1usize, 7, 1024] {
+        for path in ["next_batch", "next_columnar"] {
+            let (mut op, m) = build();
+            op.set_batch_size(bs);
+            let rows = match path {
+                "next_batch" => collect_batched(op).unwrap(),
+                _ => drain_columnar(op),
+            };
+            let got = (format!("{rows:?}"), counters(&m));
+            assert!(
+                got == expect,
+                "{what}: {path} at batch {bs} diverged from next\n next: {expect:?}\n {path}: {got:?}"
+            );
+        }
+    }
+}
+
+fn random_key(rng: &mut StdRng) -> KeySpec {
+    let mut cols = vec![0, 1, 2];
+    for i in (1..cols.len()).rev() {
+        cols.swap(i, rng.gen_range(0..=i));
+    }
+    cols.truncate(rng.gen_range(1..=3usize));
+    KeySpec::new(cols)
+}
+
+fn input_batch(rng: &mut StdRng) -> usize {
+    [1, 3, 64, 1024][rng.gen_range(0..4usize)]
+}
+
+/// Tallies which spill paths the generated cases reached, from the counters
+/// of one run: none, a spill, a spill whose runs outnumber the merge fan-in
+/// (so intermediate passes ran).
+#[derive(Default)]
+struct Reached {
+    in_memory: Cell<u32>,
+    spilled: Cell<u32>,
+    multi_pass: Cell<u32>,
+}
+
+impl Reached {
+    fn note(&self, m: &MetricsRef, budget: SortBudget) {
+        let tally = match m.runs_created() as usize {
+            0 => &self.in_memory,
+            runs if runs > budget.fan_in() => &self.multi_pass,
+            _ => &self.spilled,
+        };
+        tally.set(tally.get() + 1);
+    }
+
+    fn assert_all(&self) {
+        for (what, n) in [
+            ("in-memory", &self.in_memory),
+            ("spilling", &self.spilled),
+            ("multi-pass", &self.multi_pass),
+        ] {
+            assert!(n.get() > 0, "test premise: no {what} case was generated");
+        }
+    }
+}
+
+#[test]
+fn sort_pull_paths_agree() {
+    let reached = Reached::default();
+    for_all_cases(|rng| {
+        let rows = table(rng, 160);
+        let (key, budget, ib) = (random_key(rng), budget(rng), input_batch(rng));
+        let build = || {
+            let m = ExecMetrics::new();
+            let op = StandardReplacementSort::new(
+                source("a", &rows, ib),
+                key.clone(),
+                SimDevice::with_block_size(128),
+                budget,
+                m.clone(),
+            );
+            (Box::new(op) as BoxOp, m)
+        };
+        assert_pull_paths_agree(&format!("sort {key:?} {budget:?}"), &build);
+        let (op, m) = build();
+        collect(op).unwrap();
+        reached.note(&m, budget);
+    });
+    reached.assert_all();
+}
+
+/// Here a spill is an oversized segment: one that outgrew the budget.
+#[test]
+fn partial_sort_pull_paths_agree() {
+    let reached = Reached::default();
+    for_all_cases(|rng| {
+        let mut rows = table(rng, 160);
+        let (key, budget, ib) = (random_key(rng), budget(rng), input_batch(rng));
+        let prefix_len = rng.gen_range(0..=key.len());
+        let (prefix, _) = key.split_at(prefix_len);
+        rows.sort_by(|a, b| prefix.compare(a, b));
+        let build = || {
+            let m = ExecMetrics::new();
+            let op = PartialSort::new(
+                source("a", &rows, ib),
+                key.clone(),
+                prefix_len,
+                SimDevice::with_block_size(128),
+                budget,
+                m.clone(),
+            );
+            (Box::new(op) as BoxOp, m)
+        };
+        assert_pull_paths_agree(
+            &format!("partial sort {key:?} prefix {prefix_len} {budget:?}"),
+            &build,
+        );
+        let (op, m) = build();
+        collect(op).unwrap();
+        reached.note(&m, budget);
+    });
+    reached.assert_all();
+}
+
+#[test]
+fn merge_join_pull_paths_agree() {
+    for_all_cases(|rng| {
+        let (mut left, mut right) = (table(rng, 60), table(rng, 60));
+        let (key, ib) = (random_key(rng), input_batch(rng));
+        left.sort_by(|a, b| key.compare(a, b));
+        right.sort_by(|a, b| key.compare(a, b));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+            assert_pull_paths_agree(&format!("merge join {kind:?} on {key:?}"), &|| {
+                let m = ExecMetrics::new();
+                let op = MergeJoin::new(
+                    source("l", &left, ib),
+                    source("r", &right, ib),
+                    key.clone(),
+                    key.clone(),
+                    kind,
+                    m.clone(),
+                );
+                (Box::new(op), m)
+            });
+        }
+    });
+}
+
+#[test]
+fn group_aggregate_pull_paths_agree() {
+    for_all_cases(|rng| {
+        let mut rows = table(rng, 160);
+        let (key, ib) = (random_key(rng), input_batch(rng));
+        rows.sort_by(|a, b| key.compare(a, b));
+        let arg = rng.gen_range(0..4usize);
+        assert_pull_paths_agree(&format!("group by {key:?} over column {arg}"), &|| {
+            let m = ExecMetrics::new();
+            let aggs = [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ]
+            .into_iter()
+            .map(|f| AggExpr::new(f, Expr::col(arg), format!("{f:?}")))
+            .collect();
+            let op = GroupAggregate::new(source("a", &rows, ib), key.cols().to_vec(), aggs);
+            (Box::new(op), m)
+        });
+    });
+}
+
+/// Under a LIMIT the stream is cut short, so the counters also say how far
+/// each operator worked ahead of the rows it handed on: a sort-based
+/// aggregate over a merge join over two partial sorts must have closed
+/// exactly the segments, and paired exactly the groups, the first `k`
+/// output rows needed.
+#[test]
+fn limit_cuts_every_pull_path_at_the_same_work() {
+    for_all_cases(|rng| {
+        let (mut left, mut right) = (table(rng, 120), table(rng, 120));
+        let key = KeySpec::new(vec![0, 1]);
+        let (sorted_on, _) = key.split_at(1);
+        left.sort_by(|a, b| sorted_on.compare(a, b));
+        right.sort_by(|a, b| sorted_on.compare(a, b));
+        let (k, ib) = (rng.gen_range(0..12u64), input_batch(rng));
+        assert_pull_paths_agree(&format!("limit {k}"), &|| {
+            let m = ExecMetrics::new();
+            let sort = |prefix: &str, rows: &[Tuple]| -> BoxOp {
+                Box::new(PartialSort::new(
+                    source(prefix, rows, ib),
+                    key.clone(),
+                    1,
+                    SimDevice::with_block_size(128),
+                    SortBudget::new(10_000, 128),
+                    m.clone(),
+                ))
+            };
+            let join = MergeJoin::new(
+                sort("l", &left),
+                sort("r", &right),
+                key.clone(),
+                key.clone(),
+                JoinKind::LeftOuter,
+                m.clone(),
+            );
+            let agg = GroupAggregate::new(
+                Box::new(join),
+                vec![0, 1],
+                vec![AggExpr::new(AggFunc::Count, Expr::col(3), "n")],
+            );
+            (Box::new(Limit::new(Box::new(agg), k)), m.clone())
+        });
+    });
+}
