@@ -21,7 +21,7 @@
 //! cargo run --release --bin bench_batch -- --out out.json
 //! ```
 
-use pyro::core::PhysOp;
+use pyro::core::{CompileOptions, PhysOp};
 use pyro::Session;
 use pyro_bench::{banner, workloads};
 use std::time::Instant;
@@ -51,16 +51,15 @@ impl PathStats {
 fn run_once(session: &Session, sql: &str, native_batch: bool) -> PathStats {
     let plan = session.plan(sql).expect("plan");
     let start = Instant::now();
+    let options = CompileOptions {
+        batch_size: BATCH_SIZE,
+        ..CompileOptions::default()
+    };
+    let pipeline = plan.compile(session.catalog(), &options).expect("compile");
     let out = if native_batch {
-        plan.compile_with_batch(session.catalog(), BATCH_SIZE)
-            .expect("compile")
-            .run()
-            .expect("run")
+        pipeline.run().expect("run")
     } else {
-        plan.compile(session.catalog())
-            .expect("compile")
-            .run_tuple_at_a_time()
-            .expect("run")
+        pipeline.run_tuple_at_a_time().expect("run")
     };
     let elapsed = start.elapsed().as_secs_f64();
     PathStats {

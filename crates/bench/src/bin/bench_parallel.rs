@@ -28,7 +28,7 @@
 //! ```
 
 use pyro::common::Tuple;
-use pyro::core::PhysOp;
+use pyro::core::{CompileOptions, PhysOp};
 use pyro::Session;
 use pyro_bench::{banner, workloads};
 use std::time::Instant;
@@ -74,10 +74,15 @@ impl RunStats {
 /// One execution: compile (including worker spawn) + drain, timed.
 fn run_once(session: &Session, sql: &str, workers: usize) -> (RunStats, Vec<Tuple>) {
     let plan = session.plan(sql).expect("plan");
-    let columnar = session.columnar();
+    let options = CompileOptions {
+        batch_size: BATCH_SIZE,
+        workers,
+        columnar: session.columnar(),
+        ..CompileOptions::default()
+    };
     let start = Instant::now();
     let out = plan
-        .compile_bound_columnar(session.catalog(), BATCH_SIZE, workers, &[], columnar)
+        .compile(session.catalog(), &options)
         .expect("compile")
         .run()
         .expect("run");
@@ -89,7 +94,7 @@ fn run_once(session: &Session, sql: &str, workers: usize) -> (RunStats, Vec<Tupl
         run_pages_written: out.metrics.run_pages_written(),
         run_pages_read: out.metrics.run_pages_read(),
         runs_created: out.metrics.runs_created(),
-        columnar,
+        columnar: options.columnar,
         cpu_cores: cpu_cores(),
     };
     (stats, out.rows)

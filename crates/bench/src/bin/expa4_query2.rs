@@ -8,7 +8,7 @@
 //! partial sorts into full sorts.
 
 use pyro::Session;
-use pyro_bench::{banner, degrade_partial_sorts, run_pipeline, QUERY2};
+use pyro_bench::{banner, degrade_partial_sorts, run_plan, QUERY2};
 use pyro_datagen::tpch::{self, TpchConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.explain()
     );
 
-    let mrs = run_pipeline(plan.compile(session.catalog())?, session.catalog())?;
+    let mrs = run_plan(&plan, session.catalog())?;
 
     let degraded = pyro_core::OptimizedPlan {
         root: degrade_partial_sorts(&plan.root),
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ordered_output: plan.ordered_output,
         planning: plan.planning,
     };
-    let srs = run_pipeline(degraded.compile(session.catalog())?, session.catalog())?;
+    let srs = run_plan(&degraded, session.catalog())?;
 
     println!("             time(ms)   comparisons   spill pages   rows");
     println!(

@@ -8,7 +8,7 @@
 //! paper made inside PostgreSQL.
 
 use pyro::Session;
-use pyro_bench::{banner, degrade_partial_sorts, run_pipeline};
+use pyro_bench::{banner, degrade_partial_sorts, run_plan};
 use pyro_datagen::tpch::{self, TpchConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nPYRO-O plan:\n{}", plan.explain());
 
     // MRS (as planned).
-    let mrs = run_pipeline(plan.compile(session.catalog())?, session.catalog())?;
+    let mrs = run_plan(&plan, session.catalog())?;
 
     // SRS (partial sorts degraded to full sorts).
     let degraded = pyro_core::OptimizedPlan {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ordered_output: plan.ordered_output,
         planning: plan.planning,
     };
-    let srs = run_pipeline(degraded.compile(session.catalog())?, session.catalog())?;
+    let srs = run_plan(&degraded, session.catalog())?;
 
     println!("\n             time(ms)   comparisons   spill pages");
     println!(

@@ -8,7 +8,7 @@
 use pyro_catalog::Catalog;
 use pyro_common::Result;
 use pyro_core::plan::{PhysNode, PhysOp};
-use pyro_core::OptimizedPlan;
+use pyro_core::{CompileOptions, OptimizedPlan};
 use pyro_exec::MetricsRef;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,13 +42,10 @@ impl RunStats {
     }
 }
 
-/// Executes a compiled plan and gathers statistics.
+/// Compiles a plan with the default options, executes it and gathers
+/// statistics.
 pub fn run_plan(plan: &OptimizedPlan, catalog: &Catalog) -> Result<RunStats> {
-    run_pipeline(plan.compile(catalog)?, catalog)
-}
-
-/// Executes an already-compiled pipeline (for plan-surgery comparisons).
-pub fn run_pipeline(pipeline: pyro_exec::Pipeline, catalog: &Catalog) -> Result<RunStats> {
+    let pipeline = plan.compile(catalog, &CompileOptions::default())?;
     let before = catalog.device().io();
     let start = Instant::now();
     let out = pipeline.run()?;

@@ -1,22 +1,27 @@
-//! Physical plan → executable operator pipeline.
+//! Physical plan → executable operator pipeline, through the one entry
+//! point [`compile`].
 //!
 //! Column names become positions, sort orders become [`KeySpec`]s, the
 //! enforcers become the SRS / MRS operators of `pyro-exec`, and scans bind
 //! to the catalog's heap and index files. The whole pipeline shares one
 //! [`ExecMetrics`] so experiments can report comparisons and run I/O.
 //!
-//! With `workers > 1` ([`compile_with_workers`]) the compiler additionally
-//! performs pipeline-breaker detection: maximal subtrees of
-//! parallel-safe operators are instantiated as worker fragments behind an
-//! exchange (see `crate::parallel`), while breakers — sorts, merge joins,
-//! aggregates, anything whose counters or output depend on the exact input
-//! sequence — stay serial and receive either the exact serial row sequence
-//! (a gather that releases morsels in file order) or an unparallelized
-//! child. Serial does not mean row-based: the breakers of the paper's
-//! plans are columnar themselves and pull column vectors from the gather,
-//! so a plan converts to rows once, at its root (see `columnar_capable`).
-//! The columnar kernels engage the same way on both sides of an exchange:
-//! the flags depend on the plan shape, never on `workers`.
+//! With [`CompileOptions::workers`] above 1 the compiler additionally
+//! performs pipeline-breaker detection: maximal subtrees of parallel-safe
+//! operators are instantiated as worker fragments behind an exchange (see
+//! `crate::parallel`), while breakers — sorts, merge joins, aggregates,
+//! anything whose counters or output depend on the exact input sequence —
+//! stay serial and receive either the exact serial row sequence (a gather
+//! that releases morsels in file order) or an unparallelized child.
+//!
+//! The compiler decides nothing about batch layouts. Scans decode to
+//! columns, every operator above picks its kernel from the
+//! [`pyro_exec::Batch`] it is handed (see `pyro_exec::op`), and
+//! [`Pipeline::run`] converts what the root emits to rows — so a plan of
+//! the paper's operators is columnar from its scans to its root, and a plan
+//! of row-wise operators moves rows without converting, on either side of
+//! an exchange. [`CompileOptions::columnar`] acts in one place only: the
+//! scans, which then decode to rows.
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
@@ -35,119 +40,80 @@ use pyro_ordering::SortOrder;
 use pyro_storage::TupleFile;
 use std::sync::Arc;
 
+/// How a plan is instantiated — everything [`compile`] needs besides the
+/// plan and the catalog. `Default` is what a bare `compile` always meant:
+/// 1024-row batches, one worker, no bound parameters, columnar scans.
+///
+/// The four fields are the session's execution knobs (`Session` derives
+/// its options from its `SessionConfig` plus the statement's bindings);
+/// none of them changes a row or a counter, only how the work is carried
+/// out. They are also, in this order, the positional arguments of
+/// [`crate::OptimizedPlan::compile_bound_columnar`] — the one other
+/// `compile*` name left, a one-line adapter onto [`compile`] that survives
+/// only because the frozen `benchmark/` package calls it.
+#[derive(Debug, Clone, Copy)]
+pub struct CompileOptions<'a> {
+    /// Rows each operator exchanges per `next_batch` call (floor 1).
+    pub batch_size: usize,
+    /// Execution threads (floor 1). `1` takes exactly the serial path —
+    /// same operators, same behaviour; with more, parallel-safe subtrees
+    /// become morsel-driven worker fragments behind exchange operators
+    /// while pipeline breakers stay serial. Counters are bit-identical at
+    /// every worker count.
+    pub workers: usize,
+    /// Prepared-statement bindings: every `NExpr::Param(i)` in the plan is
+    /// substituted with `params[i]` as the expressions compile, so the
+    /// executed operators are exactly what the same query with inline
+    /// literals would have produced. A placeholder without a binding is a
+    /// typed error, never a silent NULL.
+    pub params: &'a [Value],
+    /// `false` makes scans decode to row batches, which every operator
+    /// above then processes with its row kernel (the sort enforcers, merge
+    /// join and sort-based aggregate convert at their input; they have no
+    /// row-batch kernel) — the `SessionBuilder::columnar(false)` escape
+    /// hatch and the reference side of A/B parity tests. Rows and counters
+    /// are identical either way.
+    pub columnar: bool,
+}
+
+impl Default for CompileOptions<'_> {
+    fn default() -> Self {
+        CompileOptions {
+            batch_size: DEFAULT_BATCH_SIZE,
+            workers: 1,
+            params: &[],
+            columnar: true,
+        }
+    }
+}
+
 /// Compiles a physical plan into a runnable [`Pipeline`] (operator tree +
-/// shared metrics block) at the default batch size.
-pub fn compile(root: &Arc<PhysNode>, catalog: &Catalog) -> Result<Pipeline> {
-    compile_with_batch(root, catalog, DEFAULT_BATCH_SIZE)
-}
-
-/// Compiles a physical plan with an explicit batch granularity: every
-/// operator in the tree is configured to exchange `batch_size`-row batches
-/// (the `SessionBuilder::batch_size` knob ends up here).
-pub fn compile_with_batch(
-    root: &Arc<PhysNode>,
-    catalog: &Catalog,
-    batch_size: usize,
-) -> Result<Pipeline> {
-    compile_with_workers(root, catalog, batch_size, 1)
-}
-
-/// Compiles a physical plan for execution on `workers` threads (the
-/// `SessionBuilder::workers` knob). `workers = 1` takes exactly the serial
-/// path — same operators, same behaviour, bit-identical counters; with more
-/// workers, parallel-safe subtrees become morsel-driven worker fragments
-/// behind exchange operators while pipeline breakers stay serial.
-pub fn compile_with_workers(
-    root: &Arc<PhysNode>,
-    catalog: &Catalog,
-    batch_size: usize,
-    workers: usize,
-) -> Result<Pipeline> {
-    // Standalone callers hand us a bare physical tree, so the query's
-    // ORDER BY demand is unknown; assume any root-guaranteed order must be
-    // delivered (always correct, at worst an ordered gather where an
-    // arrival-order one would have done). `OptimizedPlan` knows the
-    // actual demand and calls [`compile_with_workers_demand`] instead.
-    compile_with_workers_demand(
-        root,
-        catalog,
-        batch_size,
-        workers,
-        !root.out_order.is_empty(),
-    )
-}
-
-/// [`compile_with_workers`] with the query's output-order demand made
-/// explicit. `ordered_output = true` means the consumer relies on the root
-/// row sequence (the query had an ORDER BY) — essential for ORDER BYs the
+/// shared metrics block).
+///
+/// `ordered_output = true` means the consumer relies on the root row
+/// sequence (the query had an ORDER BY) — essential for ORDER BYs the
 /// clustering already satisfies, where the plan contains no sort enforcer
 /// and order preservation rests entirely on the exchanges; `false` frees
 /// the root to gather worker output in arrival order even when the chosen
-/// plan incidentally guarantees an order.
-pub fn compile_with_workers_demand(
+/// plan incidentally guarantees an order. [`crate::OptimizedPlan::compile`]
+/// passes the query's actual demand; a caller holding only a bare physical
+/// tree passes `!root.out_order.is_empty()`, which is always correct (at
+/// worst an ordered gather where an arrival-order one would have done).
+pub fn compile(
     root: &Arc<PhysNode>,
     catalog: &Catalog,
-    batch_size: usize,
-    workers: usize,
     ordered_output: bool,
-) -> Result<Pipeline> {
-    compile_bound(root, catalog, batch_size, workers, ordered_output, &[])
-}
-
-/// [`compile_with_workers_demand`] with prepared-statement parameter values
-/// bound: every `NExpr::Param(i)` in the plan is substituted with
-/// `params[i]` as the expressions compile, so the executed operators are
-/// exactly what the same query with inline literals would have produced.
-/// A plan containing placeholders compiled without bindings (`params`
-/// shorter than the highest index) is a typed error, never a silent NULL.
-pub fn compile_bound(
-    root: &Arc<PhysNode>,
-    catalog: &Catalog,
-    batch_size: usize,
-    workers: usize,
-    ordered_output: bool,
-    params: &[Value],
-) -> Result<Pipeline> {
-    compile_bound_columnar(
-        root,
-        catalog,
-        batch_size,
-        workers,
-        ordered_output,
-        params,
-        true,
-    )
-}
-
-/// [`compile_bound`] with the columnar-execution knob made explicit.
-/// `columnar = true` (the default everywhere above) lets the batch path —
-/// serial or inside worker fragments — run Filter / Project / inner
-/// HashJoin over columnar batches with vectorized kernels wherever the
-/// subtree below is columnar throughout; `false` makes those three answer
-/// `next_batch` with their row-batch implementations (the
-/// `SessionBuilder::columnar(false)` escape hatch, and the reference side
-/// of A/B parity tests). Sorts, merge joins and sort-based aggregates have
-/// no row-batch implementation to fall back to: they are columnar under
-/// either setting. Either way the row pull (`next()`), all counters, and
-/// the produced rows are identical.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_bound_columnar(
-    root: &Arc<PhysNode>,
-    catalog: &Catalog,
-    batch_size: usize,
-    workers: usize,
-    ordered_output: bool,
-    params: &[Value],
-    columnar: bool,
+    options: &CompileOptions,
 ) -> Result<Pipeline> {
     let metrics = ExecMetrics::new();
     let ctx = CompileCtx {
         catalog,
+        root,
         metrics: metrics.clone(),
-        batch: batch_size.max(1),
-        workers: workers.max(1),
-        params,
-        columnar,
+        batch: options.batch_size.max(1),
+        workers: options.workers.max(1),
+        params: options.params,
+        columnar: options.columnar,
     };
     let op = compile_sub(root, &ctx, ordered_output)?;
     // The pipeline charges the catalog store's buffer-pool counter delta
@@ -158,11 +124,24 @@ pub fn compile_bound_columnar(
 /// Everything a (possibly parallel) plan instantiation threads downward.
 pub(crate) struct CompileCtx<'a> {
     pub(crate) catalog: &'a Catalog,
+    /// The plan's root node: an exchange standing in for it hands its
+    /// batches straight to [`Pipeline`], which can only want rows.
+    pub(crate) root: &'a Arc<PhysNode>,
     pub(crate) metrics: MetricsRef,
     pub(crate) batch: usize,
     pub(crate) workers: usize,
     pub(crate) params: &'a [Value],
     pub(crate) columnar: bool,
+}
+
+/// A scan in the layout the `columnar` option calls for: the one place it
+/// acts.
+pub(crate) fn scan_layout(columnar: bool, scan: FileScan) -> FileScan {
+    if columnar {
+        scan
+    } else {
+        scan.row_batches()
+    }
 }
 
 /// True iff this operator hands its input sequence through untouched *and*
@@ -179,43 +158,6 @@ fn sequence_insensitive(op: &PhysOp) -> bool {
     )
 }
 
-/// True iff every operator in this subtree produces columnar batches
-/// natively, so that pulling its root with `next_columnar` converts nothing
-/// anywhere below: scans decode pages straight into column vectors, Filter /
-/// Project / inner HashJoin run vectorized kernels, and the paper's own
-/// operators — both sort enforcers, merge joins of every kind and the
-/// sort-based aggregate — sort, pair and group rows in place in the column
-/// vectors and emit by gather. Those four charge `ExecMetrics`, and charge
-/// the same numbers whichever way they are pulled (see `pyro_exec::sort`),
-/// which is why they can sit anywhere in a columnar subtree.
-///
-/// What the flag decides is only where a plan's *one* conversion to rows
-/// happens. Filter, Project and HashJoin keep a row-batch implementation
-/// (ROADMAP item 3(c) retires it); a flagged one answers `next_batch` with
-/// `next_columnar` + `to_rows` instead. The root of a capable plan is either
-/// flagged or one of the four operators, whose `next_batch` is always
-/// `next_columnar` + `to_rows` — so a capable plan converts exactly once, at
-/// its root. Below an operator that is not capable (nested loops, hash
-/// aggregate, distinct, limit) the default `next_columnar` shim converts at
-/// that operator's seam. An exchange standing in for a capable subtree
-/// hands over whichever layout its consumer pulls.
-pub(crate) fn columnar_capable(node: &PhysNode) -> bool {
-    match &node.op {
-        PhysOp::TableScan { .. }
-        | PhysOp::ClusteredIndexScan { .. }
-        | PhysOp::CoveringIndexScan { .. } => true,
-        PhysOp::HashJoin { kind, .. } if !matches!(kind, pyro_exec::join::JoinKind::Inner) => false,
-        PhysOp::Filter { .. }
-        | PhysOp::Project { .. }
-        | PhysOp::HashJoin { .. }
-        | PhysOp::Sort { .. }
-        | PhysOp::PartialSort { .. }
-        | PhysOp::MergeJoin { .. }
-        | PhysOp::SortAggregate { .. } => node.children.iter().all(|c| columnar_capable(c)),
-        _ => false,
-    }
-}
-
 /// Compiles a subtree. `exact` records whether some consumer above this
 /// point depends on the exact serial row sequence (a sort's comparison
 /// count, a Limit's chosen prefix, a merge join's group pairing); when set,
@@ -228,6 +170,25 @@ pub(crate) fn compile_sub(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -
         }
     }
     compile_serial(node, ctx, exact)
+}
+
+/// Resolves the file a scan leaf reads.
+pub(crate) fn scan_file(node: &PhysNode, catalog: &Catalog) -> Result<TupleFile> {
+    match &node.op {
+        PhysOp::TableScan { table, .. } | PhysOp::ClusteredIndexScan { table, .. } => {
+            Ok(catalog.table(table)?.heap.clone())
+        }
+        PhysOp::CoveringIndexScan { table, index, .. } => catalog
+            .table(table)?
+            .index_files
+            .get(index)
+            .cloned()
+            .ok_or_else(|| PyroError::Plan(format!("index {index} of {table} has no entry file"))),
+        other => Err(PyroError::Plan(format!(
+            "not a scan leaf: {}",
+            other.name()
+        ))),
+    }
 }
 
 fn budget(catalog: &Catalog) -> SortBudget {
@@ -391,12 +352,8 @@ fn compile_filter_child(
 ) -> Result<BoxOp> {
     if let Some(Seek { file, cols, key }) = seek_key(child, predicate, ctx)? {
         let (start, end) = pyro_exec::scan::eq_key_page_range(&file, &cols, &key)?;
-        let mut op: BoxOp = Box::new(FileScan::over_pages(
-            child.schema.clone(),
-            &file,
-            start,
-            end,
-        ));
+        let scan = FileScan::over_pages(child.schema.clone(), &file, start, end);
+        let mut op: BoxOp = Box::new(scan_layout(ctx.columnar, scan));
         op.set_batch_size(ctx.batch);
         return Ok(op);
     }
@@ -407,28 +364,20 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
     // A sequence-sensitive serial operator demands its children's exact
     // serial row sequence; a pass-through one just inherits the demand.
     let child_exact = exact || !sequence_insensitive(&node.op);
-    // Each qualifying node decides for itself; the check is recursive, so
-    // a flagged parent's children are flagged too — or are scans or
-    // exchanges, which serve `next_columnar` natively without a flag.
-    let vectorize = ctx.columnar && columnar_capable(node);
     let mut op: BoxOp = match &node.op {
-        PhysOp::TableScan { table, .. } | PhysOp::ClusteredIndexScan { table, .. } => {
-            let handle = ctx.catalog.table(table)?;
-            Box::new(FileScan::new(node.schema.clone(), &handle.heap))
-        }
-        PhysOp::CoveringIndexScan { table, index, .. } => {
-            let handle = ctx.catalog.table(table)?;
-            let file = handle.index_files.get(index).ok_or_else(|| {
-                PyroError::Plan(format!("index {index} of {table} has no entry file"))
-            })?;
-            Box::new(FileScan::new(node.schema.clone(), file))
+        PhysOp::TableScan { .. }
+        | PhysOp::ClusteredIndexScan { .. }
+        | PhysOp::CoveringIndexScan { .. } => {
+            let file = scan_file(node, ctx.catalog)?;
+            Box::new(scan_layout(
+                ctx.columnar,
+                FileScan::new(node.schema.clone(), &file),
+            ))
         }
         PhysOp::Filter { predicate } => {
             let child = compile_filter_child(&node.children[0], predicate, ctx, child_exact)?;
             let pred = compile_expr_bound(predicate, child.schema(), ctx.params)?;
-            let mut f = Filter::new(child, pred);
-            f.set_columnar(vectorize);
-            Box::new(f)
+            Box::new(Filter::new(child, pred))
         }
         PhysOp::Project { items } => {
             let child = compile_sub(&node.children[0], ctx, child_exact)?;
@@ -436,9 +385,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 .iter()
                 .map(|it| compile_expr_bound(&it.expr, child.schema(), ctx.params))
                 .collect::<Result<Vec<_>>>()?;
-            let mut p = Project::new(child, exprs, node.schema.clone());
-            p.set_columnar(vectorize);
-            Box::new(p)
+            Box::new(Project::new(child, exprs, node.schema.clone()))
         }
         PhysOp::Sort { target } => {
             let child = compile_sub(&node.children[0], ctx, child_exact)?;
@@ -490,15 +437,13 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
             let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
-            let mut j = HashJoin::new(
+            Box::new(HashJoin::new(
                 left,
                 right,
                 KeySpec::new(l_cols),
                 KeySpec::new(r_cols),
                 *kind,
-            );
-            j.set_columnar(vectorize);
-            Box::new(j)
+            ))
         }
         PhysOp::NestedLoopsJoin { kind, pairs } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
@@ -784,13 +729,14 @@ mod tests {
     }
 
     /// A plan of the paper's statements is columnar from its scans to its
-    /// root: every operator in it pulls and hands on column vectors, so the
-    /// one conversion to rows is the root's `next_batch`. (A node that is
-    /// not capable would convert at its seam — the default `next_columnar`
-    /// is `next_batch` + `from_rows`.)
+    /// root: every batch the compiled root hands to [`Pipeline`] is
+    /// `Batch::Cols`, so the one conversion to rows is the root's. (An
+    /// operator that fell back to its row kernel anywhere below would
+    /// surface here as a `Rows` batch, or cost the root a `from_rows`.)
     #[test]
     fn paper_statement_plans_convert_to_rows_only_at_the_root() {
         use pyro_exec::join::JoinKind;
+        use pyro_exec::Batch;
         let cat = paper_catalog();
         let mut seen = [0usize; 5];
         for (label, logical) in paper_statements() {
@@ -798,17 +744,6 @@ mod tests {
                 .with_hash(false)
                 .optimize(&logical)
                 .unwrap();
-            let mut incapable = Vec::new();
-            plan.root.walk(&mut |n| {
-                if !columnar_capable(n) {
-                    incapable.push(n.op.name());
-                }
-            });
-            assert!(
-                incapable.is_empty(),
-                "{label}: {incapable:?} would convert below the root\n{}",
-                plan.explain()
-            );
             let kinds: [&dyn Fn(&PhysNode) -> bool; 5] = [
                 &|n| matches!(n.op, PhysOp::Sort { .. }),
                 &|n| matches!(n.op, PhysOp::PartialSort { .. }),
@@ -819,13 +754,30 @@ mod tests {
             for (count, kind) in seen.iter_mut().zip(kinds) {
                 *count += plan.root.count_nodes(&kind);
             }
+            let options = CompileOptions {
+                batch_size: 64,
+                ..CompileOptions::default()
+            };
+            let (mut root, metrics) = plan.compile(&cat, &options).unwrap().into_parts();
+            let mut by_batch = Vec::new();
+            while let Some(batch) = root.next_batch().unwrap() {
+                assert!(
+                    matches!(batch, Batch::Cols(_)),
+                    "{label}: the root handed over a row batch\n{}",
+                    plan.explain()
+                );
+                by_batch.extend(batch.into_rows());
+            }
             // And the plan runs: row pulls and batch pulls agree.
-            let by_row = plan.compile(&cat).unwrap().run_tuple_at_a_time().unwrap();
-            let by_batch = plan.compile(&cat).unwrap().run().unwrap();
-            assert_eq!(by_row.rows, by_batch.rows, "{label}");
+            let by_row = plan
+                .compile(&cat, &options)
+                .unwrap()
+                .run_tuple_at_a_time()
+                .unwrap();
+            assert_eq!(by_row.rows, by_batch, "{label}");
             assert_eq!(
                 by_row.metrics.comparisons(),
-                by_batch.metrics.comparisons(),
+                metrics.comparisons(),
                 "{label}"
             );
         }

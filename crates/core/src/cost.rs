@@ -37,7 +37,9 @@ pub struct SearchStats {
     pub truncated: u64,
 }
 
-/// Tunable constants of the cost model.
+/// Tunable constants of the cost model. Equality and hashing go by bit
+/// pattern ([`CostParams::to_bits`]), so the two agree and a set of
+/// constants can be part of a plan-cache key.
 #[derive(Debug, Clone, Copy)]
 pub struct CostParams {
     /// Block size in bytes (paper: 4 KB).
@@ -60,6 +62,35 @@ pub struct CostParams {
     /// when the run set fits in the pool (runs are written and immediately
     /// re-read, the pattern a buffer pool absorbs best).
     pub cached_read_discount: f64,
+}
+
+impl CostParams {
+    /// Every constant as its bit pattern.
+    pub fn to_bits(&self) -> [u64; 7] {
+        [
+            self.block_size as u64,
+            self.sort_mem_blocks.to_bits(),
+            self.cmp_io.to_bits(),
+            self.tuple_io.to_bits(),
+            self.hash_io.to_bits(),
+            self.buffer_pool_pages.to_bits(),
+            self.cached_read_discount.to_bits(),
+        ]
+    }
+}
+
+impl PartialEq for CostParams {
+    fn eq(&self, other: &CostParams) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl Eq for CostParams {}
+
+impl std::hash::Hash for CostParams {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.to_bits().hash(state);
+    }
 }
 
 impl Default for CostParams {

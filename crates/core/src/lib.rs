@@ -45,6 +45,7 @@ pub mod stats;
 pub mod strategy;
 
 pub use cache::{CachedStatement, PlanCache, PlanCacheStats, PlanKey};
+pub use compile::CompileOptions;
 pub use cost::SearchStats;
 pub use logical::{AggSpec, JoinPair, LogicalPlan, NExpr, NodeId, ProjItem};
 pub use memo::EnumStrategy;

@@ -7,6 +7,7 @@
 //! interesting orders tried at merge joins and sort aggregates come from the
 //! configured [`Strategy`].
 
+use crate::compile::CompileOptions;
 use crate::cost::{CostParams, SearchStats};
 use crate::equiv::EquivMap;
 use crate::favorable::{compute_afm, lcp_with_set_equiv};
@@ -265,57 +266,21 @@ impl OptimizedPlan {
         self.root.explain()
     }
 
-    /// Compiles to a runnable operator [`pyro_exec::Pipeline`] at the
-    /// default batch size.
-    pub fn compile(&self, catalog: &Catalog) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile(&self.root, catalog)
-    }
-
-    /// Compiles for `workers`-thread execution: parallel-safe subtrees run
-    /// as morsel-driven worker fragments behind exchange operators, with
-    /// per-worker metrics merged back deterministically. `workers = 1` is
-    /// exactly the serial path.
-    pub fn compile_with_workers(
+    /// Compiles to a runnable operator [`pyro_exec::Pipeline`] as `options`
+    /// say (see [`CompileOptions`]; `&CompileOptions::default()` is the
+    /// serial, columnar, 1024-row-batch instantiation), honouring the
+    /// query's own output-order demand.
+    pub fn compile(
         &self,
         catalog: &Catalog,
-        batch_size: usize,
-        workers: usize,
+        options: &CompileOptions,
     ) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile_with_workers_demand(
-            &self.root,
-            catalog,
-            batch_size,
-            workers,
-            self.ordered_output,
-        )
+        crate::compile::compile(&self.root, catalog, self.ordered_output, options)
     }
 
-    /// Compiles for `workers`-thread execution with prepared-statement
-    /// parameter values bound: every `NExpr::Param(i)` in the plan becomes
-    /// the literal `params[i]` in the compiled operators, so one optimized
-    /// plan serves every binding. Pass `&[]` for literal SQL.
-    pub fn compile_bound(
-        &self,
-        catalog: &Catalog,
-        batch_size: usize,
-        workers: usize,
-        params: &[pyro_common::Value],
-    ) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile_bound(
-            &self.root,
-            catalog,
-            batch_size,
-            workers,
-            self.ordered_output,
-            params,
-        )
-    }
-
-    /// [`Self::compile_bound`] with the columnar-execution knob explicit:
-    /// `columnar = false` forces the row-at-a-time batch implementations
-    /// (the `SessionBuilder::columnar(false)` escape hatch and the
-    /// reference side of A/B comparisons); `true` is what every other
-    /// compile entry does.
+    /// [`Self::compile`] with the options spelled out positionally. Kept
+    /// only because the frozen `benchmark/` package calls it by this name
+    /// and signature; new code builds a [`CompileOptions`].
     pub fn compile_bound_columnar(
         &self,
         catalog: &Catalog,
@@ -324,31 +289,20 @@ impl OptimizedPlan {
         params: &[pyro_common::Value],
         columnar: bool,
     ) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile_bound_columnar(
-            &self.root,
-            catalog,
+        let options = CompileOptions {
             batch_size,
             workers,
-            self.ordered_output,
             params,
             columnar,
-        )
+        };
+        self.compile(catalog, &options)
     }
 
-    /// Compiles with an explicit batch granularity (rows exchanged per
-    /// `next_batch` call throughout the pipeline).
-    pub fn compile_with_batch(
-        &self,
-        catalog: &Catalog,
-        batch_size: usize,
-    ) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile_with_batch(&self.root, catalog, batch_size)
-    }
-
-    /// Compiles and drains the pipeline; the returned [`pyro_exec::Rows`]
-    /// carries the rows and the metrics that produced them.
+    /// Compiles with the default options and drains the pipeline; the
+    /// returned [`pyro_exec::Rows`] carries the rows and the metrics that
+    /// produced them.
     pub fn execute(&self, catalog: &Catalog) -> Result<pyro_exec::Rows> {
-        self.compile(catalog)?.run()
+        self.compile(catalog, &CompileOptions::default())?.run()
     }
 }
 

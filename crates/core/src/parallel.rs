@@ -13,8 +13,9 @@
 //! **How a subtree runs.** Its *driving leaf* — the scan reached by
 //! following filter/project inputs and hash-join probe sides — is dealt out
 //! to the workers one morsel at a time, and each worker runs the subtree's
-//! operator chain over the morsels it claims, with the same columnar flags
-//! the serial compiler would set. A hash join's build side is not part of
+//! operator chain over the morsels it claims — the same operators the
+//! serial compiler would build, picking their kernels from the batches the
+//! morsel scan hands them. A hash join's build side is not part of
 //! the chain: it is compiled on its own (recursively parallel, behind its
 //! own exchange, when it is big enough), drained once into a table every
 //! worker shares, and probed by each worker's morsel stream.
@@ -37,16 +38,14 @@
 //!    and its inputs get the same chance.
 
 use crate::compile::{
-    columnar_capable, compile_expr_bound, compile_sub, pair_cols, seeks, CompileCtx,
+    compile_expr_bound, compile_sub, pair_cols, scan_file, scan_layout, seeks, CompileCtx,
 };
 use crate::plan::{PhysNode, PhysOp};
-use pyro_catalog::Catalog;
 use pyro_common::{KeySpec, PyroError, Result};
 use pyro_exec::filter::Filter;
 use pyro_exec::join::{HashJoin, JoinKind, SharedBuild};
 use pyro_exec::project::Project;
 use pyro_exec::{BoxOp, FragmentFn, Gather, MorselSource, Operator, MORSEL_PAGES};
-use pyro_storage::TupleFile;
 use std::sync::Arc;
 
 /// Attempts to instantiate `node` as a parallel subtree; `Ok(None)` means
@@ -74,16 +73,19 @@ pub(crate) fn try_parallel(
     let source = MorselSource::new(&file, exact.then_some(2 * ctx.workers));
     let mut builds = Vec::new();
     let chain = fragment(node, ctx, &mut builds)?;
-    let mut op: BoxOp = Box::new(Gather::new(
+    let mut gather = Gather::new(
         node.schema.clone(),
         source,
         leaf.schema.clone(),
         chain,
         builds,
         ctx.workers,
-    ));
-    op.set_batch_size(ctx.batch);
-    Ok(Some(op))
+    );
+    if Arc::ptr_eq(node, ctx.root) {
+        gather = gather.at_plan_root();
+    }
+    gather.set_batch_size(ctx.batch);
+    Ok(Some(Box::new(gather)))
 }
 
 fn is_scan(op: &PhysOp) -> bool {
@@ -144,28 +146,9 @@ fn filter_over<'a>(leaf: &Arc<PhysNode>, node: &'a Arc<PhysNode>) -> &'a Arc<Phy
     }
 }
 
-/// Resolves the file a scan leaf reads.
-fn scan_file(node: &PhysNode, catalog: &Catalog) -> Result<TupleFile> {
-    match &node.op {
-        PhysOp::TableScan { table, .. } | PhysOp::ClusteredIndexScan { table, .. } => {
-            Ok(catalog.table(table)?.heap.clone())
-        }
-        PhysOp::CoveringIndexScan { table, index, .. } => catalog
-            .table(table)?
-            .index_files
-            .get(index)
-            .cloned()
-            .ok_or_else(|| PyroError::Plan(format!("index {index} of {table} has no entry file"))),
-        other => Err(PyroError::Plan(format!(
-            "not a scan leaf: {}",
-            other.name()
-        ))),
-    }
-}
-
 /// Builds the recipe a worker applies to each morsel scan of the driving
-/// leaf: the subtree's operators above that leaf, flagged columnar exactly
-/// as `compile_serial` flags them. Expressions compile once, here; the
+/// leaf: the subtree's operators above that leaf, over the scan in the
+/// layout the options call for. Expressions compile once, here; the
 /// recipe only clones them. The build side of every hash join in the chain
 /// is appended to `builds`, for the exchange to build before its workers
 /// start probing.
@@ -174,17 +157,12 @@ fn fragment(
     ctx: &CompileCtx,
     builds: &mut Vec<Arc<SharedBuild>>,
 ) -> Result<FragmentFn> {
-    let vectorize = ctx.columnar && columnar_capable(node);
     Ok(match &node.op {
         PhysOp::Filter { predicate } => {
             let child = &node.children[0];
             let pred = compile_expr_bound(predicate, &child.schema, ctx.params)?;
             let below = fragment(child, ctx, builds)?;
-            Arc::new(move |leaf| {
-                let mut f = Filter::new(below(leaf), pred.clone());
-                f.set_columnar(vectorize);
-                Box::new(f)
-            })
+            Arc::new(move |leaf| Box::new(Filter::new(below(leaf), pred.clone())))
         }
         PhysOp::Project { items } => {
             let child = &node.children[0];
@@ -194,11 +172,7 @@ fn fragment(
                 .collect::<Result<Vec<_>>>()?;
             let below = fragment(child, ctx, builds)?;
             let schema = node.schema.clone();
-            Arc::new(move |leaf| {
-                let mut p = Project::new(below(leaf), exprs.clone(), schema.clone());
-                p.set_columnar(vectorize);
-                Box::new(p)
-            })
+            Arc::new(move |leaf| Box::new(Project::new(below(leaf), exprs.clone(), schema.clone())))
         }
         PhysOp::HashJoin { pairs, .. } => {
             let (left, right) = (&node.children[0], &node.children[1]);
@@ -207,11 +181,7 @@ fn fragment(
             // (arrival-order) exchange delivers: build order only permutes
             // the matches of a probe row, and nothing sequence-sensitive
             // sits above an unordered gather.
-            let build = SharedBuild::new(
-                compile_sub(left, ctx, false)?,
-                KeySpec::new(l_cols),
-                vectorize,
-            );
+            let build = SharedBuild::new(compile_sub(left, ctx, false)?, KeySpec::new(l_cols));
             builds.push(build.clone());
             let below = fragment(right, ctx, builds)?;
             let (r_key, batch) = (KeySpec::new(r_cols), ctx.batch);
@@ -221,7 +191,10 @@ fn fragment(
                 Box::new(j)
             })
         }
-        op if is_scan(op) => Arc::new(|leaf| leaf),
+        op if is_scan(op) => {
+            let columnar = ctx.columnar;
+            Arc::new(move |leaf| Box::new(scan_layout(columnar, leaf)))
+        }
         other => {
             return Err(PyroError::Plan(format!(
                 "fragment() on non-parallel-safe operator {}",
@@ -234,8 +207,10 @@ fn fragment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::CompileOptions;
     use crate::logical::{JoinPair, LogicalPlan, NExpr};
     use crate::optimizer::{OptimizedPlan, Optimizer};
+    use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};
     use pyro_exec::Rows;
     use pyro_ordering::SortOrder;
@@ -276,11 +251,13 @@ mod tests {
         let serial = plan.execute(cat).unwrap();
         for columnar in [true, false] {
             for workers in [1, 2, 4] {
-                let out = plan
-                    .compile_bound_columnar(cat, 256, workers, &[], columnar)
-                    .unwrap()
-                    .run()
-                    .unwrap();
+                let options = CompileOptions {
+                    batch_size: 256,
+                    workers,
+                    columnar,
+                    ..CompileOptions::default()
+                };
+                let out = plan.compile(cat, &options).unwrap().run().unwrap();
                 let mode = format!("columnar={columnar} workers={workers}");
                 assert_eq!(
                     serial.metrics.comparisons(),

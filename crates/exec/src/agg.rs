@@ -8,7 +8,7 @@
 //! Query 3 is the paper's example of getting this wrong).
 
 use crate::expr::Expr;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use crate::vector::eval_column;
 use pyro_common::{
     CellRef, Column, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, DataType, KeySpec,
@@ -189,9 +189,10 @@ fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Sche
 
 /// Streaming aggregate over an input sorted by the grouping columns.
 ///
-/// Tuple-at-a-time `next` folds boxed rows (the oracle); `next_columnar`
-/// evaluates each aggregate's argument column at a time, finds group
-/// boundaries by comparing rows in place and folds cells — no row is boxed.
+/// Tuple-at-a-time `next` folds boxed rows (the oracle); `next_batch` takes
+/// its input as columns, evaluates each aggregate's argument column at a
+/// time, finds group boundaries by comparing rows in place and folds cells —
+/// no row is boxed.
 pub struct GroupAggregate {
     child: BoxOp,
     group_key: KeySpec,
@@ -303,10 +304,10 @@ impl GroupAggregate {
     /// Columnar path: pulls the next input batch and evaluates the
     /// aggregate arguments over it. `false` at end of input.
     fn load_batch(&mut self) -> Result<bool> {
-        let Some(batch) = self.child.next_columnar()? else {
+        let Some(batch) = self.child.next_batch()? else {
             return Ok(false);
         };
-        let batch = batch.into_dense();
+        let batch = batch.into_cols().into_dense();
         // The open group's first row stays reachable past its batch.
         if let (Some(open), Some((old, _))) = (&mut self.columnar.open, &self.columnar.input) {
             open.kept.get_or_insert_with(|| old.clone());
@@ -433,15 +434,11 @@ impl Operator for GroupAggregate {
         self.next_group()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        Ok(self.next_columnar()?.map(|b| b.to_rows()))
-    }
-
     /// Emits up to a batch of finished groups per call; under a `Limit`,
     /// one group per call, so the input is read exactly as far as
     /// tuple-at-a-time pulls would read it.
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        self.pull_columnar()
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        Ok(self.pull_columnar()?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {
@@ -523,13 +520,12 @@ impl Operator for HashAggregate {
         Ok(self.output.as_mut().expect("materialized").next())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.output.is_none() {
             self.build(true)?;
         }
         let it = self.output.as_mut().expect("materialized");
-        let out: Vec<Tuple> = it.by_ref().take(self.batch).collect();
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(rows_batch(it.by_ref().take(self.batch).collect()))
     }
 
     fn batch_size(&self) -> usize {

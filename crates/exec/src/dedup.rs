@@ -4,7 +4,7 @@
 //! merge joins.
 
 use crate::metrics::MetricsRef;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -66,7 +66,7 @@ impl Operator for SortDistinct {
         out
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let mut acc = 0;
         let mut out = Vec::new();
         while out.len() < self.batch {
@@ -80,7 +80,7 @@ impl Operator for SortDistinct {
             }
         }
         self.metrics.add_comparisons(acc);
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(rows_batch(out))
     }
 
     fn batch_size(&self) -> usize {
@@ -126,11 +126,9 @@ impl Operator for HashDistinct {
         Ok(None)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        loop {
-            let Some(mut batch) = self.child.next_batch()? else {
-                return Ok(None);
-            };
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        while let Some(batch) = self.child.next_batch()? {
+            let mut batch = batch.into_rows();
             batch.retain(|t| {
                 if self.seen.contains(t.values()) {
                     false
@@ -139,9 +137,10 @@ impl Operator for HashDistinct {
                 }
             });
             if !batch.is_empty() {
-                return Ok(Some(batch));
+                return Ok(Some(Batch::Rows(batch)));
             }
         }
+        Ok(None)
     }
 
     fn batch_size(&self) -> usize {

@@ -24,9 +24,11 @@
 //!   bounds the buffer: a worker may not claim a morsel more than `window`
 //!   sequence numbers past the head.
 //!
-//! Workers hand batches over in the form the consumer first pulls: row
-//! batches for a row consumer (so `to_rows` of a columnar fragment happens
-//! on the worker, in parallel), columnar batches for a columnar one.
+//! Workers hand batches over in the layout the fragment produced them in,
+//! and whoever consumes the exchange converts if it needs to, on its own
+//! thread. The one exception is an exchange that is the root of its plan
+//! ([`Gather::at_plan_root`]): its batches can only become result rows, so
+//! its workers convert them, in parallel, before handing them over.
 //!
 //! Before it spawns anyone, a gather builds — on the consumer thread — every
 //! hash-join table its chain probes ([`SharedBuild::build`]): builds finish
@@ -45,9 +47,9 @@
 //! counters stay bit-identical to `workers = 1`.
 
 use crate::join::SharedBuild;
-use crate::op::{BoxOp, Operator};
-use crate::scan::MorselSource;
-use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
+use crate::op::{Batch, BoxOp, Operator};
+use crate::scan::{FileScan, MorselSource};
+use pyro_common::{PyroError, Result, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -56,29 +58,7 @@ use std::thread::JoinHandle;
 /// The recipe for one parallel fragment: wraps the scan of a claimed morsel
 /// in the fragment's operator chain. Called once per morsel, on the worker
 /// that claimed it.
-pub type FragmentFn = Arc<dyn Fn(BoxOp) -> BoxOp + Send + Sync>;
-
-/// A batch in either layout.
-enum Batch {
-    Rows(Vec<Tuple>),
-    Cols(ColumnarBatch),
-}
-
-impl Batch {
-    fn into_rows(self) -> Vec<Tuple> {
-        match self {
-            Batch::Rows(rows) => rows,
-            Batch::Cols(cols) => cols.to_rows(),
-        }
-    }
-
-    fn into_cols(self) -> ColumnarBatch {
-        match self {
-            Batch::Rows(rows) => ColumnarBatch::from_rows(&rows),
-            Batch::Cols(cols) => cols,
-        }
-    }
-}
+pub type FragmentFn = Arc<dyn Fn(FileScan) -> BoxOp + Send + Sync>;
 
 /// A worker hands a morsel's output over in as few messages as it can — on
 /// a small machine every message may cost the consumer a sleep and a wake,
@@ -122,28 +102,28 @@ struct Fragment {
     source: Arc<MorselSource>,
     leaf_schema: Schema,
     chain: FragmentFn,
+    /// Workers convert what the chain produces to rows (a root exchange).
+    ship_rows: bool,
 }
 
 impl Fragment {
     /// One worker: claim, instantiate, drain, repeat. A failed send means
     /// the consumer is gone (completion or abort): exit.
-    fn work(&self, batch: usize, columnar: bool, tx: &SyncSender<Msg>) {
+    fn work(&self, batch: usize, tx: &SyncSender<Msg>) {
         let _notice = PanicNotice(tx);
         while let Some(morsel) = self.source.claim() {
-            let mut leaf: BoxOp = Box::new(self.source.scan(&morsel, self.leaf_schema.clone()));
+            let mut leaf = self.source.scan(&morsel, self.leaf_schema.clone());
             leaf.set_batch_size(batch);
             let mut op = (self.chain)(leaf);
             op.set_batch_size(batch);
             let mut batches = Vec::new();
             loop {
-                let pulled = if columnar {
-                    op.next_columnar().map(|b| b.map(Batch::Cols))
-                } else {
-                    op.next_batch().map(|b| b.map(Batch::Rows))
-                };
-                let last = match pulled {
+                let last = match op.next_batch() {
                     Ok(Some(b)) => {
-                        batches.push(b);
+                        batches.push(match self.ship_rows {
+                            true => Batch::Rows(b.into_rows()),
+                            false => b,
+                        });
                         false
                     }
                     Ok(None) => true,
@@ -231,6 +211,7 @@ impl Gather {
                 source,
                 leaf_schema,
                 chain,
+                ship_rows: false,
             },
             builds,
             workers: workers.max(1),
@@ -243,11 +224,19 @@ impl Gather {
         }
     }
 
+    /// Marks this exchange as the root of its plan: nothing above it can
+    /// use column batches, so the workers do the conversion to result rows
+    /// between them instead of leaving all of it to the consumer thread.
+    pub fn at_plan_root(mut self) -> Gather {
+        self.fragment.ship_rows = true;
+        self
+    }
+
     /// Builds the shared tables, then spawns the workers. A build side's
     /// own exchange has come and gone before this one's threads start: a
     /// pipeline runs at most `workers` threads at a time, however many
     /// exchanges it nests.
-    fn start(&mut self, columnar: bool) -> Result<()> {
+    fn start(&mut self) -> Result<()> {
         for build in &self.builds {
             build.build()?;
         }
@@ -255,7 +244,7 @@ impl Gather {
         let handles = (0..self.workers)
             .map(|_| {
                 let (fragment, tx, batch) = (self.fragment.clone(), tx.clone(), self.batch);
-                std::thread::spawn(move || fragment.work(batch, columnar, &tx))
+                std::thread::spawn(move || fragment.work(batch, &tx))
             })
             .collect();
         self.state = State::Running { rx, handles };
@@ -318,13 +307,30 @@ impl Gather {
         self.state = State::Failed(e.clone());
         e
     }
+}
 
-    /// The next batch in the mode's order, in whatever layout the workers
-    /// were started with (the first pull decides).
-    fn pull(&mut self, columnar: bool) -> Result<Option<Batch>> {
+impl Operator for Gather {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>> {
+        loop {
+            if let Some(t) = self.pending.next() {
+                return Ok(Some(t));
+            }
+            match self.next_batch()? {
+                Some(batch) => self.pending = batch.into_rows().into_iter(),
+                None => return Ok(None),
+            }
+        }
+    }
+
+    /// The next batch in the mode's order.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         match &self.state {
             State::Idle => {
-                if let Err(e) = self.start(columnar) {
+                if let Err(e) = self.start() {
                     return Err(self.fail(e));
                 }
             }
@@ -348,32 +354,6 @@ impl Gather {
                 Err(_) => self.finish(),
             }
         }
-    }
-}
-
-impl Operator for Gather {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.pending.next() {
-                return Ok(Some(t));
-            }
-            match self.next_batch()? {
-                Some(batch) => self.pending = batch.into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        Ok(self.pull(false)?.map(Batch::into_rows))
-    }
-
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(self.pull(true)?.map(Batch::into_cols))
     }
 
     fn batch_size(&self) -> usize {
@@ -428,31 +408,46 @@ mod tests {
     }
 
     fn identity() -> FragmentFn {
-        Arc::new(|leaf| leaf)
+        Arc::new(|leaf| Box::new(leaf))
     }
 
     fn faulty(after: usize, panic: bool) -> FragmentFn {
-        Arc::new(move |child| {
+        Arc::new(move |leaf| {
             Box::new(FaultyOp {
-                child,
+                child: Box::new(leaf),
                 after,
                 panic,
             })
         })
     }
 
+    /// Both pulls, and under the batch pull both fragment layouts: workers
+    /// ship what the fragment produced, untouched — unless the exchange is
+    /// its plan's root, whose workers ship rows.
     #[test]
     fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
         let (file, rows) = file(600);
+        let row_scan: FragmentFn = Arc::new(|leaf| Box::new(leaf.row_batches()));
         for workers in [1, 2, 4] {
-            let by_batch = collect_batched(Box::new(gather(&file, None, identity(), workers)));
-            let by_row = collect(Box::new(gather(&file, None, identity(), workers)));
-            let mut g = gather(&file, None, identity(), workers);
-            let mut by_col = Vec::new();
-            while let Some(b) = g.next_columnar().unwrap() {
-                by_col.extend(b.to_rows());
+            let by_row = collect(Box::new(gather(&file, None, identity(), workers))).unwrap();
+            let mut outs = vec![by_row];
+            for (chain, root, cols) in [
+                (identity(), false, true),
+                (row_scan.clone(), false, false),
+                (identity(), true, false),
+            ] {
+                let mut g = gather(&file, None, chain, workers);
+                if root {
+                    g = g.at_plan_root();
+                }
+                let mut out = Vec::new();
+                while let Some(b) = g.next_batch().unwrap() {
+                    assert_eq!(matches!(b, Batch::Cols(_)), cols, "workers={workers}");
+                    out.extend(b.into_rows());
+                }
+                outs.push(out);
             }
-            for mut out in [by_batch.unwrap(), by_row.unwrap(), by_col] {
+            for mut out in outs {
                 out.sort_by_key(|t| t.get(1).as_int());
                 assert_eq!(out, rows, "workers={workers}");
             }
@@ -471,7 +466,7 @@ mod tests {
                 Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(lo)),
                 Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(hi)),
             ]);
-            Arc::new(move |leaf| Box::new(Filter::new(leaf, pred.clone())))
+            Arc::new(move |leaf| Box::new(Filter::new(Box::new(leaf), pred.clone())))
         };
         for workers in [1, 2, 4] {
             for window in [1, 2, 8] {
@@ -538,13 +533,13 @@ mod tests {
         let boom = PyroError::Exec("boom".into());
         for window in [None, Some(8)] {
             let claims = std::sync::atomic::AtomicUsize::new(0);
-            let chain: FragmentFn = Arc::new(move |child| {
+            let chain: FragmentFn = Arc::new(move |leaf| {
                 let after = match claims.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
                     9 => 0,
                     _ => usize::MAX,
                 };
                 Box::new(FaultyOp {
-                    child,
+                    child: Box::new(leaf),
                     after,
                     panic: false,
                 })
@@ -560,7 +555,6 @@ mod tests {
             };
             assert_eq!(err, boom, "window={window:?}");
             assert_eq!(g.next_batch().unwrap_err(), boom);
-            assert_eq!(g.next_columnar().unwrap_err(), boom);
             assert_eq!(g.next().unwrap_err(), boom);
         }
     }
@@ -577,12 +571,12 @@ mod tests {
             Box::new(ValuesOp::new(Schema::ints(&["bk", "bv"]), rows.collect()))
         };
         let join_on = |build: BoxOp| -> Gather {
-            let shared = SharedBuild::new(build, KeySpec::new(vec![0]), false);
+            let shared = SharedBuild::new(build, KeySpec::new(vec![0]));
             let probe = shared.clone();
             let chain: FragmentFn = Arc::new(move |leaf| {
                 Box::new(HashJoin::with_shared_build(
                     probe.clone(),
-                    leaf,
+                    Box::new(leaf),
                     KeySpec::new(vec![0]),
                 ))
             });

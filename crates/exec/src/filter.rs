@@ -1,22 +1,17 @@
 //! Selection.
 
 use crate::expr::Expr;
-use crate::op::{BoxOp, Operator};
+use crate::op::{Batch, BoxOp, Operator};
 use crate::vector::VecPredicate;
-use pyro_common::{ColumnarBatch, Result, Schema, Tuple};
+use pyro_common::{Result, Schema, Tuple};
 
 /// Emits child tuples satisfying a predicate. Order-preserving.
 pub struct Filter {
     child: BoxOp,
     predicate: Expr,
-    /// Vectorized form of the predicate (`None` for shapes only the row
-    /// interpreter handles — those fall back per batch on the columnar
-    /// path).
+    /// Vectorized form of the predicate; `None` for shapes only the row
+    /// interpreter handles.
     vec_pred: Option<VecPredicate>,
-    /// When set (by the plan compiler, for fully columnar subtrees) the
-    /// batch pull runs the columnar kernel and materializes rows at this
-    /// seam; the row pull (`next`) is unaffected.
-    columnar: bool,
 }
 
 impl Filter {
@@ -27,14 +22,7 @@ impl Filter {
             child,
             predicate,
             vec_pred,
-            columnar: false,
         }
-    }
-
-    /// Routes this operator's batch pull through the columnar kernel. Set
-    /// only when the whole subtree below supports native columnar pulls.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
     }
 }
 
@@ -52,50 +40,31 @@ impl Operator for Filter {
         Ok(None)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.columnar {
-            return Ok(self.next_columnar()?.map(|b| b.to_rows()));
-        }
-        loop {
-            let Some(mut batch) = self.child.next_batch()? else {
-                return Ok(None);
+    /// A `Cols` batch under a vectorizable predicate has its selection
+    /// vector refined with per-column loops and stays `Cols` — no row is
+    /// materialized. Anything else — a `Rows` batch, or a predicate shape
+    /// the kernel does not cover — is filtered by the row interpreter
+    /// (compiled to a closure once per batch) and handed on as `Rows`.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        while let Some(batch) = self.child.next_batch()? {
+            let mut rows = match (batch, &self.vec_pred) {
+                (Batch::Cols(mut cols), Some(pred)) => {
+                    let mut sel = cols.sel_vec();
+                    pred.refine(&cols, &mut sel);
+                    if sel.is_empty() {
+                        continue;
+                    }
+                    cols.set_sel(sel);
+                    return Ok(Some(Batch::Cols(cols)));
+                }
+                (batch, _) => batch.into_rows(),
             };
-            // Compiles the predicate to a closure once per *batch* (cheap
-            // relative to the ~1k rows it then filters without a tree walk).
-            self.predicate.retain_passing(&mut batch)?;
-            if !batch.is_empty() {
-                return Ok(Some(batch));
+            self.predicate.retain_passing(&mut rows)?;
+            if !rows.is_empty() {
+                return Ok(Some(Batch::Rows(rows)));
             }
         }
-    }
-
-    /// Native columnar filter: refines the batch's selection vector with
-    /// per-column loops; no row is materialized. Predicates outside the
-    /// vectorizable shape run the row interpreter on a materialized copy of
-    /// the batch (correct, just not vectorized).
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        loop {
-            let Some(mut batch) = self.child.next_columnar()? else {
-                return Ok(None);
-            };
-            match &self.vec_pred {
-                Some(pred) => {
-                    let mut sel = batch.sel_vec();
-                    pred.refine(&batch, &mut sel);
-                    if !sel.is_empty() {
-                        batch.set_sel(sel);
-                        return Ok(Some(batch));
-                    }
-                }
-                None => {
-                    let mut rows = batch.to_rows();
-                    self.predicate.retain_passing(&mut rows)?;
-                    if !rows.is_empty() {
-                        return Ok(Some(ColumnarBatch::from_rows(&rows)));
-                    }
-                }
-            }
-        }
+        Ok(None)
     }
 
     fn set_demand_driven(&mut self) {
@@ -120,7 +89,7 @@ impl Operator for Filter {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::op::{collect, collect_batched, ValuesOp};
+    use crate::op::{collect, collect_batched, in_every_layout, ValuesOp};
     use pyro_common::Value;
 
     #[test]
@@ -150,8 +119,9 @@ mod tests {
         assert_eq!(collect(Box::new(f)).unwrap().len(), 1);
     }
 
-    /// The columnar batch pull must emit exactly what the row batch pull
-    /// emits, for both vectorizable and fallback predicate shapes.
+    /// The batch pull must emit exactly what `next` emits — whichever
+    /// layout each input batch arrives in, for both vectorizable and
+    /// fallback predicate shapes.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..100)
@@ -168,8 +138,8 @@ mod tests {
             .collect();
         let preds = [
             Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(30i64)),
-            // Arithmetic inside the comparison: not vectorizable, takes the
-            // row fallback inside the columnar path.
+            // Arithmetic inside the comparison: not vectorizable, so `Cols`
+            // batches too go through the row interpreter.
             Expr::cmp(
                 CmpOp::Lt,
                 Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1))),
@@ -177,18 +147,16 @@ mod tests {
             ),
         ];
         for pred in preds {
-            let reference = collect_batched(Box::new(Filter::new(
+            let reference = collect(Box::new(Filter::new(
                 Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
                 pred.clone(),
             )))
             .unwrap();
-            let mut columnar = Filter::new(
-                Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
-                pred.clone(),
-            );
-            columnar.set_columnar(true);
-            let out = collect_batched(Box::new(columnar)).unwrap();
-            assert_eq!(reference, out, "predicate {pred:?}");
+            assert!(!reference.is_empty());
+            for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
+                let out = collect_batched(Box::new(Filter::new(input, pred.clone()))).unwrap();
+                assert_eq!(reference, out, "predicate {pred:?}");
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! own morsels against it.
 
 use super::JoinKind;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{
     ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple,
     Value,
@@ -37,9 +37,6 @@ pub struct HashJoin {
     drain_unmatched: bool,
     probe_stash: Stash,
     batch: usize,
-    /// When set (by the plan compiler, inner joins over fully columnar
-    /// subtrees only) the batch pull runs the vectorized build/probe kernel.
-    columnar: bool,
     /// The probe batch currently being walked: `(batch, selection, cursor)`.
     probe_pos: Option<(ColumnarBatch, Vec<u32>, usize)>,
 }
@@ -52,80 +49,79 @@ enum BuildSide {
     Shared(Arc<SharedBuild>),
 }
 
-/// The granularity the build input is drained at — the one the join itself
-/// is being pulled at, so the pull styles never interleave on the input.
-#[derive(Clone, Copy)]
-enum Pull {
-    Row,
-    Batch,
-    Columnar,
-}
-
-/// A finished build side.
+/// A finished build side. Which form it takes is read off the build data.
 enum Built {
-    /// Every build-key column came back integer-typed from a columnar
-    /// drain: tight chained hash table over flattened `i64` keys.
+    /// An inner join whose build side arrived as `Cols` batches throughout
+    /// with every key column integer-typed: tight chained hash table over
+    /// flattened `i64` keys, probed by the column kernel.
     Vector(VectorTable),
     /// Everything else: the rows themselves plus a key index.
     Rows(RowTable),
 }
 
 impl Built {
-    /// Drains `input` and builds the table form `pull` calls for. Rows are
-    /// inserted in arrival order under every form, which is what makes the
-    /// per-probe-row match order identical across them.
-    fn drain(input: &mut BoxOp, key_cols: &[usize], pull: Pull) -> Result<Built> {
+    /// Drains `input` tuple-at-a-time into a row table (the oracle pull).
+    fn drain_rows(input: &mut BoxOp, key_cols: &[usize]) -> Result<Built> {
         let mut rows = RowTable::default();
-        match pull {
-            Pull::Row => {
-                while let Some(t) = input.next()? {
-                    rows.insert(t, key_cols);
-                }
-            }
-            Pull::Batch => {
-                while let Some(batch) = input.next_batch()? {
-                    for t in batch {
-                        rows.insert(t, key_cols);
-                    }
-                }
-            }
-            Pull::Columnar => {
-                let mut builders: Vec<ColumnBuilder> = (0..input.schema().len())
-                    .map(|_| ColumnBuilder::new())
-                    .collect();
-                while let Some(b) = input.next_columnar()? {
-                    for (c, builder) in builders.iter_mut().enumerate() {
-                        builder.append_column(b.column(c), b.sel());
-                    }
-                }
-                let cols: Vec<ColumnVec> =
-                    builders.into_iter().map(ColumnBuilder::finish).collect();
-                if key_cols
-                    .iter()
-                    .all(|&c| matches!(cols[c].data(), ColumnData::Int(_)))
-                {
-                    return Ok(Built::Vector(VectorTable::build(cols, key_cols)));
-                }
-                // Non-integer keys: rebuild the exact row stream for the row
-                // table, so match semantics (`Value` equality, NULL
-                // handling) cannot diverge from the row path.
-                for i in 0..cols.first().map_or(0, ColumnVec::len) {
-                    let t = Tuple::new(cols.iter().map(|c| c.value_at(i)).collect());
-                    rows.insert(t, key_cols);
-                }
-            }
+        while let Some(t) = input.next()? {
+            rows.insert(t, key_cols);
         }
         Ok(Built::Rows(rows))
     }
 
-    /// The row table, for the row-granularity probe. A columnar drain is the
-    /// only source of a vector table and it is only ever requested by the
-    /// columnar pull, so the error marks interleaved pull styles.
+    /// Drains `input` batch-at-a-time. Rows are inserted in arrival order
+    /// under either form, which is what makes the per-probe-row match order
+    /// identical across them. With `vectorize` (inner joins), `Cols`
+    /// batches are concatenated column by column for a vector table; the
+    /// first `Rows` batch — or a non-integer key column at the end — turns
+    /// what has been gathered into the exact row stream for the row table,
+    /// so match semantics (`Value` equality, NULL handling) cannot diverge.
+    fn drain(input: &mut BoxOp, key_cols: &[usize], vectorize: bool) -> Result<Built> {
+        let mut rows = RowTable::default();
+        let finish = |b: Vec<ColumnBuilder>| b.into_iter().map(ColumnBuilder::finish).collect();
+        // `Some` while every batch so far was `Cols`.
+        let mut gathered: Option<Vec<ColumnBuilder>> = vectorize.then(|| {
+            (0..input.schema().len())
+                .map(|_| ColumnBuilder::new())
+                .collect()
+        });
+        while let Some(batch) = input.next_batch()? {
+            let batch = match (batch, gathered.as_mut()) {
+                (Batch::Cols(b), Some(builders)) => {
+                    for (c, builder) in builders.iter_mut().enumerate() {
+                        builder.append_column(b.column(c), b.sel());
+                    }
+                    continue;
+                }
+                (batch, _) => batch,
+            };
+            if let Some(builders) = gathered.take() {
+                rows.insert_columns(finish(builders), key_cols);
+            }
+            for t in batch.into_rows() {
+                rows.insert(t, key_cols);
+            }
+        }
+        if let Some(builders) = gathered {
+            let cols: Vec<ColumnVec> = finish(builders);
+            if key_cols
+                .iter()
+                .all(|&c| matches!(cols[c].data(), ColumnData::Int(_)))
+            {
+                return Ok(Built::Vector(VectorTable::build(cols, key_cols)));
+            }
+            rows.insert_columns(cols, key_cols);
+        }
+        Ok(Built::Rows(rows))
+    }
+
+    /// The row table, for the tuple-at-a-time probe. Only the batch pull
+    /// builds a vector table, so the error marks interleaved pulls.
     fn rows(&self) -> Result<&RowTable> {
         match self {
             Built::Rows(t) => Ok(t),
             Built::Vector(_) => Err(PyroError::Exec(
-                "hash join pulled row-wise after a columnar build".into(),
+                "hash join pulled with next() after a next_batch() build".into(),
             )),
         }
     }
@@ -150,6 +146,14 @@ impl RowTable {
         } else {
             self.index.entry(key).or_default().push(self.rows.len());
             self.rows.push(t);
+        }
+    }
+
+    /// Inserts the rows of concatenated build columns, in order.
+    fn insert_columns(&mut self, cols: Vec<ColumnVec>, key_cols: &[usize]) {
+        for i in 0..cols.first().map_or(0, ColumnVec::len) {
+            let t = Tuple::new(cols.iter().map(|c| c.value_at(i)).collect());
+            self.insert(t, key_cols);
         }
     }
 }
@@ -203,20 +207,17 @@ impl RowProbe {
 pub struct SharedBuild {
     schema: Schema,
     key: KeySpec,
-    columnar: bool,
     /// The build input until the builder takes it.
     input: Mutex<Option<BoxOp>>,
     built: OnceLock<Result<Arc<Built>>>,
 }
 
 impl SharedBuild {
-    /// A build side over `input`, keyed on `key`; `columnar` picks the
-    /// drain granularity (and must match the probing joins' flag).
-    pub fn new(input: BoxOp, key: KeySpec, columnar: bool) -> Arc<SharedBuild> {
+    /// A build side over `input`, keyed on `key`.
+    pub fn new(input: BoxOp, key: KeySpec) -> Arc<SharedBuild> {
         Arc::new(SharedBuild {
             schema: input.schema().clone(),
             key,
-            columnar,
             input: Mutex::new(Some(input)),
             built: OnceLock::new(),
         })
@@ -246,12 +247,7 @@ impl SharedBuild {
                 let mut input = input.ok_or_else(|| {
                     PyroError::Exec("shared hash-join build abandoned by its builder".into())
                 })?;
-                let pull = if self.columnar {
-                    Pull::Columnar
-                } else {
-                    Pull::Batch
-                };
-                Built::drain(&mut input, self.key.cols(), pull).map(Arc::new)
+                Built::drain(&mut input, self.key.cols(), true).map(Arc::new)
             })
             .clone()
     }
@@ -394,17 +390,15 @@ impl HashJoin {
     /// One worker's inner join against a build side shared with the other
     /// workers of the same parallel join.
     pub fn with_shared_build(build: Arc<SharedBuild>, right: BoxOp, right_key: KeySpec) -> Self {
-        let (schema, key, columnar) = (build.schema.clone(), build.key.clone(), build.columnar);
-        let mut join = HashJoin::over(
+        let (schema, key) = (build.schema.clone(), build.key.clone());
+        HashJoin::over(
             BuildSide::Shared(build),
             &schema,
             key,
             right,
             right_key,
             JoinKind::Inner,
-        );
-        join.columnar = columnar;
-        join
+        )
     }
 
     fn over(
@@ -435,21 +429,15 @@ impl HashJoin {
             drain_unmatched: false,
             probe_stash: Stash::new(),
             batch: DEFAULT_BATCH_SIZE,
-            columnar: false,
             probe_pos: None,
         }
     }
 
-    /// Routes this operator's batch pull through the vectorized build/probe
-    /// kernel. Only honoured for inner joins (outer pads need the row
-    /// table's seen-bits); set only when both subtrees support native
-    /// columnar pulls.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on && matches!(self.kind, JoinKind::Inner);
-    }
-
-    /// The finished build side, building (or waiting for) it on first use.
-    fn built(&mut self, pull: Pull) -> Result<Arc<Built>> {
+    /// The finished build side, building (or waiting for) it on first use;
+    /// `batched` is the pull the join itself is being driven by, so the two
+    /// pulls never interleave on the build input. Only an inner join may
+    /// get a vector table: the outer pads need the row table's seen-bits.
+    fn built(&mut self, batched: bool) -> Result<Arc<Built>> {
         if let Some(t) = &self.table {
             return Ok(t.clone());
         }
@@ -458,7 +446,12 @@ impl HashJoin {
                 let mut input = input.take().ok_or_else(|| {
                     PyroError::Exec("hash join re-pulled after its build failed".into())
                 })?;
-                Arc::new(Built::drain(&mut input, self.left_key.cols(), pull)?)
+                let key_cols = self.left_key.cols();
+                Arc::new(if batched {
+                    Built::drain(&mut input, key_cols, matches!(self.kind, JoinKind::Inner))?
+                } else {
+                    Built::drain_rows(&mut input, key_cols)?
+                })
             }
             BuildSide::Shared(shared) => shared.get()?,
         };
@@ -512,9 +505,9 @@ impl HashJoin {
         Ok(true)
     }
 
-    /// The row-granularity batch pull (original path); also serves the
-    /// columnar pull's row fallback.
-    fn next_batch_rows(&mut self) -> Result<Option<Vec<Tuple>>> {
+    /// The batch pull against a row table: probes row by row, whatever
+    /// layout the probe batches arrive in.
+    fn probe_rows(&mut self, table: &RowTable) -> Result<Option<Batch>> {
         // Leftovers from the row path or the unmatched-rows drain.
         let mut out: Vec<Tuple> = Vec::new();
         while out.len() < self.batch {
@@ -524,10 +517,8 @@ impl HashJoin {
             }
         }
         if out.len() >= self.batch {
-            return Ok(Some(out));
+            return Ok(Some(Batch::Rows(out)));
         }
-        let built = self.built(Pull::Batch)?;
-        let table = built.rows()?;
         // Probe loop: matches go straight into the output batch — no
         // per-probe-row staging vector. A probe row with several matches
         // may overshoot the batch size by one match set (allowed by the
@@ -552,7 +543,7 @@ impl HashJoin {
                 }
             }
         }
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(rows_batch(out))
     }
 
     /// Walks the current probe batch from `cursor`, appending matched
@@ -634,7 +625,7 @@ impl Operator for HashJoin {
         if let Some(t) = self.pending.next() {
             return Ok(Some(t));
         }
-        let built = self.built(Pull::Row)?;
+        let built = self.built(false)?;
         let table = built.rows()?;
         loop {
             if !self.step(table, false)? {
@@ -646,30 +637,17 @@ impl Operator for HashJoin {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.columnar {
-            return Ok(self.next_columnar()?.map(|b| b.to_rows()));
+    /// Probes with the kernel the build side calls for. A vector table
+    /// (see `Built`) is probed column-at-a-time: integer key words are
+    /// extracted per probe batch, the flat chains walked, and output
+    /// gathered into `Cols`. A row table is probed row by row into `Rows`.
+    /// Emission order is the same under both, and `next()`'s exactly: probe
+    /// stream order, matches per probe row in build arrival order.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        match &*self.built(true)? {
+            Built::Vector(table) => Ok(self.probe_columnar(table)?.map(Batch::Cols)),
+            Built::Rows(table) => self.probe_rows(table),
         }
-        self.next_batch_rows()
-    }
-
-    /// Vectorized inner join. Build concatenates the left stream's columns
-    /// once; probing extracts integer key words per probe batch, walks the
-    /// flat chains, and gathers output column-at-a-time. Emission order is
-    /// the row path's exactly: probe stream order, matches per probe row in
-    /// build arrival order. Non-integer build keys (a row table) and the
-    /// outer joins (whose pads need the seen-bits) shim through the row
-    /// probe.
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        if matches!(self.kind, JoinKind::Inner) {
-            let built = self.built(Pull::Columnar)?;
-            if let Built::Vector(table) = &*built {
-                return self.probe_columnar(table);
-            }
-        }
-        Ok(self
-            .next_batch_rows()?
-            .map(|b| ColumnarBatch::from_rows(&b)))
     }
 
     fn batch_size(&self) -> usize {
@@ -716,7 +694,7 @@ impl HashJoin {
                 // Batch fully probed with no matches: fall through to pull
                 // the next one.
             }
-            match self.right.next_columnar()? {
+            match self.right.next_batch()?.map(Batch::into_cols) {
                 Some(pb) => {
                     let sel = pb.sel_vec();
                     self.probe_pos = Some((pb, sel, 0));
@@ -805,64 +783,65 @@ mod tests {
         assert_eq!(out.len(), 4);
     }
 
-    /// The vectorized columnar pull must emit the row batch pull's rows in
-    /// the row batch pull's order — duplicate keys, NULL keys, multi-column
-    /// keys, and sub-batch-size output slices included.
+    /// `next` over `left ⋈ right`, then the batch pull at several batch
+    /// sizes with the build and the probe side each fed every layout stream
+    /// — all-`Cols` build sides get the vector table, any `Rows` batch the
+    /// row table, and either is probed by either layout: same rows, same
+    /// order.
+    fn assert_batch_pull_matches_next(
+        left: (Schema, Vec<Tuple>),
+        right: (Schema, Vec<Tuple>),
+        kind: JoinKind,
+    ) -> Vec<Tuple> {
+        use crate::op::{collect_batched, in_every_layout};
+        let key = || KeySpec::new(vec![0]);
+        let values = |(schema, rows): &(Schema, Vec<Tuple>)| -> BoxOp {
+            Box::new(ValuesOp::new(schema.clone(), rows.clone()))
+        };
+        let next = HashJoin::new(values(&left), values(&right), key(), key(), kind);
+        let reference = collect(Box::new(next)).unwrap();
+        for batch in [1usize, 7, 1024] {
+            for (b, p) in (0..3).flat_map(|b| (0..3).map(move |p| (b, p))) {
+                let [build, probe] = [(&left, b), (&right, p)]
+                    .map(|((schema, rows), i)| in_every_layout(schema, rows).into_iter().nth(i));
+                let mut op = HashJoin::new(build.unwrap(), probe.unwrap(), key(), key(), kind);
+                op.set_batch_size(batch);
+                let out = collect_batched(Box::new(op)).unwrap();
+                assert_eq!(reference, out, "build {b} probe {p} batch {batch}");
+            }
+        }
+        reference
+    }
+
+    /// Duplicate keys, NULL keys and sub-batch-size output slices, inner
+    /// and — always on the row table — both outer kinds.
     #[test]
     fn columnar_pull_matches_row_pull() {
-        use crate::op::collect_batched;
-
-        let left_rows: Vec<Tuple> = (0..200)
-            .map(|i| {
-                Tuple::new(vec![
-                    if i % 17 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(i % 23)
-                    },
-                    Value::Int(i),
-                ])
-            })
-            .collect();
-        let right_rows: Vec<Tuple> = (0..150)
-            .map(|i| {
-                Tuple::new(vec![
-                    if i % 11 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(i % 29)
-                    },
-                    Value::Int(1000 + i),
-                ])
-            })
-            .collect();
-        let make = |columnar: bool, batch: usize| {
-            let left = ValuesOp::new(Schema::ints(&["a", "b"]), left_rows.clone());
-            let right = ValuesOp::new(Schema::ints(&["c", "d"]), right_rows.clone());
-            let mut op = HashJoin::new(
-                Box::new(left),
-                Box::new(right),
-                KeySpec::new(vec![0]),
-                KeySpec::new(vec![0]),
-                JoinKind::Inner,
-            );
-            op.set_columnar(columnar);
-            op.set_batch_size(batch);
-            Box::new(op)
+        let side = |n: i64, modulus: i64, null_every: i64, base: i64| -> Vec<Tuple> {
+            (0..n)
+                .map(|i| {
+                    let k = match i % null_every {
+                        0 => Value::Null,
+                        _ => Value::Int(i % modulus),
+                    };
+                    Tuple::new(vec![k, Value::Int(base + i)])
+                })
+                .collect()
         };
-        let reference = collect_batched(make(false, 1024)).unwrap();
-        assert!(!reference.is_empty());
-        for batch in [1usize, 7, 1024] {
-            let out = collect_batched(make(true, batch)).unwrap();
-            assert_eq!(reference, out, "batch size {batch}");
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+            let out = assert_batch_pull_matches_next(
+                (Schema::ints(&["a", "b"]), side(200, 23, 17, 0)),
+                (Schema::ints(&["c", "d"]), side(150, 29, 11, 1000)),
+                kind,
+            );
+            assert!(!out.is_empty());
         }
     }
 
-    /// Non-integer build keys take the row-table fallback inside the
-    /// columnar pull and must still match the row path exactly.
+    /// Non-integer build keys end up in the row table even when every build
+    /// batch is `Cols`, and must still match `next` exactly.
     #[test]
     fn columnar_fallback_on_string_keys_matches_row_pull() {
-        use crate::op::collect_batched;
         use pyro_common::{Column, DataType};
 
         let schema = |a: &str, b: &str| {
@@ -891,46 +870,28 @@ mod tests {
                 ])
             })
             .collect();
-        let make = |columnar: bool| {
-            let left = ValuesOp::new(schema("a", "b"), left_rows.clone());
-            let right = ValuesOp::new(schema("c", "d"), right_rows.clone());
-            let mut op = HashJoin::new(
-                Box::new(left),
-                Box::new(right),
-                KeySpec::new(vec![0]),
-                KeySpec::new(vec![0]),
-                JoinKind::Inner,
-            );
-            op.set_columnar(columnar);
-            Box::new(op)
-        };
-        let reference = collect_batched(make(false)).unwrap();
-        assert!(!reference.is_empty());
-        assert_eq!(reference, collect_batched(make(true)).unwrap());
+        let out = assert_batch_pull_matches_next(
+            (schema("a", "b"), left_rows),
+            (schema("c", "d"), right_rows),
+            JoinKind::Inner,
+        );
+        assert!(!out.is_empty());
     }
 
     /// Int build keys never match Double/Str probe cells (`Value` equality
     /// is typed), and the vectorized probe must agree.
     #[test]
     fn columnar_probe_type_mismatch_never_matches() {
-        use crate::op::collect_batched;
-
-        let left = ValuesOp::new(Schema::ints(&["a", "b"]), rows(&[(1, 10), (2, 20)]));
         let right_rows = vec![
             Tuple::new(vec![Value::Double(1.0), Value::Int(0)]),
             Tuple::new(vec![Value::Int(2), Value::Int(1)]),
             Tuple::new(vec![Value::Null, Value::Int(2)]),
         ];
-        let right = ValuesOp::new(Schema::ints(&["c", "d"]), right_rows);
-        let mut op = HashJoin::new(
-            Box::new(left),
-            Box::new(right),
-            KeySpec::new(vec![0]),
-            KeySpec::new(vec![0]),
+        let out = assert_batch_pull_matches_next(
+            (Schema::ints(&["a", "b"]), rows(&[(1, 10), (2, 20)])),
+            (Schema::ints(&["c", "d"]), right_rows),
             JoinKind::Inner,
         );
-        op.set_columnar(true);
-        let out = collect_batched(Box::new(op)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), &Value::Int(2));
     }
@@ -979,8 +940,10 @@ mod tests {
     /// others wait; all of them probe that one table, in either form.
     #[test]
     fn shared_build_serves_concurrent_joins_from_one_drain() {
-        for columnar in [false, true] {
-            let shared = SharedBuild::new(build_rows(), KeySpec::new(vec![0]), columnar);
+        let schema = Schema::ints(&["a", "b"]);
+        let table = collect(build_rows()).unwrap();
+        for build in crate::op::in_every_layout(&schema, &table) {
+            let shared = SharedBuild::new(build, KeySpec::new(vec![0]));
             let mut out: Vec<Tuple> = probe_shared_concurrently(&shared)
                 .into_iter()
                 .flat_map(|r| r.expect("no panic").expect("no error"))
@@ -1000,7 +963,7 @@ mod tests {
             }
             expect.sort();
             assert!(!expect.is_empty());
-            assert_eq!(out, expect, "columnar={columnar}");
+            assert_eq!(out, expect);
         }
     }
 
@@ -1017,14 +980,14 @@ mod tests {
                 panic,
             })
         };
-        let shared = SharedBuild::new(faulty(false), KeySpec::new(vec![0]), false);
+        let shared = SharedBuild::new(faulty(false), KeySpec::new(vec![0]));
         for r in probe_shared_concurrently(&shared) {
             assert_eq!(
                 r.expect("no panic").unwrap_err(),
                 PyroError::Exec("boom".into())
             );
         }
-        let shared = SharedBuild::new(faulty(true), KeySpec::new(vec![0]), false);
+        let shared = SharedBuild::new(faulty(true), KeySpec::new(vec![0]));
         let results = probe_shared_concurrently(&shared);
         assert_eq!(
             results.iter().filter(|r| r.is_err()).count(),

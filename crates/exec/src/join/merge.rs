@@ -21,7 +21,7 @@
 
 use super::JoinKind;
 use crate::metrics::MetricsRef;
-use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, Tuple, NULL_ROW};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use std::sync::Arc;
 ///
 /// Two implementations share the group-pairing logic line for line:
 /// tuple-at-a-time `next` buffers each group as a `Vec<Tuple>` and
-/// concatenates boxed rows (the oracle); `next_columnar` keeps each group as
+/// concatenates boxed rows (the oracle); `next_batch` keeps each group as
 /// a row range of its input batch and emits `(left row, right row)` index
 /// pairs gathered column at a time, with [`NULL_ROW`] for outer padding.
 pub struct MergeJoin {
@@ -407,7 +407,7 @@ impl MergeJoin {
                 &mut self.right
             };
             let s = &mut self.columnar.sides[w];
-            match input.next_columnar()? {
+            match input.next_batch()?.map(Batch::into_cols) {
                 None => s.done = true,
                 Some(next) => {
                     let merged = match &s.batch {
@@ -596,16 +596,12 @@ impl Operator for MergeJoin {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        Ok(self.next_columnar()?.map(|b| b.to_rows()))
-    }
-
     /// Emits whole group pairings, about a batchful per call (one pairing
     /// may overshoot it, as the batch contract allows) — or, under a
     /// `Limit`, one productive pairing per call, so the inputs are read
     /// exactly as far as tuple-at-a-time pulls would read them.
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        self.pull_columnar()
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        Ok(self.pull_columnar()?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {

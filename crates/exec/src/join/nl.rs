@@ -5,7 +5,7 @@
 //! against.
 
 use super::JoinKind;
-use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple, Value};
 
 /// Materializing nested-loops join (inner side buffered).
@@ -151,7 +151,7 @@ impl Operator for NestedLoopsJoin {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         // Leftovers from the row path or the full-outer drain.
         let mut out: Vec<Tuple> = Vec::new();
         while out.len() < self.batch {
@@ -161,7 +161,7 @@ impl Operator for NestedLoopsJoin {
             }
         }
         if out.len() >= self.batch {
-            return Ok(Some(out));
+            return Ok(Some(Batch::Rows(out)));
         }
         self.materialize_right(true)?;
         // Join loop: matched rows go straight into the output batch.
@@ -185,7 +185,7 @@ impl Operator for NestedLoopsJoin {
                 }
             }
         }
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(rows_batch(out))
     }
 
     fn batch_size(&self) -> usize {

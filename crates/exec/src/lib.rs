@@ -2,10 +2,11 @@
 //!
 //! A Volcano-style (pull-based) execution engine that exchanges rows
 //! **batch-at-a-time** — every operator implements tuple-wise
-//! [`Operator::next`], the row-batch pull [`Operator::next_batch`] and the
-//! columnar pull [`Operator::next_columnar`] (see `op.rs` for the batch
-//! contract; counter totals are identical on every path, with `next` as the
-//! oracle) — built to make the paper's §3 claims observable:
+//! [`Operator::next`] and the batch pull [`Operator::next_batch`], which
+//! hands over a [`Batch`] of boxed rows or of column vectors (see `op.rs`
+//! for the layout rule and the batch contract; counter totals are identical
+//! on both pulls, with `next` as the oracle) — built to make the paper's §3
+//! claims observable:
 //!
 //! * [`sort::StandardReplacementSort`] (SRS) — classical replacement
 //!   selection with run spilling and multi-pass merging; falls back to a
@@ -43,7 +44,8 @@ pub use exchange::{FragmentFn, Gather};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, MetricsRef};
 pub use op::{
-    collect, collect_batched, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp, DEFAULT_BATCH_SIZE,
+    collect, collect_batched, Batch, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp,
+    DEFAULT_BATCH_SIZE,
 };
 pub use scan::{FileScan, Morsel, MorselSource, MORSEL_PAGES};
 pub use vector::{eval_column, VecPredicate};

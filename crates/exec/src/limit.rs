@@ -5,7 +5,7 @@
 //! pipeline stops after the first segments instead of sorting everything —
 //! the `fig08` bench demonstrates exactly that.
 
-use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{Result, Schema, Tuple};
 
 /// Emits at most `k` child tuples, then stops pulling.
@@ -50,7 +50,7 @@ impl Operator for Limit {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -61,13 +61,13 @@ impl Operator for Limit {
         // may still read ahead by up to one batch; see the op.rs contract.)
         let want = (self.batch as u64).min(self.remaining) as usize;
         self.child.set_batch_size(want);
-        match self.child.next_batch()? {
+        match self.child.next_batch()?.map(Batch::into_rows) {
             Some(mut batch) => {
                 if batch.len() as u64 > self.remaining {
                     batch.truncate(self.remaining as usize);
                 }
                 self.remaining -= batch.len() as u64;
-                Ok(Some(batch))
+                Ok(Some(Batch::Rows(batch)))
             }
             None => {
                 self.remaining = 0;

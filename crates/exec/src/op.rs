@@ -1,17 +1,30 @@
-//! The Volcano operator interface, in three granularities: classic
-//! tuple-at-a-time `next()`, row batches via `next_batch()`, and columnar
-//! batches via `next_columnar()`.
+//! The Volcano operator interface, in two pulls: classic tuple-at-a-time
+//! `next()` — the oracle every parity suite compares against — and
+//! `next_batch()`, which hands over a [`Batch`] of rows in whichever layout
+//! the operator naturally produces.
 //!
-//! **Batch contract.** One `next_batch()` (or `next_columnar()`) call on an
-//! operator configured for batch size `B` performs exactly the same per-row
-//! work — and charges exactly the same [`crate::ExecMetrics`] — as up to `B`
-//! consecutive `next()` calls would; it returns `Ok(None)` only at end of
-//! stream, and a short (even partial) batch does *not* signal the end. This
-//! equivalence is what keeps counter totals bit-identical between the
-//! paths (the paper's Experiment A figures depend on it) while letting
-//! batch-native operators skip per-row virtual dispatch, reuse buffers, and
-//! charge metrics once per batch. Tuple-at-a-time `next()` is the oracle:
-//! the parity suites hold every other path to its rows and its counters.
+//! **Layout rule.** A [`Batch`] is either `Rows` (boxed tuples) or `Cols`
+//! (column vectors). Each operator emits its natural layout and takes what
+//! it is given: a scan decodes pages into `Cols`; filter, projection and
+//! the hash join run their column kernel on `Cols` and their row kernel on
+//! `Rows`, read off the batch in hand; both sort enforcers, the merge join
+//! and the sort-based aggregate work on columns, so they call
+//! [`Batch::into_cols`] on input and emit `Cols`; inherently row-wise
+//! operators (nested loops, hash aggregate, the distincts, limit) call
+//! [`Batch::into_rows`] and emit `Rows`. A conversion costs nothing when the
+//! layout already matches, so a row-to-row seam is a move, a plan that is
+//! columnar throughout converts exactly once — [`Pipeline::run`]'s
+//! `into_rows` at the root — and nothing is decided ahead of time.
+//!
+//! **Batch contract.** One `next_batch()` call on an operator configured for
+//! batch size `B` performs exactly the same per-row work — and charges
+//! exactly the same [`crate::ExecMetrics`] — as up to `B` consecutive
+//! `next()` calls would, whichever layout it is fed; it returns `Ok(None)`
+//! only at end of stream, and a short (even partial) batch does *not* signal
+//! the end. This equivalence is what keeps counter totals bit-identical
+//! between the two pulls (the paper's Experiment A figures depend on it)
+//! while letting batch-native operators skip per-row virtual dispatch, reuse
+//! buffers, and charge metrics once per batch.
 //!
 //! An operator that works ahead to fill its batch (a partial sort closing
 //! several segments, a merge join pairing several groups) relies on its
@@ -19,11 +32,15 @@
 //! says so through [`Operator::set_demand_driven`], and such operators then
 //! do one unit of work per pull. Base-table device reads are the one
 //! deliberate exception: a consumer pulls a whole child batch, so under
-//! early termination (Top-K) the batch paths may read up to one batch of
+//! early termination (Top-K) the batch pull may read up to one batch of
 //! input beyond demand — bounded read-ahead, like any paged scan;
-//! `ExecMetrics` (comparisons, run I/O) still match exactly. The pull
-//! styles must not be interleaved on the same operator: batch-native
-//! operators buffer input that the row path does not see.
+//! `ExecMetrics` (comparisons, run I/O) still match exactly.
+//!
+//! **The two pulls must not be interleaved** on one operator: a batch pull
+//! buffers input (a stash of rows, a half-probed batch, a hash table built
+//! from columns) that `next()` does not see. Layouts, by contrast, may
+//! change from one batch to the next — every operator looks at each batch
+//! it receives.
 
 use crate::metrics::MetricsRef;
 use pyro_common::{ColumnarBatch, Result, Schema, Tuple};
@@ -33,16 +50,54 @@ use pyro_storage::StoreRef;
 /// default).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
+/// One batch of an operator's output, in the layout the operator produced
+/// it in (see the module doc's layout rule).
+#[derive(Debug, Clone)]
+pub enum Batch {
+    /// Boxed tuples.
+    Rows(Vec<Tuple>),
+    /// Column vectors (plus an optional selection vector).
+    Cols(ColumnarBatch),
+}
+
+impl Batch {
+    /// Number of (selected) rows.
+    pub fn num_rows(&self) -> usize {
+        match self {
+            Batch::Rows(rows) => rows.len(),
+            Batch::Cols(cols) => cols.num_rows(),
+        }
+    }
+
+    /// The batch as boxed tuples: a move for `Rows`, one
+    /// [`ColumnarBatch::to_rows`] for `Cols`.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        match self {
+            Batch::Rows(rows) => rows,
+            Batch::Cols(cols) => cols.to_rows(),
+        }
+    }
+
+    /// The batch as column vectors: a move for `Cols`, one
+    /// [`ColumnarBatch::from_rows`] for `Rows`.
+    pub fn into_cols(self) -> ColumnarBatch {
+        match self {
+            Batch::Rows(rows) => ColumnarBatch::from_rows(&rows),
+            Batch::Cols(cols) => cols,
+        }
+    }
+}
+
 /// A pull-based iterator operator. `next` returns `Ok(None)` at end of
 /// stream; operators are single-use.
 ///
 /// Only [`Operator::schema`] and [`Operator::next`] are required — the
-/// batch pull defaults to the row shim, so a minimal operator is a few
-/// lines:
+/// batch pull defaults to looping `next` into a `Rows` batch, so a minimal
+/// operator is a few lines and still sits under any parent:
 ///
 /// ```
 /// use pyro_common::{Result, Schema, Tuple, Value};
-/// use pyro_exec::{collect_batched, Operator};
+/// use pyro_exec::{collect_batched, Batch, Operator};
 ///
 /// /// Yields the integers `0..n` as single-column tuples.
 /// struct Counter {
@@ -65,9 +120,15 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 ///     }
 /// }
 ///
-/// let op = Counter { schema: Schema::ints(&["i"]), next: 0, n: 3 };
-/// let rows = collect_batched(Box::new(op)).unwrap();
-/// assert_eq!(rows.len(), 3);
+/// let counter = |n| Counter { schema: Schema::ints(&["i"]), next: 0, n };
+/// // The default batch pull hands the rows over as `Batch::Rows` ...
+/// let batch = counter(3).next_batch().unwrap().expect("three rows");
+/// assert!(matches!(batch, Batch::Rows(_)));
+/// // ... and either layout converts to the other on demand.
+/// assert_eq!(batch.clone().into_cols().num_rows(), 3);
+/// assert_eq!(batch.into_rows().len(), 3);
+/// // Drain with one pull or the other, never both on one operator.
+/// assert_eq!(collect_batched(Box::new(counter(3))).unwrap().len(), 3);
 /// ```
 pub trait Operator {
     /// Output schema.
@@ -76,18 +137,18 @@ pub trait Operator {
     /// Pulls the next output tuple.
     fn next(&mut self) -> Result<Option<Tuple>>;
 
-    /// Pulls roughly [`Operator::batch_size`] output tuples. `Ok(None)`
-    /// means end of stream; a short batch does not, and an operator whose
-    /// natural production unit doesn't divide evenly (a join key with many
-    /// matches) may overshoot the batch size by one such unit — consumers
-    /// must not treat `batch_size` as a hard upper bound on batch length.
+    /// Pulls roughly [`Operator::batch_size`] output rows, in the
+    /// operator's natural layout. `Ok(None)` means end of stream; a short
+    /// batch does not, and an operator whose natural production unit
+    /// doesn't divide evenly (a join key with many matches, the tail of a
+    /// decoded page) may overshoot the batch size by one such unit —
+    /// consumers must not treat `batch_size` as a hard upper bound on batch
+    /// length.
     ///
-    /// The default implementation is the row shim — it loops [`Operator::
-    /// next`] — so third-party operators keep working unchanged; every
-    /// in-tree operator overrides it, with a native row-batch
-    /// implementation or with [`Operator::next_columnar`] +
-    /// [`ColumnarBatch::to_rows`].
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    /// The default implementation loops [`Operator::next`] into a
+    /// [`Batch::Rows`], so third-party operators keep working unchanged;
+    /// every in-tree operator overrides it.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let cap = self.batch_size().max(1);
         let mut out = Vec::new();
         while out.len() < cap {
@@ -96,29 +157,7 @@ pub trait Operator {
                 None => break,
             }
         }
-        Ok(if out.is_empty() { None } else { Some(out) })
-    }
-
-    /// Pulls roughly one batch of output in columnar (SoA) layout. Same
-    /// contract as [`Operator::next_batch`]: `Ok(None)` only at end of
-    /// stream, short batches carry no meaning, overshoot by one natural
-    /// production unit is allowed, and the pull styles must not be
-    /// interleaved on one operator.
-    ///
-    /// The default shims the row batch through
-    /// [`ColumnarBatch::from_rows`], so any operator can sit under a
-    /// columnar parent. Scan, filter, project and the inner hash join
-    /// override it with kernels that never box a row and charge no
-    /// `ExecMetrics`. So do the operators that *do* charge them — both sort
-    /// enforcers, the merge join and the sort-based aggregate: they pull
-    /// their inputs with `next_columnar`, sort 16-byte `(normalized key
-    /// prefix, row id)` entries, find segment and group boundaries by
-    /// comparing rows in place, and emit by gather, charging per comparison
-    /// exactly what `next()` charges for the same two rows (see
-    /// [`crate::sort`]). For those four, `next_batch` *is* `next_columnar`
-    /// followed by [`ColumnarBatch::to_rows`].
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(self.next_batch()?.map(|b| ColumnarBatch::from_rows(&b)))
+        Ok(rows_batch(out))
     }
 
     /// Tells the operator that its consumer may stop pulling before the end
@@ -177,20 +216,22 @@ pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
     Ok(out)
 }
 
-/// Drains an operator batch-at-a-time into a vector, pre-allocating from
-/// the operator's [`Operator::size_hint`].
+/// Drains an operator batch-at-a-time into a vector of rows — the one
+/// [`Batch::into_rows`] of a plan that is columnar throughout —
+/// pre-allocating from the operator's [`Operator::size_hint`].
 pub fn collect_batched(mut op: BoxOp) -> Result<Vec<Tuple>> {
     let mut out = Vec::with_capacity(drain_capacity(&op));
-    while let Some(mut batch) = op.next_batch()? {
-        out.append(&mut batch);
+    while let Some(batch) = op.next_batch()? {
+        out.append(&mut batch.into_rows());
     }
     Ok(out)
 }
 
-/// Batched-input adapter: buffers one child batch and hands rows out one at
-/// a time, so an operator whose logic is inherently row-wise (hash build,
-/// nested loops, duplicate elimination) can consume its input in batches
-/// without changing a single per-row decision.
+/// Batched-input adapter: buffers one child batch as rows
+/// ([`Batch::into_rows`]) and hands them out one at a time, so an operator
+/// whose logic is inherently row-wise (hash build, nested loops, duplicate
+/// elimination) can consume its input in batches of either layout without
+/// changing a single per-row decision.
 #[derive(Default)]
 pub struct Stash {
     buf: std::vec::IntoIter<Tuple>,
@@ -210,10 +251,20 @@ impl Stash {
                 return Ok(Some(t));
             }
             match child.next_batch()? {
-                Some(batch) => self.buf = batch.into_iter(),
+                Some(batch) => self.buf = batch.into_rows().into_iter(),
                 None => return Ok(None),
             }
         }
+    }
+}
+
+/// A finished output buffer as the batch pull's return value: `None` when
+/// nothing was produced (end of stream), else a `Rows` batch.
+pub(crate) fn rows_batch(out: Vec<Tuple>) -> Option<Batch> {
+    if out.is_empty() {
+        None
+    } else {
+        Some(Batch::Rows(out))
     }
 }
 
@@ -285,8 +336,9 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// Drains the pipeline batch-at-a-time, returning the rows together
-    /// with the metrics that produced them.
+    /// Drains the pipeline batch-at-a-time, converting what the root hands
+    /// over to rows (the plan's one [`Batch::into_rows`]) and returning them
+    /// together with the metrics that produced them.
     pub fn run(self) -> Result<Rows> {
         let Pipeline { op, metrics, store } = self;
         let before = store.as_ref().map(|s| s.cache_stats());
@@ -396,11 +448,6 @@ impl Operator for ValuesOp {
         Ok(self.rows.next())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        let out: Vec<Tuple> = self.rows.by_ref().take(self.batch).collect();
-        Ok(if out.is_empty() { None } else { Some(out) })
-    }
-
     fn batch_size(&self) -> usize {
         self.batch
     }
@@ -440,6 +487,31 @@ impl Operator for FaultyOp {
         self.after -= 1;
         self.child.next()
     }
+}
+
+/// Test sources: `rows` (not empty) as a stream of `Rows` batches, of
+/// `Cols` batches, and of batches alternating between the two — one file
+/// scanned whole in either layout, and page by page in alternating layouts
+/// under a `UnionAll`, which passes batches through untouched.
+#[cfg(test)]
+pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
+    use crate::scan::FileScan;
+    let device = pyro_storage::SimDevice::with_block_size(128);
+    let file = pyro_storage::write_file(device, rows).expect("in-memory file");
+    let page = |p: usize| -> BoxOp {
+        let scan = FileScan::over_pages(schema.clone(), &file, p, p + 1);
+        Box::new(if p.is_multiple_of(2) {
+            scan.row_batches()
+        } else {
+            scan
+        })
+    };
+    let pages = (0..file.block_count() as usize).map(page).collect();
+    [
+        Box::new(FileScan::new(schema.clone(), &file).row_batches()),
+        Box::new(FileScan::new(schema.clone(), &file)),
+        Box::new(crate::union::UnionAll::new(pages)),
+    ]
 }
 
 #[cfg(test)]

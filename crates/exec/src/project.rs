@@ -1,7 +1,7 @@
 //! Projection (with computed columns).
 
 use crate::expr::Expr;
-use crate::op::{BoxOp, Operator};
+use crate::op::{Batch, BoxOp, Operator};
 use crate::vector::eval_column;
 use pyro_common::{ColumnarBatch, Result, Schema, Tuple, Value};
 
@@ -11,14 +11,10 @@ pub struct Project {
     exprs: Vec<Expr>,
     schema: Schema,
     /// Set when every expression is a plain column reference (the
-    /// `Project::keep` shape): the batch path then projects through one
-    /// reused scratch buffer instead of interpreting expressions.
+    /// `Project::keep` shape): row batches then project through one reused
+    /// scratch buffer instead of interpreting expressions.
     cols: Option<Vec<usize>>,
     scratch: Vec<Value>,
-    /// When set (by the plan compiler, for fully columnar subtrees) the
-    /// batch pull runs the columnar kernel and materializes rows at this
-    /// seam; the row pull (`next`) is unaffected.
-    columnar: bool,
 }
 
 impl Project {
@@ -39,7 +35,6 @@ impl Project {
             schema,
             cols,
             scratch: Vec::new(),
-            columnar: false,
         }
     }
 
@@ -50,18 +45,21 @@ impl Project {
         Project::new(child, exprs, schema)
     }
 
-    /// Routes this operator's batch pull through the columnar kernel. Set
-    /// only when the whole subtree below supports native columnar pulls.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
-    }
-
     fn project_row(&self, t: &Tuple) -> Result<Tuple> {
         let mut values = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
             values.push(e.eval(t)?);
         }
         Ok(Tuple::new(values))
+    }
+
+    /// Column kernel: plain column references are a refcount bump (column
+    /// shuffling), arithmetic runs column-at-a-time, and the selection
+    /// vector passes through untouched. `None` when some expression is a
+    /// shape the kernel does not vectorize.
+    fn project_cols(&self, batch: &ColumnarBatch) -> Option<ColumnarBatch> {
+        let columns = self.exprs.iter().map(|e| eval_column(e, batch));
+        Some(batch.with_columns(columns.collect::<Option<Vec<_>>>()?))
     }
 }
 
@@ -77,54 +75,27 @@ impl Operator for Project {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.columnar {
-            return Ok(self.next_columnar()?.map(|b| b.to_rows()));
-        }
-        let Some(mut batch) = self.child.next_batch()? else {
+    /// A `Cols` batch goes through the column kernel and stays `Cols`; a
+    /// `Rows` batch — or a `Cols` one the kernel cannot vectorize — is
+    /// projected row by row and handed on as `Rows`.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let Some(batch) = self.child.next_batch()? else {
             return Ok(None);
         };
-        if let Some(cols) = &self.cols {
-            for t in batch.iter_mut() {
-                *t = t.project_into(cols, &mut self.scratch);
-            }
-        } else {
-            for t in batch.iter_mut() {
-                let mut values = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    values.push(e.eval(t)?);
-                }
-                *t = Tuple::new(values);
-            }
-        }
-        Ok(Some(batch))
-    }
-
-    /// Native columnar projection: plain column references are a refcount
-    /// bump (column shuffling), arithmetic runs column-at-a-time, and the
-    /// child's selection vector passes through untouched. Expressions the
-    /// kernel can't vectorize project a materialized copy of the batch.
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        let Some(batch) = self.child.next_columnar()? else {
-            return Ok(None);
+        let mut rows = match batch {
+            Batch::Cols(cols) => match self.project_cols(&cols) {
+                Some(out) => return Ok(Some(Batch::Cols(out))),
+                None => cols.to_rows(),
+            },
+            Batch::Rows(rows) => rows,
         };
-        let mut columns = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            match eval_column(e, &batch) {
-                Some(c) => columns.push(c),
-                None => {
-                    // Row fallback for this batch: evaluate with the
-                    // interpreter, then convert back.
-                    let rows = batch.to_rows();
-                    let mut out = Vec::with_capacity(rows.len());
-                    for t in &rows {
-                        out.push(self.project_row(t)?);
-                    }
-                    return Ok(Some(ColumnarBatch::from_rows(&out)));
-                }
-            }
+        for t in rows.iter_mut() {
+            *t = match &self.cols {
+                Some(cols) => t.project_into(cols, &mut self.scratch),
+                None => self.project_row(t)?,
+            };
         }
-        Ok(Some(batch.with_columns(columns)))
+        Ok(Some(Batch::Rows(rows)))
     }
 
     fn set_demand_driven(&mut self) {
@@ -148,7 +119,7 @@ impl Operator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, collect_batched, ValuesOp};
+    use crate::op::{collect, collect_batched, in_every_layout, ValuesOp};
     use pyro_common::{Column, DataType, Value};
 
     #[test]
@@ -178,8 +149,9 @@ mod tests {
         assert_eq!(out[0], Tuple::new(vec![Value::Int(12)]));
     }
 
-    /// The columnar batch pull must emit exactly what the row batch pull
-    /// emits for column keeps, arithmetic, and literal columns.
+    /// The batch pull must emit exactly what `next` emits — whichever
+    /// layout each input batch arrives in — for column keeps, arithmetic,
+    /// and literal columns.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..50)
@@ -202,20 +174,17 @@ mod tests {
             ),
         ];
         for (exprs, schema) in cases {
-            let reference = collect_batched(Box::new(Project::new(
+            let reference = collect(Box::new(Project::new(
                 Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
                 exprs.clone(),
                 schema.clone(),
             )))
             .unwrap();
-            let mut columnar = Project::new(
-                Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
-                exprs.clone(),
-                schema,
-            );
-            columnar.set_columnar(true);
-            let out = collect_batched(Box::new(columnar)).unwrap();
-            assert_eq!(reference, out, "exprs {exprs:?}");
+            for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
+                let project = Project::new(input, exprs.clone(), schema.clone());
+                let out = collect_batched(Box::new(project)).unwrap();
+                assert_eq!(reference, out, "exprs {exprs:?}");
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! *optimizer* holds — the operator itself just streams pages, counting I/O
 //! via the device).
 
-use crate::op::{Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Batch, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema, Tuple, Value};
 use pyro_storage::{TupleFile, TupleFileScan};
 use std::cmp::Ordering as CmpOrdering;
@@ -27,7 +27,9 @@ pub const MORSEL_PAGES: usize = 32;
 pub struct FileScan {
     schema: Schema,
     scan: TupleFileScan,
-    /// Decoded-but-unemitted rows of the current page (batch path only).
+    /// Batches decode to boxed rows instead of column vectors.
+    rows: bool,
+    /// Decoded-but-unemitted rows of the current page (row batches only).
     pending: Vec<Tuple>,
     batch: usize,
     /// Tuples in the scanned range, for `size_hint`.
@@ -42,6 +44,7 @@ impl FileScan {
         FileScan {
             schema,
             scan: file.scan(),
+            rows: false,
             pending: Vec::new(),
             batch: DEFAULT_BATCH_SIZE,
             total: file.tuple_count() as usize,
@@ -57,11 +60,21 @@ impl FileScan {
         FileScan {
             schema,
             scan: file.scan_pages(start, end),
+            rows: false,
             pending: Vec::new(),
             batch: DEFAULT_BATCH_SIZE,
             total: usize::MAX,
             emitted: 0,
         }
+    }
+
+    /// Makes the batch pull decode pages to [`Batch::Rows`] rather than to
+    /// column vectors — the leaf is the one place the session's
+    /// `columnar(false)` acts: every operator above then sees rows and runs
+    /// its row kernel.
+    pub fn row_batches(mut self) -> Self {
+        self.rows = true;
+        self
     }
 }
 
@@ -78,36 +91,29 @@ impl Operator for FileScan {
         Ok(t)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        // Decode pages straight into the pending buffer until the batch is
-        // full (or the file ends), then hand the vector over whole.
-        if self.pending.is_empty() && !self.scan.fill_chunk(&mut self.pending, self.batch)? {
-            return Ok(None);
-        }
-        let out: Vec<Tuple> = if self.pending.len() <= self.batch {
-            std::mem::take(&mut self.pending)
+    /// Decodes pages straight into typed column vectors — no `Tuple` is
+    /// boxed — or, after [`FileScan::row_batches`], into rows. Either way
+    /// the batch may overshoot the batch size by the tail of the last
+    /// decoded page (allowed by the batch contract).
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let batch = if self.rows {
+            if self.pending.is_empty() && !self.scan.fill_chunk(&mut self.pending, self.batch)? {
+                return Ok(None);
+            }
+            Batch::Rows(if self.pending.len() <= self.batch {
+                std::mem::take(&mut self.pending)
+            } else {
+                self.pending.drain(..self.batch).collect()
+            })
         } else {
-            self.pending.drain(..self.batch).collect()
+            let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
+                .map(|_| ColumnBuilder::new())
+                .collect();
+            if !self.scan.fill_columns(&mut builders, self.batch)? {
+                return Ok(None);
+            }
+            Batch::Cols(ColumnarBatch::from_builders(builders))
         };
-        self.emitted += out.len();
-        Ok(Some(out))
-    }
-
-    /// Native columnar scan: pages decode straight into typed column
-    /// vectors — no `Tuple` is boxed. May overshoot the batch size by the
-    /// tail of the last decoded page (allowed by the batch contract).
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        debug_assert!(
-            self.pending.is_empty(),
-            "columnar and row batch pulls must not interleave on a scan"
-        );
-        let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
-            .map(|_| ColumnBuilder::new())
-            .collect();
-        if !self.scan.fill_columns(&mut builders, self.batch)? {
-            return Ok(None);
-        }
-        let batch = ColumnarBatch::from_builders(builders);
         self.emitted += batch.num_rows();
         Ok(Some(batch))
     }

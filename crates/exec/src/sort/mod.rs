@@ -8,8 +8,7 @@
 //!
 //! Each operator has two implementations. Tuple-at-a-time `next` sorts boxed
 //! tuples with [`pyro_common::KeySpec::compare_counting`]; it is the oracle.
-//! `next_columnar` (and `next_batch`, which is `next_columnar` + `to_rows`)
-//! never boxes a row: it sorts 16-byte `(normalized key prefix, row id)`
+//! `next_batch` takes its input as columns and never boxes a row: it sorts 16-byte `(normalized key prefix, row id)`
 //! entries (the `entry` module says why that reproduces the oracle's
 //! counters number for number), spills rows encoded straight from column
 //! vectors, and emits by gather.

@@ -22,7 +22,7 @@ use super::entry::{sort_rows_into, Entry, Keyed};
 use super::runs::{write_run_rows, ColumnarMergeStream, InMemorySortStream, MergeStream};
 use super::{sort_buffer, SortBudget};
 use crate::metrics::MetricsRef;
-use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
 use pyro_storage::{IntoStore, StoreRef, TupleFile};
 
@@ -393,7 +393,7 @@ impl PartialSort {
         debug_assert_eq!(st.emitted, st.sorted.len(), "a dying batch owes rows");
         let next = match self.input_done {
             true => None,
-            false => self.child.next_columnar()?,
+            false => self.child.next_batch()?.map(Batch::into_cols),
         };
         let Some(next) = next else {
             self.input_done = true;
@@ -490,21 +490,17 @@ impl Operator for PartialSort {
         self.latch(pulled)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        Ok(self.next_columnar()?.map(|b| b.to_rows()))
-    }
-
     /// Emits up to a batch of sorted rows per call, closing as many
     /// segments as that takes — unless a `Limit` sits above, in which case
     /// at most one segment closes per call, so Top-K closes exactly the
     /// segments tuple-at-a-time pulls would. Short batches are fine under
     /// the batch contract.
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
         let pulled = self.pull_columnar();
-        self.latch(pulled)
+        Ok(self.latch(pulled)?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {

@@ -19,7 +19,7 @@ use super::heap::RsHeap;
 use super::runs::{ColumnarMergeStream, InMemorySortStream, MergeStream};
 use super::{sort_buffer, SortBudget};
 use crate::metrics::MetricsRef;
-use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
 use pyro_storage::{IntoStore, StoreRef, TupleFile, TupleFileWriter};
 use std::cmp::Ordering;
@@ -211,7 +211,7 @@ impl StandardReplacementSort {
         let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
         let (mut bytes, mut rows) = (0usize, 0usize);
         let mut input: Option<Input> = None;
-        while let Some(b) = child.next_columnar()? {
+        while let Some(b) = child.next_batch()?.map(Batch::into_cols) {
             let b = b.into_dense();
             let sizes = b.row_byte_sizes();
             // Rows of this batch that still fit the budget (the first row
@@ -421,7 +421,7 @@ fn next_entry(
         if let Some(src) = cur.src {
             srcs.drop_if_dead(src);
         }
-        *input = child.next_columnar()?.map(|b| Input::new(b, 0));
+        *input = child.next_batch()?.map(|b| Input::new(b.into_cols(), 0));
     }
 }
 
@@ -454,13 +454,9 @@ impl Operator for StandardReplacementSort {
         self.latch(pulled)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        Ok(self.next_columnar()?.map(|b| b.to_rows()))
-    }
-
-    fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let pulled = self.pull_columnar();
-        self.latch(pulled)
+        Ok(self.latch(pulled)?.map(Batch::Cols))
     }
 
     fn batch_size(&self) -> usize {

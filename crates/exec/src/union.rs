@@ -6,7 +6,7 @@
 //! factorial choice of interesting orders.
 
 use crate::metrics::MetricsRef;
-use crate::op::{BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple};
 use std::cmp::Ordering;
 
@@ -46,7 +46,8 @@ impl Operator for UnionAll {
         Ok(None)
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    /// Input batches pass through in whatever layout they arrive.
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         while self.current < self.inputs.len() {
             if let Some(batch) = self.inputs[self.current].next_batch()? {
                 return Ok(Some(batch));
@@ -182,7 +183,7 @@ impl Operator for MergeUnion {
         out
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let mut acc = 0;
         let mut out = Vec::new();
         while out.len() < self.batch {
@@ -196,7 +197,7 @@ impl Operator for MergeUnion {
             }
         }
         self.metrics.add_comparisons(acc);
-        Ok(if out.is_empty() { None } else { Some(out) })
+        Ok(rows_batch(out))
     }
 
     fn batch_size(&self) -> usize {

@@ -29,7 +29,8 @@ mod session;
 
 pub use result::{PlanCacheInfo, QueryResult};
 pub use session::{
-    Prepared, QueryStream, Session, SessionBuilder, SharedPrepared, DEFAULT_WAL_CHECKPOINT_BYTES,
+    Prepared, QueryStream, Session, SessionBuilder, SessionConfig, SharedPrepared,
+    DEFAULT_WAL_CHECKPOINT_BYTES,
 };
 
 pub use pyro_catalog as catalog;

@@ -23,8 +23,8 @@ use pyro_catalog::Catalog;
 use pyro_common::{DataType, PyroError, Result, Schema, Tuple, Value};
 use pyro_core::cache::{CachedStatement, PlanCache, PlanCacheStats, PlanKey};
 use pyro_core::cost::CostParams;
-use pyro_core::{EnumStrategy, OptimizedPlan, Optimizer, Strategy};
-use pyro_exec::{BoxOp, MetricsRef, DEFAULT_BATCH_SIZE};
+use pyro_core::{CompileOptions, EnumStrategy, OptimizedPlan, Optimizer, Strategy};
+use pyro_exec::{Batch, BoxOp, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
 use pyro_storage::{FileDevice, PageStore, Wal};
 use std::hash::{Hash, Hasher};
@@ -34,6 +34,50 @@ use std::time::Instant;
 
 /// Default WAL size at which a commit triggers a checkpoint (1 MiB).
 pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
+
+/// Every knob a live [`Session`] reads when it plans and runs a query — one
+/// value the builder fills, the session holds, the plan-cache key hashes
+/// whole (so a knob added here can never be forgotten there) and the
+/// executor's [`CompileOptions`] are derived from. What each field means is
+/// documented on the [`SessionBuilder`] method of the same name.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SessionConfig {
+    /// Interesting-order strategy.
+    pub strategy: Strategy,
+    /// Plan-space enumerator.
+    pub enum_strategy: EnumStrategy,
+    /// Inner-join region size above which `memo` re-shapes the region.
+    pub join_enum_threshold: usize,
+    /// Cost-constant overrides; `None` derives them from the device.
+    pub cost_params: Option<CostParams>,
+    /// Whether hash join / hash aggregate alternatives are considered.
+    pub hash_operators: bool,
+    /// Execution batch size in rows (floor 1).
+    pub batch_size: usize,
+    /// Execution worker threads (floor 1).
+    pub workers: usize,
+    /// Whether scans decode to column vectors (else to rows).
+    pub columnar: bool,
+    /// RNG seed for data generators driven through the session. Fixed at
+    /// build time; the only field without a setter.
+    pub seed: u64,
+}
+
+impl Default for SessionConfig {
+    fn default() -> SessionConfig {
+        SessionConfig {
+            strategy: Strategy::pyro_o(),
+            enum_strategy: EnumStrategy::default(),
+            join_enum_threshold: pyro_core::memo::DEFAULT_JOIN_ENUM_THRESHOLD,
+            cost_params: None,
+            hash_operators: true,
+            batch_size: DEFAULT_BATCH_SIZE,
+            workers: 1,
+            columnar: true,
+            seed: pyro_datagen::SEED,
+        }
+    }
+}
 
 /// Configures and builds a [`Session`].
 ///
@@ -59,18 +103,12 @@ pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// ```
 #[derive(Debug, Default)]
 pub struct SessionBuilder {
-    strategy: Option<Strategy>,
-    enum_strategy: Option<EnumStrategy>,
-    join_enum_threshold: Option<usize>,
-    cost_params: Option<CostParams>,
-    hash_operators: Option<bool>,
+    config: SessionConfig,
+    // What `open` builds the catalog, pool and plan cache from; the
+    // session reports these from the objects themselves.
     sort_memory_blocks: Option<u64>,
-    batch_size: Option<usize>,
-    workers: Option<usize>,
-    columnar: Option<bool>,
-    seed: Option<u64>,
-    buffer_pool_pages: Option<usize>,
-    plan_cache_entries: Option<usize>,
+    buffer_pool_pages: usize,
+    plan_cache_entries: usize,
     data_dir: Option<PathBuf>,
     wal_checkpoint_bytes: Option<u64>,
 }
@@ -83,7 +121,7 @@ impl SessionBuilder {
 
     /// Sets the interesting-order strategy (default: [`Strategy::pyro_o`]).
     pub fn strategy(mut self, strategy: Strategy) -> SessionBuilder {
-        self.strategy = Some(strategy);
+        self.config.strategy = strategy;
         self
     }
 
@@ -102,7 +140,7 @@ impl SessionBuilder {
     /// three or more inputs. At or below the threshold, `memo` and
     /// `exhaustive` choose identical plans with identical counters.
     pub fn enum_strategy(mut self, enum_strategy: EnumStrategy) -> SessionBuilder {
-        self.enum_strategy = Some(enum_strategy);
+        self.config.enum_strategy = enum_strategy;
         self
     }
 
@@ -117,7 +155,7 @@ impl SessionBuilder {
     /// join shape (default:
     /// [`pyro_core::memo::DEFAULT_JOIN_ENUM_THRESHOLD`]).
     pub fn join_enum_threshold(mut self, threshold: usize) -> SessionBuilder {
-        self.join_enum_threshold = Some(threshold);
+        self.config.join_enum_threshold = threshold;
         self
     }
 
@@ -127,7 +165,7 @@ impl SessionBuilder {
     /// sort memory budget, so the optimizer's estimates describe the
     /// executor that actually runs.
     pub fn cost_params(mut self, params: CostParams) -> SessionBuilder {
-        self.cost_params = Some(params);
+        self.config.cost_params = Some(params);
         self
     }
 
@@ -135,7 +173,7 @@ impl SessionBuilder {
     /// (default: enabled). The paper's figures use `false` — its prototype
     /// explored the sort-based plan space only.
     pub fn hash_operators(mut self, enable: bool) -> SessionBuilder {
-        self.hash_operators = Some(enable);
+        self.config.hash_operators = enable;
         self
     }
 
@@ -150,7 +188,7 @@ impl SessionBuilder {
     /// call. Counter totals are batch-size invariant; only CPU efficiency
     /// changes. `1` degenerates to tuple-at-a-time pull.
     pub fn batch_size(mut self, rows: usize) -> SessionBuilder {
-        self.batch_size = Some(rows);
+        self.config.batch_size = rows.max(1);
         self
     }
 
@@ -161,20 +199,22 @@ impl SessionBuilder {
     /// worker-count invariant (ordered outputs exactly, unordered outputs
     /// as multisets); only wall-clock changes.
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
-        self.workers = Some(workers);
+        self.config.workers = workers.max(1);
         self
     }
 
-    /// Enables or disables columnar execution (default: enabled). When on,
-    /// Filter / Project / inner-hash-join subtrees over base-table scans —
-    /// serial or inside the worker fragments of a parallel plan — exchange
-    /// columnar (structure-of-arrays) batches and run vectorized kernels;
-    /// rows materialize only at the subtree root. Rows
-    /// and all `ExecMetrics` counters are columnar-invariant — the knob
-    /// changes CPU efficiency, never results — so `false` exists as an
-    /// escape hatch and for A/B measurement, not correctness.
+    /// Enables or disables columnar scans (default: enabled). When on,
+    /// base-table scans — serial or inside the worker fragments of a
+    /// parallel plan — decode pages into columnar (structure-of-arrays)
+    /// batches, and every operator above picks its vectorized or row kernel
+    /// from the batch it is handed; rows materialize once, at the plan
+    /// root or at the first inherently row-wise operator. When off, scans
+    /// decode to row batches and the row kernels run throughout. Rows and
+    /// all `ExecMetrics` counters are columnar-invariant — the knob changes
+    /// CPU efficiency, never results — so `false` exists as an escape hatch
+    /// and for A/B measurement, not correctness.
     pub fn columnar(mut self, enable: bool) -> SessionBuilder {
-        self.columnar = Some(enable);
+        self.config.columnar = enable;
         self
     }
 
@@ -183,7 +223,7 @@ impl SessionBuilder {
     /// `bench_batch` and `bench_parallel` populate identical tables across
     /// runs and binaries.
     pub fn seed(mut self, seed: u64) -> SessionBuilder {
-        self.seed = Some(seed);
+        self.config.seed = seed;
         self
     }
 
@@ -198,7 +238,7 @@ impl SessionBuilder {
     /// hot/cold split. The pool must be chosen at build time — registered
     /// tables capture the I/O path they were written through.
     pub fn buffer_pool_pages(mut self, pages: usize) -> SessionBuilder {
-        self.buffer_pool_pages = Some(pages);
+        self.buffer_pool_pages = pages;
         self
     }
 
@@ -212,7 +252,7 @@ impl SessionBuilder {
     /// `register_table`/`register_csv`/`create_index` call changes the key,
     /// so a stale plan is never served.
     pub fn plan_cache_entries(mut self, entries: usize) -> SessionBuilder {
-        self.plan_cache_entries = Some(entries);
+        self.plan_cache_entries = entries;
         self
     }
 
@@ -271,15 +311,15 @@ impl SessionBuilder {
                 let store = PageStore::durable(
                     device.as_device(),
                     wal,
-                    self.buffer_pool_pages.unwrap_or(0),
+                    self.buffer_pool_pages,
                     self.wal_checkpoint_bytes
                         .unwrap_or(DEFAULT_WAL_CHECKPOINT_BYTES),
                 );
                 Catalog::open_durable(store)?
             }
             None => match self.buffer_pool_pages {
-                Some(pages) if pages > 0 => Catalog::with_buffer_pool(pages),
-                _ => Catalog::new(),
+                0 => Catalog::new(),
+                pages => Catalog::with_buffer_pool(pages),
             },
         };
         if let Some(m) = self.sort_memory_blocks {
@@ -287,21 +327,9 @@ impl SessionBuilder {
         }
         Ok(Session {
             catalog,
-            strategy: self.strategy.unwrap_or_else(Strategy::pyro_o),
-            enum_strategy: self.enum_strategy.unwrap_or_default(),
-            join_enum_threshold: self
-                .join_enum_threshold
-                .unwrap_or(pyro_core::memo::DEFAULT_JOIN_ENUM_THRESHOLD),
-            cost_params: self.cost_params,
-            hash_operators: self.hash_operators.unwrap_or(true),
-            batch_size: self.batch_size.unwrap_or(DEFAULT_BATCH_SIZE).max(1),
-            workers: self.workers.unwrap_or(1).max(1),
-            columnar: self.columnar.unwrap_or(true),
-            seed: self.seed.unwrap_or(pyro_datagen::SEED),
-            plan_cache: match self.plan_cache_entries {
-                Some(entries) if entries > 0 => Some(PlanCache::new(entries)),
-                _ => None,
-            },
+            config: self.config,
+            plan_cache: (self.plan_cache_entries > 0)
+                .then(|| PlanCache::new(self.plan_cache_entries)),
         })
     }
 }
@@ -340,15 +368,7 @@ impl SessionBuilder {
 #[derive(Debug)]
 pub struct Session {
     catalog: Catalog,
-    strategy: Strategy,
-    enum_strategy: EnumStrategy,
-    join_enum_threshold: usize,
-    cost_params: Option<CostParams>,
-    hash_operators: bool,
-    batch_size: usize,
-    workers: usize,
-    columnar: bool,
-    seed: u64,
+    config: SessionConfig,
     plan_cache: Option<PlanCache>,
 }
 
@@ -453,55 +473,60 @@ impl Session {
         &mut self.catalog
     }
 
+    /// Every query-time knob at its current value.
+    pub fn config(&self) -> &SessionConfig {
+        &self.config
+    }
+
     /// The session's current strategy.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.config.strategy
     }
 
     /// Switches the interesting-order strategy for subsequent queries.
     pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.strategy = strategy;
+        self.config.strategy = strategy;
     }
 
     /// Switches the strategy by paper name.
     pub fn set_strategy_name(&mut self, name: &str) -> Result<()> {
-        self.strategy = Strategy::from_name(name)?;
+        self.config.strategy = Strategy::from_name(name)?;
         Ok(())
     }
 
     /// The session's current plan-space enumerator.
     pub fn enum_strategy(&self) -> EnumStrategy {
-        self.enum_strategy
+        self.config.enum_strategy
     }
 
     /// Switches the plan-space enumerator for subsequent queries; see
     /// [`SessionBuilder::enum_strategy`].
     pub fn set_enum_strategy(&mut self, enum_strategy: EnumStrategy) {
-        self.enum_strategy = enum_strategy;
+        self.config.enum_strategy = enum_strategy;
     }
 
     /// The current join-enumeration threshold; see
     /// [`SessionBuilder::join_enum_threshold`].
     pub fn join_enum_threshold(&self) -> usize {
-        self.join_enum_threshold
+        self.config.join_enum_threshold
     }
 
     /// Sets the join-enumeration threshold for subsequent queries.
     pub fn set_join_enum_threshold(&mut self, threshold: usize) {
-        self.join_enum_threshold = threshold;
+        self.config.join_enum_threshold = threshold;
     }
 
     /// Enables or disables hash operator alternatives for subsequent
     /// queries.
     pub fn set_hash_operators(&mut self, enable: bool) {
-        self.hash_operators = enable;
+        self.config.hash_operators = enable;
     }
 
     /// Overrides (or with `None`, restores the defaults of) the cost
     /// model's CPU-translation constants for subsequent queries; see
     /// [`SessionBuilder::cost_params`].
     pub fn set_cost_params(&mut self, params: Option<CostParams>) {
-        self.cost_params = params;
+        self.config.cost_params = params;
     }
 
     /// Plan-cache capacity in entries; `0` means the session plans every
@@ -519,7 +544,7 @@ impl Session {
 
     /// Whether hash operator alternatives are currently enabled.
     pub fn hash_operators(&self) -> bool {
-        self.hash_operators
+        self.config.hash_operators
     }
 
     /// Sets the sort memory budget `M` in blocks.
@@ -529,40 +554,40 @@ impl Session {
 
     /// The execution batch size in rows.
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.config.batch_size
     }
 
     /// Sets the execution batch size for subsequent queries (floor 1).
     pub fn set_batch_size(&mut self, rows: usize) {
-        self.batch_size = rows.max(1);
+        self.config.batch_size = rows.max(1);
     }
 
     /// The number of execution worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.config.workers
     }
 
     /// Sets the worker-thread count for subsequent queries (floor 1; `1` is
     /// the serial engine).
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.config.workers = workers.max(1);
     }
 
     /// Whether columnar execution is enabled; see
     /// [`SessionBuilder::columnar`].
     pub fn columnar(&self) -> bool {
-        self.columnar
+        self.config.columnar
     }
 
     /// Enables or disables columnar execution; see
     /// [`SessionBuilder::columnar`].
     pub fn set_columnar(&mut self, enable: bool) {
-        self.columnar = enable;
+        self.config.columnar = enable;
     }
 
     /// The RNG seed for data generators driven through this session.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.config.seed
     }
 
     /// Buffer-pool capacity in pages, or `None` when the session bypasses
@@ -726,12 +751,13 @@ impl Session {
     /// The uncached parse → lower → optimize pipeline.
     fn optimize_statement(&self, sql: &str) -> Result<CachedStatement> {
         let (logical, params) = pyro_sql::plan_with_params(sql, &self.catalog)?;
+        let config = &self.config;
         let mut optimizer = Optimizer::new(&self.catalog)
-            .with_strategy(self.strategy)
-            .with_hash(self.hash_operators)
-            .with_enum_strategy(self.enum_strategy)
-            .with_join_enum_threshold(self.join_enum_threshold);
-        if let Some(params) = self.cost_params {
+            .with_strategy(config.strategy)
+            .with_hash(config.hash_operators)
+            .with_enum_strategy(config.enum_strategy)
+            .with_join_enum_threshold(config.join_enum_threshold);
+        if let Some(params) = config.cost_params {
             // block_size and sort_mem_blocks are facts of the session (the
             // device and the executor's budget), not tunables: keep them in
             // sync so estimated and measured behaviour cannot diverge.
@@ -748,6 +774,17 @@ impl Session {
         })
     }
 
+    /// Compiles a plan with `params` bound, as the session's knobs say.
+    fn compile(&self, plan: &OptimizedPlan, params: &[Value]) -> Result<Pipeline> {
+        let options = CompileOptions {
+            batch_size: self.config.batch_size,
+            workers: self.config.workers,
+            params,
+            columnar: self.config.columnar,
+        };
+        plan.compile(&self.catalog, &options)
+    }
+
     /// Compiles and drains a plan with `params` bound, packaging the typed
     /// result.
     fn run_statement(
@@ -757,13 +794,7 @@ impl Session {
         cache: Option<PlanCacheInfo>,
     ) -> Result<QueryResult> {
         let start = Instant::now();
-        let pipeline = plan.compile_bound_columnar(
-            &self.catalog,
-            self.batch_size,
-            self.workers,
-            params,
-            self.columnar,
-        )?;
+        let pipeline = self.compile(plan, params)?;
         let schema = pipeline.schema().clone();
         let out = pipeline.run()?;
         Ok(QueryResult {
@@ -785,13 +816,7 @@ impl Session {
         params: &[Value],
         cache: Option<PlanCacheInfo>,
     ) -> Result<QueryStream> {
-        let pipeline = plan.compile_bound_columnar(
-            &self.catalog,
-            self.batch_size,
-            self.workers,
-            params,
-            self.columnar,
-        )?;
+        let pipeline = self.compile(plan, params)?;
         let schema = pipeline.schema().clone();
         let (op, metrics) = pipeline.into_parts();
         Ok(QueryStream {
@@ -804,35 +829,15 @@ impl Session {
         })
     }
 
-    /// Hashes every knob that can change what plan the optimizer produces
-    /// (or how it is compiled): strategy, plan-space enumerator, join-enum
-    /// threshold, hash-operator toggle, cost-param overrides, sort memory
-    /// budget, batch size, worker count and buffer-pool capacity. Part of
-    /// the plan-cache key, so flipping any of them can never serve a stale
-    /// plan.
+    /// Hashes everything that can change what plan the optimizer produces
+    /// or how it is compiled: the whole [`SessionConfig`], plus the two
+    /// facts the catalog owns — the sort memory budget and the buffer-pool
+    /// capacity. Part of the plan-cache key, so changing any of them can
+    /// never serve a stale plan.
     fn knob_fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.strategy.hash(&mut h);
-        self.enum_strategy.hash(&mut h);
-        self.join_enum_threshold.hash(&mut h);
-        self.hash_operators.hash(&mut h);
-        match self.cost_params {
-            None => false.hash(&mut h),
-            Some(p) => {
-                true.hash(&mut h);
-                p.block_size.hash(&mut h);
-                p.sort_mem_blocks.to_bits().hash(&mut h);
-                p.cmp_io.to_bits().hash(&mut h);
-                p.tuple_io.to_bits().hash(&mut h);
-                p.hash_io.to_bits().hash(&mut h);
-                p.buffer_pool_pages.to_bits().hash(&mut h);
-                p.cached_read_discount.to_bits().hash(&mut h);
-            }
-        }
+        self.config.hash(&mut h);
         self.catalog.sort_memory_blocks().hash(&mut h);
-        self.batch_size.hash(&mut h);
-        self.workers.hash(&mut h);
-        self.columnar.hash(&mut h);
         self.catalog.store().pool_pages().unwrap_or(0).hash(&mut h);
         h.finish()
     }
@@ -1043,23 +1048,16 @@ impl QueryStream {
         &self.metrics
     }
 
-    /// Pulls the next batch of rows, or `None` once the query is done.
-    /// After `None` (or an error) the stream stays exhausted.
+    /// Pulls the next batch of rows — converting what the plan root hands
+    /// over, if it is columnar — or `None` once the query is done. After
+    /// `None` (or an error) the stream stays exhausted.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
         if self.finished {
             return Ok(None);
         }
-        match self.op.next_batch() {
-            Ok(Some(batch)) => Ok(Some(batch)),
-            Ok(None) => {
-                self.finished = true;
-                Ok(None)
-            }
-            Err(e) => {
-                self.finished = true;
-                Err(e)
-            }
-        }
+        let pulled = self.op.next_batch().map(|b| b.map(Batch::into_rows));
+        self.finished = !matches!(pulled, Ok(Some(_)));
+        pulled
     }
 }
 

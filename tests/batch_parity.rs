@@ -1,8 +1,9 @@
 //! Batch/row parity: every operator must produce identical rows AND
 //! identical `ExecMetrics` totals whether a pipeline is drained
 //! tuple-at-a-time or batch-at-a-time, at batch sizes {1, 3, 1024} — and,
-//! on the batch path, with columnar (vectorized-kernel) execution both on
-//! and off.
+//! on the batch pull, whichever layout its input batches arrive in: scans
+//! decoding to columns or to rows at the SQL level, and row batches, column
+//! batches and a stream alternating between the two at the operator level.
 //!
 //! This is the invariant that lets the batch engine claim the paper's
 //! Experiment A figures unchanged: batching may only change CPU
@@ -13,6 +14,7 @@
 //! segments).
 
 use pyro::common::{KeySpec, Schema, Tuple, Value};
+use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
 use pyro::exec::dedup::{HashDistinct, SortDistinct};
@@ -20,26 +22,35 @@ use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin};
 use pyro::exec::limit::Limit;
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro::exec::union::{MergeUnion, UnionAll};
-use pyro::exec::{collect, collect_batched, BoxOp, CmpOp, ExecMetrics, Expr, MetricsRef, ValuesOp};
+use pyro::exec::{collect, collect_batched, BoxOp, CmpOp, ExecMetrics, Expr, MetricsRef};
 use pyro::storage::SimDevice;
 use pyro::{Session, Strategy};
+
+mod common;
+
+use common::{Layout, Source, LAYOUTS};
 
 const BATCH_SIZES: [usize; 3] = [1, 3, 1024];
 
 /// Runs `sql` tuple-at-a-time as the reference, then batch-at-a-time at
-/// every probe batch size with columnar kernels both enabled and disabled,
+/// every probe batch size with columnar scans both enabled and disabled,
 /// asserting identical rows and counters in every combination.
 fn assert_sql_parity(session: &Session, sql: &str) {
     let plan = session.plan(sql).unwrap();
     let reference = plan
-        .compile(session.catalog())
+        .compile(session.catalog(), &CompileOptions::default())
         .unwrap()
         .run_tuple_at_a_time()
         .unwrap();
     for &bs in &BATCH_SIZES {
         for columnar in [true, false] {
+            let options = CompileOptions {
+                batch_size: bs,
+                columnar,
+                ..CompileOptions::default()
+            };
             let out = plan
-                .compile_bound_columnar(session.catalog(), bs, 1, &[], columnar)
+                .compile(session.catalog(), &options)
                 .unwrap()
                 .run()
                 .unwrap();
@@ -189,16 +200,21 @@ fn consolidation_query_parity() {
 // Direct operator-level parity (operators + paths SQL plans don't reach)
 // ---------------------------------------------------------------------
 
-/// Builds the same operator twice via `build` and checks row/batch parity.
-fn assert_op_parity(what: &str, build: &dyn Fn() -> (BoxOp, MetricsRef)) {
-    let (op, reference_metrics) = build();
+/// Builds the same operator via `build` — handing it a source factory of
+/// the layout under test — once for `next` and once per batch size and
+/// input layout for `next_batch`, and checks rows and counters agree.
+fn assert_op_parity(what: &str, build: &dyn Fn(&Values) -> (BoxOp, MetricsRef)) {
+    let (op, reference_metrics) = build(&Values(Layout::Rows));
     let reference_rows = collect(op).unwrap();
     for &bs in &BATCH_SIZES {
-        let (mut op, metrics) = build();
-        op.set_batch_size(bs);
-        let rows = collect_batched(op).unwrap();
-        assert_eq!(reference_rows, rows, "rows diverged (batch={bs}): {what}");
-        assert_metrics_eq(&reference_metrics, &metrics, bs, what);
+        for layout in LAYOUTS {
+            let (mut op, metrics) = build(&Values(layout));
+            op.set_batch_size(bs);
+            let rows = collect_batched(op).unwrap();
+            let what = format!("{what} over {layout:?} input");
+            assert_eq!(reference_rows, rows, "rows diverged (batch={bs}): {what}");
+            assert_metrics_eq(&reference_metrics, &metrics, bs, &what);
+        }
     }
 }
 
@@ -226,33 +242,40 @@ fn segmented(segments: i64, per_segment: i64) -> Vec<Tuple> {
     rows
 }
 
-fn values(rows: Vec<Tuple>) -> BoxOp {
-    Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows))
-}
+/// In-memory sources of one layout, four rows to a batch (so even the
+/// small inputs below span batches, and an alternating stream alternates)
+/// unless the operator above forwards its own batch size.
+struct Values(Layout);
 
-fn values_cd(rows: Vec<Tuple>) -> BoxOp {
-    Box::new(ValuesOp::new(Schema::ints(&["c", "d"]), rows))
+impl Values {
+    fn ab(&self, rows: Vec<Tuple>) -> BoxOp {
+        Box::new(Source::new(Schema::ints(&["a", "b"]), rows, 4, self.0))
+    }
+
+    fn cd(&self, rows: Vec<Tuple>) -> BoxOp {
+        Box::new(Source::new(Schema::ints(&["c", "d"]), rows, 4, self.0))
+    }
 }
 
 #[test]
 fn union_operators_parity() {
-    assert_op_parity("union_all", &|| {
+    assert_op_parity("union_all", &|v| {
         let m = ExecMetrics::new();
         let op = UnionAll::new(vec![
-            values(int_rows(&[(1, 1), (2, 2)])),
-            values(Vec::new()),
-            values(int_rows(&[(3, 3)])),
+            v.ab(int_rows(&[(1, 1), (2, 2)])),
+            v.ab(Vec::new()),
+            v.ab(int_rows(&[(3, 3)])),
         ]);
         (Box::new(op), m)
     });
     for distinct in [false, true] {
-        assert_op_parity(&format!("merge_union distinct={distinct}"), &|| {
+        assert_op_parity(&format!("merge_union distinct={distinct}"), &|v| {
             let m = ExecMetrics::new();
             let op = MergeUnion::new(
                 vec![
-                    values(int_rows(&[(1, 1), (3, 3), (3, 3), (5, 5)])),
-                    values(int_rows(&[(2, 2), (3, 3), (6, 6)])),
-                    values(int_rows(&[(0, 0), (9, 9)])),
+                    v.ab(int_rows(&[(1, 1), (3, 3), (3, 3), (5, 5)])),
+                    v.ab(int_rows(&[(2, 2), (3, 3), (6, 6)])),
+                    v.ab(int_rows(&[(0, 0), (9, 9)])),
                 ],
                 KeySpec::new(vec![0]),
                 distinct,
@@ -268,33 +291,33 @@ fn join_operators_parity() {
     let left = [(1, 10), (1, 11), (2, 20), (4, 40), (6, 60)];
     let right = [(1, 100), (2, 200), (2, 201), (5, 500)];
     for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
-        assert_op_parity(&format!("nested_loops {kind:?}"), &|| {
+        assert_op_parity(&format!("nested_loops {kind:?}"), &|v| {
             let m = ExecMetrics::new();
             let op = NestedLoopsJoin::new(
-                values(int_rows(&left)),
-                values_cd(int_rows(&right)),
+                v.ab(int_rows(&left)),
+                v.cd(int_rows(&right)),
                 KeySpec::new(vec![0]),
                 KeySpec::new(vec![0]),
                 kind,
             );
             (Box::new(op), m)
         });
-        assert_op_parity(&format!("hash_join {kind:?}"), &|| {
+        assert_op_parity(&format!("hash_join {kind:?}"), &|v| {
             let m = ExecMetrics::new();
             let op = HashJoin::new(
-                values(int_rows(&left)),
-                values_cd(int_rows(&right)),
+                v.ab(int_rows(&left)),
+                v.cd(int_rows(&right)),
                 KeySpec::new(vec![0]),
                 KeySpec::new(vec![0]),
                 kind,
             );
             (Box::new(op), m)
         });
-        assert_op_parity(&format!("merge_join {kind:?}"), &|| {
+        assert_op_parity(&format!("merge_join {kind:?}"), &|v| {
             let m = ExecMetrics::new();
             let op = MergeJoin::new(
-                values(int_rows(&left)),
-                values_cd(int_rows(&right)),
+                v.ab(int_rows(&left)),
+                v.cd(int_rows(&right)),
                 KeySpec::new(vec![0]),
                 KeySpec::new(vec![0]),
                 kind,
@@ -308,10 +331,10 @@ fn join_operators_parity() {
 #[test]
 fn aggregate_and_distinct_parity() {
     let sorted = int_rows(&[(1, 5), (1, 7), (2, 1), (3, 3), (3, 3), (3, 9)]);
-    assert_op_parity("group_aggregate", &|| {
+    assert_op_parity("group_aggregate", &|v| {
         let m = ExecMetrics::new();
         let op = GroupAggregate::new(
-            values(sorted.clone()),
+            v.ab(sorted.clone()),
             vec![0],
             vec![
                 AggExpr::new(AggFunc::Count, Expr::col(1), "c"),
@@ -320,23 +343,23 @@ fn aggregate_and_distinct_parity() {
         );
         (Box::new(op), m)
     });
-    assert_op_parity("hash_aggregate", &|| {
+    assert_op_parity("hash_aggregate", &|v| {
         let m = ExecMetrics::new();
         let op = HashAggregate::new(
-            values(sorted.clone()),
+            v.ab(sorted.clone()),
             vec![0],
             vec![AggExpr::new(AggFunc::Avg, Expr::col(1), "m")],
         );
         (Box::new(op), m)
     });
-    assert_op_parity("sort_distinct", &|| {
+    assert_op_parity("sort_distinct", &|v| {
         let m = ExecMetrics::new();
-        let op = SortDistinct::new(values(sorted.clone()), KeySpec::new(vec![0, 1]), m.clone());
+        let op = SortDistinct::new(v.ab(sorted.clone()), KeySpec::new(vec![0, 1]), m.clone());
         (Box::new(op), m)
     });
-    assert_op_parity("hash_distinct", &|| {
+    assert_op_parity("hash_distinct", &|v| {
         let m = ExecMetrics::new();
-        let op = HashDistinct::new(values(sorted.clone()));
+        let op = HashDistinct::new(v.ab(sorted.clone()));
         (Box::new(op), m)
     });
 }
@@ -344,22 +367,22 @@ fn aggregate_and_distinct_parity() {
 #[test]
 fn filter_project_limit_parity() {
     let rows = segmented(10, 30);
-    assert_op_parity("filter", &|| {
+    assert_op_parity("filter", &|v| {
         let m = ExecMetrics::new();
         let op = pyro::exec::filter::Filter::new(
-            values(rows.clone()),
+            v.ab(rows.clone()),
             Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(0i64)),
         );
         (Box::new(op), m)
     });
-    assert_op_parity("project", &|| {
+    assert_op_parity("project", &|v| {
         let m = ExecMetrics::new();
-        let op = pyro::exec::project::Project::keep(values(rows.clone()), &[1, 0]);
+        let op = pyro::exec::project::Project::keep(v.ab(rows.clone()), &[1, 0]);
         (Box::new(op), m)
     });
-    assert_op_parity("limit", &|| {
+    assert_op_parity("limit", &|v| {
         let m = ExecMetrics::new();
-        let op = Limit::new(values(rows.clone()), 17);
+        let op = Limit::new(v.ab(rows.clone()), 17);
         (Box::new(op), m)
     });
 }
@@ -368,7 +391,7 @@ fn filter_project_limit_parity() {
 fn sort_spill_paths_parity() {
     // External SRS: reverse-sorted input with a tiny budget forces
     // replacement selection + multi-run merging on both paths.
-    assert_op_parity("srs_external", &|| {
+    assert_op_parity("srs_external", &|v| {
         let dev = SimDevice::with_block_size(128);
         let m = ExecMetrics::new();
         let rows: Vec<Tuple> = (0..300)
@@ -376,7 +399,7 @@ fn sort_spill_paths_parity() {
             .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]))
             .collect();
         let op = StandardReplacementSort::new(
-            values(rows),
+            v.ab(rows),
             KeySpec::new(vec![0, 1]),
             dev,
             SortBudget::new(3, 128),
@@ -385,7 +408,7 @@ fn sort_spill_paths_parity() {
         (Box::new(op), m)
     });
     // MRS with an oversized segment: the per-segment spill/merge path.
-    assert_op_parity("mrs_oversized_segment", &|| {
+    assert_op_parity("mrs_oversized_segment", &|v| {
         let dev = SimDevice::with_block_size(128);
         let m = ExecMetrics::new();
         let mut rows = segmented(1, 400);
@@ -396,7 +419,7 @@ fn sort_spill_paths_parity() {
             ])
         }));
         let op = PartialSort::new(
-            values(rows),
+            v.ab(rows),
             KeySpec::new(vec![0, 1]),
             1,
             dev,
@@ -407,11 +430,11 @@ fn sort_spill_paths_parity() {
     });
     // Top-K over MRS: the demand-bounded pull must close the same segments
     // (and so charge the same comparisons) on both paths.
-    assert_op_parity("limit_over_mrs", &|| {
+    assert_op_parity("limit_over_mrs", &|v| {
         let dev = SimDevice::new();
         let m = ExecMetrics::new();
         let op = PartialSort::new(
-            values(segmented(20, 25)),
+            v.ab(segmented(20, 25)),
             KeySpec::new(vec![0, 1]),
             1,
             dev,

@@ -272,14 +272,14 @@ fn short_read_is_a_typed_io_error() {
 
 // ---------------------------------------------------------------------
 // Sorts over a dying spill device, or a dying input: the failure must be a
-// typed error on the pull that hits it AND on every pull after it — on all
-// three pull paths — never a panic ("build called once") and never a
+// typed error on the pull that hits it AND on every pull after it — on
+// both pulls — never a panic ("build called once") and never a
 // clean end of stream over half-sorted data.
 // ---------------------------------------------------------------------
 
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro::exec::{BoxOp, ExecMetrics, Operator, ValuesOp};
-use pyro_common::{ColumnarBatch, KeySpec};
+use pyro_common::KeySpec;
 
 /// Hands `rows` rows of its child on, then fails every pull.
 struct DyingInput {
@@ -305,11 +305,7 @@ impl Operator for DyingInput {
 fn pull(op: &mut BoxOp, path: &str) -> pyro::Result<bool> {
     Ok(match path {
         "next" => op.next()?.is_some(),
-        "next_batch" => op.next_batch()?.is_some(),
-        _ => op
-            .next_columnar()?
-            .as_ref()
-            .is_some_and(|b: &ColumnarBatch| !b.is_empty()),
+        _ => op.next_batch()?.is_some(),
     })
 }
 
@@ -348,7 +344,7 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
     };
     let key = KeySpec::new(vec![0, 1]);
     let budget = SortBudget::new(3, 256);
-    for path in ["next", "next_batch", "next_columnar"] {
+    for path in ["next", "next_batch"] {
         // The spill device dies on its third page write.
         let dying_device = |name: &str| {
             let dir = fresh_dir(&format!("fault_sort_{name}_{path}"));

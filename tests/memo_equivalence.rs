@@ -288,3 +288,93 @@ fn heuristic_reorder_preserves_rows_on_multiway_chain() {
     assert_eq!(a.rows(), b.rows(), "reorder must not change the result");
     assert_eq!(a.len(), 120);
 }
+
+// ---------------------------------------------------------------------
+// Wide joins with the reorder threshold off (the gate the retired
+// `bench_opt` smoke held): on chains and stars up to 20 relations the
+// memo prefill and the exhaustive recursion are the same pure search, so
+// cost and search accounting match exactly.
+// ---------------------------------------------------------------------
+
+#[test]
+fn wide_chains_and_stars_cost_the_same_with_the_threshold_off() {
+    // `edges[i]` names the (left, right) join columns linking relation
+    // `i + 1` to the tree built so far.
+    let check = |shape: &str, tables: Vec<(String, Vec<String>)>, edges: Vec<(String, String)>| {
+        let mut session = Session::new();
+        for (salt, (name, cols)) in tables.iter().enumerate() {
+            let mut rows: Vec<Vec<i64>> = (0..60usize)
+                .map(|r| {
+                    (0..cols.len())
+                        .map(|c| ((r * (c + salt + 3)) % 97) as i64)
+                        .collect()
+                })
+                .collect();
+            rows.sort();
+            let csv: String = rows
+                .iter()
+                .map(|r| {
+                    let cells: Vec<String> = r.iter().map(i64::to_string).collect();
+                    cells.join(",") + "\n"
+                })
+                .collect();
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            session
+                .register_csv(
+                    name,
+                    pyro::common::Schema::ints(&names),
+                    SortOrder::new([cols[0].clone()]),
+                    &csv,
+                )
+                .unwrap();
+        }
+        let mut plan = LogicalPlan::new();
+        let mut cur = plan.scan_as(&tables[0].0, &tables[0].0);
+        for ((name, _), (l, r)) in tables[1..].iter().zip(edges) {
+            let next = plan.scan_as(name, name);
+            cur = plan.join(cur, next, vec![JoinPair::new(l, r)]);
+        }
+        let optimize = |enumerator| {
+            Optimizer::new(session.catalog())
+                .with_enum_strategy(enumerator)
+                .with_join_enum_threshold(usize::MAX)
+                .optimize(&plan)
+                .unwrap()
+        };
+        let (ex, memo) = (
+            optimize(EnumStrategy::Exhaustive),
+            optimize(EnumStrategy::Memo),
+        );
+        let n = tables.len();
+        assert_eq!(ex.cost(), memo.cost(), "{shape} n={n}: cost");
+        assert_eq!(ex.explain(), memo.explain(), "{shape} n={n}: plan");
+        assert_eq!(ex.planning.groups, memo.planning.groups, "{shape} n={n}");
+        assert_eq!(
+            ex.planning.candidates, memo.planning.candidates,
+            "{shape} n={n}"
+        );
+        assert_eq!(memo.planning.reordered_joins, 0, "{shape} n={n}");
+    };
+    for n in [2usize, 8, 20] {
+        // Chain: t{i} carries x{i}, x{i+1} and joins its successor on x{i+1}.
+        let tables = (0..n)
+            .map(|i| {
+                (
+                    format!("t{i}"),
+                    vec![format!("x{i}"), format!("x{}", i + 1)],
+                )
+            })
+            .collect();
+        let edges = (1..n)
+            .map(|i| (format!("t{}.x{i}", i - 1), format!("t{i}.x{i}")))
+            .collect();
+        check("chain", tables, edges);
+        // Star: hub t0 carries one key per satellite t{i}.
+        let mut tables = vec![("t0".to_string(), (1..n).map(|i| format!("k{i}")).collect())];
+        tables.extend((1..n).map(|i| (format!("t{i}"), vec![format!("k{i}"), format!("s{i}")])));
+        let edges = (1..n)
+            .map(|i| (format!("t0.k{i}"), format!("t{i}.k{i}")))
+            .collect();
+        check("star", tables, edges);
+    }
+}

@@ -7,7 +7,7 @@
 
 use pyro::common::{DataType, PyroError, Schema, Value};
 use pyro::core::cost::CostParams;
-use pyro::{EnumStrategy, Session, SortOrder, Strategy};
+use pyro::{EnumStrategy, Session, SessionConfig, SortOrder, Strategy};
 
 fn load(session: &mut Session) {
     let rows: String = (0..500)
@@ -141,38 +141,65 @@ fn every_knob_flip_misses() {
     session.sql(join_query).unwrap();
     assert!(session.sql(join_query).unwrap().plan_cache().unwrap().hit);
 
+    // Every field of the config, named: a field added to `SessionConfig`
+    // does not compile here until this test flips it too. A default
+    // session reports exactly the default config through its getters.
+    let defaults = SessionConfig::default();
+    assert_eq!(session.config(), &defaults);
+    let SessionConfig {
+        strategy,
+        enum_strategy,
+        join_enum_threshold,
+        cost_params,
+        hash_operators,
+        batch_size,
+        workers,
+        columnar,
+        seed,
+    } = defaults;
+    assert_eq!(session.strategy(), strategy);
+    assert_eq!(session.enum_strategy(), enum_strategy);
+    assert_eq!(session.join_enum_threshold(), join_enum_threshold);
+    assert_eq!(session.hash_operators(), hash_operators);
+    assert_eq!(session.batch_size(), batch_size);
+    assert_eq!(session.workers(), workers);
+    assert_eq!(session.columnar(), columnar);
+    // Fixed at build time (no setter), so it cannot change under a live
+    // cache; it is hashed with the rest all the same.
+    assert_eq!(session.seed(), seed);
+
     session.set_strategy(Strategy::pyro());
     let out = assert_miss_then_hit(&mut session, "set_strategy");
     assert_eq!(out.strategy(), Strategy::pyro(), "the NEW plan is served");
-    session.set_strategy(Strategy::pyro_o());
+    session.set_strategy(strategy);
 
-    session.set_hash_operators(false);
+    session.set_hash_operators(!hash_operators);
     let out = assert_miss_then_hit(&mut session, "set_hash_operators");
     assert!(
         !out.explain().contains("Hash"),
         "the new plan reflects the toggle:\n{}",
         out.explain()
     );
-    session.set_hash_operators(true);
-
-    session.set_sort_memory_blocks(3);
-    assert_miss_then_hit(&mut session, "set_sort_memory_blocks");
-    session.set_sort_memory_blocks(100);
+    session.set_hash_operators(hash_operators);
 
     session.set_batch_size(7);
     assert_miss_then_hit(&mut session, "set_batch_size");
-    session.set_batch_size(1024);
+    session.set_batch_size(batch_size);
 
     session.set_workers(2);
     assert_miss_then_hit(&mut session, "set_workers");
-    session.set_workers(1);
+    session.set_workers(workers);
+
+    session.set_columnar(!columnar);
+    assert_miss_then_hit(&mut session, "set_columnar");
+    session.set_columnar(columnar);
 
     session.set_cost_params(Some(CostParams {
         cmp_io: 1e-3,
         ..CostParams::default()
     }));
     assert_miss_then_hit(&mut session, "set_cost_params");
-    session.set_cost_params(None);
+    session.set_cost_params(cost_params);
 
     // Satellite (memo optimizer): an enumerator or threshold flip must
     // never re-hit a plan the other enumerator produced.
@@ -183,11 +210,17 @@ fn every_knob_flip_misses() {
         EnumStrategy::Exhaustive,
         "the NEW enumerator planned the query"
     );
-    session.set_enum_strategy(EnumStrategy::Memo);
+    session.set_enum_strategy(enum_strategy);
 
     session.set_join_enum_threshold(2);
     assert_miss_then_hit(&mut session, "set_join_enum_threshold");
-    session.set_join_enum_threshold(pyro::core::memo::DEFAULT_JOIN_ENUM_THRESHOLD);
+    session.set_join_enum_threshold(join_enum_threshold);
+
+    // The one plan-affecting fact the catalog owns and a session can
+    // change: it is hashed beside the config.
+    session.set_sort_memory_blocks(3);
+    assert_miss_then_hit(&mut session, "set_sort_memory_blocks");
+    session.set_sort_memory_blocks(100);
 
     // Restoring each knob makes the original key reachable again: the very
     // first entry is still live (capacity 32) and must hit, proving the

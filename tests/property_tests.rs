@@ -371,14 +371,18 @@ fn mrs_zero_io_when_fitting() {
 // ---------------------------------------------------------------------
 // Pull-path differential: the four operators that sort, pair and group
 // rows in place in the column vectors must give, pulled through
-// `next_batch` and `next_columnar`, exactly the rows and exactly the four
-// counters tuple-at-a-time `next` gives — over every cell type, NULLs,
+// `next_batch` — fed row batches, column batches, and a stream that
+// alternates between the two — exactly the rows and exactly the four
+// counters tuple-at-a-time `next` gives, over every cell type, NULLs,
 // heavy duplicates, empty and one-row inputs, and budgets that do and do
 // not spill.
 // ---------------------------------------------------------------------
 
+mod common;
+
+use common::{Layout, Source, LAYOUTS};
 use pyro::exec::limit::Limit;
-use pyro::exec::{collect_batched, BoxOp, MetricsRef, Operator};
+use pyro::exec::{collect_batched, BoxOp, MetricsRef};
 use std::cell::Cell;
 
 /// What a generated column holds.
@@ -449,11 +453,14 @@ fn schema4(prefix: &str) -> Schema {
 }
 
 /// `rows` as an operator handing them on `input_batch` at a time, so that
-/// segments, groups and runs straddle input batches.
-fn source(prefix: &str, rows: &[Tuple], input_batch: usize) -> BoxOp {
-    let mut op = ValuesOp::new(schema4(prefix), rows.to_vec());
-    op.set_batch_size(input_batch);
-    Box::new(op)
+/// segments, groups and runs straddle input batches, in `layout`.
+fn source(prefix: &str, rows: &[Tuple], input_batch: usize, layout: Layout) -> BoxOp {
+    Box::new(Source::new(
+        schema4(prefix),
+        rows.to_vec(),
+        input_batch,
+        layout,
+    ))
 }
 
 /// A sort budget with 128-byte blocks: everything fits, a spill with a
@@ -466,14 +473,6 @@ fn budget(rng: &mut StdRng) -> SortBudget {
     }
 }
 
-fn drain_columnar(mut op: BoxOp) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    while let Some(b) = op.next_columnar().unwrap() {
-        out.extend(b.to_rows());
-    }
-    out
-}
-
 fn counters(m: &MetricsRef) -> [u64; 4] {
     [
         m.comparisons(),
@@ -483,24 +482,22 @@ fn counters(m: &MetricsRef) -> [u64; 4] {
     ]
 }
 
-/// Builds the operator afresh for every pull path and batch size and holds
-/// rows (compared through `Debug`, under which a NaN equals itself and the
-/// two zeros differ) and counters to what `next` produced.
-fn assert_pull_paths_agree(what: &str, build: &dyn Fn() -> (BoxOp, MetricsRef)) {
-    let (op, m) = build();
+/// Builds the operator afresh — over sources of the given layout — for
+/// every input layout and batch size and holds the batch pull's rows
+/// (compared through `Debug`, under which a NaN equals itself and the two
+/// zeros differ) and counters to what `next` produced.
+fn assert_pull_paths_agree(what: &str, build: &dyn Fn(Layout) -> (BoxOp, MetricsRef)) {
+    let (op, m) = build(Layout::Rows);
     let expect = (format!("{:?}", collect(op).unwrap()), counters(&m));
     for bs in [1usize, 7, 1024] {
-        for path in ["next_batch", "next_columnar"] {
-            let (mut op, m) = build();
+        for layout in LAYOUTS {
+            let (mut op, m) = build(layout);
             op.set_batch_size(bs);
-            let rows = match path {
-                "next_batch" => collect_batched(op).unwrap(),
-                _ => drain_columnar(op),
-            };
-            let got = (format!("{rows:?}"), counters(&m));
+            let got = (format!("{:?}", collect_batched(op).unwrap()), counters(&m));
             assert!(
                 got == expect,
-                "{what}: {path} at batch {bs} diverged from next\n next: {expect:?}\n {path}: {got:?}"
+                "{what}: next_batch at batch {bs} over {layout:?} input diverged from next\n \
+                 next: {expect:?}\n next_batch: {got:?}"
             );
         }
     }
@@ -556,10 +553,10 @@ fn sort_pull_paths_agree() {
     for_all_cases(|rng| {
         let rows = table(rng, 160);
         let (key, budget, ib) = (random_key(rng), budget(rng), input_batch(rng));
-        let build = || {
+        let build = |layout| {
             let m = ExecMetrics::new();
             let op = StandardReplacementSort::new(
-                source("a", &rows, ib),
+                source("a", &rows, ib, layout),
                 key.clone(),
                 SimDevice::with_block_size(128),
                 budget,
@@ -568,7 +565,7 @@ fn sort_pull_paths_agree() {
             (Box::new(op) as BoxOp, m)
         };
         assert_pull_paths_agree(&format!("sort {key:?} {budget:?}"), &build);
-        let (op, m) = build();
+        let (op, m) = build(Layout::Rows);
         collect(op).unwrap();
         reached.note(&m, budget);
     });
@@ -585,10 +582,10 @@ fn partial_sort_pull_paths_agree() {
         let prefix_len = rng.gen_range(0..=key.len());
         let (prefix, _) = key.split_at(prefix_len);
         rows.sort_by(|a, b| prefix.compare(a, b));
-        let build = || {
+        let build = |layout| {
             let m = ExecMetrics::new();
             let op = PartialSort::new(
-                source("a", &rows, ib),
+                source("a", &rows, ib, layout),
                 key.clone(),
                 prefix_len,
                 SimDevice::with_block_size(128),
@@ -601,7 +598,7 @@ fn partial_sort_pull_paths_agree() {
             &format!("partial sort {key:?} prefix {prefix_len} {budget:?}"),
             &build,
         );
-        let (op, m) = build();
+        let (op, m) = build(Layout::Rows);
         collect(op).unwrap();
         reached.note(&m, budget);
     });
@@ -616,11 +613,11 @@ fn merge_join_pull_paths_agree() {
         left.sort_by(|a, b| key.compare(a, b));
         right.sort_by(|a, b| key.compare(a, b));
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
-            assert_pull_paths_agree(&format!("merge join {kind:?} on {key:?}"), &|| {
+            assert_pull_paths_agree(&format!("merge join {kind:?} on {key:?}"), &|layout| {
                 let m = ExecMetrics::new();
                 let op = MergeJoin::new(
-                    source("l", &left, ib),
-                    source("r", &right, ib),
+                    source("l", &left, ib, layout),
+                    source("r", &right, ib, layout),
                     key.clone(),
                     key.clone(),
                     kind,
@@ -639,7 +636,7 @@ fn group_aggregate_pull_paths_agree() {
         let (key, ib) = (random_key(rng), input_batch(rng));
         rows.sort_by(|a, b| key.compare(a, b));
         let arg = rng.gen_range(0..4usize);
-        assert_pull_paths_agree(&format!("group by {key:?} over column {arg}"), &|| {
+        assert_pull_paths_agree(&format!("group by {key:?} over column {arg}"), &|layout| {
             let m = ExecMetrics::new();
             let aggs = [
                 AggFunc::Count,
@@ -651,7 +648,7 @@ fn group_aggregate_pull_paths_agree() {
             .into_iter()
             .map(|f| AggExpr::new(f, Expr::col(arg), format!("{f:?}")))
             .collect();
-            let op = GroupAggregate::new(source("a", &rows, ib), key.cols().to_vec(), aggs);
+            let op = GroupAggregate::new(source("a", &rows, ib, layout), key.cols().to_vec(), aggs);
             (Box::new(op), m)
         });
     });
@@ -671,11 +668,11 @@ fn limit_cuts_every_pull_path_at_the_same_work() {
         left.sort_by(|a, b| sorted_on.compare(a, b));
         right.sort_by(|a, b| sorted_on.compare(a, b));
         let (k, ib) = (rng.gen_range(0..12u64), input_batch(rng));
-        assert_pull_paths_agree(&format!("limit {k}"), &|| {
+        assert_pull_paths_agree(&format!("limit {k}"), &|layout| {
             let m = ExecMetrics::new();
             let sort = |prefix: &str, rows: &[Tuple]| -> BoxOp {
                 Box::new(PartialSort::new(
-                    source(prefix, rows, ib),
+                    source(prefix, rows, ib, layout),
                     key.clone(),
                     1,
                     SimDevice::with_block_size(128),
