@@ -216,6 +216,50 @@ pub mod workloads {
         (session, "SELECT * FROM dim, fact WHERE d_k = f_d")
     }
 
+    /// Five-way star join, the shape of the referee's `star5`: an `n`-row
+    /// fact table, four dimensions of `n / 20` rows, and a filter keeping 5%
+    /// of the dimension written last.
+    pub fn star_join(n: usize, seed: u64) -> (Session, &'static str) {
+        let dim_n = (n / 20).max(1) as i64;
+        let mut session = Session::builder().seed(seed).build();
+        let mut r = rng_with(session.seed());
+        let fact: Vec<Tuple> = (0..n as i64)
+            .map(|id| {
+                let mut row = vec![Value::Int(id)];
+                row.extend((0..4).map(|_| Value::Int(r.gen_range(0..dim_n))));
+                row.push(Value::Int(r.gen_range(0..1_000_000)));
+                Tuple::new(row)
+            })
+            .collect();
+        session
+            .register_table(
+                "sfact",
+                Schema::ints(&["s_id", "s_d1", "s_d2", "s_d3", "s_d4", "s_m"]),
+                SortOrder::new(["s_id"]),
+                &fact,
+            )
+            .expect("register sfact");
+        for i in 1..=4 {
+            let (k, a) = (format!("k{i}"), format!("a{i}"));
+            let rows: Vec<Tuple> = (0..dim_n)
+                .map(|key| Tuple::new(vec![Value::Int(key), Value::Int((key * 37 + i) % 100)]))
+                .collect();
+            session
+                .register_table(
+                    &format!("sd{i}"),
+                    Schema::ints(&[&k, &a]),
+                    SortOrder::new([k.clone()]),
+                    &rows,
+                )
+                .expect("register star dimension");
+        }
+        (
+            session,
+            "SELECT s_id, s_m, a1, a2, a3, a4 FROM sfact, sd1, sd2, sd3, sd4 \
+             WHERE s_d1 = k1 AND s_d2 = k2 AND s_d3 = k3 AND s_d4 = k4 AND a4 < 5",
+        )
+    }
+
     /// The quickstart partial-sort query: ORDER BY (k, v) over clustering
     /// (k) — zero run I/O by the paper's §3.1 argument.
     pub fn partial_sort(n: usize, seed: u64) -> (Session, &'static str) {

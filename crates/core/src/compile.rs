@@ -433,7 +433,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 ctx.metrics.clone(),
             ))
         }
-        PhysOp::HashJoin { kind, pairs } => {
+        PhysOp::HashJoin { kind, pairs, build } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
             let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
@@ -443,6 +443,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 KeySpec::new(l_cols),
                 KeySpec::new(r_cols),
                 *kind,
+                *build,
             ))
         }
         PhysOp::NestedLoopsJoin { kind, pairs } => {

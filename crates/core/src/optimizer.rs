@@ -18,6 +18,7 @@ use crate::stats::{derive_stats, NodeStats};
 use crate::strategy::Strategy;
 use pyro_catalog::Catalog;
 use pyro_common::{PyroError, Result, Schema};
+use pyro_exec::join::{JoinKind, Side};
 use pyro_ordering::{AttrSet, SortOrder};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -682,49 +683,73 @@ fn gen_candidates(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Vec<Arc
             // outer joins — and the coordinated-order findings of
             // Experiment B2 rest on that reality.
             if !ctx.forced.contains_key(&id) && join_hashable(ctx, kind) {
-                // Hash join (build = left).
                 let lchild = best_plan(ctx, *left, &SortOrder::empty())?;
                 let rchild = best_plan(ctx, *right, &SortOrder::empty())?;
                 let (bl, br) = (
                     ctx.stats[*left].blocks(ctx.params.block_size),
                     ctx.stats[*right].blocks(ctx.params.block_size),
                 );
-                let mut cost = lchild.cost
-                    + rchild.cost
-                    + ctx.params.hash_io * (ctx.stats[*left].rows + ctx.stats[*right].rows);
-                if bl > ctx.params.sort_mem_blocks {
-                    cost += 2.0 * (bl + br); // grace partitioning round-trip
+                let schema = lchild.schema.join(&rchild.schema);
+                let inputs = lchild.cost + rchild.cost;
+                let hash_cost =
+                    inputs + ctx.params.hash_io * (ctx.stats[*left].rows + ctx.stats[*right].rows);
+                // Hash join, one candidate per build side. `best_plan`
+                // keeps the first of equally cheap candidates, so the side
+                // offered first is the tie-break: the smaller input, else
+                // the written (left) one. The outer variants build on the
+                // side they preserve.
+                let sides: &[Side] = match kind {
+                    JoinKind::Inner if br < bl => &[Side::Right, Side::Left],
+                    JoinKind::Inner => &[Side::Left, Side::Right],
+                    _ => &[Side::Left],
+                };
+                for &build in sides {
+                    let (build_blocks, probe) = match build {
+                        Side::Left => (bl, &rchild),
+                        Side::Right => (br, &lchild),
+                    };
+                    // Against an in-memory table the probe child streams
+                    // through, each row followed by its matches: an inner
+                    // join hands the probe order on, like nested loops.
+                    // A table over the budget is grace partitioned — a
+                    // round trip of both inputs, which scatters the probe
+                    // order — and an outer join ends on its unmatched
+                    // build rows.
+                    let in_memory = build_blocks <= ctx.params.sort_mem_blocks;
+                    let (cost, out_order) = match (in_memory, kind) {
+                        (true, JoinKind::Inner) => (hash_cost, probe.out_order.clone()),
+                        (true, _) => (hash_cost, SortOrder::empty()),
+                        (false, _) => (hash_cost + 2.0 * (bl + br), SortOrder::empty()),
+                    };
+                    out.push(Arc::new(PhysNode {
+                        op: PhysOp::HashJoin {
+                            kind: *kind,
+                            pairs: pairs.clone(),
+                            build,
+                        },
+                        schema: schema.clone(),
+                        out_order,
+                        cost,
+                        rows: stats.rows,
+                        logical: id,
+                        children: vec![lchild.clone(), rchild.clone()],
+                    }));
                 }
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::HashJoin {
-                        kind: *kind,
-                        pairs: pairs.clone(),
-                    },
-                    schema: lchild.schema.join(&rchild.schema),
-                    out_order: SortOrder::empty(),
-                    cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![lchild, rchild],
-                }));
                 // Nested loops: propagates the outer (left) order — the
                 // property afm rule 4 relies on.
-                let lc = best_plan(ctx, *left, &SortOrder::empty())?;
-                let rc = best_plan(ctx, *right, &SortOrder::empty())?;
-                let nl_cost = lc.cost
-                    + rc.cost
-                    + ctx.params.cmp_io * ctx.stats[*left].rows * ctx.stats[*right].rows;
+                let nl_cost =
+                    inputs + ctx.params.cmp_io * ctx.stats[*left].rows * ctx.stats[*right].rows;
                 out.push(Arc::new(PhysNode {
                     op: PhysOp::NestedLoopsJoin {
                         kind: *kind,
                         pairs: pairs.clone(),
                     },
-                    schema: lc.schema.join(&rc.schema),
-                    out_order: lc.out_order.clone(),
+                    schema,
+                    out_order: lchild.out_order.clone(),
                     cost: nl_cost,
                     rows: stats.rows,
                     logical: id,
-                    children: vec![lc, rc],
+                    children: vec![lchild, rchild],
                 }));
             }
         }
@@ -864,8 +889,8 @@ fn project_kept(items: &[crate::logical::ProjItem]) -> AttrSet {
 /// Whether hash/nested-loops alternatives apply to a join of `kind` under
 /// this run's configuration. Full outer joins are merge-only (see the
 /// comment at the Join arm of [`gen_candidates`]).
-fn join_hashable(ctx: &Ctx, kind: &pyro_exec::join::JoinKind) -> bool {
-    ctx.enable_hash && !matches!(kind, pyro_exec::join::JoinKind::FullOuter)
+fn join_hashable(ctx: &Ctx, kind: &JoinKind) -> bool {
+    ctx.enable_hash && !matches!(kind, JoinKind::FullOuter)
 }
 
 /// The merge-join goal pairs `(left goal, right goal)` for join `id` —

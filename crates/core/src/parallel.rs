@@ -15,10 +15,13 @@
 //! to the workers one morsel at a time, and each worker runs the subtree's
 //! operator chain over the morsels it claims — the same operators the
 //! serial compiler would build, picking their kernels from the batches the
-//! morsel scan hands them. A hash join's build side is not part of
-//! the chain: it is compiled on its own (recursively parallel, behind its
-//! own exchange, when it is big enough), drained once into a table every
-//! worker shares, and probed by each worker's morsel stream.
+//! morsel scan hands them. A hash join's build side — whichever child the
+//! plan's `build` names — is not part of the chain: it is compiled on its
+//! own (recursively parallel, behind its own exchange, when it is big
+//! enough), drained once into a table every worker shares, and probed by
+//! each worker's morsel stream. A star join whose joins each build on
+//! their dimension is thus one gather over the fact table's morsels, its
+//! fragment probing one shared table per dimension in a row.
 //!
 //! **Which mode.** Decided by the `exact` context the compiler threads
 //! down (see `compile::compile_sub`):
@@ -43,7 +46,7 @@ use crate::compile::{
 use crate::plan::{PhysNode, PhysOp};
 use pyro_common::{KeySpec, PyroError, Result};
 use pyro_exec::filter::Filter;
-use pyro_exec::join::{HashJoin, JoinKind, SharedBuild};
+use pyro_exec::join::{HashJoin, JoinKind, SharedBuild, Side};
 use pyro_exec::project::Project;
 use pyro_exec::{BoxOp, FragmentFn, Gather, MorselSource, Operator, MORSEL_PAGES};
 use std::sync::Arc;
@@ -121,23 +124,27 @@ fn is_scan_chain(node: &PhysNode) -> bool {
     }
 }
 
+/// The child a parallel-safe operator streams: a filter's or projection's
+/// input, a hash join's probe side. `None` at a scan.
+fn streamed_child(node: &PhysNode) -> Option<&Arc<PhysNode>> {
+    match &node.op {
+        PhysOp::Filter { .. } | PhysOp::Project { .. } => Some(&node.children[0]),
+        PhysOp::HashJoin { build, .. } => Some(node.build_probe(*build).1),
+        _ => None,
+    }
+}
+
 /// The scan whose morsels drive a parallel-safe subtree's workers.
 fn driving_leaf(node: &Arc<PhysNode>) -> &Arc<PhysNode> {
-    match &node.op {
-        PhysOp::Filter { .. } | PhysOp::Project { .. } => driving_leaf(&node.children[0]),
-        PhysOp::HashJoin { .. } => driving_leaf(&node.children[1]),
-        _ => node,
-    }
+    streamed_child(node).map_or(node, driving_leaf)
 }
 
 /// The operator directly above `leaf` on the way down from `node` (the
 /// only place a seekable filter can sit), or `node` itself when it is the
 /// leaf.
 fn filter_over<'a>(leaf: &Arc<PhysNode>, node: &'a Arc<PhysNode>) -> &'a Arc<PhysNode> {
-    let below = match &node.op {
-        PhysOp::Filter { .. } | PhysOp::Project { .. } => &node.children[0],
-        PhysOp::HashJoin { .. } => &node.children[1],
-        _ => return node,
+    let Some(below) = streamed_child(node) else {
+        return node;
     };
     if Arc::ptr_eq(below, leaf) {
         node
@@ -174,19 +181,28 @@ fn fragment(
             let schema = node.schema.clone();
             Arc::new(move |leaf| Box::new(Project::new(below(leaf), exprs.clone(), schema.clone())))
         }
-        PhysOp::HashJoin { pairs, .. } => {
+        PhysOp::HashJoin { pairs, build, .. } => {
             let (left, right) = (&node.children[0], &node.children[1]);
             let (l_cols, r_cols) = pair_cols(pairs, &left.schema, &right.schema)?;
+            let side = *build;
+            let (build, probe) = node.build_probe(side);
+            let (build_cols, probe_cols) = match side {
+                Side::Left => (l_cols, r_cols),
+                Side::Right => (r_cols, l_cols),
+            };
             // The build side is drained once, in whatever order its own
             // (arrival-order) exchange delivers: build order only permutes
             // the matches of a probe row, and nothing sequence-sensitive
             // sits above an unordered gather.
-            let build = SharedBuild::new(compile_sub(left, ctx, false)?, KeySpec::new(l_cols));
-            builds.push(build.clone());
-            let below = fragment(right, ctx, builds)?;
-            let (r_key, batch) = (KeySpec::new(r_cols), ctx.batch);
+            let shared =
+                SharedBuild::new(compile_sub(build, ctx, false)?, KeySpec::new(build_cols));
+            builds.push(shared.clone());
+            let below = fragment(probe, ctx, builds)?;
+            let (probe_key, batch) = (KeySpec::new(probe_cols), ctx.batch);
             Arc::new(move |leaf| {
-                let mut j = HashJoin::with_shared_build(build.clone(), below(leaf), r_key.clone());
+                let probe = below(leaf);
+                let mut j =
+                    HashJoin::with_shared_build(shared.clone(), probe, probe_key.clone(), side);
                 j.set_batch_size(batch);
                 Box::new(j)
             })
@@ -327,6 +343,151 @@ mod tests {
             plan.explain()
         );
         for_every_mode(&plan, &cat, same_multiset);
+        // Whichever side the optimizer built on, the other orientation must
+        // run the same: the written one probes `b`'s morsels past a table
+        // built behind its own exchange, the flipped one the reverse.
+        let flipped = OptimizedPlan {
+            root: flip_build_sides(&plan.root),
+            ..plan.clone()
+        };
+        for_every_mode(&flipped, &cat, same_multiset);
+        let rows = |p: &OptimizedPlan| {
+            let mut rows = p.execute(&cat).unwrap().rows;
+            rows.sort();
+            rows
+        };
+        assert!(rows(&plan) == rows(&flipped));
+    }
+
+    /// `node` with every inner hash join building on its other input. The
+    /// flipped joins claim no order: whatever the optimizer derived was for
+    /// the side it chose.
+    fn flip_build_sides(node: &Arc<PhysNode>) -> Arc<PhysNode> {
+        let mut flipped = PhysNode {
+            children: node.children.iter().map(flip_build_sides).collect(),
+            ..(**node).clone()
+        };
+        if let PhysOp::HashJoin { build, .. } = &mut flipped.op {
+            *build = match *build {
+                Side::Left => Side::Right,
+                Side::Right => Side::Left,
+            };
+            flipped.out_order = SortOrder::empty();
+        }
+        Arc::new(flipped)
+    }
+
+    fn two_workers<'a>(catalog: &'a Catalog, root: &'a Arc<PhysNode>) -> CompileCtx<'a> {
+        CompileCtx {
+            catalog,
+            root,
+            metrics: pyro_exec::ExecMetrics::new(),
+            batch: 256,
+            workers: 2,
+            params: &[],
+            columnar: true,
+        }
+    }
+
+    /// A star join at two workers is one exchange: the fact table's morsels
+    /// stream through a chain of four joins, each probing a table the
+    /// gather built — serially, a dimension being less than a morsel —
+    /// before its workers started.
+    #[test]
+    fn star_join_is_one_gather_over_four_shared_builds() {
+        let mut cat = catalog();
+        for d in 0..4i64 {
+            let rows: Vec<Tuple> = (0..10i64)
+                .map(|g| Tuple::new(vec![Value::Int(g), Value::Int(g * 10 + d)]))
+                .collect();
+            let cols = [format!("k{d}"), format!("a{d}")];
+            let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+            cat.register_table(
+                &format!("d{d}"),
+                Schema::ints(&cols),
+                SortOrder::empty(),
+                &rows,
+            )
+            .unwrap();
+        }
+        let mut p = LogicalPlan::new();
+        let mut j = p.scan_as("t", "t");
+        for d in 0..4 {
+            let dim = p.scan_as(&format!("d{d}"), &format!("d{d}"));
+            j = p.join(j, dim, vec![JoinPair::new("t.g", format!("d{d}.k{d}"))]);
+        }
+        let plan = Optimizer::new(&cat).optimize(&p).unwrap();
+        let root = &plan.root;
+        assert_eq!(
+            root.count_nodes(&|n| matches!(
+                n.op,
+                PhysOp::HashJoin {
+                    build: Side::Right,
+                    ..
+                }
+            )),
+            4,
+            "test premise: four joins building on the dimensions\n{}",
+            plan.explain()
+        );
+        let ctx = two_workers(&cat, root);
+        assert!(parallel_safe(root));
+        assert!(matches!(
+            &driving_leaf(root).op,
+            PhysOp::ClusteredIndexScan { table, .. } if table == "t"
+        ));
+        let mut builds = Vec::new();
+        fragment(root, &ctx, &mut builds).unwrap();
+        assert_eq!(builds.len(), 4, "one shared table per dimension");
+        assert!(
+            try_parallel(root, &ctx, false).unwrap().is_some(),
+            "the whole plan is one exchange"
+        );
+        for join in [root, &root.children[0]] {
+            let dim = &join.children[1];
+            assert!(
+                try_parallel(dim, &ctx, false).unwrap().is_none(),
+                "a dimension is built serially"
+            );
+        }
+        for_every_mode(&plan, &cat, same_multiset);
+    }
+
+    /// An ORDER BY the join's probe order satisfies leaves no enforcer in
+    /// the plan, so the sequence demand reaches the join itself: it is not a
+    /// scan chain, stays serial, and its probe input — which is one — comes
+    /// through a gather that releases morsels in file order.
+    #[test]
+    fn hash_join_under_an_order_by_probes_an_ordered_gather() {
+        let mut cat = catalog();
+        let dim: Vec<Tuple> = (0..10i64)
+            .map(|g| Tuple::new(vec![Value::Int(g), Value::Int(-g)]))
+            .collect();
+        cat.register_table("d", Schema::ints(&["dk", "dv"]), SortOrder::empty(), &dim)
+            .unwrap();
+        let mut p = LogicalPlan::new();
+        let (t, d) = (p.scan_as("t", "t"), p.scan_as("d", "d"));
+        let j = p.join(t, d, vec![JoinPair::new("t.g", "d.dk")]);
+        p.order_by(j, SortOrder::new(["t.k"]));
+        let plan = Optimizer::new(&cat).optimize(&p).unwrap();
+        let root = &plan.root;
+        assert!(
+            matches!(
+                root.op,
+                PhysOp::HashJoin {
+                    build: Side::Right,
+                    ..
+                }
+            ) && plan.ordered_output,
+            "test premise: the join is the root, no enforcer above it\n{}",
+            plan.explain()
+        );
+        let ctx = two_workers(&cat, root);
+        assert!(try_parallel(root, &ctx, true).unwrap().is_none());
+        assert!(try_parallel(&root.children[0], &ctx, true)
+            .unwrap()
+            .is_some());
+        for_every_mode(&plan, &cat, same_sequence);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::logical::{AggSpec, JoinPair, NExpr, ProjItem};
 use pyro_common::Schema;
-use pyro_exec::join::JoinKind;
+use pyro_exec::join::{JoinKind, Side};
 use pyro_ordering::SortOrder;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -71,12 +71,16 @@ pub enum PhysOp {
         /// Chosen interesting order.
         order: SortOrder,
     },
-    /// Hash join (left = build side).
+    /// Hash join. Output columns are `left ++ right` whichever child the
+    /// table is built on; output order is the probe child's.
     HashJoin {
         /// Join type.
         kind: JoinKind,
         /// Equality pairs.
         pairs: Vec<JoinPair>,
+        /// The child the hash table is built on (always `Left` for an
+        /// outer join).
+        build: Side,
     },
     /// Nested loops join.
     NestedLoopsJoin {
@@ -135,7 +139,13 @@ impl PhysOp {
                 JoinKind::LeftOuter => format!("Merge LO Join {order}"),
                 JoinKind::FullOuter => format!("Merge FO Join {order}"),
             },
-            PhysOp::HashJoin { kind, .. } => format!("Hash Join ({kind:?})"),
+            PhysOp::HashJoin { kind, build, .. } => {
+                let side = match build {
+                    Side::Left => "left",
+                    Side::Right => "right",
+                };
+                format!("Hash Join ({kind:?}, build={side})")
+            }
             PhysOp::NestedLoopsJoin { .. } => "Nested Loops".into(),
             PhysOp::SortAggregate { group_by, .. } => {
                 format!("Group Aggregate [{}]", group_by.join(", "))
@@ -171,6 +181,15 @@ pub struct PhysNode {
 }
 
 impl PhysNode {
+    /// The `(build, probe)` children of a hash-join node building on
+    /// `build`.
+    pub fn build_probe(&self, build: Side) -> (&Arc<PhysNode>, &Arc<PhysNode>) {
+        match build {
+            Side::Left => (&self.children[0], &self.children[1]),
+            Side::Right => (&self.children[1], &self.children[0]),
+        }
+    }
+
     /// Renders the plan tree, root first, children indented — the format of
     /// the paper's plan figures.
     pub fn explain(&self) -> String {

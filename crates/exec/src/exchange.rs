@@ -376,7 +376,7 @@ mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr};
     use crate::filter::Filter;
-    use crate::join::{HashJoin, SharedBuild};
+    use crate::join::{HashJoin, SharedBuild, Side};
     use crate::op::{collect, collect_batched, FaultyOp, ValuesOp};
     use pyro_common::{KeySpec, Value};
     use pyro_storage::{write_file, SimDevice, TupleFile};
@@ -578,6 +578,7 @@ mod tests {
                     probe.clone(),
                     Box::new(leaf),
                     KeySpec::new(vec![0]),
+                    Side::Left,
                 ))
             });
             Gather::new(

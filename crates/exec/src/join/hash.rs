@@ -5,13 +5,21 @@
 //! materialized into a hash table; NULL keys never match (and are emitted
 //! padded by the outer variants).
 //!
+//! Which input is the build side is the caller's choice ([`Side`]): an
+//! inner join may build on either, the outer variants build on the left.
+//! Whichever it is, the output columns are `left ++ right` and the output
+//! order is the probe stream's, each probe row's matches in build arrival
+//! order — so a join building on the right emits exactly the sequence a
+//! nested-loops join over the same inputs does, and passes its left
+//! input's sort order on.
+//!
 //! A finished build side is immutable — the outer joins' "found a partner"
 //! bits live on the probing operator, not in the table — so the workers of
 //! a parallel inner join share one table behind an `Arc` ([`SharedBuild`]):
 //! it is built once, by whoever needs it first, and every worker probes its
 //! own morsels against it.
 
-use super::JoinKind;
+use super::{JoinKind, Side};
 use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{
     ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple,
@@ -20,13 +28,14 @@ use pyro_common::{
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Hash join; the **left** input is the build side.
+/// Hash join of `left ⋈ right`, building on the input named at
+/// construction and probing with the other.
 pub struct HashJoin {
-    build: BuildSide,
-    right: BoxOp,
-    left_schema_len: usize,
-    right_schema_len: usize,
-    left_key: KeySpec,
+    build: BuildInput,
+    /// The streaming input.
+    probe_input: BoxOp,
+    probe_len: usize,
+    build_key: KeySpec,
     kind: JoinKind,
     schema: Schema,
     /// The finished build side; `None` until the first pull.
@@ -42,8 +51,8 @@ pub struct HashJoin {
 }
 
 /// Where the build side comes from.
-enum BuildSide {
-    /// Serial join: this operator drains its own left input, once.
+enum BuildInput {
+    /// Serial join: this operator drains its own build input, once.
     Own(Option<BoxOp>),
     /// One worker's copy of a parallel inner join.
     Shared(Arc<SharedBuild>),
@@ -161,24 +170,27 @@ impl RowTable {
 /// What a row-granularity probe mutates, kept apart from the (possibly
 /// shared) table it reads.
 struct RowProbe {
-    right_key: KeySpec,
+    probe_key: KeySpec,
+    /// Which join input the table rows are: decides the column order of a
+    /// joined row.
+    build: Side,
     /// Reused probe-key buffer: the table lookup borrows it as a slice, so
     /// probing allocates nothing per row.
     key: Vec<Value>,
-    /// FULL OUTER only: the left arity an unmatched probe row is padded to.
-    pad_left: Option<usize>,
+    /// FULL OUTER only: the build (= left) arity an unmatched probe row is
+    /// padded to.
+    pad_build: Option<usize>,
     /// LEFT/FULL OUTER only: `seen[i]` ⇔ `RowTable::rows[i]` found a
     /// partner. Empty for inner joins, which never read it.
     seen: Vec<bool>,
 }
 
 impl RowProbe {
-    /// Probes one right row against the build table, appending all
-    /// produced rows (matches, or the full-outer pad) to `out`. Shared by
-    /// both row-granularity pull paths so match semantics can never
-    /// diverge.
+    /// Probes one row against the build table, appending all produced rows
+    /// (matches, or the full-outer pad) to `out`. Shared by both
+    /// row-granularity pull paths so match semantics can never diverge.
     fn probe(&mut self, table: &RowTable, probe: &Tuple, out: &mut Vec<Tuple>) {
-        probe.key_into(self.right_key.cols(), &mut self.key);
+        probe.key_into(self.probe_key.cols(), &mut self.key);
         let before = out.len();
         if !self.key.iter().any(Value::is_null) {
             if let Some(matches) = table.index.get(self.key.as_slice()) {
@@ -186,12 +198,15 @@ impl RowProbe {
                     if let Some(seen) = self.seen.get_mut(i) {
                         *seen = true;
                     }
-                    out.push(table.rows[i].concat(probe));
+                    out.push(match self.build {
+                        Side::Left => table.rows[i].concat(probe),
+                        Side::Right => probe.concat(&table.rows[i]),
+                    });
                 }
             }
         }
         if out.len() == before {
-            if let Some(arity) = self.pad_left {
+            if let Some(arity) = self.pad_build {
                 // Right row without partner.
                 out.push(Tuple::nulls(arity).concat(probe));
             }
@@ -368,61 +383,85 @@ impl ProbeKeyCol<'_> {
 }
 
 impl HashJoin {
-    /// Builds a hash join of `left ⋈ right` on the positional keys.
+    /// Builds a hash join of `left ⋈ right` on the positional keys, with
+    /// the table built on the `build` input. Only an inner join may build
+    /// on the right: the outer variants' unmatched-row drain is written for
+    /// a preserved build side.
     pub fn new(
         left: BoxOp,
         right: BoxOp,
         left_key: KeySpec,
         right_key: KeySpec,
         kind: JoinKind,
+        build: Side,
     ) -> Self {
-        let left_schema = left.schema().clone();
+        let (input, build_key, probe, probe_key) = match build {
+            Side::Left => (left, left_key, right, right_key),
+            Side::Right => (right, right_key, left, left_key),
+        };
+        let build_schema = input.schema().clone();
         HashJoin::over(
-            BuildSide::Own(Some(left)),
-            &left_schema,
-            left_key,
-            right,
-            right_key,
+            BuildInput::Own(Some(input)),
+            &build_schema,
+            build_key,
+            probe,
+            probe_key,
             kind,
+            build,
         )
     }
 
     /// One worker's inner join against a build side shared with the other
-    /// workers of the same parallel join.
-    pub fn with_shared_build(build: Arc<SharedBuild>, right: BoxOp, right_key: KeySpec) -> Self {
+    /// workers of the same parallel join; `side` says which of the join's
+    /// inputs that build side is.
+    pub fn with_shared_build(
+        build: Arc<SharedBuild>,
+        probe: BoxOp,
+        probe_key: KeySpec,
+        side: Side,
+    ) -> Self {
         let (schema, key) = (build.schema.clone(), build.key.clone());
         HashJoin::over(
-            BuildSide::Shared(build),
+            BuildInput::Shared(build),
             &schema,
             key,
-            right,
-            right_key,
+            probe,
+            probe_key,
             JoinKind::Inner,
+            side,
         )
     }
 
     fn over(
-        build: BuildSide,
-        left_schema: &Schema,
-        left_key: KeySpec,
-        right: BoxOp,
-        right_key: KeySpec,
+        build: BuildInput,
+        build_schema: &Schema,
+        build_key: KeySpec,
+        probe: BoxOp,
+        probe_key: KeySpec,
         kind: JoinKind,
+        side: Side,
     ) -> Self {
-        assert_eq!(left_key.len(), right_key.len());
+        assert_eq!(build_key.len(), probe_key.len());
+        assert!(
+            side == Side::Left || kind == JoinKind::Inner,
+            "an outer hash join builds on its left input"
+        );
         HashJoin {
             build,
-            left_schema_len: left_schema.len(),
-            right_schema_len: right.schema().len(),
-            schema: left_schema.join(right.schema()),
-            right,
-            left_key,
+            probe_len: probe.schema().len(),
+            schema: match side {
+                Side::Left => build_schema.join(probe.schema()),
+                Side::Right => probe.schema().join(build_schema),
+            },
+            probe_input: probe,
+            build_key,
             kind,
             table: None,
             probe: RowProbe {
-                right_key,
+                probe_key,
+                build: side,
                 key: Vec::new(),
-                pad_left: matches!(kind, JoinKind::FullOuter).then_some(left_schema.len()),
+                pad_build: matches!(kind, JoinKind::FullOuter).then_some(build_schema.len()),
                 seen: Vec::new(),
             },
             pending: Vec::new().into_iter(),
@@ -442,18 +481,18 @@ impl HashJoin {
             return Ok(t.clone());
         }
         let built = match &mut self.build {
-            BuildSide::Own(input) => {
+            BuildInput::Own(input) => {
                 let mut input = input.take().ok_or_else(|| {
                     PyroError::Exec("hash join re-pulled after its build failed".into())
                 })?;
-                let key_cols = self.left_key.cols();
+                let key_cols = self.build_key.cols();
                 Arc::new(if batched {
                     Built::drain(&mut input, key_cols, matches!(self.kind, JoinKind::Inner))?
                 } else {
                     Built::drain_rows(&mut input, key_cols)?
                 })
             }
-            BuildSide::Shared(shared) => shared.get()?,
+            BuildInput::Shared(shared) => shared.get()?,
         };
         if let (Built::Rows(t), JoinKind::LeftOuter | JoinKind::FullOuter) = (&*built, self.kind) {
             self.probe.seen = vec![false; t.rows.len()];
@@ -462,14 +501,14 @@ impl HashJoin {
         Ok(built)
     }
 
-    /// Probes one right row (or, at probe end, stages the outer-join
+    /// Probes one row (or, at probe end, stages the outer-join
     /// drains), leaving produced rows in `self.pending`. `Ok(false)` means
     /// the stream is complete.
     fn step(&mut self, table: &RowTable, batched: bool) -> Result<bool> {
         if self.drain_unmatched {
             return Ok(false);
         }
-        match pull_row(&mut self.right, &mut self.probe_stash, batched)? {
+        match pull_row(&mut self.probe_input, &mut self.probe_stash, batched)? {
             Some(probe) => {
                 let mut out = Vec::new();
                 self.probe.probe(table, &probe, &mut out);
@@ -482,7 +521,7 @@ impl HashJoin {
                 // rows once.
                 self.drain_unmatched = true;
                 if matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-                    let pad = Tuple::nulls(self.right_schema_len);
+                    let pad = Tuple::nulls(self.probe_len);
                     let unmatched = table
                         .rows
                         .iter()
@@ -524,7 +563,7 @@ impl HashJoin {
         // may overshoot the batch size by one match set (allowed by the
         // trait contract).
         while !self.drain_unmatched && out.len() < self.batch {
-            match pull_row(&mut self.right, &mut self.probe_stash, true)? {
+            match pull_row(&mut self.probe_input, &mut self.probe_stash, true)? {
                 Some(probe) => {
                     self.probe.probe(table, &probe, &mut out);
                 }
@@ -595,7 +634,7 @@ impl HashJoin {
     }
 
     /// Gathers the matched rows column-at-a-time: build columns indexed by
-    /// `build_idx`, probe columns by `probe_idx`.
+    /// `build_idx`, probe columns by `probe_idx`, laid out `left ++ right`.
     fn gather_output(
         &self,
         table: &VectorTable,
@@ -606,11 +645,15 @@ impl HashJoin {
         let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
             .map(|_| ColumnBuilder::new())
             .collect();
-        for (c, builder) in builders.iter_mut().enumerate().take(self.left_schema_len) {
-            builder.append_column(&table.cols[c], Some(build_idx));
+        let (build_at, probe_at) = match self.probe.build {
+            Side::Left => (0, table.cols.len()),
+            Side::Right => (self.probe_len, 0),
+        };
+        for (c, col) in table.cols.iter().enumerate() {
+            builders[build_at + c].append_column(col, Some(build_idx));
         }
-        for (c, builder) in builders.iter_mut().enumerate().skip(self.left_schema_len) {
-            builder.append_column(probe.column(c - self.left_schema_len), Some(probe_idx));
+        for c in 0..self.probe_len {
+            builders[probe_at + c].append_column(probe.column(c), Some(probe_idx));
         }
         ColumnarBatch::from_builders(builders)
     }
@@ -660,7 +703,7 @@ impl Operator for HashJoin {
 
     /// The probe side streams; the build side is drained whole.
     fn set_demand_driven(&mut self) {
-        self.right.set_demand_driven();
+        self.probe_input.set_demand_driven();
     }
 }
 
@@ -675,7 +718,7 @@ impl HashJoin {
                     &pb,
                     &sel,
                     cursor,
-                    self.probe.right_key.cols(),
+                    self.probe.probe_key.cols(),
                     self.batch,
                     &mut build_idx,
                     &mut probe_idx,
@@ -694,7 +737,7 @@ impl HashJoin {
                 // Batch fully probed with no matches: fall through to pull
                 // the next one.
             }
-            match self.right.next_batch()?.map(Batch::into_cols) {
+            match self.probe_input.next_batch()?.map(Batch::into_cols) {
                 Some(pb) => {
                     let sel = pb.sel_vec();
                     self.probe_pos = Some((pb, sel, 0));
@@ -725,6 +768,7 @@ mod tests {
             KeySpec::new(vec![0]),
             KeySpec::new(vec![0]),
             kind,
+            Side::Left,
         );
         collect(Box::new(op)).unwrap()
     }
@@ -772,6 +816,7 @@ mod tests {
             KeySpec::new(vec![0]),
             KeySpec::new(vec![0]),
             JoinKind::FullOuter,
+            Side::Left,
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out.len(), 2, "both NULL rows padded, no match");
@@ -783,38 +828,42 @@ mod tests {
         assert_eq!(out.len(), 4);
     }
 
-    /// `next` over `left ⋈ right`, then the batch pull at several batch
-    /// sizes with the build and the probe side each fed every layout stream
-    /// — all-`Cols` build sides get the vector table, any `Rows` batch the
+    /// `next` over `left ⋈ right` built on `build`, then the batch pull at
+    /// several batch sizes with each input fed every layout stream —
+    /// all-`Cols` build sides get the vector table, any `Rows` batch the
     /// row table, and either is probed by either layout: same rows, same
     /// order.
     fn assert_batch_pull_matches_next(
         left: (Schema, Vec<Tuple>),
         right: (Schema, Vec<Tuple>),
         kind: JoinKind,
+        build: Side,
     ) -> Vec<Tuple> {
         use crate::op::{collect_batched, in_every_layout};
         let key = || KeySpec::new(vec![0]);
         let values = |(schema, rows): &(Schema, Vec<Tuple>)| -> BoxOp {
             Box::new(ValuesOp::new(schema.clone(), rows.clone()))
         };
-        let next = HashJoin::new(values(&left), values(&right), key(), key(), kind);
+        let next = HashJoin::new(values(&left), values(&right), key(), key(), kind, build);
         let reference = collect(Box::new(next)).unwrap();
         for batch in [1usize, 7, 1024] {
-            for (b, p) in (0..3).flat_map(|b| (0..3).map(move |p| (b, p))) {
-                let [build, probe] = [(&left, b), (&right, p)]
+            for (l, r) in (0..3).flat_map(|l| (0..3).map(move |r| (l, r))) {
+                let [lhs, rhs] = [(&left, l), (&right, r)]
                     .map(|((schema, rows), i)| in_every_layout(schema, rows).into_iter().nth(i));
-                let mut op = HashJoin::new(build.unwrap(), probe.unwrap(), key(), key(), kind);
+                let mut op = HashJoin::new(lhs.unwrap(), rhs.unwrap(), key(), key(), kind, build);
                 op.set_batch_size(batch);
                 let out = collect_batched(Box::new(op)).unwrap();
-                assert_eq!(reference, out, "build {b} probe {p} batch {batch}");
+                assert_eq!(
+                    reference, out,
+                    "build {build:?} left {l} right {r} batch {batch}"
+                );
             }
         }
         reference
     }
 
-    /// Duplicate keys, NULL keys and sub-batch-size output slices, inner
-    /// and — always on the row table — both outer kinds.
+    /// Duplicate keys, NULL keys and sub-batch-size output slices, inner on
+    /// either build side and — always on the row table — both outer kinds.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let side = |n: i64, modulus: i64, null_every: i64, base: i64| -> Vec<Tuple> {
@@ -828,11 +877,17 @@ mod tests {
                 })
                 .collect()
         };
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+        for (kind, build) in [
+            (JoinKind::Inner, Side::Left),
+            (JoinKind::Inner, Side::Right),
+            (JoinKind::LeftOuter, Side::Left),
+            (JoinKind::FullOuter, Side::Left),
+        ] {
             let out = assert_batch_pull_matches_next(
                 (Schema::ints(&["a", "b"]), side(200, 23, 17, 0)),
                 (Schema::ints(&["c", "d"]), side(150, 29, 11, 1000)),
                 kind,
+                build,
             );
             assert!(!out.is_empty());
         }
@@ -874,6 +929,7 @@ mod tests {
             (schema("a", "b"), left_rows),
             (schema("c", "d"), right_rows),
             JoinKind::Inner,
+            Side::Left,
         );
         assert!(!out.is_empty());
     }
@@ -891,6 +947,7 @@ mod tests {
             (Schema::ints(&["a", "b"]), rows(&[(1, 10), (2, 20)])),
             (Schema::ints(&["c", "d"]), right_rows),
             JoinKind::Inner,
+            Side::Left,
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), &Value::Int(2));
@@ -919,6 +976,7 @@ mod tests {
                             shared,
                             Box::new(probe),
                             KeySpec::new(vec![0]),
+                            Side::Left,
                         );
                         barrier.wait();
                         collect_batched(Box::new(join))
@@ -958,6 +1016,7 @@ mod tests {
                     KeySpec::new(vec![0]),
                     KeySpec::new(vec![0]),
                     JoinKind::Inner,
+                    Side::Left,
                 );
                 expect.extend(collect(Box::new(serial)).unwrap());
             }

@@ -19,3 +19,13 @@ pub enum JoinKind {
     /// All rows from both sides; unmatched padded with NULLs.
     FullOuter,
 }
+
+/// One of a join's two inputs — for a [`HashJoin`], the one its table is
+/// built on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The left (first-written) input.
+    Left,
+    /// The right input.
+    Right,
+}

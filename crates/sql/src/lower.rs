@@ -140,6 +140,14 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// The alias part of a column name [`Self::qualify`] returned.
+    fn alias_of(qualified: &str) -> Result<&str> {
+        qualified
+            .split_once('.')
+            .map(|(alias, _)| alias)
+            .ok_or_else(|| PyroError::Plan(format!("column {qualified} has no table qualifier")))
+    }
+
     /// True iff the qualified column belongs to `alias`.
     fn belongs_to(col: &str, alias: &str) -> bool {
         col.split_once('.').is_some_and(|(a, _)| a == alias)
@@ -183,11 +191,7 @@ impl<'a> Lowerer<'a> {
                 SqlExpr::Cmp(CmpOp::Eq, a, b) => {
                     if let (SqlExpr::Col(ca), SqlExpr::Col(cb)) = (a.as_ref(), b.as_ref()) {
                         let (qa, qb) = (self.qualify(ca)?, self.qualify(cb)?);
-                        let (aa, ab) = (
-                            qa.split_once('.').expect("qualified").0.to_string(),
-                            qb.split_once('.').expect("qualified").0.to_string(),
-                        );
-                        if aa != ab {
+                        if Self::alias_of(&qa)? != Self::alias_of(&qb)? {
                             join_equalities.push((qa, qb));
                             continue;
                         }
@@ -222,7 +226,8 @@ impl<'a> Lowerer<'a> {
                 }
             });
         }
-        let (mut node, _) = current.expect("at least one table");
+        let (mut node, _) =
+            current.ok_or_else(|| PyroError::Plan("FROM clause lowered to no table".into()))?;
         if !join_equalities.is_empty() {
             return Err(PyroError::Sql(format!(
                 "unplaced join equalities: {join_equalities:?}"

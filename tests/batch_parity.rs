@@ -18,7 +18,7 @@ use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
 use pyro::exec::dedup::{HashDistinct, SortDistinct};
-use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin};
+use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::limit::Limit;
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro::exec::union::{MergeUnion, UnionAll};
@@ -310,6 +310,7 @@ fn join_operators_parity() {
                 KeySpec::new(vec![0]),
                 KeySpec::new(vec![0]),
                 kind,
+                Side::Left,
             );
             (Box::new(op), m)
         });
@@ -325,6 +326,86 @@ fn join_operators_parity() {
             );
             (Box::new(op), m)
         });
+    }
+}
+
+/// An inner hash join building on its right input is nested loops row for
+/// row: both walk the left input in order and emit each left row's matches
+/// in right arrival order, columns `left ++ right`. Int keys get the vector
+/// table when the build side arrives as columns, string keys always the row
+/// table; both must hold the sequence — under `next`, and at every batch
+/// size over every input layout.
+#[test]
+fn hash_join_building_right_equals_nested_loops_row_for_row() {
+    use pyro::common::{Column, DataType};
+    // Duplicate keys on both sides, NULL keys on both sides, unmatched keys
+    // on both sides; neither side arrives sorted.
+    let keyed = |n: i64, modulus: i64, null_every: i64, base: i64, key: &dyn Fn(i64) -> Value| {
+        (0..n)
+            .map(|i| {
+                let k = match (i * 7 + 3) % null_every {
+                    0 => Value::Null,
+                    _ => key((i * 5) % modulus),
+                };
+                Tuple::new(vec![k, Value::Int(base + i)])
+            })
+            .collect::<Vec<Tuple>>()
+    };
+    let int_key: &dyn Fn(i64) -> Value = &Value::Int;
+    let str_key: &dyn Fn(i64) -> Value = &|k| Value::Str(format!("k{k}"));
+    for (what, key, ty) in [
+        ("int", int_key, DataType::Int),
+        ("string", str_key, DataType::Str),
+    ] {
+        let schema =
+            |k: &str, v: &str| Schema::new(vec![Column::new(k, ty), Column::new(v, DataType::Int)]);
+        let (left, right) = (keyed(60, 11, 9, 0, key), keyed(45, 13, 7, 1000, key));
+        let inputs = |batch: usize, layout: Layout| -> (BoxOp, BoxOp) {
+            (
+                Box::new(Source::new(schema("a", "b"), left.clone(), batch, layout)),
+                Box::new(Source::new(schema("c", "d"), right.clone(), batch, layout)),
+            )
+        };
+        let key0 = || KeySpec::new(vec![0]);
+        let hash = |(l, r): (BoxOp, BoxOp)| -> BoxOp {
+            Box::new(HashJoin::new(
+                l,
+                r,
+                key0(),
+                key0(),
+                JoinKind::Inner,
+                Side::Right,
+            ))
+        };
+        let (l, r) = inputs(4, Layout::Rows);
+        let oracle = collect(Box::new(NestedLoopsJoin::new(
+            l,
+            r,
+            key0(),
+            key0(),
+            JoinKind::Inner,
+        )))
+        .unwrap();
+        assert!(
+            oracle.len() > left.len(),
+            "test premise: duplicate matches ({what} keys)"
+        );
+        assert_eq!(
+            oracle,
+            collect(hash(inputs(4, Layout::Rows))).unwrap(),
+            "{what} keys, next()"
+        );
+        for &bs in &BATCH_SIZES {
+            for layout in LAYOUTS {
+                let mut op = hash(inputs(4, layout));
+                op.set_batch_size(bs);
+                assert_eq!(
+                    oracle,
+                    collect_batched(op).unwrap(),
+                    "{what} keys, batch={bs}, {layout:?} input"
+                );
+            }
+        }
     }
 }
 

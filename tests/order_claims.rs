@@ -5,9 +5,10 @@
 //! pattern that exposed the merge-full-outer-join NULL-ordering bug during
 //! development. All plans come through the `pyro::Session` front door.
 
-use pyro::common::Value;
+use pyro::common::{Schema, Tuple, Value};
+use pyro::core::PhysOp;
 use pyro::datagen::{consolidation, qtables, tpch};
-use pyro::{Session, Strategy};
+use pyro::{Session, SortOrder, Strategy};
 
 /// Executes `sql` under every strategy/hash combination and asserts the
 /// stream is sorted by the root's claimed output order.
@@ -101,6 +102,85 @@ fn claims_hold_on_consolidation_query() {
            AND c1.color = c2.color AND c1.make = r.make AND c1.year = r.year \
          ORDER BY c1.make, c1.year, c1.color",
     );
+}
+
+/// `sfact(s_id, s_d1, s_m)`: 10k rows clustered on `s_id` (several morsels);
+/// `sd1(k1, a1)`: `dim_rows` rows in no declared order, so a merge join would
+/// have to sort both sides.
+fn fact_and_dimension(dim_rows: i64) -> Session {
+    let ints = |vals: [i64; 3]| Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect());
+    let mut session = Session::new();
+    let fact: Vec<Tuple> = (0..10_000)
+        .map(|id| ints([id, (id * 7919) % dim_rows, id % 97]))
+        .collect();
+    session
+        .register_table(
+            "sfact",
+            Schema::ints(&["s_id", "s_d1", "s_m"]),
+            SortOrder::new(["s_id"]),
+            &fact,
+        )
+        .unwrap();
+    let dim: Vec<Tuple> = (0..dim_rows)
+        .map(|k| Tuple::new(vec![Value::Int(k), Value::Int(k % 100)]))
+        .collect();
+    session
+        .register_table("sd1", Schema::ints(&["k1", "a1"]), SortOrder::empty(), &dim)
+        .unwrap();
+    session
+}
+
+fn enforcers(plan: &pyro::core::OptimizedPlan) -> usize {
+    plan.root
+        .count_nodes(&|n| matches!(n.op, PhysOp::Sort { .. } | PhysOp::PartialSort { .. }))
+}
+
+/// A hash join whose table fits in memory streams its probe input through
+/// in order, so an ORDER BY on the probe side's clustering needs no
+/// enforcer — and the claim holds at every worker count, where it rests on
+/// the join staying serial over a gather that releases the fact table's
+/// morsels in file order. A dimension over the sort budget would be grace
+/// partitioned: no claim, and the enforcer is back.
+#[test]
+fn hash_join_hands_its_probe_order_to_an_order_by() {
+    let sql = "SELECT s_id, s_m, a1 FROM sfact, sd1 WHERE s_d1 = k1 ORDER BY s_id";
+    let sorted = |rows: &[Tuple]| rows.windows(2).all(|w| w[0].get(0) < w[1].get(0));
+
+    let mut session = fact_and_dimension(500);
+    let plan = session.plan(sql).unwrap();
+    assert_eq!(enforcers(&plan), 0, "{}", plan.explain());
+    assert_eq!(
+        plan.root
+            .count_nodes(&|n| matches!(n.op, PhysOp::HashJoin { .. })),
+        1,
+        "{}",
+        plan.explain()
+    );
+    assert!(plan.ordered_output);
+    assert_order_claims(&mut session, sql);
+    session.set_strategy(Strategy::pyro_o());
+    session.set_hash_operators(true);
+    let serial = session.sql(sql).unwrap().into_rows();
+    assert_eq!(serial.len(), 10_000);
+    assert!(sorted(&serial));
+    for workers in [2, 4] {
+        session.set_workers(workers);
+        let rows = session.sql(sql).unwrap().into_rows();
+        assert!(rows == serial, "workers={workers}");
+    }
+
+    let mut session = fact_and_dimension(20_000);
+    session.set_sort_memory_blocks(50);
+    let plan = session.plan(sql).unwrap();
+    assert!(enforcers(&plan) > 0, "{}", plan.explain());
+    assert_eq!(
+        plan.root
+            .count_nodes(&|n| matches!(n.op, PhysOp::HashJoin { .. }) && n.out_order.is_empty()),
+        1,
+        "{}",
+        plan.explain()
+    );
+    assert!(sorted(&session.sql(sql).unwrap().into_rows()));
 }
 
 #[test]

@@ -367,8 +367,8 @@ fn shared_build_hash_join_corner_cases_parity() {
         // Str-keyed, with NULL keys on both sides: the shared row table in
         // every mode; NULL never matches NULL.
         "SELECT k, kg FROM keys, big WHERE ks = s",
-        // A probe side smaller than one morsel: the join itself stays
-        // serial and only its big build side runs behind an exchange.
+        // Written big-first: the join still builds on `small`, and `big`'s
+        // morsels probe it.
         "SELECT k, sk FROM big, small WHERE g = sg",
         // Join under join: the outer build side is itself a parallel join.
         "SELECT b1.k, b2.k, kg FROM keys, big b1, big b2 \
@@ -381,6 +381,123 @@ fn shared_build_hash_join_corner_cases_parity() {
             "test premise: a hash join\n{plan}"
         );
         assert_parallel_parity(&mut session, sql, false);
+    }
+}
+
+/// The `scan_join` benchmark's star5 shape: a 10k-row fact table clustered
+/// on its id, four 500-row dimensions, the selective one written last.
+fn star_session() -> Session {
+    let ints = |vals: &[i64]| Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect());
+    let mut state = 7u64;
+    let mut draw = |below: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as i64 % below
+    };
+    let mut session = Session::new();
+    let fact: Vec<Tuple> = (0..10_000)
+        .map(|id| {
+            let d: Vec<i64> = (0..4).map(|_| draw(500)).collect();
+            ints(&[id, d[0], d[1], d[2], d[3], draw(1_000_000)])
+        })
+        .collect();
+    session
+        .register_table(
+            "sfact",
+            Schema::ints(&["s_id", "s_d1", "s_d2", "s_d3", "s_d4", "s_m"]),
+            SortOrder::new(["s_id"]),
+            &fact,
+        )
+        .unwrap();
+    for i in 1..=4 {
+        let (k, a) = (format!("k{i}"), format!("a{i}"));
+        let rows: Vec<Tuple> = (0..500)
+            .map(|key| ints(&[key, (key * 37 + i) % 100]))
+            .collect();
+        session
+            .register_table(
+                &format!("sd{i}"),
+                Schema::ints(&[&k, &a]),
+                SortOrder::new([k.clone()]),
+                &rows,
+            )
+            .unwrap();
+    }
+    session
+}
+
+/// A star join is one pipeline: every join builds on its dimension —
+/// whichever side it was written on — and the fact table streams past all
+/// four tables, with no nested loops and no projection to put columns back.
+/// Rows equal the hash-off merge plan's in every mode, and nothing in the
+/// plan charges a counter.
+#[test]
+fn star_join_builds_on_every_dimension_parity() {
+    use pyro::core::PhysOp;
+    use pyro::exec::join::Side;
+    let sql = "SELECT s_id, s_m, a1, a2, a3, a4 FROM sfact, sd1, sd2, sd3, sd4 \
+               WHERE s_d1 = k1 AND s_d2 = k2 AND s_d3 = k3 AND s_d4 = k4 AND a4 < 5";
+    let mut session = star_session();
+    let plan = session.plan(sql).unwrap();
+    let mut hash_joins = 0;
+    plan.root.walk(&mut |node| {
+        if let PhysOp::HashJoin { build, .. } = &node.op {
+            hash_joins += 1;
+            let (built, _) = node.build_probe(*build);
+            assert_eq!(*build, Side::Right, "{}", plan.explain());
+            assert!(
+                built.rows <= 500.0 && built.count_nodes(&|n| n.children.len() > 1) == 0,
+                "a join builds on something other than a dimension\n{}",
+                plan.explain()
+            );
+        }
+    });
+    assert_eq!(hash_joins, 4, "{}", plan.explain());
+    let others = plan.root.count_nodes(&|n| {
+        matches!(
+            n.op,
+            PhysOp::NestedLoopsJoin { .. } | PhysOp::MergeJoin { .. }
+        )
+    });
+    assert_eq!(others, 0, "{}", plan.explain());
+    assert_eq!(
+        plan.root
+            .count_nodes(&|n| matches!(n.op, PhysOp::Project { .. })),
+        1,
+        "only the SELECT list projects\n{}",
+        plan.explain()
+    );
+
+    session.set_hash_operators(false);
+    let merge_plan = session.explain(sql).unwrap();
+    assert!(
+        merge_plan.contains("Merge Join") && !merge_plan.contains("Hash Join"),
+        "test premise: the reference is the merge plan\n{merge_plan}"
+    );
+    let mut expect = session.sql(sql).unwrap().rows().to_vec();
+    expect.sort();
+    assert!(!expect.is_empty());
+    session.set_hash_operators(true);
+    for (columnar, workers) in MODES {
+        session.set_columnar(columnar);
+        session.set_workers(workers);
+        let out = session.sql(sql).unwrap();
+        let mode = format!("columnar={columnar} workers={workers}");
+        let mut rows = out.rows().to_vec();
+        rows.sort();
+        assert!(rows == expect, "rows diverged from the merge plan ({mode})");
+        let m = out.metrics();
+        assert_eq!(
+            (
+                m.comparisons(),
+                m.run_pages_written(),
+                m.run_pages_read(),
+                m.runs_created()
+            ),
+            (0, 0, 0, 0),
+            "{mode}"
+        );
     }
 }
 

@@ -9,7 +9,7 @@
 use pyro::common::{KeySpec, Schema, Tuple, Value};
 use pyro::datagen::rng::StdRng;
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
-use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin};
+use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro::exec::{collect, ExecMetrics, Expr, ValuesOp};
 use pyro::ordering::{benefit_of, path_order, two_approx_tree_order, AttrSet, JoinTree, SortOrder};
@@ -114,7 +114,9 @@ fn mrs_equals_srs_equals_std_sort() {
     });
 }
 
-/// Merge join ≡ hash join ≡ nested loops (inner, as multisets).
+/// Merge join ≡ hash join ≡ nested loops (inner, as multisets); a hash join
+/// building on the right is nested loops row for row — both are left-major
+/// with each left row's matches in right arrival order.
 #[test]
 fn joins_agree() {
     for_all_cases(|rng| {
@@ -140,6 +142,15 @@ fn joins_agree() {
             key.clone(),
             key.clone(),
             JoinKind::Inner,
+            Side::Left,
+        );
+        let hj_right = HashJoin::new(
+            Box::new(ValuesOp::new(lschema.clone(), tuples2(&left))),
+            Box::new(ValuesOp::new(rschema.clone(), tuples2(&right))),
+            key.clone(),
+            key.clone(),
+            JoinKind::Inner,
+            Side::Right,
         );
         let nl = NestedLoopsJoin::new(
             Box::new(ValuesOp::new(lschema, tuples2(&left))),
@@ -151,6 +162,7 @@ fn joins_agree() {
         let mut a = collect(Box::new(mj)).unwrap();
         let mut b = collect(Box::new(hj)).unwrap();
         let mut c = collect(Box::new(nl)).unwrap();
+        assert_eq!(collect(Box::new(hj_right)).unwrap(), c);
         a.sort();
         b.sort();
         c.sort();

@@ -209,6 +209,17 @@ fn error_paths_map_to_pyro_errors() {
         session.sql("SELECT nope FROM events"),
         Err(PyroError::UnknownColumn(c)) if c == "nope"
     ));
+    // A join equality naming a table that is not in FROM, and a FROM with no
+    // table: the statements nearest lowering's own "cannot happen" checks
+    // (both typed `Plan` errors now) stop earlier, typed as well.
+    assert!(matches!(
+        session.sql("SELECT k FROM events WHERE events.k = other.k"),
+        Err(PyroError::UnknownColumn(c)) if c == "other.k"
+    ));
+    assert!(matches!(
+        session.sql("SELECT k FROM"),
+        Err(PyroError::Sql(_))
+    ));
     // Parse error.
     assert!(matches!(
         session.sql("SELEKT k FROM events"),
