@@ -15,6 +15,13 @@
 //! rerun must report `cache_hits > 0` and strictly fewer device reads
 //! (asserted in every mode, `--smoke` included).
 //!
+//! A fifth section repeats that on the durable `FileDevice` (cold reopen,
+//! warm rerun) and prices the cold-page path on its own: µs per page of a
+//! cold read loop over the same heap through the file device and through
+//! the pooled in-memory device, and the WAL fsyncs of a load through a
+//! pool a quarter the table's size — a count, gated exactly in every mode,
+//! as is the CRC-32 check value.
+//!
 //! ```bash
 //! cargo run --release --bin bench_batch                  # 1M rows, writes BENCH_batch.json
 //! cargo run --release --bin bench_batch -- --smoke       # small CI mode
@@ -24,6 +31,7 @@
 use pyro::core::{CompileOptions, PhysOp};
 use pyro::Session;
 use pyro_bench::{banner, workloads};
+use std::path::Path;
 use std::time::Instant;
 
 const BATCH_SIZE: usize = 1024;
@@ -233,6 +241,52 @@ fn run_pool_bench(n: usize, seed: u64, pool_pages: usize) -> String {
     )
 }
 
+/// µs per page of reading `events`' whole heap through the session's
+/// store with nothing resident: every read is a pool miss, so this is the
+/// device's cold-page cost plus the pool's bookkeeping. Leaves the pool
+/// as cold as it found it.
+fn cold_us_per_page(session: &Session) -> (f64, usize) {
+    let store = session.catalog().store();
+    let pool = store.pool().expect("a pooled session");
+    let pages = session.catalog().tables()["events"].heap.pages().to_vec();
+    pool.clear().expect("clear pool");
+    let misses = pool.stats().misses;
+    let start = Instant::now();
+    for &page in &pages {
+        std::hint::black_box(store.read_page(page).expect("cold read"));
+    }
+    let us = start.elapsed().as_secs_f64() * 1e6 / pages.len() as f64;
+    assert_eq!(pool.stats().misses - misses, pages.len() as u64);
+    pool.clear().expect("clear pool");
+    (us, pages.len())
+}
+
+/// WAL fsyncs of bulk-loading the workload through a pool a quarter the
+/// heap's size (auto-checkpoint off, so the log's own truncation is not in
+/// the count). The barrier fsyncs only for a victim logged after the last
+/// fsync, which happens once per pool's worth of evictions: three times
+/// here, plus the barrier before the load's write-back and the commit.
+fn quarter_pool_load_fsyncs(n: usize, seed: u64, heap_pages: usize, dir: &Path) -> (usize, u64) {
+    let pool_pages = heap_pages / 4;
+    let mut session = pyro::SessionBuilder::new()
+        .data_dir(dir)
+        .buffer_pool_pages(pool_pages)
+        .wal_checkpoint_bytes(u64::MAX)
+        .seed(seed)
+        .open()
+        .expect("open quarter-pool bench session");
+    let wal = session.catalog().store().wal().expect("durable").clone();
+    let before = wal.sync_count();
+    workloads::register_events(&mut session, n);
+    let fsyncs = wal.sync_count() - before;
+    assert_eq!(
+        fsyncs, 5,
+        "a {heap_pages}-page load through {pool_pages} frames must cost 3 barrier \
+         fsyncs + write-back barrier + commit"
+    );
+    (pool_pages, fsyncs)
+}
+
 /// Cold open then warm rerun of the quickstart workload on the durable
 /// [`pyro::storage::FileDevice`]: register + checkpoint + drop, then
 /// reopen the data directory so the cold run pays real file reads and the
@@ -246,16 +300,28 @@ fn run_durable_bench(n: usize, seed: u64, pool_pages: usize) -> String {
         std::fs::remove_dir_all(&dir).expect("clear stale bench dir");
     }
     let sql = {
-        let (session, sql) = workloads::partial_sort_durable(n, seed, pool_pages, &dir);
+        let (session, sql) =
+            workloads::partial_sort_durable(n, seed, pool_pages, &dir.join("main"));
         session.checkpoint().expect("checkpoint");
         sql
     };
     let session = pyro::SessionBuilder::new()
-        .data_dir(&dir)
+        .data_dir(dir.join("main"))
         .buffer_pool_pages(pool_pages)
         .seed(seed)
         .open()
         .expect("reopen durable bench session");
+    let (file_us, heap_pages) = cold_us_per_page(&session);
+    let (sim_us, sim_pages) =
+        cold_us_per_page(&workloads::partial_sort_with_pool(n, seed, pool_pages).0);
+    assert_eq!(heap_pages, sim_pages, "same rows, same pages");
+    println!(
+        "cold page: {file_us:>6.2} us on the file device, {sim_us:.2} us on the pooled \
+         in-memory device  ({heap_pages} pages)"
+    );
+    let (quarter_pool, fsyncs) =
+        quarter_pool_load_fsyncs(n, seed, heap_pages, &dir.join("quarter"));
+    println!("load through a {quarter_pool}-page pool: {fsyncs} WAL fsyncs");
     let cold = run_pooled_once(&session, sql);
     let warm = run_pooled_once(&session, sql);
     println!(
@@ -283,11 +349,16 @@ fn run_durable_bench(n: usize, seed: u64, pool_pages: usize) -> String {
     );
     std::fs::remove_dir_all(&dir).expect("clean bench dir");
     format!(
-        "  \"durable_file\": {{\n    \"pool_pages\": {},\n    \"cold\": {},\n    \"warm\": {},\n    \"warm_hit_rate\": {:.3}\n  }},",
+        "  \"durable_file\": {{\n    \"pool_pages\": {},\n    \"cold\": {},\n    \"warm\": {},\n    \"warm_hit_rate\": {:.3},\n    \"cold_us_per_page\": {{\"heap_pages\": {}, \"file_device\": {:.3}, \"pooled_sim_device\": {:.3}}},\n    \"quarter_pool_load\": {{\"pool_pages\": {}, \"wal_fsyncs\": {}}}\n  }},",
         pool_pages,
         cold.json(),
         warm.json(),
-        warm.hit_rate()
+        warm.hit_rate(),
+        heap_pages,
+        file_us,
+        sim_us,
+        quarter_pool,
+        fsyncs
     )
 }
 
@@ -307,6 +378,14 @@ fn main() {
         .map(|s| s.parse().expect("--seed takes a u64"))
         .unwrap_or(pyro::datagen::SEED);
     let n: usize = if smoke { 50_000 } else { 1_000_000 };
+
+    // Every page slot and WAL record on disk carries this function's
+    // output: the standard check value pins polynomial, init and final XOR.
+    assert_eq!(
+        pyro::storage::crc32(b"123456789"),
+        0xCBF4_3926,
+        "CRC-32/IEEE check value"
+    );
 
     let mut results = Vec::new();
 

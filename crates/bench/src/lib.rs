@@ -303,7 +303,7 @@ pub mod workloads {
 
     /// The quickstart `events` table: `n` rows in 1000-row clustering
     /// segments, seeded by the session's RNG seed.
-    fn register_events(session: &mut Session, n: usize) {
+    pub fn register_events(session: &mut Session, n: usize) {
         let per_segment = 1000.min(n.max(2) / 2) as i64;
         let mut r = rng_with(session.seed());
         let rows: Vec<Tuple> = (0..n as i64)

@@ -209,9 +209,10 @@ impl Catalog {
     ) -> Result<Arc<TableHandle>> {
         let heap = write_file(&self.store, rows)?;
         // Bulk loads write through, never warm: flush the load's dirty
-        // pages and drop them, so a later "cold run" measurement is
-        // actually cold. Total device writes match the bypass path.
-        self.store.clear_cache()?;
+        // pages and drop them — those pages only, whatever else the pool
+        // holds stays — so a later "cold run" measurement is actually
+        // cold. Total device writes match the bypass path.
+        self.store.flush_and_drop(heap.pages())?;
         let meta = TableMeta {
             name: name.to_string(),
             schema,
@@ -305,7 +306,7 @@ impl Catalog {
     ) -> Result<()> {
         let index_name = idx.name.clone();
         let file = write_file(&self.store, entries)?;
-        self.store.clear_cache()?;
+        self.store.flush_and_drop(file.pages())?;
 
         // Re-insert an updated handle (Arc is immutable; rebuild).
         let mut meta = handle.meta.clone();

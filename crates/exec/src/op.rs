@@ -61,11 +61,12 @@ pub enum Batch {
 }
 
 impl Batch {
-    /// Number of (selected) rows.
+    /// Number of (selected) rows — what [`Batch::into_rows`] would yield,
+    /// not the physical rows a filtered column batch still carries.
     pub fn num_rows(&self) -> usize {
         match self {
             Batch::Rows(rows) => rows.len(),
-            Batch::Cols(cols) => cols.num_rows(),
+            Batch::Cols(cols) => cols.len(),
         }
     }
 
@@ -517,6 +518,7 @@ pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{CmpOp, Expr};
     use pyro_common::Value;
 
     #[test]
@@ -527,6 +529,36 @@ mod tests {
         assert_eq!(op.size_hint(), (3, Some(3)));
         assert_eq!(op.schema(), &schema);
         assert_eq!(collect(Box::new(op)).unwrap(), rows);
+    }
+
+    #[test]
+    fn num_rows_counts_selected_rows_in_every_layout() {
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]))
+            .collect();
+        let mut cols = ColumnarBatch::from_rows(&rows);
+        cols.set_sel(vec![1, 5, 8]);
+        assert_eq!(cols.num_rows(), 40, "the physical rows stay");
+        assert_eq!(Batch::Cols(cols).num_rows(), 3);
+        // Under a filter — where `Cols` batches carry selection vectors —
+        // every batch of every source layout reports what it converts to.
+        let schema = Schema::ints(&["a", "b"]);
+        let pred = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(3i64));
+        for input in in_every_layout(&schema, &rows) {
+            let mut filter = crate::filter::Filter::new(input, pred.clone());
+            let (mut counted, mut seen) = (0, 0);
+            while let Some(batch) = filter.next_batch().unwrap() {
+                let n = batch.num_rows();
+                assert_eq!(n, batch.into_rows().len());
+                counted += n;
+                seen += 1;
+            }
+            assert!(seen > 0);
+            assert_eq!(
+                counted,
+                rows.iter().filter(|t| t.get(1) < &Value::Int(3)).count()
+            );
+        }
     }
 
     #[test]

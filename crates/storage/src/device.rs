@@ -9,6 +9,7 @@
 //! [`crate::FaultDevice`] wrapper for injecting storage failures in tests.
 
 use pyro_common::{PyroError, Result};
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -42,6 +43,64 @@ impl IoSnapshot {
     }
 }
 
+/// One page's bytes as a device read them: immutable, and shared rather
+/// than copied — a clone is a reference-count increment.
+///
+/// This is what lets a cold page reach the decoder without being copied on
+/// the way: the buffer a device filled (for [`crate::FileDevice`], the
+/// whole slot image the kernel wrote into, of which the verified payload
+/// is a sub-range) is handed to the buffer pool as the frame's bytes and
+/// to the scan as the slice it decodes from. Derefs to the payload.
+#[derive(Clone)]
+pub struct PageBytes {
+    buf: Arc<[u8]>,
+    range: Range<usize>,
+}
+
+impl PageBytes {
+    /// The bytes `range` of `buf`. Panics if `range` is out of bounds,
+    /// which would be a bug in the device that built it.
+    pub(crate) fn slice(buf: Arc<[u8]>, range: Range<usize>) -> PageBytes {
+        assert!(range.start <= range.end && range.end <= buf.len());
+        PageBytes { buf, range }
+    }
+}
+
+impl From<&[u8]> for PageBytes {
+    fn from(data: &[u8]) -> PageBytes {
+        PageBytes {
+            buf: data.into(),
+            range: 0..data.len(),
+        }
+    }
+}
+
+impl Deref for PageBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl AsRef<[u8]> for PageBytes {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for PageBytes {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
+}
+
+impl std::fmt::Debug for PageBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The block-device surface every storage backend implements: fixed-size
 /// page allocation, read, write, free, plus exact I/O accounting.
 ///
@@ -62,8 +121,11 @@ pub trait PageDevice: Send + Sync + std::fmt::Debug {
     /// write.
     fn write_page(&self, id: PageId, data: &[u8]) -> Result<()>;
 
-    /// Reads a block back exactly as written. Counts one read.
-    fn read_page(&self, id: PageId) -> Result<Vec<u8>>;
+    /// Reads a block back exactly as written. Counts one read. The
+    /// returned [`PageBytes`] share the buffer the device read into (or,
+    /// for [`SimDevice`], the stored page itself) — nothing is copied for
+    /// the caller.
+    fn read_page(&self, id: PageId) -> Result<PageBytes>;
 
     /// Releases a page back to the free list (no I/O counted).
     fn free_page(&self, id: PageId);
@@ -105,7 +167,7 @@ pub trait PageDevice: Send + Sync + std::fmt::Debug {
 #[derive(Debug)]
 pub struct SimDevice {
     block_size: usize,
-    pages: RwLock<Vec<Option<Box<[u8]>>>>,
+    pages: RwLock<Vec<Option<PageBytes>>>,
     free_list: Mutex<Vec<PageId>>,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -162,12 +224,12 @@ impl PageDevice for SimDevice {
         let slot = pages
             .get_mut(id as usize)
             .ok_or_else(|| PyroError::Storage(format!("write to unallocated page {id}")))?;
-        *slot = Some(data.to_vec().into_boxed_slice());
+        *slot = Some(data.into());
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn read_page(&self, id: PageId) -> Result<Vec<u8>> {
+    fn read_page(&self, id: PageId) -> Result<PageBytes> {
         let pages = self.pages.read().expect("page table poisoned");
         let slot = pages
             .get(id as usize)
@@ -176,7 +238,7 @@ impl PageDevice for SimDevice {
             .as_ref()
             .ok_or_else(|| PyroError::Storage(format!("read of never-written page {id}")))?;
         self.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(data.to_vec())
+        Ok(data.clone())
     }
 
     fn free_page(&self, id: PageId) {

@@ -10,7 +10,7 @@
 //! `write_page` could never produce — it would recompute a valid checksum
 //! over the damage.
 
-use crate::device::{DeviceRef, IoSnapshot, PageDevice, PageId};
+use crate::device::{DeviceRef, IoSnapshot, PageBytes, PageDevice, PageId};
 use crate::file_device::{FileDevice, SLOT_HEADER_LEN};
 use pyro_common::{PyroError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +108,7 @@ impl PageDevice for FaultDevice {
         self.inner.write_page(id, data)
     }
 
-    fn read_page(&self, id: PageId) -> Result<Vec<u8>> {
+    fn read_page(&self, id: PageId) -> Result<PageBytes> {
         if self.plan.short_read_on == Some(id) {
             let mut raw = self.inner.read_raw_block(id)?;
             let cut = if raw.len() >= SLOT_HEADER_LEN {
@@ -122,7 +122,7 @@ impl PageDevice for FaultDevice {
                 raw.len() / 2
             };
             raw.truncate(cut);
-            return self.inner.decode_block(id, &raw);
+            return Ok(self.inner.decode_block(id, &raw)?.as_slice().into());
         }
         self.inner.read_page(id)
     }

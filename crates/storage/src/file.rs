@@ -5,7 +5,7 @@
 //! sort spill runs — because all three are append-once, scan-sequentially
 //! structures in this engine.
 
-use crate::device::{DeviceRef, PageId};
+use crate::device::{DeviceRef, PageBytes, PageId};
 use crate::page::{decode_page, PageBuilder};
 use crate::store::{IntoStore, StoreRef};
 use pyro_common::{ColumnBuilder, ColumnVec, Result, Tuple};
@@ -200,6 +200,19 @@ pub struct TupleFileScan {
 }
 
 impl TupleFileScan {
+    /// The next page of the range, or `None` past its end. The bytes are
+    /// the pool frame's (cached store) or the buffer the device filled
+    /// (bypass) — every pull style below decodes straight from them, so a
+    /// page is never copied between the device and its decoder.
+    fn next_page(&mut self) -> Result<Option<PageBytes>> {
+        if self.page_idx >= self.end_page {
+            return Ok(None);
+        }
+        let page = self.file.store.read_page(self.file.pages[self.page_idx])?;
+        self.page_idx += 1;
+        Ok(Some(page))
+    }
+
     /// Pulls the next tuple, reading the next page when the current one is
     /// exhausted.
     pub fn next_tuple(&mut self) -> Result<Option<Tuple>> {
@@ -207,12 +220,10 @@ impl TupleFileScan {
             if let Some(t) = self.buffer.next() {
                 return Ok(Some(t));
             }
-            if self.page_idx >= self.end_page {
+            let Some(page) = self.next_page()? else {
                 return Ok(None);
-            }
-            let data = self.file.store.read_page(self.file.pages[self.page_idx])?;
-            self.page_idx += 1;
-            self.buffer = decode_page(&data)?.into_iter();
+            };
+            self.buffer = decode_page(&page)?.into_iter();
         }
     }
 
@@ -224,17 +235,13 @@ impl TupleFileScan {
         if self.buffer.len() > 0 {
             return Ok(Some(self.buffer.by_ref().collect()));
         }
-        loop {
-            if self.page_idx >= self.end_page {
-                return Ok(None);
-            }
-            let data = self.file.store.read_page(self.file.pages[self.page_idx])?;
-            self.page_idx += 1;
-            let tuples = decode_page(&data)?;
+        while let Some(page) = self.next_page()? {
+            let tuples = decode_page(&page)?;
             if !tuples.is_empty() {
                 return Ok(Some(tuples));
             }
         }
+        Ok(None)
     }
 
     /// Decodes pages directly into `out` until it holds at least `target`
@@ -245,10 +252,9 @@ impl TupleFileScan {
         if self.buffer.len() > 0 {
             out.extend(self.buffer.by_ref());
         }
-        while out.len() < target && self.page_idx < self.end_page {
-            let data = self.file.store.read_page(self.file.pages[self.page_idx])?;
-            self.page_idx += 1;
-            crate::page::decode_page_into(&data, out)?;
+        while out.len() < target {
+            let Some(page) = self.next_page()? else { break };
+            crate::page::decode_page_into(&page, out)?;
         }
         Ok(out.len() > start)
     }
@@ -266,10 +272,9 @@ impl TupleFileScan {
             }
             appended += 1;
         }
-        while appended < target && self.page_idx < self.end_page {
-            let data = self.file.store.read_page(self.file.pages[self.page_idx])?;
-            self.page_idx += 1;
-            appended += crate::page::decode_page_into_builders(&data, builders)?;
+        while appended < target {
+            let Some(page) = self.next_page()? else { break };
+            appended += crate::page::decode_page_into_builders(&page, builders)?;
         }
         Ok(appended > 0)
     }
@@ -354,6 +359,41 @@ mod tests {
         let rest = scan.next_chunk().unwrap().unwrap();
         assert_eq!(first, data[0]);
         assert_eq!(rest[0], data[1]);
+    }
+
+    /// With every frame pinned by someone else the scan falls back to
+    /// uncached reads: all rows in every pull style, nothing cached, no
+    /// frame left pinned by the scan.
+    #[test]
+    fn scan_with_every_frame_pinned_still_returns_all_rows() {
+        let dev = SimDevice::with_block_size(128);
+        let store = crate::PageStore::cached(dev.clone(), 2);
+        let data = rows(100);
+        let f = write_file(&store, &data).unwrap();
+        let other = write_file(&store, &rows(20)).unwrap();
+        let pool = store.pool().unwrap();
+        pool.clear().unwrap();
+        let _held: Vec<_> = other.pages()[..2]
+            .iter()
+            .map(|p| pool.pin(*p).unwrap())
+            .collect();
+        let misses = pool.stats().misses;
+
+        let by_tuple: Vec<Tuple> = f.scan().map(|r| r.unwrap()).collect();
+        assert_eq!(by_tuple, data);
+        let mut by_chunk = Vec::new();
+        assert!(f.scan().fill_chunk(&mut by_chunk, usize::MAX).unwrap());
+        assert_eq!(by_chunk, data);
+        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        let mut scan = f.scan();
+        while scan.fill_columns(&mut builders, 16).unwrap() {}
+        assert_eq!(
+            pyro_common::ColumnarBatch::from_builders(builders).to_rows(),
+            data
+        );
+
+        assert_eq!(pool.stats().misses, misses + 3 * f.block_count());
+        assert_eq!(pool.resident(), 2, "the pinned two and nothing else");
     }
 
     #[test]

@@ -35,11 +35,11 @@ pub mod store;
 pub mod wal;
 
 pub use crc::crc32;
-pub use device::{DeviceRef, IoSnapshot, PageDevice, PageId, SimDevice};
+pub use device::{DeviceRef, IoSnapshot, PageBytes, PageDevice, PageId, SimDevice};
 pub use fault::{FaultDevice, FaultPlan};
 pub use file::{write_file, TupleFile, TupleFileScan, TupleFileWriter};
 pub use file_device::{FileDevice, FILE_HEADER_LEN, SLOT_HEADER_LEN};
 pub use page::{decode_page, decode_page_into_builders, encoded_len, PageBuilder};
 pub use pool::{BufferPool, CacheStats, PinnedPage, WriteBarrier};
 pub use store::{IntoStore, PageStore, StoreRef};
-pub use wal::{Wal, WalReplay, WAL_HEADER_LEN};
+pub use wal::{Lsn, Wal, WalReplay, WAL_HEADER_LEN};

@@ -10,6 +10,14 @@
 //! when the frame is evicted or the pool is [`flush`]ed, so hot spill runs
 //! and rescans never round-trip through the device at all.
 //!
+//! A frame's bytes are a [`PageBytes`]: on a miss, the very buffer the
+//! device read into becomes the frame — no copy — and a pin or a
+//! [`read_page`] hands out another reference to it, again without
+//! copying. Because the bytes are immutable and reference-counted, a
+//! reader that only wants to decode the page ([`read_page`], which is what
+//! scans use) need not pin at all: an eviction while it decodes frees the
+//! frame, not the bytes. Pinning is for holding a page *resident*.
+//!
 //! The pool is `Send + Sync` — one `Mutex` guards the frame table (device
 //! reads on a miss happen *outside* it, so workers' hits proceed while a
 //! cold page loads), and the morsel workers of a parallel scan share a
@@ -19,10 +27,24 @@
 //! typed error on writes and a graceful uncached read on reads — never a
 //! deadlock.
 //!
+//! # Write-ahead ordering
+//!
+//! A durable store logs a page image before the page enters the pool and
+//! passes the record's LSN along ([`BufferPool::write_page_logged`]); the
+//! frame remembers the newest LSN it was logged under. Before a dirty
+//! frame is written back — eviction, [`flush`] or [`flush_and_drop`] —
+//! the pool calls its barrier with that LSN, and the barrier
+//! ([`crate::Wal::sync_through`]) fsyncs the log only if the record is
+//! not stable yet. One fsync therefore covers every page logged before
+//! it, and a frame that was never logged asks for none.
+//!
 //! [`pin`]: BufferPool::pin
+//! [`read_page`]: BufferPool::read_page
 //! [`flush`]: BufferPool::flush
+//! [`flush_and_drop`]: BufferPool::flush_and_drop
 
-use crate::device::{DeviceRef, PageId};
+use crate::device::{DeviceRef, PageBytes, PageId};
+use crate::wal::Lsn;
 use pyro_common::{PyroError, Result};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -66,11 +88,14 @@ impl CacheStats {
 /// One cached page.
 struct Frame {
     page: PageId,
-    /// Shared so a [`PinnedPage`] guard can keep reading the bytes without
-    /// holding the pool lock.
-    data: Arc<[u8]>,
+    /// Shared so readers keep using the bytes without holding the pool
+    /// lock — on a miss this is the buffer the device filled.
+    data: PageBytes,
     /// Written through the pool but not yet to the device.
     dirty: bool,
+    /// The newest WAL record holding an image of this page, if it was ever
+    /// logged: what must be stable before the frame may be written back.
+    lsn: Option<Lsn>,
     /// CLOCK reference bit: set on every pin, cleared by the sweeping hand.
     referenced: bool,
     /// Pinned frames are never evicted.
@@ -89,6 +114,21 @@ struct PoolInner {
     hand: usize,
     /// Source of [`Frame::serial`] values.
     next_serial: u64,
+}
+
+impl PoolInner {
+    /// Drops `id`'s frame, if resident, whatever its state.
+    fn remove(&mut self, id: PageId) {
+        if let Some(idx) = self.map.remove(&id) {
+            self.frames.swap_remove(idx);
+            if let Some(moved) = self.frames.get(idx) {
+                self.map.insert(moved.page, idx);
+            }
+            if self.hand > self.frames.len() {
+                self.hand = 0;
+            }
+        }
+    }
 }
 
 /// A fixed-capacity CLOCK page cache over a [`SimDevice`].
@@ -115,10 +155,11 @@ pub struct BufferPool {
     device: DeviceRef,
     capacity: usize,
     inner: Mutex<PoolInner>,
-    /// Invoked before *any* dirty page reaches the device (eviction or
-    /// flush). Durable stores hang the WAL fsync here: a logged-but-unsynced
-    /// page image must be on stable log storage before the data file can
-    /// change — write-ahead, even for mid-mutation evictions.
+    /// Invoked before a dirty, logged page reaches the device (eviction or
+    /// flush) with the LSN that must be stable first. Durable stores hang
+    /// the WAL fsync here: a logged-but-unsynced page image must be on
+    /// stable log storage before the data file can change — write-ahead,
+    /// even for mid-mutation evictions.
     barrier: Option<WriteBarrier>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -126,8 +167,9 @@ pub struct BufferPool {
     writebacks: AtomicU64,
 }
 
-/// The pre-writeback hook type; see [`BufferPool::with_barrier`].
-pub type WriteBarrier = Arc<dyn Fn() -> Result<()> + Send + Sync>;
+/// The pre-writeback hook type: makes every log record up to and
+/// including the given LSN stable. See [`BufferPool::with_barrier`].
+pub type WriteBarrier = Arc<dyn Fn(Lsn) -> Result<()> + Send + Sync>;
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -159,21 +201,23 @@ impl BufferPool {
         }
     }
 
-    /// Like [`BufferPool::new`], with a write barrier called before every
-    /// dirty-page write-back. The durable store passes a WAL-fsync closure
-    /// here, making "log hits disk before data" hold on *every* path a
-    /// page can take to the device — explicit flush and CLOCK eviction
-    /// alike.
+    /// Like [`BufferPool::new`], with a write barrier called before the
+    /// write-back of any dirty page that was logged. The durable store
+    /// passes [`crate::Wal::sync_through`] here, making "log hits disk
+    /// before data" hold on *every* path a page can take to the device —
+    /// explicit flush and CLOCK eviction alike.
     pub fn with_barrier(device: DeviceRef, capacity: usize, barrier: WriteBarrier) -> BufferPool {
         let mut pool = BufferPool::new(device, capacity);
         pool.barrier = Some(barrier);
         pool
     }
 
-    fn pre_writeback(&self) -> Result<()> {
-        match &self.barrier {
-            Some(barrier) => barrier(),
-            None => Ok(()),
+    /// Runs the barrier for a write-back whose newest log record is `lsn`;
+    /// nothing to wait for when the page was never logged.
+    fn pre_writeback(&self, lsn: Option<Lsn>) -> Result<()> {
+        match (&self.barrier, lsn) {
+            (Some(barrier), Some(lsn)) => barrier(lsn),
+            _ => Ok(()),
         }
     }
 
@@ -208,46 +252,60 @@ impl BufferPool {
     /// which cannot drop their data — surface
     /// [`PyroError::PoolExhausted`].
     pub fn pin(&self, id: PageId) -> Result<PinnedPage<'_>> {
+        let (data, serial) = self.fetch(id, true)?;
+        Ok(PinnedPage {
+            pool: self,
+            page: id,
+            serial,
+            data,
+        })
+    }
+
+    /// Reads a page through the pool without pinning it: a hit hands out
+    /// the resident frame's bytes, a miss loads (and caches) the page like
+    /// [`BufferPool::pin`] does, and either way nothing is copied — see
+    /// the module docs for why a decoder needs no pin.
+    pub fn read_page(&self, id: PageId) -> Result<PageBytes> {
+        Ok(self.fetch(id, false)?.0)
+    }
+
+    /// The lookup behind [`BufferPool::pin`] and [`BufferPool::read_page`]:
+    /// the page's bytes plus, when the page is resident, the serial of its
+    /// frame (pinned once more if `pin`).
+    fn fetch(&self, id: PageId, pin: bool) -> Result<(PageBytes, Option<u64>)> {
+        let resident = |inner: &mut PoolInner| {
+            let idx = *inner.map.get(&id)?;
+            let frame = &mut inner.frames[idx];
+            frame.referenced = true;
+            frame.pins += u32::from(pin);
+            Some((frame.data.clone(), Some(frame.serial)))
+        };
         {
             let mut inner = self.inner.lock().expect("buffer pool poisoned");
-            if let Some(&idx) = inner.map.get(&id) {
-                let frame = &mut inner.frames[idx];
-                frame.referenced = true;
-                frame.pins += 1;
+            if let Some(hit) = resident(&mut inner) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PinnedPage {
-                    pool: self,
-                    page: id,
-                    serial: Some(frame.serial),
-                    data: frame.data.clone(),
-                });
+                return Ok(hit);
             }
         }
         // Miss: read the device *without* holding the pool lock, so other
         // workers' hits (and misses on other pages) proceed concurrently.
-        let data: Arc<[u8]> = self.device.read_page(id)?.into();
+        // The buffer the device filled is the frame's bytes from here on.
+        let data = self.device.read_page(id)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        if let Some(&idx) = inner.map.get(&id) {
-            // Another worker cached the page while we were reading: pin
-            // its frame (whose bytes may be newer than our device copy).
-            // The miss is already counted — the device read did happen.
-            let frame = &mut inner.frames[idx];
-            frame.referenced = true;
-            frame.pins += 1;
-            return Ok(PinnedPage {
-                pool: self,
-                page: id,
-                serial: Some(frame.serial),
-                data: frame.data.clone(),
-            });
+        // Another worker may have cached the page while we were reading:
+        // use its frame (whose bytes may be newer than our device copy).
+        // The miss is already counted — the device read did happen.
+        if let Some(raced) = resident(&mut inner) {
+            return Ok(raced);
         }
         let frame = Frame {
             page: id,
             data: data.clone(),
             dirty: false,
+            lsn: None,
             referenced: true,
-            pins: 1,
+            pins: u32::from(pin),
             serial: 0, // assigned by install
         };
         let serial = match self.install(&mut inner, frame) {
@@ -257,17 +315,7 @@ impl BufferPool {
             Err(PyroError::PoolExhausted { .. }) => None,
             Err(e) => return Err(e),
         };
-        Ok(PinnedPage {
-            pool: self,
-            page: id,
-            serial,
-            data,
-        })
-    }
-
-    /// Reads a whole page through the pool (pin, copy, unpin).
-    pub fn read_page(&self, id: PageId) -> Result<Vec<u8>> {
-        Ok(self.pin(id)?.to_vec())
+        Ok((data, serial))
     }
 
     /// Writes a page through the pool: the frame is updated (or created)
@@ -277,6 +325,14 @@ impl BufferPool {
     /// [`PyroError::PoolExhausted`]
     /// — it cannot drop its data the way an overflow read can.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> Result<()> {
+        self.write_page_logged(id, data, None)
+    }
+
+    /// [`BufferPool::write_page`] for a page whose image was just appended
+    /// to the WAL as record `lsn`: the frame remembers it, and its
+    /// write-back waits for that record to be stable. `None` is a write
+    /// that was not logged (a resident frame keeps the LSN it had).
+    pub fn write_page_logged(&self, id: PageId, data: &[u8], lsn: Option<Lsn>) -> Result<()> {
         if data.len() > self.device.block_size() {
             return Err(PyroError::Storage(format!(
                 "page overflow: {} > block size {}",
@@ -287,15 +343,17 @@ impl BufferPool {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         if let Some(&idx) = inner.map.get(&id) {
             let frame = &mut inner.frames[idx];
-            frame.data = data.to_vec().into();
+            frame.data = data.into();
             frame.dirty = true;
+            frame.lsn = lsn.or(frame.lsn);
             frame.referenced = true;
             return Ok(());
         }
         let frame = Frame {
             page: id,
-            data: data.to_vec().into(),
+            data: data.into(),
             dirty: true,
+            lsn,
             referenced: true,
             pins: 0,
             serial: 0, // assigned by install
@@ -309,32 +367,55 @@ impl BufferPool {
     /// stay valid (they share the bytes), they just no longer pin anything.
     pub fn invalidate(&self, id: PageId) {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        if let Some(idx) = inner.map.remove(&id) {
-            let last = inner.frames.len() - 1;
-            inner.frames.swap(idx, last);
-            inner.frames.pop();
-            if idx < inner.frames.len() {
-                let moved = inner.frames[idx].page;
-                inner.map.insert(moved, idx);
-            }
-            if inner.hand > inner.frames.len() {
-                inner.hand = 0;
-            }
-        }
+        inner.remove(id);
     }
 
     /// Writes every dirty frame back to the device (counting write-backs),
     /// leaving all frames resident and clean.
     pub fn flush(&self) -> Result<()> {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        if inner.frames.iter().any(|f| f.dirty) {
-            self.pre_writeback()?;
+        let all = 0..inner.frames.len();
+        self.write_back(&mut inner, all)
+    }
+
+    /// Writes back the dirty ones among the frames at `idxs` — one barrier
+    /// call, for the newest LSN among them, then the device writes.
+    fn write_back(&self, inner: &mut PoolInner, idxs: impl Iterator<Item = usize>) -> Result<()> {
+        let dirty: Vec<usize> = idxs.filter(|&i| inner.frames[i].dirty).collect();
+        let newest = dirty.iter().filter_map(|&i| inner.frames[i].lsn).max();
+        self.pre_writeback(newest)?;
+        for i in dirty {
+            let frame = &mut inner.frames[i];
+            self.device.write_page(frame.page, &frame.data)?;
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
+            frame.dirty = false;
         }
-        for frame in &mut inner.frames {
-            if frame.dirty {
-                self.device.write_page(frame.page, &frame.data)?;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-                frame.dirty = false;
+        Ok(())
+    }
+
+    /// Writes `pages`' dirty frames back (one barrier call, then the
+    /// writes) and then drops those of them nobody has pinned, leaving
+    /// every other frame as it was. A bulk load ends with this over the
+    /// pages it wrote: the load is on the device and did not warm the
+    /// pool, and whatever else the pool held is still there. Costs a map
+    /// lookup per page, whatever the pool's size.
+    pub fn flush_and_drop(&self, pages: &[PageId]) -> Result<()> {
+        let mut inner = self.inner.lock().expect("buffer pool poisoned");
+        let resident: Vec<usize> = pages
+            .iter()
+            .filter_map(|id| inner.map.get(id).copied())
+            .collect();
+        self.write_back(&mut inner, resident.into_iter())?;
+        // Dropped in the caller's order, so which frame moves into a
+        // vacated slot — and with it every later CLOCK victim and pool
+        // counter — repeats from run to run.
+        for id in pages {
+            if inner
+                .map
+                .get(id)
+                .is_some_and(|&i| inner.frames[i].pins == 0)
+            {
+                inner.remove(*id);
             }
         }
         Ok(())
@@ -342,8 +423,8 @@ impl BufferPool {
 
     /// Flushes dirty frames, then drops every unpinned frame — the state a
     /// freshly constructed pool has. Pinned frames survive (still resident,
-    /// now clean). Used after bulk loads so cold-run measurements start
-    /// from an actually cold cache.
+    /// now clean). For cold-run measurements that must start from an
+    /// actually cold cache.
     pub fn clear(&self) -> Result<()> {
         self.flush()?;
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
@@ -398,17 +479,13 @@ impl BufferPool {
         let victim = self.clock_victim(inner)?;
         // Write-back strictly precedes frame reuse: the victim's bytes are
         // on the device before the slot holds the new page.
-        {
-            if inner.frames[victim].dirty {
-                self.pre_writeback()?;
-            }
-            let v = &mut inner.frames[victim];
-            if v.dirty {
-                self.device.write_page(v.page, &v.data)?;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let v = &inner.frames[victim];
+        if v.dirty {
+            self.pre_writeback(v.lsn)?;
+            self.device.write_page(v.page, &v.data)?;
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
         }
+        self.evictions.fetch_add(1, Ordering::Relaxed);
         let old = inner.frames[victim].page;
         inner.map.remove(&old);
         inner.map.insert(frame.page, victim);
@@ -453,7 +530,7 @@ pub struct PinnedPage<'a> {
     /// The pinned residency, or `None` for an overflow read (nothing to
     /// unpin).
     serial: Option<u64>,
-    data: Arc<[u8]>,
+    data: PageBytes,
 }
 
 impl PinnedPage<'_> {
@@ -654,6 +731,105 @@ mod tests {
         assert_eq!(dev.read_page(a).unwrap(), b"aaaa");
         assert_eq!(dev.read_page(b).unwrap(), b"bbbb");
         assert_eq!(dev.read_page(c).unwrap(), b"cccc");
+    }
+
+    /// A pool whose barrier records the LSNs it is asked to make stable.
+    fn pool_recording_barrier(
+        dev: &DeviceRef,
+        capacity: usize,
+    ) -> (BufferPool, Arc<Mutex<Vec<Lsn>>>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let seen = calls.clone();
+        let barrier: WriteBarrier = Arc::new(move |lsn| {
+            seen.lock().unwrap().push(lsn);
+            Ok(())
+        });
+        (
+            BufferPool::with_barrier(dev.clone(), capacity, barrier),
+            calls,
+        )
+    }
+
+    #[test]
+    fn barrier_gets_the_victims_lsn_and_unlogged_pages_skip_it() {
+        let dev = SimDevice::with_block_size(64);
+        let ids: Vec<PageId> = (0..4).map(|_| dev.alloc_page()).collect();
+        let (pool, calls) = pool_recording_barrier(&dev, 2);
+        pool.write_page_logged(ids[0], b"aaaa", Some(7)).unwrap();
+        pool.write_page(ids[1], b"bbbb").unwrap(); // never logged
+                                                   // Rewritten without a log record (a commit's root write): the frame
+                                                   // still waits for the record it was logged under.
+        pool.write_page(ids[0], b"AAAA").unwrap();
+        pool.write_page_logged(ids[2], b"cccc", Some(9)).unwrap(); // evicts a
+        assert_eq!(*calls.lock().unwrap(), [7]);
+        pool.write_page_logged(ids[3], b"dddd", Some(11)).unwrap(); // evicts b
+        assert_eq!(
+            *calls.lock().unwrap(),
+            [7],
+            "an unlogged victim asks nothing"
+        );
+        assert_eq!(dev.io().writes, 2);
+        assert_eq!(dev.read_page(ids[0]).unwrap(), b"AAAA");
+        // A flush is one barrier call, for the newest LSN among the dirty.
+        pool.flush().unwrap();
+        assert_eq!(*calls.lock().unwrap(), [7, 11]);
+        pool.flush().unwrap();
+        assert_eq!(*calls.lock().unwrap(), [7, 11], "clean frames ask nothing");
+    }
+
+    #[test]
+    fn flush_and_drop_touches_only_its_pages() {
+        let (dev, ids) = device_with_pages(2);
+        let (pool, calls) = pool_recording_barrier(&dev, 8);
+        let loaded: Vec<PageId> = (0..3).map(|_| dev.alloc_page()).collect();
+        for (i, id) in loaded.iter().enumerate() {
+            pool.write_page_logged(*id, b"load", Some(20 + i as Lsn))
+                .unwrap();
+        }
+        let other = dev.alloc_page();
+        pool.write_page_logged(other, b"mine", Some(30)).unwrap();
+        pool.read_page(ids[0]).unwrap(); // a clean resident page
+        let held = pool.pin(loaded[1]).unwrap();
+        let writes = dev.io().writes;
+
+        pool.flush_and_drop(&loaded).unwrap();
+        assert_eq!(
+            *calls.lock().unwrap(),
+            [22],
+            "one barrier, newest LSN of the set"
+        );
+        assert_eq!(dev.io().writes, writes + 3, "exactly the set written back");
+        // The unpinned two are gone, the pinned one stays (clean), and the
+        // bystanders — one dirty, one clean — are as they were.
+        assert_eq!(pool.resident(), 3);
+        let reads = dev.io().reads;
+        assert_eq!(pool.read_page(other).unwrap(), b"mine");
+        pool.read_page(ids[0]).unwrap();
+        pool.read_page(loaded[1]).unwrap();
+        assert_eq!(dev.io().reads, reads, "all three still resident");
+        pool.read_page(loaded[0]).unwrap();
+        assert_eq!(dev.io().reads, reads + 1, "a dropped page reads cold");
+        drop(held);
+        pool.flush().unwrap();
+        assert_eq!(dev.io().writes, writes + 4, "the bystander was still dirty");
+    }
+
+    #[test]
+    fn read_page_shares_the_frame_and_pins_nothing() {
+        let (dev, ids) = device_with_pages(3);
+        let pool = BufferPool::new(dev.clone(), 2);
+        let cold = pool.read_page(ids[0]).unwrap();
+        let warm = pool.read_page(ids[0]).unwrap();
+        assert_eq!(cold.as_ptr(), warm.as_ptr(), "one buffer, handed out twice");
+        assert_eq!(pool.pin(ids[0]).unwrap().as_ptr(), cold.as_ptr());
+        // Holding the bytes holds no frame: both frames can be reused ...
+        pool.read_page(ids[1]).unwrap();
+        pool.read_page(ids[2]).unwrap();
+        assert_eq!(pool.stats().evictions, 1);
+        pool.clear().unwrap();
+        assert_eq!(pool.resident(), 0);
+        // ... and the bytes outlive the frame they came from.
+        assert_eq!(cold, [0u8; 4]);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! [`TupleFile`]: crate::TupleFile
 //! [`SimDevice`]: crate::SimDevice
 
-use crate::device::{DeviceRef, PageId};
+use crate::device::{DeviceRef, PageBytes, PageId};
 use crate::pool::{BufferPool, CacheStats, PinnedPage};
-use crate::wal::Wal;
+use crate::wal::{Lsn, Wal};
 use pyro_common::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,8 +75,9 @@ impl PageStore {
 
     /// A durable store: `device` should be a [`crate::FileDevice`] (or a
     /// fault wrapper around one), `wal` its write-ahead log. With
-    /// `pool_pages > 0` the pool's write barrier fsyncs the WAL before
-    /// any dirty page reaches the data file; `checkpoint_bytes` bounds
+    /// `pool_pages > 0` the pool's write barrier makes a dirty page's log
+    /// record stable ([`Wal::sync_through`]) before the page reaches the
+    /// data file; `checkpoint_bytes` bounds
     /// log growth (`u64::MAX` to keep the log until an explicit
     /// [`PageStore::checkpoint`]).
     pub fn durable(
@@ -90,7 +91,7 @@ impl PageStore {
             BufferPool::with_barrier(
                 device.clone(),
                 pool_pages,
-                Arc::new(move || barrier_wal.sync_pending()),
+                Arc::new(move |lsn| barrier_wal.sync_through(lsn)),
             )
         });
         Arc::new(PageStore {
@@ -141,7 +142,8 @@ impl PageStore {
             d.wal.sync()?;
             d.window.store(false, Ordering::Release);
         }
-        self.write_page_unlogged(root, root_image)?;
+        // The root's record is stable already, so its frame needs no LSN.
+        self.write_page_after_log(root, root_image, None)?;
         if let Some(d) = &self.durable {
             if d.wal.size() > d.checkpoint_bytes {
                 self.checkpoint()?;
@@ -211,16 +213,19 @@ impl PageStore {
     }
 
     /// Reads a page — through the pool when cached (a resident page costs
-    /// no device read), straight from the device otherwise.
-    pub fn read_page(&self, id: PageId) -> Result<Vec<u8>> {
+    /// no device read), straight from the device otherwise. Either way the
+    /// bytes are shared, not copied: the resident frame's, or the buffer
+    /// the device just filled.
+    pub fn read_page(&self, id: PageId) -> Result<PageBytes> {
         match &self.pool {
             Some(pool) => pool.read_page(id),
             None => self.device.read_page(id),
         }
     }
 
-    /// Pins a page for zero-copy reading; `None` in bypass mode (callers
-    /// fall back to [`PageStore::read_page`]).
+    /// Pins a page, holding its frame resident until the guard drops;
+    /// `None` in bypass mode. Readers that only decode the page use
+    /// [`PageStore::read_page`], which copies no more than this does.
     pub fn pin(&self, id: PageId) -> Option<Result<PinnedPage<'_>>> {
         self.pool.as_ref().map(|p| p.pin(id))
     }
@@ -230,17 +235,18 @@ impl PageStore {
     /// device write otherwise. Inside an open mutation window the page
     /// image goes to the WAL first (write-ahead).
     pub fn write_page(&self, id: PageId, data: &[u8]) -> Result<()> {
-        if let Some(d) = &self.durable {
-            if d.window.load(Ordering::Acquire) {
-                d.wal.append_page(id, data)?;
-            }
-        }
-        self.write_page_unlogged(id, data)
+        let lsn = match &self.durable {
+            Some(d) if d.window.load(Ordering::Acquire) => Some(d.wal.append_page(id, data)?),
+            _ => None,
+        };
+        self.write_page_after_log(id, data, lsn)
     }
 
-    fn write_page_unlogged(&self, id: PageId, data: &[u8]) -> Result<()> {
+    /// The write itself, once the page's image (if it is logged at all) is
+    /// in the WAL as record `lsn`.
+    fn write_page_after_log(&self, id: PageId, data: &[u8], lsn: Option<Lsn>) -> Result<()> {
         match &self.pool {
-            Some(pool) => pool.write_page(id, data),
+            Some(pool) => pool.write_page_logged(id, data, lsn),
             None => self.device.write_page(id, data),
         }
     }
@@ -262,12 +268,13 @@ impl PageStore {
         }
     }
 
-    /// Flushes, then empties the cache (see [`BufferPool::clear`]); no-op
-    /// in bypass mode. Bulk-load paths call this so query-time cold-run
-    /// measurements are not pre-warmed by ingestion.
-    pub fn clear_cache(&self) -> Result<()> {
+    /// Writes `pages` back and drops their frames, touching no other page
+    /// (see [`BufferPool::flush_and_drop`]); no-op in bypass mode. Bulk-load
+    /// paths call this over the pages they wrote, so ingestion neither
+    /// pre-warms a query-time cold run nor empties a warm pool.
+    pub fn flush_and_drop(&self, pages: &[PageId]) -> Result<()> {
         match &self.pool {
-            Some(pool) => pool.clear(),
+            Some(pool) => pool.flush_and_drop(pages),
             None => Ok(()),
         }
     }
@@ -332,7 +339,7 @@ mod tests {
         assert!(store.pool().is_none());
         assert!(store.pin(id).is_none());
         store.flush().unwrap();
-        store.clear_cache().unwrap();
+        store.flush_and_drop(&[id]).unwrap();
         store.free_page(id);
         assert_eq!(dev.live_pages(), 0);
     }

@@ -19,9 +19,12 @@
 //!
 //! A catalog mutation appends the page images it will write, then a commit
 //! marker, then [`Wal::sync`]s — only after that fsync may any of those
-//! pages reach the data file (the buffer pool's write barrier calls
-//! [`Wal::sync_pending`] before every write-back, enforcing the ordering
-//! even for evictions mid-mutation). Recovery replays page images up to
+//! pages reach the data file. The buffer pool's write barrier enforces the
+//! ordering even for evictions mid-mutation: every append returns its
+//! [`Lsn`], the pool keeps the newest one on the page's frame, and before
+//! a write-back it calls [`Wal::sync_through`] with it — which fsyncs only
+//! when that record is above the log's **synced watermark**, so one fsync
+//! covers every page logged before it. Recovery replays page images up to
 //! the **last complete commit** and discards everything after it: an
 //! uncommitted tail, torn record, or bit flip simply truncates history
 //! back to the previous commit. After a checkpoint (pool flushed, data
@@ -33,7 +36,12 @@ use pyro_common::{PyroError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// A log sequence number: the position of a record in the order it was
+/// appended, counted from 0 by each [`Wal`] handle.
+pub type Lsn = u64;
 
 const MAGIC: &[u8; 4] = b"PYRW";
 const VERSION: u32 = 1;
@@ -55,9 +63,10 @@ struct WalInner {
     /// Current end-of-log offset (bytes).
     len: u64,
     /// Next log sequence number.
-    lsn: u64,
-    /// Appends since the last fsync.
-    pending: bool,
+    lsn: Lsn,
+    /// The synced watermark: every record with an LSN below this is on
+    /// stable storage (or was rewound away and no longer matters).
+    synced: Lsn,
 }
 
 /// Append-only write-ahead log; see the module docs for the protocol.
@@ -65,6 +74,8 @@ struct WalInner {
 pub struct Wal {
     path: PathBuf,
     inner: Mutex<WalInner>,
+    /// Fsyncs of the log file since this handle opened it.
+    syncs: AtomicU64,
 }
 
 /// What [`Wal::recover`] found and did.
@@ -138,8 +149,9 @@ impl Wal {
                 file,
                 len,
                 lsn: 0,
-                pending: false,
+                synced: 0,
             }),
+            syncs: AtomicU64::new(0),
         })
     }
 
@@ -154,7 +166,25 @@ impl Wal {
         self.inner.lock().expect("wal poisoned").len
     }
 
-    fn append(&self, kind: u8, page_id: u64, payload: &[u8]) -> Result<()> {
+    /// Fsyncs of the log file through this handle so far — commits,
+    /// barrier syncs ([`Wal::sync_through`]) and the truncations of
+    /// [`Wal::rewind`] alike. A count, not a time: tests and benches gate
+    /// on it exactly.
+    pub fn sync_count(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Fsyncs the log file and counts it; the caller updates the watermark.
+    fn fsync(&self, inner: &WalInner) -> Result<()> {
+        inner
+            .file
+            .sync_all()
+            .map_err(|e| io_err("sync", &self.path, e))?;
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn append(&self, kind: u8, page_id: u64, payload: &[u8]) -> Result<Lsn> {
         let mut inner = self.inner.lock().expect("wal poisoned");
         let lsn = inner.lsn;
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
@@ -172,42 +202,38 @@ impl Wal {
             .map_err(|e| io_err("append to", &self.path, e))?;
         inner.len += record.len() as u64;
         inner.lsn += 1;
-        inner.pending = true;
-        Ok(())
+        Ok(lsn)
     }
 
     /// Appends a page image: the bytes `page_id` will hold once written
-    /// back. Not yet durable — call [`Wal::sync`] (the commit path does).
-    pub fn append_page(&self, page_id: u64, payload: &[u8]) -> Result<()> {
+    /// back, and returns the record's LSN. Not yet durable — call
+    /// [`Wal::sync`] (the commit path does) or [`Wal::sync_through`].
+    pub fn append_page(&self, page_id: u64, payload: &[u8]) -> Result<Lsn> {
         self.append(KIND_PAGE_IMAGE, page_id, payload)
     }
 
     /// Appends a commit marker: everything logged before it is to be
     /// replayed on recovery once [`Wal::sync`] returns.
     pub fn append_commit(&self) -> Result<()> {
-        self.append(KIND_COMMIT, 0, &[])
+        self.append(KIND_COMMIT, 0, &[]).map(|_| ())
     }
 
     /// Fsyncs the log. After this returns, every appended record survives
     /// a crash.
     pub fn sync(&self) -> Result<()> {
         let mut inner = self.inner.lock().expect("wal poisoned");
-        inner
-            .file
-            .sync_all()
-            .map_err(|e| io_err("sync", &self.path, e))?;
-        inner.pending = false;
+        self.fsync(&inner)?;
+        inner.synced = inner.lsn;
         Ok(())
     }
 
-    /// Fsyncs only if something was appended since the last sync — the
-    /// buffer pool's pre-writeback barrier, cheap on the common path.
-    pub fn sync_pending(&self) -> Result<()> {
-        {
-            let inner = self.inner.lock().expect("wal poisoned");
-            if !inner.pending {
-                return Ok(());
-            }
+    /// Makes record `lsn` (and so every record before it) stable: a no-op
+    /// when it is already below the synced watermark, one [`Wal::sync`] —
+    /// which also covers everything appended since — otherwise. This is
+    /// the buffer pool's pre-writeback barrier.
+    pub fn sync_through(&self, lsn: Lsn) -> Result<()> {
+        if lsn < self.inner.lock().expect("wal poisoned").synced {
+            return Ok(());
         }
         self.sync()
     }
@@ -232,12 +258,9 @@ impl Wal {
             .file
             .seek(SeekFrom::Start(mark))
             .map_err(|e| io_err("seek", &self.path, e))?;
-        inner
-            .file
-            .sync_all()
-            .map_err(|e| io_err("sync", &self.path, e))?;
+        self.fsync(&inner)?;
         inner.len = mark;
-        inner.pending = false;
+        inner.synced = inner.lsn;
         Ok(())
     }
 
@@ -342,6 +365,79 @@ mod tests {
         assert_eq!(dev.read_page(0).unwrap(), b"page zero");
         assert_eq!(dev.read_page(3).unwrap(), b"page three");
         assert_eq!(wal.size(), WAL_HEADER_LEN, "log truncated after recovery");
+    }
+
+    /// The record framing is pinned byte for byte (the CRCs below are
+    /// zlib's over header-sans-crc plus payload): a log written by any
+    /// earlier build replays, and this build appends what they would have.
+    #[test]
+    fn records_match_golden_bytes() {
+        const PAGE_IMAGE: [u8; 34] = [
+            0x01, // kind: page image
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 0
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // page 3
+            0x09, 0x00, 0x00, 0x00, // payload length
+            0x6D, 0x26, 0x89, 0xF5, // crc 0xF589266D
+            0x70, 0x79, 0x72, 0x6F, 0x20, 0x70, 0x61, 0x67, 0x65, // "pyro page"
+        ];
+        const COMMIT: [u8; 25] = [
+            0x02, // kind: commit
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 1
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // page 0
+            0x00, 0x00, 0x00, 0x00, // no payload
+            0xB0, 0xFF, 0xA7, 0xC0, // crc 0xC0A7FFB0
+        ];
+        let mut golden = b"PYRW\x01\x00\x00\x00".to_vec();
+        golden.extend_from_slice(&PAGE_IMAGE);
+        golden.extend_from_slice(&COMMIT);
+
+        let dir = tmp("golden");
+        let path = dir.join("wal.pyro");
+        {
+            let wal = Wal::open_or_create(&path).unwrap();
+            assert_eq!(wal.append_page(3, b"pyro page").unwrap(), 0);
+            wal.append_commit().unwrap();
+            wal.sync().unwrap();
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+
+        std::fs::write(&path, &golden).unwrap();
+        let dev = FileDevice::create_with_block_size(dir.join("data.pyro"), 128).unwrap();
+        let replay = Wal::open_or_create(&path).unwrap().recover(&dev).unwrap();
+        assert_eq!((replay.pages_replayed, replay.commits), (1, 1));
+        assert_eq!(dev.read_page(3).unwrap(), b"pyro page");
+    }
+
+    /// `sync_through` fsyncs only for a record above the watermark, and
+    /// that one fsync covers everything appended before it.
+    #[test]
+    fn sync_through_fsyncs_once_per_watermark() {
+        let dir = tmp("watermark");
+        let wal = Wal::open_or_create(dir.join("wal.pyro")).unwrap();
+        assert_eq!(wal.sync_count(), 0);
+        let first = wal.append_page(0, b"a").unwrap();
+        let second = wal.append_page(1, b"b").unwrap();
+        assert!(first < second);
+        wal.sync_through(first).unwrap();
+        assert_eq!(wal.sync_count(), 1, "an unsynced record costs one fsync");
+        wal.sync_through(second).unwrap();
+        wal.sync_through(first).unwrap();
+        assert_eq!(wal.sync_count(), 1, "which covered the later record too");
+        let third = wal.append_page(2, b"c").unwrap();
+        wal.sync_through(second).unwrap();
+        assert_eq!(wal.sync_count(), 1, "a new append does not unsync old ones");
+        wal.sync_through(third).unwrap();
+        assert_eq!(wal.sync_count(), 2);
+        // A commit always fsyncs; a rewind fsyncs its truncation, after
+        // which nothing that was logged is waiting.
+        wal.sync().unwrap();
+        assert_eq!(wal.sync_count(), 3);
+        let mark = wal.mark();
+        let aborted = wal.append_page(3, b"d").unwrap();
+        wal.rewind(mark).unwrap();
+        assert_eq!(wal.sync_count(), 4);
+        wal.sync_through(aborted).unwrap();
+        assert_eq!(wal.sync_count(), 4);
     }
 
     #[test]
