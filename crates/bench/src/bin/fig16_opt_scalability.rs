@@ -9,8 +9,7 @@
 use pyro_bench::banner;
 use pyro_catalog::Catalog;
 use pyro_common::{Schema, Tuple, Value};
-use pyro_core::memo::EnumStrategy;
-use pyro_core::{JoinPair, LogicalPlan, Optimizer, Strategy};
+use pyro_core::{EnumStrategy, JoinPair, LogicalPlan, Optimizer, Strategy};
 use pyro_ordering::SortOrder;
 use std::time::Instant;
 
@@ -89,36 +88,32 @@ fn main() {
     println!("\npaper shape: P and O flat in the single-digit ms; E factorial.");
 
     // Beyond the paper: the same sweep over plan *width* instead of join
-    // *attributes* — an n-way chain join planned by each enumerator under
-    // PYRO-O (see `bench_opt` for the full JSON-recorded version).
+    // *attributes* — an n-way chain join under PYRO-O, planned in the
+    // written order, with the default re-shape threshold, and with the
+    // cardinality-free re-shape forced.
     println!(
-        "\nn-way chain join, PYRO-O, per enumerator\n{:>6} {:>12} {:>12} {:>12}   (ms)",
-        "tables", "exhaustive", "memo", "heuristic"
+        "\nn-way chain join, PYRO-O\n{:>6} {:>14} {:>12} {:>12}   (ms)",
+        "tables", "written order", "default", "heuristic"
     );
     for n in [2usize, 4, 8, 12, 16, 20] {
         let (catalog, logical) = chain(n);
-        let time_of = |enumerator: EnumStrategy| -> f64 {
-            let _ = Optimizer::new(&catalog)
-                .with_strategy(Strategy::pyro_o())
-                .with_enum_strategy(enumerator)
-                .optimize(&logical);
+        let time_of = |configure: &dyn Fn(Optimizer) -> Optimizer| -> f64 {
+            let optimizer =
+                || configure(Optimizer::new(&catalog).with_strategy(Strategy::pyro_o()));
+            let _ = optimizer().optimize(&logical);
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
-                    let plan = Optimizer::new(&catalog)
-                        .with_strategy(Strategy::pyro_o())
-                        .with_enum_strategy(enumerator)
-                        .optimize(&logical)
-                        .expect("plan");
+                    let plan = optimizer().optimize(&logical).expect("plan");
                     std::hint::black_box(plan.cost());
                     t.elapsed().as_secs_f64() * 1e3
                 })
                 .fold(f64::INFINITY, f64::min)
         };
-        let ex = time_of(EnumStrategy::Exhaustive);
-        let memo = time_of(EnumStrategy::Memo);
-        let heur = time_of(EnumStrategy::Heuristic);
-        println!("{n:>6} {ex:>12.3} {memo:>12.3} {heur:>12.3}");
+        let written = time_of(&|o| o.with_join_enum_threshold(usize::MAX));
+        let default = time_of(&|o| o);
+        let heur = time_of(&|o| o.with_enum_strategy(EnumStrategy::Heuristic));
+        println!("{n:>6} {written:>14.3} {default:>12.3} {heur:>12.3}");
     }
     println!("\nall three stay in the low milliseconds out to 20 relations.");
 }

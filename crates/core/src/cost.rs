@@ -30,11 +30,6 @@ pub struct SearchStats {
     pub groups: u64,
     /// Physical candidates enumerated across all solved goals.
     pub candidates: u64,
-    /// Interesting-order goals the bottom-up prefill declined to collect
-    /// because a node was already at its cap (see
-    /// [`crate::memo::DEFAULT_INTERESTING_ORDER_CAP`]); such goals are
-    /// still solved exactly on demand, so truncation never changes plans.
-    pub truncated: u64,
 }
 
 /// Tunable constants of the cost model. Equality and hashing go by bit

@@ -7,13 +7,15 @@
 //! al.-style order inference the paper's techniques assume. Implemented as a
 //! union-find over qualified column names.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Union-find over column names.
+/// Union-find over column names, kept flat: every column that was ever
+/// unioned maps straight to its class representative, so a lookup is one
+/// probe and borrows instead of allocating. `union` pays for that by
+/// re-pointing the absorbed class, which is a handful of columns.
 #[derive(Debug, Default)]
 pub struct EquivMap {
-    parent: RefCell<HashMap<String, String>>,
+    rep: HashMap<String, String>,
 }
 
 impl EquivMap {
@@ -22,64 +24,30 @@ impl EquivMap {
         EquivMap::default()
     }
 
-    fn find(&self, name: &str) -> String {
-        let mut parent = self.parent.borrow_mut();
-        let mut cur = name.to_string();
-        let mut path = Vec::new();
-        while let Some(p) = parent.get(&cur) {
-            if p == &cur {
-                break;
-            }
-            path.push(cur.clone());
-            cur = p.clone();
-        }
-        for n in path {
-            parent.insert(n, cur.clone());
-        }
-        cur
-    }
-
-    /// Representative of `name`'s class (deterministic: lexicographically
-    /// smallest member becomes root).
-    pub fn rep(&self, name: &str) -> String {
-        if self.parent.borrow().contains_key(name) {
-            self.find(name)
-        } else {
-            name.to_string()
-        }
+    /// Representative of `name`'s class (deterministic: the
+    /// lexicographically smallest member).
+    pub fn rep<'a>(&'a self, name: &'a str) -> &'a str {
+        self.rep.get(name).map_or(name, String::as_str)
     }
 
     /// Declares `a = b`.
     pub fn union(&mut self, a: &str, b: &str) {
-        {
-            let mut parent = self.parent.borrow_mut();
-            parent.entry(a.to_string()).or_insert_with(|| a.to_string());
-            parent.entry(b.to_string()).or_insert_with(|| b.to_string());
+        let (ra, rb) = (self.rep(a).to_string(), self.rep(b).to_string());
+        // Smaller name becomes the root so reps are deterministic.
+        let (root, child) = if ra <= rb { (ra, rb) } else { (rb, ra) };
+        for r in self.rep.values_mut() {
+            if *r == child {
+                r.clone_from(&root);
+            }
         }
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Smaller name becomes the root so reps are deterministic.
-            let (root, child) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent.borrow_mut().insert(child, root);
+        for name in [a, b] {
+            self.rep.insert(name.to_string(), root.clone());
         }
     }
 
     /// True iff the two columns are known equal.
     pub fn same(&self, a: &str, b: &str) -> bool {
         self.rep(a) == self.rep(b)
-    }
-
-    /// All known members of `name`'s class (including `name` itself),
-    /// sorted. Columns never unioned have a singleton class.
-    pub fn class_members(&self, name: &str) -> Vec<String> {
-        let rep = self.rep(name);
-        let keys: Vec<String> = self.parent.borrow().keys().cloned().collect();
-        let mut members: Vec<String> = keys.into_iter().filter(|k| self.rep(k) == rep).collect();
-        if !members.iter().any(|m| m == name) {
-            members.push(name.to_string());
-        }
-        members.sort();
-        members
     }
 }
 

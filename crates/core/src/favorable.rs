@@ -21,6 +21,9 @@ const AFM_CAP: usize = 8;
 /// Computes `afm` for every node. Orders use qualified output-column names
 /// of the respective node; at joins, prefixes restricted to the join
 /// attribute set are expressed in equivalence-class representative names.
+/// `referenced_by_alias` holds, per scan alias, the bare column names the
+/// query needs from it; an index contributes its order only if it covers
+/// them.
 pub fn compute_afm(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -34,6 +37,19 @@ pub fn compute_afm(
     Ok(afm)
 }
 
+/// Groups qualified column names (`alias.column`) by alias, keeping the
+/// bare column names — the shape [`compute_afm`] and index metadata share.
+/// Unqualified names (aggregate outputs) belong to no scan and are skipped.
+pub fn by_alias(columns: impl IntoIterator<Item = String>) -> HashMap<String, AttrSet> {
+    let mut out: HashMap<String, AttrSet> = HashMap::new();
+    for col in columns {
+        if let Some((alias, bare)) = col.split_once('.') {
+            out.entry(alias.to_string()).or_default().insert(bare);
+        }
+    }
+    out
+}
+
 /// `o ∧ s` under equivalence: the longest prefix of `o` whose attributes'
 /// representatives belong to `s` (which must itself hold representative
 /// names); the result is expressed in representative names.
@@ -41,8 +57,8 @@ pub fn lcp_with_set_equiv(o: &SortOrder, s: &AttrSet, equiv: &EquivMap) -> SortO
     let mut out = Vec::new();
     for a in o.attrs() {
         let rep = equiv.rep(a);
-        if s.contains(&rep) && !out.contains(&rep) {
-            out.push(rep);
+        if s.contains(rep) && !out.iter().any(|o| o == rep) {
+            out.push(rep.to_string());
         } else {
             break;
         }
@@ -78,15 +94,9 @@ fn node_afm(
             if !handle.meta.clustering.is_empty() {
                 out.push(qualify_order(&handle.meta.clustering, alias));
             }
-            let required = referenced_by_alias.get(alias).cloned().unwrap_or_default();
-            // Strip the alias qualifier to compare with index metadata,
-            // which uses bare column names.
-            let bare_required: AttrSet = required
-                .iter()
-                .map(|c| c.rsplit('.').next().unwrap_or(c).to_string())
-                .collect();
+            let needed = referenced_by_alias.get(alias);
             for idx in &handle.meta.indexes {
-                if idx.covers(&bare_required) {
+                if needed.is_none_or(|cols| idx.covers(cols)) {
                     out.push(qualify_order(&idx.key, alias));
                 }
             }
@@ -96,11 +106,7 @@ fn node_afm(
         LogicalOp::Filter { input, .. } => done[*input].clone(),
         // Rule 3: longest prefixes within the projected columns.
         LogicalOp::Project { input, items } => {
-            let kept: AttrSet = items
-                .iter()
-                .filter(|it| matches!(&it.expr, crate::logical::NExpr::Col(c) if c == &it.name))
-                .map(|it| it.name.clone())
-                .collect();
+            let kept = crate::optimizer::project_kept(items);
             dedup_capped(done[*input].iter().map(|o| o.lcp_with_set(&kept)).collect())
         }
         // Rule 4: input favorable orders survive (nested loops propagates
@@ -111,7 +117,10 @@ fn node_afm(
         LogicalOp::Join {
             left, right, pairs, ..
         } => {
-            let s: AttrSet = pairs.iter().map(|p| equiv.rep(&p.left)).collect();
+            let s: AttrSet = pairs
+                .iter()
+                .map(|p| equiv.rep(&p.left).to_string())
+                .collect();
             let mut t: Vec<SortOrder> = done[*left]
                 .iter()
                 .chain(done[*right].iter())
@@ -233,13 +242,7 @@ mod tests {
     }
 
     fn referenced(plan: &LogicalPlan) -> HashMap<String, AttrSet> {
-        let mut m: HashMap<String, AttrSet> = HashMap::new();
-        for col in plan.referenced_columns() {
-            if let Some((alias, _)) = col.split_once('.') {
-                m.entry(alias.to_string()).or_default().insert(col.clone());
-            }
-        }
-        m
+        by_alias(plan.referenced_columns())
     }
 
     #[test]

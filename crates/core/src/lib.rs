@@ -18,10 +18,10 @@
 //! * **Plan refinement** (§5.2.2 / §4.2): a post-optimization phase that
 //!   reworks the *free attributes* of adjacent merge joins with the
 //!   2-approximate tree algorithm so they share sort-order prefixes.
-//! * **Scalable enumeration** (beyond the paper): a memo-based bottom-up
-//!   enumerator over the same goal space ([`memo`]), an explicit join
-//!   graph ([`joingraph`]), and a cardinality-free big-join re-shape
-//!   gated by the `join_enum_threshold` knob — see `DESIGN.md` §13.
+//! * **Wide joins** (beyond the paper): an explicit join graph
+//!   ([`joingraph`]) and a cardinality-free big-join re-shape gated by the
+//!   `join_enum_threshold` knob, run before the one memoized search — see
+//!   `DESIGN.md` §13.
 //!
 //! Entry point: [`Optimizer`]. Logical plans are built with
 //! [`logical::LogicalPlan`] (or via `pyro-sql`), optimized into a
@@ -35,7 +35,6 @@ pub mod equiv;
 pub mod favorable;
 pub mod joingraph;
 pub mod logical;
-pub mod memo;
 pub mod optimizer;
 mod parallel;
 pub mod plan;
@@ -47,8 +46,8 @@ pub mod strategy;
 pub use cache::{CachedStatement, PlanCache, PlanCacheStats, PlanKey};
 pub use compile::CompileOptions;
 pub use cost::SearchStats;
+pub use joingraph::EnumStrategy;
 pub use logical::{AggSpec, JoinPair, LogicalPlan, NExpr, NodeId, ProjItem};
-pub use memo::EnumStrategy;
 pub use optimizer::{OptimizedPlan, Optimizer, PlanningInfo};
 pub use plan::{PhysNode, PhysOp};
 pub use strategy::Strategy;

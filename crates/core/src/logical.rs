@@ -414,9 +414,11 @@ impl LogicalPlan {
         }
     }
 
-    /// Collects every column name the query references at or above `id`
+    /// Collects every column name an expression of the query names
     /// (predicates, join pairs, projections, grouping, aggregates, orders).
-    /// Used to decide which indices *cover the query* for each table.
+    /// Together with the root's output columns — which `SELECT *` names
+    /// nowhere — this decides which indices *cover the query* for each
+    /// table.
     pub fn referenced_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         for node in &self.nodes {

@@ -5,14 +5,16 @@
 //! (partial) sort enforcer wherever an alternative's guaranteed order does
 //! not subsume the requirement, and memoizes the cheapest result. The
 //! interesting orders tried at merge joins and sort aggregates come from the
-//! configured [`Strategy`].
+//! configured [`Strategy`]. `best_plan`'s on-demand recursion is the only
+//! enumerator: a goal's answer is a pure function of the goal, and the memo
+//! (keyed by node and rep-normalized order) makes each one solved once.
 
 use crate::compile::CompileOptions;
 use crate::cost::{CostParams, SearchStats};
 use crate::equiv::EquivMap;
-use crate::favorable::{compute_afm, lcp_with_set_equiv};
-use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId};
-use crate::memo::{EnumStrategy, DEFAULT_INTERESTING_ORDER_CAP, DEFAULT_JOIN_ENUM_THRESHOLD};
+use crate::favorable::{by_alias, compute_afm, lcp_with_set_equiv};
+use crate::joingraph::{collect_equivs, reorder_joins, EnumStrategy, DEFAULT_JOIN_ENUM_THRESHOLD};
+use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
 use crate::plan::{PhysNode, PhysOp};
 use crate::stats::{derive_stats, NodeStats};
 use crate::strategy::Strategy;
@@ -33,7 +35,6 @@ pub struct Optimizer<'a> {
     enable_hash: bool,
     enum_strategy: EnumStrategy,
     join_enum_threshold: usize,
-    interesting_cap: usize,
 }
 
 impl<'a> Optimizer<'a> {
@@ -55,7 +56,6 @@ impl<'a> Optimizer<'a> {
             enable_hash: true,
             enum_strategy: EnumStrategy::default(),
             join_enum_threshold: DEFAULT_JOIN_ENUM_THRESHOLD,
-            interesting_cap: DEFAULT_INTERESTING_ORDER_CAP,
         }
     }
 
@@ -81,77 +81,53 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Selects the plan-space enumerator (default: [`EnumStrategy::Memo`]).
-    /// Orthogonal to [`Optimizer::with_strategy`]: every enumerator runs
-    /// the same goal solver over the same candidate orders.
+    /// Selects when joins are re-shaped before the search (default:
+    /// [`EnumStrategy::Memo`]: only above the threshold). Orthogonal to
+    /// [`Optimizer::with_strategy`]: the search itself is the same.
     pub fn with_enum_strategy(mut self, enum_strategy: EnumStrategy) -> Self {
         self.enum_strategy = enum_strategy;
         self
     }
 
-    /// Inner-join region size (in leaf inputs) above which the memo
-    /// enumerator re-shapes the region with the cardinality-free heuristic
-    /// instead of enumerating the given shape (default:
-    /// [`DEFAULT_JOIN_ENUM_THRESHOLD`]). Ignored by
-    /// [`EnumStrategy::Exhaustive`].
+    /// Inner-join region size (in leaf inputs) above which the region is
+    /// re-shaped with the cardinality-free heuristic instead of planned in
+    /// the given shape (default: [`DEFAULT_JOIN_ENUM_THRESHOLD`];
+    /// `usize::MAX` never re-shapes). [`EnumStrategy::Heuristic`] overrides
+    /// it with 2.
     pub fn with_join_enum_threshold(mut self, threshold: usize) -> Self {
         self.join_enum_threshold = threshold;
-        self
-    }
-
-    /// Caps the non-ε interesting orders the bottom-up prefill collects per
-    /// memo group (default: [`DEFAULT_INTERESTING_ORDER_CAP`]); overflow is
-    /// counted in [`SearchStats::truncated`], never changes plans.
-    pub fn with_interesting_cap(mut self, cap: usize) -> Self {
-        self.interesting_cap = cap;
         self
     }
 
     /// Optimizes a logical plan into a physical plan.
     pub fn optimize(&self, plan: &LogicalPlan) -> Result<OptimizedPlan> {
         let start = Instant::now();
-        // Memo / Heuristic may re-shape oversized inner-join regions first;
+        if plan.is_empty() {
+            return Err(PyroError::Plan("empty logical plan".into()));
+        }
         // `reorder_joins` returns None when nothing qualifies, keeping the
         // original plan — and its exact plans, costs and counters.
-        let mut reordered_joins = 0u64;
-        let owned;
-        let plan = match self.enum_strategy {
-            EnumStrategy::Exhaustive => plan,
-            EnumStrategy::Memo | EnumStrategy::Heuristic => {
-                let threshold = match self.enum_strategy {
-                    EnumStrategy::Heuristic => 2,
-                    _ => self.join_enum_threshold,
-                };
-                match crate::joingraph::reorder_joins(plan, self.catalog, threshold)? {
-                    Some((p, n)) => {
-                        reordered_joins = n;
-                        owned = p;
-                        &owned
-                    }
-                    None => plan,
+        let threshold = match self.enum_strategy {
+            EnumStrategy::Heuristic => 2,
+            EnumStrategy::Memo => self.join_enum_threshold,
+        };
+        let reordered = reorder_joins(plan, self.catalog, threshold)?;
+        let (plan, reordered_joins) = match &reordered {
+            Some((p, n)) => (p, *n),
+            None => (plan, 0),
+        };
+        let (mut best, ctx) = self.search(plan, HashMap::new())?;
+        if self.strategy.refine {
+            if let Some(forced) = crate::refine::reworked_orders(&ctx, &best) {
+                // The re-search runs in a context of its own, so the
+                // accounting reported below is the first search's alone.
+                let (refined, _) = self.search(plan, forced)?;
+                if refined.cost < best.cost {
+                    best = refined;
                 }
             }
-        };
-        let mut ctx = Ctx::build(
-            plan,
-            self.catalog,
-            self.strategy,
-            self.params,
-            HashMap::new(),
-        )?;
-        ctx.enable_hash = self.enable_hash;
-        ctx.interesting_cap = self.interesting_cap;
-        let ctx = ctx;
-        if !matches!(self.enum_strategy, EnumStrategy::Exhaustive) {
-            crate::memo::prefill(&ctx, plan.root(), &SortOrder::empty())?;
         }
-        let mut best = best_plan(&ctx, plan.root(), &SortOrder::empty())?;
-        if self.strategy.refine {
-            if let Some(better) = crate::refine::refine(&ctx, self, plan, &best)? {
-                best = better;
-            }
-        }
-        let search = *ctx.search.borrow();
+        let search = ctx.search.into_inner();
         Ok(OptimizedPlan {
             root: best,
             strategy: self.strategy,
@@ -160,31 +136,31 @@ impl<'a> Optimizer<'a> {
                 enumerator: self.enum_strategy,
                 groups: search.groups,
                 candidates: search.candidates,
-                truncated: search.truncated,
                 reordered_joins,
                 elapsed: start.elapsed(),
             },
         })
     }
 
-    /// Re-optimizes with specific merge-join orders pinned (phase-2 uses
-    /// this to apply reworked orders).
-    pub(crate) fn optimize_forced(
-        &self,
-        plan: &LogicalPlan,
+    /// One goal-directed search of `plan` from `(root, ε)`, with the
+    /// merge-join orders in `forced` pinned (phase 2 applies its reworked
+    /// orders this way). Returns the context too: refinement reads its
+    /// favorable orders, the caller its accounting.
+    fn search<'p>(
+        &'p self,
+        plan: &'p LogicalPlan,
         forced: HashMap<NodeId, SortOrder>,
-    ) -> Result<OptimizedPlan> {
-        let mut ctx = Ctx::build(plan, self.catalog, self.strategy, self.params, forced)?;
-        ctx.enable_hash = self.enable_hash;
+    ) -> Result<(Arc<PhysNode>, Ctx<'p>)> {
+        let ctx = Ctx::build(
+            plan,
+            self.catalog,
+            self.strategy,
+            self.params,
+            self.enable_hash,
+            forced,
+        )?;
         let best = best_plan(&ctx, plan.root(), &SortOrder::empty())?;
-        // Internal re-search: refinement only reads root + cost, so the
-        // accounting stays default (the caller keeps its own).
-        Ok(OptimizedPlan {
-            root: best,
-            strategy: self.strategy,
-            ordered_output: output_is_ordered(plan),
-            planning: PlanningInfo::default(),
-        })
+        Ok((best, ctx))
     }
 }
 
@@ -203,40 +179,24 @@ fn output_is_ordered(plan: &LogicalPlan) -> bool {
     }
 }
 
-/// How one plan was found: the enumerator that planned it, the search's
-/// enumeration accounting, and the planning wall-clock. Rides on every
-/// [`OptimizedPlan`]; a plan served from the plan cache carries the info
-/// of the run that originally produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How one plan was found: the join re-shape policy it was planned under,
+/// the search's enumeration accounting, and the planning wall-clock. Rides
+/// on every [`OptimizedPlan`]; a plan served from the plan cache carries
+/// the info of the run that originally produced it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanningInfo {
-    /// The enumerator that planned the query.
+    /// The join re-shape policy the query was planned under.
     pub enumerator: EnumStrategy,
     /// Memo groups solved (see [`SearchStats::groups`]).
     pub groups: u64,
     /// Physical candidates enumerated (see [`SearchStats::candidates`]).
     pub candidates: u64,
-    /// Interesting-order goals dropped from the prefill by the per-group
-    /// cap (see [`SearchStats::truncated`]); plans are unaffected.
-    pub truncated: u64,
     /// Join nodes rebuilt by the cardinality-free re-shape (0 when the
     /// plan kept its given shape).
     pub reordered_joins: u64,
     /// Planning wall-clock, including refinement. Excluded from rendered
     /// explain text so equal plans explain identically.
     pub elapsed: Duration,
-}
-
-impl Default for PlanningInfo {
-    fn default() -> PlanningInfo {
-        PlanningInfo {
-            enumerator: EnumStrategy::default(),
-            groups: 0,
-            candidates: 0,
-            truncated: 0,
-            reordered_joins: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
 }
 
 /// Result of optimization.
@@ -251,8 +211,8 @@ pub struct OptimizedPlan {
     /// set, and is free to gather in arrival order when it is not — even if
     /// the chosen plan incidentally guarantees an order.
     pub ordered_output: bool,
-    /// How the plan was found: enumerator, search accounting, planning
-    /// time.
+    /// How the plan was found: re-shape policy, search accounting,
+    /// planning time.
     pub planning: PlanningInfo,
 }
 
@@ -319,9 +279,9 @@ pub(crate) struct Ctx<'a> {
     pub strategy: Strategy,
     pub forced: HashMap<NodeId, SortOrder>,
     pub enable_hash: bool,
-    /// Per-memo-group cap on non-ε interesting orders collected by the
-    /// bottom-up prefill (see [`crate::memo`]).
-    pub interesting_cap: usize,
+    /// Bare column names the query needs from each scan alias — what an
+    /// index must hold to cover the query there.
+    pub referenced: HashMap<String, AttrSet>,
     /// Enumeration accounting for this run.
     pub search: RefCell<SearchStats>,
     memo: RefCell<Memo>,
@@ -336,20 +296,11 @@ impl<'a> Ctx<'a> {
         catalog: &'a Catalog,
         strategy: Strategy,
         params: CostParams,
+        enable_hash: bool,
         forced: HashMap<NodeId, SortOrder>,
     ) -> Result<Ctx<'a>> {
         // Equivalences from join pairs and col=col equality filters.
-        let equiv = crate::joingraph::collect_equivs(plan);
-        // Columns referenced per alias (covering-index checks).
-        let mut referenced: HashMap<String, AttrSet> = HashMap::new();
-        for col in plan.referenced_columns() {
-            if let Some((alias, _)) = col.split_once('.') {
-                referenced
-                    .entry(alias.to_string())
-                    .or_default()
-                    .insert(col.clone());
-            }
-        }
+        let equiv = collect_equivs(plan);
         let stats = derive_stats(plan, catalog)?;
         let resolver = |table: &str, alias: &str| -> Result<Schema> {
             Ok(catalog.table(table)?.meta.schema.qualify(alias))
@@ -357,6 +308,14 @@ impl<'a> Ctx<'a> {
         let schemas: Vec<Schema> = (0..plan.len())
             .map(|id| plan.schema(id, &resolver))
             .collect::<Result<_>>()?;
+        // Columns needed per alias (covering-index checks): every column an
+        // expression names, plus every column the query returns — `SELECT *`
+        // lowers to no projection, so its output is named nowhere else.
+        let referenced = by_alias(
+            plan.referenced_columns()
+                .into_iter()
+                .chain(schemas[plan.root()].names()),
+        );
         let afm = compute_afm(plan, catalog, &equiv, &referenced)?;
         Ok(Ctx {
             plan,
@@ -368,8 +327,8 @@ impl<'a> Ctx<'a> {
             params,
             strategy,
             forced,
-            enable_hash: true,
-            interesting_cap: DEFAULT_INTERESTING_ORDER_CAP,
+            enable_hash,
+            referenced,
             search: RefCell::new(SearchStats::default()),
             memo: RefCell::new(HashMap::new()),
         })
@@ -385,10 +344,14 @@ impl<'a> Ctx<'a> {
                 .all(|(n, h)| self.equiv.same(n, h))
     }
 
-    pub(crate) fn memo_key(&self, id: NodeId, required: &SortOrder) -> (NodeId, Vec<String>) {
+    fn memo_key(&self, id: NodeId, required: &SortOrder) -> (NodeId, Vec<String>) {
         (
             id,
-            required.attrs().iter().map(|a| self.equiv.rep(a)).collect(),
+            required
+                .attrs()
+                .iter()
+                .map(|a| self.equiv.rep(a).to_string())
+                .collect(),
         )
     }
 }
@@ -397,14 +360,11 @@ impl<'a> Ctx<'a> {
 /// attributes are equivalent to members of `names`, emitted as those
 /// members).
 fn project_order_to_names(order: &SortOrder, names: &AttrSet, equiv: &EquivMap) -> SortOrder {
-    let rep_to_name: HashMap<String, String> = names
-        .iter()
-        .map(|n| (equiv.rep(n), n.to_string()))
-        .collect();
+    let rep_to_name: HashMap<&str, &str> = names.iter().map(|n| (equiv.rep(n), n)).collect();
     let mut out: Vec<String> = Vec::new();
     for a in order.attrs() {
-        match rep_to_name.get(&equiv.rep(a)) {
-            Some(n) if !out.contains(n) => out.push(n.clone()),
+        match rep_to_name.get(equiv.rep(a)) {
+            Some(&n) if !out.iter().any(|o| o == n) => out.push(n.to_string()),
             _ => break,
         }
     }
@@ -412,7 +372,7 @@ fn project_order_to_names(order: &SortOrder, names: &AttrSet, equiv: &EquivMap) 
 }
 
 /// The memoized goal solver: cheapest plan for `(id, required)`.
-pub(crate) fn best_plan(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Arc<PhysNode>> {
+fn best_plan(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Arc<PhysNode>> {
     let key = ctx.memo_key(id, required);
     if let Some(hit) = ctx.memo.borrow().get(&key) {
         return Ok(hit.clone());
@@ -512,26 +472,17 @@ fn gen_candidates(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Vec<Arc
                     logical: id,
                 }));
             }
+            // The same covering test that admitted an index's order to afm.
+            let needed = ctx.referenced.get(alias);
             for idx in &handle.meta.indexes {
                 let Some(file) = handle.index_files.get(&idx.name) else {
                     continue;
                 };
-                // Only indices that cover this alias's referenced columns
-                // were admitted to afm; for scan candidates we re-check
-                // against the full query's referenced set.
-                let entry_cols = idx.entry_columns();
-                let referenced: Vec<String> = ctx
-                    .plan
-                    .referenced_columns()
-                    .into_iter()
-                    .filter(|c| c.starts_with(&format!("{alias}.")))
-                    .map(|c| c.rsplit('.').next().unwrap_or(&c).to_string())
-                    .collect();
-                if !referenced.iter().all(|c| entry_cols.contains(c)) {
+                if needed.is_some_and(|cols| !idx.covers(cols)) {
                     continue;
                 }
                 let entry_schema = Schema::new(
-                    entry_cols
+                    idx.entry_columns()
                         .iter()
                         .map(|c| {
                             let i = handle.meta.schema.index_of(c)?;
@@ -682,7 +633,10 @@ fn gen_candidates(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Vec<Arc
             // joins — SYS2 had to rewrite FO joins as a union of two left
             // outer joins — and the coordinated-order findings of
             // Experiment B2 rest on that reality.
-            if !ctx.forced.contains_key(&id) && join_hashable(ctx, kind) {
+            if !ctx.forced.contains_key(&id)
+                && ctx.enable_hash
+                && !matches!(kind, JoinKind::FullOuter)
+            {
                 let lchild = best_plan(ctx, *left, &SortOrder::empty())?;
                 let rchild = best_plan(ctx, *right, &SortOrder::empty())?;
                 let (bl, br) = (
@@ -869,16 +823,13 @@ fn child_goals(ctx: &Ctx, child: NodeId, required: &SortOrder) -> Vec<SortOrder>
     }
     // Dedup under rep-normalization.
     let mut seen = std::collections::HashSet::new();
-    goals.retain(|g| {
-        let key: Vec<String> = g.attrs().iter().map(|a| ctx.equiv.rep(a)).collect();
-        seen.insert(key)
-    });
+    goals.retain(|g| seen.insert(ctx.memo_key(child, g)));
     goals
 }
 
 /// Column names a projection passes through unchanged; an order survives
 /// the projection up to its first dropped column.
-fn project_kept(items: &[crate::logical::ProjItem]) -> AttrSet {
+pub(crate) fn project_kept(items: &[ProjItem]) -> AttrSet {
     items
         .iter()
         .filter(|it| matches!(&it.expr, NExpr::Col(c) if c == &it.name))
@@ -886,19 +837,9 @@ fn project_kept(items: &[crate::logical::ProjItem]) -> AttrSet {
         .collect()
 }
 
-/// Whether hash/nested-loops alternatives apply to a join of `kind` under
-/// this run's configuration. Full outer joins are merge-only (see the
-/// comment at the Join arm of [`gen_candidates`]).
-fn join_hashable(ctx: &Ctx, kind: &JoinKind) -> bool {
-    ctx.enable_hash && !matches!(kind, JoinKind::FullOuter)
-}
-
 /// The merge-join goal pairs `(left goal, right goal)` for join `id` —
 /// one per candidate interesting order, with each representative mapped
 /// back to concrete pair columns so the goals resolve on both sides.
-/// Shared by [`gen_candidates`] and the bottom-up prefill
-/// ([`crate::memo::prefill`]), so both traversals see the identical goal
-/// closure.
 fn join_merge_goals(
     ctx: &Ctx,
     id: NodeId,
@@ -907,7 +848,10 @@ fn join_merge_goals(
     pairs: &[JoinPair],
     required: &SortOrder,
 ) -> Vec<(SortOrder, SortOrder)> {
-    let s: AttrSet = pairs.iter().map(|p| ctx.equiv.rep(&p.left)).collect();
+    let s: AttrSet = pairs
+        .iter()
+        .map(|p| ctx.equiv.rep(&p.left).to_string())
+        .collect();
     // Favorable prefixes: afm(el, S) ∪ afm(er, S) ∪ {o ∧ S}.
     let mut prefixes: Vec<SortOrder> = ctx.afm[left]
         .iter()
@@ -927,7 +871,7 @@ fn join_merge_goals(
     };
     // Map each representative attribute back to the concrete pair
     // columns: goals are then guaranteed to resolve on both sides.
-    let rep_to_pair: HashMap<String, &JoinPair> = pairs
+    let rep_to_pair: HashMap<&str, &JoinPair> = pairs
         .iter()
         .map(|pr| (ctx.equiv.rep(&pr.left), pr))
         .collect();
@@ -937,7 +881,7 @@ fn join_merge_goals(
         let mut r_attrs = Vec::with_capacity(p.len());
         let mut ok = true;
         for a in p.attrs() {
-            match rep_to_pair.get(a) {
+            match rep_to_pair.get(a.as_str()) {
                 Some(pair) => {
                     l_attrs.push(pair.left.clone());
                     r_attrs.push(pair.right.clone());
@@ -958,7 +902,7 @@ fn join_merge_goals(
 /// The candidate input orders for a sort-based grouping operator (sort
 /// aggregate / sort distinct) over grouping set `l` — favorable orders and
 /// the requirement projected into the grouping columns, expanded by the
-/// strategy. Shared by [`gen_candidates`] and the bottom-up prefill.
+/// strategy.
 fn grouping_goal_orders(
     ctx: &Ctx,
     input: NodeId,
@@ -977,72 +921,6 @@ fn grouping_goal_orders(
     prefixes.sort();
     prefixes.dedup();
     ctx.strategy.candidate_orders(l, &prefixes)
-}
-
-/// The child goals solving `(id, required)` will request — exactly the
-/// recursive `best_plan` calls [`gen_candidates`] makes, computed without
-/// building any plans. This is what lets [`crate::memo::prefill`] collect
-/// the goal closure top-down and then solve it bottom-up with results
-/// identical to the on-demand recursion.
-pub(crate) fn child_goal_requests(
-    ctx: &Ctx,
-    id: NodeId,
-    required: &SortOrder,
-) -> Result<Vec<(NodeId, SortOrder)>> {
-    let mut out: Vec<(NodeId, SortOrder)> = Vec::new();
-    match ctx.plan.node(id) {
-        LogicalOp::Scan { .. } => {}
-        LogicalOp::Filter { input, .. } | LogicalOp::Limit { input, .. } => {
-            for goal in child_goals(ctx, *input, required) {
-                out.push((*input, goal));
-            }
-        }
-        LogicalOp::Project { input, items } => {
-            let kept = project_kept(items);
-            for goal in child_goals(ctx, *input, &required.lcp_with_set(&kept)) {
-                out.push((*input, goal));
-            }
-        }
-        LogicalOp::Join {
-            left,
-            right,
-            kind,
-            pairs,
-        } => {
-            for (l_goal, r_goal) in join_merge_goals(ctx, id, *left, *right, pairs, required) {
-                out.push((*left, l_goal));
-                out.push((*right, r_goal));
-            }
-            if !ctx.forced.contains_key(&id) && join_hashable(ctx, kind) {
-                out.push((*left, SortOrder::empty()));
-                out.push((*right, SortOrder::empty()));
-            }
-        }
-        LogicalOp::Aggregate {
-            input, group_by, ..
-        } => {
-            let l: AttrSet = group_by.iter().cloned().collect();
-            for q in grouping_goal_orders(ctx, *input, &l, required) {
-                out.push((*input, q));
-            }
-            if ctx.enable_hash {
-                out.push((*input, SortOrder::empty()));
-            }
-        }
-        LogicalOp::Sort { input, order } => {
-            out.push((*input, order.clone()));
-        }
-        LogicalOp::Distinct { input } => {
-            let l: AttrSet = ctx.schemas[id].names().into_iter().collect();
-            for q in grouping_goal_orders(ctx, *input, &l, required) {
-                out.push((*input, q));
-            }
-            if ctx.enable_hash {
-                out.push((*input, SortOrder::empty()));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1083,6 +961,18 @@ mod tests {
         let plan = Optimizer::new(&cat).optimize(&p).unwrap();
         assert!(matches!(plan.root.op, PhysOp::ClusteredIndexScan { .. }));
         assert!(plan.cost() > 0.0);
+    }
+
+    #[test]
+    fn empty_plan_is_a_typed_error() {
+        let cat = catalog();
+        let err = Optimizer::new(&cat)
+            .optimize(&LogicalPlan::new())
+            .unwrap_err();
+        assert!(
+            matches!(&err, PyroError::Plan(m) if m == "empty logical plan"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1235,5 +1125,83 @@ mod tests {
             .optimize(&p)
             .unwrap();
         assert!(plan.cost() > 0.0);
+    }
+
+    /// Cost and search accounting of the written-order search on chains and
+    /// stars of 2, 8 and 20 relations. The literals were recorded while a
+    /// second enumerator still existed and agreed with this one number for
+    /// number; a change to goal generation moves them.
+    #[test]
+    fn wide_chains_and_stars_keep_their_search_accounting() {
+        // `edges[i]` names the (left, right) join columns linking relation
+        // `i + 1` to the tree built so far.
+        let check = |shape: &str,
+                     tables: Vec<(String, Vec<String>)>,
+                     edges: Vec<(String, String)>,
+                     (cost, groups, candidates): (f64, u64, u64)| {
+            let mut cat = Catalog::new();
+            for (salt, (name, cols)) in tables.iter().enumerate() {
+                let mut rows: Vec<Tuple> = (0..60usize)
+                    .map(|r| {
+                        Tuple::new(
+                            (0..cols.len())
+                                .map(|c| Value::Int(((r * (c + salt + 3)) % 97) as i64))
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                rows.sort();
+                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+                let clustering = SortOrder::new([cols[0].clone()]);
+                cat.register_table(name, Schema::ints(&names), clustering, &rows)
+                    .unwrap();
+            }
+            let mut p = LogicalPlan::new();
+            let mut cur = p.scan_as(&tables[0].0, &tables[0].0);
+            for ((name, _), (l, r)) in tables[1..].iter().zip(edges) {
+                let next = p.scan_as(name, name);
+                cur = p.join(cur, next, vec![JoinPair::new(l, r)]);
+            }
+            let plan = Optimizer::new(&cat)
+                .with_join_enum_threshold(usize::MAX)
+                .optimize(&p)
+                .unwrap();
+            let what = format!("{shape} n={}", tables.len());
+            assert!((plan.cost() - cost).abs() < 1e-9, "{what}: {}", plan.cost());
+            assert_eq!(plan.planning.groups, groups, "{what}: groups");
+            assert_eq!(plan.planning.candidates, candidates, "{what}: candidates");
+            assert_eq!(plan.planning.reordered_joins, 0, "{what}");
+        };
+        for (n, chain, star) in [
+            (2usize, (2.004144134357365, 5, 8), (2.0006, 5, 8)),
+            (8, (8.029008940501557, 29, 68), (8.02546480614419, 29, 68)),
+            (
+                20,
+                (20.078738552789943, 77, 188),
+                (22.075194418432577, 77, 188),
+            ),
+        ] {
+            // Chain: t{i} carries x{i}, x{i+1} and joins its successor on x{i+1}.
+            let tables = (0..n)
+                .map(|i| {
+                    (
+                        format!("t{i}"),
+                        vec![format!("x{i}"), format!("x{}", i + 1)],
+                    )
+                })
+                .collect();
+            let edges = (1..n)
+                .map(|i| (format!("t{}.x{i}", i - 1), format!("t{i}.x{i}")))
+                .collect();
+            check("chain", tables, edges, chain);
+            // Star: hub t0 carries one key per satellite t{i}.
+            let mut tables = vec![("t0".to_string(), (1..n).map(|i| format!("k{i}")).collect())];
+            tables
+                .extend((1..n).map(|i| (format!("t{i}"), vec![format!("k{i}"), format!("s{i}")])));
+            let edges = (1..n)
+                .map(|i| (format!("t0.k{i}"), format!("t{i}.k{i}")))
+                .collect();
+            check("star", tables, edges, star);
+        }
     }
 }

@@ -4,14 +4,14 @@
 //! merge join — join attributes whose position was fixed by an arbitrary
 //! permutation rather than by any input favorable order — are reworked so
 //! adjacent joins share sort-order prefixes, using the 2-approximate tree
-//! algorithm of §4.2. The refined orders are applied by re-optimizing with
-//! the new orders pinned; the refined plan is kept only if it costs less.
+//! algorithm of §4.2. This module computes the reworked orders; the
+//! optimizer applies them by searching again with those orders pinned and
+//! keeps the refined plan only if it costs less.
 
 use crate::favorable::lcp_with_set_equiv;
-use crate::logical::{LogicalOp, LogicalPlan, NodeId};
-use crate::optimizer::{Ctx, Optimizer};
+use crate::logical::{LogicalOp, NodeId};
+use crate::optimizer::Ctx;
 use crate::plan::{PhysNode, PhysOp};
-use pyro_common::Result;
 use pyro_ordering::{two_approx_tree_order, AttrSet, JoinTree, SortOrder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,21 +29,17 @@ struct MjInfo {
     parent: Option<NodeId>,
 }
 
-/// Runs phase-2 on `best`; returns a cheaper plan or `None`.
-pub(crate) fn refine(
+/// Phase-2 on `best`: the merge-join orders to pin for the re-search, or
+/// `None` when there is nothing to coordinate.
+pub(crate) fn reworked_orders(
     ctx: &Ctx,
-    optimizer: &Optimizer,
-    plan: &LogicalPlan,
     best: &Arc<PhysNode>,
-) -> Result<Option<Arc<PhysNode>>> {
+) -> Option<HashMap<NodeId, SortOrder>> {
     let mut joins: Vec<MjInfo> = Vec::new();
     collect_mjs(ctx, best, None, &mut joins);
-    if joins.len() < 2 {
-        return Ok(None); // nothing to coordinate
-    }
-    // Any free attributes at all?
-    if joins.iter().all(|j| j.free.is_empty()) {
-        return Ok(None);
+    // Fewer than two merge joins, or no free attributes at all.
+    if joins.len() < 2 || joins.iter().all(|j| j.free.is_empty()) {
+        return None;
     }
 
     // Build the binary tree over free-attribute sets. Multiple roots can
@@ -72,7 +68,7 @@ pub(crate) fn refine(
         }
     }
     if tree.len() < 2 {
-        return Ok(None);
+        return None;
     }
 
     let solution = two_approx_tree_order(&tree);
@@ -87,16 +83,7 @@ pub(crate) fn refine(
             }
         }
     }
-    if forced.is_empty() {
-        return Ok(None);
-    }
-
-    let refined = optimizer.optimize_forced(plan, forced)?;
-    if refined.cost() < best.cost {
-        Ok(Some(refined.root))
-    } else {
-        Ok(None)
-    }
+    (!forced.is_empty()).then_some(forced)
 }
 
 /// Walks the physical tree recording merge joins and their nearest
@@ -108,8 +95,11 @@ fn collect_mjs(ctx: &Ctx, node: &Arc<PhysNode>, parent_mj: Option<NodeId>, out: 
             left, right, pairs, ..
         } = ctx.plan.node(logical)
         {
-            let s: AttrSet = pairs.iter().map(|p| ctx.equiv.rep(&p.left)).collect();
-            let order_reps = order.rename(|a| ctx.equiv.rep(a));
+            let s: AttrSet = pairs
+                .iter()
+                .map(|p| ctx.equiv.rep(&p.left).to_string())
+                .collect();
+            let order_reps = order.rename(|a| ctx.equiv.rep(a).to_string());
             // qi: input favorable order sharing the longest prefix with pi.
             let fixed = ctx.afm[*left]
                 .iter()
@@ -147,6 +137,7 @@ fn collect_mjs(ctx: &Ctx, node: &Arc<PhysNode>, parent_mj: Option<NodeId>, out: 
 mod tests {
     use super::*;
     use crate::logical::{JoinPair, LogicalPlan};
+    use crate::optimizer::Optimizer;
     use crate::strategy::Strategy;
     use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};

@@ -61,9 +61,6 @@ pub(crate) fn render_plan(plan: &OptimizedPlan) -> String {
     if p.reordered_joins > 0 {
         search.push_str(&format!(", {} joins reordered", p.reordered_joins));
     }
-    if p.truncated > 0 {
-        search.push_str(&format!(", {} goals truncated", p.truncated));
-    }
     format!(
         "{} plan, estimated cost {:.1} I/O units\n{search}\n{}",
         plan.strategy.name(),
@@ -121,7 +118,7 @@ impl QueryResult {
     }
 
     /// How the plan was found: the enumerator, the search's memo
-    /// group/candidate/truncation accounting, and the planning wall-clock.
+    /// group/candidate accounting, and the planning wall-clock.
     /// A plan served from the plan cache reports the run that originally
     /// produced it (planning was skipped for this call —
     /// [`QueryResult::plan_cache`] says so).

@@ -44,7 +44,7 @@ pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 pub struct SessionConfig {
     /// Interesting-order strategy.
     pub strategy: Strategy,
-    /// Plan-space enumerator.
+    /// When inner-join regions are re-shaped before the search.
     pub enum_strategy: EnumStrategy,
     /// Inner-join region size above which `memo` re-shapes the region.
     pub join_enum_threshold: usize,
@@ -68,7 +68,7 @@ impl Default for SessionConfig {
         SessionConfig {
             strategy: Strategy::pyro_o(),
             enum_strategy: EnumStrategy::default(),
-            join_enum_threshold: pyro_core::memo::DEFAULT_JOIN_ENUM_THRESHOLD,
+            join_enum_threshold: pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD,
             cost_params: None,
             hash_operators: true,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -131,29 +131,28 @@ impl SessionBuilder {
         Ok(self.strategy(Strategy::from_name(name)?))
     }
 
-    /// Sets the plan-space enumerator (default: [`EnumStrategy::Memo`]).
-    /// Orthogonal to [`SessionBuilder::strategy`]: `exhaustive` is the
-    /// legacy on-demand recursion, `memo` fills the same memo bottom-up
-    /// and re-shapes inner-join regions larger than
-    /// [`SessionBuilder::join_enum_threshold`] with the cardinality-free
-    /// heuristic, `heuristic` forces the re-shape for every region of
-    /// three or more inputs. At or below the threshold, `memo` and
-    /// `exhaustive` choose identical plans with identical counters.
+    /// Sets when joins are re-shaped before the one memoized search
+    /// (default: [`EnumStrategy::Memo`]). Orthogonal to
+    /// [`SessionBuilder::strategy`]: `memo` re-shapes only inner-join
+    /// regions larger than [`SessionBuilder::join_enum_threshold`] with the
+    /// cardinality-free heuristic, `heuristic` forces the re-shape for
+    /// every region of three or more inputs.
     pub fn enum_strategy(mut self, enum_strategy: EnumStrategy) -> SessionBuilder {
         self.config.enum_strategy = enum_strategy;
         self
     }
 
-    /// Sets the enumerator by name (`"exhaustive"`, `"memo"`,
-    /// `"heuristic"`); for CLI flags and config files.
+    /// Sets the enumerator by name (`"memo"`, `"heuristic"`); for CLI
+    /// flags and config files.
     pub fn enum_strategy_name(self, name: &str) -> Result<SessionBuilder> {
         Ok(self.enum_strategy(EnumStrategy::from_name(name)?))
     }
 
     /// Inner-join region size (leaf inputs) above which the `memo`
-    /// enumerator re-shapes the region instead of enumerating the given
-    /// join shape (default:
-    /// [`pyro_core::memo::DEFAULT_JOIN_ENUM_THRESHOLD`]).
+    /// enumerator re-shapes the region instead of planning the given join
+    /// shape (default:
+    /// [`pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD`]; `usize::MAX`
+    /// never re-shapes).
     pub fn join_enum_threshold(mut self, threshold: usize) -> SessionBuilder {
         self.config.join_enum_threshold = threshold;
         self

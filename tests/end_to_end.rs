@@ -2,10 +2,10 @@
 //! across all five interesting-order strategies, on the paper's queries —
 //! all driven through the `pyro::Session` front door.
 
-use pyro::common::Tuple;
+use pyro::common::{Schema, Tuple, Value};
 use pyro::core::PhysOp;
 use pyro::datagen::{consolidation, qtables, tpch};
-use pyro::{Session, Strategy};
+use pyro::{EnumStrategy, Session, SortOrder, Strategy};
 
 /// Runs `sql` under every strategy (hash on and off) and asserts identical
 /// result multisets; returns the PYRO-O rows.
@@ -277,4 +277,90 @@ fn pyro_o_costs_at_most_pyro_p_and_pyro_on_paper_queries() {
     };
     assert!(cost(Strategy::pyro_o()) <= cost(Strategy::pyro_p()) + 1e-6);
     assert!(cost(Strategy::pyro_o()) < cost(Strategy::pyro()));
+}
+
+/// `SELECT *` lowers to no projection, so its output columns are named by
+/// no expression: an index covering only the columns the query *names*
+/// must not be taken for one that covers the query.
+#[test]
+fn select_star_returns_every_column_beside_a_narrow_index() {
+    let session_with = |index: bool| {
+        let ints = |vals: [i64; 3]| Tuple::new(vals.iter().map(|v| Value::Int(*v)).collect());
+        let mut session = Session::new();
+        for name in ["t", "u"] {
+            let rows: Vec<Tuple> = (0..200).map(|i| ints([i, i % 20, i % 7])).collect();
+            let schema = Schema::ints(&["a", "b", "c"]);
+            session
+                .register_table(name, schema, SortOrder::new(["a"]), &rows)
+                .unwrap();
+        }
+        if index {
+            session
+                .create_index("t", "t_b", SortOrder::new(["b"]), &[])
+                .unwrap();
+        }
+        session
+    };
+    let (mut with, mut without) = (session_with(true), session_with(false));
+    for (sql, columns) in [
+        ("SELECT * FROM t WHERE b = 5", 3),
+        ("SELECT * FROM t ORDER BY b", 3),
+        ("SELECT * FROM t, u WHERE t.b = u.b", 6),
+    ] {
+        let mut expected = assert_strategy_invariance(&mut without, sql);
+        let mut rows = assert_strategy_invariance(&mut with, sql);
+        assert!(rows.iter().all(|r| r.arity() == columns), "{sql}");
+        expected.sort();
+        rows.sort();
+        assert_eq!(expected, rows, "the index changed the answer: {sql}");
+    }
+    // Index-only scans are still chosen where the index does cover.
+    with.set_strategy(Strategy::pyro_o());
+    let plan = with.plan("SELECT b FROM t WHERE b = 5").unwrap();
+    assert_eq!(
+        plan.root
+            .count_nodes(&|n| matches!(n.op, PhysOp::CoveringIndexScan { .. })),
+        1,
+        "{}",
+        plan.explain()
+    );
+}
+
+/// The cardinality-free reorder rewrites a multi-way chain but preserves
+/// rows, schema and result order.
+#[test]
+fn heuristic_reorder_preserves_rows_on_multiway_chain() {
+    let session = |builder: pyro::SessionBuilder| {
+        let mut s = builder.build();
+        for (i, t) in ["t0", "t1", "t2", "t3"].iter().enumerate() {
+            let csv: String = (0..120)
+                .map(|k| format!("{k},{}\n", k * (i as i64 + 2)))
+                .collect();
+            let schema = Schema::ints(&["k", &format!("v{i}")]);
+            s.register_csv(t, schema, SortOrder::new(["k"]), &csv)
+                .unwrap();
+        }
+        s
+    };
+    let written = session(Session::builder().join_enum_threshold(usize::MAX));
+    let heuristic = session(Session::builder().enum_strategy(EnumStrategy::Heuristic));
+
+    // A 4-way chain: greedy seeds at the densest leaf (t1), so the
+    // heuristic rewrites the tree while the pass-through projection
+    // restores the original column order.
+    let sql = "SELECT t0.k, t0.v0, t1.v1, t2.v2, t3.v3 \
+               FROM t0, t1, t2, t3 \
+               WHERE t0.k = t1.k AND t1.k = t2.k AND t2.k = t3.k \
+               ORDER BY t0.k";
+    let a = written.sql(sql).unwrap();
+    let b = heuristic.sql(sql).unwrap();
+    assert_eq!(a.planning().reordered_joins, 0, "threshold off");
+    assert!(
+        b.planning().reordered_joins > 0,
+        "a 4-way chain is above the heuristic's threshold:\n{}",
+        b.explain()
+    );
+    assert_eq!(a.schema(), b.schema(), "projection restores column order");
+    assert_eq!(a.rows(), b.rows(), "reorder must not change the result");
+    assert_eq!(a.len(), 120);
 }

@@ -203,11 +203,11 @@ fn every_knob_flip_misses() {
 
     // Satellite (memo optimizer): an enumerator or threshold flip must
     // never re-hit a plan the other enumerator produced.
-    session.set_enum_strategy(EnumStrategy::Exhaustive);
+    session.set_enum_strategy(EnumStrategy::Heuristic);
     let out = assert_miss_then_hit(&mut session, "set_enum_strategy");
     assert_eq!(
         out.planning().enumerator,
-        EnumStrategy::Exhaustive,
+        EnumStrategy::Heuristic,
         "the NEW enumerator planned the query"
     );
     session.set_enum_strategy(enum_strategy);
