@@ -46,13 +46,12 @@ impl NullBitmap {
     /// Creates a bitmap of `len` bits, all set (every row NULL).
     pub fn all_null(len: usize) -> Self {
         let mut b = Self::new();
-        for _ in 0..len {
-            b.push(true);
-        }
+        b.extend(len, true);
         b
     }
 
     /// Appends one bit; `true` marks the new row as NULL.
+    #[inline]
     pub fn push(&mut self, is_null: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
@@ -65,10 +64,20 @@ impl NullBitmap {
         self.len += 1;
     }
 
-    /// Appends `n` clear bits (`n` non-NULL rows) a word at a time.
-    pub fn extend_false(&mut self, n: usize) {
-        self.len += n;
-        self.words.resize(self.len.div_ceil(64), 0);
+    /// Appends `n` bits all equal to `is_null`, a word at a time.
+    pub fn extend(&mut self, n: usize, is_null: bool) {
+        let (start, end) = (self.len, self.len + n);
+        self.words.resize(end.div_ceil(64), 0);
+        if is_null {
+            let mut i = start;
+            while i < end {
+                let (at, span) = (i % 64, (64 - i % 64).min(end - i));
+                self.words[i / 64] |= (u64::MAX >> (64 - span)) << at;
+                i += span;
+            }
+            self.set_bits += n;
+        }
+        self.len = end;
     }
 
     /// Returns whether row `i` is NULL.
@@ -134,10 +143,17 @@ impl StrArena {
 
     /// Appends one cell from raw UTF-8 bytes (caller guarantees validity;
     /// the page decoder has already validated them).
+    #[inline]
     pub fn push_bytes(&mut self, b: &[u8]) {
         self.bytes.extend_from_slice(b);
         let end = u32::try_from(self.bytes.len()).expect("string arena exceeds u32 offsets");
         self.offsets.push(end);
+    }
+
+    /// Appends `n` empty cells: one offset fill, no byte copied.
+    pub fn extend_empty(&mut self, n: usize) {
+        let end = *self.offsets.last().expect("offsets start at 0");
+        self.offsets.resize(self.offsets.len() + n, end);
     }
 
     /// Appends cells `start..end` of `other`: one byte copy plus rebased
@@ -505,6 +521,33 @@ impl ColumnVec {
     }
 }
 
+/// One column resolved for boxing rows: its typed storage when it has no
+/// NULLs, the per-cell path otherwise.
+enum CellView<'a> {
+    Int(&'a [i64]),
+    Double(&'a [f64]),
+    Cells(&'a ColumnVec),
+}
+
+impl<'a> CellView<'a> {
+    fn of(col: &'a ColumnVec) -> Self {
+        match &col.data {
+            ColumnData::Int(v) if !col.nulls.any() => CellView::Int(v),
+            ColumnData::Double(v) if !col.nulls.any() => CellView::Double(v),
+            _ => CellView::Cells(col),
+        }
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> Value {
+        match self {
+            CellView::Int(v) => Value::Int(v[i]),
+            CellView::Double(v) => Value::Double(v[i]),
+            CellView::Cells(c) => c.value_at(i),
+        }
+    }
+}
+
 /// The normalized keys of a batch's rows under a [`KeySpec`]: one
 /// [`CellRef::norm_prefix`] per key column per physical row, row-major, so
 /// that comparing two rows walks two short dense arrays and touches column
@@ -631,6 +674,7 @@ impl ColumnBuilder {
     }
 
     /// Appends a NULL cell.
+    #[inline]
     pub fn push_null(&mut self) {
         match &mut self.rep {
             BuilderRep::Untyped => {}
@@ -644,6 +688,7 @@ impl ColumnBuilder {
     }
 
     /// Appends an integer cell.
+    #[inline]
     pub fn push_int(&mut self, x: i64) {
         match &mut self.rep {
             BuilderRep::Untyped => {
@@ -664,6 +709,7 @@ impl ColumnBuilder {
     }
 
     /// Appends a double cell (bit pattern preserved).
+    #[inline]
     pub fn push_double(&mut self, x: f64) {
         match &mut self.rep {
             BuilderRep::Untyped => {
@@ -684,13 +730,12 @@ impl ColumnBuilder {
     }
 
     /// Appends a string cell from raw UTF-8 bytes (already validated).
+    #[inline]
     pub fn push_str_bytes(&mut self, b: &[u8]) {
         match &mut self.rep {
             BuilderRep::Untyped => {
                 let mut a = StrArena::new();
-                for _ in 0..self.len {
-                    a.push("");
-                }
+                a.extend_empty(self.len);
                 a.push_bytes(b);
                 self.rep = BuilderRep::Str(a);
             }
@@ -742,11 +787,54 @@ impl ColumnBuilder {
         }
     }
 
-    /// Appends `n` NULL cells.
+    /// Appends `n` NULL cells: one placeholder fill and one bitmap fill.
     pub fn push_nulls(&mut self, n: usize) {
-        for _ in 0..n {
-            self.push_null();
+        match &mut self.rep {
+            BuilderRep::Untyped => {}
+            BuilderRep::Int(v) => v.resize(v.len() + n, 0),
+            BuilderRep::Double(v) => v.resize(v.len() + n, 0.0),
+            BuilderRep::Str(a) => a.extend_empty(n),
+            BuilderRep::Mixed(v) => v.resize(v.len() + n, Value::Null),
         }
+        self.nulls.extend(n, true);
+        self.len += n;
+    }
+
+    /// Appends integer cells, in order, as [`ColumnBuilder::push_int`] on
+    /// each would: one typed extend while the builder holds integers (or
+    /// only NULLs so far), cell by cell otherwise.
+    pub fn extend_ints(&mut self, xs: impl ExactSizeIterator<Item = i64>) {
+        if xs.len() > 0 && matches!(self.rep, BuilderRep::Untyped) {
+            self.rep = BuilderRep::Int(vec![0; self.len]);
+        }
+        let BuilderRep::Int(v) = &mut self.rep else {
+            return xs.for_each(|x| self.push_int(x));
+        };
+        let before = v.len();
+        v.extend(xs);
+        let n = v.len() - before;
+        self.extend_present(n);
+    }
+
+    /// [`ColumnBuilder::extend_ints`] for double cells (bit patterns
+    /// preserved).
+    pub fn extend_doubles(&mut self, xs: impl ExactSizeIterator<Item = f64>) {
+        if xs.len() > 0 && matches!(self.rep, BuilderRep::Untyped) {
+            self.rep = BuilderRep::Double(vec![0.0; self.len]);
+        }
+        let BuilderRep::Double(v) = &mut self.rep else {
+            return xs.for_each(|x| self.push_double(x));
+        };
+        let before = v.len();
+        v.extend(xs);
+        let n = v.len() - before;
+        self.extend_present(n);
+    }
+
+    /// Accounts for `n` non-NULL cells just appended to the typed storage.
+    fn extend_present(&mut self, n: usize) {
+        self.nulls.extend(n, false);
+        self.len += n;
     }
 
     /// Appends cell `i` of `col`, copying typed storage directly when the
@@ -775,9 +863,7 @@ impl ColumnBuilder {
                 ColumnData::Double(_) => BuilderRep::Double(vec![0.0; self.len]),
                 ColumnData::Str(_) => {
                     let mut a = StrArena::new();
-                    for _ in 0..self.len {
-                        a.push("");
-                    }
+                    a.extend_empty(self.len);
                     BuilderRep::Str(a)
                 }
                 ColumnData::Mixed(_) => BuilderRep::Mixed(vec![Value::Null; self.len]),
@@ -810,7 +896,7 @@ impl ColumnBuilder {
                 self.nulls.push(col.nulls.get(i));
             }
         } else {
-            self.nulls.extend_false(n);
+            self.nulls.extend(n, false);
         }
         self.len += n;
     }
@@ -845,7 +931,7 @@ impl ColumnBuilder {
                 return;
             }
         }
-        self.nulls.extend_false(idx.len());
+        self.nulls.extend(idx.len(), false);
         self.len += idx.len();
     }
 
@@ -953,20 +1039,21 @@ impl ColumnarBatch {
     /// Materializes the selected rows back into tuples, in ascending
     /// physical-row order.
     pub fn to_rows(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len());
-        match &self.sel {
-            Some(sel) => {
-                for &i in sel {
-                    out.push(self.row_at(i as usize));
-                }
-            }
-            None => {
-                for i in 0..self.rows {
-                    out.push(self.row_at(i));
-                }
-            }
-        }
+        let mut out = Vec::new();
+        self.append_rows(&mut out);
         out
+    }
+
+    /// [`ColumnarBatch::to_rows`], appended to `out`: each column's type
+    /// and NULLs are looked at once per batch, not once per cell.
+    pub fn append_rows(&self, out: &mut Vec<Tuple>) {
+        let views: Vec<CellView<'_>> = self.columns.iter().map(|c| CellView::of(c)).collect();
+        let row = |i: usize| Tuple::new(views.iter().map(|v| v.value(i)).collect());
+        out.reserve(self.len());
+        match &self.sel {
+            Some(sel) => out.extend(sel.iter().map(|&i| row(i as usize))),
+            None => out.extend((0..self.rows).map(row)),
+        }
     }
 
     /// Materializes one physical row.
@@ -1191,6 +1278,215 @@ mod tests {
                 })
                 .collect();
             round_trip(rows);
+        }
+    }
+
+    /// `extend` appends exactly what as many `push`es append — bits, length
+    /// and count — from any starting offset, across word boundaries.
+    #[test]
+    fn null_bitmap_extend_matches_pushes() {
+        for start in [0usize, 1, 63, 64, 65] {
+            for n in [0usize, 63, 64, 65, 130] {
+                for is_null in [false, true] {
+                    let (mut bulk, mut one) = (NullBitmap::new(), NullBitmap::new());
+                    for i in 0..start {
+                        bulk.push(i % 2 == 0);
+                        one.push(i % 2 == 0);
+                    }
+                    bulk.extend(n, is_null);
+                    (0..n).for_each(|_| one.push(is_null));
+                    assert_eq!(bulk, one, "start {start}, {n} x {is_null}");
+                    assert_eq!(bulk.len(), start + n);
+                    assert_eq!(
+                        bulk.count(),
+                        start.div_ceil(2) + if is_null { n } else { 0 }
+                    );
+                    for i in [63, 64, 65, 127, 128, 129] {
+                        if i < bulk.len() {
+                            let expect = if i < start { i % 2 == 0 } else { is_null };
+                            assert_eq!(bulk.get(i), expect, "bit {i}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(NullBitmap::all_null(65).count(), 65);
+        assert!(!NullBitmap::all_null(0).any());
+    }
+
+    #[test]
+    fn str_arena_extend_empty_appends_empty_cells() {
+        for n in [0usize, 63, 64, 65, 130] {
+            let (mut bulk, mut one) = (StrArena::new(), StrArena::new());
+            bulk.push("ab");
+            one.push("ab");
+            bulk.extend_empty(n);
+            (0..n).for_each(|_| one.push(""));
+            bulk.push("c");
+            one.push("c");
+            assert_eq!(bulk, one);
+            assert_eq!(bulk.len(), n + 2);
+            assert_eq!(bulk.get(n + 1), "c");
+        }
+    }
+
+    /// Builders that have seen nothing, only NULLs, and each
+    /// representation, plus one of each that turned Mixed.
+    fn builders_in_every_state() -> Vec<ColumnBuilder> {
+        let seeds: [&[Value]; 7] = [
+            &[],
+            &[Value::Null, Value::Null],
+            &[Value::Int(1), Value::Null],
+            &[Value::Double(-0.0)],
+            &[Value::Str("abcdefghij".into()), Value::Null],
+            &[Value::Int(1), Value::Str(String::new())],
+            &[Value::Str("x".into()), Value::Double(2.5)],
+        ];
+        seeds
+            .iter()
+            .map(|vals| {
+                let mut b = ColumnBuilder::new();
+                vals.iter().for_each(|v| b.push_value(v));
+                b
+            })
+            .collect()
+    }
+
+    fn rep(col: &ColumnVec) -> &'static str {
+        match col.data() {
+            ColumnData::Int(_) => "int",
+            ColumnData::Double(_) => "double",
+            ColumnData::Str(_) => "str",
+            ColumnData::Mixed(_) => "mixed",
+        }
+    }
+
+    /// Representation, cells (doubles by their bits) and null bits of a
+    /// column.
+    fn picture(col: &ColumnVec) -> String {
+        let cells: Vec<String> = (0..col.len())
+            .map(|i| match col.cell(i) {
+                CellRef::Double(d) => format!("Double({:#x})", d.to_bits()),
+                c => format!("{c:?}"),
+            })
+            .collect();
+        format!("{} {cells:?} {:?}", rep(col), col.nulls())
+    }
+
+    /// Each bulk append leaves a builder — whatever it already holds — as
+    /// the same cells pushed one at a time would.
+    #[test]
+    fn bulk_appends_match_cell_pushes_in_every_builder_state() {
+        let ints = [3i64, -1, i64::MIN];
+        let doubles = [f64::from_bits(0xfff8_0000_0000_0007), -0.0, f64::INFINITY];
+        for what in ["ints", "doubles", "nulls"] {
+            for n in [0, 1, 3] {
+                let pairs = builders_in_every_state()
+                    .into_iter()
+                    .zip(builders_in_every_state());
+                for (state, (mut bulk, mut one)) in pairs.enumerate() {
+                    match what {
+                        "ints" => {
+                            bulk.extend_ints(ints[..n].iter().copied());
+                            ints[..n].iter().for_each(|&x| one.push_int(x));
+                        }
+                        "doubles" => {
+                            bulk.extend_doubles(doubles[..n].iter().copied());
+                            doubles[..n].iter().for_each(|&x| one.push_double(x));
+                        }
+                        _ => {
+                            bulk.push_nulls(n);
+                            (0..n).for_each(|_| one.push_null());
+                        }
+                    }
+                    // A later value must find the same representation too.
+                    bulk.push_double(0.5);
+                    one.push_double(0.5);
+                    assert_eq!(
+                        picture(&bulk.finish()),
+                        picture(&one.finish()),
+                        "{what} x {n} in state {state}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `to_rows` (and `append_rows` after rows already there) box exactly
+    /// `row_at` of each selected row — every representation, with and
+    /// without NULLs, with and without a selection — bit for bit.
+    #[test]
+    fn to_rows_equals_row_at_for_every_column_kind() {
+        let n = 70i64;
+        let columns = |with_nulls: bool| -> Vec<Vec<Value>> {
+            let null_or = |i: i64, v: Value| match with_nulls && i % 9 == 4 {
+                true => Value::Null,
+                false => v,
+            };
+            vec![
+                (0..n)
+                    .map(|i| null_or(i, Value::Int(i * 1_000_003)))
+                    .collect(),
+                (0..n)
+                    .map(|i| {
+                        null_or(
+                            i,
+                            Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | i as u64)),
+                        )
+                    })
+                    .collect(),
+                (0..n)
+                    .map(|i| null_or(i, Value::Double(-(i as f64) * 0.0)))
+                    .collect(),
+                (0..n)
+                    .map(|i| null_or(i, Value::Str("é".repeat(i as usize % 11))))
+                    .collect(),
+                (0..n)
+                    .map(|i| match i % 3 {
+                        0 => null_or(i, Value::Int(i)),
+                        1 => Value::Str(format!("m{i}")),
+                        _ => Value::Double(i as f64 + 0.5),
+                    })
+                    .collect(),
+                (0..n).map(|_| Value::Null).collect(),
+            ]
+        };
+        let bits = |rows: &[Tuple]| -> Vec<String> {
+            rows.iter()
+                .flat_map(|t| t.values())
+                .map(|v| match v {
+                    Value::Double(d) => format!("Double({:#x})", d.to_bits()),
+                    v => format!("{v:?}"),
+                })
+                .collect()
+        };
+        for with_nulls in [false, true] {
+            let cols = columns(with_nulls);
+            let rows: Vec<Tuple> = (0..n as usize)
+                .map(|i| Tuple::new(cols.iter().map(|c| c[i].clone()).collect()))
+                .collect();
+            let mut batch = ColumnarBatch::from_rows(&rows);
+            let reps: Vec<&str> = batch.columns().iter().map(|c| rep(c)).collect();
+            assert_eq!(reps, ["int", "double", "double", "str", "mixed", "int"]);
+            for sel in [None, Some(vec![0u32, 4, 5, 63, 64, 69]), Some(vec![])] {
+                if let Some(sel) = &sel {
+                    batch.set_sel(sel.clone());
+                }
+                let idx: Vec<usize> = match &sel {
+                    Some(sel) => sel.iter().map(|&i| i as usize).collect(),
+                    None => (0..n as usize).collect(),
+                };
+                let expect: Vec<Tuple> = idx.iter().map(|&i| batch.row_at(i)).collect();
+                assert_eq!(
+                    bits(&batch.to_rows()),
+                    bits(&expect),
+                    "nulls {with_nulls}, sel {sel:?}"
+                );
+                let mut out = vec![rows[1].clone()];
+                batch.append_rows(&mut out);
+                assert_eq!(bits(&out[1..]), bits(&expect));
+                assert_eq!(bits(&out[..1]), bits(&rows[1..2]));
+            }
         }
     }
 

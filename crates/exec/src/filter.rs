@@ -49,8 +49,7 @@ impl Operator for Filter {
         while let Some(batch) = self.child.next_batch()? {
             let mut rows = match (batch, &self.vec_pred) {
                 (Batch::Cols(mut cols), Some(pred)) => {
-                    let mut sel = cols.sel_vec();
-                    pred.refine(&cols, &mut sel);
+                    let sel = pred.refine(&cols);
                     if sel.is_empty() {
                         continue;
                     }

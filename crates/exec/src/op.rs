@@ -218,12 +218,17 @@ pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
 }
 
 /// Drains an operator batch-at-a-time into a vector of rows — the one
-/// [`Batch::into_rows`] of a plan that is columnar throughout —
-/// pre-allocating from the operator's [`Operator::size_hint`].
+/// conversion of a plan that is columnar throughout —
+/// pre-allocating from the operator's [`Operator::size_hint`]. A `Cols`
+/// batch is boxed straight into that vector
+/// ([`ColumnarBatch::append_rows`]), never into a vector of its own.
 pub fn collect_batched(mut op: BoxOp) -> Result<Vec<Tuple>> {
     let mut out = Vec::with_capacity(drain_capacity(&op));
     while let Some(batch) = op.next_batch()? {
-        out.append(&mut batch.into_rows());
+        match batch {
+            Batch::Rows(mut rows) => out.append(&mut rows),
+            Batch::Cols(cols) => cols.append_rows(&mut out),
+        }
     }
     Ok(out)
 }

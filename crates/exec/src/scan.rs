@@ -137,7 +137,9 @@ impl Operator for FileScan {
 
 /// Binary-searches the half-open page range of a sorted `file` that can
 /// hold tuples whose `key_cols` prefix equals `key`, probing the first
-/// tuple of O(log P) pages.
+/// tuple of O(log P) pages. A probe decodes its page whole into boxed
+/// tuples and then reads only the first one, so the decode, not the
+/// search, is what a point seek pays for.
 ///
 /// The returned range is a *superset* of the pages holding matches — the
 /// first candidate page's opening tuple may still sort below the key — so

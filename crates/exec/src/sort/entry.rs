@@ -181,9 +181,13 @@ impl Sources {
         *self = Sources::default();
     }
 
-    /// Orders two entries living in this table.
+    /// Orders two entries living in this table. A differing inline prefix
+    /// decides before either batch is looked up.
     #[inline]
     pub(crate) fn compare(&self, key: &KeySpec, a: &Entry, b: &Entry) -> (Ordering, u64) {
+        if a.prefix != b.prefix {
+            return (a.prefix.cmp(&b.prefix), 1);
+        }
         a.compare(self.get(a.src), b, self.get(b.src), key)
     }
 }

@@ -188,6 +188,8 @@ struct ColumnarRun {
     /// run is exhausted.
     page: Option<Keyed>,
     pos: usize,
+    /// The head row's first-key prefix, what the merge compares first.
+    prefix: u64,
 }
 
 impl ColumnarRun {
@@ -197,7 +199,9 @@ impl ColumnarRun {
         let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
         self.pos = 0;
         if self.scan.fill_columns(&mut builders, 1)? {
-            self.page = Some(Keyed::new(ColumnarBatch::from_builders(builders), key));
+            let page = Keyed::new(ColumnarBatch::from_builders(builders), key);
+            self.prefix = page.norms.first(0);
+            self.page = Some(page);
         } else {
             self.page = None;
             if let Some(f) = self.file.take() {
@@ -210,7 +214,9 @@ impl ColumnarRun {
     /// Steps past the head row.
     fn advance(&mut self, arity: usize, key: &KeySpec) -> Result<()> {
         self.pos += 1;
-        if self.pos < self.page.as_ref().expect("a head row").batch.num_rows() {
+        let page = self.page.as_ref().expect("a head row");
+        if self.pos < page.batch.num_rows() {
+            self.prefix = page.norms.first(self.pos);
             Ok(())
         } else {
             self.load(arity, key)
@@ -275,6 +281,7 @@ impl ColumnarMergeStream {
                 file: Some(file),
                 page: None,
                 pos: 0,
+                prefix: 0,
             };
             run.load(arity, &key)?;
             runs.push(run);
@@ -296,14 +303,17 @@ impl ColumnarMergeStream {
             best = Some(match best {
                 None => (i, run, page),
                 Some((b, b_run, b_page)) => {
-                    let (ord, n) = page.norms.compare(
-                        &page.batch,
-                        run.pos,
-                        &b_page.norms,
-                        &b_page.batch,
-                        b_run.pos,
-                        &self.key,
-                    );
+                    let (ord, n) = match run.prefix.cmp(&b_run.prefix) {
+                        Ordering::Equal => page.norms.compare(
+                            &page.batch,
+                            run.pos,
+                            &b_page.norms,
+                            &b_page.batch,
+                            b_run.pos,
+                            &self.key,
+                        ),
+                        differs => (differs, 1),
+                    };
                     *acc += n;
                     if ord == Ordering::Less {
                         (i, run, page)

@@ -25,13 +25,9 @@ use std::sync::Arc;
 
 /// One conjunct of a compiled vectorized predicate.
 enum Term {
-    /// `col <op> lit` (or the mirrored `lit <op> col` with `swapped`).
-    ColLit {
-        col: usize,
-        op: CmpOp,
-        lit: Value,
-        swapped: bool,
-    },
+    /// `col <op> lit` (`lit <op> col` is compiled to this with the
+    /// mirrored operator).
+    ColLit { col: usize, op: CmpOp, lit: Value },
     /// `col <op> col`.
     ColCol { a: usize, b: usize, op: CmpOp },
     /// A constant conjunct (`Lit` truthiness, NULL literals, lit-lit).
@@ -53,28 +49,76 @@ impl VecPredicate {
         Some(VecPredicate { terms })
     }
 
-    /// Refines `sel` (ascending physical row indices into `batch`) to the
-    /// rows every conjunct accepts, in place.
-    pub fn refine(&self, batch: &ColumnarBatch, sel: &mut Vec<u32>) {
+    /// The selected rows of `batch` (ascending physical row indices) that
+    /// every conjunct accepts. The first term reads the batch's rows
+    /// directly; later terms compact its output in place.
+    pub fn refine(&self, batch: &ColumnarBatch) -> Vec<u32> {
+        let mut sel = Sel::Batch(batch);
         for term in &self.terms {
             if sel.is_empty() {
-                return;
+                break;
             }
             match term {
                 Term::Const(true) => {}
-                Term::Const(false) => {
-                    sel.clear();
-                    return;
+                Term::Const(false) => return Vec::new(),
+                Term::ColLit { col, op, lit } => {
+                    refine_col_lit(batch.column(*col), *op, lit, &mut sel)
                 }
-                Term::ColLit {
-                    col,
-                    op,
-                    lit,
-                    swapped,
-                } => refine_col_lit(batch.column(*col), *op, lit, *swapped, sel),
                 Term::ColCol { a, b, op } => {
-                    refine_col_col(batch.column(*a), batch.column(*b), *op, sel)
+                    refine_col_col(batch.column(*a), batch.column(*b), *op, &mut sel)
                 }
+            }
+        }
+        match sel {
+            Sel::Batch(batch) => batch.sel_vec(),
+            Sel::Kept(rows) => rows,
+        }
+    }
+}
+
+/// The rows still in play while a predicate's terms run: the batch's own
+/// selection until a term has kept some of them, that term's output after.
+enum Sel<'a> {
+    Batch(&'a ColumnarBatch),
+    Kept(Vec<u32>),
+}
+
+impl Sel<'_> {
+    fn is_empty(&self) -> bool {
+        match self {
+            Sel::Batch(batch) => batch.is_empty(),
+            Sel::Kept(rows) => rows.is_empty(),
+        }
+    }
+
+    /// Keeps the rows `pass` accepts, in order. Every row is tested and
+    /// written, and the write position advances only past a passing one,
+    /// so the loop does not branch on the outcome.
+    #[inline]
+    fn keep(&mut self, pass: impl Fn(usize) -> bool) {
+        match self {
+            Sel::Kept(rows) => {
+                let mut n = 0;
+                for j in 0..rows.len() {
+                    let i = rows[j];
+                    rows[n] = i;
+                    n += pass(i as usize) as usize;
+                }
+                rows.truncate(n);
+            }
+            Sel::Batch(batch) => {
+                let mut rows = vec![0u32; batch.len()];
+                let mut n = 0;
+                let mut put = |i: u32| {
+                    rows[n] = i;
+                    n += pass(i as usize) as usize;
+                };
+                match batch.sel() {
+                    Some(sel) => sel.iter().for_each(|&i| put(i)),
+                    None => (0..batch.num_rows() as u32).for_each(put),
+                }
+                rows.truncate(n);
+                *self = Sel::Kept(rows);
             }
         }
     }
@@ -88,30 +132,19 @@ fn collect_terms(expr: &Expr, out: &mut Vec<Term>) -> Option<()> {
         }
         Expr::Cmp(op, a, b) => {
             let term = match (&**a, &**b) {
-                (Expr::Col(i), Expr::Lit(v)) => {
-                    if v.is_null() {
-                        Term::Const(false)
-                    } else {
-                        Term::ColLit {
-                            col: *i,
-                            op: *op,
-                            lit: v.clone(),
-                            swapped: false,
-                        }
-                    }
+                (Expr::Col(_), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(_)) if v.is_null() => {
+                    Term::Const(false)
                 }
-                (Expr::Lit(v), Expr::Col(i)) => {
-                    if v.is_null() {
-                        Term::Const(false)
-                    } else {
-                        Term::ColLit {
-                            col: *i,
-                            op: *op,
-                            lit: v.clone(),
-                            swapped: true,
-                        }
-                    }
-                }
+                (Expr::Col(i), Expr::Lit(v)) => Term::ColLit {
+                    col: *i,
+                    op: *op,
+                    lit: v.clone(),
+                },
+                (Expr::Lit(v), Expr::Col(i)) => Term::ColLit {
+                    col: *i,
+                    op: mirrored(*op),
+                    lit: v.clone(),
+                },
                 (Expr::Col(i), Expr::Col(j)) => Term::ColCol {
                     a: *i,
                     b: *j,
@@ -139,129 +172,105 @@ fn collect_terms(expr: &Expr, out: &mut Vec<Term>) -> Option<()> {
     }
 }
 
-/// Applies `op` to the cell-vs-literal ordering, honoring operand order.
-#[inline]
-fn test(op: CmpOp, cell_vs_lit: Ordering, swapped: bool) -> bool {
-    // `lit.cmp(cell)` is the reverse of `cell.cmp(lit)` under a total order.
-    op.test(if swapped {
-        cell_vs_lit.reverse()
-    } else {
-        cell_vs_lit
-    })
+/// The operator that tests `b <op> a` as `a <op> b` tests it.
+fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+    }
 }
 
-/// Keeps the selected rows where `col <op> lit` holds (NULL cells never
-/// pass). One typed dispatch, then a tight loop.
-fn refine_col_lit(col: &Arc<ColumnVec>, op: CmpOp, lit: &Value, swapped: bool, sel: &mut Vec<u32>) {
-    let nulls = col.nulls();
+/// Keeps the rows where `present` holds and the row's ordering against
+/// the other operand, `cmp(row)`, satisfies `op`. One loop per operator:
+/// no row matches on it.
+#[inline]
+fn keep_op(
+    sel: &mut Sel<'_>,
+    op: CmpOp,
+    present: impl Fn(usize) -> bool,
+    cmp: impl Fn(usize) -> Ordering,
+) {
+    match op {
+        CmpOp::Eq => sel.keep(|i| present(i) & cmp(i).is_eq()),
+        CmpOp::Ne => sel.keep(|i| present(i) & cmp(i).is_ne()),
+        CmpOp::Lt => sel.keep(|i| present(i) & cmp(i).is_lt()),
+        CmpOp::Le => sel.keep(|i| present(i) & cmp(i).is_le()),
+        CmpOp::Gt => sel.keep(|i| present(i) & cmp(i).is_gt()),
+        CmpOp::Ge => sel.keep(|i| present(i) & cmp(i).is_ge()),
+    }
+}
+
+/// [`keep_op`] for a comparison over typed columns, whose NULL cells hold
+/// a placeholder and never pass: the null bits are tested per row only
+/// when one of `nulls` has a NULL.
+#[inline]
+fn keep_cmp(sel: &mut Sel<'_>, op: CmpOp, nulls: &[&NullBitmap], cmp: impl Fn(usize) -> Ordering) {
+    if nulls.iter().any(|n| n.any()) {
+        keep_op(sel, op, |i| nulls.iter().all(|n| !n.get(i)), cmp);
+    } else {
+        keep_op(sel, op, |_| true, cmp);
+    }
+}
+
+/// Keeps the rows where `col <op> lit` holds (NULL cells never pass): one
+/// dispatch on the cell type, the literal type, the operator and whether
+/// the column has NULLs, then one tight loop.
+fn refine_col_lit(col: &ColumnVec, op: CmpOp, lit: &Value, sel: &mut Sel<'_>) {
+    let nulls = [col.nulls()];
     match (col.data(), lit) {
-        (ColumnData::Int(v), Value::Int(k)) => {
-            let k = *k;
-            sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.get(i) && test(op, v[i].cmp(&k), swapped)
-            });
+        (ColumnData::Int(v), &Value::Int(k)) => keep_cmp(sel, op, &nulls, |i| v[i].cmp(&k)),
+        (ColumnData::Int(v), &Value::Double(d)) => {
+            keep_cmp(sel, op, &nulls, |i| (v[i] as f64).total_cmp(&d))
         }
-        (ColumnData::Int(v), Value::Double(d)) => {
-            let d = *d;
-            sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.get(i) && test(op, (v[i] as f64).total_cmp(&d), swapped)
-            });
+        (ColumnData::Double(v), &Value::Int(k)) => {
+            let d = k as f64;
+            keep_cmp(sel, op, &nulls, |i| v[i].total_cmp(&d))
         }
-        (ColumnData::Double(v), Value::Int(k)) => {
-            let d = *k as f64;
-            sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.get(i) && test(op, v[i].total_cmp(&d), swapped)
-            });
-        }
-        (ColumnData::Double(v), Value::Double(d)) => {
-            let d = *d;
-            sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.get(i) && test(op, v[i].total_cmp(&d), swapped)
-            });
+        (ColumnData::Double(v), &Value::Double(d)) => {
+            keep_cmp(sel, op, &nulls, |i| v[i].total_cmp(&d))
         }
         (ColumnData::Str(a), Value::Str(s)) => {
             let s = s.as_bytes();
-            sel.retain(|&i| {
-                let i = i as usize;
-                !nulls.get(i) && test(op, a.bytes_at(i).cmp(s), swapped)
-            });
+            keep_cmp(sel, op, &nulls, |i| a.bytes_at(i).cmp(s))
         }
         // Cross-type rank comparisons are constant per `Value`'s total
         // order: any numeric < any string.
         (ColumnData::Int(_) | ColumnData::Double(_), Value::Str(_)) => {
-            retain_rank(nulls, op, Ordering::Less, swapped, sel);
+            keep_cmp(sel, op, &nulls, |_| Ordering::Less)
         }
         (ColumnData::Str(_), Value::Int(_) | Value::Double(_)) => {
-            retain_rank(nulls, op, Ordering::Greater, swapped, sel);
+            keep_cmp(sel, op, &nulls, |_| Ordering::Greater)
         }
         (ColumnData::Mixed(vals), lit) => {
-            sel.retain(|&i| {
-                let x = &vals[i as usize];
-                !x.is_null() && test(op, x.cmp(lit), swapped)
-            });
+            keep_op(sel, op, |i| !vals[i].is_null(), |i| vals[i].cmp(lit))
         }
         // A NULL literal was already folded to `Const(false)`.
-        (_, Value::Null) => sel.clear(),
+        (_, Value::Null) => sel.keep(|_| false),
     }
 }
 
-/// Rank-based cross-type case: every non-NULL cell compares `rank` against
-/// the literal, so the verdict only depends on the null bit.
-fn retain_rank(nulls: &NullBitmap, op: CmpOp, rank: Ordering, swapped: bool, sel: &mut Vec<u32>) {
-    if test(op, rank, swapped) {
-        if nulls.any() {
-            sel.retain(|&i| !nulls.get(i as usize));
-        }
-    } else {
-        sel.clear();
-    }
-}
-
-/// Keeps the selected rows where `a <op> b` holds (a NULL on either side
-/// never passes).
-fn refine_col_col(a: &Arc<ColumnVec>, b: &Arc<ColumnVec>, op: CmpOp, sel: &mut Vec<u32>) {
-    let (an, bn) = (a.nulls(), b.nulls());
+/// Keeps the rows where `a <op> b` holds (a NULL on either side never
+/// passes), dispatching once as [`refine_col_lit`] does.
+fn refine_col_col(a: &ColumnVec, b: &ColumnVec, op: CmpOp, sel: &mut Sel<'_>) {
+    let nulls = [a.nulls(), b.nulls()];
     match (a.data(), b.data()) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test(x[i].cmp(&y[i]))
-            });
-        }
+        (ColumnData::Int(x), ColumnData::Int(y)) => keep_cmp(sel, op, &nulls, |i| x[i].cmp(&y[i])),
         (ColumnData::Double(x), ColumnData::Double(y)) => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test(x[i].total_cmp(&y[i]))
-            });
+            keep_cmp(sel, op, &nulls, |i| x[i].total_cmp(&y[i]))
         }
         (ColumnData::Int(x), ColumnData::Double(y)) => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test((x[i] as f64).total_cmp(&y[i]))
-            });
+            keep_cmp(sel, op, &nulls, |i| (x[i] as f64).total_cmp(&y[i]))
         }
         (ColumnData::Double(x), ColumnData::Int(y)) => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test(x[i].total_cmp(&(y[i] as f64)))
-            });
+            keep_cmp(sel, op, &nulls, |i| x[i].total_cmp(&(y[i] as f64)))
         }
         (ColumnData::Str(x), ColumnData::Str(y)) => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test(x.bytes_at(i).cmp(y.bytes_at(i)))
-            });
+            keep_cmp(sel, op, &nulls, |i| x.bytes_at(i).cmp(y.bytes_at(i)))
         }
-        _ => {
-            sel.retain(|&i| {
-                let i = i as usize;
-                !an.get(i) && !bn.get(i) && op.test(a.cell(i).order(b.cell(i)))
-            });
-        }
+        _ => keep_cmp(sel, op, &nulls, |i| a.cell(i).order(b.cell(i))),
     }
 }
 
@@ -287,7 +296,6 @@ pub fn eval_column(expr: &Expr, batch: &ColumnarBatch) -> Option<Arc<ColumnVec>>
 
 /// A column holding `v` at every row.
 fn const_column(v: &Value, n: usize) -> ColumnVec {
-    let mut nulls = NullBitmap::new();
     let data = match v {
         Value::Null => {
             return ColumnVec::new(ColumnData::Int(vec![0; n]), NullBitmap::all_null(n));
@@ -296,15 +304,12 @@ fn const_column(v: &Value, n: usize) -> ColumnVec {
         Value::Double(d) => ColumnData::Double(vec![*d; n]),
         Value::Str(s) => {
             let mut a = StrArena::new();
-            for _ in 0..n {
-                a.push(s);
-            }
+            (0..n).for_each(|_| a.push(s));
             ColumnData::Str(a)
         }
     };
-    for _ in 0..n {
-        nulls.push(false);
-    }
+    let mut nulls = NullBitmap::new();
+    nulls.extend(n, false);
     ColumnVec::new(data, nulls)
 }
 
@@ -435,17 +440,20 @@ mod tests {
         Tuple::new(vec![c0, Value::Int(i), c2])
     }
 
+    /// `refine` keeps exactly the selected rows of `batch` — the physical
+    /// rows of `rows` — that `eval_bool` accepts.
     fn check_parity(expr: &Expr, rows: &[Tuple], batch: &ColumnarBatch) {
         let pred = VecPredicate::compile(expr).expect("compilable shape");
-        let mut sel = batch.sel_vec();
-        pred.refine(batch, &mut sel);
-        let expect: Vec<u32> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| expr.eval_bool(t).unwrap())
-            .map(|(i, _)| i as u32)
+        let expect: Vec<u32> = batch
+            .sel_vec()
+            .into_iter()
+            .filter(|&i| expr.eval_bool(&rows[i as usize]).unwrap())
             .collect();
-        assert_eq!(sel, expect, "selection diverged for {expr:?}");
+        assert_eq!(
+            pred.refine(batch),
+            expect,
+            "selection diverged for {expr:?}"
+        );
     }
 
     #[test]
@@ -469,6 +477,111 @@ mod tests {
         ];
         for e in &exprs {
             check_parity(e, &rows, &batch);
+        }
+    }
+
+    /// Every (column type, literal type, operator, operand order), with
+    /// and without NULLs in the column, every column pair, and
+    /// conjunctions, on a batch with and without a selection vector.
+    #[test]
+    fn refine_matches_eval_bool_for_every_type_op_and_order() {
+        let rows: Vec<Tuple> = (0..90i64)
+            .map(|i| {
+                let null_or = |v: Value| if i % 7 == 3 { Value::Null } else { v };
+                let d = match i % 6 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f64::NAN,
+                    _ => i as f64 / 4.0,
+                };
+                let s = Value::Str(format!("s{}", i % 13));
+                let mixed = match i % 4 {
+                    0 => Value::Int(i % 10),
+                    1 => Value::Double(d),
+                    2 => s.clone(),
+                    _ => Value::Null,
+                };
+                let int = Value::Int(i % 10);
+                Tuple::new(vec![
+                    int.clone(),
+                    null_or(int),
+                    Value::Double(d),
+                    null_or(Value::Double(d)),
+                    s.clone(),
+                    null_or(s),
+                    mixed,
+                ])
+            })
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        let reps: Vec<(&str, bool)> = batch
+            .columns()
+            .iter()
+            .map(|c| {
+                let rep = match c.data() {
+                    ColumnData::Int(_) => "int",
+                    ColumnData::Double(_) => "double",
+                    ColumnData::Str(_) => "str",
+                    ColumnData::Mixed(_) => "mixed",
+                };
+                (rep, c.nulls().any())
+            })
+            .collect();
+        assert_eq!(
+            reps,
+            [
+                ("int", false),
+                ("int", true),
+                ("double", false),
+                ("double", true),
+                ("str", false),
+                ("str", true),
+                ("mixed", true)
+            ]
+        );
+        let lits = [
+            Value::Int(3),
+            Value::Int(-1),
+            Value::Double(2.5),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Str("s3".into()),
+            Value::Str(String::new()),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut exprs = Vec::new();
+        for op in ops {
+            for c in 0..7 {
+                for lit in &lits {
+                    exprs.push(Expr::cmp(op, Expr::col(c), Expr::lit(lit.clone())));
+                    exprs.push(Expr::cmp(op, Expr::lit(lit.clone()), Expr::col(c)));
+                }
+                for d in 0..7 {
+                    exprs.push(Expr::cmp(op, Expr::col(c), Expr::col(d)));
+                }
+            }
+        }
+        exprs.push(Expr::and_all(vec![
+            Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(2i64)),
+            Expr::cmp(CmpOp::Ne, Expr::lit(Value::Str("s4".into())), Expr::col(5)),
+            Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::col(0)),
+        ]));
+        exprs.push(Expr::and_all(vec![
+            Expr::Lit(Value::Int(1)),
+            Expr::cmp(CmpOp::Le, Expr::col(6), Expr::lit(Value::Double(5.0))),
+        ]));
+        let mut selected = batch.clone();
+        selected.set_sel((0..90).filter(|i| i % 3 != 1).collect());
+        for e in &exprs {
+            check_parity(e, &rows, &batch);
+            check_parity(e, &rows, &selected);
         }
     }
 

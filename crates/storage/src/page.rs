@@ -217,11 +217,18 @@ pub fn decode_page_into(data: &[u8], out: &mut Vec<Tuple>) -> Result<()> {
 /// payloads land in typed vectors, string bytes go into the arena after
 /// one UTF-8 validation.
 ///
+/// A page of fixed-width rows is decoded a column at a time (see
+/// `decode_fixed_width`); any other page cell by cell. Both leave the
+/// builders in the same state and fail on the same pages.
+///
 /// Every tuple on the page must have arity `builders.len()`; returns the
 /// number of rows decoded.
 pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) -> Result<usize> {
     let mut pos = 0usize;
     let count = read_u16(data, &mut pos)? as usize;
+    if decode_fixed_width(&data[pos..], count, builders) {
+        return Ok(count);
+    }
     for _ in 0..count {
         let arity = read_u16(data, &mut pos)? as usize;
         if arity != builders.len() {
@@ -258,6 +265,52 @@ pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) ->
     Ok(count)
 }
 
+/// The column-at-a-time half of [`decode_page_into_builders`], for `count`
+/// rows starting at the front of `rows`.
+///
+/// When every cell of a row is tagged INT or DOUBLE, the row is
+/// `2 + 9·k` bytes long, so row `r` starts at `r·(2 + 9·k)`. One pass
+/// checks exactly what the cell-by-cell decoder would read at those
+/// offsets — the rows fit the bytes, every arity is `k`, and each column
+/// keeps the INT or DOUBLE tag of the first row — and then each column
+/// appends its payloads in one typed extend. Returns `false`, having
+/// touched no builder, when any check fails. A builder holding another
+/// representation receives the same cells through
+/// [`ColumnBuilder::extend_ints`] / [`ColumnBuilder::extend_doubles`],
+/// one push at a time, just as cell-by-cell decoding would give them.
+fn decode_fixed_width(rows: &[u8], count: usize, builders: &mut [ColumnBuilder]) -> bool {
+    let k = builders.len();
+    let stride = 2 + 9 * k;
+    let (Ok(arity), Some(rows)) = (
+        u16::try_from(k),
+        count.checked_mul(stride).and_then(|n| rows.get(..n)),
+    ) else {
+        return false;
+    };
+    let Some(first) = rows.get(..stride) else {
+        return true; // no rows
+    };
+    let tag = |row: &[u8], c: usize| row[2 + 9 * c];
+    let fixed = (0..k).all(|c| matches!(tag(first, c), TAG_INT | TAG_DOUBLE))
+        && rows.chunks_exact(stride).all(|row| {
+            row[..2] == arity.to_le_bytes() && (0..k).all(|c| tag(row, c) == tag(first, c))
+        });
+    if !fixed {
+        return false;
+    }
+    for (c, b) in builders.iter_mut().enumerate() {
+        let at = 3 + 9 * c;
+        let payloads = rows
+            .chunks_exact(stride)
+            .map(|row| <[u8; 8]>::try_from(&row[at..at + 8]).expect("an 8-byte payload"));
+        match tag(first, c) {
+            TAG_INT => b.extend_ints(payloads.map(i64::from_le_bytes)),
+            _ => b.extend_doubles(payloads.map(f64::from_le_bytes)),
+        }
+    }
+    true
+}
+
 fn read_u16(data: &[u8], pos: &mut usize) -> Result<u16> {
     let bytes: [u8; 2] = data
         .get(*pos..*pos + 2)
@@ -281,6 +334,7 @@ fn read_arr<const N: usize>(data: &[u8], pos: &mut usize) -> Result<[u8; N]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pyro_common::{CellRef, ColumnarBatch};
 
     fn t(values: Vec<Value>) -> Tuple {
         Tuple::new(values)
@@ -359,5 +413,233 @@ mod tests {
     fn empty_page_decodes_empty() {
         let mut b = PageBuilder::new(64);
         assert_eq!(decode_page(&b.take()).unwrap(), Vec::<Tuple>::new());
+    }
+
+    /// A 64-bit linear congruential generator: deterministic test data
+    /// with no dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 16
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A double the decoder must carry bit for bit: both zeros, both
+    /// infinities, NaNs of either sign with random payloads, ordinary
+    /// values.
+    fn double(r: &mut Lcg) -> f64 {
+        match r.below(6) {
+            0 => -0.0,
+            1 => [f64::INFINITY, f64::NEG_INFINITY][r.below(2) as usize],
+            2 => f64::from_bits(0x7ff8_0000_0000_0000 | r.below(2) << 63 | r.below(1 << 40)),
+            _ => (r.next() as f64 - 1e9) / 7.0,
+        }
+    }
+
+    /// The empty string, or one longer than a normalized prefix's eight
+    /// bytes (sometimes with multi-byte characters).
+    fn string(r: &mut Lcg) -> Value {
+        let len = match r.below(3) {
+            0 => 0,
+            _ => 9 + r.below(12),
+        };
+        let s: String = (0..len)
+            .map(|_| match r.below(8) {
+                0 => 'é',
+                _ => (b'a' + r.below(26) as u8) as char,
+            })
+            .collect();
+        Value::Str(s)
+    }
+
+    /// One cell of a column whose cells on this page are of `kind`: 0 INT,
+    /// 1 DOUBLE, 2 INT or NULL, 3 STR, 4 INT or DOUBLE, anything else any
+    /// of those.
+    fn cell(r: &mut Lcg, kind: u64) -> Value {
+        let kind = match kind {
+            0..=3 => kind,
+            4 => r.below(2),
+            _ => r.below(4),
+        };
+        match kind {
+            0 => Value::Int(r.next() as i64 - (1 << 47)),
+            1 => Value::Double(double(r)),
+            2 if r.below(4) == 0 => Value::Null,
+            2 => Value::Int(r.below(100) as i64),
+            _ => string(r),
+        }
+    }
+
+    /// A column's representation and every cell, doubles by their bits.
+    fn picture(col: &ColumnVec) -> (&'static str, Vec<String>) {
+        let rep = match col.data() {
+            ColumnData::Int(_) => "int",
+            ColumnData::Double(_) => "double",
+            ColumnData::Str(_) => "str",
+            ColumnData::Mixed(_) => "mixed",
+        };
+        let cells = (0..col.len())
+            .map(|i| match col.cell(i) {
+                CellRef::Null => "null".to_string(),
+                CellRef::Int(x) => format!("int {x}"),
+                CellRef::Double(d) => format!("double {:#x}", d.to_bits()),
+                CellRef::Str(s) => format!("str {s:?}"),
+            })
+            .collect();
+        (rep, cells)
+    }
+
+    /// Decoding a page into builders leaves them exactly as pushing the
+    /// page's decoded tuples one value at a time does — on random pages of
+    /// fixed-width and variable-width rows, with column types flipping from
+    /// page to page, into builders already holding another representation
+    /// — and takes the column-at-a-time path on exactly the pages whose
+    /// cells are all INT or DOUBLE with one tag per column.
+    #[test]
+    fn builder_decode_equals_row_decode_on_random_pages() {
+        let mut r = Lcg(0x5eed);
+        let mut fixed_pages = 0;
+        for case in 0..300 {
+            let k = 1 + r.below(4) as usize;
+            // Cells already in the builders: nothing, a NULL, an INT, a
+            // DOUBLE, a STR, or two that make the column Mixed.
+            let seeded: Vec<Tuple> = (0..r.below(3))
+                .map(|_| t((0..k).map(|_| cell(&mut r, 5)).collect()))
+                .collect();
+            let mut builders: Vec<ColumnBuilder> = (0..k).map(|_| ColumnBuilder::new()).collect();
+            for row in &seeded {
+                for (b, v) in builders.iter_mut().zip(row.values()) {
+                    b.push_value(v);
+                }
+            }
+            let mut all = seeded.clone();
+            for _ in 0..1 + r.below(3) {
+                let fixed = r.below(2) == 0;
+                let kinds: Vec<u64> = (0..k)
+                    .map(|_| if fixed { r.below(2) } else { r.below(7) })
+                    .collect();
+                let mut page = PageBuilder::new(128 + r.below(400) as usize);
+                let mut rows = Vec::new();
+                loop {
+                    let row = t(kinds.iter().map(|&kind| cell(&mut r, kind)).collect());
+                    if !page.try_push(&row).unwrap() {
+                        break;
+                    }
+                    rows.push(row);
+                }
+                let bytes = page.take();
+                let fixed_width = rows.iter().all(|row| {
+                    row.values().iter().zip(rows[0].values()).all(|(v, first)| {
+                        matches!(
+                            (v, first),
+                            (Value::Int(_), Value::Int(_)) | (Value::Double(_), Value::Double(_))
+                        )
+                    })
+                });
+                let mut fresh: Vec<ColumnBuilder> = (0..k).map(|_| ColumnBuilder::new()).collect();
+                assert_eq!(
+                    decode_fixed_width(&bytes[2..], rows.len(), &mut fresh),
+                    fixed_width,
+                    "case {case}: {rows:?}"
+                );
+                fixed_pages += usize::from(fixed_width);
+                assert_eq!(
+                    decode_page_into_builders(&bytes, &mut builders).unwrap(),
+                    rows.len()
+                );
+                all.extend(decode_page(&bytes).unwrap());
+            }
+            let got = ColumnarBatch::from_builders(builders);
+            let expect = ColumnarBatch::from_rows(&all);
+            assert_eq!(got.num_rows(), all.len());
+            for (c, (g, e)) in got.columns().iter().zip(expect.columns()).enumerate() {
+                assert_eq!(picture(g), picture(e), "case {case}, column {c}");
+                assert_eq!(g.nulls(), e.nulls(), "case {case}, column {c}");
+            }
+        }
+        assert!(fixed_pages > 100, "only {fixed_pages} fixed-width pages");
+    }
+
+    /// An all-INT page goes column at a time; one NULL sends it cell by
+    /// cell without the fast path touching a builder.
+    #[test]
+    fn fixed_width_path_is_taken_and_refuses_untouched() {
+        let mut page = PageBuilder::new(4096);
+        let rows: Vec<Tuple> = (0..100)
+            .map(|i| t(vec![Value::Int(i), Value::Double(i as f64 / 4.0)]))
+            .collect();
+        for row in &rows {
+            assert!(page.try_push(row).unwrap());
+        }
+        let bytes = page.take();
+        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        assert!(decode_fixed_width(&bytes[2..], 100, &mut builders));
+        let got = ColumnarBatch::from_builders(builders);
+        assert!(matches!(got.column(0).data(), ColumnData::Int(v) if v.len() == 100));
+        assert!(matches!(got.column(1).data(), ColumnData::Double(_)));
+        assert_eq!(got.to_rows(), rows);
+
+        assert!(page.try_push(&t(vec![Value::Int(7), Value::Null])).unwrap());
+        let bytes = page.take();
+        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        assert!(!decode_fixed_width(&bytes[2..], 1, &mut builders));
+        assert!(builders.iter().all(ColumnBuilder::is_empty));
+        // No columns at all: every row is its two-byte arity.
+        let mut page = PageBuilder::new(64);
+        assert!(page.try_push(&t(vec![])).unwrap());
+        assert_eq!(decode_page_into_builders(&page.take(), &mut []).unwrap(), 1);
+    }
+
+    /// Malformed pages of fixed-width rows — each one a page the
+    /// column-at-a-time path must refuse — fail with the cell-by-cell
+    /// decoder's typed error.
+    #[test]
+    fn malformed_pages_are_storage_errors() {
+        let mut page = PageBuilder::new(4096);
+        for i in 0..10 {
+            assert!(page
+                .try_push(&t(vec![Value::Int(i), Value::Int(-i)]))
+                .unwrap());
+        }
+        let good = page.take();
+        let stride = 2 + 9 * 2;
+        let last = 2 + 9 * stride;
+        let mut more_rows = good.clone();
+        more_rows[..2].copy_from_slice(&11u16.to_le_bytes());
+        let mut wrong_arity = good.clone();
+        wrong_arity[last..last + 2].copy_from_slice(&3u16.to_le_bytes());
+        let mut unknown_tag = good.clone();
+        unknown_tag[2 + 5 * stride + 2] = 9;
+        let truncated = good[..good.len() - 3].to_vec();
+        for (what, bytes) in [
+            ("count larger than the bytes", more_rows),
+            ("wrong arity in the last row", wrong_arity),
+            ("unknown tag in a middle row", unknown_tag),
+            ("payload truncated in the last cell", truncated),
+        ] {
+            let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+            assert!(
+                matches!(
+                    decode_page_into_builders(&bytes, &mut builders),
+                    Err(PyroError::Storage(_))
+                ),
+                "{what}"
+            );
+            assert!(
+                matches!(decode_page(&bytes), Err(PyroError::Storage(_))),
+                "{what}"
+            );
+        }
+        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        assert_eq!(decode_page_into_builders(&good, &mut builders).unwrap(), 10);
     }
 }
