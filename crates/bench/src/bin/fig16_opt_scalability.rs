@@ -4,7 +4,8 @@
 //! PYRO-O stay in the low milliseconds; PYRO-E blows up factorially. Our
 //! PYRO-E is capped at 8 attributes (40 320 permutations) and falls back to
 //! the Postgres heuristic above that, so its curve rises steeply to n = 8
-//! and then flattens — the cap is printed so the series is honest.
+//! and then flattens — the cap is printed so the series is honest. The
+//! bin panics if that shape breaks.
 
 use pyro_bench::banner;
 use pyro_catalog::Catalog;
@@ -60,6 +61,8 @@ fn main() {
         "\n{:>6} {:>12} {:>12} {:>12}   (ms; PYRO-E capped at 8 attrs)",
         "attrs", "PYRO-P", "PYRO-O", "PYRO-E"
     );
+    let mut at_8 = (0.0, 0.0);
+    let mut o_max = 0.0f64;
     for attrs in 2..=12usize {
         let catalog = catalog_with_width(attrs);
         let logical = join_plan(attrs);
@@ -84,8 +87,20 @@ fn main() {
         let o = time_of(Strategy::pyro_o());
         let e = time_of(Strategy::pyro_e());
         println!("{attrs:>6} {p:>12.3} {o:>12.3} {e:>12.3}");
+        o_max = o_max.max(o);
+        if attrs == 8 {
+            at_8 = (o, e);
+        }
     }
     println!("\npaper shape: P and O flat in the single-digit ms; E factorial.");
+    // Shape assertions, with margins far wider than timing noise: at the
+    // cap PYRO-E enumerates 8! orders against PYRO-O's handful.
+    let (o8, e8) = at_8;
+    assert!(o_max < 10.0, "PYRO-O must stay in the single-digit ms");
+    assert!(
+        e8 >= 10.0 * o8,
+        "PYRO-E must grow factorially past PYRO-O: {e8:.3} vs {o8:.3} ms at 8 attrs"
+    );
 
     // Beyond the paper: the same sweep over plan *width* instead of join
     // *attributes* — an n-way chain join under PYRO-O, planned in the
@@ -114,6 +129,10 @@ fn main() {
         let default = time_of(&|o| o);
         let heur = time_of(&|o| o.with_enum_strategy(EnumStrategy::Heuristic));
         println!("{n:>6} {written:>14.3} {default:>12.3} {heur:>12.3}");
+        assert!(
+            written.max(default).max(heur) < 10.0,
+            "{n}-way chain planning must stay in the low milliseconds"
+        );
     }
     println!("\nall three stay in the low milliseconds out to 20 relations.");
 }

@@ -17,8 +17,8 @@
 //! The second is what makes *partial* sort enforcement cheap: each of the
 //! `D` partial-sort segments is costed independently — usually in-memory.
 
+use crate::ids::{AttrId, IdOrder};
 use crate::stats::NodeStats;
-use pyro_ordering::SortOrder;
 
 /// Enumeration accounting for one optimization run: how much of the plan
 /// space the search actually touched. Totals are deterministic functions
@@ -162,37 +162,36 @@ impl CostParams {
     pub fn coe_order(
         &self,
         stats: &NodeStats,
-        have: &SortOrder,
-        need: &SortOrder,
-        same: impl Fn(&str, &str) -> bool,
+        have: &IdOrder,
+        need: &IdOrder,
+        same: impl Fn(AttrId, AttrId) -> bool,
     ) -> (f64, usize) {
         let k = have
             .attrs()
             .iter()
             .zip(need.attrs())
-            .take_while(|(h, n)| same(h, n))
+            .take_while(|(&h, &n)| same(h, n))
             .count();
-        let os_attrs: Vec<&str> = need.attrs()[..k].iter().map(String::as_str).collect();
-        let segments = stats.distinct_of(os_attrs.iter().copied());
-        let rest = need.len() - k;
-        (self.coe_partial(stats, segments, rest), k)
+        let segments = stats.distinct_of(need.attrs()[..k].iter().copied());
+        (self.coe_partial(stats, segments, need.len() - k), k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
-    fn stats(rows: f64, avg_bytes: f64, distinct: &[(&str, f64)]) -> NodeStats {
+    /// Stats with the given distinct estimates for attributes `0..n`.
+    fn stats(rows: f64, avg_bytes: f64, distinct: &[f64]) -> NodeStats {
         NodeStats {
             rows,
             avg_bytes,
-            distinct: distinct
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect::<HashMap<_, _>>(),
+            distinct: distinct.iter().map(|&d| Some(d)).chain([None]).collect(),
         }
+    }
+
+    fn o(attrs: &[u32]) -> IdOrder {
+        IdOrder::new(attrs.iter().map(|&a| AttrId(a)))
     }
 
     #[test]
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn partial_sort_much_cheaper_than_full() {
         let p = CostParams::default();
-        let s = stats(2_000_000.0, 100.0, &[("y", 1000.0)]);
+        let s = stats(2_000_000.0, 100.0, &[1000.0]);
         let b = s.blocks(4096);
         assert!(b > p.sort_mem_blocks);
         let full = p.coe_full(s.rows, b);
@@ -260,7 +259,7 @@ mod tests {
     fn partial_sort_converges_to_full_when_segments_outgrow_memory() {
         // Figure 9's right edge: one giant segment = plain external sort.
         let p = CostParams::default();
-        let s = stats(2_000_000.0, 100.0, &[("y", 1.0)]);
+        let s = stats(2_000_000.0, 100.0, &[1.0]);
         let full = p.coe_full(s.rows, s.blocks(4096));
         let partial = p.coe_partial(&s, 1.0, 3);
         assert!((partial - full).abs() < 1e-9);
@@ -269,9 +268,9 @@ mod tests {
     #[test]
     fn coe_order_matches_prefix_under_equivalence() {
         let p = CostParams::default();
-        let s = stats(10_000.0, 50.0, &[("a", 50.0), ("b", 200.0)]);
-        let have = SortOrder::new(["a"]);
-        let need = SortOrder::new(["a", "b"]);
+        let s = stats(10_000.0, 50.0, &[50.0, 200.0]);
+        let have = o(&[0]);
+        let need = o(&[0, 1]);
         let (cost, k) = p.coe_order(&s, &have, &need, |x, y| x == y);
         assert_eq!(k, 1);
         assert!(cost > 0.0);
@@ -279,7 +278,7 @@ mod tests {
         let (cost, k) = p.coe_order(&s, &need, &need, |x, y| x == y);
         assert_eq!((cost, k), (0.0, 2));
         // no overlap → full sort cost with D(∅)=1 segment
-        let (cost_none, k) = p.coe_order(&s, &SortOrder::new(["z"]), &need, |x, y| x == y);
+        let (cost_none, k) = p.coe_order(&s, &o(&[2]), &need, |x, y| x == y);
         assert_eq!(k, 0);
         let full = p.coe_full(s.rows, s.blocks(4096));
         assert!((cost_none - full).abs() < 1e-9);
@@ -288,9 +287,9 @@ mod tests {
     #[test]
     fn coe_order_uses_equivalence() {
         let p = CostParams::default();
-        let s = stats(1000.0, 50.0, &[("l.k", 100.0)]);
-        let have = SortOrder::new(["l.k"]);
-        let need = SortOrder::new(["r.k"]);
+        let s = stats(1000.0, 50.0, &[100.0, 100.0]);
+        let have = o(&[0]);
+        let need = o(&[1]);
         let (cost, k) = p.coe_order(&s, &have, &need, |_, _| true);
         assert_eq!((cost, k), (0.0, 1));
     }
@@ -299,7 +298,7 @@ mod tests {
     fn empty_need_is_free() {
         let p = CostParams::default();
         let s = stats(1000.0, 50.0, &[]);
-        let (cost, _) = p.coe_order(&s, &SortOrder::empty(), &SortOrder::empty(), |x, y| x == y);
+        let (cost, _) = p.coe_order(&s, &IdOrder::empty(), &IdOrder::empty(), |x, y| x == y);
         assert_eq!(cost, 0.0);
     }
 }

@@ -5,48 +5,45 @@
 //! is also sorted on `l_partkey`, and an `ORDER BY ps_partkey` above the
 //! join is satisfied either way. This is the small slice of Simmen et
 //! al.-style order inference the paper's techniques assume. Implemented as a
-//! union-find over qualified column names.
+//! union-find over a statement's attribute ids.
 
-use std::collections::HashMap;
+use crate::ids::AttrId;
 
-/// Union-find over column names, kept flat: every column that was ever
-/// unioned maps straight to its class representative, so a lookup is one
-/// probe and borrows instead of allocating. `union` pays for that by
-/// re-pointing the absorbed class, which is a handful of columns.
-#[derive(Debug, Default)]
+/// Union-find over attribute ids, kept flat: every id maps straight to its
+/// class representative, so a lookup is one index. `union` pays for that by
+/// re-pointing the absorbed class, which is a handful of ids.
+#[derive(Debug)]
 pub struct EquivMap {
-    rep: HashMap<String, String>,
+    rep: Vec<AttrId>,
 }
 
 impl EquivMap {
-    /// Empty map: every column is its own class.
-    pub fn new() -> Self {
-        EquivMap::default()
+    /// `n` attributes, each its own class.
+    pub fn new(n: usize) -> Self {
+        EquivMap {
+            rep: (0..n as u32).map(AttrId).collect(),
+        }
     }
 
-    /// Representative of `name`'s class (deterministic: the
-    /// lexicographically smallest member).
-    pub fn rep<'a>(&'a self, name: &'a str) -> &'a str {
-        self.rep.get(name).map_or(name, String::as_str)
+    /// Representative of `a`'s class: its smallest member — with ids in
+    /// name order, the lexicographically smallest name.
+    pub fn rep(&self, a: AttrId) -> AttrId {
+        self.rep[a.index()]
     }
 
     /// Declares `a = b`.
-    pub fn union(&mut self, a: &str, b: &str) {
-        let (ra, rb) = (self.rep(a).to_string(), self.rep(b).to_string());
-        // Smaller name becomes the root so reps are deterministic.
-        let (root, child) = if ra <= rb { (ra, rb) } else { (rb, ra) };
-        for r in self.rep.values_mut() {
+    pub fn union(&mut self, a: AttrId, b: AttrId) {
+        let (ra, rb) = (self.rep(a), self.rep(b));
+        let (root, child) = (ra.min(rb), ra.max(rb));
+        for r in &mut self.rep {
             if *r == child {
-                r.clone_from(&root);
+                *r = root;
             }
-        }
-        for name in [a, b] {
-            self.rep.insert(name.to_string(), root.clone());
         }
     }
 
     /// True iff the two columns are known equal.
-    pub fn same(&self, a: &str, b: &str) -> bool {
+    pub fn same(&self, a: AttrId, b: AttrId) -> bool {
         self.rep(a) == self.rep(b)
     }
 }
@@ -55,37 +52,41 @@ impl EquivMap {
 mod tests {
     use super::*;
 
+    const A: AttrId = AttrId(0);
+    const B: AttrId = AttrId(1);
+    const C: AttrId = AttrId(2);
+
     #[test]
     fn reflexive_by_default() {
-        let m = EquivMap::new();
-        assert_eq!(m.rep("x"), "x");
-        assert!(m.same("x", "x"));
-        assert!(!m.same("x", "y"));
+        let m = EquivMap::new(2);
+        assert_eq!(m.rep(A), A);
+        assert!(m.same(A, A));
+        assert!(!m.same(A, B));
     }
 
     #[test]
     fn union_transitive() {
-        let mut m = EquivMap::new();
-        m.union("a.k", "b.k");
-        m.union("b.k", "c.k");
-        assert!(m.same("a.k", "c.k"));
-        assert_eq!(m.rep("c.k"), "a.k", "lexicographically smallest is root");
+        let mut m = EquivMap::new(3);
+        m.union(B, C);
+        m.union(A, B);
+        assert!(m.same(A, C));
+        assert_eq!(m.rep(C), A, "smallest is root");
     }
 
     #[test]
     fn separate_classes_stay_separate() {
-        let mut m = EquivMap::new();
-        m.union("a.x", "b.x");
-        m.union("a.y", "b.y");
-        assert!(!m.same("a.x", "a.y"));
+        let mut m = EquivMap::new(4);
+        m.union(A, B);
+        m.union(C, AttrId(3));
+        assert!(!m.same(A, C));
     }
 
     #[test]
     fn deterministic_rep_regardless_of_order() {
-        let mut m1 = EquivMap::new();
-        m1.union("z.c", "a.c");
-        let mut m2 = EquivMap::new();
-        m2.union("a.c", "z.c");
-        assert_eq!(m1.rep("z.c"), m2.rep("z.c"));
+        let mut m1 = EquivMap::new(3);
+        m1.union(C, A);
+        let mut m2 = EquivMap::new(3);
+        m2.union(A, C);
+        assert_eq!(m1.rep(C), m2.rep(C));
     }
 }

@@ -8,38 +8,29 @@
 //! set-restricted longest-prefix `o ∧ s`, exactly as the paper analyzes.
 
 use crate::equiv::EquivMap;
-use crate::logical::{LogicalOp, LogicalPlan, NodeId};
-use pyro_catalog::Catalog;
-use pyro_common::Result;
-use pyro_ordering::{AttrSet, SortOrder};
+use crate::ids::{IdOrder, IdSet, Node};
+use pyro_ordering::AttrSet;
 use std::collections::HashMap;
 
 /// Cap on the afm set size per node; the paper observes real sets are tiny
 /// (`m ≤ 2` for base relations), the cap only guards pathological schemas.
 const AFM_CAP: usize = 8;
 
-/// Computes `afm` for every node. Orders use qualified output-column names
-/// of the respective node; at joins, prefixes restricted to the join
-/// attribute set are expressed in equivalence-class representative names.
-/// `referenced_by_alias` holds, per scan alias, the bare column names the
-/// query needs from it; an index contributes its order only if it covers
-/// them.
-pub fn compute_afm(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    equiv: &EquivMap,
-    referenced_by_alias: &HashMap<String, AttrSet>,
-) -> Result<Vec<Vec<SortOrder>>> {
-    let mut afm: Vec<Vec<SortOrder>> = vec![Vec::new(); plan.len()];
-    for id in 0..plan.len() {
-        afm[id] = node_afm(plan, id, catalog, equiv, referenced_by_alias, &afm)?;
+/// Computes `afm` for every node. Orders are over the respective node's
+/// output columns; at joins, prefixes restricted to the join attribute set
+/// are expressed in equivalence-class representatives.
+pub(crate) fn compute_afm(nodes: &[Node], equiv: &EquivMap) -> Vec<Vec<IdOrder>> {
+    let mut afm: Vec<Vec<IdOrder>> = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let orders = node_afm(node, equiv, &afm);
+        afm.push(orders);
     }
-    Ok(afm)
+    afm
 }
 
 /// Groups qualified column names (`alias.column`) by alias, keeping the
-/// bare column names — the shape [`compute_afm`] and index metadata share.
-/// Unqualified names (aggregate outputs) belong to no scan and are skipped.
+/// bare column names — the shape index metadata speaks. Unqualified names
+/// (aggregate outputs) belong to no scan and are skipped.
 pub fn by_alias(columns: impl IntoIterator<Item = String>) -> HashMap<String, AttrSet> {
     let mut out: HashMap<String, AttrSet> = HashMap::new();
     for col in columns {
@@ -51,22 +42,22 @@ pub fn by_alias(columns: impl IntoIterator<Item = String>) -> HashMap<String, At
 }
 
 /// `o ∧ s` under equivalence: the longest prefix of `o` whose attributes'
-/// representatives belong to `s` (which must itself hold representative
-/// names); the result is expressed in representative names.
-pub fn lcp_with_set_equiv(o: &SortOrder, s: &AttrSet, equiv: &EquivMap) -> SortOrder {
+/// representatives belong to `s` (which must itself hold representatives);
+/// the result is expressed in representatives.
+pub fn lcp_with_set_equiv(o: &IdOrder, s: &IdSet, equiv: &EquivMap) -> IdOrder {
     let mut out = Vec::new();
-    for a in o.attrs() {
+    for &a in o.attrs() {
         let rep = equiv.rep(a);
-        if s.contains(rep) && !out.iter().any(|o| o == rep) {
-            out.push(rep.to_string());
+        if s.contains(&rep) && !out.contains(&rep) {
+            out.push(rep);
         } else {
             break;
         }
     }
-    SortOrder::new(out)
+    IdOrder::new(out)
 }
 
-fn dedup_capped(mut orders: Vec<SortOrder>) -> Vec<SortOrder> {
+fn dedup_capped(mut orders: Vec<IdOrder>) -> Vec<IdOrder> {
     orders.retain(|o| !o.is_empty());
     orders.sort();
     orders.dedup();
@@ -78,92 +69,56 @@ fn dedup_capped(mut orders: Vec<SortOrder>) -> Vec<SortOrder> {
     orders
 }
 
-fn node_afm(
-    plan: &LogicalPlan,
-    id: NodeId,
-    catalog: &Catalog,
-    equiv: &EquivMap,
-    referenced_by_alias: &HashMap<String, AttrSet>,
-    done: &[Vec<SortOrder>],
-) -> Result<Vec<SortOrder>> {
-    Ok(match plan.node(id) {
+fn node_afm(node: &Node, equiv: &EquivMap, done: &[Vec<IdOrder>]) -> Vec<IdOrder> {
+    match node {
         // Rule 1: clustering order + covering secondary index orders.
-        LogicalOp::Scan { table, alias } => {
-            let handle = catalog.table(table)?;
-            let mut out = Vec::new();
-            if !handle.meta.clustering.is_empty() {
-                out.push(qualify_order(&handle.meta.clustering, alias));
-            }
-            let needed = referenced_by_alias.get(alias);
-            for idx in &handle.meta.indexes {
-                if needed.is_none_or(|cols| idx.covers(cols)) {
-                    out.push(qualify_order(&idx.key, alias));
-                }
-            }
-            dedup_capped(out)
-        }
+        Node::Scan { favorable, .. } => dedup_capped(favorable.clone()),
         // Rule 2: selections pass favorable orders through.
-        LogicalOp::Filter { input, .. } => done[*input].clone(),
+        Node::Filter { input, .. } => done[*input].clone(),
         // Rule 3: longest prefixes within the projected columns.
-        LogicalOp::Project { input, items } => {
-            let kept = crate::optimizer::project_kept(items);
-            dedup_capped(done[*input].iter().map(|o| o.lcp_with_set(&kept)).collect())
+        Node::Project { input, kept } => {
+            dedup_capped(done[*input].iter().map(|o| o.lcp_with_set(kept)).collect())
         }
         // Rule 4: input favorable orders survive (nested loops propagates
         // the outer's order); additionally each input favorable prefix on
         // the join attributes, extended by an arbitrary permutation of the
         // remaining join attributes (merge join propagates the chosen join
         // order).
-        LogicalOp::Join {
-            left, right, pairs, ..
+        Node::Join {
+            left, right, reps, ..
         } => {
-            let s: AttrSet = pairs
-                .iter()
-                .map(|p| equiv.rep(&p.left).to_string())
-                .collect();
-            let mut t: Vec<SortOrder> = done[*left]
-                .iter()
-                .chain(done[*right].iter())
-                .cloned()
-                .collect();
-            let mut extended: Vec<SortOrder> = Vec::new();
-            for o in t.iter().chain(std::iter::once(&SortOrder::empty())) {
-                let prefix = lcp_with_set_equiv(o, &s, equiv);
-                extended.push(prefix.extend_with_set(&s));
+            let mut t: Vec<IdOrder> = done[*left].iter().chain(&done[*right]).cloned().collect();
+            let mut extended: Vec<IdOrder> = Vec::new();
+            for o in t.iter().chain(std::iter::once(&IdOrder::empty())) {
+                extended.push(lcp_with_set_equiv(o, reps, equiv).extend_with_set(reps));
             }
             t.append(&mut extended);
             dedup_capped(t)
         }
         // Rule 5: longest prefix within the group-by columns, extended by
         // an arbitrary permutation of the rest.
-        LogicalOp::Aggregate {
-            input, group_by, ..
-        } => {
-            let l: AttrSet = group_by.iter().cloned().collect();
-            let mut out = Vec::new();
-            for o in done[*input]
+        Node::Aggregate { input, group } => dedup_capped(
+            done[*input]
                 .iter()
-                .chain(std::iter::once(&SortOrder::empty()))
-            {
-                out.push(o.lcp_with_set(&l).extend_with_set(&l));
-            }
-            dedup_capped(out)
+                .chain(std::iter::once(&IdOrder::empty()))
+                .map(|o| o.lcp_with_set(group).extend_with_set(group))
+                .collect(),
+        ),
+        Node::Sort { input, .. } | Node::Distinct { input, .. } | Node::Limit { input } => {
+            done[*input].clone()
         }
-        LogicalOp::Sort { input, .. }
-        | LogicalOp::Distinct { input }
-        | LogicalOp::Limit { input, .. } => done[*input].clone(),
-    })
-}
-
-fn qualify_order(o: &SortOrder, alias: &str) -> SortOrder {
-    o.rename(|a| format!("{alias}.{a}"))
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::logical::JoinPair;
+    use crate::cost::CostParams;
+    use crate::logical::{JoinPair, LogicalPlan};
+    use crate::optimizer::Ctx;
+    use crate::strategy::Strategy;
+    use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};
+    use pyro_ordering::SortOrder;
 
     /// catalog1-style setup: ct1 clustered on y, ct2 clustered on m, rt has
     /// a covering index on m (with y, r included).
@@ -210,7 +165,7 @@ mod tests {
     }
 
     /// Builds the Example 1 join tree: (ct1 ⋈ ct2) ⋈ rt.
-    fn example1_plan() -> (LogicalPlan, EquivMap) {
+    fn example1_plan() -> LogicalPlan {
         let mut p = LogicalPlan::new();
         let c1 = p.scan_as("ct1", "c1");
         let c2 = p.scan_as("ct2", "c2");
@@ -230,32 +185,32 @@ mod tests {
             rt,
             vec![JoinPair::new("c1.m", "r.m"), JoinPair::new("c1.y", "r.y")],
         );
-        let mut eq = EquivMap::new();
-        for id in 0..p.len() {
-            if let LogicalOp::Join { pairs, .. } = p.node(id) {
-                for pair in pairs {
-                    eq.union(&pair.left, &pair.right);
-                }
-            }
-        }
-        (p, eq)
+        p
     }
 
-    fn referenced(plan: &LogicalPlan) -> HashMap<String, AttrSet> {
-        by_alias(plan.referenced_columns())
+    /// Each node's afm in names, and the representative of `col`'s class.
+    fn afm(plan: &LogicalPlan, cat: &Catalog) -> (Vec<Vec<SortOrder>>, impl Fn(&str) -> String) {
+        let ctx = Ctx::build(plan, cat, Strategy::pyro_o(), CostParams::default(), true).unwrap();
+        let afm = ctx
+            .afm
+            .iter()
+            .map(|orders| orders.iter().map(|o| ctx.names.names_of(o)).collect())
+            .collect();
+        let (names, equiv) = (ctx.names, ctx.equiv);
+        (afm, move |col: &str| {
+            names.name(equiv.rep(names.id(col))).to_string()
+        })
     }
 
     #[test]
     fn scan_afm_holds_clustering_and_covering_orders() {
         let cat = example1_catalog();
-        let (plan, eq) = example1_plan();
-        let afm = compute_afm(&plan, &cat, &eq, &referenced(&plan)).unwrap();
+        let (afm, _) = afm(&example1_plan(), &cat);
         // ct1 scan: clustering (y)
         assert_eq!(afm[0], vec![SortOrder::new(["c1.y"])]);
         // ct2 scan: clustering (m)
         assert_eq!(afm[1], vec![SortOrder::new(["c2.m"])]);
-        // rt scan: clustering (m) + covering index (m); deduped by rep? The
-        // two orders differ in name: r.m for both → single entry.
+        // rt scan: clustering (m) + covering index (m), both r.m → one entry.
         assert_eq!(afm[3], vec![SortOrder::new(["r.m"])]);
     }
 
@@ -265,13 +220,11 @@ mod tests {
         // modulo the arbitrary suffix permutation (the paper writes
         // (y, co, c, m); our canonical suffix is lexicographic).
         let cat = example1_catalog();
-        let (plan, eq) = example1_plan();
-        let afm = compute_afm(&plan, &cat, &eq, &referenced(&plan)).unwrap();
+        let (afm, rep) = afm(&example1_plan(), &cat);
         let j1 = &afm[2];
         // Must contain a 4-attr order starting with the rep of y and one
         // starting with the rep of m.
-        let rep_y = eq.rep("c1.y");
-        let rep_m = eq.rep("c1.m");
+        let (rep_y, rep_m) = (rep("c1.y"), rep("c1.m"));
         assert!(
             j1.iter().any(|o| o.len() == 4 && o.attrs()[0] == rep_y),
             "want a y-led extension in {j1:?}"
@@ -286,11 +239,9 @@ mod tests {
     fn top_join_afm_projects_to_its_attrs() {
         // Paper: afm((ct1 ⋈ ct2) ⋈ rt) = {(y, m), (m, y)}.
         let cat = example1_catalog();
-        let (plan, eq) = example1_plan();
-        let afm = compute_afm(&plan, &cat, &eq, &referenced(&plan)).unwrap();
+        let (afm, rep) = afm(&example1_plan(), &cat);
         let top = &afm[4];
-        let rep_y = eq.rep("c1.y");
-        let rep_m = eq.rep("c1.m");
+        let (rep_y, rep_m) = (rep("c1.y"), rep("c1.m"));
         assert!(
             top.iter()
                 .any(|o| o.len() == 2 && o.attrs()[0] == rep_y && o.attrs()[1] == rep_m),
@@ -309,8 +260,7 @@ mod tests {
         let mut p = LogicalPlan::new();
         let s = p.scan_as("ct1", "c1");
         p.aggregate(s, vec!["c1.y", "c1.m"], vec![]);
-        let eq = EquivMap::new();
-        let afm = compute_afm(&p, &cat, &eq, &referenced(&p)).unwrap();
+        let (afm, _) = afm(&p, &cat);
         // clustering (y) → prefix (y) extended with m → (y, m); plus the
         // ε-extension ⟨{m,y}⟩ = (c1.m, c1.y).
         assert!(afm[1].contains(&SortOrder::new(["c1.y", "c1.m"])));
@@ -337,8 +287,7 @@ mod tests {
         let mut p = LogicalPlan::new();
         let s = p.scan_as("t", "t");
         p.project(s, vec![crate::logical::ProjItem::col("t.c")]);
-        let eq = EquivMap::new();
-        let afm = compute_afm(&p, &cat, &eq, &referenced(&p)).unwrap();
+        let (afm, _) = afm(&p, &cat);
         assert_eq!(
             afm[0],
             vec![SortOrder::new(["t.a"])],

@@ -20,6 +20,7 @@
 //! therefore the exact plans, costs and counters of the unreordered search.
 
 use crate::equiv::EquivMap;
+use crate::ids::Names;
 use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
 use pyro_catalog::Catalog;
 use pyro_common::{PyroError, Result, Schema};
@@ -29,33 +30,35 @@ use std::collections::HashMap;
 
 /// Collects attribute equivalences from a plan's join pairs and
 /// column-equality filter conjuncts — the single source the optimizer,
-/// favorable-order computation and refinement all share.
-pub fn collect_equivs(plan: &LogicalPlan) -> EquivMap {
-    let mut equiv = EquivMap::new();
+/// favorable-order computation and refinement all share. Every column the
+/// plan's expressions name must be in `names`.
+pub fn collect_equivs(plan: &LogicalPlan, names: &Names) -> EquivMap {
+    let mut equiv = EquivMap::new(names.len());
+    let mut union = |a: &str, b: &str| equiv.union(names.id(a), names.id(b));
     for id in 0..plan.len() {
         match plan.node(id) {
             LogicalOp::Join { pairs, .. } => {
                 for p in pairs {
-                    equiv.union(&p.left, &p.right);
+                    union(&p.left, &p.right);
                 }
             }
-            LogicalOp::Filter { predicate, .. } => collect_filter_equivs(predicate, &mut equiv),
+            LogicalOp::Filter { predicate, .. } => collect_filter_equivs(predicate, &mut union),
             _ => {}
         }
     }
     equiv
 }
 
-fn collect_filter_equivs(pred: &NExpr, equiv: &mut EquivMap) {
+fn collect_filter_equivs(pred: &NExpr, union: &mut impl FnMut(&str, &str)) {
     match pred {
         NExpr::And(terms) => {
             for t in terms {
-                collect_filter_equivs(t, equiv);
+                collect_filter_equivs(t, union);
             }
         }
         NExpr::Cmp(CmpOp::Eq, a, b) => {
             if let (NExpr::Col(x), NExpr::Col(y)) = (a.as_ref(), b.as_ref()) {
-                equiv.union(x, y);
+                union(x, y);
             }
         }
         _ => {}
@@ -121,14 +124,13 @@ impl JoinGraph {
     /// root. `catalog` resolves base-table schemas so join pairs can be
     /// attributed to the leaf whose output contains each column.
     pub fn extract(plan: &LogicalPlan, catalog: &Catalog) -> Result<JoinGraph> {
-        let resolver = |table: &str, alias: &str| -> Result<Schema> {
-            Ok(catalog.table(table)?.meta.schema.qualify(alias))
-        };
+        let schemas =
+            plan.schemas(|table, alias| Ok(catalog.table(table)?.meta.schema.qualify(alias)))?;
         let mut regions = Vec::new();
         let mut stack = vec![plan.root()];
         while let Some(id) = stack.pop() {
             if is_inner_join(plan, id) {
-                let region = extract_region(plan, id, &resolver)?;
+                let region = extract_region(plan, id, &schemas);
                 // Continue the walk *below* the region's leaves.
                 stack.extend(region.leaves.iter().copied());
                 regions.push(region);
@@ -142,18 +144,11 @@ impl JoinGraph {
 
 /// Collects one region rooted at inner-join `root`: leaves in in-order
 /// position, member joins, and per-leaf-pair equality edges.
-fn extract_region(
-    plan: &LogicalPlan,
-    root: NodeId,
-    resolver: &impl Fn(&str, &str) -> Result<Schema>,
-) -> Result<JoinRegion> {
+fn extract_region(plan: &LogicalPlan, root: NodeId, schemas: &[Schema]) -> JoinRegion {
     let mut leaves = Vec::new();
     let mut joins = Vec::new();
     collect_region(plan, root, &mut leaves, &mut joins);
-    let leaf_schemas: Vec<Schema> = leaves
-        .iter()
-        .map(|&l| plan.schema(l, resolver))
-        .collect::<Result<_>>()?;
+    let leaf_schemas: Vec<&Schema> = leaves.iter().map(|&l| &schemas[l]).collect();
     let columns: Vec<String> = leaf_schemas.iter().flat_map(|s| s.names()).collect();
     let leaf_of = |col: &str| leaf_schemas.iter().position(|s| s.contains(col));
     let mut edges: Vec<JoinEdge> = Vec::new();
@@ -188,14 +183,14 @@ fn extract_region(
             }
         }
     }
-    Ok(JoinRegion {
+    JoinRegion {
         root,
         leaves,
         joins,
         edges,
         columns,
         well_formed,
-    })
+    }
 }
 
 /// In-order walk of the maximal inner-join subtree under `id`.
@@ -599,12 +594,15 @@ mod tests {
         let p = chain3();
         let (re, rebuilt) = reorder_joins(&p, &cat, 2).unwrap().unwrap();
         assert!(rebuilt > 0);
-        let resolver = |table: &str, alias: &str| -> Result<Schema> {
-            Ok(cat.table(table)?.meta.schema.qualify(alias))
+        let root_names = |p: &LogicalPlan| {
+            let schemas = p
+                .schemas(|table, alias| Ok(cat.table(table)?.meta.schema.qualify(alias)))
+                .unwrap();
+            schemas[p.root()].names()
         };
         assert_eq!(
-            p.schema(p.root(), &resolver).unwrap().names(),
-            re.schema(re.root(), &resolver).unwrap().names(),
+            root_names(&p),
+            root_names(&re),
             "restoring projection keeps the region schema"
         );
     }

@@ -33,6 +33,7 @@ pub mod compile;
 pub mod cost;
 pub mod equiv;
 pub mod favorable;
+pub mod ids;
 pub mod joingraph;
 pub mod logical;
 pub mod optimizer;

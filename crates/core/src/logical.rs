@@ -363,55 +363,51 @@ impl LogicalPlan {
         }
     }
 
-    /// Computes the output schema of a node, given a resolver for base
+    /// Every node's output schema, in one bottom-up pass over the arena
+    /// (a node is added after its inputs), given a resolver for base
     /// tables.
-    pub fn schema(
+    pub fn schemas(
         &self,
-        id: NodeId,
-        table_schema: &impl Fn(&str, &str) -> Result<Schema>,
-    ) -> Result<Schema> {
-        match &self.nodes[id] {
-            LogicalOp::Scan { table, alias } => table_schema(table, alias),
-            LogicalOp::Filter { input, .. }
-            | LogicalOp::Sort { input, .. }
-            | LogicalOp::Distinct { input }
-            | LogicalOp::Limit { input, .. } => self.schema(*input, table_schema),
-            LogicalOp::Project { input, items } => {
-                let inner = self.schema(*input, table_schema)?;
-                Ok(Schema::new(
-                    items
-                        .iter()
-                        .map(|it| Column::new(it.name.clone(), it.expr.data_type(&inner)))
-                        .collect(),
-                ))
-            }
-            LogicalOp::Join { left, right, .. } => {
-                let l = self.schema(*left, table_schema)?;
-                let r = self.schema(*right, table_schema)?;
-                Ok(l.join(&r))
-            }
-            LogicalOp::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let inner = self.schema(*input, table_schema)?;
-                let mut cols = Vec::new();
-                for g in group_by {
-                    let i = inner.index_of(g)?;
-                    cols.push(inner.column(i).clone());
+        table_schema: impl Fn(&str, &str) -> Result<Schema>,
+    ) -> Result<Vec<Schema>> {
+        let mut out: Vec<Schema> = Vec::with_capacity(self.nodes.len());
+        for (id, node) in self.nodes.iter().enumerate() {
+            let input = |i: &NodeId| {
+                out.get(*i)
+                    .ok_or_else(|| plan_err(format!("node {id} reads node {i}, added after it")))
+            };
+            let schema = match node {
+                LogicalOp::Scan { table, alias } => table_schema(table, alias)?,
+                LogicalOp::Filter { input: i, .. }
+                | LogicalOp::Sort { input: i, .. }
+                | LogicalOp::Distinct { input: i }
+                | LogicalOp::Limit { input: i, .. } => input(i)?.clone(),
+                LogicalOp::Project { input: i, items } => project_schema(items, input(i)?),
+                LogicalOp::Join { left, right, .. } => input(left)?.join(input(right)?),
+                LogicalOp::Aggregate {
+                    input: i,
+                    group_by,
+                    aggs,
+                } => {
+                    let inner = input(i)?;
+                    let mut cols = Vec::new();
+                    for g in group_by {
+                        cols.push(inner.column(inner.index_of(g)?).clone());
+                    }
+                    for a in aggs {
+                        let ty = match a.func {
+                            AggFunc::Count => DataType::Int,
+                            AggFunc::Avg => DataType::Double,
+                            _ => a.arg.data_type(inner),
+                        };
+                        cols.push(Column::new(a.name.clone(), ty));
+                    }
+                    Schema::new(cols)
                 }
-                for a in aggs {
-                    let ty = match a.func {
-                        AggFunc::Count => DataType::Int,
-                        AggFunc::Avg => DataType::Double,
-                        _ => a.arg.data_type(&inner),
-                    };
-                    cols.push(Column::new(a.name.clone(), ty));
-                }
-                Ok(Schema::new(cols))
-            }
+            };
+            out.push(schema);
         }
+        Ok(out)
     }
 
     /// Collects every column name an expression of the query names
@@ -454,6 +450,16 @@ impl LogicalPlan {
     }
 }
 
+/// The output schema of projecting `items` from `input`.
+pub(crate) fn project_schema(items: &[ProjItem], input: &Schema) -> Schema {
+    Schema::new(
+        items
+            .iter()
+            .map(|it| Column::new(it.name.clone(), it.expr.data_type(input)))
+            .collect(),
+    )
+}
+
 /// Errors a malformed plan produces at optimization time.
 pub fn plan_err(msg: impl Into<String>) -> PyroError {
     PyroError::Plan(msg.into())
@@ -489,7 +495,7 @@ mod tests {
     #[test]
     fn schema_propagation() {
         let p = two_table_plan();
-        let s = p.schema(p.root(), &resolver).unwrap();
+        let s = &p.schemas(resolver).unwrap()[p.root()];
         assert_eq!(s.len(), 4);
         assert!(s.contains("a.x"));
         assert!(s.contains("b.y"));
@@ -516,7 +522,7 @@ mod tests {
                 ),
             ],
         );
-        let schema = p.schema(p.root(), &resolver).unwrap();
+        let schema = &p.schemas(resolver).unwrap()[p.root()];
         assert_eq!(schema.column(0).ty, DataType::Int);
         assert_eq!(schema.column(1).ty, DataType::Double);
         assert_eq!(schema.column(1).name, "scaled");
@@ -552,7 +558,7 @@ mod tests {
                 name: "m".into(),
             }],
         );
-        let schema = p.schema(p.root(), &resolver).unwrap();
+        let schema = &p.schemas(resolver).unwrap()[p.root()];
         assert_eq!(schema.names(), vec!["t.x", "m"]);
         assert_eq!(schema.column(1).ty, DataType::Double);
     }

@@ -8,21 +8,25 @@
 //! configured [`Strategy`]. `best_plan`'s on-demand recursion is the only
 //! enumerator: a goal's answer is a pure function of the goal, and the memo
 //! (keyed by node and rep-normalized order) makes each one solved once.
+//!
+//! The search runs on attribute ids (see [`crate::ids`]): a statement's
+//! names are resolved once into a `Ctx`, candidates are `Cand`s over
+//! ids, and only the winning tree is rendered into a [`PhysNode`] in names.
 
 use crate::compile::CompileOptions;
 use crate::cost::{CostParams, SearchStats};
 use crate::equiv::EquivMap;
 use crate::favorable::{by_alias, compute_afm, lcp_with_set_equiv};
+use crate::ids::{resolve, AttrId, IdOrder, IdSet, Names, Node};
 use crate::joingraph::{collect_equivs, reorder_joins, EnumStrategy, DEFAULT_JOIN_ENUM_THRESHOLD};
-use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
+use crate::logical::{project_schema, LogicalOp, LogicalPlan, NodeId};
 use crate::plan::{PhysNode, PhysOp};
+use crate::seek::eq_prefix_len;
 use crate::stats::{derive_stats, NodeStats};
 use crate::strategy::Strategy;
 use pyro_catalog::Catalog;
-use pyro_common::{PyroError, Result, Schema};
+use pyro_common::{Column, PyroError, Result, Schema};
 use pyro_exec::join::{JoinKind, Side};
-use pyro_ordering::{AttrSet, SortOrder};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,51 +120,37 @@ impl<'a> Optimizer<'a> {
             Some((p, n)) => (p, *n),
             None => (plan, 0),
         };
-        let (mut best, ctx) = self.search(plan, HashMap::new())?;
-        if self.strategy.refine {
-            if let Some(forced) = crate::refine::reworked_orders(&ctx, &best) {
-                // The re-search runs in a context of its own, so the
-                // accounting reported below is the first search's alone.
-                let (refined, _) = self.search(plan, forced)?;
-                if refined.cost < best.cost {
-                    best = refined;
-                }
-            }
-        }
-        let search = ctx.search.into_inner();
-        Ok(OptimizedPlan {
-            root: best,
-            strategy: self.strategy,
-            ordered_output: output_is_ordered(plan),
-            planning: PlanningInfo {
-                enumerator: self.enum_strategy,
-                groups: search.groups,
-                candidates: search.candidates,
-                reordered_joins,
-                elapsed: start.elapsed(),
-            },
-        })
-    }
-
-    /// One goal-directed search of `plan` from `(root, ε)`, with the
-    /// merge-join orders in `forced` pinned (phase 2 applies its reworked
-    /// orders this way). Returns the context too: refinement reads its
-    /// favorable orders, the caller its accounting.
-    fn search<'p>(
-        &'p self,
-        plan: &'p LogicalPlan,
-        forced: HashMap<NodeId, SortOrder>,
-    ) -> Result<(Arc<PhysNode>, Ctx<'p>)> {
         let ctx = Ctx::build(
             plan,
             self.catalog,
             self.strategy,
             self.params,
             self.enable_hash,
-            forced,
         )?;
-        let best = best_plan(&ctx, plan.root(), &SortOrder::empty())?;
-        Ok((best, ctx))
+        let (mut best, accounting) = Search::run(&ctx, HashMap::new())?;
+        if self.strategy.refine {
+            if let Some(forced) = crate::refine::reworked_orders(&ctx, &best) {
+                // The re-search shares the statement's context; its pinned
+                // orders, memo and accounting are its own, so the accounting
+                // reported below is the first search's alone.
+                let (refined, _) = Search::run(&ctx, forced)?;
+                if refined.cost < best.cost {
+                    best = refined;
+                }
+            }
+        }
+        Ok(OptimizedPlan {
+            root: ctx.render(&best)?,
+            strategy: self.strategy,
+            ordered_output: output_is_ordered(plan),
+            planning: PlanningInfo {
+                enumerator: self.enum_strategy,
+                groups: accounting.groups,
+                candidates: accounting.candidates,
+                reordered_joins,
+                elapsed: start.elapsed(),
+            },
+        })
     }
 }
 
@@ -267,28 +257,24 @@ impl OptimizedPlan {
     }
 }
 
-/// Everything a single optimization run needs.
+/// A statement's derived context: everything the search reads, built once
+/// per statement and shared by phase 1 and the phase-2 re-search.
 pub(crate) struct Ctx<'a> {
     pub plan: &'a LogicalPlan,
     pub catalog: &'a Catalog,
-    pub stats: Vec<NodeStats>,
+    /// Every attribute name the statement can mention, under its id.
+    pub names: Names,
+    /// Each logical node's output schema.
     pub schemas: Vec<Schema>,
-    pub afm: Vec<Vec<SortOrder>>,
+    /// Each logical node with its names resolved.
+    pub nodes: Vec<Node>,
+    pub stats: Vec<NodeStats>,
+    pub afm: Vec<Vec<IdOrder>>,
     pub equiv: EquivMap,
     pub params: CostParams,
     pub strategy: Strategy,
-    pub forced: HashMap<NodeId, SortOrder>,
     pub enable_hash: bool,
-    /// Bare column names the query needs from each scan alias — what an
-    /// index must hold to cover the query there.
-    pub referenced: HashMap<String, AttrSet>,
-    /// Enumeration accounting for this run.
-    pub search: RefCell<SearchStats>,
-    memo: RefCell<Memo>,
 }
-
-/// Memo table: goal (node id, rep-normalized required order) → best plan.
-type Memo = HashMap<(NodeId, Vec<String>), Arc<PhysNode>>;
 
 impl<'a> Ctx<'a> {
     pub(crate) fn build(
@@ -297,637 +283,676 @@ impl<'a> Ctx<'a> {
         strategy: Strategy,
         params: CostParams,
         enable_hash: bool,
-        forced: HashMap<NodeId, SortOrder>,
     ) -> Result<Ctx<'a>> {
+        let schemas =
+            plan.schemas(|table, alias| Ok(catalog.table(table)?.meta.schema.qualify(alias)))?;
+        let referenced_columns = plan.referenced_columns();
+        // Every name the statement can mention: the columns scans,
+        // projections and aggregates introduce (every other operator passes
+        // its inputs' columns on) and every column an expression names.
+        let introduced = (0..plan.len())
+            .filter(|&id| {
+                matches!(
+                    plan.node(id),
+                    LogicalOp::Scan { .. }
+                        | LogicalOp::Project { .. }
+                        | LogicalOp::Aggregate { .. }
+                )
+            })
+            .flat_map(|id| schemas[id].columns());
+        let names = Names::new(
+            introduced
+                .map(|c| c.name.as_str())
+                .chain(referenced_columns.iter().map(String::as_str)),
+        );
         // Equivalences from join pairs and col=col equality filters.
-        let equiv = collect_equivs(plan);
-        let stats = derive_stats(plan, catalog)?;
-        let resolver = |table: &str, alias: &str| -> Result<Schema> {
-            Ok(catalog.table(table)?.meta.schema.qualify(alias))
-        };
-        let schemas: Vec<Schema> = (0..plan.len())
-            .map(|id| plan.schema(id, &resolver))
-            .collect::<Result<_>>()?;
+        let equiv = collect_equivs(plan, &names);
         // Columns needed per alias (covering-index checks): every column an
         // expression names, plus every column the query returns — `SELECT *`
         // lowers to no projection, so its output is named nowhere else.
         let referenced = by_alias(
-            plan.referenced_columns()
+            referenced_columns
                 .into_iter()
                 .chain(schemas[plan.root()].names()),
         );
-        let afm = compute_afm(plan, catalog, &equiv, &referenced)?;
+        let nodes = resolve(plan, catalog, &names, &equiv, &schemas, &referenced)?;
+        let stats = derive_stats(plan, catalog, &schemas, &names)?;
+        let afm = compute_afm(&nodes, &equiv);
         Ok(Ctx {
             plan,
             catalog,
-            stats,
+            names,
             schemas,
+            nodes,
+            stats,
             afm,
             equiv,
             params,
             strategy,
-            forced,
             enable_hash,
-            referenced,
-            search: RefCell::new(SearchStats::default()),
-            memo: RefCell::new(HashMap::new()),
         })
     }
 
     /// True iff `have` guarantees `need` (prefix under equivalence).
-    pub(crate) fn satisfies(&self, have: &SortOrder, need: &SortOrder) -> bool {
+    fn satisfies(&self, have: &IdOrder, need: &IdOrder) -> bool {
         need.len() <= have.len()
             && need
                 .attrs()
                 .iter()
                 .zip(have.attrs())
-                .all(|(n, h)| self.equiv.same(n, h))
+                .all(|(&n, &h)| self.equiv.same(n, h))
     }
 
-    fn memo_key(&self, id: NodeId, required: &SortOrder) -> (NodeId, Vec<String>) {
-        (
-            id,
-            required
-                .attrs()
-                .iter()
-                .map(|a| self.equiv.rep(a).to_string())
-                .collect(),
-        )
+    /// `order` over class representatives: the memo's view of a goal.
+    fn normalized(&self, order: &IdOrder) -> IdOrder {
+        order.map(|&a| self.equiv.rep(a))
     }
-}
 
-/// Maps an order into the name space of `names` (longest prefix whose
-/// attributes are equivalent to members of `names`, emitted as those
-/// members).
-fn project_order_to_names(order: &SortOrder, names: &AttrSet, equiv: &EquivMap) -> SortOrder {
-    let rep_to_name: HashMap<&str, &str> = names.iter().map(|n| (equiv.rep(n), n)).collect();
-    let mut out: Vec<String> = Vec::new();
-    for a in order.attrs() {
-        match rep_to_name.get(equiv.rep(a)) {
-            Some(&n) if !out.iter().any(|o| o == n) => out.push(n.to_string()),
-            _ => break,
+    /// Adds a (partial) sort enforcer if the candidate does not already
+    /// satisfy the requirement (§3.2).
+    fn enforce(&self, id: NodeId, cand: Arc<Cand>, required: &IdOrder) -> Arc<Cand> {
+        if required.is_empty() || self.satisfies(&cand.out_order, required) {
+            return cand;
         }
-    }
-    SortOrder::new(out)
-}
-
-/// The memoized goal solver: cheapest plan for `(id, required)`.
-fn best_plan(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Arc<PhysNode>> {
-    let key = ctx.memo_key(id, required);
-    if let Some(hit) = ctx.memo.borrow().get(&key) {
-        return Ok(hit.clone());
-    }
-    let candidates = gen_candidates(ctx, id, required)?;
-    {
-        let mut search = ctx.search.borrow_mut();
-        search.groups += 1;
-        search.candidates += candidates.len() as u64;
-    }
-    let mut best: Option<Arc<PhysNode>> = None;
-    for cand in candidates {
-        let finished = enforce(ctx, id, cand, required);
-        if best.as_ref().is_none_or(|b| finished.cost < b.cost) {
-            best = Some(finished);
-        }
-    }
-    let best = best.ok_or_else(|| {
-        PyroError::Plan(format!(
-            "no physical plan for node {id} with order {required}"
-        ))
-    })?;
-    ctx.memo.borrow_mut().insert(key, best.clone());
-    Ok(best)
-}
-
-/// Adds a (partial) sort enforcer if the candidate does not already satisfy
-/// the requirement (§3.2).
-fn enforce(ctx: &Ctx, id: NodeId, cand: Arc<PhysNode>, required: &SortOrder) -> Arc<PhysNode> {
-    if required.is_empty() || ctx.satisfies(&cand.out_order, required) {
-        return cand;
-    }
-    let stats = &ctx.stats[id];
-    let have = if ctx.strategy.partial_enforcers {
-        cand.out_order.clone()
-    } else {
+        let empty = IdOrder::empty();
         // Exact-match-only optimizers re-sort from scratch.
-        SortOrder::empty()
-    };
-    let (coe, k) = ctx
-        .params
-        .coe_order(stats, &have, required, |a, b| ctx.equiv.same(a, b));
-    let op = if k > 0 {
-        PhysOp::PartialSort {
-            prefix_len: k,
-            target: required.clone(),
-        }
-    } else {
-        PhysOp::Sort {
-            target: required.clone(),
-        }
-    };
-    Arc::new(PhysNode {
-        op,
-        schema: cand.schema.clone(),
-        out_order: required.clone(),
-        cost: cand.cost + coe,
-        rows: cand.rows,
-        logical: id,
-        children: vec![cand],
-    })
-}
+        let have = if self.strategy.partial_enforcers {
+            &cand.out_order
+        } else {
+            &empty
+        };
+        let (coe, k) = self
+            .params
+            .coe_order(&self.stats[id], have, required, |a, b| {
+                self.equiv.same(a, b)
+            });
+        Arc::new(Cand {
+            alt: Alt::Enforce(k),
+            out_order: required.clone(),
+            cost: cand.cost + coe,
+            rows: cand.rows,
+            logical: id,
+            children: vec![cand],
+        })
+    }
 
-/// Enumerates the physical alternatives for one logical node.
-fn gen_candidates(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Vec<Arc<PhysNode>>> {
-    let stats = &ctx.stats[id];
-    let mut out: Vec<Arc<PhysNode>> = Vec::new();
-    match ctx.plan.node(id) {
-        LogicalOp::Scan { table, alias } => {
-            let handle = ctx.catalog.table(table)?;
-            let schema = handle.meta.schema.qualify(alias);
-            let heap_blocks = handle.heap.block_count().max(1) as f64;
-            if handle.meta.clustering.is_empty() {
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::TableScan {
-                        table: table.clone(),
-                        alias: alias.clone(),
-                    },
-                    children: vec![],
-                    schema: schema.clone(),
-                    out_order: SortOrder::empty(),
-                    cost: heap_blocks,
-                    rows: stats.rows,
-                    logical: id,
-                }));
+    /// Goals worth trying for an order-preserving unary operator's child:
+    /// the requirement itself, nothing, and each favorable order of the
+    /// child (whose prefix a partial-sort enforcer above can exploit).
+    fn child_goals(&self, child: NodeId, required: &IdOrder) -> Vec<IdOrder> {
+        let mut goals = vec![IdOrder::empty()];
+        if !required.is_empty() {
+            goals.push(required.clone());
+        }
+        goals.extend(self.afm[child].iter().cloned());
+        // Dedup under rep-normalization.
+        let mut seen: Vec<IdOrder> = Vec::with_capacity(goals.len());
+        goals.retain(|g| {
+            let key = self.normalized(g);
+            let fresh = !seen.contains(&key);
+            if fresh {
+                seen.push(key);
+            }
+            fresh
+        });
+        goals
+    }
+
+    /// The candidate input orders for a sort-based grouping operator (sort
+    /// aggregate / sort distinct) over grouping set `l` — favorable orders
+    /// and the requirement projected into the grouping columns, expanded by
+    /// the strategy.
+    fn grouping_goal_orders(&self, input: NodeId, l: &IdSet, required: &IdOrder) -> Vec<IdOrder> {
+        let prefixes = self.afm[input].iter().map(|o| self.project_order(o, l));
+        let prefixes = distinct_prefixes(prefixes.chain([self.project_order(required, l)]));
+        self.strategy.candidate_orders(l, &prefixes)
+    }
+
+    /// Maps an order into the columns `cols` (longest prefix whose
+    /// attributes are equivalent to members of `cols`, emitted as those
+    /// members; of several members of one class, the largest).
+    fn project_order(&self, order: &IdOrder, cols: &IdSet) -> IdOrder {
+        let mut out = Vec::new();
+        for &a in order.attrs() {
+            let rep = self.equiv.rep(a);
+            match cols.iter().rev().find(|&&c| self.equiv.rep(c) == rep) {
+                Some(&c) if !out.contains(&c) => out.push(c),
+                _ => break,
+            }
+        }
+        IdOrder::new(out)
+    }
+
+    /// Renders a winning candidate tree into a [`PhysNode`] tree in names:
+    /// the one place ids become strings again and operators take their
+    /// payloads (tables, predicates, pairs, items, aggregates) from the
+    /// logical plan.
+    pub(crate) fn render(&self, c: &Cand) -> Result<Arc<PhysNode>> {
+        let children = c
+            .children
+            .iter()
+            .map(|child| self.render(child))
+            .collect::<Result<Vec<_>>>()?;
+        let id = c.logical;
+        let order = || self.names.names_of(&c.out_order);
+        let inherited = || children[0].schema.clone();
+        let joined = || children[0].schema.join(&children[1].schema);
+        let (op, schema) = match (&c.alt, self.plan.node(id)) {
+            (Alt::Enforce(0), _) => (PhysOp::Sort { target: order() }, inherited()),
+            (&Alt::Enforce(prefix_len), _) => (
+                PhysOp::PartialSort {
+                    prefix_len,
+                    target: order(),
+                },
+                inherited(),
+            ),
+            (&Alt::Scan(path), LogicalOp::Scan { table, alias }) => {
+                self.render_scan(id, path, table, alias)?
+            }
+            (Alt::Direct, LogicalOp::Filter { predicate, .. }) => (
+                PhysOp::Filter {
+                    predicate: predicate.clone(),
+                },
+                inherited(),
+            ),
+            (Alt::Direct, LogicalOp::Project { items, .. }) => (
+                PhysOp::Project {
+                    items: items.clone(),
+                },
+                project_schema(items, &children[0].schema),
+            ),
+            (Alt::Direct, LogicalOp::Limit { k, .. }) => (PhysOp::Limit { k: *k }, inherited()),
+            (Alt::Sorted, LogicalOp::Join { kind, pairs, .. }) => (
+                PhysOp::MergeJoin {
+                    kind: *kind,
+                    pairs: pairs.clone(),
+                    order: order(),
+                },
+                joined(),
+            ),
+            (&Alt::Hashed(build), LogicalOp::Join { kind, pairs, .. }) => (
+                PhysOp::HashJoin {
+                    kind: *kind,
+                    pairs: pairs.clone(),
+                    build,
+                },
+                joined(),
+            ),
+            (Alt::NestedLoops, LogicalOp::Join { kind, pairs, .. }) => (
+                PhysOp::NestedLoopsJoin {
+                    kind: *kind,
+                    pairs: pairs.clone(),
+                },
+                joined(),
+            ),
+            (alt, LogicalOp::Aggregate { group_by, aggs, .. }) => {
+                let (group_by, aggs) = (group_by.clone(), aggs.clone());
+                let op = match alt {
+                    Alt::Sorted => PhysOp::SortAggregate { group_by, aggs },
+                    _ => PhysOp::HashAggregate { group_by, aggs },
+                };
+                (op, self.schemas[id].clone())
+            }
+            (alt, LogicalOp::Distinct { .. }) => {
+                let op = match alt {
+                    Alt::Sorted => PhysOp::SortDistinct { order: order() },
+                    _ => PhysOp::HashDistinct,
+                };
+                (op, self.schemas[id].clone())
+            }
+            _ => unreachable!("a candidate implements the logical operator it was generated for"),
+        };
+        Ok(Arc::new(PhysNode {
+            op,
+            out_order: order(),
+            children,
+            schema,
+            cost: c.cost,
+            rows: c.rows,
+            logical: id,
+        }))
+    }
+
+    /// A scan's operator and output schema for access path `path`.
+    fn render_scan(
+        &self,
+        id: NodeId,
+        path: usize,
+        table: &str,
+        alias: &str,
+    ) -> Result<(PhysOp, Schema)> {
+        let Node::Scan { paths, .. } = &self.nodes[id] else {
+            unreachable!("a scan candidate's node is a scan");
+        };
+        let (table, alias) = (table.to_string(), alias.to_string());
+        let Some(index) = paths[path].index else {
+            let op = if paths[path].order.is_empty() {
+                PhysOp::TableScan { table, alias }
             } else {
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::ClusteredIndexScan {
-                        table: table.clone(),
-                        alias: alias.clone(),
-                    },
-                    children: vec![],
-                    schema: schema.clone(),
-                    out_order: handle.meta.clustering.rename(|a| format!("{alias}.{a}")),
-                    cost: heap_blocks,
-                    rows: stats.rows,
-                    logical: id,
-                }));
-            }
-            // The same covering test that admitted an index's order to afm.
-            let needed = ctx.referenced.get(alias);
-            for idx in &handle.meta.indexes {
-                let Some(file) = handle.index_files.get(&idx.name) else {
-                    continue;
-                };
-                if needed.is_some_and(|cols| !idx.covers(cols)) {
-                    continue;
-                }
-                let entry_schema = Schema::new(
-                    idx.entry_columns()
-                        .iter()
-                        .map(|c| {
-                            let i = handle.meta.schema.index_of(c)?;
-                            Ok(pyro_common::Column::new(
-                                format!("{alias}.{c}"),
-                                handle.meta.schema.column(i).ty,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>>>()?,
-                );
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::CoveringIndexScan {
-                        table: table.clone(),
-                        alias: alias.clone(),
-                        index: idx.name.clone(),
-                    },
-                    children: vec![],
-                    schema: entry_schema,
-                    out_order: idx.key.rename(|a| format!("{alias}.{a}")),
-                    cost: file.block_count().max(1) as f64,
-                    rows: stats.rows,
-                    logical: id,
-                }));
-            }
-        }
-        LogicalOp::Filter { input, predicate } => {
-            for goal in child_goals(ctx, *input, required) {
-                let child = best_plan(ctx, *input, &goal)?;
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::Filter {
-                        predicate: predicate.clone(),
-                    },
-                    schema: child.schema.clone(),
-                    out_order: child.out_order.clone(),
-                    cost: child.cost + ctx.params.tuple_io * ctx.stats[*input].rows,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-            // A filter directly over a sorted-file scan compiles to a
-            // binary-searched page range when the predicate pins an
-            // equality prefix of the scan's order (the filter stays as the
-            // residual — see `compile::compile_filter_child`). Offer each
-            // access path again with the seek discount, so a selective
-            // point predicate can pick the path it seeks on even when that
-            // path loses on a full scan — typically the covering index
-            // beating the clustered heap.
-            if matches!(ctx.plan.node(*input), LogicalOp::Scan { .. }) {
-                let in_stats = &ctx.stats[*input];
-                for scan in gen_candidates(ctx, *input, &SortOrder::empty())? {
-                    let k = crate::seek::eq_prefix_len(predicate, &scan.out_order);
-                    if k == 0 {
-                        continue;
-                    }
-                    let sel = (1.0
-                        / in_stats
-                            .distinct_of(scan.out_order.attrs()[..k].iter().map(String::as_str)))
-                    .min(1.0);
-                    // O(log P) opening-tuple probes, then the surviving pages.
-                    let probes = scan.cost.max(2.0).log2().ceil();
-                    let seek_cost = (scan.cost * sel + probes).max(1.0);
-                    if seek_cost >= scan.cost {
-                        continue; // the discount doesn't pay for the probes
-                    }
-                    let rows_in = (in_stats.rows * sel).max(1.0);
-                    let bounded = Arc::new(PhysNode {
-                        op: scan.op.clone(),
-                        children: vec![],
-                        schema: scan.schema.clone(),
-                        out_order: scan.out_order.clone(),
-                        cost: seek_cost,
-                        rows: rows_in,
-                        logical: *input,
-                    });
-                    out.push(Arc::new(PhysNode {
-                        op: PhysOp::Filter {
-                            predicate: predicate.clone(),
-                        },
-                        schema: bounded.schema.clone(),
-                        out_order: bounded.out_order.clone(),
-                        cost: seek_cost + ctx.params.tuple_io * rows_in,
-                        rows: stats.rows,
-                        logical: id,
-                        children: vec![bounded],
-                    }));
-                }
-            }
-        }
-        LogicalOp::Project { input, items } => {
-            // Pass-through column names survive the projection; an order is
-            // preserved up to its first dropped column.
-            let kept = project_kept(items);
-            for goal in child_goals(ctx, *input, &required.lcp_with_set(&kept)) {
-                let child = best_plan(ctx, *input, &goal)?;
-                let schema = Schema::new(
-                    items
-                        .iter()
-                        .map(|it| {
-                            pyro_common::Column::new(
-                                it.name.clone(),
-                                it.expr.data_type(&child.schema),
-                            )
-                        })
-                        .collect(),
-                );
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::Project {
-                        items: items.clone(),
-                    },
-                    schema,
-                    out_order: child.out_order.lcp_with_set(&kept),
-                    cost: child.cost + ctx.params.tuple_io * ctx.stats[*input].rows,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-        }
-        LogicalOp::Join {
-            left,
-            right,
-            kind,
-            pairs,
-        } => {
-            for (l_goal, r_goal) in join_merge_goals(ctx, id, *left, *right, pairs, required) {
-                let lchild = best_plan(ctx, *left, &l_goal)?;
-                let rchild = best_plan(ctx, *right, &r_goal)?;
-                let cost = lchild.cost
-                    + rchild.cost
-                    + ctx.params.tuple_io * (ctx.stats[*left].rows + ctx.stats[*right].rows);
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::MergeJoin {
-                        kind: *kind,
-                        pairs: pairs.clone(),
-                        order: l_goal.clone(),
-                    },
-                    schema: lchild.schema.join(&rchild.schema),
-                    out_order: l_goal,
-                    cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![lchild, rchild],
-                }));
-            }
-            // Full outer joins are merge-only: none of the systems the
-            // paper measured implemented hash (or nested-loops) full outer
-            // joins — SYS2 had to rewrite FO joins as a union of two left
-            // outer joins — and the coordinated-order findings of
-            // Experiment B2 rest on that reality.
-            if !ctx.forced.contains_key(&id)
-                && ctx.enable_hash
-                && !matches!(kind, JoinKind::FullOuter)
-            {
-                let lchild = best_plan(ctx, *left, &SortOrder::empty())?;
-                let rchild = best_plan(ctx, *right, &SortOrder::empty())?;
-                let (bl, br) = (
-                    ctx.stats[*left].blocks(ctx.params.block_size),
-                    ctx.stats[*right].blocks(ctx.params.block_size),
-                );
-                let schema = lchild.schema.join(&rchild.schema);
-                let inputs = lchild.cost + rchild.cost;
-                let hash_cost =
-                    inputs + ctx.params.hash_io * (ctx.stats[*left].rows + ctx.stats[*right].rows);
-                // Hash join, one candidate per build side. `best_plan`
-                // keeps the first of equally cheap candidates, so the side
-                // offered first is the tie-break: the smaller input, else
-                // the written (left) one. The outer variants build on the
-                // side they preserve.
-                let sides: &[Side] = match kind {
-                    JoinKind::Inner if br < bl => &[Side::Right, Side::Left],
-                    JoinKind::Inner => &[Side::Left, Side::Right],
-                    _ => &[Side::Left],
-                };
-                for &build in sides {
-                    let (build_blocks, probe) = match build {
-                        Side::Left => (bl, &rchild),
-                        Side::Right => (br, &lchild),
-                    };
-                    // Against an in-memory table the probe child streams
-                    // through, each row followed by its matches: an inner
-                    // join hands the probe order on, like nested loops.
-                    // A table over the budget is grace partitioned — a
-                    // round trip of both inputs, which scatters the probe
-                    // order — and an outer join ends on its unmatched
-                    // build rows.
-                    let in_memory = build_blocks <= ctx.params.sort_mem_blocks;
-                    let (cost, out_order) = match (in_memory, kind) {
-                        (true, JoinKind::Inner) => (hash_cost, probe.out_order.clone()),
-                        (true, _) => (hash_cost, SortOrder::empty()),
-                        (false, _) => (hash_cost + 2.0 * (bl + br), SortOrder::empty()),
-                    };
-                    out.push(Arc::new(PhysNode {
-                        op: PhysOp::HashJoin {
-                            kind: *kind,
-                            pairs: pairs.clone(),
-                            build,
-                        },
-                        schema: schema.clone(),
-                        out_order,
-                        cost,
-                        rows: stats.rows,
-                        logical: id,
-                        children: vec![lchild.clone(), rchild.clone()],
-                    }));
-                }
-                // Nested loops: propagates the outer (left) order — the
-                // property afm rule 4 relies on.
-                let nl_cost =
-                    inputs + ctx.params.cmp_io * ctx.stats[*left].rows * ctx.stats[*right].rows;
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::NestedLoopsJoin {
-                        kind: *kind,
-                        pairs: pairs.clone(),
-                    },
-                    schema,
-                    out_order: lchild.out_order.clone(),
-                    cost: nl_cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![lchild, rchild],
-                }));
-            }
-        }
-        LogicalOp::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let l: AttrSet = group_by.iter().cloned().collect();
-            for q in grouping_goal_orders(ctx, *input, &l, required) {
-                let child = best_plan(ctx, *input, &q)?;
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::SortAggregate {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    },
-                    schema: ctx.schemas[id].clone(),
-                    out_order: q,
-                    cost: child.cost + ctx.params.tuple_io * ctx.stats[*input].rows,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-            if ctx.enable_hash {
-                let child = best_plan(ctx, *input, &SortOrder::empty())?;
-                let b_in = ctx.stats[*input].blocks(ctx.params.block_size);
-                let mut cost = child.cost + ctx.params.hash_io * ctx.stats[*input].rows;
-                if b_in > ctx.params.sort_mem_blocks {
-                    cost += 2.0 * b_in;
-                }
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::HashAggregate {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    },
-                    schema: ctx.schemas[id].clone(),
-                    out_order: SortOrder::empty(),
-                    cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-        }
-        LogicalOp::Sort { input, order } => {
-            // The ORDER BY is itself a goal: delegate to the child with the
-            // target order; enforcement happens inside `best_plan`.
-            out.push(best_plan(ctx, *input, order)?);
-        }
-        LogicalOp::Distinct { input } => {
-            // DISTINCT over all columns: any permutation of the output
-            // columns works for the streaming implementation — the same
-            // factorial space as merge joins (paper §1).
-            let l: AttrSet = ctx.schemas[id].names().into_iter().collect();
-            for q in grouping_goal_orders(ctx, *input, &l, required) {
-                let child = best_plan(ctx, *input, &q)?;
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::SortDistinct { order: q.clone() },
-                    schema: ctx.schemas[id].clone(),
-                    out_order: q,
-                    cost: child.cost + ctx.params.tuple_io * ctx.stats[*input].rows,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-            if ctx.enable_hash {
-                let child = best_plan(ctx, *input, &SortOrder::empty())?;
-                let b_in = ctx.stats[*input].blocks(ctx.params.block_size);
-                let mut cost = child.cost + ctx.params.hash_io * ctx.stats[*input].rows;
-                if b_in > ctx.params.sort_mem_blocks {
-                    cost += 2.0 * b_in;
-                }
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::HashDistinct,
-                    schema: ctx.schemas[id].clone(),
-                    out_order: SortOrder::empty(),
-                    cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-        }
-        LogicalOp::Limit { input, k } => {
-            // Order-preserving; the requirement flows through. A fully
-            // pipelined child would let LIMIT terminate early, but costing
-            // partial evaluation is out of scope — we keep the child's cost.
-            for goal in child_goals(ctx, *input, required) {
-                let child = best_plan(ctx, *input, &goal)?;
-                out.push(Arc::new(PhysNode {
-                    op: PhysOp::Limit { k: *k },
-                    schema: child.schema.clone(),
-                    out_order: child.out_order.clone(),
-                    cost: child.cost,
-                    rows: stats.rows,
-                    logical: id,
-                    children: vec![child],
-                }));
-            }
-        }
+                PhysOp::ClusteredIndexScan { table, alias }
+            };
+            return Ok((op, self.schemas[id].clone()));
+        };
+        let handle = self.catalog.table(&table)?;
+        let meta = &handle.meta;
+        let idx = &meta.indexes[index];
+        let schema = Schema::new(
+            idx.entry_columns()
+                .iter()
+                .map(|c| {
+                    let i = meta.schema.index_of(c)?;
+                    Ok(Column::new(
+                        format!("{alias}.{c}"),
+                        meta.schema.column(i).ty,
+                    ))
+                })
+                .collect::<Result<Vec<_>>>()?,
+        );
+        let index = idx.name.clone();
+        Ok((
+            PhysOp::CoveringIndexScan {
+                table,
+                alias,
+                index,
+            },
+            schema,
+        ))
     }
-    Ok(out)
 }
 
-/// Goals worth trying for an order-preserving unary operator's child: the
-/// requirement itself, nothing, and each favorable order of the child
-/// (whose prefix a partial-sort enforcer above can exploit).
-fn child_goals(ctx: &Ctx, child: NodeId, required: &SortOrder) -> Vec<SortOrder> {
-    let mut goals = vec![SortOrder::empty()];
-    if !required.is_empty() {
-        goals.push(required.clone());
-    }
-    for o in &ctx.afm[child] {
-        goals.push(o.clone());
-    }
-    // Dedup under rep-normalization.
-    let mut seen = std::collections::HashSet::new();
-    goals.retain(|g| seen.insert(ctx.memo_key(child, g)));
-    goals
-}
-
-/// Column names a projection passes through unchanged; an order survives
-/// the projection up to its first dropped column.
-pub(crate) fn project_kept(items: &[ProjItem]) -> AttrSet {
-    items
-        .iter()
-        .filter(|it| matches!(&it.expr, NExpr::Col(c) if c == &it.name))
-        .map(|it| it.name.clone())
-        .collect()
-}
-
-/// The merge-join goal pairs `(left goal, right goal)` for join `id` —
-/// one per candidate interesting order, with each representative mapped
-/// back to concrete pair columns so the goals resolve on both sides.
-fn join_merge_goals(
-    ctx: &Ctx,
-    id: NodeId,
-    left: NodeId,
-    right: NodeId,
-    pairs: &[JoinPair],
-    required: &SortOrder,
-) -> Vec<(SortOrder, SortOrder)> {
-    let s: AttrSet = pairs
-        .iter()
-        .map(|p| ctx.equiv.rep(&p.left).to_string())
-        .collect();
-    // Favorable prefixes: afm(el, S) ∪ afm(er, S) ∪ {o ∧ S}.
-    let mut prefixes: Vec<SortOrder> = ctx.afm[left]
-        .iter()
-        .chain(ctx.afm[right].iter())
-        .map(|o| lcp_with_set_equiv(o, &s, &ctx.equiv))
-        .filter(|o| !o.is_empty())
-        .collect();
-    let req_prefix = lcp_with_set_equiv(required, &s, &ctx.equiv);
-    if !req_prefix.is_empty() {
-        prefixes.push(req_prefix);
-    }
-    prefixes.sort();
-    prefixes.dedup();
-    let orders = match ctx.forced.get(&id) {
-        Some(o) => vec![o.clone()],
-        None => ctx.strategy.candidate_orders(&s, &prefixes),
-    };
-    // Map each representative attribute back to the concrete pair
-    // columns: goals are then guaranteed to resolve on both sides.
-    let rep_to_pair: HashMap<&str, &JoinPair> = pairs
-        .iter()
-        .map(|pr| (ctx.equiv.rep(&pr.left), pr))
-        .collect();
-    let mut out = Vec::with_capacity(orders.len());
-    for p in orders {
-        let mut l_attrs = Vec::with_capacity(p.len());
-        let mut r_attrs = Vec::with_capacity(p.len());
-        let mut ok = true;
-        for a in p.attrs() {
-            match rep_to_pair.get(a.as_str()) {
-                Some(pair) => {
-                    l_attrs.push(pair.left.clone());
-                    r_attrs.push(pair.right.clone());
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            out.push((SortOrder::new(l_attrs), SortOrder::new(r_attrs)));
-        }
-    }
+/// Sorted, deduplicated, non-empty favorable prefixes.
+fn distinct_prefixes(prefixes: impl Iterator<Item = IdOrder>) -> Vec<IdOrder> {
+    let mut out: Vec<IdOrder> = prefixes.filter(|o| !o.is_empty()).collect();
+    out.sort();
+    out.dedup();
     out
 }
 
-/// The candidate input orders for a sort-based grouping operator (sort
-/// aggregate / sort distinct) over grouping set `l` — favorable orders and
-/// the requirement projected into the grouping columns, expanded by the
-/// strategy.
-fn grouping_goal_orders(
-    ctx: &Ctx,
-    input: NodeId,
-    l: &AttrSet,
-    required: &SortOrder,
-) -> Vec<SortOrder> {
-    let mut prefixes: Vec<SortOrder> = ctx.afm[input]
-        .iter()
-        .map(|o| project_order_to_names(o, l, &ctx.equiv))
-        .filter(|o| !o.is_empty())
-        .collect();
-    let req_prefix = project_order_to_names(required, l, &ctx.equiv);
-    if !req_prefix.is_empty() {
-        prefixes.push(req_prefix);
+/// A search candidate: one physical alternative for a logical node, over
+/// ids. Its operator's payload stays in the logical plan until the winning
+/// tree is rendered.
+pub(crate) struct Cand {
+    pub alt: Alt,
+    /// Guaranteed output order.
+    pub out_order: IdOrder,
+    /// Cumulative estimated cost.
+    pub cost: f64,
+    /// Estimated output rows.
+    pub rows: f64,
+    /// The logical node implemented (an enforcer's: the node it re-orders).
+    pub logical: NodeId,
+    pub children: Vec<Arc<Cand>>,
+}
+
+/// Which physical operator a candidate is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Alt {
+    /// A scan along the node's `i`-th access path.
+    Scan(usize),
+    /// The operator's one implementation: filter, projection, limit.
+    Direct,
+    /// Sort-based, over the candidate's output order: merge join, sort
+    /// aggregate, sort distinct.
+    Sorted,
+    /// Hash-based: hash join building on the given side, hash aggregate,
+    /// hash distinct (where the side means nothing).
+    Hashed(Side),
+    /// Nested-loops join.
+    NestedLoops,
+    /// A sort enforcer to the candidate's output order, partial when the
+    /// given number of leading attributes is already ordered.
+    Enforce(usize),
+}
+
+/// One goal-directed search over a statement's [`Ctx`]. The merge-join
+/// orders it pins (phase 2 applies its reworked orders this way), its memo
+/// and its accounting are its own.
+struct Search<'c, 'a> {
+    ctx: &'c Ctx<'a>,
+    forced: HashMap<NodeId, IdOrder>,
+    /// Goal (node, rep-normalized required order) → best candidate.
+    memo: HashMap<(NodeId, IdOrder), Arc<Cand>>,
+    stats: SearchStats,
+}
+
+impl<'c, 'a> Search<'c, 'a> {
+    /// Searches from `(root, ε)` with the merge-join orders in `forced`
+    /// pinned: the best plan and the search's accounting.
+    fn run(ctx: &'c Ctx<'a>, forced: HashMap<NodeId, IdOrder>) -> Result<(Arc<Cand>, SearchStats)> {
+        let mut search = Search {
+            ctx,
+            forced,
+            memo: HashMap::new(),
+            stats: SearchStats::default(),
+        };
+        let best = search.best_plan(ctx.plan.root(), &IdOrder::empty())?;
+        Ok((best, search.stats))
     }
-    prefixes.sort();
-    prefixes.dedup();
-    ctx.strategy.candidate_orders(l, &prefixes)
+
+    /// The memoized goal solver: cheapest plan for `(id, required)`.
+    fn best_plan(&mut self, id: NodeId, required: &IdOrder) -> Result<Arc<Cand>> {
+        let key = (id, self.ctx.normalized(required));
+        if let Some(hit) = self.memo.get(&key) {
+            return Ok(hit.clone());
+        }
+        let candidates = self.gen_candidates(id, required)?;
+        self.stats.groups += 1;
+        self.stats.candidates += candidates.len() as u64;
+        let mut best: Option<Arc<Cand>> = None;
+        for cand in candidates {
+            let finished = self.ctx.enforce(id, cand, required);
+            if best.as_ref().is_none_or(|b| finished.cost < b.cost) {
+                best = Some(finished);
+            }
+        }
+        let best = best.ok_or_else(|| {
+            PyroError::Plan(format!(
+                "no physical plan for node {id} with order {}",
+                self.ctx.names.names_of(required)
+            ))
+        })?;
+        self.memo.insert(key, best.clone());
+        Ok(best)
+    }
+
+    /// Enumerates the physical alternatives for one logical node.
+    fn gen_candidates(&mut self, id: NodeId, required: &IdOrder) -> Result<Vec<Arc<Cand>>> {
+        let ctx = self.ctx;
+        let (rows, params) = (ctx.stats[id].rows, &ctx.params);
+        let mut out: Vec<Arc<Cand>> = Vec::new();
+        match &ctx.nodes[id] {
+            Node::Scan { paths, .. } => {
+                for (i, path) in paths.iter().enumerate() {
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Scan(i),
+                        out_order: path.order.clone(),
+                        cost: path.blocks,
+                        rows,
+                        logical: id,
+                        children: vec![],
+                    }));
+                }
+            }
+            Node::Filter { input, pinned } => {
+                for goal in ctx.child_goals(*input, required) {
+                    let child = self.best_plan(*input, &goal)?;
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Direct,
+                        out_order: child.out_order.clone(),
+                        cost: child.cost + params.tuple_io * ctx.stats[*input].rows,
+                        rows,
+                        logical: id,
+                        children: vec![child],
+                    }));
+                }
+                // A filter directly over a sorted-file scan compiles to a
+                // binary-searched page range when the predicate pins an
+                // equality prefix of the scan's order (the filter stays as
+                // the residual — see `compile::compile_filter_child`). Offer
+                // each access path again with the seek discount, so a
+                // selective point predicate can pick the path it seeks on
+                // even when that path loses on a full scan — typically the
+                // covering index beating the clustered heap.
+                if let Node::Scan { paths, .. } = &ctx.nodes[*input] {
+                    let in_stats = &ctx.stats[*input];
+                    for (i, path) in paths.iter().enumerate() {
+                        let k = eq_prefix_len(pinned, path.order.attrs());
+                        if k == 0 {
+                            continue;
+                        }
+                        let sel = (1.0
+                            / in_stats.distinct_of(path.order.attrs()[..k].iter().copied()))
+                        .min(1.0);
+                        // O(log P) opening-tuple probes, then the surviving pages.
+                        let probes = path.blocks.max(2.0).log2().ceil();
+                        let seek_cost = (path.blocks * sel + probes).max(1.0);
+                        if seek_cost >= path.blocks {
+                            continue; // the discount doesn't pay for the probes
+                        }
+                        let rows_in = (in_stats.rows * sel).max(1.0);
+                        let bounded = Arc::new(Cand {
+                            alt: Alt::Scan(i),
+                            out_order: path.order.clone(),
+                            cost: seek_cost,
+                            rows: rows_in,
+                            logical: *input,
+                            children: vec![],
+                        });
+                        out.push(Arc::new(Cand {
+                            alt: Alt::Direct,
+                            out_order: path.order.clone(),
+                            cost: seek_cost + params.tuple_io * rows_in,
+                            rows,
+                            logical: id,
+                            children: vec![bounded],
+                        }));
+                    }
+                }
+            }
+            Node::Project { input, kept } => {
+                // Pass-through columns survive the projection; an order is
+                // preserved up to its first dropped column.
+                for goal in ctx.child_goals(*input, &required.lcp_with_set(kept)) {
+                    let child = self.best_plan(*input, &goal)?;
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Direct,
+                        out_order: child.out_order.lcp_with_set(kept),
+                        cost: child.cost + params.tuple_io * ctx.stats[*input].rows,
+                        rows,
+                        logical: id,
+                        children: vec![child],
+                    }));
+                }
+            }
+            Node::Join {
+                left,
+                right,
+                kind,
+                pairs,
+                reps,
+            } => {
+                let (left, right) = (*left, *right);
+                let (l_stats, r_stats) = (&ctx.stats[left], &ctx.stats[right]);
+                for (l_goal, r_goal) in
+                    self.join_merge_goals(id, left, right, pairs, reps, required)
+                {
+                    let lchild = self.best_plan(left, &l_goal)?;
+                    let rchild = self.best_plan(right, &r_goal)?;
+                    let cost =
+                        lchild.cost + rchild.cost + params.tuple_io * (l_stats.rows + r_stats.rows);
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Sorted,
+                        out_order: l_goal,
+                        cost,
+                        rows,
+                        logical: id,
+                        children: vec![lchild, rchild],
+                    }));
+                }
+                // Full outer joins are merge-only: none of the systems the
+                // paper measured implemented hash (or nested-loops) full
+                // outer joins — SYS2 had to rewrite FO joins as a union of
+                // two left outer joins — and the coordinated-order findings
+                // of Experiment B2 rest on that reality.
+                if !self.forced.contains_key(&id)
+                    && ctx.enable_hash
+                    && !matches!(kind, JoinKind::FullOuter)
+                {
+                    let lchild = self.best_plan(left, &IdOrder::empty())?;
+                    let rchild = self.best_plan(right, &IdOrder::empty())?;
+                    let (bl, br) = (
+                        l_stats.blocks(params.block_size),
+                        r_stats.blocks(params.block_size),
+                    );
+                    let inputs = lchild.cost + rchild.cost;
+                    let hash_cost = inputs + params.hash_io * (l_stats.rows + r_stats.rows);
+                    // Hash join, one candidate per build side. `best_plan`
+                    // keeps the first of equally cheap candidates, so the
+                    // side offered first is the tie-break: the smaller
+                    // input, else the written (left) one. The outer variants
+                    // build on the side they preserve.
+                    let sides: &[Side] = match kind {
+                        JoinKind::Inner if br < bl => &[Side::Right, Side::Left],
+                        JoinKind::Inner => &[Side::Left, Side::Right],
+                        _ => &[Side::Left],
+                    };
+                    for &build in sides {
+                        let (build_blocks, probe) = match build {
+                            Side::Left => (bl, &rchild),
+                            Side::Right => (br, &lchild),
+                        };
+                        // Against an in-memory table the probe child
+                        // streams through, each row followed by its matches:
+                        // an inner join hands the probe order on, like
+                        // nested loops. A table over the budget is grace
+                        // partitioned — a round trip of both inputs, which
+                        // scatters the probe order — and an outer join ends
+                        // on its unmatched build rows.
+                        let in_memory = build_blocks <= params.sort_mem_blocks;
+                        let (cost, out_order) = match (in_memory, kind) {
+                            (true, JoinKind::Inner) => (hash_cost, probe.out_order.clone()),
+                            (true, _) => (hash_cost, IdOrder::empty()),
+                            (false, _) => (hash_cost + 2.0 * (bl + br), IdOrder::empty()),
+                        };
+                        out.push(Arc::new(Cand {
+                            alt: Alt::Hashed(build),
+                            out_order,
+                            cost,
+                            rows,
+                            logical: id,
+                            children: vec![lchild.clone(), rchild.clone()],
+                        }));
+                    }
+                    // Nested loops: propagates the outer (left) order — the
+                    // property afm rule 4 relies on.
+                    let nl_cost = inputs + params.cmp_io * l_stats.rows * r_stats.rows;
+                    out.push(Arc::new(Cand {
+                        alt: Alt::NestedLoops,
+                        out_order: lchild.out_order.clone(),
+                        cost: nl_cost,
+                        rows,
+                        logical: id,
+                        children: vec![lchild, rchild],
+                    }));
+                }
+            }
+            // A sort aggregate over grouping set `cols`, or a DISTINCT over
+            // all columns: any permutation of `cols` works for the streaming
+            // implementation — the same factorial space as merge joins
+            // (paper §1).
+            Node::Aggregate { input, group: cols } | Node::Distinct { input, cols } => {
+                let in_stats = &ctx.stats[*input];
+                for q in ctx.grouping_goal_orders(*input, cols, required) {
+                    let child = self.best_plan(*input, &q)?;
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Sorted,
+                        out_order: q,
+                        cost: child.cost + params.tuple_io * in_stats.rows,
+                        rows,
+                        logical: id,
+                        children: vec![child],
+                    }));
+                }
+                if ctx.enable_hash {
+                    let child = self.best_plan(*input, &IdOrder::empty())?;
+                    let b_in = in_stats.blocks(params.block_size);
+                    let mut cost = child.cost + params.hash_io * in_stats.rows;
+                    if b_in > params.sort_mem_blocks {
+                        cost += 2.0 * b_in;
+                    }
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Hashed(Side::Left),
+                        out_order: IdOrder::empty(),
+                        cost,
+                        rows,
+                        logical: id,
+                        children: vec![child],
+                    }));
+                }
+            }
+            Node::Sort { input, order } => {
+                // The ORDER BY is itself a goal: delegate to the child with
+                // the target order; enforcement happens inside `best_plan`.
+                out.push(self.best_plan(*input, order)?);
+            }
+            Node::Limit { input } => {
+                // Order-preserving; the requirement flows through. A fully
+                // pipelined child would let LIMIT terminate early, but
+                // costing partial evaluation is out of scope — we keep the
+                // child's cost.
+                for goal in ctx.child_goals(*input, required) {
+                    let child = self.best_plan(*input, &goal)?;
+                    out.push(Arc::new(Cand {
+                        alt: Alt::Direct,
+                        out_order: child.out_order.clone(),
+                        cost: child.cost,
+                        rows,
+                        logical: id,
+                        children: vec![child],
+                    }));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The merge-join goal pairs `(left goal, right goal)` for join `id`
+    /// over join attribute set `s` — one per candidate interesting order,
+    /// with each representative mapped back to concrete pair columns so the
+    /// goals resolve on both sides.
+    fn join_merge_goals(
+        &self,
+        id: NodeId,
+        left: NodeId,
+        right: NodeId,
+        pairs: &[(AttrId, AttrId)],
+        s: &IdSet,
+        required: &IdOrder,
+    ) -> Vec<(IdOrder, IdOrder)> {
+        let ctx = self.ctx;
+        // Favorable prefixes: afm(el, S) ∪ afm(er, S) ∪ {o ∧ S}.
+        let prefixes = ctx.afm[left]
+            .iter()
+            .chain(&ctx.afm[right])
+            .chain([required])
+            .map(|o| lcp_with_set_equiv(o, s, &ctx.equiv));
+        let orders = match self.forced.get(&id) {
+            Some(o) => vec![o.clone()],
+            None => ctx
+                .strategy
+                .candidate_orders(s, &distinct_prefixes(prefixes)),
+        };
+        // Each representative resolves to the last pair written in its
+        // class.
+        let pair_of = |rep: AttrId| {
+            pairs
+                .iter()
+                .rev()
+                .find(|&&(l, _)| ctx.equiv.rep(l) == rep)
+                .copied()
+        };
+        orders
+            .iter()
+            .filter_map(|p| {
+                let resolved: Option<Vec<(AttrId, AttrId)>> =
+                    p.attrs().iter().map(|&a| pair_of(a)).collect();
+                resolved.map(|lr| {
+                    (
+                        IdOrder::new(lr.iter().map(|&(l, _)| l)),
+                        IdOrder::new(lr.iter().map(|&(_, r)| r)),
+                    )
+                })
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::JoinPair;
+    use crate::logical::{JoinPair, NExpr};
     use pyro_common::{Tuple, Value};
+    use pyro_ordering::SortOrder;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();

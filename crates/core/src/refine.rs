@@ -9,32 +9,28 @@
 //! keeps the refined plan only if it costs less.
 
 use crate::favorable::lcp_with_set_equiv;
-use crate::logical::{LogicalOp, NodeId};
-use crate::optimizer::Ctx;
-use crate::plan::{PhysNode, PhysOp};
-use pyro_ordering::{two_approx_tree_order, AttrSet, JoinTree, SortOrder};
+use crate::ids::{IdOrder, IdSet, Node};
+use crate::logical::NodeId;
+use crate::optimizer::{Alt, Cand, Ctx};
+use pyro_ordering::{two_approx_tree_order, JoinTree};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One merge join discovered in the physical plan.
 struct MjInfo {
     logical: NodeId,
-    /// Chosen order in representative names.
-    order_reps: SortOrder,
+    /// Chosen order in representatives.
+    order_reps: IdOrder,
     /// Fixed prefix (longest common prefix with any input favorable order).
-    fixed: SortOrder,
-    /// Free attributes (representative names).
-    free: AttrSet,
+    fixed: IdOrder,
+    /// Free attributes (representatives).
+    free: IdSet,
     /// Logical id of the nearest merge-join ancestor, if any.
     parent: Option<NodeId>,
 }
 
 /// Phase-2 on `best`: the merge-join orders to pin for the re-search, or
 /// `None` when there is nothing to coordinate.
-pub(crate) fn reworked_orders(
-    ctx: &Ctx,
-    best: &Arc<PhysNode>,
-) -> Option<HashMap<NodeId, SortOrder>> {
+pub(crate) fn reworked_orders(ctx: &Ctx, best: &Cand) -> Option<HashMap<NodeId, IdOrder>> {
     let mut joins: Vec<MjInfo> = Vec::new();
     collect_mjs(ctx, best, None, &mut joins);
     // Fewer than two merge joins, or no free attributes at all.
@@ -73,7 +69,7 @@ pub(crate) fn reworked_orders(
 
     let solution = two_approx_tree_order(&tree);
     // New order per refined join: fixed prefix + reworked free attributes.
-    let mut forced: HashMap<NodeId, SortOrder> = HashMap::new();
+    let mut forced: HashMap<NodeId, IdOrder> = HashMap::new();
     for j in &joins {
         if let Some(&tid) = tree_ids.get(&j.logical) {
             let reworked = j.fixed.concat(&solution.orders[tid]);
@@ -86,47 +82,40 @@ pub(crate) fn reworked_orders(
     (!forced.is_empty()).then_some(forced)
 }
 
-/// Walks the physical tree recording merge joins and their nearest
+/// Walks the candidate tree recording merge joins and their nearest
 /// merge-join ancestor.
-fn collect_mjs(ctx: &Ctx, node: &Arc<PhysNode>, parent_mj: Option<NodeId>, out: &mut Vec<MjInfo>) {
-    let this_parent = if let PhysOp::MergeJoin { order, .. } = &node.op {
-        let logical = node.logical;
-        if let LogicalOp::Join {
-            left, right, pairs, ..
-        } = ctx.plan.node(logical)
-        {
-            let s: AttrSet = pairs
-                .iter()
-                .map(|p| ctx.equiv.rep(&p.left).to_string())
-                .collect();
-            let order_reps = order.rename(|a| ctx.equiv.rep(a).to_string());
+fn collect_mjs(ctx: &Ctx, node: &Cand, parent_mj: Option<NodeId>, out: &mut Vec<MjInfo>) {
+    let this_parent = match (node.alt, &ctx.nodes[node.logical]) {
+        (
+            Alt::Sorted,
+            Node::Join {
+                left, right, reps, ..
+            },
+        ) => {
+            let order_reps = node.out_order.map(|&a| ctx.equiv.rep(a));
             // qi: input favorable order sharing the longest prefix with pi.
             let fixed = ctx.afm[*left]
                 .iter()
-                .chain(ctx.afm[*right].iter())
-                .map(|q| {
-                    let q_reps = lcp_with_set_equiv(q, &s, &ctx.equiv);
-                    order_reps.lcp(&q_reps)
-                })
-                .max_by_key(SortOrder::len)
+                .chain(&ctx.afm[*right])
+                .map(|q| order_reps.lcp(&lcp_with_set_equiv(q, reps, &ctx.equiv)))
+                .max_by_key(IdOrder::len)
                 .unwrap_or_default();
-            let free: AttrSet = order_reps
+            let free: IdSet = order_reps
                 .attrs()
                 .iter()
                 .filter(|a| !fixed.attrs().contains(a))
-                .cloned()
+                .copied()
                 .collect();
             out.push(MjInfo {
-                logical,
+                logical: node.logical,
                 order_reps,
                 fixed,
                 free,
                 parent: parent_mj,
             });
+            Some(node.logical)
         }
-        Some(node.logical)
-    } else {
-        parent_mj
+        _ => parent_mj,
     };
     for c in &node.children {
         collect_mjs(ctx, c, this_parent, out);
@@ -135,13 +124,14 @@ fn collect_mjs(ctx: &Ctx, node: &Arc<PhysNode>, parent_mj: Option<NodeId>, out: 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::logical::{JoinPair, LogicalPlan};
     use crate::optimizer::Optimizer;
+    use crate::plan::PhysOp;
     use crate::strategy::Strategy;
     use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};
     use pyro_exec::join::JoinKind;
+    use pyro_ordering::SortOrder;
 
     /// Query-4 shaped setup: three identical unindexed tables, two
     /// full-outer joins sharing attributes c4, c5.

@@ -8,10 +8,11 @@
 //! claim an equality that isn't one — not complete: a missed conjunct
 //! merely scans more pages.
 //!
-//! The optimizer uses [`eq_prefix_len`] to discount access paths the
-//! predicate can seek on (parameter values are unknown at planning time but
-//! are known to be *some* constant); the compiler uses [`eq_prefix_values`]
-//! with the bound parameters to compute the actual search key.
+//! The optimizer uses [`pinned_columns`] and [`eq_prefix_len`] to discount
+//! access paths the predicate can seek on (parameter values are unknown at
+//! planning time but are known to be *some* constant); the compiler uses
+//! [`eq_prefix_values`] with the bound parameters to compute the actual
+//! search key.
 
 use crate::logical::NExpr;
 use pyro_common::Value;
@@ -35,16 +36,16 @@ fn eq_conjuncts<'a>(pred: &'a NExpr, out: &mut Vec<(&'a str, &'a NExpr)>) {
     }
 }
 
-/// Number of leading attributes of `order` the predicate pins by equality
-/// to a literal or parameter.
-pub(crate) fn eq_prefix_len(pred: &NExpr, order: &SortOrder) -> usize {
+/// The columns the predicate pins by equality to a literal or parameter.
+pub(crate) fn pinned_columns(pred: &NExpr) -> Vec<&str> {
     let mut eqs = Vec::new();
     eq_conjuncts(pred, &mut eqs);
-    order
-        .attrs()
-        .iter()
-        .take_while(|a| eqs.iter().any(|(c, _)| *c == a.as_str()))
-        .count()
+    eqs.into_iter().map(|(c, _)| c).collect()
+}
+
+/// Number of leading attributes of `order` among the `pinned` columns.
+pub(crate) fn eq_prefix_len<A: PartialEq>(pinned: &[A], order: &[A]) -> usize {
+    order.iter().take_while(|a| pinned.contains(a)).count()
 }
 
 /// The pinned constants for the longest equality prefix of `order`, with
@@ -82,6 +83,11 @@ mod tests {
         SortOrder::new(["t.a", "t.b", "t.c"])
     }
 
+    fn eq_prefix(pred: &NExpr) -> usize {
+        let pinned: Vec<String> = pinned_columns(pred).into_iter().map(String::from).collect();
+        eq_prefix_len(&pinned, order().attrs())
+    }
+
     #[test]
     fn literal_prefix_both_operand_orders() {
         let p = NExpr::And(vec![
@@ -92,7 +98,7 @@ mod tests {
             ),
             NExpr::col_eq_lit("t.a", 1i64),
         ]);
-        assert_eq!(eq_prefix_len(&p, &order()), 2);
+        assert_eq!(eq_prefix(&p), 2);
         assert_eq!(
             eq_prefix_values(&p, &order(), &[]),
             vec![Value::Int(1), Value::Int(2)]
@@ -106,7 +112,7 @@ mod tests {
             NExpr::col_eq_lit("t.a", 1i64),
             NExpr::col_eq_lit("t.c", 3i64),
         ]);
-        assert_eq!(eq_prefix_len(&p, &order()), 1);
+        assert_eq!(eq_prefix(&p), 1);
         assert_eq!(eq_prefix_values(&p, &order(), &[]), vec![Value::Int(1)]);
     }
 
@@ -117,13 +123,13 @@ mod tests {
             Box::new(NExpr::Col("t.a".into())),
             Box::new(NExpr::Lit(Value::Int(5))),
         );
-        assert_eq!(eq_prefix_len(&range, &order()), 0);
+        assert_eq!(eq_prefix(&range), 0);
         let col_col = NExpr::Cmp(
             CmpOp::Eq,
             Box::new(NExpr::Col("t.a".into())),
             Box::new(NExpr::Col("t.b".into())),
         );
-        assert_eq!(eq_prefix_len(&col_col, &order()), 0);
+        assert_eq!(eq_prefix(&col_col), 0);
         assert!(eq_prefix_values(&col_col, &order(), &[]).is_empty());
     }
 
@@ -137,7 +143,7 @@ mod tests {
                 Box::new(NExpr::Param(0)),
             ),
         ]);
-        assert_eq!(eq_prefix_len(&p, &order()), 2);
+        assert_eq!(eq_prefix(&p), 2);
         assert_eq!(
             eq_prefix_values(&p, &order(), &[Value::Int(9)]),
             vec![Value::Int(7), Value::Int(9)]

@@ -1,10 +1,10 @@
 //! Logical-node statistics: `N(e)`, `B(e)`, `D(e, s)` derived bottom-up.
 
+use crate::ids::{AttrId, Names};
 use crate::logical::{LogicalOp, LogicalPlan, NExpr, NodeId};
 use pyro_catalog::Catalog;
-use pyro_common::Result;
+use pyro_common::{Result, Schema};
 use pyro_exec::CmpOp;
-use std::collections::HashMap;
 
 /// Estimated statistics for one logical node's output.
 #[derive(Debug, Clone, Default)]
@@ -13,8 +13,9 @@ pub struct NodeStats {
     pub rows: f64,
     /// Average tuple width in bytes.
     pub avg_bytes: f64,
-    /// Per-column distinct estimates (qualified names).
-    pub distinct: HashMap<String, f64>,
+    /// Per-attribute distinct estimates, indexed by [`AttrId`]; `None` for
+    /// an attribute the node has no estimate for.
+    pub distinct: Vec<Option<f64>>,
 }
 
 impl NodeStats {
@@ -23,13 +24,18 @@ impl NodeStats {
         (self.rows * self.avg_bytes / block_size as f64).max(1.0)
     }
 
+    /// The distinct estimate of one attribute, if the node has one.
+    pub fn get(&self, a: AttrId) -> Option<f64> {
+        self.distinct[a.index()]
+    }
+
     /// `D(e, s)` for an attribute list under independence, capped by `N`.
-    pub fn distinct_of<'a>(&self, attrs: impl IntoIterator<Item = &'a str>) -> f64 {
+    pub fn distinct_of(&self, attrs: impl IntoIterator<Item = AttrId>) -> f64 {
         let mut prod = 1.0f64;
         let mut any = false;
         for a in attrs {
             any = true;
-            prod *= self.distinct.get(a).copied().unwrap_or(self.rows.max(1.0));
+            prod *= self.get(a).unwrap_or(self.rows.max(1.0));
             if prod >= self.rows {
                 return self.rows.max(1.0);
             }
@@ -39,6 +45,13 @@ impl NodeStats {
         }
         prod.clamp(1.0, self.rows.max(1.0))
     }
+
+    /// The attributes with an estimate, in id order.
+    fn known(&self) -> impl Iterator<Item = AttrId> + '_ {
+        (0..self.distinct.len() as u32)
+            .map(AttrId)
+            .filter(|&a| self.get(a).is_some())
+    }
 }
 
 /// Default equality selectivity when the column is unknown.
@@ -46,11 +59,18 @@ const DEFAULT_EQ_SEL: f64 = 0.1;
 /// Selectivity of range comparisons.
 const RANGE_SEL: f64 = 1.0 / 3.0;
 
-/// Derives stats for all nodes of a logical plan.
-pub fn derive_stats(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<NodeStats>> {
-    let mut out: Vec<NodeStats> = vec![NodeStats::default(); plan.len()];
+/// Derives stats for all nodes of a logical plan, given every node's schema
+/// and the statement's names.
+pub fn derive_stats(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    schemas: &[Schema],
+    names: &Names,
+) -> Result<Vec<NodeStats>> {
+    let mut out: Vec<NodeStats> = Vec::with_capacity(plan.len());
     for id in 0..plan.len() {
-        out[id] = node_stats(plan, id, catalog, &out)?;
+        let stats = node_stats(plan, id, catalog, schemas, names, &out)?;
+        out.push(stats);
     }
     Ok(out)
 }
@@ -59,18 +79,25 @@ fn node_stats(
     plan: &LogicalPlan,
     id: NodeId,
     catalog: &Catalog,
+    schemas: &[Schema],
+    names: &Names,
     done: &[NodeStats],
 ) -> Result<NodeStats> {
+    let unknown = || vec![None; names.len()];
     Ok(match plan.node(id) {
-        LogicalOp::Scan { table, alias } => {
+        LogicalOp::Scan { table, .. } => {
             let handle = catalog.table(table)?;
             let stats = &handle.meta.stats;
-            let mut distinct = HashMap::new();
-            for col in handle.meta.schema.columns() {
-                distinct.insert(
-                    format!("{alias}.{}", col.name),
-                    stats.distinct(&col.name) as f64,
-                );
+            let mut distinct = unknown();
+            // The scan's schema is the table's, qualified, column by column.
+            for (col, out) in handle
+                .meta
+                .schema
+                .columns()
+                .iter()
+                .zip(schemas[id].columns())
+            {
+                distinct[names.id(&out.name).index()] = Some(stats.distinct(&col.name) as f64);
             }
             NodeStats {
                 rows: stats.row_count as f64,
@@ -80,21 +107,21 @@ fn node_stats(
         }
         LogicalOp::Filter { input, predicate } => {
             let inner = &done[*input];
-            let sel = selectivity(predicate, inner);
+            let sel = selectivity(predicate, inner, names);
             scale(inner, sel)
         }
         LogicalOp::Project { input, items } => {
             let inner = &done[*input];
-            let mut distinct = HashMap::new();
+            let mut distinct = unknown();
             for it in items {
                 if let NExpr::Col(c) = &it.expr {
-                    if let Some(d) = inner.distinct.get(c) {
-                        distinct.insert(it.name.clone(), *d);
+                    if let Some(d) = inner.get(names.id(c)) {
+                        distinct[names.id(&it.name).index()] = Some(d);
                     }
                 }
             }
             // Width estimate: proportional share of the input width, floor 8.
-            let frac = items.len() as f64 / (inner.distinct.len().max(items.len()).max(1)) as f64;
+            let frac = items.len() as f64 / (inner.known().count().max(items.len()).max(1)) as f64;
             NodeStats {
                 rows: inner.rows,
                 avg_bytes: (inner.avg_bytes * frac).max(8.0),
@@ -118,8 +145,8 @@ fn node_stats(
             let mut factors: Vec<f64> = pairs
                 .iter()
                 .map(|p| {
-                    let dl = l.distinct.get(&p.left).copied().unwrap_or(l.rows.max(1.0));
-                    let dr = r.distinct.get(&p.right).copied().unwrap_or(r.rows.max(1.0));
+                    let dl = l.get(names.id(&p.left)).unwrap_or(l.rows.max(1.0));
+                    let dr = r.get(names.id(&p.right)).unwrap_or(r.rows.max(1.0));
                     dl.max(dr).max(1.0)
                 })
                 .collect();
@@ -135,15 +162,15 @@ fn node_stats(
                 // Outer joins keep unmatched rows as well.
                 rows = rows.max(l.rows).max(r.rows);
             }
-            let mut distinct = l.distinct.clone();
-            distinct.extend(r.distinct.iter().map(|(k, v)| (k.clone(), *v)));
-            for d in distinct.values_mut() {
-                *d = d.min(rows);
-            }
             NodeStats {
                 rows,
                 avg_bytes: l.avg_bytes + r.avg_bytes,
-                distinct,
+                distinct: l
+                    .distinct
+                    .iter()
+                    .zip(&r.distinct)
+                    .map(|(dl, dr)| dr.or(*dl).map(|d| d.min(rows)))
+                    .collect(),
             }
         }
         LogicalOp::Aggregate {
@@ -152,16 +179,14 @@ fn node_stats(
             aggs,
         } => {
             let inner = &done[*input];
-            let groups = inner.distinct_of(group_by.iter().map(String::as_str));
-            let mut distinct = HashMap::new();
-            for g in group_by {
-                distinct.insert(
-                    g.clone(),
-                    inner.distinct.get(g).copied().unwrap_or(groups).min(groups),
-                );
+            let group: Vec<AttrId> = group_by.iter().map(|g| names.id(g)).collect();
+            let groups = inner.distinct_of(group.iter().copied());
+            let mut distinct = unknown();
+            for g in group {
+                distinct[g.index()] = Some(inner.get(g).unwrap_or(groups).min(groups));
             }
             for a in aggs {
-                distinct.insert(a.name.clone(), groups);
+                distinct[names.id(&a.name).index()] = Some(groups);
             }
             NodeStats {
                 rows: groups,
@@ -172,8 +197,7 @@ fn node_stats(
         LogicalOp::Sort { input, .. } => done[*input].clone(),
         LogicalOp::Distinct { input } => {
             let inner = &done[*input];
-            let cols: Vec<String> = inner.distinct.keys().cloned().collect();
-            let rows = inner.distinct_of(cols.iter().map(String::as_str));
+            let rows = inner.distinct_of(inner.known());
             scale(inner, rows / inner.rows.max(1.0))
         }
         LogicalOp::Limit { input, k } => {
@@ -185,36 +209,28 @@ fn node_stats(
 
 fn scale(s: &NodeStats, sel: f64) -> NodeStats {
     let rows = (s.rows * sel).max(1.0);
-    let mut distinct = s.distinct.clone();
-    for d in distinct.values_mut() {
-        *d = d.min(rows);
-    }
     NodeStats {
         rows,
         avg_bytes: s.avg_bytes,
-        distinct,
+        distinct: s.distinct.iter().map(|d| d.map(|d| d.min(rows))).collect(),
     }
 }
 
 /// Textbook selectivity estimation.
-fn selectivity(pred: &NExpr, input: &NodeStats) -> f64 {
+fn selectivity(pred: &NExpr, input: &NodeStats, names: &Names) -> f64 {
+    let distinct = |c: &str| input.get(names.id(c));
     match pred {
-        NExpr::And(terms) => terms.iter().map(|t| selectivity(t, input)).product(),
+        NExpr::And(terms) => terms.iter().map(|t| selectivity(t, input, names)).product(),
         NExpr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
             // A parameter placeholder estimates exactly like an unknown
             // literal: the cached plan must be reasonable for any binding.
             (NExpr::Col(c), NExpr::Lit(_) | NExpr::Param(_))
             | (NExpr::Lit(_) | NExpr::Param(_), NExpr::Col(c)) => {
-                1.0 / input
-                    .distinct
-                    .get(c)
-                    .copied()
-                    .unwrap_or(1.0 / DEFAULT_EQ_SEL)
-                    .max(1.0)
+                1.0 / distinct(c).unwrap_or(1.0 / DEFAULT_EQ_SEL).max(1.0)
             }
             (NExpr::Col(c1), NExpr::Col(c2)) => {
-                let d1 = input.distinct.get(c1).copied().unwrap_or(10.0);
-                let d2 = input.distinct.get(c2).copied().unwrap_or(10.0);
+                let d1 = distinct(c1).unwrap_or(10.0);
+                let d2 = distinct(c2).unwrap_or(10.0);
                 1.0 / d1.max(d2).max(1.0)
             }
             _ => DEFAULT_EQ_SEL,
@@ -227,9 +243,18 @@ fn selectivity(pred: &NExpr, input: &NodeStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostParams;
     use crate::logical::JoinPair;
+    use crate::optimizer::Ctx;
+    use crate::strategy::Strategy;
     use pyro_common::{Schema, Tuple, Value};
     use pyro_ordering::SortOrder;
+
+    /// Every node's stats, and the statement's names.
+    fn derive(p: &LogicalPlan, cat: &Catalog) -> (Vec<NodeStats>, Names) {
+        let ctx = Ctx::build(p, cat, Strategy::pyro_o(), CostParams::default(), true).unwrap();
+        (ctx.stats, ctx.names)
+    }
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -253,9 +278,9 @@ mod tests {
         let cat = catalog();
         let mut p = LogicalPlan::new();
         p.scan_as("t", "x");
-        let stats = derive_stats(&p, &cat).unwrap();
+        let (stats, names) = derive(&p, &cat);
         assert_eq!(stats[0].rows, 1000.0);
-        assert_eq!(stats[0].distinct["x.g"], 10.0);
+        assert_eq!(stats[0].get(names.id("x.g")), Some(10.0));
         assert!(stats[0].blocks(4096) >= 1.0);
     }
 
@@ -265,7 +290,7 @@ mod tests {
         let mut p = LogicalPlan::new();
         let s = p.scan_as("t", "x");
         p.filter(s, NExpr::col_eq_lit("x.g", 3i64));
-        let stats = derive_stats(&p, &cat).unwrap();
+        let (stats, _) = derive(&p, &cat);
         assert!(
             (stats[1].rows - 100.0).abs() < 1.0,
             "1000/10 = 100, got {}",
@@ -280,7 +305,7 @@ mod tests {
         let a = p.scan_as("t", "a");
         let b = p.scan_as("t", "b");
         p.join(a, b, vec![JoinPair::new("a.u", "b.u")]);
-        let stats = derive_stats(&p, &cat).unwrap();
+        let (stats, _) = derive(&p, &cat);
         // unique join key: N ≈ 1000
         assert!((stats[2].rows - 1000.0).abs() < 1.0);
     }
@@ -291,7 +316,7 @@ mod tests {
         let mut p = LogicalPlan::new();
         let s = p.scan_as("t", "x");
         p.aggregate(s, vec!["x.g"], vec![]);
-        let stats = derive_stats(&p, &cat).unwrap();
+        let (stats, _) = derive(&p, &cat);
         assert_eq!(stats[1].rows, 10.0);
     }
 
@@ -300,8 +325,11 @@ mod tests {
         let cat = catalog();
         let mut p = LogicalPlan::new();
         p.scan_as("t", "x");
-        let stats = derive_stats(&p, &cat).unwrap();
-        assert_eq!(stats[0].distinct_of(["x.g", "x.u"]), 1000.0);
+        let (stats, names) = derive(&p, &cat);
+        assert_eq!(
+            stats[0].distinct_of([names.id("x.g"), names.id("x.u")]),
+            1000.0
+        );
         assert_eq!(stats[0].distinct_of([]), 1.0);
     }
 }

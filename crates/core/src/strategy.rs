@@ -4,7 +4,7 @@
 //! aggregate), *which permutations of the attribute set* to try as
 //! optimization subgoals, and whether partial-sort enforcers may be used.
 
-use pyro_ordering::{all_permutations, AttrSet, SortOrder};
+use pyro_ordering::{all_permutations, Attr, Order, Set};
 
 /// Which candidate-order generator to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,13 +135,13 @@ impl Strategy {
     /// `favorable_prefixes` are the `afm(input, S)` entries — prefixes of
     /// input favorable orders restricted to `s` — plus the required-order
     /// prefix `o ∧ S`; they are only consulted by the Favorable generator.
-    pub fn candidate_orders(
+    pub fn candidate_orders<A: Attr>(
         &self,
-        s: &AttrSet,
-        favorable_prefixes: &[SortOrder],
-    ) -> Vec<SortOrder> {
+        s: &Set<A>,
+        favorable_prefixes: &[Order<A>],
+    ) -> Vec<Order<A>> {
         if s.is_empty() {
-            return vec![SortOrder::empty()];
+            return vec![Order::empty()];
         }
         match self.kind {
             StrategyKind::Arbitrary => vec![s.arbitrary_order()],
@@ -156,18 +156,18 @@ impl Strategy {
             StrategyKind::Favorable => {
                 // §5.2.1: T(e,o) = favorable prefixes; remove subsumed;
                 // extend each to |S|.
-                let mut t: Vec<SortOrder> = favorable_prefixes.to_vec();
-                t.push(SortOrder::empty()); // always have a fallback
+                let mut t: Vec<Order<A>> = favorable_prefixes.to_vec();
+                t.push(Order::empty()); // always have a fallback
                 t.sort();
                 t.dedup();
                 // Remove o1 if some o2 in T has o1 ≤ o2 (o1 strictly shorter
                 // prefix of o2, or equal-but-duplicate handled by dedup).
-                let kept: Vec<SortOrder> = t
+                let kept: Vec<Order<A>> = t
                     .iter()
                     .filter(|o1| !t.iter().any(|o2| *o1 != o2 && o1.is_prefix_of(o2)))
                     .cloned()
                     .collect();
-                let mut out: Vec<SortOrder> = kept.iter().map(|o| o.extend_with_set(s)).collect();
+                let mut out: Vec<Order<A>> = kept.iter().map(|o| o.extend_with_set(s)).collect();
                 out.sort();
                 out.dedup();
                 out
@@ -185,19 +185,16 @@ impl std::str::FromStr for Strategy {
 }
 
 /// The PostgreSQL heuristic: one order per leading attribute.
-fn postgres_orders(s: &AttrSet) -> Vec<SortOrder> {
+fn postgres_orders<A: Attr>(s: &Set<A>) -> Vec<Order<A>> {
     s.iter()
-        .map(|lead| {
-            let mut rest = s.clone();
-            rest.remove(lead);
-            SortOrder::new([lead.to_string()]).concat(&rest.arbitrary_order())
-        })
+        .map(|lead| Order::new([lead.clone()]).concat(&s.arbitrary_order()))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pyro_ordering::{AttrSet, SortOrder};
 
     fn s(attrs: &[&str]) -> AttrSet {
         AttrSet::from_iter(attrs.iter().copied())

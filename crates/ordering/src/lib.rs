@@ -3,10 +3,12 @@
 //! The sort-order algebra and combinatorial algorithms of
 //! *"Reducing Order Enforcement Cost in Complex Query Plans"* (§4).
 //!
-//! * [`order::SortOrder`] — sequences of attributes with the paper's
-//!   operators: longest common prefix (`o1 ∧ o2`), concatenation (`o1 + o2`),
+//! * [`order::Order`] — sequences of attributes with the paper's operators:
+//!   longest common prefix (`o1 ∧ o2`), concatenation (`o1 + o2`),
 //!   difference (`o1 − o2`), subsumption (`o1 ≤ o2`) and the set-restricted
 //!   prefix (`o ∧ s`).
+//!   Generic over the attribute type: [`SortOrder`] and [`AttrSet`] are the
+//!   instantiation over names, and every algorithm below works on any.
 //! * [`path::path_order`] — the exact dynamic program (`PathOrder`,
 //!   paper Fig. 4) choosing permutations along a path of join nodes that
 //!   maximize the total adjacent longest-common-prefix benefit.
@@ -23,6 +25,6 @@ pub mod path;
 pub mod sumcut;
 pub mod tree;
 
-pub use order::{all_permutations, AttrSet, SortOrder};
+pub use order::{all_permutations, Attr, AttrSet, Order, Set, SortOrder};
 pub use path::{path_order, PathSolution};
 pub use tree::{benefit_of, two_approx_tree_order, JoinTree, TreeSolution};

@@ -11,13 +11,13 @@
 //! prefix for all its nodes and are "paid for" once per internal segment of
 //! the split tree — i.e. once per edge they span.
 
-use crate::order::{AttrSet, SortOrder};
+use crate::order::{Attr, Order, Set};
 
 /// Result of [`path_order`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathSolution {
+pub struct PathSolution<A = String> {
     /// Chosen permutation for each node, in path order.
-    pub orders: Vec<SortOrder>,
+    pub orders: Vec<Order<A>>,
     /// The DP's optimal benefit `F = Σ |pi ∧ pi+1|`.
     pub benefit: u64,
 }
@@ -39,7 +39,7 @@ pub struct PathSolution {
 /// // for its right edge, not both: optimum is 2.
 /// assert_eq!(sol.benefit, 2);
 /// ```
-pub fn path_order(sets: &[AttrSet]) -> PathSolution {
+pub fn path_order<A: Attr>(sets: &[Set<A>]) -> PathSolution<A> {
     let n = sets.len();
     if n == 0 {
         return PathSolution {
@@ -56,7 +56,7 @@ pub fn path_order(sets: &[AttrSet]) -> PathSolution {
 
     // benefit[i][j], commons[i][j], split[i][j] over inclusive segments.
     let mut benefit = vec![vec![0u64; n]; n];
-    let mut commons: Vec<Vec<AttrSet>> = vec![vec![AttrSet::new(); n]; n];
+    let mut commons: Vec<Vec<Set<A>>> = vec![vec![Set::new(); n]; n];
     let mut split = vec![vec![usize::MAX; n]; n];
 
     for i in 0..n {
@@ -84,7 +84,7 @@ pub fn path_order(sets: &[AttrSet]) -> PathSolution {
     }
 
     let total = benefit[0][n - 1];
-    let mut orders = vec![SortOrder::empty(); n];
+    let mut orders = vec![Order::empty(); n];
     make_permutation(0, n - 1, &mut commons, &split, &mut orders);
     PathSolution {
         orders,
@@ -108,12 +108,12 @@ pub fn path_order(sets: &[AttrSet]) -> PathSolution {
 /// attribute twice to the same node — so restricting it to descendants is
 /// both necessary and sufficient (entries outside `[i..j]` are never read by
 /// this recursion branch).
-fn make_permutation(
+fn make_permutation<A: Attr>(
     i: usize,
     j: usize,
-    commons: &mut [Vec<AttrSet>],
+    commons: &mut [Vec<Set<A>>],
     split: &[Vec<usize>],
-    orders: &mut [SortOrder],
+    orders: &mut [Order<A>],
 ) {
     let seg_common = commons[i][j].clone();
     let appended = seg_common.arbitrary_order();
@@ -139,7 +139,7 @@ fn make_permutation(
 }
 
 /// Evaluates the path benefit `Σ |pi ∧ pi+1|` of explicit permutations.
-pub fn path_benefit(orders: &[SortOrder]) -> u64 {
+pub fn path_benefit<A: Attr>(orders: &[Order<A>]) -> u64 {
     orders
         .windows(2)
         .map(|w| w[0].lcp(&w[1]).len() as u64)
@@ -149,6 +149,7 @@ pub fn path_benefit(orders: &[SortOrder]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::AttrSet;
 
     fn s(attrs: &[&str]) -> AttrSet {
         AttrSet::from_iter(attrs.iter().copied())
@@ -156,7 +157,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(path_order(&[]).benefit, 0);
+        assert_eq!(path_order::<String>(&[]).benefit, 0);
         let sol = path_order(&[s(&["b", "a"])]);
         assert_eq!(sol.benefit, 0);
         assert_eq!(sol.orders[0].len(), 2);

@@ -7,27 +7,38 @@
 //! optimum's benefit decomposes as `odd-ben + even-ben` and each path
 //! solution dominates its half.
 
-use crate::order::{AttrSet, SortOrder};
+use crate::order::{Attr, Order, Set};
 use crate::path::path_order;
 
 /// A binary tree of join nodes, each carrying the attribute set over which a
 /// permutation (sort order) must be chosen.
-#[derive(Debug, Clone, Default)]
-pub struct JoinTree {
-    attrs: Vec<AttrSet>,
+#[derive(Debug, Clone)]
+pub struct JoinTree<A = String> {
+    attrs: Vec<Set<A>>,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
     root: Option<usize>,
 }
 
-impl JoinTree {
+impl<A> Default for JoinTree<A> {
+    fn default() -> Self {
+        JoinTree {
+            attrs: Vec::new(),
+            parent: Vec::new(),
+            children: Vec::new(),
+            root: None,
+        }
+    }
+}
+
+impl<A: Attr> JoinTree<A> {
     /// Empty tree.
     pub fn new() -> Self {
         JoinTree::default()
     }
 
     /// Adds the root node; panics if a root already exists.
-    pub fn add_root(&mut self, attrs: AttrSet) -> usize {
+    pub fn add_root(&mut self, attrs: Set<A>) -> usize {
         assert!(self.root.is_none(), "tree already has a root");
         let id = self.push(attrs, None);
         self.root = Some(id);
@@ -35,7 +46,7 @@ impl JoinTree {
     }
 
     /// Adds a child of `parent`; a node may have at most two children.
-    pub fn add_child(&mut self, parent: usize, attrs: AttrSet) -> usize {
+    pub fn add_child(&mut self, parent: usize, attrs: Set<A>) -> usize {
         assert!(
             self.children[parent].len() < 2,
             "binary tree: node {parent} already has 2 children"
@@ -45,7 +56,7 @@ impl JoinTree {
         id
     }
 
-    fn push(&mut self, attrs: AttrSet, parent: Option<usize>) -> usize {
+    fn push(&mut self, attrs: Set<A>, parent: Option<usize>) -> usize {
         let id = self.attrs.len();
         self.attrs.push(attrs);
         self.parent.push(parent);
@@ -69,7 +80,7 @@ impl JoinTree {
     }
 
     /// Attribute set of node `id`.
-    pub fn attrs(&self, id: usize) -> &AttrSet {
+    pub fn attrs(&self, id: usize) -> &Set<A> {
         &self.attrs[id]
     }
 
@@ -108,9 +119,9 @@ impl JoinTree {
 
 /// Result of [`two_approx_tree_order`].
 #[derive(Debug, Clone)]
-pub struct TreeSolution {
+pub struct TreeSolution<A = String> {
     /// Chosen permutation per node id.
-    pub orders: Vec<SortOrder>,
+    pub orders: Vec<Order<A>>,
     /// Realized benefit over *all* tree edges.
     pub benefit: u64,
     /// Which parity was kept: `"odd"` or `"even"`.
@@ -119,7 +130,7 @@ pub struct TreeSolution {
 
 /// Total benefit `Σ_{(p,c) ∈ E} |orders[p] ∧ orders[c]|` of explicit
 /// permutations on a tree.
-pub fn benefit_of(tree: &JoinTree, orders: &[SortOrder]) -> u64 {
+pub fn benefit_of<A: Attr>(tree: &JoinTree<A>, orders: &[Order<A>]) -> u64 {
     tree.edges()
         .iter()
         .map(|&(p, c)| orders[p].lcp(&orders[c]).len() as u64)
@@ -135,7 +146,7 @@ pub fn benefit_of(tree: &JoinTree, orders: &[SortOrder]) -> u64 {
 ///
 /// Guarantee: `benefit ≥ OPT/2` (the realized benefit can only exceed the
 /// chosen parity's path benefit, and `max(ben_odd, ben_even) ≥ OPT/2`).
-pub fn two_approx_tree_order(tree: &JoinTree) -> TreeSolution {
+pub fn two_approx_tree_order<A: Attr>(tree: &JoinTree<A>) -> TreeSolution<A> {
     if tree.is_empty() {
         return TreeSolution {
             orders: vec![],
@@ -165,7 +176,7 @@ pub fn two_approx_tree_order(tree: &JoinTree) -> TreeSolution {
 /// Solves one parity class: keeps edges whose level `depth(child) % 2 ==
 /// parity`, decomposes the kept forest into maximal paths, and runs the
 /// exact path DP on each.
-fn solve_parity(tree: &JoinTree, parity: usize) -> Vec<SortOrder> {
+fn solve_parity<A: Attr>(tree: &JoinTree<A>, parity: usize) -> Vec<Order<A>> {
     let n = tree.len();
     let depths = tree.depths();
     // Adjacency restricted to kept edges.
@@ -181,7 +192,7 @@ fn solve_parity(tree: &JoinTree, parity: usize) -> Vec<SortOrder> {
     // at most two children). Components are therefore simple paths.
     debug_assert!(adj.iter().all(|a| a.len() <= 2));
 
-    let mut orders = vec![SortOrder::empty(); n];
+    let mut orders = vec![Order::empty(); n];
     let mut visited = vec![false; n];
     for start in 0..n {
         if visited[start] || adj[start].len() > 1 {
@@ -198,7 +209,7 @@ fn solve_parity(tree: &JoinTree, parity: usize) -> Vec<SortOrder> {
             cur = adj[v].iter().copied().find(|&w| w != prev);
             prev = v;
         }
-        let sets: Vec<AttrSet> = path.iter().map(|&v| tree.attrs(v).clone()).collect();
+        let sets: Vec<Set<A>> = path.iter().map(|&v| tree.attrs(v).clone()).collect();
         let sol = path_order(&sets);
         for (node, order) in path.iter().zip(sol.orders) {
             orders[*node] = order;
@@ -214,6 +225,7 @@ fn solve_parity(tree: &JoinTree, parity: usize) -> Vec<SortOrder> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::{AttrSet, SortOrder};
 
     fn s(attrs: &[&str]) -> AttrSet {
         AttrSet::from_iter(attrs.iter().copied())
@@ -309,7 +321,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let sol = two_approx_tree_order(&JoinTree::new());
+        let sol = two_approx_tree_order(&JoinTree::<String>::new());
         assert_eq!(sol.benefit, 0);
         assert!(sol.orders.is_empty());
     }
