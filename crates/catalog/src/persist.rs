@@ -238,7 +238,7 @@ pub fn decode_catalog(
                     )))
                 }
             };
-            columns.push(Column::new(&col_name, ty));
+            columns.push(Column::new(col_name, ty));
         }
         let schema = Schema::new(columns);
         let clustering = SortOrder::new(r.strs("clustering")?);

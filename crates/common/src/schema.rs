@@ -5,9 +5,14 @@
 //! these names, so [`Schema::index_of`] accepts both the exact name and an
 //! unambiguous suffix match — mirroring how SQL resolves `partkey` against
 //! `ps_partkey` vs `l_partkey` only when unambiguous.
+//!
+//! Names and schemas are shared, not copied: cloning a schema copies one
+//! pointer, and deriving one from another (a join's concatenation, a
+//! projection) copies pointers to the same names.
 
 use crate::error::{PyroError, Result};
 use std::fmt;
+use std::sync::Arc;
 
 /// Scalar column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,15 +38,16 @@ impl fmt::Display for DataType {
 /// A named, typed column of a relation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
-    /// Qualified column name; unique within a [`Schema`].
-    pub name: String,
+    /// Qualified column name; unique within a [`Schema`]. Shared by every
+    /// schema derived from the one that named it.
+    pub name: Arc<str>,
     /// Column type.
     pub ty: DataType,
 }
 
 impl Column {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, ty: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, ty: DataType) -> Self {
         Column {
             name: name.into(),
             ty,
@@ -52,15 +58,19 @@ impl Column {
 /// An ordered list of columns describing one relation or operator output.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
     /// Builds a schema from columns; names must be unique.
     pub fn new(columns: Vec<Column>) -> Self {
+        Schema::shared(columns.into())
+    }
+
+    fn shared(columns: Arc<[Column]>) -> Self {
         debug_assert!(
             {
-                let mut names: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
+                let mut names: Vec<&str> = columns.iter().map(|c| &*c.name).collect();
                 names.sort_unstable();
                 names.windows(2).all(|w| w[0] != w[1])
             },
@@ -100,21 +110,21 @@ impl Schema {
     /// the part after the last `.` is accepted (`"make"` resolves
     /// `"catalog1.make"` when no other column ends in `.make`).
     pub fn index_of(&self, name: &str) -> Result<usize> {
-        if let Some(i) = self.columns.iter().position(|c| c.name == name) {
-            return Ok(i);
+        match self.find(name) {
+            (Some(i), None) => Ok(i),
+            (None, _) => Err(PyroError::UnknownColumn(name.to_string())),
+            (Some(_), Some(_)) => Err(PyroError::AmbiguousColumn(name.to_string())),
         }
-        let matches: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.name.rsplit('.').next() == Some(name))
-            .map(|(i, _)| i)
-            .collect();
-        match matches.as_slice() {
-            [i] => Ok(*i),
-            [] => Err(PyroError::UnknownColumn(name.to_string())),
-            _ => Err(PyroError::AmbiguousColumn(name.to_string())),
+    }
+
+    /// The exact match of `name`, else its first two suffix matches.
+    fn find(&self, name: &str) -> (Option<usize>, Option<usize>) {
+        if let Some(i) = self.columns.iter().position(|c| &*c.name == name) {
+            return (Some(i), None);
         }
+        let mut matches = (0..self.columns.len())
+            .filter(|&i| self.columns[i].name.rsplit('.').next() == Some(name));
+        (matches.next(), matches.next())
     }
 
     /// Resolves many names at once.
@@ -129,39 +139,49 @@ impl Schema {
 
     /// True iff a column with this name (or unambiguous suffix) exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.index_of(name).is_ok()
+        matches!(self.find(name), (Some(_), None))
     }
 
     /// Concatenates two schemas (join output). Names must stay unique.
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut cols = self.columns.clone();
-        cols.extend(other.columns.iter().cloned());
-        Schema::new(cols)
+        self.columns
+            .iter()
+            .chain(other.columns.iter())
+            .cloned()
+            .collect()
     }
 
     /// Schema of a projection keeping `indices` in the given order.
     pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema::new(indices.iter().map(|&i| self.columns[i].clone()).collect())
+        indices.iter().map(|&i| self.columns[i].clone()).collect()
     }
 
     /// Prefixes every column name with `qualifier.` (used when scanning a
     /// table under an alias). Already-qualified names are re-qualified on the
     /// bare part.
     pub fn qualify(&self, qualifier: &str) -> Schema {
-        Schema::new(
-            self.columns
-                .iter()
-                .map(|c| {
-                    let bare = c.name.rsplit('.').next().unwrap_or(&c.name);
-                    Column::new(format!("{qualifier}.{bare}"), c.ty)
-                })
-                .collect(),
-        )
+        let mut name = String::new();
+        self.columns
+            .iter()
+            .map(|c| {
+                let bare = c.name.rsplit('.').next().unwrap_or(&c.name);
+                name.clear();
+                name.extend([qualifier, ".", bare]);
+                Column::new(name.as_str(), c.ty)
+            })
+            .collect()
     }
 
     /// All column names in order.
     pub fn names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
+        self.columns.iter().map(|c| c.name.to_string()).collect()
+    }
+}
+
+/// Collects columns straight into a shared schema; names must be unique.
+impl FromIterator<Column> for Schema {
+    fn from_iter<I: IntoIterator<Item = Column>>(columns: I) -> Self {
+        Schema::shared(columns.into_iter().collect())
     }
 }
 

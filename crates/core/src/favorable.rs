@@ -10,7 +10,8 @@
 use crate::equiv::EquivMap;
 use crate::ids::{IdOrder, IdSet, Node};
 use pyro_ordering::AttrSet;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::rc::Rc;
 
 /// Cap on the afm set size per node; the paper observes real sets are tiny
 /// (`m ≤ 2` for base relations), the cap only guards pathological schemas.
@@ -18,9 +19,10 @@ const AFM_CAP: usize = 8;
 
 /// Computes `afm` for every node. Orders are over the respective node's
 /// output columns; at joins, prefixes restricted to the join attribute set
-/// are expressed in equivalence-class representatives.
-pub(crate) fn compute_afm(nodes: &[Node], equiv: &EquivMap) -> Vec<Vec<IdOrder>> {
-    let mut afm: Vec<Vec<IdOrder>> = Vec::with_capacity(nodes.len());
+/// are expressed in equivalence-class representatives. A node that passes
+/// its input's favorable orders on shares its input's list.
+pub(crate) fn compute_afm(nodes: &[Node], equiv: &EquivMap) -> Vec<Rc<[IdOrder]>> {
+    let mut afm: Vec<Rc<[IdOrder]>> = Vec::with_capacity(nodes.len());
     for node in nodes {
         let orders = node_afm(node, equiv, &afm);
         afm.push(orders);
@@ -28,37 +30,42 @@ pub(crate) fn compute_afm(nodes: &[Node], equiv: &EquivMap) -> Vec<Vec<IdOrder>>
     afm
 }
 
-/// Groups qualified column names (`alias.column`) by alias, keeping the
-/// bare column names — the shape index metadata speaks. Unqualified names
-/// (aggregate outputs) belong to no scan and are skipped.
-pub fn by_alias(columns: impl IntoIterator<Item = String>) -> HashMap<String, AttrSet> {
-    let mut out: HashMap<String, AttrSet> = HashMap::new();
-    for col in columns {
-        if let Some((alias, bare)) = col.split_once('.') {
-            out.entry(alias.to_string()).or_default().insert(bare);
-        }
-    }
-    out
+/// The bare names of the columns of `columns` qualified by `alias` — the
+/// shape index metadata speaks. Unqualified names (aggregate outputs)
+/// belong to no scan and are skipped.
+pub fn alias_columns<'n>(alias: &str, columns: impl IntoIterator<Item = &'n str>) -> AttrSet {
+    columns
+        .into_iter()
+        .filter_map(|col| col.split_once('.'))
+        .filter(|&(a, _)| a == alias)
+        .map(|(_, bare)| bare)
+        .collect()
 }
 
 /// `o ∧ s` under equivalence: the longest prefix of `o` whose attributes'
 /// representatives belong to `s` (which must itself hold representatives);
 /// the result is expressed in representatives.
 pub fn lcp_with_set_equiv(o: &IdOrder, s: &IdSet, equiv: &EquivMap) -> IdOrder {
-    let mut out = Vec::new();
-    for &a in o.attrs() {
-        let rep = equiv.rep(a);
-        if s.contains(&rep) && !out.contains(&rep) {
-            out.push(rep);
-        } else {
-            break;
-        }
-    }
-    IdOrder::new(out)
+    let prefix = &o.attrs()[..lcp_with_set_equiv_len(o, s, equiv)];
+    IdOrder::new(prefix.iter().map(|&a| equiv.rep(a)))
 }
 
-fn dedup_capped(mut orders: Vec<IdOrder>) -> Vec<IdOrder> {
-    orders.retain(|o| !o.is_empty());
+/// `|o ∧ s|` under equivalence: the length of [`lcp_with_set_equiv`], the
+/// longest prefix of `o` whose representatives are distinct members of `s`.
+pub fn lcp_with_set_equiv_len(o: &IdOrder, s: &IdSet, equiv: &EquivMap) -> usize {
+    let attrs = o.attrs();
+    (0..attrs.len())
+        .take_while(|&i| {
+            let rep = equiv.rep(attrs[i]);
+            s.contains(&rep) && !attrs[..i].iter().any(|&b| equiv.rep(b) == rep)
+        })
+        .count()
+}
+
+/// The distinct non-empty `orders`, at most [`AFM_CAP`] of them; only the
+/// borrowed ones that survive are copied.
+fn dedup_capped<'o>(orders: impl Iterator<Item = Cow<'o, IdOrder>>) -> Rc<[IdOrder]> {
+    let mut orders: Vec<Cow<IdOrder>> = orders.filter(|o| !o.is_empty()).collect();
     orders.sort();
     orders.dedup();
     // Prefer longer orders when trimming to the cap (subsumption rule 3 of
@@ -66,19 +73,21 @@ fn dedup_capped(mut orders: Vec<IdOrder>) -> Vec<IdOrder> {
     orders.sort_by_key(|o| std::cmp::Reverse(o.len()));
     orders.truncate(AFM_CAP);
     orders.sort();
-    orders
+    orders.into_iter().map(Cow::into_owned).collect()
 }
 
-fn node_afm(node: &Node, equiv: &EquivMap, done: &[Vec<IdOrder>]) -> Vec<IdOrder> {
+fn node_afm(node: &Node, equiv: &EquivMap, done: &[Rc<[IdOrder]>]) -> Rc<[IdOrder]> {
     match node {
         // Rule 1: clustering order + covering secondary index orders.
-        Node::Scan { favorable, .. } => dedup_capped(favorable.clone()),
+        Node::Scan { favorable, .. } => dedup_capped(favorable.iter().map(Cow::Borrowed)),
         // Rule 2: selections pass favorable orders through.
-        Node::Filter { input, .. } => done[*input].clone(),
+        Node::Filter { input, .. } => Rc::clone(&done[*input]),
         // Rule 3: longest prefixes within the projected columns.
-        Node::Project { input, kept } => {
-            dedup_capped(done[*input].iter().map(|o| o.lcp_with_set(kept)).collect())
-        }
+        Node::Project { input, kept } => dedup_capped(
+            done[*input]
+                .iter()
+                .map(|o| Cow::Owned(o.lcp_with_set(kept))),
+        ),
         // Rule 4: input favorable orders survive (nested loops propagates
         // the outer's order); additionally each input favorable prefix on
         // the join attributes, extended by an arbitrary permutation of the
@@ -87,13 +96,18 @@ fn node_afm(node: &Node, equiv: &EquivMap, done: &[Vec<IdOrder>]) -> Vec<IdOrder
         Node::Join {
             left, right, reps, ..
         } => {
-            let mut t: Vec<IdOrder> = done[*left].iter().chain(&done[*right]).cloned().collect();
-            let mut extended: Vec<IdOrder> = Vec::new();
-            for o in t.iter().chain(std::iter::once(&IdOrder::empty())) {
-                extended.push(lcp_with_set_equiv(o, reps, equiv).extend_with_set(reps));
-            }
-            t.append(&mut extended);
-            dedup_capped(t)
+            let t = || done[*left].iter().chain(done[*right].iter());
+            let empty = IdOrder::empty();
+            // Many inputs share a prefix on the join attributes: extend
+            // each distinct prefix once.
+            let mut prefixes: Vec<IdOrder> = t()
+                .chain([&empty])
+                .map(|o| lcp_with_set_equiv(o, reps, equiv))
+                .collect();
+            prefixes.sort();
+            prefixes.dedup();
+            let extended = prefixes.iter().map(|p| Cow::Owned(p.extend_with_set(reps)));
+            dedup_capped(t().map(Cow::Borrowed).chain(extended))
         }
         // Rule 5: longest prefix within the group-by columns, extended by
         // an arbitrary permutation of the rest.
@@ -101,11 +115,10 @@ fn node_afm(node: &Node, equiv: &EquivMap, done: &[Vec<IdOrder>]) -> Vec<IdOrder
             done[*input]
                 .iter()
                 .chain(std::iter::once(&IdOrder::empty()))
-                .map(|o| o.lcp_with_set(group).extend_with_set(group))
-                .collect(),
+                .map(|o| Cow::Owned(o.lcp_with_set(group).extend_with_set(group))),
         ),
         Node::Sort { input, .. } | Node::Distinct { input, .. } | Node::Limit { input } => {
-            done[*input].clone()
+            Rc::clone(&done[*input])
         }
     }
 }

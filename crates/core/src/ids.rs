@@ -10,12 +10,13 @@
 //! first-of-equally-cheap tie-break come out exactly as over the names.
 
 use crate::equiv::EquivMap;
+use crate::favorable::alias_columns;
 use crate::logical::{LogicalOp, LogicalPlan, NExpr, NodeId};
 use pyro_catalog::Catalog;
-use pyro_common::{Result, Schema};
+use pyro_common::{Column, Result, Schema};
 use pyro_exec::join::JoinKind;
-use pyro_ordering::{AttrSet, Order, Set, SortOrder};
-use std::collections::HashMap;
+use pyro_ordering::{Order, Set, SortOrder};
+use std::sync::Arc;
 
 /// A statement-local attribute id. Ids compare as their names do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,17 +39,32 @@ pub type IdSet = Set<AttrId>;
 /// mention, sorted; an id is a position in it.
 #[derive(Debug, Clone, Default)]
 pub struct Names {
-    names: Vec<String>,
+    names: Vec<Arc<str>>,
 }
 
 impl Names {
     /// Interns `names` (duplicates allowed), numbering them in name order.
     pub fn new<'n>(names: impl IntoIterator<Item = &'n str>) -> Names {
-        let mut names: Vec<&str> = names.into_iter().collect();
-        names.sort_unstable();
-        names.dedup();
+        Names::with_columns([], names)
+    }
+
+    /// Interns the names of `columns`, sharing each column's name rather
+    /// than copying it, and the further names `more`.
+    pub fn with_columns<'n>(
+        columns: impl IntoIterator<Item = &'n Column>,
+        more: impl IntoIterator<Item = &'n str>,
+    ) -> Names {
+        let shared = columns.into_iter().map(|c| (&*c.name, Some(&c.name)));
+        let mut all: Vec<(&str, Option<&Arc<str>>)> =
+            shared.chain(more.into_iter().map(|n| (n, None))).collect();
+        // A shared spelling sorts before an unshared one and survives dedup.
+        all.sort_unstable_by(|a, b| a.0.cmp(b.0).then(b.1.is_some().cmp(&a.1.is_some())));
+        all.dedup_by(|later, kept| later.0 == kept.0);
         Names {
-            names: names.into_iter().map(str::to_string).collect(),
+            names: all
+                .into_iter()
+                .map(|(name, shared)| shared.map_or_else(|| name.into(), Arc::clone))
+                .collect(),
         }
     }
 
@@ -67,7 +83,7 @@ impl Names {
     pub fn id(&self, name: &str) -> AttrId {
         let at = self
             .names
-            .binary_search_by(|n| n.as_str().cmp(name))
+            .binary_search_by(|n| (**n).cmp(name))
             .unwrap_or_else(|_| panic!("attribute {name} was not interned"));
         AttrId(u32::try_from(at).expect("fewer than 2^32 attribute names"))
     }
@@ -85,6 +101,133 @@ impl Names {
     /// An order of ids as names.
     pub fn names_of(&self, order: &IdOrder) -> SortOrder {
         order.map(|&a| self.name(a).to_string())
+    }
+}
+
+/// A statement-local sort-order id: a position in an [`Orders`] table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct OrderId(u32);
+
+/// A search's order table: every distinct [`IdOrder`] it meets, interned
+/// once under an [`OrderId`]. An order is looked up by its attribute slice,
+/// so meeting a known order again allocates nothing; each order also knows
+/// its rep-normalized form, the memo's view of a goal.
+pub(crate) struct Orders<'e> {
+    equiv: &'e EquivMap,
+    orders: Vec<IdOrder>,
+    /// Per order, the id of the order over class representatives.
+    norm: Vec<OrderId>,
+    /// Open-addressing index over `orders`: a slot holds an id plus one,
+    /// or 0 when empty. At most half full.
+    slots: Vec<u32>,
+}
+
+impl<'e> Orders<'e> {
+    /// The empty order `ε`, interned first by every table.
+    pub const EMPTY: OrderId = OrderId(0);
+
+    /// A table holding only `ε`, normalizing under `equiv`.
+    pub fn new(equiv: &'e EquivMap) -> Orders<'e> {
+        let mut table = Orders {
+            equiv,
+            orders: Vec::new(),
+            norm: Vec::new(),
+            slots: vec![0; 64],
+        };
+        table.intern(&[]);
+        table
+    }
+
+    /// The order under `id`.
+    pub fn get(&self, id: OrderId) -> &IdOrder {
+        &self.orders[id.0 as usize]
+    }
+
+    /// The id of `id`'s order over class representatives.
+    pub fn norm(&self, id: OrderId) -> OrderId {
+        self.norm[id.0 as usize]
+    }
+
+    /// The id of the order `attrs`, interning it on first sight.
+    pub fn intern(&mut self, attrs: &[AttrId]) -> OrderId {
+        match self.find(attrs) {
+            Some(id) => id,
+            None => self.insert(IdOrder::new(attrs.iter().copied())),
+        }
+    }
+
+    /// The id of the first `n` attributes of `id`'s order.
+    pub fn prefix(&mut self, id: OrderId, n: usize) -> OrderId {
+        let attrs = self.get(id).attrs();
+        if n >= attrs.len() {
+            return id;
+        }
+        match self.find(&attrs[..n]) {
+            Some(hit) => hit,
+            None => {
+                let order = self.get(id).prefix(n);
+                self.insert(order)
+            }
+        }
+    }
+
+    fn slot_of(&self, attrs: &[AttrId]) -> usize {
+        // FNV-1a over the ids: orders are a few small integers long, and
+        // the ids are this statement's own numbering, not outside input.
+        let hash = attrs.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, a| {
+            (h ^ u64::from(a.0)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (hash ^ (hash >> 29)) as usize & (self.slots.len() - 1)
+    }
+
+    fn find(&self, attrs: &[AttrId]) -> Option<OrderId> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.slot_of(attrs);
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                slot if self.orders[slot as usize - 1].attrs() == attrs => {
+                    return Some(OrderId(slot - 1))
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds an order `find` missed, and its normalized form if new.
+    fn insert(&mut self, order: IdOrder) -> OrderId {
+        if 2 * (self.orders.len() + 1) > self.slots.len() {
+            let grown = vec![0; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for slot in old.into_iter().filter(|&s| s != 0) {
+                self.place(slot);
+            }
+        }
+        let id = OrderId(u32::try_from(self.orders.len()).expect("fewer than 2^32 orders"));
+        let normal = order.attrs().iter().all(|&a| self.equiv.rep(a) == a);
+        let mapped = (!normal).then(|| order.map(|&a| self.equiv.rep(a)));
+        self.orders.push(order);
+        self.norm.push(id);
+        self.place(id.0 + 1);
+        if let Some(mapped) = mapped {
+            // Representatives map to themselves: the normalized order is
+            // its own normal form.
+            let norm = match self.find(mapped.attrs()) {
+                Some(hit) => hit,
+                None => self.insert(mapped),
+            };
+            self.norm[id.0 as usize] = norm;
+        }
+        id
+    }
+
+    fn place(&mut self, slot: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.slot_of(self.orders[slot as usize - 1].attrs());
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
     }
 }
 
@@ -149,16 +292,17 @@ pub(crate) struct Access {
     pub blocks: f64,
 }
 
-/// Resolves every node of `plan`. `referenced` holds, per scan alias, the
-/// bare column names the query needs from it: an index is an access path,
-/// and its key a favorable order, only if it covers them.
+/// Resolves every node of `plan`. `referenced` holds every column an
+/// expression of the query names: with the columns the query returns, they
+/// are what it needs from each scan, and an index is an access path, and
+/// its key a favorable order, only if it covers them.
 pub(crate) fn resolve(
     plan: &LogicalPlan,
     catalog: &Catalog,
     names: &Names,
     equiv: &EquivMap,
     schemas: &[Schema],
-    referenced: &HashMap<String, AttrSet>,
+    referenced: &[&str],
 ) -> Result<Vec<Node>> {
     let col_ids = |id: NodeId| schemas[id].columns().iter().map(|c| names.id(&c.name));
     (0..plan.len())
@@ -185,9 +329,16 @@ pub(crate) fn resolve(
                         order: clustering,
                         blocks: handle.heap.block_count().max(1) as f64,
                     }];
-                    let needed = referenced.get(alias);
+                    // `SELECT *` lowers to no projection, so the root's
+                    // columns are named nowhere else.
+                    let needed = (!meta.indexes.is_empty()).then(|| {
+                        let returned = schemas[plan.root()].columns().iter();
+                        let returned = returned.map(|c| &*c.name);
+                        alias_columns(alias, referenced.iter().copied().chain(returned))
+                    });
+                    let needed = needed.filter(|cols| !cols.is_empty());
                     for (i, idx) in meta.indexes.iter().enumerate() {
-                        if needed.is_some_and(|cols| !idx.covers(cols)) {
+                        if needed.as_ref().is_some_and(|cols| !idx.covers(cols)) {
                             continue;
                         }
                         let order = key(&idx.key)?;
@@ -258,7 +409,7 @@ pub(crate) fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pyro_ordering::all_permutations;
+    use pyro_ordering::{all_permutations, AttrSet};
 
     /// The generator of `sort::mrs`'s tests: a 64-bit LCG.
     struct Lcg(u64);

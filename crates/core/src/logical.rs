@@ -60,9 +60,9 @@ impl NExpr {
     }
 
     /// All column names referenced.
-    pub fn columns(&self, out: &mut Vec<String>) {
+    pub fn columns<'e>(&'e self, out: &mut Vec<&'e str>) {
         match self {
-            NExpr::Col(c) => out.push(c.clone()),
+            NExpr::Col(c) => out.push(c),
             NExpr::Lit(_) | NExpr::Param(_) => {}
             NExpr::Cmp(_, a, b) | NExpr::Mul(a, b) | NExpr::Add(a, b) | NExpr::Sub(a, b) => {
                 a.columns(out);
@@ -400,7 +400,7 @@ impl LogicalPlan {
                             AggFunc::Avg => DataType::Double,
                             _ => a.arg.data_type(inner),
                         };
-                        cols.push(Column::new(a.name.clone(), ty));
+                        cols.push(Column::new(a.name.as_str(), ty));
                     }
                     Schema::new(cols)
                 }
@@ -415,7 +415,7 @@ impl LogicalPlan {
     /// Together with the root's output columns — which `SELECT *` names
     /// nowhere — this decides which indices *cover the query* for each
     /// table.
-    pub fn referenced_columns(&self) -> Vec<String> {
+    pub fn referenced_columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
         for node in &self.nodes {
             match node {
@@ -428,18 +428,18 @@ impl LogicalPlan {
                 }
                 LogicalOp::Join { pairs, .. } => {
                     for p in pairs {
-                        out.push(p.left.clone());
-                        out.push(p.right.clone());
+                        out.push(&p.left);
+                        out.push(&p.right);
                     }
                 }
                 LogicalOp::Aggregate { group_by, aggs, .. } => {
-                    out.extend(group_by.iter().cloned());
+                    out.extend(group_by.iter().map(String::as_str));
                     for a in aggs {
                         a.arg.columns(&mut out);
                     }
                 }
                 LogicalOp::Sort { order, .. } => {
-                    out.extend(order.attrs().iter().cloned());
+                    out.extend(order.attrs().iter().map(String::as_str));
                 }
                 LogicalOp::Distinct { .. } | LogicalOp::Limit { .. } => {}
             }
@@ -452,12 +452,10 @@ impl LogicalPlan {
 
 /// The output schema of projecting `items` from `input`.
 pub(crate) fn project_schema(items: &[ProjItem], input: &Schema) -> Schema {
-    Schema::new(
-        items
-            .iter()
-            .map(|it| Column::new(it.name.clone(), it.expr.data_type(input)))
-            .collect(),
-    )
+    items
+        .iter()
+        .map(|it| Column::new(it.name.as_str(), it.expr.data_type(input)))
+        .collect()
 }
 
 /// Errors a malformed plan produces at optimization time.
@@ -525,7 +523,7 @@ mod tests {
         let schema = &p.schemas(resolver).unwrap()[p.root()];
         assert_eq!(schema.column(0).ty, DataType::Int);
         assert_eq!(schema.column(1).ty, DataType::Double);
-        assert_eq!(schema.column(1).name, "scaled");
+        assert_eq!(&*schema.column(1).name, "scaled");
     }
 
     #[test]

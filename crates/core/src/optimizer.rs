@@ -12,12 +12,14 @@
 //! The search runs on attribute ids (see [`crate::ids`]): a statement's
 //! names are resolved once into a `Ctx`, candidates are `Cand`s over
 //! ids, and only the winning tree is rendered into a [`PhysNode`] in names.
+//! A search interns each order it meets once and keeps its candidates in
+//! one arena, so a memo probe or a new candidate allocates nothing.
 
 use crate::compile::CompileOptions;
 use crate::cost::{CostParams, SearchStats};
 use crate::equiv::EquivMap;
-use crate::favorable::{by_alias, compute_afm, lcp_with_set_equiv};
-use crate::ids::{resolve, AttrId, IdOrder, IdSet, Names, Node};
+use crate::favorable::{compute_afm, lcp_with_set_equiv, lcp_with_set_equiv_len};
+use crate::ids::{resolve, AttrId, IdOrder, IdSet, Names, Node, OrderId, Orders};
 use crate::joingraph::{collect_equivs, reorder_joins, EnumStrategy, DEFAULT_JOIN_ENUM_THRESHOLD};
 use crate::logical::{project_schema, LogicalOp, LogicalPlan, NodeId};
 use crate::plan::{PhysNode, PhysOp};
@@ -28,6 +30,7 @@ use pyro_catalog::Catalog;
 use pyro_common::{Column, PyroError, Result, Schema};
 use pyro_exec::join::{JoinKind, Side};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,16 +134,16 @@ impl<'a> Optimizer<'a> {
         if self.strategy.refine {
             if let Some(forced) = crate::refine::reworked_orders(&ctx, &best) {
                 // The re-search shares the statement's context; its pinned
-                // orders, memo and accounting are its own, so the accounting
-                // reported below is the first search's alone.
+                // orders, tables and accounting are its own, so the
+                // accounting reported below is the first search's alone.
                 let (refined, _) = Search::run(&ctx, forced)?;
-                if refined.cost < best.cost {
+                if refined.cost() < best.cost() {
                     best = refined;
                 }
             }
         }
         Ok(OptimizedPlan {
-            root: ctx.render(&best)?,
+            root: ctx.render(&best, best.best)?,
             strategy: self.strategy,
             ordered_output: output_is_ordered(plan),
             planning: PlanningInfo {
@@ -269,7 +272,7 @@ pub(crate) struct Ctx<'a> {
     /// Each logical node with its names resolved.
     pub nodes: Vec<Node>,
     pub stats: Vec<NodeStats>,
-    pub afm: Vec<Vec<IdOrder>>,
+    pub afm: Vec<Rc<[IdOrder]>>,
     pub equiv: EquivMap,
     pub params: CostParams,
     pub strategy: Strategy,
@@ -300,22 +303,10 @@ impl<'a> Ctx<'a> {
                 )
             })
             .flat_map(|id| schemas[id].columns());
-        let names = Names::new(
-            introduced
-                .map(|c| c.name.as_str())
-                .chain(referenced_columns.iter().map(String::as_str)),
-        );
+        let names = Names::with_columns(introduced, referenced_columns.iter().copied());
         // Equivalences from join pairs and col=col equality filters.
         let equiv = collect_equivs(plan, &names);
-        // Columns needed per alias (covering-index checks): every column an
-        // expression names, plus every column the query returns — `SELECT *`
-        // lowers to no projection, so its output is named nowhere else.
-        let referenced = by_alias(
-            referenced_columns
-                .into_iter()
-                .chain(schemas[plan.root()].names()),
-        );
-        let nodes = resolve(plan, catalog, &names, &equiv, &schemas, &referenced)?;
+        let nodes = resolve(plan, catalog, &names, &equiv, &schemas, &referenced_columns)?;
         let stats = derive_stats(plan, catalog, &schemas, &names)?;
         let afm = compute_afm(&nodes, &equiv);
         Ok(Ctx {
@@ -343,59 +334,26 @@ impl<'a> Ctx<'a> {
                 .all(|(&n, &h)| self.equiv.same(n, h))
     }
 
-    /// `order` over class representatives: the memo's view of a goal.
-    fn normalized(&self, order: &IdOrder) -> IdOrder {
-        order.map(|&a| self.equiv.rep(a))
-    }
-
-    /// Adds a (partial) sort enforcer if the candidate does not already
-    /// satisfy the requirement (§3.2).
-    fn enforce(&self, id: NodeId, cand: Arc<Cand>, required: &IdOrder) -> Arc<Cand> {
-        if required.is_empty() || self.satisfies(&cand.out_order, required) {
-            return cand;
+    /// What it costs to deliver `have` as `required` on node `id`'s output:
+    /// nothing when `have` already guarantees it, else a (partial) sort
+    /// enforcer's cost and the length of the prefix it keeps (§3.2).
+    fn enforcement(&self, id: NodeId, have: &IdOrder, required: &IdOrder) -> Option<(f64, usize)> {
+        if required.is_empty() || self.satisfies(have, required) {
+            return None;
         }
         let empty = IdOrder::empty();
         // Exact-match-only optimizers re-sort from scratch.
         let have = if self.strategy.partial_enforcers {
-            &cand.out_order
+            have
         } else {
             &empty
         };
-        let (coe, k) = self
-            .params
-            .coe_order(&self.stats[id], have, required, |a, b| {
-                self.equiv.same(a, b)
-            });
-        Arc::new(Cand {
-            alt: Alt::Enforce(k),
-            out_order: required.clone(),
-            cost: cand.cost + coe,
-            rows: cand.rows,
-            logical: id,
-            children: vec![cand],
-        })
-    }
-
-    /// Goals worth trying for an order-preserving unary operator's child:
-    /// the requirement itself, nothing, and each favorable order of the
-    /// child (whose prefix a partial-sort enforcer above can exploit).
-    fn child_goals(&self, child: NodeId, required: &IdOrder) -> Vec<IdOrder> {
-        let mut goals = vec![IdOrder::empty()];
-        if !required.is_empty() {
-            goals.push(required.clone());
-        }
-        goals.extend(self.afm[child].iter().cloned());
-        // Dedup under rep-normalization.
-        let mut seen: Vec<IdOrder> = Vec::with_capacity(goals.len());
-        goals.retain(|g| {
-            let key = self.normalized(g);
-            let fresh = !seen.contains(&key);
-            if fresh {
-                seen.push(key);
-            }
-            fresh
-        });
-        goals
+        Some(
+            self.params
+                .coe_order(&self.stats[id], have, required, |a, b| {
+                    self.equiv.same(a, b)
+                }),
+        )
     }
 
     /// The candidate input orders for a sort-based grouping operator (sort
@@ -423,18 +381,19 @@ impl<'a> Ctx<'a> {
         IdOrder::new(out)
     }
 
-    /// Renders a winning candidate tree into a [`PhysNode`] tree in names:
-    /// the one place ids become strings again and operators take their
-    /// payloads (tables, predicates, pairs, items, aggregates) from the
-    /// logical plan.
-    pub(crate) fn render(&self, c: &Cand) -> Result<Arc<PhysNode>> {
+    /// Renders the winning candidate tree of `found` into a [`PhysNode`]
+    /// tree in names: the one place ids become strings again and operators
+    /// take their payloads (tables, predicates, pairs, items, aggregates)
+    /// from the logical plan.
+    pub(crate) fn render(&self, found: &Found, at: CandId) -> Result<Arc<PhysNode>> {
+        let c = found.cand(at);
         let children = c
-            .children
-            .iter()
-            .map(|child| self.render(child))
+            .children()
+            .map(|child| self.render(found, child))
             .collect::<Result<Vec<_>>>()?;
         let id = c.logical;
-        let order = || self.names.names_of(&c.out_order);
+        let out_order = self.names.names_of(found.orders.get(c.out_order));
+        let order = || out_order.clone();
         let inherited = || children[0].schema.clone();
         let joined = || children[0].schema.join(&children[1].schema);
         let (op, schema) = match (&c.alt, self.plan.node(id)) {
@@ -504,7 +463,7 @@ impl<'a> Ctx<'a> {
         };
         Ok(Arc::new(PhysNode {
             op,
-            out_order: order(),
+            out_order,
             children,
             schema,
             cost: c.cost,
@@ -568,20 +527,32 @@ fn distinct_prefixes(prefixes: impl Iterator<Item = IdOrder>) -> Vec<IdOrder> {
     out
 }
 
+/// A candidate's position in its search's arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CandId(u32);
+
 /// A search candidate: one physical alternative for a logical node, over
 /// ids. Its operator's payload stays in the logical plan until the winning
 /// tree is rendered.
 pub(crate) struct Cand {
     pub alt: Alt,
     /// Guaranteed output order.
-    pub out_order: IdOrder,
+    pub out_order: OrderId,
     /// Cumulative estimated cost.
     pub cost: f64,
     /// Estimated output rows.
     pub rows: f64,
     /// The logical node implemented (an enforcer's: the node it re-orders).
     pub logical: NodeId,
-    pub children: Vec<Arc<Cand>>,
+    /// Inputs: none, one, or left and right.
+    inputs: [Option<CandId>; 2],
+}
+
+impl Cand {
+    /// The candidate's inputs, left first.
+    pub fn children(&self) -> impl Iterator<Item = CandId> + '_ {
+        self.inputs.iter().flatten().copied()
+    }
 }
 
 /// Which physical operator a candidate is.
@@ -604,87 +575,239 @@ pub(crate) enum Alt {
     Enforce(usize),
 }
 
+/// A finished search: every candidate it built, the orders they name, and
+/// the winner.
+pub(crate) struct Found<'c> {
+    cands: Vec<Cand>,
+    pub orders: Orders<'c>,
+    pub best: CandId,
+}
+
+impl Found<'_> {
+    /// The candidate at `id`.
+    pub fn cand(&self, id: CandId) -> &Cand {
+        &self.cands[id.0 as usize]
+    }
+
+    /// The winner's cost.
+    fn cost(&self) -> f64 {
+        self.cand(self.best).cost
+    }
+}
+
+/// The cheapest candidate offered to one goal so far, with the enforcer
+/// (cost, kept prefix) it needs, and how many were offered.
+#[derive(Default)]
+struct Offers {
+    best: Option<(CandId, f64, Option<usize>)>,
+    count: u64,
+}
+
 /// One goal-directed search over a statement's [`Ctx`]. The merge-join
-/// orders it pins (phase 2 applies its reworked orders this way), its memo
-/// and its accounting are its own.
+/// orders it pins (phase 2 applies its reworked orders this way), its
+/// tables and its accounting are its own. Every order it meets is interned
+/// in `orders` and every candidate lives in `cands`, so a memo probe, a
+/// goal list and a candidate allocate nothing once the statement's orders
+/// are known.
 struct Search<'c, 'a> {
     ctx: &'c Ctx<'a>,
     forced: HashMap<NodeId, IdOrder>,
+    orders: Orders<'c>,
+    cands: Vec<Cand>,
     /// Goal (node, rep-normalized required order) → best candidate.
-    memo: HashMap<(NodeId, IdOrder), Arc<Cand>>,
+    memo: HashMap<(NodeId, OrderId), CandId>,
+    /// The sort-based operators' input goals, computed once per node and
+    /// the part of the requirement they depend on (a join's `o ∧ S`, a
+    /// grouping's requirement projected into its columns): a range of
+    /// `goal_pool`, which holds a join's goals as (left, right) pairs.
+    goal_lists: HashMap<(NodeId, OrderId), (usize, usize)>,
+    goal_pool: Vec<OrderId>,
+    /// The child goals of the goals being solved, innermost last: a solver
+    /// pushes its list and truncates it away when done.
+    goal_stack: Vec<OrderId>,
     stats: SearchStats,
 }
 
 impl<'c, 'a> Search<'c, 'a> {
     /// Searches from `(root, ε)` with the merge-join orders in `forced`
     /// pinned: the best plan and the search's accounting.
-    fn run(ctx: &'c Ctx<'a>, forced: HashMap<NodeId, IdOrder>) -> Result<(Arc<Cand>, SearchStats)> {
+    fn run(ctx: &'c Ctx<'a>, forced: HashMap<NodeId, IdOrder>) -> Result<(Found<'c>, SearchStats)> {
+        // Sized for a few goals and candidates per node, so that most
+        // statements never grow them.
+        let n = ctx.plan.len();
         let mut search = Search {
             ctx,
             forced,
-            memo: HashMap::new(),
+            orders: Orders::new(&ctx.equiv),
+            cands: Vec::with_capacity(8 * n),
+            memo: HashMap::with_capacity(4 * n),
+            goal_lists: HashMap::with_capacity(n),
+            goal_pool: Vec::with_capacity(4 * n),
+            goal_stack: Vec::with_capacity(4 * n),
             stats: SearchStats::default(),
         };
-        let best = search.best_plan(ctx.plan.root(), &IdOrder::empty())?;
-        Ok((best, search.stats))
+        let best = search.best_plan(ctx.plan.root(), Orders::EMPTY)?;
+        let found = Found {
+            cands: search.cands,
+            orders: search.orders,
+            best,
+        };
+        Ok((found, search.stats))
+    }
+
+    fn cand(&self, id: CandId) -> &Cand {
+        &self.cands[id.0 as usize]
+    }
+
+    fn push(
+        &mut self,
+        alt: Alt,
+        out_order: OrderId,
+        cost: f64,
+        rows: f64,
+        logical: NodeId,
+        inputs: [Option<CandId>; 2],
+    ) -> CandId {
+        let id = CandId(u32::try_from(self.cands.len()).expect("fewer than 2^32 candidates"));
+        self.cands.push(Cand {
+            alt,
+            out_order,
+            cost,
+            rows,
+            logical,
+            inputs,
+        });
+        id
+    }
+
+    /// Offers candidate `cand` to goal `(id, required)`: it wins if it is
+    /// strictly cheaper, enforcer included, than every earlier offer, so
+    /// the first of equally cheap candidates is kept.
+    fn offer(&self, offers: &mut Offers, id: NodeId, required: OrderId, cand: CandId) {
+        offers.count += 1;
+        let c = self.cand(cand);
+        let have = self.orders.get(c.out_order);
+        let (cost, enforcer) = match self.ctx.enforcement(id, have, self.orders.get(required)) {
+            Some((coe, k)) => (c.cost + coe, Some(k)),
+            None => (c.cost, None),
+        };
+        if offers.best.is_none_or(|(_, best, _)| cost < best) {
+            offers.best = Some((cand, cost, enforcer));
+        }
     }
 
     /// The memoized goal solver: cheapest plan for `(id, required)`.
-    fn best_plan(&mut self, id: NodeId, required: &IdOrder) -> Result<Arc<Cand>> {
-        let key = (id, self.ctx.normalized(required));
-        if let Some(hit) = self.memo.get(&key) {
-            return Ok(hit.clone());
+    fn best_plan(&mut self, id: NodeId, required: OrderId) -> Result<CandId> {
+        let key = (id, self.orders.norm(required));
+        if let Some(&hit) = self.memo.get(&key) {
+            return Ok(hit);
         }
-        let candidates = self.gen_candidates(id, required)?;
+        let mut offers = Offers::default();
+        self.gen_candidates(id, required, &mut offers)?;
         self.stats.groups += 1;
-        self.stats.candidates += candidates.len() as u64;
-        let mut best: Option<Arc<Cand>> = None;
-        for cand in candidates {
-            let finished = self.ctx.enforce(id, cand, required);
-            if best.as_ref().is_none_or(|b| finished.cost < b.cost) {
-                best = Some(finished);
-            }
-        }
-        let best = best.ok_or_else(|| {
-            PyroError::Plan(format!(
+        self.stats.candidates += offers.count;
+        let Some((cand, cost, enforcer)) = offers.best else {
+            return Err(PyroError::Plan(format!(
                 "no physical plan for node {id} with order {}",
-                self.ctx.names.names_of(required)
-            ))
-        })?;
-        self.memo.insert(key, best.clone());
+                self.ctx.names.names_of(self.orders.get(required))
+            )));
+        };
+        let best = match enforcer {
+            None => cand,
+            Some(k) => {
+                let rows = self.cand(cand).rows;
+                self.push(
+                    Alt::Enforce(k),
+                    required,
+                    cost,
+                    rows,
+                    id,
+                    [Some(cand), None],
+                )
+            }
+        };
+        self.memo.insert(key, best);
         Ok(best)
     }
 
-    /// Enumerates the physical alternatives for one logical node.
-    fn gen_candidates(&mut self, id: NodeId, required: &IdOrder) -> Result<Vec<Arc<Cand>>> {
+    /// Pushes the goals worth trying for an order-preserving unary
+    /// operator's child onto the goal stack: the requirement itself,
+    /// nothing, and each favorable order of the child (whose prefix a
+    /// partial-sort enforcer above can exploit), each normalized form once.
+    /// Returns where the list starts.
+    fn push_child_goals(&mut self, child: NodeId, required: OrderId) -> usize {
+        let start = self.goal_stack.len();
+        self.push_goal(start, Orders::EMPTY);
+        if required != Orders::EMPTY {
+            self.push_goal(start, required);
+        }
+        for o in self.ctx.afm[child].iter() {
+            let goal = self.orders.intern(o.attrs());
+            self.push_goal(start, goal);
+        }
+        start
+    }
+
+    /// Pushes `goal` onto the list starting at `start` unless a goal with
+    /// the same normalized form is on it.
+    fn push_goal(&mut self, start: usize, goal: OrderId) {
+        let norm = self.orders.norm(goal);
+        let list = &self.goal_stack[start..];
+        if !list.iter().any(|&g| self.orders.norm(g) == norm) {
+            self.goal_stack.push(goal);
+        }
+    }
+
+    /// Solves `input` under each goal [`Self::push_child_goals`] lists and
+    /// offers an order-preserving unary operator over each answer, adding
+    /// `per_row` per input row to its cost.
+    fn offer_unary(
+        &mut self,
+        offers: &mut Offers,
+        (id, input): (NodeId, NodeId),
+        required: OrderId,
+        child_required: OrderId,
+        keep: impl Fn(&mut Orders, OrderId) -> OrderId,
+        per_row: f64,
+    ) -> Result<()> {
+        let start = self.push_child_goals(input, child_required);
+        let end = self.goal_stack.len();
+        let (rows, in_rows) = (self.ctx.stats[id].rows, self.ctx.stats[input].rows);
+        for at in start..end {
+            let child = self.best_plan(input, self.goal_stack[at])?;
+            let (child_order, child_cost) = (self.cand(child).out_order, self.cand(child).cost);
+            let out_order = keep(&mut self.orders, child_order);
+            let cost = child_cost + per_row * in_rows;
+            let cand = self.push(Alt::Direct, out_order, cost, rows, id, [Some(child), None]);
+            self.offer(offers, id, required, cand);
+        }
+        self.goal_stack.truncate(start);
+        Ok(())
+    }
+
+    /// Enumerates the physical alternatives for one logical node and
+    /// offers each to the goal.
+    fn gen_candidates(&mut self, id: NodeId, required: OrderId, offers: &mut Offers) -> Result<()> {
         let ctx = self.ctx;
         let (rows, params) = (ctx.stats[id].rows, &ctx.params);
-        let mut out: Vec<Arc<Cand>> = Vec::new();
         match &ctx.nodes[id] {
             Node::Scan { paths, .. } => {
                 for (i, path) in paths.iter().enumerate() {
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Scan(i),
-                        out_order: path.order.clone(),
-                        cost: path.blocks,
-                        rows,
-                        logical: id,
-                        children: vec![],
-                    }));
+                    let order = self.orders.intern(path.order.attrs());
+                    let cand = self.push(Alt::Scan(i), order, path.blocks, rows, id, [None, None]);
+                    self.offer(offers, id, required, cand);
                 }
             }
             Node::Filter { input, pinned } => {
-                for goal in ctx.child_goals(*input, required) {
-                    let child = self.best_plan(*input, &goal)?;
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Direct,
-                        out_order: child.out_order.clone(),
-                        cost: child.cost + params.tuple_io * ctx.stats[*input].rows,
-                        rows,
-                        logical: id,
-                        children: vec![child],
-                    }));
-                }
+                let same = |_: &mut Orders, o| o;
+                self.offer_unary(
+                    offers,
+                    (id, *input),
+                    required,
+                    required,
+                    same,
+                    params.tuple_io,
+                )?;
                 // A filter directly over a sorted-file scan compiles to a
                 // binary-searched page range when the predicate pins an
                 // equality prefix of the scan's order (the filter stays as
@@ -710,39 +833,38 @@ impl<'c, 'a> Search<'c, 'a> {
                             continue; // the discount doesn't pay for the probes
                         }
                         let rows_in = (in_stats.rows * sel).max(1.0);
-                        let bounded = Arc::new(Cand {
-                            alt: Alt::Scan(i),
-                            out_order: path.order.clone(),
-                            cost: seek_cost,
-                            rows: rows_in,
-                            logical: *input,
-                            children: vec![],
-                        });
-                        out.push(Arc::new(Cand {
-                            alt: Alt::Direct,
-                            out_order: path.order.clone(),
-                            cost: seek_cost + params.tuple_io * rows_in,
-                            rows,
-                            logical: id,
-                            children: vec![bounded],
-                        }));
+                        let order = self.orders.intern(path.order.attrs());
+                        let bounded = self.push(
+                            Alt::Scan(i),
+                            order,
+                            seek_cost,
+                            rows_in,
+                            *input,
+                            [None, None],
+                        );
+                        let cost = seek_cost + params.tuple_io * rows_in;
+                        let cand =
+                            self.push(Alt::Direct, order, cost, rows, id, [Some(bounded), None]);
+                        self.offer(offers, id, required, cand);
                     }
                 }
             }
             Node::Project { input, kept } => {
                 // Pass-through columns survive the projection; an order is
                 // preserved up to its first dropped column.
-                for goal in ctx.child_goals(*input, &required.lcp_with_set(kept)) {
-                    let child = self.best_plan(*input, &goal)?;
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Direct,
-                        out_order: child.out_order.lcp_with_set(kept),
-                        cost: child.cost + params.tuple_io * ctx.stats[*input].rows,
-                        rows,
-                        logical: id,
-                        children: vec![child],
-                    }));
-                }
+                let keep = |orders: &mut Orders, o: OrderId| {
+                    let n = orders.get(o).lcp_with_set_len(kept);
+                    orders.prefix(o, n)
+                };
+                let child_required = keep(&mut self.orders, required);
+                self.offer_unary(
+                    offers,
+                    (id, *input),
+                    required,
+                    child_required,
+                    keep,
+                    params.tuple_io,
+                )?;
             }
             Node::Join {
                 left,
@@ -753,21 +875,17 @@ impl<'c, 'a> Search<'c, 'a> {
             } => {
                 let (left, right) = (*left, *right);
                 let (l_stats, r_stats) = (&ctx.stats[left], &ctx.stats[right]);
-                for (l_goal, r_goal) in
-                    self.join_merge_goals(id, left, right, pairs, reps, required)
-                {
-                    let lchild = self.best_plan(left, &l_goal)?;
-                    let rchild = self.best_plan(right, &r_goal)?;
-                    let cost =
-                        lchild.cost + rchild.cost + params.tuple_io * (l_stats.rows + r_stats.rows);
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Sorted,
-                        out_order: l_goal,
-                        cost,
-                        rows,
-                        logical: id,
-                        children: vec![lchild, rchild],
-                    }));
+                let (start, end) = self.join_merge_goals(id, left, right, pairs, reps, required);
+                for at in (start..end).step_by(2) {
+                    let (l_goal, r_goal) = (self.goal_pool[at], self.goal_pool[at + 1]);
+                    let lchild = self.best_plan(left, l_goal)?;
+                    let rchild = self.best_plan(right, r_goal)?;
+                    let cost = self.cand(lchild).cost
+                        + self.cand(rchild).cost
+                        + params.tuple_io * (l_stats.rows + r_stats.rows);
+                    let inputs = [Some(lchild), Some(rchild)];
+                    let cand = self.push(Alt::Sorted, l_goal, cost, rows, id, inputs);
+                    self.offer(offers, id, required, cand);
                 }
                 // Full outer joins are merge-only: none of the systems the
                 // paper measured implemented hash (or nested-loops) full
@@ -778,14 +896,16 @@ impl<'c, 'a> Search<'c, 'a> {
                     && ctx.enable_hash
                     && !matches!(kind, JoinKind::FullOuter)
                 {
-                    let lchild = self.best_plan(left, &IdOrder::empty())?;
-                    let rchild = self.best_plan(right, &IdOrder::empty())?;
+                    let lchild = self.best_plan(left, Orders::EMPTY)?;
+                    let rchild = self.best_plan(right, Orders::EMPTY)?;
+                    let (l, r) = (self.cand(lchild), self.cand(rchild));
+                    let (l_order, r_order) = (l.out_order, r.out_order);
                     let (bl, br) = (
                         l_stats.blocks(params.block_size),
                         r_stats.blocks(params.block_size),
                     );
-                    let inputs = lchild.cost + rchild.cost;
-                    let hash_cost = inputs + params.hash_io * (l_stats.rows + r_stats.rows);
+                    let inputs_cost = l.cost + r.cost;
+                    let hash_cost = inputs_cost + params.hash_io * (l_stats.rows + r_stats.rows);
                     // Hash join, one candidate per build side. `best_plan`
                     // keeps the first of equally cheap candidates, so the
                     // side offered first is the tie-break: the smaller
@@ -796,10 +916,11 @@ impl<'c, 'a> Search<'c, 'a> {
                         JoinKind::Inner => &[Side::Left, Side::Right],
                         _ => &[Side::Left],
                     };
+                    let inputs = [Some(lchild), Some(rchild)];
                     for &build in sides {
-                        let (build_blocks, probe) = match build {
-                            Side::Left => (bl, &rchild),
-                            Side::Right => (br, &lchild),
+                        let (build_blocks, probe_order) = match build {
+                            Side::Left => (bl, r_order),
+                            Side::Right => (br, l_order),
                         };
                         // Against an in-memory table the probe child
                         // streams through, each row followed by its matches:
@@ -810,30 +931,18 @@ impl<'c, 'a> Search<'c, 'a> {
                         // on its unmatched build rows.
                         let in_memory = build_blocks <= params.sort_mem_blocks;
                         let (cost, out_order) = match (in_memory, kind) {
-                            (true, JoinKind::Inner) => (hash_cost, probe.out_order.clone()),
-                            (true, _) => (hash_cost, IdOrder::empty()),
-                            (false, _) => (hash_cost + 2.0 * (bl + br), IdOrder::empty()),
+                            (true, JoinKind::Inner) => (hash_cost, probe_order),
+                            (true, _) => (hash_cost, Orders::EMPTY),
+                            (false, _) => (hash_cost + 2.0 * (bl + br), Orders::EMPTY),
                         };
-                        out.push(Arc::new(Cand {
-                            alt: Alt::Hashed(build),
-                            out_order,
-                            cost,
-                            rows,
-                            logical: id,
-                            children: vec![lchild.clone(), rchild.clone()],
-                        }));
+                        let cand = self.push(Alt::Hashed(build), out_order, cost, rows, id, inputs);
+                        self.offer(offers, id, required, cand);
                     }
                     // Nested loops: propagates the outer (left) order — the
                     // property afm rule 4 relies on.
-                    let nl_cost = inputs + params.cmp_io * l_stats.rows * r_stats.rows;
-                    out.push(Arc::new(Cand {
-                        alt: Alt::NestedLoops,
-                        out_order: lchild.out_order.clone(),
-                        cost: nl_cost,
-                        rows,
-                        logical: id,
-                        children: vec![lchild, rchild],
-                    }));
+                    let nl_cost = inputs_cost + params.cmp_io * l_stats.rows * r_stats.rows;
+                    let cand = self.push(Alt::NestedLoops, l_order, nl_cost, rows, id, inputs);
+                    self.offer(offers, id, required, cand);
                 }
             }
             // A sort aggregate over grouping set `cols`, or a DISTINCT over
@@ -842,80 +951,97 @@ impl<'c, 'a> Search<'c, 'a> {
             // (paper §1).
             Node::Aggregate { input, group: cols } | Node::Distinct { input, cols } => {
                 let in_stats = &ctx.stats[*input];
-                for q in ctx.grouping_goal_orders(*input, cols, required) {
-                    let child = self.best_plan(*input, &q)?;
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Sorted,
-                        out_order: q,
-                        cost: child.cost + params.tuple_io * in_stats.rows,
-                        rows,
-                        logical: id,
-                        children: vec![child],
-                    }));
+                let (start, end) = self.grouping_goals(id, *input, cols, required);
+                for at in start..end {
+                    let q = self.goal_pool[at];
+                    let child = self.best_plan(*input, q)?;
+                    let cost = self.cand(child).cost + params.tuple_io * in_stats.rows;
+                    let cand = self.push(Alt::Sorted, q, cost, rows, id, [Some(child), None]);
+                    self.offer(offers, id, required, cand);
                 }
                 if ctx.enable_hash {
-                    let child = self.best_plan(*input, &IdOrder::empty())?;
+                    let child = self.best_plan(*input, Orders::EMPTY)?;
                     let b_in = in_stats.blocks(params.block_size);
-                    let mut cost = child.cost + params.hash_io * in_stats.rows;
+                    let mut cost = self.cand(child).cost + params.hash_io * in_stats.rows;
                     if b_in > params.sort_mem_blocks {
                         cost += 2.0 * b_in;
                     }
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Hashed(Side::Left),
-                        out_order: IdOrder::empty(),
-                        cost,
-                        rows,
-                        logical: id,
-                        children: vec![child],
-                    }));
+                    let alt = Alt::Hashed(Side::Left);
+                    let cand = self.push(alt, Orders::EMPTY, cost, rows, id, [Some(child), None]);
+                    self.offer(offers, id, required, cand);
                 }
             }
             Node::Sort { input, order } => {
                 // The ORDER BY is itself a goal: delegate to the child with
                 // the target order; enforcement happens inside `best_plan`.
-                out.push(self.best_plan(*input, order)?);
+                let order = self.orders.intern(order.attrs());
+                let cand = self.best_plan(*input, order)?;
+                self.offer(offers, id, required, cand);
             }
             Node::Limit { input } => {
                 // Order-preserving; the requirement flows through. A fully
                 // pipelined child would let LIMIT terminate early, but
                 // costing partial evaluation is out of scope — we keep the
-                // child's cost.
-                for goal in ctx.child_goals(*input, required) {
-                    let child = self.best_plan(*input, &goal)?;
-                    out.push(Arc::new(Cand {
-                        alt: Alt::Direct,
-                        out_order: child.out_order.clone(),
-                        cost: child.cost,
-                        rows,
-                        logical: id,
-                        children: vec![child],
-                    }));
-                }
+                // child's cost (nothing per row).
+                let same = |_: &mut Orders, o| o;
+                self.offer_unary(offers, (id, *input), required, required, same, 0.0)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// The merge-join goal pairs `(left goal, right goal)` for join `id`
-    /// over join attribute set `s` — one per candidate interesting order,
-    /// with each representative mapped back to concrete pair columns so the
-    /// goals resolve on both sides.
+    /// The range of `goal_pool` holding grouping node `id`'s input orders
+    /// over grouping set `cols` under `required`, computed on first use.
+    fn grouping_goals(
+        &mut self,
+        id: NodeId,
+        input: NodeId,
+        cols: &IdSet,
+        required: OrderId,
+    ) -> (usize, usize) {
+        let ctx = self.ctx;
+        let projected = ctx.project_order(self.orders.get(required), cols);
+        let key = (id, self.orders.intern(projected.attrs()));
+        if let Some(&range) = self.goal_lists.get(&key) {
+            return range;
+        }
+        let start = self.goal_pool.len();
+        for q in ctx.grouping_goal_orders(input, cols, &projected) {
+            let q = self.orders.intern(q.attrs());
+            self.goal_pool.push(q);
+        }
+        let range = (start, self.goal_pool.len());
+        self.goal_lists.insert(key, range);
+        range
+    }
+
+    /// The range of `goal_pool` holding the merge-join goal pairs
+    /// `(left goal, right goal)` for join `id` over join attribute set `s`
+    /// — one per candidate interesting order, with each representative
+    /// mapped back to concrete pair columns so the goals resolve on both
+    /// sides. They depend on the requirement only through `o ∧ S`, so they
+    /// are computed once per distinct `o ∧ S`.
     fn join_merge_goals(
-        &self,
+        &mut self,
         id: NodeId,
         left: NodeId,
         right: NodeId,
         pairs: &[(AttrId, AttrId)],
         s: &IdSet,
-        required: &IdOrder,
-    ) -> Vec<(IdOrder, IdOrder)> {
+        required: OrderId,
+    ) -> (usize, usize) {
         let ctx = self.ctx;
+        let n = lcp_with_set_equiv_len(self.orders.get(required), s, &ctx.equiv);
+        let required_s = self.orders.prefix(self.orders.norm(required), n);
+        if let Some(&range) = self.goal_lists.get(&(id, required_s)) {
+            return range;
+        }
         // Favorable prefixes: afm(el, S) ∪ afm(er, S) ∪ {o ∧ S}.
         let prefixes = ctx.afm[left]
             .iter()
-            .chain(&ctx.afm[right])
-            .chain([required])
-            .map(|o| lcp_with_set_equiv(o, s, &ctx.equiv));
+            .chain(ctx.afm[right].iter())
+            .map(|o| lcp_with_set_equiv(o, s, &ctx.equiv))
+            .chain([self.orders.get(required_s).clone()]);
         let orders = match self.forced.get(&id) {
             Some(o) => vec![o.clone()],
             None => ctx
@@ -931,19 +1057,22 @@ impl<'c, 'a> Search<'c, 'a> {
                 .find(|&&(l, _)| ctx.equiv.rep(l) == rep)
                 .copied()
         };
-        orders
-            .iter()
-            .filter_map(|p| {
-                let resolved: Option<Vec<(AttrId, AttrId)>> =
-                    p.attrs().iter().map(|&a| pair_of(a)).collect();
-                resolved.map(|lr| {
-                    (
-                        IdOrder::new(lr.iter().map(|&(l, _)| l)),
-                        IdOrder::new(lr.iter().map(|&(_, r)| r)),
-                    )
-                })
-            })
-            .collect()
+        let start = self.goal_pool.len();
+        let mut side = Vec::new();
+        for p in &orders {
+            if p.attrs().iter().any(|&a| pair_of(a).is_none()) {
+                continue;
+            }
+            for pick in [|(l, _)| l, |(_, r)| r] {
+                side.clear();
+                side.extend(p.attrs().iter().filter_map(|&a| pair_of(a).map(pick)));
+                let goal = self.orders.intern(&side);
+                self.goal_pool.push(goal);
+            }
+        }
+        let range = (start, self.goal_pool.len());
+        self.goal_lists.insert((id, required_s), range);
+        range
     }
 }
 

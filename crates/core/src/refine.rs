@@ -11,7 +11,7 @@
 use crate::favorable::lcp_with_set_equiv;
 use crate::ids::{IdOrder, IdSet, Node};
 use crate::logical::NodeId;
-use crate::optimizer::{Alt, Cand, Ctx};
+use crate::optimizer::{Alt, CandId, Ctx, Found};
 use pyro_ordering::{two_approx_tree_order, JoinTree};
 use std::collections::HashMap;
 
@@ -30,9 +30,9 @@ struct MjInfo {
 
 /// Phase-2 on `best`: the merge-join orders to pin for the re-search, or
 /// `None` when there is nothing to coordinate.
-pub(crate) fn reworked_orders(ctx: &Ctx, best: &Cand) -> Option<HashMap<NodeId, IdOrder>> {
+pub(crate) fn reworked_orders(ctx: &Ctx, found: &Found) -> Option<HashMap<NodeId, IdOrder>> {
     let mut joins: Vec<MjInfo> = Vec::new();
-    collect_mjs(ctx, best, None, &mut joins);
+    collect_mjs(ctx, found, found.best, None, &mut joins);
     // Fewer than two merge joins, or no free attributes at all.
     if joins.len() < 2 || joins.iter().all(|j| j.free.is_empty()) {
         return None;
@@ -82,9 +82,16 @@ pub(crate) fn reworked_orders(ctx: &Ctx, best: &Cand) -> Option<HashMap<NodeId, 
     (!forced.is_empty()).then_some(forced)
 }
 
-/// Walks the candidate tree recording merge joins and their nearest
-/// merge-join ancestor.
-fn collect_mjs(ctx: &Ctx, node: &Cand, parent_mj: Option<NodeId>, out: &mut Vec<MjInfo>) {
+/// Walks the candidate tree under `at` recording merge joins and their
+/// nearest merge-join ancestor.
+fn collect_mjs(
+    ctx: &Ctx,
+    found: &Found,
+    at: CandId,
+    parent_mj: Option<NodeId>,
+    out: &mut Vec<MjInfo>,
+) {
+    let node = found.cand(at);
     let this_parent = match (node.alt, &ctx.nodes[node.logical]) {
         (
             Alt::Sorted,
@@ -92,11 +99,11 @@ fn collect_mjs(ctx: &Ctx, node: &Cand, parent_mj: Option<NodeId>, out: &mut Vec<
                 left, right, reps, ..
             },
         ) => {
-            let order_reps = node.out_order.map(|&a| ctx.equiv.rep(a));
+            let order_reps = found.orders.get(node.out_order).map(|&a| ctx.equiv.rep(a));
             // qi: input favorable order sharing the longest prefix with pi.
             let fixed = ctx.afm[*left]
                 .iter()
-                .chain(&ctx.afm[*right])
+                .chain(ctx.afm[*right].iter())
                 .map(|q| order_reps.lcp(&lcp_with_set_equiv(q, reps, &ctx.equiv)))
                 .max_by_key(IdOrder::len)
                 .unwrap_or_default();
@@ -117,8 +124,8 @@ fn collect_mjs(ctx: &Ctx, node: &Cand, parent_mj: Option<NodeId>, out: &mut Vec<
         }
         _ => parent_mj,
     };
-    for c in &node.children {
-        collect_mjs(ctx, c, this_parent, out);
+    for c in node.children() {
+        collect_mjs(ctx, found, c, this_parent, out);
     }
 }
 

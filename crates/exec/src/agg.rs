@@ -182,7 +182,7 @@ fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Sche
         .map(|&i| child.column(i).clone())
         .collect();
     for a in aggs {
-        cols.push(Column::new(a.name.clone(), a.output_type()));
+        cols.push(Column::new(a.name.as_str(), a.output_type()));
     }
     Schema::new(cols)
 }

@@ -344,10 +344,14 @@ impl VectorTable {
     /// arrival order.
     #[inline]
     fn matches_into(&self, key: &[i64], out: &mut Vec<u32>) {
+        debug_assert_eq!(key.len(), self.k);
         let mut slot = self.first[(hash_words(key) as usize) & self.mask];
         while slot != NIL {
             let i = slot as usize;
-            if self.keys[i * self.k..i * self.k + self.k] == *key {
+            // Word by word, not as a slice `==`: keys are a word or two, and
+            // a slice comparison is a `memcmp` call per chain hop.
+            let stored = &self.keys[i * self.k..i * self.k + self.k];
+            if stored.iter().zip(key).all(|(a, b)| a == b) {
                 out.push(slot);
             }
             slot = self.next[i];

@@ -248,7 +248,14 @@ impl<A: Attr> Order<A> {
 
     /// `o ∧ s`: longest *prefix* of `o` whose attributes all belong to `s`.
     pub fn lcp_with_set(&self, s: &Set<A>) -> Order<A> {
-        self.prefix(self.attrs.iter().take_while(|a| s.contains(*a)).count())
+        self.prefix(self.lcp_with_set_len(s))
+    }
+
+    /// `|o ∧ s|`: the length of [`Order::lcp_with_set`], without building
+    /// the prefix (a caller that interns orders looks the prefix up by
+    /// slice instead).
+    pub fn lcp_with_set_len(&self, s: &Set<A>) -> usize {
+        self.attrs.iter().take_while(|a| s.contains(*a)).count()
     }
 
     /// Extends this order with an arbitrary (canonical) permutation of the

@@ -1,82 +1,107 @@
 //! SQL tokenizer.
+//!
+//! Tokens borrow the statement: a string literal is a slice of the text, a
+//! symbol a `&'static str`, and an identifier allocates only when it has to
+//! be lowercased. Tokenizing a statement therefore allocates its token
+//! vector and one string per identifier written with capitals.
 
 use pyro_common::{PyroError, Result};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
-/// A lexical token.
+/// A lexical token, borrowing the SQL text it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// Keyword or identifier (uppercased keywords are matched
-    /// case-insensitively by the parser; identifiers keep original case
-    /// lowered).
-    Ident(String),
+pub enum Token<'a> {
+    /// Keyword or identifier, lowercased (SQL names are case-insensitive;
+    /// the parser matches keywords against their lowercase spelling).
+    Ident(Cow<'a, str>),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal (single quotes).
-    Str(String),
+    /// String literal (single quotes), without its quotes.
+    Str(&'a str),
     /// Punctuation / operator.
-    Symbol(String),
+    Symbol(&'static str),
     /// A `?` parameter placeholder, numbered 0-based in text order.
     Param(usize),
 }
 
-/// Tokenizes SQL text.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
+/// The operators, two-character spellings first; `!=` is read as `<>`.
+const SYMBOLS: [(&str, &str); 15] = [
+    ("<=", "<="),
+    (">=", ">="),
+    ("<>", "<>"),
+    ("!=", "<>"),
+    ("(", "("),
+    (")", ")"),
+    (",", ","),
+    (".", "."),
+    ("*", "*"),
+    ("=", "="),
+    ("<", "<"),
+    (">", ">"),
+    ("+", "+"),
+    ("-", "-"),
+    ("/", "/"),
+];
+
+/// An identifier in lowercase, borrowed from the text when it has no
+/// uppercase letter.
+fn lowercase_ident(word: &str) -> Cow<'_, str> {
+    if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Cow::Borrowed(word);
+    }
+    Cow::Owned(word.to_ascii_lowercase())
+}
+
+/// Tokenizes SQL text. Error offsets count characters, not bytes.
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+    let bytes = input.as_bytes();
+    // SQL averages more than four bytes per token, so this rarely grows.
+    let mut out = Vec::with_capacity(input.len() / 4);
     let mut i = 0;
     let mut params = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    while i < bytes.len() {
+        // Identifiers, numbers and operators are ASCII; a multi-byte
+        // character is whitespace or an error.
+        let c = input[i..].chars().next().expect("i is on a char boundary");
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             continue;
         }
+        let word_end = |from: usize, part: fn(u8) -> bool| {
+            from + bytes[from..].iter().take_while(|&&b| part(b)).count()
+        };
         if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            out.push(Token::Ident(
-                chars[start..i].iter().collect::<String>().to_lowercase(),
-            ));
+            let end = word_end(i, |b| b.is_ascii_alphanumeric() || b == b'_');
+            out.push(Token::Ident(lowercase_ident(&input[i..end])));
+            i = end;
             continue;
         }
         if c.is_ascii_digit() {
-            let start = i;
-            let mut is_float = false;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                if chars[i] == '.' {
-                    is_float = true;
-                }
-                i += 1;
-            }
-            let text: String = chars[start..i].iter().collect();
-            if is_float {
-                out.push(Token::Float(
+            let end = word_end(i, |b| b.is_ascii_digit() || b == b'.');
+            let text = &input[i..end];
+            out.push(if text.contains('.') {
+                Token::Float(
                     text.parse()
                         .map_err(|e| PyroError::Sql(format!("bad float {text}: {e}")))?,
-                ));
+                )
             } else {
-                out.push(Token::Int(
+                Token::Int(
                     text.parse()
                         .map_err(|e| PyroError::Sql(format!("bad int {text}: {e}")))?,
-                ));
-            }
+                )
+            });
+            i = end;
             continue;
         }
         if c == '\'' {
-            let start = i + 1;
-            i += 1;
-            while i < chars.len() && chars[i] != '\'' {
-                i += 1;
-            }
-            if i >= chars.len() {
+            let Some(len) = input[i + 1..].find('\'') else {
                 return Err(PyroError::Sql("unterminated string literal".into()));
-            }
-            out.push(Token::Str(chars[start..i].iter().collect()));
-            i += 1;
+            };
+            out.push(Token::Str(&input[i + 1..i + 1 + len]));
+            i += len + 2;
             continue;
         }
         if c == '?' {
@@ -85,20 +110,17 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             i += 1;
             continue;
         }
-        // multi-char operators
-        let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-        if ["<=", ">=", "<>", "!="].contains(&two.as_str()) {
-            out.push(Token::Symbol(if two == "!=" { "<>".into() } else { two }));
-            i += 2;
-            continue;
-        }
-        if "(),.*=<>+-/".contains(c) {
-            out.push(Token::Symbol(c.to_string()));
-            i += 1;
+        if let Some(&(text, symbol)) = SYMBOLS
+            .iter()
+            .find(|(text, _)| input[i..].starts_with(text))
+        {
+            out.push(Token::Symbol(symbol));
+            i += text.len();
             continue;
         }
         return Err(PyroError::Sql(format!(
-            "unexpected character {c:?} at offset {i}"
+            "unexpected character {c:?} at offset {}",
+            input[..i].chars().count()
         )));
     }
     Ok(out)
@@ -110,20 +132,23 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 /// is the plan cache's notion of query identity: syntactic, not semantic
 /// (`a = 1` and `1 = a` stay distinct keys).
 pub fn normalize(sql: &str) -> Result<String> {
-    let rendered: Vec<String> = tokenize(sql)?
-        .into_iter()
-        .map(|t| match t {
-            Token::Ident(s) => s,
-            Token::Int(v) => v.to_string(),
+    let mut out = String::with_capacity(sql.len());
+    for (i, t) in tokenize(sql)?.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = match t {
+            Token::Ident(s) => out.write_str(s),
+            Token::Int(v) => write!(out, "{v}"),
             // `{:?}` keeps the fraction ("4.0"), so a float literal can
             // never collide with the integer of the same value.
-            Token::Float(v) => format!("{v:?}"),
-            Token::Str(s) => format!("'{s}'"),
-            Token::Symbol(s) => s,
-            Token::Param(_) => "?".to_string(),
-        })
-        .collect();
-    Ok(rendered.join(" "))
+            Token::Float(v) => write!(out, "{v:?}"),
+            Token::Str(s) => write!(out, "'{s}'"),
+            Token::Symbol(s) => out.write_str(s),
+            Token::Param(_) => out.write_str("?"),
+        };
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -134,8 +159,8 @@ mod tests {
     fn basic_tokens() {
         let t = tokenize("SELECT a, b FROM t WHERE x = 'O' AND y >= 4.5").unwrap();
         assert_eq!(t[0], Token::Ident("select".into()));
-        assert!(t.contains(&Token::Str("O".into())));
-        assert!(t.contains(&Token::Symbol(">=".into())));
+        assert!(t.contains(&Token::Str("O")));
+        assert!(t.contains(&Token::Symbol(">=")));
         assert!(t.contains(&Token::Float(4.5)));
     }
 
@@ -146,7 +171,7 @@ mod tests {
             t,
             vec![
                 Token::Ident("t1".into()),
-                Token::Symbol(".".into()),
+                Token::Symbol("."),
                 Token::Ident("c4".into())
             ]
         );
@@ -155,7 +180,7 @@ mod tests {
     #[test]
     fn not_equal_normalized() {
         let t = tokenize("a != b").unwrap();
-        assert!(t.contains(&Token::Symbol("<>".into())));
+        assert!(t.contains(&Token::Symbol("<>")));
     }
 
     #[test]

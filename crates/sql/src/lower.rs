@@ -13,7 +13,7 @@
 //! lowering produced.
 
 use crate::ast::{Query, SelectItem, SqlExpr, TableRef};
-use pyro_catalog::Catalog;
+use pyro_catalog::{Catalog, TableHandle};
 use pyro_common::{DataType, PyroError, Result};
 use pyro_core::{AggSpec, JoinPair, LogicalPlan, NExpr, NodeId, ProjItem};
 use pyro_exec::agg::AggFunc;
@@ -21,7 +21,7 @@ use pyro_exec::join::JoinKind;
 use pyro_exec::CmpOp;
 use pyro_ordering::SortOrder;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What the lowerer learned about a statement's `?` placeholders: one slot
 /// per parameter, in placeholder order. A slot holds the [`DataType`] the
@@ -71,26 +71,36 @@ pub fn plan_with_params(sql: &str, catalog: &Catalog) -> Result<(LogicalPlan, Pa
     lower_with_params(&crate::parse_query(sql)?, catalog)
 }
 
-struct Lowerer<'a> {
+struct Lowerer<'a, 'q> {
     catalog: &'a Catalog,
-    /// alias → bare column names, in scope order.
-    scopes: BTreeMap<String, Vec<String>>,
-    /// Qualified column name → declared type, for placeholder inference.
-    col_types: BTreeMap<String, DataType>,
+    /// The FROM tables in `FROM` order: each alias with its table, whose
+    /// schema holds the bare column names and their declared types.
+    scopes: Vec<(&'q str, Arc<TableHandle>)>,
     /// Expected type per `?` placeholder, grown as placeholders are seen.
     /// `RefCell` because inference happens inside the `&self` expression
     /// walk.
     param_types: RefCell<Vec<Option<DataType>>>,
 }
 
-impl<'a> Lowerer<'a> {
+impl<'a, 'q> Lowerer<'a, 'q> {
     fn new(catalog: &'a Catalog) -> Result<Self> {
         Ok(Lowerer {
             catalog,
-            scopes: BTreeMap::new(),
-            col_types: BTreeMap::new(),
+            scopes: Vec::new(),
             param_types: RefCell::new(Vec::new()),
         })
+    }
+
+    /// The position in `FROM` of the table aliased `alias`.
+    fn scope_of(&self, alias: &str) -> Option<usize> {
+        self.scopes.iter().position(|(a, _)| *a == alias)
+    }
+
+    /// The declared type of bare column `bare` of the table aliased `alias`.
+    fn column_type(&self, alias: &str, bare: &str) -> Option<DataType> {
+        let (_, table) = &self.scopes[self.scope_of(alias)?];
+        let columns = table.meta.schema.columns();
+        columns.iter().find(|c| &*c.name == bare).map(|c| c.ty)
     }
 
     /// Ensures the parameter table covers placeholder `i`.
@@ -106,10 +116,13 @@ impl<'a> Lowerer<'a> {
     /// later conflicting use leaves the earlier, stricter expectation).
     fn infer_param_type(&self, a: &NExpr, b: &NExpr) {
         if let (NExpr::Param(i), NExpr::Col(c)) = (a, b) {
-            if let Some(ty) = self.col_types.get(c) {
+            let ty = c
+                .split_once('.')
+                .and_then(|(alias, bare)| self.column_type(alias, bare));
+            if let Some(ty) = ty {
                 let mut types = self.param_types.borrow_mut();
                 if types[*i].is_none() {
-                    types[*i] = Some(*ty);
+                    types[*i] = Some(ty);
                 }
             }
         }
@@ -118,25 +131,19 @@ impl<'a> Lowerer<'a> {
     /// Qualifies a possibly-bare column name against the aliases in scope.
     fn qualify(&self, name: &str) -> Result<String> {
         if let Some((alias, bare)) = name.split_once('.') {
-            if self
-                .scopes
-                .get(alias)
-                .is_some_and(|cols| cols.iter().any(|c| c == bare))
-            {
-                return Ok(format!("{alias}.{bare}"));
+            if self.column_type(alias, bare).is_some() {
+                return Ok(name.to_string());
             }
             return Err(PyroError::UnknownColumn(name.to_string()));
         }
-        let hits: Vec<String> = self
-            .scopes
-            .iter()
-            .filter(|(_, cols)| cols.iter().any(|c| c == name))
-            .map(|(alias, _)| format!("{alias}.{name}"))
-            .collect();
-        match hits.as_slice() {
-            [one] => Ok(one.clone()),
-            [] => Err(PyroError::UnknownColumn(name.to_string())),
-            _ => Err(PyroError::AmbiguousColumn(name.to_string())),
+        let mut hits = self.scopes.iter().filter(|(_, table)| {
+            let columns = table.meta.schema.columns();
+            columns.iter().any(|c| &*c.name == name)
+        });
+        match (hits.next(), hits.next()) {
+            (Some((alias, _)), None) => Ok(format!("{alias}.{name}")),
+            (None, _) => Err(PyroError::UnknownColumn(name.to_string())),
+            (Some(_), Some(_)) => Err(PyroError::AmbiguousColumn(name.to_string())),
         }
     }
 
@@ -153,7 +160,7 @@ impl<'a> Lowerer<'a> {
         col.split_once('.').is_some_and(|(a, _)| a == alias)
     }
 
-    fn lower(&mut self, q: &Query) -> Result<LogicalPlan> {
+    fn lower(&mut self, q: &'q Query) -> Result<LogicalPlan> {
         if q.from.is_empty() {
             return Err(PyroError::Sql("FROM clause required".into()));
         }
@@ -170,21 +177,24 @@ impl<'a> Lowerer<'a> {
                 ));
             }
         }
-        // Register scopes up front so WHERE names can be qualified.
+        // Register scopes up front so WHERE names can be qualified. An
+        // alias names one table: a second use would make `alias.col`
+        // ambiguous.
         for t in &q.from {
-            let handle = self.catalog.table(&t.table)?;
-            for col in handle.meta.schema.columns() {
-                self.col_types
-                    .insert(format!("{}.{}", t.alias, col.name), col.ty);
+            if self.scope_of(&t.alias).is_some() {
+                return Err(PyroError::Sql(format!(
+                    "table alias {} is used twice in FROM; give each table its own alias",
+                    t.alias
+                )));
             }
-            self.scopes
-                .insert(t.alias.clone(), handle.meta.schema.names());
+            self.scopes.push((&t.alias, self.catalog.table(&t.table)?));
         }
 
         // Split WHERE into join pairs (col = col across tables),
         // single-table filters, and residual conditions.
         let mut join_equalities: Vec<(String, String)> = Vec::new();
-        let mut table_filters: BTreeMap<String, Vec<NExpr>> = BTreeMap::new();
+        // Single-table filters per FROM position.
+        let mut table_filters: Vec<Vec<NExpr>> = vec![Vec::new(); q.from.len()];
         let mut residual: Vec<NExpr> = Vec::new();
         for conj in &q.where_conjuncts {
             match conj {
@@ -204,29 +214,29 @@ impl<'a> Lowerer<'a> {
 
         // Build scans with pushed-down filters, then join left-deep.
         let mut plan = LogicalPlan::new();
-        let mut current: Option<(NodeId, Vec<String>)> = None; // (node, aliases in scope)
-        for t in &q.from {
+        let mut current: Option<NodeId> = None;
+        for ((i, t), filters) in q.from.iter().enumerate().zip(table_filters) {
             let mut node = plan.scan_as(&t.table, &t.alias);
-            if let Some(filters) = table_filters.remove(&t.alias) {
+            if !filters.is_empty() {
                 node = plan.filter(node, NExpr::And(filters));
             }
             current = Some(match current {
-                None => (node, vec![t.alias.clone()]),
-                Some((left, mut aliases)) => {
-                    let (kind, pairs) = self.join_spec(t, &aliases, &mut join_equalities)?;
+                None => node,
+                Some(left) => {
+                    // The tables before this one are the scopes before it.
+                    let (kind, pairs) =
+                        self.join_spec(t, &self.scopes[..i], &mut join_equalities)?;
                     if pairs.is_empty() {
                         return Err(PyroError::Sql(format!(
                             "no join condition links table {} to the preceding tables",
                             t.alias
                         )));
                     }
-                    let j = plan.join_kind(left, node, kind, pairs);
-                    aliases.push(t.alias.clone());
-                    (j, aliases)
+                    plan.join_kind(left, node, kind, pairs)
                 }
             });
         }
-        let (mut node, _) =
+        let mut node =
             current.ok_or_else(|| PyroError::Plan("FROM clause lowered to no table".into()))?;
         if !join_equalities.is_empty() {
             return Err(PyroError::Sql(format!(
@@ -341,7 +351,7 @@ impl<'a> Lowerer<'a> {
     fn classify_filter(
         &self,
         conj: &SqlExpr,
-        table_filters: &mut BTreeMap<String, Vec<NExpr>>,
+        table_filters: &mut [Vec<NExpr>],
         residual: &mut Vec<NExpr>,
     ) -> Result<()> {
         let mut aggs = Vec::new();
@@ -355,10 +365,10 @@ impl<'a> Lowerer<'a> {
         aliases.sort_unstable();
         aliases.dedup();
         match aliases.as_slice() {
-            [one] => table_filters
-                .entry(one.to_string())
-                .or_default()
-                .push(lowered),
+            [one] => match self.scope_of(one) {
+                Some(at) => table_filters[at].push(lowered),
+                None => residual.push(lowered),
+            },
             _ => residual.push(lowered),
         }
         Ok(())
@@ -451,12 +461,12 @@ impl<'a> Lowerer<'a> {
         NExpr::Col(name)
     }
 
-    /// Consumes the join condition linking `t` to the tables in
-    /// `left_aliases`.
+    /// Consumes the join condition linking `t` to the tables in scope
+    /// `left`.
     fn join_spec(
         &self,
         t: &TableRef,
-        left_aliases: &[String],
+        left: &[(&str, Arc<TableHandle>)],
         pool: &mut Vec<(String, String)>,
     ) -> Result<(JoinKind, Vec<JoinPair>)> {
         let mut pairs = Vec::new();
@@ -484,8 +494,8 @@ impl<'a> Lowerer<'a> {
         pool.retain(|(qa, qb)| {
             let a_new = Self::belongs_to(qa, &t.alias);
             let b_new = Self::belongs_to(qb, &t.alias);
-            let a_old = left_aliases.iter().any(|al| Self::belongs_to(qa, al));
-            let b_old = left_aliases.iter().any(|al| Self::belongs_to(qb, al));
+            let a_old = left.iter().any(|(al, _)| Self::belongs_to(qa, al));
+            let b_old = left.iter().any(|(al, _)| Self::belongs_to(qb, al));
             if a_old && b_new {
                 pairs.push(JoinPair::new(qa.clone(), qb.clone()));
                 false
@@ -532,6 +542,15 @@ mod tests {
             &rows,
         )
         .unwrap();
+        for name in ["t", "u"] {
+            cat.register_table(
+                name,
+                Schema::ints(&["a", "b", "c"]),
+                SortOrder::new(["a"]),
+                &rows,
+            )
+            .unwrap();
+        }
         cat
     }
 
@@ -582,6 +601,25 @@ mod tests {
         let cat = catalog();
         let q = parse_query("SELECT * FROM t1, t2").unwrap();
         assert!(lower(&q, &cat).is_err());
+    }
+
+    #[test]
+    fn duplicate_alias_is_a_typed_error_naming_it() {
+        // Regression: the second table used to overwrite the first in the
+        // scope map, and the statement failed later with "no join
+        // condition links table x to the preceding tables".
+        let cat = catalog();
+        for (sql, alias) in [
+            ("SELECT * FROM t x, u x WHERE x.a = x.a", "x"),
+            ("SELECT * FROM t, t WHERE a = a", "t"),
+        ] {
+            let err = lower(&parse_query(sql).unwrap(), &cat).unwrap_err();
+            assert!(
+                matches!(&err, PyroError::Sql(m)
+                    if m.contains(&format!("table alias {alias} is used twice"))),
+                "{sql}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@ pub fn parse_query(sql: &str) -> Result<Query> {
     Ok(q)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> PyroError {
         PyroError::Sql(format!(
             "{msg} (at token {} = {:?})",
@@ -31,7 +31,7 @@ impl Parser {
         ))
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -57,7 +57,7 @@ impl Parser {
     }
 
     fn eat_symbol(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Symbol(x)) if x == s) {
+        if matches!(self.peek(), Some(Token::Symbol(x)) if *x == s) {
             self.pos += 1;
             true
         } else {
@@ -76,7 +76,7 @@ impl Parser {
     fn ident(&mut self) -> Result<String> {
         match self.peek() {
             Some(Token::Ident(s)) => {
-                let s = s.clone();
+                let s = s.to_string();
                 self.pos += 1;
                 Ok(s)
             }
@@ -86,12 +86,24 @@ impl Parser {
 
     /// Possibly-qualified column name.
     fn column_name(&mut self) -> Result<String> {
-        let first = self.ident()?;
-        if self.eat_symbol(".") {
-            let second = self.ident()?;
-            Ok(format!("{first}.{second}"))
-        } else {
-            Ok(first)
+        let qualified = match self.tokens.get(self.pos..self.pos + 3) {
+            Some([Token::Ident(first), Token::Symbol("."), Token::Ident(second)]) => {
+                Some([first.as_ref(), ".", second.as_ref()].concat())
+            }
+            _ => None,
+        };
+        match qualified {
+            Some(name) => {
+                self.pos += 3;
+                Ok(name)
+            }
+            None => {
+                let name = self.ident()?;
+                if self.eat_symbol(".") {
+                    return Err(self.err("expected identifier"));
+                }
+                Ok(name)
+            }
         }
     }
 
@@ -178,8 +190,8 @@ impl Parser {
             }
         }
         let limit = if self.eat_kw("limit") {
-            match self.peek().cloned() {
-                Some(Token::Int(v)) if v >= 0 => {
+            match self.peek() {
+                Some(&Token::Int(v)) if v >= 0 => {
                     self.pos += 1;
                     Some(v as u64)
                 }
@@ -209,7 +221,7 @@ impl Parser {
                     "where", "group", "having", "order", "full", "on", "join", "inner", "left",
                     "as", "limit",
                 ]
-                .contains(&s.as_str()) =>
+                .contains(&s.as_ref()) =>
             {
                 self.ident()?
             }
@@ -286,32 +298,20 @@ impl Parser {
     }
 
     fn factor(&mut self) -> Result<SqlExpr> {
-        match self.peek().cloned() {
-            Some(Token::Int(v)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Int(v)))
-            }
-            Some(Token::Float(v)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Double(v)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Str(s)))
-            }
-            Some(Token::Param(i)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Param(i))
-            }
-            Some(Token::Symbol(s)) if s == "(" => {
+        let e = match self.peek() {
+            Some(&Token::Int(v)) => SqlExpr::Lit(Value::Int(v)),
+            Some(&Token::Float(v)) => SqlExpr::Lit(Value::Double(v)),
+            Some(Token::Str(s)) => SqlExpr::Lit(Value::Str(s.to_string())),
+            Some(&Token::Param(i)) => SqlExpr::Param(i),
+            Some(Token::Symbol("(")) => {
                 self.pos += 1;
                 let e = self.expr()?;
                 self.expect_symbol(")")?;
-                Ok(e)
+                return Ok(e);
             }
             Some(Token::Ident(name)) => {
                 // aggregate call?
-                let func = match name.as_str() {
+                let func = match name.as_ref() {
                     "count" => Some(AggFunc::Count),
                     "sum" => Some(AggFunc::Sum),
                     "min" => Some(AggFunc::Min),
@@ -320,7 +320,7 @@ impl Parser {
                     _ => None,
                 };
                 if let Some(f) = func {
-                    if self.tokens.get(self.pos + 1) == Some(&Token::Symbol("(".into())) {
+                    if matches!(self.tokens.get(self.pos + 1), Some(Token::Symbol("("))) {
                         self.pos += 2;
                         if self.eat_symbol("*") {
                             self.expect_symbol(")")?;
@@ -331,18 +331,25 @@ impl Parser {
                         return Ok(SqlExpr::Agg(f, Box::new(arg)));
                     }
                 }
-                Ok(SqlExpr::Col(self.column_name()?))
+                return Ok(SqlExpr::Col(self.column_name()?));
             }
-            _ => Err(self.err("expected expression")),
-        }
+            _ => return Err(self.err("expected expression")),
+        };
+        self.pos += 1;
+        Ok(e)
     }
 }
 
 fn flatten_and(e: SqlExpr) -> Vec<SqlExpr> {
-    match e {
-        SqlExpr::And(terms) => terms.into_iter().flat_map(flatten_and).collect(),
-        other => vec![other],
+    fn flatten_into(e: SqlExpr, out: &mut Vec<SqlExpr>) {
+        match e {
+            SqlExpr::And(terms) => terms.into_iter().for_each(|t| flatten_into(t, out)),
+            other => out.push(other),
+        }
     }
+    let mut out = Vec::new();
+    flatten_into(e, &mut out);
+    out
 }
 
 #[cfg(test)]

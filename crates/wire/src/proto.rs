@@ -182,9 +182,14 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Reads one length-prefixed UTF-8 string, borrowed from the buffer.
+    fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|e| PyroError::Wire(format!("invalid UTF-8 in string field: {e}")))
     }
 
@@ -346,7 +351,7 @@ pub fn dec_schema(payload: &[u8]) -> Result<Schema> {
     let n = r.u16()? as usize;
     let mut cols = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.str()?;
+        let name = r.str_ref()?;
         let ty = match r.u8()? {
             0 => DataType::Int,
             1 => DataType::Double,

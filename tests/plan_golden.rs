@@ -3,8 +3,9 @@
 //! The statements are the paper's six under all five strategies with hash
 //! operators off and on, plus chain and star joins of 4, 8 and 16
 //! relations, over the same tables at a small size. Each plan's explain
-//! text, the bit pattern of its cost, and its search accounting (memo
-//! groups, candidates, re-shaped joins) must equal
+//! text, the bit pattern of its cost, its search accounting (memo groups,
+//! candidates, re-shaped joins) and the result schema its compiled pipeline
+//! reports (what a wire client receives: names and types) must equal
 //! `tests/expected/plan_golden.txt`. A planner change that moves any of
 //! them names the plan that moved and shows the difference.
 //!
@@ -13,6 +14,7 @@
 //! over the expected file only when the change of plans is intended.
 
 use pyro::common::{Schema, Tuple, Value};
+use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, rng_with, tpch, StdRng};
 use pyro::{Session, SortOrder, Strategy};
 use std::collections::BTreeMap;
@@ -180,12 +182,16 @@ fn record() -> BTreeMap<String, String> {
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             let info = plan.planning;
             let label = format!("{label} hash={}", if hash { "on" } else { "off" });
+            let pipeline = plan
+                .compile(session.catalog(), &CompileOptions::default())
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let block = format!(
-                "cost {:#018x} groups {} candidates {} reordered {}\n{}",
+                "cost {:#018x} groups {} candidates {} reordered {}\nschema {}\n{}",
                 plan.cost().to_bits(),
                 info.groups,
                 info.candidates,
                 info.reordered_joins,
+                pipeline.schema(),
                 plan.explain()
             );
             assert!(out.insert(label, block).is_none(), "duplicate label");
