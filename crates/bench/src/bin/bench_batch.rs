@@ -1,14 +1,11 @@
-//! Row-shim vs native-batch micro-benchmarks — the perf trajectory seed.
+//! Batch-engine micro-benchmarks — the perf trajectory seed.
 //!
-//! Three pipelines, each executed twice from the same optimized plan: once
-//! tuple-at-a-time through `Pipeline::run_tuple_at_a_time` (the classic
-//! Volcano pull, kept as the A/B reference) and once batch-at-a-time
-//! through `Pipeline::run` (the default engine path). The two paths must
-//! produce identical `comparisons` and `run_io` counters — batching is a
-//! CPU-efficiency change, not a semantics change. The sort-bound
-//! `quickstart_partial_sort` — the paper's own hot path, a partial sort of
-//! 1,000-row segments that sorts normalized-key entries in the column
-//! vectors instead of boxed tuples — is gated at ≥ 1.5× in full mode.
+//! Three pipelines, each timed at the default batch size from the same
+//! optimized plan, and run once more one row per pull (batch size 1, the
+//! batch contract's reference): the two must produce identical rows,
+//! `comparisons` and `run_io` counters — batching is a CPU-efficiency
+//! change, not a semantics change. The third, `quickstart_partial_sort`,
+//! is the paper's own hot path: a partial sort of 1,000-row segments.
 //!
 //! A fourth section reruns the quickstart workload under a bounded buffer
 //! pool: the cold run reads every heap page from the device, the warm
@@ -55,20 +52,17 @@ impl PathStats {
     }
 }
 
-/// Runs one timed execution of `sql` over a freshly compiled pipeline.
-fn run_once(session: &Session, sql: &str, native_batch: bool) -> PathStats {
+/// Runs one timed execution of `sql` over a freshly compiled pipeline at
+/// `batch_size` rows per pull.
+fn run_once(session: &Session, sql: &str, batch_size: usize) -> PathStats {
     let plan = session.plan(sql).expect("plan");
     let start = Instant::now();
     let options = CompileOptions {
-        batch_size: BATCH_SIZE,
+        batch_size,
         ..CompileOptions::default()
     };
     let pipeline = plan.compile(session.catalog(), &options).expect("compile");
-    let out = if native_batch {
-        pipeline.run().expect("run")
-    } else {
-        pipeline.run_tuple_at_a_time().expect("run")
-    };
+    let out = pipeline.run().expect("run");
     let elapsed = start.elapsed().as_secs_f64();
     PathStats {
         elapsed_ms: elapsed * 1e3,
@@ -79,86 +73,52 @@ fn run_once(session: &Session, sql: &str, native_batch: bool) -> PathStats {
     }
 }
 
-/// Measures both paths with interleaved reps (row, native, row, native, …)
-/// so slow machine-load drift hits both equally, and keeps each path's
-/// fastest wall-clock rep (counters are identical across reps).
-fn measure(session: &Session, sql: &str) -> (PathStats, PathStats) {
-    let mut best: [Option<PathStats>; 2] = [None, None];
-    for _ in 0..REPS {
-        for (slot, native) in [(0usize, false), (1usize, true)] {
-            let stats = run_once(session, sql, native);
-            if best[slot]
-                .as_ref()
-                .is_none_or(|b| stats.elapsed_ms < b.elapsed_ms)
-            {
-                best[slot] = Some(stats);
-            }
-        }
-    }
-    let [row, native] = best;
-    (row.expect("reps > 0"), native.expect("reps > 0"))
-}
-
 struct BenchResult {
     name: &'static str,
     rows_in: usize,
-    row_shim: PathStats,
-    native: PathStats,
+    /// The fastest of [`REPS`] runs at [`BATCH_SIZE`].
+    batch: PathStats,
 }
 
 impl BenchResult {
-    fn speedup(&self) -> f64 {
-        self.native.rows_per_sec / self.row_shim.rows_per_sec
-    }
-
     fn json(&self) -> String {
         format!(
-            "    {{\n      \"name\": \"{}\",\n      \"input_rows\": {},\n      \"row_shim\": {},\n      \"native_batch\": {},\n      \"speedup\": {:.3}\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"input_rows\": {},\n      \"batch\": {}\n    }}",
             self.name,
             self.rows_in,
-            self.row_shim.json(),
-            self.native.json(),
-            self.speedup()
+            self.batch.json(),
         )
     }
 }
 
 fn run_bench(session: &Session, name: &'static str, rows_in: usize, sql: &str) -> BenchResult {
     banner(&format!("{name}  ({rows_in} input rows)"));
-    let (row_shim, native) = measure(session, sql);
+    let batch = (0..REPS)
+        .map(|_| run_once(session, sql, BATCH_SIZE))
+        .min_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms))
+        .expect("reps > 0");
+    let one_row = run_once(session, sql, 1);
     assert_eq!(
-        row_shim.rows, native.rows,
-        "{name}: row counts diverged between paths"
+        one_row.rows, batch.rows,
+        "{name}: row counts diverged between batch sizes"
     );
     assert_eq!(
-        row_shim.comparisons, native.comparisons,
-        "{name}: comparison counters diverged between paths"
+        one_row.comparisons, batch.comparisons,
+        "{name}: comparison counters diverged between batch sizes"
     );
     assert_eq!(
-        row_shim.run_io, native.run_io,
-        "{name}: run-I/O counters diverged between paths"
+        one_row.run_io, batch.run_io,
+        "{name}: run-I/O counters diverged between batch sizes"
     );
-    let result = BenchResult {
+    println!(
+        "batch {BATCH_SIZE}   : {:>10.1} ms  {:>12.0} rows/s  (comparisons {} / run_io {} at batch sizes 1 and {BATCH_SIZE})",
+        batch.elapsed_ms, batch.rows_per_sec, batch.comparisons, batch.run_io
+    );
+    BenchResult {
         name,
         rows_in,
-        row_shim,
-        native,
-    };
-    println!(
-        "row shim     : {:>10.1} ms  {:>12.0} rows/s",
-        result.row_shim.elapsed_ms, result.row_shim.rows_per_sec
-    );
-    println!(
-        "native batch : {:>10.1} ms  {:>12.0} rows/s",
-        result.native.elapsed_ms, result.native.rows_per_sec
-    );
-    println!(
-        "speedup      : {:>10.2}x   (comparisons {} / run_io {} on both paths)",
-        result.speedup(),
-        result.native.comparisons,
-        result.native.run_io
-    );
-    result
+        batch,
+    }
 }
 
 /// One run's cache-facing stats under the bounded pool.
@@ -390,20 +350,7 @@ fn main() {
     let mut results = Vec::new();
 
     let (session, sql) = workloads::scan_filter_project(n, seed);
-    let sfp = run_bench(&session, "scan_filter_project", n, sql);
-    if smoke {
-        // CI perf gate: the native batch path (columnar kernels) must not
-        // run slower than the row shim on the vectorization showcase. The
-        // margin absorbs shared-runner noise; real regressions are far
-        // larger than 15%.
-        assert!(
-            sfp.speedup() >= 0.85,
-            "perf gate: native batch fell below the row shim on \
-             scan_filter_project ({:.3}x < 0.85x)",
-            sfp.speedup()
-        );
-    }
-    results.push(sfp);
+    results.push(run_bench(&session, "scan_filter_project", n, sql));
 
     let (session, sql) = workloads::hash_join(n, seed);
     // The optimizer must actually have picked a hash join, or the numbers
@@ -421,20 +368,10 @@ fn main() {
     let (session, sql) = workloads::partial_sort(n, seed);
     let result = run_bench(&session, "quickstart_partial_sort", n, sql);
     assert_eq!(
-        result.native.run_io, 0,
+        result.batch.run_io, 0,
         "quickstart invariant violated: partial sort must do zero run I/O"
     );
-    assert!(result.native.comparisons > 0);
-    if !smoke {
-        // The columnar sort must beat tuple-at-a-time by half again while
-        // making the very same comparisons (asserted equal in `run_bench`).
-        // Full mode only: a smoke run is too short to hold a ratio.
-        assert!(
-            result.speedup() >= 1.5,
-            "perf gate: quickstart_partial_sort native/tuple-at-a-time {:.3}x < 1.5x",
-            result.speedup()
-        );
-    }
+    assert!(result.batch.comparisons > 0);
     results.push(result);
 
     // Bounded-pool warm rerun: sized to hold the whole events heap

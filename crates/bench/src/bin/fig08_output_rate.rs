@@ -12,7 +12,7 @@ use pyro_datagen::rtables;
 use pyro_exec::limit::Limit;
 use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro_exec::{BoxOp, ExecMetrics};
+use pyro_exec::{BoxOp, ExecMetrics, Stash};
 use std::time::Instant;
 
 const ROWS: usize = 400_000; // paper: 10 M
@@ -98,8 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let mut limited: BoxOp = Box::new(Limit::new(op, 1000));
         let start = Instant::now();
-        let mut n = 0;
-        while limited.next()?.is_some() {
+        let (mut n, mut stash) = (0, Stash::new());
+        while stash.next_row(&mut limited)?.is_some() {
             n += 1;
         }
         println!(

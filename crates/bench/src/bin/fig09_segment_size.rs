@@ -15,7 +15,7 @@ use pyro_common::KeySpec;
 use pyro_datagen::rtables;
 use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro_exec::{BoxOp, ExecMetrics};
+use pyro_exec::{BoxOp, ExecMetrics, Stash};
 use std::time::Instant;
 
 const ROWS: usize = 200_000;
@@ -87,8 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn drain(mut op: BoxOp) -> pyro_common::Result<usize> {
-    let mut n = 0;
-    while op.next()?.is_some() {
+    let (mut n, mut stash) = (0, Stash::new());
+    while stash.next_row(&mut op)?.is_some() {
         n += 1;
     }
     Ok(n)

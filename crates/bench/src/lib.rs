@@ -334,7 +334,8 @@ pub fn run_with_checkpoints(
     let start = Instant::now();
     let mut produced = 0usize;
     let mut checkpoints = Vec::new();
-    while let Some(_t) = op.next()? {
+    let mut stash = pyro_exec::Stash::new();
+    while let Some(_t) = stash.next_row(&mut op)? {
         produced += 1;
         if produced.is_multiple_of(every) {
             checkpoints.push((produced, start.elapsed()));

@@ -272,14 +272,14 @@ impl<'a> CellRef<'a> {
         }
     }
 
-    /// Equality identical to [`Value`]'s derived `==`: same variant and same
-    /// payload, doubles by `f64 ==` (so `-0.0 == 0.0`, `NaN != NaN`, and
-    /// `Int(2) != Double(2.0)` although they *order* equal).
+    /// Equality identical to [`Value`]'s `==`: same variant and same
+    /// payload, doubles by their bits (so `-0.0 != 0.0`, a NaN equals
+    /// itself, and `Int(2) != Double(2.0)` although they *order* equal).
     pub fn value_eq(self, other: CellRef<'_>) -> bool {
         match (self, other) {
             (CellRef::Null, CellRef::Null) => true,
             (CellRef::Int(a), CellRef::Int(b)) => a == b,
-            (CellRef::Double(a), CellRef::Double(b)) => a == b,
+            (CellRef::Double(a), CellRef::Double(b)) => a.to_bits() == b.to_bits(),
             (CellRef::Str(a), CellRef::Str(b)) => a == b,
             _ => false,
         }
@@ -423,7 +423,7 @@ impl ColumnVec {
         }
         match (&self.data, &other.data) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
-            (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
+            (ColumnData::Double(a), ColumnData::Double(b)) => a[i].to_bits() == b[j].to_bits(),
             (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i) == b.bytes_at(j),
             _ => self.cell(i).value_eq(other.cell(j)),
         }

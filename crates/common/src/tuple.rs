@@ -240,11 +240,6 @@ impl KeySpec {
         }
     }
 
-    /// True iff `a` and `b` agree on every key column.
-    pub fn eq_on(&self, a: &Tuple, b: &Tuple) -> bool {
-        self.compare(a, b) == Ordering::Equal
-    }
-
     /// Splits the key at `k`: `(prefix, suffix)` — used by the partial-sort
     /// operator which knows the first `k` columns are already sorted.
     pub fn split_at(&self, k: usize) -> (KeySpec, KeySpec) {

@@ -13,7 +13,12 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A dynamically typed scalar stored in a [`crate::Tuple`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality agrees with the order within a type, and with `Hash`: two
+/// doubles are equal when their bits are (so `-0.0 != 0.0` and a NaN equals
+/// itself), which is what lets hash tables group and match doubles as the
+/// sort-based operators do. Values of different types are never equal.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL. Sorts after every non-null value (NULLS LAST).
     Null,
@@ -119,6 +124,18 @@ impl Value {
                 (Some(x), Some(y)) => Value::Double(f_f(x, y)),
                 _ => Value::Null,
             },
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ => false,
         }
     }
 }

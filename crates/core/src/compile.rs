@@ -35,7 +35,7 @@ use pyro_exec::limit::Limit;
 use pyro_exec::project::Project;
 use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro_exec::{BoxOp, ExecMetrics, Expr, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
+use pyro_exec::{BoxOp, CmpOp, ExecMetrics, Expr, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
 use pyro_storage::TupleFile;
 use std::sync::Arc;
@@ -414,24 +414,43 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
             // The chosen order's attributes are left-side pair columns; the
-            // matching right-side columns come from the pairs.
+            // matching right-side columns come from the pairs (the last
+            // pair naming a left column, as the optimizer sorted the right
+            // input for).
             let mut l_cols = Vec::with_capacity(order.len());
             let mut r_cols = Vec::with_capacity(order.len());
+            let mut keyed = Vec::with_capacity(order.len());
             for a in order.attrs() {
-                let pair = pairs.iter().find(|p| &p.left == a).ok_or_else(|| {
+                let pair = pairs.iter().rev().find(|p| &p.left == a).ok_or_else(|| {
                     PyroError::Plan(format!("merge-join order attr {a} not in join pairs"))
                 })?;
                 l_cols.push(left.schema().index_of(&pair.left)?);
                 r_cols.push(right.schema().index_of(&pair.right)?);
+                keyed.push(pair);
             }
-            Box::new(MergeJoin::new(
+            // A pair the order leaves out (its left column is already keyed,
+            // against another right column) is checked on the joined rows.
+            let arity = left.schema().len();
+            let mut rest = Vec::new();
+            for p in pairs.iter().filter(|p| !keyed.contains(p)) {
+                let (l, r) = (
+                    left.schema().index_of(&p.left)?,
+                    right.schema().index_of(&p.right)?,
+                );
+                rest.push(Expr::cmp(CmpOp::Eq, Expr::col(l), Expr::col(arity + r)));
+            }
+            let join: BoxOp = Box::new(MergeJoin::new(
                 left,
                 right,
                 KeySpec::new(l_cols),
                 KeySpec::new(r_cols),
                 *kind,
                 ctx.metrics.clone(),
-            ))
+            ));
+            match rest.is_empty() {
+                true => join,
+                false => Box::new(Filter::new(join, Expr::and_all(rest))),
+            }
         }
         PhysOp::HashJoin { kind, pairs, build } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
@@ -769,12 +788,13 @@ mod tests {
                 );
                 by_batch.extend(batch.into_rows());
             }
-            // And the plan runs: row pulls and batch pulls agree.
-            let by_row = plan
-                .compile(&cat, &options)
-                .unwrap()
-                .run_tuple_at_a_time()
-                .unwrap();
+            // And the plan runs one row per pull to the same rows and
+            // counters.
+            let one_row = CompileOptions {
+                batch_size: 1,
+                ..CompileOptions::default()
+            };
+            let by_row = plan.compile(&cat, &one_row).unwrap().run().unwrap();
             assert_eq!(by_row.rows, by_batch, "{label}");
             assert_eq!(
                 by_row.metrics.comparisons(),

@@ -20,7 +20,7 @@
 //! therefore the exact plans, costs and counters of the unreordered search.
 
 use crate::equiv::EquivMap;
-use crate::ids::Names;
+use crate::ids::{AttrId, Names};
 use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
 use pyro_catalog::Catalog;
 use pyro_common::{PyroError, Result, Schema};
@@ -32,11 +32,32 @@ use std::collections::HashMap;
 /// column-equality filter conjuncts — the single source the optimizer,
 /// favorable-order computation and refinement all share. Every column the
 /// plan's expressions name must be in `names`.
+///
+/// An equality holds only above the operator that enforces it, while
+/// orders are compared by class everywhere. So two columns of one table
+/// never share a class (below the join, the table's rows need not have
+/// them equal), and a full outer join's pairs make no class (its padded
+/// rows have them differ); such equalities are still enforced, they just
+/// do not stand in for each other in orders.
 pub fn collect_equivs(plan: &LogicalPlan, names: &Names) -> EquivMap {
     let mut equiv = EquivMap::new(names.len());
-    let mut union = |a: &str, b: &str| equiv.union(names.id(a), names.id(b));
+    let table = |id: AttrId| names.name(id).split_once('.').map(|(t, _)| t);
+    let mut union = |a: &str, b: &str| {
+        let (a, b) = (names.id(a), names.id(b));
+        let n = names.len();
+        let shares_table = !equiv.same(a, b)
+            && class(&equiv, n, a)
+                .any(|x| table(x).is_some() && class(&equiv, n, b).any(|y| table(x) == table(y)));
+        if !shares_table {
+            equiv.union(a, b);
+        }
+    };
     for id in 0..plan.len() {
         match plan.node(id) {
+            LogicalOp::Join {
+                kind: JoinKind::FullOuter,
+                ..
+            } => {}
             LogicalOp::Join { pairs, .. } => {
                 for p in pairs {
                     union(&p.left, &p.right);
@@ -47,6 +68,14 @@ pub fn collect_equivs(plan: &LogicalPlan, names: &Names) -> EquivMap {
         }
     }
     equiv
+}
+
+/// The members of `of`'s class among the first `n` attributes.
+fn class(equiv: &EquivMap, n: usize, of: AttrId) -> impl Iterator<Item = AttrId> + '_ {
+    let of = equiv.rep(of);
+    (0..n as u32)
+        .map(AttrId)
+        .filter(move |&m| equiv.rep(m) == of)
 }
 
 fn collect_filter_equivs(pred: &NExpr, union: &mut impl FnMut(&str, &str)) {

@@ -21,7 +21,7 @@ use crate::equiv::EquivMap;
 use crate::favorable::{compute_afm, lcp_with_set_equiv, lcp_with_set_equiv_len};
 use crate::ids::{resolve, AttrId, IdOrder, IdSet, Names, Node, OrderId, Orders};
 use crate::joingraph::{collect_equivs, reorder_joins, EnumStrategy, DEFAULT_JOIN_ENUM_THRESHOLD};
-use crate::logical::{project_schema, LogicalOp, LogicalPlan, NodeId};
+use crate::logical::{project_schema, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
 use crate::plan::{PhysNode, PhysOp};
 use crate::seek::eq_prefix_len;
 use crate::stats::{derive_stats, NodeStats};
@@ -142,8 +142,9 @@ impl<'a> Optimizer<'a> {
                 }
             }
         }
+        let root = in_statement_order(ctx.render(&best, best.best)?, &ctx.schemas[plan.root()]);
         Ok(OptimizedPlan {
-            root: ctx.render(&best, best.best)?,
+            root,
             strategy: self.strategy,
             ordered_output: output_is_ordered(plan),
             planning: PlanningInfo {
@@ -155,6 +156,33 @@ impl<'a> Optimizer<'a> {
             },
         })
     }
+}
+
+/// `root`, with a projection on top if its columns are the statement's in
+/// another order: a covering index scan lists its key columns first, and
+/// `SELECT *` has no projection of its own to restore the tables' order.
+fn in_statement_order(root: Arc<PhysNode>, statement: &Schema) -> Arc<PhysNode> {
+    fn names(s: &Schema) -> impl Iterator<Item = &str> {
+        s.columns().iter().map(|c| &*c.name)
+    }
+    if names(&root.schema).eq(names(statement)) {
+        return root;
+    }
+    let items = names(statement)
+        .map(|name| ProjItem {
+            expr: NExpr::Col(name.to_string()),
+            name: name.to_string(),
+        })
+        .collect();
+    Arc::new(PhysNode {
+        op: PhysOp::Project { items },
+        schema: statement.clone(),
+        out_order: root.out_order.clone(),
+        cost: root.cost,
+        rows: root.rows,
+        logical: root.logical,
+        children: vec![root],
+    })
 }
 
 /// True iff the query demands ordered output: lowering places the ORDER BY
@@ -457,7 +485,8 @@ impl<'a> Ctx<'a> {
                     Alt::Sorted => PhysOp::SortDistinct { order: order() },
                     _ => PhysOp::HashDistinct,
                 };
-                (op, self.schemas[id].clone())
+                // Rows pass through: the child's columns, in its order.
+                (op, inherited())
             }
             _ => unreachable!("a candidate implements the logical operator it was generated for"),
         };
@@ -1065,7 +1094,13 @@ impl<'c, 'a> Search<'c, 'a> {
             }
             for pick in [|(l, _)| l, |(_, r)| r] {
                 side.clear();
-                side.extend(p.attrs().iter().filter_map(|&a| pair_of(a).map(pick)));
+                // One column can answer two classes (`l1 = r AND l2 = r`,
+                // where `l1` and `l2` share a table): it is sorted on once.
+                for a in p.attrs().iter().filter_map(|&a| pair_of(a).map(pick)) {
+                    if !side.contains(&a) {
+                        side.push(a);
+                    }
+                }
                 let goal = self.orders.intern(&side);
                 self.goal_pool.push(goal);
             }

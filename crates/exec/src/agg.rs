@@ -8,7 +8,7 @@
 //! Query 3 is the paper's example of getting this wrong).
 
 use crate::expr::Expr;
-use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use crate::vector::eval_column;
 use pyro_common::{
     CellRef, Column, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, DataType, KeySpec,
@@ -189,25 +189,23 @@ fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Sche
 
 /// Streaming aggregate over an input sorted by the grouping columns.
 ///
-/// Tuple-at-a-time `next` folds boxed rows (the oracle); `next_batch` takes
-/// its input as columns, evaluates each aggregate's argument column at a
-/// time, finds group boundaries by comparing rows in place and folds cells —
-/// no row is boxed.
+/// Takes its input as columns, evaluates each aggregate's argument column
+/// at a time, finds group boundaries by comparing rows in place and folds
+/// cells — no row is boxed.
 pub struct GroupAggregate {
     child: BoxOp,
     group_key: KeySpec,
     aggs: Vec<AggExpr>,
     schema: Schema,
-    /// Row path: the open group's first row and accumulators.
-    current: Option<(Tuple, Vec<AccState>)>,
     columnar: ColumnarGroups,
     done: bool,
+    failed: Latch,
     /// Set by a `Limit` above: one group per pull.
     demand_driven: bool,
     batch: usize,
 }
 
-/// Columnar-path state of [`GroupAggregate`].
+/// The input-side state of [`GroupAggregate`].
 #[derive(Default)]
 struct ColumnarGroups {
     /// The current input batch (dense), each aggregate's argument evaluated
@@ -221,8 +219,8 @@ struct ColumnarGroups {
     out_rows: usize,
 }
 
-/// The group being folded on the columnar path. Every later row is
-/// compared against its first row, as on the row path.
+/// The group being folded. Every later row is compared against its first
+/// row.
 struct OpenGroup {
     /// The batch the first row arrived in, once input has moved past it;
     /// `None` while that is still the current batch.
@@ -243,65 +241,19 @@ impl GroupAggregate {
             group_key: KeySpec::new(group_cols),
             aggs,
             schema,
-            current: None,
             columnar: ColumnarGroups::default(),
             done: false,
+            failed: Latch::default(),
             demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
-    }
-
-    fn finish_group(&self, rep: Tuple, states: Vec<AccState>) -> Tuple {
-        let mut values = rep.key(self.group_key.cols());
-        values.extend(states.into_iter().map(AccState::finish));
-        Tuple::new(values)
     }
 
     fn fresh_states(&self) -> Vec<AccState> {
         self.aggs.iter().map(|a| AccState::new(a.func)).collect()
     }
 
-    /// Row path: consumes input until one group closes (or input ends).
-    fn next_group(&mut self) -> Result<Option<Tuple>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            match self.child.next()? {
-                Some(t) => {
-                    let same = match &self.current {
-                        Some((rep, _)) => self.group_key.eq_on(rep, &t),
-                        None => false,
-                    };
-                    if same {
-                        let (_, states) = self.current.as_mut().expect("same group");
-                        for (agg, st) in self.aggs.iter().zip(states.iter_mut()) {
-                            st.update(agg.arg.eval(&t)?);
-                        }
-                    } else {
-                        let finished = self.current.take();
-                        let mut states = self.fresh_states();
-                        for (agg, st) in self.aggs.iter().zip(states.iter_mut()) {
-                            st.update(agg.arg.eval(&t)?);
-                        }
-                        self.current = Some((t, states));
-                        if let Some((rep, sts)) = finished {
-                            return Ok(Some(self.finish_group(rep, sts)));
-                        }
-                    }
-                }
-                None => {
-                    self.done = true;
-                    return Ok(self
-                        .current
-                        .take()
-                        .map(|(rep, sts)| self.finish_group(rep, sts)));
-                }
-            }
-        }
-    }
-
-    /// Columnar path: pulls the next input batch and evaluates the
+    /// Pulls the next input batch and evaluates the
     /// aggregate arguments over it. `false` at end of input.
     fn load_batch(&mut self) -> Result<bool> {
         let Some(batch) = self.child.next_batch()? else {
@@ -332,7 +284,7 @@ impl GroupAggregate {
         Ok(true)
     }
 
-    /// Columnar path: moves the open group (if any) to the output
+    /// Moves the open group (if any) to the output
     /// builders; `current` is the current input batch.
     fn close_group(&mut self, current: &ColumnarBatch) {
         let st = &mut self.columnar;
@@ -355,7 +307,7 @@ impl GroupAggregate {
         st.out_rows += 1;
     }
 
-    /// Columnar path: folds rows of the current batch, a group's range at a
+    /// Folds rows of the current batch, a group's range at a
     /// time, until `want` groups are finished or the batch ends.
     fn fold_rows(&mut self, batch: &ColumnarBatch, args: &[Arc<ColumnVec>], want: usize) {
         let rows = batch.num_rows();
@@ -404,10 +356,21 @@ impl GroupAggregate {
                 .is_none_or(|(b, _)| self.columnar.pos == b.num_rows());
             if exhausted && !self.load_batch()? {
                 self.done = true;
-                // A group can only be open if there was a batch to open it.
-                if let Some((last, _)) = self.columnar.input.take() {
-                    self.close_group(&last);
+                // Without grouping columns there is one group, even of no
+                // rows: COUNT is 0 and the other aggregates NULL.
+                if self.group_key.is_empty() && self.columnar.open.is_none() {
+                    self.columnar.open = Some(OpenGroup {
+                        kept: None,
+                        row: 0,
+                        states: self.fresh_states(),
+                    });
                 }
+                // A group can only be open if there was a batch to open it,
+                // or if it has no key to read from one.
+                let last = self.columnar.input.take().map(|(b, _)| b);
+                self.close_group(
+                    &last.unwrap_or_else(|| ColumnarBatch::from_columns(Vec::new(), 0)),
+                );
                 break;
             }
             let (batch, args) = self.columnar.input.take().expect("a batch was loaded");
@@ -430,15 +393,13 @@ impl Operator for GroupAggregate {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.next_group()
-    }
-
     /// Emits up to a batch of finished groups per call; under a `Limit`,
-    /// one group per call, so the input is read exactly as far as
-    /// tuple-at-a-time pulls would read it.
+    /// one group per call, so the input is read exactly as far as one-row
+    /// pulls would read it.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        Ok(self.pull_columnar()?.map(Batch::Cols))
+        self.failed.check()?;
+        let pulled = self.pull_columnar();
+        Ok(self.failed.record(pulled)?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {
@@ -464,6 +425,7 @@ pub struct HashAggregate {
     schema: Schema,
     output: Option<std::vec::IntoIter<Tuple>>,
     stash: Stash,
+    failed: Latch,
     batch: usize,
 }
 
@@ -478,14 +440,15 @@ impl HashAggregate {
             schema,
             output: None,
             stash: Stash::new(),
+            failed: Latch::default(),
             batch: DEFAULT_BATCH_SIZE,
         }
     }
 
     /// Drains the input and materializes the sorted group rows.
-    fn build(&mut self, batched: bool) -> Result<()> {
+    fn build(&mut self) -> Result<()> {
         let mut table: HashMap<Vec<Value>, Vec<AccState>> = HashMap::new();
-        while let Some(t) = pull_row(&mut self.child, &mut self.stash, batched)? {
+        while let Some(t) = self.stash.next_row(&mut self.child)? {
             let key = t.key(&self.group_cols);
             let states = table
                 .entry(key)
@@ -493,6 +456,11 @@ impl HashAggregate {
             for (agg, st) in self.aggs.iter().zip(states.iter_mut()) {
                 st.update(agg.arg.eval(&t)?);
             }
+        }
+        // Without grouping columns there is one group, even of no rows.
+        if self.group_cols.is_empty() && table.is_empty() {
+            let states = self.aggs.iter().map(|a| AccState::new(a.func)).collect();
+            table.insert(Vec::new(), states);
         }
         let mut rows: Vec<Tuple> = table
             .into_iter()
@@ -513,16 +481,11 @@ impl Operator for HashAggregate {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.output.is_none() {
-            self.build(false)?;
-        }
-        Ok(self.output.as_mut().expect("materialized").next())
-    }
-
     fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.failed.check()?;
         if self.output.is_none() {
-            self.build(true)?;
+            let built = self.build();
+            self.failed.record(built)?;
         }
         let it = self.output.as_mut().expect("materialized");
         Ok(rows_batch(it.by_ref().take(self.batch).collect()))

@@ -4,7 +4,7 @@
 //! merge joins.
 
 use crate::metrics::MetricsRef;
-use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -17,6 +17,9 @@ pub struct SortDistinct {
     metrics: MetricsRef,
     last: Option<Tuple>,
     stash: Stash,
+    failed: Latch,
+    /// Set by a `Limit` above: one fresh row per pull.
+    demand_driven: bool,
     batch: usize,
 }
 
@@ -30,13 +33,15 @@ impl SortDistinct {
             metrics,
             last: None,
             stash: Stash::new(),
+            failed: Latch::default(),
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
 
     /// The next fresh (non-duplicate) row; comparisons accumulate in `acc`.
-    fn next_fresh(&mut self, batched: bool, acc: &mut u64) -> Result<Option<Tuple>> {
-        while let Some(t) = pull_row(&mut self.child, &mut self.stash, batched)? {
+    fn next_fresh(&mut self, acc: &mut u64) -> Result<Option<Tuple>> {
+        while let Some(t) = self.stash.next_row(&mut self.child)? {
             let fresh = match &self.last {
                 None => true,
                 Some(prev) => {
@@ -59,27 +64,24 @@ impl Operator for SortDistinct {
         self.child.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let mut acc = 0;
-        let out = self.next_fresh(false, &mut acc);
-        self.metrics.add_comparisons(acc);
-        out
-    }
-
     fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.failed.check()?;
         let mut acc = 0;
         let mut out = Vec::new();
-        while out.len() < self.batch {
-            match self.next_fresh(true, &mut acc) {
+        let mut pulled = Ok(());
+        let want = if self.demand_driven { 1 } else { self.batch };
+        while out.len() < want {
+            match self.next_fresh(&mut acc) {
                 Ok(Some(t)) => out.push(t),
                 Ok(None) => break,
                 Err(e) => {
-                    self.metrics.add_comparisons(acc);
-                    return Err(e);
+                    pulled = Err(e);
+                    break;
                 }
             }
         }
         self.metrics.add_comparisons(acc);
+        self.failed.record(pulled)?;
         Ok(rows_batch(out))
     }
 
@@ -92,6 +94,7 @@ impl Operator for SortDistinct {
     }
 
     fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
         self.child.set_demand_driven();
     }
 }
@@ -100,6 +103,7 @@ impl Operator for SortDistinct {
 pub struct HashDistinct {
     child: BoxOp,
     seen: HashSet<Vec<Value>>,
+    failed: Latch,
 }
 
 impl HashDistinct {
@@ -108,25 +112,15 @@ impl HashDistinct {
         HashDistinct {
             child,
             seen: HashSet::new(),
+            failed: Latch::default(),
         }
     }
 }
 
-impl Operator for HashDistinct {
-    fn schema(&self) -> &Schema {
-        self.child.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.child.next()? {
-            if self.seen.insert(t.values().to_vec()) {
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl HashDistinct {
+    /// The next input batch's rows not seen before, skipping batches that
+    /// hold none.
+    fn distinct_batch(&mut self) -> Result<Option<Batch>> {
         while let Some(batch) = self.child.next_batch()? {
             let mut batch = batch.into_rows();
             batch.retain(|t| {
@@ -141,6 +135,18 @@ impl Operator for HashDistinct {
             }
         }
         Ok(None)
+    }
+}
+
+impl Operator for HashDistinct {
+    fn schema(&self) -> &Schema {
+        self.child.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.failed.check()?;
+        let pulled = self.distinct_batch();
+        self.failed.record(pulled)
     }
 
     fn batch_size(&self) -> usize {

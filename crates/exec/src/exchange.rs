@@ -49,7 +49,7 @@
 use crate::join::SharedBuild;
 use crate::op::{Batch, BoxOp, Operator};
 use crate::scan::{FileScan, MorselSource};
-use pyro_common::{PyroError, Result, Schema, Tuple};
+use pyro_common::{PyroError, Result, Schema};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -187,8 +187,6 @@ pub struct Gather {
     /// and its successors (`slots[i]` is morsel `head + i`).
     head: usize,
     slots: VecDeque<Slot>,
-    /// Row-path leftovers (the exchange is batch-native).
-    pending: std::vec::IntoIter<Tuple>,
     batch: usize,
 }
 
@@ -219,7 +217,6 @@ impl Gather {
             ready: VecDeque::new(),
             head: 0,
             slots: VecDeque::new(),
-            pending: Vec::new().into_iter(),
             batch: crate::op::DEFAULT_BATCH_SIZE,
         }
     }
@@ -302,7 +299,6 @@ impl Gather {
     fn fail(&mut self, e: PyroError) -> PyroError {
         self.ready.clear();
         self.slots.clear();
-        self.pending = Vec::new().into_iter();
         self.finish();
         self.state = State::Failed(e.clone());
         e
@@ -312,18 +308,6 @@ impl Gather {
 impl Operator for Gather {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.pending.next() {
-                return Ok(Some(t));
-            }
-            match self.next_batch()? {
-                Some(batch) => self.pending = batch.into_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
     }
 
     /// The next batch in the mode's order.
@@ -377,8 +361,8 @@ mod tests {
     use crate::expr::{CmpOp, Expr};
     use crate::filter::Filter;
     use crate::join::{HashJoin, SharedBuild, Side};
-    use crate::op::{collect, collect_batched, FaultyOp, ValuesOp};
-    use pyro_common::{KeySpec, Value};
+    use crate::op::{collect, FaultyOp, Stash, ValuesOp};
+    use pyro_common::{KeySpec, Tuple, Value};
     use pyro_storage::{write_file, SimDevice, TupleFile};
 
     fn schema() -> Schema {
@@ -417,11 +401,12 @@ mod tests {
                 child: Box::new(leaf),
                 after,
                 panic,
+                stash: Stash::new(),
             })
         })
     }
 
-    /// Both pulls, and under the batch pull both fragment layouts: workers
+    /// Both fragment layouts, and one row per pull: workers
     /// ship what the fragment produced, untouched — unless the exchange is
     /// its plan's root, whose workers ship rows.
     #[test]
@@ -429,8 +414,9 @@ mod tests {
         let (file, rows) = file(600);
         let row_scan: FragmentFn = Arc::new(|leaf| Box::new(leaf.row_batches()));
         for workers in [1, 2, 4] {
-            let by_row = collect(Box::new(gather(&file, None, identity(), workers))).unwrap();
-            let mut outs = vec![by_row];
+            let mut one_row = gather(&file, None, identity(), workers);
+            one_row.set_batch_size(1);
+            let mut outs = vec![collect(Box::new(one_row)).unwrap()];
             for (chain, root, cols) in [
                 (identity(), false, true),
                 (row_scan.clone(), false, false),
@@ -470,10 +456,9 @@ mod tests {
         };
         for workers in [1, 2, 4] {
             for window in [1, 2, 8] {
-                let all =
-                    collect_batched(Box::new(gather(&file, Some(window), identity(), workers)));
+                let all = collect(Box::new(gather(&file, Some(window), identity(), workers)));
                 assert_eq!(all.unwrap(), rows, "workers={workers} window={window}");
-                let tail = collect_batched(Box::new(gather(
+                let tail = collect(Box::new(gather(
                     &file,
                     Some(window),
                     keep(400, 600),
@@ -510,7 +495,7 @@ mod tests {
     fn worker_error_is_typed_and_worker_panic_reraises_on_the_consumer() {
         let (file, _) = file(600);
         for window in [None, Some(2)] {
-            let err = collect_batched(Box::new(gather(&file, window, faulty(7, false), 2)));
+            let err = collect(Box::new(gather(&file, window, faulty(7, false), 2)));
             assert_eq!(err.unwrap_err(), PyroError::Exec("boom".into()));
 
             let chain = faulty(7, true);
@@ -542,6 +527,7 @@ mod tests {
                     child: Box::new(leaf),
                     after,
                     panic: false,
+                    stash: Stash::new(),
                 })
             });
             let mut g = gather(&file, window, chain, 4);
@@ -555,7 +541,7 @@ mod tests {
             };
             assert_eq!(err, boom, "window={window:?}");
             assert_eq!(g.next_batch().unwrap_err(), boom);
-            assert_eq!(g.next().unwrap_err(), boom);
+            assert_eq!(g.next_batch().unwrap_err(), boom);
         }
     }
 
@@ -591,7 +577,7 @@ mod tests {
             )
         };
 
-        let mut out = collect_batched(Box::new(join_on(build_rows()))).unwrap();
+        let mut out = collect(Box::new(join_on(build_rows()))).unwrap();
         out.sort_by_key(|t| t.get(3).as_int());
         let expect: Vec<Tuple> = rows
             .iter()
@@ -613,6 +599,7 @@ mod tests {
             child: build_rows(),
             after: 3,
             panic: false,
+            stash: Stash::new(),
         }));
         for _ in 0..2 {
             assert_eq!(g.next_batch().unwrap_err(), PyroError::Exec("boom".into()));
@@ -621,10 +608,9 @@ mod tests {
             child: build_rows(),
             after: 3,
             panic: true,
+            stash: Stash::new(),
         }));
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            collect_batched(Box::new(g))
-        }))
-        .expect_err("a panicking build must not be swallowed");
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| collect(Box::new(g))))
+            .expect_err("a panicking build must not be swallowed");
     }
 }

@@ -3,7 +3,7 @@
 use crate::expr::Expr;
 use crate::op::{Batch, BoxOp, Operator};
 use crate::vector::VecPredicate;
-use pyro_common::{Result, Schema, Tuple};
+use pyro_common::{Result, Schema};
 
 /// Emits child tuples satisfying a predicate. Order-preserving.
 pub struct Filter {
@@ -29,15 +29,6 @@ impl Filter {
 impl Operator for Filter {
     fn schema(&self) -> &Schema {
         self.child.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.child.next()? {
-            if self.predicate.eval_bool(&t)? {
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
     }
 
     /// A `Cols` batch under a vectorizable predicate has its selection
@@ -88,8 +79,8 @@ impl Operator for Filter {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::op::{collect, collect_batched, in_every_layout, ValuesOp};
-    use pyro_common::Value;
+    use crate::op::{collect, in_every_layout, ValuesOp};
+    use pyro_common::{Tuple, Value};
 
     #[test]
     fn filters_rows() {
@@ -118,9 +109,9 @@ mod tests {
         assert_eq!(collect(Box::new(f)).unwrap().len(), 1);
     }
 
-    /// The batch pull must emit exactly what `next` emits — whichever
-    /// layout each input batch arrives in, for both vectorizable and
-    /// fallback predicate shapes.
+    /// The batch pull must emit exactly what one-row pulls over row input
+    /// emit — whichever layout each input batch arrives in, for both
+    /// vectorizable and fallback predicate shapes.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..100)
@@ -146,14 +137,15 @@ mod tests {
             ),
         ];
         for pred in preds {
-            let reference = collect(Box::new(Filter::new(
+            let mut reference = Filter::new(
                 Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
                 pred.clone(),
-            )))
-            .unwrap();
+            );
+            reference.set_batch_size(1);
+            let reference = collect(Box::new(reference)).unwrap();
             assert!(!reference.is_empty());
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
-                let out = collect_batched(Box::new(Filter::new(input, pred.clone()))).unwrap();
+                let out = collect(Box::new(Filter::new(input, pred.clone()))).unwrap();
                 assert_eq!(reference, out, "predicate {pred:?}");
             }
         }

@@ -20,7 +20,7 @@
 //! own morsels against it.
 
 use super::{JoinKind, Side};
-use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{
     ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple,
     Value,
@@ -45,6 +45,9 @@ pub struct HashJoin {
     /// Full-outer only: after probe ends, emit unmatched build rows.
     drain_unmatched: bool,
     probe_stash: Stash,
+    failed: Latch,
+    /// Set by a `Limit` above: one productive probe row per pull.
+    demand_driven: bool,
     batch: usize,
     /// The probe batch currently being walked: `(batch, selection, cursor)`.
     probe_pos: Option<(ColumnarBatch, Vec<u32>, usize)>,
@@ -69,15 +72,6 @@ enum Built {
 }
 
 impl Built {
-    /// Drains `input` tuple-at-a-time into a row table (the oracle pull).
-    fn drain_rows(input: &mut BoxOp, key_cols: &[usize]) -> Result<Built> {
-        let mut rows = RowTable::default();
-        while let Some(t) = input.next()? {
-            rows.insert(t, key_cols);
-        }
-        Ok(Built::Rows(rows))
-    }
-
     /// Drains `input` batch-at-a-time. Rows are inserted in arrival order
     /// under either form, which is what makes the per-probe-row match order
     /// identical across them. With `vectorize` (inner joins), `Cols`
@@ -122,17 +116,6 @@ impl Built {
             rows.insert_columns(cols, key_cols);
         }
         Ok(Built::Rows(rows))
-    }
-
-    /// The row table, for the tuple-at-a-time probe. Only the batch pull
-    /// builds a vector table, so the error marks interleaved pulls.
-    fn rows(&self) -> Result<&RowTable> {
-        match self {
-            Built::Rows(t) => Ok(t),
-            Built::Vector(_) => Err(PyroError::Exec(
-                "hash join pulled with next() after a next_batch() build".into(),
-            )),
-        }
     }
 }
 
@@ -187,8 +170,7 @@ struct RowProbe {
 
 impl RowProbe {
     /// Probes one row against the build table, appending all produced rows
-    /// (matches, or the full-outer pad) to `out`. Shared by both
-    /// row-granularity pull paths so match semantics can never diverge.
+    /// (matches, or the full-outer pad) to `out`.
     fn probe(&mut self, table: &RowTable, probe: &Tuple, out: &mut Vec<Tuple>) {
         probe.key_into(self.probe_key.cols(), &mut self.key);
         let before = out.len();
@@ -271,8 +253,8 @@ impl SharedBuild {
 /// A chained hash table over the concatenated build side, all in flat
 /// vectors: `first[bucket]` heads a chain threaded through `next[row]`.
 /// Rows are inserted in *reverse* arrival order so walking a chain yields
-/// ascending build-arrival order — exactly the bucket order the row path
-/// emits matches in.
+/// ascending build-arrival order — exactly the order the row table emits
+/// matches in.
 struct VectorTable {
     /// Concatenated build columns (physical rows, no selection).
     cols: Vec<ColumnVec>,
@@ -471,30 +453,25 @@ impl HashJoin {
             pending: Vec::new().into_iter(),
             drain_unmatched: false,
             probe_stash: Stash::new(),
+            failed: Latch::default(),
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
             probe_pos: None,
         }
     }
 
-    /// The finished build side, building (or waiting for) it on first use;
-    /// `batched` is the pull the join itself is being driven by, so the two
-    /// pulls never interleave on the build input. Only an inner join may
-    /// get a vector table: the outer pads need the row table's seen-bits.
-    fn built(&mut self, batched: bool) -> Result<Arc<Built>> {
+    /// The finished build side, building (or waiting for) it on first use.
+    /// Only an inner join may get a vector table: the outer pads need the
+    /// row table's seen-bits.
+    fn built(&mut self) -> Result<Arc<Built>> {
         if let Some(t) = &self.table {
             return Ok(t.clone());
         }
         let built = match &mut self.build {
             BuildInput::Own(input) => {
-                let mut input = input.take().ok_or_else(|| {
-                    PyroError::Exec("hash join re-pulled after its build failed".into())
-                })?;
-                let key_cols = self.build_key.cols();
-                Arc::new(if batched {
-                    Built::drain(&mut input, key_cols, matches!(self.kind, JoinKind::Inner))?
-                } else {
-                    Built::drain_rows(&mut input, key_cols)?
-                })
+                let mut input = input.take().expect("a failed build is latched");
+                let vectorize = matches!(self.kind, JoinKind::Inner);
+                Arc::new(Built::drain(&mut input, self.build_key.cols(), vectorize)?)
             }
             BuildInput::Shared(shared) => shared.get()?,
         };
@@ -505,88 +482,54 @@ impl HashJoin {
         Ok(built)
     }
 
-    /// Probes one row (or, at probe end, stages the outer-join
-    /// drains), leaving produced rows in `self.pending`. `Ok(false)` means
-    /// the stream is complete.
-    fn step(&mut self, table: &RowTable, batched: bool) -> Result<bool> {
-        if self.drain_unmatched {
-            return Ok(false);
+    /// At probe end: stages the build rows no probe row matched (left and
+    /// full outer joins) in `self.pending`, sorted for a deterministic
+    /// order.
+    fn stage_unmatched(&mut self, table: &RowTable) {
+        self.drain_unmatched = true;
+        if matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
+            let pad = Tuple::nulls(self.probe_len);
+            let unmatched = table.rows.iter().zip(&self.probe.seen);
+            let unmatched = unmatched.filter(|(_, seen)| !**seen).map(|(l, _)| l);
+            let mut out: Vec<Tuple> = unmatched
+                .chain(&table.null_rows)
+                .map(|l| l.concat(&pad))
+                .collect();
+            out.sort();
+            self.pending = out.into_iter();
         }
-        match pull_row(&mut self.probe_input, &mut self.probe_stash, batched)? {
-            Some(probe) => {
-                let mut out = Vec::new();
-                self.probe.probe(table, &probe, &mut out);
-                if !out.is_empty() {
-                    self.pending = out.into_iter();
-                }
-            }
-            None => {
-                // Probe exhausted. Left/Full outer: emit unmatched build
-                // rows once.
-                self.drain_unmatched = true;
-                if matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-                    let pad = Tuple::nulls(self.probe_len);
-                    let unmatched = table
-                        .rows
-                        .iter()
-                        .zip(&self.probe.seen)
-                        .filter(|(_, seen)| !**seen)
-                        .map(|(l, _)| l);
-                    let mut out: Vec<Tuple> = unmatched
-                        .chain(&table.null_rows)
-                        .map(|l| l.concat(&pad))
-                        .collect();
-                    // Deterministic order for tests.
-                    out.sort();
-                    self.pending = out.into_iter();
-                }
-                if self.pending.len() == 0 {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
     }
 
     /// The batch pull against a row table: probes row by row, whatever
     /// layout the probe batches arrive in.
     fn probe_rows(&mut self, table: &RowTable) -> Result<Option<Batch>> {
-        // Leftovers from the row path or the unmatched-rows drain.
-        let mut out: Vec<Tuple> = Vec::new();
-        while out.len() < self.batch {
-            match self.pending.next() {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        if out.len() >= self.batch {
-            return Ok(Some(Batch::Rows(out)));
-        }
+        // Leftovers from the unmatched-rows drain.
+        let mut out: Vec<Tuple> = self.pending.by_ref().take(self.batch).collect();
         // Probe loop: matches go straight into the output batch — no
         // per-probe-row staging vector. A probe row with several matches
         // may overshoot the batch size by one match set (allowed by the
         // trait contract).
-        while !self.drain_unmatched && out.len() < self.batch {
-            match pull_row(&mut self.probe_input, &mut self.probe_stash, true)? {
-                Some(probe) => {
-                    self.probe.probe(table, &probe, &mut out);
-                }
+        while !self.drain_unmatched && out.len() < self.want() {
+            match self.probe_stash.next_row(&mut self.probe_input)? {
+                Some(probe) => self.probe.probe(table, &probe, &mut out),
                 None => {
-                    // Stage the outer-join drain through the shared path.
-                    if !self.step(table, true)? && self.pending.len() == 0 {
-                        break;
-                    }
-                    while out.len() < self.batch {
-                        match self.pending.next() {
-                            Some(t) => out.push(t),
-                            None => break,
-                        }
-                    }
-                    break;
+                    self.stage_unmatched(table);
+                    let room = self.batch - out.len();
+                    out.extend(self.pending.by_ref().take(room));
                 }
             }
         }
         Ok(rows_batch(out))
+    }
+
+    /// Output rows to gather before returning: a batchful, or under a
+    /// `Limit` whatever the first productive probe row makes.
+    fn want(&self) -> usize {
+        if self.demand_driven {
+            1
+        } else {
+            self.batch
+        }
     }
 
     /// Walks the current probe batch from `cursor`, appending matched
@@ -668,33 +611,19 @@ impl Operator for HashJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(t) = self.pending.next() {
-            return Ok(Some(t));
-        }
-        let built = self.built(false)?;
-        let table = built.rows()?;
-        loop {
-            if !self.step(table, false)? {
-                return Ok(None);
-            }
-            if let Some(t) = self.pending.next() {
-                return Ok(Some(t));
-            }
-        }
-    }
-
     /// Probes with the kernel the build side calls for. A vector table
     /// (see `Built`) is probed column-at-a-time: integer key words are
     /// extracted per probe batch, the flat chains walked, and output
     /// gathered into `Cols`. A row table is probed row by row into `Rows`.
-    /// Emission order is the same under both, and `next()`'s exactly: probe
-    /// stream order, matches per probe row in build arrival order.
+    /// Emission order is the same under both: probe stream order, matches
+    /// per probe row in build arrival order.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        match &*self.built(true)? {
+        self.failed.check()?;
+        let pulled = self.built().and_then(|built| match &*built {
             Built::Vector(table) => Ok(self.probe_columnar(table)?.map(Batch::Cols)),
             Built::Rows(table) => self.probe_rows(table),
-        }
+        });
+        self.failed.record(pulled)
     }
 
     fn batch_size(&self) -> usize {
@@ -707,6 +636,7 @@ impl Operator for HashJoin {
 
     /// The probe side streams; the build side is drained whole.
     fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
         self.probe_input.set_demand_driven();
     }
 }
@@ -723,7 +653,7 @@ impl HashJoin {
                     &sel,
                     cursor,
                     self.probe.probe_key.cols(),
-                    self.batch,
+                    self.want(),
                     &mut build_idx,
                     &mut probe_idx,
                 );
@@ -832,8 +762,8 @@ mod tests {
         assert_eq!(out.len(), 4);
     }
 
-    /// `next` over `left ⋈ right` built on `build`, then the batch pull at
-    /// several batch sizes with each input fed every layout stream —
+    /// `left ⋈ right` built on `build` one row per pull, then at several
+    /// batch sizes with each input fed every layout stream —
     /// all-`Cols` build sides get the vector table, any `Rows` batch the
     /// row table, and either is probed by either layout: same rows, same
     /// order.
@@ -843,20 +773,21 @@ mod tests {
         kind: JoinKind,
         build: Side,
     ) -> Vec<Tuple> {
-        use crate::op::{collect_batched, in_every_layout};
+        use crate::op::in_every_layout;
         let key = || KeySpec::new(vec![0]);
         let values = |(schema, rows): &(Schema, Vec<Tuple>)| -> BoxOp {
             Box::new(ValuesOp::new(schema.clone(), rows.clone()))
         };
-        let next = HashJoin::new(values(&left), values(&right), key(), key(), kind, build);
-        let reference = collect(Box::new(next)).unwrap();
+        let mut one_row = HashJoin::new(values(&left), values(&right), key(), key(), kind, build);
+        one_row.set_batch_size(1);
+        let reference = collect(Box::new(one_row)).unwrap();
         for batch in [1usize, 7, 1024] {
             for (l, r) in (0..3).flat_map(|l| (0..3).map(move |r| (l, r))) {
                 let [lhs, rhs] = [(&left, l), (&right, r)]
                     .map(|((schema, rows), i)| in_every_layout(schema, rows).into_iter().nth(i));
                 let mut op = HashJoin::new(lhs.unwrap(), rhs.unwrap(), key(), key(), kind, build);
                 op.set_batch_size(batch);
-                let out = collect_batched(Box::new(op)).unwrap();
+                let out = collect(Box::new(op)).unwrap();
                 assert_eq!(
                     reference, out,
                     "build {build:?} left {l} right {r} batch {batch}"
@@ -898,7 +829,7 @@ mod tests {
     }
 
     /// Non-integer build keys end up in the row table even when every build
-    /// batch is `Cols`, and must still match `next` exactly.
+    /// batch is `Cols`, and must still match one-row pulls exactly.
     #[test]
     fn columnar_fallback_on_string_keys_matches_row_pull() {
         use pyro_common::{Column, DataType};
@@ -968,7 +899,6 @@ mod tests {
     fn probe_shared_concurrently(
         shared: &Arc<SharedBuild>,
     ) -> Vec<std::thread::Result<Result<Vec<Tuple>>>> {
-        use crate::op::collect_batched;
         let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -983,7 +913,7 @@ mod tests {
                             Side::Left,
                         );
                         barrier.wait();
-                        collect_batched(Box::new(join))
+                        collect(Box::new(join))
                     })
                 })
                 .collect();
@@ -1041,6 +971,7 @@ mod tests {
                 child: build_rows(),
                 after: 2,
                 panic,
+                stash: crate::op::Stash::new(),
             })
         };
         let shared = SharedBuild::new(faulty(false), KeySpec::new(vec![0]));

@@ -21,18 +21,16 @@
 
 use super::JoinKind;
 use crate::metrics::MetricsRef;
-use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, Tuple, NULL_ROW};
+use crate::op::{Batch, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, NULL_ROW};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Merge join over key-sorted inputs.
 ///
-/// Two implementations share the group-pairing logic line for line:
-/// tuple-at-a-time `next` buffers each group as a `Vec<Tuple>` and
-/// concatenates boxed rows (the oracle); `next_batch` keeps each group as
-/// a row range of its input batch and emits `(left row, right row)` index
-/// pairs gathered column at a time, with [`NULL_ROW`] for outer padding.
+/// Each group is a row range of its input batch; output is `(left row,
+/// right row)` index pairs gathered column at a time, with [`NULL_ROW`] for
+/// outer padding.
 pub struct MergeJoin {
     left: BoxOp,
     right: BoxOp,
@@ -41,25 +39,16 @@ pub struct MergeJoin {
     kind: JoinKind,
     schema: Schema,
     metrics: MetricsRef,
-    left_group: Vec<Tuple>,
-    right_group: Vec<Tuple>,
-    left_next: Option<Tuple>,
-    right_next: Option<Tuple>,
     started: bool,
-    /// Pending output rows from the current group pairing.
-    pending: std::vec::IntoIter<Tuple>,
-    /// FULL OUTER only: right-padded rows held back until end-of-stream so
-    /// the output stays sorted on the left key columns (NULLS LAST).
-    deferred_right: Vec<Tuple>,
-    deferred_flushed: bool,
     columnar: Columnar,
+    failed: Latch,
     /// Set by a `Limit` above: one productive group pairing per pull.
     demand_driven: bool,
     batch: usize,
 }
 
-/// One input of the columnar path: the current batch (dense), the current
-/// group as a row range of it, and how far the scan for the group's end got.
+/// One input: the current batch (dense), the current group as a row range
+/// of it, and how far the scan for the group's end got.
 /// The row at `end`, if any, is the head of the next group. Rows of a group
 /// still open when the batch runs out are carried over in front of the next
 /// batch, so a group is always one range of one batch.
@@ -84,7 +73,9 @@ impl Side {
     }
 }
 
-/// Columnar-path state.
+/// The pairing state. FULL OUTER joins hold right-padded rows back until
+/// the end of the stream, so the output stays sorted on the left key
+/// columns (NULLS LAST).
 #[derive(Default)]
 struct Columnar {
     sides: [Side; 2],
@@ -126,78 +117,12 @@ impl MergeJoin {
             kind,
             schema,
             metrics,
-            left_group: Vec::new(),
-            right_group: Vec::new(),
-            left_next: None,
-            right_next: None,
             started: false,
-            pending: Vec::new().into_iter(),
-            deferred_right: Vec::new(),
-            deferred_flushed: false,
             columnar: Columnar::default(),
+            failed: Latch::default(),
             demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
-    }
-
-    /// Reads the next maximal equal-key group from one side; key
-    /// comparisons accumulate in `acc`.
-    fn read_group(
-        source: &mut BoxOp,
-        key: &KeySpec,
-        head: &mut Option<Tuple>,
-        acc: &mut u64,
-    ) -> Result<Vec<Tuple>> {
-        let Some(first) = head.take() else {
-            return Ok(Vec::new());
-        };
-        let mut group = vec![first];
-        loop {
-            match source.next()? {
-                None => break,
-                Some(t) => {
-                    let (ord, n) = key.compare_counting(&group[0], &t);
-                    *acc += n;
-                    if ord == Ordering::Equal {
-                        group.push(t);
-                    } else {
-                        *head = Some(t);
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(group)
-    }
-
-    fn refill_left(&mut self, acc: &mut u64) -> Result<()> {
-        self.left_group =
-            Self::read_group(&mut self.left, &self.left_key, &mut self.left_next, acc)?;
-        Ok(())
-    }
-
-    fn refill_right(&mut self, acc: &mut u64) -> Result<()> {
-        self.right_group =
-            Self::read_group(&mut self.right, &self.right_key, &mut self.right_next, acc)?;
-        Ok(())
-    }
-
-    fn key_has_null(&self, t: &Tuple, key: &KeySpec) -> bool {
-        key.cols().iter().any(|&c| t.get(c).is_null())
-    }
-
-    /// Compares the current group keys across sides, accumulating the
-    /// scalar comparisons in `acc`.
-    fn cross_compare(&self, l: &Tuple, r: &Tuple, acc: &mut u64) -> Ordering {
-        let mut ord = Ordering::Equal;
-        for (&lc, &rc) in self.left_key.cols().iter().zip(self.right_key.cols()) {
-            *acc += 1;
-            ord = l.get(lc).cmp(r.get(rc));
-            if ord != Ordering::Equal {
-                break;
-            }
-        }
-        ord
     }
 
     fn pads_left(&self) -> bool {
@@ -208,127 +133,7 @@ impl MergeJoin {
         matches!(self.kind, JoinKind::FullOuter)
     }
 
-    fn emit_left_unmatched(&self, group: Vec<Tuple>, out: &mut Vec<Tuple>) {
-        if self.pads_left() {
-            let pad = Tuple::nulls(self.right.schema().len());
-            out.extend(group.into_iter().map(|l| l.concat(&pad)));
-        }
-    }
-
-    fn emit_right_unmatched(&mut self, group: Vec<Tuple>) {
-        if self.pads_right() {
-            let pad = Tuple::nulls(self.left.schema().len());
-            self.deferred_right
-                .extend(group.into_iter().map(|r| pad.concat(&r)));
-        }
-    }
-
-    /// Row path: advances group state and produces the next output rows;
-    /// comparisons are charged to the metrics once per call.
-    fn advance(&mut self) -> Result<Vec<Tuple>> {
-        let mut acc = 0;
-        let out = self.advance_inner(&mut acc);
-        self.metrics.add_comparisons(acc);
-        out
-    }
-
-    fn advance_inner(&mut self, acc: &mut u64) -> Result<Vec<Tuple>> {
-        if !self.started {
-            self.started = true;
-            self.left_next = self.left.next()?;
-            self.right_next = self.right.next()?;
-            self.refill_left(acc)?;
-            self.refill_right(acc)?;
-        }
-        let mut out = Vec::new();
-        while out.is_empty() {
-            match (self.left_group.is_empty(), self.right_group.is_empty()) {
-                (true, true) => return Ok(out), // both exhausted
-                (false, true) => {
-                    let g = std::mem::take(&mut self.left_group);
-                    self.emit_left_unmatched(g, &mut out);
-                    self.refill_left(acc)?;
-                    if out.is_empty() && self.left_group.is_empty() {
-                        return Ok(out);
-                    }
-                    continue;
-                }
-                (true, false) => {
-                    let g = std::mem::take(&mut self.right_group);
-                    self.emit_right_unmatched(g);
-                    self.refill_right(acc)?;
-                    if out.is_empty() && self.right_group.is_empty() {
-                        return Ok(out);
-                    }
-                    continue;
-                }
-                (false, false) => {}
-            }
-            let lnull = self.key_has_null(&self.left_group[0], &self.left_key);
-            let rnull = self.key_has_null(&self.right_group[0], &self.right_key);
-            // NULL keys never match; NULLs sort last, so NULL-keyed groups
-            // surface after all joinable keys on their side and drain as
-            // unmatched.
-            let ord = self.cross_compare(&self.left_group[0], &self.right_group[0], acc);
-            match ord {
-                Ordering::Less => {
-                    let g = std::mem::take(&mut self.left_group);
-                    self.emit_left_unmatched(g, &mut out);
-                    self.refill_left(acc)?;
-                }
-                Ordering::Greater => {
-                    let g = std::mem::take(&mut self.right_group);
-                    self.emit_right_unmatched(g);
-                    self.refill_right(acc)?;
-                }
-                Ordering::Equal if lnull || rnull => {
-                    // Equal but NULL-keyed: both groups are unmatched.
-                    let gl = std::mem::take(&mut self.left_group);
-                    let gr = std::mem::take(&mut self.right_group);
-                    self.emit_left_unmatched(gl, &mut out);
-                    self.emit_right_unmatched(gr);
-                    self.refill_left(acc)?;
-                    self.refill_right(acc)?;
-                }
-                Ordering::Equal => {
-                    let gl = std::mem::take(&mut self.left_group);
-                    let gr = std::mem::take(&mut self.right_group);
-                    out.reserve(gl.len() * gr.len());
-                    for l in &gl {
-                        for r in &gr {
-                            out.push(l.concat(r));
-                        }
-                    }
-                    self.refill_left(acc)?;
-                    self.refill_right(acc)?;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Row path: produces pending rows if none are buffered. `Ok(false)`
-    /// means the stream (including the deferred full-outer tail) is
-    /// complete.
-    fn replenish(&mut self) -> Result<bool> {
-        let produced = self.advance()?;
-        if produced.is_empty() {
-            // End of the merged stream: release the deferred right-padded
-            // rows (NULL left keys sort last).
-            if !self.deferred_flushed {
-                self.deferred_flushed = true;
-                if !self.deferred_right.is_empty() {
-                    self.pending = std::mem::take(&mut self.deferred_right).into_iter();
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        self.pending = produced.into_iter();
-        Ok(true)
-    }
-
-    /// Columnar path: gathers the pending index pairs into the output
+    /// Gathers the pending index pairs into the output
     /// builders. Must run before either side's batch is replaced.
     fn flush_pairs(&mut self) {
         let st = &mut self.columnar;
@@ -371,9 +176,10 @@ impl MergeJoin {
         st.pairs[1].clear();
     }
 
-    /// Columnar path: [`Self::read_group`] over row ranges — the head row
-    /// opens the group, every following row is compared against it, the
-    /// first that differs becomes the next head.
+    /// Reads side `w`'s next maximal equal-key group as a row range: the
+    /// head row opens the group, every following row is compared against
+    /// it, the first that differs becomes the next head. Key comparisons
+    /// accumulate in `acc`.
     fn refill(&mut self, w: usize, acc: &mut u64) -> Result<()> {
         let s = &mut self.columnar.sides[w];
         s.start = s.end;
@@ -449,7 +255,7 @@ impl MergeJoin {
         ord
     }
 
-    /// Columnar path: the left group goes out NULL-padded (outer joins).
+    /// The left group goes out NULL-padded (outer joins).
     fn pad_left_group(&mut self) {
         if self.pads_left() {
             let st = &mut self.columnar;
@@ -459,7 +265,7 @@ impl MergeJoin {
         }
     }
 
-    /// Columnar path: the right group joins the deferred tail (full outer).
+    /// The right group joins the deferred tail (full outer).
     fn defer_right_group(&mut self) {
         if self.pads_right() {
             let st = &mut self.columnar;
@@ -467,8 +273,11 @@ impl MergeJoin {
         }
     }
 
-    /// Columnar path: one turn of [`Self::advance_inner`]'s loop. Returns
-    /// `false` once both inputs are exhausted.
+    /// Pairs the current groups once: matching keys cross, a smaller or
+    /// NULL key goes out unmatched. Rows whose join key contains NULL
+    /// match nothing; NULLs sort last, so NULL-keyed groups surface after
+    /// all joinable keys on their side. Returns `false` once both inputs
+    /// are exhausted.
     fn step(&mut self, acc: &mut u64) -> Result<bool> {
         if !self.started {
             self.started = true;
@@ -521,7 +330,7 @@ impl MergeJoin {
         Ok(true)
     }
 
-    /// Columnar path: the next slice of the deferred full-outer tail — NULL
+    /// The next slice of the deferred full-outer tail — NULL
     /// left columns, the deferred right columns — built on first use.
     fn next_tail(&mut self) -> Option<ColumnarBatch> {
         let st = &mut self.columnar;
@@ -585,23 +394,14 @@ impl Operator for MergeJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.pending.next() {
-                return Ok(Some(t));
-            }
-            if !self.replenish()? {
-                return Ok(None);
-            }
-        }
-    }
-
     /// Emits whole group pairings, about a batchful per call (one pairing
     /// may overshoot it, as the batch contract allows) — or, under a
     /// `Limit`, one productive pairing per call, so the inputs are read
-    /// exactly as far as tuple-at-a-time pulls would read them.
+    /// exactly as far as one-row pulls would read them.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        Ok(self.pull_columnar()?.map(Batch::Cols))
+        self.failed.check()?;
+        let pulled = self.pull_columnar();
+        Ok(self.failed.record(pulled)?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {
@@ -624,7 +424,7 @@ mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
     use crate::op::{collect, ValuesOp};
-    use pyro_common::Value;
+    use pyro_common::{Tuple, Value};
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()

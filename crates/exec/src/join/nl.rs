@@ -1,12 +1,12 @@
-//! Nested loops join — the semantic reference implementation.
+//! Nested loops join.
 //!
 //! Used by the optimizer as a (rarely winning) physical alternative and by
-//! the property-test suite as the oracle merge/hash joins are checked
+//! the property-test suite as the join merge and hash joins are checked
 //! against.
 
 use super::JoinKind;
-use crate::op::{pull_row, rows_batch, Batch, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{KeySpec, Result, Schema, Tuple, Value};
+use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
+use pyro_common::{KeySpec, Result, Schema, Tuple};
 
 /// Materializing nested-loops join (inner side buffered).
 pub struct NestedLoopsJoin {
@@ -21,6 +21,9 @@ pub struct NestedLoopsJoin {
     pending: std::vec::IntoIter<Tuple>,
     drained_right: bool,
     left_stash: Stash,
+    failed: Latch,
+    /// Set by a `Limit` above: one productive left row per pull.
+    demand_driven: bool,
     batch: usize,
 }
 
@@ -47,6 +50,8 @@ impl NestedLoopsJoin {
             pending: Vec::new().into_iter(),
             drained_right: false,
             left_stash: Stash::new(),
+            failed: Latch::default(),
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
@@ -61,16 +66,14 @@ impl NestedLoopsJoin {
                 !lv.is_null() && !rv.is_null() && lv == rv
             })
     }
-}
 
-impl NestedLoopsJoin {
-    /// Buffers the inner side, pulling in the given granularity.
-    fn materialize_right(&mut self, batched: bool) -> Result<()> {
+    /// Buffers the inner side.
+    fn materialize_right(&mut self) -> Result<()> {
         if self.right_rows.is_none() {
             let mut src = self.right_source.take().expect("materialize once");
             let mut stash = Stash::new();
             let mut rows = Vec::new();
-            while let Some(t) = pull_row(&mut src, &mut stash, batched)? {
+            while let Some(t) = stash.next_row(&mut src)? {
                 rows.push((t, std::cell::Cell::new(false)));
             }
             self.right_rows = Some(rows);
@@ -79,8 +82,7 @@ impl NestedLoopsJoin {
     }
 
     /// Joins one left row against the buffered inner side, appending all
-    /// produced rows (matches, or the outer pad) to `out`. Shared by both
-    /// pull paths so match semantics can never diverge.
+    /// produced rows (matches, or the outer pad) to `out`.
     fn join_left_row(&self, l: &Tuple, out: &mut Vec<Tuple>) {
         let rows = self.right_rows.as_ref().expect("materialized");
         let before = out.len();
@@ -95,43 +97,40 @@ impl NestedLoopsJoin {
         }
     }
 
-    /// Processes one left row (or the full-outer drain), leaving produced
-    /// rows in `self.pending`. `Ok(false)` means the stream is complete.
-    fn step(&mut self, batched: bool) -> Result<bool> {
-        self.materialize_right(batched)?;
-        match pull_row(&mut self.left, &mut self.left_stash, batched)? {
-            Some(l) => {
-                let mut out = Vec::new();
-                self.join_left_row(&l, &mut out);
-                if !out.is_empty() {
-                    self.pending = out.into_iter();
-                }
-                Ok(true)
-            }
-            None => {
-                if self.drained_right {
-                    return Ok(false);
-                }
-                self.drained_right = true;
-                if matches!(self.kind, JoinKind::FullOuter) {
-                    let rows = self.right_rows.as_ref().expect("materialized");
-                    let pad_len = self.schema.len() - self.right_schema_len;
-                    let pad = Tuple::nulls(pad_len);
-                    let out: Vec<Tuple> = rows
-                        .iter()
-                        .filter(|(_, seen)| !seen.get())
-                        .map(|(r, _)| pad.concat(r))
-                        .collect();
-                    if out.is_empty() {
-                        return Ok(false);
-                    }
-                    self.pending = out.into_iter();
-                    Ok(true)
-                } else {
-                    Ok(false)
+    /// At the end of the left input: stages the inner rows no left row
+    /// matched (full outer joins) in `self.pending`.
+    fn drain_unmatched(&mut self) {
+        self.drained_right = true;
+        if matches!(self.kind, JoinKind::FullOuter) {
+            let rows = self.right_rows.as_ref().expect("materialized");
+            let pad = Tuple::nulls(self.schema.len() - self.right_schema_len);
+            let unmatched = rows.iter().filter(|(_, seen)| !seen.get());
+            let out: Vec<Tuple> = unmatched.map(|(r, _)| pad.concat(r)).collect();
+            self.pending = out.into_iter();
+        }
+    }
+
+    fn join_batch(&mut self) -> Result<Option<Batch>> {
+        // Leftovers from the full-outer drain.
+        let mut out: Vec<Tuple> = self.pending.by_ref().take(self.batch).collect();
+        if out.len() >= self.batch {
+            return Ok(Some(Batch::Rows(out)));
+        }
+        self.materialize_right()?;
+        // Join loop: matched rows go straight into the output batch.
+        let want = if self.demand_driven { 1 } else { self.batch };
+        while !self.drained_right && out.len() < want {
+            match self.left_stash.next_row(&mut self.left)? {
+                Some(l) => self.join_left_row(&l, &mut out),
+                None => {
+                    self.drain_unmatched();
+                    let room = self.batch - out.len();
+                    out.extend(self.pending.by_ref().take(room));
+                    break;
                 }
             }
         }
+        Ok(rows_batch(out))
     }
 }
 
@@ -140,52 +139,10 @@ impl Operator for NestedLoopsJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.pending.next() {
-                return Ok(Some(t));
-            }
-            if !self.step(false)? {
-                return Ok(None);
-            }
-        }
-    }
-
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        // Leftovers from the row path or the full-outer drain.
-        let mut out: Vec<Tuple> = Vec::new();
-        while out.len() < self.batch {
-            match self.pending.next() {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        if out.len() >= self.batch {
-            return Ok(Some(Batch::Rows(out)));
-        }
-        self.materialize_right(true)?;
-        // Join loop: matched rows go straight into the output batch.
-        while !self.drained_right && out.len() < self.batch {
-            match pull_row(&mut self.left, &mut self.left_stash, true)? {
-                Some(l) => {
-                    self.join_left_row(&l, &mut out);
-                }
-                None => {
-                    // Stage the full-outer drain through the shared path.
-                    if !self.step(true)? && self.pending.len() == 0 {
-                        break;
-                    }
-                    while out.len() < self.batch {
-                        match self.pending.next() {
-                            Some(t) => out.push(t),
-                            None => break,
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(rows_batch(out))
+        self.failed.check()?;
+        let pulled = self.join_batch();
+        self.failed.record(pulled)
     }
 
     fn batch_size(&self) -> usize {
@@ -198,20 +155,16 @@ impl Operator for NestedLoopsJoin {
 
     /// The outer (left) side streams; the inner side is buffered whole.
     fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
         self.left.set_demand_driven();
     }
-}
-
-// Silence unused import warning for Value (used in keys_match via is_null).
-#[allow(unused)]
-fn _type_check(v: &Value) -> bool {
-    v.is_null()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::{collect, ValuesOp};
+    use pyro_common::Value;
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()

@@ -1,12 +1,12 @@
 //! # pyro-exec
 //!
 //! A Volcano-style (pull-based) execution engine that exchanges rows
-//! **batch-at-a-time** — every operator implements tuple-wise
-//! [`Operator::next`] and the batch pull [`Operator::next_batch`], which
-//! hands over a [`Batch`] of boxed rows or of column vectors (see `op.rs`
-//! for the layout rule and the batch contract; counter totals are identical
-//! on both pulls, with `next` as the oracle) — built to make the paper's §3
-//! claims observable:
+//! **batch-at-a-time** — every operator implements one pull,
+//! [`Operator::next_batch`], which hands over a [`Batch`] of boxed rows or
+//! of column vectors (see `op.rs` for the layout rule and the batch
+//! contract; counter totals are identical at every batch size, with batch
+//! size 1 as the reference) — built to make the paper's §3 claims
+//! observable:
 //!
 //! * [`sort::StandardReplacementSort`] (SRS) — classical replacement
 //!   selection with run spilling and multi-pass merging; falls back to a
@@ -17,10 +17,10 @@
 //!   producing tuples early, comparing only suffix columns, and doing **zero
 //!   run I/O** whenever a segment fits in memory.
 //!
-//! Joins ([`join`]), aggregation ([`agg`]), set operations ([`union`]) and
-//! the relational plumbing ([`scan`], [`filter`], [`project`], [`limit`])
-//! complete the operator set needed by every query in the paper's
-//! evaluation. All operators share an [`ExecMetrics`] counter block so
+//! Joins ([`join`]), aggregation ([`agg`]), duplicate elimination
+//! ([`dedup`]) and the relational plumbing ([`scan`], [`filter`],
+//! [`project`], [`limit`]) complete the operator set needed by every query
+//! in the paper's evaluation. All operators share an [`ExecMetrics`] counter block so
 //! experiments can report comparisons and run I/O exactly.
 
 #![deny(missing_docs)]
@@ -37,15 +37,13 @@ pub mod op;
 pub mod project;
 pub mod scan;
 pub mod sort;
-pub mod union;
 pub mod vector;
 
 pub use exchange::{FragmentFn, Gather};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, MetricsRef};
 pub use op::{
-    collect, collect_batched, Batch, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp,
-    DEFAULT_BATCH_SIZE,
+    collect, Batch, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp, DEFAULT_BATCH_SIZE,
 };
 pub use scan::{FileScan, Morsel, MorselSource, MORSEL_PAGES};
 pub use vector::{eval_column, VecPredicate};

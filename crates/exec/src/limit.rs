@@ -6,7 +6,7 @@
 //! the `fig08` bench demonstrates exactly that.
 
 use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{Result, Schema, Tuple};
+use pyro_common::{Result, Schema};
 
 /// Emits at most `k` child tuples, then stops pulling.
 pub struct Limit {
@@ -34,22 +34,6 @@ impl Operator for Limit {
         self.child.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.child.next()? {
-            Some(t) => {
-                self.remaining -= 1;
-                Ok(Some(t))
-            }
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-        }
-    }
-
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -57,7 +41,7 @@ impl Operator for Limit {
         // Narrow the child's batch to the rows still wanted, so Top-K over
         // a demand-driven producer (the partial sort) closes exactly the
         // segments — and charges exactly the same ExecMetrics — that
-        // `remaining` tuple-at-a-time pulls would. (Base-table scans below
+        // `remaining` one-row pulls would. (Base-table scans below
         // may still read ahead by up to one batch; see the op.rs contract.)
         let want = (self.batch as u64).min(self.remaining) as usize;
         self.child.set_batch_size(want);
@@ -101,7 +85,7 @@ impl Operator for Limit {
 mod tests {
     use super::*;
     use crate::op::{collect, ValuesOp};
-    use pyro_common::Value;
+    use pyro_common::{Tuple, Value};
 
     #[test]
     fn truncates() {
@@ -131,7 +115,8 @@ mod tests {
         let src = ValuesOp::new(Schema::ints(&["a"]), rows);
         let mut op = Limit::new(Box::new(src), 3);
         assert_eq!(op.size_hint(), (3, Some(3)), "k caps a 10-row child");
-        op.next().unwrap();
+        op.set_batch_size(1);
+        op.next_batch().unwrap();
         assert_eq!(op.size_hint(), (2, Some(2)));
         // k beyond the child: the child's exact count wins.
         let src = ValuesOp::new(Schema::ints(&["a"]), vec![Tuple::new(vec![Value::Int(1)])]);

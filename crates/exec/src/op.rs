@@ -1,7 +1,7 @@
-//! The Volcano operator interface, in two pulls: classic tuple-at-a-time
-//! `next()` — the oracle every parity suite compares against — and
-//! `next_batch()`, which hands over a [`Batch`] of rows in whichever layout
-//! the operator naturally produces.
+//! The Volcano operator interface: one pull, `next_batch()`, which hands
+//! over a [`Batch`] of rows in whichever layout the operator naturally
+//! produces. A consumer that wants one row at a time reads through a
+//! [`Stash`].
 //!
 //! **Layout rule.** A [`Batch`] is either `Rows` (boxed tuples) or `Cols`
 //! (column vectors). Each operator emits its natural layout and takes what
@@ -16,15 +16,16 @@
 //! columnar throughout converts exactly once — [`Pipeline::run`]'s
 //! `into_rows` at the root — and nothing is decided ahead of time.
 //!
-//! **Batch contract.** One `next_batch()` call on an operator configured for
-//! batch size `B` performs exactly the same per-row work — and charges
-//! exactly the same [`crate::ExecMetrics`] — as up to `B` consecutive
-//! `next()` calls would, whichever layout it is fed; it returns `Ok(None)`
-//! only at end of stream, and a short (even partial) batch does *not* signal
-//! the end. This equivalence is what keeps counter totals bit-identical
-//! between the two pulls (the paper's Experiment A figures depend on it)
-//! while letting batch-native operators skip per-row virtual dispatch, reuse
-//! buffers, and charge metrics once per batch.
+//! **Batch contract.** The reference is batch size 1: one row per pull.
+//! One `next_batch()` call on an operator configured for batch size `B`
+//! performs exactly the same per-row work — and charges exactly the same
+//! [`crate::ExecMetrics`] — as up to `B` consecutive pulls at batch size 1
+//! would, whichever layout it is fed; it returns `Ok(None)` only at end of
+//! stream, and a short (even partial) batch does *not* signal the end. This
+//! equivalence is what keeps counter totals bit-identical across batch
+//! sizes (the paper's Experiment A figures depend on it) while letting
+//! batch-native operators skip per-row virtual dispatch, reuse buffers,
+//! and charge metrics once per batch.
 //!
 //! An operator that works ahead to fill its batch (a partial sort closing
 //! several segments, a merge join pairing several groups) relies on its
@@ -32,18 +33,16 @@
 //! says so through [`Operator::set_demand_driven`], and such operators then
 //! do one unit of work per pull. Base-table device reads are the one
 //! deliberate exception: a consumer pulls a whole child batch, so under
-//! early termination (Top-K) the batch pull may read up to one batch of
-//! input beyond demand — bounded read-ahead, like any paged scan;
-//! `ExecMetrics` (comparisons, run I/O) still match exactly.
+//! early termination (Top-K) a pull may read up to one batch of input
+//! beyond demand — bounded read-ahead, like any paged scan; `ExecMetrics`
+//! (comparisons, run I/O) still match exactly.
 //!
-//! **The two pulls must not be interleaved** on one operator: a batch pull
-//! buffers input (a stash of rows, a half-probed batch, a hash table built
-//! from columns) that `next()` does not see. Layouts, by contrast, may
-//! change from one batch to the next — every operator looks at each batch
-//! it receives.
+//! Layouts may change from one batch to the next — every operator looks at
+//! each batch it receives. An operator whose pull failed returns that
+//! error again on every later pull.
 
 use crate::metrics::MetricsRef;
-use pyro_common::{ColumnarBatch, Result, Schema, Tuple};
+use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
 use pyro_storage::StoreRef;
 
 /// Default number of rows per batch (the `SessionBuilder::batch_size`
@@ -89,18 +88,17 @@ impl Batch {
     }
 }
 
-/// A pull-based iterator operator. `next` returns `Ok(None)` at end of
+/// A pull-based operator. `next_batch` returns `Ok(None)` at end of
 /// stream; operators are single-use.
 ///
-/// Only [`Operator::schema`] and [`Operator::next`] are required — the
-/// batch pull defaults to looping `next` into a `Rows` batch, so a minimal
-/// operator is a few lines and still sits under any parent:
+/// Only [`Operator::schema`] and [`Operator::next_batch`] are required, so
+/// a minimal operator is a few lines and still sits under any parent:
 ///
 /// ```
 /// use pyro_common::{Result, Schema, Tuple, Value};
-/// use pyro_exec::{collect_batched, Batch, Operator};
+/// use pyro_exec::{collect, Batch, BoxOp, Operator, Stash};
 ///
-/// /// Yields the integers `0..n` as single-column tuples.
+/// /// Yields the integers `0..n` as single-column tuples, two at a time.
 /// struct Counter {
 ///     schema: Schema,
 ///     next: i64,
@@ -112,31 +110,33 @@ impl Batch {
 ///         &self.schema
 ///     }
 ///
-///     fn next(&mut self) -> Result<Option<Tuple>> {
-///         if self.next >= self.n {
-///             return Ok(None);
-///         }
-///         self.next += 1;
-///         Ok(Some(Tuple::new(vec![Value::Int(self.next - 1)])))
+///     fn next_batch(&mut self) -> Result<Option<Batch>> {
+///         let end = (self.next + 2).min(self.n);
+///         let rows: Vec<Tuple> = (self.next..end)
+///             .map(|i| Tuple::new(vec![Value::Int(i)]))
+///             .collect();
+///         self.next = end;
+///         Ok((!rows.is_empty()).then_some(Batch::Rows(rows)))
 ///     }
 /// }
 ///
-/// let counter = |n| Counter { schema: Schema::ints(&["i"]), next: 0, n };
-/// // The default batch pull hands the rows over as `Batch::Rows` ...
-/// let batch = counter(3).next_batch().unwrap().expect("three rows");
-/// assert!(matches!(batch, Batch::Rows(_)));
-/// // ... and either layout converts to the other on demand.
-/// assert_eq!(batch.clone().into_cols().num_rows(), 3);
-/// assert_eq!(batch.into_rows().len(), 3);
-/// // Drain with one pull or the other, never both on one operator.
-/// assert_eq!(collect_batched(Box::new(counter(3))).unwrap().len(), 3);
+/// let counter = |n| -> BoxOp { Box::new(Counter { schema: Schema::ints(&["i"]), next: 0, n }) };
+/// // Either layout converts to the other on demand ...
+/// let batch = counter(3).next_batch().unwrap().expect("two rows");
+/// assert_eq!(batch.clone().into_cols().num_rows(), 2);
+/// // ... a stash hands the rows on one at a time ...
+/// let (mut op, mut stash) = (counter(3), Stash::new());
+/// let mut seen = Vec::new();
+/// while let Some(t) = stash.next_row(&mut op).unwrap() {
+///     seen.push(t.get(0).as_int().unwrap());
+/// }
+/// assert_eq!(seen, [0, 1, 2]);
+/// // ... and `collect` drains an operator whole.
+/// assert_eq!(collect(counter(3)).unwrap().len(), 3);
 /// ```
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
-
-    /// Pulls the next output tuple.
-    fn next(&mut self) -> Result<Option<Tuple>>;
 
     /// Pulls roughly [`Operator::batch_size`] output rows, in the
     /// operator's natural layout. `Ok(None)` means end of stream; a short
@@ -145,29 +145,15 @@ pub trait Operator {
     /// decoded page) may overshoot the batch size by one such unit —
     /// consumers must not treat `batch_size` as a hard upper bound on batch
     /// length.
-    ///
-    /// The default implementation loops [`Operator::next`] into a
-    /// [`Batch::Rows`], so third-party operators keep working unchanged;
-    /// every in-tree operator overrides it.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let cap = self.batch_size().max(1);
-        let mut out = Vec::new();
-        while out.len() < cap {
-            match self.next()? {
-                Some(t) => out.push(t),
-                None => break,
-            }
-        }
-        Ok(rows_batch(out))
-    }
+    fn next_batch(&mut self) -> Result<Option<Batch>>;
 
     /// Tells the operator that its consumer may stop pulling before the end
     /// of the stream (a [`crate::limit::Limit`] calls this on its input).
     /// An operator that otherwise works ahead to fill its batch — closing
     /// several sort segments, pairing several join groups — must from then
     /// on do only the work its next output row needs before returning, so
-    /// that a stream cut short has charged exactly what tuple-at-a-time
-    /// pulls of the same rows would have. Streaming operators pass the call
+    /// that a stream cut short has charged exactly what pulls at batch size
+    /// 1 of the same rows would have. Streaming operators pass the call
     /// on to the inputs they stream from; operators that consume an input
     /// whole before producing anything do not. Default: no-op.
     fn set_demand_driven(&mut self) {}
@@ -207,22 +193,11 @@ fn drain_capacity(op: &BoxOp) -> usize {
     upper.unwrap_or(lower).min(CAP)
 }
 
-/// Drains an operator into a vector (tests and leaf consumers),
-/// pre-allocating from the operator's [`Operator::size_hint`].
+/// Drains an operator into a vector of rows — the one conversion of a
+/// plan that is columnar throughout — pre-allocating from the operator's
+/// [`Operator::size_hint`]. A `Cols` batch is boxed straight into that
+/// vector ([`ColumnarBatch::append_rows`]), never into a vector of its own.
 pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(drain_capacity(&op));
-    while let Some(t) = op.next()? {
-        out.push(t);
-    }
-    Ok(out)
-}
-
-/// Drains an operator batch-at-a-time into a vector of rows — the one
-/// conversion of a plan that is columnar throughout —
-/// pre-allocating from the operator's [`Operator::size_hint`]. A `Cols`
-/// batch is boxed straight into that vector
-/// ([`ColumnarBatch::append_rows`]), never into a vector of its own.
-pub fn collect_batched(mut op: BoxOp) -> Result<Vec<Tuple>> {
     let mut out = Vec::with_capacity(drain_capacity(&op));
     while let Some(batch) = op.next_batch()? {
         match batch {
@@ -274,17 +249,24 @@ pub(crate) fn rows_batch(out: Vec<Tuple>) -> Option<Batch> {
     }
 }
 
-/// Pulls one input row in either granularity: directly via `next()` on the
-/// row path, or through the operator's [`Stash`] on the batch path.
-pub(crate) fn pull_row(
-    child: &mut BoxOp,
-    stash: &mut Stash,
-    batched: bool,
-) -> Result<Option<Tuple>> {
-    if batched {
-        stash.next_row(child)
-    } else {
-        child.next()
+/// The first error an operator's pull hit, returned again on every later
+/// pull: an input half consumed or a table half built has nothing to
+/// resume from.
+#[derive(Default)]
+pub(crate) struct Latch(Option<PyroError>);
+
+impl Latch {
+    /// The latched error, if a pull failed before.
+    pub(crate) fn check(&self) -> Result<()> {
+        self.0.clone().map_or(Ok(()), Err)
+    }
+
+    /// Passes `pulled` on, latching it if it failed.
+    pub(crate) fn record<T>(&mut self, pulled: Result<T>) -> Result<T> {
+        if let Err(e) = &pulled {
+            self.0 = Some(e.clone());
+        }
+        pulled
     }
 }
 
@@ -313,8 +295,8 @@ impl Pipeline {
         }
     }
 
-    /// Attributes `store`'s buffer-pool activity during [`Pipeline::run`] /
-    /// [`Pipeline::run_tuple_at_a_time`] to this pipeline's metrics as
+    /// Attributes `store`'s buffer-pool activity during [`Pipeline::run`]
+    /// to this pipeline's metrics as
     /// `cache_hits` / `cache_misses`. A bypass store charges nothing. The
     /// plan compiler sets this to the catalog's store; streaming consumers
     /// going through [`Pipeline::into_parts`] read the pool stats
@@ -346,18 +328,6 @@ impl Pipeline {
     /// over to rows (the plan's one [`Batch::into_rows`]) and returning them
     /// together with the metrics that produced them.
     pub fn run(self) -> Result<Rows> {
-        let Pipeline { op, metrics, store } = self;
-        let before = store.as_ref().map(|s| s.cache_stats());
-        let rows = collect_batched(op)?;
-        charge_cache(&metrics, &store, before);
-        Ok(Rows { rows, metrics })
-    }
-
-    /// Drains the pipeline tuple-at-a-time through `Operator::next` — the
-    /// pre-batching Volcano path, kept for A/B measurement (the
-    /// `bench_batch` harness) and as the semantic reference the batch path
-    /// must match counter-for-counter.
-    pub fn run_tuple_at_a_time(self) -> Result<Rows> {
         let Pipeline { op, metrics, store } = self;
         let before = store.as_ref().map(|s| s.cache_stats());
         let rows = collect(op)?;
@@ -450,8 +420,8 @@ impl Operator for ValuesOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        Ok(rows_batch(self.rows.by_ref().take(self.batch).collect()))
     }
 
     fn batch_size(&self) -> usize {
@@ -475,6 +445,7 @@ pub(crate) struct FaultyOp {
     pub(crate) child: BoxOp,
     pub(crate) after: usize,
     pub(crate) panic: bool,
+    pub(crate) stash: Stash,
 }
 
 #[cfg(test)]
@@ -483,7 +454,7 @@ impl Operator for FaultyOp {
         self.child.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.after == 0 {
             if self.panic {
                 panic!("boom");
@@ -491,14 +462,38 @@ impl Operator for FaultyOp {
             return Err(pyro_common::PyroError::Exec("boom".into()));
         }
         self.after -= 1;
-        self.child.next()
+        Ok(self
+            .stash
+            .next_row(&mut self.child)?
+            .map(|t| Batch::Rows(vec![t])))
+    }
+}
+
+/// Test source: the batches of each part in turn.
+#[cfg(test)]
+struct Parts(Vec<BoxOp>);
+
+#[cfg(test)]
+impl Operator for Parts {
+    fn schema(&self) -> &Schema {
+        self.0[0].schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        while let Some(part) = self.0.first_mut() {
+            match part.next_batch()? {
+                Some(batch) => return Ok(Some(batch)),
+                None if self.0.len() > 1 => drop(self.0.remove(0)),
+                None => return Ok(None),
+            }
+        }
+        Ok(None)
     }
 }
 
 /// Test sources: `rows` (not empty) as a stream of `Rows` batches, of
 /// `Cols` batches, and of batches alternating between the two — one file
-/// scanned whole in either layout, and page by page in alternating layouts
-/// under a `UnionAll`, which passes batches through untouched.
+/// scanned whole in either layout, and page by page in alternating layouts.
 #[cfg(test)]
 pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
     use crate::scan::FileScan;
@@ -516,7 +511,7 @@ pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
     [
         Box::new(FileScan::new(schema.clone(), &file).row_batches()),
         Box::new(FileScan::new(schema.clone(), &file)),
-        Box::new(crate::union::UnionAll::new(pages)),
+        Box::new(Parts(pages)),
     ]
 }
 

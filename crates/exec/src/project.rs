@@ -68,13 +68,6 @@ impl Operator for Project {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.child.next()? {
-            None => Ok(None),
-            Some(t) => Ok(Some(self.project_row(&t)?)),
-        }
-    }
-
     /// A `Cols` batch goes through the column kernel and stays `Cols`; a
     /// `Rows` batch — or a `Cols` one the kernel cannot vectorize — is
     /// projected row by row and handed on as `Rows`.
@@ -119,7 +112,7 @@ impl Operator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, collect_batched, in_every_layout, ValuesOp};
+    use crate::op::{collect, in_every_layout, ValuesOp};
     use pyro_common::{Column, DataType, Value};
 
     #[test]
@@ -149,9 +142,9 @@ mod tests {
         assert_eq!(out[0], Tuple::new(vec![Value::Int(12)]));
     }
 
-    /// The batch pull must emit exactly what `next` emits — whichever
-    /// layout each input batch arrives in — for column keeps, arithmetic,
-    /// and literal columns.
+    /// The batch pull must emit exactly what one-row pulls over row input
+    /// emit — whichever layout each input batch arrives in — for column
+    /// keeps, arithmetic, and literal columns.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..50)
@@ -174,15 +167,16 @@ mod tests {
             ),
         ];
         for (exprs, schema) in cases {
-            let reference = collect(Box::new(Project::new(
+            let mut reference = Project::new(
                 Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
                 exprs.clone(),
                 schema.clone(),
-            )))
-            .unwrap();
+            );
+            reference.set_batch_size(1);
+            let reference = collect(Box::new(reference)).unwrap();
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
                 let project = Project::new(input, exprs.clone(), schema.clone());
-                let out = collect_batched(Box::new(project)).unwrap();
+                let out = collect(Box::new(project)).unwrap();
                 assert_eq!(reference, out, "exprs {exprs:?}");
             }
         }

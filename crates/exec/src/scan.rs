@@ -83,14 +83,6 @@ impl Operator for FileScan {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let t = self.scan.next_tuple()?;
-        if t.is_some() {
-            self.emitted += 1;
-        }
-        Ok(t)
-    }
-
     /// Decodes pages straight into typed column vectors — no `Tuple` is
     /// boxed — or, after [`FileScan::row_batches`], into rows. Either way
     /// the batch may overshoot the batch size by the tail of the last
@@ -323,7 +315,7 @@ impl MorselSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, collect_batched, BoxOp};
+    use crate::op::{collect, BoxOp};
     use pyro_common::Value;
     use pyro_storage::{write_file, SimDevice};
 
@@ -354,7 +346,7 @@ mod tests {
             dev.reset_io();
             let mut scan: BoxOp = Box::new(FileScan::new(Schema::ints(&["a", "b"]), &file));
             scan.set_batch_size(batch);
-            let out = collect_batched(scan).unwrap();
+            let out = collect(scan).unwrap();
             assert_eq!(out, rows, "batch={batch}");
             assert_eq!(dev.io().reads, file.block_count(), "batch={batch}");
         }
@@ -364,9 +356,10 @@ mod tests {
     fn size_hint_tracks_consumption() {
         let (_dev, file, _) = sample_file(40, 128);
         let mut scan = FileScan::new(Schema::ints(&["a", "b"]), &file);
-        scan.next().unwrap();
-        scan.next().unwrap();
-        assert_eq!(scan.size_hint(), (38, Some(38)));
+        scan.set_batch_size(2);
+        let first = scan.next_batch().unwrap().expect("a page").num_rows();
+        assert!(first < 40);
+        assert_eq!(scan.size_hint(), (40 - first, Some(40 - first)));
     }
 
     #[test]
@@ -507,7 +500,7 @@ mod tests {
             );
             seq += 1;
             let scan = source.scan(&m, Schema::ints(&["a", "b"]));
-            out.extend(collect_batched(Box::new(scan)).unwrap());
+            out.extend(collect(Box::new(scan)).unwrap());
         }
         assert_eq!(dev.io().reads, file.block_count(), "each page read once");
         assert_eq!(

@@ -8,17 +8,17 @@
 //! column storage only for a column whose prefixes tie without being
 //! decisive (long strings, doubles, huge integers).
 //!
-//! **Why the counters do not move.** A comparison is charged
+//! **Why the counters are a boxed sort's.** A comparison is charged
 //! `n = first differing key column + 1` (all `k` columns when the keys are
 //! equal) — the number [`KeySpec::compare_counting`] reports for the same
 //! two rows boxed: a prefix that differs means column 0 differs, so `n = 1`;
 //! on a tie the walk goes through the columns from 0 and counts as it
-//! goes. The *sequence* of comparisons is the row path's too:
+//! goes. The *sequence* of comparisons is a boxed-tuple sort's too:
 //! `slice::sort_by` is deterministic in the slice length and the comparison
 //! outcomes, and it picks its strategy (small-sort width, scratch size) from
 //! the element's size and `Freeze`-ness — a 16-byte `Entry` and a 16-byte
-//! `Tuple` (`Box<[Value]>`) take the same one. The parity suites hold the
-//! two paths to the same totals.
+//! `Tuple` (`Box<[Value]>`) take the same one. `tests/plan_golden.rs` pins
+//! the totals the paper's statements charge.
 
 use crate::metrics::MetricsRef;
 use pyro_common::{ColumnarBatch, KeySpec, NormKeys};

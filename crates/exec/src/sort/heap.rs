@@ -9,11 +9,11 @@
 //! the pipeline metrics in batches, keeping the shared `Cell` out of the
 //! sift loops.
 //!
-//! The heap is generic over what it holds — boxed tuples on the row path,
-//! 16-byte `(normalized key prefix, row id)` entries on the columnar one —
-//! and takes the key comparison as a closure. The sift sequence depends
-//! only on the comparison outcomes, so both paths make the same
-//! comparisons in the same order.
+//! The heap is generic over what it holds — the sorts keep 16-byte
+//! `(normalized key prefix, row id)` entries in it — and takes the key
+//! comparison as a closure. The sift sequence depends only on the
+//! comparison outcomes, so it makes the comparisons a heap of boxed tuples
+//! would, in the same order.
 
 use crate::metrics::MetricsRef;
 use std::cmp::Ordering;

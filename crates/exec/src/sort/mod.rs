@@ -6,12 +6,11 @@
 //! pipeline's [`crate::ExecMetrics`] as *run I/O* — the quantity the paper's
 //! Experiments A1–A4 measure.
 //!
-//! Each operator has two implementations. Tuple-at-a-time `next` sorts boxed
-//! tuples with [`pyro_common::KeySpec::compare_counting`]; it is the oracle.
-//! `next_batch` takes its input as columns and never boxes a row: it sorts 16-byte `(normalized key prefix, row id)`
-//! entries (the `entry` module says why that reproduces the oracle's
-//! counters number for number), spills rows encoded straight from column
-//! vectors, and emits by gather.
+//! Both take their input as columns and never box a row: they sort 16-byte
+//! `(normalized key prefix, row id)` entries (the `entry` module says why
+//! that charges exactly the comparisons a sort of boxed tuples by
+//! [`pyro_common::KeySpec::compare_counting`] would), spill rows encoded
+//! straight from column vectors, and emit by gather.
 
 mod entry;
 mod heap;
@@ -20,11 +19,8 @@ mod runs;
 mod srs;
 
 pub use mrs::PartialSort;
-pub use runs::{ColumnarMergeStream, InMemorySortStream, MergeStream};
+pub use runs::ColumnarMergeStream;
 pub use srs::StandardReplacementSort;
-
-use crate::metrics::MetricsRef;
-use pyro_common::{KeySpec, Tuple};
 
 /// Memory budget for a sort, expressed like the paper: `M` blocks.
 #[derive(Debug, Clone, Copy)]
@@ -53,18 +49,4 @@ impl SortBudget {
     pub fn fan_in(&self) -> usize {
         (self.blocks as usize - 1).max(2)
     }
-}
-
-/// Sorts a buffer by `key`. Scalar comparisons accumulate in a local
-/// counter and are charged to the metrics **once per call** — the counter
-/// total is identical to per-comparison charging, without a shared-`Cell`
-/// bump inside the sort's inner loop.
-pub(crate) fn sort_buffer(buf: &mut [Tuple], key: &KeySpec, metrics: &MetricsRef) {
-    let mut acc: u64 = 0;
-    buf.sort_by(|a, b| {
-        let (ord, n) = key.compare_counting(a, b);
-        acc += n;
-        ord
-    });
-    metrics.add_comparisons(acc);
 }

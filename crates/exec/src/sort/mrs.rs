@@ -19,20 +19,15 @@
 //! sort, the convergence Fig. 9's right edge shows.
 
 use super::entry::{sort_rows_into, Entry, Keyed};
-use super::runs::{write_run_rows, ColumnarMergeStream, InMemorySortStream, MergeStream};
-use super::{sort_buffer, SortBudget};
+use super::runs::{write_run_rows, ColumnarMergeStream};
+use super::SortBudget;
 use crate::metrics::MetricsRef;
-use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
+use crate::op::{Batch, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnarBatch, KeySpec, Result, Schema};
 use pyro_storage::{IntoStore, StoreRef, TupleFile};
 
-enum Output {
-    Buffered(InMemorySortStream),
-    Merging(MergeStream),
-}
-
-/// Columnar-path state. The operator works on one dense input batch at a
-/// time; rows of a segment still open when the batch runs out are carried
+/// The segment scan's state. The operator works on one dense input batch at
+/// a time; rows of a segment still open when the batch runs out are carried
 /// over in front of the next one ([`ColumnarBatch::carry_into`]), so a
 /// segment's in-memory rows always sit in one batch: they are sorted as
 /// 16-byte entries addressed by row id and emitted by one gather.
@@ -62,7 +57,7 @@ struct Columnar {
     scratch: Vec<Entry>,
 }
 
-/// What one step of the columnar segment scan came to.
+/// What one step of the segment scan came to.
 enum Step {
     /// A segment closed: there is more to emit.
     Closed,
@@ -81,24 +76,12 @@ pub struct PartialSort {
     store: StoreRef,
     budget: SortBudget,
     metrics: MetricsRef,
-    /// Row path: buffered tuples of the currently accumulating segment.
-    buffer: Vec<Tuple>,
-    buffer_bytes: usize,
-    /// Row path: prefix values identifying the current segment (set on its
-    /// first tuple, cleared when it closes). Survives buffer spills.
-    segment_key: Option<Vec<pyro_common::Value>>,
     /// Spill runs of the current segment (only when it outgrew memory).
     segment_runs: Vec<TupleFile>,
-    /// Row path: first tuple of the *next* segment, read but not yet
-    /// accumulated.
-    pending: Option<Tuple>,
-    /// Row path: segment currently being drained to the parent.
-    output: Option<Output>,
     columnar: Columnar,
     input_done: bool,
     segments_seen: u64,
-    /// Set once a pull failed; every later pull repeats the error.
-    failed: Option<PyroError>,
+    failed: Latch,
     /// Set by a `Limit` above: close one segment per pull, not a batchful.
     demand_driven: bool,
     batch: usize,
@@ -129,16 +112,11 @@ impl PartialSort {
             store: store.into_store(),
             budget,
             metrics,
-            buffer: Vec::new(),
-            buffer_bytes: 0,
-            segment_key: None,
             segment_runs: Vec::new(),
-            pending: None,
-            output: None,
             columnar: Columnar::default(),
             input_done: false,
             segments_seen: 0,
-            failed: None,
+            failed: Latch::default(),
             demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
@@ -149,132 +127,7 @@ impl PartialSort {
         self.segments_seen
     }
 
-    /// Extracts the prefix values of `t`.
-    fn prefix_key_of(&self, t: &Tuple) -> Vec<pyro_common::Value> {
-        t.key(self.prefix.cols())
-    }
-
-    /// True iff `t` belongs to the current segment; charges the prefix
-    /// comparisons performed.
-    fn matches_segment(&self, key: &[pyro_common::Value], t: &Tuple) -> bool {
-        let mut n = 0u64;
-        let mut eq = true;
-        for (k, &c) in key.iter().zip(self.prefix.cols()) {
-            n += 1;
-            if k != t.get(c) {
-                eq = false;
-                break;
-            }
-        }
-        self.metrics.add_comparisons(n);
-        eq
-    }
-
-    /// Spills the current buffer as one sorted run of the current segment.
-    fn spill_buffer(&mut self) -> Result<()> {
-        sort_buffer(&mut self.buffer, &self.suffix, &self.metrics);
-        let run =
-            super::runs::write_run(&self.store, std::mem::take(&mut self.buffer), &self.metrics)?;
-        self.segment_runs.push(run);
-        self.buffer_bytes = 0;
-        Ok(())
-    }
-
-    /// Closes the current segment and installs its output stream.
-    fn close_segment(&mut self) -> Result<()> {
-        self.segments_seen += 1;
-        self.segment_key = None;
-        if self.segment_runs.is_empty() {
-            // The common case: segment fit in memory → zero run I/O.
-            let mut buf = std::mem::take(&mut self.buffer);
-            self.buffer_bytes = 0;
-            sort_buffer(&mut buf, &self.suffix, &self.metrics);
-            self.output = Some(Output::Buffered(InMemorySortStream::new(buf)));
-        } else {
-            // Oversized segment: spill the tail and merge this segment's
-            // runs only.
-            if !self.buffer.is_empty() {
-                self.spill_buffer()?;
-            }
-            let runs = std::mem::take(&mut self.segment_runs);
-            let merge = MergeStream::new(
-                &self.store,
-                runs,
-                self.suffix.clone(),
-                self.budget,
-                self.metrics.clone(),
-            )?;
-            self.output = Some(Output::Merging(merge));
-        }
-        Ok(())
-    }
-
-    /// Admits one tuple into the current segment's buffer, spilling first
-    /// when the byte budget would overflow.
-    fn admit(&mut self, t: Tuple) -> Result<()> {
-        if self.buffer_bytes + t.byte_size() > self.budget.bytes() && !self.buffer.is_empty() {
-            self.spill_buffer()?;
-        }
-        self.buffer_bytes += t.byte_size();
-        self.buffer.push(t);
-        Ok(())
-    }
-
-    /// Row path: accumulates input until the current segment ends (or input
-    /// does). Returns `true` if a segment was closed.
-    fn fill_segment(&mut self) -> Result<bool> {
-        loop {
-            let t = match self.pending.take() {
-                Some(t) => Some(t),
-                None => self.child.next()?,
-            };
-            let Some(t) = t else {
-                self.input_done = true;
-                if !self.buffer.is_empty() || !self.segment_runs.is_empty() {
-                    self.close_segment()?;
-                    return Ok(true);
-                }
-                return Ok(false);
-            };
-            match &self.segment_key {
-                None => self.segment_key = Some(self.prefix_key_of(&t)),
-                Some(key) if !self.prefix.is_empty() => {
-                    // Borrow dance: clone the small key out for the check.
-                    let key = key.clone();
-                    if !self.matches_segment(&key, &t) {
-                        self.pending = Some(t);
-                        self.close_segment()?;
-                        return Ok(true);
-                    }
-                }
-                Some(_) => {} // empty prefix: one segment spans the input
-            }
-            self.admit(t)?;
-        }
-    }
-
-    fn pull_row(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(out) = &mut self.output {
-                let t = match out {
-                    Output::Buffered(s) => s.next_tuple(),
-                    Output::Merging(m) => m.next_tuple()?,
-                };
-                if t.is_some() {
-                    return Ok(t);
-                }
-                self.output = None;
-            }
-            if self.input_done && self.buffer.is_empty() && self.segment_runs.is_empty() {
-                return Ok(None);
-            }
-            if !self.fill_segment()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Columnar path: sorts rows `seg_start..end` of `batch` on the suffix
+    /// Sorts rows `seg_start..end` of `batch` on the suffix
     /// and writes them as one run of the open segment.
     fn spill_rows(&mut self, batch: &Keyed, end: usize) -> Result<()> {
         let st = &mut self.columnar;
@@ -294,7 +147,7 @@ impl PartialSort {
         Ok(())
     }
 
-    /// Columnar path: closes the open segment, whose last row is row
+    /// Closes the open segment, whose last row is row
     /// `end - 1` of `batch`.
     fn close_rows(&mut self, batch: &Keyed, end: usize) -> Result<()> {
         self.segments_seen += 1;
@@ -328,11 +181,10 @@ impl PartialSort {
         Ok(())
     }
 
-    /// Columnar path: scans the current batch from `pos` to the end of the
-    /// segment there, admitting rows against the budget as it goes —
-    /// [`Self::fill_segment`]'s loop over row ids instead of tuples, same
-    /// boundary test, same spill points. Comparisons are charged once per
-    /// call.
+    /// Scans the current batch from `pos` to the end of the segment there,
+    /// admitting rows against the budget as it goes: a row that would
+    /// overflow it first spills the segment's rows so far as one sorted
+    /// run. Comparisons are charged once per call.
     fn scan_segment(&mut self) -> Result<Step> {
         let Some(batch) = self.columnar.batch.take() else {
             return Ok(Step::NeedInput);
@@ -357,8 +209,8 @@ impl PartialSort {
             from += 1;
         }
         // Every later row is tested against the segment's prefix values —
-        // here the row before it, which carries them — by the row path's
-        // test: `Value ==`, left to right, stopping at the first mismatch.
+        // here the row before it, which carries them — by `Value ==`, left
+        // to right, stopping at the first mismatch.
         let end = if self.prefix.is_empty() {
             rows // one segment spans the input
         } else {
@@ -384,7 +236,7 @@ impl PartialSort {
         Ok(Step::Closed)
     }
 
-    /// Columnar path: replaces the exhausted batch by the open segment's
+    /// Replaces the exhausted batch by the open segment's
     /// in-memory rows followed by the next input batch. At end of input the
     /// open segment, if any, closes. Returns `false` when there is nothing
     /// more to produce.
@@ -441,7 +293,10 @@ impl PartialSort {
                 return Ok(Some(self.emit(ready.min(self.batch))));
             }
             if let Some(m) = &mut st.merging {
-                match m.next_columnar(self.batch)? {
+                // Each merged row costs comparisons: under a `Limit`, one
+                // row per pull.
+                let rows = if self.demand_driven { 1 } else { self.batch };
+                match m.next_columnar(rows)? {
                     Some(b) => return Ok(Some(b)),
                     None => st.merging = None,
                 }
@@ -468,13 +323,6 @@ impl PartialSort {
         st.emitted += n;
         out
     }
-
-    fn latch<T>(&mut self, pulled: Result<T>) -> Result<T> {
-        if let Err(e) = &pulled {
-            self.failed = Some(e.clone());
-        }
-        pulled
-    }
 }
 
 impl Operator for PartialSort {
@@ -482,25 +330,15 @@ impl Operator for PartialSort {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let pulled = self.pull_row();
-        self.latch(pulled)
-    }
-
     /// Emits up to a batch of sorted rows per call, closing as many
     /// segments as that takes — unless a `Limit` sits above, in which case
     /// at most one segment closes per call, so Top-K closes exactly the
-    /// segments tuple-at-a-time pulls would. Short batches are fine under
-    /// the batch contract.
+    /// segments one-row pulls would. Short batches are fine under the batch
+    /// contract.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
+        self.failed.check()?;
         let pulled = self.pull_columnar();
-        Ok(self.latch(pulled)?.map(Batch::Cols))
+        Ok(self.failed.record(pulled)?.map(Batch::Cols))
     }
 
     fn set_demand_driven(&mut self) {
@@ -521,8 +359,8 @@ impl Operator for PartialSort {
 mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
-    use crate::op::{collect, ValuesOp};
-    use pyro_common::Value;
+    use crate::op::{collect, rows_batch, ValuesOp};
+    use pyro_common::{Tuple, Value};
     use pyro_storage::SimDevice;
 
     fn t2(a: i64, b: i64) -> Tuple {
@@ -649,14 +487,13 @@ mod tests {
             fn schema(&self) -> &Schema {
                 &self.schema
             }
-            fn next(&mut self) -> Result<Option<Tuple>> {
-                if self.idx < self.rows.len() {
-                    self.idx += 1;
-                    self.reads.fetch_add(1, Ordering::Relaxed);
-                    Ok(Some(self.rows[self.idx - 1].clone()))
-                } else {
-                    Ok(None)
-                }
+            fn next_batch(&mut self) -> Result<Option<Batch>> {
+                // One row per pull.
+                let row = self.rows.get(self.idx).cloned();
+                self.idx += row.is_some() as usize;
+                self.reads
+                    .fetch_add(row.is_some() as usize, Ordering::Relaxed);
+                Ok(rows_batch(row.into_iter().collect()))
             }
         }
 
@@ -679,7 +516,8 @@ mod tests {
             SortBudget::new(100, 4096),
             m,
         );
-        let first = op.next().unwrap();
+        op.set_batch_size(1);
+        let first = op.next_batch().unwrap();
         assert!(first.is_some());
         assert!(
             reads.load(Ordering::Relaxed) <= 11,
@@ -728,7 +566,7 @@ mod tests {
             SortBudget::new(100, 4096),
             m,
         );
-        while op.next().unwrap().is_some() {}
+        while op.next_batch().unwrap().is_some() {}
         assert_eq!(op.segments_seen(), 7);
     }
 }

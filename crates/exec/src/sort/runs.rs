@@ -1,36 +1,18 @@
-//! Spill-run plumbing shared by SRS and MRS: writing runs, k-way merging
-//! with bounded fan-in, and the streaming output adapters — once over boxed
-//! tuples for the row path ([`MergeStream`]), once over column vectors for
-//! the columnar path ([`ColumnarMergeStream`]). Both make the same
-//! comparisons in the same order and read and write the same pages.
+//! Spill-run plumbing shared by SRS and MRS: writing runs, and k-way
+//! merging with bounded fan-in over column vectors
+//! ([`ColumnarMergeStream`]).
 
 use super::entry::Keyed;
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Tuple};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result};
 use pyro_storage::{StoreRef, TupleFile, TupleFileScan, TupleFileWriter};
 use std::cmp::Ordering;
 
-/// Writes `tuples` (already sorted) as one spill run, charging run I/O.
-/// Run pages go through `store`, so a pooled store keeps hot runs cached
-/// (the logical `run_pages_written` charge is unchanged either way).
-pub(crate) fn write_run(
-    store: &StoreRef,
-    tuples: impl IntoIterator<Item = Tuple>,
-    metrics: &MetricsRef,
-) -> Result<TupleFile> {
-    let mut w = TupleFileWriter::new(store);
-    for t in tuples {
-        w.append(&t)?;
-    }
-    let file = w.finish()?;
-    metrics.add_run_pages_written(file.block_count());
-    metrics.add_run();
-    Ok(file)
-}
-
-/// [`write_run`] for physical rows `rows` of `batch`, in that order: the
-/// same pages, no boxed tuple.
+/// Writes physical rows `rows` of `batch`, in that order (already sorted),
+/// as one spill run, charging run I/O. Run pages go through `store`, so a
+/// pooled store keeps hot runs cached (the logical `run_pages_written`
+/// charge is unchanged either way).
 pub(crate) fn write_run_rows(
     store: &StoreRef,
     batch: &ColumnarBatch,
@@ -45,138 +27,6 @@ pub(crate) fn write_run_rows(
     metrics.add_run_pages_written(file.block_count());
     metrics.add_run();
     Ok(file)
-}
-
-/// An open run being merged.
-struct OpenRun {
-    scan: TupleFileScan,
-    file: Option<TupleFile>,
-    head: Option<Tuple>,
-}
-
-/// Streaming k-way merge over sorted runs. Run pages are charged as *run
-/// reads* when each run is opened (runs are always fully consumed); files
-/// are freed as they are exhausted so device memory stays bounded.
-pub struct MergeStream {
-    runs: Vec<OpenRun>,
-    key: KeySpec,
-    metrics: MetricsRef,
-}
-
-impl MergeStream {
-    /// Opens the given sorted runs for merging. If there are more runs than
-    /// `budget.fan_in()`, intermediate merge passes are performed first
-    /// (reading and re-writing runs, exactly the
-    /// `B(e)·(2·passes + 1)`-style cost the paper's model charges).
-    pub fn new(
-        store: &StoreRef,
-        mut files: Vec<TupleFile>,
-        key: KeySpec,
-        budget: SortBudget,
-        metrics: MetricsRef,
-    ) -> Result<MergeStream> {
-        let fan_in = budget.fan_in();
-        // Intermediate passes until a single merge can finish the job.
-        while files.len() > fan_in {
-            let batch: Vec<TupleFile> = files.drain(..fan_in).collect();
-            let mut merged = MergeStream::open(batch, key.clone(), metrics.clone())?;
-            let mut w = TupleFileWriter::new(store);
-            while let Some(t) = merged.next_tuple()? {
-                w.append(&t)?;
-            }
-            let out = w.finish()?;
-            metrics.add_run_pages_written(out.block_count());
-            files.push(out);
-        }
-        MergeStream::open(files, key, metrics)
-    }
-
-    fn open(files: Vec<TupleFile>, key: KeySpec, metrics: MetricsRef) -> Result<MergeStream> {
-        let mut runs = Vec::with_capacity(files.len());
-        for file in files {
-            metrics.add_run_pages_read(file.block_count());
-            let mut scan = file.scan();
-            let head = scan.next_tuple()?;
-            runs.push(OpenRun {
-                scan,
-                file: Some(file),
-                head,
-            });
-        }
-        Ok(MergeStream { runs, key, metrics })
-    }
-
-    /// Pops the globally smallest head tuple, charging comparisons once per
-    /// call.
-    pub fn next_tuple(&mut self) -> Result<Option<Tuple>> {
-        let mut acc = 0;
-        let out = self.pop_smallest(&mut acc);
-        self.metrics.add_comparisons(acc);
-        out
-    }
-
-    fn pop_smallest(&mut self, acc: &mut u64) -> Result<Option<Tuple>> {
-        // Linear scan over ≤ fan-in heads: simple and cache-friendly for the
-        // small fan-ins used here.
-        let mut best: Option<usize> = None;
-        for i in 0..self.runs.len() {
-            if self.runs[i].head.is_none() {
-                continue;
-            }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let (ta, tb) = (
-                        self.runs[i].head.as_ref().expect("head is some"),
-                        self.runs[b].head.as_ref().expect("head is some"),
-                    );
-                    let (ord, n) = self.key.compare_counting(ta, tb);
-                    *acc += n;
-                    if ord == Ordering::Less {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let Some(i) = best else { return Ok(None) };
-        let out = self.runs[i].head.take().expect("winner has a head");
-        self.runs[i].head = self.runs[i].scan.next_tuple()?;
-        if self.runs[i].head.is_none() {
-            // Run exhausted: free its pages.
-            if let Some(f) = self.runs[i].file.take() {
-                f.delete();
-            }
-        }
-        Ok(Some(out))
-    }
-}
-
-/// Output adapter for a fully in-memory sorted buffer.
-pub struct InMemorySortStream {
-    buf: Vec<Tuple>,
-    pos: usize,
-}
-
-impl InMemorySortStream {
-    /// Wraps an already-sorted buffer.
-    pub fn new(sorted: Vec<Tuple>) -> Self {
-        InMemorySortStream {
-            buf: sorted,
-            pos: 0,
-        }
-    }
-
-    /// Next tuple of the sorted buffer (O(1) move-out, no clone).
-    pub fn next_tuple(&mut self) -> Option<Tuple> {
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let t = std::mem::take(&mut self.buf[self.pos]);
-        self.pos += 1;
-        Some(t)
-    }
 }
 
 /// One run of a [`ColumnarMergeStream`]: the scan, the page it is on decoded
@@ -224,11 +74,12 @@ impl ColumnarRun {
     }
 }
 
-/// [`MergeStream`] over column vectors: runs are read a page at a time
+/// Streaming k-way merge over sorted runs: runs are read a page at a time
 /// straight into columns, heads are compared on their normalized prefix
-/// first, and output is gathered into batches — no `Tuple` is boxed. Same
-/// linear scan over the heads, so the same comparisons in the same order;
-/// same run pages charged at the same points.
+/// first (a linear scan over at most fan-in heads), and output is gathered
+/// into batches — no `Tuple` is boxed. Run pages are charged as *run
+/// reads* when each run is opened (runs are always fully consumed); files
+/// are freed as they are exhausted so device memory stays bounded.
 pub struct ColumnarMergeStream {
     runs: Vec<ColumnarRun>,
     key: KeySpec,
@@ -237,8 +88,10 @@ pub struct ColumnarMergeStream {
 }
 
 impl ColumnarMergeStream {
-    /// Opens the given sorted runs of `arity`-column rows for merging,
-    /// with intermediate passes exactly as [`MergeStream::new`] makes them.
+    /// Opens the given sorted runs of `arity`-column rows for merging. If
+    /// there are more runs than `budget.fan_in()`, intermediate merge
+    /// passes are performed first (reading and re-writing runs, exactly the
+    /// `B(e)·(2·passes + 1)`-style cost the paper's model charges).
     pub fn new(
         store: &StoreRef,
         mut files: Vec<TupleFile>,
@@ -295,7 +148,7 @@ impl ColumnarMergeStream {
     }
 
     /// The run holding the globally smallest head (the first such run on a
-    /// tie, as in [`MergeStream`]); comparisons accumulate in `acc`.
+    /// tie); comparisons accumulate in `acc`.
     fn smallest(&self, acc: &mut u64) -> Option<usize> {
         let mut best: Option<(usize, &ColumnarRun, &Keyed)> = None;
         for (i, run) in self.runs.iter().enumerate() {
@@ -358,36 +211,36 @@ impl ColumnarMergeStream {
 mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
-    use pyro_common::Value;
+    use pyro_common::{Tuple, Value};
     use pyro_storage::{IntoStore, SimDevice};
 
-    fn t(v: i64) -> Tuple {
-        Tuple::new(vec![Value::Int(v)])
+    fn run_of(store: &StoreRef, vals: &[i64], m: &MetricsRef) -> TupleFile {
+        let rows: Vec<Tuple> = vals
+            .iter()
+            .map(|&v| Tuple::new(vec![Value::Int(v)]))
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        let order: Vec<u32> = (0..vals.len() as u32).collect();
+        write_run_rows(store, &batch, &order, m).unwrap()
     }
 
-    fn run_of(store: &StoreRef, vals: &[i64], m: &MetricsRef) -> TupleFile {
-        write_run(store, vals.iter().map(|&v| t(v)), m).unwrap()
+    fn merge(store: &StoreRef, runs: Vec<TupleFile>, blocks: u64, m: &MetricsRef) -> Vec<i64> {
+        let budget = SortBudget::new(blocks, 128);
+        let key = KeySpec::new(vec![0]);
+        let mut ms = ColumnarMergeStream::new(store, runs, key, 1, budget, m.clone()).unwrap();
+        let mut out = Vec::new();
+        while let Some(batch) = ms.next_columnar(3).unwrap() {
+            out.extend(batch.to_rows().iter().map(|t| t.get(0).as_int().unwrap()));
+        }
+        out
     }
 
     #[test]
     fn merge_two_runs() {
         let dev = SimDevice::with_block_size(128).into_store();
         let m = ExecMetrics::new();
-        let r1 = run_of(&dev, &[1, 3, 5], &m);
-        let r2 = run_of(&dev, &[2, 4, 6], &m);
-        let mut ms = MergeStream::new(
-            &dev,
-            vec![r1, r2],
-            KeySpec::new(vec![0]),
-            SortBudget::new(10, 128),
-            m.clone(),
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        while let Some(x) = ms.next_tuple().unwrap() {
-            out.push(x.get(0).as_int().unwrap());
-        }
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
+        let runs = vec![run_of(&dev, &[1, 3, 5], &m), run_of(&dev, &[2, 4, 6], &m)];
+        assert_eq!(merge(&dev, runs, 10, &m), vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(m.runs_created(), 2);
         assert!(m.run_pages_read() >= 2);
     }
@@ -397,22 +250,11 @@ mod tests {
         let dev = SimDevice::with_block_size(128).into_store();
         let m = ExecMetrics::new();
         // 7 runs but fan-in only 2 → intermediate passes required.
-        let files: Vec<TupleFile> = (0..7)
+        let runs: Vec<TupleFile> = (0..7)
             .map(|i| run_of(&dev, &[i, i + 10, i + 20], &m))
             .collect();
         let written_before = m.run_pages_written();
-        let mut ms = MergeStream::new(
-            &dev,
-            files,
-            KeySpec::new(vec![0]),
-            SortBudget::new(3, 128), // fan_in = 2
-            m.clone(),
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        while let Some(x) = ms.next_tuple().unwrap() {
-            out.push(x.get(0).as_int().unwrap());
-        }
+        let out = merge(&dev, runs, 3, &m);
         assert_eq!(out.len(), 21);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         assert!(
@@ -425,41 +267,15 @@ mod tests {
     fn exhausted_runs_free_pages() {
         let dev = SimDevice::with_block_size(128).into_store();
         let m = ExecMetrics::new();
-        let r1 = run_of(&dev, &[1, 2], &m);
-        let live_before = dev.live_pages();
-        assert!(live_before > 0);
-        let mut ms = MergeStream::new(
-            &dev,
-            vec![r1],
-            KeySpec::new(vec![0]),
-            SortBudget::new(10, 128),
-            m,
-        )
-        .unwrap();
-        while ms.next_tuple().unwrap().is_some() {}
+        let runs = vec![run_of(&dev, &[1, 2], &m)];
+        assert!(dev.live_pages() > 0);
+        merge(&dev, runs, 10, &m);
         assert_eq!(dev.live_pages(), 0);
     }
 
     #[test]
     fn empty_merge() {
         let dev = SimDevice::new().into_store();
-        let m = ExecMetrics::new();
-        let mut ms = MergeStream::new(
-            &dev,
-            vec![],
-            KeySpec::new(vec![0]),
-            SortBudget::new(10, 4096),
-            m,
-        )
-        .unwrap();
-        assert!(ms.next_tuple().unwrap().is_none());
-    }
-
-    #[test]
-    fn in_memory_stream() {
-        let mut s = InMemorySortStream::new(vec![t(1), t(2)]);
-        assert_eq!(s.next_tuple(), Some(t(1)));
-        assert_eq!(s.next_tuple(), Some(t(2)));
-        assert_eq!(s.next_tuple(), None);
+        assert!(merge(&dev, Vec::new(), 10, &ExecMetrics::new()).is_empty());
     }
 }

@@ -16,30 +16,26 @@
 
 use super::entry::{sort_rows_into, Entry, Keyed, Sources};
 use super::heap::RsHeap;
-use super::runs::{ColumnarMergeStream, InMemorySortStream, MergeStream};
-use super::{sort_buffer, SortBudget};
+use super::runs::ColumnarMergeStream;
+use super::SortBudget;
 use crate::metrics::MetricsRef;
 use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, PyroError, Result, Schema};
 use pyro_storage::{IntoStore, StoreRef, TupleFile, TupleFileWriter};
 use std::cmp::Ordering;
 
 enum State {
     /// Input not yet consumed.
     Pending,
-    /// Row path: whole input fit in memory.
-    InMemory(InMemorySortStream),
-    /// Row path: merging spill runs.
-    Merging(MergeStream),
-    /// Columnar path: whole input fit in memory — the input as one dense
-    /// batch, its row ids in sorted order, and how many were emitted.
+    /// Whole input fit in memory — the input as one dense batch, its row
+    /// ids in sorted order, and how many were emitted.
     Sorted {
         batch: ColumnarBatch,
         order: Vec<u32>,
         pos: usize,
     },
-    /// Columnar path: merging spill runs.
-    MergingColumnar(ColumnarMergeStream),
+    /// Merging spill runs.
+    Merging(ColumnarMergeStream),
     /// A pull failed; every later pull repeats the error.
     Failed(PyroError),
     Done,
@@ -54,6 +50,8 @@ pub struct StandardReplacementSort {
     budget: SortBudget,
     metrics: MetricsRef,
     state: State,
+    /// Set by a `Limit` above: merge one row per pull.
+    demand_driven: bool,
     batch: usize,
 }
 
@@ -96,6 +94,7 @@ impl StandardReplacementSort {
             budget,
             metrics,
             state: State::Pending,
+            demand_driven: false,
             batch: DEFAULT_BATCH_SIZE,
         }
     }
@@ -114,96 +113,16 @@ impl StandardReplacementSort {
         Ok(())
     }
 
-    /// Row path. Consumes the input: in-memory sort or replacement
-    /// selection into runs. Run-formation comparisons (heap sifts and
-    /// admission checks) accumulate locally and are charged in bulk, not
-    /// per row.
+    /// Consumes the input: buffers it until the budget overflows or input
+    /// ends, copying the buffered prefix into one dense batch. If the input
+    /// ends there it is sorted in place, with no disk I/O. Otherwise the
+    /// buffer seeds a replacement-selection heap as run 0, and later input
+    /// rows are addressed in the batches they arrived in: the heap emits
+    /// its smallest current-run row, replaced by the next input row — which
+    /// joins the next run if it sorts below the row just emitted. Run
+    /// formation comparisons (heap sifts and admission checks) accumulate
+    /// locally and are charged in bulk.
     fn build(&mut self) -> Result<State> {
-        let mut child = self.take_child();
-        let budget_bytes = self.budget.bytes();
-
-        // Buffer until the budget overflows or input ends.
-        let mut buffer: Vec<Tuple> = Vec::new();
-        let mut bytes = 0usize;
-        let mut overflow: Option<Tuple> = None;
-        while let Some(t) = child.next()? {
-            if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
-                overflow = Some(t);
-                break;
-            }
-            bytes += t.byte_size();
-            buffer.push(t);
-        }
-
-        if overflow.is_none() {
-            // Everything fits: pure CPU sort, zero disk I/O.
-            sort_buffer(&mut buffer, &self.key, &self.metrics);
-            return Ok(State::InMemory(InMemorySortStream::new(buffer)));
-        }
-
-        // Replacement selection: heapify the buffer as run 0, then cycle.
-        let key = &self.key;
-        let cmp = |a: &Tuple, b: &Tuple| key.compare_counting(a, b);
-        let mut heap = RsHeap::new(self.metrics.clone());
-        for t in buffer {
-            heap.push(0, t, &cmp);
-        }
-        let mut admission_cmps: u64 = 0;
-        let mut next_input = overflow;
-        let mut runs: Vec<TupleFile> = Vec::new();
-        let mut current_run: u32 = 0;
-        let mut writer = TupleFileWriter::new(&self.store);
-
-        loop {
-            match heap.peek_run() {
-                None => break,
-                Some(r) if r != current_run => {
-                    // Current run exhausted: seal its file, open the next.
-                    let full = std::mem::replace(&mut writer, TupleFileWriter::new(&self.store));
-                    self.seal_run(full, &mut runs)?;
-                    current_run = r;
-                }
-                Some(_) => {}
-            }
-            let (_, tuple) = heap.pop(&cmp).expect("peek_run returned Some");
-            writer.append(&tuple)?;
-
-            // Refill from input while there is input left. The just-emitted
-            // tuple is the floor for current-run admission: anything smaller
-            // must wait for the next run or the run would become unsorted.
-            if let Some(incoming) = next_input.take() {
-                let (ord, n) = cmp(&incoming, &tuple);
-                admission_cmps += n;
-                let run = if ord == Ordering::Less {
-                    current_run + 1
-                } else {
-                    current_run
-                };
-                heap.push(run, incoming, &cmp);
-                next_input = child.next()?;
-            }
-        }
-        heap.flush_comparisons();
-        self.metrics.add_comparisons(admission_cmps);
-        self.seal_run(writer, &mut runs)?;
-
-        let merge = MergeStream::new(
-            &self.store,
-            runs,
-            self.key.clone(),
-            self.budget,
-            self.metrics.clone(),
-        )?;
-        Ok(State::Merging(merge))
-    }
-
-    /// Columnar path: [`Self::build`] step for step — same budget
-    /// boundary, same heap operations in the same order, same runs — over
-    /// column vectors. The buffered prefix of the input is copied into one
-    /// dense batch; if the input ends there it is sorted in place,
-    /// otherwise it seeds the heap and later input rows are addressed in
-    /// the batches they arrived in.
-    fn build_columnar(&mut self) -> Result<State> {
         let mut child = self.take_child();
         let budget_bytes = self.budget.bytes();
         let arity = self.schema.len();
@@ -313,40 +232,13 @@ impl StandardReplacementSort {
             self.budget,
             self.metrics.clone(),
         )?;
-        Ok(State::MergingColumnar(merge))
-    }
-
-    fn pull_row(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            match &mut self.state {
-                State::Pending => self.state = self.build()?,
-                State::InMemory(s) => {
-                    let t = s.next_tuple();
-                    if t.is_none() {
-                        self.state = State::Done;
-                    }
-                    return Ok(t);
-                }
-                State::Merging(m) => {
-                    let t = m.next_tuple()?;
-                    if t.is_none() {
-                        self.state = State::Done;
-                    }
-                    return Ok(t);
-                }
-                State::Failed(e) => return Err(e.clone()),
-                State::Done => return Ok(None),
-                State::Sorted { .. } | State::MergingColumnar(_) => {
-                    return Err(interleaved());
-                }
-            }
-        }
+        Ok(State::Merging(merge))
     }
 
     fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
         loop {
             match &mut self.state {
-                State::Pending => self.state = self.build_columnar()?,
+                State::Pending => self.state = self.build()?,
                 State::Sorted { batch, order, pos } => {
                     if *pos == order.len() {
                         self.state = State::Done;
@@ -357,8 +249,11 @@ impl StandardReplacementSort {
                     *pos = end;
                     return Ok(Some(out));
                 }
-                State::MergingColumnar(m) => {
-                    let c = m.next_columnar(self.batch)?;
+                State::Merging(m) => {
+                    // Each merged row costs comparisons: under a `Limit`,
+                    // one row per pull.
+                    let rows = if self.demand_driven { 1 } else { self.batch };
+                    let c = m.next_columnar(rows)?;
                     if c.is_none() {
                         self.state = State::Done;
                     }
@@ -366,7 +261,6 @@ impl StandardReplacementSort {
                 }
                 State::Failed(e) => return Err(e.clone()),
                 State::Done => return Ok(None),
-                State::InMemory(_) | State::Merging(_) => return Err(interleaved()),
             }
         }
     }
@@ -379,10 +273,6 @@ impl StandardReplacementSort {
         }
         pulled
     }
-}
-
-fn interleaved() -> PyroError {
-    PyroError::Exec("row and columnar pulls interleaved on one sort".into())
 }
 
 /// The next input row of replacement selection as a heap entry, or `None`
@@ -449,14 +339,15 @@ impl Operator for StandardReplacementSort {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let pulled = self.pull_row();
-        self.latch(pulled)
-    }
-
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         let pulled = self.pull_columnar();
         Ok(self.latch(pulled)?.map(Batch::Cols))
+    }
+
+    /// The input is consumed whole, so the call stops here; only the
+    /// final merge works ahead.
+    fn set_demand_driven(&mut self) {
+        self.demand_driven = true;
     }
 
     fn batch_size(&self) -> usize {
@@ -473,7 +364,7 @@ mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
     use crate::op::{collect, ValuesOp};
-    use pyro_common::Value;
+    use pyro_common::{Tuple, Value};
     use pyro_storage::SimDevice;
 
     fn rows(vals: &[i64]) -> Vec<Tuple> {

@@ -349,7 +349,7 @@ fn numeric_kernel(
             ColumnVec::new(ColumnData::Double(out), nulls)
         }
         // Strings or mixed columns: defer to `Value` arithmetic cell-wise,
-        // so the result (including Str -> NULL) matches the row path bit
+        // so the result (including Str -> NULL) matches the row kernel bit
         // for bit.
         _ => {
             let mut builder = ColumnBuilder::new();

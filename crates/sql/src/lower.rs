@@ -192,6 +192,9 @@ impl<'a, 'q> Lowerer<'a, 'q> {
 
         // Split WHERE into join pairs (col = col across tables),
         // single-table filters, and residual conditions.
+        // Below a full outer join a filter would drop rows before they are
+        // padded; above it, it sees the padded rows, as WHERE must.
+        let full_outer = q.from.iter().any(|t| t.full_outer_on.is_some());
         let mut join_equalities: Vec<(String, String)> = Vec::new();
         // Single-table filters per FROM position.
         let mut table_filters: Vec<Vec<NExpr>> = vec![Vec::new(); q.from.len()];
@@ -206,9 +209,9 @@ impl<'a, 'q> Lowerer<'a, 'q> {
                             continue;
                         }
                     }
-                    self.classify_filter(conj, &mut table_filters, &mut residual)?;
+                    self.classify_filter(conj, full_outer, &mut table_filters, &mut residual)?;
                 }
-                _ => self.classify_filter(conj, &mut table_filters, &mut residual)?,
+                _ => self.classify_filter(conj, full_outer, &mut table_filters, &mut residual)?,
             }
         }
 
@@ -293,7 +296,7 @@ impl<'a, 'q> Lowerer<'a, 'q> {
             if let Some(h) = having_expr {
                 node = plan.filter(node, h);
             }
-            node = plan.project(node, select_items);
+            node = plan.project(node, unique_names(select_items)?);
         } else {
             // Plain projection (or SELECT *).
             let star = q.select.iter().any(|s| matches!(s, SelectItem::Star));
@@ -320,7 +323,7 @@ impl<'a, 'q> Lowerer<'a, 'q> {
                         });
                     }
                 }
-                node = plan.project(node, select_items);
+                node = plan.project(node, unique_names(select_items)?);
             }
         }
 
@@ -351,6 +354,7 @@ impl<'a, 'q> Lowerer<'a, 'q> {
     fn classify_filter(
         &self,
         conj: &SqlExpr,
+        full_outer: bool,
         table_filters: &mut [Vec<NExpr>],
         residual: &mut Vec<NExpr>,
     ) -> Result<()> {
@@ -365,7 +369,7 @@ impl<'a, 'q> Lowerer<'a, 'q> {
         aliases.sort_unstable();
         aliases.dedup();
         match aliases.as_slice() {
-            [one] => match self.scope_of(one) {
+            [one] if !full_outer => match self.scope_of(one) {
                 Some(at) => table_filters[at].push(lowered),
                 None => residual.push(lowered),
             },
@@ -488,6 +492,16 @@ impl<'a, 'q> Lowerer<'a, 'q> {
                     pairs.push(JoinPair::new(qa, qb));
                 }
             }
+            // A column named twice makes two of the join's columns equal
+            // to each other, which a full outer join's padded rows are not.
+            let mut named: Vec<&str> = pairs.iter().flat_map(|p| [&*p.left, &*p.right]).collect();
+            named.sort_unstable();
+            if let Some(w) = named.windows(2).find(|w| w[0] == w[1]) {
+                return Err(PyroError::Unsupported(format!(
+                    "{} appears twice in a FULL OUTER JOIN's ON clause",
+                    w[0]
+                )));
+            }
             return Ok((JoinKind::FullOuter, pairs));
         }
         // Comma join: take matching equalities from the WHERE pool.
@@ -508,6 +522,19 @@ impl<'a, 'q> Lowerer<'a, 'q> {
         });
         Ok((JoinKind::Inner, pairs))
     }
+}
+
+/// The SELECT list, if no two of its columns share a name.
+fn unique_names(items: Vec<ProjItem>) -> Result<Vec<ProjItem>> {
+    for (i, item) in items.iter().enumerate() {
+        if items[..i].iter().any(|earlier| earlier.name == item.name) {
+            return Err(PyroError::Sql(format!(
+                "{} appears twice in the SELECT list; give one an alias",
+                item.name
+            )));
+        }
+    }
+    Ok(items)
 }
 
 fn flatten(e: &SqlExpr) -> Vec<&SqlExpr> {
@@ -655,5 +682,33 @@ mod tests {
             }
         }
         assert!(found);
+    }
+
+    /// Shapes with no sound plan yet are typed errors, not panics or
+    /// wrong answers.
+    #[test]
+    fn unsupported_shapes_are_typed_errors() {
+        let cat = catalog();
+        let err = |sql: &str| lower(&parse_query(sql).unwrap(), &cat).unwrap_err();
+        assert!(matches!(err("SELECT b, b FROM t1"), PyroError::Sql(m) if m.contains("twice")));
+        assert!(matches!(
+            err("SELECT * FROM t1 FULL OUTER JOIN t2 ON (t1.a = t2.a AND t1.b = t2.a)"),
+            PyroError::Unsupported(m) if m.contains("t2.a")
+        ));
+    }
+
+    /// Under a full outer join every WHERE filter stays above the join,
+    /// where it sees the padded rows.
+    #[test]
+    fn filters_stay_above_a_full_outer_join() {
+        let cat = catalog();
+        let q = parse_query("SELECT * FROM t1 FULL OUTER JOIN t2 ON (t1.a = t2.a) WHERE t1.b = 3")
+            .unwrap();
+        let plan = lower(&q, &cat).unwrap();
+        let root = plan.root();
+        assert!(matches!(
+            plan.node(root),
+            pyro_core::logical::LogicalOp::Filter { .. }
+        ));
     }
 }

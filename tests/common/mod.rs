@@ -16,8 +16,7 @@ pub enum Layout {
 
 pub const LAYOUTS: [Layout; 3] = [Layout::Rows, Layout::Cols, Layout::Alternating];
 
-/// A [`ValuesOp`] whose batches come out as `layout` says. `next` is the
-/// plain row stream.
+/// A [`ValuesOp`] whose batches come out as `layout` says.
 pub struct Source {
     rows: ValuesOp,
     layout: Layout,
@@ -40,10 +39,6 @@ impl Source {
 impl Operator for Source {
     fn schema(&self) -> &Schema {
         self.rows.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.rows.next()
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {

@@ -271,20 +271,28 @@ fn short_read_is_a_typed_io_error() {
 }
 
 // ---------------------------------------------------------------------
-// Sorts over a dying spill device, or a dying input: the failure must be a
-// typed error on the pull that hits it AND on every pull after it — on
-// both pulls — never a panic ("build called once") and never a
-// clean end of stream over half-sorted data.
+// Operators over a dying spill device, or a dying input: the failure must
+// be a typed error on the pull that hits it AND on every pull after it —
+// at every batch size — never a panic ("build called once") and never a
+// clean end of stream over half-consumed data. An input that fails once
+// and then recovers must not let an operator carry on as if nothing had
+// been lost.
 // ---------------------------------------------------------------------
 
+use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
+use pyro::exec::dedup::{HashDistinct, SortDistinct};
+use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro::exec::{BoxOp, ExecMetrics, Operator, ValuesOp};
+use pyro::exec::{Batch, BoxOp, ExecMetrics, Expr, Operator, Stash, ValuesOp};
 use pyro_common::KeySpec;
 
-/// Hands `rows` rows of its child on, then fails every pull.
+/// Hands its child's rows on one per pull until `rows` have gone, then
+/// fails: on every later pull, or — `once` — on that pull only.
 struct DyingInput {
     child: BoxOp,
+    stash: Stash,
     rows: usize,
+    once: bool,
 }
 
 impl Operator for DyingInput {
@@ -292,41 +300,40 @@ impl Operator for DyingInput {
         self.child.schema()
     }
 
-    fn next(&mut self) -> pyro::Result<Option<Tuple>> {
+    fn next_batch(&mut self) -> pyro::Result<Option<Batch>> {
         if self.rows == 0 {
+            if self.once {
+                self.rows = usize::MAX;
+            }
             return Err(PyroError::Exec("input died".into()));
         }
         self.rows -= 1;
-        self.child.next()
+        Ok(self
+            .stash
+            .next_row(&mut self.child)?
+            .map(|t| Batch::Rows(vec![t])))
     }
 }
 
-/// One pull through the named path, reduced to whether it produced rows.
-fn pull(op: &mut BoxOp, path: &str) -> pyro::Result<bool> {
-    Ok(match path {
-        "next" => op.next()?.is_some(),
-        _ => op.next_batch()?.is_some(),
-    })
-}
-
 /// Pulls `op` until it fails, then twice more: the same error each time.
-fn assert_failure_is_latched(what: &str, mut op: BoxOp, path: &str, expect: &str) {
+fn assert_failure_is_latched(what: &str, mut op: BoxOp, batch: usize, expect: &str) {
+    op.set_batch_size(batch);
     let first = loop {
-        match pull(&mut op, path) {
-            Ok(true) => {}
-            Ok(false) => panic!("{what} via {path}: clean end of stream over a fault"),
+        match op.next_batch() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("{what} at batch {batch}: clean end of stream over a fault"),
             Err(e) => break e,
         }
     };
     assert!(
         format!("{first:?}").contains(expect),
-        "{what} via {path}: expected {expect}, got {first:?}"
+        "{what} at batch {batch}: expected {expect}, got {first:?}"
     );
     for _ in 0..2 {
         assert_eq!(
-            pull(&mut op, path).expect_err("a failed sort stays failed"),
+            op.next_batch().expect_err("a failed operator stays failed"),
             first,
-            "{what} via {path}: a later pull must repeat the error"
+            "{what} at batch {batch}: a later pull must repeat the error"
         );
     }
 }
@@ -335,7 +342,8 @@ fn assert_failure_is_latched(what: &str, mut op: BoxOp, path: &str, expect: &str
 fn a_sort_that_failed_stays_failed_on_every_pull_path() {
     // 600 rows of ~34 budget bytes against 3 blocks of 256: the sorts
     // below spill from the start. Column 0 is one value throughout — one
-    // oversized partial-sort segment — column 1 descends.
+    // oversized partial-sort segment, one group, one join key — column 1
+    // descends.
     let data: Vec<Tuple> = (0..600)
         .map(|i| Tuple::new(vec![Value::Int(1), Value::Int(600 - i)]))
         .collect();
@@ -344,10 +352,10 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
     };
     let key = KeySpec::new(vec![0, 1]);
     let budget = SortBudget::new(3, 256);
-    for path in ["next", "next_batch"] {
+    for batch in [1, 1024] {
         // The spill device dies on its third page write.
         let dying_device = |name: &str| {
-            let dir = fresh_dir(&format!("fault_sort_{name}_{path}"));
+            let dir = fresh_dir(&format!("fault_sort_{name}_{batch}"));
             std::fs::create_dir_all(&dir).expect("mkdir");
             let file = FileDevice::create_with_block_size(dir.join("spill.pyro"), 256)
                 .expect("create device");
@@ -360,7 +368,7 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
             budget,
             ExecMetrics::new(),
         );
-        assert_failure_is_latched("SRS run write", Box::new(srs), path, "injected fault");
+        assert_failure_is_latched("SRS run write", Box::new(srs), batch, "injected fault");
         let mrs = PartialSort::new(
             source(&data),
             key.clone(),
@@ -369,31 +377,100 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
             budget,
             ExecMetrics::new(),
         );
-        assert_failure_is_latched("MRS mid-spill", Box::new(mrs), path, "injected fault");
+        assert_failure_is_latched("MRS mid-spill", Box::new(mrs), batch, "injected fault");
 
-        // The input dies after 100 rows, over a healthy device.
-        let dying_input = || -> BoxOp {
-            Box::new(DyingInput {
-                child: source(&data),
-                rows: 100,
-            })
-        };
-        let srs = StandardReplacementSort::new(
-            dying_input(),
-            key.clone(),
-            pyro::storage::SimDevice::with_block_size(256),
-            budget,
-            ExecMetrics::new(),
-        );
-        assert_failure_is_latched("SRS input", Box::new(srs), path, "input died");
-        let mrs = PartialSort::new(
-            dying_input(),
-            key.clone(),
-            1,
-            pyro::storage::SimDevice::with_block_size(256),
-            budget,
-            ExecMetrics::new(),
-        );
-        assert_failure_is_latched("MRS input", Box::new(mrs), path, "input died");
+        // The input dies after 100 rows — for good, or once — over a
+        // healthy device.
+        for once in [false, true] {
+            let dying = || -> BoxOp {
+                Box::new(DyingInput {
+                    child: source(&data),
+                    stash: Stash::new(),
+                    rows: 100,
+                    once,
+                })
+            };
+            let device = || pyro::storage::SimDevice::with_block_size(256);
+            let m = ExecMetrics::new;
+            let count = || vec![AggExpr::new(AggFunc::Count, Expr::col(1), "n")];
+            let k0 = || KeySpec::new(vec![0]);
+            let other =
+                || -> BoxOp { Box::new(ValuesOp::new(Schema::ints(&["c", "d"]), data.clone())) };
+            let ops: Vec<(&str, BoxOp)> = vec![
+                (
+                    "SRS input",
+                    Box::new(StandardReplacementSort::new(
+                        dying(),
+                        key.clone(),
+                        device(),
+                        budget,
+                        m(),
+                    )),
+                ),
+                (
+                    "MRS input",
+                    Box::new(PartialSort::new(
+                        dying(),
+                        key.clone(),
+                        1,
+                        device(),
+                        budget,
+                        m(),
+                    )),
+                ),
+                (
+                    "nested loops inner",
+                    Box::new(NestedLoopsJoin::new(
+                        other(),
+                        dying(),
+                        k0(),
+                        k0(),
+                        JoinKind::Inner,
+                    )),
+                ),
+                (
+                    "hash join build",
+                    Box::new(HashJoin::new(
+                        dying(),
+                        other(),
+                        k0(),
+                        k0(),
+                        JoinKind::Inner,
+                        Side::Left,
+                    )),
+                ),
+                (
+                    "merge join",
+                    Box::new(MergeJoin::new(
+                        dying(),
+                        other(),
+                        k0(),
+                        k0(),
+                        JoinKind::Inner,
+                        m(),
+                    )),
+                ),
+                (
+                    "hash aggregate",
+                    Box::new(HashAggregate::new(dying(), vec![0], count())),
+                ),
+                (
+                    "group aggregate",
+                    Box::new(GroupAggregate::new(dying(), vec![0], count())),
+                ),
+                (
+                    "sort distinct",
+                    Box::new(SortDistinct::new(dying(), key.clone(), m())),
+                ),
+                ("hash distinct", Box::new(HashDistinct::new(dying()))),
+            ];
+            for (what, op) in ops {
+                let what = format!(
+                    "{what} (input dies {})",
+                    if once { "once" } else { "for good" }
+                );
+                assert_failure_is_latched(&what, op, batch, "input died");
+            }
+        }
     }
 }

@@ -9,13 +9,23 @@
 //! `tests/expected/plan_golden.txt`. A planner change that moves any of
 //! them names the plan that moved and shows the difference.
 //!
+//! Each plan is also executed at the default options and its run pinned:
+//! row count, an order-insensitive digest of the rows and the four paper
+//! counters (comparisons, run pages written and read, runs created). The
+//! 16-way joins are the exception — their results run to millions of rows
+//! — so they pin the plan only. The paper's six statements are pinned once
+//! more under a 3-block sort budget (the `budget=3` blocks, over 512-byte pages), where both
+//! sort enforcers spill more runs than one merge pass takes.
+//!
 //! On a mismatch the whole actual recording is written next to the test
 //! binary's scratch directory (the path is in the failure message); copy it
 //! over the expected file only when the change of plans is intended.
 
+use pyro::catalog::Catalog;
 use pyro::common::{Schema, Tuple, Value};
 use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, rng_with, tpch, StdRng};
+use pyro::storage::SimDevice;
 use pyro::{Session, SortOrder, Strategy};
 use std::collections::BTreeMap;
 
@@ -23,6 +33,14 @@ const EXPECTED: &str = include_str!("expected/plan_golden.txt");
 const SEED: u64 = 41;
 const JOIN_SIZES: [usize; 3] = [4, 8, 16];
 const JOIN_TABLE_ROWS: usize = 200;
+/// Joins this wide are planned but not executed.
+const UNEXECUTED_JOIN_SIZE: usize = 16;
+/// The page size of the sweep.
+const BLOCK_SIZE: usize = 4096;
+/// The page size and sort budget, in blocks, of the spilling pass over the
+/// paper's statements: 1.5 KB of sort memory, merged two runs at a time.
+const SPILL_BLOCK_SIZE: usize = 512;
+const SPILL_BUDGET_BLOCKS: u64 = 3;
 
 const QUERY2: &str = "SELECT ps_suppkey, ps_partkey, ps_availqty, count(l_partkey) AS n \
      FROM partsupp, lineitem \
@@ -77,10 +95,11 @@ fn sorted_rows(width: usize, r: &mut StdRng) -> Vec<Tuple> {
 
 /// The paper's tables at about a tenth of `plan_wide`'s size, then `ch0..ch15`
 /// chained on `r<i> = l<i+1>` and a `hub` with one key per satellite
-/// `sat<i>(k<i>, s<i>)`.
-fn session() -> Session {
+/// `sat<i>(k<i>, s<i>)`. Pages are `block_size` bytes.
+fn session_over(block_size: usize) -> Session {
     let mut session = Session::builder().hash_operators(false).seed(SEED).build();
     let cat = session.catalog_mut();
+    *cat = Catalog::on_device(SimDevice::with_block_size(block_size));
     let cfg = tpch::TpchConfig {
         lineitems: 1_500,
         parts: 50,
@@ -149,54 +168,123 @@ fn star_sql(n: usize) -> String {
     )
 }
 
-/// Every statement with its label and strategy.
-fn statements() -> Vec<(String, String, Strategy)> {
+/// One statement to plan: its label, its SQL, the strategy, and whether
+/// its plan is also executed.
+struct Statement {
+    label: String,
+    sql: String,
+    strategy: Strategy,
+    execute: bool,
+}
+
+/// The paper's six statements under every strategy.
+fn paper_statements() -> Vec<Statement> {
     let mut out = Vec::new();
     for strategy in Strategy::all() {
         for (label, sql) in PAPER {
-            out.push((
-                format!("{label} {}", strategy.name()),
-                sql.to_string(),
+            out.push(Statement {
+                label: format!("{label} {}", strategy.name()),
+                sql: sql.to_string(),
                 strategy,
-            ));
+                execute: true,
+            });
         }
-    }
-    for n in JOIN_SIZES {
-        out.push((format!("chain{n}"), chain_sql(n), Strategy::pyro_o()));
-        out.push((format!("star{n}"), star_sql(n), Strategy::pyro_o()));
     }
     out
 }
 
-/// Plans every statement with hash operators off, then on, and renders one
-/// block per plan, keyed by its label.
+/// Every statement of the sweep.
+fn statements() -> Vec<Statement> {
+    let mut out = paper_statements();
+    for n in JOIN_SIZES {
+        for (shape, sql) in [("chain", chain_sql(n)), ("star", star_sql(n))] {
+            out.push(Statement {
+                label: format!("{shape}{n}"),
+                sql,
+                strategy: Strategy::pyro_o(),
+                execute: n < UNEXECUTED_JOIN_SIZE,
+            });
+        }
+    }
+    out
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Runs `plan`'s pipeline at the default options and renders what it did:
+/// the row count, the wrapping sum of each row's hash (so row order does
+/// not matter; `Debug` tells the two zeros and NaNs apart) and the four
+/// paper counters.
+fn run_line(pipeline: pyro::exec::Pipeline) -> pyro::Result<String> {
+    let out = pipeline.run()?;
+    let digest = out.rows.iter().fold(0u64, |acc, t| {
+        acc.wrapping_add(fnv1a(format!("{t:?}").as_bytes()))
+    });
+    let m = &out.metrics;
+    Ok(format!(
+        "run rows {} digest {digest:#018x} comparisons {} run_pages {}/{} runs {}\n",
+        out.rows.len(),
+        m.comparisons(),
+        m.run_pages_written(),
+        m.run_pages_read(),
+        m.runs_created()
+    ))
+}
+
+/// Plans (and, where marked, runs) `statements` and renders one block per
+/// plan into `out`, keyed by its label plus `suffix`.
+fn record_into(
+    session: &mut Session,
+    statements: Vec<Statement>,
+    suffix: &str,
+    out: &mut BTreeMap<String, String>,
+) {
+    for st in statements {
+        session.set_strategy(st.strategy);
+        let label = format!("{}{suffix}", st.label);
+        let plan = session
+            .plan(&st.sql)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let info = plan.planning;
+        let pipeline = plan
+            .compile(session.catalog(), &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let mut block = format!(
+            "cost {:#018x} groups {} candidates {} reordered {}\nschema {}\n",
+            plan.cost().to_bits(),
+            info.groups,
+            info.candidates,
+            info.reordered_joins,
+            pipeline.schema(),
+        );
+        if st.execute {
+            block += &run_line(pipeline).unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+        block += &plan.explain();
+        assert!(out.insert(label, block).is_none(), "duplicate label");
+    }
+}
+
+/// Plans every statement with hash operators off, then on, then the
+/// paper's statements with hash operators off under the spilling budget,
+/// and renders one block per plan, keyed by its label.
 fn record() -> BTreeMap<String, String> {
-    let mut session = session();
+    let mut session = session_over(BLOCK_SIZE);
     let mut out = BTreeMap::new();
     for hash in [false, true] {
         session.set_hash_operators(hash);
-        for (label, sql, strategy) in statements() {
-            session.set_strategy(strategy);
-            let plan = session
-                .plan(&sql)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let info = plan.planning;
-            let label = format!("{label} hash={}", if hash { "on" } else { "off" });
-            let pipeline = plan
-                .compile(session.catalog(), &CompileOptions::default())
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let block = format!(
-                "cost {:#018x} groups {} candidates {} reordered {}\nschema {}\n{}",
-                plan.cost().to_bits(),
-                info.groups,
-                info.candidates,
-                info.reordered_joins,
-                pipeline.schema(),
-                plan.explain()
-            );
-            assert!(out.insert(label, block).is_none(), "duplicate label");
-        }
+        let suffix = format!(" hash={}", if hash { "on" } else { "off" });
+        record_into(&mut session, statements(), &suffix, &mut out);
     }
+    let mut spilling = session_over(SPILL_BLOCK_SIZE);
+    spilling.set_sort_memory_blocks(SPILL_BUDGET_BLOCKS);
+    let suffix = format!(" budget={SPILL_BUDGET_BLOCKS} hash=off");
+    record_into(&mut spilling, paper_statements(), &suffix, &mut out);
     out
 }
 
@@ -263,5 +351,36 @@ fn every_plan_wide_plan_matches_its_recording() {
             path.display()
         );
     }
-    assert_eq!(actual.len(), 2 * (5 * PAPER.len() + 2 * JOIN_SIZES.len()));
+    assert_eq!(
+        actual.len(),
+        2 * (5 * PAPER.len() + 2 * JOIN_SIZES.len()) + 5 * PAPER.len()
+    );
+}
+
+/// The premise of the `budget=3` blocks: under that budget a plan whose
+/// enforcers are all full sorts, and one whose enforcers are all partial
+/// sorts, each create more runs than its enforcers could merge in one pass
+/// apiece (a fan-in of two), so multi-pass merges are pinned.
+#[test]
+fn the_spilling_budget_merges_in_more_than_one_pass() {
+    let recorded = parse(EXPECTED);
+    let multi_pass = |enforcer: &str| {
+        recorded.iter().any(|(label, block)| {
+            let enforcers: Vec<&str> = block
+                .lines()
+                .map(str::trim_start)
+                .filter(|l| l.starts_with("Sort (") || l.starts_with("Partial Sort ("))
+                .collect();
+            let runs = block
+                .lines()
+                .find_map(|l| l.strip_prefix("run rows "))
+                .and_then(|l| l.rsplit(' ').next())
+                .and_then(|n| n.parse::<usize>().ok());
+            label.contains("budget=")
+                && enforcers.iter().all(|l| l.starts_with(enforcer))
+                && runs.is_some_and(|n| n > 2 * enforcers.len())
+        })
+    };
+    assert!(multi_pass("Sort ("), "no multi-pass full sort");
+    assert!(multi_pass("Partial Sort ("), "no multi-pass partial sort");
 }

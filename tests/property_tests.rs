@@ -382,10 +382,10 @@ fn mrs_zero_io_when_fitting() {
 
 // ---------------------------------------------------------------------
 // Pull-path differential: the four operators that sort, pair and group
-// rows in place in the column vectors must give, pulled through
-// `next_batch` — fed row batches, column batches, and a stream that
-// alternates between the two — exactly the rows and exactly the four
-// counters tuple-at-a-time `next` gives, over every cell type, NULLs,
+// rows in place in the column vectors must give, at batch sizes 7 and
+// 1024 — fed row batches, column batches, and a stream that alternates
+// between the two — exactly the rows and exactly the four counters they
+// give one row per pull over row batches, over every cell type, NULLs,
 // heavy duplicates, empty and one-row inputs, and budgets that do and do
 // not spill.
 // ---------------------------------------------------------------------
@@ -394,7 +394,7 @@ mod common;
 
 use common::{Layout, Source, LAYOUTS};
 use pyro::exec::limit::Limit;
-use pyro::exec::{collect_batched, BoxOp, MetricsRef};
+use pyro::exec::{BoxOp, MetricsRef};
 use std::cell::Cell;
 
 /// What a generated column holds.
@@ -495,21 +495,22 @@ fn counters(m: &MetricsRef) -> [u64; 4] {
 }
 
 /// Builds the operator afresh — over sources of the given layout — for
-/// every input layout and batch size and holds the batch pull's rows
-/// (compared through `Debug`, under which a NaN equals itself and the two
-/// zeros differ) and counters to what `next` produced.
+/// every input layout and batch size and holds its rows (compared through
+/// `Debug`, under which a NaN equals itself and the two zeros differ) and
+/// counters to what it produced one row per pull over row batches.
 fn assert_pull_paths_agree(what: &str, build: &dyn Fn(Layout) -> (BoxOp, MetricsRef)) {
-    let (op, m) = build(Layout::Rows);
+    let (mut op, m) = build(Layout::Rows);
+    op.set_batch_size(1);
     let expect = (format!("{:?}", collect(op).unwrap()), counters(&m));
-    for bs in [1usize, 7, 1024] {
+    for bs in [7usize, 1024] {
         for layout in LAYOUTS {
             let (mut op, m) = build(layout);
             op.set_batch_size(bs);
-            let got = (format!("{:?}", collect_batched(op).unwrap()), counters(&m));
+            let got = (format!("{:?}", collect(op).unwrap()), counters(&m));
             assert!(
                 got == expect,
-                "{what}: next_batch at batch {bs} over {layout:?} input diverged from next\n \
-                 next: {expect:?}\n next_batch: {got:?}"
+                "{what}: batch {bs} over {layout:?} input diverged from one row per pull\n \
+                 one row: {expect:?}\n batch {bs}: {got:?}"
             );
         }
     }
