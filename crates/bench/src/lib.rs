@@ -1,15 +1,13 @@
 //! # pyro-bench
 //!
-//! Shared plumbing for the figure-regeneration binaries (`src/bin/fig*.rs`)
-//! and the `bench_*` measurement bins. Each binary reproduces one figure or
-//! experiment of the paper; see `DESIGN.md` §5 for the full index and
-//! `EXPERIMENTS.md` for paper-vs-measured notes.
+//! Shared plumbing for the figure-regeneration binaries (`src/bin/fig*.rs`).
+//! Each binary reproduces one figure or experiment of the paper; see
+//! `DESIGN.md` §6 and the README's paper-to-code map for the index.
 
 use pyro_catalog::Catalog;
 use pyro_common::Result;
 use pyro_core::plan::{PhysNode, PhysOp};
 use pyro_core::{CompileOptions, OptimizedPlan};
-use pyro_exec::MetricsRef;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,31 +47,13 @@ pub fn run_plan(plan: &OptimizedPlan, catalog: &Catalog) -> Result<RunStats> {
     let before = catalog.device().io();
     let start = Instant::now();
     let out = pipeline.run()?;
-    let elapsed = start.elapsed();
-    Ok(stats_of(
-        elapsed,
-        out.rows.len(),
-        &out.metrics,
-        catalog,
-        before,
-    ))
-}
-
-fn stats_of(
-    elapsed: Duration,
-    rows: usize,
-    metrics: &MetricsRef,
-    catalog: &Catalog,
-    before: pyro_storage::IoSnapshot,
-) -> RunStats {
-    let delta = catalog.device().io().since(&before);
-    RunStats {
-        elapsed,
-        rows,
-        comparisons: metrics.comparisons(),
-        run_io: metrics.run_io(),
-        device_reads: delta.reads,
-    }
+    Ok(RunStats {
+        elapsed: start.elapsed(),
+        rows: out.rows.len(),
+        comparisons: out.metrics.comparisons(),
+        run_io: out.metrics.run_io(),
+        device_reads: catalog.device().io().since(&before).reads,
+    })
 }
 
 /// Rewrites every `PartialSort` enforcer in a plan into a full `Sort` —
@@ -142,188 +122,6 @@ pub const EXAMPLE1: &str = "SELECT c1.make, c1.year, c1.city, c1.color, c1.sellr
      WHERE c1.city = c2.city AND c1.make = c2.make AND c1.year = c2.year \
        AND c1.color = c2.color AND c1.make = r.make AND c1.year = r.year \
      ORDER BY c1.make, c1.year, c1.color, c1.city, c1.sellreason, c2.breakdowns, r.rating";
-
-/// The three micro-bench workloads shared by `bench_batch` and
-/// `bench_parallel`. Each builds a session whose RNG seed is the one knob
-/// (`SessionBuilder::seed`) that decides the generated data, so the two
-/// harnesses — and any two runs — populate bit-identical tables from the
-/// same seed.
-pub mod workloads {
-    use pyro::common::{Schema, Tuple, Value};
-    use pyro::{Session, SortOrder};
-    use pyro_datagen::rng_with;
-
-    /// scan → filter → project over a 3-int-column table; the two-conjunct
-    /// predicate keeps ~50% of the rows.
-    pub fn scan_filter_project(n: usize, seed: u64) -> (Session, &'static str) {
-        let mut session = Session::builder().seed(seed).build();
-        let mut r = rng_with(session.seed());
-        let rows: Vec<Tuple> = (0..n as i64)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int(i),
-                    Value::Int(r.gen_range(0..1_000_000)),
-                    Value::Int(r.gen_range(0..97)),
-                ])
-            })
-            .collect();
-        session
-            .register_table(
-                "points",
-                Schema::ints(&["a", "b", "c"]),
-                SortOrder::new(["a"]),
-                &rows,
-            )
-            .expect("register points");
-        (
-            session,
-            "SELECT a, c FROM points WHERE b < 750000 AND c < 65",
-        )
-    }
-
-    /// Hash join: an `n`-row fact probing an `n/10`-row dim build side.
-    pub fn hash_join(n: usize, seed: u64) -> (Session, &'static str) {
-        let dim_n = (n / 10).max(1);
-        let mut session = Session::builder().seed(seed).build();
-        let mut r = rng_with(session.seed());
-        let dim: Vec<Tuple> = (0..dim_n as i64)
-            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 3)]))
-            .collect();
-        let fact: Vec<Tuple> = (0..n as i64)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int(i),
-                    Value::Int(r.gen_range(0..dim_n as i64)),
-                ])
-            })
-            .collect();
-        session
-            .register_table(
-                "dim",
-                Schema::ints(&["d_k", "d_v"]),
-                SortOrder::new(["d_k"]),
-                &dim,
-            )
-            .expect("register dim");
-        session
-            .register_table(
-                "fact",
-                Schema::ints(&["f_k", "f_d"]),
-                SortOrder::new(["f_k"]),
-                &fact,
-            )
-            .expect("register fact");
-        (session, "SELECT * FROM dim, fact WHERE d_k = f_d")
-    }
-
-    /// Five-way star join, the shape of the referee's `star5`: an `n`-row
-    /// fact table, four dimensions of `n / 20` rows, and a filter keeping 5%
-    /// of the dimension written last.
-    pub fn star_join(n: usize, seed: u64) -> (Session, &'static str) {
-        let dim_n = (n / 20).max(1) as i64;
-        let mut session = Session::builder().seed(seed).build();
-        let mut r = rng_with(session.seed());
-        let fact: Vec<Tuple> = (0..n as i64)
-            .map(|id| {
-                let mut row = vec![Value::Int(id)];
-                row.extend((0..4).map(|_| Value::Int(r.gen_range(0..dim_n))));
-                row.push(Value::Int(r.gen_range(0..1_000_000)));
-                Tuple::new(row)
-            })
-            .collect();
-        session
-            .register_table(
-                "sfact",
-                Schema::ints(&["s_id", "s_d1", "s_d2", "s_d3", "s_d4", "s_m"]),
-                SortOrder::new(["s_id"]),
-                &fact,
-            )
-            .expect("register sfact");
-        for i in 1..=4 {
-            let (k, a) = (format!("k{i}"), format!("a{i}"));
-            let rows: Vec<Tuple> = (0..dim_n)
-                .map(|key| Tuple::new(vec![Value::Int(key), Value::Int((key * 37 + i) % 100)]))
-                .collect();
-            session
-                .register_table(
-                    &format!("sd{i}"),
-                    Schema::ints(&[&k, &a]),
-                    SortOrder::new([k.clone()]),
-                    &rows,
-                )
-                .expect("register star dimension");
-        }
-        (
-            session,
-            "SELECT s_id, s_m, a1, a2, a3, a4 FROM sfact, sd1, sd2, sd3, sd4 \
-             WHERE s_d1 = k1 AND s_d2 = k2 AND s_d3 = k3 AND s_d4 = k4 AND a4 < 5",
-        )
-    }
-
-    /// The quickstart partial-sort query: ORDER BY (k, v) over clustering
-    /// (k) — zero run I/O by the paper's §3.1 argument.
-    pub fn partial_sort(n: usize, seed: u64) -> (Session, &'static str) {
-        partial_sort_with_pool(n, seed, 0)
-    }
-
-    /// [`partial_sort`] over a session with a `pool_pages`-frame buffer
-    /// pool (`0` = bypass) — the warm-vs-cold rerun workload of
-    /// `bench_batch`.
-    pub fn partial_sort_with_pool(
-        n: usize,
-        seed: u64,
-        pool_pages: usize,
-    ) -> (Session, &'static str) {
-        let mut session = Session::builder()
-            .seed(seed)
-            .buffer_pool_pages(pool_pages)
-            .build();
-        register_events(&mut session, n);
-        (session, "SELECT k, v FROM events ORDER BY k, v")
-    }
-
-    /// [`partial_sort_with_pool`] over a **durable** session rooted at
-    /// `data_dir` — the file-backed cold/warm workload of `bench_batch`.
-    /// The generated rows are bit-identical to the in-memory variant's.
-    pub fn partial_sort_durable(
-        n: usize,
-        seed: u64,
-        pool_pages: usize,
-        data_dir: &std::path::Path,
-    ) -> (Session, &'static str) {
-        let mut session = Session::builder()
-            .seed(seed)
-            .buffer_pool_pages(pool_pages)
-            .data_dir(data_dir)
-            .open()
-            .expect("open durable bench session");
-        register_events(&mut session, n);
-        (session, "SELECT k, v FROM events ORDER BY k, v")
-    }
-
-    /// The quickstart `events` table: `n` rows in 1000-row clustering
-    /// segments, seeded by the session's RNG seed.
-    pub fn register_events(session: &mut Session, n: usize) {
-        let per_segment = 1000.min(n.max(2) / 2) as i64;
-        let mut r = rng_with(session.seed());
-        let rows: Vec<Tuple> = (0..n as i64)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int(i / per_segment),
-                    Value::Int(r.gen_range(0..1_000_000)),
-                ])
-            })
-            .collect();
-        session
-            .register_table(
-                "events",
-                Schema::ints(&["k", "v"]),
-                SortOrder::new(["k"]),
-                &rows,
-            )
-            .expect("register events");
-    }
-}
 
 /// Collects rows while recording `(tuples_produced, elapsed)` checkpoints —
 /// the series Fig. 8 plots.

@@ -29,8 +29,8 @@ pub fn rng() -> StdRng {
 }
 
 /// RNG with an explicit seed — the hook `SessionBuilder::seed` threads
-/// through the `*_with_seed` loader variants so different binaries (e.g.
-/// `bench_batch` and `bench_parallel`) can generate identical tables.
+/// through the `*_with_seed` loader variants so any two sessions, in one
+/// binary or in two, can generate identical tables from one seed.
 pub fn rng_with(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

@@ -104,26 +104,33 @@ impl WireServer {
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(cfg.max_pending_conns.max(1));
         let rx = Arc::new(Mutex::new(rx));
 
-        let workers: Vec<JoinHandle<()>> = (0..cfg.conn_threads.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let session = Arc::clone(&session);
-                let gate = Arc::clone(&gate);
-                let cfg = cfg.clone();
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::Builder::new()
-                    .name(format!("pyro-wire-conn-{i}"))
-                    .spawn(move || connection_worker(&rx, &session, &gate, &cfg, &shutdown))
-                    .expect("spawn connection worker")
-            })
-            .collect();
+        let threads = cfg.conn_threads.max(1);
+        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(threads);
+        for i in 0..threads {
+            let rx = Arc::clone(&rx);
+            let session = Arc::clone(&session);
+            let gate = Arc::clone(&gate);
+            let cfg = cfg.clone();
+            let shutdown = Arc::clone(&shutdown);
+            let spawned = std::thread::Builder::new()
+                .name(format!("pyro-wire-conn-{i}"))
+                .spawn(move || connection_worker(&rx, &session, &gate, &cfg, &shutdown));
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(e) => {
+                    drop(tx);
+                    return Err(spawn_failed("connection worker", e, workers));
+                }
+            }
+        }
 
+        // A failed spawn drops its closure, and with it the only sender.
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("pyro-wire-accept".into())
                 .spawn(move || accept_loop(&listener, &tx, &shutdown))
-                .expect("spawn accept thread")
+                .map_err(|e| spawn_failed("accept thread", e, std::mem::take(&mut workers)))?
         };
 
         Ok(WireServer {
@@ -209,6 +216,16 @@ fn shed_connection(stream: TcpStream) {
     let mut w = BufWriter::new(stream);
     let _ = write_frame(&mut w, op::ERROR, &proto::enc_error(&e));
     let _ = w.flush();
+}
+
+/// The error for a thread `start` could not spawn, once the connection
+/// workers already running have been joined: the channel's sender is gone,
+/// so each returns from its next `recv`.
+fn spawn_failed(what: &str, e: std::io::Error, workers: Vec<JoinHandle<()>>) -> PyroError {
+    for handle in workers {
+        let _ = handle.join();
+    }
+    PyroError::Wire(format!("spawn {what}: {e}"))
 }
 
 fn connection_worker(

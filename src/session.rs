@@ -218,9 +218,8 @@ impl SessionBuilder {
     }
 
     /// Sets the RNG seed handed to data generators that ask the session for
-    /// one (default: [`pyro_datagen::SEED`]). Benches use this so e.g.
-    /// `bench_batch` and `bench_parallel` populate identical tables across
-    /// runs and binaries.
+    /// one (default: [`pyro_datagen::SEED`]), so two sessions built with
+    /// the same seed — in one process or in two — populate identical tables.
     pub fn seed(mut self, seed: u64) -> SessionBuilder {
         self.config.seed = seed;
         self

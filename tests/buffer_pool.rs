@@ -161,6 +161,33 @@ fn spill_runs_flow_through_the_pool() {
     assert!(a.metrics().cache_hits() > 0, "merge re-reads hit the pool");
 }
 
+/// A cleared pool holds nothing: reading the whole heap after `clear`
+/// misses exactly once per page, on the in-memory device and on a
+/// reopened data file alike, so a read loop timed there prices cold pages.
+#[test]
+fn a_cleared_pool_misses_once_per_heap_page() {
+    let dir = fresh_dir("buffer_pool_cleared");
+    let mut durable = open_durable(&dir, 4096);
+    register_events(&mut durable, 20_000);
+    let mut in_memory = Session::builder().buffer_pool_pages(4096).build();
+    register_events(&mut in_memory, 20_000);
+    for session in [&durable, &in_memory] {
+        session.sql(QUICKSTART_SQL).unwrap();
+        let store = session.catalog().store();
+        let pool = store.pool().expect("pooled session");
+        let pages = session.catalog().tables()["events"].heap.pages().to_vec();
+        assert!(pool.resident() >= pages.len(), "premise: the heap is warm");
+        pool.clear().unwrap();
+        let misses = pool.stats().misses;
+        for &page in &pages {
+            store.read_page(page).unwrap();
+        }
+        assert_eq!(pool.stats().misses - misses, pages.len() as u64);
+    }
+    drop(durable);
+    std::fs::remove_dir_all(&dir).expect("clean test dir");
+}
+
 #[test]
 fn abandoned_scan_leaves_no_frame_pinned() {
     let mut session = Session::builder()
@@ -260,6 +287,34 @@ fn wal_fsyncs(session: &Session) -> u64 {
     wal.sync_count()
 }
 
+/// A durable session checkpointed, dropped and reopened starts cold: its
+/// first run reads the data file, and a rerun is served by the pool.
+#[test]
+fn reopened_durable_session_reads_the_file_then_the_pool() {
+    let dir = fresh_dir("buffer_pool_reopen");
+    let mut session = open_durable(&dir, 4096);
+    register_events(&mut session, 20_000);
+    session.checkpoint().unwrap();
+    drop(session);
+
+    let session = open_durable(&dir, 4096);
+    let run = || {
+        let before = session.catalog().device().io();
+        let out = session.sql(QUICKSTART_SQL).unwrap();
+        let reads = session.catalog().device().io().since(&before).reads;
+        (out.metrics().cache_hits(), reads)
+    };
+    let (_, cold_reads) = run();
+    assert!(cold_reads > 0, "the cold run reads the data file");
+    let (warm_hits, warm_reads) = run();
+    assert!(
+        warm_hits > 0 && warm_reads < cold_reads,
+        "the rerun is served by the pool: {warm_hits} hits, {warm_reads} vs {cold_reads} reads"
+    );
+    drop(session);
+    std::fs::remove_dir_all(&dir).expect("clean test dir");
+}
+
 /// ROADMAP 6(a): inside a mutation window a dirty eviction fsyncs the WAL
 /// only when the victim's log record is above the synced watermark, so a
 /// load through a pool smaller than the table costs one fsync per pool's
@@ -307,6 +362,43 @@ fn load_through_a_small_pool_fsyncs_per_watermark_not_per_page() {
         ratio <= 2.0,
         "small-pool load took {ratio:.2}x the big-pool load"
     );
+}
+
+/// The exact count behind the bound above. With auto-checkpoint off (so
+/// the log's truncation is not counted), a load through a pool a quarter
+/// the heap's size fsyncs the WAL once per pool's worth of evictions —
+/// three times, the first pool filling without evicting — plus the barrier
+/// before the load's write-back and the commit.
+#[test]
+fn load_through_a_quarter_pool_costs_five_wal_fsyncs() {
+    const ROWS: i64 = 50_000;
+    let mut sized = Session::new();
+    register_events(&mut sized, ROWS);
+    let heap_pages = sized.catalog().tables()["events"].heap.block_count();
+    let pool_pages = heap_pages as usize / 4;
+
+    let dir = fresh_dir("buffer_pool_quarter_load");
+    let mut session = pyro::SessionBuilder::new()
+        .data_dir(&dir)
+        .buffer_pool_pages(pool_pages)
+        .wal_checkpoint_bytes(u64::MAX)
+        .open()
+        .expect("open durable session");
+    let before = wal_fsyncs(&session);
+    register_events(&mut session, ROWS);
+    let fsyncs = wal_fsyncs(&session) - before;
+    let pages = session.catalog().tables()["events"].heap.block_count();
+    assert_eq!(pages, heap_pages, "same rows, same pages");
+    assert!(
+        pages >= 4 * pool_pages as u64,
+        "premise: the heap ({pages} pages) is at least 4x the pool ({pool_pages})"
+    );
+    assert_eq!(
+        fsyncs, 5,
+        "{pages} pages through {pool_pages} frames: 3 eviction barriers + write-back + commit"
+    );
+    drop(session);
+    std::fs::remove_dir_all(&dir).expect("clean test dir");
 }
 
 /// The flush policy is unchanged: a commit the size of `durable_mix`'s

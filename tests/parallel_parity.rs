@@ -356,6 +356,13 @@ fn ordered_gather_corner_cases_parity() {
         "SELECT k, s FROM big WHERE g = 7 LIMIT 120",
         true,
     );
+    // The referee's `sfp` shape: two conjuncts keep about half of every
+    // morsel, so no morsel comes back empty.
+    assert_parallel_parity(
+        &mut session,
+        "SELECT k, s FROM big WHERE g < 75 AND k > 4000",
+        false,
+    );
 }
 
 #[test]
@@ -370,6 +377,9 @@ fn shared_build_hash_join_corner_cases_parity() {
         // Written big-first: the join still builds on `small`, and `big`'s
         // morsels probe it.
         "SELECT k, sk FROM big, small WHERE g = sg",
+        // The referee's `hash_join` shape: `SELECT *`, the small side
+        // written first, every row of `big` finding its match.
+        "SELECT * FROM keys, big WHERE kg = g",
         // Join under join: the outer build side is itself a parallel join.
         "SELECT b1.k, b2.k, kg FROM keys, big b1, big b2 \
          WHERE kg = b1.g AND b1.g = b2.g AND b2.k < 30 AND b1.k > 29000",

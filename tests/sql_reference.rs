@@ -12,7 +12,10 @@
 //! under `ORDER BY` (rows that tie on the order key as a multiset), as a
 //! multiset otherwise, and under `LIMIT` a cut of them (over a non-unique
 //! order, the rows of the tie group the cut falls in may be any of it).
-//! One of those plans also runs at batch sizes 1 and 1024, with columnar
+//! One more plan is made with hashing free, so that it hashes where the
+//! default costs would not; it runs as chosen, and again with every inner
+//! hash join whose order nothing above relies on building on its other
+//! input. One plan also runs at batch sizes 1 and 1024, with columnar
 //! scans on and off, on one and two workers, and the four paper counters
 //! must be equal across those eight runs.
 //!
@@ -26,12 +29,16 @@
 
 use pyro::catalog::Catalog;
 use pyro::common::{Column, DataType, Schema, Tuple, Value};
+use pyro::core::cost::CostParams;
+use pyro::core::{CompileOptions, OptimizedPlan, PhysNode, PhysOp};
 use pyro::datagen::rng::StdRng;
+use pyro::exec::join::{JoinKind, Side};
 use pyro::storage::SimDevice;
 use pyro::{Session, SortOrder, Strategy};
 use reference::{Expr, Func, Item, Op, Pred, Stmt};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const DEBUG_CASES: u64 = 500;
 const RELEASE_CASES: u64 = 10_000;
@@ -1027,6 +1034,57 @@ fn counters(result: &pyro::QueryResult) -> [u64; 4] {
     ]
 }
 
+/// `node` with every inner hash join whose row order nothing above relies
+/// on building on its other input; sets `flipped` if there was one.
+/// `ordered` says whether `node`'s consumer relies on the order of its
+/// rows. A join that claims no order (`out_order` empty) is never relied
+/// on; otherwise its order is relied on if it reaches an operator that
+/// consumes order (a partial sort, a merge join, sort grouping, or the
+/// root of an `ORDER BY`) through operators that pass it on unchanged.
+fn flip_build_sides(node: &Arc<PhysNode>, ordered: bool, flipped: &mut bool) -> Arc<PhysNode> {
+    let child_ordered = |i: usize| match &node.op {
+        PhysOp::PartialSort { .. }
+        | PhysOp::MergeJoin { .. }
+        | PhysOp::SortAggregate { .. }
+        | PhysOp::SortDistinct { .. } => true,
+        PhysOp::Filter { .. } | PhysOp::Project { .. } | PhysOp::Limit { .. } => ordered,
+        // A hash join passes on its probe input's order, never its build's.
+        PhysOp::HashJoin {
+            build: Side::Left, ..
+        } => ordered && i == 1,
+        PhysOp::HashJoin {
+            build: Side::Right, ..
+        } => ordered && i == 0,
+        PhysOp::NestedLoopsJoin { .. } => ordered && i == 0,
+        _ => false,
+    };
+    let mut copy = PhysNode {
+        children: node
+            .children
+            .iter()
+            .enumerate()
+            .map(|(i, c)| flip_build_sides(c, child_ordered(i), flipped))
+            .collect(),
+        ..(**node).clone()
+    };
+    if let PhysOp::HashJoin {
+        kind: JoinKind::Inner,
+        build,
+        ..
+    } = &mut copy.op
+    {
+        if !ordered || copy.out_order.is_empty() {
+            *build = match *build {
+                Side::Left => Side::Right,
+                Side::Right => Side::Left,
+            };
+            copy.out_order = SortOrder::empty();
+            *flipped = true;
+        }
+    }
+    Arc::new(copy)
+}
+
 /// Runs one case; `Err` describes the first disagreement.
 fn check(seed: u64, seen: &mut Seen) -> Result<(), String> {
     let case = case(seed, seen);
@@ -1090,6 +1148,45 @@ fn check(seed: u64, seen: &mut Seen) -> Result<(), String> {
     }
     if case.spilling && first.is_some_and(|c| c[3] > 0) {
         seen.note("spilled");
+    }
+    // Hash joins on the build side the cost model did not choose. Over
+    // tables this small it seldom chooses a hash join at all, so hashing
+    // is free for this plan; each inner hash join whose order nothing
+    // above relies on then also runs building on its other input.
+    session.set_hash_operators(true);
+    session.set_cost_params(Some(CostParams {
+        hash_io: 0.0,
+        ..CostParams::default()
+    }));
+    let plan = session.prepare(&sql).map(|p| p.plan().clone());
+    session.set_cost_params(None);
+    let plan = plan.map_err(|e| fail(format!("free hashing: {e}")))?;
+    let mut flipped = false;
+    let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
+    let mut plans = vec![("free hashing", plan.clone())];
+    if flipped {
+        seen.note("flipped build");
+        plans.push(("flipped build", OptimizedPlan { root, ..plan }));
+    }
+    let options = CompileOptions {
+        params: &case.params,
+        ..CompileOptions::default()
+    };
+    for (what, plan) in &plans {
+        let rows: Vec<Vec<Value>> = plan
+            .compile(session.catalog(), &options)
+            .and_then(|p| p.run())
+            .map_err(|e| fail(format!("{what}: {e}")))?
+            .rows
+            .iter()
+            .map(|t| t.values().to_vec())
+            .collect();
+        if !agrees(&case.stmt, &expect, &rows) {
+            return Err(fail(format!(
+                "{what} disagrees with the reference\n  reference {expect:?}\n  pyro      {rows:?}\n{}",
+                plan.explain()
+            )));
+        }
     }
     Ok(())
 }
@@ -1163,6 +1260,7 @@ fn pyro_agrees_with_the_reference_evaluator() {
         "secondary index",
         "spilling sort budget",
         "spilled",
+        "flipped build",
     ];
     let missing: Vec<&&str> = forms
         .iter()
