@@ -3,9 +3,15 @@
 use crate::persist;
 use crate::stats::TableStats;
 use crate::table::{IndexMeta, TableMeta};
-use pyro_common::{PyroError, Result, Schema, Tuple};
+use pyro_common::{
+    ColumnBuilder, ColumnarBatch, DataType, KeySpec, NormKeys, PyroError, Result, Schema, Tuple,
+    Value,
+};
 use pyro_ordering::SortOrder;
-use pyro_storage::{write_file, DeviceRef, PageId, PageStore, SimDevice, StoreRef, TupleFile};
+use pyro_storage::{
+    write_file, DeviceRef, PageId, PageStore, SimDevice, StoreRef, TupleFile, TupleFileWriter,
+};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -158,8 +164,10 @@ impl Catalog {
         self.sort_memory_blocks = m.max(3); // need ≥3 for external merge
     }
 
-    /// Registers a table. `rows` must already be sorted by `clustering`
-    /// (generators produce them that way); debug builds verify.
+    /// Registers a table. `rows` must fit `schema` (one value per column,
+    /// each NULL or of its column's type) and already be sorted by
+    /// `clustering` (generators produce them that way); a row that breaks
+    /// either is a typed [`PyroError::InvalidRow`] and nothing is written.
     ///
     /// On a durable store the whole mutation — heap pages, serialized
     /// catalog, root — is WAL-logged and committed atomically: a crash at
@@ -174,20 +182,7 @@ impl Catalog {
         if self.tables.contains_key(name) {
             return Err(PyroError::Plan(format!("table {name} already registered")));
         }
-        #[cfg(debug_assertions)]
-        if !clustering.is_empty() {
-            let cols: Vec<usize> = clustering
-                .attrs()
-                .iter()
-                .map(|a| schema.index_of(a))
-                .collect::<Result<_>>()?;
-            let key = pyro_common::KeySpec::new(cols);
-            debug_assert!(
-                rows.windows(2)
-                    .all(|w| key.compare(&w[0], &w[1]) != std::cmp::Ordering::Greater),
-                "rows of {name} are not sorted by clustering order {clustering}"
-            );
-        }
+        check_load(name, &schema, &clustering, rows)?;
         let stats = TableStats::compute(&schema.names(), rows);
         let mark = self.store.begin_mutation();
         match self.try_register(name, schema, clustering, stats, rows) {
@@ -271,24 +266,42 @@ impl Catalog {
             key: key.clone(),
             included: included.iter().map(|s| s.to_string()).collect(),
         };
-        // Materialize entries: project to entry columns, sort by key.
-        let entry_cols = idx.entry_columns();
-        let positions: Vec<usize> = entry_cols
+        // Materialize entries the way the executor sorts: decode the heap
+        // into columns, order a row permutation stably by the key's
+        // normalized keys (which agree with `KeySpec::compare`), and write
+        // the entry columns in that order. Key columns are the first |key|
+        // entry columns.
+        let positions: Vec<usize> = idx
+            .entry_columns()
             .iter()
             .map(|c| handle.meta.schema.index_of(c))
             .collect::<Result<_>>()?;
-        let mut entries: Vec<Tuple> = handle
-            .heap
-            .scan()
-            .map(|r| r.map(|t| t.project(&positions)))
-            .collect::<Result<_>>()?;
-        // Key columns are the first |key| entry columns.
-        let key_positions: Vec<usize> = (0..key.len()).collect();
-        let spec = pyro_common::KeySpec::new(key_positions);
-        entries.sort_by(|a, b| spec.compare(a, b));
+        let mut builders: Vec<ColumnBuilder> = (0..handle.meta.schema.len())
+            .map(|_| ColumnBuilder::new())
+            .collect();
+        handle.heap.scan().fill_columns(&mut builders, usize::MAX)?;
+        let heap = ColumnarBatch::from_builders(builders);
+        let entries = ColumnarBatch::from_columns(
+            positions.iter().map(|&p| heap.column(p).clone()).collect(),
+            heap.num_rows(),
+        );
+        // Only the entry columns live through the sort.
+        drop(heap);
+        let spec = KeySpec::new((0..key.len()).collect());
+        let norm = NormKeys::new(&entries, &spec);
+        let rows = u32::try_from(entries.num_rows()).map_err(|_| {
+            PyroError::Storage(format!(
+                "{table} has more rows than an index build can sort"
+            ))
+        })?;
+        let mut order: Vec<u32> = (0..rows).collect();
+        order.sort_by(|&i, &j| {
+            norm.compare(&entries, i as usize, &norm, &entries, j as usize, &spec)
+                .0
+        });
 
         let mark = self.store.begin_mutation();
-        match self.try_create_index(table, handle, idx, &entries) {
+        match self.try_create_index(table, handle, idx, &entries, &order) {
             Ok(()) => Ok(()),
             Err(e) => {
                 let _ = self.store.abort_mutation(mark);
@@ -302,10 +315,15 @@ impl Catalog {
         table: &str,
         handle: Arc<TableHandle>,
         idx: IndexMeta,
-        entries: &[Tuple],
+        entries: &ColumnarBatch,
+        order: &[u32],
     ) -> Result<()> {
         let index_name = idx.name.clone();
-        let file = write_file(&self.store, entries)?;
+        let mut writer = TupleFileWriter::new(&self.store);
+        for &row in order {
+            writer.append_row(entries.columns(), row as usize)?;
+        }
+        let file = writer.finish()?;
         self.store.flush_and_drop(file.pages())?;
 
         // Re-insert an updated handle (Arc is immutable; rebuild).
@@ -408,6 +426,69 @@ impl Catalog {
     }
 }
 
+/// Holds every row of a load to its table: `schema.len()` values, each
+/// NULL or of its column's type, and no row ordered before the one ahead
+/// of it under `clustering`. One pass; nothing is allocated per row.
+fn check_load(name: &str, schema: &Schema, clustering: &SortOrder, rows: &[Tuple]) -> Result<()> {
+    let key = clustering
+        .attrs()
+        .iter()
+        .map(|a| schema.index_of(a))
+        .collect::<Result<Vec<usize>>>()?;
+    let columns = schema.columns();
+    let invalid = |row: usize, column: &str, problem: String| PyroError::InvalidRow {
+        table: name.to_string(),
+        row: row as u64,
+        column: column.to_string(),
+        problem,
+    };
+    let mut prev: Option<&Tuple> = None;
+    for (r, tuple) in rows.iter().enumerate() {
+        let values = tuple.values();
+        if values.len() != columns.len() {
+            let column = columns.get(values.len()).map_or("(none)", |c| &*c.name);
+            return Err(invalid(
+                r,
+                column,
+                format!("{} values for {} columns", values.len(), columns.len()),
+            ));
+        }
+        for (v, c) in values.iter().zip(columns) {
+            let fits = matches!(
+                (v, c.ty),
+                (Value::Null, _)
+                    | (Value::Int(_), DataType::Int)
+                    | (Value::Double(_), DataType::Double)
+                    | (Value::Str(_), DataType::Str)
+            );
+            if !fits {
+                return Err(invalid(
+                    r,
+                    &c.name,
+                    format!("{v:?} is not of type {}", c.ty),
+                ));
+            }
+        }
+        if let Some(prev) = prev {
+            for &k in &key {
+                match prev.get(k).cmp(tuple.get(k)) {
+                    Ordering::Less => break,
+                    Ordering::Equal => {}
+                    Ordering::Greater => {
+                        return Err(invalid(
+                            r,
+                            &columns[k].name,
+                            format!("out of clustering order {clustering}"),
+                        ));
+                    }
+                }
+            }
+        }
+        prev = Some(tuple);
+    }
+    Ok(())
+}
+
 impl Default for Catalog {
     fn default() -> Self {
         Catalog::new()
@@ -454,14 +535,86 @@ mod tests {
             .is_err());
     }
 
+    /// Registers `rows` into `t(k, v)` clustered on `k`; expects a typed
+    /// rejection at `row`/`column` and an untouched catalog and device.
+    fn assert_rejected(rows: &[Tuple], row: u64, column: &str, problem: &str) {
+        let mut cat = Catalog::new();
+        let err = cat
+            .register_table("t", schema(), SortOrder::new(["k"]), rows)
+            .unwrap_err();
+        match &err {
+            PyroError::InvalidRow {
+                table,
+                row: r,
+                column: c,
+                problem: p,
+            } => {
+                assert_eq!(
+                    (table.as_str(), *r, c.as_str()),
+                    ("t", row, column),
+                    "{err}"
+                );
+                assert!(p.contains(problem), "{err}");
+            }
+            other => panic!("expected InvalidRow, got {other:?}"),
+        }
+        assert!(cat.table("t").is_err());
+        assert_eq!(cat.generation(), 0);
+        assert_eq!(cat.device().live_pages(), 0);
+    }
+
     #[test]
-    #[should_panic(expected = "not sorted")]
-    #[cfg(debug_assertions)]
-    fn unsorted_clustering_detected() {
+    fn load_out_of_clustering_order_rejected() {
+        let mut r = rows();
+        r.swap(3, 4);
+        assert_rejected(&r, 4, "k", "clustering order");
+        // Ties on the clustering key are in order; a second key column is
+        // only compared on a tie.
+        let mut cat = Catalog::new();
+        let tied: Vec<Tuple> = (0..6)
+            .map(|i| Tuple::new(vec![Value::Int(i / 3), Value::Int(i % 3)]))
+            .collect();
+        cat.register_table("t", schema(), SortOrder::new(["k", "v"]), &tied)
+            .unwrap();
+        let mut broken = tied.clone();
+        broken.swap(1, 2);
+        let err = cat
+            .register_table("u", schema(), SortOrder::new(["k", "v"]), &broken)
+            .unwrap_err();
+        assert!(
+            matches!(&err, PyroError::InvalidRow { row: 2, column, .. } if column == "v"),
+            "{err}"
+        );
+        // An unordered heap takes rows in any order.
+        cat.register_table("w", schema(), SortOrder::empty(), &broken)
+            .unwrap();
+    }
+
+    #[test]
+    fn load_with_wrong_arity_rejected() {
+        let mut r = rows();
+        r[5] = Tuple::new(vec![Value::Int(5)]);
+        assert_rejected(&r, 5, "v", "1 values for 2 columns");
+        let mut r = rows();
+        r[0] = Tuple::new(vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
+        assert_rejected(&r, 0, "(none)", "3 values for 2 columns");
+    }
+
+    #[test]
+    fn load_with_wrong_type_rejected() {
+        let mut r = rows();
+        r[2] = Tuple::new(vec![Value::Int(2), Value::Str("x".into())]);
+        assert_rejected(&r, 2, "v", "is not of type INT");
+        let mut r = rows();
+        r[7] = Tuple::new(vec![Value::Int(7), Value::Double(1.0)]);
+        assert_rejected(&r, 7, "v", "Double(1.0)");
+        // NULL fits any column, the clustering column included.
         let mut cat = Catalog::new();
         let mut r = rows();
-        r.reverse();
-        let _ = cat.register_table("t", schema(), SortOrder::new(["k"]), &r);
+        r[3] = Tuple::new(vec![Value::Int(3), Value::Null]);
+        r[9] = Tuple::new(vec![Value::Null, Value::Null]);
+        cat.register_table("t", schema(), SortOrder::new(["k"]), &r)
+            .unwrap();
     }
 
     #[test]

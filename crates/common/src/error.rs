@@ -96,6 +96,20 @@ pub enum PyroError {
     /// [`PyroError::ChecksumMismatch`] (a single unreadable page) — this is
     /// "the directory as a whole does not describe a database".
     Recovery(String),
+    /// A row handed to a table load does not fit the table: wrong arity, a
+    /// value whose type is not its column's (NULL fits any column), or a
+    /// row out of the declared clustering order. Rejected before a page is
+    /// written, so no query ever sees the table.
+    InvalidRow {
+        /// The table being loaded.
+        table: String,
+        /// The offending row's position in the load (0-based).
+        row: u64,
+        /// The column where the row fails.
+        column: String,
+        /// What is wrong there.
+        problem: String,
+    },
 }
 
 /// Stable numeric codes, one per [`PyroError`] variant.
@@ -137,6 +151,8 @@ pub mod codes {
     pub const IO: u16 = 16;
     /// [`super::PyroError::Recovery`]
     pub const RECOVERY: u16 = 17;
+    /// [`super::PyroError::InvalidRow`]
+    pub const INVALID_ROW: u16 = 18;
 }
 
 impl PyroError {
@@ -160,6 +176,7 @@ impl PyroError {
             PyroError::ChecksumMismatch { .. } => codes::CHECKSUM_MISMATCH,
             PyroError::Io(_) => codes::IO,
             PyroError::Recovery(_) => codes::RECOVERY,
+            PyroError::InvalidRow { .. } => codes::INVALID_ROW,
         }
     }
 
@@ -192,6 +209,12 @@ impl PyroError {
                 stored,
                 computed,
             } => format!("{page}{FIELD_SEP}{stored}{FIELD_SEP}{computed}"),
+            PyroError::InvalidRow {
+                table,
+                row,
+                column,
+                problem,
+            } => format!("{table}{FIELD_SEP}{row}{FIELD_SEP}{column}{FIELD_SEP}{problem}"),
         }
     }
 
@@ -235,6 +258,16 @@ impl PyroError {
             }
             codes::IO => PyroError::Io(detail.into()),
             codes::RECOVERY => PyroError::Recovery(detail.into()),
+            codes::INVALID_ROW => {
+                let mut parts = detail.splitn(4, FIELD_SEP);
+                let mut next = || parts.next().unwrap_or("").to_string();
+                PyroError::InvalidRow {
+                    table: next(),
+                    row: next().parse().unwrap_or(0),
+                    column: next(),
+                    problem: next(),
+                }
+            }
             unknown => PyroError::Wire(format!("unknown error code {unknown}: {detail}")),
         }
     }
@@ -272,6 +305,15 @@ impl fmt::Display for PyroError {
             ),
             PyroError::Io(m) => write!(f, "I/O error: {m}"),
             PyroError::Recovery(m) => write!(f, "recovery error: {m}"),
+            PyroError::InvalidRow {
+                table,
+                row,
+                column,
+                problem,
+            } => write!(
+                f,
+                "invalid row {row} for table {table}, column {column}: {problem}"
+            ),
         }
     }
 }
@@ -310,6 +352,12 @@ mod tests {
             },
             PyroError::Io("pwrite data.pyro: No space left on device".into()),
             PyroError::Recovery("catalog root has bad magic".into()),
+            PyroError::InvalidRow {
+                table: "t".into(),
+                row: 2,
+                column: "a".into(),
+                problem: "Str(\"x\") is not of type INT".into(),
+            },
         ]
     }
 
@@ -334,7 +382,7 @@ mod tests {
     fn codes_are_stable() {
         // The wire contract: these exact numbers, forever. A failure here
         // means a renumbering that would break deployed clients.
-        let expected: Vec<u16> = (1..=17).collect();
+        let expected: Vec<u16> = (1..=18).collect();
         let actual: Vec<u16> = exemplars().iter().map(PyroError::code).collect();
         assert_eq!(actual, expected);
         assert_eq!(codes::SERVER_OVERLOADED, 13);
@@ -343,6 +391,7 @@ mod tests {
         assert_eq!(codes::CHECKSUM_MISMATCH, 15);
         assert_eq!(codes::IO, 16);
         assert_eq!(codes::RECOVERY, 17);
+        assert_eq!(codes::INVALID_ROW, 18);
     }
 
     #[test]

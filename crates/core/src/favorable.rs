@@ -137,15 +137,16 @@ mod tests {
     /// a covering index on m (with y, r included).
     fn example1_catalog() -> Catalog {
         let mut cat = Catalog::new();
-        let mk_rows = |key_col: usize| -> Vec<Tuple> {
+        // The first `width` of four columns, sorted on `key_col`.
+        let mk_rows = |key_col: usize, width: usize| -> Vec<Tuple> {
             let mut rows: Vec<Tuple> = (0..100)
                 .map(|i| {
-                    Tuple::new(vec![
-                        Value::Int(i % 10),
-                        Value::Int(i % 7),
-                        Value::Int(i % 5),
-                        Value::Int(i % 3),
-                    ])
+                    Tuple::new(
+                        [i % 10, i % 7, i % 5, i % 3][..width]
+                            .iter()
+                            .map(|&v| Value::Int(v))
+                            .collect(),
+                    )
                 })
                 .collect();
             rows.sort_by(|a, b| a.get(key_col).cmp(b.get(key_col)));
@@ -155,21 +156,21 @@ mod tests {
             "ct1",
             Schema::ints(&["y", "m", "c", "co"]),
             SortOrder::new(["y"]),
-            &mk_rows(0),
+            &mk_rows(0, 4),
         )
         .unwrap();
         cat.register_table(
             "ct2",
             Schema::ints(&["y", "m", "c", "co"]),
             SortOrder::new(["m"]),
-            &mk_rows(1),
+            &mk_rows(1, 4),
         )
         .unwrap();
         cat.register_table(
             "rt",
             Schema::ints(&["m", "y", "r"]),
             SortOrder::new(["m"]),
-            &mk_rows(0),
+            &mk_rows(0, 3),
         )
         .unwrap();
         cat.create_index("rt", "rt_m_cov", SortOrder::new(["m"]), &["y", "r"])

@@ -395,8 +395,9 @@ impl Session {
     // Ingestion
     // ------------------------------------------------------------------
 
-    /// Registers a table from in-memory rows (must already be sorted by
-    /// `clustering`); delegates to [`Catalog::register_table`].
+    /// Registers a table from in-memory rows (must fit `schema` and already
+    /// be sorted by `clustering`, or the load is a typed
+    /// [`PyroError::InvalidRow`]); delegates to [`Catalog::register_table`].
     pub fn register_table(
         &mut self,
         name: &str,
