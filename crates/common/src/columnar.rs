@@ -598,6 +598,31 @@ impl NormKeys {
         }
     }
 
+    /// Whether every key column's prefixes are exact: two rows whose
+    /// prefixes all tie are then equal, and [`NormKeys::compare_exact`]
+    /// orders them without reaching into column storage.
+    pub fn is_exact(&self) -> bool {
+        self.exact.iter().all(|&e| e)
+    }
+
+    /// [`NormKeys::compare`] of row `i` against row `j` of `other`, for two
+    /// batches that are both [`NormKeys::is_exact`]: the same ordering and
+    /// the same charge, read off the prefixes alone.
+    #[inline]
+    pub fn compare_exact(&self, i: usize, other: &NormKeys, j: usize) -> (Ordering, u64) {
+        let w = self.width;
+        let (pa, pb) = (
+            &self.prefixes[i * w..(i + 1) * w],
+            &other.prefixes[j * w..(j + 1) * w],
+        );
+        for (n, (x, y)) in (1..).zip(pa.iter().zip(pb)) {
+            if x != y {
+                return (x.cmp(y), n);
+            }
+        }
+        (Ordering::Equal, w as u64)
+    }
+
     /// Orders row `i` of `a` against row `j` of `b` under `key` — `self`
     /// being `a`'s keys and `other` `b`'s — returning the ordering and the
     /// scalar comparisons to charge.

@@ -8,9 +8,10 @@ use std::fmt;
 /// A row: a boxed slice of values positionally matching a
 /// [`crate::Schema`].
 ///
-/// `Default` is the empty (zero-arity) tuple; it allocates nothing, so
-/// `std::mem::take` moves a tuple out of a buffer slot in O(1) — the trick
-/// the batch-at-a-time sort streams use to emit without cloning.
+/// `Default` is the empty (zero-arity) tuple and allocates nothing. The
+/// sorts never hold tuples (they order 16-byte entries over column
+/// vectors), but a `Tuple` is the same 16 bytes, which is why a sort of
+/// boxed rows makes the comparisons they do.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     values: Box<[Value]>,

@@ -3,7 +3,9 @@
 //! The cost-model counterpart the optimizer weighs against merge joins; also
 //! the plan shape SYS1 chose for Query 3 (paper Fig. 11a). Build side is
 //! materialized into a hash table; NULL keys never match (and are emitted
-//! padded by the outer variants).
+//! padded by the outer variants). Keys match as the merge join matches
+//! them: an INT equals the DOUBLE holding the same integer (see
+//! [`super::int_of_double`]).
 //!
 //! Which input is the build side is the caller's choice ([`Side`]): an
 //! inner join may build on either, the outer variants build on the left.
@@ -19,12 +21,13 @@
 //! it is built once, by whoever needs it first, and every worker probes its
 //! own morsels against it.
 
-use super::{JoinKind, Side};
+use super::{int_of_double, numeric_key, JoinKind, Side};
 use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{
-    ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, PyroError, Result, Schema, Tuple,
-    Value,
+    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, NullBitmap, PyroError,
+    Result, Schema, Tuple, Value,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -132,7 +135,8 @@ struct RowTable {
 
 impl RowTable {
     fn insert(&mut self, t: Tuple, key_cols: &[usize]) {
-        let key = t.key(key_cols);
+        let mut key = t.key(key_cols);
+        key.iter_mut().for_each(numeric_key);
         if key.iter().any(Value::is_null) {
             self.null_rows.push(t);
         } else {
@@ -173,6 +177,7 @@ impl RowProbe {
     /// (matches, or the full-outer pad) to `out`.
     fn probe(&mut self, table: &RowTable, probe: &Tuple, out: &mut Vec<Tuple>) {
         probe.key_into(self.probe_key.cols(), &mut self.key);
+        self.key.iter_mut().for_each(numeric_key);
         let before = out.len();
         if !self.key.iter().any(Value::is_null) {
             if let Some(matches) = table.index.get(self.key.as_slice()) {
@@ -341,31 +346,27 @@ impl VectorTable {
     }
 }
 
-/// One probe-side key column, resolved to its fastest access form once per
-/// probe batch.
-enum ProbeKeyCol<'a> {
-    /// Integer column: value + null bit.
-    Int(&'a [i64], &'a pyro_common::NullBitmap),
-    /// Heterogeneous column: only `Value::Int` cells can match.
-    Mixed(&'a [Value]),
-    /// Double/Str typed column: no cell can equal an integer build key
-    /// (join equality is `Value` equality, which never crosses types).
-    Never,
-}
-
-impl ProbeKeyCol<'_> {
-    /// The key word for row `i`, or `None` when the row cannot match.
-    #[inline]
-    fn word(&self, i: usize) -> Option<i64> {
-        match self {
-            ProbeKeyCol::Int(v, nulls) => (!nulls.get(i)).then(|| v[i]),
-            ProbeKeyCol::Mixed(vals) => match &vals[i] {
-                Value::Int(x) => Some(*x),
-                _ => None,
-            },
-            ProbeKeyCol::Never => None,
-        }
+/// A probe-side key column as INT key words and their NULL bits. An INT
+/// column is read as it is; any other is converted, once per kernel call,
+/// and a cell no INT equals (a string, a fraction, −0.0, NaN) is marked
+/// NULL, since neither can match a build key.
+fn int_words(col: &ColumnVec) -> (Cow<'_, [i64]>, Cow<'_, NullBitmap>) {
+    if let ColumnData::Int(v) = col.data() {
+        return (Cow::Borrowed(v), Cow::Borrowed(col.nulls()));
     }
+    let mut nulls = NullBitmap::new();
+    let words = (0..col.len())
+        .map(|i| {
+            let word = match col.cell(i) {
+                CellRef::Int(x) => Some(x),
+                CellRef::Double(d) => int_of_double(d),
+                CellRef::Str(_) | CellRef::Null => None,
+            };
+            nulls.push(word.is_none());
+            word.unwrap_or(0)
+        })
+        .collect();
+    (Cow::Owned(words), Cow::Owned(nulls))
 }
 
 impl HashJoin {
@@ -547,16 +548,9 @@ impl HashJoin {
         build_idx: &mut Vec<u32>,
         probe_idx: &mut Vec<u32>,
     ) -> usize {
-        let key_views: Vec<ProbeKeyCol<'_>> = key_cols
+        let words: Vec<_> = key_cols
             .iter()
-            .map(|&c| {
-                let col = batch.column(c);
-                match col.data() {
-                    ColumnData::Int(v) => ProbeKeyCol::Int(v, col.nulls()),
-                    ColumnData::Mixed(vals) => ProbeKeyCol::Mixed(vals),
-                    ColumnData::Double(_) | ColumnData::Str(_) => ProbeKeyCol::Never,
-                }
-            })
+            .map(|&c| int_words(batch.column(c)))
             .collect();
         let mut key = vec![0i64; key_cols.len()];
         'rows: while cursor < sel.len() {
@@ -565,11 +559,11 @@ impl HashJoin {
             }
             let row = sel[cursor] as usize;
             cursor += 1;
-            for (slot, view) in key.iter_mut().zip(&key_views) {
-                match view.word(row) {
-                    Some(w) => *slot = w,
-                    None => continue 'rows,
+            for (slot, (v, nulls)) in key.iter_mut().zip(&words) {
+                if nulls.get(row) {
+                    continue 'rows;
                 }
+                *slot = v[row];
             }
             let before = build_idx.len();
             table.matches_into(&key, build_idx);
@@ -869,23 +863,127 @@ mod tests {
         assert!(!out.is_empty());
     }
 
-    /// Int build keys never match Double/Str probe cells (`Value` equality
-    /// is typed), and the vectorized probe must agree.
+    /// Int build keys never match probe cells no INT equals — strings,
+    /// fractions, −0.0, NaN — and the vectorized probe must agree.
     #[test]
     fn columnar_probe_type_mismatch_never_matches() {
-        let right_rows = vec![
-            Tuple::new(vec![Value::Double(1.0), Value::Int(0)]),
-            Tuple::new(vec![Value::Int(2), Value::Int(1)]),
-            Tuple::new(vec![Value::Null, Value::Int(2)]),
-        ];
+        let right_rows: Vec<Tuple> = [
+            Value::Str("1".into()),
+            Value::Double(1.5),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Int(2),
+            Value::Null,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| Tuple::new(vec![k, Value::Int(i as i64)]))
+        .collect();
         let out = assert_batch_pull_matches_next(
-            (Schema::ints(&["a", "b"]), rows(&[(1, 10), (2, 20)])),
+            (Schema::ints(&["a", "b"]), rows(&[(0, 0), (1, 10), (2, 20)])),
             (Schema::ints(&["c", "d"]), right_rows),
             JoinKind::Inner,
             Side::Left,
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), &Value::Int(2));
+    }
+
+    /// An INT key equals the DOUBLE holding the same integer, as under a
+    /// merge join (`Value::cmp`): on either build side, against a DOUBLE or
+    /// a mixed probe column, through the vector table and the row table.
+    #[test]
+    fn int_and_double_keys_match_numerically() {
+        use pyro_common::{Column, DataType};
+        let ints: Vec<Tuple> = (0..60)
+            .map(|i| {
+                let k = match i % 13 {
+                    0 => Value::Null,
+                    _ => Value::Int(i % 9 - 2),
+                };
+                Tuple::new(vec![k, Value::Int(i)])
+            })
+            .collect();
+        let doubles: Vec<Tuple> = (0..50)
+            .map(|i| {
+                let k = match i % 11 {
+                    0 => Value::Null,
+                    1 => Value::Double(-0.0),
+                    2 => Value::Double(f64::NAN),
+                    _ => Value::Double((i % 12 - 3) as f64 / 2.0),
+                };
+                Tuple::new(vec![k, Value::Int(100 + i)])
+            })
+            .collect();
+        // Every fifth key an INT: the column is mixed.
+        let mixed: Vec<Tuple> = doubles
+            .iter()
+            .enumerate()
+            .map(|(i, t)| match (i % 5, t.get(0)) {
+                (0, Value::Double(d)) => Tuple::new(vec![Value::Int(*d as i64), t.get(1).clone()]),
+                _ => t.clone(),
+            })
+            .collect();
+        let double_schema = Schema::new(vec![
+            Column::new("c", DataType::Double),
+            Column::new("d", DataType::Int),
+        ]);
+        for right in [doubles, mixed] {
+            let mut expect: Vec<Tuple> = ints
+                .iter()
+                .flat_map(|l| right.iter().map(move |r| (l, r)))
+                .filter(|(l, r)| !l.get(0).is_null() && l.get(0).cmp(r.get(0)).is_eq())
+                .map(|(l, r)| l.concat(r))
+                .collect();
+            expect.sort();
+            assert!(expect.len() > 20);
+            for build in [Side::Left, Side::Right] {
+                let mut out = assert_batch_pull_matches_next(
+                    (Schema::ints(&["a", "b"]), ints.clone()),
+                    (double_schema.clone(), right.clone()),
+                    JoinKind::Inner,
+                    build,
+                );
+                out.sort();
+                assert_eq!(out, expect, "build {build:?}");
+            }
+        }
+    }
+
+    /// Distinct INT keys past ±2^53 share an `f64` image but never match
+    /// each other: only equal INTs do, as under a merge join. Inner on
+    /// either build side (the vector table, and the row table whenever a
+    /// build batch arrives as rows) and FULL OUTER (always the row table).
+    #[test]
+    fn int_keys_past_two_to_the_53_match_exactly() {
+        const BIG: i64 = 1 << 53;
+        let keys = [BIG, BIG + 1, i64::MAX - 1, i64::MAX, -BIG - 1, i64::MIN];
+        let side = |base: i64| -> Vec<Tuple> {
+            keys.iter()
+                .enumerate()
+                .map(|(i, &k)| Tuple::new(vec![Value::Int(k), Value::Int(base + i as i64)]))
+                .collect()
+        };
+        for (kind, build) in [
+            (JoinKind::Inner, Side::Left),
+            (JoinKind::Inner, Side::Right),
+            (JoinKind::FullOuter, Side::Left),
+        ] {
+            let mut out = assert_batch_pull_matches_next(
+                (Schema::ints(&["a", "b"]), side(0)),
+                (Schema::ints(&["c", "d"]), side(100)),
+                kind,
+                build,
+            );
+            out.sort();
+            let mut expect: Vec<Tuple> = side(0)
+                .iter()
+                .zip(side(100))
+                .map(|(l, r)| l.concat(&r))
+                .collect();
+            expect.sort();
+            assert_eq!(out, expect, "{kind:?} build {build:?}");
+        }
     }
 
     fn probe_rows(part: i64) -> Vec<Tuple> {

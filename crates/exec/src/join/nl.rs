@@ -7,6 +7,7 @@
 use super::JoinKind;
 use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple};
+use std::cmp::Ordering;
 
 /// Materializing nested-loops join (inner side buffered).
 pub struct NestedLoopsJoin {
@@ -63,7 +64,8 @@ impl NestedLoopsJoin {
             .zip(self.right_key.cols())
             .all(|(&lc, &rc)| {
                 let (lv, rv) = (l.get(lc), r.get(rc));
-                !lv.is_null() && !rv.is_null() && lv == rv
+                // `cmp`, not `==`: an INT equals the DOUBLE holding it.
+                !lv.is_null() && !rv.is_null() && lv.cmp(rv) == Ordering::Equal
             })
     }
 
@@ -204,6 +206,36 @@ mod tests {
     #[test]
     fn full_outer() {
         assert_eq!(join(&[(1, 1)], &[(2, 9)], JoinKind::FullOuter).len(), 2);
+    }
+
+    /// An INT key equals the DOUBLE holding the same integer (`2 = 2.0`),
+    /// as under a merge join; not a fraction, −0.0 or NULL.
+    #[test]
+    fn int_equals_integral_double() {
+        let right: Vec<Tuple> = [2.0, 2.5, -0.0, 0.0]
+            .into_iter()
+            .map(|d| Tuple::new(vec![Value::Double(d), Value::Int(9)]))
+            .chain([Tuple::new(vec![Value::Null, Value::Int(9)])])
+            .collect();
+        let op = NestedLoopsJoin::new(
+            Box::new(ValuesOp::new(
+                Schema::ints(&["a", "b"]),
+                rows(&[(2, 1), (0, 2)]),
+            )),
+            Box::new(ValuesOp::new(Schema::ints(&["c", "d"]), right)),
+            KeySpec::new(vec![0]),
+            KeySpec::new(vec![0]),
+            JoinKind::Inner,
+        );
+        let out = collect(Box::new(op)).unwrap();
+        let keys: Vec<_> = out.iter().map(|t| (t.get(0), t.get(2))).collect();
+        assert_eq!(
+            keys,
+            [
+                (&Value::Int(2), &Value::Double(2.0)),
+                (&Value::Int(0), &Value::Double(0.0))
+            ]
+        );
     }
 
     #[test]

@@ -76,7 +76,8 @@ impl ColumnarRun {
 
 /// Streaming k-way merge over sorted runs: runs are read a page at a time
 /// straight into columns, heads are compared on their normalized prefix
-/// first (a linear scan over at most fan-in heads), and output is gathered
+/// first (a linear scan over at most fan-in heads; a tie between two exact
+/// pages is settled on their prefixes too), and output is gathered
 /// into batches — no `Tuple` is boxed. Run pages are charged as *run
 /// reads* when each run is opened (runs are always fully consumed); files
 /// are freed as they are exhausted so device memory stays bounded.
@@ -157,14 +158,7 @@ impl ColumnarMergeStream {
                 None => (i, run, page),
                 Some((b, b_run, b_page)) => {
                     let (ord, n) = match run.prefix.cmp(&b_run.prefix) {
-                        Ordering::Equal => page.norms.compare(
-                            &page.batch,
-                            run.pos,
-                            &b_page.norms,
-                            &b_page.batch,
-                            b_run.pos,
-                            &self.key,
-                        ),
+                        Ordering::Equal => page.compare_rows(run.pos, b_page, b_run.pos, &self.key),
                         differs => (differs, 1),
                     };
                     *acc += n;

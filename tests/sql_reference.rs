@@ -1290,3 +1290,107 @@ fn the_reference_orders_values_like_sql_with_nulls_last() {
         assert_eq!(compare(&w[0], &w[1]), Ordering::Less, "{w:?}");
     }
 }
+
+/// Registers `a(id, v)` and `b(id, v)` with the given `v` cells, then runs
+/// `sql` (which joins them on `v`) under every strategy, with hash
+/// operators off, on, and on with hashing free, with every inner hash join
+/// built on either input, and with columnar execution on and off. Every plan must return `expect`
+/// rows whose two columns compare equal, and some plan must hash-join.
+fn equi_join_under_every_plan(
+    a: (DataType, &[Value]),
+    b: (DataType, &[Value]),
+    sql: &str,
+    expect: usize,
+) {
+    let mut session = Session::new();
+    for (name, (ty, cells)) in [("a", a), ("b", b)] {
+        let schema = Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", ty)]);
+        let rows: Vec<Tuple> = (0i64..)
+            .zip(cells)
+            .map(|(i, v)| Tuple::new(vec![Value::Int(i), v.clone()]))
+            .collect();
+        session
+            .register_table(name, schema, SortOrder::new(["id"]), &rows)
+            .unwrap();
+    }
+    let free = CostParams {
+        hash_io: 0.0,
+        ..CostParams::default()
+    };
+    let mut hashed = false;
+    for strategy in Strategy::all() {
+        for (hash, costs) in [(false, None), (true, None), (true, Some(free))] {
+            session.set_strategy(strategy);
+            session.set_hash_operators(hash);
+            session.set_cost_params(costs);
+            let plan = session.prepare(sql).unwrap().plan().clone();
+            let mut flipped = false;
+            let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
+            for plan in [plan.clone(), OptimizedPlan { root, ..plan }] {
+                hashed |= plan.explain().contains("Hash Join");
+                for columnar in [true, false] {
+                    let options = CompileOptions {
+                        columnar,
+                        ..CompileOptions::default()
+                    };
+                    let rows = plan
+                        .compile(session.catalog(), &options)
+                        .and_then(|p| p.run())
+                        .unwrap()
+                        .rows;
+                    let what = format!(
+                        "{} hash={hash} free={} columnar={columnar}\n{}",
+                        strategy.name(),
+                        costs.is_some(),
+                        plan.explain()
+                    );
+                    assert_eq!(rows.len(), expect, "{what}");
+                    assert!(
+                        rows.iter().all(|t| t.get(0).cmp(t.get(1)).is_eq()),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(hashed, "no plan hash-joined");
+}
+
+/// An INT = DOUBLE equi-join: `2 = 2.0` holds, so `a(id, v INT)` and
+/// `b(id, v DOUBLE)`, 400 rows each over the same 50 numbers, join into
+/// 50 · 8 · 8 = 3,200 rows under every plan.
+#[test]
+fn int_equals_double_joins_the_same_under_every_plan() {
+    let ints: Vec<Value> = (0..400).map(|i| Value::Int(i % 50)).collect();
+    let doubles: Vec<Value> = (0..400).map(|i| Value::Double((i % 50) as f64)).collect();
+    let sql = "SELECT a.v, b.v FROM a, b WHERE a.v = b.v";
+    equi_join_under_every_plan(
+        (DataType::Int, &ints),
+        (DataType::Double, &doubles),
+        sql,
+        3_200,
+    );
+}
+
+/// INTs past ±2^53 share an `f64` image with their neighbours but equal
+/// only themselves: an equi-join of two copies of such keys pairs each key
+/// with itself alone, under every plan — with columnar execution off, the
+/// hash join's row table too. (FULL OUTER joins plan as merge joins only;
+/// `join::hash`'s own tests hold the row table's outer joins to this.)
+#[test]
+fn large_int_keys_join_only_equal_keys_under_every_plan() {
+    const BIG: i64 = 1 << 53;
+    let keys: Vec<Value> = [BIG, BIG + 1, i64::MAX - 1, i64::MAX, -BIG - 1, i64::MIN]
+        .into_iter()
+        .cycle()
+        .take(60)
+        .map(Value::Int)
+        .collect();
+    let sql = "SELECT a.v, b.v FROM a, b WHERE a.v = b.v";
+    equi_join_under_every_plan(
+        (DataType::Int, &keys),
+        (DataType::Int, &keys),
+        sql,
+        6 * 10 * 10,
+    );
+}
