@@ -201,8 +201,8 @@ impl KeySpec {
     /// Where the group that physical row `first` of `batch` opens ends:
     /// the first row in `from..limit` that differs from it on some key
     /// column (`limit` when none does), found one typed column pass at a
-    /// time. Rows differ when their cells do not compare `Equal` — or, with
-    /// `by_value`, when they are not `==` as [`Value`]s.
+    /// time. Rows differ when their cells do not compare `Equal`, that is,
+    /// when they are not `==` as [`Value`]s.
     ///
     /// Also returns the comparisons that testing rows `from..=end` against
     /// row `first` one by one, left to right, stopping at each row's first
@@ -215,7 +215,6 @@ impl KeySpec {
         first: usize,
         mut from: usize,
         limit: usize,
-        by_value: bool,
     ) -> (usize, u64) {
         // Look ahead in growing windows: a leading key column with long runs
         // must not be scanned to the end of its run for every short group.
@@ -226,7 +225,7 @@ impl KeySpec {
             let mut end = stop;
             let mut boundary_cost = 0;
             for (at, &c) in self.cols.iter().enumerate() {
-                let e = batch.column(c).run_end(first, from, end, by_value);
+                let e = batch.column(c).run_end(first, from, end);
                 if e < end {
                     end = e;
                     boundary_cost = at as u64 + 1;

@@ -6,18 +6,29 @@
 //! PostgreSQL's default for ascending order — and required so a merge full
 //! outer join can emit NULL-padded rows at the end of the stream without
 //! breaking its output-order guarantee), doubles are compared by
-//! `total_cmp`, and cross-type comparisons fall back to a fixed type rank so
-//! a heterogeneous heap can never panic.
+//! `total_cmp`, and comparisons between a number, a string and NULL fall
+//! back to a fixed type rank so a heterogeneous heap can never panic.
+//!
+//! Numeric order and equality are written once, here: [`cmp_int_double`]
+//! orders an INT against a DOUBLE exactly, and [`exact_int`] is the INT a
+//! DOUBLE equals. `Value`'s `Ord`, `Eq` and `Hash`, the columnar
+//! comparisons and the hash join's key words all derive from these two, so
+//! every operator that sorts, merges, groups or hashes calls the same
+//! values equal.
 
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A dynamically typed scalar stored in a [`crate::Tuple`].
 ///
-/// Equality agrees with the order within a type, and with `Hash`: two
-/// doubles are equal when their bits are (so `-0.0 != 0.0` and a NaN equals
-/// itself), which is what lets hash tables group and match doubles as the
-/// sort-based operators do. Values of different types are never equal.
+/// Equality is the order's: `a == b` exactly when `a.cmp(b)` is `Equal`,
+/// and equal values hash alike, which is what lets hash tables group and
+/// match values as the sort-based operators do. Two doubles are equal when
+/// their bits are (so `-0.0 != 0.0` and a NaN equals itself); an INT equals
+/// the DOUBLE holding exactly its value (`Int(2) == Double(2.0)`, but not
+/// `Int(2^53 + 1) == Double(2^53)`); strings and NULL equal only their own
+/// kind. A test that must tell `Int(2)` from `Double(2.0)` compares
+/// variants.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL. Sorts after every non-null value (NULLS LAST).
@@ -128,6 +139,40 @@ impl Value {
     }
 }
 
+/// 2^63: the first DOUBLE above every INT.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Orders an INT against a DOUBLE exactly, with no rounding of either: the
+/// order `Value` gives `Int(i)` and `Double(d)`. A −0.0 sits just below
+/// INT 0 (and above every negative DOUBLE), as `f64::total_cmp` puts it
+/// below 0.0; the infinities lie beyond every INT, and a NaN beyond the
+/// infinity of its sign, as `total_cmp` puts them.
+#[inline]
+pub fn cmp_int_double(i: i64, d: f64) -> Ordering {
+    if !(-TWO_63..TWO_63).contains(&d) {
+        // NaN, ±∞ and every DOUBLE past the INT range: its sign decides.
+        return match d.is_sign_negative() {
+            true => Ordering::Greater,
+            false => Ordering::Less,
+        };
+    }
+    // `d` truncated is an integral DOUBLE inside the INT range, so the cast
+    // is exact; on a tie the DOUBLE's fraction (or the sign of −0.0)
+    // decides, against the tie's own image, which has no fraction.
+    let whole = d.trunc() as i64;
+    let image = whole as f64;
+    i.cmp(&whole).then_with(|| image.total_cmp(&d))
+}
+
+/// The INT a DOUBLE equals, if one does: `Some(i)` exactly when
+/// [`cmp_int_double`]`(i, d)` is `Equal`. Never for a fraction, −0.0, NaN,
+/// an infinity, or a DOUBLE at or past ±2^63.
+#[inline]
+pub fn exact_int(d: f64) -> Option<i64> {
+    let i = d as i64;
+    cmp_int_double(i, d).is_eq().then_some(i)
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
@@ -135,6 +180,9 @@ impl PartialEq for Value {
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
             (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Int(i), Value::Double(d)) | (Value::Double(d), Value::Int(i)) => {
+                cmp_int_double(*i, *d).is_eq()
+            }
             _ => false,
         }
     }
@@ -156,9 +204,8 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Double(a), Double(b)) => a.total_cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
-            // Mixed numerics compare numerically so Int(2) == sort-adjacent to Double(2.0).
-            (Int(a), Double(b)) => (*a as f64).total_cmp(b),
-            (Double(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Double(b)) => cmp_int_double(*a, *b),
+            (Double(a), Int(b)) => cmp_int_double(*b, *a).reverse(),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -172,11 +219,15 @@ impl std::hash::Hash for Value {
                 1u8.hash(state);
                 v.hash(state);
             }
-            Value::Double(v) => {
-                // Hash the bit pattern; consistent with total_cmp equality.
-                2u8.hash(state);
-                v.to_bits().hash(state);
-            }
+            // A DOUBLE equal to an INT hashes as that INT; any other by its
+            // bits, as `==` compares doubles.
+            Value::Double(v) => match exact_int(*v) {
+                Some(i) => Value::Int(i).hash(state),
+                None => {
+                    2u8.hash(state);
+                    v.to_bits().hash(state);
+                }
+            },
             Value::Str(s) => {
                 3u8.hash(state);
                 s.hash(state);
@@ -242,6 +293,17 @@ mod tests {
     fn mixed_numeric_ordering() {
         assert!(Value::Int(1) < Value::Double(1.5));
         assert!(Value::Double(0.5) < Value::Int(1));
+        const BIG: i64 = 1 << 53;
+        let big = Value::Double(BIG as f64);
+        assert_eq!(Value::Int(BIG), big);
+        assert!(Value::Int(BIG + 1) > big && Value::Int(BIG + 1) != big);
+        assert!(Value::Int(i64::MAX) < Value::Double(9_223_372_036_854_775_808.0));
+        assert_eq!(exact_int(9_223_372_036_854_775_808.0), None);
+        assert_eq!(exact_int(-9_223_372_036_854_775_808.0), Some(i64::MIN));
+        assert_eq!(exact_int(-0.0), None);
+        assert!(Value::Int(-1) < Value::Double(-0.0) && Value::Double(-0.0) < Value::Int(0));
+        assert_eq!(exact_int(f64::NAN), None);
+        assert!(Value::Double(-f64::NAN) < Value::Int(i64::MIN));
     }
 
     #[test]

@@ -230,6 +230,7 @@ fn truthiness(v: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::exact;
 
     fn row() -> Tuple {
         Tuple::new(vec![Value::Int(3), Value::Double(2.0), Value::Null])
@@ -238,11 +239,11 @@ mod tests {
     #[test]
     fn arithmetic() {
         let e = Expr::mul(Expr::col(0), Expr::col(1));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Double(6.0));
+        assert_eq!(exact(&e.eval(&row()).unwrap()), exact(&Value::Double(6.0)));
         let e = Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(1i64)));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Int(4));
+        assert_eq!(exact(&e.eval(&row()).unwrap()), exact(&Value::Int(4)));
         let e = Expr::Sub(Box::new(Expr::col(0)), Box::new(Expr::lit(1i64)));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Int(2));
+        assert_eq!(exact(&e.eval(&row()).unwrap()), exact(&Value::Int(2)));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! the plan shape SYS1 chose for Query 3 (paper Fig. 11a). Build side is
 //! materialized into a hash table; NULL keys never match (and are emitted
 //! padded by the outer variants). Keys match as the merge join matches
-//! them: an INT equals the DOUBLE holding the same integer (see
-//! [`super::int_of_double`]).
+//! them, by `Value`'s `==`: an INT equals the DOUBLE holding exactly its
+//! value (see [`pyro_common::value::exact_int`]), which `Value`'s `Hash`
+//! honours, so the row table keys on plain `Value`s.
 //!
 //! Which input is the build side is the caller's choice ([`Side`]): an
 //! inner join may build on either, the outer variants build on the left.
@@ -21,8 +22,9 @@
 //! it is built once, by whoever needs it first, and every worker probes its
 //! own morsels against it.
 
-use super::{int_of_double, numeric_key, JoinKind, Side};
+use super::{JoinKind, Side};
 use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
+use pyro_common::value::exact_int;
 use pyro_common::{
     CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, NullBitmap, PyroError,
     Result, Schema, Tuple, Value,
@@ -80,8 +82,10 @@ impl Built {
     /// identical across them. With `vectorize` (inner joins), `Cols`
     /// batches are concatenated column by column for a vector table; the
     /// first `Rows` batch — or a non-integer key column at the end — turns
-    /// what has been gathered into the exact row stream for the row table,
-    /// so match semantics (`Value` equality, NULL handling) cannot diverge.
+    /// what has been gathered into the exact row stream for the row table.
+    /// Both forms match by `Value`'s `==` and never match NULL: the vector
+    /// table's probe reads a DOUBLE cell as the INT [`exact_int`] says it
+    /// equals, the row table hashes and compares `Value`s.
     fn drain(input: &mut BoxOp, key_cols: &[usize], vectorize: bool) -> Result<Built> {
         let mut rows = RowTable::default();
         let finish = |b: Vec<ColumnBuilder>| b.into_iter().map(ColumnBuilder::finish).collect();
@@ -135,8 +139,7 @@ struct RowTable {
 
 impl RowTable {
     fn insert(&mut self, t: Tuple, key_cols: &[usize]) {
-        let mut key = t.key(key_cols);
-        key.iter_mut().for_each(numeric_key);
+        let key = t.key(key_cols);
         if key.iter().any(Value::is_null) {
             self.null_rows.push(t);
         } else {
@@ -177,7 +180,6 @@ impl RowProbe {
     /// (matches, or the full-outer pad) to `out`.
     fn probe(&mut self, table: &RowTable, probe: &Tuple, out: &mut Vec<Tuple>) {
         probe.key_into(self.probe_key.cols(), &mut self.key);
-        self.key.iter_mut().for_each(numeric_key);
         let before = out.len();
         if !self.key.iter().any(Value::is_null) {
             if let Some(matches) = table.index.get(self.key.as_slice()) {
@@ -347,8 +349,9 @@ impl VectorTable {
 }
 
 /// A probe-side key column as INT key words and their NULL bits. An INT
-/// column is read as it is; any other is converted, once per kernel call,
-/// and a cell no INT equals (a string, a fraction, −0.0, NaN) is marked
+/// column is read as it is; any other is converted, once per kernel call:
+/// a DOUBLE cell to the INT [`exact_int`] says it equals, and a cell no INT
+/// equals (a string, a fraction, −0.0, NaN, a DOUBLE past ±2^63) is marked
 /// NULL, since neither can match a build key.
 fn int_words(col: &ColumnVec) -> (Cow<'_, [i64]>, Cow<'_, NullBitmap>) {
     if let ColumnData::Int(v) = col.data() {
@@ -359,7 +362,7 @@ fn int_words(col: &ColumnVec) -> (Cow<'_, [i64]>, Cow<'_, NullBitmap>) {
         .map(|i| {
             let word = match col.cell(i) {
                 CellRef::Int(x) => Some(x),
-                CellRef::Double(d) => int_of_double(d),
+                CellRef::Double(d) => exact_int(d),
                 CellRef::Str(_) | CellRef::Null => None,
             };
             nulls.push(word.is_none());
@@ -679,7 +682,7 @@ impl HashJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, ValuesOp};
+    use crate::op::{collect, exact, ValuesOp};
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()
@@ -783,7 +786,8 @@ mod tests {
                 op.set_batch_size(batch);
                 let out = collect(Box::new(op)).unwrap();
                 assert_eq!(
-                    reference, out,
+                    exact(&reference),
+                    exact(&out),
                     "build {build:?} left {l} right {r} batch {batch}"
                 );
             }
@@ -945,7 +949,7 @@ mod tests {
                     build,
                 );
                 out.sort();
-                assert_eq!(out, expect, "build {build:?}");
+                assert_eq!(exact(&out), exact(&expect), "build {build:?}");
             }
         }
     }

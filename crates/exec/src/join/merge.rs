@@ -193,7 +193,7 @@ impl MergeJoin {
             let s = &mut self.columnar.sides[w];
             if s.start < s.rows {
                 let batch = s.batch.as_ref().expect("rows of a batch");
-                let (end, cost) = key.group_end(batch, s.start, s.scan, s.rows, false);
+                let (end, cost) = key.group_end(batch, s.start, s.scan, s.rows);
                 *acc += cost;
                 s.scan = end;
                 if end < s.rows {

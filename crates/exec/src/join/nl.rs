@@ -7,7 +7,6 @@
 use super::JoinKind;
 use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
 use pyro_common::{KeySpec, Result, Schema, Tuple};
-use std::cmp::Ordering;
 
 /// Materializing nested-loops join (inner side buffered).
 pub struct NestedLoopsJoin {
@@ -64,8 +63,7 @@ impl NestedLoopsJoin {
             .zip(self.right_key.cols())
             .all(|(&lc, &rc)| {
                 let (lv, rv) = (l.get(lc), r.get(rc));
-                // `cmp`, not `==`: an INT equals the DOUBLE holding it.
-                !lv.is_null() && !rv.is_null() && lv.cmp(rv) == Ordering::Equal
+                !lv.is_null() && lv == rv
             })
     }
 
@@ -165,7 +163,7 @@ impl Operator for NestedLoopsJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, ValuesOp};
+    use crate::op::{collect, exact, ValuesOp};
     use pyro_common::Value;
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
@@ -230,11 +228,11 @@ mod tests {
         let out = collect(Box::new(op)).unwrap();
         let keys: Vec<_> = out.iter().map(|t| (t.get(0), t.get(2))).collect();
         assert_eq!(
-            keys,
-            [
+            exact(&keys),
+            exact(&[
                 (&Value::Int(2), &Value::Double(2.0)),
                 (&Value::Int(0), &Value::Double(0.0))
-            ]
+            ])
         );
     }
 

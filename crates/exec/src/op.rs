@@ -491,6 +491,16 @@ impl Operator for Parts {
     }
 }
 
+/// `x`'s debug text, which names every cell's variant and spells a double
+/// exactly (`-0.0` apart from `0.0`). `Value`'s `==` is the engine's
+/// equality and takes `Int(2)` for `Double(2.0)`, so a test that claims
+/// two paths return identical rows, or a result of a given type, asserts
+/// `exact(&a) == exact(&b)`.
+#[cfg(test)]
+pub(crate) fn exact<T: std::fmt::Debug + ?Sized>(x: &T) -> String {
+    format!("{x:?}")
+}
+
 /// Test sources: `rows` (not empty) as a stream of `Rows` batches, of
 /// `Cols` batches, and of batches alternating between the two — one file
 /// scanned whole in either layout, and page by page in alternating layouts.

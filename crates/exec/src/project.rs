@@ -112,7 +112,7 @@ impl Operator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, in_every_layout, ValuesOp};
+    use crate::op::{collect, exact, in_every_layout, ValuesOp};
     use pyro_common::{Column, DataType, Value};
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
                 let project = Project::new(input, exprs.clone(), schema.clone());
                 let out = collect(Box::new(project)).unwrap();
-                assert_eq!(reference, out, "exprs {exprs:?}");
+                assert_eq!(exact(&reference), exact(&out), "exprs {exprs:?}");
             }
         }
     }

@@ -423,7 +423,11 @@ mod tests {
             });
             let all = keyed.batch.to_rows();
             let got: Vec<Tuple> = out.iter().map(|&r| all[r as usize].clone()).collect();
-            assert_eq!(got, boxed, "round {round}");
+            assert_eq!(
+                crate::op::exact(&got),
+                crate::op::exact(&boxed),
+                "round {round}"
+            );
             // A stable sort: equal keys keep their input order.
             let mut ids: Vec<u32> = (start as u32..end as u32).collect();
             ids.sort_by(|&x, &y| key.compare(&all[x as usize], &all[y as usize]));

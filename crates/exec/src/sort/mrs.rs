@@ -214,9 +214,7 @@ impl PartialSort {
         let end = if self.prefix.is_empty() {
             rows // one segment spans the input
         } else {
-            let (end, cost) = self
-                .prefix
-                .group_end(&batch.batch, from - 1, from, rows, true);
+            let (end, cost) = self.prefix.group_end(&batch.batch, from - 1, from, rows);
             *acc += cost;
             end
         };

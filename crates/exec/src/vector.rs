@@ -7,8 +7,9 @@
 //!   *refine a selection vector* — no row is materialized and no `Value` is
 //!   cloned. Semantics are bit-identical to [`Expr::compile_predicate`] /
 //!   `Expr::eval_bool`: a comparison with a NULL operand is not-true, and
-//!   mixed-type comparisons follow [`Value`]'s total order (numerics compare
-//!   numerically, any numeric sorts before any string, NULLs last).
+//!   mixed-type comparisons follow [`Value`]'s total order (an INT against
+//!   a DOUBLE exactly, by [`cmp_int_double`]; any numeric sorts before any
+//!   string, NULLs last).
 //! * [`eval_column`] evaluates a projection expression column-at-a-time,
 //!   returning a shared column (`Expr::Col` is a refcount bump) or a freshly
 //!   computed one for arithmetic.
@@ -19,6 +20,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use pyro_common::columnar::StrArena;
+use pyro_common::value::cmp_int_double;
 use pyro_common::{ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -223,11 +225,10 @@ fn refine_col_lit(col: &ColumnVec, op: CmpOp, lit: &Value, sel: &mut Sel<'_>) {
     match (col.data(), lit) {
         (ColumnData::Int(v), &Value::Int(k)) => keep_cmp(sel, op, &nulls, |i| v[i].cmp(&k)),
         (ColumnData::Int(v), &Value::Double(d)) => {
-            keep_cmp(sel, op, &nulls, |i| (v[i] as f64).total_cmp(&d))
+            keep_cmp(sel, op, &nulls, |i| cmp_int_double(v[i], d))
         }
         (ColumnData::Double(v), &Value::Int(k)) => {
-            let d = k as f64;
-            keep_cmp(sel, op, &nulls, |i| v[i].total_cmp(&d))
+            keep_cmp(sel, op, &nulls, |i| cmp_int_double(k, v[i]).reverse())
         }
         (ColumnData::Double(v), &Value::Double(d)) => {
             keep_cmp(sel, op, &nulls, |i| v[i].total_cmp(&d))
@@ -262,10 +263,10 @@ fn refine_col_col(a: &ColumnVec, b: &ColumnVec, op: CmpOp, sel: &mut Sel<'_>) {
             keep_cmp(sel, op, &nulls, |i| x[i].total_cmp(&y[i]))
         }
         (ColumnData::Int(x), ColumnData::Double(y)) => {
-            keep_cmp(sel, op, &nulls, |i| (x[i] as f64).total_cmp(&y[i]))
+            keep_cmp(sel, op, &nulls, |i| cmp_int_double(x[i], y[i]))
         }
         (ColumnData::Double(x), ColumnData::Int(y)) => {
-            keep_cmp(sel, op, &nulls, |i| x[i].total_cmp(&(y[i] as f64)))
+            keep_cmp(sel, op, &nulls, |i| cmp_int_double(y[i], x[i]).reverse())
         }
         (ColumnData::Str(x), ColumnData::Str(y)) => {
             keep_cmp(sel, op, &nulls, |i| x.bytes_at(i).cmp(y.bytes_at(i)))
@@ -611,7 +612,11 @@ mod tests {
         for e in &exprs {
             let col = eval_column(e, &batch).expect("vectorizable shape");
             for (i, t) in rows.iter().enumerate() {
-                assert_eq!(col.value_at(i), e.eval(t).unwrap(), "row {i} of {e:?}");
+                assert_eq!(
+                    crate::op::exact(&col.value_at(i)),
+                    crate::op::exact(&e.eval(t).unwrap()),
+                    "row {i} of {e:?}"
+                );
             }
         }
         assert!(

@@ -462,8 +462,8 @@ mod tests {
             ]),
         ];
         let decoded = dec_rows(&enc_rows(&rows), 3).unwrap();
-        // PartialEq on Value compares NaN false; compare the encodings,
-        // which capture the exact bits.
+        // Compare the encodings, which capture each cell's type and exact
+        // bits: `Value`'s `==` would take `Int(2)` for `Double(2.0)`.
         assert_eq!(enc_rows(&decoded), enc_rows(&rows));
     }
 

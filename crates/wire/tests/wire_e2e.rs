@@ -62,8 +62,8 @@ fn wire_rows_bit_identical_to_direct_execution_for_the_bench_mix() {
         let direct = session.sql(sql).expect("direct run");
         let wire = client.query(sql).expect("wire run");
         assert_eq!(wire.schema, *direct.schema(), "schema mismatch for {sql}");
-        // Compare the *encodings*: captures exact double bits, not just
-        // PartialEq (which would pass -0.0 == 0.0 and fail NaN == NaN).
+        // Compare the *encodings*: they capture each cell's type and exact
+        // double bits, where `Value`'s `==` takes `Int(2)` for `Double(2.0)`.
         assert_eq!(
             proto::enc_rows(&wire.rows),
             proto::enc_rows(direct.rows()),

@@ -27,7 +27,7 @@ use pyro::{Session, Strategy};
 
 mod common;
 
-use common::{Layout, Source, LAYOUTS};
+use common::{exact, Layout, Source, LAYOUTS};
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
 
@@ -53,7 +53,8 @@ fn assert_sql_parity(session: &Session, sql: &str) {
             }
             let out = run(bs, columnar);
             assert_eq!(
-                reference.rows, out.rows,
+                exact(&reference.rows),
+                exact(&out.rows),
                 "rows diverged (batch={bs}, columnar={columnar}): {sql}"
             );
             assert_metrics_eq(
@@ -212,7 +213,11 @@ fn assert_op_parity(what: &str, build: &dyn Fn(&Values) -> (BoxOp, MetricsRef)) 
             op.set_batch_size(bs);
             let rows = collect(op).unwrap();
             let what = format!("{what} over {layout:?} input");
-            assert_eq!(reference_rows, rows, "rows diverged (batch={bs}): {what}");
+            assert_eq!(
+                exact(&reference_rows),
+                exact(&rows),
+                "rows diverged (batch={bs}): {what}"
+            );
             assert_metrics_eq(&reference_metrics, &metrics, bs, &what);
         }
     }
@@ -361,8 +366,8 @@ fn hash_join_building_right_equals_nested_loops_row_for_row() {
                 let mut op = hash(inputs(4, layout));
                 op.set_batch_size(bs);
                 assert_eq!(
-                    oracle,
-                    collect(op).unwrap(),
+                    exact(&oracle),
+                    exact(&collect(op).unwrap()),
                     "{what} keys, batch={bs}, {layout:?} input"
                 );
             }
@@ -521,8 +526,8 @@ fn bounded_pool_parity_with_bypass() {
             pooled.set_batch_size(bs);
             let out = pooled.sql(sql).unwrap();
             assert_eq!(
-                reference.rows(),
-                out.rows(),
+                exact(reference.rows()),
+                exact(out.rows()),
                 "rows diverged under bounded pool (batch={bs}): {sql}"
             );
             assert_metrics_eq(reference.metrics(), out.metrics(), bs, sql);

@@ -13,6 +13,9 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+mod common;
+use common::exact;
+
 /// A fresh per-test data directory under the target tmpdir.
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -66,7 +69,7 @@ fn clean_reopen_recovers_tables_and_checkpoint_truncates_wal() {
         .open()
         .expect("reopen durable session");
     let got = session.sql("SELECT k, v FROM t ORDER BY k").expect("query");
-    assert_eq!(got.rows(), &rows[..]);
+    assert_eq!(exact(got.rows()), exact(&rows));
 }
 
 #[test]
@@ -92,7 +95,7 @@ fn reopen_without_checkpoint_replays_wal() {
     }
     let session = SessionBuilder::new().data_dir(&dir).open().expect("reopen");
     let got = session.sql("SELECT k, v FROM t ORDER BY k").expect("query");
-    assert_eq!(got.rows(), &rows[..]);
+    assert_eq!(exact(got.rows()), exact(&rows));
 }
 
 #[test]
@@ -116,7 +119,7 @@ fn durable_results_match_in_memory() {
         .register_table("t", schema, SortOrder::new(["k"]), &rows)
         .expect("register durable");
     let got = durable.sql(sql).expect("durable query");
-    assert_eq!(got.rows(), expected.rows());
+    assert_eq!(exact(got.rows()), exact(expected.rows()));
 }
 
 #[test]
@@ -186,8 +189,8 @@ fn kill9_mid_ingest_recovers_committed_prefix_bit_identically() {
             .sql(&format!("SELECT k, v FROM {name} ORDER BY k"))
             .unwrap_or_else(|e| panic!("query {name} after recovery: {e}"));
         assert_eq!(
-            got.rows(),
-            &ingest_rows(i, ROWS_PER)[..],
+            exact(got.rows()),
+            exact(&ingest_rows(i, ROWS_PER)),
             "{name} not bit-identical after recovery"
         );
     }

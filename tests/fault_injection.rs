@@ -16,6 +16,9 @@ use pyro_common::{Schema, Tuple, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+mod common;
+use common::exact;
+
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if dir.exists() {
@@ -153,7 +156,7 @@ fn wal_bit_flip_recovers_to_committed_prefix() {
         .open()
         .expect("reopen with torn WAL tail");
     let got = session.sql("SELECT k, v FROM t0 ORDER BY k").expect("t0");
-    assert_eq!(got.rows(), &t0[..]);
+    assert_eq!(exact(got.rows()), exact(&t0));
     assert!(
         !session.catalog().tables().contains_key("t1"),
         "t1's commit sits past the torn tail and must not resurface"
@@ -216,7 +219,7 @@ fn failed_write_mid_commit_rolls_back_and_reopens_clean() {
     let session = SessionBuilder::new().data_dir(&dir).open().expect("reopen");
     assert_eq!(session.catalog().tables().len(), 1);
     let got = session.sql("SELECT k, v FROM t0 ORDER BY k").expect("t0");
-    assert_eq!(got.rows(), &t0[..]);
+    assert_eq!(exact(got.rows()), exact(&t0));
 }
 
 #[test]

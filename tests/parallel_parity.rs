@@ -17,6 +17,9 @@ use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::MetricsRef;
 use pyro::{Session, SortOrder, Strategy};
 
+mod common;
+use common::exact;
+
 /// `(columnar, workers)`: the first is the reference every other mode must
 /// reproduce — the serial row-batch engine.
 const MODES: [(bool, usize); 6] = [
@@ -52,7 +55,7 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
         let mode = format!("columnar={columnar} workers={w}");
         if ordered {
             assert!(
-                reference.rows == out.rows(),
+                exact(&reference.rows) == exact(out.rows()),
                 "ordered rows diverged ({mode}): {sql}"
             );
         } else {
@@ -60,7 +63,10 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
             let mut b = out.rows().to_vec();
             a.sort();
             b.sort();
-            assert!(a == b, "row multiset diverged ({mode}): {sql}");
+            assert!(
+                exact(&a) == exact(&b),
+                "row multiset diverged ({mode}): {sql}"
+            );
         }
         let (a, b) = (&reference.metrics, out.metrics());
         assert_eq!(
@@ -496,7 +502,10 @@ fn star_join_builds_on_every_dimension_parity() {
         let mode = format!("columnar={columnar} workers={workers}");
         let mut rows = out.rows().to_vec();
         rows.sort();
-        assert!(rows == expect, "rows diverged from the merge plan ({mode})");
+        assert!(
+            exact(&rows) == exact(&expect),
+            "rows diverged from the merge plan ({mode})"
+        );
         let m = out.metrics();
         assert_eq!(
             (

@@ -70,7 +70,11 @@ fn srs_sorts_any_input() {
         expect.sort();
         let mut got = out;
         got.sort();
-        assert_eq!(got, expect, "must be a permutation of the input");
+        assert_eq!(
+            exact(&got),
+            exact(&expect),
+            "must be a permutation of the input"
+        );
     });
 }
 
@@ -109,8 +113,8 @@ fn mrs_equals_srs_equals_std_sort() {
 
         let mut expect = data;
         expect.sort_by(|x, y| key.compare(x, y));
-        assert_eq!(mrs_out, expect);
-        assert_eq!(srs_out, expect);
+        assert_eq!(exact(&mrs_out), exact(&expect));
+        assert_eq!(exact(&srs_out), exact(&expect));
     });
 }
 
@@ -162,12 +166,12 @@ fn joins_agree() {
         let mut a = collect(Box::new(mj)).unwrap();
         let mut b = collect(Box::new(hj)).unwrap();
         let mut c = collect(Box::new(nl)).unwrap();
-        assert_eq!(collect(Box::new(hj_right)).unwrap(), c);
+        assert_eq!(exact(&collect(Box::new(hj_right)).unwrap()), exact(&c));
         a.sort();
         b.sort();
         c.sort();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        assert_eq!(exact(&a), exact(&b));
+        assert_eq!(exact(&a), exact(&c));
     });
 }
 
@@ -199,7 +203,7 @@ fn full_outer_joins_agree() {
         let mut b = collect(Box::new(nl)).unwrap();
         a.sort();
         b.sort();
-        assert_eq!(a, b);
+        assert_eq!(exact(&a), exact(&b));
     });
 }
 
@@ -234,7 +238,7 @@ fn aggregates_agree() {
         let mut b = collect(Box::new(sortagg)).unwrap();
         a.sort();
         b.sort();
-        assert_eq!(a, b);
+        assert_eq!(exact(&a), exact(&b));
     });
 }
 
@@ -392,7 +396,7 @@ fn mrs_zero_io_when_fitting() {
 
 mod common;
 
-use common::{Layout, Source, LAYOUTS};
+use common::{exact, Layout, Source, LAYOUTS};
 use pyro::exec::limit::Limit;
 use pyro::exec::{BoxOp, MetricsRef};
 use std::cell::Cell;
@@ -708,5 +712,371 @@ fn limit_cuts_every_pull_path_at_the_same_work() {
             );
             (Box::new(Limit::new(Box::new(agg), k)), m.clone())
         });
+    });
+}
+
+// ---------------------------------------------------------------------
+// One numeric equality: `Value`'s order, equality and hash, and every
+// engine path that compares or hashes cells without going through `Value`
+// (the columnar compare, normalized-key prefixes, the vector filter
+// kernels, the hash join's probe key words), agree with each other and
+// with an oracle that shares no code with them, on every numeric edge.
+// ---------------------------------------------------------------------
+
+use pyro::common::{CellRef, Column, ColumnarBatch, DataType};
+use pyro::exec::{CmpOp, VecPredicate};
+use std::cmp::Ordering;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+const TWO_53: i64 = 1 << 53;
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Integers and doubles at every edge of exactness: both zeros, NaNs of
+/// both signs, the infinities, ±2^53 ± 1 (where neighbouring INTs share a
+/// DOUBLE image), `i64::MIN`/`MAX`, ±2^63 (just past the INT range; a
+/// saturating cast lands on `i64::MAX`), fractions, subnormals — plus a
+/// string and NULL for the rank order.
+fn numeric_edges() -> Vec<Value> {
+    let ints = [
+        0,
+        1,
+        -1,
+        2,
+        TWO_53 - 1,
+        TWO_53,
+        TWO_53 + 1,
+        TWO_53 + 2,
+        -TWO_53 - 1,
+        -TWO_53,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    let doubles = [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        2.0,
+        2.5,
+        -1.0,
+        TWO_53 as f64,
+        (TWO_53 + 2) as f64,
+        -(TWO_53 as f64),
+        TWO_63,
+        -TWO_63,
+        TWO_63 - 1024.0,
+        f64::MAX,
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    let mut vals: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+    vals.extend(doubles.into_iter().map(Value::Double));
+    vals.extend([Value::Str("a".into()), Value::Null]);
+    vals
+}
+
+/// A numeric value: an edge, one near an edge, a small integer or half,
+/// or any bit pattern at all.
+fn random_numeric(rng: &mut StdRng) -> Value {
+    let edges = numeric_edges();
+    match rng.gen_range(0..6u64) {
+        0 => edges[rng.gen_range(0..edges.len() - 2)].clone(),
+        1 => Value::Int(TWO_53.saturating_mul(rng.gen_range(-2i64..3)) + rng.gen_range(-3i64..4)),
+        2 => Value::Double(
+            (TWO_53 + rng.gen_range(-3i64..4)) as f64 * rng.gen_range(-1i64..2) as f64,
+        ),
+        3 => Value::Int(rng.gen_range(-4i64..5)),
+        4 => Value::Double(rng.gen_range(-8i64..9) as f64 / 2.0),
+        _ => match rng.gen_bool(0.5) {
+            true => Value::Int(rng.gen_range(0..u64::MAX) as i64),
+            false => Value::Double(f64::from_bits(rng.gen_range(0..u64::MAX))),
+        },
+    }
+}
+
+/// INT against DOUBLE by integer arithmetic on the double's bits: its
+/// magnitude is `mantissa · 2^shift`, split into a whole part (in `i128`)
+/// and whether a fraction is left over.
+fn oracle_int_double(i: i64, d: f64) -> Ordering {
+    let bits = d.to_bits();
+    let negative = bits >> 63 == 1;
+    let beyond = match negative {
+        true => Ordering::Greater,
+        false => Ordering::Less,
+    };
+    let exp = ((bits >> 52) & 0x7ff) as i32;
+    if exp == 0x7ff {
+        return beyond; // an infinity or a NaN
+    }
+    let mantissa = (bits & ((1 << 52) - 1)) as i128 | if exp == 0 { 0 } else { 1 << 52 };
+    let shift = exp.max(1) - 1075;
+    let (whole, fraction) = if shift >= 0 {
+        if shift > 64 {
+            return beyond; // |d| ≥ 2^116
+        }
+        (mantissa << shift, false)
+    } else if shift <= -64 {
+        (0, mantissa != 0)
+    } else {
+        (mantissa >> -shift, mantissa & ((1 << -shift) - 1) != 0)
+    };
+    let i = i as i128;
+    match negative {
+        // d = whole + fraction
+        false => i.cmp(&whole).then(match fraction {
+            true => Ordering::Less,
+            false => Ordering::Equal,
+        }),
+        // d = -(whole + fraction); -0.0 lies below INT 0
+        true => i.cmp(&-whole).then(match fraction || whole == 0 {
+            true => Ordering::Greater,
+            false => Ordering::Equal,
+        }),
+    }
+}
+
+/// `Value`'s order, written independently: numbers, then strings, then
+/// NULL; doubles among themselves by `total_cmp`.
+fn oracle(a: &Value, b: &Value) -> Ordering {
+    let rank = |v: &Value| match v {
+        Value::Int(_) | Value::Double(_) => 0,
+        Value::Str(_) => 1,
+        Value::Null => 2,
+    };
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Double(x), Value::Double(y)) => x.total_cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
+        (Value::Int(i), Value::Double(d)) => oracle_int_double(*i, *d),
+        (Value::Double(d), Value::Int(i)) => oracle_int_double(*i, *d).reverse(),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+fn hash_of(v: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Every pairwise claim `Value` makes about `a` and `b`.
+fn assert_pair(a: &Value, b: &Value) {
+    let ord = a.cmp(b);
+    assert_eq!(ord, oracle(a, b), "{a:?} vs {b:?}: order");
+    assert_eq!(ord, b.cmp(a).reverse(), "{a:?} vs {b:?}: antisymmetry");
+    assert_eq!(ord.is_eq(), a == b, "{a:?} vs {b:?}: == is cmp's Equal");
+    if a == b {
+        assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}: hashes");
+    }
+    let (ca, cb) = (CellRef::from_value(a), CellRef::from_value(b));
+    assert_eq!(ca.order(cb), ord, "{a:?} vs {b:?}: CellRef::order");
+    if ca.norm_prefix() < cb.norm_prefix() {
+        assert_eq!(ord, Ordering::Less, "{a:?} vs {b:?}: normalized prefix");
+    }
+}
+
+fn assert_triple(a: &Value, b: &Value, c: &Value) {
+    if a <= b && b <= c {
+        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}: transitivity");
+    }
+    if a == b && b == c {
+        assert!(a == c, "{a:?} == {b:?} == {c:?}: transitivity");
+    }
+}
+
+/// `cmp == Equal` ⇔ `==`, `==` ⇒ equal hashes, antisymmetry,
+/// transitivity, the oracle's order, `CellRef::order` and order-preserving
+/// normalized prefixes: over every pair and triple of edge values, and over
+/// random pairs and triples.
+#[test]
+fn value_order_equality_and_hash_agree_with_an_exact_oracle() {
+    let edges = numeric_edges();
+    for a in &edges {
+        for b in &edges {
+            assert_pair(a, b);
+            for c in &edges {
+                assert_triple(a, b, c);
+            }
+        }
+    }
+    for_all_cases(|rng| {
+        for _ in 0..200 {
+            let [a, b, c] = [(); 3].map(|_| random_numeric(rng));
+            assert_pair(&a, &b);
+            assert_triple(&a, &b, &c);
+            assert_triple(&a, &c, &b);
+            assert_triple(&b, &a, &c);
+        }
+    });
+}
+
+/// `op` applied to an ordering, as SQL reads it.
+fn holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
+    }
+}
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// Rows `(key, ordinal)` whose keys are `keys`.
+fn keyed_rows(keys: &[Value], base: i64) -> Vec<Tuple> {
+    (base..)
+        .zip(keys)
+        .map(|(i, k)| Tuple::new(vec![k.clone(), Value::Int(i)]))
+        .collect()
+}
+
+/// The ordinal pairs an inner hash join of `left ⋈ right` on their keys
+/// returns, building on `build`, over `layout` input, sorted.
+fn hash_join_pairs(
+    left: &[Value],
+    right: &[Value],
+    build: Side,
+    layout: Layout,
+) -> Vec<(i64, i64)> {
+    let side = |keys: &[Value], name: &str, base: i64| -> BoxOp {
+        let ty = match keys.iter().all(|k| matches!(k, Value::Int(_))) {
+            true => DataType::Int,
+            false => DataType::Double,
+        };
+        let schema = Schema::new(vec![
+            Column::new(format!("{name}.k"), ty),
+            Column::new(format!("{name}.id"), DataType::Int),
+        ]);
+        Box::new(Source::new(schema, keyed_rows(keys, base), 7, layout))
+    };
+    let join = HashJoin::new(
+        side(left, "l", 0),
+        side(right, "r", 1_000_000),
+        KeySpec::new(vec![0]),
+        KeySpec::new(vec![0]),
+        JoinKind::Inner,
+        build,
+    );
+    let mut pairs: Vec<(i64, i64)> = collect(Box::new(join))
+        .unwrap()
+        .iter()
+        .map(|t| (t.get(1).as_int().unwrap(), t.get(3).as_int().unwrap()))
+        .collect();
+    pairs.sort();
+    pairs
+}
+
+/// The columnar compare (typed and mixed columns), the vector filter
+/// kernels (INT and DOUBLE columns against literals of either type, and
+/// against each other) and the hash join (an INT build probed by DOUBLE
+/// key words, a DOUBLE build hashing `Value`s, over column and row
+/// batches) all decide as `Value` does on the same cells.
+#[test]
+fn columnar_filter_and_hash_join_paths_agree_with_value() {
+    for_all_cases(|rng| {
+        let mut pool = numeric_edges();
+        pool.truncate(pool.len() - 2); // numbers only
+        pool.extend((0..24).map(|_| random_numeric(rng)));
+        let ints: Vec<Value> = pool
+            .iter()
+            .filter(|v| matches!(v, Value::Int(_)))
+            .cloned()
+            .collect();
+        let doubles: Vec<Value> = pool
+            .iter()
+            .filter(|v| matches!(v, Value::Double(_)))
+            .cloned()
+            .collect();
+
+        // Columnar compare: an INT, a DOUBLE and a mixed column, each with
+        // a NULL, every cell against every cell.
+        let column = |vals: &[Value]| {
+            let mut vals = vals.to_vec();
+            vals.push(Value::Null);
+            let rows: Vec<Tuple> = vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+            (vals, ColumnarBatch::from_rows(&rows))
+        };
+        let columns = [column(&ints), column(&doubles), column(&pool)];
+        for (va, ba) in &columns {
+            for (vb, bb) in &columns {
+                for (i, a) in va.iter().enumerate() {
+                    for (j, b) in vb.iter().enumerate() {
+                        let got = ba.column(0).compare(i, bb.column(0), j);
+                        assert_eq!(got, a.cmp(b), "{a:?} vs {b:?}: ColumnVec::compare");
+                    }
+                }
+            }
+        }
+
+        // Vector kernels: rows (INT, DOUBLE) drawn from the pool, NULLs
+        // included.
+        let n = 40;
+        let draw = |rng: &mut StdRng, from: &[Value]| match rng.gen_bool(0.1) {
+            true => Value::Null,
+            false => from[rng.gen_range(0..from.len())].clone(),
+        };
+        let rows: Vec<Tuple> = (0..n)
+            .map(|_| Tuple::new(vec![draw(rng, &ints), draw(rng, &doubles)]))
+            .collect();
+        let batch = ColumnarBatch::from_rows(&rows);
+        let passing = |pred: &Expr, test: &dyn Fn(&Tuple) -> Option<Ordering>| {
+            let got = VecPredicate::compile(pred)
+                .expect("vectorizable")
+                .refine(&batch);
+            let Expr::Cmp(op, ..) = pred else {
+                unreachable!()
+            };
+            let expect: Vec<u32> = (0..n as u32)
+                .filter(|&i| test(&rows[i as usize]).is_some_and(|o| holds(*op, o)))
+                .collect();
+            assert_eq!(got, expect, "{pred:?}");
+        };
+        let non_null = |a: &Value, b: &Value| (!a.is_null() && !b.is_null()).then(|| a.cmp(b));
+        for op in OPS {
+            for lit in &pool {
+                for c in [0, 1] {
+                    passing(&Expr::cmp(op, Expr::col(c), Expr::Lit(lit.clone())), &|t| {
+                        non_null(t.get(c), lit)
+                    });
+                }
+            }
+            passing(&Expr::cmp(op, Expr::col(0), Expr::col(1)), &|t| {
+                non_null(t.get(0), t.get(1))
+            });
+            passing(&Expr::cmp(op, Expr::col(1), Expr::col(0)), &|t| {
+                non_null(t.get(1), t.get(0))
+            });
+        }
+
+        // Hash join: INT keys against DOUBLE keys, either side built.
+        let expect: Vec<(i64, i64)> = (0..)
+            .zip(&ints)
+            .flat_map(|(i, a)| {
+                (1_000_000..)
+                    .zip(&doubles)
+                    .filter(move |(_, b)| *a == **b)
+                    .map(move |(j, _)| (i, j))
+            })
+            .collect();
+        for build in [Side::Left, Side::Right] {
+            for layout in [Layout::Cols, Layout::Rows] {
+                let got = hash_join_pairs(&ints, &doubles, build, layout);
+                assert_eq!(got, expect, "build {build:?} over {layout:?}");
+            }
+        }
     });
 }

@@ -10,6 +10,9 @@ use pyro::exec::MetricsRef;
 use pyro::{Session, Strategy};
 use std::sync::Arc;
 
+mod common;
+use common::exact;
+
 const THREADS: usize = 8;
 
 /// (sql, ordered): ordered results compare as sequences, unordered as
@@ -67,8 +70,8 @@ fn eight_threads_reproduce_serial_across_all_strategies() {
                         for (q, (ref_rows, ref_counters)) in QUERIES.iter().zip(reference.iter()) {
                             let out = session.sql(q).unwrap();
                             assert_eq!(
-                                out.rows(),
-                                &ref_rows[..],
+                                exact(out.rows()),
+                                exact(ref_rows),
                                 "rows diverged (strategy={}, thread={t}, round={round}): {q}",
                                 strategy.name()
                             );
@@ -148,7 +151,7 @@ fn concurrent_prepared_statements_share_one_plan() {
                 let stmt = session.prepare(sql).unwrap();
                 for (i, k) in [1i64, 2, 3].iter().enumerate() {
                     let out = stmt.execute(&[pyro::common::Value::Int(*k)]).unwrap();
-                    assert_eq!(out.rows(), &reference[i][..], "binding {k}");
+                    assert_eq!(exact(out.rows()), exact(&reference[i]), "binding {k}");
                 }
                 stmt.cache_hit().expect("session has a plan cache")
             })

@@ -5,6 +5,9 @@
 use pyro::common::{PyroError, Schema, Tuple, Value};
 use pyro::{Session, SortOrder, Strategy};
 
+mod common;
+use common::exact;
+
 /// The quickstart table: 50 000 rows clustered on `k` (50 rows per value),
 /// `v` scrambled — an `ORDER BY (k, v)` only needs a partial sort.
 fn quickstart_session() -> Session {
@@ -55,7 +58,11 @@ fn batch_size_knob_is_result_invariant() {
         session.set_batch_size(rows);
         assert_eq!(session.batch_size(), rows);
         let result = session.sql(QUICKSTART).unwrap();
-        assert_eq!(result.rows(), reference.rows(), "batch_size={rows}");
+        assert_eq!(
+            exact(result.rows()),
+            exact(reference.rows()),
+            "batch_size={rows}"
+        );
         assert_eq!(
             result.metrics().comparisons(),
             reference.metrics().comparisons(),

@@ -20,9 +20,11 @@
 //! must be equal across those eight runs.
 //!
 //! Data is hazardous on purpose: NULLs, duplicates, NaN and both zeros,
-//! strings that share more than eight leading bytes, random clustering
-//! orders, covering secondary indexes, and on some cases a 128-byte page
-//! with a three-block sort budget so that the sorts spill. A debug build
+//! INT columns compared with and joined to DOUBLE ones, or held against a
+//! DOUBLE literal or parameter (and the reverse), strings that share more
+//! than eight leading bytes, random clustering orders, covering secondary
+//! indexes, and on some cases a 128-byte page with a three-block sort
+//! budget so that the sorts spill. A debug build
 //! runs [`DEBUG_CASES`] cases, a release build [`RELEASE_CASES`]; the test
 //! asserts that every grammar form and every hazard was generated. Seeds
 //! that once failed are kept in [`REGRESSION_SEEDS`] and run first.
@@ -33,6 +35,7 @@ use pyro::core::cost::CostParams;
 use pyro::core::{CompileOptions, OptimizedPlan, PhysNode, PhysOp};
 use pyro::datagen::rng::StdRng;
 use pyro::exec::join::{JoinKind, Side};
+use pyro::exec::MORSEL_PAGES;
 use pyro::storage::SimDevice;
 use pyro::{Session, SortOrder, Strategy};
 use reference::{Expr, Func, Item, Op, Pred, Stmt};
@@ -44,7 +47,9 @@ const DEBUG_CASES: u64 = 500;
 const RELEASE_CASES: u64 = 10_000;
 
 /// Case seeds that found a wrong answer while this suite was written; each
-/// is checked before the generated cases:
+/// is checked before the generated cases, once with the mixed INT/DOUBLE
+/// forms off (they came later, so this regenerates the case a seed was
+/// found on) and once with them on:
 /// - `Value ==` took -0.0 for 0.0 (and a NaN for no NaN), unlike the
 ///   order and the hash, so nested loops joined what merge and hash joins
 ///   did not (1592590352);
@@ -399,6 +404,15 @@ const STRINGS: [&str; 6] = [
     "shared-prefiy",
 ];
 
+/// The numeric type that is not `ty`, if `ty` is numeric.
+fn other_numeric(ty: Ty) -> Option<Ty> {
+    match ty {
+        Ty::Int => Some(Ty::Double),
+        Ty::Double => Some(Ty::Int),
+        Ty::Str => None,
+    }
+}
+
 fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
     from[rng.gen_range(0..from.len())]
 }
@@ -607,9 +621,14 @@ fn op(rng: &mut StdRng, seen: &mut Seen) -> Op {
     op
 }
 
-fn case(seed: u64, seen: &mut Seen) -> Case {
+/// The case for `seed`. With `mixed`, some numeric comparisons and join
+/// keys pair an INT with a DOUBLE; those choices come from a second
+/// generator, so the case is otherwise the one `seed` makes without them.
+fn case(seed: u64, mixed: bool, seen: &mut Seen) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let rng = &mut rng;
+    let mut mix = StdRng::seed_from_u64(seed.rotate_left(32));
+    let mut cross = move || mixed && mix.gen_bool(0.25);
     let shape = rng.gen_range(0..10u64);
     let (n, full_outer) = match shape {
         0..=3 => (1, false),
@@ -652,9 +671,19 @@ fn case(seed: u64, seen: &mut Seen) -> Case {
             if used(l) {
                 continue;
             }
-            let candidates: Vec<usize> = (offset..offset + case.stmt.widths[i])
-                .filter(|&r| case.ty(r) == case.ty(l) && !used(r))
-                .collect();
+            let typed = |ty: Option<Ty>| -> Vec<usize> {
+                (offset..offset + case.stmt.widths[i])
+                    .filter(|&r| Some(case.ty(r)) == ty && !used(r))
+                    .collect()
+            };
+            let mut candidates = typed(Some(case.ty(l)));
+            if !candidates.is_empty() && cross() {
+                let other = typed(other_numeric(case.ty(l)));
+                if !other.is_empty() {
+                    seen.note("INT = DOUBLE join");
+                    candidates = other;
+                }
+            }
             if !candidates.is_empty() {
                 let r = pick(rng, &candidates);
                 case.stmt.joins.push((l, r));
@@ -669,18 +698,29 @@ fn case(seed: u64, seen: &mut Seen) -> Case {
     }
 
     // WHERE: column against a literal, a parameter, or a column of the
-    // same table (a cross-table equality would be a join).
+    // same table (a cross-table equality would be a join). Now and then a
+    // numeric column meets the other numeric type.
     for _ in 0..rng.gen_range(0..=3u64) {
         let c = rng.gen_range(0..case.width());
-        let ty = case.ty(c);
+        let own = case.ty(c);
+        let ty = match cross() {
+            true => other_numeric(own).unwrap_or(own),
+            false => own,
+        };
         let op = op(rng, seen);
         let right = match rng.gen_range(0..3u64) {
             0 => {
                 seen.note("column op literal");
+                if ty != own {
+                    seen.note("cross-type literal");
+                }
                 Expr::Lit(literal(rng, ty))
             }
             1 => {
                 seen.note("column op ?");
+                if ty != own {
+                    seen.note("cross-type literal");
+                }
                 let v = value(rng, ty);
                 note_value(seen, &v);
                 case.params.push(v);
@@ -693,9 +733,17 @@ fn case(seed: u64, seen: &mut Seen) -> Case {
                     .filter(|&d| d != c && case.ty(d) == ty)
                     .collect();
                 match same.is_empty() {
-                    true => Expr::Lit(literal(rng, ty)),
+                    true => {
+                        if ty != own {
+                            seen.note("cross-type literal");
+                        }
+                        Expr::Lit(literal(rng, ty))
+                    }
                     false => {
                         seen.note("column op column");
+                        if ty != own {
+                            seen.note("cross-type columns");
+                        }
                         Expr::Col(pick(rng, &same))
                     }
                 }
@@ -1086,12 +1134,15 @@ fn flip_build_sides(node: &Arc<PhysNode>, ordered: bool, flipped: &mut bool) -> 
 }
 
 /// Runs one case; `Err` describes the first disagreement.
-fn check(seed: u64, seen: &mut Seen) -> Result<(), String> {
-    let case = case(seed, seen);
+fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
+    let case = case(seed, mixed, seen);
     let sql = render(&case);
     let tables: Vec<Vec<Vec<Value>>> = case.tables.iter().map(|t| t.rows.clone()).collect();
     let expect = reference::run(&case.stmt, &tables, &case.params);
-    let fail = |what: String| format!("seed {seed}: {what}\n  {sql}\n  params {:?}", case.params);
+    let fail = |what: String| {
+        let params = &case.params;
+        format!("seed {seed} mixed={mixed}: {what}\n  {sql}\n  params {params:?}")
+    };
     let mut session = session(&case);
     for strategy in Strategy::all() {
         for hash in [false, true] {
@@ -1202,14 +1253,16 @@ fn pyro_agrees_with_the_reference_evaluator() {
     let mut failures = Vec::new();
     let seeds = REGRESSION_SEEDS
         .iter()
-        .copied()
-        .chain((0..cases).map(|i| 0x5EED_0000 + i));
-    for seed in seeds {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(seed, &mut seen)));
+        .flat_map(|&seed| [(seed, false), (seed, true)])
+        .chain((0..cases).map(|i| (0x5EED_0000 + i, true)));
+    for (seed, mixed) in seeds {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check(seed, mixed, &mut seen)
+        }));
         match run {
             Ok(Ok(())) => {}
             Ok(Err(e)) => failures.push(e),
-            Err(_) => failures.push(format!("seed {seed}: panicked")),
+            Err(_) => failures.push(format!("seed {seed} mixed={mixed}: panicked")),
         }
     }
     assert!(
@@ -1226,6 +1279,9 @@ fn pyro_agrees_with_the_reference_evaluator() {
         "column op literal",
         "column op ?",
         "column op column",
+        "cross-type literal",
+        "cross-type columns",
+        "INT = DOUBLE join",
         "=",
         "<>",
         "<",
@@ -1291,27 +1347,38 @@ fn the_reference_orders_values_like_sql_with_nulls_last() {
     }
 }
 
-/// Registers `a(id, v)` and `b(id, v)` with the given `v` cells, then runs
-/// `sql` (which joins them on `v`) under every strategy, with hash
-/// operators off, on, and on with hashing free, with every inner hash join
-/// built on either input, and with columnar execution on and off. Every plan must return `expect`
-/// rows whose two columns compare equal, and some plan must hash-join.
+/// Registers `a(id, v)` and `b(id, v)` on 64-byte pages with the given `v`
+/// cells, each table padded with rows whose `v` is NULL (which joins
+/// nothing) until it spans more than `MORSEL_PAGES` pages. Then runs `sql`
+/// (which joins them on `v`) under every strategy, with hash operators off,
+/// on, and on with hashing free, with every inner hash join built on either
+/// input, with columnar execution on and off, and on one worker and on two
+/// (where a scan of either table runs as morsel fragments, probing a hash
+/// join's shared build). Every plan must return `expect` rows whose two
+/// columns are equal, and some plan must hash-join.
 fn equi_join_under_every_plan(
     a: (DataType, &[Value]),
     b: (DataType, &[Value]),
     sql: &str,
     expect: usize,
 ) {
+    const PADDED_ROWS: usize = 200;
     let mut session = Session::new();
+    *session.catalog_mut() = Catalog::on_device(SimDevice::with_block_size(64));
+    // Room for every table: a hash join's build then fits in memory.
+    session.set_sort_memory_blocks(1 << 12);
     for (name, (ty, cells)) in [("a", a), ("b", b)] {
         let schema = Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", ty)]);
+        let pad = PADDED_ROWS.saturating_sub(cells.len());
         let rows: Vec<Tuple> = (0i64..)
-            .zip(cells)
+            .zip(cells.iter().chain(std::iter::repeat_n(&Value::Null, pad)))
             .map(|(i, v)| Tuple::new(vec![Value::Int(i), v.clone()]))
             .collect();
         session
             .register_table(name, schema, SortOrder::new(["id"]), &rows)
             .unwrap();
+        let pages = session.catalog().table(name).unwrap().heap.block_count();
+        assert!(pages > MORSEL_PAGES as u64, "{name}: {pages} pages");
     }
     let free = CostParams {
         hash_io: 0.0,
@@ -1328,9 +1395,10 @@ fn equi_join_under_every_plan(
             let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
             for plan in [plan.clone(), OptimizedPlan { root, ..plan }] {
                 hashed |= plan.explain().contains("Hash Join");
-                for columnar in [true, false] {
+                for (columnar, workers) in [(true, 1), (false, 1), (true, 2), (false, 2)] {
                     let options = CompileOptions {
                         columnar,
+                        workers,
                         ..CompileOptions::default()
                     };
                     let rows = plan
@@ -1339,16 +1407,13 @@ fn equi_join_under_every_plan(
                         .unwrap()
                         .rows;
                     let what = format!(
-                        "{} hash={hash} free={} columnar={columnar}\n{}",
+                        "{} hash={hash} free={} columnar={columnar} workers={workers}\n{}",
                         strategy.name(),
                         costs.is_some(),
                         plan.explain()
                     );
                     assert_eq!(rows.len(), expect, "{what}");
-                    assert!(
-                        rows.iter().all(|t| t.get(0).cmp(t.get(1)).is_eq()),
-                        "{what}"
-                    );
+                    assert!(rows.iter().all(|t| t.get(0) == t.get(1)), "{what}");
                 }
             }
         }
@@ -1393,4 +1458,62 @@ fn large_int_keys_join_only_equal_keys_under_every_plan() {
         sql,
         6 * 10 * 10,
     );
+}
+
+/// INT = DOUBLE compares exactly, with no rounding to `f64`: past 2^53 a
+/// DOUBLE equals only the INT it holds (2^53, not 2^53 + 1, which rounds
+/// to it), and 2^63 equals no INT (`i64::MAX` is the saturated cast of it).
+/// One row joins under every plan.
+#[test]
+fn int_equals_double_exactly_past_two_to_the_53_under_every_plan() {
+    const BIG: i64 = 1 << 53;
+    let ints = [BIG, BIG + 1, i64::MAX].map(Value::Int);
+    let doubles = [BIG as f64, 9_223_372_036_854_775_808.0].map(Value::Double);
+    let sql = "SELECT a.v, b.v FROM a, b WHERE a.v = b.v";
+    equi_join_under_every_plan((DataType::Int, &ints), (DataType::Double, &doubles), sql, 1);
+}
+
+/// A DOUBLE literal or parameter past 2^53 selects only the INT it equals,
+/// under every strategy, with hash operators and columnar execution on and
+/// off, over a table clustered on the filtered column (a seek) and over one
+/// that is not.
+#[test]
+fn int_column_against_a_double_past_two_to_the_53_is_exact() {
+    const BIG: i64 = 1 << 53;
+    let mut session = Session::new();
+    for (name, clustering) in [("by_v", vec!["v"]), ("by_id", vec!["id"])] {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let rows: Vec<Tuple> = [BIG, BIG + 1, i64::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Tuple::new(vec![Value::Int(i as i64), Value::Int(v)]))
+            .collect();
+        session
+            .register_table(name, schema, SortOrder::new(clustering), &rows)
+            .unwrap();
+    }
+    for table in ["by_v", "by_id"] {
+        let literal = format!("SELECT v FROM {table} WHERE v = 9007199254740992.0");
+        let param = format!("SELECT v FROM {table} WHERE v = ?");
+        for strategy in Strategy::all() {
+            for (hash, columnar) in [(false, true), (false, false), (true, true), (true, false)] {
+                session.set_strategy(strategy);
+                session.set_hash_operators(hash);
+                session.set_columnar(columnar);
+                for (sql, params) in [
+                    (&literal, vec![]),
+                    (&param, vec![Value::Double(BIG as f64)]),
+                ] {
+                    let rows = session.prepare(sql).unwrap().execute(&params).unwrap();
+                    let what =
+                        format!("{} hash={hash} columnar={columnar}: {sql}", strategy.name());
+                    assert_eq!(rows.len(), 1, "{what}");
+                    assert!(matches!(rows.rows()[0].get(0), Value::Int(BIG)), "{what}");
+                }
+            }
+        }
+    }
 }
