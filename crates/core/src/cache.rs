@@ -12,9 +12,9 @@
 //! SQL text (`pyro_sql::normalize` — whitespace/keyword-case insensitive,
 //! literal-sensitive), a fingerprint hash of every plan-affecting session
 //! knob (strategy, hash-operator toggle, cost-parameter overrides, sort
-//! memory budget, batch size, worker count, columnar toggle, buffer-pool
-//! capacity, plan-enumerator choice and join-enum threshold), and the
-//! catalog's schema [generation counter](pyro_catalog::Catalog::generation).
+//! memory budget, batch size, worker count, buffer-pool capacity and
+//! join-enum threshold), and the catalog's schema
+//! [generation counter](pyro_catalog::Catalog::generation).
 //! Any knob flip or catalog mutation therefore changes the key and misses —
 //! a stale plan can never be served. Stale-generation entries age out via
 //! LRU eviction rather than eager sweeps.

@@ -14,14 +14,13 @@
 //! stay serial and receive either the exact serial row sequence (a gather
 //! that releases morsels in file order) or an unparallelized child.
 //!
-//! The compiler decides nothing about batch layouts. Scans decode to
-//! columns, every operator above picks its kernel from the
+//! The compiler decides nothing about batch layouts. Scans always decode
+//! to columns, every operator above picks its kernel from the
 //! [`pyro_exec::Batch`] it is handed (see `pyro_exec::op`), and
 //! [`Pipeline::run`] converts what the root emits to rows — so a plan of
 //! the paper's operators is columnar from its scans to its root, and a plan
 //! of row-wise operators moves rows without converting, on either side of
-//! an exchange. [`CompileOptions::columnar`] acts in one place only: the
-//! scans, which then decode to rows.
+//! an exchange.
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
@@ -42,12 +41,12 @@ use std::sync::Arc;
 
 /// How a plan is instantiated — everything [`compile`] needs besides the
 /// plan and the catalog. `Default` is what a bare `compile` always meant:
-/// 1024-row batches, one worker, no bound parameters, columnar scans.
+/// 1024-row batches, one worker, no bound parameters.
 ///
-/// The four fields are the session's execution knobs (`Session` derives
+/// The three fields are the session's execution knobs (`Session` derives
 /// its options from its `SessionConfig` plus the statement's bindings);
 /// none of them changes a row or a counter, only how the work is carried
-/// out. They are also, in this order, the positional arguments of
+/// out. They are also, in this order, the first positional arguments of
 /// [`crate::OptimizedPlan::compile_bound_columnar`] — the one other
 /// `compile*` name left, a one-line adapter onto [`compile`] that survives
 /// only because the frozen `benchmark/` package calls it.
@@ -67,13 +66,6 @@ pub struct CompileOptions<'a> {
     /// literals would have produced. A placeholder without a binding is a
     /// typed error, never a silent NULL.
     pub params: &'a [Value],
-    /// `false` makes scans decode to row batches, which every operator
-    /// above then processes with its row kernel (the sort enforcers, merge
-    /// join and sort-based aggregate convert at their input; they have no
-    /// row-batch kernel) — the `SessionBuilder::columnar(false)` escape
-    /// hatch and the reference side of A/B parity tests. Rows and counters
-    /// are identical either way.
-    pub columnar: bool,
 }
 
 impl Default for CompileOptions<'_> {
@@ -82,7 +74,6 @@ impl Default for CompileOptions<'_> {
             batch_size: DEFAULT_BATCH_SIZE,
             workers: 1,
             params: &[],
-            columnar: true,
         }
     }
 }
@@ -113,7 +104,6 @@ pub fn compile(
         batch: options.batch_size.max(1),
         workers: options.workers.max(1),
         params: options.params,
-        columnar: options.columnar,
     };
     let op = compile_sub(root, &ctx, ordered_output)?;
     // The pipeline charges the catalog store's buffer-pool counter delta
@@ -131,17 +121,6 @@ pub(crate) struct CompileCtx<'a> {
     pub(crate) batch: usize,
     pub(crate) workers: usize,
     pub(crate) params: &'a [Value],
-    pub(crate) columnar: bool,
-}
-
-/// A scan in the layout the `columnar` option calls for: the one place it
-/// acts.
-pub(crate) fn scan_layout(columnar: bool, scan: FileScan) -> FileScan {
-    if columnar {
-        scan
-    } else {
-        scan.row_batches()
-    }
 }
 
 /// True iff this operator hands its input sequence through untouched *and*
@@ -353,7 +332,7 @@ fn compile_filter_child(
     if let Some(Seek { file, cols, key }) = seek_key(child, predicate, ctx)? {
         let (start, end) = pyro_exec::scan::eq_key_page_range(&file, &cols, &key)?;
         let scan = FileScan::over_pages(child.schema.clone(), &file, start, end);
-        let mut op: BoxOp = Box::new(scan_layout(ctx.columnar, scan));
+        let mut op: BoxOp = Box::new(scan);
         op.set_batch_size(ctx.batch);
         return Ok(op);
     }
@@ -369,10 +348,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
         | PhysOp::ClusteredIndexScan { .. }
         | PhysOp::CoveringIndexScan { .. } => {
             let file = scan_file(node, ctx.catalog)?;
-            Box::new(scan_layout(
-                ctx.columnar,
-                FileScan::new(node.schema.clone(), &file),
-            ))
+            Box::new(FileScan::new(node.schema.clone(), &file))
         }
         PhysOp::Filter { predicate } => {
             let child = compile_filter_child(&node.children[0], predicate, ctx, child_exact)?;

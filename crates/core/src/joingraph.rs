@@ -15,15 +15,15 @@
 //! changed.
 //!
 //! Reordering is gated by the `join_enum_threshold` knob
-//! ([`DEFAULT_JOIN_ENUM_THRESHOLD`]; [`EnumStrategy::Heuristic`] lowers it
-//! to 2): regions at or below the threshold keep the given shape and
+//! ([`DEFAULT_JOIN_ENUM_THRESHOLD`]; 2 re-shapes every region it can
+//! improve): regions at or below the threshold keep the given shape and
 //! therefore the exact plans, costs and counters of the unreordered search.
 
 use crate::equiv::EquivMap;
 use crate::ids::{AttrId, Names};
 use crate::logical::{JoinPair, LogicalOp, LogicalPlan, NExpr, NodeId, ProjItem};
 use pyro_catalog::Catalog;
-use pyro_common::{PyroError, Result, Schema};
+use pyro_common::{Result, Schema};
 use pyro_exec::join::JoinKind;
 use pyro_exec::CmpOp;
 use std::collections::HashMap;
@@ -321,47 +321,14 @@ impl JoinRegion {
 /// workload in the paper's figures, so their plans are untouched.
 pub const DEFAULT_JOIN_ENUM_THRESHOLD: usize = 8;
 
-/// Whether [`reorder_joins`] waits for the `join_enum_threshold` or runs on
-/// every region it can improve. Orthogonal to the paper's
-/// interesting-order [`crate::strategy::Strategy`]: the search that
-/// follows is the same either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The one plan-space enumerator: the memoized search over the written
+/// join shape, after [`reorder_joins`] re-shapes the regions above the
+/// `join_enum_threshold`. Kept only for the benchmark harness, and deleted
+/// by its next interface change (ROADMAP 1-II).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnumStrategy {
-    /// Plan the written join shape; only inner-join regions above the
-    /// `join_enum_threshold` knob are re-shaped first.
-    #[default]
+    /// The memoized search.
     Memo,
-    /// Re-shape *every* inner-join region of three or more leaves — the
-    /// Simpli-Squared-style fallback for plans too large to enumerate in
-    /// the given shape.
-    Heuristic,
-}
-
-impl EnumStrategy {
-    /// CLI/config name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EnumStrategy::Memo => "memo",
-            EnumStrategy::Heuristic => "heuristic",
-        }
-    }
-
-    /// Parses a CLI/config name.
-    pub fn from_name(name: &str) -> Result<EnumStrategy> {
-        match name.to_ascii_lowercase().as_str() {
-            "memo" => Ok(EnumStrategy::Memo),
-            "heuristic" => Ok(EnumStrategy::Heuristic),
-            _ => Err(PyroError::Plan(format!(
-                "unknown enum strategy {name:?} (expected memo or heuristic)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for EnumStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Rebuilds `plan` with every well-formed, connected inner-join region of
@@ -595,19 +562,6 @@ mod tests {
         let order = g.regions[0].greedy_order().unwrap();
         // leaves in-order: [r1, r3, r2]; r3 (index 1) has degree 2.
         assert_eq!(order[0], 1);
-    }
-
-    #[test]
-    fn enum_strategy_names_round_trip() {
-        for e in [EnumStrategy::Memo, EnumStrategy::Heuristic] {
-            assert_eq!(EnumStrategy::from_name(e.name()).unwrap(), e);
-        }
-        // The retired third value is an unknown name like any other.
-        let err = EnumStrategy::from_name("exhaustive").unwrap_err();
-        assert!(
-            matches!(&err, PyroError::Plan(m) if m.contains("memo or heuristic")),
-            "{err}"
-        );
     }
 
     #[test]

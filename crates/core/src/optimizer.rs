@@ -40,7 +40,6 @@ pub struct Optimizer<'a> {
     strategy: Strategy,
     params: CostParams,
     enable_hash: bool,
-    enum_strategy: EnumStrategy,
     join_enum_threshold: usize,
 }
 
@@ -61,7 +60,6 @@ impl<'a> Optimizer<'a> {
             strategy: Strategy::pyro_o(),
             params,
             enable_hash: true,
-            enum_strategy: EnumStrategy::default(),
             join_enum_threshold: DEFAULT_JOIN_ENUM_THRESHOLD,
         }
     }
@@ -88,19 +86,18 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Selects when joins are re-shaped before the search (default:
-    /// [`EnumStrategy::Memo`]: only above the threshold). Orthogonal to
-    /// [`Optimizer::with_strategy`]: the search itself is the same.
-    pub fn with_enum_strategy(mut self, enum_strategy: EnumStrategy) -> Self {
-        self.enum_strategy = enum_strategy;
+    /// Does nothing: [`EnumStrategy::Memo`] is the only enumerator. Kept
+    /// only for the benchmark harness, and deleted by its next interface
+    /// change (ROADMAP 1-II).
+    pub fn with_enum_strategy(self, _enum_strategy: EnumStrategy) -> Self {
         self
     }
 
     /// Inner-join region size (in leaf inputs) above which the region is
     /// re-shaped with the cardinality-free heuristic instead of planned in
     /// the given shape (default: [`DEFAULT_JOIN_ENUM_THRESHOLD`];
-    /// `usize::MAX` never re-shapes). [`EnumStrategy::Heuristic`] overrides
-    /// it with 2.
+    /// `2` re-shapes every region of three or more inputs, `usize::MAX`
+    /// never re-shapes).
     pub fn with_join_enum_threshold(mut self, threshold: usize) -> Self {
         self.join_enum_threshold = threshold;
         self
@@ -114,11 +111,7 @@ impl<'a> Optimizer<'a> {
         }
         // `reorder_joins` returns None when nothing qualifies, keeping the
         // original plan — and its exact plans, costs and counters.
-        let threshold = match self.enum_strategy {
-            EnumStrategy::Heuristic => 2,
-            EnumStrategy::Memo => self.join_enum_threshold,
-        };
-        let reordered = reorder_joins(plan, self.catalog, threshold)?;
+        let reordered = reorder_joins(plan, self.catalog, self.join_enum_threshold)?;
         let (plan, reordered_joins) = match &reordered {
             Some((p, n)) => (p, *n),
             None => (plan, 0),
@@ -148,7 +141,6 @@ impl<'a> Optimizer<'a> {
             strategy: self.strategy,
             ordered_output: output_is_ordered(plan),
             planning: PlanningInfo {
-                enumerator: self.enum_strategy,
                 groups: accounting.groups,
                 candidates: accounting.candidates,
                 reordered_joins,
@@ -200,14 +192,12 @@ fn output_is_ordered(plan: &LogicalPlan) -> bool {
     }
 }
 
-/// How one plan was found: the join re-shape policy it was planned under,
-/// the search's enumeration accounting, and the planning wall-clock. Rides
-/// on every [`OptimizedPlan`]; a plan served from the plan cache carries
-/// the info of the run that originally produced it.
+/// How one plan was found: the search's enumeration accounting, the joins
+/// re-shaped before it, and the planning wall-clock. Rides on every
+/// [`OptimizedPlan`]; a plan served from the plan cache carries the info of
+/// the run that originally produced it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanningInfo {
-    /// The join re-shape policy the query was planned under.
-    pub enumerator: EnumStrategy,
     /// Memo groups solved (see [`SearchStats::groups`]).
     pub groups: u64,
     /// Physical candidates enumerated (see [`SearchStats::candidates`]).
@@ -232,7 +222,7 @@ pub struct OptimizedPlan {
     /// set, and is free to gather in arrival order when it is not — even if
     /// the chosen plan incidentally guarantees an order.
     pub ordered_output: bool,
-    /// How the plan was found: re-shape policy, search accounting,
+    /// How the plan was found: search accounting, re-shaped joins,
     /// planning time.
     pub planning: PlanningInfo,
 }
@@ -250,8 +240,8 @@ impl OptimizedPlan {
 
     /// Compiles to a runnable operator [`pyro_exec::Pipeline`] as `options`
     /// say (see [`CompileOptions`]; `&CompileOptions::default()` is the
-    /// serial, columnar, 1024-row-batch instantiation), honouring the
-    /// query's own output-order demand.
+    /// serial, 1024-row-batch instantiation), honouring the query's own
+    /// output-order demand.
     pub fn compile(
         &self,
         catalog: &Catalog,
@@ -260,22 +250,22 @@ impl OptimizedPlan {
         crate::compile::compile(&self.root, catalog, self.ordered_output, options)
     }
 
-    /// [`Self::compile`] with the options spelled out positionally. Kept
-    /// only because the frozen `benchmark/` package calls it by this name
-    /// and signature; new code builds a [`CompileOptions`].
+    /// [`Self::compile`] with the options spelled out positionally; the
+    /// last argument is ignored (scans always decode to columns). Kept only
+    /// for the benchmark harness, and deleted by its next interface change
+    /// (ROADMAP 1-II); new code builds a [`CompileOptions`].
     pub fn compile_bound_columnar(
         &self,
         catalog: &Catalog,
         batch_size: usize,
         workers: usize,
         params: &[pyro_common::Value],
-        columnar: bool,
+        _columnar: bool,
     ) -> Result<pyro_exec::Pipeline> {
         let options = CompileOptions {
             batch_size,
             workers,
             params,
-            columnar,
         };
         self.compile(catalog, &options)
     }

@@ -40,9 +40,7 @@
 //!    file out would read all of it) — the subtree root compiles serially
 //!    and its inputs get the same chance.
 
-use crate::compile::{
-    compile_expr_bound, compile_sub, pair_cols, scan_file, scan_layout, seeks, CompileCtx,
-};
+use crate::compile::{compile_expr_bound, compile_sub, pair_cols, scan_file, seeks, CompileCtx};
 use crate::plan::{PhysNode, PhysOp};
 use pyro_common::{KeySpec, PyroError, Result};
 use pyro_exec::filter::Filter;
@@ -207,10 +205,7 @@ fn fragment(
                 Box::new(j)
             })
         }
-        op if is_scan(op) => {
-            let columnar = ctx.columnar;
-            Arc::new(move |leaf| Box::new(scan_layout(columnar, leaf)))
-        }
+        op if is_scan(op) => Arc::new(|leaf| Box::new(leaf)),
         other => {
             return Err(PyroError::Plan(format!(
                 "fragment() on non-parallel-safe operator {}",
@@ -261,33 +256,30 @@ mod tests {
         cat
     }
 
-    /// Runs `plan` serially, then at every columnar × workers combination,
-    /// handing each result to `check` next to the serial reference.
+    /// Runs `plan` serially, then at every worker count, handing each
+    /// result to `check` next to the serial reference.
     fn for_every_mode(plan: &OptimizedPlan, cat: &Catalog, check: impl Fn(&Rows, &Rows, &str)) {
         let serial = plan.execute(cat).unwrap();
-        for columnar in [true, false] {
-            for workers in [1, 2, 4] {
-                let options = CompileOptions {
-                    batch_size: 256,
-                    workers,
-                    columnar,
-                    ..CompileOptions::default()
-                };
-                let out = plan.compile(cat, &options).unwrap().run().unwrap();
-                let mode = format!("columnar={columnar} workers={workers}");
-                assert_eq!(
-                    serial.metrics.comparisons(),
-                    out.metrics.comparisons(),
-                    "{mode}"
-                );
-                assert_eq!(serial.metrics.run_io(), out.metrics.run_io(), "{mode}");
-                assert_eq!(
-                    serial.metrics.runs_created(),
-                    out.metrics.runs_created(),
-                    "{mode}"
-                );
-                check(&serial, &out, &mode);
-            }
+        for workers in [1, 2, 4] {
+            let options = CompileOptions {
+                batch_size: 256,
+                workers,
+                ..CompileOptions::default()
+            };
+            let out = plan.compile(cat, &options).unwrap().run().unwrap();
+            let mode = format!("workers={workers}");
+            assert_eq!(
+                serial.metrics.comparisons(),
+                out.metrics.comparisons(),
+                "{mode}"
+            );
+            assert_eq!(serial.metrics.run_io(), out.metrics.run_io(), "{mode}");
+            assert_eq!(
+                serial.metrics.runs_created(),
+                out.metrics.runs_created(),
+                "{mode}"
+            );
+            check(&serial, &out, &mode);
         }
     }
 
@@ -385,7 +377,6 @@ mod tests {
             batch: 256,
             workers: 2,
             params: &[],
-            columnar: true,
         }
     }
 

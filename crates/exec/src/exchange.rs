@@ -361,7 +361,7 @@ mod tests {
     use crate::expr::{CmpOp, Expr};
     use crate::filter::Filter;
     use crate::join::{HashJoin, SharedBuild, Side};
-    use crate::op::{collect, FaultyOp, Stash, ValuesOp};
+    use crate::op::{collect, AsRows, FaultyOp, Stash, ValuesOp};
     use pyro_common::{KeySpec, Tuple, Value};
     use pyro_storage::{write_file, SimDevice, TupleFile};
 
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
         let (file, rows) = file(600);
-        let row_scan: FragmentFn = Arc::new(|leaf| Box::new(leaf.row_batches()));
+        let row_scan: FragmentFn = Arc::new(|leaf| Box::new(AsRows(Box::new(leaf))));
         for workers in [1, 2, 4] {
             let mut one_row = gather(&file, None, identity(), workers);
             one_row.set_batch_size(1);

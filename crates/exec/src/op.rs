@@ -491,6 +491,26 @@ impl Operator for Parts {
     }
 }
 
+/// Test operator: `child`'s batches, each converted to `Rows` — a source
+/// that feeds the operators above their row kernels.
+#[cfg(test)]
+pub(crate) struct AsRows(pub(crate) BoxOp);
+
+#[cfg(test)]
+impl Operator for AsRows {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        Ok(self.0.next_batch()?.map(|b| Batch::Rows(b.into_rows())))
+    }
+
+    fn set_batch_size(&mut self, rows: usize) {
+        self.0.set_batch_size(rows);
+    }
+}
+
 /// `x`'s debug text, which names every cell's variant and spells a double
 /// exactly (`-0.0` apart from `0.0`). `Value`'s `==` is the engine's
 /// equality and takes `Int(2)` for `Double(2.0)`, so a test that claims
@@ -510,16 +530,16 @@ pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
     let device = pyro_storage::SimDevice::with_block_size(128);
     let file = pyro_storage::write_file(device, rows).expect("in-memory file");
     let page = |p: usize| -> BoxOp {
-        let scan = FileScan::over_pages(schema.clone(), &file, p, p + 1);
-        Box::new(if p.is_multiple_of(2) {
-            scan.row_batches()
+        let scan = Box::new(FileScan::over_pages(schema.clone(), &file, p, p + 1));
+        if p.is_multiple_of(2) {
+            Box::new(AsRows(scan))
         } else {
             scan
-        })
+        }
     };
     let pages = (0..file.block_count() as usize).map(page).collect();
     [
-        Box::new(FileScan::new(schema.clone(), &file).row_batches()),
+        Box::new(AsRows(Box::new(FileScan::new(schema.clone(), &file)))),
         Box::new(FileScan::new(schema.clone(), &file)),
         Box::new(Parts(pages)),
     ]

@@ -8,7 +8,7 @@
 //! via the device).
 
 use crate::op::{Batch, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema, Tuple, Value};
+use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema, Value};
 use pyro_storage::{TupleFile, TupleFileScan};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -27,10 +27,6 @@ pub const MORSEL_PAGES: usize = 32;
 pub struct FileScan {
     schema: Schema,
     scan: TupleFileScan,
-    /// Batches decode to boxed rows instead of column vectors.
-    rows: bool,
-    /// Decoded-but-unemitted rows of the current page (row batches only).
-    pending: Vec<Tuple>,
     batch: usize,
     /// Tuples in the scanned range, for `size_hint`.
     total: usize,
@@ -44,8 +40,6 @@ impl FileScan {
         FileScan {
             schema,
             scan: file.scan(),
-            rows: false,
-            pending: Vec::new(),
             batch: DEFAULT_BATCH_SIZE,
             total: file.tuple_count() as usize,
             emitted: 0,
@@ -60,21 +54,10 @@ impl FileScan {
         FileScan {
             schema,
             scan: file.scan_pages(start, end),
-            rows: false,
-            pending: Vec::new(),
             batch: DEFAULT_BATCH_SIZE,
             total: usize::MAX,
             emitted: 0,
         }
-    }
-
-    /// Makes the batch pull decode pages to [`Batch::Rows`] rather than to
-    /// column vectors — the leaf is the one place the session's
-    /// `columnar(false)` acts: every operator above then sees rows and runs
-    /// its row kernel.
-    pub fn row_batches(mut self) -> Self {
-        self.rows = true;
-        self
     }
 }
 
@@ -84,30 +67,18 @@ impl Operator for FileScan {
     }
 
     /// Decodes pages straight into typed column vectors — no `Tuple` is
-    /// boxed — or, after [`FileScan::row_batches`], into rows. Either way
-    /// the batch may overshoot the batch size by the tail of the last
-    /// decoded page (allowed by the batch contract).
+    /// boxed. The batch may overshoot the batch size by the tail of the
+    /// last decoded page (allowed by the batch contract).
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let batch = if self.rows {
-            if self.pending.is_empty() && !self.scan.fill_chunk(&mut self.pending, self.batch)? {
-                return Ok(None);
-            }
-            Batch::Rows(if self.pending.len() <= self.batch {
-                std::mem::take(&mut self.pending)
-            } else {
-                self.pending.drain(..self.batch).collect()
-            })
-        } else {
-            let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
-                .map(|_| ColumnBuilder::new())
-                .collect();
-            if !self.scan.fill_columns(&mut builders, self.batch)? {
-                return Ok(None);
-            }
-            Batch::Cols(ColumnarBatch::from_builders(builders))
-        };
+        let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
+            .map(|_| ColumnBuilder::new())
+            .collect();
+        if !self.scan.fill_columns(&mut builders, self.batch)? {
+            return Ok(None);
+        }
+        let batch = ColumnarBatch::from_builders(builders);
         self.emitted += batch.num_rows();
-        Ok(Some(batch))
+        Ok(Some(Batch::Cols(batch)))
     }
 
     fn batch_size(&self) -> usize {
@@ -120,7 +91,7 @@ impl Operator for FileScan {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         if self.total == usize::MAX {
-            return (self.pending.len(), None);
+            return (0, None);
         }
         let rem = self.total.saturating_sub(self.emitted);
         (rem, Some(rem))
@@ -316,7 +287,7 @@ impl MorselSource {
 mod tests {
     use super::*;
     use crate::op::{collect, BoxOp};
-    use pyro_common::Value;
+    use pyro_common::{Tuple, Value};
     use pyro_storage::{write_file, SimDevice};
 
     fn sample_file(n: i64, block_size: usize) -> (pyro_storage::DeviceRef, TupleFile, Vec<Tuple>) {

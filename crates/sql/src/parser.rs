@@ -240,10 +240,9 @@ impl<'a> Parser<'a> {
         while self.eat_kw("and") {
             terms.push(self.comparison()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one")
-        } else {
-            SqlExpr::And(terms)
+        Ok(match <[SqlExpr; 1]>::try_from(terms) {
+            Ok([one]) => one,
+            Err(terms) => SqlExpr::And(terms),
         })
     }
 

@@ -244,21 +244,6 @@ impl TupleFileScan {
         Ok(None)
     }
 
-    /// Decodes pages directly into `out` until it holds at least `target`
-    /// rows or the scanned range ends (no intermediate page vector).
-    /// Returns `true` iff any rows were appended.
-    pub fn fill_chunk(&mut self, out: &mut Vec<Tuple>, target: usize) -> Result<bool> {
-        let start = out.len();
-        if self.buffer.len() > 0 {
-            out.extend(self.buffer.by_ref());
-        }
-        while out.len() < target {
-            let Some(page) = self.next_page()? else { break };
-            crate::page::decode_page_into(&page, out)?;
-        }
-        Ok(out.len() > start)
-    }
-
     /// Decodes pages straight into per-column builders until at least
     /// `target` rows have been appended or the scanned range ends — the
     /// vectorized scan path: no `Tuple` is ever boxed. Rows buffered by a
@@ -382,7 +367,10 @@ mod tests {
         let by_tuple: Vec<Tuple> = f.scan().map(|r| r.unwrap()).collect();
         assert_eq!(by_tuple, data);
         let mut by_chunk = Vec::new();
-        assert!(f.scan().fill_chunk(&mut by_chunk, usize::MAX).unwrap());
+        let mut scan = f.scan();
+        while let Some(chunk) = scan.next_chunk().unwrap() {
+            by_chunk.extend(chunk);
+        }
         assert_eq!(by_chunk, data);
         let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
         let mut scan = f.scan();

@@ -165,18 +165,9 @@ impl PageBuilder {
 
 /// Decodes all tuples from a page produced by [`PageBuilder`].
 pub fn decode_page(data: &[u8]) -> Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    decode_page_into(data, &mut out)?;
-    Ok(out)
-}
-
-/// Decodes a page, appending the tuples to `out` — the batch-at-a-time
-/// scan path decodes straight into its output buffer with no intermediate
-/// page vector.
-pub fn decode_page_into(data: &[u8], out: &mut Vec<Tuple>) -> Result<()> {
     let mut pos = 0usize;
     let count = read_u16(data, &mut pos)? as usize;
-    out.reserve(count);
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let arity = read_u16(data, &mut pos)? as usize;
         let mut values = Vec::with_capacity(arity);
@@ -209,7 +200,7 @@ pub fn decode_page_into(data: &[u8], out: &mut Vec<Tuple>) -> Result<()> {
         }
         out.push(Tuple::new(values));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Decodes a page straight into per-column [`ColumnBuilder`]s — the

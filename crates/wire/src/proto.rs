@@ -160,24 +160,31 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The next `N` bytes, by value.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u16`.
     pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -197,12 +204,8 @@ impl<'a> Reader<'a> {
     pub fn value(&mut self) -> Result<Value> {
         match self.u8()? {
             0 => Ok(Value::Null),
-            1 => Ok(Value::Int(i64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            2 => Ok(Value::Double(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            )))),
+            1 => Ok(Value::Int(i64::from_le_bytes(self.take_array()?))),
+            2 => Ok(Value::Double(f64::from_le_bytes(self.take_array()?))),
             3 => Ok(Value::Str(self.str()?)),
             tag => Err(PyroError::Wire(format!("unknown value tag {tag}"))),
         }

@@ -48,16 +48,13 @@ pub struct QueryResult {
 
 /// Renders a costed plan header + search line + tree — the `explain` text
 /// both [`crate::Session::explain`] and [`QueryResult::explain`] return.
-/// The search line reports which enumerator planned the query and how much
-/// of the plan space it touched; planning wall-clock is deliberately *not*
+/// The search line reports how much of the plan space the search touched
+/// and how many joins were re-shaped before it; planning wall-clock is deliberately *not*
 /// rendered (it lives in [`QueryResult::planning`]) so equal plans explain
 /// identically.
 pub(crate) fn render_plan(plan: &OptimizedPlan) -> String {
     let p = &plan.planning;
-    let mut search = format!(
-        "search: {} enumerator, {} groups, {} candidates",
-        p.enumerator, p.groups, p.candidates
-    );
+    let mut search = format!("search: {} groups, {} candidates", p.groups, p.candidates);
     if p.reordered_joins > 0 {
         search.push_str(&format!(", {} joins reordered", p.reordered_joins));
     }
@@ -117,8 +114,9 @@ impl QueryResult {
         &self.plan
     }
 
-    /// How the plan was found: the enumerator, the search's memo
-    /// group/candidate accounting, and the planning wall-clock.
+    /// How the plan was found: the search's memo group/candidate
+    /// accounting, the joins re-shaped before it, and the planning
+    /// wall-clock.
     /// A plan served from the plan cache reports the run that originally
     /// produced it (planning was skipped for this call —
     /// [`QueryResult::plan_cache`] says so).

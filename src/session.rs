@@ -44,9 +44,7 @@ pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 pub struct SessionConfig {
     /// Interesting-order strategy.
     pub strategy: Strategy,
-    /// When inner-join regions are re-shaped before the search.
-    pub enum_strategy: EnumStrategy,
-    /// Inner-join region size above which `memo` re-shapes the region.
+    /// Inner-join region size above which the region is re-shaped.
     pub join_enum_threshold: usize,
     /// Cost-constant overrides; `None` derives them from the device.
     pub cost_params: Option<CostParams>,
@@ -56,8 +54,6 @@ pub struct SessionConfig {
     pub batch_size: usize,
     /// Execution worker threads (floor 1).
     pub workers: usize,
-    /// Whether scans decode to column vectors (else to rows).
-    pub columnar: bool,
     /// RNG seed for data generators driven through the session. Fixed at
     /// build time; the only field without a setter.
     pub seed: u64,
@@ -67,13 +63,11 @@ impl Default for SessionConfig {
     fn default() -> SessionConfig {
         SessionConfig {
             strategy: Strategy::pyro_o(),
-            enum_strategy: EnumStrategy::default(),
             join_enum_threshold: pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD,
             cost_params: None,
             hash_operators: true,
             batch_size: DEFAULT_BATCH_SIZE,
             workers: 1,
-            columnar: true,
             seed: pyro_datagen::SEED,
         }
     }
@@ -131,28 +125,12 @@ impl SessionBuilder {
         Ok(self.strategy(Strategy::from_name(name)?))
     }
 
-    /// Sets when joins are re-shaped before the one memoized search
-    /// (default: [`EnumStrategy::Memo`]). Orthogonal to
-    /// [`SessionBuilder::strategy`]: `memo` re-shapes only inner-join
-    /// regions larger than [`SessionBuilder::join_enum_threshold`] with the
-    /// cardinality-free heuristic, `heuristic` forces the re-shape for
-    /// every region of three or more inputs.
-    pub fn enum_strategy(mut self, enum_strategy: EnumStrategy) -> SessionBuilder {
-        self.config.enum_strategy = enum_strategy;
-        self
-    }
-
-    /// Sets the enumerator by name (`"memo"`, `"heuristic"`); for CLI
-    /// flags and config files.
-    pub fn enum_strategy_name(self, name: &str) -> Result<SessionBuilder> {
-        Ok(self.enum_strategy(EnumStrategy::from_name(name)?))
-    }
-
-    /// Inner-join region size (leaf inputs) above which the `memo`
-    /// enumerator re-shapes the region instead of planning the given join
-    /// shape (default:
-    /// [`pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD`]; `usize::MAX`
-    /// never re-shapes).
+    /// Inner-join region size (leaf inputs) above which the region is
+    /// re-shaped with the cardinality-free heuristic before the one
+    /// memoized search, instead of planning the given join shape (default:
+    /// [`pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD`]; `2` re-shapes
+    /// every region of three or more inputs, `usize::MAX` never re-shapes).
+    /// Orthogonal to [`SessionBuilder::strategy`].
     pub fn join_enum_threshold(mut self, threshold: usize) -> SessionBuilder {
         self.config.join_enum_threshold = threshold;
         self
@@ -199,21 +177,6 @@ impl SessionBuilder {
     /// as multisets); only wall-clock changes.
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
         self.config.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables columnar scans (default: enabled). When on,
-    /// base-table scans — serial or inside the worker fragments of a
-    /// parallel plan — decode pages into columnar (structure-of-arrays)
-    /// batches, and every operator above picks its vectorized or row kernel
-    /// from the batch it is handed; rows materialize once, at the plan
-    /// root or at the first inherently row-wise operator. When off, scans
-    /// decode to row batches and the row kernels run throughout. Rows and
-    /// all `ExecMetrics` counters are columnar-invariant — the knob changes
-    /// CPU efficiency, never results — so `false` exists as an escape hatch
-    /// and for A/B measurement, not correctness.
-    pub fn columnar(mut self, enable: bool) -> SessionBuilder {
-        self.config.columnar = enable;
         self
     }
 
@@ -493,15 +456,11 @@ impl Session {
         Ok(())
     }
 
-    /// The session's current plan-space enumerator.
+    /// Always [`EnumStrategy::Memo`], the only enumerator; kept only for the
+    /// benchmark harness, and deleted by its next interface change
+    /// (ROADMAP 1-II).
     pub fn enum_strategy(&self) -> EnumStrategy {
-        self.config.enum_strategy
-    }
-
-    /// Switches the plan-space enumerator for subsequent queries; see
-    /// [`SessionBuilder::enum_strategy`].
-    pub fn set_enum_strategy(&mut self, enum_strategy: EnumStrategy) {
-        self.config.enum_strategy = enum_strategy;
+        EnumStrategy::Memo
     }
 
     /// The current join-enumeration threshold; see
@@ -572,16 +531,11 @@ impl Session {
         self.config.workers = workers.max(1);
     }
 
-    /// Whether columnar execution is enabled; see
-    /// [`SessionBuilder::columnar`].
+    /// Always `true`: scans always decode to columns. Kept only for the
+    /// benchmark harness, and deleted by its next interface change
+    /// (ROADMAP 1-II).
     pub fn columnar(&self) -> bool {
-        self.config.columnar
-    }
-
-    /// Enables or disables columnar execution; see
-    /// [`SessionBuilder::columnar`].
-    pub fn set_columnar(&mut self, enable: bool) {
-        self.config.columnar = enable;
+        true
     }
 
     /// The RNG seed for data generators driven through this session.
@@ -754,7 +708,6 @@ impl Session {
         let mut optimizer = Optimizer::new(&self.catalog)
             .with_strategy(config.strategy)
             .with_hash(config.hash_operators)
-            .with_enum_strategy(config.enum_strategy)
             .with_join_enum_threshold(config.join_enum_threshold);
         if let Some(params) = config.cost_params {
             // block_size and sort_mem_blocks are facts of the session (the
@@ -779,7 +732,6 @@ impl Session {
             batch_size: self.config.batch_size,
             workers: self.config.workers,
             params,
-            columnar: self.config.columnar,
         };
         plan.compile(&self.catalog, &options)
     }

@@ -5,7 +5,7 @@
 use pyro::common::{Schema, Tuple, Value};
 use pyro::core::PhysOp;
 use pyro::datagen::{consolidation, qtables, tpch};
-use pyro::{EnumStrategy, Session, SortOrder, Strategy};
+use pyro::{Session, SortOrder, Strategy};
 
 mod common;
 use common::exact;
@@ -350,7 +350,7 @@ fn heuristic_reorder_preserves_rows_on_multiway_chain() {
         s
     };
     let written = session(Session::builder().join_enum_threshold(usize::MAX));
-    let heuristic = session(Session::builder().enum_strategy(EnumStrategy::Heuristic));
+    let heuristic = session(Session::builder().join_enum_threshold(2));
 
     // A 4-way chain: greedy seeds at the densest leaf (t1), so the
     // heuristic rewrites the tree while the pass-through projection

@@ -1,6 +1,6 @@
 //! Serial/parallel parity: for every paper-query workload and strategy,
-//! executing at `columnar ∈ {on, off}` × `workers ∈ {1, 2, 4}` must
-//! reproduce the serial row engine exactly — identical row multisets
+//! executing at `workers ∈ {2, 4}` must reproduce the serial engine
+//! exactly — identical row multisets
 //! (identical row *sequences* for ordered outputs) and bit-identical totals
 //! for all four `ExecMetrics` counters, spill paths included.
 //!
@@ -20,16 +20,9 @@ use pyro::{Session, SortOrder, Strategy};
 mod common;
 use common::exact;
 
-/// `(columnar, workers)`: the first is the reference every other mode must
-/// reproduce — the serial row-batch engine.
-const MODES: [(bool, usize); 6] = [
-    (false, 1),
-    (true, 1),
-    (false, 2),
-    (true, 2),
-    (false, 4),
-    (true, 4),
-];
+/// Worker counts: the first is the reference every other mode must
+/// reproduce — the serial engine.
+const MODES: [usize; 3] = [1, 2, 4];
 
 struct Reference {
     rows: Vec<Tuple>,
@@ -38,11 +31,10 @@ struct Reference {
 
 /// Runs `sql` in the reference mode, then in every other mode, asserting
 /// counter parity always and row parity as a sequence (`ordered`) or
-/// multiset. Leaves the session at its defaults (columnar on, one worker).
+/// multiset. Leaves the session at one worker.
 fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
     let mut reference: Option<Reference> = None;
-    for (columnar, w) in MODES {
-        session.set_columnar(columnar);
+    for w in MODES {
         session.set_workers(w);
         let out = session.sql(sql).unwrap();
         let Some(reference) = &reference else {
@@ -52,7 +44,7 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
             });
             continue;
         };
-        let mode = format!("columnar={columnar} workers={w}");
+        let mode = format!("workers={w}");
         if ordered {
             assert!(
                 exact(&reference.rows) == exact(out.rows()),
@@ -90,7 +82,6 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
             "runs created diverged ({mode}): {sql}"
         );
     }
-    session.set_columnar(true);
     session.set_workers(1);
 }
 
@@ -375,7 +366,7 @@ fn ordered_gather_corner_cases_parity() {
 fn shared_build_hash_join_corner_cases_parity() {
     let mut session = exchange_session();
     let queries = [
-        // Int-keyed: the vector table (columnar on) or the row table (off).
+        // Int-keyed: the vector table.
         "SELECT k, kg, ks FROM keys, big WHERE kg = g",
         // Str-keyed, with NULL keys on both sides: the shared row table in
         // every mode; NULL never matches NULL.
@@ -495,11 +486,10 @@ fn star_join_builds_on_every_dimension_parity() {
     expect.sort();
     assert!(!expect.is_empty());
     session.set_hash_operators(true);
-    for (columnar, workers) in MODES {
-        session.set_columnar(columnar);
+    for workers in MODES {
         session.set_workers(workers);
         let out = session.sql(sql).unwrap();
-        let mode = format!("columnar={columnar} workers={workers}");
+        let mode = format!("workers={workers}");
         let mut rows = out.rows().to_vec();
         rows.sort();
         assert!(

@@ -7,7 +7,7 @@
 
 use pyro::common::{DataType, PyroError, Schema, Value};
 use pyro::core::cost::CostParams;
-use pyro::{EnumStrategy, Session, SessionConfig, SortOrder, Strategy};
+use pyro::{Session, SessionConfig, SortOrder, Strategy};
 
 mod common;
 use common::exact;
@@ -151,22 +151,18 @@ fn every_knob_flip_misses() {
     assert_eq!(session.config(), &defaults);
     let SessionConfig {
         strategy,
-        enum_strategy,
         join_enum_threshold,
         cost_params,
         hash_operators,
         batch_size,
         workers,
-        columnar,
         seed,
     } = defaults;
     assert_eq!(session.strategy(), strategy);
-    assert_eq!(session.enum_strategy(), enum_strategy);
     assert_eq!(session.join_enum_threshold(), join_enum_threshold);
     assert_eq!(session.hash_operators(), hash_operators);
     assert_eq!(session.batch_size(), batch_size);
     assert_eq!(session.workers(), workers);
-    assert_eq!(session.columnar(), columnar);
     // Fixed at build time (no setter), so it cannot change under a live
     // cache; it is hashed with the rest all the same.
     assert_eq!(session.seed(), seed);
@@ -193,10 +189,6 @@ fn every_knob_flip_misses() {
     assert_miss_then_hit(&mut session, "set_workers");
     session.set_workers(workers);
 
-    session.set_columnar(!columnar);
-    assert_miss_then_hit(&mut session, "set_columnar");
-    session.set_columnar(columnar);
-
     session.set_cost_params(Some(CostParams {
         cmp_io: 1e-3,
         ..CostParams::default()
@@ -204,17 +196,8 @@ fn every_knob_flip_misses() {
     assert_miss_then_hit(&mut session, "set_cost_params");
     session.set_cost_params(cost_params);
 
-    // Satellite (memo optimizer): an enumerator or threshold flip must
-    // never re-hit a plan the other enumerator produced.
-    session.set_enum_strategy(EnumStrategy::Heuristic);
-    let out = assert_miss_then_hit(&mut session, "set_enum_strategy");
-    assert_eq!(
-        out.planning().enumerator,
-        EnumStrategy::Heuristic,
-        "the NEW enumerator planned the query"
-    );
-    session.set_enum_strategy(enum_strategy);
-
+    // A threshold flip must never re-hit a plan the other threshold
+    // produced.
     session.set_join_enum_threshold(2);
     assert_miss_then_hit(&mut session, "set_join_enum_threshold");
     session.set_join_enum_threshold(join_enum_threshold);

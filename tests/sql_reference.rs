@@ -15,9 +15,9 @@
 //! One more plan is made with hashing free, so that it hashes where the
 //! default costs would not; it runs as chosen, and again with every inner
 //! hash join whose order nothing above relies on building on its other
-//! input. One plan also runs at batch sizes 1 and 1024, with columnar
-//! scans on and off, on one and two workers, and the four paper counters
-//! must be equal across those eight runs.
+//! input. One plan also runs at batch sizes 1, 7 (which cuts batches
+//! mid-page) and 1024, on one and two workers, and the four paper counters
+//! must be equal across those six runs.
 //!
 //! Data is hazardous on purpose: NULLs, duplicates, NaN and both zeros,
 //! INT columns compared with and joined to DOUBLE ones, or held against a
@@ -1162,35 +1162,29 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
             }
         }
     }
-    // One plan, eight ways to run it: the counters must not move.
+    // One plan, six ways to run it: the counters must not move.
     session.set_strategy(Strategy::pyro_o());
     session.set_hash_operators(seed.is_multiple_of(2));
     let mut first: Option<[u64; 4]> = None;
-    for (batch, columnar, workers) in [1, 1024].into_iter().flat_map(|b| {
-        [true, false]
-            .into_iter()
-            .flat_map(move |c| [1, 2].into_iter().map(move |w| (b, c, w)))
-    }) {
+    for (batch, workers) in [1, 7, 1024]
+        .into_iter()
+        .flat_map(|b| [1, 2].into_iter().map(move |w| (b, w)))
+    {
         session.set_batch_size(batch);
-        session.set_columnar(columnar);
         session.set_workers(workers);
         let got = session
             .prepare(&sql)
             .and_then(|p| p.execute(&case.params))
-            .map_err(|e| {
-                fail(format!(
-                    "batch {batch} columnar {columnar} workers {workers}: {e}"
-                ))
-            })?;
+            .map_err(|e| fail(format!("batch {batch} workers {workers}: {e}")))?;
         if !agrees(&case.stmt, &expect, &rows_of(&got)) {
             return Err(fail(format!(
-                "batch {batch} columnar {columnar} workers {workers} disagrees with the reference"
+                "batch {batch} workers {workers} disagrees with the reference"
             )));
         }
         let c = counters(&got);
         if *first.get_or_insert(c) != c {
             return Err(fail(format!(
-                "batch {batch} columnar {columnar} workers {workers}: counters {c:?}, \
+                "batch {batch} workers {workers}: counters {c:?}, \
                  first run {:?}\n{}",
                 first.unwrap(),
                 got.explain()
@@ -1352,7 +1346,7 @@ fn the_reference_orders_values_like_sql_with_nulls_last() {
 /// nothing) until it spans more than `MORSEL_PAGES` pages. Then runs `sql`
 /// (which joins them on `v`) under every strategy, with hash operators off,
 /// on, and on with hashing free, with every inner hash join built on either
-/// input, with columnar execution on and off, and on one worker and on two
+/// input, and on one worker and on two
 /// (where a scan of either table runs as morsel fragments, probing a hash
 /// join's shared build). Every plan must return `expect` rows whose two
 /// columns are equal, and some plan must hash-join.
@@ -1395,9 +1389,8 @@ fn equi_join_under_every_plan(
             let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
             for plan in [plan.clone(), OptimizedPlan { root, ..plan }] {
                 hashed |= plan.explain().contains("Hash Join");
-                for (columnar, workers) in [(true, 1), (false, 1), (true, 2), (false, 2)] {
+                for workers in [1, 2] {
                     let options = CompileOptions {
-                        columnar,
                         workers,
                         ..CompileOptions::default()
                     };
@@ -1407,7 +1400,7 @@ fn equi_join_under_every_plan(
                         .unwrap()
                         .rows;
                     let what = format!(
-                        "{} hash={hash} free={} columnar={columnar} workers={workers}\n{}",
+                        "{} hash={hash} free={} workers={workers}\n{}",
                         strategy.name(),
                         costs.is_some(),
                         plan.explain()
@@ -1439,9 +1432,9 @@ fn int_equals_double_joins_the_same_under_every_plan() {
 
 /// INTs past ±2^53 share an `f64` image with their neighbours but equal
 /// only themselves: an equi-join of two copies of such keys pairs each key
-/// with itself alone, under every plan — with columnar execution off, the
-/// hash join's row table too. (FULL OUTER joins plan as merge joins only;
-/// `join::hash`'s own tests hold the row table's outer joins to this.)
+/// with itself alone, under every plan. (Scans decode to columns, so a
+/// hash join here builds the vector table; `join::hash`'s own tests hold
+/// the row table, inner and FULL OUTER, to this.)
 #[test]
 fn large_int_keys_join_only_equal_keys_under_every_plan() {
     const BIG: i64 = 1 << 53;
@@ -1474,8 +1467,7 @@ fn int_equals_double_exactly_past_two_to_the_53_under_every_plan() {
 }
 
 /// A DOUBLE literal or parameter past 2^53 selects only the INT it equals,
-/// under every strategy, with hash operators and columnar execution on and
-/// off, over a table clustered on the filtered column (a seek) and over one
+/// under every strategy, with hash operators on and off, over a table clustered on the filtered column (a seek) and over one
 /// that is not.
 #[test]
 fn int_column_against_a_double_past_two_to_the_53_is_exact() {
@@ -1499,17 +1491,15 @@ fn int_column_against_a_double_past_two_to_the_53_is_exact() {
         let literal = format!("SELECT v FROM {table} WHERE v = 9007199254740992.0");
         let param = format!("SELECT v FROM {table} WHERE v = ?");
         for strategy in Strategy::all() {
-            for (hash, columnar) in [(false, true), (false, false), (true, true), (true, false)] {
+            for hash in [false, true] {
                 session.set_strategy(strategy);
                 session.set_hash_operators(hash);
-                session.set_columnar(columnar);
                 for (sql, params) in [
                     (&literal, vec![]),
                     (&param, vec![Value::Double(BIG as f64)]),
                 ] {
                     let rows = session.prepare(sql).unwrap().execute(&params).unwrap();
-                    let what =
-                        format!("{} hash={hash} columnar={columnar}: {sql}", strategy.name());
+                    let what = format!("{} hash={hash}: {sql}", strategy.name());
                     assert_eq!(rows.len(), 1, "{what}");
                     assert!(matches!(rows.rows()[0].get(0), Value::Int(BIG)), "{what}");
                 }
