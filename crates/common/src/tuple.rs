@@ -49,17 +49,7 @@ impl Tuple {
 
     /// Extracts the values at `cols` as an owned key.
     pub fn key(&self, cols: &[usize]) -> Vec<Value> {
-        let mut out = Vec::with_capacity(cols.len());
-        self.key_into(cols, &mut out);
-        out
-    }
-
-    /// Fills `out` (cleared first) with the values at `cols`. Reusing one
-    /// buffer across calls avoids a fresh key allocation per tuple — the
-    /// hash-join probe loop's hot path.
-    pub fn key_into(&self, cols: &[usize], out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(cols.iter().map(|&i| self.values[i].clone()));
+        cols.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Concatenates two tuples (join output).
@@ -75,23 +65,6 @@ impl Tuple {
         let mut v = Vec::with_capacity(indices.len());
         v.extend(indices.iter().map(|&i| self.values[i].clone()));
         Tuple::new(v)
-    }
-
-    /// Like [`Tuple::project`], but stages the values through a reusable
-    /// `scratch` buffer before moving them into the output tuple's
-    /// exact-capacity storage (the one allocation either variant makes).
-    /// The staging step costs an extra O(arity) move, so this is about API
-    /// symmetry with [`Tuple::key_into`] for callers that assemble values
-    /// incrementally, not a speedup over `project`; the batched project
-    /// operator uses it with one long-lived scratch.
-    pub fn project_into(&self, indices: &[usize], scratch: &mut Vec<Value>) -> Tuple {
-        scratch.clear();
-        scratch.extend(indices.iter().map(|&i| self.values[i].clone()));
-        // Move the staged values into exact-capacity storage, keeping the
-        // scratch allocation alive for the next call.
-        let mut out = Vec::with_capacity(scratch.len());
-        out.append(scratch);
-        Tuple::new(out)
     }
 
     /// An all-NULL tuple of the given arity (outer-join padding).
@@ -306,21 +279,6 @@ mod tests {
         assert_eq!(a.project(&[1]), t(&[2]));
         assert_eq!(a.key(&[1, 0]), vec![Value::Int(2), Value::Int(1)]);
         assert!(Tuple::nulls(2).get(0).is_null());
-    }
-
-    #[test]
-    fn scratch_variants_match_allocating_ones() {
-        let a = t(&[7, 8, 9]);
-        let mut scratch = Vec::new();
-        assert_eq!(a.project_into(&[2, 0], &mut scratch), a.project(&[2, 0]));
-        assert!(scratch.is_empty(), "scratch drained but reusable");
-        // Second call reuses the buffer.
-        assert_eq!(a.project_into(&[1], &mut scratch), t(&[8]));
-        let mut key = Vec::new();
-        a.key_into(&[1, 0], &mut key);
-        assert_eq!(key, a.key(&[1, 0]));
-        a.key_into(&[2], &mut key);
-        assert_eq!(key, a.key(&[2]), "key_into clears before filling");
     }
 
     #[test]

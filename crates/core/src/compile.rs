@@ -15,12 +15,12 @@
 //! that releases morsels in file order) or an unparallelized child.
 //!
 //! The compiler decides nothing about batch layouts. Scans always decode
-//! to columns, every operator above picks its kernel from the
-//! [`pyro_exec::Batch`] it is handed (see `pyro_exec::op`), and
+//! to columns, every operator above reads the [`pyro_exec::Batch`] it is
+//! handed in the one layout its kernel takes (see `pyro_exec::op`), and
 //! [`Pipeline::run`] converts what the root emits to rows — so a plan of
-//! the paper's operators is columnar from its scans to its root, and a plan
-//! of row-wise operators moves rows without converting, on either side of
-//! an exchange.
+//! the paper's operators is columnar from its scans to its root, and a
+//! seam between two row-wise operators moves rows without converting, on
+//! either side of an exchange.
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
@@ -428,7 +428,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 false => Box::new(Filter::new(join, Expr::and_all(rest))),
             }
         }
-        PhysOp::HashJoin { kind, pairs, build } => {
+        PhysOp::HashJoin { pairs, build } => {
             let left = compile_sub(&node.children[0], ctx, child_exact)?;
             let right = compile_sub(&node.children[1], ctx, child_exact)?;
             let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
@@ -437,7 +437,6 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 right,
                 KeySpec::new(l_cols),
                 KeySpec::new(r_cols),
-                *kind,
                 *build,
             ))
         }
@@ -726,9 +725,9 @@ mod tests {
 
     /// A plan of the paper's statements is columnar from its scans to its
     /// root: every batch the compiled root hands to [`Pipeline`] is
-    /// `Batch::Cols`, so the one conversion to rows is the root's. (An
-    /// operator that fell back to its row kernel anywhere below would
-    /// surface here as a `Rows` batch, or cost the root a `from_rows`.)
+    /// `Batch::Cols`, so the one conversion to rows is the root's. (A
+    /// row-wise operator anywhere in the plan would surface here as a
+    /// `Rows` batch, or cost the operator above it a `from_rows`.)
     #[test]
     fn paper_statement_plans_convert_to_rows_only_at_the_root() {
         use pyro_exec::join::JoinKind;

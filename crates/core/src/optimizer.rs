@@ -447,9 +447,8 @@ impl<'a> Ctx<'a> {
                 },
                 joined(),
             ),
-            (&Alt::Hashed(build), LogicalOp::Join { kind, pairs, .. }) => (
+            (&Alt::Hashed(build), LogicalOp::Join { pairs, .. }) => (
                 PhysOp::HashJoin {
-                    kind: *kind,
                     pairs: pairs.clone(),
                     build,
                 },
@@ -910,7 +909,8 @@ impl<'c, 'a> Search<'c, 'a> {
                 // paper measured implemented hash (or nested-loops) full
                 // outer joins — SYS2 had to rewrite FO joins as a union of
                 // two left outer joins — and the coordinated-order findings
-                // of Experiment B2 rest on that reality.
+                // of Experiment B2 rest on that reality. Hash joins are
+                // inner only: a left outer join is merged or nested.
                 if !self.forced.contains_key(&id)
                     && ctx.enable_hash
                     && !matches!(kind, JoinKind::FullOuter)
@@ -928,12 +928,11 @@ impl<'c, 'a> Search<'c, 'a> {
                     // Hash join, one candidate per build side. `best_plan`
                     // keeps the first of equally cheap candidates, so the
                     // side offered first is the tie-break: the smaller
-                    // input, else the written (left) one. The outer variants
-                    // build on the side they preserve.
+                    // input, else the written (left) one.
                     let sides: &[Side] = match kind {
                         JoinKind::Inner if br < bl => &[Side::Right, Side::Left],
                         JoinKind::Inner => &[Side::Left, Side::Right],
-                        _ => &[Side::Left],
+                        _ => &[],
                     };
                     let inputs = [Some(lchild), Some(rchild)];
                     for &build in sides {
@@ -942,17 +941,14 @@ impl<'c, 'a> Search<'c, 'a> {
                             Side::Right => (br, l_order),
                         };
                         // Against an in-memory table the probe child
-                        // streams through, each row followed by its matches:
-                        // an inner join hands the probe order on, like
-                        // nested loops. A table over the budget is grace
+                        // streams through, each row followed by its matches,
+                        // so the join hands the probe order on, like nested
+                        // loops. A table over the budget is grace
                         // partitioned — a round trip of both inputs, which
-                        // scatters the probe order — and an outer join ends
-                        // on its unmatched build rows.
-                        let in_memory = build_blocks <= params.sort_mem_blocks;
-                        let (cost, out_order) = match (in_memory, kind) {
-                            (true, JoinKind::Inner) => (hash_cost, probe_order),
-                            (true, _) => (hash_cost, Orders::EMPTY),
-                            (false, _) => (hash_cost + 2.0 * (bl + br), Orders::EMPTY),
+                        // scatters the probe order.
+                        let (cost, out_order) = match build_blocks <= params.sort_mem_blocks {
+                            true => (hash_cost, probe_order),
+                            false => (hash_cost + 2.0 * (bl + br), Orders::EMPTY),
                         };
                         let cand = self.push(Alt::Hashed(build), out_order, cost, rows, id, inputs);
                         self.offer(offers, id, required, cand);

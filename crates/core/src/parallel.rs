@@ -3,10 +3,10 @@
 //! [`Gather`] exchange.
 //!
 //! **What parallelizes.** Scans (heap, clustered, covering index), filters,
-//! projections, and inner hash joins — operators that charge no
+//! projections, and hash joins — operators that charge no
 //! `ExecMetrics` counters, so distributing their rows over workers cannot
 //! change the four paper counters. Everything else (sorts, merge joins,
-//! aggregates, distinct, limits, nested loops, outer hash joins) is a
+//! aggregates, distinct, limits, nested loops) is a
 //! pipeline breaker: it runs serially, and what it consumes must be
 //! sequence-faithful.
 //!
@@ -14,8 +14,7 @@
 //! following filter/project inputs and hash-join probe sides — is dealt out
 //! to the workers one morsel at a time, and each worker runs the subtree's
 //! operator chain over the morsels it claims — the same operators the
-//! serial compiler would build, picking their kernels from the batches the
-//! morsel scan hands them. A hash join's build side — whichever child the
+//! serial compiler would build. A hash join's build side — whichever child the
 //! plan's `build` names — is not part of the chain: it is compiled on its
 //! own (recursively parallel, behind its own exchange, when it is big
 //! enough), drained once into a table every worker shares, and probed by
@@ -44,7 +43,7 @@ use crate::compile::{compile_expr_bound, compile_sub, pair_cols, scan_file, seek
 use crate::plan::{PhysNode, PhysOp};
 use pyro_common::{KeySpec, PyroError, Result};
 use pyro_exec::filter::Filter;
-use pyro_exec::join::{HashJoin, JoinKind, SharedBuild, Side};
+use pyro_exec::join::{HashJoin, SharedBuild, Side};
 use pyro_exec::project::Project;
 use pyro_exec::{BoxOp, FragmentFn, Gather, MorselSource, Operator, MORSEL_PAGES};
 use std::sync::Arc;
@@ -99,15 +98,13 @@ fn is_scan(op: &PhysOp) -> bool {
 }
 
 /// True iff the whole subtree consists of counter-free, partitionable
-/// operators. Outer hash joins are not: their unmatched-row drain needs
-/// every worker's seen-bits at once.
+/// operators.
 fn parallel_safe(node: &PhysNode) -> bool {
     match &node.op {
         PhysOp::Filter { .. } | PhysOp::Project { .. } => parallel_safe(&node.children[0]),
-        PhysOp::HashJoin {
-            kind: JoinKind::Inner,
-            ..
-        } => parallel_safe(&node.children[0]) && parallel_safe(&node.children[1]),
+        PhysOp::HashJoin { .. } => {
+            parallel_safe(&node.children[0]) && parallel_safe(&node.children[1])
+        }
         op => is_scan(op),
     }
 }
@@ -223,6 +220,7 @@ mod tests {
     use crate::optimizer::{OptimizedPlan, Optimizer};
     use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};
+    use pyro_exec::join::JoinKind;
     use pyro_exec::Rows;
     use pyro_ordering::SortOrder;
 
@@ -481,28 +479,43 @@ mod tests {
         for_every_mode(&plan, &cat, same_sequence);
     }
 
+    /// A LEFT OUTER join is merged or nested, never hashed: it stays
+    /// serial over inputs that may run in parallel.
     #[test]
-    fn outer_hash_join_stays_serial_over_parallel_inputs() {
+    fn left_outer_join_stays_serial_over_parallel_inputs() {
         // Twelve keys against `g = 0..10`: ten keys with 4,000 partners
-        // each, two padded build rows.
+        // each, two padded rows.
         let mut cat = catalog();
         let keys: Vec<Tuple> = (0..12i64)
             .map(|i| Tuple::new(vec![Value::Int(i)]))
             .collect();
         cat.register_table("keys", Schema::ints(&["kg"]), SortOrder::empty(), &keys)
             .unwrap();
-        // (LEFT only: the optimizer keeps FULL OUTER joins merge-only.)
         let mut p = LogicalPlan::new();
         let k = p.scan_as("keys", "keys");
         let h = p.scan_as("heap", "h");
         let pairs = vec![JoinPair::new("keys.kg", "h.g")];
         p.join_kind(k, h, JoinKind::LeftOuter, pairs);
         let plan = Optimizer::new(&cat).optimize(&p).unwrap();
+        let outer = |n: &PhysNode| {
+            matches!(
+                n.op,
+                PhysOp::MergeJoin {
+                    kind: JoinKind::LeftOuter,
+                    ..
+                } | PhysOp::NestedLoopsJoin {
+                    kind: JoinKind::LeftOuter,
+                    ..
+                }
+            )
+        };
         assert!(
-            plan.root
-                .count_nodes(&|n| matches!(n.op, PhysOp::HashJoin { .. }))
-                > 0,
-            "test premise: plan uses a hash join\n{}",
+            plan.root.count_nodes(&outer) == 1
+                && plan
+                    .root
+                    .count_nodes(&|n| matches!(n.op, PhysOp::HashJoin { .. }))
+                    == 0,
+            "test premise: a merged or nested LEFT OUTER join\n{}",
             plan.explain()
         );
         assert_eq!(plan.execute(&cat).unwrap().rows.len(), 40_002);

@@ -71,15 +71,12 @@ pub enum PhysOp {
         /// Chosen interesting order.
         order: SortOrder,
     },
-    /// Hash join. Output columns are `left ++ right` whichever child the
-    /// table is built on; output order is the probe child's.
+    /// Inner hash join. Output columns are `left ++ right` whichever child
+    /// the table is built on; output order is the probe child's.
     HashJoin {
-        /// Join type.
-        kind: JoinKind,
         /// Equality pairs.
         pairs: Vec<JoinPair>,
-        /// The child the hash table is built on (always `Left` for an
-        /// outer join).
+        /// The child the hash table is built on.
         build: Side,
     },
     /// Nested loops join.
@@ -139,12 +136,12 @@ impl PhysOp {
                 JoinKind::LeftOuter => format!("Merge LO Join {order}"),
                 JoinKind::FullOuter => format!("Merge FO Join {order}"),
             },
-            PhysOp::HashJoin { kind, build, .. } => {
+            PhysOp::HashJoin { build, .. } => {
                 let side = match build {
                     Side::Left => "left",
                     Side::Right => "right",
                 };
-                format!("Hash Join ({kind:?}, build={side})")
+                format!("Hash Join (Inner, build={side})")
             }
             PhysOp::NestedLoopsJoin { .. } => "Nested Loops".into(),
             PhysOp::SortAggregate { group_by, .. } => {

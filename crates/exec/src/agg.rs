@@ -264,21 +264,11 @@ impl GroupAggregate {
         if let (Some(open), Some((old, _))) = (&mut self.columnar.open, &self.columnar.input) {
             open.kept.get_or_insert_with(|| old.clone());
         }
-        let mut args = Vec::with_capacity(self.aggs.len());
-        for agg in &self.aggs {
-            args.push(match eval_column(&agg.arg, &batch) {
-                Some(col) => col,
-                // A shape the kernel does not vectorize: interpret it row
-                // by row, once per batch.
-                None => {
-                    let mut b = ColumnBuilder::new();
-                    for t in batch.to_rows() {
-                        b.push_value(&agg.arg.eval(&t)?);
-                    }
-                    Arc::new(b.finish())
-                }
-            });
-        }
+        let args = self
+            .aggs
+            .iter()
+            .map(|a| eval_column(&a.arg, &batch))
+            .collect();
         self.columnar.input = Some((batch, args));
         self.columnar.pos = 0;
         Ok(true)

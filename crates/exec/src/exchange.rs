@@ -41,7 +41,7 @@
 //! end-of-stream that would pass a truncated result off as complete.
 //!
 //! **Metrics rule.** Fragments contain only counter-free operators (scans,
-//! filters, projections, inner hash joins) and the exchange's own
+//! filters, projections, hash joins) and the exchange's own
 //! bookkeeping is parallelization infrastructure, not the paper's
 //! order-enforcement work, so nothing here touches `ExecMetrics`: all four
 //! counters stay bit-identical to `workers = 1`.

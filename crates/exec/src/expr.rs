@@ -4,7 +4,7 @@
 //! Query 5 computes `Quantity * Price`), and comparisons with SQL NULL
 //! semantics (any comparison involving NULL is not-true).
 
-use pyro_common::{Result, Tuple, Value};
+use pyro_common::{CellRef, Result, Tuple, Value};
 use std::fmt;
 
 /// Comparison operators.
@@ -124,7 +124,10 @@ impl Expr {
             Expr::And(a, b) => {
                 let va = a.eval(t)?;
                 let vb = b.eval(t)?;
-                match (truthiness(&va), truthiness(&vb)) {
+                match (
+                    truth(CellRef::from_value(&va)),
+                    truth(CellRef::from_value(&vb)),
+                ) {
                     (Some(false), _) | (_, Some(false)) => Value::Int(0),
                     (Some(true), Some(true)) => Value::Int(1),
                     _ => Value::Null,
@@ -135,95 +138,18 @@ impl Expr {
 
     /// Evaluates as a predicate: true iff the result is a non-null non-zero.
     pub fn eval_bool(&self, t: &Tuple) -> Result<bool> {
-        Ok(truthiness(&self.eval(t)?) == Some(true))
-    }
-
-    /// Batch predicate: keeps exactly the rows `eval_bool` accepts,
-    /// compacting `batch` in place. Compilable predicates (see
-    /// [`Expr::compile_predicate`]) run as a closure with no per-row tree
-    /// walk; anything else falls back to row-wise `eval_bool`.
-    pub fn retain_passing(&self, batch: &mut Vec<Tuple>) -> Result<()> {
-        if let Some(pred) = self.compile_predicate() {
-            batch.retain(|t| pred(t));
-            return Ok(());
-        }
-        let mut keep = Vec::with_capacity(batch.len());
-        for t in batch.iter() {
-            keep.push(self.eval_bool(t)?);
-        }
-        let mut flags = keep.into_iter();
-        batch.retain(|_| flags.next().expect("one flag per row"));
-        Ok(())
-    }
-
-    /// Pre-compiles comparisons and conjunctions over columns and literals
-    /// — the shape every pushed-down filter in this engine has — into a
-    /// closure that borrows operand values instead of cloning them and
-    /// cannot error. NULL semantics match `eval_bool` exactly: a comparison
-    /// with a NULL operand is not-true, and `false AND NULL` is false.
-    /// Returns `None` for predicates needing the full interpreter.
-    pub fn compile_predicate(&self) -> Option<CompiledPredicate> {
-        Some(match self {
-            Expr::Cmp(op, a, b) => {
-                let op = *op;
-                match (&**a, &**b) {
-                    (Expr::Col(i), Expr::Lit(v)) => {
-                        if v.is_null() {
-                            return Some(Box::new(|_| false));
-                        }
-                        let (i, v) = (*i, v.clone());
-                        Box::new(move |t: &Tuple| {
-                            let x = t.get(i);
-                            !x.is_null() && op.test(x.cmp(&v))
-                        })
-                    }
-                    (Expr::Lit(v), Expr::Col(i)) => {
-                        if v.is_null() {
-                            return Some(Box::new(|_| false));
-                        }
-                        let (i, v) = (*i, v.clone());
-                        Box::new(move |t: &Tuple| {
-                            let x = t.get(i);
-                            !x.is_null() && op.test(v.cmp(x))
-                        })
-                    }
-                    (Expr::Col(i), Expr::Col(j)) => {
-                        let (i, j) = (*i, *j);
-                        Box::new(move |t: &Tuple| {
-                            let (x, y) = (t.get(i), t.get(j));
-                            !x.is_null() && !y.is_null() && op.test(x.cmp(y))
-                        })
-                    }
-                    (Expr::Lit(v), Expr::Lit(w)) => {
-                        let k = !v.is_null() && !w.is_null() && op.test(v.cmp(w));
-                        Box::new(move |_| k)
-                    }
-                    _ => return None,
-                }
-            }
-            Expr::And(a, b) => {
-                let (fa, fb) = (a.compile_predicate()?, b.compile_predicate()?);
-                Box::new(move |t: &Tuple| fa(t) && fb(t))
-            }
-            Expr::Lit(v) => {
-                let k = truthiness(v) == Some(true);
-                Box::new(move |_| k)
-            }
-            _ => return None,
-        })
+        Ok(truth(CellRef::from_value(&self.eval(t)?)) == Some(true))
     }
 }
 
-/// A predicate pre-compiled to a branch-lean closure; see
-/// [`Expr::compile_predicate`].
-pub type CompiledPredicate = Box<dyn Fn(&Tuple) -> bool>;
-
-fn truthiness(v: &Value) -> Option<bool> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(*i != 0),
-        Value::Double(d) => Some(*d != 0.0),
-        Value::Str(s) => Some(!s.is_empty()),
+/// A cell as a truth value: NULL is unknown, a number is true unless zero,
+/// a string unless empty.
+pub(crate) fn truth(c: CellRef<'_>) -> Option<bool> {
+    match c {
+        CellRef::Null => None,
+        CellRef::Int(i) => Some(i != 0),
+        CellRef::Double(d) => Some(d != 0.0),
+        CellRef::Str(s) => Some(!s.is_empty()),
     }
 }
 
@@ -302,42 +228,5 @@ mod tests {
     #[test]
     fn and_all_empty_is_true() {
         assert!(Expr::and_all(vec![]).eval_bool(&row()).unwrap());
-    }
-
-    #[test]
-    fn retain_passing_matches_eval_bool() {
-        let rows: Vec<Tuple> = (-3..4)
-            .map(|i| {
-                Tuple::new(vec![
-                    if i == 0 { Value::Null } else { Value::Int(i) },
-                    Value::Int(i * i),
-                ])
-            })
-            .collect();
-        // Borrowable shape (Cmp/And over Col/Lit) and a fallback shape
-        // (arithmetic inside the comparison) must both agree with the
-        // row-wise interpreter.
-        let preds = [
-            Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(0i64)),
-            Expr::And(
-                Box::new(Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(1i64))),
-                Box::new(Expr::cmp(CmpOp::Ne, Expr::col(0), Expr::lit(2i64))),
-            ),
-            Expr::cmp(
-                CmpOp::Lt,
-                Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1))),
-                Expr::lit(5i64),
-            ),
-        ];
-        for p in preds {
-            let expect: Vec<Tuple> = rows
-                .iter()
-                .filter(|t| p.eval_bool(t).unwrap())
-                .cloned()
-                .collect();
-            let mut batch = rows.clone();
-            p.retain_passing(&mut batch).unwrap();
-            assert_eq!(batch, expect, "predicate {p:?}");
-        }
     }
 }

@@ -8,20 +8,15 @@ use pyro_common::{Result, Schema};
 /// Emits child tuples satisfying a predicate. Order-preserving.
 pub struct Filter {
     child: BoxOp,
-    predicate: Expr,
-    /// Vectorized form of the predicate; `None` for shapes only the row
-    /// interpreter handles.
-    vec_pred: Option<VecPredicate>,
+    predicate: VecPredicate,
 }
 
 impl Filter {
     /// Wraps `child` with `predicate`.
     pub fn new(child: BoxOp, predicate: Expr) -> Self {
-        let vec_pred = VecPredicate::compile(&predicate);
         Filter {
             child,
-            predicate,
-            vec_pred,
+            predicate: VecPredicate::compile(&predicate),
         }
     }
 }
@@ -31,27 +26,16 @@ impl Operator for Filter {
         self.child.schema()
     }
 
-    /// A `Cols` batch under a vectorizable predicate has its selection
-    /// vector refined with per-column loops and stays `Cols` — no row is
-    /// materialized. Anything else — a `Rows` batch, or a predicate shape
-    /// the kernel does not cover — is filtered by the row interpreter
-    /// (compiled to a closure once per batch) and handed on as `Rows`.
+    /// Reads each batch as columns and refines its selection vector with
+    /// the predicate's per-column loops; no row is materialized, and
+    /// batches nothing passes in are skipped.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         while let Some(batch) = self.child.next_batch()? {
-            let mut rows = match (batch, &self.vec_pred) {
-                (Batch::Cols(mut cols), Some(pred)) => {
-                    let sel = pred.refine(&cols);
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    cols.set_sel(sel);
-                    return Ok(Some(Batch::Cols(cols)));
-                }
-                (batch, _) => batch.into_rows(),
-            };
-            self.predicate.retain_passing(&mut rows)?;
-            if !rows.is_empty() {
-                return Ok(Some(Batch::Rows(rows)));
+            let mut cols = batch.into_cols();
+            let sel = self.predicate.refine(&cols);
+            if !sel.is_empty() {
+                cols.set_sel(sel);
+                return Ok(Some(Batch::Cols(cols)));
             }
         }
         Ok(None)
@@ -79,7 +63,7 @@ impl Operator for Filter {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::op::{collect, in_every_layout, ValuesOp};
+    use crate::op::{collect, collect_cols, in_every_layout, ValuesOp};
     use pyro_common::{Tuple, Value};
 
     #[test]
@@ -109,9 +93,10 @@ mod tests {
         assert_eq!(collect(Box::new(f)).unwrap().len(), 1);
     }
 
-    /// The batch pull must emit exactly what one-row pulls over row input
-    /// emit — whichever layout each input batch arrives in, for both
-    /// vectorizable and fallback predicate shapes.
+    /// The batch pull must keep exactly the rows the row interpreter
+    /// (`Expr::eval_bool`) accepts, all of it as `Cols` — whichever layout
+    /// each input batch arrives in, for comparisons over columns and
+    /// literals and for a conjunct evaluated whole.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..100)
@@ -128,8 +113,7 @@ mod tests {
             .collect();
         let preds = [
             Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(30i64)),
-            // Arithmetic inside the comparison: not vectorizable, so `Cols`
-            // batches too go through the row interpreter.
+            // Arithmetic inside the comparison: evaluated by `eval_column`.
             Expr::cmp(
                 CmpOp::Lt,
                 Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1))),
@@ -137,15 +121,14 @@ mod tests {
             ),
         ];
         for pred in preds {
-            let mut reference = Filter::new(
-                Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
-                pred.clone(),
-            );
-            reference.set_batch_size(1);
-            let reference = collect(Box::new(reference)).unwrap();
+            let reference: Vec<Tuple> = rows
+                .iter()
+                .filter(|t| pred.eval_bool(t).unwrap())
+                .cloned()
+                .collect();
             assert!(!reference.is_empty());
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
-                let out = collect(Box::new(Filter::new(input, pred.clone()))).unwrap();
+                let out = collect_cols(Box::new(Filter::new(input, pred.clone())));
                 assert_eq!(reference, out, "predicate {pred:?}");
             }
         }

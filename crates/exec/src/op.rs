@@ -4,17 +4,16 @@
 //! [`Stash`].
 //!
 //! **Layout rule.** A [`Batch`] is either `Rows` (boxed tuples) or `Cols`
-//! (column vectors). Each operator emits its natural layout and takes what
-//! it is given: a scan decodes pages into `Cols`; filter, projection and
-//! the hash join run their column kernel on `Cols` and their row kernel on
-//! `Rows`, read off the batch in hand; both sort enforcers, the merge join
-//! and the sort-based aggregate work on columns, so they call
-//! [`Batch::into_cols`] on input and emit `Cols`; inherently row-wise
-//! operators (nested loops, hash aggregate, the distincts, limit) call
+//! (column vectors). Columns in, columns out: a scan decodes pages into
+//! `Cols`; filter, projection, the hash join, both sort enforcers, the
+//! merge join and the sort-based aggregate each have one kernel, over
+//! columns, so they call [`Batch::into_cols`] on input and always emit
+//! `Cols`. Rows stay at the edge: the inherently row-wise operators
+//! (nested loops, hash aggregate, the distincts, limit) call
 //! [`Batch::into_rows`] and emit `Rows`. A conversion costs nothing when the
-//! layout already matches, so a row-to-row seam is a move, a plan that is
-//! columnar throughout converts exactly once — [`Pipeline::run`]'s
-//! `into_rows` at the root — and nothing is decided ahead of time.
+//! layout already matches, so a plan that is columnar throughout converts
+//! exactly once — [`Pipeline::run`]'s `into_rows` at the root — and nothing
+//! is decided ahead of time.
 //!
 //! **Batch contract.** The reference is batch size 1: one row per pull.
 //! One `next_batch()` call on an operator configured for batch size `B`
@@ -492,7 +491,7 @@ impl Operator for Parts {
 }
 
 /// Test operator: `child`'s batches, each converted to `Rows` — a source
-/// that feeds the operators above their row kernels.
+/// that feeds the operators above row batches.
 #[cfg(test)]
 pub(crate) struct AsRows(pub(crate) BoxOp);
 
@@ -519,6 +518,20 @@ impl Operator for AsRows {
 #[cfg(test)]
 pub(crate) fn exact<T: std::fmt::Debug + ?Sized>(x: &T) -> String {
     format!("{x:?}")
+}
+
+/// [`collect`], asserting that every batch `op` emits is `Cols` — the layout
+/// rule of the operators that run only a column kernel.
+#[cfg(test)]
+pub(crate) fn collect_cols(mut op: BoxOp) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    while let Some(batch) = op.next_batch().unwrap() {
+        let Batch::Cols(cols) = batch else {
+            panic!("a Rows batch");
+        };
+        cols.append_rows(&mut out);
+    }
+    out
 }
 
 /// Test sources: `rows` (not empty) as a stream of `Rows` batches, of

@@ -3,18 +3,13 @@
 use crate::expr::Expr;
 use crate::op::{Batch, BoxOp, Operator};
 use crate::vector::eval_column;
-use pyro_common::{ColumnarBatch, Result, Schema, Tuple, Value};
+use pyro_common::{Result, Schema};
 
 /// Evaluates one expression per output column.
 pub struct Project {
     child: BoxOp,
     exprs: Vec<Expr>,
     schema: Schema,
-    /// Set when every expression is a plain column reference (the
-    /// `Project::keep` shape): row batches then project through one reused
-    /// scratch buffer instead of interpreting expressions.
-    cols: Option<Vec<usize>>,
-    scratch: Vec<Value>,
 }
 
 impl Project {
@@ -22,19 +17,10 @@ impl Project {
     /// computed columns).
     pub fn new(child: BoxOp, exprs: Vec<Expr>, schema: Schema) -> Self {
         debug_assert_eq!(exprs.len(), schema.len());
-        let cols = exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Col(i) => Some(*i),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
         Project {
             child,
             exprs,
             schema,
-            cols,
-            scratch: Vec::new(),
         }
     }
 
@@ -44,23 +30,6 @@ impl Project {
         let exprs = indices.iter().map(|&i| Expr::Col(i)).collect();
         Project::new(child, exprs, schema)
     }
-
-    fn project_row(&self, t: &Tuple) -> Result<Tuple> {
-        let mut values = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            values.push(e.eval(t)?);
-        }
-        Ok(Tuple::new(values))
-    }
-
-    /// Column kernel: plain column references are a refcount bump (column
-    /// shuffling), arithmetic runs column-at-a-time, and the selection
-    /// vector passes through untouched. `None` when some expression is a
-    /// shape the kernel does not vectorize.
-    fn project_cols(&self, batch: &ColumnarBatch) -> Option<ColumnarBatch> {
-        let columns = self.exprs.iter().map(|e| eval_column(e, batch));
-        Some(batch.with_columns(columns.collect::<Option<Vec<_>>>()?))
-    }
 }
 
 impl Operator for Project {
@@ -68,27 +37,16 @@ impl Operator for Project {
         &self.schema
     }
 
-    /// A `Cols` batch goes through the column kernel and stays `Cols`; a
-    /// `Rows` batch — or a `Cols` one the kernel cannot vectorize — is
-    /// projected row by row and handed on as `Rows`.
+    /// Reads each batch as columns: plain column references are a refcount
+    /// bump (column shuffling), anything else is computed column-at-a-time,
+    /// and the selection vector passes through untouched.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         let Some(batch) = self.child.next_batch()? else {
             return Ok(None);
         };
-        let mut rows = match batch {
-            Batch::Cols(cols) => match self.project_cols(&cols) {
-                Some(out) => return Ok(Some(Batch::Cols(out))),
-                None => cols.to_rows(),
-            },
-            Batch::Rows(rows) => rows,
-        };
-        for t in rows.iter_mut() {
-            *t = match &self.cols {
-                Some(cols) => t.project_into(cols, &mut self.scratch),
-                None => self.project_row(t)?,
-            };
-        }
-        Ok(Some(Batch::Rows(rows)))
+        let batch = batch.into_cols();
+        let columns = self.exprs.iter().map(|e| eval_column(e, &batch));
+        Ok(Some(Batch::Cols(batch.with_columns(columns.collect()))))
     }
 
     fn set_demand_driven(&mut self) {
@@ -112,8 +70,9 @@ impl Operator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, exact, in_every_layout, ValuesOp};
-    use pyro_common::{Column, DataType, Value};
+    use crate::expr::CmpOp;
+    use crate::op::{collect, collect_cols, exact, in_every_layout, ValuesOp};
+    use pyro_common::{Column, DataType, Tuple, Value};
 
     #[test]
     fn keep_projects_columns() {
@@ -142,9 +101,10 @@ mod tests {
         assert_eq!(out[0], Tuple::new(vec![Value::Int(12)]));
     }
 
-    /// The batch pull must emit exactly what one-row pulls over row input
-    /// emit — whichever layout each input batch arrives in — for column
-    /// keeps, arithmetic, and literal columns.
+    /// The batch pull must emit exactly what the row interpreter
+    /// (`Expr::eval`) makes of each row, all of it as `Cols` — whichever
+    /// layout each input batch arrives in — for column keeps, arithmetic,
+    /// literal columns, comparisons and conjunctions.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..50)
@@ -165,18 +125,25 @@ mod tests {
                 vec![Expr::mul(Expr::col(0), Expr::col(1)), Expr::lit(7i64)],
                 Schema::ints(&["m", "k"]),
             ),
+            (
+                vec![
+                    Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(5i64)),
+                    Expr::And(
+                        Box::new(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::col(1))),
+                        Box::new(Expr::col(1)),
+                    ),
+                ],
+                Schema::ints(&["lt", "and"]),
+            ),
         ];
         for (exprs, schema) in cases {
-            let mut reference = Project::new(
-                Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows.clone())),
-                exprs.clone(),
-                schema.clone(),
-            );
-            reference.set_batch_size(1);
-            let reference = collect(Box::new(reference)).unwrap();
+            let reference: Vec<Tuple> = rows
+                .iter()
+                .map(|t| Tuple::new(exprs.iter().map(|e| e.eval(t).unwrap()).collect()))
+                .collect();
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
                 let project = Project::new(input, exprs.clone(), schema.clone());
-                let out = collect(Box::new(project)).unwrap();
+                let out = collect_cols(Box::new(project));
                 assert_eq!(exact(&reference), exact(&out), "exprs {exprs:?}");
             }
         }

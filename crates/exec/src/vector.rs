@@ -1,27 +1,27 @@
-//! Vectorized expression kernels over [`ColumnarBatch`]es.
+//! Vectorized expression kernels over [`ColumnarBatch`]es — the only
+//! evaluators Filter, Project and the sort aggregate run.
 //!
-//! Two entry points:
+//! Two entry points, both total:
 //!
-//! * [`VecPredicate`] compiles the pushed-down filter shape (conjunctions of
-//!   comparisons over columns and literals) into per-column loops that
-//!   *refine a selection vector* — no row is materialized and no `Value` is
-//!   cloned. Semantics are bit-identical to [`Expr::compile_predicate`] /
-//!   `Expr::eval_bool`: a comparison with a NULL operand is not-true, and
-//!   mixed-type comparisons follow [`Value`]'s total order (an INT against
-//!   a DOUBLE exactly, by [`cmp_int_double`]; any numeric sorts before any
-//!   string, NULLs last).
-//! * [`eval_column`] evaluates a projection expression column-at-a-time,
-//!   returning a shared column (`Expr::Col` is a refcount bump) or a freshly
-//!   computed one for arithmetic.
-//!
-//! Anything outside these shapes returns `None` and the calling operator
-//! falls back to its row implementation for that batch — a correctness
-//! escape hatch, not an error.
+//! * [`VecPredicate`] compiles a filter predicate into per-column loops
+//!   that *refine a selection vector* — no row is materialized. Each
+//!   conjunct of the shape every pushed-down filter has (a comparison over
+//!   columns and literals) gets a typed loop that clones no `Value`; any
+//!   other conjunct is evaluated by [`eval_column`] and keeps the rows where
+//!   it is true. Semantics are bit-identical to `Expr::eval_bool`: a
+//!   comparison with a NULL operand is not-true, and mixed-type comparisons
+//!   follow [`Value`]'s total order (an INT against a DOUBLE exactly, by
+//!   [`cmp_int_double`]; any numeric sorts before any string, NULLs last).
+//! * [`eval_column`] evaluates any expression column-at-a-time, returning a
+//!   shared column (`Expr::Col` is a refcount bump) or a freshly computed
+//!   one, cell for cell what `Expr::eval` returns on the row.
 
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{truth, CmpOp, Expr};
 use pyro_common::columnar::StrArena;
 use pyro_common::value::cmp_int_double;
-use pyro_common::{ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap, Value};
+use pyro_common::{
+    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap, Value,
+};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -34,6 +34,8 @@ enum Term {
     ColCol { a: usize, b: usize, op: CmpOp },
     /// A constant conjunct (`Lit` truthiness, NULL literals, lit-lit).
     Const(bool),
+    /// Any other conjunct, kept where its [`eval_column`] cell is true.
+    Eval(Expr),
 }
 
 /// A filter predicate compiled to selection-vector refinement loops.
@@ -42,13 +44,11 @@ pub struct VecPredicate {
 }
 
 impl VecPredicate {
-    /// Compiles `expr` if it is a conjunction of comparisons over columns
-    /// and literals (the shape every pushed-down filter in this engine
-    /// has). Returns `None` when any conjunct needs the row interpreter.
-    pub fn compile(expr: &Expr) -> Option<VecPredicate> {
+    /// Compiles `expr`, one term per conjunct.
+    pub fn compile(expr: &Expr) -> VecPredicate {
         let mut terms = Vec::new();
-        collect_terms(expr, &mut terms)?;
-        Some(VecPredicate { terms })
+        collect_terms(expr, &mut terms);
+        VecPredicate { terms }
     }
 
     /// The selected rows of `batch` (ascending physical row indices) that
@@ -68,6 +68,10 @@ impl VecPredicate {
                 }
                 Term::ColCol { a, b, op } => {
                     refine_col_col(batch.column(*a), batch.column(*b), *op, &mut sel)
+                }
+                Term::Eval(expr) => {
+                    let col = eval_column(expr, batch);
+                    sel.keep(|i| truth(col.cell(i)) == Some(true));
                 }
             }
         }
@@ -126,52 +130,40 @@ impl Sel<'_> {
     }
 }
 
-fn collect_terms(expr: &Expr, out: &mut Vec<Term>) -> Option<()> {
-    match expr {
+fn collect_terms(expr: &Expr, out: &mut Vec<Term>) {
+    let term = match expr {
         Expr::And(a, b) => {
-            collect_terms(a, out)?;
-            collect_terms(b, out)
+            collect_terms(a, out);
+            return collect_terms(b, out);
         }
-        Expr::Cmp(op, a, b) => {
-            let term = match (&**a, &**b) {
-                (Expr::Col(_), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(_)) if v.is_null() => {
-                    Term::Const(false)
-                }
-                (Expr::Col(i), Expr::Lit(v)) => Term::ColLit {
-                    col: *i,
-                    op: *op,
-                    lit: v.clone(),
-                },
-                (Expr::Lit(v), Expr::Col(i)) => Term::ColLit {
-                    col: *i,
-                    op: mirrored(*op),
-                    lit: v.clone(),
-                },
-                (Expr::Col(i), Expr::Col(j)) => Term::ColCol {
-                    a: *i,
-                    b: *j,
-                    op: *op,
-                },
-                (Expr::Lit(v), Expr::Lit(w)) => {
-                    Term::Const(!v.is_null() && !w.is_null() && op.test(v.cmp(w)))
-                }
-                _ => return None,
-            };
-            out.push(term);
-            Some(())
-        }
-        Expr::Lit(v) => {
-            let truthy = match v {
-                Value::Null => false,
-                Value::Int(i) => *i != 0,
-                Value::Double(d) => *d != 0.0,
-                Value::Str(s) => !s.is_empty(),
-            };
-            out.push(Term::Const(truthy));
-            Some(())
-        }
-        _ => None,
-    }
+        Expr::Cmp(op, a, b) => match (&**a, &**b) {
+            (Expr::Col(_), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(_)) if v.is_null() => {
+                Term::Const(false)
+            }
+            (Expr::Col(i), Expr::Lit(v)) => Term::ColLit {
+                col: *i,
+                op: *op,
+                lit: v.clone(),
+            },
+            (Expr::Lit(v), Expr::Col(i)) => Term::ColLit {
+                col: *i,
+                op: mirrored(*op),
+                lit: v.clone(),
+            },
+            (Expr::Col(i), Expr::Col(j)) => Term::ColCol {
+                a: *i,
+                b: *j,
+                op: *op,
+            },
+            (Expr::Lit(v), Expr::Lit(w)) => {
+                Term::Const(!v.is_null() && !w.is_null() && op.test(v.cmp(w)))
+            }
+            _ => Term::Eval(expr.clone()),
+        },
+        Expr::Lit(v) => Term::Const(truth(CellRef::from_value(v)) == Some(true)),
+        _ => Term::Eval(expr.clone()),
+    };
+    out.push(term);
 }
 
 /// The operator that tests `b <op> a` as `a <op> b` tests it.
@@ -275,24 +267,52 @@ fn refine_col_col(a: &ColumnVec, b: &ColumnVec, op: CmpOp, sel: &mut Sel<'_>) {
     }
 }
 
-/// Evaluates a projection expression over a batch, column-at-a-time.
+/// Evaluates an expression over a batch, column-at-a-time, over every
+/// *physical* row (values at unselected indices are real decoded cells, so
+/// computing them is safe and keeps the loops branch-free).
 ///
 /// `Col` shares the input column; `Lit` materializes a constant column;
-/// `Add`/`Sub`/`Mul` compute over every *physical* row (values at
-/// unselected indices are real decoded cells, so computing them is safe and
-/// keeps the loops branch-free) with semantics identical to [`Value::add`]
-/// and friends: NULL propagates, `Int × Int` wraps, mixed numerics widen to
-/// `Double`, strings yield NULL. Returns `None` for shapes the Project
-/// kernel doesn't vectorize (comparisons inside a SELECT list).
-pub fn eval_column(expr: &Expr, batch: &ColumnarBatch) -> Option<Arc<ColumnVec>> {
+/// `Add`/`Sub`/`Mul` have the semantics of [`Value::add`] and friends: NULL
+/// propagates, `Int × Int` wraps, mixed numerics widen to `Double`, strings
+/// yield NULL. `Cmp` and `And` yield the INT 1/0/NULL column `Expr::eval`
+/// defines, comparing cells by [`CellRef::order`].
+pub fn eval_column(expr: &Expr, batch: &ColumnarBatch) -> Arc<ColumnVec> {
+    let n = batch.num_rows();
     match expr {
-        Expr::Col(i) => Some(Arc::clone(batch.column(*i))),
-        Expr::Lit(v) => Some(Arc::new(const_column(v, batch.num_rows()))),
+        Expr::Col(i) => Arc::clone(batch.column(*i)),
+        Expr::Lit(v) => Arc::new(const_column(v, n)),
         Expr::Add(a, b) => numeric_kernel(a, b, batch, |x, y| x + y, i64::wrapping_add),
         Expr::Sub(a, b) => numeric_kernel(a, b, batch, |x, y| x - y, i64::wrapping_sub),
         Expr::Mul(a, b) => numeric_kernel(a, b, batch, |x, y| x * y, i64::wrapping_mul),
-        Expr::Cmp(..) | Expr::And(..) => None,
+        Expr::Cmp(op, a, b) => {
+            let (a, b) = (eval_column(a, batch), eval_column(b, batch));
+            int_column(n, |i| match (a.cell(i), b.cell(i)) {
+                (CellRef::Null, _) | (_, CellRef::Null) => None,
+                (x, y) => Some(op.test(x.order(y)) as i64),
+            })
+        }
+        Expr::And(a, b) => {
+            let (a, b) = (eval_column(a, batch), eval_column(b, batch));
+            int_column(n, |i| match (truth(a.cell(i)), truth(b.cell(i))) {
+                (Some(false), _) | (_, Some(false)) => Some(0),
+                (Some(true), Some(true)) => Some(1),
+                _ => None,
+            })
+        }
     }
+}
+
+/// An INT column of `n` cells, `cell(i)` at row `i` (`None` is NULL).
+fn int_column(n: usize, cell: impl Fn(usize) -> Option<i64>) -> Arc<ColumnVec> {
+    let mut nulls = NullBitmap::new();
+    let data = (0..n)
+        .map(|i| {
+            let c = cell(i);
+            nulls.push(c.is_none());
+            c.unwrap_or(0)
+        })
+        .collect();
+    Arc::new(ColumnVec::new(ColumnData::Int(data), nulls))
 }
 
 /// A column holding `v` at every row.
@@ -321,9 +341,9 @@ fn numeric_kernel(
     batch: &ColumnarBatch,
     f_f: impl Fn(f64, f64) -> f64,
     f_i: impl Fn(i64, i64) -> i64,
-) -> Option<Arc<ColumnVec>> {
-    let a = eval_column(a, batch)?;
-    let b = eval_column(b, batch)?;
+) -> Arc<ColumnVec> {
+    let a = eval_column(a, batch);
+    let b = eval_column(b, batch);
     let n = batch.num_rows();
     let (an, bn) = (a.nulls(), b.nulls());
     let col = match (a.data(), b.data()) {
@@ -350,18 +370,18 @@ fn numeric_kernel(
             ColumnVec::new(ColumnData::Double(out), nulls)
         }
         // Strings or mixed columns: defer to `Value` arithmetic cell-wise,
-        // so the result (including Str -> NULL) matches the row kernel bit
+        // so the result (including Str -> NULL) matches `Expr::eval` bit
         // for bit.
         _ => {
             let mut builder = ColumnBuilder::new();
             for i in 0..n {
-                let (va, vb) = (cell_value(&a, i), cell_value(&b, i));
+                let (va, vb) = (a.value_at(i), b.value_at(i));
                 builder.push_value(&apply_value(&va, &vb, &f_f, &f_i));
             }
             builder.finish()
         }
     };
-    Some(Arc::new(col))
+    Arc::new(col)
 }
 
 /// Borrow-cheap f64 view over an Int or Double column (kernel-internal).
@@ -386,10 +406,6 @@ fn as_f64_view(data: &ColumnData) -> F64View<'_> {
         ColumnData::Double(v) => F64View::Double(v),
         _ => unreachable!("numeric view over non-numeric column"),
     }
-}
-
-fn cell_value(col: &ColumnVec, i: usize) -> Value {
-    col.value_at(i)
 }
 
 fn apply_value(
@@ -444,7 +460,7 @@ mod tests {
     /// `refine` keeps exactly the selected rows of `batch` — the physical
     /// rows of `rows` — that `eval_bool` accepts.
     fn check_parity(expr: &Expr, rows: &[Tuple], batch: &ColumnarBatch) {
-        let pred = VecPredicate::compile(expr).expect("compilable shape");
+        let pred = VecPredicate::compile(expr);
         let expect: Vec<u32> = batch
             .sel_vec()
             .into_iter()
@@ -586,14 +602,39 @@ mod tests {
         }
     }
 
+    /// Conjuncts outside the column/literal comparison shapes are
+    /// evaluated whole by `eval_column`, alone or beside typed terms.
     #[test]
-    fn uncompilable_shapes_return_none() {
-        let arith_inside = Expr::cmp(
-            CmpOp::Lt,
-            Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1))),
-            Expr::lit(5i64),
-        );
-        assert!(VecPredicate::compile(&arith_inside).is_none());
+    fn any_other_conjunct_is_evaluated_whole() {
+        let (rows, batch) = test_batch();
+        let mut selected = batch.clone();
+        selected.set_sel((0..40).filter(|i| i % 3 != 1).collect());
+        let sum = Expr::Add(Box::new(Expr::col(1)), Box::new(Expr::col(2)));
+        let exprs = [
+            Expr::cmp(CmpOp::Lt, sum.clone(), Expr::lit(15i64)),
+            Expr::cmp(CmpOp::Ge, Expr::lit(Value::Double(9.5)), sum.clone()),
+            Expr::col(2),
+            Expr::col(0),
+            sum.clone(),
+            Expr::cmp(
+                CmpOp::Eq,
+                Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::col(1)),
+                Expr::lit(0i64),
+            ),
+            Expr::and_all(vec![
+                Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(4i64)),
+                Expr::cmp(
+                    CmpOp::Ne,
+                    Expr::mul(Expr::col(0), Expr::col(2)),
+                    Expr::lit(0i64),
+                ),
+                Expr::col(2),
+            ]),
+        ];
+        for e in &exprs {
+            check_parity(e, &rows, &batch);
+            check_parity(e, &rows, &selected);
+        }
     }
 
     #[test]
@@ -608,9 +649,17 @@ mod tests {
             Expr::Sub(Box::new(Expr::col(1)), Box::new(Expr::lit(3i64))),
             Expr::mul(Expr::col(0), Expr::col(1)),
             Expr::mul(Expr::col(1), Expr::lit(Value::Double(0.5))),
+            Expr::cmp(CmpOp::Le, Expr::col(0), Expr::col(2)),
+            Expr::cmp(CmpOp::Ne, Expr::col(0), Expr::Lit(Value::Str("s7".into()))),
+            Expr::cmp(CmpOp::Gt, Expr::col(2), Expr::Lit(Value::Null)),
+            Expr::And(
+                Box::new(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::col(2))),
+                Box::new(Expr::col(0)),
+            ),
+            Expr::And(Box::new(Expr::col(2)), Box::new(Expr::lit(0i64))),
         ];
         for e in &exprs {
-            let col = eval_column(e, &batch).expect("vectorizable shape");
+            let col = eval_column(e, &batch);
             for (i, t) in rows.iter().enumerate() {
                 assert_eq!(
                     crate::op::exact(&col.value_at(i)),
@@ -619,8 +668,5 @@ mod tests {
                 );
             }
         }
-        assert!(
-            eval_column(&Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit(1i64)), &batch).is_none()
-        );
     }
 }

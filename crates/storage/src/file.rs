@@ -227,23 +227,6 @@ impl TupleFileScan {
         }
     }
 
-    /// Pulls one page's worth of tuples at a time: the decoded page vector
-    /// is handed over whole, with no per-tuple iterator step. `Ok(None)` at
-    /// end of file. Any rows buffered by a previous `next_tuple` call are
-    /// returned first, so the two pull styles compose.
-    pub fn next_chunk(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.buffer.len() > 0 {
-            return Ok(Some(self.buffer.by_ref().collect()));
-        }
-        while let Some(page) = self.next_page()? {
-            let tuples = decode_page(&page)?;
-            if !tuples.is_empty() {
-                return Ok(Some(tuples));
-            }
-        }
-        Ok(None)
-    }
-
     /// Decodes pages straight into per-column builders until at least
     /// `target` rows have been appended or the scanned range ends — the
     /// vectorized scan path: no `Tuple` is ever boxed. Rows buffered by a
@@ -323,29 +306,6 @@ mod tests {
         assert_eq!(f.scan().count(), 0);
     }
 
-    #[test]
-    fn chunked_scan_matches_tuple_scan() {
-        let dev = SimDevice::with_block_size(128);
-        let data = rows(100);
-        let f = write_file(&dev, &data).unwrap();
-        let mut scan = f.scan();
-        let mut chunked = Vec::new();
-        let mut chunks = 0;
-        while let Some(mut c) = scan.next_chunk().unwrap() {
-            chunks += 1;
-            chunked.append(&mut c);
-        }
-        assert_eq!(chunked, data);
-        assert_eq!(chunks as u64, f.block_count(), "one chunk per page");
-        // Mixing styles: a chunk pull after a tuple pull returns the rest
-        // of the buffered page first.
-        let mut scan = f.scan();
-        let first = scan.next_tuple().unwrap().unwrap();
-        let rest = scan.next_chunk().unwrap().unwrap();
-        assert_eq!(first, data[0]);
-        assert_eq!(rest[0], data[1]);
-    }
-
     /// With every frame pinned by someone else the scan falls back to
     /// uncached reads: all rows in every pull style, nothing cached, no
     /// frame left pinned by the scan.
@@ -366,12 +326,6 @@ mod tests {
 
         let by_tuple: Vec<Tuple> = f.scan().map(|r| r.unwrap()).collect();
         assert_eq!(by_tuple, data);
-        let mut by_chunk = Vec::new();
-        let mut scan = f.scan();
-        while let Some(chunk) = scan.next_chunk().unwrap() {
-            by_chunk.extend(chunk);
-        }
-        assert_eq!(by_chunk, data);
         let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
         let mut scan = f.scan();
         while scan.fill_columns(&mut builders, 16).unwrap() {}
@@ -380,7 +334,7 @@ mod tests {
             data
         );
 
-        assert_eq!(pool.stats().misses, misses + 3 * f.block_count());
+        assert_eq!(pool.stats().misses, misses + 2 * f.block_count());
         assert_eq!(pool.resident(), 2, "the pinned two and nothing else");
     }
 

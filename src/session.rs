@@ -559,14 +559,7 @@ impl Session {
     /// placeholders are a typed error here — prepare them with
     /// [`Session::prepare`] and bind values via [`Prepared::execute`].
     pub fn sql(&self, sql: &str) -> Result<QueryResult> {
-        let (stmt, cache) = self.statement(sql)?;
-        if !stmt.param_types.is_empty() {
-            return Err(PyroError::ParamBinding(format!(
-                "query has {} unbound ?-placeholder(s); use Session::prepare \
-                 and Prepared::execute to bind values",
-                stmt.param_types.len()
-            )));
-        }
+        let (stmt, cache) = self.placeholder_free_statement(sql)?;
         self.run_statement(&stmt.plan, &[], cache)
     }
 
@@ -662,15 +655,24 @@ impl Session {
     /// assert_eq!(n, 3);
     /// ```
     pub fn sql_stream(&self, sql: &str) -> Result<QueryStream> {
-        let (stmt, cache) = self.statement(sql)?;
-        if !stmt.param_types.is_empty() {
-            return Err(PyroError::ParamBinding(format!(
-                "query has {} unbound ?-placeholder(s); use Session::prepare \
-                 and Prepared::execute to bind values",
-                stmt.param_types.len()
-            )));
-        }
+        let (stmt, cache) = self.placeholder_free_statement(sql)?;
         self.stream_statement(&stmt.plan, &[], cache)
+    }
+
+    /// [`Session::statement`] for the entry points that bind nothing: a
+    /// statement with `?` placeholders is a typed error.
+    fn placeholder_free_statement(
+        &self,
+        sql: &str,
+    ) -> Result<(Arc<CachedStatement>, Option<PlanCacheInfo>)> {
+        let (stmt, cache) = self.statement(sql)?;
+        match stmt.param_types.len() {
+            0 => Ok((stmt, cache)),
+            n => Err(PyroError::ParamBinding(format!(
+                "query has {n} unbound ?-placeholder(s); use Session::prepare \
+                 and Prepared::execute to bind values"
+            ))),
+        }
     }
 
     /// Resolves a statement to its optimized plan + placeholder facts,

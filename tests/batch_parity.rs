@@ -254,6 +254,19 @@ impl Values {
 fn join_operators_parity() {
     let left = [(1, 10), (1, 11), (2, 20), (4, 40), (6, 60)];
     let right = [(1, 100), (2, 200), (2, 201), (5, 500)];
+    for build in [Side::Left, Side::Right] {
+        assert_op_parity(&format!("hash_join build={build:?}"), &|v| {
+            let m = ExecMetrics::new();
+            let op = HashJoin::new(
+                v.ab(int_rows(&left)),
+                v.cd(int_rows(&right)),
+                KeySpec::new(vec![0]),
+                KeySpec::new(vec![0]),
+                build,
+            );
+            (Box::new(op), m)
+        });
+    }
     for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
         assert_op_parity(&format!("nested_loops {kind:?}"), &|v| {
             let m = ExecMetrics::new();
@@ -263,18 +276,6 @@ fn join_operators_parity() {
                 KeySpec::new(vec![0]),
                 KeySpec::new(vec![0]),
                 kind,
-            );
-            (Box::new(op), m)
-        });
-        assert_op_parity(&format!("hash_join {kind:?}"), &|v| {
-            let m = ExecMetrics::new();
-            let op = HashJoin::new(
-                v.ab(int_rows(&left)),
-                v.cd(int_rows(&right)),
-                KeySpec::new(vec![0]),
-                KeySpec::new(vec![0]),
-                kind,
-                Side::Left,
             );
             (Box::new(op), m)
         });
@@ -295,10 +296,9 @@ fn join_operators_parity() {
 
 /// An inner hash join building on its right input is nested loops row for
 /// row: both walk the left input in order and emit each left row's matches
-/// in right arrival order, columns `left ++ right`. Int keys get the vector
-/// table when the build side arrives as columns, string keys always the row
-/// table; both must hold the sequence — one row per pull, and at every
-/// batch size over every input layout.
+/// in right arrival order, columns `left ++ right`. Int keys key the table
+/// by value, string keys by dictionary code; both must hold the sequence —
+/// at every batch size over every input layout.
 #[test]
 fn hash_join_building_right_equals_nested_loops_row_for_row() {
     use pyro::common::{Column, DataType};
@@ -332,14 +332,7 @@ fn hash_join_building_right_equals_nested_loops_row_for_row() {
         };
         let key0 = || KeySpec::new(vec![0]);
         let hash = |(l, r): (BoxOp, BoxOp)| -> BoxOp {
-            Box::new(HashJoin::new(
-                l,
-                r,
-                key0(),
-                key0(),
-                JoinKind::Inner,
-                Side::Right,
-            ))
+            Box::new(HashJoin::new(l, r, key0(), key0(), Side::Right))
         };
         let (l, r) = inputs(4, Layout::Rows);
         let mut nested_loops = NestedLoopsJoin::new(l, r, key0(), key0(), JoinKind::Inner);

@@ -433,14 +433,7 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
                 ),
                 (
                     "hash join build",
-                    Box::new(HashJoin::new(
-                        dying(),
-                        other(),
-                        k0(),
-                        k0(),
-                        JoinKind::Inner,
-                        Side::Left,
-                    )),
+                    Box::new(HashJoin::new(dying(), other(), k0(), k0(), Side::Left)),
                 ),
                 (
                     "merge join",

@@ -34,7 +34,7 @@ use pyro::common::{Column, DataType, Schema, Tuple, Value};
 use pyro::core::cost::CostParams;
 use pyro::core::{CompileOptions, OptimizedPlan, PhysNode, PhysOp};
 use pyro::datagen::rng::StdRng;
-use pyro::exec::join::{JoinKind, Side};
+use pyro::exec::join::Side;
 use pyro::exec::MORSEL_PAGES;
 use pyro::storage::SimDevice;
 use pyro::{Session, SortOrder, Strategy};
@@ -1082,7 +1082,7 @@ fn counters(result: &pyro::QueryResult) -> [u64; 4] {
     ]
 }
 
-/// `node` with every inner hash join whose row order nothing above relies
+/// `node` with every hash join whose row order nothing above relies
 /// on building on its other input; sets `flipped` if there was one.
 /// `ordered` says whether `node`'s consumer relies on the order of its
 /// rows. A join that claims no order (`out_order` empty) is never relied
@@ -1115,12 +1115,7 @@ fn flip_build_sides(node: &Arc<PhysNode>, ordered: bool, flipped: &mut bool) -> 
             .collect(),
         ..(**node).clone()
     };
-    if let PhysOp::HashJoin {
-        kind: JoinKind::Inner,
-        build,
-        ..
-    } = &mut copy.op
-    {
+    if let PhysOp::HashJoin { build, .. } = &mut copy.op {
         if !ordered || copy.out_order.is_empty() {
             *build = match *build {
                 Side::Left => Side::Right,
