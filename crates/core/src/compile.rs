@@ -27,7 +27,6 @@ use crate::plan::{PhysNode, PhysOp};
 use pyro_catalog::Catalog;
 use pyro_common::{KeySpec, PyroError, Result, Schema, Value};
 use pyro_exec::agg::{AggExpr, GroupAggregate, HashAggregate};
-use pyro_exec::dedup::{HashDistinct, SortDistinct};
 use pyro_exec::filter::Filter;
 use pyro_exec::join::{HashJoin, MergeJoin, NestedLoopsJoin};
 use pyro_exec::limit::Limit;
@@ -126,15 +125,16 @@ pub(crate) struct CompileCtx<'a> {
 /// True iff this operator hands its input sequence through untouched *and*
 /// charges no sequence-dependent counters — i.e. an unordered parallel
 /// interleaving below it is observable only as row order, never as
-/// different counter totals or different row multisets.
+/// different counter totals or different row multisets. A hash aggregate
+/// with no aggregates (a DISTINCT) emits its keys sorted and charges
+/// nothing, so arrival order shows only in which of several equal keys
+/// (`Int(2)`, `Double(2.0)`) stands for its group.
 fn sequence_insensitive(op: &PhysOp) -> bool {
-    matches!(
-        op,
-        PhysOp::Filter { .. }
-            | PhysOp::Project { .. }
-            | PhysOp::HashJoin { .. }
-            | PhysOp::HashDistinct
-    )
+    match op {
+        PhysOp::Filter { .. } | PhysOp::Project { .. } | PhysOp::HashJoin { .. } => true,
+        PhysOp::HashAggregate { aggs, .. } => aggs.is_empty(),
+        _ => false,
+    }
 }
 
 /// Compiles a subtree. `exact` records whether some consumer above this
@@ -469,15 +469,6 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
                 .collect::<Result<Vec<_>>>()?;
             let aggs = compile_aggs(aggs, child.schema(), ctx.params)?;
             Box::new(HashAggregate::new(child, group_cols, aggs))
-        }
-        PhysOp::SortDistinct { order } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
-            let key = key_spec(child.schema(), order)?;
-            Box::new(SortDistinct::new(child, key, ctx.metrics.clone()))
-        }
-        PhysOp::HashDistinct => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
-            Box::new(HashDistinct::new(child))
         }
         PhysOp::Limit { k } => {
             let child = compile_sub(&node.children[0], ctx, child_exact)?;

@@ -44,7 +44,10 @@ pub struct CostParams {
     pub sort_mem_blocks: f64,
     /// I/O-units per scalar key comparison.
     pub cmp_io: f64,
-    /// I/O-units per tuple passed through an operator.
+    /// I/O-units per tuple passed through an operator. Sorted grouping
+    /// (`GROUP BY`, and `DISTINCT`, a grouping with no aggregates) costs
+    /// this per input row and no `cmp_io`: grouping charges no comparisons,
+    /// in the model as in the executor.
     pub tuple_io: f64,
     /// I/O-units per tuple hashed (build or probe).
     pub hash_io: f64,

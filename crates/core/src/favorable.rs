@@ -117,9 +117,7 @@ fn node_afm(node: &Node, equiv: &EquivMap, done: &[Rc<[IdOrder]>]) -> Rc<[IdOrde
                 .chain(std::iter::once(&IdOrder::empty()))
                 .map(|o| Cow::Owned(o.lcp_with_set(group).extend_with_set(group))),
         ),
-        Node::Sort { input, .. } | Node::Distinct { input, .. } | Node::Limit { input } => {
-            Rc::clone(&done[*input])
-        }
+        Node::Sort { input, .. } | Node::Limit { input } => Rc::clone(&done[*input]),
     }
 }
 

@@ -270,11 +270,6 @@ pub(crate) enum Node {
         input: NodeId,
         order: IdOrder,
     },
-    Distinct {
-        input: NodeId,
-        /// Every output column.
-        cols: IdSet,
-    },
     Limit {
         input: NodeId,
     },
@@ -395,10 +390,6 @@ pub(crate) fn resolve(
                 LogicalOp::Sort { input, order } => Node::Sort {
                     input: *input,
                     order: names.ids_of(order),
-                },
-                LogicalOp::Distinct { input } => Node::Distinct {
-                    input: *input,
-                    cols: col_ids(id).collect(),
                 },
                 LogicalOp::Limit { input, .. } => Node::Limit { input: *input },
             })

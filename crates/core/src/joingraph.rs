@@ -438,10 +438,6 @@ impl Rebuild<'_> {
                 let c = self.copy(input);
                 self.out.order_by(c, order)
             }
-            LogicalOp::Distinct { input } => {
-                let c = self.copy(input);
-                self.out.distinct(c)
-            }
             LogicalOp::Limit { input, k } => {
                 let c = self.copy(input);
                 self.out.limit(c, k)

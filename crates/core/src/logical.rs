@@ -199,7 +199,10 @@ pub enum LogicalOp {
         /// Equality pairs.
         pairs: Vec<JoinPair>,
     },
-    /// Grouping + aggregation.
+    /// Grouping + aggregation. `SELECT DISTINCT` is a grouping on every
+    /// output column with no aggregates: like merge join, a sort-based
+    /// implementation accepts *any* permutation of the grouping columns as
+    /// its input order (paper §1).
     Aggregate {
         /// Input node.
         input: NodeId,
@@ -214,13 +217,6 @@ pub enum LogicalOp {
         input: NodeId,
         /// Required output order.
         order: SortOrder,
-    },
-    /// Duplicate elimination over all columns — like merge join and
-    /// grouping, a sort-based implementation accepts *any* permutation of
-    /// the columns as its input order (paper §1).
-    Distinct {
-        /// Input node.
-        input: NodeId,
     },
     /// LIMIT/Top-K: order-preserving early termination.
     Limit {
@@ -314,11 +310,6 @@ impl LogicalPlan {
         self.push(LogicalOp::Sort { input, order })
     }
 
-    /// Adds a DISTINCT over all columns.
-    pub fn distinct(&mut self, input: NodeId) -> NodeId {
-        self.push(LogicalOp::Distinct { input })
-    }
-
     /// Adds a LIMIT.
     pub fn limit(&mut self, input: NodeId, k: u64) -> NodeId {
         self.push(LogicalOp::Limit { input, k })
@@ -357,7 +348,6 @@ impl LogicalPlan {
             | LogicalOp::Project { input, .. }
             | LogicalOp::Aggregate { input, .. }
             | LogicalOp::Sort { input, .. }
-            | LogicalOp::Distinct { input }
             | LogicalOp::Limit { input, .. } => vec![*input],
             LogicalOp::Join { left, right, .. } => vec![*left, *right],
         }
@@ -380,7 +370,6 @@ impl LogicalPlan {
                 LogicalOp::Scan { table, alias } => table_schema(table, alias)?,
                 LogicalOp::Filter { input: i, .. }
                 | LogicalOp::Sort { input: i, .. }
-                | LogicalOp::Distinct { input: i }
                 | LogicalOp::Limit { input: i, .. } => input(i)?.clone(),
                 LogicalOp::Project { input: i, items } => project_schema(items, input(i)?),
                 LogicalOp::Join { left, right, .. } => input(left)?.join(input(right)?),
@@ -441,7 +430,7 @@ impl LogicalPlan {
                 LogicalOp::Sort { order, .. } => {
                     out.extend(order.attrs().iter().map(String::as_str));
                 }
-                LogicalOp::Distinct { .. } | LogicalOp::Limit { .. } => {}
+                LogicalOp::Limit { .. } => {}
             }
         }
         out.sort();

@@ -374,8 +374,8 @@ impl<'a> Ctx<'a> {
         )
     }
 
-    /// The candidate input orders for a sort-based grouping operator (sort
-    /// aggregate / sort distinct) over grouping set `l` — favorable orders
+    /// The candidate input orders for a sort aggregate over grouping set
+    /// `l` — favorable orders
     /// and the requirement projected into the grouping columns, expanded by
     /// the strategy.
     fn grouping_goal_orders(&self, input: NodeId, l: &IdSet, required: &IdOrder) -> Vec<IdOrder> {
@@ -468,14 +468,6 @@ impl<'a> Ctx<'a> {
                     _ => PhysOp::HashAggregate { group_by, aggs },
                 };
                 (op, self.schemas[id].clone())
-            }
-            (alt, LogicalOp::Distinct { .. }) => {
-                let op = match alt {
-                    Alt::Sorted => PhysOp::SortDistinct { order: order() },
-                    _ => PhysOp::HashDistinct,
-                };
-                // Rows pass through: the child's columns, in its order.
-                (op, inherited())
             }
             _ => unreachable!("a candidate implements the logical operator it was generated for"),
         };
@@ -581,10 +573,10 @@ pub(crate) enum Alt {
     /// The operator's one implementation: filter, projection, limit.
     Direct,
     /// Sort-based, over the candidate's output order: merge join, sort
-    /// aggregate, sort distinct.
+    /// aggregate.
     Sorted,
-    /// Hash-based: hash join building on the given side, hash aggregate,
-    /// hash distinct (where the side means nothing).
+    /// Hash-based: hash join building on the given side, hash aggregate
+    /// (where the side means nothing).
     Hashed(Side),
     /// Nested-loops join.
     NestedLoops,
@@ -960,11 +952,12 @@ impl<'c, 'a> Search<'c, 'a> {
                     self.offer(offers, id, required, cand);
                 }
             }
-            // A sort aggregate over grouping set `cols`, or a DISTINCT over
-            // all columns: any permutation of `cols` works for the streaming
-            // implementation — the same factorial space as merge joins
-            // (paper §1).
-            Node::Aggregate { input, group: cols } | Node::Distinct { input, cols } => {
+            // A sort aggregate over grouping set `cols` (a DISTINCT groups
+            // on every column): any permutation of `cols` works for the
+            // streaming implementation — the same factorial space as merge
+            // joins (paper §1). It charges `tuple_io` per input row and no
+            // comparisons, as the executor counts none (`cost::CostParams`).
+            Node::Aggregate { input, group: cols } => {
                 let in_stats = &ctx.stats[*input];
                 let (start, end) = self.grouping_goals(id, *input, cols, required);
                 for at in start..end {

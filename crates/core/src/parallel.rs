@@ -6,9 +6,10 @@
 //! projections, and hash joins — operators that charge no
 //! `ExecMetrics` counters, so distributing their rows over workers cannot
 //! change the four paper counters. Everything else (sorts, merge joins,
-//! aggregates, distinct, limits, nested loops) is a
-//! pipeline breaker: it runs serially, and what it consumes must be
-//! sequence-faithful.
+//! grouping — DISTINCT included —, limits, nested loops) is a pipeline
+//! breaker: it runs serially, and what it consumes must be
+//! sequence-faithful, except below a hash aggregate with no aggregates (a
+//! DISTINCT), which emits its keys sorted whatever order they arrive in.
 //!
 //! **How a subtree runs.** Its *driving leaf* — the scan reached by
 //! following filter/project inputs and hash-join probe sides — is dealt out

@@ -86,28 +86,21 @@ pub enum PhysOp {
         /// Equality pairs.
         pairs: Vec<JoinPair>,
     },
-    /// Streaming aggregate over sorted input.
+    /// Streaming aggregate over sorted input; with no aggregates, a
+    /// DISTINCT.
     SortAggregate {
         /// Grouping columns.
         group_by: Vec<String>,
         /// Aggregates.
         aggs: Vec<AggSpec>,
     },
-    /// Hash aggregate.
+    /// Hash aggregate; with no aggregates, a DISTINCT.
     HashAggregate {
         /// Grouping columns.
         group_by: Vec<String>,
         /// Aggregates.
         aggs: Vec<AggSpec>,
     },
-    /// Streaming DISTINCT over input sorted by `order` (a permutation of
-    /// all columns).
-    SortDistinct {
-        /// The input's sort order, covering every column.
-        order: SortOrder,
-    },
-    /// Hash-based DISTINCT.
-    HashDistinct,
     /// LIMIT/Top-K.
     Limit {
         /// Maximum rows.
@@ -150,8 +143,6 @@ impl PhysOp {
             PhysOp::HashAggregate { group_by, .. } => {
                 format!("Hash Aggregate [{}]", group_by.join(", "))
             }
-            PhysOp::SortDistinct { order } => format!("Distinct {order}"),
-            PhysOp::HashDistinct => "Hash Distinct".into(),
             PhysOp::Limit { k } => format!("Limit {k}"),
         }
     }

@@ -195,11 +195,6 @@ fn node_stats(
             }
         }
         LogicalOp::Sort { input, .. } => done[*input].clone(),
-        LogicalOp::Distinct { input } => {
-            let inner = &done[*input];
-            let rows = inner.distinct_of(inner.known());
-            scale(inner, rows / inner.rows.max(1.0))
-        }
         LogicalOp::Limit { input, k } => {
             let inner = &done[*input];
             scale(inner, (*k as f64 / inner.rows.max(1.0)).min(1.0))

@@ -1,4 +1,4 @@
-//! Aggregation: sort-based (streaming groups) and hash-based.
+//! Grouping: sort-based (streaming groups) and hash-based.
 //!
 //! The sort-based [`GroupAggregate`] requires its input ordered on (a
 //! permutation of) the grouping columns — which is exactly why grouping
@@ -6,6 +6,15 @@
 //! [`HashAggregate`] needs no order but materializes its table, the
 //! trade-off the optimizer prices (Postgres's hash-aggregate pick for
 //! Query 3 is the paper's example of getting this wrong).
+//!
+//! Duplicate elimination is grouping too: `SELECT DISTINCT` groups on every
+//! output column with no aggregates, and both operators emit each group's
+//! key as its first row holds it.
+//!
+//! **Counting rule.** Grouping charges no comparisons. Finding where a group
+//! ends compares rows in place, but the paper's counters measure order
+//! enforcement (sorts and merges), and the cost model prices sorted
+//! grouping at `tuple_io` per input row with no comparison term.
 
 use crate::expr::Expr;
 use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
@@ -191,7 +200,8 @@ fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Sche
 ///
 /// Takes its input as columns, evaluates each aggregate's argument column
 /// at a time, finds group boundaries by comparing rows in place and folds
-/// cells — no row is boxed.
+/// cells — no row is boxed. The boundary comparisons are not charged to any
+/// counter (the module's counting rule).
 pub struct GroupAggregate {
     child: BoxOp,
     group_key: KeySpec,
@@ -582,6 +592,65 @@ mod tests {
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![Tuple::new(vec![Value::Int(41)])]);
+    }
+
+    /// The grouping operators with no aggregates: a DISTINCT over `cols`.
+    fn distinct(sorted: bool, rows: Vec<Tuple>, cols: Vec<usize>) -> Vec<Tuple> {
+        let src = Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows));
+        match sorted {
+            true => collect(Box::new(GroupAggregate::new(src, cols, vec![]))).unwrap(),
+            false => collect(Box::new(HashAggregate::new(src, cols, vec![]))).unwrap(),
+        }
+    }
+
+    #[test]
+    fn no_aggregates_dedups_sorted_input() {
+        let data = rows(&[(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 1)]);
+        let out = distinct(true, data, vec![0, 1]);
+        assert_eq!(exact(&out), exact(&rows(&[(1, 1), (1, 2), (2, 1)])));
+    }
+
+    #[test]
+    fn no_aggregates_over_input_sorted_on_a_column_permutation() {
+        // Sorted by (b, a): still adjacent groups for a grouping on {a, b},
+        // emitted in arrival order with the columns in grouping order.
+        let data = rows(&[(2, 1), (2, 1), (1, 2), (3, 2)]);
+        let out = distinct(true, data, vec![0, 1]);
+        assert_eq!(exact(&out), exact(&rows(&[(2, 1), (1, 2), (3, 2)])));
+    }
+
+    #[test]
+    fn no_aggregates_hash_agrees_with_sort() {
+        let mut data = rows(&[(3, 1), (1, 1), (3, 1), (2, 2), (1, 1)]);
+        let hash_out = distinct(false, data.clone(), vec![0, 1]);
+        data.sort();
+        let sort_out = distinct(true, data, vec![0, 1]);
+        // The hash table emits its groups sorted by key.
+        assert_eq!(exact(&hash_out), exact(&sort_out));
+    }
+
+    #[test]
+    fn no_aggregates_empty_input() {
+        for sorted in [true, false] {
+            assert!(distinct(sorted, vec![], vec![0, 1]).is_empty());
+        }
+    }
+
+    /// `Int(2)` and `Double(2.0)` are one group, and each operator keeps the
+    /// cell of the group's first row.
+    #[test]
+    fn no_aggregates_keep_the_first_row_of_a_mixed_numeric_group() {
+        let row = |a: Value| Tuple::new(vec![a, Value::Int(0)]);
+        for (first, second) in [
+            (Value::Int(2), Value::Double(2.0)),
+            (Value::Double(2.0), Value::Int(2)),
+        ] {
+            let data = vec![row(first.clone()), row(second)];
+            for sorted in [true, false] {
+                let out = distinct(sorted, data.clone(), vec![0, 1]);
+                assert_eq!(exact(&out), exact(&[row(first.clone())]), "sorted={sorted}");
+            }
+        }
     }
 
     #[test]

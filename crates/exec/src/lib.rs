@@ -17,8 +17,8 @@
 //!   producing tuples early, comparing only suffix columns, and doing **zero
 //!   run I/O** whenever a segment fits in memory.
 //!
-//! Joins ([`join`]), aggregation ([`agg`]), duplicate elimination
-//! ([`dedup`]) and the relational plumbing ([`scan`], [`filter`],
+//! Joins ([`join`]), grouping ([`agg`], which is also duplicate
+//! elimination) and the relational plumbing ([`scan`], [`filter`],
 //! [`project`], [`limit`]) complete the operator set needed by every query
 //! in the paper's evaluation. All operators share an [`ExecMetrics`] counter block so
 //! experiments can report comparisons and run I/O exactly.
@@ -26,7 +26,6 @@
 #![deny(missing_docs)]
 
 pub mod agg;
-pub mod dedup;
 pub mod exchange;
 pub mod expr;
 pub mod filter;

@@ -4,6 +4,9 @@
 //! early output has "immense benefits for Top-K queries" because the
 //! pipeline stops after the first segments instead of sorting everything —
 //! the `fig08` bench demonstrates exactly that.
+//!
+//! It reads its input as columns and trims an over-long batch by cutting
+//! its selection vector.
 
 use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{Result, Schema};
@@ -45,13 +48,15 @@ impl Operator for Limit {
         // may still read ahead by up to one batch; see the op.rs contract.)
         let want = (self.batch as u64).min(self.remaining) as usize;
         self.child.set_batch_size(want);
-        match self.child.next_batch()?.map(Batch::into_rows) {
+        match self.child.next_batch()?.map(Batch::into_cols) {
             Some(mut batch) => {
                 if batch.len() as u64 > self.remaining {
-                    batch.truncate(self.remaining as usize);
+                    let mut sel = batch.sel_vec();
+                    sel.truncate(self.remaining as usize);
+                    batch.set_sel(sel);
                 }
                 self.remaining -= batch.len() as u64;
-                Ok(Some(Batch::Rows(batch)))
+                Ok(Some(Batch::Cols(batch)))
             }
             None => {
                 self.remaining = 0;
@@ -84,7 +89,7 @@ impl Operator for Limit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, ValuesOp};
+    use crate::op::{collect, collect_cols, exact, in_every_layout, ValuesOp};
     use pyro_common::{Tuple, Value};
 
     #[test]
@@ -93,6 +98,28 @@ mod tests {
         let src = ValuesOp::new(Schema::ints(&["a"]), rows);
         let op = Limit::new(Box::new(src), 3);
         assert_eq!(collect(Box::new(op)).unwrap().len(), 3);
+    }
+
+    /// Whatever layout its input arrives in, `Limit` emits columns: the
+    /// first `k` rows, a batch cut short through its selection vector.
+    #[test]
+    fn emits_the_first_rows_as_columns_in_every_layout() {
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]))
+            .collect();
+        let schema = Schema::ints(&["a", "b"]);
+        for k in [0, 1, 5, 17, 40, 100] {
+            for (i, input) in in_every_layout(&schema, &rows).into_iter().enumerate() {
+                let mut op = Limit::new(input, k);
+                op.set_batch_size(3);
+                let want = &rows[..rows.len().min(k as usize)];
+                assert_eq!(
+                    exact(&collect_cols(Box::new(op))),
+                    exact(want),
+                    "k={k}, layout {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! **Layout rule.** A [`Batch`] is either `Rows` (boxed tuples) or `Cols`
 //! (column vectors). Columns in, columns out: a scan decodes pages into
 //! `Cols`; filter, projection, the hash join, both sort enforcers, the
-//! merge join and the sort-based aggregate each have one kernel, over
-//! columns, so they call [`Batch::into_cols`] on input and always emit
-//! `Cols`. Rows stay at the edge: the inherently row-wise operators
-//! (nested loops, hash aggregate, the distincts, limit) call
-//! [`Batch::into_rows`] and emit `Rows`. A conversion costs nothing when the
+//! merge join, the sort-based aggregate and limit each have one kernel,
+//! over columns, so they call [`Batch::into_cols`] on input and always emit
+//! `Cols`. Rows stay at the edge: the two row-wise operators (nested loops
+//! and the hash aggregate) call [`Batch::into_rows`] and emit `Rows`. A conversion costs nothing when the
 //! layout already matches, so a plan that is columnar throughout converts
 //! exactly once — [`Pipeline::run`]'s `into_rows` at the root — and nothing
 //! is decided ahead of time.

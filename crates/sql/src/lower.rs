@@ -327,9 +327,13 @@ impl<'a, 'q> Lowerer<'a, 'q> {
             }
         }
 
-        // DISTINCT applies to the projected output.
+        // DISTINCT is a grouping on every output column, in output order,
+        // with no aggregates: one order consumer, planned like GROUP BY.
         if q.distinct {
-            node = plan.distinct(node);
+            let schemas = plan.schemas(|table, alias| {
+                Ok(self.catalog.table(table)?.meta.schema.qualify(alias))
+            })?;
+            node = plan.aggregate(node, schemas[node].names(), Vec::new());
         }
 
         // ORDER BY.
@@ -621,6 +625,41 @@ mod tests {
             }
         }
         assert_eq!(agg_count, 1, "HAVING must reuse the SELECT aggregate");
+    }
+
+    /// `SELECT DISTINCT` is the same statement without it, grouped on its
+    /// output columns in output order under one aggregate with no
+    /// aggregates.
+    #[test]
+    fn distinct_lowers_to_a_grouping_on_the_output_columns() {
+        use pyro_core::logical::LogicalOp;
+        let cat = catalog();
+        for (sql, group) in [
+            (
+                "SELECT DISTINCT t2.a, b FROM t1, t2 WHERE t1.a = t2.a",
+                vec!["t2.a", "t1.b"],
+            ),
+            (
+                "SELECT DISTINCT * FROM t1, t2 WHERE t1.a = t2.a",
+                vec!["t1.a", "t1.b", "t1.c", "t2.a", "t2.d", "t2.e"],
+            ),
+        ] {
+            let plan = lower(&parse_query(sql).unwrap(), &cat).unwrap();
+            let plain = sql.replace("DISTINCT ", "");
+            let plain = lower(&parse_query(&plain).unwrap(), &cat).unwrap();
+            assert_eq!(plan.len(), plain.len() + 1, "{sql}: one new node");
+            let LogicalOp::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } = plan.node(plan.root())
+            else {
+                panic!("{sql}: the root is not an aggregate");
+            };
+            assert_eq!(*input, plain.root(), "{sql}");
+            assert_eq!(group_by, &group, "{sql}");
+            assert!(aggs.is_empty(), "{sql}");
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use pyro::common::{KeySpec, Schema, Tuple, Value};
 use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
-use pyro::exec::dedup::{HashDistinct, SortDistinct};
 use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::limit::Limit;
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
@@ -380,14 +379,15 @@ fn aggregate_and_distinct_parity() {
         );
         (Box::new(op), m)
     });
-    assert_op_parity("sort_distinct", &|v| {
+    // A DISTINCT is a grouping on every column with no aggregates.
+    assert_op_parity("group_aggregate without aggregates", &|v| {
         let m = ExecMetrics::new();
-        let op = SortDistinct::new(v.ab(sorted.clone()), KeySpec::new(vec![0, 1]), m.clone());
+        let op = GroupAggregate::new(v.ab(sorted.clone()), vec![0, 1], vec![]);
         (Box::new(op), m)
     });
-    assert_op_parity("hash_distinct", &|v| {
+    assert_op_parity("hash_aggregate without aggregates", &|v| {
         let m = ExecMetrics::new();
-        let op = HashDistinct::new(v.ab(sorted.clone()));
+        let op = HashAggregate::new(v.ab(sorted.clone()), vec![0, 1], vec![]);
         (Box::new(op), m)
     });
 }

@@ -283,7 +283,6 @@ fn short_read_is_a_typed_io_error() {
 // ---------------------------------------------------------------------
 
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
-use pyro::exec::dedup::{HashDistinct, SortDistinct};
 use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
 use pyro::exec::{Batch, BoxOp, ExecMetrics, Expr, Operator, Stash, ValuesOp};
@@ -455,10 +454,13 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
                     Box::new(GroupAggregate::new(dying(), vec![0], count())),
                 ),
                 (
-                    "sort distinct",
-                    Box::new(SortDistinct::new(dying(), key.clone(), m())),
+                    "group aggregate without aggregates",
+                    Box::new(GroupAggregate::new(dying(), vec![0, 1], vec![])),
                 ),
-                ("hash distinct", Box::new(HashDistinct::new(dying()))),
+                (
+                    "hash aggregate without aggregates",
+                    Box::new(HashAggregate::new(dying(), vec![0, 1], vec![])),
+                ),
             ];
             for (what, op) in ops {
                 let what = format!(

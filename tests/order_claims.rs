@@ -218,26 +218,39 @@ fn distinct_agrees_across_strategies_and_orders_hold() {
 
 #[test]
 fn distinct_exploits_clustering_via_sort_distinct() {
-    // basket is clustered on (prodtype, symbol): a DISTINCT over exactly
-    // those columns should stream off the clustered scan without any sort.
+    // basket is clustered on (prodtype, symbol): a DISTINCT over those
+    // columns, in either SELECT order, is a grouping with no aggregates that
+    // streams off the clustered scan without any sort, and returns its
+    // columns in SELECT order.
     let mut session = Session::builder().hash_operators(false).build();
     qtables::load_basket_analytics(session.catalog_mut(), 2_000).unwrap();
-    let plan = session
-        .plan("SELECT DISTINCT prodtype, symbol FROM basket")
-        .unwrap();
-    assert_eq!(
-        plan.root.count_nodes(&|n| matches!(
-            n.op,
-            pyro::core::PhysOp::Sort { .. } | pyro::core::PhysOp::PartialSort { .. }
-        )),
-        0,
-        "clustering satisfies the DISTINCT order:\n{}",
-        plan.explain()
-    );
-    let result = session
-        .sql("SELECT DISTINCT prodtype, symbol FROM basket")
-        .unwrap();
-    assert!(!result.is_empty());
+    for cols in [["prodtype", "symbol"], ["symbol", "prodtype"]] {
+        let sql = format!("SELECT DISTINCT {} FROM basket", cols.join(", "));
+        session.set_hash_operators(false);
+        let plan = session.plan(&sql).unwrap();
+        let explain = plan.explain();
+        assert_eq!(
+            plan.root.schema.names(),
+            cols.map(|c| format!("basket.{c}"))
+        );
+        assert_eq!(
+            plan.root
+                .count_nodes(&|n| matches!(n.op, PhysOp::Sort { .. } | PhysOp::PartialSort { .. })),
+            0,
+            "clustering satisfies the DISTINCT order:\n{explain}"
+        );
+        assert!(
+            matches!(&plan.root.op, PhysOp::SortAggregate { aggs, .. } if aggs.is_empty()),
+            "{explain}"
+        );
+        let mut sorted = session.sql(&sql).unwrap().into_rows();
+        session.set_hash_operators(true);
+        let mut hashed = session.sql(&sql).unwrap().into_rows();
+        assert!(!sorted.is_empty());
+        sorted.sort();
+        hashed.sort();
+        assert_eq!(exact(&sorted), exact(&hashed), "{sql}");
+    }
 }
 
 #[test]

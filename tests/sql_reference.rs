@@ -66,7 +66,8 @@ const RELEASE_CASES: u64 = 10_000;
 ///   (1592590346, 1592590375);
 /// - under a LIMIT, a spilled sort's merge, a nested-loops join or a
 ///   distinct working ahead of demand at batch size 1024 (1592599803,
-///   1592602238, 1592610558).
+///   1592602238, 1592610558; a DISTINCT is now a `GroupAggregate` with no
+///   aggregates, so the last holds that operator to its demand).
 const REGRESSION_SEEDS: &[u64] = &[
     1592590340, 1592590346, 1592590352, 1592590349, 1592590358, 1592590375, 1592590475, 1592590498,
     1592590559, 1592591135, 1592591365, 1592591882, 1592592753, 1592599803, 1592602238, 1592610558,
@@ -827,6 +828,14 @@ fn case(seed: u64, mixed: bool, seen: &mut Seen) -> Case {
         seen.note("LIMIT");
         case.stmt.limit = Some(rng.gen_range(0..=6usize));
     }
+    // A DISTINCT lowers to a grouping: over a grouped SELECT that is an
+    // aggregate over an aggregate, and under a LIMIT a demand-driven one.
+    if case.stmt.distinct && case.stmt.grouped {
+        seen.note("DISTINCT over GROUP BY");
+    }
+    if case.stmt.distinct && case.stmt.limit.is_some() {
+        seen.note("DISTINCT under LIMIT");
+    }
     case
 }
 
@@ -1091,10 +1100,9 @@ fn counters(result: &pyro::QueryResult) -> [u64; 4] {
 /// root of an `ORDER BY`) through operators that pass it on unchanged.
 fn flip_build_sides(node: &Arc<PhysNode>, ordered: bool, flipped: &mut bool) -> Arc<PhysNode> {
     let child_ordered = |i: usize| match &node.op {
-        PhysOp::PartialSort { .. }
-        | PhysOp::MergeJoin { .. }
-        | PhysOp::SortAggregate { .. }
-        | PhysOp::SortDistinct { .. } => true,
+        PhysOp::PartialSort { .. } | PhysOp::MergeJoin { .. } | PhysOp::SortAggregate { .. } => {
+            true
+        }
         PhysOp::Filter { .. } | PhysOp::Project { .. } | PhysOp::Limit { .. } => ordered,
         // A hash join passes on its probe input's order, never its build's.
         PhysOp::HashJoin {
@@ -1291,6 +1299,8 @@ fn pyro_agrees_with_the_reference_evaluator() {
         "HAVING",
         "SELECT *",
         "DISTINCT",
+        "DISTINCT over GROUP BY",
+        "DISTINCT under LIMIT",
         "ORDER BY",
         "LIMIT",
     ];
