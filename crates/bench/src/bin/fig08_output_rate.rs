@@ -12,7 +12,7 @@ use pyro_datagen::rtables;
 use pyro_exec::limit::Limit;
 use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro_exec::{BoxOp, ExecMetrics, Stash};
+use pyro_exec::{BoxOp, ExecMetrics};
 use std::time::Instant;
 
 const ROWS: usize = 400_000; // paper: 10 M
@@ -98,10 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let mut limited: BoxOp = Box::new(Limit::new(op, 1000));
         let start = Instant::now();
-        let (mut n, mut stash) = (0, Stash::new());
-        while stash.next_row(&mut limited)?.is_some() {
-            n += 1;
+        let mut n = 0;
+        while let Some(batch) = limited.next_batch()? {
+            n += batch.len();
         }
+        assert_eq!(
+            n, 1000,
+            "{name}: LIMIT 1000 yields its rows, selected ones only"
+        );
         println!(
             "  {name}: first {n} tuples in {:.1} ms",
             start.elapsed().as_secs_f64() * 1e3

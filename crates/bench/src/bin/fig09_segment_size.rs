@@ -15,7 +15,7 @@ use pyro_common::KeySpec;
 use pyro_datagen::rtables;
 use pyro_exec::scan::FileScan;
 use pyro_exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro_exec::{BoxOp, ExecMetrics, Stash};
+use pyro_exec::{BoxOp, ExecMetrics};
 use std::time::Instant;
 
 const ROWS: usize = 200_000;
@@ -87,9 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn drain(mut op: BoxOp) -> pyro_common::Result<usize> {
-    let (mut n, mut stash) = (0, Stash::new());
-    while stash.next_row(&mut op)?.is_some() {
-        n += 1;
+    let mut n = 0;
+    while let Some(batch) = op.next_batch()? {
+        n += batch.len();
     }
     Ok(n)
 }

@@ -13,8 +13,8 @@
 //! compare rows in place ([`ColumnVec::compare`], with an order-preserving
 //! 8-byte [`CellRef::norm_prefix`] in front of it), budget memory with
 //! [`ColumnarBatch::row_byte_sizes`] and emit by [`ColumnarBatch::gather`].
-//! Rows materialize back into [`Tuple`]s once, at the plan root, via
-//! [`ColumnarBatch::to_rows`].
+//! Rows materialize back into [`Tuple`]s once, where a drain hands them
+//! out, via [`ColumnarBatch::append_rows`].
 
 use crate::tuple::{KeySpec, Tuple};
 use crate::value::{cmp_int_double, Value};
@@ -1016,8 +1016,8 @@ impl ColumnarBatch {
         Self::from_columns(columns, rows)
     }
 
-    /// Converts row-oriented tuples into a columnar batch (the seam shim
-    /// used by operators without a native columnar path).
+    /// Converts row-oriented tuples into a columnar batch (how in-memory
+    /// rows enter a plan).
     pub fn from_rows(rows: &[Tuple]) -> Self {
         let arity = rows.first().map_or(0, Tuple::arity);
         let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
@@ -1769,7 +1769,7 @@ mod tests {
         let expect: Vec<Tuple> = idx
             .iter()
             .map(|&i| match i {
-                NULL_ROW => Tuple::nulls(3),
+                NULL_ROW => Tuple::new(vec![Value::Null; 3]),
                 i => rows[i as usize].clone(),
             })
             .collect();

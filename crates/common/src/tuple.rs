@@ -47,29 +47,11 @@ impl Tuple {
         16 + self.values.iter().map(Value::byte_size).sum::<usize>()
     }
 
-    /// Extracts the values at `cols` as an owned key.
-    pub fn key(&self, cols: &[usize]) -> Vec<Value> {
-        cols.iter().map(|&i| self.values[i].clone()).collect()
-    }
-
-    /// Concatenates two tuples (join output).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
-    }
-
     /// Projects to the columns at `indices` (cloning values).
     pub fn project(&self, indices: &[usize]) -> Tuple {
         let mut v = Vec::with_capacity(indices.len());
         v.extend(indices.iter().map(|&i| self.values[i].clone()));
         Tuple::new(v)
-    }
-
-    /// An all-NULL tuple of the given arity (outer-join padding).
-    pub fn nulls(arity: usize) -> Tuple {
-        Tuple::new(vec![Value::Null; arity])
     }
 }
 
@@ -274,11 +256,8 @@ mod tests {
     #[test]
     fn tuple_ops() {
         let a = t(&[1, 2]);
-        let b = t(&[3]);
-        assert_eq!(a.concat(&b), t(&[1, 2, 3]));
         assert_eq!(a.project(&[1]), t(&[2]));
-        assert_eq!(a.key(&[1, 0]), vec![Value::Int(2), Value::Int(1)]);
-        assert!(Tuple::nulls(2).get(0).is_null());
+        assert_eq!(a.arity(), 2);
     }
 
     #[test]

@@ -14,13 +14,9 @@
 //! stay serial and receive either the exact serial row sequence (a gather
 //! that releases morsels in file order) or an unparallelized child.
 //!
-//! The compiler decides nothing about batch layouts. Scans always decode
-//! to columns, every operator above reads the [`pyro_exec::Batch`] it is
-//! handed in the one layout its kernel takes (see `pyro_exec::op`), and
-//! [`Pipeline::run`] converts what the root emits to rows — so a plan of
-//! the paper's operators is columnar from its scans to its root, and a
-//! seam between two row-wise operators moves rows without converting, on
-//! either side of an exchange.
+//! The compiler decides nothing about batch layouts: every operator reads
+//! and emits [`pyro_common::ColumnarBatch`]es, and rows are boxed only
+//! where a drain hands them out ([`pyro_exec::Operator::next_rows`]).
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};
@@ -98,7 +94,6 @@ pub fn compile(
     let metrics = ExecMetrics::new();
     let ctx = CompileCtx {
         catalog,
-        root,
         metrics: metrics.clone(),
         batch: options.batch_size.max(1),
         workers: options.workers.max(1),
@@ -113,9 +108,6 @@ pub fn compile(
 /// Everything a (possibly parallel) plan instantiation threads downward.
 pub(crate) struct CompileCtx<'a> {
     pub(crate) catalog: &'a Catalog,
-    /// The plan's root node: an exchange standing in for it hands its
-    /// batches straight to [`Pipeline`], which can only want rows.
-    pub(crate) root: &'a Arc<PhysNode>,
     pub(crate) metrics: MetricsRef,
     pub(crate) batch: usize,
     pub(crate) workers: usize,
@@ -714,15 +706,11 @@ mod tests {
         ]
     }
 
-    /// A plan of the paper's statements is columnar from its scans to its
-    /// root: every batch the compiled root hands to [`Pipeline`] is
-    /// `Batch::Cols`, so the one conversion to rows is the root's. (A
-    /// row-wise operator anywhere in the plan would surface here as a
-    /// `Rows` batch, or cost the operator above it a `from_rows`.)
+    /// A plan of the paper's statements pulled batch by batch from its
+    /// root gives the rows and counters of a run one row per pull.
     #[test]
     fn paper_statement_plans_convert_to_rows_only_at_the_root() {
         use pyro_exec::join::JoinKind;
-        use pyro_exec::Batch;
         let cat = paper_catalog();
         let mut seen = [0usize; 5];
         for (label, logical) in paper_statements() {
@@ -747,12 +735,7 @@ mod tests {
             let (mut root, metrics) = plan.compile(&cat, &options).unwrap().into_parts();
             let mut by_batch = Vec::new();
             while let Some(batch) = root.next_batch().unwrap() {
-                assert!(
-                    matches!(batch, Batch::Cols(_)),
-                    "{label}: the root handed over a row batch\n{}",
-                    plan.explain()
-                );
-                by_batch.extend(batch.into_rows());
+                batch.append_rows(&mut by_batch);
             }
             // And the plan runs one row per pull to the same rows and
             // counters.
@@ -779,7 +762,8 @@ mod tests {
     fn compile_expr_resolves_names() {
         let schema = Schema::ints(&["t.a", "t.b"]);
         let e = compile_expr(&NExpr::col_eq_lit("t.b", 5i64), &schema).unwrap();
-        let row = Tuple::new(vec![Value::Int(0), Value::Int(5)]);
-        assert!(e.eval_bool(&row).unwrap());
+        let rows = [5, 6].map(|b| Tuple::new(vec![Value::Int(0), Value::Int(b)]));
+        let batch = pyro_common::ColumnarBatch::from_rows(&rows);
+        assert_eq!(pyro_exec::VecPredicate::compile(&e).refine(&batch), [0]);
     }
 }

@@ -82,9 +82,6 @@ pub(crate) fn try_parallel(
         builds,
         ctx.workers,
     );
-    if Arc::ptr_eq(node, ctx.root) {
-        gather = gather.at_plan_root();
-    }
     gather.set_batch_size(ctx.batch);
     Ok(Some(Box::new(gather)))
 }
@@ -368,10 +365,9 @@ mod tests {
         Arc::new(flipped)
     }
 
-    fn two_workers<'a>(catalog: &'a Catalog, root: &'a Arc<PhysNode>) -> CompileCtx<'a> {
+    fn two_workers(catalog: &Catalog) -> CompileCtx<'_> {
         CompileCtx {
             catalog,
-            root,
             metrics: pyro_exec::ExecMetrics::new(),
             batch: 256,
             workers: 2,
@@ -420,7 +416,7 @@ mod tests {
             "test premise: four joins building on the dimensions\n{}",
             plan.explain()
         );
-        let ctx = two_workers(&cat, root);
+        let ctx = two_workers(&cat);
         assert!(parallel_safe(root));
         assert!(matches!(
             &driving_leaf(root).op,
@@ -472,7 +468,7 @@ mod tests {
             "test premise: the join is the root, no enforcer above it\n{}",
             plan.explain()
         );
-        let ctx = two_workers(&cat, root);
+        let ctx = two_workers(&cat);
         assert!(try_parallel(root, &ctx, true).unwrap().is_none());
         assert!(try_parallel(&root.children[0], &ctx, true)
             .unwrap()

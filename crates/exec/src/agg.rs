@@ -7,6 +7,9 @@
 //! trade-off the optimizer prices (Postgres's hash-aggregate pick for
 //! Query 3 is the paper's example of getting this wrong).
 //!
+//! Both read their input as columns, evaluate each aggregate's argument
+//! column at a time ([`eval_column`]) and fold cells; neither boxes a row.
+//!
 //! Duplicate elimination is grouping too: `SELECT DISTINCT` groups on every
 //! output column with no aggregates, and both operators emit each group's
 //! key as its first row holds it.
@@ -17,11 +20,11 @@
 //! grouping at `tuple_io` per input row with no comparison term.
 
 use crate::expr::Expr;
-use crate::op::{rows_batch, Batch, BoxOp, Latch, Operator, Stash, DEFAULT_BATCH_SIZE};
+use crate::op::{BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
 use crate::vector::eval_column;
 use pyro_common::{
     CellRef, Column, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, DataType, KeySpec,
-    Result, Schema, Tuple, Value,
+    Result, Schema, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -98,10 +101,6 @@ impl AccState {
                 any: false,
             },
         }
-    }
-
-    fn update(&mut self, v: Value) {
-        self.update_cell(CellRef::from_value(&v));
     }
 
     /// Folds one cell in; a value is boxed only when the state keeps it.
@@ -269,7 +268,7 @@ impl GroupAggregate {
         let Some(batch) = self.child.next_batch()? else {
             return Ok(false);
         };
-        let batch = batch.into_cols().into_dense();
+        let batch = batch.into_dense();
         // The open group's first row stays reachable past its batch.
         if let (Some(open), Some((old, _))) = (&mut self.columnar.open, &self.columnar.input) {
             open.kept.get_or_insert_with(|| old.clone());
@@ -396,10 +395,10 @@ impl Operator for GroupAggregate {
     /// Emits up to a batch of finished groups per call; under a `Limit`,
     /// one group per call, so the input is read exactly as far as one-row
     /// pulls would read it.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         self.failed.check()?;
         let pulled = self.pull_columnar();
-        Ok(self.failed.record(pulled)?.map(Batch::Cols))
+        self.failed.record(pulled)
     }
 
     fn set_demand_driven(&mut self) {
@@ -416,15 +415,18 @@ impl Operator for GroupAggregate {
     }
 }
 
-/// Hash aggregate: no input-order requirement; emits groups in an arbitrary
-/// but deterministic (sorted-by-group-key) order once the input is drained.
+/// Hash aggregate: no input-order requirement. Its table is keyed on the
+/// grouping cells' `Value`s, so `Int(2)` and `Double(2.0)` are one group
+/// whichever column layout each arrives in, and a group keeps the key cells
+/// of its first row. Once the input is drained it emits the groups sorted
+/// by key — an arbitrary but deterministic order.
 pub struct HashAggregate {
     child: BoxOp,
     group_cols: Vec<usize>,
     aggs: Vec<AggExpr>,
     schema: Schema,
-    output: Option<std::vec::IntoIter<Tuple>>,
-    stash: Stash,
+    /// The sorted groups, and how many of them are emitted.
+    output: Option<(ColumnarBatch, usize)>,
     failed: Latch,
     batch: usize,
 }
@@ -439,40 +441,54 @@ impl HashAggregate {
             aggs,
             schema,
             output: None,
-            stash: Stash::new(),
             failed: Latch::default(),
             batch: DEFAULT_BATCH_SIZE,
         }
     }
 
-    /// Drains the input and materializes the sorted group rows.
-    fn build(&mut self) -> Result<()> {
+    /// Drains the input into the table and returns the groups, sorted by
+    /// key, as one batch.
+    fn build(&mut self) -> Result<ColumnarBatch> {
+        let fresh = || self.aggs.iter().map(|a| AccState::new(a.func)).collect();
         let mut table: HashMap<Vec<Value>, Vec<AccState>> = HashMap::new();
-        while let Some(t) = self.stash.next_row(&mut self.child)? {
-            let key = t.key(&self.group_cols);
-            let states = table
-                .entry(key)
-                .or_insert_with(|| self.aggs.iter().map(|a| AccState::new(a.func)).collect());
-            for (agg, st) in self.aggs.iter().zip(states.iter_mut()) {
-                st.update(agg.arg.eval(&t)?);
+        let mut key = Vec::new();
+        while let Some(batch) = self.child.next_batch()? {
+            let args: Vec<_> = self
+                .aggs
+                .iter()
+                .map(|a| eval_column(&a.arg, &batch))
+                .collect();
+            for i in batch.sel_vec() {
+                let i = i as usize;
+                key.clear();
+                key.extend(self.group_cols.iter().map(|&c| batch.column(c).value_at(i)));
+                if !table.contains_key(key.as_slice()) {
+                    table.insert(key.clone(), fresh());
+                }
+                let states = table.get_mut(key.as_slice()).expect("inserted");
+                for (state, arg) in states.iter_mut().zip(&args) {
+                    state.update_cell(arg.cell(i));
+                }
             }
         }
         // Without grouping columns there is one group, even of no rows.
         if self.group_cols.is_empty() && table.is_empty() {
-            let states = self.aggs.iter().map(|a| AccState::new(a.func)).collect();
-            table.insert(Vec::new(), states);
+            table.insert(Vec::new(), fresh());
         }
-        let mut rows: Vec<Tuple> = table
-            .into_iter()
-            .map(|(key, states)| {
-                let mut values = key;
-                values.extend(states.into_iter().map(AccState::finish));
-                Tuple::new(values)
-            })
+        let mut groups: Vec<_> = table.into_iter().collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut out: Vec<ColumnBuilder> = (0..self.schema.len())
+            .map(|_| ColumnBuilder::new())
             .collect();
-        rows.sort();
-        self.output = Some(rows.into_iter());
-        Ok(())
+        for (key, states) in groups {
+            let cells = key
+                .into_iter()
+                .chain(states.into_iter().map(AccState::finish));
+            for (builder, v) in out.iter_mut().zip(cells) {
+                builder.push_value(&v);
+            }
+        }
+        Ok(ColumnarBatch::from_builders(out))
     }
 }
 
@@ -481,14 +497,17 @@ impl Operator for HashAggregate {
         &self.schema
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         self.failed.check()?;
         if self.output.is_none() {
             let built = self.build();
-            self.failed.record(built)?;
+            self.output = Some((self.failed.record(built)?, 0));
         }
-        let it = self.output.as_mut().expect("materialized");
-        Ok(rows_batch(it.by_ref().take(self.batch).collect()))
+        let (groups, emitted) = self.output.as_mut().expect("built");
+        let end = (*emitted + self.batch).min(groups.num_rows());
+        let idx: Vec<u32> = (*emitted as u32..end as u32).collect();
+        *emitted = end;
+        Ok((!idx.is_empty()).then(|| groups.gather(&idx)))
     }
 
     fn batch_size(&self) -> usize {
@@ -503,7 +522,8 @@ impl Operator for HashAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, exact, ValuesOp};
+    use crate::op::{collect, exact, in_every_layout, Parts, ValuesOp};
+    use pyro_common::Tuple;
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()
@@ -650,6 +670,63 @@ mod tests {
                 let out = distinct(sorted, data.clone(), vec![0, 1]);
                 assert_eq!(exact(&out), exact(&[row(first.clone())]), "sorted={sorted}");
             }
+        }
+    }
+
+    /// The key column changes representation from batch to batch — INT,
+    /// then mixed (`2.0`, NULLs, strings), then DOUBLE — and each `Value`
+    /// is one group holding its first row's cell, exactly as a sort-based
+    /// aggregate over the input stably sorted by key has it.
+    #[test]
+    fn hash_aggregate_groups_values_across_batch_layouts() {
+        let (i, d, s) = (Value::Int, Value::Double, |x: &str| Value::Str(x.into()));
+        let batches = vec![
+            vec![i(2), i(1), i(3), i(2)],
+            vec![d(2.0), Value::Null, s("x"), d(1.0), Value::Null],
+            vec![d(3.5), d(2.0), d(-0.0)],
+            vec![s("x"), i(0), Value::Null, d(3.0)],
+        ];
+        let schema = Schema::ints(&["g", "v"]);
+        let (mut all, mut parts) = (Vec::new(), Vec::<BoxOp>::new());
+        for keys in batches {
+            let first = all.len() as i64;
+            let rows: Vec<Tuple> = (first..)
+                .zip(keys)
+                .map(|(n, k)| Tuple::new(vec![k, Value::Int(n)]))
+                .collect();
+            all.extend(rows.iter().cloned());
+            parts.push(Box::new(ValuesOp::new(schema.clone(), rows)));
+        }
+        let hash = collect(Box::new(HashAggregate::new(
+            Box::new(Parts(parts)),
+            vec![0],
+            aggs(),
+        )))
+        .unwrap();
+        all.sort_by(|a, b| a.get(0).cmp(b.get(0)));
+        let src = Box::new(ValuesOp::new(schema.clone(), all.clone()));
+        let sort = collect(Box::new(GroupAggregate::new(src, vec![0], aggs()))).unwrap();
+        assert_eq!(exact(&hash), exact(&sort));
+        let keys: Vec<&Value> = hash.iter().map(|t| t.get(0)).collect();
+        assert_eq!(
+            exact(&keys),
+            exact(&[
+                &d(-0.0),
+                &i(0),
+                &i(1),
+                &i(2),
+                &i(3),
+                &d(3.5),
+                &s("x"),
+                &Value::Null
+            ]),
+            "one group per value, each with its first row's cell"
+        );
+        // And over dense, selected and alternating input, in arrival order.
+        all.sort_by_key(|t| t.get(1).as_int());
+        for input in in_every_layout(&schema, &all) {
+            let op = HashAggregate::new(input, vec![0], aggs());
+            assert_eq!(exact(&collect(Box::new(op)).unwrap()), exact(&hash));
         }
     }
 

@@ -24,11 +24,10 @@
 //!   bounds the buffer: a worker may not claim a morsel more than `window`
 //!   sequence numbers past the head.
 //!
-//! Workers hand batches over in the layout the fragment produced them in,
-//! and whoever consumes the exchange converts if it needs to, on its own
-//! thread. The one exception is an exchange that is the root of its plan
-//! ([`Gather::at_plan_root`]): its batches can only become result rows, so
-//! its workers convert them, in parallel, before handing them over.
+//! Workers hand over the column batches the fragment produced — unless the
+//! consumer's first pull asks for rows ([`Operator::next_rows`], as a drain
+//! to result rows does): then the workers box the rows between them, in
+//! parallel, and hand those over.
 //!
 //! Before it spawns anyone, a gather builds — on the consumer thread — every
 //! hash-join table its chain probes ([`SharedBuild::build`]): builds finish
@@ -47,9 +46,9 @@
 //! counters stay bit-identical to `workers = 1`.
 
 use crate::join::SharedBuild;
-use crate::op::{Batch, BoxOp, Operator};
+use crate::op::{BoxOp, Operator};
 use crate::scan::{FileScan, MorselSource};
-use pyro_common::{PyroError, Result, Schema};
+use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -67,14 +66,21 @@ pub type FragmentFn = Arc<dyn Fn(FileScan) -> BoxOp + Send + Sync>;
 /// matches.
 const PART_BATCHES: usize = 16;
 
+/// One batch of a worker's output: as columns, or — for a consumer that
+/// drains to rows — as boxed rows.
+enum Shipment {
+    Cols(ColumnarBatch),
+    Rows(Vec<Tuple>),
+}
+
 /// What a worker tells the consumer.
 enum Msg {
-    /// The next output batches of morsel `seq`, in order; `last` marks the
-    /// morsel complete (a morsel that produced nothing sends one empty,
-    /// `last` part).
+    /// The next output of morsel `seq`, in order; `last` marks the morsel
+    /// complete (a morsel that produced nothing sends one empty, `last`
+    /// part).
     Part {
         seq: usize,
-        batches: Vec<Batch>,
+        batches: Vec<Shipment>,
         last: bool,
     },
     /// The worker's operator chain failed, or the worker is unwinding.
@@ -102,14 +108,13 @@ struct Fragment {
     source: Arc<MorselSource>,
     leaf_schema: Schema,
     chain: FragmentFn,
-    /// Workers convert what the chain produces to rows (a root exchange).
-    ship_rows: bool,
 }
 
 impl Fragment {
-    /// One worker: claim, instantiate, drain, repeat. A failed send means
-    /// the consumer is gone (completion or abort): exit.
-    fn work(&self, batch: usize, tx: &SyncSender<Msg>) {
+    /// One worker: claim, instantiate, drain — to rows if `rows` — and
+    /// repeat. A failed send means the consumer is gone (completion or
+    /// abort): exit.
+    fn work(&self, batch: usize, rows: bool, tx: &SyncSender<Msg>) {
         let _notice = PanicNotice(tx);
         while let Some(morsel) = self.source.claim() {
             let mut leaf = self.source.scan(&morsel, self.leaf_schema.clone());
@@ -120,9 +125,9 @@ impl Fragment {
             loop {
                 let last = match op.next_batch() {
                     Ok(Some(b)) => {
-                        batches.push(match self.ship_rows {
-                            true => Batch::Rows(b.into_rows()),
-                            false => b,
+                        batches.push(match rows {
+                            true => Shipment::Rows(b.to_rows()),
+                            false => Shipment::Cols(b),
                         });
                         false
                     }
@@ -164,7 +169,7 @@ enum State {
 /// One morsel's place in the reorder buffer.
 #[derive(Default)]
 struct Slot {
-    batches: Vec<Batch>,
+    batches: Vec<Shipment>,
     done: bool,
 }
 
@@ -181,8 +186,8 @@ pub struct Gather {
     builds: Vec<Arc<SharedBuild>>,
     workers: usize,
     state: State,
-    /// Batches cleared to be handed on, in output order.
-    ready: VecDeque<Batch>,
+    /// Output cleared to be handed on, in order.
+    ready: VecDeque<Shipment>,
     /// Ordered mode: the lowest incomplete morsel, and the buffer for it
     /// and its successors (`slots[i]` is morsel `head + i`).
     head: usize,
@@ -209,7 +214,6 @@ impl Gather {
                 source,
                 leaf_schema,
                 chain,
-                ship_rows: false,
             },
             builds,
             workers: workers.max(1),
@@ -221,19 +225,11 @@ impl Gather {
         }
     }
 
-    /// Marks this exchange as the root of its plan: nothing above it can
-    /// use column batches, so the workers do the conversion to result rows
-    /// between them instead of leaving all of it to the consumer thread.
-    pub fn at_plan_root(mut self) -> Gather {
-        self.fragment.ship_rows = true;
-        self
-    }
-
-    /// Builds the shared tables, then spawns the workers. A build side's
-    /// own exchange has come and gone before this one's threads start: a
-    /// pipeline runs at most `workers` threads at a time, however many
-    /// exchanges it nests.
-    fn start(&mut self) -> Result<()> {
+    /// Builds the shared tables, then spawns the workers, which ship boxed
+    /// rows if `rows`. A build side's own exchange has come and gone before
+    /// this one's threads start: a pipeline runs at most `workers` threads
+    /// at a time, however many exchanges it nests.
+    fn start(&mut self, rows: bool) -> Result<()> {
         for build in &self.builds {
             build.build()?;
         }
@@ -241,7 +237,7 @@ impl Gather {
         let handles = (0..self.workers)
             .map(|_| {
                 let (fragment, tx, batch) = (self.fragment.clone(), tx.clone(), self.batch);
-                std::thread::spawn(move || fragment.work(batch, &tx))
+                std::thread::spawn(move || fragment.work(batch, rows, &tx))
             })
             .collect();
         self.state = State::Running { rx, handles };
@@ -276,7 +272,7 @@ impl Gather {
     /// the head morsel has so far — and every complete morsel behind it —
     /// for output. `seq` is never below `head`: a morsel the head has moved
     /// past is complete, and its worker has moved on.
-    fn reorder(&mut self, seq: usize, batches: Vec<Batch>, last: bool) {
+    fn reorder(&mut self, seq: usize, batches: Vec<Shipment>, last: bool) {
         let i = seq - self.head;
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, Slot::default);
@@ -303,18 +299,13 @@ impl Gather {
         self.state = State::Failed(e.clone());
         e
     }
-}
 
-impl Operator for Gather {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The next batch in the mode's order.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    /// The next shipment in the mode's order; the first pull starts the
+    /// workers, shipping rows if `rows`.
+    fn pull(&mut self, rows: bool) -> Result<Option<Shipment>> {
         match &self.state {
             State::Idle => {
-                if let Err(e) = self.start() {
+                if let Err(e) = self.start(rows) {
                     return Err(self.fail(e));
                 }
             }
@@ -339,6 +330,29 @@ impl Operator for Gather {
             }
         }
     }
+}
+
+impl Operator for Gather {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        Ok(self.pull(false)?.map(|s| match s {
+            Shipment::Cols(b) => b,
+            Shipment::Rows(rows) => ColumnarBatch::from_rows(&rows),
+        }))
+    }
+
+    /// Rows boxed on the workers, moved onto `out`.
+    fn next_rows(&mut self, out: &mut Vec<Tuple>) -> Result<bool> {
+        match self.pull(true)? {
+            Some(Shipment::Cols(b)) => b.append_rows(out),
+            Some(Shipment::Rows(mut rows)) => out.append(&mut rows),
+            None => return Ok(false),
+        }
+        Ok(true)
+    }
 
     fn batch_size(&self) -> usize {
         self.batch
@@ -361,7 +375,7 @@ mod tests {
     use crate::expr::{CmpOp, Expr};
     use crate::filter::Filter;
     use crate::join::{HashJoin, SharedBuild, Side};
-    use crate::op::{collect, AsRows, FaultyOp, Stash, ValuesOp};
+    use crate::op::{collect, FaultyOp, ValuesOp};
     use pyro_common::{KeySpec, Tuple, Value};
     use pyro_storage::{write_file, SimDevice, TupleFile};
 
@@ -396,42 +410,35 @@ mod tests {
     }
 
     fn faulty(after: usize, panic: bool) -> FragmentFn {
-        Arc::new(move |leaf| {
-            Box::new(FaultyOp {
-                child: Box::new(leaf),
-                after,
-                panic,
-                stash: Stash::new(),
-            })
-        })
+        Arc::new(move |leaf| Box::new(FaultyOp::new(Box::new(leaf), after, panic)))
     }
 
-    /// Both fragment layouts, and one row per pull: workers
-    /// ship what the fragment produced, untouched — unless the exchange is
-    /// its plan's root, whose workers ship rows.
+    /// Drained as batches (workers ship columns) or as rows (workers box
+    /// them), over a fragment whose batches are dense or carry selection
+    /// vectors, and one row per pull.
     #[test]
     fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
         let (file, rows) = file(600);
-        let row_scan: FragmentFn = Arc::new(|leaf| Box::new(AsRows(Box::new(leaf))));
+        let selected: FragmentFn = Arc::new(|leaf| {
+            let all = Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(0i64));
+            Box::new(Filter::new(Box::new(leaf), all))
+        });
         for workers in [1, 2, 4] {
             let mut one_row = gather(&file, None, identity(), workers);
             one_row.set_batch_size(1);
             let mut outs = vec![collect(Box::new(one_row)).unwrap()];
-            for (chain, root, cols) in [
-                (identity(), false, true),
-                (row_scan.clone(), false, false),
-                (identity(), true, false),
-            ] {
-                let mut g = gather(&file, None, chain, workers);
-                if root {
-                    g = g.at_plan_root();
+            for chain in [identity(), selected.clone()] {
+                for by_rows in [false, true] {
+                    let mut g = gather(&file, None, chain.clone(), workers);
+                    let mut out = Vec::new();
+                    if by_rows {
+                        while g.next_rows(&mut out).unwrap() {}
+                    }
+                    while let Some(b) = g.next_batch().unwrap() {
+                        b.append_rows(&mut out);
+                    }
+                    outs.push(out);
                 }
-                let mut out = Vec::new();
-                while let Some(b) = g.next_batch().unwrap() {
-                    assert_eq!(matches!(b, Batch::Cols(_)), cols, "workers={workers}");
-                    out.extend(b.into_rows());
-                }
-                outs.push(out);
             }
             for mut out in outs {
                 out.sort_by_key(|t| t.get(1).as_int());
@@ -523,12 +530,7 @@ mod tests {
                     9 => 0,
                     _ => usize::MAX,
                 };
-                Box::new(FaultyOp {
-                    child: Box::new(leaf),
-                    after,
-                    panic: false,
-                    stash: Stash::new(),
-                })
+                Box::new(FaultyOp::new(Box::new(leaf), after, false))
             });
             let mut g = gather(&file, window, chain, 4);
             let mut pulls = 0;
@@ -583,11 +585,9 @@ mod tests {
             .iter()
             .filter(|t| t.get(0).as_int().unwrap() < 5)
             .map(|t| {
-                Tuple::new(vec![
-                    t.get(0).clone(),
-                    Value::Int(-t.get(0).as_int().unwrap()),
-                ])
-                .concat(t)
+                let k = t.get(0).clone();
+                let v = Value::Int(-t.get(0).as_int().unwrap());
+                Tuple::new([&[k, v], t.values()].concat())
             })
             .collect();
         assert_eq!(
@@ -595,21 +595,11 @@ mod tests {
             "a second drain of the build side would find it empty"
         );
 
-        let mut g = join_on(Box::new(FaultyOp {
-            child: build_rows(),
-            after: 3,
-            panic: false,
-            stash: Stash::new(),
-        }));
+        let mut g = join_on(Box::new(FaultyOp::new(build_rows(), 3, false)));
         for _ in 0..2 {
             assert_eq!(g.next_batch().unwrap_err(), PyroError::Exec("boom".into()));
         }
-        let g = join_on(Box::new(FaultyOp {
-            child: build_rows(),
-            after: 3,
-            panic: true,
-            stash: Stash::new(),
-        }));
+        let g = join_on(Box::new(FaultyOp::new(build_rows(), 3, true)));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| collect(Box::new(g))))
             .expect_err("a panicking build must not be swallowed");
     }

@@ -4,7 +4,9 @@
 //! Query 5 computes `Quantity * Price`), and comparisons with SQL NULL
 //! semantics (any comparison involving NULL is not-true).
 
-use pyro_common::{CellRef, Result, Tuple, Value};
+use pyro_common::{CellRef, Value};
+#[cfg(test)]
+use pyro_common::{Result, Tuple};
 use std::fmt;
 
 /// Comparison operators.
@@ -105,8 +107,10 @@ impl Expr {
             .unwrap_or(Expr::Lit(Value::Int(1)))
     }
 
-    /// Evaluates against a tuple.
-    pub fn eval(&self, t: &Tuple) -> Result<Value> {
+    /// Evaluates against a tuple, a row at a time: the reference the
+    /// column kernels of [`crate::vector`] are tested against.
+    #[cfg(test)]
+    pub(crate) fn eval(&self, t: &Tuple) -> Result<Value> {
         Ok(match self {
             Expr::Col(i) => t.get(*i).clone(),
             Expr::Lit(v) => v.clone(),
@@ -137,7 +141,8 @@ impl Expr {
     }
 
     /// Evaluates as a predicate: true iff the result is a non-null non-zero.
-    pub fn eval_bool(&self, t: &Tuple) -> Result<bool> {
+    #[cfg(test)]
+    pub(crate) fn eval_bool(&self, t: &Tuple) -> Result<bool> {
         Ok(truth(CellRef::from_value(&self.eval(t)?)) == Some(true))
     }
 }

@@ -1,9 +1,9 @@
 //! Selection.
 
 use crate::expr::Expr;
-use crate::op::{Batch, BoxOp, Operator};
+use crate::op::{BoxOp, Operator};
 use crate::vector::VecPredicate;
-use pyro_common::{Result, Schema};
+use pyro_common::{ColumnarBatch, Result, Schema};
 
 /// Emits child tuples satisfying a predicate. Order-preserving.
 pub struct Filter {
@@ -26,16 +26,15 @@ impl Operator for Filter {
         self.child.schema()
     }
 
-    /// Reads each batch as columns and refines its selection vector with
-    /// the predicate's per-column loops; no row is materialized, and
-    /// batches nothing passes in are skipped.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while let Some(batch) = self.child.next_batch()? {
-            let mut cols = batch.into_cols();
-            let sel = self.predicate.refine(&cols);
+    /// Refines each batch's selection vector with the predicate's
+    /// per-column loops; no row is materialized, and batches nothing
+    /// passes in are skipped.
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        while let Some(mut batch) = self.child.next_batch()? {
+            let sel = self.predicate.refine(&batch);
             if !sel.is_empty() {
-                cols.set_sel(sel);
-                return Ok(Some(Batch::Cols(cols)));
+                batch.set_sel(sel);
+                return Ok(Some(batch));
             }
         }
         Ok(None)
@@ -63,7 +62,7 @@ impl Operator for Filter {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::op::{collect, collect_cols, in_every_layout, ValuesOp};
+    use crate::op::{collect, in_every_layout, ValuesOp};
     use pyro_common::{Tuple, Value};
 
     #[test]
@@ -94,9 +93,9 @@ mod tests {
     }
 
     /// The batch pull must keep exactly the rows the row interpreter
-    /// (`Expr::eval_bool`) accepts, all of it as `Cols` — whichever layout
-    /// each input batch arrives in, for comparisons over columns and
-    /// literals and for a conjunct evaluated whole.
+    /// (`Expr::eval_bool`) accepts — over dense, selected and alternating
+    /// input batches, for comparisons over columns and literals and for a
+    /// conjunct evaluated whole.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..100)
@@ -128,7 +127,7 @@ mod tests {
                 .collect();
             assert!(!reference.is_empty());
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
-                let out = collect_cols(Box::new(Filter::new(input, pred.clone())));
+                let out = collect(Box::new(Filter::new(input, pred.clone()))).unwrap();
                 assert_eq!(reference, out, "predicate {pred:?}");
             }
         }

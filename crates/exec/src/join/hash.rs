@@ -17,20 +17,19 @@
 //! order is the probe stream's, each probe row's matches in build arrival
 //! order — so a join building on the right emits exactly the sequence a
 //! nested-loops join over the same inputs does, and passes its left
-//! input's sort order on. Inputs of either layout are read as columns, and
-//! every output batch is `Cols`.
+//! input's sort order on.
 //!
 //! A finished build side is immutable, so the workers of a parallel join
 //! share one table behind an `Arc` ([`SharedBuild`]): it is built once, by
 //! whoever needs it first, and every worker probes its own morsels against
 //! it. A serial join is the one-worker case.
 
-use super::Side;
-use crate::op::{Batch, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
+use super::{side_by_side, Side};
+use crate::op::{drain_columns, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::value::exact_int;
 use pyro_common::{
-    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, NullBitmap, PyroError,
-    Result, Schema, Value,
+    CellRef, ColumnData, ColumnVec, ColumnarBatch, KeySpec, NullBitmap, PyroError, Result, Schema,
+    Value,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -142,19 +141,10 @@ fn hash_words(keys: &[i64]) -> u64 {
 }
 
 impl VectorTable {
-    /// Drains `input` batch-at-a-time, in either layout, into columns, and
-    /// chains every row whose key words are all present.
+    /// Drains `input` batch-at-a-time into columns, and chains every row
+    /// whose key words are all present.
     fn build(input: &mut BoxOp, key_cols: &[usize]) -> Result<VectorTable> {
-        let mut builders: Vec<ColumnBuilder> = (0..input.schema().len())
-            .map(|_| ColumnBuilder::new())
-            .collect();
-        while let Some(batch) = input.next_batch()? {
-            let batch = batch.into_cols();
-            for (c, builder) in builders.iter_mut().enumerate() {
-                builder.append_column(batch.column(c), batch.sel());
-            }
-        }
-        let rows = ColumnarBatch::from_builders(builders);
+        let rows = drain_columns(input)?;
         let dicts: Vec<_> = key_cols
             .iter()
             .map(|&c| {
@@ -357,13 +347,10 @@ impl HashJoin {
         build_idx: &[u32],
         probe_idx: &[u32],
     ) -> ColumnarBatch {
-        let (build, probe) = (table.rows.gather(build_idx), probe.gather(probe_idx));
-        let (left, right) = match self.side {
-            Side::Left => (build, probe),
-            Side::Right => (probe, build),
-        };
-        let columns = left.columns().iter().chain(right.columns()).cloned();
-        ColumnarBatch::from_columns(columns.collect(), probe_idx.len())
+        match self.side {
+            Side::Left => side_by_side(&table.rows, build_idx, probe, probe_idx),
+            Side::Right => side_by_side(probe, probe_idx, &table.rows, build_idx),
+        }
     }
 
     /// Probes column-at-a-time: key words are extracted per probe batch,
@@ -397,7 +384,7 @@ impl HashJoin {
                 // Batch fully probed with no matches: fall through to pull
                 // the next one.
             }
-            match self.probe_input.next_batch()?.map(Batch::into_cols) {
+            match self.probe_input.next_batch()? {
                 Some(pb) => {
                     let sel = pb.sel_vec();
                     self.probe_pos = Some((pb, sel, 0));
@@ -416,10 +403,10 @@ impl Operator for HashJoin {
     /// Builds (or waits for) the table on the first pull, then probes.
     /// Emission order: probe stream order, matches per probe row in build
     /// arrival order.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         self.failed.check()?;
         let pulled = self.build.get().and_then(|table| self.probe(&table));
-        Ok(self.failed.record(pulled)?.map(Batch::Cols))
+        self.failed.record(pulled)
     }
 
     fn batch_size(&self) -> usize {
@@ -441,7 +428,7 @@ impl Operator for HashJoin {
 mod tests {
     use super::*;
     use crate::join::{JoinKind, NestedLoopsJoin};
-    use crate::op::{collect, collect_cols, exact, in_every_layout, ValuesOp};
+    use crate::op::{collect, exact, in_every_layout, ValuesOp};
     use pyro_common::Tuple;
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
@@ -519,8 +506,8 @@ mod tests {
     /// with each input fed in every layout, and holds every run to a
     /// nested-loops join over the same rows, row for row: building on the
     /// right is left-major nested loops, building on the left is nested
-    /// loops over `right ⋈ left` with the columns put back. Every batch the
-    /// join emits must be `Cols`. Returns the nested-loops rows.
+    /// loops over `right ⋈ left` with the columns put back. Returns the
+    /// nested-loops rows.
     fn assert_matches_nested_loops(
         left: &Input,
         right: &Input,
@@ -558,7 +545,7 @@ mod tests {
                 op.set_batch_size(batch);
                 assert_eq!(
                     exact(&expect),
-                    exact(&collect_cols(Box::new(op))),
+                    exact(&collect(Box::new(op)).unwrap()),
                     "build {build:?} left {l} right {r} batch {batch}"
                 );
             }
@@ -692,7 +679,7 @@ mod tests {
                 .iter()
                 .flat_map(|l| right.1.iter().map(move |r| (l, r)))
                 .filter(|(l, r)| !l.get(0).is_null() && l.get(0).cmp(r.get(0)).is_eq())
-                .map(|(l, r)| l.concat(r))
+                .map(|(l, r)| Tuple::new([l.values(), r.values()].concat()))
                 .collect();
             expect.sort();
             assert!(expect.len() > 20);
@@ -716,7 +703,7 @@ mod tests {
             .1
             .iter()
             .zip(&right.1)
-            .map(|(l, r)| l.concat(r))
+            .map(|(l, r)| Tuple::new([l.values(), r.values()].concat()))
             .collect();
         for build in [Side::Left, Side::Right] {
             let out = assert_matches_nested_loops(&left, &right, &[0], build);
@@ -870,14 +857,7 @@ mod tests {
     #[test]
     fn shared_build_failure_reaches_every_waiting_join() {
         use crate::op::FaultyOp;
-        let faulty = |panic: bool| -> BoxOp {
-            Box::new(FaultyOp {
-                child: build_rows(),
-                after: 2,
-                panic,
-                stash: crate::op::Stash::new(),
-            })
-        };
+        let faulty = |panic: bool| -> BoxOp { Box::new(FaultyOp::new(build_rows(), 2, panic)) };
         let shared = SharedBuild::new(faulty(false), KeySpec::new(vec![0]));
         for r in probe_shared_concurrently(&shared) {
             assert_eq!(

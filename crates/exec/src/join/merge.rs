@@ -21,7 +21,7 @@
 
 use super::JoinKind;
 use crate::metrics::MetricsRef;
-use crate::op::{Batch, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, NULL_ROW};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -213,7 +213,7 @@ impl MergeJoin {
                 &mut self.right
             };
             let s = &mut self.columnar.sides[w];
-            match input.next_batch()?.map(Batch::into_cols) {
+            match input.next_batch()? {
                 None => s.done = true,
                 Some(next) => {
                     let merged = match &s.batch {
@@ -398,10 +398,10 @@ impl Operator for MergeJoin {
     /// may overshoot it, as the batch contract allows) — or, under a
     /// `Limit`, one productive pairing per call, so the inputs are read
     /// exactly as far as one-row pulls would read them.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         self.failed.check()?;
         let pulled = self.pull_columnar();
-        Ok(self.failed.record(pulled)?.map(Batch::Cols))
+        self.failed.record(pulled)
     }
 
     fn set_demand_driven(&mut self) {

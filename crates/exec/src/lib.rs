@@ -2,10 +2,10 @@
 //!
 //! A Volcano-style (pull-based) execution engine that exchanges rows
 //! **batch-at-a-time** — every operator implements one pull,
-//! [`Operator::next_batch`], which hands over a [`Batch`] of boxed rows or
-//! of column vectors (see `op.rs` for the layout rule and the batch
-//! contract; counter totals are identical at every batch size, with batch
-//! size 1 as the reference) — built to make the paper's §3 claims
+//! [`Operator::next_batch`], which hands over a
+//! [`pyro_common::ColumnarBatch`] of column vectors (see `op.rs` for the
+//! batch contract; counter totals are identical at every batch size, with
+//! batch size 1 as the reference) — built to make the paper's §3 claims
 //! observable:
 //!
 //! * [`sort::StandardReplacementSort`] (SRS) — classical replacement
@@ -41,8 +41,6 @@ pub mod vector;
 pub use exchange::{FragmentFn, Gather};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, MetricsRef};
-pub use op::{
-    collect, Batch, BoxOp, Operator, Pipeline, Rows, Stash, ValuesOp, DEFAULT_BATCH_SIZE,
-};
+pub use op::{collect, BoxOp, Operator, Pipeline, Rows, ValuesOp, DEFAULT_BATCH_SIZE};
 pub use scan::{FileScan, Morsel, MorselSource, MORSEL_PAGES};
 pub use vector::{eval_column, VecPredicate};

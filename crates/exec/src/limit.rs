@@ -5,11 +5,10 @@
 //! pipeline stops after the first segments instead of sorting everything —
 //! the `fig08` bench demonstrates exactly that.
 //!
-//! It reads its input as columns and trims an over-long batch by cutting
-//! its selection vector.
+//! It trims an over-long batch by cutting its selection vector.
 
-use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{Result, Schema};
+use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use pyro_common::{ColumnarBatch, Result, Schema};
 
 /// Emits at most `k` child tuples, then stops pulling.
 pub struct Limit {
@@ -37,7 +36,7 @@ impl Operator for Limit {
         self.child.schema()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -48,7 +47,7 @@ impl Operator for Limit {
         // may still read ahead by up to one batch; see the op.rs contract.)
         let want = (self.batch as u64).min(self.remaining) as usize;
         self.child.set_batch_size(want);
-        match self.child.next_batch()?.map(Batch::into_cols) {
+        match self.child.next_batch()? {
             Some(mut batch) => {
                 if batch.len() as u64 > self.remaining {
                     let mut sel = batch.sel_vec();
@@ -56,7 +55,7 @@ impl Operator for Limit {
                     batch.set_sel(sel);
                 }
                 self.remaining -= batch.len() as u64;
-                Ok(Some(Batch::Cols(batch)))
+                Ok(Some(batch))
             }
             None => {
                 self.remaining = 0;
@@ -89,7 +88,7 @@ impl Operator for Limit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{collect, collect_cols, exact, in_every_layout, ValuesOp};
+    use crate::op::{collect, exact, in_every_layout, ValuesOp};
     use pyro_common::{Tuple, Value};
 
     #[test]
@@ -100,8 +99,8 @@ mod tests {
         assert_eq!(collect(Box::new(op)).unwrap().len(), 3);
     }
 
-    /// Whatever layout its input arrives in, `Limit` emits columns: the
-    /// first `k` rows, a batch cut short through its selection vector.
+    /// Over dense, selected and alternating input, `Limit` emits the first
+    /// `k` rows, a batch cut short through its selection vector.
     #[test]
     fn emits_the_first_rows_as_columns_in_every_layout() {
         let rows: Vec<Tuple> = (0..40)
@@ -114,7 +113,7 @@ mod tests {
                 op.set_batch_size(3);
                 let want = &rows[..rows.len().min(k as usize)];
                 assert_eq!(
-                    exact(&collect_cols(Box::new(op))),
+                    exact(&collect(Box::new(op)).unwrap()),
                     exact(want),
                     "k={k}, layout {i}"
                 );

@@ -1,29 +1,20 @@
 //! The Volcano operator interface: one pull, `next_batch()`, which hands
-//! over a [`Batch`] of rows in whichever layout the operator naturally
-//! produces. A consumer that wants one row at a time reads through a
-//! [`Stash`].
-//!
-//! **Layout rule.** A [`Batch`] is either `Rows` (boxed tuples) or `Cols`
-//! (column vectors). Columns in, columns out: a scan decodes pages into
-//! `Cols`; filter, projection, the hash join, both sort enforcers, the
-//! merge join, the sort-based aggregate and limit each have one kernel,
-//! over columns, so they call [`Batch::into_cols`] on input and always emit
-//! `Cols`. Rows stay at the edge: the two row-wise operators (nested loops
-//! and the hash aggregate) call [`Batch::into_rows`] and emit `Rows`. A conversion costs nothing when the
-//! layout already matches, so a plan that is columnar throughout converts
-//! exactly once — [`Pipeline::run`]'s `into_rows` at the root — and nothing
-//! is decided ahead of time.
+//! over a [`ColumnarBatch`] — column vectors plus an optional selection
+//! vector. Every operator reads its input as columns and emits columns;
+//! rows are boxed in one place, [`Operator::next_rows`], which appends one
+//! batch's rows to the caller's vector. [`collect`] (and so
+//! [`Pipeline::run`]) and a session's result stream drain through it, and
+//! an exchange overrides it so that its workers box the rows between them.
 //!
 //! **Batch contract.** The reference is batch size 1: one row per pull.
 //! One `next_batch()` call on an operator configured for batch size `B`
 //! performs exactly the same per-row work — and charges exactly the same
 //! [`crate::ExecMetrics`] — as up to `B` consecutive pulls at batch size 1
-//! would, whichever layout it is fed; it returns `Ok(None)` only at end of
-//! stream, and a short (even partial) batch does *not* signal the end. This
-//! equivalence is what keeps counter totals bit-identical across batch
-//! sizes (the paper's Experiment A figures depend on it) while letting
-//! batch-native operators skip per-row virtual dispatch, reuse buffers,
-//! and charge metrics once per batch.
+//! would; it returns `Ok(None)` only at end of stream, and a short (even
+//! empty) batch does *not* signal the end. This equivalence is what keeps
+//! counter totals bit-identical across batch sizes (the paper's Experiment
+//! A figures depend on it) while letting operators skip per-row virtual
+//! dispatch, reuse buffers, and charge metrics once per batch.
 //!
 //! An operator that works ahead to fill its batch (a partial sort closing
 //! several segments, a merge join pairing several groups) relies on its
@@ -35,56 +26,19 @@
 //! beyond demand — bounded read-ahead, like any paged scan; `ExecMetrics`
 //! (comparisons, run I/O) still match exactly.
 //!
-//! Layouts may change from one batch to the next — every operator looks at
-//! each batch it receives. An operator whose pull failed returns that
-//! error again on every later pull.
+//! A batch's rows are its *selected* rows ([`ColumnarBatch::len`]), in
+//! ascending physical order; every operator honours the selection vector
+//! it is handed, and column types may change from one batch to the next.
+//! An operator whose pull failed returns that error again on every later
+//! pull.
 
 use crate::metrics::MetricsRef;
-use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
+use pyro_common::{ColumnBuilder, ColumnarBatch, PyroError, Result, Schema, Tuple};
 use pyro_storage::StoreRef;
 
 /// Default number of rows per batch (the `SessionBuilder::batch_size`
 /// default).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// One batch of an operator's output, in the layout the operator produced
-/// it in (see the module doc's layout rule).
-#[derive(Debug, Clone)]
-pub enum Batch {
-    /// Boxed tuples.
-    Rows(Vec<Tuple>),
-    /// Column vectors (plus an optional selection vector).
-    Cols(ColumnarBatch),
-}
-
-impl Batch {
-    /// Number of (selected) rows — what [`Batch::into_rows`] would yield,
-    /// not the physical rows a filtered column batch still carries.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            Batch::Rows(rows) => rows.len(),
-            Batch::Cols(cols) => cols.len(),
-        }
-    }
-
-    /// The batch as boxed tuples: a move for `Rows`, one
-    /// [`ColumnarBatch::to_rows`] for `Cols`.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        match self {
-            Batch::Rows(rows) => rows,
-            Batch::Cols(cols) => cols.to_rows(),
-        }
-    }
-
-    /// The batch as column vectors: a move for `Cols`, one
-    /// [`ColumnarBatch::from_rows`] for `Rows`.
-    pub fn into_cols(self) -> ColumnarBatch {
-        match self {
-            Batch::Rows(rows) => ColumnarBatch::from_rows(&rows),
-            Batch::Cols(cols) => cols,
-        }
-    }
-}
 
 /// A pull-based operator. `next_batch` returns `Ok(None)` at end of
 /// stream; operators are single-use.
@@ -93,10 +47,10 @@ impl Batch {
 /// a minimal operator is a few lines and still sits under any parent:
 ///
 /// ```
-/// use pyro_common::{Result, Schema, Tuple, Value};
-/// use pyro_exec::{collect, Batch, BoxOp, Operator, Stash};
+/// use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema};
+/// use pyro_exec::{collect, BoxOp, Operator};
 ///
-/// /// Yields the integers `0..n` as single-column tuples, two at a time.
+/// /// Yields the integers `0..n` as one INT column, two rows at a time.
 /// struct Counter {
 ///     schema: Schema,
 ///     next: i64,
@@ -108,26 +62,28 @@ impl Batch {
 ///         &self.schema
 ///     }
 ///
-///     fn next_batch(&mut self) -> Result<Option<Batch>> {
+///     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
 ///         let end = (self.next + 2).min(self.n);
-///         let rows: Vec<Tuple> = (self.next..end)
-///             .map(|i| Tuple::new(vec![Value::Int(i)]))
-///             .collect();
+///         if self.next == end {
+///             return Ok(None);
+///         }
+///         let mut col = ColumnBuilder::new();
+///         for i in self.next..end {
+///             col.push_int(i);
+///         }
 ///         self.next = end;
-///         Ok((!rows.is_empty()).then_some(Batch::Rows(rows)))
+///         Ok(Some(ColumnarBatch::from_builders(vec![col])))
 ///     }
 /// }
 ///
 /// let counter = |n| -> BoxOp { Box::new(Counter { schema: Schema::ints(&["i"]), next: 0, n }) };
-/// // Either layout converts to the other on demand ...
+/// // A pull hands over columns ...
 /// let batch = counter(3).next_batch().unwrap().expect("two rows");
-/// assert_eq!(batch.clone().into_cols().num_rows(), 2);
-/// // ... a stash hands the rows on one at a time ...
-/// let (mut op, mut stash) = (counter(3), Stash::new());
-/// let mut seen = Vec::new();
-/// while let Some(t) = stash.next_row(&mut op).unwrap() {
-///     seen.push(t.get(0).as_int().unwrap());
-/// }
+/// assert_eq!(batch.len(), 2);
+/// // ... `next_rows` boxes one batch's rows onto the caller's vector ...
+/// let (mut op, mut rows) = (counter(3), Vec::new());
+/// while op.next_rows(&mut rows).unwrap() {}
+/// let seen: Vec<i64> = rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
 /// assert_eq!(seen, [0, 1, 2]);
 /// // ... and `collect` drains an operator whole.
 /// assert_eq!(collect(counter(3)).unwrap().len(), 3);
@@ -136,14 +92,25 @@ pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
 
-    /// Pulls roughly [`Operator::batch_size`] output rows, in the
-    /// operator's natural layout. `Ok(None)` means end of stream; a short
-    /// batch does not, and an operator whose natural production unit
-    /// doesn't divide evenly (a join key with many matches, the tail of a
-    /// decoded page) may overshoot the batch size by one such unit —
-    /// consumers must not treat `batch_size` as a hard upper bound on batch
-    /// length.
-    fn next_batch(&mut self) -> Result<Option<Batch>>;
+    /// Pulls roughly [`Operator::batch_size`] output rows. `Ok(None)` means
+    /// end of stream; a short batch does not, and an operator whose natural
+    /// production unit doesn't divide evenly (a join key with many matches,
+    /// the tail of a decoded page) may overshoot the batch size by one such
+    /// unit — consumers must not treat `batch_size` as a hard upper bound
+    /// on batch length.
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>>;
+
+    /// Appends the rows of the next batch to `out`, boxed; `Ok(false)` at
+    /// end of stream. Every drain to rows goes through here. The default
+    /// boxes on the caller's thread ([`ColumnarBatch::append_rows`]); an
+    /// exchange overrides it so that its workers do.
+    fn next_rows(&mut self, out: &mut Vec<Tuple>) -> Result<bool> {
+        let Some(batch) = self.next_batch()? else {
+            return Ok(false);
+        };
+        batch.append_rows(out);
+        Ok(true)
+    }
 
     /// Tells the operator that its consumer may stop pulling before the end
     /// of the stream (a [`crate::limit::Limit`] calls this on its input).
@@ -191,60 +158,28 @@ fn drain_capacity(op: &BoxOp) -> usize {
     upper.unwrap_or(lower).min(CAP)
 }
 
-/// Drains an operator into a vector of rows — the one conversion of a
-/// plan that is columnar throughout — pre-allocating from the operator's
-/// [`Operator::size_hint`]. A `Cols` batch is boxed straight into that
-/// vector ([`ColumnarBatch::append_rows`]), never into a vector of its own.
+/// Drains an operator into a vector of rows through
+/// [`Operator::next_rows`], pre-allocating from the operator's
+/// [`Operator::size_hint`]: each batch is boxed straight into that vector,
+/// never into a vector of its own.
 pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
     let mut out = Vec::with_capacity(drain_capacity(&op));
-    while let Some(batch) = op.next_batch()? {
-        match batch {
-            Batch::Rows(mut rows) => out.append(&mut rows),
-            Batch::Cols(cols) => cols.append_rows(&mut out),
-        }
-    }
+    while op.next_rows(&mut out)? {}
     Ok(out)
 }
 
-/// Batched-input adapter: buffers one child batch as rows
-/// ([`Batch::into_rows`]) and hands them out one at a time, so an operator
-/// whose logic is inherently row-wise (hash build, nested loops, duplicate
-/// elimination) can consume its input in batches of either layout without
-/// changing a single per-row decision.
-#[derive(Default)]
-pub struct Stash {
-    buf: std::vec::IntoIter<Tuple>,
-}
-
-impl Stash {
-    /// An empty stash.
-    pub fn new() -> Stash {
-        Stash::default()
-    }
-
-    /// The next input row, refilling from `child.next_batch()` when the
-    /// buffer runs dry.
-    pub fn next_row(&mut self, child: &mut BoxOp) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.buf.next() {
-                return Ok(Some(t));
-            }
-            match child.next_batch()? {
-                Some(batch) => self.buf = batch.into_rows().into_iter(),
-                None => return Ok(None),
-            }
+/// Drains `input` into one dense batch, column at a time — how a join
+/// buffers the side it holds in memory.
+pub(crate) fn drain_columns(input: &mut BoxOp) -> Result<ColumnarBatch> {
+    let mut builders: Vec<ColumnBuilder> = (0..input.schema().len())
+        .map(|_| ColumnBuilder::new())
+        .collect();
+    while let Some(batch) = input.next_batch()? {
+        for (c, builder) in builders.iter_mut().enumerate() {
+            builder.append_column(batch.column(c), batch.sel());
         }
     }
-}
-
-/// A finished output buffer as the batch pull's return value: `None` when
-/// nothing was produced (end of stream), else a `Rows` batch.
-pub(crate) fn rows_batch(out: Vec<Tuple>) -> Option<Batch> {
-    if out.is_empty() {
-        None
-    } else {
-        Some(Batch::Rows(out))
-    }
+    Ok(ColumnarBatch::from_builders(builders))
 }
 
 /// The first error an operator's pull hit, returned again on every later
@@ -322,9 +257,8 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// Drains the pipeline batch-at-a-time, converting what the root hands
-    /// over to rows (the plan's one [`Batch::into_rows`]) and returning them
-    /// together with the metrics that produced them.
+    /// Drains the pipeline to rows ([`collect`]) and returns them together
+    /// with the metrics that produced them.
     pub fn run(self) -> Result<Rows> {
         let Pipeline { op, metrics, store } = self;
         let before = store.as_ref().map(|s| s.cache_stats());
@@ -418,8 +352,14 @@ impl Operator for ValuesOp {
         &self.schema
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        Ok(rows_batch(self.rows.by_ref().take(self.batch).collect()))
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        let n = self.batch.min(self.rows.len());
+        if n == 0 {
+            return Ok(None);
+        }
+        let batch = ColumnarBatch::from_rows(&self.rows.as_slice()[..n]);
+        self.rows.by_ref().take(n).for_each(drop);
+        Ok(Some(batch))
     }
 
     fn batch_size(&self) -> usize {
@@ -436,14 +376,28 @@ impl Operator for ValuesOp {
     }
 }
 
-/// Test operator: passes `child` through row by row until it has handed on
-/// `after` rows, then fails — with a typed error, or by panicking.
+/// Test operator: passes `child`'s rows on one per pull, as one-row
+/// column batches, until it has handed on `after` rows, then fails — with
+/// a typed error, or by panicking.
 #[cfg(test)]
 pub(crate) struct FaultyOp {
-    pub(crate) child: BoxOp,
-    pub(crate) after: usize,
-    pub(crate) panic: bool,
-    pub(crate) stash: Stash,
+    child: BoxOp,
+    after: usize,
+    panic: bool,
+    rows: std::vec::IntoIter<Tuple>,
+}
+
+#[cfg(test)]
+impl FaultyOp {
+    pub(crate) fn new(child: BoxOp, after: usize, panic: bool) -> FaultyOp {
+        let rows = Vec::new().into_iter();
+        FaultyOp {
+            child,
+            after,
+            panic,
+            rows,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -452,7 +406,7 @@ impl Operator for FaultyOp {
         self.child.schema()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         if self.after == 0 {
             if self.panic {
                 panic!("boom");
@@ -460,16 +414,17 @@ impl Operator for FaultyOp {
             return Err(pyro_common::PyroError::Exec("boom".into()));
         }
         self.after -= 1;
-        Ok(self
-            .stash
-            .next_row(&mut self.child)?
-            .map(|t| Batch::Rows(vec![t])))
+        let mut buf = Vec::new();
+        while self.rows.len() == 0 && self.child.next_rows(&mut buf)? {
+            self.rows = std::mem::take(&mut buf).into_iter();
+        }
+        Ok(self.rows.next().map(|t| ColumnarBatch::from_rows(&[t])))
     }
 }
 
 /// Test source: the batches of each part in turn.
 #[cfg(test)]
-struct Parts(Vec<BoxOp>);
+pub(crate) struct Parts(pub(crate) Vec<BoxOp>);
 
 #[cfg(test)]
 impl Operator for Parts {
@@ -477,7 +432,7 @@ impl Operator for Parts {
         self.0[0].schema()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         while let Some(part) = self.0.first_mut() {
             match part.next_batch()? {
                 Some(batch) => return Ok(Some(batch)),
@@ -489,19 +444,37 @@ impl Operator for Parts {
     }
 }
 
-/// Test operator: `child`'s batches, each converted to `Rows` — a source
-/// that feeds the operators above row batches.
+/// Test operator: `child`'s batches with a decoy row in front of every
+/// row, hidden behind a selection vector — a source whose every batch an
+/// operator above must read through its `sel`.
 #[cfg(test)]
-pub(crate) struct AsRows(pub(crate) BoxOp);
+struct Decoys(BoxOp);
 
 #[cfg(test)]
-impl Operator for AsRows {
+impl Operator for Decoys {
     fn schema(&self) -> &Schema {
         self.0.schema()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        Ok(self.0.next_batch()?.map(|b| Batch::Rows(b.into_rows())))
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        use pyro_common::Value;
+        let Some(batch) = self.0.next_batch()? else {
+            return Ok(None);
+        };
+        let decoy = |v: &Value| match v {
+            Value::Int(i) => Value::Int(i.wrapping_add(1_000_003)),
+            Value::Double(d) => Value::Double(d + 0.5),
+            Value::Str(s) => Value::Str(format!("{s}~")),
+            Value::Null => Value::Null,
+        };
+        let mut rows = Vec::new();
+        for t in batch.to_rows() {
+            rows.push(Tuple::new(t.values().iter().map(decoy).collect()));
+            rows.push(t);
+        }
+        let mut out = ColumnarBatch::from_rows(&rows);
+        out.set_sel((1..rows.len() as u32).step_by(2).collect());
+        Ok(Some(out))
     }
 
     fn set_batch_size(&mut self, rows: usize) {
@@ -519,23 +492,10 @@ pub(crate) fn exact<T: std::fmt::Debug + ?Sized>(x: &T) -> String {
     format!("{x:?}")
 }
 
-/// [`collect`], asserting that every batch `op` emits is `Cols` — the layout
-/// rule of the operators that run only a column kernel.
-#[cfg(test)]
-pub(crate) fn collect_cols(mut op: BoxOp) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    while let Some(batch) = op.next_batch().unwrap() {
-        let Batch::Cols(cols) = batch else {
-            panic!("a Rows batch");
-        };
-        cols.append_rows(&mut out);
-    }
-    out
-}
-
-/// Test sources: `rows` (not empty) as a stream of `Rows` batches, of
-/// `Cols` batches, and of batches alternating between the two — one file
-/// scanned whole in either layout, and page by page in alternating layouts.
+/// Test sources: `rows` (not empty) as a stream of dense batches, of
+/// batches whose rows sit between decoys behind a selection vector, and of
+/// batches alternating between the two — one file scanned whole either
+/// way, and page by page in alternating layouts.
 #[cfg(test)]
 pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
     use crate::scan::FileScan;
@@ -544,15 +504,15 @@ pub(crate) fn in_every_layout(schema: &Schema, rows: &[Tuple]) -> [BoxOp; 3] {
     let page = |p: usize| -> BoxOp {
         let scan = Box::new(FileScan::over_pages(schema.clone(), &file, p, p + 1));
         if p.is_multiple_of(2) {
-            Box::new(AsRows(scan))
-        } else {
             scan
+        } else {
+            Box::new(Decoys(scan))
         }
     };
     let pages = (0..file.block_count() as usize).map(page).collect();
     [
-        Box::new(AsRows(Box::new(FileScan::new(schema.clone(), &file)))),
         Box::new(FileScan::new(schema.clone(), &file)),
+        Box::new(Decoys(Box::new(FileScan::new(schema.clone(), &file)))),
         Box::new(Parts(pages)),
     ]
 }
@@ -581,17 +541,17 @@ mod tests {
         let mut cols = ColumnarBatch::from_rows(&rows);
         cols.set_sel(vec![1, 5, 8]);
         assert_eq!(cols.num_rows(), 40, "the physical rows stay");
-        assert_eq!(Batch::Cols(cols).num_rows(), 3);
-        // Under a filter — where `Cols` batches carry selection vectors —
-        // every batch of every source layout reports what it converts to.
+        assert_eq!(cols.len(), 3);
+        // Under a filter — whose batches carry selection vectors — every
+        // batch of every source layout counts the rows it converts to.
         let schema = Schema::ints(&["a", "b"]);
         let pred = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(3i64));
         for input in in_every_layout(&schema, &rows) {
             let mut filter = crate::filter::Filter::new(input, pred.clone());
             let (mut counted, mut seen) = (0, 0);
             while let Some(batch) = filter.next_batch().unwrap() {
-                let n = batch.num_rows();
-                assert_eq!(n, batch.into_rows().len());
+                let n = batch.len();
+                assert_eq!(n, batch.to_rows().len());
                 counted += n;
                 seen += 1;
             }

@@ -1,9 +1,9 @@
 //! Projection (with computed columns).
 
 use crate::expr::Expr;
-use crate::op::{Batch, BoxOp, Operator};
+use crate::op::{BoxOp, Operator};
 use crate::vector::eval_column;
-use pyro_common::{Result, Schema};
+use pyro_common::{ColumnarBatch, Result, Schema};
 
 /// Evaluates one expression per output column.
 pub struct Project {
@@ -37,16 +37,15 @@ impl Operator for Project {
         &self.schema
     }
 
-    /// Reads each batch as columns: plain column references are a refcount
-    /// bump (column shuffling), anything else is computed column-at-a-time,
-    /// and the selection vector passes through untouched.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    /// Plain column references are a refcount bump (column shuffling),
+    /// anything else is computed column-at-a-time, and the selection vector
+    /// passes through untouched.
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         let Some(batch) = self.child.next_batch()? else {
             return Ok(None);
         };
-        let batch = batch.into_cols();
         let columns = self.exprs.iter().map(|e| eval_column(e, &batch));
-        Ok(Some(Batch::Cols(batch.with_columns(columns.collect()))))
+        Ok(Some(batch.with_columns(columns.collect())))
     }
 
     fn set_demand_driven(&mut self) {
@@ -71,7 +70,7 @@ impl Operator for Project {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::op::{collect, collect_cols, exact, in_every_layout, ValuesOp};
+    use crate::op::{collect, exact, in_every_layout, ValuesOp};
     use pyro_common::{Column, DataType, Tuple, Value};
 
     #[test]
@@ -102,9 +101,9 @@ mod tests {
     }
 
     /// The batch pull must emit exactly what the row interpreter
-    /// (`Expr::eval`) makes of each row, all of it as `Cols` — whichever
-    /// layout each input batch arrives in — for column keeps, arithmetic,
-    /// literal columns, comparisons and conjunctions.
+    /// (`Expr::eval`) makes of each row — over dense, selected and
+    /// alternating input batches — for column keeps, arithmetic, literal
+    /// columns, comparisons and conjunctions.
     #[test]
     fn columnar_pull_matches_row_pull() {
         let rows: Vec<Tuple> = (0..50)
@@ -143,7 +142,7 @@ mod tests {
                 .collect();
             for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
                 let project = Project::new(input, exprs.clone(), schema.clone());
-                let out = collect_cols(Box::new(project));
+                let out = collect(Box::new(project)).unwrap();
                 assert_eq!(exact(&reference), exact(&out), "exprs {exprs:?}");
             }
         }

@@ -7,7 +7,7 @@
 //! *optimizer* holds — the operator itself just streams pages, counting I/O
 //! via the device).
 
-use crate::op::{Batch, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema, Value};
 use pyro_storage::{TupleFile, TupleFileScan};
 use std::cmp::Ordering as CmpOrdering;
@@ -69,7 +69,7 @@ impl Operator for FileScan {
     /// Decodes pages straight into typed column vectors — no `Tuple` is
     /// boxed. The batch may overshoot the batch size by the tail of the
     /// last decoded page (allowed by the batch contract).
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
             .map(|_| ColumnBuilder::new())
             .collect();
@@ -78,7 +78,7 @@ impl Operator for FileScan {
         }
         let batch = ColumnarBatch::from_builders(builders);
         self.emitted += batch.num_rows();
-        Ok(Some(Batch::Cols(batch)))
+        Ok(Some(batch))
     }
 
     fn batch_size(&self) -> usize {

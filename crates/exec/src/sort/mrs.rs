@@ -22,7 +22,7 @@ use super::entry::{sort_rows_into, Entry, Keyed};
 use super::runs::{write_run_rows, ColumnarMergeStream};
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use crate::op::{Batch, BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnarBatch, KeySpec, Result, Schema};
 use pyro_storage::{IntoStore, StoreRef, TupleFile};
 
@@ -243,7 +243,7 @@ impl PartialSort {
         debug_assert_eq!(st.emitted, st.sorted.len(), "a dying batch owes rows");
         let next = match self.input_done {
             true => None,
-            false => self.child.next_batch()?.map(Batch::into_cols),
+            false => self.child.next_batch()?,
         };
         let Some(next) = next else {
             self.input_done = true;
@@ -333,10 +333,10 @@ impl Operator for PartialSort {
     /// at most one segment closes per call, so Top-K closes exactly the
     /// segments one-row pulls would. Short batches are fine under the batch
     /// contract.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         self.failed.check()?;
         let pulled = self.pull_columnar();
-        Ok(self.failed.record(pulled)?.map(Batch::Cols))
+        self.failed.record(pulled)
     }
 
     fn set_demand_driven(&mut self) {
@@ -357,7 +357,7 @@ impl Operator for PartialSort {
 mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
-    use crate::op::{collect, rows_batch, ValuesOp};
+    use crate::op::{collect, ValuesOp};
     use pyro_common::{Tuple, Value};
     use pyro_storage::SimDevice;
 
@@ -485,13 +485,13 @@ mod tests {
             fn schema(&self) -> &Schema {
                 &self.schema
             }
-            fn next_batch(&mut self) -> Result<Option<Batch>> {
+            fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
                 // One row per pull.
                 let row = self.rows.get(self.idx).cloned();
                 self.idx += row.is_some() as usize;
                 self.reads
                     .fetch_add(row.is_some() as usize, Ordering::Relaxed);
-                Ok(rows_batch(row.into_iter().collect()))
+                Ok(row.map(|t| ColumnarBatch::from_rows(&[t])))
             }
         }
 

@@ -19,7 +19,7 @@ use super::heap::RsHeap;
 use super::runs::ColumnarMergeStream;
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use crate::op::{Batch, BoxOp, Operator, DEFAULT_BATCH_SIZE};
+use crate::op::{BoxOp, Operator, DEFAULT_BATCH_SIZE};
 use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, PyroError, Result, Schema};
 use pyro_storage::{IntoStore, StoreRef, TupleFile, TupleFileWriter};
 use std::cmp::Ordering;
@@ -130,7 +130,7 @@ impl StandardReplacementSort {
         let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
         let (mut bytes, mut rows) = (0usize, 0usize);
         let mut input: Option<Input> = None;
-        while let Some(b) = child.next_batch()?.map(Batch::into_cols) {
+        while let Some(b) = child.next_batch()? {
             let b = b.into_dense();
             let sizes = b.row_byte_sizes();
             // Rows of this batch that still fit the budget (the first row
@@ -311,7 +311,7 @@ fn next_entry(
         if let Some(src) = cur.src {
             srcs.drop_if_dead(src);
         }
-        *input = child.next_batch()?.map(|b| Input::new(b.into_cols(), 0));
+        *input = child.next_batch()?.map(|b| Input::new(b, 0));
     }
 }
 
@@ -339,9 +339,9 @@ impl Operator for StandardReplacementSort {
         &self.schema
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         let pulled = self.pull_columnar();
-        Ok(self.latch(pulled)?.map(Batch::Cols))
+        self.latch(pulled)
     }
 
     /// The input is consumed whole, so the call stops here; only the

@@ -24,7 +24,7 @@ use pyro_common::{DataType, PyroError, Result, Schema, Tuple, Value};
 use pyro_core::cache::{CachedStatement, PlanCache, PlanCacheStats, PlanKey};
 use pyro_core::cost::CostParams;
 use pyro_core::{CompileOptions, EnumStrategy, OptimizedPlan, Optimizer, Strategy};
-use pyro_exec::{Batch, BoxOp, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
+use pyro_exec::{BoxOp, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
 use pyro_storage::{FileDevice, PageStore, Wal};
 use std::hash::{Hash, Hasher};
@@ -1001,14 +1001,19 @@ impl QueryStream {
         &self.metrics
     }
 
-    /// Pulls the next batch of rows — converting what the plan root hands
-    /// over, if it is columnar — or `None` once the query is done. After
-    /// `None` (or an error) the stream stays exhausted.
+    /// Pulls the next batch of rows — boxed from the batch the plan root
+    /// hands over ([`pyro_exec::Operator::next_rows`]) — or `None` once the
+    /// query is done. After `None` (or an error) the stream stays
+    /// exhausted.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
         if self.finished {
             return Ok(None);
         }
-        let pulled = self.op.next_batch().map(|b| b.map(Batch::into_rows));
+        let mut rows = Vec::new();
+        let pulled = self
+            .op
+            .next_rows(&mut rows)
+            .map(|more| more.then_some(rows));
         self.finished = !matches!(pulled, Ok(Some(_)));
         pulled
     }

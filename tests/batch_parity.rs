@@ -2,8 +2,8 @@
 //! `ExecMetrics` totals at batch sizes {1, 7, 1024} as one row per pull
 //! (batch size 1, the batch contract's reference) — whichever layout its
 //! input batches arrive in: scans decoding to columns at the SQL level, and
-//! row batches, column batches and a stream alternating between the two at
-//! the operator level.
+//! dense batches, batches whose rows hide decoys behind a selection vector
+//! and a stream alternating between the two at the operator level.
 //!
 //! This is the invariant that lets the batch engine claim the paper's
 //! Experiment A figures unchanged: batching may only change CPU
@@ -187,11 +187,11 @@ fn consolidation_query_parity() {
 // ---------------------------------------------------------------------
 
 /// Builds the same operator via `build` — handing it a source factory of
-/// the layout under test — once one row per pull over row input as the
+/// the layout under test — once one row per pull over dense input as the
 /// reference, then per batch size and input layout, and checks rows and
 /// counters agree.
 fn assert_op_parity(what: &str, build: &dyn Fn(&Values) -> (BoxOp, MetricsRef)) {
-    let (mut op, reference_metrics) = build(&Values(Layout::Rows));
+    let (mut op, reference_metrics) = build(&Values(Layout::Dense));
     op.set_batch_size(1);
     let reference_rows = collect(op).unwrap();
     for &bs in &BATCH_SIZES {
@@ -333,7 +333,7 @@ fn hash_join_building_right_equals_nested_loops_row_for_row() {
         let hash = |(l, r): (BoxOp, BoxOp)| -> BoxOp {
             Box::new(HashJoin::new(l, r, key0(), key0(), Side::Right))
         };
-        let (l, r) = inputs(4, Layout::Rows);
+        let (l, r) = inputs(4, Layout::Dense);
         let mut nested_loops = NestedLoopsJoin::new(l, r, key0(), key0(), JoinKind::Inner);
         nested_loops.set_batch_size(1);
         let oracle = collect(Box::new(nested_loops)).unwrap();

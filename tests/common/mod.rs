@@ -2,14 +2,15 @@
 //! - [`exact`], the one way a test claims that two runs returned the same
 //!   rows;
 //! - an in-memory source that hands its rows on in a chosen batch layout,
-//!   so every operator can be fed `Rows`, `Cols`, and a stream that changes
+//!   so every operator can be fed dense batches, batches whose rows sit
+//!   between decoys behind a selection vector, and a stream that changes
 //!   layout from one batch to the next.
 
 // Each suite compiles this module on its own and uses only part of it.
 #![allow(dead_code)]
 
-use pyro::common::{Result, Schema, Tuple, Value};
-use pyro::exec::{Batch, Operator, ValuesOp};
+use pyro::common::{ColumnarBatch, Result, Schema, Tuple, Value};
+use pyro::exec::{Operator, ValuesOp};
 
 /// Rows compared cell for cell by variant and payload, doubles by their
 /// bits (so `-0.0` differs from `0.0` and a NaN equals itself). `Value`'s
@@ -43,13 +44,27 @@ impl PartialEq for Exact<'_> {
 /// The layout a [`Source`] emits its batches in.
 #[derive(Clone, Copy, Debug)]
 pub enum Layout {
-    Rows,
-    Cols,
-    /// `Rows`, `Cols`, `Rows`, ... batch by batch.
+    /// Every physical row of a batch is one of its rows.
+    Dense,
+    /// A decoy row in front of every row, hidden by the selection vector:
+    /// an operator that reads past `sel` sees rows that are not there.
+    Selected,
+    /// `Dense`, `Selected`, `Dense`, ... batch by batch.
     Alternating,
 }
 
-pub const LAYOUTS: [Layout; 3] = [Layout::Rows, Layout::Cols, Layout::Alternating];
+pub const LAYOUTS: [Layout; 3] = [Layout::Dense, Layout::Selected, Layout::Alternating];
+
+/// A row unlike `t` in every non-NULL cell, of the same cell types.
+fn decoy(t: &Tuple) -> Tuple {
+    let cell = |v: &Value| match v {
+        Value::Int(i) => Value::Int(i.wrapping_add(1_000_003)),
+        Value::Double(d) => Value::Double(d + 0.5),
+        Value::Str(s) => Value::Str(format!("{s}~")),
+        Value::Null => Value::Null,
+    };
+    Tuple::new(t.values().iter().map(cell).collect())
+}
 
 /// A [`ValuesOp`] whose batches come out as `layout` says.
 pub struct Source {
@@ -76,17 +91,27 @@ impl Operator for Source {
         self.rows.schema()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let cols = match self.layout {
-            Layout::Rows => false,
-            Layout::Cols => true,
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
+        let selected = match self.layout {
+            Layout::Dense => false,
+            Layout::Selected => true,
             Layout::Alternating => self.pulls % 2 == 1,
         };
         self.pulls += 1;
-        Ok(self.rows.next_batch()?.map(|b| match cols {
-            true => Batch::Cols(b.into_cols()),
-            false => Batch::Rows(b.into_rows()),
-        }))
+        let Some(batch) = self.rows.next_batch()? else {
+            return Ok(None);
+        };
+        if !selected {
+            return Ok(Some(batch));
+        }
+        let mut rows = Vec::new();
+        for t in batch.to_rows() {
+            rows.push(decoy(&t));
+            rows.push(t);
+        }
+        let mut out = ColumnarBatch::from_rows(&rows);
+        out.set_sel((1..rows.len() as u32).step_by(2).collect());
+        Ok(Some(out))
     }
 
     fn batch_size(&self) -> usize {

@@ -285,14 +285,15 @@ fn short_read_is_a_typed_io_error() {
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
 use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
 use pyro::exec::sort::{PartialSort, SortBudget, StandardReplacementSort};
-use pyro::exec::{Batch, BoxOp, ExecMetrics, Expr, Operator, Stash, ValuesOp};
-use pyro_common::KeySpec;
+use pyro::exec::{BoxOp, ExecMetrics, Expr, Operator, ValuesOp};
+use pyro_common::{ColumnarBatch, KeySpec};
 
-/// Hands its child's rows on one per pull until `rows` have gone, then
-/// fails: on every later pull, or — `once` — on that pull only.
+/// Hands its child's rows on one per pull, as one-row column batches,
+/// until `rows` have gone, then fails: on every later pull, or — `once` —
+/// on that pull only.
 struct DyingInput {
     child: BoxOp,
-    stash: Stash,
+    buffered: std::vec::IntoIter<Tuple>,
     rows: usize,
     once: bool,
 }
@@ -302,7 +303,7 @@ impl Operator for DyingInput {
         self.child.schema()
     }
 
-    fn next_batch(&mut self) -> pyro::Result<Option<Batch>> {
+    fn next_batch(&mut self) -> pyro::Result<Option<ColumnarBatch>> {
         if self.rows == 0 {
             if self.once {
                 self.rows = usize::MAX;
@@ -310,10 +311,11 @@ impl Operator for DyingInput {
             return Err(PyroError::Exec("input died".into()));
         }
         self.rows -= 1;
-        Ok(self
-            .stash
-            .next_row(&mut self.child)?
-            .map(|t| Batch::Rows(vec![t])))
+        let mut rows = Vec::new();
+        while self.buffered.len() == 0 && self.child.next_rows(&mut rows)? {
+            self.buffered = std::mem::take(&mut rows).into_iter();
+        }
+        Ok(self.buffered.next().map(|t| ColumnarBatch::from_rows(&[t])))
     }
 }
 
@@ -387,7 +389,7 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
             let dying = || -> BoxOp {
                 Box::new(DyingInput {
                     child: source(&data),
-                    stash: Stash::new(),
+                    buffered: Vec::new().into_iter(),
                     rows: 100,
                     once,
                 })

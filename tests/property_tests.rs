@@ -385,9 +385,10 @@ fn mrs_zero_io_when_fitting() {
 // ---------------------------------------------------------------------
 // Pull-path differential: the four operators that sort, pair and group
 // rows in place in the column vectors must give, at batch sizes 7 and
-// 1024 — fed row batches, column batches, and a stream that alternates
-// between the two — exactly the rows and exactly the four counters they
-// give one row per pull over row batches, over every cell type, NULLs,
+// 1024 — fed dense batches, batches whose rows hide decoys behind a
+// selection vector, and a stream that alternates between the two —
+// exactly the rows and exactly the four counters they give one row per
+// pull over dense batches, over every cell type, NULLs,
 // heavy duplicates, empty and one-row inputs, and budgets that do and do
 // not spill.
 // ---------------------------------------------------------------------
@@ -499,9 +500,9 @@ fn counters(m: &MetricsRef) -> [u64; 4] {
 /// Builds the operator afresh — over sources of the given layout — for
 /// every input layout and batch size and holds its rows (compared through
 /// `Debug`, under which a NaN equals itself and the two zeros differ) and
-/// counters to what it produced one row per pull over row batches.
+/// counters to what it produced one row per pull over dense batches.
 fn assert_pull_paths_agree(what: &str, build: &dyn Fn(Layout) -> (BoxOp, MetricsRef)) {
-    let (mut op, m) = build(Layout::Rows);
+    let (mut op, m) = build(Layout::Dense);
     op.set_batch_size(1);
     let expect = (format!("{:?}", collect(op).unwrap()), counters(&m));
     for bs in [7usize, 1024] {
@@ -580,7 +581,7 @@ fn sort_pull_paths_agree() {
             (Box::new(op) as BoxOp, m)
         };
         assert_pull_paths_agree(&format!("sort {key:?} {budget:?}"), &build);
-        let (op, m) = build(Layout::Rows);
+        let (op, m) = build(Layout::Dense);
         collect(op).unwrap();
         reached.note(&m, budget);
     });
@@ -613,7 +614,7 @@ fn partial_sort_pull_paths_agree() {
             &format!("partial sort {key:?} prefix {prefix_len} {budget:?}"),
             &build,
         );
-        let (op, m) = build(Layout::Rows);
+        let (op, m) = build(Layout::Dense);
         collect(op).unwrap();
         reached.note(&m, budget);
     });
@@ -980,7 +981,7 @@ fn hash_join_pairs(
 /// The columnar compare (typed and mixed columns), the vector filter
 /// kernels (INT and DOUBLE columns against literals of either type, and
 /// against each other) and the hash join (an INT build probed by DOUBLE
-/// key words, a DOUBLE build hashing `Value`s, over column and row
+/// key words, a DOUBLE build hashing `Value`s, over dense and selected
 /// batches) all decide as `Value` does on the same cells.
 #[test]
 fn columnar_filter_and_hash_join_paths_agree_with_value() {
@@ -1068,7 +1069,7 @@ fn columnar_filter_and_hash_join_paths_agree_with_value() {
             })
             .collect();
         for build in [Side::Left, Side::Right] {
-            for layout in [Layout::Cols, Layout::Rows] {
+            for layout in [Layout::Dense, Layout::Selected] {
                 let got = hash_join_pairs(&ints, &doubles, build, layout);
                 assert_eq!(got, expect, "build {build:?} over {layout:?}");
             }
