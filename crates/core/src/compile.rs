@@ -16,7 +16,7 @@
 //!
 //! The compiler decides nothing about batch layouts: every operator reads
 //! and emits [`pyro_common::ColumnarBatch`]es, and rows are boxed only
-//! where a drain hands them out ([`pyro_exec::Operator::next_rows`]).
+//! where a drain to rows hands them out ([`pyro_exec::collect`]).
 
 use crate::logical::{AggSpec, JoinPair, NExpr};
 use crate::plan::{PhysNode, PhysOp};

@@ -70,9 +70,18 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Overrides cost-model constants.
+    /// Overrides the cost model's CPU-translation constants (`cmp_io`,
+    /// `tuple_io`, `hash_io`, ...). `block_size`, `sort_mem_blocks` and
+    /// `buffer_pool_pages` keep the catalog's values, as [`Optimizer::new`]
+    /// sets them: they are facts of the device, the sort budget and the
+    /// pool, so estimates always describe the executor that runs.
     pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
+        self.params = CostParams {
+            block_size: self.params.block_size,
+            sort_mem_blocks: self.params.sort_mem_blocks,
+            buffer_pool_pages: self.params.buffer_pool_pages,
+            ..params
+        };
         self
     }
 

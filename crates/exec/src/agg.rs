@@ -406,10 +406,6 @@ impl Operator for GroupAggregate {
         self.child.set_demand_driven();
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }
@@ -508,10 +504,6 @@ impl Operator for HashAggregate {
         let idx: Vec<u32> = (*emitted as u32..end as u32).collect();
         *emitted = end;
         Ok((!idx.is_empty()).then(|| groups.gather(&idx)))
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
     }
 
     fn set_batch_size(&mut self, rows: usize) {

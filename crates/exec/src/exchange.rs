@@ -24,10 +24,11 @@
 //!   bounds the buffer: a worker may not claim a morsel more than `window`
 //!   sequence numbers past the head.
 //!
-//! Workers hand over the column batches the fragment produced — unless the
-//! consumer's first pull asks for rows ([`Operator::next_rows`], as a drain
-//! to result rows does): then the workers box the rows between them, in
-//! parallel, and hand those over.
+//! Workers hand over the column batches the fragment produced, and nothing
+//! else: a consumer that wants rows boxes them on its own thread
+//! ([`crate::collect`]). Rows a worker allocated and the consumer freed
+//! would stay in the worker's allocator arena, so boxing there costs the
+//! process memory as well as a second shipment format.
 //!
 //! Before it spawns anyone, a gather builds — on the consumer thread — every
 //! hash-join table its chain probes ([`SharedBuild::build`]): builds finish
@@ -48,7 +49,7 @@
 use crate::join::SharedBuild;
 use crate::op::{BoxOp, Operator};
 use crate::scan::{FileScan, MorselSource};
-use pyro_common::{ColumnarBatch, PyroError, Result, Schema, Tuple};
+use pyro_common::{ColumnarBatch, PyroError, Result, Schema};
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -66,13 +67,6 @@ pub type FragmentFn = Arc<dyn Fn(FileScan) -> BoxOp + Send + Sync>;
 /// matches.
 const PART_BATCHES: usize = 16;
 
-/// One batch of a worker's output: as columns, or — for a consumer that
-/// drains to rows — as boxed rows.
-enum Shipment {
-    Cols(ColumnarBatch),
-    Rows(Vec<Tuple>),
-}
-
 /// What a worker tells the consumer.
 enum Msg {
     /// The next output of morsel `seq`, in order; `last` marks the morsel
@@ -80,7 +74,7 @@ enum Msg {
     /// part).
     Part {
         seq: usize,
-        batches: Vec<Shipment>,
+        batches: Vec<ColumnarBatch>,
         last: bool,
     },
     /// The worker's operator chain failed, or the worker is unwinding.
@@ -111,10 +105,9 @@ struct Fragment {
 }
 
 impl Fragment {
-    /// One worker: claim, instantiate, drain — to rows if `rows` — and
-    /// repeat. A failed send means the consumer is gone (completion or
-    /// abort): exit.
-    fn work(&self, batch: usize, rows: bool, tx: &SyncSender<Msg>) {
+    /// One worker: claim, instantiate, drain and repeat. A failed send
+    /// means the consumer is gone (completion or abort): exit.
+    fn work(&self, batch: usize, tx: &SyncSender<Msg>) {
         let _notice = PanicNotice(tx);
         while let Some(morsel) = self.source.claim() {
             let mut leaf = self.source.scan(&morsel, self.leaf_schema.clone());
@@ -125,10 +118,7 @@ impl Fragment {
             loop {
                 let last = match op.next_batch() {
                     Ok(Some(b)) => {
-                        batches.push(match rows {
-                            true => Shipment::Rows(b.to_rows()),
-                            false => Shipment::Cols(b),
-                        });
+                        batches.push(b);
                         false
                     }
                     Ok(None) => true,
@@ -169,7 +159,7 @@ enum State {
 /// One morsel's place in the reorder buffer.
 #[derive(Default)]
 struct Slot {
-    batches: Vec<Shipment>,
+    batches: Vec<ColumnarBatch>,
     done: bool,
 }
 
@@ -187,7 +177,7 @@ pub struct Gather {
     workers: usize,
     state: State,
     /// Output cleared to be handed on, in order.
-    ready: VecDeque<Shipment>,
+    ready: VecDeque<ColumnarBatch>,
     /// Ordered mode: the lowest incomplete morsel, and the buffer for it
     /// and its successors (`slots[i]` is morsel `head + i`).
     head: usize,
@@ -225,11 +215,11 @@ impl Gather {
         }
     }
 
-    /// Builds the shared tables, then spawns the workers, which ship boxed
-    /// rows if `rows`. A build side's own exchange has come and gone before
-    /// this one's threads start: a pipeline runs at most `workers` threads
-    /// at a time, however many exchanges it nests.
-    fn start(&mut self, rows: bool) -> Result<()> {
+    /// Builds the shared tables, then spawns the workers. A build side's
+    /// own exchange has come and gone before this one's threads start: a
+    /// pipeline runs at most `workers` threads at a time, however many
+    /// exchanges it nests.
+    fn start(&mut self) -> Result<()> {
         for build in &self.builds {
             build.build()?;
         }
@@ -237,7 +227,7 @@ impl Gather {
         let handles = (0..self.workers)
             .map(|_| {
                 let (fragment, tx, batch) = (self.fragment.clone(), tx.clone(), self.batch);
-                std::thread::spawn(move || fragment.work(batch, rows, &tx))
+                std::thread::spawn(move || fragment.work(batch, &tx))
             })
             .collect();
         self.state = State::Running { rx, handles };
@@ -272,7 +262,7 @@ impl Gather {
     /// the head morsel has so far — and every complete morsel behind it —
     /// for output. `seq` is never below `head`: a morsel the head has moved
     /// past is complete, and its worker has moved on.
-    fn reorder(&mut self, seq: usize, batches: Vec<Shipment>, last: bool) {
+    fn reorder(&mut self, seq: usize, batches: Vec<ColumnarBatch>, last: bool) {
         let i = seq - self.head;
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, Slot::default);
@@ -299,13 +289,19 @@ impl Gather {
         self.state = State::Failed(e.clone());
         e
     }
+}
 
-    /// The next shipment in the mode's order; the first pull starts the
-    /// workers, shipping rows if `rows`.
-    fn pull(&mut self, rows: bool) -> Result<Option<Shipment>> {
+impl Operator for Gather {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The next batch in the mode's order; the first pull starts the
+    /// workers.
+    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         match &self.state {
             State::Idle => {
-                if let Err(e) = self.start(rows) {
+                if let Err(e) = self.start() {
                     return Err(self.fail(e));
                 }
             }
@@ -329,33 +325,6 @@ impl Gather {
                 Err(_) => self.finish(),
             }
         }
-    }
-}
-
-impl Operator for Gather {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
-        Ok(self.pull(false)?.map(|s| match s {
-            Shipment::Cols(b) => b,
-            Shipment::Rows(rows) => ColumnarBatch::from_rows(&rows),
-        }))
-    }
-
-    /// Rows boxed on the workers, moved onto `out`.
-    fn next_rows(&mut self, out: &mut Vec<Tuple>) -> Result<bool> {
-        match self.pull(true)? {
-            Some(Shipment::Cols(b)) => b.append_rows(out),
-            Some(Shipment::Rows(mut rows)) => out.append(&mut rows),
-            None => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
     }
 
     fn set_batch_size(&mut self, rows: usize) {
@@ -413,9 +382,9 @@ mod tests {
         Arc::new(move |leaf| Box::new(FaultyOp::new(Box::new(leaf), after, panic)))
     }
 
-    /// Drained as batches (workers ship columns) or as rows (workers box
-    /// them), over a fragment whose batches are dense or carry selection
-    /// vectors, and one row per pull.
+    /// Drained batch by batch or whole through `collect`, over a fragment
+    /// whose batches are dense or carry selection vectors, and one row per
+    /// pull.
     #[test]
     fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
         let (file, rows) = file(600);
@@ -428,17 +397,13 @@ mod tests {
             one_row.set_batch_size(1);
             let mut outs = vec![collect(Box::new(one_row)).unwrap()];
             for chain in [identity(), selected.clone()] {
-                for by_rows in [false, true] {
-                    let mut g = gather(&file, None, chain.clone(), workers);
-                    let mut out = Vec::new();
-                    if by_rows {
-                        while g.next_rows(&mut out).unwrap() {}
-                    }
-                    while let Some(b) = g.next_batch().unwrap() {
-                        b.append_rows(&mut out);
-                    }
-                    outs.push(out);
+                let mut g = gather(&file, None, chain.clone(), workers);
+                let mut out = Vec::new();
+                while let Some(b) = g.next_batch().unwrap() {
+                    b.append_rows(&mut out);
                 }
+                outs.push(out);
+                outs.push(collect(Box::new(gather(&file, None, chain, workers))).unwrap());
             }
             for mut out in outs {
                 out.sort_by_key(|t| t.get(1).as_int());

@@ -44,10 +44,6 @@ impl Operator for Filter {
         self.child.set_demand_driven();
     }
 
-    fn batch_size(&self) -> usize {
-        self.child.batch_size()
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.child.set_batch_size(rows);
     }

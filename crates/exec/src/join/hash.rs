@@ -409,10 +409,6 @@ impl Operator for HashJoin {
         self.failed.record(pulled)
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }

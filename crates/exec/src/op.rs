@@ -1,10 +1,11 @@
 //! The Volcano operator interface: one pull, `next_batch()`, which hands
 //! over a [`ColumnarBatch`] — column vectors plus an optional selection
-//! vector. Every operator reads its input as columns and emits columns;
-//! rows are boxed in one place, [`Operator::next_rows`], which appends one
-//! batch's rows to the caller's vector. [`collect`] (and so
-//! [`Pipeline::run`]) and a session's result stream drain through it, and
-//! an exchange overrides it so that its workers box the rows between them.
+//! vector. Every operator reads its input as columns and emits columns,
+//! and so does an exchange: its workers ship the column batches their
+//! fragment produced. Rows are boxed in one place, on the consumer's
+//! thread: [`collect`] (and so [`Pipeline::run`]) appends each batch's
+//! selected rows to one vector ([`ColumnarBatch::append_rows`]). A
+//! session's result stream and the wire server hand batches on as columns.
 //!
 //! **Batch contract.** The reference is batch size 1: one row per pull.
 //! One `next_batch()` call on an operator configured for batch size `B`
@@ -80,37 +81,23 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// // A pull hands over columns ...
 /// let batch = counter(3).next_batch().unwrap().expect("two rows");
 /// assert_eq!(batch.len(), 2);
-/// // ... `next_rows` boxes one batch's rows onto the caller's vector ...
-/// let (mut op, mut rows) = (counter(3), Vec::new());
-/// while op.next_rows(&mut rows).unwrap() {}
+/// // ... and `collect` drains an operator whole, boxing its rows.
+/// let rows = collect(counter(3)).unwrap();
 /// let seen: Vec<i64> = rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
 /// assert_eq!(seen, [0, 1, 2]);
-/// // ... and `collect` drains an operator whole.
-/// assert_eq!(collect(counter(3)).unwrap().len(), 3);
 /// ```
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
 
-    /// Pulls roughly [`Operator::batch_size`] output rows. `Ok(None)` means
-    /// end of stream; a short batch does not, and an operator whose natural
+    /// Pulls roughly the configured batch size
+    /// ([`Operator::set_batch_size`]) of output rows. `Ok(None)` means end
+    /// of stream; a short batch does not, and an operator whose natural
     /// production unit doesn't divide evenly (a join key with many matches,
     /// the tail of a decoded page) may overshoot the batch size by one such
-    /// unit — consumers must not treat `batch_size` as a hard upper bound
+    /// unit — consumers must not treat the batch size as a hard upper bound
     /// on batch length.
     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>>;
-
-    /// Appends the rows of the next batch to `out`, boxed; `Ok(false)` at
-    /// end of stream. Every drain to rows goes through here. The default
-    /// boxes on the caller's thread ([`ColumnarBatch::append_rows`]); an
-    /// exchange overrides it so that its workers do.
-    fn next_rows(&mut self, out: &mut Vec<Tuple>) -> Result<bool> {
-        let Some(batch) = self.next_batch()? else {
-            return Ok(false);
-        };
-        batch.append_rows(out);
-        Ok(true)
-    }
 
     /// Tells the operator that its consumer may stop pulling before the end
     /// of the stream (a [`crate::limit::Limit`] calls this on its input).
@@ -122,11 +109,6 @@ pub trait Operator {
     /// on to the inputs they stream from; operators that consume an input
     /// whole before producing anything do not. Default: no-op.
     fn set_demand_driven(&mut self) {}
-
-    /// The operator's configured batch granularity in rows.
-    fn batch_size(&self) -> usize {
-        DEFAULT_BATCH_SIZE
-    }
 
     /// Reconfigures the batch granularity. Pass-through operators forward
     /// the new size to their input so demand stays bounded (e.g. `Limit`
@@ -158,13 +140,15 @@ fn drain_capacity(op: &BoxOp) -> usize {
     upper.unwrap_or(lower).min(CAP)
 }
 
-/// Drains an operator into a vector of rows through
-/// [`Operator::next_rows`], pre-allocating from the operator's
-/// [`Operator::size_hint`]: each batch is boxed straight into that vector,
-/// never into a vector of its own.
+/// Drains an operator into a vector of rows — the one place a result is
+/// boxed — pre-allocating from the operator's [`Operator::size_hint`]:
+/// each batch is boxed straight into that vector
+/// ([`ColumnarBatch::append_rows`]), never into a vector of its own.
 pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
     let mut out = Vec::with_capacity(drain_capacity(&op));
-    while op.next_rows(&mut out)? {}
+    while let Some(batch) = op.next_batch()? {
+        batch.append_rows(&mut out);
+    }
     Ok(out)
 }
 
@@ -362,10 +346,6 @@ impl Operator for ValuesOp {
         Ok(Some(batch))
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }
@@ -414,9 +394,11 @@ impl Operator for FaultyOp {
             return Err(pyro_common::PyroError::Exec("boom".into()));
         }
         self.after -= 1;
-        let mut buf = Vec::new();
-        while self.rows.len() == 0 && self.child.next_rows(&mut buf)? {
-            self.rows = std::mem::take(&mut buf).into_iter();
+        while self.rows.len() == 0 {
+            let Some(batch) = self.child.next_batch()? else {
+                break;
+            };
+            self.rows = batch.to_rows().into_iter();
         }
         Ok(self.rows.next().map(|t| ColumnarBatch::from_rows(&[t])))
     }

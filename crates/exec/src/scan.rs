@@ -81,10 +81,6 @@ impl Operator for FileScan {
         Ok(Some(batch))
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }

@@ -344,10 +344,6 @@ impl Operator for PartialSort {
         self.child.set_demand_driven();
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }

@@ -350,10 +350,6 @@ impl Operator for StandardReplacementSort {
         self.demand_driven = true;
     }
 
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.batch = rows.max(1);
     }

@@ -14,10 +14,12 @@
 //! ## Streaming and budgets
 //!
 //! Results are never fully materialized on the server: each
-//! [`pyro::QueryStream`] batch is encoded and flushed as its own `ROWS`
-//! frame. Per-query budgets (result rows, response bytes) are checked
-//! batch-by-batch; exceeding one cancels the query mid-stream with a typed
-//! `BudgetExceeded` error frame — the connection stays healthy.
+//! [`pyro::QueryStream`] batch is encoded straight from its columns
+//! ([`proto::enc_batch`]: no result row is boxed on the server) and
+//! flushed as its own `ROWS` frame. Per-query budgets (result rows,
+//! response bytes) are checked batch-by-batch; exceeding one cancels the
+//! query mid-stream with a typed `BudgetExceeded` error frame — the
+//! connection stays healthy.
 //!
 //! ## Error policy
 //!
@@ -414,7 +416,7 @@ fn respond_query(
             ));
             return reply_error(w, &e); // dropping `stream` cancels the query
         }
-        let payload = proto::enc_rows(&batch);
+        let payload = proto::enc_batch(&batch);
         bytes_sent += payload.len() as u64;
         if cfg.max_response_bytes > 0 && bytes_sent > cfg.max_response_bytes {
             let e = PyroError::BudgetExceeded(format!(

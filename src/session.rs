@@ -20,9 +20,8 @@
 
 use crate::result::{PlanCacheInfo, QueryResult};
 use pyro_catalog::Catalog;
-use pyro_common::{DataType, PyroError, Result, Schema, Tuple, Value};
+use pyro_common::{ColumnarBatch, DataType, PyroError, Result, Schema, Tuple, Value};
 use pyro_core::cache::{CachedStatement, PlanCache, PlanCacheStats, PlanKey};
-use pyro_core::cost::CostParams;
 use pyro_core::{CompileOptions, EnumStrategy, OptimizedPlan, Optimizer, Strategy};
 use pyro_exec::{BoxOp, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
@@ -46,8 +45,6 @@ pub struct SessionConfig {
     pub strategy: Strategy,
     /// Inner-join region size above which the region is re-shaped.
     pub join_enum_threshold: usize,
-    /// Cost-constant overrides; `None` derives them from the device.
-    pub cost_params: Option<CostParams>,
     /// Whether hash join / hash aggregate alternatives are considered.
     pub hash_operators: bool,
     /// Execution batch size in rows (floor 1).
@@ -64,7 +61,6 @@ impl Default for SessionConfig {
         SessionConfig {
             strategy: Strategy::pyro_o(),
             join_enum_threshold: pyro_core::joingraph::DEFAULT_JOIN_ENUM_THRESHOLD,
-            cost_params: None,
             hash_operators: true,
             batch_size: DEFAULT_BATCH_SIZE,
             workers: 1,
@@ -133,16 +129,6 @@ impl SessionBuilder {
     /// Orthogonal to [`SessionBuilder::strategy`].
     pub fn join_enum_threshold(mut self, threshold: usize) -> SessionBuilder {
         self.config.join_enum_threshold = threshold;
-        self
-    }
-
-    /// Overrides the cost-model's CPU-translation constants (`cmp_io`,
-    /// `tuple_io`, `hash_io`). The `block_size` and `sort_mem_blocks`
-    /// fields are ignored — those always track the session's device and
-    /// sort memory budget, so the optimizer's estimates describe the
-    /// executor that actually runs.
-    pub fn cost_params(mut self, params: CostParams) -> SessionBuilder {
-        self.config.cost_params = Some(params);
         self
     }
 
@@ -480,13 +466,6 @@ impl Session {
         self.config.hash_operators = enable;
     }
 
-    /// Overrides (or with `None`, restores the defaults of) the cost
-    /// model's CPU-translation constants for subsequent queries; see
-    /// [`SessionBuilder::cost_params`].
-    pub fn set_cost_params(&mut self, params: Option<CostParams>) {
-        self.config.cost_params = params;
-    }
-
     /// Plan-cache capacity in entries; `0` means the session plans every
     /// query from scratch (the default).
     pub fn plan_cache_entries(&self) -> usize {
@@ -707,21 +686,10 @@ impl Session {
     fn optimize_statement(&self, sql: &str) -> Result<CachedStatement> {
         let (logical, params) = pyro_sql::plan_with_params(sql, &self.catalog)?;
         let config = &self.config;
-        let mut optimizer = Optimizer::new(&self.catalog)
+        let optimizer = Optimizer::new(&self.catalog)
             .with_strategy(config.strategy)
             .with_hash(config.hash_operators)
             .with_join_enum_threshold(config.join_enum_threshold);
-        if let Some(params) = config.cost_params {
-            // block_size and sort_mem_blocks are facts of the session (the
-            // device and the executor's budget), not tunables: keep them in
-            // sync so estimated and measured behaviour cannot diverge.
-            optimizer = optimizer.with_params(CostParams {
-                block_size: self.catalog.device().block_size(),
-                sort_mem_blocks: self.catalog.sort_memory_blocks() as f64,
-                buffer_pool_pages: self.catalog.store().pool_pages().unwrap_or(0) as f64,
-                ..params
-            });
-        }
         Ok(CachedStatement {
             plan: optimizer.optimize(&logical)?,
             param_types: params.types,
@@ -1001,19 +969,15 @@ impl QueryStream {
         &self.metrics
     }
 
-    /// Pulls the next batch of rows — boxed from the batch the plan root
-    /// hands over ([`pyro_exec::Operator::next_rows`]) — or `None` once the
-    /// query is done. After `None` (or an error) the stream stays
-    /// exhausted.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
+    /// Pulls the next batch the plan root hands over, as columns — its
+    /// rows are the selected ones ([`ColumnarBatch::len`],
+    /// [`ColumnarBatch::to_rows`]) — or `None` once the query is done.
+    /// After `None` (or an error) the stream stays exhausted.
+    pub fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         if self.finished {
             return Ok(None);
         }
-        let mut rows = Vec::new();
-        let pulled = self
-            .op
-            .next_rows(&mut rows)
-            .map(|more| more.then_some(rows));
+        let pulled = self.op.next_batch();
         self.finished = !matches!(pulled, Ok(Some(_)));
         pulled
     }

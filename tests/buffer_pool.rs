@@ -216,7 +216,7 @@ fn abandoned_scan_leaves_no_frame_pinned() {
     // unpinned frames only, and it drops them all.
     pool.clear().unwrap();
     assert_eq!(pool.resident(), 0, "the open scan pins nothing");
-    assert_eq!(stream.next_batch().unwrap(), None);
+    assert!(stream.next_batch().unwrap().is_none());
     drop(stream);
     session.sql("SELECT k, v FROM events LIMIT 10").unwrap();
     pool.clear().unwrap();

@@ -114,10 +114,6 @@ impl Operator for Source {
         Ok(Some(out))
     }
 
-    fn batch_size(&self) -> usize {
-        self.rows.batch_size()
-    }
-
     fn set_batch_size(&mut self, rows: usize) {
         self.rows.set_batch_size(rows);
     }

@@ -311,9 +311,11 @@ impl Operator for DyingInput {
             return Err(PyroError::Exec("input died".into()));
         }
         self.rows -= 1;
-        let mut rows = Vec::new();
-        while self.buffered.len() == 0 && self.child.next_rows(&mut rows)? {
-            self.buffered = std::mem::take(&mut rows).into_iter();
+        while self.buffered.len() == 0 {
+            let Some(batch) = self.child.next_batch()? else {
+                break;
+            };
+            self.buffered = batch.to_rows().into_iter();
         }
         Ok(self.buffered.next().map(|t| ColumnarBatch::from_rows(&[t])))
     }

@@ -31,35 +31,29 @@ struct Reference {
 
 /// Runs `sql` in the reference mode, then in every other mode, asserting
 /// counter parity always and row parity as a sequence (`ordered`) or
-/// multiset. Leaves the session at one worker.
+/// multiset — for the drained result and, in every mode, for the same
+/// statement streamed batch by batch ([`Session::sql_stream`]), which pulls
+/// a parallel plan's exchange without draining it to rows. Leaves the
+/// session at one worker.
 fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
     let mut reference: Option<Reference> = None;
     for w in MODES {
         session.set_workers(w);
         let out = session.sql(sql).unwrap();
-        let Some(reference) = &reference else {
-            reference = Some(Reference {
-                rows: out.rows().to_vec(),
-                metrics: out.metrics().clone(),
-            });
-            continue;
-        };
+        let streamed = stream_rows(session, sql);
+        let reference = reference.get_or_insert_with(|| Reference {
+            rows: out.rows().to_vec(),
+            metrics: out.metrics().clone(),
+        });
         let mode = format!("workers={w}");
-        if ordered {
-            assert!(
-                exact(&reference.rows) == exact(out.rows()),
-                "ordered rows diverged ({mode}): {sql}"
-            );
-        } else {
-            let mut a = reference.rows.clone();
-            let mut b = out.rows().to_vec();
-            a.sort();
-            b.sort();
-            assert!(
-                exact(&a) == exact(&b),
-                "row multiset diverged ({mode}): {sql}"
-            );
-        }
+        assert_same_rows(&reference.rows, out.rows(), ordered, &mode, sql);
+        assert_same_rows(
+            &reference.rows,
+            &streamed,
+            ordered,
+            &format!("{mode}, streamed"),
+            sql,
+        );
         let (a, b) = (&reference.metrics, out.metrics());
         assert_eq!(
             a.comparisons(),
@@ -83,6 +77,36 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
         );
     }
     session.set_workers(1);
+}
+
+/// `sql`'s rows, pulled batch by batch through [`Session::sql_stream`].
+fn stream_rows(session: &Session, sql: &str) -> Vec<Tuple> {
+    let mut stream = session.sql_stream(sql).unwrap();
+    let mut rows = Vec::new();
+    while let Some(batch) = stream.next_batch().unwrap() {
+        batch.append_rows(&mut rows);
+    }
+    rows
+}
+
+/// `got` is `reference` exactly: as a sequence if `ordered`, else as a
+/// multiset.
+fn assert_same_rows(reference: &[Tuple], got: &[Tuple], ordered: bool, mode: &str, sql: &str) {
+    if ordered {
+        assert!(
+            exact(reference) == exact(got),
+            "ordered rows diverged ({mode}): {sql}"
+        );
+    } else {
+        let mut a = reference.to_vec();
+        let mut b = got.to_vec();
+        a.sort();
+        b.sort();
+        assert!(
+            exact(&a) == exact(&b),
+            "row multiset diverged ({mode}): {sql}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

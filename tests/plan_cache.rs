@@ -6,7 +6,6 @@
 //! strategies.
 
 use pyro::common::{DataType, PyroError, Schema, Value};
-use pyro::core::cost::CostParams;
 use pyro::{Session, SessionConfig, SortOrder, Strategy};
 
 mod common;
@@ -152,7 +151,6 @@ fn every_knob_flip_misses() {
     let SessionConfig {
         strategy,
         join_enum_threshold,
-        cost_params,
         hash_operators,
         batch_size,
         workers,
@@ -188,13 +186,6 @@ fn every_knob_flip_misses() {
     session.set_workers(2);
     assert_miss_then_hit(&mut session, "set_workers");
     session.set_workers(workers);
-
-    session.set_cost_params(Some(CostParams {
-        cmp_io: 1e-3,
-        ..CostParams::default()
-    }));
-    assert_miss_then_hit(&mut session, "set_cost_params");
-    session.set_cost_params(cost_params);
 
     // A threshold flip must never re-hit a plan the other threshold
     // produced.

@@ -32,7 +32,7 @@
 use pyro::catalog::Catalog;
 use pyro::common::{Column, DataType, Schema, Tuple, Value};
 use pyro::core::cost::CostParams;
-use pyro::core::{CompileOptions, OptimizedPlan, PhysNode, PhysOp};
+use pyro::core::{CompileOptions, OptimizedPlan, Optimizer, PhysNode, PhysOp};
 use pyro::datagen::rng::StdRng;
 use pyro::exec::join::Side;
 use pyro::exec::MORSEL_PAGES;
@@ -1201,14 +1201,7 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
     // tables this small it seldom chooses a hash join at all, so hashing
     // is free for this plan; each inner hash join whose order nothing
     // above relies on then also runs building on its other input.
-    session.set_hash_operators(true);
-    session.set_cost_params(Some(CostParams {
-        hash_io: 0.0,
-        ..CostParams::default()
-    }));
-    let plan = session.prepare(&sql).map(|p| p.plan().clone());
-    session.set_cost_params(None);
-    let plan = plan.map_err(|e| fail(format!("free hashing: {e}")))?;
+    let plan = plan_hashing_free(&session, &sql).map_err(|e| fail(format!("free hashing: {e}")))?;
     let mut flipped = false;
     let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
     let mut plans = vec![("free hashing", plan.clone())];
@@ -1237,6 +1230,22 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `sql` planned as `session` plans it, with hash operators on and
+/// hashing free (`hash_io` 0): over tables this small the cost model
+/// otherwise seldom picks a hash join at all.
+fn plan_hashing_free(session: &Session, sql: &str) -> pyro::Result<OptimizedPlan> {
+    let (logical, _) = pyro::sql::plan_with_params(sql, session.catalog())?;
+    Optimizer::new(session.catalog())
+        .with_strategy(session.strategy())
+        .with_hash(true)
+        .with_join_enum_threshold(session.join_enum_threshold())
+        .with_params(CostParams {
+            hash_io: 0.0,
+            ..CostParams::default()
+        })
+        .optimize(&logical)
 }
 
 #[test]
@@ -1379,17 +1388,15 @@ fn equi_join_under_every_plan(
         let pages = session.catalog().table(name).unwrap().heap.block_count();
         assert!(pages > MORSEL_PAGES as u64, "{name}: {pages} pages");
     }
-    let free = CostParams {
-        hash_io: 0.0,
-        ..CostParams::default()
-    };
     let mut hashed = false;
     for strategy in Strategy::all() {
-        for (hash, costs) in [(false, None), (true, None), (true, Some(free))] {
+        for (hash, free) in [(false, false), (true, false), (true, true)] {
             session.set_strategy(strategy);
             session.set_hash_operators(hash);
-            session.set_cost_params(costs);
-            let plan = session.prepare(sql).unwrap().plan().clone();
+            let plan = match free {
+                true => plan_hashing_free(&session, sql).unwrap(),
+                false => session.prepare(sql).unwrap().plan().clone(),
+            };
             let mut flipped = false;
             let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
             for plan in [plan.clone(), OptimizedPlan { root, ..plan }] {
@@ -1405,9 +1412,8 @@ fn equi_join_under_every_plan(
                         .unwrap()
                         .rows;
                     let what = format!(
-                        "{} hash={hash} free={} workers={workers}\n{}",
+                        "{} hash={hash} free={free} workers={workers}\n{}",
                         strategy.name(),
-                        costs.is_some(),
                         plan.explain()
                     );
                     assert_eq!(rows.len(), expect, "{what}");
