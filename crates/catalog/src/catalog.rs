@@ -183,7 +183,7 @@ impl Catalog {
             return Err(PyroError::Plan(format!("table {name} already registered")));
         }
         check_load(name, &schema, &clustering, rows)?;
-        let stats = TableStats::compute(&schema.names(), rows);
+        let stats = TableStats::compute(&schema, rows);
         let mark = self.store.begin_mutation();
         match self.try_register(name, schema, clustering, stats, rows) {
             Ok(handle) => Ok(handle),

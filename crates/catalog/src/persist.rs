@@ -352,7 +352,12 @@ mod tests {
         assert_eq!(back.meta.schema.names(), src.meta.schema.names());
         assert_eq!(back.meta.clustering.attrs(), src.meta.clustering.attrs());
         assert_eq!(back.meta.stats.row_count, 50);
-        assert_eq!(back.meta.stats.distinct("k"), src.meta.stats.distinct("k"));
+        assert_eq!(back.meta.stats.columns, src.meta.stats.columns);
+        assert_eq!(back.meta.stats.columns.len(), 3);
+        assert_eq!(
+            back.meta.stats.avg_tuple_bytes.to_bits(),
+            src.meta.stats.avg_tuple_bytes.to_bits()
+        );
         assert_eq!(back.heap.pages(), src.heap.pages());
         assert_eq!(back.heap.tuple_count(), src.heap.tuple_count());
         assert_eq!(back.heap.byte_count(), src.heap.byte_count());

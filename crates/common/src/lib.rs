@@ -5,13 +5,15 @@
 //! (Guravannavar, Sudarshan, Diwan, Sobhan Babu; ICDE 2007).
 //!
 //! This crate deliberately contains no I/O and no policy: just the value
-//! model ([`Value`]), row model ([`Tuple`]), schema model ([`Schema`]) and the
-//! error type ([`PyroError`]) every other crate builds on.
+//! model ([`Value`]), row model ([`Tuple`]), schema model ([`Schema`]), the
+//! error type ([`PyroError`]) and the hasher ([`hash`]) every other crate
+//! builds on.
 
 #![deny(missing_docs)]
 
 pub mod columnar;
 pub mod error;
+pub mod hash;
 pub mod schema;
 pub mod tuple;
 pub mod value;

@@ -27,6 +27,7 @@ use crate::seek::eq_prefix_len;
 use crate::stats::{derive_stats, NodeStats};
 use crate::strategy::Strategy;
 use pyro_catalog::Catalog;
+use pyro_common::hash::WordMap;
 use pyro_common::{Column, PyroError, Result, Schema};
 use pyro_exec::join::{JoinKind, Side};
 use std::collections::HashMap;
@@ -634,12 +635,12 @@ struct Search<'c, 'a> {
     orders: Orders<'c>,
     cands: Vec<Cand>,
     /// Goal (node, rep-normalized required order) → best candidate.
-    memo: HashMap<(NodeId, OrderId), CandId>,
+    memo: WordMap<(NodeId, OrderId), CandId>,
     /// The sort-based operators' input goals, computed once per node and
     /// the part of the requirement they depend on (a join's `o ∧ S`, a
     /// grouping's requirement projected into its columns): a range of
     /// `goal_pool`, which holds a join's goals as (left, right) pairs.
-    goal_lists: HashMap<(NodeId, OrderId), (usize, usize)>,
+    goal_lists: WordMap<(NodeId, OrderId), (usize, usize)>,
     goal_pool: Vec<OrderId>,
     /// The child goals of the goals being solved, innermost last: a solver
     /// pushes its list and truncates it away when done.
@@ -659,8 +660,8 @@ impl<'c, 'a> Search<'c, 'a> {
             forced,
             orders: Orders::new(&ctx.equiv),
             cands: Vec::with_capacity(8 * n),
-            memo: HashMap::with_capacity(4 * n),
-            goal_lists: HashMap::with_capacity(n),
+            memo: WordMap::with_capacity_and_hasher(4 * n, Default::default()),
+            goal_lists: WordMap::with_capacity_and_hasher(n, Default::default()),
             goal_pool: Vec::with_capacity(4 * n),
             goal_stack: Vec::with_capacity(4 * n),
             stats: SearchStats::default(),
