@@ -11,22 +11,24 @@
 //! **Keying rule.** An entry is addressed by [`PlanKey`]: the normalized
 //! SQL text (`pyro_sql::normalize` — whitespace/keyword-case insensitive,
 //! literal-sensitive), a fingerprint hash of every plan-affecting session
-//! knob (strategy, hash-operator toggle, cost-parameter overrides, sort
-//! memory budget, batch size, worker count, buffer-pool capacity and
-//! join-enum threshold), and the catalog's schema
-//! [generation counter](pyro_catalog::Catalog::generation).
+//! knob (the session's whole config — strategy, join-enum threshold,
+//! hash-operator toggle, batch size, worker count and seed — plus the
+//! catalog's sort memory budget and buffer-pool capacity), and the
+//! catalog's schema [generation counter](pyro_catalog::Catalog::generation).
 //! Any knob flip or catalog mutation therefore changes the key and misses —
 //! a stale plan can never be served. Stale-generation entries age out via
 //! LRU eviction rather than eager sweeps.
 //!
 //! **Serving-path design.** Entries are `Arc<CachedStatement>`, so the work
-//! done *inside* the mutex is a hash lookup, a few pointer swaps and one
-//! `Arc` clone — never a deep clone of the plan tree or the statement's
-//! parameter table. Recency is an intrusive doubly-linked list threaded
-//! through a slab of nodes (`prev`/`next` are slab indices): a hit splices
-//! its node to the front and eviction pops the tail, both `O(1)` with zero
-//! allocation, so the lock hold time is flat no matter how many plans are
-//! resident. One cache serves every thread sharing a `Session`.
+//! done *inside* the mutex is a hash lookup, a stamp write and one `Arc`
+//! clone — never a deep clone of the plan tree or the statement's
+//! parameter table. Recency is a use counter: every hit and every insert
+//! stamps its entry with the next count, and an insert into a full cache
+//! evicts the entry with the smallest stamp, the least recently used,
+//! found by scanning the resident stamps. Hits stay `O(1)`; only an
+//! eviction pays `O(capacity)`, and serving workloads size the cache to
+//! hold their shapes, so they do not evict. One cache serves every thread
+//! sharing a `Session`.
 
 use crate::optimizer::OptimizedPlan;
 use pyro_common::DataType;
@@ -71,131 +73,15 @@ pub struct PlanCacheStats {
     pub capacity: usize,
 }
 
-/// Sentinel slab index (list end / empty list).
-const NIL: u32 = u32::MAX;
-
-/// One resident plan: the payload plus its links in the recency list.
-#[derive(Debug)]
-struct Node {
-    key: PlanKey,
-    stmt: Arc<CachedStatement>,
-    /// Toward the MRU end (`NIL` at the head).
-    prev: u32,
-    /// Toward the LRU end (`NIL` at the tail).
-    next: u32,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
-    /// Key → slab slot of its node.
-    map: HashMap<PlanKey, u32>,
-    /// Node storage; `None` slots are free (tracked in `free`). The slab
-    /// never exceeds `capacity` slots, so slot indices stay stable and
-    /// reusable for the cache's whole life.
-    slab: Vec<Option<Node>>,
-    free: Vec<u32>,
-    /// Most recently used node (`NIL` when empty).
-    head: u32,
-    /// Least recently used node — the eviction victim (`NIL` when empty).
-    tail: u32,
+    /// Key → statement and the stamp of its last use.
+    map: HashMap<PlanKey, (Arc<CachedStatement>, u64)>,
+    /// Uses so far; the next use is stamped `clock + 1`.
+    clock: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
-}
-
-impl Default for Inner {
-    fn default() -> Inner {
-        Inner {
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-}
-
-impl Inner {
-    fn node(&self, slot: u32) -> &Node {
-        self.slab[slot as usize].as_ref().expect("live slot")
-    }
-
-    fn node_mut(&mut self, slot: u32) -> &mut Node {
-        self.slab[slot as usize].as_mut().expect("live slot")
-    }
-
-    /// Detaches `slot` from the recency list (links become dangling).
-    fn unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let n = self.node(slot);
-            (n.prev, n.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.node_mut(p).next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.node_mut(n).prev = prev,
-        }
-    }
-
-    /// Attaches `slot` at the MRU end.
-    fn push_front(&mut self, slot: u32) {
-        let old_head = self.head;
-        {
-            let n = self.node_mut(slot);
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        if old_head != NIL {
-            self.node_mut(old_head).prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Splices `slot` to the front of the recency list: two pointer swaps,
-    /// no allocation, no ordering structure to rebalance.
-    fn touch(&mut self, slot: u32) {
-        if self.head == slot {
-            return;
-        }
-        self.unlink(slot);
-        self.push_front(slot);
-    }
-
-    /// Removes the LRU node and returns its slot to the free list.
-    fn evict_tail(&mut self) {
-        let victim = self.tail;
-        if victim == NIL {
-            return;
-        }
-        self.unlink(victim);
-        let node = self.slab[victim as usize].take().expect("live slot");
-        self.map.remove(&node.key);
-        self.free.push(victim);
-        self.evictions += 1;
-    }
-
-    /// Allocates a slab slot for a new node.
-    fn alloc(&mut self, node: Node) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(node);
-                slot
-            }
-            None => {
-                self.slab.push(Some(node));
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
 }
 
 /// The bounded LRU plan cache; see the [module docs](self).
@@ -226,16 +112,18 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `key`, counting a hit (and refreshing recency) or a miss.
+    /// Looks up `key`, counting a hit (and restamping its entry) or a miss.
     /// The returned handle shares the cached statement — no deep clone
     /// happens inside or outside the lock.
     pub fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedStatement>> {
-        let mut inner = self.lock();
-        match inner.map.get(key).copied() {
-            Some(slot) => {
-                inner.touch(slot);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        match inner.map.get_mut(key) {
+            Some((stmt, used)) => {
+                inner.clock += 1;
+                *used = inner.clock;
                 inner.hits += 1;
-                Some(Arc::clone(&inner.node(slot).stmt))
+                Some(Arc::clone(stmt))
             }
             None => {
                 inner.misses += 1;
@@ -244,27 +132,24 @@ impl PlanCache {
         }
     }
 
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one first when the cache is full. `O(1)` either way.
+    /// Inserts (or refreshes) an entry under a fresh stamp, first evicting
+    /// the least-recently-used one when the cache is full.
     pub fn insert(&self, key: PlanKey, stmt: Arc<CachedStatement>) {
         let mut inner = self.lock();
-        if let Some(slot) = inner.map.get(&key).copied() {
-            // Refresh in place: new payload, fresh recency, no eviction.
-            inner.node_mut(slot).stmt = stmt;
-            inner.touch(slot);
+        inner.clock += 1;
+        let stamp = inner.clock;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            *entry = (stmt, stamp);
             return;
         }
         if inner.map.len() >= self.capacity {
-            inner.evict_tail();
+            let lru = inner.map.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some(lru) = lru.map(|(k, _)| k.clone()) {
+                inner.map.remove(&lru);
+                inner.evictions += 1;
+            }
         }
-        let slot = inner.alloc(Node {
-            key: key.clone(),
-            stmt,
-            prev: NIL,
-            next: NIL,
-        });
-        inner.map.insert(key, slot);
-        inner.push_front(slot);
+        inner.map.insert(key, (stmt, stamp));
     }
 
     /// Current counters and occupancy.
@@ -291,12 +176,7 @@ impl PlanCache {
 
     /// Drops every entry (counters are kept — they are monotonic totals).
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.slab.clear();
-        inner.free.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
+        self.lock().map.clear();
     }
 }
 
@@ -391,9 +271,8 @@ mod tests {
 
     #[test]
     fn eviction_order_tracks_many_touches() {
-        // Stress the order index: interleaved inserts and touches must
-        // keep map and BTreeMap consistent (every eviction removes exactly
-        // the oldest untouched key).
+        // Interleaved inserts and touches: every eviction must remove
+        // exactly the key with the oldest stamp.
         let cache = PlanCache::new(4);
         for i in 0..4 {
             cache.insert(key(&format!("q{i}"), 0, 0), stmt(i as f64));
@@ -420,9 +299,9 @@ mod tests {
         assert_eq!(cache.lookup(&key("a", 0, 0)).unwrap().plan.cost(), 2.0);
     }
 
-    /// Long insert churn far past capacity: slab slots must recycle (the
-    /// node store never outgrows the capacity) and the survivor set must
-    /// always be the most recent `capacity` keys.
+    /// Long insert churn far past capacity: the map never outgrows the
+    /// capacity and the survivor set must always be the most recent
+    /// `capacity` keys.
     #[test]
     fn slot_reuse_under_churn() {
         let cache = PlanCache::new(3);
@@ -474,8 +353,7 @@ mod tests {
     #[test]
     fn concurrent_eviction_pressure_stays_consistent() {
         // More distinct keys than capacity from several threads: the
-        // order index and map must never desync (evictions would panic or
-        // evict the wrong entry if they did).
+        // occupancy bound and the counters must hold under the lock.
         let cache = Arc::new(PlanCache::new(4));
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -497,5 +375,87 @@ mod tests {
         assert!(s.entries <= 4);
         assert_eq!(s.hits + s.misses, 800);
         assert!(s.evictions > 0);
+    }
+
+    /// xorshift64*: a fixed, dependency-free stream of test choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    /// Seeded runs of 10,000 random lookups and inserts over 12 keys, held
+    /// after every step to a naive model: a `Vec` in recency order (least
+    /// recently used first) whose every hit and insert moves its key to
+    /// the back, and whose front is evicted when an insert overflows it.
+    /// Each insert carries its own payload, so a stale refresh shows too.
+    #[test]
+    fn matches_a_naive_recency_list() {
+        let keys: Vec<PlanKey> = (0..12).map(|i| key(&format!("q{i}"), 0, 0)).collect();
+        for capacity in 1..=6 {
+            for seed in 1..=3u64 {
+                let cache = PlanCache::new(capacity);
+                let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ capacity as u64);
+                let mut model: Vec<(usize, f64)> = Vec::new();
+                let mut want = PlanCacheStats {
+                    capacity,
+                    ..PlanCacheStats::default()
+                };
+                for op in 0..10_000 {
+                    let k = rng.below(keys.len() as u64) as usize;
+                    let pos = model.iter().position(|&(m, _)| m == k);
+                    if rng.below(2) == 0 {
+                        let expected = pos.map(|i| {
+                            let entry = model.remove(i);
+                            model.push(entry);
+                            entry.1
+                        });
+                        let got = cache.lookup(&keys[k]).map(|s| s.plan.cost());
+                        assert_eq!(
+                            got, expected,
+                            "lookup: capacity {capacity} seed {seed} op {op}"
+                        );
+                        match expected {
+                            Some(_) => want.hits += 1,
+                            None => want.misses += 1,
+                        }
+                    } else {
+                        match pos {
+                            Some(i) => {
+                                model.remove(i);
+                            }
+                            None if model.len() == capacity => {
+                                model.remove(0);
+                                want.evictions += 1;
+                            }
+                            None => {}
+                        }
+                        model.push((k, op as f64));
+                        cache.insert(keys[k].clone(), stmt(op as f64));
+                    }
+                    want.entries = model.len();
+                    assert_eq!(
+                        cache.stats(),
+                        want,
+                        "capacity {capacity} seed {seed} op {op}"
+                    );
+                    let mut resident: Vec<String> =
+                        cache.lock().map.keys().map(|k| k.sql.clone()).collect();
+                    let mut expected: Vec<String> =
+                        model.iter().map(|&(m, _)| keys[m].sql.clone()).collect();
+                    resident.sort();
+                    expected.sort();
+                    assert_eq!(
+                        resident, expected,
+                        "capacity {capacity} seed {seed} op {op}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Per-connection prepared-statement registry.
 //!
 //! Each connection owns one [`StmtRegistry`] mapping server-assigned
-//! statement ids to [`SharedPrepared`] handles. Ids are never reused within
-//! a connection (a monotonic counter), so a stale id from a closed
-//! statement can only miss — it can never silently address a newer
-//! statement. The registry is bounded: a client leaking statements gets a
-//! typed error instead of exhausting server memory.
+//! statement ids to [`SharedPrepared`] handles. Ids come from a counter
+//! that skips 0 and every id still registered, so an open statement's id
+//! addresses only that statement. A closed statement's id is handed out
+//! again only after the counter wraps past `u32::MAX`; until then a stale
+//! id can only miss. The registry is bounded: a client leaking statements
+//! gets a typed error instead of exhausting server memory.
 
 use pyro::SharedPrepared;
 use pyro_common::{PyroError, Result};
@@ -29,7 +30,7 @@ impl StmtRegistry {
         }
     }
 
-    /// Registers a statement, assigning the connection's next id.
+    /// Registers a statement, assigning the connection's next free id.
     pub fn insert(&mut self, stmt: SharedPrepared) -> Result<u32> {
         if self.map.len() >= self.capacity {
             return Err(PyroError::Wire(format!(
@@ -37,8 +38,13 @@ impl StmtRegistry {
                 self.capacity
             )));
         }
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
+        let step = |id: u32| id.wrapping_add(1).max(1);
+        // The registry is not full, so this skips at most `capacity` ids.
+        let mut id = self.next_id;
+        while self.map.contains_key(&id) {
+            id = step(id);
+        }
+        self.next_id = step(id);
         self.map.insert(id, stmt);
         Ok(id)
     }
@@ -76,12 +82,16 @@ mod tests {
     use pyro_common::Schema;
     use std::sync::Arc;
 
-    fn stmt() -> SharedPrepared {
+    fn prepared(sql: &str) -> SharedPrepared {
         let mut session = Session::new();
         session
             .register_csv("t", Schema::ints(&["a"]), SortOrder::new(["a"]), "1\n")
             .unwrap();
-        Arc::new(session).prepare_shared("SELECT a FROM t").unwrap()
+        Arc::new(session).prepare_shared(sql).unwrap()
+    }
+
+    fn stmt() -> SharedPrepared {
+        prepared("SELECT a FROM t")
     }
 
     #[test]
@@ -115,5 +125,20 @@ mod tests {
         assert!(reg.get(7).is_err());
         assert!(reg.remove(7).is_err());
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn wrapped_counter_skips_live_ids() {
+        let mut reg = StmtRegistry::new(4);
+        let first = reg.insert(stmt()).unwrap();
+        assert_eq!(first, 1);
+        reg.next_id = u32::MAX;
+        let last = reg.insert(stmt()).unwrap();
+        let bound = reg.insert(prepared("SELECT a FROM t WHERE a = ?")).unwrap();
+        assert_eq!(last, u32::MAX);
+        assert_eq!(bound, 2, "the wrapped counter skips 0 and the live id 1");
+        assert_eq!(reg.len(), 3, "no statement was replaced");
+        assert_eq!(reg.get(first).unwrap().param_count(), 0);
+        assert_eq!(reg.get(bound).unwrap().param_count(), 1);
     }
 }

@@ -343,7 +343,6 @@ fn handle_connection(
             op::EXECUTE => match proto::dec_execute(&payload) {
                 Ok((id, params)) => match registry.get(id) {
                     Ok(stmt) => {
-                        let stmt = stmt.clone();
                         respond_query(&mut writer, gate, cfg, || stmt.execute_stream(&params))
                     }
                     Err(e) => reply_error(&mut writer, &e),

@@ -27,6 +27,7 @@ use pyro_exec::{BoxOp, MetricsRef, Pipeline, DEFAULT_BATCH_SIZE};
 use pyro_ordering::SortOrder;
 use pyro_storage::{FileDevice, PageStore, Wal};
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -538,8 +539,8 @@ impl Session {
     /// placeholders are a typed error here — prepare them with
     /// [`Session::prepare`] and bind values via [`Prepared::execute`].
     pub fn sql(&self, sql: &str) -> Result<QueryResult> {
-        let (stmt, cache) = self.placeholder_free_statement(sql)?;
-        self.run_statement(&stmt.plan, &[], cache)
+        let (stmt, hit) = self.placeholder_free_statement(sql)?;
+        self.run_statement(&stmt.plan, &[], hit)
     }
 
     /// Optimizes a SQL query and returns the costed physical plan text
@@ -575,12 +576,12 @@ impl Session {
     /// let miss = stmt.execute(&[Value::Int(99)]).unwrap();
     /// assert!(miss.is_empty());
     /// ```
-    pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
-        let (stmt, cache) = self.statement(sql)?;
+    pub fn prepare(&self, sql: &str) -> Result<Prepared<&Session>> {
+        let (stmt, cache_hit) = self.statement(sql)?;
         Ok(Prepared {
             session: self,
             stmt,
-            cache_hit: cache.map(|c| c.hit),
+            cache_hit,
         })
     }
 
@@ -588,7 +589,7 @@ impl Session {
     /// returned [`SharedPrepared`] co-owns the session, so it has no
     /// borrow lifetime and can live in long-lived registries (e.g. a wire
     /// server's per-connection prepared-statement table) or move across
-    /// threads.
+    /// threads. It executes exactly as the borrowed handle does.
     ///
     /// ```
     /// use pyro::{Session, SortOrder, common::{Schema, Value}};
@@ -604,11 +605,11 @@ impl Session {
     /// assert_eq!(stmt.execute(&[Value::Int(2)]).unwrap().len(), 1);
     /// ```
     pub fn prepare_shared(self: &Arc<Self>, sql: &str) -> Result<SharedPrepared> {
-        let (stmt, cache) = self.statement(sql)?;
-        Ok(SharedPrepared {
+        let (stmt, cache_hit) = self.statement(sql)?;
+        Ok(Prepared {
             session: Arc::clone(self),
             stmt,
-            cache_hit: cache.map(|c| c.hit),
+            cache_hit,
         })
     }
 
@@ -634,8 +635,8 @@ impl Session {
     /// assert_eq!(n, 3);
     /// ```
     pub fn sql_stream(&self, sql: &str) -> Result<QueryStream> {
-        let (stmt, cache) = self.placeholder_free_statement(sql)?;
-        self.stream_statement(&stmt.plan, &[], cache)
+        let (stmt, hit) = self.placeholder_free_statement(sql)?;
+        self.stream_statement(&stmt.plan, &[], hit)
     }
 
     /// [`Session::statement`] for the entry points that bind nothing: a
@@ -643,10 +644,10 @@ impl Session {
     fn placeholder_free_statement(
         &self,
         sql: &str,
-    ) -> Result<(Arc<CachedStatement>, Option<PlanCacheInfo>)> {
-        let (stmt, cache) = self.statement(sql)?;
+    ) -> Result<(Arc<CachedStatement>, Option<bool>)> {
+        let (stmt, hit) = self.statement(sql)?;
         match stmt.param_types.len() {
-            0 => Ok((stmt, cache)),
+            0 => Ok((stmt, hit)),
             n => Err(PyroError::ParamBinding(format!(
                 "query has {n} unbound ?-placeholder(s); use Session::prepare \
                  and Prepared::execute to bind values"
@@ -655,9 +656,10 @@ impl Session {
     }
 
     /// Resolves a statement to its optimized plan + placeholder facts,
-    /// through the plan cache when one is configured. Statements are
-    /// shared (`Arc`), not cloned: a cache hit costs one reference bump.
-    fn statement(&self, sql: &str) -> Result<(Arc<CachedStatement>, Option<PlanCacheInfo>)> {
+    /// through the plan cache when one is configured, and whether that was
+    /// a hit (`None` without a cache). Statements are shared (`Arc`), not
+    /// cloned: a cache hit costs one reference bump.
+    fn statement(&self, sql: &str) -> Result<(Arc<CachedStatement>, Option<bool>)> {
         let Some(cache) = &self.plan_cache else {
             return Ok((Arc::new(self.optimize_statement(sql)?), None));
         };
@@ -667,19 +669,18 @@ impl Session {
             generation: self.catalog.generation(),
         };
         if let Some(stmt) = cache.lookup(&key) {
-            let info = PlanCacheInfo {
-                hit: true,
-                stats: cache.stats(),
-            };
-            return Ok((stmt, Some(info)));
+            return Ok((stmt, Some(true)));
         }
         let stmt = Arc::new(self.optimize_statement(sql)?);
         cache.insert(key, Arc::clone(&stmt));
-        let info = PlanCacheInfo {
-            hit: false,
-            stats: cache.stats(),
-        };
-        Ok((stmt, Some(info)))
+        Ok((stmt, Some(false)))
+    }
+
+    /// The plan-cache report for a query whose statement lookup had hit
+    /// flag `hit`, with the cache's counters as they stand now.
+    fn cache_info(&self, hit: Option<bool>) -> Option<PlanCacheInfo> {
+        let stats = self.plan_cache_stats()?;
+        hit.map(|hit| PlanCacheInfo { hit, stats })
     }
 
     /// The uncached parse → lower → optimize pipeline.
@@ -712,8 +713,9 @@ impl Session {
         &self,
         plan: &OptimizedPlan,
         params: &[Value],
-        cache: Option<PlanCacheInfo>,
+        hit: Option<bool>,
     ) -> Result<QueryResult> {
+        let cache = self.cache_info(hit);
         let start = Instant::now();
         let pipeline = self.compile(plan, params)?;
         let schema = pipeline.schema().clone();
@@ -730,13 +732,14 @@ impl Session {
 
     /// Compiles a plan with `params` bound into an incremental
     /// [`QueryStream`] instead of draining it (the [`Session::sql_stream`]
-    /// / [`SharedPrepared::execute_stream`] backend).
+    /// / [`Prepared::execute_stream`] backend).
     fn stream_statement(
         &self,
         plan: &OptimizedPlan,
         params: &[Value],
-        cache: Option<PlanCacheInfo>,
+        hit: Option<bool>,
     ) -> Result<QueryStream> {
+        let cache = self.cache_info(hit);
         let pipeline = self.compile(plan, params)?;
         let schema = pipeline.schema().clone();
         let (op, metrics) = pipeline.into_parts();
@@ -765,49 +768,27 @@ impl Session {
 }
 
 /// A statement optimized once, executable many times with different bound
-/// parameter values — created by [`Session::prepare`]. Each
-/// [`Prepared::execute`] call re-compiles the *same* optimized plan with
-/// the bindings substituted for its `?` placeholders, so execution matches
-/// the equivalent literal SQL exactly while the planning cost is paid once.
-#[derive(Debug)]
-pub struct Prepared<'s> {
-    session: &'s Session,
+/// parameter values — created by [`Session::prepare`], which borrows the
+/// session (`Prepared<&Session>`), or by [`Session::prepare_shared`], which
+/// co-owns it ([`SharedPrepared`]: no borrow lifetime, `Send + Sync`, so one
+/// can be stored per connection in a wire server or shared across worker
+/// threads). Each [`Prepared::execute`] call re-compiles the *same*
+/// optimized plan with the bindings substituted for its `?` placeholders,
+/// so execution matches the equivalent literal SQL exactly while the
+/// planning cost is paid once.
+#[derive(Debug, Clone)]
+pub struct Prepared<S: Deref<Target = Session>> {
+    session: S,
     stmt: Arc<CachedStatement>,
     /// Whether preparing this statement hit the session's plan cache
     /// (`None` when the cache is off).
     cache_hit: Option<bool>,
 }
 
-/// Validates positional bindings against a statement's expected placeholder
-/// types — shared by [`Prepared::execute`] and [`SharedPrepared::execute`].
-/// Numeric types are one family (the engine compares mixed numerics
-/// numerically, so `WHERE x = 2` matches a `Double` column exactly like
-/// `WHERE x = 2.0`); a string where a number is expected (or vice versa) is
-/// a typed error; NULL binds anywhere.
-fn validate_bindings(param_types: &[Option<DataType>], params: &[Value]) -> Result<()> {
-    if params.len() != param_types.len() {
-        return Err(PyroError::ParamBinding(format!(
-            "statement takes {} parameter(s), {} bound",
-            param_types.len(),
-            params.len()
-        )));
-    }
-    let numeric = |ty: DataType| matches!(ty, DataType::Int | DataType::Double);
-    for (i, (value, expected)) in params.iter().zip(param_types).enumerate() {
-        if let (Some(actual), Some(expected)) = (value.data_type(), expected) {
-            let compatible = actual == *expected || (numeric(actual) && numeric(*expected));
-            if !compatible {
-                return Err(PyroError::ParamBinding(format!(
-                    "placeholder ?{} expects {expected}, got {actual} ({value})",
-                    i + 1
-                )));
-            }
-        }
-    }
-    Ok(())
-}
+/// A prepared statement that co-owns its session; see [`Prepared`].
+pub type SharedPrepared = Prepared<Arc<Session>>;
 
-impl Prepared<'_> {
+impl<S: Deref<Target = Session>> Prepared<S> {
     /// Number of `?` placeholders to bind.
     pub fn param_count(&self) -> usize {
         self.stmt.param_types.len()
@@ -835,94 +816,63 @@ impl Prepared<'_> {
         self.cache_hit
     }
 
-    /// Executes with `params` bound positionally to the `?` placeholders.
-    /// The binding is validated first: the count must match
-    /// [`Prepared::param_count`], and a non-NULL value must agree with the
-    /// expected type where the statement pins one ([`Prepared::param_types`])
-    /// — with the same laxness literal SQL has: `Int` and `Double` are one
-    /// numeric family (the engine compares mixed numerics numerically, so
-    /// `WHERE x = 2` matches a `Double` column exactly like `WHERE x = 2.0`),
-    /// while a string where a number is expected (or vice versa) is a typed
-    /// error. NULL binds anywhere — comparisons with it are not-true,
-    /// exactly as a literal NULL would behave.
+    /// Executes with `params` bound positionally to the `?` placeholders,
+    /// materializing the whole result. The binding is validated first: the
+    /// count must match [`Prepared::param_count`], and a non-NULL value must
+    /// agree with the expected type where the statement pins one
+    /// ([`Prepared::param_types`]) — with the same laxness literal SQL has:
+    /// `Int` and `Double` are one numeric family (the engine compares mixed
+    /// numerics numerically, so `WHERE x = 2` matches a `Double` column
+    /// exactly like `WHERE x = 2.0`), while a string where a number is
+    /// expected (or vice versa) is a typed error. NULL binds anywhere —
+    /// comparisons with it are not-true, exactly as a literal NULL would
+    /// behave.
     pub fn execute(&self, params: &[Value]) -> Result<QueryResult> {
-        validate_bindings(&self.stmt.param_types, params)?;
-        let cache = self.cache_hit.map(|hit| PlanCacheInfo {
-            hit,
-            stats: self.session.plan_cache_stats().unwrap_or_default(),
-        });
-        self.session.run_statement(&self.stmt.plan, params, cache)
-    }
-}
-
-/// A prepared statement that **co-owns** its session (`Arc<Session>`) —
-/// the registry-friendly sibling of [`Prepared`], created by
-/// [`Session::prepare_shared`]. Identical execution semantics; no borrow
-/// lifetime, `Send + Sync`, so one can be stored per connection in a wire
-/// server or shared across worker threads.
-#[derive(Debug, Clone)]
-pub struct SharedPrepared {
-    session: Arc<Session>,
-    stmt: Arc<CachedStatement>,
-    /// Whether preparing this statement hit the session's plan cache
-    /// (`None` when the cache is off).
-    cache_hit: Option<bool>,
-}
-
-impl SharedPrepared {
-    /// Number of `?` placeholders to bind.
-    pub fn param_count(&self) -> usize {
-        self.stmt.param_types.len()
-    }
-
-    /// Expected type per placeholder, where the statement pins one.
-    pub fn param_types(&self) -> &[Option<DataType>] {
-        &self.stmt.param_types
-    }
-
-    /// The statement's optimized plan (placeholders still symbolic).
-    pub fn plan(&self) -> &OptimizedPlan {
-        &self.stmt.plan
-    }
-
-    /// The costed plan text, as [`Session::explain`] renders it.
-    pub fn explain(&self) -> String {
-        crate::result::render_plan(&self.stmt.plan)
-    }
-
-    /// Whether preparing this statement was a plan-cache hit (`None` when
-    /// the session runs without a plan cache).
-    pub fn cache_hit(&self) -> Option<bool> {
-        self.cache_hit
-    }
-
-    /// Executes with `params` bound positionally, materializing the whole
-    /// result; validation matches [`Prepared::execute`] exactly.
-    pub fn execute(&self, params: &[Value]) -> Result<QueryResult> {
-        validate_bindings(&self.stmt.param_types, params)?;
-        let cache = self.cache_hit.map(|hit| PlanCacheInfo {
-            hit,
-            stats: self.session.plan_cache_stats().unwrap_or_default(),
-        });
-        self.session.run_statement(&self.stmt.plan, params, cache)
+        self.check(params)?;
+        self.session
+            .run_statement(&self.stmt.plan, params, self.cache_hit)
     }
 
     /// Executes with `params` bound, yielding rows incrementally as a
     /// [`QueryStream`] — the serving path: forward batches as produced,
-    /// enforce budgets mid-query, cancel by dropping the stream.
+    /// enforce budgets mid-query, cancel by dropping the stream. A bad
+    /// binding fails here, before any batch, exactly as in
+    /// [`Prepared::execute`].
     pub fn execute_stream(&self, params: &[Value]) -> Result<QueryStream> {
-        validate_bindings(&self.stmt.param_types, params)?;
-        let cache = self.cache_hit.map(|hit| PlanCacheInfo {
-            hit,
-            stats: self.session.plan_cache_stats().unwrap_or_default(),
-        });
+        self.check(params)?;
         self.session
-            .stream_statement(&self.stmt.plan, params, cache)
+            .stream_statement(&self.stmt.plan, params, self.cache_hit)
+    }
+
+    /// Validates positional bindings as [`Prepared::execute`] documents.
+    fn check(&self, params: &[Value]) -> Result<()> {
+        let param_types = &self.stmt.param_types;
+        if params.len() != param_types.len() {
+            return Err(PyroError::ParamBinding(format!(
+                "statement takes {} parameter(s), {} bound",
+                param_types.len(),
+                params.len()
+            )));
+        }
+        let numeric = |ty: DataType| matches!(ty, DataType::Int | DataType::Double);
+        for (i, (value, expected)) in params.iter().zip(param_types).enumerate() {
+            if let (Some(actual), Some(expected)) = (value.data_type(), expected) {
+                let compatible = actual == *expected || (numeric(actual) && numeric(*expected));
+                if !compatible {
+                    return Err(PyroError::ParamBinding(format!(
+                        "placeholder ?{} expects {expected}, got {actual} ({value})",
+                        i + 1
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 /// An executing query whose rows are pulled **incrementally** — created by
-/// [`Session::sql_stream`] or [`SharedPrepared::execute_stream`]. Each
+/// [`Session::sql_stream`] or [`Prepared::execute_stream`] (borrowed or
+/// shared). Each
 /// [`QueryStream::next_batch`] call advances the compiled operator tree by
 /// at most one batch (the session's `batch_size`), so a consumer can
 /// forward results as they are produced, stop early when a budget is

@@ -281,6 +281,29 @@ fn prepared_matches_literal_sql_across_all_strategies() {
                     "bound execution does the same work as literal SQL"
                 );
                 assert_eq!(bound.metrics().run_io(), literal.metrics().run_io());
+                // The borrowed handle streams exactly what it executes.
+                let mut stream = stmt.execute_stream(&[Value::Int(g)]).unwrap();
+                let mut streamed = Vec::new();
+                while let Some(batch) = stream.next_batch().unwrap() {
+                    batch.append_rows(&mut streamed);
+                }
+                assert_eq!(exact(&streamed), exact(bound.rows()), "streamed g={g}");
+                let (a, b) = (stream.metrics(), bound.metrics());
+                assert_eq!(
+                    (
+                        a.comparisons(),
+                        a.run_pages_written(),
+                        a.run_pages_read(),
+                        a.runs_created()
+                    ),
+                    (
+                        b.comparisons(),
+                        b.run_pages_written(),
+                        b.run_pages_read(),
+                        b.runs_created()
+                    ),
+                    "streamed counters g={g}"
+                );
             }
         }
     }
@@ -322,6 +345,13 @@ fn binding_errors_are_typed() {
         stmt.execute(&[Value::Str("x".into())]),
         Err(PyroError::ParamBinding(_))
     ));
+    // Streaming rejects the same bindings before it yields any batch.
+    for bad in [&[][..], &[Value::Str("x".into())]] {
+        assert!(matches!(
+            stmt.execute_stream(bad),
+            Err(PyroError::ParamBinding(_))
+        ));
+    }
     // Correct binding works without a plan cache, too.
     assert_eq!(stmt.execute(&[Value::Int(1)]).unwrap().len(), 72);
 }
