@@ -395,8 +395,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Flushes the buffer pool, fsyncs the data file and truncates the
-    /// WAL (see [`pyro_storage::PageStore::checkpoint`]). The graceful-
+    /// Flushes the buffer pool, fsyncs the data file and starts a new WAL
+    /// cycle (see [`pyro_storage::PageStore::checkpoint`]). The graceful-
     /// shutdown path calls this so a clean exit leaves nothing to replay.
     pub fn checkpoint(&self) -> Result<()> {
         self.store.checkpoint()

@@ -37,8 +37,9 @@ use std::sync::Arc;
 struct Durable {
     wal: Arc<Wal>,
     window: AtomicBool,
-    /// Commit checkpoints (flush + data fsync + log truncate) once the
+    /// Commit checkpoints (flush + data fsync + new log cycle) once the
     /// log outgrows this many bytes; `u64::MAX` disables auto-checkpoint.
+    /// A checkpoint truncates a log file longer than twice this.
     checkpoint_bytes: u64,
 }
 
@@ -168,14 +169,17 @@ impl PageStore {
     }
 
     /// Checkpoint: flush the pool (its barrier fsyncs the WAL first),
-    /// fsync the data file, then truncate the log — every committed page
-    /// is now in the data file, so the log's history is redundant. No-op
-    /// on non-durable stores beyond the pool flush.
+    /// fsync the data file, then start a new log cycle ([`Wal::recycle`])
+    /// — every committed page is now in the data file, so the log's
+    /// history is redundant. The file keeps its length unless it is longer
+    /// than twice the checkpoint threshold, which bounds it to one
+    /// steady-state cycle. No-op on non-durable stores beyond the pool
+    /// flush.
     pub fn checkpoint(&self) -> Result<()> {
         self.flush()?;
         self.device.sync()?;
         if let Some(d) = &self.durable {
-            d.wal.truncate()?;
+            d.wal.recycle(d.checkpoint_bytes.saturating_mul(2))?;
         }
         Ok(())
     }
@@ -382,5 +386,49 @@ mod tests {
         assert!(by_value.pool().is_none());
         assert!(by_ref.pool().is_none());
         assert_eq!(by_ref.block_size(), dev.block_size());
+    }
+
+    /// A checkpoint starts a new log cycle for one fsync: the file keeps
+    /// its length within twice the checkpoint threshold and is truncated
+    /// past it. A commit's own fsync count does not change.
+    #[test]
+    fn checkpoint_keeps_the_log_within_twice_its_threshold() {
+        use crate::file_device::FileDevice;
+        use crate::wal::WAL_HEADER_LEN;
+        let dir = std::env::temp_dir().join(format!("pyro-store-{}-retain", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let dev = FileDevice::create_with_block_size(dir.join("data.pyro"), 128).unwrap();
+        let wal = Arc::new(Wal::open_or_create(dir.join("wal.pyro")).unwrap());
+        let store = PageStore::durable(dev.as_device(), wal.clone(), 0, 1_000);
+        let root = store.alloc_page();
+        let file_len = || std::fs::metadata(dir.join("wal.pyro")).unwrap().len();
+        let commit = |pages: usize| {
+            store.begin_mutation();
+            for _ in 0..pages {
+                let id = store.alloc_page();
+                store.write_page(id, &[7u8; 100]).unwrap();
+            }
+            store.commit_mutation(root, b"root").unwrap();
+        };
+
+        // Two 125-byte page images, the root and the marker: 320 bytes.
+        commit(2);
+        assert_eq!(wal.sync_count(), 1, "a commit is one fsync");
+        let len = file_len();
+        store.checkpoint().unwrap();
+        assert_eq!(wal.sync_count(), 2, "a checkpoint is one more");
+        assert_eq!((wal.size(), file_len()), (WAL_HEADER_LEN, len));
+
+        // Twenty images outgrow the threshold and twice it: the commit's
+        // own checkpoint truncates.
+        commit(20);
+        assert_eq!(
+            wal.sync_count(),
+            4,
+            "the commit's fsync and its checkpoint's"
+        );
+        assert_eq!((wal.size(), file_len()), (WAL_HEADER_LEN, WAL_HEADER_LEN));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

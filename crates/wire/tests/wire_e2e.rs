@@ -390,12 +390,14 @@ fn graceful_shutdown_checkpoints_a_durable_session() {
     );
     server.shutdown();
 
-    // Shutdown drained, flushed and checkpointed: the WAL is back to its
-    // bare header, and a reopen serves the table without any replay.
-    assert_eq!(
-        std::fs::metadata(dir.join("wal.pyro")).unwrap().len(),
-        pyro::storage::WAL_HEADER_LEN
-    );
+    // Shutdown drained, flushed and checkpointed: the WAL holds no live
+    // record, and a reopen serves the table without any replay.
+    let device = pyro::storage::FileDevice::open(dir.join("data.pyro")).unwrap();
+    let wal = pyro::storage::Wal::open_or_create(dir.join("wal.pyro")).unwrap();
+    let replay = wal.recover(&device).unwrap();
+    assert_eq!((replay.pages_replayed, replay.commits), (0, 0));
+    assert_eq!(wal.size(), pyro::storage::WAL_HEADER_LEN);
+    drop((wal, device));
     let reopened = SessionBuilder::new().data_dir(&dir).open().expect("reopen");
     assert_eq!(
         reopened.sql("SELECT a, b FROM t ORDER BY a").unwrap().len(),

@@ -219,7 +219,8 @@ impl SessionBuilder {
     }
 
     /// WAL size (bytes) above which a commit checkpoints — flushing the
-    /// pool, fsyncing the data file and truncating the log (default
+    /// pool, fsyncing the data file and starting a new log cycle over the
+    /// old one's bytes, truncating the file only past twice this (default
     /// [`DEFAULT_WAL_CHECKPOINT_BYTES`]). Raise it to make crash-recovery
     /// replay carry more of the state (tests do); lower it to bound
     /// recovery time. Ignored without [`SessionBuilder::data_dir`].
@@ -405,8 +406,8 @@ impl Session {
         &self.catalog
     }
 
-    /// Flushes the buffer pool, fsyncs the data file and truncates the
-    /// WAL. A no-op for in-memory sessions. Graceful shutdown calls
+    /// Flushes the buffer pool, fsyncs the data file and starts a new WAL
+    /// cycle. A no-op for in-memory sessions. Graceful shutdown calls
     /// this so a subsequent open replays nothing.
     pub fn checkpoint(&self) -> Result<()> {
         self.catalog.checkpoint()

@@ -4,7 +4,9 @@
 //! - an in-memory source that hands its rows on in a chosen batch layout,
 //!   so every operator can be fed dense batches, batches whose rows sit
 //!   between decoys behind a selection vector, and a stream that changes
-//!   layout from one batch to the next.
+//!   layout from one batch to the next;
+//! - [`recover_dir`], which recovers a durable session's directory as the
+//!   next open would.
 
 // Each suite compiles this module on its own and uses only part of it.
 #![allow(dead_code)]
@@ -121,4 +123,15 @@ impl Operator for Source {
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.rows.size_hint()
     }
+}
+
+/// Recovers the WAL of the durable data directory `dir` into its data file,
+/// as the next open would, and returns what replayed. The session that
+/// wrote `dir` must be closed. A log with no live record replays nothing,
+/// whatever the file's length: a checkpoint recycles it in place.
+pub fn recover_dir(dir: &std::path::Path) -> pyro::storage::WalReplay {
+    use pyro::storage::{FileDevice, Wal};
+    let device = FileDevice::open(dir.join("data.pyro")).expect("open data file");
+    let wal = Wal::open_or_create(dir.join("wal.pyro")).expect("open wal");
+    wal.recover(&device).expect("recover")
 }

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 mod common;
-use common::exact;
+use common::{exact, recover_dir};
 
 /// A fresh per-test data directory under the target tmpdir.
 fn fresh_dir(name: &str) -> PathBuf {
@@ -59,11 +59,13 @@ fn clean_reopen_recovers_tables_and_checkpoint_truncates_wal() {
             .register_table("t", Schema::ints(&["k", "v"]), SortOrder::new(["k"]), &rows)
             .expect("register");
         session.checkpoint().expect("checkpoint");
-        // A checkpoint flushes everything and truncates the log back to
-        // its 8-byte header: reopening replays nothing.
-        let wal_len = std::fs::metadata(dir.join("wal.pyro")).expect("wal").len();
-        assert_eq!(wal_len, pyro::storage::WAL_HEADER_LEN);
+        // A checkpoint flushes everything and starts a new log cycle: the
+        // log holds no live record, so reopening replays nothing.
+        let wal = session.catalog().store().wal().expect("durable");
+        assert_eq!(wal.size(), pyro::storage::WAL_HEADER_LEN);
     }
+    let replay = recover_dir(&dir);
+    assert_eq!((replay.pages_replayed, replay.commits), (0, 0));
     let session = SessionBuilder::new()
         .data_dir(&dir)
         .open()

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
-use common::exact;
+use common::{exact, recover_dir};
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -161,11 +161,13 @@ fn wal_bit_flip_recovers_to_committed_prefix() {
         !session.catalog().tables().contains_key("t1"),
         "t1's commit sits past the torn tail and must not resurface"
     );
-    // Recovery truncated the poisoned tail away.
-    assert_eq!(
-        std::fs::metadata(&wal_path).expect("wal").len(),
-        WAL_HEADER_LEN
-    );
+    // Recovery started a new log cycle: nothing of the poisoned tail is
+    // live any more.
+    let wal = session.catalog().store().wal().expect("durable");
+    assert_eq!(wal.size(), WAL_HEADER_LEN);
+    drop(session);
+    let replay = recover_dir(&dir);
+    assert_eq!((replay.pages_replayed, replay.commits), (0, 0));
 }
 
 /// The durable open sequence over an injected-fault device.
