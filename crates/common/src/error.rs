@@ -29,14 +29,6 @@ pub enum PyroError {
     UnknownTable(String),
     /// Storage-layer failure (out-of-range page, corrupt encoding, ...).
     Storage(String),
-    /// Every buffer-pool frame is pinned, so no page can be cached or
-    /// evicted. Returned (never dead-locked on) by pool operations that
-    /// would need a free frame; carries the pool capacity so callers can
-    /// report how small the pool was.
-    PoolExhausted {
-        /// Total frames in the pool, all of them pinned.
-        capacity: usize,
-    },
     /// Executor failure (schema mismatch, unsupported expression, ...).
     Exec(String),
     /// Optimizer failure (no plan found, inconsistent properties, ...).
@@ -125,8 +117,8 @@ pub mod codes {
     pub const UNKNOWN_TABLE: u16 = 3;
     /// [`super::PyroError::Storage`]
     pub const STORAGE: u16 = 4;
-    /// [`super::PyroError::PoolExhausted`]
-    pub const POOL_EXHAUSTED: u16 = 5;
+    // 5 was `PoolExhausted`, retired when the buffer pool stopped pinning
+    // frames; it is never reused.
     /// [`super::PyroError::Exec`]
     pub const EXEC: u16 = 6;
     /// [`super::PyroError::Plan`]
@@ -163,7 +155,6 @@ impl PyroError {
             PyroError::AmbiguousColumn(_) => codes::AMBIGUOUS_COLUMN,
             PyroError::UnknownTable(_) => codes::UNKNOWN_TABLE,
             PyroError::Storage(_) => codes::STORAGE,
-            PyroError::PoolExhausted { .. } => codes::POOL_EXHAUSTED,
             PyroError::Exec(_) => codes::EXEC,
             PyroError::Plan(_) => codes::PLAN,
             PyroError::Sql(_) => codes::SQL,
@@ -200,7 +191,6 @@ impl PyroError {
             | PyroError::BudgetExceeded(s)
             | PyroError::Io(s)
             | PyroError::Recovery(s) => s.clone(),
-            PyroError::PoolExhausted { capacity } => capacity.to_string(),
             PyroError::DuplicateIndex { table, index } => {
                 format!("{table}{FIELD_SEP}{index}")
             }
@@ -229,9 +219,6 @@ impl PyroError {
             codes::AMBIGUOUS_COLUMN => PyroError::AmbiguousColumn(detail.into()),
             codes::UNKNOWN_TABLE => PyroError::UnknownTable(detail.into()),
             codes::STORAGE => PyroError::Storage(detail.into()),
-            codes::POOL_EXHAUSTED => PyroError::PoolExhausted {
-                capacity: detail.parse().unwrap_or(0),
-            },
             codes::EXEC => PyroError::Exec(detail.into()),
             codes::PLAN => PyroError::Plan(detail.into()),
             codes::SQL => PyroError::Sql(detail.into()),
@@ -280,9 +267,6 @@ impl fmt::Display for PyroError {
             PyroError::AmbiguousColumn(c) => write!(f, "ambiguous column: {c}"),
             PyroError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             PyroError::Storage(m) => write!(f, "storage error: {m}"),
-            PyroError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
-            }
             PyroError::Exec(m) => write!(f, "execution error: {m}"),
             PyroError::Plan(m) => write!(f, "planning error: {m}"),
             PyroError::Sql(m) => write!(f, "SQL error: {m}"),
@@ -332,7 +316,6 @@ mod tests {
             PyroError::AmbiguousColumn("partkey".into()),
             PyroError::UnknownTable("nope".into()),
             PyroError::Storage("page 9 out of range".into()),
-            PyroError::PoolExhausted { capacity: 8 },
             PyroError::Exec("schema mismatch".into()),
             PyroError::Plan("no plan found".into()),
             PyroError::Sql("expected FROM at offset 12".into()),
@@ -382,9 +365,13 @@ mod tests {
     fn codes_are_stable() {
         // The wire contract: these exact numbers, forever. A failure here
         // means a renumbering that would break deployed clients.
-        let expected: Vec<u16> = (1..=18).collect();
+        let expected: Vec<u16> = (1..=18).filter(|&c| c != 5).collect();
         let actual: Vec<u16> = exemplars().iter().map(PyroError::code).collect();
         assert_eq!(actual, expected);
+        // 5 is retired: no variant carries it, and it reads back as an
+        // unknown code.
+        assert!(!actual.contains(&5));
+        assert!(matches!(PyroError::from_code(5, "x"), PyroError::Wire(_)));
         assert_eq!(codes::SERVER_OVERLOADED, 13);
         assert_eq!(codes::BUDGET_EXCEEDED, 14);
         assert_eq!(codes::WIRE, 12);

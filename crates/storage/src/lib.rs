@@ -14,7 +14,8 @@
 //! On top of the device sit two layers:
 //!
 //! * [`PageStore`] — the I/O path, a device plus an optional [`BufferPool`]
-//!   (fixed-capacity CLOCK page cache with pin/unpin frames and write-back).
+//!   (fixed-capacity CLOCK page cache with write-back, whose readers share
+//!   a frame's bytes and hold no frame).
 //!   In the default **bypass** mode every operation is exactly a device
 //!   operation; in **cached** mode device counters measure cold I/O only and
 //!   [`CacheStats`] measures the hot/cold split.
@@ -40,6 +41,6 @@ pub use fault::{FaultDevice, FaultPlan};
 pub use file::{write_file, TupleFile, TupleFileScan, TupleFileWriter};
 pub use file_device::{FileDevice, FILE_HEADER_LEN, SLOT_HEADER_LEN};
 pub use page::{decode_page, decode_page_into_builders, encoded_len, PageBuilder};
-pub use pool::{BufferPool, CacheStats, PinnedPage, WriteBarrier};
+pub use pool::{BufferPool, CacheStats, WriteBarrier};
 pub use store::{IntoStore, PageStore, StoreRef};
 pub use wal::{Lsn, Wal, WalReplay, WAL_HEADER_LEN};

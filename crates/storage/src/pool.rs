@@ -1,31 +1,27 @@
-//! A fixed-capacity buffer pool over a [`SimDevice`](crate::SimDevice).
+//! A fixed-capacity buffer pool over any [`PageDevice`](crate::PageDevice).
 //!
-//! The pool caches whole pages in **frames**; consumers [`pin`] a page to
-//! hold its frame resident while they read it and drop the returned
-//! [`PinnedPage`] guard to unpin it. Replacement is CLOCK (second chance):
-//! a hand sweeps the frame array, skipping pinned frames, clearing each
-//! frame's reference bit on the first pass and evicting the first frame
-//! found with the bit already clear. Writes are **write-back**: a page
-//! written through the pool is only marked dirty; the device write happens
-//! when the frame is evicted or the pool is [`flush`]ed, so hot spill runs
-//! and rescans never round-trip through the device at all.
+//! The pool caches whole pages in **frames**. Replacement is CLOCK (second
+//! chance): a hand sweeps the frame array, clearing each frame's reference
+//! bit on the first pass and evicting the first frame found with the bit
+//! already clear. Writes are **write-back**: a page written through the
+//! pool is only marked dirty; the device write happens when the frame is
+//! evicted or the pool is [`flush`]ed, so hot spill runs and rescans never
+//! round-trip through the device at all.
 //!
 //! A frame's bytes are a [`PageBytes`]: on a miss, the very buffer the
-//! device read into becomes the frame — no copy — and a pin or a
-//! [`read_page`] hands out another reference to it, again without
-//! copying. Because the bytes are immutable and reference-counted, a
-//! reader that only wants to decode the page ([`read_page`], which is what
-//! scans use) need not pin at all: an eviction while it decodes frees the
-//! frame, not the bytes. Pinning is for holding a page *resident*.
+//! device read into becomes the frame — no copy — and [`read_page`] hands
+//! out another reference to it, again without copying. Because the bytes
+//! are immutable and reference-counted, no reader holds a frame: an
+//! eviction while a scan decodes frees the frame, not the bytes. Every
+//! frame can therefore always be evicted, and a full pool always has a
+//! victim.
 //!
 //! The pool is `Send + Sync` — one `Mutex` guards the frame table (device
 //! reads on a miss happen *outside* it, so workers' hits proceed while a
 //! cold page loads), and the morsel workers of a parallel scan share a
 //! single pool the way the paper's PostgreSQL baseline shares its
 //! shared_buffers. Hit / miss / eviction / write-back counters are relaxed
-//! atomics, summable from any thread. Exhaustion (every frame pinned) is a
-//! typed error on writes and a graceful uncached read on reads — never a
-//! deadlock.
+//! atomics, summable from any thread.
 //!
 //! # Write-ahead ordering
 //!
@@ -38,7 +34,6 @@
 //! not stable yet. One fsync therefore covers every page logged before
 //! it, and a frame that was never logged asks for none.
 //!
-//! [`pin`]: BufferPool::pin
 //! [`read_page`]: BufferPool::read_page
 //! [`flush`]: BufferPool::flush
 //! [`flush_and_drop`]: BufferPool::flush_and_drop
@@ -47,16 +42,15 @@ use crate::device::{DeviceRef, PageBytes, PageId};
 use crate::wal::Lsn;
 use pyro_common::{PyroError, Result};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Snapshot of buffer-pool counters, in pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Pins satisfied from a resident frame (no device read).
+    /// Reads satisfied from a resident frame (no device read).
     pub hits: u64,
-    /// Pins that had to read the page from the device.
+    /// Reads that had to read the page from the device.
     pub misses: u64,
     /// Frames reclaimed by the CLOCK hand.
     pub evictions: u64,
@@ -75,7 +69,7 @@ impl CacheStats {
         }
     }
 
-    /// Fraction of pins that hit, in `[0, 1]`; `0` before any pin.
+    /// Fraction of reads that hit, in `[0, 1]`; `0` before any read.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -96,14 +90,9 @@ struct Frame {
     /// The newest WAL record holding an image of this page, if it was ever
     /// logged: what must be stable before the frame may be written back.
     lsn: Option<Lsn>,
-    /// CLOCK reference bit: set on every pin, cleared by the sweeping hand.
+    /// CLOCK reference bit: set on every read and write, cleared by the
+    /// sweeping hand.
     referenced: bool,
-    /// Pinned frames are never evicted.
-    pins: u32,
-    /// Unique id of this residency. Guards unpin `(page, serial)` pairs,
-    /// so a stale guard — its frame invalidated, the page id recycled and
-    /// re-cached — can never decrement the pin count of the new frame.
-    serial: u64,
 }
 
 struct PoolInner {
@@ -112,8 +101,6 @@ struct PoolInner {
     map: HashMap<PageId, usize>,
     /// The CLOCK hand: index of the next frame to inspect.
     hand: usize,
-    /// Source of [`Frame::serial`] values.
-    next_serial: u64,
 }
 
 impl PoolInner {
@@ -129,9 +116,25 @@ impl PoolInner {
             }
         }
     }
+
+    /// CLOCK second-chance sweep over a full pool: a referenced frame
+    /// loses its bit and survives one pass; the first unreferenced frame
+    /// is the victim. The first sweep clears every bit it passes, so the
+    /// second always ends in a victim.
+    fn clock_victim(&mut self) -> usize {
+        let n = self.frames.len();
+        for _ in 0..2 * n {
+            let idx = self.hand % n;
+            self.hand = (self.hand + 1) % n;
+            if !std::mem::take(&mut self.frames[idx].referenced) {
+                return idx;
+            }
+        }
+        unreachable!("a full sweep clears every reference bit")
+    }
 }
 
-/// A fixed-capacity CLOCK page cache over a [`SimDevice`].
+/// A fixed-capacity CLOCK page cache over a [`PageDevice`].
 ///
 /// ```
 /// use pyro_storage::{BufferPool, SimDevice};
@@ -141,16 +144,15 @@ impl PoolInner {
 /// device.write_page(id, b"hello").unwrap();
 ///
 /// let pool = BufferPool::new(device.clone(), 4);
-/// let cold = pool.pin(id).unwrap(); // miss: reads the device
-/// assert_eq!(&cold[..], b"hello");
-/// drop(cold);
-/// let warm = pool.pin(id).unwrap(); // hit: no device read
+/// let cold = pool.read_page(id).unwrap(); // miss: reads the device
+/// assert_eq!(cold, b"hello");
+/// let warm = pool.read_page(id).unwrap(); // hit: no device read
 /// assert_eq!(pool.stats().hits, 1);
-/// assert_eq!(device.io().reads, 1, "second pin never touched the device");
-/// drop(warm);
+/// assert_eq!(device.io().reads, 1, "second read never touched the device");
+/// assert_eq!(warm.as_ptr(), cold.as_ptr(), "both share the frame's bytes");
 /// ```
 ///
-/// [`SimDevice`]: crate::SimDevice
+/// [`PageDevice`]: crate::PageDevice
 pub struct BufferPool {
     device: DeviceRef,
     capacity: usize,
@@ -191,7 +193,6 @@ impl BufferPool {
                 frames: Vec::new(),
                 map: HashMap::new(),
                 hand: 0,
-                next_serial: 0,
             }),
             barrier: None,
             hits: AtomicU64::new(0),
@@ -241,44 +242,16 @@ impl BufferPool {
         }
     }
 
-    /// Pins `id`'s frame, loading the page from the device on a miss, and
-    /// returns a guard whose `Drop` unpins it. A pinned frame is never
-    /// evicted.
-    ///
-    /// Reads never fail on an exhausted pool: when every frame is pinned,
-    /// the loaded page is handed back **uncached** (counted as a miss,
-    /// resident set unchanged) so a burst of transient pins from many
-    /// workers can only lose caching, not break queries. Only writes —
-    /// which cannot drop their data — surface
-    /// [`PyroError::PoolExhausted`].
-    pub fn pin(&self, id: PageId) -> Result<PinnedPage<'_>> {
-        let (data, serial) = self.fetch(id, true)?;
-        Ok(PinnedPage {
-            pool: self,
-            page: id,
-            serial,
-            data,
-        })
-    }
-
-    /// Reads a page through the pool without pinning it: a hit hands out
-    /// the resident frame's bytes, a miss loads (and caches) the page like
-    /// [`BufferPool::pin`] does, and either way nothing is copied — see
-    /// the module docs for why a decoder needs no pin.
+    /// Reads a page through the pool: a hit hands out the resident
+    /// frame's bytes, a miss loads (and caches) the page, and either way
+    /// nothing is copied — see the module docs for why the caller holds no
+    /// frame.
     pub fn read_page(&self, id: PageId) -> Result<PageBytes> {
-        Ok(self.fetch(id, false)?.0)
-    }
-
-    /// The lookup behind [`BufferPool::pin`] and [`BufferPool::read_page`]:
-    /// the page's bytes plus, when the page is resident, the serial of its
-    /// frame (pinned once more if `pin`).
-    fn fetch(&self, id: PageId, pin: bool) -> Result<(PageBytes, Option<u64>)> {
         let resident = |inner: &mut PoolInner| {
             let idx = *inner.map.get(&id)?;
             let frame = &mut inner.frames[idx];
             frame.referenced = true;
-            frame.pins += u32::from(pin);
-            Some((frame.data.clone(), Some(frame.serial)))
+            Some(frame.data.clone())
         };
         {
             let mut inner = self.inner.lock().expect("buffer pool poisoned");
@@ -305,25 +278,15 @@ impl BufferPool {
             dirty: false,
             lsn: None,
             referenced: true,
-            pins: u32::from(pin),
-            serial: 0, // assigned by install
         };
-        let serial = match self.install(&mut inner, frame) {
-            Ok(serial) => Some(serial),
-            // Every frame pinned: serve the bytes uncached instead of
-            // failing the read.
-            Err(PyroError::PoolExhausted { .. }) => None,
-            Err(e) => return Err(e),
-        };
-        Ok((data, serial))
+        self.install(&mut inner, frame)?;
+        Ok(data)
     }
 
     /// Writes a page through the pool: the frame is updated (or created)
     /// and marked dirty; the device write is deferred to eviction or
     /// [`BufferPool::flush`]. `data` must not exceed the device block
-    /// size. A write needing a frame while every frame is pinned returns
-    /// [`PyroError::PoolExhausted`]
-    /// — it cannot drop its data the way an overflow read can.
+    /// size.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> Result<()> {
         self.write_page_logged(id, data, None)
     }
@@ -355,16 +318,14 @@ impl BufferPool {
             dirty: true,
             lsn,
             referenced: true,
-            pins: 0,
-            serial: 0, // assigned by install
         };
-        self.install(&mut inner, frame).map(|_| ())
+        self.install(&mut inner, frame)
     }
 
     /// Drops `id`'s frame — **without** write-back — no matter its state.
     /// This is the "file deleted" path: the page's contents are dead, so
-    /// flushing them would be wasted I/O. Outstanding [`PinnedPage`] guards
-    /// stay valid (they share the bytes), they just no longer pin anything.
+    /// flushing them would be wasted I/O. Bytes already handed out stay
+    /// valid: they are shared, not owned by the frame.
     pub fn invalidate(&self, id: PageId) {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         inner.remove(id);
@@ -394,11 +355,11 @@ impl BufferPool {
     }
 
     /// Writes `pages`' dirty frames back (one barrier call, then the
-    /// writes) and then drops those of them nobody has pinned, leaving
-    /// every other frame as it was. A bulk load ends with this over the
-    /// pages it wrote: the load is on the device and did not warm the
-    /// pool, and whatever else the pool held is still there. Costs a map
-    /// lookup per page, whatever the pool's size.
+    /// writes) and then drops their frames, leaving every other frame as
+    /// it was. A bulk load ends with this over the pages it wrote: the load
+    /// is on the device and did not warm the pool, and whatever else the
+    /// pool held is still there. Costs a map lookup per page, whatever the
+    /// pool's size.
     pub fn flush_and_drop(&self, pages: &[PageId]) -> Result<()> {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         let resident: Vec<usize> = pages
@@ -410,31 +371,20 @@ impl BufferPool {
         // vacated slot — and with it every later CLOCK victim and pool
         // counter — repeats from run to run.
         for id in pages {
-            if inner
-                .map
-                .get(id)
-                .is_some_and(|&i| inner.frames[i].pins == 0)
-            {
-                inner.remove(*id);
-            }
+            inner.remove(*id);
         }
         Ok(())
     }
 
-    /// Flushes dirty frames, then drops every unpinned frame — the state a
-    /// freshly constructed pool has. Pinned frames survive (still resident,
-    /// now clean). For cold-run measurements that must start from an
-    /// actually cold cache.
+    /// Flushes dirty frames, then drops every frame — the state a freshly
+    /// constructed pool has. For cold-run measurements that must start
+    /// from an actually cold cache.
     pub fn clear(&self) -> Result<()> {
-        self.flush()?;
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        inner.frames.retain(|f| f.pins > 0);
-        inner.map = inner
-            .frames
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.page, i))
-            .collect();
+        let all = 0..inner.frames.len();
+        self.write_back(&mut inner, all)?;
+        inner.frames.clear();
+        inner.map.clear();
         inner.hand = 0;
         Ok(())
     }
@@ -448,35 +398,16 @@ impl BufferPool {
             .len()
     }
 
-    /// Decrements a frame's pin count (guard drop) — but only if the
-    /// resident frame is the same *residency* the guard pinned. A frame
-    /// invalidated while pinned is gone (no-op), and a recycled page id
-    /// re-cached under a new serial is a different frame the stale guard
-    /// must not touch.
-    fn unpin(&self, id: PageId, serial: u64) {
-        let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        if let Some(&idx) = inner.map.get(&id) {
-            let frame = &mut inner.frames[idx];
-            if frame.serial == serial {
-                frame.pins = frame.pins.saturating_sub(1);
-            }
-        }
-    }
-
     /// Makes room for `frame` and inserts it: a free slot if the pool is
     /// not full yet, otherwise the CLOCK victim's slot (writing the victim
-    /// back first when dirty). Returns the serial assigned to the new
-    /// residency.
-    fn install(&self, inner: &mut PoolInner, mut frame: Frame) -> Result<u64> {
-        let serial = inner.next_serial;
-        inner.next_serial += 1;
-        frame.serial = serial;
+    /// back first when dirty).
+    fn install(&self, inner: &mut PoolInner, frame: Frame) -> Result<()> {
         if inner.frames.len() < self.capacity {
             inner.map.insert(frame.page, inner.frames.len());
             inner.frames.push(frame);
-            return Ok(serial);
+            return Ok(());
         }
-        let victim = self.clock_victim(inner)?;
+        let victim = inner.clock_victim();
         // Write-back strictly precedes frame reuse: the victim's bytes are
         // on the device before the slot holds the new page.
         let v = &inner.frames[victim];
@@ -490,84 +421,7 @@ impl BufferPool {
         inner.map.remove(&old);
         inner.map.insert(frame.page, victim);
         inner.frames[victim] = frame;
-        Ok(serial)
-    }
-
-    /// CLOCK second-chance sweep: skip pinned frames; a referenced frame
-    /// loses its bit and survives one pass; the first unreferenced,
-    /// unpinned frame is the victim. Two full sweeps without a victim mean
-    /// every frame is pinned → typed error, not a deadlock.
-    fn clock_victim(&self, inner: &mut PoolInner) -> Result<usize> {
-        let n = inner.frames.len();
-        for _ in 0..2 * n {
-            let idx = inner.hand % n;
-            inner.hand = (inner.hand + 1) % n;
-            let frame = &mut inner.frames[idx];
-            if frame.pins > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-                continue;
-            }
-            return Ok(idx);
-        }
-        Err(PyroError::PoolExhausted {
-            capacity: self.capacity,
-        })
-    }
-}
-
-/// A pinned page: zero-copy read access to a resident frame. Dropping the
-/// guard unpins the frame, making it evictable again.
-///
-/// An **overflow read** (every frame was pinned at load time) yields a
-/// guard over uncached bytes instead — same read API, nothing pinned; see
-/// [`PinnedPage::is_cached`].
-pub struct PinnedPage<'a> {
-    pool: &'a BufferPool,
-    page: PageId,
-    /// The pinned residency, or `None` for an overflow read (nothing to
-    /// unpin).
-    serial: Option<u64>,
-    data: PageBytes,
-}
-
-impl PinnedPage<'_> {
-    /// The pinned page's id.
-    pub fn page_id(&self) -> PageId {
-        self.page
-    }
-
-    /// `false` for an overflow read: the bytes came from the device while
-    /// every frame was pinned, so nothing is resident or pinned.
-    pub fn is_cached(&self) -> bool {
-        self.serial.is_some()
-    }
-}
-
-impl std::fmt::Debug for PinnedPage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedPage")
-            .field("page", &self.page)
-            .field("len", &self.data.len())
-            .finish()
-    }
-}
-
-impl Deref for PinnedPage<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Drop for PinnedPage<'_> {
-    fn drop(&mut self) {
-        if let Some(serial) = self.serial {
-            self.pool.unpin(self.page, serial);
-        }
+        Ok(())
     }
 }
 
@@ -626,88 +480,6 @@ mod tests {
         pool.read_page(ids[2]).unwrap();
         let cold = dev.io().reads - reads;
         assert!(cold <= 1, "at most one of B/C was evicted");
-    }
-
-    #[test]
-    fn pinned_frames_are_skipped_by_eviction() {
-        let (dev, ids) = device_with_pages(3);
-        let pool = BufferPool::new(dev.clone(), 2);
-        let guard = pool.pin(ids[0]).unwrap(); // A pinned
-        pool.read_page(ids[1]).unwrap(); // B resident
-        pool.read_page(ids[2]).unwrap(); // must evict B, not pinned A
-        let reads = dev.io().reads;
-        drop(pool.pin(ids[0]).unwrap()); // still resident → hit
-        assert_eq!(dev.io().reads, reads, "pinned page survived eviction");
-        assert_eq!(&guard[..], &[0u8; 4]);
-    }
-
-    #[test]
-    fn all_pinned_pool_returns_typed_error_on_write() {
-        let (dev, ids) = device_with_pages(3);
-        let pool = BufferPool::new(dev.clone(), 2);
-        let _a = pool.pin(ids[0]).unwrap();
-        let _b = pool.pin(ids[1]).unwrap();
-        // A write needs a frame and cannot drop its data: typed error, no
-        // deadlock.
-        let c = dev.alloc_page();
-        match pool.write_page(c, b"cccc") {
-            Err(PyroError::PoolExhausted { capacity }) => assert_eq!(capacity, 2),
-            other => panic!("expected PoolExhausted, got {other:?}"),
-        }
-        // Releasing a pin unblocks the pool.
-        drop(_a);
-        pool.write_page(c, b"cccc").unwrap();
-        assert_eq!(pool.read_page(c).unwrap(), b"cccc");
-    }
-
-    #[test]
-    fn all_pinned_reads_degrade_to_uncached() {
-        let (dev, ids) = device_with_pages(3);
-        let pool = BufferPool::new(dev.clone(), 2);
-        let _a = pool.pin(ids[0]).unwrap();
-        let _b = pool.pin(ids[1]).unwrap();
-        // A read can always fall back to the device copy: correct bytes,
-        // counted as a miss, nothing cached or pinned.
-        let overflow = pool.pin(ids[2]).expect("overflow read must succeed");
-        assert_eq!(&overflow[..], &[2u8; 4]);
-        assert!(!overflow.is_cached());
-        drop(overflow);
-        assert_eq!(pool.resident(), 2, "overflow read cached nothing");
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses), (0, 3));
-        // With a pin released, the same read caches normally again.
-        drop(_a);
-        assert!(pool.pin(ids[2]).unwrap().is_cached());
-    }
-
-    #[test]
-    fn stale_guard_does_not_unpin_recycled_page_id() {
-        let dev = SimDevice::with_block_size(64);
-        let a = dev.alloc_page();
-        dev.write_page(a, b"old!").unwrap();
-        let pool = BufferPool::new(dev.clone(), 2);
-        let stale = pool.pin(a).unwrap(); // residency #1 of id `a`, pinned
-                                          // The file owning `a` is deleted; the id is recycled and re-cached
-                                          // as a brand-new residency, itself pinned by another consumer.
-        pool.invalidate(a);
-        dev.free_page(a);
-        let b = dev.alloc_page();
-        assert_eq!(a, b, "device recycles freed ids");
-        pool.write_page(b, b"new!").unwrap();
-        let fresh = pool.pin(b).unwrap();
-        // Dropping the stale guard must NOT decrement the new frame's pin
-        // count: filling the pool with other pages may evict the unpinned
-        // frame but never the one `fresh` holds.
-        drop(stale);
-        let c = dev.alloc_page();
-        dev.write_page(c, b"cccc").unwrap();
-        let d = dev.alloc_page();
-        dev.write_page(d, b"dddd").unwrap();
-        pool.read_page(c).unwrap();
-        let _ = pool.read_page(d); // may overflow-read; must not evict `fresh`
-        assert_eq!(&fresh[..], b"new!");
-        let still = pool.pin(b).unwrap();
-        assert_eq!(&still[..], b"new!", "pinned frame survived the churn");
     }
 
     #[test]
@@ -789,7 +561,6 @@ mod tests {
         let other = dev.alloc_page();
         pool.write_page_logged(other, b"mine", Some(30)).unwrap();
         pool.read_page(ids[0]).unwrap(); // a clean resident page
-        let held = pool.pin(loaded[1]).unwrap();
         let writes = dev.io().writes;
 
         pool.flush_and_drop(&loaded).unwrap();
@@ -799,17 +570,15 @@ mod tests {
             "one barrier, newest LSN of the set"
         );
         assert_eq!(dev.io().writes, writes + 3, "exactly the set written back");
-        // The unpinned two are gone, the pinned one stays (clean), and the
-        // bystanders — one dirty, one clean — are as they were.
-        assert_eq!(pool.resident(), 3);
+        // The set is gone, and the bystanders — one dirty, one clean — are
+        // as they were.
+        assert_eq!(pool.resident(), 2);
         let reads = dev.io().reads;
         assert_eq!(pool.read_page(other).unwrap(), b"mine");
         pool.read_page(ids[0]).unwrap();
-        pool.read_page(loaded[1]).unwrap();
-        assert_eq!(dev.io().reads, reads, "all three still resident");
+        assert_eq!(dev.io().reads, reads, "both still resident");
         pool.read_page(loaded[0]).unwrap();
         assert_eq!(dev.io().reads, reads + 1, "a dropped page reads cold");
-        drop(held);
         pool.flush().unwrap();
         assert_eq!(dev.io().writes, writes + 4, "the bystander was still dirty");
     }
@@ -821,7 +590,6 @@ mod tests {
         let cold = pool.read_page(ids[0]).unwrap();
         let warm = pool.read_page(ids[0]).unwrap();
         assert_eq!(cold.as_ptr(), warm.as_ptr(), "one buffer, handed out twice");
-        assert_eq!(pool.pin(ids[0]).unwrap().as_ptr(), cold.as_ptr());
         // Holding the bytes holds no frame: both frames can be reused ...
         pool.read_page(ids[1]).unwrap();
         pool.read_page(ids[2]).unwrap();
@@ -881,36 +649,272 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pin_unpin_from_four_threads() {
+    fn concurrent_reads_from_four_threads() {
         let (dev, ids) = device_with_pages(8);
         let pool = std::sync::Arc::new(BufferPool::new(dev.clone(), 4));
-        const PINS_PER_THREAD: usize = 500;
+        const READS_PER_THREAD: usize = 500;
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let pool = pool.clone();
                 let ids = ids.clone();
                 scope.spawn(move || {
                     let mut state = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-                    for _ in 0..PINS_PER_THREAD {
+                    for _ in 0..READS_PER_THREAD {
                         state = state
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
                         let id = ids[(state >> 33) as usize % ids.len()];
-                        let page = pool.pin(id).expect("pool has unpinned frames");
-                        assert_eq!(&page[..], &[id as u8; 4]);
+                        assert_eq!(pool.read_page(id).unwrap(), [id as u8; 4]);
                     }
                 });
             }
         });
         let s = pool.stats();
-        assert_eq!(s.hits + s.misses, 4 * PINS_PER_THREAD as u64);
+        assert_eq!(s.hits + s.misses, 4 * READS_PER_THREAD as u64);
         assert_eq!(
             dev.io().reads,
             s.misses,
             "every miss is exactly one device read"
         );
-        // All guards dropped: nothing pinned, clear() empties the pool.
         pool.clear().unwrap();
         assert_eq!(pool.resident(), 0);
+    }
+
+    /// One frame of [`Model`].
+    struct ModelFrame {
+        page: PageId,
+        data: Vec<u8>,
+        dirty: bool,
+        lsn: Option<Lsn>,
+        referenced: bool,
+    }
+
+    /// A naive model of the documented policy: a frame array searched
+    /// linearly, swap-remove on drop, the CLOCK hand with second chance,
+    /// write-back (after the barrier) on eviction and flush, and a device
+    /// that is a map.
+    struct Model {
+        capacity: usize,
+        frames: Vec<ModelFrame>,
+        hand: usize,
+        device: HashMap<PageId, Vec<u8>>,
+        device_writes: u64,
+        barrier: Vec<Lsn>,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn find(&self, id: PageId) -> Option<usize> {
+            self.frames.iter().position(|f| f.page == id)
+        }
+
+        fn write_back(&mut self, idxs: &[usize]) {
+            let dirty: Vec<usize> = idxs
+                .iter()
+                .copied()
+                .filter(|&i| self.frames[i].dirty)
+                .collect();
+            self.barrier
+                .extend(dirty.iter().filter_map(|&i| self.frames[i].lsn).max());
+            for i in dirty {
+                let f = &mut self.frames[i];
+                self.device.insert(f.page, f.data.clone());
+                self.device_writes += 1;
+                self.stats.writebacks += 1;
+                f.dirty = false;
+            }
+        }
+
+        fn install(&mut self, frame: ModelFrame) {
+            if self.frames.len() < self.capacity {
+                self.frames.push(frame);
+                return;
+            }
+            let n = self.frames.len();
+            loop {
+                let i = self.hand % n;
+                self.hand = (self.hand + 1) % n;
+                if self.frames[i].referenced {
+                    self.frames[i].referenced = false;
+                    continue;
+                }
+                self.write_back(&[i]);
+                self.stats.evictions += 1;
+                self.frames[i] = frame;
+                return;
+            }
+        }
+
+        fn drop_frame(&mut self, id: PageId) {
+            if let Some(i) = self.find(id) {
+                self.frames.swap_remove(i);
+                if self.hand > self.frames.len() {
+                    self.hand = 0;
+                }
+            }
+        }
+
+        fn read(&mut self, id: PageId) -> Vec<u8> {
+            if let Some(i) = self.find(id) {
+                self.stats.hits += 1;
+                self.frames[i].referenced = true;
+                return self.frames[i].data.clone();
+            }
+            self.stats.misses += 1;
+            let data = self.device[&id].clone();
+            self.install(ModelFrame {
+                page: id,
+                data: data.clone(),
+                dirty: false,
+                lsn: None,
+                referenced: true,
+            });
+            data
+        }
+
+        fn write(&mut self, id: PageId, data: &[u8], lsn: Option<Lsn>) {
+            match self.find(id) {
+                Some(i) => {
+                    let f = &mut self.frames[i];
+                    f.data = data.to_vec();
+                    f.dirty = true;
+                    f.lsn = lsn.or(f.lsn);
+                    f.referenced = true;
+                }
+                None => self.install(ModelFrame {
+                    page: id,
+                    data: data.to_vec(),
+                    dirty: true,
+                    lsn,
+                    referenced: true,
+                }),
+            }
+        }
+
+        fn flush(&mut self) {
+            let all: Vec<usize> = (0..self.frames.len()).collect();
+            self.write_back(&all);
+        }
+
+        fn flush_and_drop(&mut self, pages: &[PageId]) {
+            let idxs: Vec<usize> = pages.iter().filter_map(|&id| self.find(id)).collect();
+            self.write_back(&idxs);
+            for &id in pages {
+                self.drop_frame(id);
+            }
+        }
+
+        fn clear(&mut self) {
+            self.flush();
+            self.frames.clear();
+            self.hand = 0;
+        }
+    }
+
+    #[test]
+    fn matches_a_naive_clock_model() {
+        for seed in 0..80u64 {
+            let capacity = 1 + (seed % 5) as usize;
+            let dev = SimDevice::with_block_size(64);
+            let ids: Vec<PageId> = (0..12).map(|_| dev.alloc_page()).collect();
+            for (i, &id) in ids.iter().enumerate() {
+                dev.write_page(id, &[i as u8, 0xA5]).unwrap();
+            }
+            let writes_before = dev.io().writes;
+            let (pool, calls) = pool_recording_barrier(&dev, capacity);
+            let mut model = Model {
+                capacity,
+                frames: Vec::new(),
+                hand: 0,
+                device: ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| (id, vec![i as u8, 0xA5]))
+                    .collect(),
+                device_writes: 0,
+                barrier: Vec::new(),
+                stats: CacheStats::default(),
+            };
+            let mut state = (seed + 1).wrapping_mul(0x9E3779B97F4A7C15);
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % bound
+            };
+            let mut lsn: Lsn = 0;
+            for step in 0..400u64 {
+                let id = ids[next(12) as usize];
+                let data: Vec<u8> = (0..1 + next(8) as u8)
+                    .map(|k| (step as u8).wrapping_add(k))
+                    .collect();
+                let what = match next(100) {
+                    0..=39 => {
+                        let got = pool.read_page(id).unwrap();
+                        assert_eq!(got, model.read(id), "seed {seed} step {step}: bytes");
+                        "read_page"
+                    }
+                    40..=59 => {
+                        pool.write_page(id, &data).unwrap();
+                        model.write(id, &data, None);
+                        "write_page"
+                    }
+                    60..=74 => {
+                        lsn += 1;
+                        pool.write_page_logged(id, &data, Some(lsn)).unwrap();
+                        model.write(id, &data, Some(lsn));
+                        "write_page_logged"
+                    }
+                    75..=82 => {
+                        pool.invalidate(id);
+                        model.drop_frame(id);
+                        "invalidate"
+                    }
+                    83..=87 => {
+                        pool.flush().unwrap();
+                        model.flush();
+                        "flush"
+                    }
+                    88..=96 => {
+                        // A file's pages: distinct ids, in any order.
+                        let mut pages = ids.clone();
+                        pages.retain(|_| next(3) == 0);
+                        let mid = next(pages.len() as u64 + 1) as usize;
+                        pages.rotate_left(mid);
+                        pool.flush_and_drop(&pages).unwrap();
+                        model.flush_and_drop(&pages);
+                        "flush_and_drop"
+                    }
+                    _ => {
+                        pool.clear().unwrap();
+                        model.clear();
+                        "clear"
+                    }
+                };
+                let at = format!("seed {seed} capacity {capacity} step {step} ({what})");
+                let frames: Vec<(PageId, bool, bool)> = {
+                    let inner = pool.inner.lock().unwrap();
+                    inner
+                        .frames
+                        .iter()
+                        .map(|f| (f.page, f.dirty, f.referenced))
+                        .collect()
+                };
+                let expected: Vec<(PageId, bool, bool)> = model
+                    .frames
+                    .iter()
+                    .map(|f| (f.page, f.dirty, f.referenced))
+                    .collect();
+                assert_eq!(frames, expected, "{at}: frames");
+                assert_eq!(pool.stats(), model.stats, "{at}: counters");
+                assert_eq!(*calls.lock().unwrap(), model.barrier, "{at}: barrier");
+            }
+            pool.flush().unwrap();
+            model.flush();
+            assert_eq!(dev.io().writes - writes_before, model.device_writes);
+            for &id in &ids {
+                assert_eq!(dev.read_page(id).unwrap(), model.device[&id], "page {id}");
+            }
+        }
     }
 }

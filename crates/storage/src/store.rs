@@ -1,15 +1,22 @@
 //! The page store: the I/O path every [`TupleFile`] actually uses — a
-//! [`SimDevice`] with an optional [`BufferPool`] in front of it.
+//! [`PageDevice`] with an optional [`BufferPool`] in front of it.
 //!
-//! Two modes, chosen at construction:
+//! Three modes, chosen at construction:
 //!
 //! * **bypass** ([`PageStore::bypass`], the default everywhere): reads and
 //!   writes go straight to the device, byte- and counter-identical to the
-//!   pre-pool engine. This is what `From<DeviceRef>` builds, so every API
-//!   that accepts `impl Into<StoreRef>` keeps taking a bare device.
-//! * **cached** ([`PageStore::cached`]): reads pin through the pool, writes
-//!   are write-back. Device counters then measure *cold* I/O only, and the
-//!   pool's [`CacheStats`] measure hot/cold separation.
+//!   pre-pool engine. This is what a bare device becomes through
+//!   [`IntoStore`], so every API that accepts `impl IntoStore` keeps taking
+//!   a `DeviceRef`.
+//! * **cached** ([`PageStore::cached`]): reads go through the pool's
+//!   [`BufferPool::read_page`], which shares the frame's bytes and holds no
+//!   frame; writes are write-back. Device counters then measure *cold* I/O
+//!   only, and the pool's [`CacheStats`] measure hot/cold separation.
+//! * **durable** ([`PageStore::durable`]): a file device with a [`Wal`]
+//!   behind it, with or without a pool. Inside a mutation window every page
+//!   write is logged before it reaches pool or device, and the pool's write
+//!   barrier makes a page's log record stable before the page is written
+//!   back.
 //!
 //! Page **allocation** and **free** always talk to the device directly —
 //! the free list is an allocation concern, not a caching one — but freeing
@@ -17,10 +24,10 @@
 //! serve stale bytes.
 //!
 //! [`TupleFile`]: crate::TupleFile
-//! [`SimDevice`]: crate::SimDevice
+//! [`PageDevice`]: crate::PageDevice
 
 use crate::device::{DeviceRef, PageBytes, PageId};
-use crate::pool::{BufferPool, CacheStats, PinnedPage};
+use crate::pool::{BufferPool, CacheStats};
 use crate::wal::{Lsn, Wal};
 use pyro_common::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -227,13 +234,6 @@ impl PageStore {
         }
     }
 
-    /// Pins a page, holding its frame resident until the guard drops;
-    /// `None` in bypass mode. Readers that only decode the page use
-    /// [`PageStore::read_page`], which copies no more than this does.
-    pub fn pin(&self, id: PageId) -> Option<Result<PinnedPage<'_>>> {
-        self.pool.as_ref().map(|p| p.pin(id))
-    }
-
     /// Writes a page — write-back through the pool when cached (the device
     /// write is deferred to eviction or [`PageStore::flush`]), a direct
     /// device write otherwise. Inside an open mutation window the page
@@ -341,7 +341,9 @@ mod tests {
         assert_eq!(dev.io().writes, 1);
         assert_eq!(store.cache_stats(), CacheStats::default());
         assert!(store.pool().is_none());
-        assert!(store.pin(id).is_none());
+        let bytes = store.read_page(id).unwrap();
+        let device_bytes = dev.read_page(id).unwrap();
+        assert_eq!(bytes.as_ptr(), device_bytes.as_ptr(), "no copy");
         store.flush().unwrap();
         store.flush_and_drop(&[id]).unwrap();
         store.free_page(id);

@@ -212,8 +212,8 @@ fn abandoned_scan_leaves_no_frame_pinned() {
         read > 0 && read < heap_pages,
         "premise: the scan stopped mid-file ({read} of {heap_pages} pages)"
     );
-    // Mid-stream and after it, every frame is evictable: `clear` drops
-    // unpinned frames only, and it drops them all.
+    // Mid-stream and after it, no reader holds a frame: `clear` empties
+    // the pool, and the open stream still finishes.
     pool.clear().unwrap();
     assert_eq!(pool.resident(), 0, "the open scan pins nothing");
     assert!(stream.next_batch().unwrap().is_none());
