@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let degraded = pyro_core::OptimizedPlan {
         root: degrade_partial_sorts(&plan.root),
         strategy: plan.strategy,
-        ordered_output: plan.ordered_output,
         planning: plan.planning,
     };
     let srs = run_plan(&degraded, session.catalog())?;

@@ -205,7 +205,6 @@ mod tests {
                     logical: 0,
                 }),
                 strategy: Strategy::pyro_o(),
-                ordered_output: false,
                 planning: crate::optimizer::PlanningInfo::default(),
             },
             param_types: Vec::new(),

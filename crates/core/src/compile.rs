@@ -11,8 +11,8 @@
 //! operators are instantiated as worker fragments behind an exchange (see
 //! `crate::parallel`), while breakers — sorts, merge joins, aggregates,
 //! anything whose counters or output depend on the exact input sequence —
-//! stay serial and receive either the exact serial row sequence (a gather
-//! that releases morsels in file order) or an unparallelized child.
+//! stay serial. Every exchange releases the serial row sequence, so a
+//! breaker's counters and rows do not depend on the worker count.
 //!
 //! The compiler decides nothing about batch layouts: every operator reads
 //! and emits [`pyro_common::ColumnarBatch`]es, and rows are boxed only
@@ -52,8 +52,8 @@ pub struct CompileOptions<'a> {
     /// Execution threads (floor 1). `1` takes exactly the serial path —
     /// same operators, same behaviour; with more, parallel-safe subtrees
     /// become morsel-driven worker fragments behind exchange operators
-    /// while pipeline breakers stay serial. Counters are bit-identical at
-    /// every worker count.
+    /// while pipeline breakers stay serial. Rows come in the same sequence,
+    /// and counters are bit-identical, at every worker count.
     pub workers: usize,
     /// Prepared-statement bindings: every `NExpr::Param(i)` in the plan is
     /// substituted with `params[i]` as the expressions compile, so the
@@ -74,21 +74,11 @@ impl Default for CompileOptions<'_> {
 }
 
 /// Compiles a physical plan into a runnable [`Pipeline`] (operator tree +
-/// shared metrics block).
-///
-/// `ordered_output = true` means the consumer relies on the root row
-/// sequence (the query had an ORDER BY) — essential for ORDER BYs the
-/// clustering already satisfies, where the plan contains no sort enforcer
-/// and order preservation rests entirely on the exchanges; `false` frees
-/// the root to gather worker output in arrival order even when the chosen
-/// plan incidentally guarantees an order. [`crate::OptimizedPlan::compile`]
-/// passes the query's actual demand; a caller holding only a bare physical
-/// tree passes `!root.out_order.is_empty()`, which is always correct (at
-/// worst an ordered gather where an arrival-order one would have done).
+/// shared metrics block). Its rows come out in the same sequence at every
+/// worker count.
 pub fn compile(
     root: &Arc<PhysNode>,
     catalog: &Catalog,
-    ordered_output: bool,
     options: &CompileOptions,
 ) -> Result<Pipeline> {
     let metrics = ExecMetrics::new();
@@ -99,7 +89,7 @@ pub fn compile(
         workers: options.workers.max(1),
         params: options.params,
     };
-    let op = compile_sub(root, &ctx, ordered_output)?;
+    let op = compile_sub(root, &ctx)?;
     // The pipeline charges the catalog store's buffer-pool counter delta
     // (cache hits/misses) to its metrics when it is drained.
     Ok(Pipeline::new(op, metrics).with_store(catalog.store().clone()))
@@ -114,33 +104,16 @@ pub(crate) struct CompileCtx<'a> {
     pub(crate) params: &'a [Value],
 }
 
-/// True iff this operator hands its input sequence through untouched *and*
-/// charges no sequence-dependent counters — i.e. an unordered parallel
-/// interleaving below it is observable only as row order, never as
-/// different counter totals or different row multisets. A hash aggregate
-/// with no aggregates (a DISTINCT) emits its keys sorted and charges
-/// nothing, so arrival order shows only in which of several equal keys
-/// (`Int(2)`, `Double(2.0)`) stands for its group.
-fn sequence_insensitive(op: &PhysOp) -> bool {
-    match op {
-        PhysOp::Filter { .. } | PhysOp::Project { .. } | PhysOp::HashJoin { .. } => true,
-        PhysOp::HashAggregate { aggs, .. } => aggs.is_empty(),
-        _ => false,
-    }
-}
-
-/// Compiles a subtree. `exact` records whether some consumer above this
-/// point depends on the exact serial row sequence (a sort's comparison
-/// count, a Limit's chosen prefix, a merge join's group pairing); when set,
-/// only exact-sequence parallelism (a gather releasing morsels in file
-/// order) is allowed here.
-pub(crate) fn compile_sub(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result<BoxOp> {
+/// Compiles a subtree: as a parallel fragment behind a gather where
+/// `crate::parallel` can make one, else serially over subtrees compiled
+/// the same way.
+pub(crate) fn compile_sub(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<BoxOp> {
     if ctx.workers > 1 {
-        if let Some(op) = crate::parallel::try_parallel(node, ctx, exact)? {
+        if let Some(op) = crate::parallel::try_parallel(node, ctx)? {
             return Ok(op);
         }
     }
-    compile_serial(node, ctx, exact)
+    compile_serial(node, ctx)
 }
 
 /// Resolves the file a scan leaf reads.
@@ -319,7 +292,6 @@ fn compile_filter_child(
     child: &Arc<PhysNode>,
     predicate: &NExpr,
     ctx: &CompileCtx,
-    exact: bool,
 ) -> Result<BoxOp> {
     if let Some(Seek { file, cols, key }) = seek_key(child, predicate, ctx)? {
         let (start, end) = pyro_exec::scan::eq_key_page_range(&file, &cols, &key)?;
@@ -328,13 +300,10 @@ fn compile_filter_child(
         op.set_batch_size(ctx.batch);
         return Ok(op);
     }
-    compile_sub(child, ctx, exact)
+    compile_sub(child, ctx)
 }
 
-fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result<BoxOp> {
-    // A sequence-sensitive serial operator demands its children's exact
-    // serial row sequence; a pass-through one just inherits the demand.
-    let child_exact = exact || !sequence_insensitive(&node.op);
+fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<BoxOp> {
     let mut op: BoxOp = match &node.op {
         PhysOp::TableScan { .. }
         | PhysOp::ClusteredIndexScan { .. }
@@ -343,12 +312,12 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             Box::new(FileScan::new(node.schema.clone(), &file))
         }
         PhysOp::Filter { predicate } => {
-            let child = compile_filter_child(&node.children[0], predicate, ctx, child_exact)?;
+            let child = compile_filter_child(&node.children[0], predicate, ctx)?;
             let pred = compile_expr_bound(predicate, child.schema(), ctx.params)?;
             Box::new(Filter::new(child, pred))
         }
         PhysOp::Project { items } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             let exprs = items
                 .iter()
                 .map(|it| compile_expr_bound(&it.expr, child.schema(), ctx.params))
@@ -356,7 +325,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             Box::new(Project::new(child, exprs, node.schema.clone()))
         }
         PhysOp::Sort { target } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             let key = key_spec(child.schema(), target)?;
             Box::new(StandardReplacementSort::new(
                 child,
@@ -367,7 +336,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             ))
         }
         PhysOp::PartialSort { prefix_len, target } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             let key = key_spec(child.schema(), target)?;
             Box::new(PartialSort::new(
                 child,
@@ -379,8 +348,8 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             ))
         }
         PhysOp::MergeJoin { kind, pairs, order } => {
-            let left = compile_sub(&node.children[0], ctx, child_exact)?;
-            let right = compile_sub(&node.children[1], ctx, child_exact)?;
+            let left = compile_sub(&node.children[0], ctx)?;
+            let right = compile_sub(&node.children[1], ctx)?;
             // The chosen order's attributes are left-side pair columns; the
             // matching right-side columns come from the pairs (the last
             // pair naming a left column, as the optimizer sorted the right
@@ -421,8 +390,8 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             }
         }
         PhysOp::HashJoin { pairs, build } => {
-            let left = compile_sub(&node.children[0], ctx, child_exact)?;
-            let right = compile_sub(&node.children[1], ctx, child_exact)?;
+            let left = compile_sub(&node.children[0], ctx)?;
+            let right = compile_sub(&node.children[1], ctx)?;
             let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
             Box::new(HashJoin::new(
                 left,
@@ -433,8 +402,8 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             ))
         }
         PhysOp::NestedLoopsJoin { kind, pairs } => {
-            let left = compile_sub(&node.children[0], ctx, child_exact)?;
-            let right = compile_sub(&node.children[1], ctx, child_exact)?;
+            let left = compile_sub(&node.children[0], ctx)?;
+            let right = compile_sub(&node.children[1], ctx)?;
             let (l_cols, r_cols) = pair_cols(pairs, left.schema(), right.schema())?;
             Box::new(NestedLoopsJoin::new(
                 left,
@@ -445,7 +414,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             ))
         }
         PhysOp::SortAggregate { group_by, aggs } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             let group_cols = group_by
                 .iter()
                 .map(|g| child.schema().index_of(g))
@@ -454,7 +423,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             Box::new(GroupAggregate::new(child, group_cols, aggs))
         }
         PhysOp::HashAggregate { group_by, aggs } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             let group_cols = group_by
                 .iter()
                 .map(|g| child.schema().index_of(g))
@@ -463,7 +432,7 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx, exact: bool) -> Result
             Box::new(HashAggregate::new(child, group_cols, aggs))
         }
         PhysOp::Limit { k } => {
-            let child = compile_sub(&node.children[0], ctx, child_exact)?;
+            let child = compile_sub(&node.children[0], ctx)?;
             Box::new(Limit::new(child, *k))
         }
     };

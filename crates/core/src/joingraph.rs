@@ -324,7 +324,7 @@ pub const DEFAULT_JOIN_ENUM_THRESHOLD: usize = 8;
 /// The one plan-space enumerator: the memoized search over the written
 /// join shape, after [`reorder_joins`] re-shapes the regions above the
 /// `join_enum_threshold`. Kept only for the benchmark harness, and deleted
-/// by its next interface change (ROADMAP 1-II).
+/// by its next interface change (ROADMAP 20(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnumStrategy {
     /// The memoized search.

@@ -98,7 +98,7 @@ impl<'a> Optimizer<'a> {
 
     /// Does nothing: [`EnumStrategy::Memo`] is the only enumerator. Kept
     /// only for the benchmark harness, and deleted by its next interface
-    /// change (ROADMAP 1-II).
+    /// change (ROADMAP 20(b)).
     pub fn with_enum_strategy(self, _enum_strategy: EnumStrategy) -> Self {
         self
     }
@@ -149,7 +149,6 @@ impl<'a> Optimizer<'a> {
         Ok(OptimizedPlan {
             root,
             strategy: self.strategy,
-            ordered_output: output_is_ordered(plan),
             planning: PlanningInfo {
                 groups: accounting.groups,
                 candidates: accounting.candidates,
@@ -187,21 +186,6 @@ fn in_statement_order(root: Arc<PhysNode>, statement: &Schema) -> Arc<PhysNode> 
     })
 }
 
-/// True iff the query demands ordered output: lowering places the ORDER BY
-/// `Sort` at the logical root, optionally under a `Limit`. This is the
-/// *requirement*; a physical plan may additionally *guarantee* an order the
-/// query never asked for (a clustered scan), which costs nothing to ignore.
-fn output_is_ordered(plan: &LogicalPlan) -> bool {
-    let mut id = plan.root();
-    loop {
-        match plan.node(id) {
-            LogicalOp::Limit { input, .. } => id = *input,
-            LogicalOp::Sort { .. } => return true,
-            _ => return false,
-        }
-    }
-}
-
 /// How one plan was found: the search's enumeration accounting, the joins
 /// re-shaped before it, and the planning wall-clock. Rides on every
 /// [`OptimizedPlan`]; a plan served from the plan cache carries the info of
@@ -227,11 +211,6 @@ pub struct OptimizedPlan {
     pub root: Arc<PhysNode>,
     /// Strategy that produced it.
     pub strategy: Strategy,
-    /// Whether the query demands ordered output (it had an ORDER BY). The
-    /// parallel compiler preserves the root sequence exactly when this is
-    /// set, and is free to gather in arrival order when it is not — even if
-    /// the chosen plan incidentally guarantees an order.
-    pub ordered_output: bool,
     /// How the plan was found: search accounting, re-shaped joins,
     /// planning time.
     pub planning: PlanningInfo,
@@ -250,20 +229,19 @@ impl OptimizedPlan {
 
     /// Compiles to a runnable operator [`pyro_exec::Pipeline`] as `options`
     /// say (see [`CompileOptions`]; `&CompileOptions::default()` is the
-    /// serial, 1024-row-batch instantiation), honouring the query's own
-    /// output-order demand.
+    /// serial, 1024-row-batch instantiation).
     pub fn compile(
         &self,
         catalog: &Catalog,
         options: &CompileOptions,
     ) -> Result<pyro_exec::Pipeline> {
-        crate::compile::compile(&self.root, catalog, self.ordered_output, options)
+        crate::compile::compile(&self.root, catalog, options)
     }
 
     /// [`Self::compile`] with the options spelled out positionally; the
     /// last argument is ignored (scans always decode to columns). Kept only
     /// for the benchmark harness, and deleted by its next interface change
-    /// (ROADMAP 1-II); new code builds a [`CompileOptions`].
+    /// (ROADMAP 20(b)); new code builds a [`CompileOptions`].
     pub fn compile_bound_columnar(
         &self,
         catalog: &Catalog,

@@ -7,9 +7,7 @@
 //! `ExecMetrics` counters, so distributing their rows over workers cannot
 //! change the four paper counters. Everything else (sorts, merge joins,
 //! grouping — DISTINCT included —, limits, nested loops) is a pipeline
-//! breaker: it runs serially, and what it consumes must be
-//! sequence-faithful, except below a hash aggregate with no aggregates (a
-//! DISTINCT), which emits its keys sorted whatever order they arrive in.
+//! breaker: it runs serially, over inputs that may run in parallel.
 //!
 //! **How a subtree runs.** Its *driving leaf* — the scan reached by
 //! following filter/project inputs and hash-join probe sides — is dealt out
@@ -23,22 +21,21 @@
 //! their dimension is thus one gather over the fact table's morsels, its
 //! fragment probing one shared table per dimension in a row.
 //!
-//! **Which mode.** Decided by the `exact` context the compiler threads
-//! down (see `compile::compile_sub`):
+//! **In what order.** Every gather releases its morsels in file order,
+//! and each morsel's output leaves its worker in scan order. A shared
+//! build side compiles like any other subtree, so its table is filled in
+//! the serial row order, and a probe row's matches come out in that order.
+//! So a parallel subtree's output is the serial row sequence at every
+//! worker count, and the consumer above it — a sort, a merge join, a
+//! limit, an `ORDER BY` the plan already satisfies — charges the same
+//! counters and emits the same rows as at one worker.
 //!
-//! 1. No sequence-sensitive consumer above → the gather streams worker
-//!    batches in arrival order.
-//! 2. A sequence-sensitive consumer above *and* the subtree is a
-//!    scan→filter→project chain → the gather releases morsels in file order,
-//!    which reproduces the serial row sequence exactly — whether or not the
-//!    file has a declared sort order — so the consumer's counters are
-//!    bit-identical to serial.
-//! 3. Otherwise — or when the driving file is a single morsel (nothing to
-//!    split: threads would be pure overhead), or a filter directly over the
-//!    driving scan pins an equality prefix of the file's order (it compiles
-//!    to a seek over the few pages that can hold its key; dealing the whole
-//!    file out would read all of it) — the subtree root compiles serially
-//!    and its inputs get the same chance.
+//! **When it stays serial.** When the driving file is a single morsel
+//! (nothing to split: threads would be pure overhead), or when a filter
+//! directly over the driving scan pins an equality prefix of the file's
+//! order (it compiles to a seek over the few pages that can hold its key;
+//! dealing the whole file out would read all of it), the subtree root
+//! compiles serially and its inputs get the same chance.
 
 use crate::compile::{compile_expr_bound, compile_sub, pair_cols, scan_file, seeks, CompileCtx};
 use crate::plan::{PhysNode, PhysOp};
@@ -51,17 +48,8 @@ use std::sync::Arc;
 
 /// Attempts to instantiate `node` as a parallel subtree; `Ok(None)` means
 /// "not eligible here — compile serially".
-pub(crate) fn try_parallel(
-    node: &Arc<PhysNode>,
-    ctx: &CompileCtx,
-    exact: bool,
-) -> Result<Option<BoxOp>> {
-    let eligible = if exact {
-        is_scan_chain(node)
-    } else {
-        parallel_safe(node)
-    };
-    if !eligible || seeks(filter_over(driving_leaf(node), node), ctx)? {
+pub(crate) fn try_parallel(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<Option<BoxOp>> {
+    if !parallel_safe(node) || seeks(filter_over(driving_leaf(node), node), ctx)? {
         return Ok(None);
     }
     let leaf = driving_leaf(node);
@@ -69,9 +57,9 @@ pub(crate) fn try_parallel(
     if file.block_count() as usize <= MORSEL_PAGES {
         return Ok(None);
     }
-    // An exact consumer gets morsels back in file order; the window bounds
-    // how far ahead of the oldest unfinished morsel the workers may run.
-    let source = MorselSource::new(&file, exact.then_some(2 * ctx.workers));
+    // The window bounds how far ahead of the oldest unfinished morsel the
+    // workers may run.
+    let source = MorselSource::new(&file, 2 * ctx.workers);
     let mut builds = Vec::new();
     let chain = fragment(node, ctx, &mut builds)?;
     let mut gather = Gather::new(
@@ -103,16 +91,6 @@ fn parallel_safe(node: &PhysNode) -> bool {
         PhysOp::HashJoin { .. } => {
             parallel_safe(&node.children[0]) && parallel_safe(&node.children[1])
         }
-        op => is_scan(op),
-    }
-}
-
-/// True iff the subtree is a single-leaf Filter/Project chain over one scan
-/// — the shape that emits a morsel's rows in scan order, so releasing
-/// morsels in file order reproduces the serial sequence.
-fn is_scan_chain(node: &PhysNode) -> bool {
-    match &node.op {
-        PhysOp::Filter { .. } | PhysOp::Project { .. } => is_scan_chain(&node.children[0]),
         op => is_scan(op),
     }
 }
@@ -183,12 +161,10 @@ fn fragment(
                 Side::Left => (l_cols, r_cols),
                 Side::Right => (r_cols, l_cols),
             };
-            // The build side is drained once, in whatever order its own
-            // (arrival-order) exchange delivers: build order only permutes
-            // the matches of a probe row, and nothing sequence-sensitive
-            // sits above an unordered gather.
-            let shared =
-                SharedBuild::new(compile_sub(build, ctx, false)?, KeySpec::new(build_cols));
+            // The build side is drained once, in serial order (behind its
+            // own gather if it is big enough), so each probe row's matches
+            // come out as they would serially.
+            let shared = SharedBuild::new(compile_sub(build, ctx)?, KeySpec::new(build_cols));
             builds.push(shared.clone());
             let below = fragment(probe, ctx, builds)?;
             let (probe_key, batch) = (KeySpec::new(probe_cols), ctx.batch);
@@ -219,7 +195,6 @@ mod tests {
     use pyro_catalog::Catalog;
     use pyro_common::{Schema, Tuple, Value};
     use pyro_exec::join::JoinKind;
-    use pyro_exec::Rows;
     use pyro_ordering::SortOrder;
 
     /// `t(k, g)`: 40k rows clustered on `k`, ~200 pages — six morsels, so
@@ -252,9 +227,9 @@ mod tests {
         cat
     }
 
-    /// Runs `plan` serially, then at every worker count, handing each
-    /// result to `check` next to the serial reference.
-    fn for_every_mode(plan: &OptimizedPlan, cat: &Catalog, check: impl Fn(&Rows, &Rows, &str)) {
+    /// Runs `plan` serially, then at every worker count, and holds each
+    /// run to the serial rows, as a sequence, and counters.
+    fn for_every_mode(plan: &OptimizedPlan, cat: &Catalog) {
         let serial = plan.execute(cat).unwrap();
         for workers in [1, 2, 4] {
             let options = CompileOptions {
@@ -275,19 +250,8 @@ mod tests {
                 out.metrics.runs_created(),
                 "{mode}"
             );
-            check(&serial, &out, &mode);
+            assert!(serial.rows == out.rows, "row sequence diverged: {mode}");
         }
-    }
-
-    fn same_sequence(serial: &Rows, out: &Rows, mode: &str) {
-        assert!(serial.rows == out.rows, "row sequence diverged: {mode}");
-    }
-
-    fn same_multiset(serial: &Rows, out: &Rows, mode: &str) {
-        let (mut a, mut b) = (serial.rows.clone(), out.rows.clone());
-        a.sort();
-        b.sort();
-        assert!(a == b, "row multiset diverged: {mode}");
     }
 
     #[test]
@@ -297,7 +261,7 @@ mod tests {
         let s = p.scan_as("t", "t");
         p.filter(s, NExpr::col_eq_lit("t.g", 3i64));
         let plan = Optimizer::new(&cat).optimize(&p).unwrap();
-        for_every_mode(&plan, &cat, same_multiset);
+        for_every_mode(&plan, &cat);
     }
 
     #[test]
@@ -311,7 +275,7 @@ mod tests {
         p.order_by(s, SortOrder::new(["t.g", "t.k"]));
         let plan = Optimizer::new(&cat).optimize(&p).unwrap();
         assert!(plan.execute(&cat).unwrap().metrics.comparisons() > 0);
-        for_every_mode(&plan, &cat, same_sequence);
+        for_every_mode(&plan, &cat);
     }
 
     #[test]
@@ -330,7 +294,7 @@ mod tests {
             "test premise: plan uses a hash join\n{}",
             plan.explain()
         );
-        for_every_mode(&plan, &cat, same_multiset);
+        for_every_mode(&plan, &cat);
         // Whichever side the optimizer built on, the other orientation must
         // run the same: the written one probes `b`'s morsels past a table
         // built behind its own exchange, the flipped one the reverse.
@@ -338,7 +302,7 @@ mod tests {
             root: flip_build_sides(&plan.root),
             ..plan.clone()
         };
-        for_every_mode(&flipped, &cat, same_multiset);
+        for_every_mode(&flipped, &cat);
         let rows = |p: &OptimizedPlan| {
             let mut rows = p.execute(&cat).unwrap().rows;
             rows.sort();
@@ -426,23 +390,24 @@ mod tests {
         fragment(root, &ctx, &mut builds).unwrap();
         assert_eq!(builds.len(), 4, "one shared table per dimension");
         assert!(
-            try_parallel(root, &ctx, false).unwrap().is_some(),
+            try_parallel(root, &ctx).unwrap().is_some(),
             "the whole plan is one exchange"
         );
         for join in [root, &root.children[0]] {
             let dim = &join.children[1];
             assert!(
-                try_parallel(dim, &ctx, false).unwrap().is_none(),
+                try_parallel(dim, &ctx).unwrap().is_none(),
                 "a dimension is built serially"
             );
         }
-        for_every_mode(&plan, &cat, same_multiset);
+        for_every_mode(&plan, &cat);
     }
 
     /// An ORDER BY the join's probe order satisfies leaves no enforcer in
-    /// the plan, so the sequence demand reaches the join itself: it is not a
-    /// scan chain, stays serial, and its probe input — which is one — comes
-    /// through a gather that releases morsels in file order.
+    /// the plan, so the join is the root — and, being parallel-safe, one
+    /// fragment: the gather releases the probe side's morsels in file order,
+    /// each probing a table built in serial order, which is the serial row
+    /// sequence.
     #[test]
     fn hash_join_under_an_order_by_probes_an_ordered_gather() {
         let mut cat = catalog();
@@ -464,16 +429,13 @@ mod tests {
                     build: Side::Right,
                     ..
                 }
-            ) && plan.ordered_output,
+            ),
             "test premise: the join is the root, no enforcer above it\n{}",
             plan.explain()
         );
         let ctx = two_workers(&cat);
-        assert!(try_parallel(root, &ctx, true).unwrap().is_none());
-        assert!(try_parallel(&root.children[0], &ctx, true)
-            .unwrap()
-            .is_some());
-        for_every_mode(&plan, &cat, same_sequence);
+        assert!(try_parallel(root, &ctx).unwrap().is_some());
+        for_every_mode(&plan, &cat);
     }
 
     /// A LEFT OUTER join is merged or nested, never hashed: it stays
@@ -516,15 +478,15 @@ mod tests {
             plan.explain()
         );
         assert_eq!(plan.execute(&cat).unwrap().rows.len(), 40_002);
-        for_every_mode(&plan, &cat, same_multiset);
+        for_every_mode(&plan, &cat);
     }
 
     #[test]
     fn order_by_satisfied_by_clustering_stays_sorted() {
         // The paper's hallmark free-order case: ORDER BY on the clustering
         // key compiles to a bare scan with NO sort enforcer, so the
-        // sequence demand starts at the plan root — parallel execution must
-        // release morsels in file order, not in arrival order.
+        // order rests on the gather alone, which releases morsels in file
+        // order.
         let cat = catalog();
         let mut p = LogicalPlan::new();
         let s = p.scan_as("t", "t");
@@ -537,7 +499,7 @@ mod tests {
             "test premise: clustering satisfies the ORDER BY, no enforcer\n{}",
             plan.explain()
         );
-        for_every_mode(&plan, &cat, same_sequence);
+        for_every_mode(&plan, &cat);
     }
 
     #[test]
@@ -554,6 +516,6 @@ mod tests {
         let plan = Optimizer::new(&cat).optimize(&p).unwrap();
         assert!(plan.root.out_order.is_empty(), "{}", plan.explain());
         assert_eq!(plan.execute(&cat).unwrap().rows.len(), 1_500);
-        for_every_mode(&plan, &cat, same_sequence);
+        for_every_mode(&plan, &cat);
     }
 }

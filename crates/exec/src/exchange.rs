@@ -8,21 +8,17 @@
 //! ([`FragmentFn`]), drains it, and sends the batches downstream tagged with
 //! the morsel's sequence number — so a worker's batches never span a morsel,
 //! and a morsel usually travels as one message.
-//! The consumer side runs in one of two modes, chosen by the source:
 //!
-//! * **arrival order** (no claim window) — batches are handed on as they
-//!   arrive. Used when no consumer above the exchange is
-//!   sequence-sensitive: the rows are a multiset-faithful reproduction of
-//!   serial execution.
-//! * **ordered** (a windowed source) — morsels are released in sequence
-//!   order from a reorder buffer. What the head morsel has sent goes
-//!   straight through; batches of later morsels wait in their slot until
-//!   every earlier morsel is complete. A morsel's sequence number is its position
-//!   in the file, and a fragment chain of filters and projections emits a
-//!   morsel's surviving rows in scan order, so the released stream **is the
-//!   serial row sequence** — with no sort key and no comparison. The window
-//!   bounds the buffer: a worker may not claim a morsel more than `window`
-//!   sequence numbers past the head.
+//! The consumer releases morsels in sequence order from a reorder buffer.
+//! What the head morsel has sent goes straight through; batches of later
+//! morsels wait in their slot until every earlier morsel is complete. A
+//! morsel's sequence number is its position in the file, and a fragment
+//! chain of filters, projections and hash-join probes emits a morsel's
+//! output in scan order, so the released stream **is the serial row
+//! sequence** — with no sort key and no comparison — for every fragment
+//! whose hash joins probe tables built in serial order. The window bounds
+//! the buffer: a worker may not claim a morsel more than `window` sequence
+//! numbers past the head.
 //!
 //! Workers hand over the column batches the fragment produced, and nothing
 //! else: a consumer that wants rows boxes them on its own thread
@@ -81,7 +77,7 @@ enum Msg {
     Failed(PyroError),
 }
 
-/// Tells the consumer when a worker dies unwinding: without it an ordered
+/// Tells the consumer when a worker dies unwinding: without it the
 /// gather would wait forever for the dead worker's morsel to complete. The
 /// consumer then joins the workers, which re-raises the panic itself.
 struct PanicNotice<'a>(&'a SyncSender<Msg>);
@@ -163,11 +159,10 @@ struct Slot {
     done: bool,
 }
 
-/// N workers over one morsel queue feeding one output stream — in arrival
-/// order, or in morsel-sequence order when the queue has a claim window
-/// (see the module doc). Workers spawn lazily on the first pull and are
-/// joined when the stream ends, fails, or is dropped, so an abandoned
-/// pipeline never leaks a thread.
+/// N workers over one morsel queue feeding one output stream in
+/// morsel-sequence order (see the module doc). Workers spawn lazily on the
+/// first pull and are joined when the stream ends, fails, or is dropped, so
+/// an abandoned pipeline never leaks a thread.
 pub struct Gather {
     schema: Schema,
     fragment: Fragment,
@@ -178,8 +173,8 @@ pub struct Gather {
     state: State,
     /// Output cleared to be handed on, in order.
     ready: VecDeque<ColumnarBatch>,
-    /// Ordered mode: the lowest incomplete morsel, and the buffer for it
-    /// and its successors (`slots[i]` is morsel `head + i`).
+    /// The lowest incomplete morsel, and the buffer for it and its
+    /// successors (`slots[i]` is morsel `head + i`).
     head: usize,
     slots: VecDeque<Slot>,
     batch: usize,
@@ -188,8 +183,7 @@ pub struct Gather {
 impl Gather {
     /// An exchange producing `schema` rows: `workers` threads claim morsels
     /// from `source`, scan them as `leaf_schema` and run each through
-    /// `chain`, whose hash joins probe `builds`. Ordered iff `source` has a
-    /// claim window.
+    /// `chain`, whose hash joins probe `builds`.
     pub fn new(
         schema: Schema,
         source: Arc<MorselSource>,
@@ -258,9 +252,9 @@ impl Gather {
         }
     }
 
-    /// Ordered mode: files a part under its morsel, then clears everything
-    /// the head morsel has so far — and every complete morsel behind it —
-    /// for output. `seq` is never below `head`: a morsel the head has moved
+    /// Files a part under its morsel, then clears everything the head
+    /// morsel has so far — and every complete morsel behind it — for
+    /// output. `seq` is never below `head`: a morsel the head has moved
     /// past is complete, and its worker has moved on.
     fn reorder(&mut self, seq: usize, batches: Vec<ColumnarBatch>, last: bool) {
         let i = seq - self.head;
@@ -296,8 +290,7 @@ impl Operator for Gather {
         &self.schema
     }
 
-    /// The next batch in the mode's order; the first pull starts the
-    /// workers.
+    /// The next batch in file order; the first pull starts the workers.
     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
         match &self.state {
             State::Idle => {
@@ -308,7 +301,6 @@ impl Operator for Gather {
             State::Failed(e) => return Err(e.clone()),
             State::Running { .. } | State::Done => {}
         }
-        let ordered = self.fragment.source.is_windowed();
         loop {
             if let Some(b) = self.ready.pop_front() {
                 return Ok(Some(b));
@@ -317,8 +309,7 @@ impl Operator for Gather {
                 return Ok(None);
             };
             match rx.recv() {
-                Ok(Msg::Part { seq, batches, last }) if ordered => self.reorder(seq, batches, last),
-                Ok(Msg::Part { batches, .. }) => self.ready.extend(batches),
+                Ok(Msg::Part { seq, batches, last }) => self.reorder(seq, batches, last),
                 Ok(Msg::Failed(e)) => return Err(self.fail(e)),
                 // Every worker has exited and the channel is drained: each
                 // claimed morsel is complete and already cleared for output.
@@ -362,12 +353,7 @@ mod tests {
         (file, rows)
     }
 
-    fn gather(
-        file: &TupleFile,
-        window: Option<usize>,
-        chain: FragmentFn,
-        workers: usize,
-    ) -> Gather {
+    fn gather(file: &TupleFile, window: usize, chain: FragmentFn, workers: usize) -> Gather {
         let source = MorselSource::with_morsel_pages(file, 2, window);
         let mut g = Gather::new(schema(), source, schema(), chain, Vec::new(), workers);
         g.set_batch_size(16);
@@ -384,35 +370,35 @@ mod tests {
 
     /// Drained batch by batch or whole through `collect`, over a fragment
     /// whose batches are dense or carry selection vectors, and one row per
-    /// pull.
+    /// pull, the gather is the file.
     #[test]
-    fn arrival_order_gather_yields_every_row_once_on_every_pull_path() {
+    fn gather_yields_the_file_on_every_pull_path() {
         let (file, rows) = file(600);
         let selected: FragmentFn = Arc::new(|leaf| {
             let all = Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(0i64));
             Box::new(Filter::new(Box::new(leaf), all))
         });
         for workers in [1, 2, 4] {
-            let mut one_row = gather(&file, None, identity(), workers);
+            let window = 2 * workers;
+            let mut one_row = gather(&file, window, identity(), workers);
             one_row.set_batch_size(1);
             let mut outs = vec![collect(Box::new(one_row)).unwrap()];
             for chain in [identity(), selected.clone()] {
-                let mut g = gather(&file, None, chain.clone(), workers);
+                let mut g = gather(&file, window, chain.clone(), workers);
                 let mut out = Vec::new();
                 while let Some(b) = g.next_batch().unwrap() {
                     b.append_rows(&mut out);
                 }
                 outs.push(out);
-                outs.push(collect(Box::new(gather(&file, None, chain, workers))).unwrap());
+                outs.push(collect(Box::new(gather(&file, window, chain, workers))).unwrap());
             }
-            for mut out in outs {
-                out.sort_by_key(|t| t.get(1).as_int());
+            for out in outs {
                 assert_eq!(out, rows, "workers={workers}");
             }
         }
     }
 
-    /// The ordered gather is the file, exactly — including when a filter
+    /// The gather is the file, exactly — including when a filter
     /// empties whole runs of morsels (`v` in 100..400 is ~20 consecutive
     /// two-page morsels): an empty morsel must still be marked complete or
     /// the window would never move past it.
@@ -428,45 +414,40 @@ mod tests {
         };
         for workers in [1, 2, 4] {
             for window in [1, 2, 8] {
-                let all = collect(Box::new(gather(&file, Some(window), identity(), workers)));
+                let all = collect(Box::new(gather(&file, window, identity(), workers)));
                 assert_eq!(all.unwrap(), rows, "workers={workers} window={window}");
-                let tail = collect(Box::new(gather(
-                    &file,
-                    Some(window),
-                    keep(400, 600),
-                    workers,
-                )));
+                let tail = collect(Box::new(gather(&file, window, keep(400, 600), workers)));
                 assert_eq!(
                     tail.unwrap(),
                     rows[400..],
                     "workers={workers} window={window}"
                 );
-                let none = collect(Box::new(gather(&file, Some(window), keep(9, 9), workers)));
+                let none = collect(Box::new(gather(&file, window, keep(9, 9), workers)));
                 assert_eq!(none.unwrap(), Vec::new());
             }
         }
     }
 
-    /// Dropping either kind of gather mid-stream — workers parked on the
-    /// window, on the full channel, or mid-morsel — joins every thread:
+    /// Dropping a gather mid-stream — workers parked on the window, on the
+    /// full channel, or mid-morsel — joins every thread:
     /// this test hangs if one is left behind, and the `Arc` count proves
     /// none still holds the fragment.
     #[test]
     fn drop_mid_stream_joins_every_worker() {
         let (file, _) = file(5_000);
-        for window in [None, Some(1), Some(8)] {
+        for window in [1, 8, 64] {
             let chain = identity();
             let mut g = gather(&file, window, chain.clone(), 4);
             assert!(g.next_batch().unwrap().is_some());
             drop(g);
-            assert_eq!(Arc::strong_count(&chain), 1, "window={window:?}");
+            assert_eq!(Arc::strong_count(&chain), 1, "window={window}");
         }
     }
 
     #[test]
     fn worker_error_is_typed_and_worker_panic_reraises_on_the_consumer() {
         let (file, _) = file(600);
-        for window in [None, Some(2)] {
+        for window in [2, 64] {
             let err = collect(Box::new(gather(&file, window, faulty(7, false), 2)));
             assert_eq!(err.unwrap_err(), PyroError::Exec("boom".into()));
 
@@ -488,7 +469,7 @@ mod tests {
     fn an_error_is_latched_for_every_later_pull() {
         let (file, _) = file(5_000);
         let boom = PyroError::Exec("boom".into());
-        for window in [None, Some(8)] {
+        for window in [8, 64] {
             let claims = std::sync::atomic::AtomicUsize::new(0);
             let chain: FragmentFn = Arc::new(move |leaf| {
                 let after = match claims.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
@@ -506,7 +487,7 @@ mod tests {
                     Err(e) => break e,
                 }
             };
-            assert_eq!(err, boom, "window={window:?}");
+            assert_eq!(err, boom, "window={window}");
             assert_eq!(g.next_batch().unwrap_err(), boom);
             assert_eq!(g.next_batch().unwrap_err(), boom);
         }
@@ -536,7 +517,7 @@ mod tests {
             });
             Gather::new(
                 Schema::ints(&["bk", "bv", "k", "v"]),
-                MorselSource::with_morsel_pages(&file, 2, None),
+                MorselSource::with_morsel_pages(&file, 2, 6),
                 schema(),
                 chain,
                 vec![shared],
@@ -544,8 +525,7 @@ mod tests {
             )
         };
 
-        let mut out = collect(Box::new(join_on(build_rows()))).unwrap();
-        out.sort_by_key(|t| t.get(3).as_int());
+        let out = collect(Box::new(join_on(build_rows()))).unwrap();
         let expect: Vec<Tuple> = rows
             .iter()
             .filter(|t| t.get(0).as_int().unwrap() < 5)

@@ -24,7 +24,10 @@
 //! do one unit of work per pull. Base-table device reads are the one
 //! deliberate exception: a consumer pulls a whole child batch, so under
 //! early termination (Top-K) a pull may read up to one batch of input
-//! beyond demand — bounded read-ahead, like any paged scan; `ExecMetrics`
+//! beyond demand — bounded read-ahead, like any paged scan. Under a
+//! [`crate::Gather`] the bound is the gather's claim window instead: its
+//! workers may have claimed and read up to `window` morsels past the one
+//! the consumer is pulling from when a `Limit` stops. `ExecMetrics`
 //! (comparisons, run I/O) still match exactly.
 //!
 //! A batch's rows are its *selected* rows ([`ColumnarBatch::len`]), in

@@ -172,8 +172,7 @@ pub struct Morsel {
 struct Cursor {
     /// Sequence number of the next unclaimed morsel.
     next: usize,
-    /// Lowest sequence number the consumer has not released yet (ordered
-    /// gathers only; stays 0 otherwise).
+    /// Lowest sequence number the consumer has not released yet.
     head: usize,
     closed: bool,
 }
@@ -183,15 +182,16 @@ struct Cursor {
 /// morsels (Leis et al.'s load-balancing property) at the cost of one short
 /// critical section per [`MORSEL_PAGES`] pages.
 ///
-/// A queue with a *window* additionally refuses to hand out a morsel more
-/// than `window` sequence numbers past the oldest one the consumer has not
-/// yet [released](MorselSource::release): that bounds what an ordered
-/// gather has to buffer while it waits for the oldest morsel to complete.
+/// The queue refuses to hand out a morsel more than `window` sequence
+/// numbers past the oldest one the consumer has not yet
+/// [released](MorselSource::release): that bounds what a gather has to
+/// buffer while it waits for the oldest morsel to complete, so that it can
+/// hand morsels on in file order.
 #[derive(Debug)]
 pub struct MorselSource {
     file: TupleFile,
     pages_per_morsel: usize,
-    window: Option<usize>,
+    window: usize,
     cursor: Mutex<Cursor>,
     /// Signalled when `head` advances or the queue closes.
     moved: Condvar,
@@ -199,21 +199,17 @@ pub struct MorselSource {
 
 impl MorselSource {
     /// A shared morsel queue over `file` with [`MORSEL_PAGES`]-page morsels
-    /// and, if given, a claim window (see the type doc).
-    pub fn new(file: &TupleFile, window: Option<usize>) -> Arc<MorselSource> {
+    /// and a claim window of `window` morsels (floor 1; see the type doc).
+    pub fn new(file: &TupleFile, window: usize) -> Arc<MorselSource> {
         MorselSource::with_morsel_pages(file, MORSEL_PAGES, window)
     }
 
     /// A shared morsel queue with an explicit morsel size in pages.
-    pub fn with_morsel_pages(
-        file: &TupleFile,
-        pages: usize,
-        window: Option<usize>,
-    ) -> Arc<MorselSource> {
+    pub fn with_morsel_pages(file: &TupleFile, pages: usize, window: usize) -> Arc<MorselSource> {
         Arc::new(MorselSource {
             file: file.clone(),
             pages_per_morsel: pages.max(1),
-            window: window.map(|w| w.max(1)),
+            window: window.max(1),
             cursor: Mutex::new(Cursor {
                 next: 0,
                 head: 0,
@@ -221,12 +217,6 @@ impl MorselSource {
             }),
             moved: Condvar::new(),
         })
-    }
-
-    /// True iff claims are bounded by a window — the mark of an ordered
-    /// gather's queue.
-    pub fn is_windowed(&self) -> bool {
-        self.window.is_some()
     }
 
     /// Every update under this lock is a single field store, so the cursor
@@ -247,7 +237,7 @@ impl MorselSource {
             if cur.closed || start >= total {
                 return None;
             }
-            if self.window.is_none_or(|w| cur.next < cur.head + w) {
+            if cur.next < cur.head + self.window {
                 let seq = cur.next;
                 cur.next += 1;
                 return Some(Morsel {
@@ -455,11 +445,12 @@ mod tests {
     #[test]
     fn morsels_partition_file_exactly_once_in_file_order() {
         let (dev, file, rows) = sample_file(200, 128);
-        let source = MorselSource::with_morsel_pages(&file, 3, None);
+        let source = MorselSource::with_morsel_pages(&file, 3, 1);
         dev.reset_io();
         let mut out = Vec::new();
         let mut seq = 0;
         while let Some(m) = source.claim() {
+            source.release(seq + 1);
             assert_eq!(
                 (m.seq, m.start),
                 (seq, seq * 3),
@@ -481,8 +472,7 @@ mod tests {
     #[test]
     fn window_parks_claims_until_release_or_close() {
         let (_dev, file, _) = sample_file(200, 128);
-        let source = MorselSource::with_morsel_pages(&file, 1, Some(2));
-        assert!(source.is_windowed());
+        let source = MorselSource::with_morsel_pages(&file, 1, 2);
         assert_eq!(source.claim().map(|m| m.seq), Some(0));
         assert_eq!(source.claim().map(|m| m.seq), Some(1));
         let (tx, rx) = std::sync::mpsc::channel();

@@ -133,9 +133,10 @@ impl WireClient {
         }
     }
 
-    /// Executes a prepared statement with `params` bound positionally.
+    /// Executes a prepared statement with `params` bound positionally;
+    /// more than `u16::MAX` of them fail before anything is sent.
     pub fn execute(&mut self, stmt: WireStatement, params: &[Value]) -> Result<WireRows> {
-        self.send(op::EXECUTE, &proto::enc_execute(stmt.id, params))?;
+        self.send(op::EXECUTE, &proto::enc_execute(stmt.id, params)?)?;
         self.read_result()
     }
 

@@ -85,6 +85,18 @@ pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `n` as the `u16` count a frame carries for `what`; a typed
+/// [`PyroError::Wire`] past `u16::MAX`, where a cast would wrap and the
+/// peer would read a different count.
+pub(crate) fn wire_count(n: usize, what: &str) -> Result<u16> {
+    u16::try_from(n).map_err(|_| {
+        PyroError::Wire(format!(
+            "{n} {what} do not fit the protocol's count of at most {}",
+            u16::MAX
+        ))
+    })
+}
+
 /// Appends a `u32`.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -290,15 +302,15 @@ pub fn dec_sql(payload: &[u8]) -> Result<String> {
     Ok(sql)
 }
 
-/// Encodes `EXECUTE`.
-pub fn enc_execute(stmt_id: u32, params: &[Value]) -> Vec<u8> {
+/// Encodes `EXECUTE`; an error past `u16::MAX` parameters.
+pub fn enc_execute(stmt_id: u32, params: &[Value]) -> Result<Vec<u8>> {
     let mut b = Vec::new();
     put_u32(&mut b, stmt_id);
-    put_u16(&mut b, params.len() as u16);
+    put_u16(&mut b, wire_count(params.len(), "parameters")?);
     for p in params {
         put_value(&mut b, p);
     }
-    b
+    Ok(b)
 }
 
 /// Decodes `EXECUTE` into `(stmt_id, bound values)`.
@@ -344,15 +356,15 @@ pub fn dec_prepared(payload: &[u8]) -> Result<(u32, u16)> {
     Ok((id, n))
 }
 
-/// Encodes `SCHEMA`.
-pub fn enc_schema(schema: &Schema) -> Vec<u8> {
+/// Encodes `SCHEMA`; an error past `u16::MAX` columns.
+pub fn enc_schema(schema: &Schema) -> Result<Vec<u8>> {
     let mut b = Vec::new();
-    put_u16(&mut b, schema.len() as u16);
+    put_u16(&mut b, wire_count(schema.len(), "columns")?);
     for col in schema.columns() {
         put_str(&mut b, &col.name);
         b.push(type_tag(col.ty));
     }
-    b
+    Ok(b)
 }
 
 /// Decodes `SCHEMA`.
@@ -477,7 +489,7 @@ mod tests {
             Column::new("t.b", DataType::Double),
             Column::new("t.c", DataType::Str),
         ]);
-        assert_eq!(dec_schema(&enc_schema(&schema)).unwrap(), schema);
+        assert_eq!(dec_schema(&enc_schema(&schema).unwrap()).unwrap(), schema);
         let rows = vec![
             Tuple::new(vec![
                 Value::Int(i64::MIN),
@@ -606,7 +618,7 @@ mod tests {
     #[test]
     fn execute_round_trip() {
         let params = vec![Value::Int(7), Value::Null, Value::Str("x".into())];
-        let (id, out) = dec_execute(&enc_execute(42, &params)).unwrap();
+        let (id, out) = dec_execute(&enc_execute(42, &params).unwrap()).unwrap();
         assert_eq!(id, 42);
         assert_eq!(out, params);
     }
@@ -629,9 +641,32 @@ mod tests {
         assert!(dec_sql(&p).is_err());
     }
 
+    /// A count of `u16::MAX` travels; one more is a typed error, never a
+    /// count that wraps to 0.
+    #[test]
+    fn counts_past_u16_max_are_refused_not_wrapped() {
+        let max = usize::from(u16::MAX);
+        let params = vec![Value::Null; max];
+        let (_, out) = dec_execute(&enc_execute(3, &params).unwrap()).unwrap();
+        assert_eq!(out.len(), max);
+        let over = vec![Value::Null; max + 1];
+        assert!(matches!(enc_execute(3, &over), Err(PyroError::Wire(_))));
+
+        let schema = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
+            Schema::ints(&names.iter().map(String::as_str).collect::<Vec<_>>())
+        };
+        let wide = schema(max);
+        assert_eq!(dec_schema(&enc_schema(&wide).unwrap()).unwrap(), wide);
+        assert!(matches!(
+            enc_schema(&schema(max + 1)),
+            Err(PyroError::Wire(_))
+        ));
+    }
+
     #[test]
     fn truncation_rejected_everywhere() {
-        let p = enc_execute(1, &[Value::Int(5)]);
+        let p = enc_execute(1, &[Value::Int(5)]).unwrap();
         for cut in 0..p.len() {
             assert!(dec_execute(&p[..cut]).is_err(), "cut at {cut} accepted");
         }

@@ -326,15 +326,14 @@ fn handle_connection(
                 Err(e) => reply_error(&mut writer, &e),
             },
             op::PREPARE => match proto::dec_sql(&payload) {
-                Ok(sql) => match session.prepare_shared(&sql) {
-                    Ok(stmt) => {
-                        let count = stmt.param_count() as u16;
-                        match registry.insert(stmt) {
-                            Ok(id) => {
-                                send(&mut writer, op::PREPARED, &proto::enc_prepared(id, count))
-                            }
-                            Err(e) => reply_error(&mut writer, &e),
-                        }
+                // A statement whose count the reply cannot carry is never
+                // registered: it could not be executed.
+                Ok(sql) => match session.prepare_shared(&sql).and_then(|stmt| {
+                    let count = proto::wire_count(stmt.param_count(), "parameters")?;
+                    Ok((registry.insert(stmt)?, count))
+                }) {
+                    Ok((id, count)) => {
+                        send(&mut writer, op::PREPARED, &proto::enc_prepared(id, count))
                     }
                     Err(e) => reply_error(&mut writer, &e),
                 },
@@ -398,7 +397,10 @@ fn respond_query(
         Ok(s) => s,
         Err(e) => return reply_error(w, &e),
     };
-    send(w, op::SCHEMA, &proto::enc_schema(stream.schema()))?;
+    match proto::enc_schema(stream.schema()) {
+        Ok(schema) => send(w, op::SCHEMA, &schema)?,
+        Err(e) => return reply_error(w, &e),
+    }
     let mut rows_sent: u64 = 0;
     let mut bytes_sent: u64 = 0;
     loop {

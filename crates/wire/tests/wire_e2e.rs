@@ -338,6 +338,43 @@ fn registry_bound_is_enforced_per_connection() {
     server.shutdown();
 }
 
+/// `PREPARED` and `EXECUTE` carry a parameter count as a `u16`. A statement
+/// with more placeholders is refused and never registered (it could not be
+/// executed), and a client never sends more values than the count holds.
+#[test]
+fn parameter_counts_past_u16_max_are_refused_on_both_sides() {
+    let where_n = |n: usize| format!("SELECT a FROM t WHERE {}", vec!["a = ?"; n].join(" AND "));
+    let max = usize::from(u16::MAX);
+    let server = start(
+        tiny_session(),
+        ServerConfig {
+            max_prepared_statements: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    let e = client.prepare(&where_n(max + 1)).expect_err("too many");
+    assert_eq!(e.code(), codes::WIRE, "{e}");
+    let stmt = client
+        .prepare("SELECT a FROM t WHERE a = ?")
+        .expect("the refused statement took no registry slot");
+    let e = client
+        .execute(stmt, &vec![Value::Int(3); max + 1])
+        .expect_err("too many values");
+    assert!(matches!(e, PyroError::Wire(_)), "{e}");
+    let rows = client.execute(stmt, &[Value::Int(3)]).unwrap();
+    assert_eq!(
+        rows.rows.len(),
+        1,
+        "nothing was sent for the refused execute"
+    );
+
+    let mut other = WireClient::connect(server.local_addr()).unwrap();
+    let widest = other.prepare(&where_n(max)).unwrap();
+    assert_eq!(widest.param_count, u16::MAX);
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_is_idempotent_and_joins_cleanly() {
     let session = tiny_session();

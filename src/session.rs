@@ -159,9 +159,8 @@ impl SessionBuilder {
     /// Sets the number of execution worker threads (default: 1; floor 1).
     /// `1` is today's serial engine, bit-identical to every previous
     /// release; more workers enable morsel-driven parallelism for
-    /// parallel-safe plan subtrees. Rows and all `ExecMetrics` counters are
-    /// worker-count invariant (ordered outputs exactly, unordered outputs
-    /// as multisets); only wall-clock changes.
+    /// parallel-safe plan subtrees. The row sequence and all `ExecMetrics`
+    /// counters are worker-count invariant; only wall-clock changes.
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
         self.config.workers = workers.max(1);
         self
@@ -446,7 +445,7 @@ impl Session {
 
     /// Always [`EnumStrategy::Memo`], the only enumerator; kept only for the
     /// benchmark harness, and deleted by its next interface change
-    /// (ROADMAP 1-II).
+    /// (ROADMAP 20(b)).
     pub fn enum_strategy(&self) -> EnumStrategy {
         EnumStrategy::Memo
     }
@@ -514,7 +513,7 @@ impl Session {
 
     /// Always `true`: scans always decode to columns. Kept only for the
     /// benchmark harness, and deleted by its next interface change
-    /// (ROADMAP 1-II).
+    /// (ROADMAP 20(b)).
     pub fn columnar(&self) -> bool {
         true
     }

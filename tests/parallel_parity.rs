@@ -1,16 +1,15 @@
 //! Serial/parallel parity: for every paper-query workload and strategy,
 //! executing at `workers ∈ {2, 4}` must reproduce the serial engine
-//! exactly — identical row multisets
-//! (identical row *sequences* for ordered outputs) and bit-identical totals
-//! for all four `ExecMetrics` counters, spill paths included.
+//! exactly — the identical row sequence and bit-identical totals for all
+//! four `ExecMetrics` counters, spill paths included.
 //!
 //! This is the invariant that lets the morsel-parallel engine claim the
 //! paper's figures unchanged: parallelism may only change wall-clock, never
 //! what work the order-enforcement machinery does. It holds by
 //! construction — parallel fragments contain only counter-free operators,
-//! sequence-sensitive consumers receive the exact serial sequence (a gather
-//! releasing morsels in file order) or an unparallelized child, and
-//! exchange bookkeeping is never charged — and this suite pins it.
+//! every gather releases its morsels in file order, hash-join tables are
+//! built in serial order, and exchange bookkeeping is never charged — and
+//! this suite pins it.
 
 use pyro::common::{Column, DataType, Schema, Tuple, Value};
 use pyro::datagen::{consolidation, qtables, tpch};
@@ -30,12 +29,11 @@ struct Reference {
 }
 
 /// Runs `sql` in the reference mode, then in every other mode, asserting
-/// counter parity always and row parity as a sequence (`ordered`) or
-/// multiset — for the drained result and, in every mode, for the same
-/// statement streamed batch by batch ([`Session::sql_stream`]), which pulls
-/// a parallel plan's exchange without draining it to rows. Leaves the
-/// session at one worker.
-fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
+/// counter parity and row parity as a sequence — for the drained result
+/// and, in every mode, for the same statement streamed batch by batch
+/// ([`Session::sql_stream`]), which pulls a parallel plan's exchange
+/// without draining it to rows. Leaves the session at one worker.
+fn assert_parallel_parity(session: &mut Session, sql: &str) {
     let mut reference: Option<Reference> = None;
     for w in MODES {
         session.set_workers(w);
@@ -46,11 +44,10 @@ fn assert_parallel_parity(session: &mut Session, sql: &str, ordered: bool) {
             metrics: out.metrics().clone(),
         });
         let mode = format!("workers={w}");
-        assert_same_rows(&reference.rows, out.rows(), ordered, &mode, sql);
+        assert_same_rows(&reference.rows, out.rows(), &mode, sql);
         assert_same_rows(
             &reference.rows,
             &streamed,
-            ordered,
             &format!("{mode}, streamed"),
             sql,
         );
@@ -89,24 +86,12 @@ fn stream_rows(session: &Session, sql: &str) -> Vec<Tuple> {
     rows
 }
 
-/// `got` is `reference` exactly: as a sequence if `ordered`, else as a
-/// multiset.
-fn assert_same_rows(reference: &[Tuple], got: &[Tuple], ordered: bool, mode: &str, sql: &str) {
-    if ordered {
-        assert!(
-            exact(reference) == exact(got),
-            "ordered rows diverged ({mode}): {sql}"
-        );
-    } else {
-        let mut a = reference.to_vec();
-        let mut b = got.to_vec();
-        a.sort();
-        b.sort();
-        assert!(
-            exact(&a) == exact(&b),
-            "row multiset diverged ({mode}): {sql}"
-        );
-    }
+/// `got` is `reference` exactly, as a sequence.
+fn assert_same_rows(reference: &[Tuple], got: &[Tuple], mode: &str, sql: &str) {
+    assert!(
+        exact(reference) == exact(got),
+        "row sequence diverged ({mode}): {sql}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -120,51 +105,31 @@ fn tpch_queries_parity_across_strategies() {
     let mut session = Session::new();
     let seed = session.seed();
     tpch::load_with_seed(session.catalog_mut(), tpch::TpchConfig::scaled(0.002), seed).unwrap();
-    // (sql, ordered): LIMIT over an ORDER BY is still a fully ordered
-    // prefix, so it compares as a sequence too.
     let queries = [
-        (
-            "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey",
-            true,
-        ),
-        (
-            "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey LIMIT 50",
-            true,
-        ),
+        "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey",
+        "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey LIMIT 50",
         // ORDER BY fully satisfied by the clustering: no sort enforcer in
         // the plan, so order preservation rests on the exchange alone.
-        (
-            "SELECT l_orderkey, l_partkey FROM lineitem ORDER BY l_orderkey",
-            true,
-        ),
-        (
-            "SELECT l_suppkey, l_partkey, l_quantity FROM lineitem WHERE l_linestatus = 'O'",
-            false,
-        ),
-        (
-            "SELECT ps_suppkey, ps_partkey, ps_availqty, count(l_partkey) AS n \
+        "SELECT l_orderkey, l_partkey FROM lineitem ORDER BY l_orderkey",
+        "SELECT l_suppkey, l_partkey, l_quantity FROM lineitem WHERE l_linestatus = 'O'",
+        "SELECT ps_suppkey, ps_partkey, ps_availqty, count(l_partkey) AS n \
              FROM partsupp, lineitem \
              WHERE ps_suppkey = l_suppkey AND ps_partkey = l_partkey \
              GROUP BY ps_suppkey, ps_partkey, ps_availqty \
              ORDER BY ps_suppkey, ps_partkey",
-            true,
-        ),
-        (
-            "SELECT ps_suppkey, ps_partkey, ps_availqty, sum(l_quantity) AS total \
+        "SELECT ps_suppkey, ps_partkey, ps_availqty, sum(l_quantity) AS total \
              FROM partsupp, lineitem \
              WHERE ps_suppkey = l_suppkey AND ps_partkey = l_partkey AND l_linestatus = 'O' \
              GROUP BY ps_availqty, ps_partkey, ps_suppkey \
              HAVING sum(l_quantity) > ps_availqty \
              ORDER BY ps_partkey",
-            false, // ordered on ps_partkey only; ties are plan-dependent
-        ),
     ];
     for strategy in Strategy::all() {
         for hash in [true, false] {
             session.set_strategy(strategy);
             session.set_hash_operators(hash);
-            for (sql, ordered) in &queries {
-                assert_parallel_parity(&mut session, sql, *ordered);
+            for sql in &queries {
+                assert_parallel_parity(&mut session, sql);
             }
         }
     }
@@ -176,15 +141,14 @@ fn full_outer_join_query_parity() {
     qtables::load_q4(session.catalog_mut(), 400).unwrap();
     for hash in [true, false] {
         session.set_hash_operators(hash);
-        // Unordered: with hashing on these are FULL OUTER hash joins, which
-        // are serial breakers over (possibly parallel) children.
+        // With hashing on these are FULL OUTER hash joins, which are serial
+        // breakers over (possibly parallel) children.
         assert_parallel_parity(
             &mut session,
             "SELECT * FROM r1 FULL OUTER JOIN r2 \
              ON (r1.c5 = r2.c5 AND r1.c4 = r2.c4 AND r1.c3 = r2.c3) \
              FULL OUTER JOIN r3 \
              ON (r3.c1 = r1.c1 AND r3.c4 = r1.c4 AND r3.c5 = r1.c5)",
-            false,
         );
         assert_parallel_parity(
             &mut session,
@@ -193,7 +157,6 @@ fn full_outer_join_query_parity() {
              FULL OUTER JOIN r3 \
              ON (r3.c1 = r1.c1 AND r3.c4 = r1.c4 AND r3.c5 = r1.c5) \
              ORDER BY r1.c4, r1.c5",
-            false, // ordered prefix only; tie order within (c4, c5) is free
         );
     }
 }
@@ -213,7 +176,6 @@ fn trading_and_basket_queries_parity() {
            AND t1.childorderid = t2.childorderid \
            AND t1.trantype = 'New' AND t2.trantype = 'Executed' \
          GROUP BY t1.userid, t1.basketid, t1.parentorderid, t1.waveid, t1.childorderid",
-        false,
     );
 
     let mut session = Session::new();
@@ -224,12 +186,10 @@ fn trading_and_basket_queries_parity() {
             &mut session,
             "SELECT * FROM basket b, analytics a \
              WHERE b.prodtype = a.prodtype AND b.symbol = a.symbol AND b.exchange = a.exchange",
-            false,
         );
         assert_parallel_parity(
             &mut session,
             "SELECT DISTINCT prodtype, exchange FROM basket ORDER BY prodtype, exchange",
-            true,
         );
     }
 }
@@ -245,7 +205,6 @@ fn consolidation_query_parity() {
          WHERE c1.city = c2.city AND c1.make = c2.make AND c1.year = c2.year \
            AND c1.color = c2.color AND c1.make = r.make AND c1.year = r.year \
            ORDER BY c1.make, c1.year, c1.color",
-        false, // ordered prefix only
     );
 }
 
@@ -275,7 +234,7 @@ fn spill_paths_parity() {
             reference.metrics().run_io() > 0,
             "test premise: this workload must spill ({sql})"
         );
-        assert_parallel_parity(&mut session, sql, true);
+        assert_parallel_parity(&mut session, sql);
     }
 }
 
@@ -352,37 +311,23 @@ fn exchange_session() -> Session {
 fn ordered_gather_corner_cases_parity() {
     let mut session = exchange_session();
     // The filter keeps a sliver at the far end of the file: every morsel
-    // before it comes back empty, and the ordered gather's window must
+    // before it comes back empty, and the gather's window must
     // still move past them — then a sliver at the near end, with nothing
     // but empty morsels after it.
     assert_parallel_parity(
         &mut session,
         "SELECT k, g FROM big WHERE k > 29950 ORDER BY k",
-        true,
     );
-    assert_parallel_parity(
-        &mut session,
-        "SELECT k, g FROM big WHERE k < 40 ORDER BY k",
-        true,
-    );
+    assert_parallel_parity(&mut session, "SELECT k, g FROM big WHERE k < 40 ORDER BY k");
     // Nothing survives at all.
-    assert_parallel_parity(
-        &mut session,
-        "SELECT k FROM big WHERE g > 500 ORDER BY k",
-        true,
-    );
+    assert_parallel_parity(&mut session, "SELECT k FROM big WHERE g > 500 ORDER BY k");
     // LIMIT without ORDER BY: the serial prefix, from file order alone.
-    assert_parallel_parity(
-        &mut session,
-        "SELECT k, s FROM big WHERE g = 7 LIMIT 120",
-        true,
-    );
+    assert_parallel_parity(&mut session, "SELECT k, s FROM big WHERE g = 7 LIMIT 120");
     // The referee's `sfp` shape: two conjuncts keep about half of every
     // morsel, so no morsel comes back empty.
     assert_parallel_parity(
         &mut session,
         "SELECT k, s FROM big WHERE g < 75 AND k > 4000",
-        false,
     );
 }
 
@@ -411,7 +356,7 @@ fn shared_build_hash_join_corner_cases_parity() {
             plan.contains("Hash Join"),
             "test premise: a hash join\n{plan}"
         );
-        assert_parallel_parity(&mut session, sql, false);
+        assert_parallel_parity(&mut session, sql);
     }
 }
 
@@ -461,8 +406,9 @@ fn star_session() -> Session {
 /// A star join is one pipeline: every join builds on its dimension —
 /// whichever side it was written on — and the fact table streams past all
 /// four tables, with no nested loops and no projection to put columns back.
-/// Rows equal the hash-off merge plan's in every mode, and nothing in the
-/// plan charges a counter.
+/// Rows equal the hash-off merge plan's in every mode (as a multiset: the
+/// two plans emit them in different orders), come in the serial sequence at
+/// every worker count, and nothing in the plan charges a counter.
 #[test]
 fn star_join_builds_on_every_dimension_parity() {
     use pyro::core::PhysOp;
@@ -532,6 +478,7 @@ fn star_join_builds_on_every_dimension_parity() {
             "{mode}"
         );
     }
+    assert_parallel_parity(&mut session, sql);
 }
 
 /// A filter pinning an equality prefix of its file's order compiles to a
@@ -555,7 +502,7 @@ fn seekable_filter_seeks_at_every_worker_count() {
                 .any(|w| w[0].starts_with("Filter") && w[1].starts_with("C.Idx Scan [big]")),
             "test premise: a filter directly over the clustered scan of big\n{plan}"
         );
-        assert_parallel_parity(&mut session, sql, false);
+        assert_parallel_parity(&mut session, sql);
         for workers in [1, 2, 4] {
             session.set_workers(workers);
             let device = session.catalog().device().clone();
@@ -572,7 +519,7 @@ fn seekable_filter_seeks_at_every_worker_count() {
 }
 
 /// FULL OUTER joins are merge-only in the optimizer: a serial breaker whose
-/// inputs (a sort over an ordered gather, a bare ordered gather) must
+/// inputs (a sort over a gather, a bare gather) must
 /// arrive in exact serial sequence. (LEFT OUTER *hash* joins, which the SQL
 /// dialect cannot spell, are covered by the `parallel.rs` unit tests.)
 #[test]
@@ -582,7 +529,7 @@ fn full_outer_join_over_ordered_gathers_parity() {
         "SELECT * FROM keys FULL OUTER JOIN big ON (kg = g)",
         "SELECT * FROM big FULL OUTER JOIN keys ON (k = kg)",
     ] {
-        assert_parallel_parity(&mut session, sql, false);
+        assert_parallel_parity(&mut session, sql);
     }
 }
 
@@ -621,17 +568,11 @@ fn bounded_pool_parallel_parity() {
     let seed = session.seed();
     tpch::load_with_seed(session.catalog_mut(), tpch::TpchConfig::scaled(0.002), seed).unwrap();
     let queries = [
-        (
-            "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey",
-            true,
-        ),
-        (
-            "SELECT l_suppkey, l_partkey, l_quantity FROM lineitem WHERE l_linestatus = 'O'",
-            false,
-        ),
+        "SELECT l_suppkey, l_partkey FROM lineitem ORDER BY l_suppkey, l_partkey",
+        "SELECT l_suppkey, l_partkey, l_quantity FROM lineitem WHERE l_linestatus = 'O'",
     ];
-    for (sql, ordered) in queries {
-        assert_parallel_parity(&mut session, sql, ordered);
+    for sql in queries {
+        assert_parallel_parity(&mut session, sql);
     }
     let stats = session.catalog().store().cache_stats();
     assert!(stats.misses > 0, "the shared pool was exercised");

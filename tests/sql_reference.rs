@@ -16,8 +16,9 @@
 //! default costs would not; it runs as chosen, and again with every inner
 //! hash join whose order nothing above relies on building on its other
 //! input. One plan also runs at batch sizes 1, 7 (which cuts batches
-//! mid-page) and 1024, on one and two workers, and the four paper counters
-//! must be equal across those six runs.
+//! mid-page) and 1024, on one and two workers: the four paper counters
+//! must be equal across those six runs, and at each batch size two workers
+//! must return one worker's rows in the same sequence.
 //!
 //! Data is hazardous on purpose: NULLs, duplicates, NaN and both zeros,
 //! INT columns compared with and joined to DOUBLE ones, or held against a
@@ -42,6 +43,9 @@ use reference::{Expr, Func, Item, Op, Pred, Stmt};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+mod common;
+use common::exact;
 
 const DEBUG_CASES: u64 = 500;
 const RELEASE_CASES: u64 = 10_000;
@@ -1165,10 +1169,12 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
             }
         }
     }
-    // One plan, six ways to run it: the counters must not move.
+    // One plan, six ways to run it: the counters must not move, and two
+    // workers return the rows of one, in the same sequence.
     session.set_strategy(Strategy::pyro_o());
     session.set_hash_operators(seed.is_multiple_of(2));
     let mut first: Option<[u64; 4]> = None;
+    let mut serial = Vec::new();
     for (batch, workers) in [1, 7, 1024]
         .into_iter()
         .flat_map(|b| [1, 2].into_iter().map(move |w| (b, w)))
@@ -1183,6 +1189,18 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
             return Err(fail(format!(
                 "batch {batch} workers {workers} disagrees with the reference"
             )));
+        }
+        match workers {
+            1 => serial = got.rows().to_vec(),
+            _ if exact(got.rows()) != exact(&serial) => {
+                return Err(fail(format!(
+                    "batch {batch} workers {workers}: not the one-worker row sequence\n  \
+                     one worker {serial:?}\n  {workers} workers {:?}\n{}",
+                    got.rows(),
+                    got.explain()
+                )));
+            }
+            _ => {}
         }
         let c = counters(&got);
         if *first.get_or_insert(c) != c {
@@ -1203,7 +1221,8 @@ fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
     // above relies on then also runs building on its other input.
     let plan = plan_hashing_free(&session, &sql).map_err(|e| fail(format!("free hashing: {e}")))?;
     let mut flipped = false;
-    let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
+    let ordered = !case.stmt.order_by.is_empty();
+    let root = flip_build_sides(&plan.root, ordered, &mut flipped);
     let mut plans = vec![("free hashing", plan.clone())];
     if flipped {
         seen.note("flipped build");
@@ -1358,12 +1377,13 @@ fn the_reference_orders_values_like_sql_with_nulls_last() {
 /// Registers `a(id, v)` and `b(id, v)` on 64-byte pages with the given `v`
 /// cells, each table padded with rows whose `v` is NULL (which joins
 /// nothing) until it spans more than `MORSEL_PAGES` pages. Then runs `sql`
-/// (which joins them on `v`) under every strategy, with hash operators off,
-/// on, and on with hashing free, with every inner hash join built on either
-/// input, and on one worker and on two
-/// (where a scan of either table runs as morsel fragments, probing a hash
-/// join's shared build). Every plan must return `expect` rows whose two
-/// columns are equal, and some plan must hash-join.
+/// (which joins them on `v`, with no `ORDER BY`) under every strategy, with
+/// hash operators off, on, and on with hashing free, with every inner hash
+/// join built on either input, and on one worker and on two (where a scan
+/// of either table runs as morsel fragments, probing a hash join's shared
+/// build). Every plan must return `expect` rows whose two columns are
+/// equal, two workers the one-worker rows in the same sequence, and some
+/// plan must hash-join.
 fn equi_join_under_every_plan(
     a: (DataType, &[Value]),
     b: (DataType, &[Value]),
@@ -1398,9 +1418,10 @@ fn equi_join_under_every_plan(
                 false => session.prepare(sql).unwrap().plan().clone(),
             };
             let mut flipped = false;
-            let root = flip_build_sides(&plan.root, plan.ordered_output, &mut flipped);
+            let root = flip_build_sides(&plan.root, false, &mut flipped);
             for plan in [plan.clone(), OptimizedPlan { root, ..plan }] {
                 hashed |= plan.explain().contains("Hash Join");
+                let mut serial = Vec::new();
                 for workers in [1, 2] {
                     let options = CompileOptions {
                         workers,
@@ -1418,6 +1439,10 @@ fn equi_join_under_every_plan(
                     );
                     assert_eq!(rows.len(), expect, "{what}");
                     assert!(rows.iter().all(|t| t.get(0) == t.get(1)), "{what}");
+                    match workers {
+                        1 => serial = rows,
+                        _ => assert!(exact(&rows) == exact(&serial), "{what}"),
+                    }
                 }
             }
         }
