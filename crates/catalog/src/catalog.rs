@@ -276,9 +276,7 @@ impl Catalog {
             .iter()
             .map(|c| handle.meta.schema.index_of(c))
             .collect::<Result<_>>()?;
-        let mut builders: Vec<ColumnBuilder> = (0..handle.meta.schema.len())
-            .map(|_| ColumnBuilder::new())
-            .collect();
+        let mut builders = ColumnBuilder::for_schema(&handle.meta.schema);
         handle.heap.scan().fill_columns(&mut builders, usize::MAX)?;
         let heap = ColumnarBatch::from_builders(builders);
         let entries = ColumnarBatch::from_columns(

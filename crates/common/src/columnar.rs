@@ -3,11 +3,12 @@
 //! A [`ColumnarBatch`] holds one [`ColumnVec`] per output column instead of a
 //! `Vec<Tuple>` of boxed rows. Each column stores its cells in a typed,
 //! fixed-width vector (`Vec<i64>` / `Vec<f64>` / an offset-indexed string
-//! arena) plus a [`NullBitmap`], falling back to a `Vec<Value>` (`Mixed`)
-//! representation only when a column genuinely holds more than one value
-//! type. Batches carry an optional *selection vector* — a sorted list of
-//! physical row indices that survive upstream filters — so filters refine
-//! selections instead of materializing rows.
+//! arena) plus a [`NullBitmap`]. A column's storage type is its schema's
+//! [`DataType`], the same in every batch: a [`ColumnBuilder`] is made for
+//! one type and takes no other, so two values of different types never
+//! share a column. Batches carry an optional *selection vector* — a sorted
+//! list of physical row indices that survive upstream filters — so filters
+//! refine selections instead of materializing rows.
 //!
 //! Sorts, merge joins and sort-based grouping run on this layout too: they
 //! compare rows in place ([`ColumnVec::compare`], with an order-preserving
@@ -16,6 +17,8 @@
 //! Rows materialize back into [`Tuple`]s once, where a drain hands them
 //! out, via [`ColumnarBatch::append_rows`].
 
+use crate::error::{PyroError, Result};
+use crate::schema::{DataType, Schema};
 use crate::tuple::{KeySpec, Tuple};
 use crate::value::{cmp_int_double, Value};
 use std::cmp::Ordering;
@@ -195,21 +198,66 @@ impl StrArena {
     }
 }
 
-/// Typed cell storage for one column.
-///
-/// `Int`/`Double`/`Str` are the fixed-width fast paths (NULL cells hold a
-/// placeholder and are masked by the column's [`NullBitmap`]); `Mixed` is the
-/// escape hatch for columns that mix value types, storing plain [`Value`]s.
+/// Typed cell storage for one column, one variant per [`DataType`]. NULL
+/// cells hold a placeholder and are masked by the column's [`NullBitmap`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
-    /// All non-NULL cells are `Value::Int`.
+    /// An INT column: every non-NULL cell is `Value::Int`.
     Int(Vec<i64>),
-    /// All non-NULL cells are `Value::Double` (bit patterns preserved).
+    /// A DOUBLE column: every non-NULL cell is `Value::Double` (bit
+    /// patterns preserved).
     Double(Vec<f64>),
-    /// All non-NULL cells are `Value::Str`, stored in an arena.
+    /// A VARCHAR column: every non-NULL cell is `Value::Str`, stored in an
+    /// arena.
     Str(StrArena),
-    /// Heterogeneous column; cells stored as rows would store them.
-    Mixed(Vec<Value>),
+}
+
+impl ColumnData {
+    /// Empty storage of type `ty`.
+    pub fn new(ty: DataType) -> Self {
+        match ty {
+            DataType::Int => ColumnData::Int(Vec::new()),
+            DataType::Double => ColumnData::Double(Vec::new()),
+            DataType::Str => ColumnData::Str(StrArena::new()),
+        }
+    }
+
+    /// The type of every cell.
+    #[inline]
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Double(_) => DataType::Double,
+            ColumnData::Str(_) => DataType::Str,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            ColumnData::Int(v) => v.len(),
+            ColumnData::Double(v) => v.len(),
+            ColumnData::Str(a) => a.len(),
+        }
+    }
+
+    /// Appends `n` placeholder cells (what a NULL holds).
+    #[inline]
+    fn push_placeholders(&mut self, n: usize) {
+        match self {
+            ColumnData::Int(v) => v.resize(v.len() + n, 0),
+            ColumnData::Double(v) => v.resize(v.len() + n, 0.0),
+            ColumnData::Str(a) => a.extend_empty(n),
+        }
+    }
+}
+
+/// A cell of type `from` appended to a column of type `into`: every
+/// boundary checks types before it builds a column (pages, rows handed to
+/// [`ColumnarBatch::from_rows`]), so only an engine bug gets here.
+#[cold]
+fn mismatch(into: DataType, from: DataType) -> ! {
+    panic!("a {from} cell appended to a column of type {into}")
 }
 
 /// A borrowed view of one cell, mirroring [`Value`] without allocating.
@@ -278,9 +326,9 @@ impl<'a> CellRef<'a> {
     /// a sort compares the prefixes inline and falls through to
     /// [`ColumnVec::compare`] only on a tie.
     ///
-    /// One scale serves every type, which is what lets a heterogeneous
-    /// column (or a column whose batches differ in representation) share it:
-    /// numerics take the lower half — the sign-flipped total-order bits of
+    /// One scale serves every type, which is what lets two key columns of
+    /// different types (a merge join's INT side against its DOUBLE side)
+    /// share it: numerics take the lower half — the sign-flipped total-order bits of
     /// the value's `f64` image — strings the upper half as their first eight
     /// bytes big-endian, NULL the maximum (NULLS LAST). Rounding an INT to
     /// its nearest `f64` never reverses an order, it only makes ties, and so
@@ -332,14 +380,24 @@ impl ColumnVec {
         c
     }
 
+    /// A column of `n` NULL cells of type `ty` (outer-join padding, a NULL
+    /// literal).
+    pub fn all_null(ty: DataType, n: usize) -> Self {
+        let mut data = ColumnData::new(ty);
+        data.push_placeholders(n);
+        Self::new(data, NullBitmap::all_null(n))
+    }
+
     /// Number of rows in the column.
+    #[inline]
     pub fn len(&self) -> usize {
-        match &self.data {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Double(v) => v.len(),
-            ColumnData::Str(a) => a.len(),
-            ColumnData::Mixed(v) => v.len(),
-        }
+        self.data.len()
+    }
+
+    /// The column's type.
+    #[inline]
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
     }
 
     /// Returns `true` when the column holds no rows.
@@ -373,7 +431,6 @@ impl ColumnVec {
             ColumnData::Int(v) => CellRef::Int(v[i]),
             ColumnData::Double(v) => CellRef::Double(v[i]),
             ColumnData::Str(a) => CellRef::Str(a.get(i)),
-            ColumnData::Mixed(v) => CellRef::from_value(&v[i]),
         }
     }
 
@@ -432,10 +489,13 @@ impl ColumnVec {
                     };
                 }
             }
-            ColumnData::Double(_) | ColumnData::Mixed(_) => {
+            ColumnData::Double(v) => {
                 exact = false;
-                for (i, slot) in slots.enumerate() {
-                    *slot = self.cell(i).norm_prefix();
+                for (i, (slot, &x)) in slots.zip(v).enumerate() {
+                    *slot = match nulls.any() && nulls.get(i) {
+                        true => u64::MAX,
+                        false => numeric_prefix(x),
+                    };
                 }
             }
         }
@@ -481,11 +541,6 @@ impl ColumnVec {
                     } else {
                         5 + a.bytes_at(i).len() as u32
                     };
-                }
-            }
-            ColumnData::Mixed(v) => {
-                for (s, x) in sizes.iter_mut().zip(v) {
-                    *s += x.byte_size() as u32;
                 }
             }
         }
@@ -630,123 +685,87 @@ impl NormKeys {
     }
 }
 
-/// Incremental builder for one [`ColumnVec`].
-///
-/// Starts untyped, adopts the representation of the first non-NULL value
-/// pushed, and demotes itself to the `Mixed` representation if a later value
-/// has a different type (rebuilding already-pushed cells exactly).
-#[derive(Debug, Default)]
+/// Incremental builder for one [`ColumnVec`] of a given [`DataType`],
+/// which every cell pushed must have (or be NULL).
+#[derive(Debug)]
 pub struct ColumnBuilder {
-    rep: BuilderRep,
+    data: ColumnData,
     nulls: NullBitmap,
-    len: usize,
-}
-
-#[derive(Debug, Default)]
-enum BuilderRep {
-    /// Only NULLs pushed so far (or nothing).
-    #[default]
-    Untyped,
-    Int(Vec<i64>),
-    Double(Vec<f64>),
-    Str(StrArena),
-    Mixed(Vec<Value>),
 }
 
 impl ColumnBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty builder for cells of type `ty`.
+    pub fn new(ty: DataType) -> Self {
+        Self {
+            data: ColumnData::new(ty),
+            nulls: NullBitmap::new(),
+        }
+    }
+
+    /// One empty builder per column of `schema`, of that column's type.
+    pub fn for_schema(schema: &Schema) -> Vec<Self> {
+        schema.columns().iter().map(|c| Self::new(c.ty)).collect()
+    }
+
+    /// The type of the column being built.
+    #[inline]
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
     }
 
     /// Number of rows pushed so far.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.nulls.len()
     }
 
     /// Returns `true` when nothing has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Appends a NULL cell.
     #[inline]
     pub fn push_null(&mut self) {
-        match &mut self.rep {
-            BuilderRep::Untyped => {}
-            BuilderRep::Int(v) => v.push(0),
-            BuilderRep::Double(v) => v.push(0.0),
-            BuilderRep::Str(a) => a.push(""),
-            BuilderRep::Mixed(v) => v.push(Value::Null),
-        }
-        self.nulls.push(true);
-        self.len += 1;
+        self.push_nulls(1);
     }
 
-    /// Appends an integer cell.
+    /// Appends `n` NULL cells: one placeholder fill and one bitmap fill.
+    #[inline]
+    pub fn push_nulls(&mut self, n: usize) {
+        self.data.push_placeholders(n);
+        self.nulls.extend(n, true);
+    }
+
+    /// Appends an integer cell to an INT column.
     #[inline]
     pub fn push_int(&mut self, x: i64) {
-        match &mut self.rep {
-            BuilderRep::Untyped => {
-                let mut v = vec![0i64; self.len];
-                v.push(x);
-                self.rep = BuilderRep::Int(v);
-            }
-            BuilderRep::Int(v) => v.push(x),
-            BuilderRep::Mixed(v) => v.push(Value::Int(x)),
-            _ => {
-                self.demote();
-                self.push_int(x);
-                return;
-            }
+        match &mut self.data {
+            ColumnData::Int(v) => v.push(x),
+            d => mismatch(d.data_type(), DataType::Int),
         }
         self.nulls.push(false);
-        self.len += 1;
     }
 
-    /// Appends a double cell (bit pattern preserved).
+    /// Appends a double cell (bit pattern preserved) to a DOUBLE column.
     #[inline]
     pub fn push_double(&mut self, x: f64) {
-        match &mut self.rep {
-            BuilderRep::Untyped => {
-                let mut v = vec![0.0f64; self.len];
-                v.push(x);
-                self.rep = BuilderRep::Double(v);
-            }
-            BuilderRep::Double(v) => v.push(x),
-            BuilderRep::Mixed(v) => v.push(Value::Double(x)),
-            _ => {
-                self.demote();
-                self.push_double(x);
-                return;
-            }
+        match &mut self.data {
+            ColumnData::Double(v) => v.push(x),
+            d => mismatch(d.data_type(), DataType::Double),
         }
         self.nulls.push(false);
-        self.len += 1;
     }
 
-    /// Appends a string cell from raw UTF-8 bytes (already validated).
+    /// Appends a string cell from raw UTF-8 bytes (already validated) to a
+    /// VARCHAR column.
     #[inline]
     pub fn push_str_bytes(&mut self, b: &[u8]) {
-        match &mut self.rep {
-            BuilderRep::Untyped => {
-                let mut a = StrArena::new();
-                a.extend_empty(self.len);
-                a.push_bytes(b);
-                self.rep = BuilderRep::Str(a);
-            }
-            BuilderRep::Str(a) => a.push_bytes(b),
-            BuilderRep::Mixed(v) => v.push(Value::Str(
-                std::str::from_utf8(b).expect("validated UTF-8").to_string(),
-            )),
-            _ => {
-                self.demote();
-                self.push_str_bytes(b);
-                return;
-            }
+        match &mut self.data {
+            ColumnData::Str(a) => a.push_bytes(b),
+            d => mismatch(d.data_type(), DataType::Str),
         }
         self.nulls.push(false);
-        self.len += 1;
     }
 
     /// Appends a string cell.
@@ -754,28 +773,44 @@ impl ColumnBuilder {
         self.push_str_bytes(s.as_bytes());
     }
 
-    /// Appends a cell from a [`Value`].
-    pub fn push_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.push_null(),
-            Value::Int(x) => self.push_int(*x),
-            Value::Double(x) => self.push_double(*x),
-            Value::Str(s) => self.push_str(s),
+    /// Appends a cell from a [`Value`], which must be NULL or of the
+    /// column's type; any other value is an [`PyroError::Exec`] and leaves
+    /// the builder as it was.
+    pub fn push_value(&mut self, v: &Value) -> Result<()> {
+        match (v, self.data_type()) {
+            (Value::Null, _) => self.push_null(),
+            (Value::Int(x), DataType::Int) => self.push_int(*x),
+            (Value::Double(x), DataType::Double) => self.push_double(*x),
+            (Value::Str(s), DataType::Str) => self.push_str(s),
+            (v, ty) => return Err(PyroError::Exec(format!("{v:?} is not of type {ty}"))),
         }
+        Ok(())
     }
 
-    /// Appends a borrowed cell view.
-    pub fn push_cell(&mut self, c: CellRef<'_>) {
-        match c {
-            CellRef::Null => self.push_null(),
-            CellRef::Int(x) => self.push_int(x),
-            CellRef::Double(x) => self.push_double(x),
-            CellRef::Str(s) => self.push_str(s),
+    /// Appends integer cells, in order, to an INT column in one typed
+    /// extend.
+    pub fn extend_ints(&mut self, xs: impl ExactSizeIterator<Item = i64>) {
+        let n = xs.len();
+        match &mut self.data {
+            ColumnData::Int(v) => v.extend(xs),
+            d => mismatch(d.data_type(), DataType::Int),
         }
+        self.nulls.extend(n, false);
     }
 
-    /// Appends the rows of `col` selected by `sel` (all rows when `None`),
-    /// using bulk typed copies whenever the representations line up.
+    /// [`ColumnBuilder::extend_ints`] for double cells (bit patterns
+    /// preserved) of a DOUBLE column.
+    pub fn extend_doubles(&mut self, xs: impl ExactSizeIterator<Item = f64>) {
+        let n = xs.len();
+        match &mut self.data {
+            ColumnData::Double(v) => v.extend(xs),
+            d => mismatch(d.data_type(), DataType::Double),
+        }
+        self.nulls.extend(n, false);
+    }
+
+    /// Appends the rows of `col` selected by `sel` (all rows when `None`)
+    /// with bulk typed copies.
     pub fn append_column(&mut self, col: &ColumnVec, sel: Option<&[u32]>) {
         match sel {
             Some(sel) => self.append_gather(col, sel),
@@ -783,203 +818,78 @@ impl ColumnBuilder {
         }
     }
 
-    /// Appends `n` NULL cells: one placeholder fill and one bitmap fill.
-    pub fn push_nulls(&mut self, n: usize) {
-        match &mut self.rep {
-            BuilderRep::Untyped => {}
-            BuilderRep::Int(v) => v.resize(v.len() + n, 0),
-            BuilderRep::Double(v) => v.resize(v.len() + n, 0.0),
-            BuilderRep::Str(a) => a.extend_empty(n),
-            BuilderRep::Mixed(v) => v.resize(v.len() + n, Value::Null),
-        }
-        self.nulls.extend(n, true);
-        self.len += n;
-    }
-
-    /// Appends integer cells, in order, as [`ColumnBuilder::push_int`] on
-    /// each would: one typed extend while the builder holds integers (or
-    /// only NULLs so far), cell by cell otherwise.
-    pub fn extend_ints(&mut self, xs: impl ExactSizeIterator<Item = i64>) {
-        if xs.len() > 0 && matches!(self.rep, BuilderRep::Untyped) {
-            self.rep = BuilderRep::Int(vec![0; self.len]);
-        }
-        let BuilderRep::Int(v) = &mut self.rep else {
-            return xs.for_each(|x| self.push_int(x));
-        };
-        let before = v.len();
-        v.extend(xs);
-        let n = v.len() - before;
-        self.extend_present(n);
-    }
-
-    /// [`ColumnBuilder::extend_ints`] for double cells (bit patterns
-    /// preserved).
-    pub fn extend_doubles(&mut self, xs: impl ExactSizeIterator<Item = f64>) {
-        if xs.len() > 0 && matches!(self.rep, BuilderRep::Untyped) {
-            self.rep = BuilderRep::Double(vec![0.0; self.len]);
-        }
-        let BuilderRep::Double(v) = &mut self.rep else {
-            return xs.for_each(|x| self.push_double(x));
-        };
-        let before = v.len();
-        v.extend(xs);
-        let n = v.len() - before;
-        self.extend_present(n);
-    }
-
-    /// Accounts for `n` non-NULL cells just appended to the typed storage.
-    fn extend_present(&mut self, n: usize) {
-        self.nulls.extend(n, false);
-        self.len += n;
-    }
-
-    /// Appends cell `i` of `col`, copying typed storage directly when the
-    /// representations line up.
+    /// Appends cell `i` of `col`, a column of the same type.
     #[inline]
     pub fn push_from(&mut self, col: &ColumnVec, i: usize) {
         if col.nulls.get(i) {
             return self.push_null();
         }
-        match (&mut self.rep, &col.data) {
-            (BuilderRep::Int(dst), ColumnData::Int(src)) => dst.push(src[i]),
-            (BuilderRep::Double(dst), ColumnData::Double(src)) => dst.push(src[i]),
-            (BuilderRep::Str(dst), ColumnData::Str(src)) => dst.push_bytes(src.bytes_at(i)),
-            _ => return self.push_cell(col.cell(i)),
+        match (&mut self.data, &col.data) {
+            (ColumnData::Int(dst), ColumnData::Int(src)) => dst.push(src[i]),
+            (ColumnData::Double(dst), ColumnData::Double(src)) => dst.push(src[i]),
+            (ColumnData::Str(dst), ColumnData::Str(src)) => dst.push_bytes(src.bytes_at(i)),
+            (dst, src) => mismatch(dst.data_type(), src.data_type()),
         }
         self.nulls.push(false);
-        self.len += 1;
     }
 
-    /// While only NULLs (or nothing) have been pushed, adopts `data`'s
-    /// representation so typed appends can copy storage directly.
-    fn adopt(&mut self, data: &ColumnData) {
-        if matches!(self.rep, BuilderRep::Untyped) {
-            self.rep = match data {
-                ColumnData::Int(_) => BuilderRep::Int(vec![0; self.len]),
-                ColumnData::Double(_) => BuilderRep::Double(vec![0.0; self.len]),
-                ColumnData::Str(_) => {
-                    let mut a = StrArena::new();
-                    a.extend_empty(self.len);
-                    BuilderRep::Str(a)
-                }
-                ColumnData::Mixed(_) => BuilderRep::Mixed(vec![Value::Null; self.len]),
-            };
-        }
-    }
-
-    /// Appends rows `start..end` of `col`: a slice copy of the typed storage
-    /// when the representations line up, cell by cell otherwise.
+    /// Appends rows `start..end` of `col`, a column of the same type: a
+    /// slice copy of the typed storage.
     pub fn append_range(&mut self, col: &ColumnVec, start: usize, end: usize) {
-        let n = end - start;
-        self.adopt(&col.data);
-        match (&mut self.rep, &col.data) {
-            (BuilderRep::Int(dst), ColumnData::Int(src)) => {
+        match (&mut self.data, &col.data) {
+            (ColumnData::Int(dst), ColumnData::Int(src)) => {
                 dst.extend_from_slice(&src[start..end]);
             }
-            (BuilderRep::Double(dst), ColumnData::Double(src)) => {
+            (ColumnData::Double(dst), ColumnData::Double(src)) => {
                 dst.extend_from_slice(&src[start..end]);
             }
-            (BuilderRep::Str(dst), ColumnData::Str(src)) => dst.extend_range(src, start, end),
-            _ => {
-                for i in start..end {
-                    self.push_cell(col.cell(i));
-                }
-                return;
-            }
+            (ColumnData::Str(dst), ColumnData::Str(src)) => dst.extend_range(src, start, end),
+            (dst, src) => mismatch(dst.data_type(), src.data_type()),
         }
         if col.nulls.any() {
             for i in start..end {
                 self.nulls.push(col.nulls.get(i));
             }
         } else {
-            self.nulls.extend(n, false);
+            self.nulls.extend(end - start, false);
         }
-        self.len += n;
     }
 
-    /// Appends the rows of `col` at `idx`, in `idx` order (any order,
-    /// repeats allowed); an index of [`NULL_ROW`] appends a NULL cell — the
-    /// padding side of an outer join. With no NULL in sight and the
-    /// representations lined up it is one typed dispatch, then a tight
-    /// loop; otherwise cell by cell.
+    /// Appends the rows of `col` (a column of the same type) at `idx`, in
+    /// `idx` order (any order, repeats allowed); an index of [`NULL_ROW`]
+    /// appends a NULL cell — the padding side of an outer join. With no
+    /// NULL in sight it is one typed dispatch, then a tight loop; otherwise
+    /// cell by cell.
     pub fn append_gather(&mut self, col: &ColumnVec, idx: &[u32]) {
-        self.adopt(&col.data);
-        let plain = !col.nulls.any() && !idx.contains(&NULL_ROW);
-        match (&mut self.rep, &col.data) {
-            (BuilderRep::Int(dst), ColumnData::Int(src)) if plain => {
+        if col.nulls.any() || idx.contains(&NULL_ROW) {
+            for &i in idx {
+                match i {
+                    NULL_ROW => self.push_null(),
+                    i => self.push_from(col, i as usize),
+                }
+            }
+            return;
+        }
+        match (&mut self.data, &col.data) {
+            (ColumnData::Int(dst), ColumnData::Int(src)) => {
                 dst.extend(idx.iter().map(|&i| src[i as usize]));
             }
-            (BuilderRep::Double(dst), ColumnData::Double(src)) if plain => {
+            (ColumnData::Double(dst), ColumnData::Double(src)) => {
                 dst.extend(idx.iter().map(|&i| src[i as usize]));
             }
-            (BuilderRep::Str(dst), ColumnData::Str(src)) if plain => {
+            (ColumnData::Str(dst), ColumnData::Str(src)) => {
                 for &i in idx {
                     dst.push_bytes(src.bytes_at(i as usize));
                 }
             }
-            _ => {
-                for &i in idx {
-                    match i {
-                        NULL_ROW => self.push_null(),
-                        i => self.push_from(col, i as usize),
-                    }
-                }
-                return;
-            }
+            (dst, src) => mismatch(dst.data_type(), src.data_type()),
         }
         self.nulls.extend(idx.len(), false);
-        self.len += idx.len();
     }
 
-    /// Rebuilds the current cells as `Mixed` after a type conflict.
-    fn demote(&mut self) {
-        let mut vals = Vec::with_capacity(self.len + 1);
-        match &self.rep {
-            BuilderRep::Untyped => vals.extend((0..self.len).map(|_| Value::Null)),
-            BuilderRep::Int(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    vals.push(if self.nulls.get(i) {
-                        Value::Null
-                    } else {
-                        Value::Int(*x)
-                    });
-                }
-            }
-            BuilderRep::Double(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    vals.push(if self.nulls.get(i) {
-                        Value::Null
-                    } else {
-                        Value::Double(*x)
-                    });
-                }
-            }
-            BuilderRep::Str(a) => {
-                for i in 0..a.len() {
-                    vals.push(if self.nulls.get(i) {
-                        Value::Null
-                    } else {
-                        Value::Str(a.get(i).to_string())
-                    });
-                }
-            }
-            BuilderRep::Mixed(_) => unreachable!("demote from Mixed"),
-        }
-        self.rep = BuilderRep::Mixed(vals);
-    }
-
-    /// Finishes the builder into an immutable column. An all-NULL (or
-    /// empty) column finishes with integer storage — the bitmap masks
-    /// every placeholder.
+    /// Finishes the builder into an immutable column of its type.
     pub fn finish(self) -> ColumnVec {
-        let data = match self.rep {
-            BuilderRep::Untyped => ColumnData::Int(vec![0; self.len]),
-            BuilderRep::Int(v) => ColumnData::Int(v),
-            BuilderRep::Double(v) => ColumnData::Double(v),
-            BuilderRep::Str(a) => ColumnData::Str(a),
-            BuilderRep::Mixed(v) => ColumnData::Mixed(v),
-        };
-        ColumnVec::new(data, self.nulls)
+        ColumnVec::new(self.data, self.nulls)
     }
 }
 
@@ -1016,20 +926,32 @@ impl ColumnarBatch {
         Self::from_columns(columns, rows)
     }
 
-    /// Converts row-oriented tuples into a columnar batch (how in-memory
-    /// rows enter a plan).
-    pub fn from_rows(rows: &[Tuple]) -> Self {
-        let arity = rows.first().map_or(0, Tuple::arity);
-        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
-        for t in rows {
-            debug_assert_eq!(t.arity(), arity);
-            for (c, v) in t.values().iter().enumerate() {
-                builders[c].push_value(v);
+    /// Converts row-oriented tuples into a columnar batch of `schema`'s
+    /// column types (how in-memory rows enter a plan). A row whose arity is
+    /// not the schema's, or with a value that is neither NULL nor of its
+    /// column's type, is a [`PyroError::Exec`] naming the row and column.
+    pub fn from_rows(schema: &Schema, rows: &[Tuple]) -> Result<Self> {
+        let mut builders = ColumnBuilder::for_schema(schema);
+        for (r, t) in rows.iter().enumerate() {
+            if t.arity() != schema.len() {
+                return Err(PyroError::Exec(format!(
+                    "row {r} has {} values for {} columns",
+                    t.arity(),
+                    schema.len()
+                )));
+            }
+            for ((b, v), c) in builders.iter_mut().zip(t.values()).zip(schema.columns()) {
+                if b.push_value(v).is_err() {
+                    return Err(PyroError::Exec(format!(
+                        "row {r}, column {}: {v:?} is not of type {}",
+                        c.name, c.ty
+                    )));
+                }
             }
         }
         let mut batch = Self::from_builders(builders);
         batch.rows = rows.len();
-        batch
+        Ok(batch)
     }
 
     /// Materializes the selected rows back into tuples, in ascending
@@ -1130,7 +1052,7 @@ impl ColumnarBatch {
             .columns
             .iter()
             .map(|c| {
-                let mut b = ColumnBuilder::new();
+                let mut b = ColumnBuilder::new(c.data_type());
                 b.append_gather(c, idx);
                 Arc::new(b.finish())
             })
@@ -1159,7 +1081,7 @@ impl ColumnarBatch {
             .iter()
             .zip(&next.columns)
             .map(|(a, b)| {
-                let mut out = ColumnBuilder::new();
+                let mut out = ColumnBuilder::new(a.data_type());
                 out.append_range(a, from, self.rows);
                 out.append_column(b, next.sel());
                 Arc::new(out.finish())
@@ -1182,9 +1104,23 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Column;
+    use DataType::{Double, Int, Str};
 
-    fn round_trip(rows: Vec<Tuple>) {
-        let batch = ColumnarBatch::from_rows(&rows);
+    fn schema(types: &[DataType]) -> Schema {
+        let cols = types.iter().enumerate();
+        Schema::new(
+            cols.map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        )
+    }
+
+    fn batch(types: &[DataType], rows: &[Tuple]) -> ColumnarBatch {
+        ColumnarBatch::from_rows(&schema(types), rows).unwrap()
+    }
+
+    fn round_trip(types: &[DataType], rows: Vec<Tuple>) {
+        let batch = batch(types, &rows);
         assert_eq!(batch.len(), rows.len());
         let back = batch.to_rows();
         // Debug text names each cell's variant: `==` takes `Int(9)` for
@@ -1194,26 +1130,29 @@ mod tests {
 
     #[test]
     fn round_trip_all_value_types() {
-        round_trip(vec![
-            Tuple::new(vec![
-                Value::Int(42),
-                Value::Double(1.5),
-                Value::Str("hello".into()),
-                Value::Null,
-            ]),
-            Tuple::new(vec![
-                Value::Int(-7),
-                Value::Double(-0.0),
-                Value::Str(String::new()),
-                Value::Int(9),
-            ]),
-            Tuple::new(vec![
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Str("mixed".into()),
-            ]),
-        ]);
+        round_trip(
+            &[Int, Double, Str, Str],
+            vec![
+                Tuple::new(vec![
+                    Value::Int(42),
+                    Value::Double(1.5),
+                    Value::Str("hello".into()),
+                    Value::Null,
+                ]),
+                Tuple::new(vec![
+                    Value::Int(-7),
+                    Value::Double(-0.0),
+                    Value::Str(String::new()),
+                    Value::Null,
+                ]),
+                Tuple::new(vec![
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Str("late".into()),
+                ]),
+            ],
+        );
     }
 
     #[test]
@@ -1228,8 +1167,7 @@ mod tests {
             Tuple::new(vec![Value::Double(-0.0)]),
             Tuple::new(vec![Value::Double(f64::INFINITY)]),
         ];
-        let batch = ColumnarBatch::from_rows(&rows);
-        let back = batch.to_rows();
+        let back = batch(&[Double], &rows).to_rows();
         for (a, b) in rows.iter().zip(&back) {
             let (Value::Double(x), Value::Double(y)) = (a.get(0), b.get(0)) else {
                 panic!("expected doubles");
@@ -1242,13 +1180,16 @@ mod tests {
     fn round_trip_empty_strings_and_nulls_distinct() {
         // Empty string and NULL must not collapse into each other even
         // though both occupy an empty arena range.
-        round_trip(vec![
-            Tuple::new(vec![Value::Str(String::new())]),
-            Tuple::new(vec![Value::Null]),
-            Tuple::new(vec![Value::Str("x".into())]),
-            Tuple::new(vec![Value::Null]),
-            Tuple::new(vec![Value::Str(String::new())]),
-        ]);
+        round_trip(
+            &[Str],
+            vec![
+                Tuple::new(vec![Value::Str(String::new())]),
+                Tuple::new(vec![Value::Null]),
+                Tuple::new(vec![Value::Str("x".into())]),
+                Tuple::new(vec![Value::Null]),
+                Tuple::new(vec![Value::Str(String::new())]),
+            ],
+        );
     }
 
     #[test]
@@ -1275,7 +1216,7 @@ mod tests {
                     }])
                 })
                 .collect();
-            round_trip(rows);
+            round_trip(&[Int], rows);
         }
     }
 
@@ -1328,23 +1269,24 @@ mod tests {
         }
     }
 
-    /// Builders that have seen nothing, only NULLs, and each
-    /// representation, plus one of each that turned Mixed.
-    fn builders_in_every_state() -> Vec<ColumnBuilder> {
-        let seeds: [&[Value]; 7] = [
-            &[],
-            &[Value::Null, Value::Null],
-            &[Value::Int(1), Value::Null],
-            &[Value::Double(-0.0)],
-            &[Value::Str("abcdefghij".into()), Value::Null],
-            &[Value::Int(1), Value::Str(String::new())],
-            &[Value::Str("x".into()), Value::Double(2.5)],
-        ];
+    /// A non-NULL value of type `ty`.
+    fn some(ty: DataType) -> Value {
+        match ty {
+            Int => Value::Int(1),
+            Double => Value::Double(-0.0),
+            Str => Value::Str("abcdefghij".into()),
+        }
+    }
+
+    /// Builders of type `ty` that have seen nothing, only NULLs, and a
+    /// value then a NULL.
+    fn builders_in_every_state(ty: DataType) -> Vec<ColumnBuilder> {
+        let seeds = [vec![], vec![Value::Null; 2], vec![some(ty), Value::Null]];
         seeds
             .iter()
             .map(|vals| {
-                let mut b = ColumnBuilder::new();
-                vals.iter().for_each(|v| b.push_value(v));
+                let mut b = ColumnBuilder::new(ty);
+                vals.iter().for_each(|v| b.push_value(v).unwrap());
                 b
             })
             .collect()
@@ -1355,7 +1297,6 @@ mod tests {
             ColumnData::Int(_) => "int",
             ColumnData::Double(_) => "double",
             ColumnData::Str(_) => "str",
-            ColumnData::Mixed(_) => "mixed",
         }
     }
 
@@ -1377,11 +1318,18 @@ mod tests {
     fn bulk_appends_match_cell_pushes_in_every_builder_state() {
         let ints = [3i64, -1, i64::MIN];
         let doubles = [f64::from_bits(0xfff8_0000_0000_0007), -0.0, f64::INFINITY];
-        for what in ["ints", "doubles", "nulls"] {
+        let cases = [
+            ("ints", Int),
+            ("doubles", Double),
+            ("nulls", Int),
+            ("nulls", Double),
+            ("nulls", Str),
+        ];
+        for (what, ty) in cases {
             for n in [0, 1, 3] {
-                let pairs = builders_in_every_state()
+                let pairs = builders_in_every_state(ty)
                     .into_iter()
-                    .zip(builders_in_every_state());
+                    .zip(builders_in_every_state(ty));
                 for (state, (mut bulk, mut one)) in pairs.enumerate() {
                     match what {
                         "ints" => {
@@ -1397,13 +1345,13 @@ mod tests {
                             (0..n).for_each(|_| one.push_null());
                         }
                     }
-                    // A later value must find the same representation too.
-                    bulk.push_double(0.5);
-                    one.push_double(0.5);
+                    // A later value lands the same way too.
+                    bulk.push_value(&some(ty)).unwrap();
+                    one.push_value(&some(ty)).unwrap();
                     assert_eq!(
                         picture(&bulk.finish()),
                         picture(&one.finish()),
-                        "{what} x {n} in state {state}"
+                        "{what} x {n} into {ty} in state {state}"
                     );
                 }
             }
@@ -1411,8 +1359,8 @@ mod tests {
     }
 
     /// `to_rows` (and `append_rows` after rows already there) box exactly
-    /// `row_at` of each selected row — every representation, with and
-    /// without NULLs, with and without a selection — bit for bit.
+    /// `row_at` of each selected row — every type, with and without NULLs,
+    /// with and without a selection — bit for bit.
     #[test]
     fn to_rows_equals_row_at_for_every_column_kind() {
         let n = 70i64;
@@ -1439,11 +1387,11 @@ mod tests {
                 (0..n)
                     .map(|i| null_or(i, Value::Str("é".repeat(i as usize % 11))))
                     .collect(),
+                // NULL for the first 65 rows, past a bitmap word.
                 (0..n)
-                    .map(|i| match i % 3 {
-                        0 => null_or(i, Value::Int(i)),
-                        1 => Value::Str(format!("m{i}")),
-                        _ => Value::Double(i as f64 + 0.5),
+                    .map(|i| match i < 65 {
+                        true => Value::Null,
+                        false => Value::Str(format!("m{i}")),
                     })
                     .collect(),
                 (0..n).map(|_| Value::Null).collect(),
@@ -1458,14 +1406,15 @@ mod tests {
                 })
                 .collect()
         };
+        let types = [Int, Double, Double, Str, Str, Double];
         for with_nulls in [false, true] {
             let cols = columns(with_nulls);
             let rows: Vec<Tuple> = (0..n as usize)
                 .map(|i| Tuple::new(cols.iter().map(|c| c[i].clone()).collect()))
                 .collect();
-            let mut batch = ColumnarBatch::from_rows(&rows);
+            let mut batch = batch(&types, &rows);
             let reps: Vec<&str> = batch.columns().iter().map(|c| rep(c)).collect();
-            assert_eq!(reps, ["int", "double", "double", "str", "mixed", "int"]);
+            assert_eq!(reps, ["int", "double", "double", "str", "str", "double"]);
             for sel in [None, Some(vec![0u32, 4, 5, 63, 64, 69]), Some(vec![])] {
                 if let Some(sel) = &sel {
                     batch.set_sel(sel.clone());
@@ -1488,32 +1437,64 @@ mod tests {
         }
     }
 
+    /// A value of another type is refused at every entry: `push_value`
+    /// and `from_rows` with a typed error, leaving nothing behind; a
+    /// typed push or a column copy of another type is a bug and panics.
     #[test]
-    fn builder_demotes_to_mixed_on_type_conflict() {
-        let mut b = ColumnBuilder::new();
-        b.push_null();
-        b.push_int(5);
-        b.push_double(2.5);
-        b.push_str("s");
-        let col = b.finish();
-        assert!(matches!(col.data(), ColumnData::Mixed(_)));
-        assert_eq!(col.value_at(0), Value::Null);
-        assert_eq!(col.value_at(1), Value::Int(5));
-        assert_eq!(col.value_at(2), Value::Double(2.5));
-        assert_eq!(col.value_at(3), Value::Str("s".into()));
-    }
-
-    #[test]
-    fn all_null_column_finishes_typed_and_masked() {
-        let mut b = ColumnBuilder::new();
-        for _ in 0..5 {
-            b.push_null();
+    fn a_value_of_another_type_is_refused() {
+        let mut b = ColumnBuilder::new(Int);
+        b.push_value(&Value::Int(5)).unwrap();
+        for v in [Value::Double(2.0), Value::Str("s".into())] {
+            assert!(matches!(b.push_value(&v), Err(PyroError::Exec(_))), "{v:?}");
         }
         let col = b.finish();
-        assert_eq!(col.len(), 5);
-        for i in 0..5 {
-            assert!(col.is_null(i));
-            assert_eq!(col.value_at(i), Value::Null);
+        assert_eq!((col.len(), col.value_at(0)), (1, Value::Int(5)));
+        let s = schema(&[Int, Str]);
+        let row = |a: Value, b: Value| Tuple::new(vec![a, b]);
+        let ok = row(Value::Int(1), Value::Str("x".into()));
+        for (bad, says) in [
+            (
+                row(Value::Int(1), Value::Int(2)),
+                "row 1, column c1: Int(2) is not of type VARCHAR",
+            ),
+            (
+                row(Value::Double(1.0), Value::Null),
+                "row 1, column c0: Double(1.0) is not of type INT",
+            ),
+            (
+                Tuple::new(vec![Value::Int(1)]),
+                "row 1 has 1 values for 2 columns",
+            ),
+        ] {
+            match ColumnarBatch::from_rows(&s, &[ok.clone(), bad]) {
+                Err(PyroError::Exec(msg)) => assert_eq!(msg, says),
+                other => panic!("{other:?}"),
+            }
+        }
+        let ints = batch(&[Int], &[Tuple::new(vec![Value::Int(1)])]);
+        let copy =
+            std::panic::catch_unwind(|| ColumnBuilder::new(Double).push_from(ints.column(0), 0));
+        assert!(copy.is_err());
+        let push = std::panic::catch_unwind(|| ColumnBuilder::new(Str).push_int(1));
+        assert!(push.is_err());
+    }
+
+    /// A column of NULLs keeps its builder's type, whatever the type, and
+    /// is what `ColumnVec::all_null` makes.
+    #[test]
+    fn all_null_column_finishes_typed_and_masked() {
+        for ty in [Int, Double, Str] {
+            let mut b = ColumnBuilder::new(ty);
+            for _ in 0..5 {
+                b.push_null();
+            }
+            let col = b.finish();
+            assert_eq!(col.data_type(), ty);
+            assert_eq!(col, ColumnVec::all_null(ty, 5));
+            for i in 0..5 {
+                assert!(col.is_null(i));
+                assert_eq!(col.value_at(i), Value::Null);
+            }
         }
     }
 
@@ -1522,7 +1503,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..10)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::Str(format!("r{i}"))]))
             .collect();
-        let mut batch = ColumnarBatch::from_rows(&rows);
+        let mut batch = batch(&[Int, Str], &rows);
         batch.set_sel(vec![1, 4, 9]);
         assert_eq!(batch.len(), 3);
         assert_eq!(
@@ -1534,8 +1515,8 @@ mod tests {
     #[test]
     fn append_column_bulk_and_selected() {
         let rows: Vec<Tuple> = (0..100).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
-        let batch = ColumnarBatch::from_rows(&rows);
-        let mut b = ColumnBuilder::new();
+        let batch = batch(&[Int], &rows);
+        let mut b = ColumnBuilder::new(Int);
         b.append_column(batch.column(0), None);
         b.append_column(batch.column(0), Some(&[0, 50, 99]));
         let col = b.finish();
@@ -1585,9 +1566,16 @@ mod tests {
         vals
     }
 
-    fn one_column(vals: &[Value]) -> ColumnarBatch {
+    /// [`every_kind_of_value`]'s values of type `ty`, and NULL.
+    fn every_kind_of(ty: DataType) -> Vec<Value> {
+        let vals = every_kind_of_value().into_iter();
+        vals.filter(|v| v.data_type().is_none_or(|t| t == ty))
+            .collect()
+    }
+
+    fn one_column(ty: DataType, vals: &[Value]) -> ColumnarBatch {
         let rows: Vec<Tuple> = vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
-        ColumnarBatch::from_rows(&rows)
+        batch(&[ty], &rows)
     }
 
     #[test]
@@ -1608,39 +1596,38 @@ mod tests {
 
     /// The normalized key — prefix first, typed compare on a tie unless the
     /// column's prefixes are exact — orders every pair of values exactly as
-    /// `Value::cmp`, whether the two sit in one heterogeneous column or in
-    /// two batches of different representations, and charges one
+    /// `Value::cmp`, whether the two sit in one column or in two columns of
+    /// different types (an INT key against a DOUBLE one), and charges one
     /// comparison for the one key column.
     #[test]
     fn normalized_key_orders_every_pair_as_value_cmp() {
         let key = KeySpec::new(vec![0]);
-        let vals = every_kind_of_value();
-        let is = |f: fn(&Value) -> bool| -> Vec<Value> {
-            let mut some: Vec<Value> = vals.iter().filter(|v| f(v)).cloned().collect();
-            some.push(Value::Null);
-            some
+        let small = |v: &Value| match v {
+            Value::Int(i) => i.unsigned_abs() < 100,
+            Value::Str(s) => s.len() < 8 && !s.ends_with('\0'),
+            _ => true,
         };
-        let groups = [
-            vals.clone(),
-            is(|v| matches!(v, Value::Int(_))),
-            is(|v| matches!(v, Value::Int(i) if i.unsigned_abs() < 100)),
-            is(|v| matches!(v, Value::Double(_))),
-            is(|v| matches!(v, Value::Str(_))),
-            is(|v| matches!(v, Value::Str(s) if s.len() < 8 && !s.ends_with('\0'))),
-        ];
+        let groups: Vec<(DataType, Vec<Value>)> = [Int, Double, Str]
+            .into_iter()
+            .flat_map(|ty| {
+                let all = every_kind_of(ty);
+                let few = all.iter().filter(|v| small(v)).cloned().collect();
+                [(ty, all), (ty, few)]
+            })
+            .collect();
         let keyed: Vec<(ColumnarBatch, NormKeys)> = groups
             .iter()
-            .map(|g| {
-                let batch = one_column(g);
+            .map(|(ty, g)| {
+                let batch = one_column(*ty, g);
                 let norms = NormKeys::new(&batch, &key);
                 (batch, norms)
             })
             .collect();
         // Small integers and short strings are exact; nothing else is.
         let exact: Vec<bool> = keyed.iter().map(|(_, n)| n.exact[0]).collect();
-        assert_eq!(exact, [false, false, true, false, false, true]);
-        for (ga, (ba, na)) in groups.iter().zip(&keyed) {
-            for (gb, (bb, nb)) in groups.iter().zip(&keyed) {
+        assert_eq!(exact, [false, true, false, false, false, true]);
+        for ((_, ga), (ba, na)) in groups.iter().zip(&keyed) {
+            for ((_, gb), (bb, nb)) in groups.iter().zip(&keyed) {
                 for (i, a) in ga.iter().enumerate() {
                     for (j, b) in gb.iter().enumerate() {
                         assert_eq!(
@@ -1664,7 +1651,7 @@ mod tests {
                 Tuple::new(vec![Value::Int(a), Value::Str(b.into()), Value::Double(c)])
             })
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch = batch(&[Int, Str, Double], &rows);
         let key = KeySpec::new(vec![0, 1, 2]);
         let norms = NormKeys::new(&batch, &key);
         for (i, a) in rows.iter().enumerate() {
@@ -1701,7 +1688,7 @@ mod tests {
                 ])
             })
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch = batch(&[Int, Str, Double], &rows);
         for cols in [vec![0], vec![0, 1], vec![1, 0], vec![0, 1, 2], vec![]] {
             let key = KeySpec::new(cols);
             for first in [0usize, 5, 89, 100, 199] {
@@ -1729,10 +1716,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_byte_sizes_match_tuple_byte_size() {
-        let vals = every_kind_of_value();
-        let rows: Vec<Tuple> = (0..vals.len())
+    /// Rows whose first column holds every kind of value of `ty` (and
+    /// NULL), beside an INT and a VARCHAR column.
+    fn rows_of_every_kind(ty: DataType) -> Vec<Tuple> {
+        let vals = every_kind_of(ty);
+        (0..vals.len())
             .map(|i| {
                 Tuple::new(vec![
                     vals[i].clone(),
@@ -1744,58 +1732,67 @@ mod tests {
                     },
                 ])
             })
-            .collect();
-        let sizes = ColumnarBatch::from_rows(&rows).row_byte_sizes();
-        let expect: Vec<u32> = rows.iter().map(|t| t.byte_size() as u32).collect();
-        assert_eq!(sizes, expect);
+            .collect()
+    }
+
+    #[test]
+    fn row_byte_sizes_match_tuple_byte_size() {
+        for ty in [Int, Double, Str] {
+            let rows = rows_of_every_kind(ty);
+            let sizes = batch(&[ty, Int, Str], &rows).row_byte_sizes();
+            let expect: Vec<u32> = rows.iter().map(|t| t.byte_size() as u32).collect();
+            assert_eq!(sizes, expect, "{ty}");
+        }
     }
 
     #[test]
     fn gather_range_and_carry_build_the_rows_asked_for() {
-        let vals = every_kind_of_value();
-        let rows: Vec<Tuple> = (0..vals.len())
-            .map(|i| {
-                Tuple::new(vec![
-                    vals[i].clone(),
-                    Value::Int(i as i64),
-                    Value::Str(format!("r{i}")),
-                ])
-            })
-            .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
-        let show = |b: &ColumnarBatch| format!("{:?}", b.to_rows());
-        // Gather: any order, repeats, and NULL_ROW padding.
-        let idx = [5u32, 0, NULL_ROW, 5, 29];
-        let expect: Vec<Tuple> = idx
-            .iter()
-            .map(|&i| match i {
-                NULL_ROW => Tuple::new(vec![Value::Null; 3]),
-                i => rows[i as usize].clone(),
-            })
-            .collect();
-        assert_eq!(show(&batch.gather(&idx)), format!("{expect:?}"));
-        // Carry: the tail of one batch in front of the selected rows of the
-        // next, as one dense batch.
-        let mut next = ColumnarBatch::from_rows(&rows[..10]);
-        next.set_sel(vec![1, 4, 9]);
-        let carried = batch.carry_into(27, &next);
-        let mut expect = rows[27..].to_vec();
-        expect.extend([rows[1].clone(), rows[4].clone(), rows[9].clone()]);
-        assert!(carried.sel().is_none());
-        assert_eq!(show(&carried), format!("{expect:?}"));
-        assert_eq!(
-            show(&next.clone().into_dense()),
-            format!("{:?}", &expect[3..])
+        for ty in [Int, Double, Str] {
+            let rows = rows_of_every_kind(ty);
+            let types = [ty, Int, Str];
+            let batch = batch(&types, &rows);
+            let show = |b: &ColumnarBatch| format!("{:?}", b.to_rows());
+            // Gather: any order, repeats, and NULL_ROW padding.
+            let last = rows.len() as u32 - 1;
+            let idx = [5u32, 0, NULL_ROW, 5, last];
+            let expect: Vec<Tuple> = idx
+                .iter()
+                .map(|&i| match i {
+                    NULL_ROW => Tuple::new(vec![Value::Null; 3]),
+                    i => rows[i as usize].clone(),
+                })
+                .collect();
+            let gathered = batch.gather(&idx);
+            assert_eq!(show(&gathered), format!("{expect:?}"));
+            let kept: Vec<DataType> = gathered.columns().iter().map(|c| c.data_type()).collect();
+            assert_eq!(kept, types);
+            // Carry: the tail of one batch in front of the selected rows of
+            // the next, as one dense batch.
+            let mut next = self::batch(&types, &rows[..10]);
+            next.set_sel(vec![1, 4, 9]);
+            let from = rows.len() - 3;
+            let carried = batch.carry_into(from, &next);
+            let mut expect = rows[from..].to_vec();
+            expect.extend([rows[1].clone(), rows[4].clone(), rows[9].clone()]);
+            assert!(carried.sel().is_none());
+            assert_eq!(show(&carried), format!("{expect:?}"));
+            assert_eq!(
+                show(&next.clone().into_dense()),
+                format!("{:?}", &expect[3..])
+            );
+        }
+        // A typed range appended after NULLs only.
+        let ints = batch(
+            &[Int],
+            &(0..8)
+                .map(|i| Tuple::new(vec![Value::Int(i)]))
+                .collect::<Vec<_>>(),
         );
-        // A typed range appended after NULLs only: the builder adopts the
-        // type and back-fills placeholders.
-        let ints = ColumnarBatch::from_rows(&rows);
-        let mut b = ColumnBuilder::new();
+        let mut b = ColumnBuilder::new(Int);
         b.push_nulls(2);
-        b.append_range(ints.column(1), 3, 6);
-        b.push_from(ints.column(1), 7);
+        b.append_range(ints.column(0), 3, 6);
+        b.push_from(ints.column(0), 7);
         let col = b.finish();
-        assert!(matches!(col.data(), ColumnData::Int(_)));
         let got: Vec<Value> = (0..col.len()).map(|i| col.value_at(i)).collect();
         let int = Value::Int;
         assert_eq!(

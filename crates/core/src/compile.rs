@@ -420,7 +420,12 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<BoxOp> {
                 .map(|g| child.schema().index_of(g))
                 .collect::<Result<Vec<_>>>()?;
             let aggs = compile_aggs(aggs, child.schema(), ctx.params)?;
-            Box::new(GroupAggregate::new(child, group_cols, aggs))
+            Box::new(GroupAggregate::new(
+                child,
+                group_cols,
+                aggs,
+                node.schema.clone(),
+            ))
         }
         PhysOp::HashAggregate { group_by, aggs } => {
             let child = compile_sub(&node.children[0], ctx)?;
@@ -429,7 +434,12 @@ fn compile_serial(node: &Arc<PhysNode>, ctx: &CompileCtx) -> Result<BoxOp> {
                 .map(|g| child.schema().index_of(g))
                 .collect::<Result<Vec<_>>>()?;
             let aggs = compile_aggs(aggs, child.schema(), ctx.params)?;
-            Box::new(HashAggregate::new(child, group_cols, aggs))
+            Box::new(HashAggregate::new(
+                child,
+                group_cols,
+                aggs,
+                node.schema.clone(),
+            ))
         }
         PhysOp::Limit { k } => {
             let child = compile_sub(&node.children[0], ctx)?;
@@ -732,7 +742,7 @@ mod tests {
         let schema = Schema::ints(&["t.a", "t.b"]);
         let e = compile_expr(&NExpr::col_eq_lit("t.b", 5i64), &schema).unwrap();
         let rows = [5, 6].map(|b| Tuple::new(vec![Value::Int(0), Value::Int(b)]));
-        let batch = pyro_common::ColumnarBatch::from_rows(&rows);
+        let batch = pyro_common::ColumnarBatch::from_rows(&schema, &rows).unwrap();
         assert_eq!(pyro_exec::VecPredicate::compile(&e).refine(&batch), [0]);
     }
 }

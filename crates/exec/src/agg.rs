@@ -23,8 +23,7 @@ use crate::expr::Expr;
 use crate::op::{BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
 use crate::vector::eval_column;
 use pyro_common::{
-    CellRef, Column, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, DataType, KeySpec,
-    Result, Schema, Value,
+    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, KeySpec, Result, Schema, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -63,17 +62,6 @@ impl AggExpr {
             func,
             arg,
             name: name.into(),
-        }
-    }
-
-    fn output_type(&self) -> DataType {
-        match self.func {
-            AggFunc::Count => DataType::Int,
-            AggFunc::Avg => DataType::Double,
-            // SUM/MIN/MAX inherit the argument type; Int is the common case
-            // and Double values still flow through (schema types are
-            // advisory in this engine).
-            _ => DataType::Int,
         }
     }
 }
@@ -184,17 +172,6 @@ impl AccState {
     }
 }
 
-fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggExpr]) -> Schema {
-    let mut cols: Vec<Column> = group_cols
-        .iter()
-        .map(|&i| child.column(i).clone())
-        .collect();
-    for a in aggs {
-        cols.push(Column::new(a.name.as_str(), a.output_type()));
-    }
-    Schema::new(cols)
-}
-
 /// Streaming aggregate over an input sorted by the grouping columns.
 ///
 /// Takes its input as columns, evaluates each aggregate's argument column
@@ -242,9 +219,12 @@ struct OpenGroup {
 impl GroupAggregate {
     /// Builds a sort-based aggregate; `group_cols` are positions in the
     /// child's schema, and the child **must** be sorted on them (any
-    /// permutation works — only group adjacency matters).
-    pub fn new(child: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggExpr>) -> Self {
-        let schema = output_schema(child.schema(), &group_cols, &aggs);
+    /// permutation works — only group adjacency matters). `schema` is the
+    /// output schema the plan derived: the grouping columns, then one
+    /// column per aggregate, of its result's type (COUNT INT, AVG DOUBLE,
+    /// SUM, MIN and MAX their argument's).
+    pub fn new(child: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggExpr>, schema: Schema) -> Self {
+        debug_assert_eq!(schema.len(), group_cols.len() + aggs.len());
         GroupAggregate {
             child,
             group_key: KeySpec::new(group_cols),
@@ -285,15 +265,13 @@ impl GroupAggregate {
 
     /// Moves the open group (if any) to the output
     /// builders; `current` is the current input batch.
-    fn close_group(&mut self, current: &ColumnarBatch) {
+    fn close_group(&mut self, current: &ColumnarBatch) -> Result<()> {
         let st = &mut self.columnar;
         let Some(group) = st.open.take() else {
-            return;
+            return Ok(());
         };
         if st.out.is_empty() {
-            st.out = (0..self.schema.len())
-                .map(|_| ColumnBuilder::new())
-                .collect();
+            st.out = ColumnBuilder::for_schema(&self.schema);
         }
         let rep = group.kept.as_ref().unwrap_or(current);
         let (keys, results) = st.out.split_at_mut(self.group_key.len());
@@ -301,14 +279,20 @@ impl GroupAggregate {
             b.push_from(rep.column(c), group.row);
         }
         for (b, state) in results.iter_mut().zip(group.states) {
-            b.push_value(&state.finish());
+            b.push_value(&state.finish())?;
         }
         st.out_rows += 1;
+        Ok(())
     }
 
     /// Folds rows of the current batch, a group's range at a
     /// time, until `want` groups are finished or the batch ends.
-    fn fold_rows(&mut self, batch: &ColumnarBatch, args: &[Arc<ColumnVec>], want: usize) {
+    fn fold_rows(
+        &mut self,
+        batch: &ColumnarBatch,
+        args: &[Arc<ColumnVec>],
+        want: usize,
+    ) -> Result<()> {
         let rows = batch.num_rows();
         while self.columnar.pos < rows && self.columnar.out_rows < want {
             let from = self.columnar.pos;
@@ -329,7 +313,7 @@ impl GroupAggregate {
             };
             if end == from {
                 // Row `from` opens a new group.
-                self.close_group(batch);
+                self.close_group(batch)?;
                 self.columnar.open = Some(OpenGroup {
                     kept: None,
                     row: from,
@@ -343,6 +327,7 @@ impl GroupAggregate {
             }
             self.columnar.pos = end;
         }
+        Ok(())
     }
 
     fn pull_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
@@ -369,12 +354,13 @@ impl GroupAggregate {
                 let last = self.columnar.input.take().map(|(b, _)| b);
                 self.close_group(
                     &last.unwrap_or_else(|| ColumnarBatch::from_columns(Vec::new(), 0)),
-                );
+                )?;
                 break;
             }
             let (batch, args) = self.columnar.input.take().expect("a batch was loaded");
-            self.fold_rows(&batch, &args, want);
+            let folded = self.fold_rows(&batch, &args, want);
             self.columnar.input = Some((batch, args));
+            folded?;
         }
         let st = &mut self.columnar;
         if st.out_rows == 0 {
@@ -428,9 +414,10 @@ pub struct HashAggregate {
 }
 
 impl HashAggregate {
-    /// Builds a hash aggregate over `group_cols`.
-    pub fn new(child: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggExpr>) -> Self {
-        let schema = output_schema(child.schema(), &group_cols, &aggs);
+    /// Builds a hash aggregate over `group_cols`, with output `schema` as
+    /// for [`GroupAggregate::new`].
+    pub fn new(child: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggExpr>, schema: Schema) -> Self {
+        debug_assert_eq!(schema.len(), group_cols.len() + aggs.len());
         HashAggregate {
             child,
             group_cols,
@@ -473,15 +460,13 @@ impl HashAggregate {
         }
         let mut groups: Vec<_> = table.into_iter().collect();
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut out: Vec<ColumnBuilder> = (0..self.schema.len())
-            .map(|_| ColumnBuilder::new())
-            .collect();
+        let mut out = ColumnBuilder::for_schema(&self.schema);
         for (key, states) in groups {
             let cells = key
                 .into_iter()
                 .chain(states.into_iter().map(AccState::finish));
             for (builder, v) in out.iter_mut().zip(cells) {
-                builder.push_value(&v);
+                builder.push_value(&v)?;
             }
         }
         Ok(ColumnarBatch::from_builders(out))
@@ -515,7 +500,7 @@ impl Operator for HashAggregate {
 mod tests {
     use super::*;
     use crate::op::{collect, exact, in_every_layout, Parts, ValuesOp};
-    use pyro_common::Tuple;
+    use pyro_common::{Column, DataType, Tuple};
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()
@@ -537,10 +522,24 @@ mod tests {
         ]
     }
 
+    /// The output of [`aggs`] grouped on column 0 of an input whose column
+    /// 1 is INT: the plan's types, AVG's DOUBLE and the rest INT.
+    fn out(key: DataType) -> Schema {
+        let int = |name: &str| Column::new(name, DataType::Int);
+        Schema::new(vec![
+            Column::new("g", key),
+            int("cnt"),
+            int("total"),
+            int("lo"),
+            int("hi"),
+            Column::new("mean", DataType::Double),
+        ])
+    }
+
     #[test]
     fn group_aggregate_streams_groups() {
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), sorted_input());
-        let op = GroupAggregate::new(Box::new(src), vec![0], aggs());
+        let op = GroupAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out.len(), 3);
         // group 3: count 3, sum 6, min 1, max 3, avg 2.0
@@ -562,11 +561,11 @@ mod tests {
         let mut shuffled = sorted_input();
         shuffled.reverse();
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), shuffled);
-        let op = HashAggregate::new(Box::new(src), vec![0], aggs());
+        let op = HashAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         let hash_out = collect(Box::new(op)).unwrap();
 
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), sorted_input());
-        let op = GroupAggregate::new(Box::new(src), vec![0], aggs());
+        let op = GroupAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         let sort_out = collect(Box::new(op)).unwrap();
         assert_eq!(exact(&hash_out), exact(&sort_out));
     }
@@ -578,7 +577,7 @@ mod tests {
             Tuple::new(vec![Value::Int(1), Value::Int(5)]),
         ];
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), data);
-        let op = GroupAggregate::new(Box::new(src), vec![0], aggs());
+        let op = GroupAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out[0].get(1), &Value::Int(1), "count skips null");
         assert_eq!(out[0].get(2), &Value::Int(5));
@@ -587,10 +586,10 @@ mod tests {
     #[test]
     fn empty_input_no_groups() {
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), vec![]);
-        let op = GroupAggregate::new(Box::new(src), vec![0], aggs());
+        let op = GroupAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         assert!(collect(Box::new(op)).unwrap().is_empty());
         let src = ValuesOp::new(Schema::ints(&["g", "v"]), vec![]);
-        let op = HashAggregate::new(Box::new(src), vec![0], aggs());
+        let op = HashAggregate::new(Box::new(src), vec![0], aggs(), out(DataType::Int));
         assert!(collect(Box::new(op)).unwrap().is_empty());
     }
 
@@ -601,6 +600,7 @@ mod tests {
             Box::new(src),
             vec![],
             vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")],
+            Schema::ints(&["s"]),
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![Tuple::new(vec![Value::Int(41)])]);
@@ -608,10 +608,12 @@ mod tests {
 
     /// The grouping operators with no aggregates: a DISTINCT over `cols`.
     fn distinct(sorted: bool, rows: Vec<Tuple>, cols: Vec<usize>) -> Vec<Tuple> {
-        let src = Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), rows));
+        let schema = Schema::ints(&["a", "b"]);
+        let out = Schema::new(cols.iter().map(|&c| schema.column(c).clone()).collect());
+        let src = Box::new(ValuesOp::new(schema, rows));
         match sorted {
-            true => collect(Box::new(GroupAggregate::new(src, cols, vec![]))).unwrap(),
-            false => collect(Box::new(HashAggregate::new(src, cols, vec![]))).unwrap(),
+            true => collect(Box::new(GroupAggregate::new(src, cols, vec![], out))).unwrap(),
+            false => collect(Box::new(HashAggregate::new(src, cols, vec![], out))).unwrap(),
         }
     }
 
@@ -648,37 +650,23 @@ mod tests {
         }
     }
 
-    /// `Int(2)` and `Double(2.0)` are one group, and each operator keeps the
-    /// cell of the group's first row.
-    #[test]
-    fn no_aggregates_keep_the_first_row_of_a_mixed_numeric_group() {
-        let row = |a: Value| Tuple::new(vec![a, Value::Int(0)]);
-        for (first, second) in [
-            (Value::Int(2), Value::Double(2.0)),
-            (Value::Double(2.0), Value::Int(2)),
-        ] {
-            let data = vec![row(first.clone()), row(second)];
-            for sorted in [true, false] {
-                let out = distinct(sorted, data.clone(), vec![0, 1]);
-                assert_eq!(exact(&out), exact(&[row(first.clone())]), "sorted={sorted}");
-            }
-        }
-    }
-
-    /// The key column changes representation from batch to batch — INT,
-    /// then mixed (`2.0`, NULLs, strings), then DOUBLE — and each `Value`
-    /// is one group holding its first row's cell, exactly as a sort-based
-    /// aggregate over the input stably sorted by key has it.
+    /// A DOUBLE key column whose first batch is all NULL, split over
+    /// batches of different sizes: each `Value` is one group holding its
+    /// first row's cell, exactly as a sort-based aggregate over the input
+    /// stably sorted by key has it, and the key stays DOUBLE storage.
     #[test]
     fn hash_aggregate_groups_values_across_batch_layouts() {
-        let (i, d, s) = (Value::Int, Value::Double, |x: &str| Value::Str(x.into()));
+        let (d, null) = (Value::Double, Value::Null);
         let batches = vec![
-            vec![i(2), i(1), i(3), i(2)],
-            vec![d(2.0), Value::Null, s("x"), d(1.0), Value::Null],
+            vec![null.clone(), null.clone()],
+            vec![d(2.0), d(1.0), d(3.0), d(2.0)],
+            vec![d(2.0), null.clone(), d(0.0), d(1.0), null.clone()],
             vec![d(3.5), d(2.0), d(-0.0)],
-            vec![s("x"), i(0), Value::Null, d(3.0)],
         ];
-        let schema = Schema::ints(&["g", "v"]);
+        let schema = Schema::new(vec![
+            Column::new("g", DataType::Double),
+            Column::new("v", DataType::Int),
+        ]);
         let (mut all, mut parts) = (Vec::new(), Vec::<BoxOp>::new());
         for keys in batches {
             let first = all.len() as i64;
@@ -689,48 +677,63 @@ mod tests {
             all.extend(rows.iter().cloned());
             parts.push(Box::new(ValuesOp::new(schema.clone(), rows)));
         }
-        let hash = collect(Box::new(HashAggregate::new(
-            Box::new(Parts(parts)),
-            vec![0],
-            aggs(),
-        )))
-        .unwrap();
+        let out = out(DataType::Double);
+        let mut hash = HashAggregate::new(Box::new(Parts(parts)), vec![0], aggs(), out.clone());
+        let batch = hash.next_batch().unwrap().unwrap();
+        assert!(matches!(batch.column(0).data(), ColumnData::Double(_)));
+        let hash = batch.to_rows();
         all.sort_by(|a, b| a.get(0).cmp(b.get(0)));
         let src = Box::new(ValuesOp::new(schema.clone(), all.clone()));
-        let sort = collect(Box::new(GroupAggregate::new(src, vec![0], aggs()))).unwrap();
-        assert_eq!(exact(&hash), exact(&sort));
+        let sort = GroupAggregate::new(src, vec![0], aggs(), out.clone());
+        assert_eq!(exact(&hash), exact(&collect(Box::new(sort)).unwrap()));
         let keys: Vec<&Value> = hash.iter().map(|t| t.get(0)).collect();
         assert_eq!(
             exact(&keys),
-            exact(&[
-                &d(-0.0),
-                &i(0),
-                &i(1),
-                &i(2),
-                &i(3),
-                &d(3.5),
-                &s("x"),
-                &Value::Null
-            ]),
-            "one group per value, each with its first row's cell"
+            exact(&[&d(-0.0), &d(0.0), &d(1.0), &d(2.0), &d(3.0), &d(3.5), &null]),
+            "one group per value"
         );
         // And over dense, selected and alternating input, in arrival order.
         all.sort_by_key(|t| t.get(1).as_int());
         for input in in_every_layout(&schema, &all) {
-            let op = HashAggregate::new(input, vec![0], aggs());
+            let op = HashAggregate::new(input, vec![0], aggs(), out.clone());
             assert_eq!(exact(&collect(Box::new(op)).unwrap()), exact(&hash));
         }
     }
 
+    /// Both aggregates emit the schema they are given, and columns of its
+    /// types in every batch: a group whose AVG is NULL (its argument is
+    /// all NULL) still makes a DOUBLE column, a MAX over a VARCHAR column
+    /// a VARCHAR one.
     #[test]
     fn output_schema_names() {
-        let src = ValuesOp::new(Schema::ints(&["g", "v"]), vec![]);
-        let op = GroupAggregate::new(
-            Box::new(src),
-            vec![0],
-            vec![AggExpr::new(AggFunc::Avg, Expr::col(1), "mean")],
-        );
-        assert_eq!(op.schema().names(), vec!["g", "mean"]);
-        assert_eq!(op.schema().column(1).ty, DataType::Double);
+        let input = Schema::new(vec![
+            Column::new("g", DataType::Int),
+            Column::new("v", DataType::Int),
+            Column::new("s", DataType::Str),
+        ]);
+        let rows = vec![Tuple::new(vec![Value::Int(1), Value::Null, Value::Null])];
+        let out = Schema::new(vec![
+            Column::new("g", DataType::Int),
+            Column::new("mean", DataType::Double),
+            Column::new("top", DataType::Str),
+        ]);
+        let aggs = || {
+            vec![
+                AggExpr::new(AggFunc::Avg, Expr::col(1), "mean"),
+                AggExpr::new(AggFunc::Max, Expr::col(2), "top"),
+            ]
+        };
+        let src = || Box::new(ValuesOp::new(input.clone(), rows.clone()));
+        let ops: [BoxOp; 2] = [
+            Box::new(GroupAggregate::new(src(), vec![0], aggs(), out.clone())),
+            Box::new(HashAggregate::new(src(), vec![0], aggs(), out.clone())),
+        ];
+        for mut op in ops {
+            assert_eq!(op.schema().names(), vec!["g", "mean", "top"]);
+            let batch = op.next_batch().unwrap().unwrap();
+            let types: Vec<DataType> = batch.columns().iter().map(|c| c.data_type()).collect();
+            assert_eq!(types, [DataType::Int, DataType::Double, DataType::Str]);
+            assert!(batch.column(1).is_null(0) && batch.column(2).is_null(0));
+        }
     }
 }

@@ -425,7 +425,7 @@ mod tests {
     use super::*;
     use crate::join::{JoinKind, NestedLoopsJoin};
     use crate::op::{collect, exact, in_every_layout, ValuesOp};
-    use pyro_common::Tuple;
+    use pyro_common::{Column, DataType, Tuple};
 
     fn rows(vals: &[(i64, i64)]) -> Vec<Tuple> {
         vals.iter()
@@ -479,9 +479,8 @@ mod tests {
     /// A join input: its schema and rows.
     type Input = (Schema, Vec<Tuple>);
 
-    /// `n` rows of `key(i)`'s cells followed by the id `base + i`. Column
-    /// types are not checked anywhere on the way, so every input is named
-    /// with an INT schema.
+    /// `n` rows of `key(i)`'s cells followed by the id `base + i`, each
+    /// column typed as its first non-NULL cell (INT if it has none).
     fn keyed(n: i64, base: i64, key: &dyn Fn(i64) -> Vec<Value>) -> Input {
         let rows: Vec<Tuple> = (0..n)
             .map(|i| {
@@ -490,11 +489,14 @@ mod tests {
                 Tuple::new(cells)
             })
             .collect();
-        let names: Vec<String> = (0..rows[0].arity())
-            .map(|c| format!("c{base}_{c}"))
-            .collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        (Schema::ints(&names), rows)
+        let columns = (0..rows[0].arity()).map(|c| {
+            let mut cells = rows.iter().filter_map(|t| t.get(c).data_type());
+            Column::new(
+                format!("c{base}_{c}"),
+                cells.next().unwrap_or(DataType::Int),
+            )
+        });
+        (Schema::new(columns.collect()), rows)
     }
 
     /// Runs `left ⋈ right` on the key columns `keys` (the same positions
@@ -550,9 +552,9 @@ mod tests {
     }
 
     /// One table for every key type: INT, DOUBLE (with ±0.0 and NaN), STR,
-    /// INT against DOUBLE past 2^53 in both directions, a mixed column
-    /// against INT and against itself, and a two-column key mixing an INT
-    /// with a dictionary column — with NULL keys, duplicate keys and
+    /// INT against DOUBLE past 2^53 in both directions, and a two-column
+    /// key of an INT (a DOUBLE on the other side) and a dictionary column
+    /// — with NULL keys, duplicate keys and
     /// unmatched keys on both sides, building on either side.
     #[test]
     fn columnar_pull_matches_row_pull() {
@@ -573,17 +575,6 @@ mod tests {
             f64::NAN,
         ]
         .map(Value::Double);
-        let mixed = [
-            Value::Int(1),
-            Value::Double(1.0),
-            Value::Str("1".into()),
-            Value::Double(1.5),
-            Value::Int(2),
-            Value::Double(-0.0),
-            Value::Double(f64::NAN),
-            Value::Str("k".into()),
-            Value::Int(0),
-        ];
         let int = |m: i64| move |i: i64| vec![null_every(7, i, Value::Int(i * 5 % m))];
         let from = |pool: &[Value]| {
             let pool = pool.to_vec();
@@ -622,18 +613,6 @@ mod tests {
                 vec![0],
             ),
             (
-                "int ⋈ mixed",
-                Box::new(int(3)),
-                Box::new(from(&mixed)),
-                vec![0],
-            ),
-            (
-                "mixed ⋈ mixed",
-                Box::new(from(&mixed)),
-                Box::new(from(&mixed)),
-                vec![0],
-            ),
-            (
                 "two columns",
                 Box::new(two(false)),
                 Box::new(two(true)),
@@ -650,8 +629,7 @@ mod tests {
     }
 
     /// An INT key equals the DOUBLE holding the same integer, as under a
-    /// merge join (`Value::cmp`): on either build side, against a DOUBLE or
-    /// a mixed probe column.
+    /// merge join (`Value::cmp`): on either build side.
     #[test]
     fn int_and_double_keys_match_numerically() {
         let ints = keyed(60, 0, &|i| match i % 13 {
@@ -664,26 +642,19 @@ mod tests {
             2 => vec![Value::Double(f64::NAN)],
             _ => vec![Value::Double((i % 12 - 3) as f64 / 2.0)],
         });
-        // Every fifth key an INT: the column is mixed.
-        let mixed = keyed(50, 100, &|i| match (i % 5, doubles.1[i as usize].get(0)) {
-            (0, Value::Double(d)) => vec![Value::Int(*d as i64)],
-            (_, v) => vec![v.clone()],
-        });
-        for right in [doubles.clone(), mixed] {
-            let mut expect: Vec<Tuple> = ints
-                .1
-                .iter()
-                .flat_map(|l| right.1.iter().map(move |r| (l, r)))
-                .filter(|(l, r)| !l.get(0).is_null() && l.get(0).cmp(r.get(0)).is_eq())
-                .map(|(l, r)| Tuple::new([l.values(), r.values()].concat()))
-                .collect();
-            expect.sort();
-            assert!(expect.len() > 20);
-            for build in [Side::Left, Side::Right] {
-                let mut out = assert_matches_nested_loops(&ints, &right, &[0], build);
-                out.sort();
-                assert_eq!(exact(&out), exact(&expect), "build {build:?}");
-            }
+        let mut expect: Vec<Tuple> = ints
+            .1
+            .iter()
+            .flat_map(|l| doubles.1.iter().map(move |r| (l, r)))
+            .filter(|(l, r)| !l.get(0).is_null() && l.get(0).cmp(r.get(0)).is_eq())
+            .map(|(l, r)| Tuple::new([l.values(), r.values()].concat()))
+            .collect();
+        expect.sort();
+        assert!(expect.len() > 20);
+        for build in [Side::Left, Side::Right] {
+            let mut out = assert_matches_nested_loops(&ints, &doubles, &[0], build);
+            out.sort();
+            assert_eq!(exact(&out), exact(&expect), "build {build:?}");
         }
     }
 
@@ -751,27 +722,20 @@ mod tests {
     }
 
     /// Int build keys never match probe cells no INT equals — strings,
-    /// fractions, −0.0, NaN — on either build side.
+    /// fractions, −0.0, NaN — on either build side: only the DOUBLE 2.0
+    /// finds the INT 2.
     #[test]
     fn columnar_probe_type_mismatch_never_matches() {
-        let right_rows: Vec<Tuple> = [
-            Value::Str("1".into()),
-            Value::Double(1.5),
-            Value::Double(-0.0),
-            Value::Double(f64::NAN),
-            Value::Int(2),
-            Value::Null,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| Tuple::new(vec![k, Value::Int(i as i64)]))
-        .collect();
+        let strs = [Value::Str("1".into()), Value::Str("2".into()), Value::Null];
+        let doubles = [1.5, -0.0, f64::NAN, 2.0].map(Value::Double);
         let left = (Schema::ints(&["a", "b"]), rows(&[(0, 0), (1, 10), (2, 20)]));
-        let right = (Schema::ints(&["c", "d"]), right_rows);
-        for build in [Side::Left, Side::Right] {
-            let out = assert_matches_nested_loops(&left, &right, &[0], build);
-            assert_eq!(out.len(), 1, "build {build:?}");
-            assert_eq!(out[0].get(0), &Value::Int(2), "build {build:?}");
+        for (probe, matches) in [(&strs[..], 0), (&doubles[..], 1)] {
+            let right = keyed(probe.len() as i64, 0, &|i| vec![probe[i as usize].clone()]);
+            for build in [Side::Left, Side::Right] {
+                let out = assert_matches_nested_loops(&left, &right, &[0], build);
+                assert_eq!(out.len(), matches, "build {build:?}");
+                assert!(out.iter().all(|t| t.get(0) == &Value::Int(2)));
+            }
         }
     }
 

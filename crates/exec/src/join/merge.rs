@@ -22,7 +22,7 @@
 use super::JoinKind;
 use crate::metrics::MetricsRef;
 use crate::op::{BoxOp, Latch, Operator, DEFAULT_BATCH_SIZE};
-use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema, NULL_ROW};
+use pyro_common::{ColumnBuilder, ColumnVec, ColumnarBatch, KeySpec, Result, Schema, NULL_ROW};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -139,9 +139,7 @@ impl MergeJoin {
         let st = &mut self.columnar;
         if !st.defer.is_empty() {
             if st.deferred.is_empty() {
-                st.deferred = (0..self.right.schema().len())
-                    .map(|_| ColumnBuilder::new())
-                    .collect();
+                st.deferred = ColumnBuilder::for_schema(self.right.schema());
             }
             let right = st.sides[1].batch();
             for (builder, col) in st.deferred.iter_mut().zip(right.columns()) {
@@ -154,9 +152,7 @@ impl MergeJoin {
             return;
         }
         if st.out.is_empty() {
-            st.out = (0..self.schema.len())
-                .map(|_| ColumnBuilder::new())
-                .collect();
+            st.out = ColumnBuilder::for_schema(&self.schema);
         }
         let left_arity = self.left.schema().len();
         for (c, builder) in st.out.iter_mut().enumerate() {
@@ -340,12 +336,9 @@ impl MergeJoin {
                 .map(|b| Arc::new(b.finish()))
                 .collect();
             let rows = right.first().map_or(0, |c| c.len());
-            let mut columns: Vec<_> = (0..self.left.schema().len())
-                .map(|_| {
-                    let mut b = ColumnBuilder::new();
-                    b.push_nulls(rows);
-                    Arc::new(b.finish())
-                })
+            let left = self.left.schema().columns().iter();
+            let mut columns: Vec<_> = left
+                .map(|c| Arc::new(ColumnVec::all_null(c.ty, rows)))
                 .collect();
             columns.extend(right);
             st.tail = Some((ColumnarBatch::from_columns(columns, rows), 0));

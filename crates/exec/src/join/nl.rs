@@ -129,8 +129,7 @@ impl NestedLoopsJoin {
             .expect("outer side done")
             .take(self.batch)
             .collect();
-        let no_left = (0..self.left.schema().len()).map(|_| ColumnBuilder::new());
-        let no_left = ColumnarBatch::from_builders(no_left.collect());
+        let no_left = ColumnarBatch::from_builders(ColumnBuilder::for_schema(self.left.schema()));
         let li = vec![NULL_ROW; ri.len()];
         Ok((!ri.is_empty()).then(|| side_by_side(&no_left, &li, inner, &ri)))
     }
@@ -306,6 +305,7 @@ mod tests {
     /// as under a merge join; not a fraction, −0.0 or NULL.
     #[test]
     fn int_equals_integral_double() {
+        use pyro_common::{Column, DataType};
         let right: Vec<Tuple> = [2.0, 2.5, -0.0, 0.0]
             .into_iter()
             .map(|d| Tuple::new(vec![Value::Double(d), Value::Int(9)]))
@@ -316,7 +316,13 @@ mod tests {
                 Schema::ints(&["a", "b"]),
                 rows(&[(2, 1), (0, 2)]),
             )),
-            Box::new(ValuesOp::new(Schema::ints(&["c", "d"]), right)),
+            Box::new(ValuesOp::new(
+                Schema::new(vec![
+                    Column::new("c", DataType::Double),
+                    Column::new("d", DataType::Int),
+                ]),
+                right,
+            )),
             JoinKind::Inner,
         );
         let out = collect(Box::new(op)).unwrap();

@@ -32,9 +32,10 @@
 //!
 //! A batch's rows are its *selected* rows ([`ColumnarBatch::len`]), in
 //! ascending physical order; every operator honours the selection vector
-//! it is handed, and column types may change from one batch to the next.
-//! An operator whose pull failed returns that error again on every later
-//! pull.
+//! it is handed. Column `i` of every batch an operator emits has storage of
+//! type `schema().column(i).ty`, in every batch, NULLs included: a
+//! consumer builds its own columns from its input's schema. An operator
+//! whose pull failed returns that error again on every later pull.
 
 use crate::metrics::MetricsRef;
 use pyro_common::{ColumnBuilder, ColumnarBatch, PyroError, Result, Schema, Tuple};
@@ -51,7 +52,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// a minimal operator is a few lines and still sits under any parent:
 ///
 /// ```
-/// use pyro_common::{ColumnBuilder, ColumnarBatch, Result, Schema};
+/// use pyro_common::{ColumnBuilder, ColumnarBatch, DataType, Result, Schema};
 /// use pyro_exec::{collect, BoxOp, Operator};
 ///
 /// /// Yields the integers `0..n` as one INT column, two rows at a time.
@@ -71,7 +72,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 ///         if self.next == end {
 ///             return Ok(None);
 ///         }
-///         let mut col = ColumnBuilder::new();
+///         let mut col = ColumnBuilder::new(DataType::Int);
 ///         for i in self.next..end {
 ///             col.push_int(i);
 ///         }
@@ -158,9 +159,7 @@ pub fn collect(mut op: BoxOp) -> Result<Vec<Tuple>> {
 /// Drains `input` into one dense batch, column at a time — how a join
 /// buffers the side it holds in memory.
 pub(crate) fn drain_columns(input: &mut BoxOp) -> Result<ColumnarBatch> {
-    let mut builders: Vec<ColumnBuilder> = (0..input.schema().len())
-        .map(|_| ColumnBuilder::new())
-        .collect();
+    let mut builders = ColumnBuilder::for_schema(input.schema());
     while let Some(batch) = input.next_batch()? {
         for (c, builder) in builders.iter_mut().enumerate() {
             builder.append_column(batch.column(c), batch.sel());
@@ -316,7 +315,10 @@ impl IntoIterator for Rows {
 }
 
 /// An operator yielding a fixed in-memory tuple list — the standard test
-/// source and the bridge for pre-materialized inputs.
+/// source and the bridge for pre-materialized inputs. A row that does not
+/// fit the schema (wrong arity, a value of another type than its column's)
+/// fails the pull that reaches it with [`ColumnarBatch::from_rows`]'s
+/// error.
 pub struct ValuesOp {
     schema: Schema,
     rows: std::vec::IntoIter<Tuple>,
@@ -344,7 +346,7 @@ impl Operator for ValuesOp {
         if n == 0 {
             return Ok(None);
         }
-        let batch = ColumnarBatch::from_rows(&self.rows.as_slice()[..n]);
+        let batch = ColumnarBatch::from_rows(&self.schema, &self.rows.as_slice()[..n])?;
         self.rows.by_ref().take(n).for_each(drop);
         Ok(Some(batch))
     }
@@ -403,7 +405,11 @@ impl Operator for FaultyOp {
             };
             self.rows = batch.to_rows().into_iter();
         }
-        Ok(self.rows.next().map(|t| ColumnarBatch::from_rows(&[t])))
+        let schema = self.child.schema();
+        self.rows
+            .next()
+            .map(|t| ColumnarBatch::from_rows(schema, &[t]))
+            .transpose()
     }
 }
 
@@ -457,7 +463,7 @@ impl Operator for Decoys {
             rows.push(Tuple::new(t.values().iter().map(decoy).collect()));
             rows.push(t);
         }
-        let mut out = ColumnarBatch::from_rows(&rows);
+        let mut out = ColumnarBatch::from_rows(self.0.schema(), &rows)?;
         out.set_sel((1..rows.len() as u32).step_by(2).collect());
         Ok(Some(out))
     }
@@ -519,17 +525,32 @@ mod tests {
     }
 
     #[test]
+    fn values_refuses_a_row_that_does_not_fit_its_schema() {
+        let rows = vec![
+            Tuple::new(vec![Value::Int(1)]),
+            Tuple::new(vec![Value::Double(2.0)]),
+        ];
+        let mut op = ValuesOp::new(Schema::ints(&["a"]), rows);
+        match op.next_batch() {
+            Err(PyroError::Exec(msg)) => {
+                assert_eq!(msg, "row 1, column a: Double(2.0) is not of type INT")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn num_rows_counts_selected_rows_in_every_layout() {
         let rows: Vec<Tuple> = (0..40)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]))
             .collect();
-        let mut cols = ColumnarBatch::from_rows(&rows);
+        let schema = Schema::ints(&["a", "b"]);
+        let mut cols = ColumnarBatch::from_rows(&schema, &rows).unwrap();
         cols.set_sel(vec![1, 5, 8]);
         assert_eq!(cols.num_rows(), 40, "the physical rows stay");
         assert_eq!(cols.len(), 3);
         // Under a filter — whose batches carry selection vectors — every
         // batch of every source layout counts the rows it converts to.
-        let schema = Schema::ints(&["a", "b"]);
         let pred = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(3i64));
         for input in in_every_layout(&schema, &rows) {
             let mut filter = crate::filter::Filter::new(input, pred.clone());

@@ -114,11 +114,20 @@ mod tests {
                 ])
             })
             .collect();
+        use pyro_common::{Column, DataType};
+        let typed = |cols: &[(&str, DataType)]| {
+            Schema::new(cols.iter().map(|&(n, ty)| Column::new(n, ty)).collect())
+        };
+        let (int, double) = (DataType::Int, DataType::Double);
+        let input = typed(&[("a", int), ("b", double)]);
         let cases: Vec<(Vec<Expr>, Schema)> = vec![
-            (vec![Expr::col(1), Expr::col(0)], Schema::ints(&["b", "a"])),
+            (
+                vec![Expr::col(1), Expr::col(0)],
+                typed(&[("b", double), ("a", int)]),
+            ),
             (
                 vec![Expr::mul(Expr::col(0), Expr::col(1)), Expr::lit(7i64)],
-                Schema::ints(&["m", "k"]),
+                typed(&[("m", double), ("k", int)]),
             ),
             (
                 vec![
@@ -136,7 +145,7 @@ mod tests {
                 .iter()
                 .map(|t| Tuple::new(exprs.iter().map(|e| e.eval(t).unwrap()).collect()))
                 .collect();
-            for input in in_every_layout(&Schema::ints(&["a", "b"]), &rows) {
+            for input in in_every_layout(&input, &rows) {
                 let project = Project::new(input, exprs.clone(), schema.clone());
                 let out = collect(Box::new(project)).unwrap();
                 assert_eq!(exact(&reference), exact(&out), "exprs {exprs:?}");

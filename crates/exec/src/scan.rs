@@ -70,9 +70,7 @@ impl Operator for FileScan {
     /// boxed. The batch may overshoot the batch size by the tail of the
     /// last decoded page (allowed by the batch contract).
     fn next_batch(&mut self) -> Result<Option<ColumnarBatch>> {
-        let mut builders: Vec<ColumnBuilder> = (0..self.schema.len())
-            .map(|_| ColumnBuilder::new())
-            .collect();
+        let mut builders = ColumnBuilder::for_schema(&self.schema);
         if !self.scan.fill_columns(&mut builders, self.batch)? {
             return Ok(None);
         }
@@ -283,6 +281,64 @@ mod tests {
             .collect();
         let file = write_file(&dev, &rows).unwrap();
         (dev, file, rows)
+    }
+
+    /// A VARCHAR and a DOUBLE column whose first pages hold only NULLs
+    /// scan as VARCHAR and DOUBLE storage in every batch, all-NULL batches
+    /// included, and stay so when a join drains them into one batch.
+    #[test]
+    fn leading_null_pages_keep_their_column_types() {
+        use pyro_common::{Column, ColumnData, DataType};
+        let dev = SimDevice::with_block_size(128);
+        let rows: Vec<Tuple> = (0..120)
+            .map(|i| {
+                let (s, d) = match i < 60 {
+                    true => (Value::Null, Value::Null),
+                    false => (Value::Str(format!("v{i}")), Value::Double(i as f64 / 2.0)),
+                };
+                Tuple::new(vec![Value::Int(i), s, d])
+            })
+            .collect();
+        let file = write_file(&dev, &rows).unwrap();
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("s", DataType::Str),
+            Column::new("d", DataType::Double),
+        ]);
+        let typed = |b: &ColumnarBatch| {
+            matches!(b.column(1).data(), ColumnData::Str(_))
+                && matches!(b.column(2).data(), ColumnData::Double(_))
+        };
+        let mut scan: BoxOp = Box::new(FileScan::new(schema.clone(), &file));
+        scan.set_batch_size(4);
+        let first = scan.next_batch().unwrap().unwrap();
+        assert!(first.column(1).is_null(0) && typed(&first));
+        let mut batches = 1;
+        while let Some(b) = scan.next_batch().unwrap() {
+            assert!(typed(&b), "batch {batches}");
+            batches += 1;
+        }
+        assert!(batches > 2, "{batches} batches");
+        let mut scan: BoxOp = Box::new(FileScan::new(schema, &file));
+        scan.set_batch_size(4);
+        let drained = crate::op::drain_columns(&mut scan).unwrap();
+        assert!(typed(&drained));
+        assert_eq!(drained.to_rows(), rows);
+    }
+
+    /// A page whose cells are not of the scan's column types fails the
+    /// pull that reaches it with a storage error naming page and column.
+    #[test]
+    fn a_page_of_other_types_fails_the_scan() {
+        let (_dev, file, _) = sample_file(40, 128);
+        let schema = Schema::new(vec![
+            pyro_common::Column::new("a", pyro_common::DataType::Int),
+            pyro_common::Column::new("b", pyro_common::DataType::Str),
+        ]);
+        let page = file.pages()[0];
+        let err = FileScan::new(schema, &file).next_batch().unwrap_err();
+        let says = format!("page {page}: column 1 is VARCHAR but holds a cell tagged INT");
+        assert_eq!(err, pyro_common::PyroError::Storage(says));
     }
 
     #[test]

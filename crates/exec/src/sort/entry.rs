@@ -241,7 +241,7 @@ impl Sources {
 mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
-    use pyro_common::{Tuple, Value};
+    use pyro_common::{Column, DataType, Schema, Tuple, Value};
 
     /// xorshift64*: a fixed, dependency-free stream of test data.
     struct Rng(u64);
@@ -273,6 +273,17 @@ mod tests {
         Null,
         /// Doubles, integral or not.
         Double,
+    }
+
+    impl Kind {
+        /// The column's type (an INT column of NULLs for `Null`).
+        fn ty(self) -> DataType {
+            match self {
+                Kind::Int | Kind::Null => DataType::Int,
+                Kind::Str => DataType::Str,
+                Kind::Double => DataType::Double,
+            }
+        }
     }
 
     const EDGE: i64 = 1 << 52;
@@ -323,7 +334,12 @@ mod tests {
             })
             .collect();
         let key = KeySpec::new((0..kinds.len()).collect());
-        Keyed::new(ColumnarBatch::from_rows(&tuples), &key)
+        let cols = kinds.iter().enumerate();
+        let schema = Schema::new(
+            cols.map(|(i, k)| Column::new(format!("c{i}"), k.ty()))
+                .collect(),
+        );
+        Keyed::new(ColumnarBatch::from_rows(&schema, &tuples).unwrap(), &key)
     }
 
     fn kinds(rng: &mut Rng, width: usize) -> Vec<Kind> {

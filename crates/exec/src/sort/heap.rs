@@ -2,7 +2,7 @@
 //!
 //! A manual binary min-heap over `(run_number, item)` ordered first by run
 //! number, then by sort key — so the entries of the *current* run always
-//! surface before entries demoted to the next run, which is exactly what
+//! surface before entries held back for the next run, which is exactly what
 //! replacement selection needs. A manual implementation (rather than
 //! `BinaryHeap`) lets every key comparison be counted. Comparisons
 //! accumulate in a local counter per `push`/`pop` and the caller charges

@@ -171,7 +171,7 @@ impl PartialSort {
                 &self.store,
                 runs,
                 self.suffix.clone(),
-                self.schema.len(),
+                self.schema.clone(),
                 self.budget,
                 self.metrics.clone(),
             )?);
@@ -487,7 +487,8 @@ mod tests {
                 self.idx += row.is_some() as usize;
                 self.reads
                     .fetch_add(row.is_some() as usize, Ordering::Relaxed);
-                Ok(row.map(|t| ColumnarBatch::from_rows(&[t])))
+                row.map(|t| ColumnarBatch::from_rows(&self.schema, &[t]))
+                    .transpose()
             }
         }
 

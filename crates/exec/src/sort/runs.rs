@@ -5,7 +5,7 @@
 use super::entry::Keyed;
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result};
+use pyro_common::{ColumnBuilder, ColumnarBatch, KeySpec, Result, Schema};
 use pyro_storage::{StoreRef, TupleFile, TupleFileScan, TupleFileWriter};
 use std::cmp::Ordering;
 
@@ -45,8 +45,8 @@ struct ColumnarRun {
 impl ColumnarRun {
     /// Moves to the first row of the next page; at the end of the run the
     /// head goes and the file's pages are freed.
-    fn load(&mut self, arity: usize, key: &KeySpec) -> Result<()> {
-        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+    fn load(&mut self, schema: &Schema, key: &KeySpec) -> Result<()> {
+        let mut builders = ColumnBuilder::for_schema(schema);
         self.pos = 0;
         if self.scan.fill_columns(&mut builders, 1)? {
             let page = Keyed::new(ColumnarBatch::from_builders(builders), key);
@@ -62,14 +62,14 @@ impl ColumnarRun {
     }
 
     /// Steps past the head row.
-    fn advance(&mut self, arity: usize, key: &KeySpec) -> Result<()> {
+    fn advance(&mut self, schema: &Schema, key: &KeySpec) -> Result<()> {
         self.pos += 1;
         let page = self.page.as_ref().expect("a head row");
         if self.pos < page.batch.num_rows() {
             self.prefix = page.norms.first(self.pos);
             Ok(())
         } else {
-            self.load(arity, key)
+            self.load(schema, key)
         }
     }
 }
@@ -84,12 +84,12 @@ impl ColumnarRun {
 pub struct ColumnarMergeStream {
     runs: Vec<ColumnarRun>,
     key: KeySpec,
-    arity: usize,
+    schema: Schema,
     metrics: MetricsRef,
 }
 
 impl ColumnarMergeStream {
-    /// Opens the given sorted runs of `arity`-column rows for merging. If
+    /// Opens the given sorted runs of `schema`'s rows for merging. If
     /// there are more runs than `budget.fan_in()`, intermediate merge
     /// passes are performed first (reading and re-writing runs, exactly the
     /// `B(e)·(2·passes + 1)`-style cost the paper's model charges).
@@ -97,34 +97,35 @@ impl ColumnarMergeStream {
         store: &StoreRef,
         mut files: Vec<TupleFile>,
         key: KeySpec,
-        arity: usize,
+        schema: Schema,
         budget: SortBudget,
         metrics: MetricsRef,
     ) -> Result<ColumnarMergeStream> {
         let fan_in = budget.fan_in();
         while files.len() > fan_in {
             let batch: Vec<TupleFile> = files.drain(..fan_in).collect();
-            let mut merged = ColumnarMergeStream::open(batch, key.clone(), arity, metrics.clone())?;
+            let mut merged =
+                ColumnarMergeStream::open(batch, key.clone(), schema.clone(), metrics.clone())?;
             let mut w = TupleFileWriter::new(store);
             let mut acc = 0;
             while let Some(i) = merged.smallest(&mut acc) {
                 let run = &merged.runs[i];
                 let page = run.page.as_ref().expect("the winner has a head");
                 w.append_row(page.batch.columns(), run.pos)?;
-                merged.runs[i].advance(arity, &key)?;
+                merged.runs[i].advance(&schema, &key)?;
             }
             metrics.add_comparisons(acc);
             let out = w.finish()?;
             metrics.add_run_pages_written(out.block_count());
             files.push(out);
         }
-        ColumnarMergeStream::open(files, key, arity, metrics)
+        ColumnarMergeStream::open(files, key, schema, metrics)
     }
 
     fn open(
         files: Vec<TupleFile>,
         key: KeySpec,
-        arity: usize,
+        schema: Schema,
         metrics: MetricsRef,
     ) -> Result<ColumnarMergeStream> {
         let mut runs = Vec::with_capacity(files.len());
@@ -137,13 +138,13 @@ impl ColumnarMergeStream {
                 pos: 0,
                 prefix: 0,
             };
-            run.load(arity, &key)?;
+            run.load(&schema, &key)?;
             runs.push(run);
         }
         Ok(ColumnarMergeStream {
             runs,
             key,
-            arity,
+            schema,
             metrics,
         })
     }
@@ -184,8 +185,7 @@ impl ColumnarMergeStream {
     }
 
     fn pop_into_batch(&mut self, max_rows: usize, acc: &mut u64) -> Result<Option<ColumnarBatch>> {
-        let mut builders: Vec<ColumnBuilder> =
-            (0..self.arity).map(|_| ColumnBuilder::new()).collect();
+        let mut builders = ColumnBuilder::for_schema(&self.schema);
         let mut rows = 0;
         while rows < max_rows {
             let Some(i) = self.smallest(acc) else { break };
@@ -195,7 +195,7 @@ impl ColumnarMergeStream {
                 b.push_from(col, run.pos);
             }
             rows += 1;
-            self.runs[i].advance(self.arity, &self.key)?;
+            self.runs[i].advance(&self.schema, &self.key)?;
         }
         Ok((rows > 0).then(|| ColumnarBatch::from_builders(builders)))
     }
@@ -213,7 +213,7 @@ mod tests {
             .iter()
             .map(|&v| Tuple::new(vec![Value::Int(v)]))
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch = ColumnarBatch::from_rows(&Schema::ints(&["v"]), &rows).unwrap();
         let order: Vec<u32> = (0..vals.len() as u32).collect();
         write_run_rows(store, &batch, &order, m).unwrap()
     }
@@ -221,7 +221,9 @@ mod tests {
     fn merge(store: &StoreRef, runs: Vec<TupleFile>, blocks: u64, m: &MetricsRef) -> Vec<i64> {
         let budget = SortBudget::new(blocks, 128);
         let key = KeySpec::new(vec![0]);
-        let mut ms = ColumnarMergeStream::new(store, runs, key, 1, budget, m.clone()).unwrap();
+        let mut ms =
+            ColumnarMergeStream::new(store, runs, key, Schema::ints(&["v"]), budget, m.clone())
+                .unwrap();
         let mut out = Vec::new();
         while let Some(batch) = ms.next_columnar(3).unwrap() {
             out.extend(batch.to_rows().iter().map(|t| t.get(0).as_int().unwrap()));

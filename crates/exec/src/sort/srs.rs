@@ -7,7 +7,7 @@
 //!   I/O at all.
 //! * Otherwise run replacement selection: a memory-filling heap emits the
 //!   smallest current-run tuple, replacing it with the next input tuple
-//!   (demoted to the next run if it sorts below the last emitted key). Runs
+//!   (held back for the next run if it sorts below the last emitted key). Runs
 //!   average twice the memory size; *presorted input yields a single giant
 //!   run* — which is still written to disk and read back, breaking the
 //!   pipeline. That wasted round-trip on partially-sorted input is exactly
@@ -125,9 +125,9 @@ impl StandardReplacementSort {
     fn build(&mut self) -> Result<State> {
         let mut child = self.take_child();
         let budget_bytes = self.budget.bytes();
-        let arity = self.schema.len();
+        let schema = self.schema.clone();
 
-        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+        let mut builders = ColumnBuilder::for_schema(&schema);
         let (mut bytes, mut rows) = (0usize, 0usize);
         let mut input: Option<Input> = None;
         while let Some(b) = child.next_batch()? {
@@ -182,7 +182,8 @@ impl StandardReplacementSort {
             heap.push(0, e, &|a, b| srcs.compare(key, a, b));
         }
         let mut admission_cmps: u64 = 0;
-        let mut next_input = next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, arity)?;
+        let mut next_input =
+            next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, &schema)?;
         let mut runs: Vec<TupleFile> = Vec::new();
         let mut current_run: u32 = 0;
         let mut writer = TupleFileWriter::new(&self.store);
@@ -217,7 +218,8 @@ impl StandardReplacementSort {
             // against it is done.
             srcs.release(out.src, input.as_ref().and_then(|i| i.src));
             if admitted.is_some() {
-                next_input = next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, arity)?;
+                next_input =
+                    next_entry(&mut child, &mut input, &mut srcs, &mut heap, key, &schema)?;
             }
         }
         heap.flush_comparisons();
@@ -228,7 +230,7 @@ impl StandardReplacementSort {
             &self.store,
             runs,
             self.key.clone(),
-            arity,
+            schema,
             self.budget,
             self.metrics.clone(),
         )?;
@@ -287,7 +289,7 @@ fn next_entry(
     srcs: &mut Sources,
     heap: &mut RsHeap<Entry>,
     key: &KeySpec,
-    arity: usize,
+    schema: &Schema,
 ) -> Result<Option<Entry>> {
     loop {
         let Some(cur) = input else { return Ok(None) };
@@ -296,7 +298,7 @@ fn next_entry(
                 Some(src) => src,
                 None => {
                     if srcs.rows() > 4 * (heap.len() + cur.batch.num_rows()) {
-                        compact(srcs, heap, key, arity);
+                        compact(srcs, heap, key, schema);
                     }
                     let src = srcs.add(Keyed::new(cur.batch.clone(), key), 0);
                     cur.src = Some(src);
@@ -318,8 +320,8 @@ fn next_entry(
 /// Copies every row a heap entry points at into one fresh batch, repoints
 /// the entries (keys untouched, so the heap order stands) and drops the
 /// batches they used to pin.
-fn compact(srcs: &mut Sources, heap: &mut RsHeap<Entry>, key: &KeySpec, arity: usize) {
-    let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+fn compact(srcs: &mut Sources, heap: &mut RsHeap<Entry>, key: &KeySpec, schema: &Schema) {
+    let mut builders = ColumnBuilder::for_schema(schema);
     for e in heap.items_mut() {
         let from = &srcs.get(e.src).batch;
         for (b, col) in builders.iter_mut().zip(from.columns()) {

@@ -19,9 +19,7 @@
 use crate::expr::{truth, CmpOp, Expr};
 use pyro_common::columnar::StrArena;
 use pyro_common::value::cmp_int_double;
-use pyro_common::{
-    CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap, Value,
-};
+use pyro_common::{CellRef, ColumnData, ColumnVec, ColumnarBatch, DataType, NullBitmap, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -237,9 +235,6 @@ fn refine_col_lit(col: &ColumnVec, op: CmpOp, lit: &Value, sel: &mut Sel<'_>) {
         (ColumnData::Str(_), Value::Int(_) | Value::Double(_)) => {
             keep_cmp(sel, op, &nulls, |_| Ordering::Greater)
         }
-        (ColumnData::Mixed(vals), lit) => {
-            keep_op(sel, op, |i| !vals[i].is_null(), |i| vals[i].cmp(lit))
-        }
         // A NULL literal was already folded to `Const(false)`.
         (_, Value::Null) => sel.keep(|_| false),
     }
@@ -276,6 +271,10 @@ fn refine_col_col(a: &ColumnVec, b: &ColumnVec, op: CmpOp, sel: &mut Sel<'_>) {
 /// propagates, `Int × Int` wraps, mixed numerics widen to `Double`, strings
 /// yield NULL. `Cmp` and `And` yield the INT 1/0/NULL column `Expr::eval`
 /// defines, comparing cells by [`CellRef::order`].
+///
+/// The result's storage type depends only on its operands' types, and is
+/// the type a plan's schema gives the expression, whatever the cells hold:
+/// `Str + Int` is an INT column of NULLs, `Str + Double` a DOUBLE one.
 pub fn eval_column(expr: &Expr, batch: &ColumnarBatch) -> Arc<ColumnVec> {
     let n = batch.num_rows();
     match expr {
@@ -315,12 +314,11 @@ fn int_column(n: usize, cell: impl Fn(usize) -> Option<i64>) -> Arc<ColumnVec> {
     Arc::new(ColumnVec::new(ColumnData::Int(data), nulls))
 }
 
-/// A column holding `v` at every row.
+/// A column holding `v` at every row (a NULL literal is an INT column, as
+/// its schema types it).
 fn const_column(v: &Value, n: usize) -> ColumnVec {
     let data = match v {
-        Value::Null => {
-            return ColumnVec::new(ColumnData::Int(vec![0; n]), NullBitmap::all_null(n));
-        }
+        Value::Null => return ColumnVec::all_null(DataType::Int, n),
         Value::Int(k) => ColumnData::Int(vec![*k; n]),
         Value::Double(d) => ColumnData::Double(vec![*d; n]),
         Value::Str(s) => {
@@ -369,16 +367,19 @@ fn numeric_kernel(
             }
             ColumnVec::new(ColumnData::Double(out), nulls)
         }
-        // Strings or mixed columns: defer to `Value` arithmetic cell-wise,
-        // so the result (including Str -> NULL) matches `Expr::eval` bit
-        // for bit.
+        // A string operand makes every cell NULL (`Value` arithmetic on a
+        // string), of the type a schema gives the result: DOUBLE beside a
+        // DOUBLE, INT otherwise.
         _ => {
-            let mut builder = ColumnBuilder::new();
-            for i in 0..n {
-                let (va, vb) = (a.value_at(i), b.value_at(i));
-                builder.push_value(&apply_value(&va, &vb, &f_f, &f_i));
-            }
-            builder.finish()
+            let double = [a.data_type(), b.data_type()].contains(&DataType::Double);
+            ColumnVec::all_null(
+                if double {
+                    DataType::Double
+                } else {
+                    DataType::Int
+                },
+                n,
+            )
         }
     };
     Arc::new(col)
@@ -408,53 +409,42 @@ fn as_f64_view(data: &ColumnData) -> F64View<'_> {
     }
 }
 
-fn apply_value(
-    a: &Value,
-    b: &Value,
-    f_f: &impl Fn(f64, f64) -> f64,
-    f_i: &impl Fn(i64, i64) -> i64,
-) -> Value {
-    match (a, b) {
-        (Value::Null, _) | (_, Value::Null) => Value::Null,
-        (Value::Int(x), Value::Int(y)) => Value::Int(f_i(*x, *y)),
-        _ => match (a.as_double(), b.as_double()) {
-            (Some(x), Some(y)) => Value::Double(f_f(x, y)),
-            _ => Value::Null,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pyro_common::Tuple;
+    use pyro_common::{Column, Schema, Tuple};
+    use DataType::{Double, Int, Str};
 
-    /// Rows mixing every type in column 0, Ints in column 1, a second Int
-    /// column with NULL holes in column 2.
+    fn typed(types: &[DataType], rows: &[Tuple]) -> ColumnarBatch {
+        let cols = types.iter().enumerate();
+        let schema = Schema::new(
+            cols.map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        );
+        ColumnarBatch::from_rows(&schema, rows).unwrap()
+    }
+
+    /// An INT column with NULL holes, a plain INT column, a second INT
+    /// column with NULL holes, a DOUBLE and a VARCHAR column with NULLs.
     fn test_batch() -> (Vec<Tuple>, ColumnarBatch) {
         let rows: Vec<Tuple> = (0..40)
             .map(|i| {
-                let c0 = match i % 5 {
-                    0 => Value::Int(i),
-                    1 => Value::Double(i as f64 / 2.0),
-                    2 => Value::Str(format!("s{i}")),
-                    3 => Value::Null,
-                    _ => Value::Int(-i),
-                };
-                let c2 = if i % 7 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 11)
-                };
-                rows_row(c0, i, c2)
+                let null_or = |null: bool, v: Value| if null { Value::Null } else { v };
+                Tuple::new(vec![
+                    match i % 5 {
+                        0 => Value::Int(i),
+                        3 => Value::Null,
+                        _ => Value::Int(-i),
+                    },
+                    Value::Int(i),
+                    null_or(i % 7 == 0, Value::Int(i % 11)),
+                    null_or(i % 5 == 3, Value::Double(i as f64 / 2.0)),
+                    null_or(i % 4 == 3, Value::Str(format!("s{i}"))),
+                ])
             })
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch = typed(&[Int, Int, Int, Double, Str], &rows);
         (rows, batch)
-    }
-
-    fn rows_row(c0: Value, i: i64, c2: Value) -> Tuple {
-        Tuple::new(vec![c0, Value::Int(i), c2])
     }
 
     /// `refine` keeps exactly the selected rows of `batch` — the physical
@@ -479,10 +469,13 @@ mod tests {
         let exprs = [
             Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(10i64)),
             Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(7i64)),
-            Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(Value::Double(3.0))),
-            Expr::cmp(CmpOp::Ne, Expr::col(0), Expr::lit(Value::Str("s2".into()))),
+            Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(Value::Double(-3.0))),
+            Expr::cmp(CmpOp::Eq, Expr::col(3), Expr::lit(3i64)),
+            Expr::cmp(CmpOp::Ne, Expr::col(4), Expr::lit(Value::Str("s2".into()))),
             Expr::cmp(CmpOp::Gt, Expr::lit(20i64), Expr::col(1)),
             Expr::cmp(CmpOp::Le, Expr::col(2), Expr::col(1)),
+            Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::col(0)),
+            Expr::cmp(CmpOp::Gt, Expr::col(4), Expr::col(1)),
             Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Lit(Value::Null)),
             Expr::And(
                 Box::new(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(5i64))),
@@ -512,12 +505,6 @@ mod tests {
                     _ => i as f64 / 4.0,
                 };
                 let s = Value::Str(format!("s{}", i % 13));
-                let mixed = match i % 4 {
-                    0 => Value::Int(i % 10),
-                    1 => Value::Double(d),
-                    2 => s.clone(),
-                    _ => Value::Null,
-                };
                 let int = Value::Int(i % 10);
                 Tuple::new(vec![
                     int.clone(),
@@ -526,36 +513,12 @@ mod tests {
                     null_or(Value::Double(d)),
                     s.clone(),
                     null_or(s),
-                    mixed,
                 ])
             })
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
-        let reps: Vec<(&str, bool)> = batch
-            .columns()
-            .iter()
-            .map(|c| {
-                let rep = match c.data() {
-                    ColumnData::Int(_) => "int",
-                    ColumnData::Double(_) => "double",
-                    ColumnData::Str(_) => "str",
-                    ColumnData::Mixed(_) => "mixed",
-                };
-                (rep, c.nulls().any())
-            })
-            .collect();
-        assert_eq!(
-            reps,
-            [
-                ("int", false),
-                ("int", true),
-                ("double", false),
-                ("double", true),
-                ("str", false),
-                ("str", true),
-                ("mixed", true)
-            ]
-        );
+        let batch = typed(&[Int, Int, Double, Double, Str, Str], &rows);
+        let nulls: Vec<bool> = batch.columns().iter().map(|c| c.nulls().any()).collect();
+        assert_eq!(nulls, [false, true, false, true, false, true]);
         let lits = [
             Value::Int(3),
             Value::Int(-1),
@@ -575,12 +538,12 @@ mod tests {
         ];
         let mut exprs = Vec::new();
         for op in ops {
-            for c in 0..7 {
+            for c in 0..6 {
                 for lit in &lits {
                     exprs.push(Expr::cmp(op, Expr::col(c), Expr::lit(lit.clone())));
                     exprs.push(Expr::cmp(op, Expr::lit(lit.clone()), Expr::col(c)));
                 }
-                for d in 0..7 {
+                for d in 0..6 {
                     exprs.push(Expr::cmp(op, Expr::col(c), Expr::col(d)));
                 }
             }
@@ -592,7 +555,7 @@ mod tests {
         ]));
         exprs.push(Expr::and_all(vec![
             Expr::Lit(Value::Int(1)),
-            Expr::cmp(CmpOp::Le, Expr::col(6), Expr::lit(Value::Double(5.0))),
+            Expr::cmp(CmpOp::Le, Expr::col(3), Expr::lit(Value::Double(5.0))),
         ]));
         let mut selected = batch.clone();
         selected.set_sel((0..90).filter(|i| i % 3 != 1).collect());
@@ -615,21 +578,24 @@ mod tests {
             Expr::cmp(CmpOp::Ge, Expr::lit(Value::Double(9.5)), sum.clone()),
             Expr::col(2),
             Expr::col(0),
+            Expr::col(3),
+            Expr::col(4),
             sum.clone(),
             Expr::cmp(
                 CmpOp::Eq,
-                Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::col(1)),
+                Expr::cmp(CmpOp::Lt, Expr::col(4), Expr::col(1)),
                 Expr::lit(0i64),
             ),
             Expr::and_all(vec![
                 Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(4i64)),
                 Expr::cmp(
                     CmpOp::Ne,
-                    Expr::mul(Expr::col(0), Expr::col(2)),
+                    Expr::mul(Expr::col(3), Expr::col(2)),
                     Expr::lit(0i64),
                 ),
                 Expr::col(2),
             ]),
+            Expr::mul(Expr::col(4), Expr::col(2)),
         ];
         for e in &exprs {
             check_parity(e, &rows, &batch);
@@ -637,29 +603,57 @@ mod tests {
         }
     }
 
+    /// Cell for cell what the row interpreter returns, in storage of the
+    /// type the expression's schema type is — NULL results included.
     #[test]
     fn eval_column_matches_row_eval() {
         let (rows, batch) = test_batch();
+        let add = |a, b| Expr::Add(Box::new(a), Box::new(b));
         let exprs = [
-            Expr::col(1),
-            Expr::lit(5i64),
-            Expr::Lit(Value::Null),
-            Expr::Lit(Value::Str("k".into())),
-            Expr::Add(Box::new(Expr::col(1)), Box::new(Expr::col(2))),
-            Expr::Sub(Box::new(Expr::col(1)), Box::new(Expr::lit(3i64))),
-            Expr::mul(Expr::col(0), Expr::col(1)),
-            Expr::mul(Expr::col(1), Expr::lit(Value::Double(0.5))),
-            Expr::cmp(CmpOp::Le, Expr::col(0), Expr::col(2)),
-            Expr::cmp(CmpOp::Ne, Expr::col(0), Expr::Lit(Value::Str("s7".into()))),
-            Expr::cmp(CmpOp::Gt, Expr::col(2), Expr::Lit(Value::Null)),
-            Expr::And(
-                Box::new(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::col(2))),
-                Box::new(Expr::col(0)),
+            (Expr::col(1), Int),
+            (Expr::col(3), Double),
+            (Expr::col(4), Str),
+            (Expr::lit(5i64), Int),
+            (Expr::Lit(Value::Null), Int),
+            (Expr::Lit(Value::Str("k".into())), Str),
+            (add(Expr::col(1), Expr::col(2)), Int),
+            (
+                Expr::Sub(Box::new(Expr::col(1)), Box::new(Expr::lit(3i64))),
+                Int,
             ),
-            Expr::And(Box::new(Expr::col(2)), Box::new(Expr::lit(0i64))),
+            (Expr::mul(Expr::col(0), Expr::col(3)), Double),
+            (
+                Expr::mul(Expr::col(1), Expr::lit(Value::Double(0.5))),
+                Double,
+            ),
+            (add(Expr::col(4), Expr::col(1)), Int),
+            (add(Expr::col(4), Expr::col(4)), Int),
+            (Expr::mul(Expr::col(3), Expr::col(4)), Double),
+            (add(Expr::Lit(Value::Null), Expr::col(3)), Double),
+            (Expr::cmp(CmpOp::Le, Expr::col(3), Expr::col(2)), Int),
+            (
+                Expr::cmp(CmpOp::Ne, Expr::col(4), Expr::Lit(Value::Str("s7".into()))),
+                Int,
+            ),
+            (
+                Expr::cmp(CmpOp::Gt, Expr::col(2), Expr::Lit(Value::Null)),
+                Int,
+            ),
+            (
+                Expr::And(
+                    Box::new(Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::col(2))),
+                    Box::new(Expr::col(4)),
+                ),
+                Int,
+            ),
+            (
+                Expr::And(Box::new(Expr::col(2)), Box::new(Expr::lit(0i64))),
+                Int,
+            ),
         ];
-        for e in &exprs {
+        for (e, ty) in &exprs {
             let col = eval_column(e, &batch);
+            assert_eq!(col.data_type(), *ty, "{e:?}");
             for (i, t) in rows.iter().enumerate() {
                 assert_eq!(
                     crate::op::exact(&col.value_at(i)),

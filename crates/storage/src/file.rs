@@ -6,9 +6,9 @@
 //! structures in this engine.
 
 use crate::device::{DeviceRef, PageBytes, PageId};
-use crate::page::{decode_page, PageBuilder};
+use crate::page::{decode_page, decode_page_into_builders, PageBuilder};
 use crate::store::{IntoStore, StoreRef};
-use pyro_common::{ColumnBuilder, ColumnVec, Result, Tuple};
+use pyro_common::{ColumnBuilder, ColumnVec, PyroError, Result, Tuple};
 use std::sync::Arc;
 
 /// An immutable sequence of tuples stored across pages of a device,
@@ -231,18 +231,24 @@ impl TupleFileScan {
     /// `target` rows have been appended or the scanned range ends — the
     /// vectorized scan path: no `Tuple` is ever boxed. Rows buffered by a
     /// previous `next_tuple` call are appended first, so the pull styles
-    /// compose. Returns `true` iff any rows were appended.
+    /// compose. Returns `true` iff any rows were appended. A page that does
+    /// not decode into the builders' types is a [`PyroError::Storage`]
+    /// naming the page.
     pub fn fill_columns(&mut self, builders: &mut [ColumnBuilder], target: usize) -> Result<bool> {
         let mut appended = 0usize;
         for t in self.buffer.by_ref() {
             for (b, v) in builders.iter_mut().zip(t.values()) {
-                b.push_value(v);
+                b.push_value(v)?;
             }
             appended += 1;
         }
         while appended < target {
             let Some(page) = self.next_page()? else { break };
-            appended += crate::page::decode_page_into_builders(&page, builders)?;
+            let id = self.file.pages[self.page_idx - 1];
+            appended += decode_page_into_builders(&page, builders).map_err(|e| match e {
+                PyroError::Storage(m) => PyroError::Storage(format!("page {id}: {m}")),
+                e => e,
+            })?;
         }
         Ok(appended > 0)
     }
@@ -260,7 +266,15 @@ impl Iterator for TupleFileScan {
 mod tests {
     use super::*;
     use crate::device::SimDevice;
-    use pyro_common::Value;
+    use pyro_common::{Column, ColumnarBatch, DataType, Schema, Value};
+
+    fn schema(types: &[DataType]) -> Schema {
+        let cols = types.iter().enumerate();
+        Schema::new(
+            cols.map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        )
+    }
 
     fn rows(n: i64) -> Vec<Tuple> {
         (0..n)
@@ -321,13 +335,10 @@ mod tests {
 
         let by_tuple: Vec<Tuple> = f.scan().map(|r| r.unwrap()).collect();
         assert_eq!(by_tuple, data);
-        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        let mut builders = ColumnBuilder::for_schema(&schema(&[DataType::Int, DataType::Str]));
         let mut scan = f.scan();
         while scan.fill_columns(&mut builders, 16).unwrap() {}
-        assert_eq!(
-            pyro_common::ColumnarBatch::from_builders(builders).to_rows(),
-            data
-        );
+        assert_eq!(ColumnarBatch::from_builders(builders).to_rows(), data);
 
         assert_eq!(pool.stats().misses, misses + 2 * f.block_count());
         assert_eq!(pool.resident(), 2);
@@ -348,24 +359,23 @@ mod tests {
     /// same counts — spill runs are charged by the page.
     #[test]
     fn append_row_writes_the_same_file_as_append() {
-        use pyro_common::ColumnarBatch;
         let data: Vec<Tuple> = (0..120)
             .map(|i| {
+                let null_or = |at: i64, v: Value| if i % 4 == at { Value::Null } else { v };
                 Tuple::new(vec![
                     Value::Int(i),
-                    match i % 4 {
-                        0 => Value::Null,
-                        1 => Value::Double(i as f64 / 8.0),
-                        2 => Value::Str("s".repeat(i as usize % 23)),
-                        _ => Value::Int(-i),
-                    },
+                    null_or(0, Value::Double(i as f64 / 8.0)),
+                    null_or(1, Value::Str("s".repeat(i as usize % 23))),
+                    null_or(2, Value::Int(-i)),
                     Value::Str(format!("row{i}")),
                 ])
             })
             .collect();
         let boxed_dev = SimDevice::with_block_size(128);
         let boxed = write_file(&boxed_dev, &data).unwrap();
-        let batch = ColumnarBatch::from_rows(&data);
+        use DataType::{Double, Int, Str};
+        let batch =
+            ColumnarBatch::from_rows(&schema(&[Int, Double, Str, Int, Str]), &data).unwrap();
         let dev = SimDevice::with_block_size(128);
         let mut w = TupleFileWriter::new(&dev);
         for row in 0..data.len() {
@@ -383,10 +393,39 @@ mod tests {
         }
         // A row no page can hold is the same typed error either way.
         let big = [Tuple::new(vec![Value::Str("x".repeat(200))])];
-        let cols = ColumnarBatch::from_rows(&big);
+        let cols = ColumnarBatch::from_rows(&schema(&[Str]), &big).unwrap();
         let err = TupleFileWriter::new(&dev).append_row(cols.columns(), 0);
         assert_eq!(err, TupleFileWriter::new(&dev).append(&big[0]));
         assert!(err.is_err());
+    }
+
+    /// A page whose cells are not of the column types the scan decodes
+    /// into is a storage error naming the page and the column, after the
+    /// pages before it decoded as they should.
+    #[test]
+    fn a_wrongly_typed_page_is_a_storage_error_naming_it() {
+        let dev = SimDevice::with_block_size(128);
+        let mut data = rows(40);
+        data.push(Tuple::new(vec![Value::Int(40), Value::Double(0.5)]));
+        let f = write_file(&dev, &data).unwrap();
+        let last = *f.pages().last().unwrap();
+        let mut builders = ColumnBuilder::for_schema(&schema(&[DataType::Int, DataType::Str]));
+        let mut scan = f.scan();
+        let mut decoded = 0;
+        let err = loop {
+            match scan.fill_columns(&mut builders, 1) {
+                Ok(true) => decoded = builders[0].len(),
+                Ok(false) => panic!("the last page decoded"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(
+            err,
+            PyroError::Storage(format!(
+                "page {last}: column 1 is VARCHAR but holds a cell tagged DOUBLE"
+            ))
+        );
+        assert!(decoded > 0 && decoded < data.len());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! Simple, compact, and deliberately *real* — the sort experiments must pay
 //! genuine serialization CPU, like the systems the paper measured.
 
-use pyro_common::{ColumnBuilder, ColumnData, ColumnVec, PyroError, Result, Tuple, Value};
+use pyro_common::{
+    ColumnBuilder, ColumnData, ColumnVec, DataType, PyroError, Result, Tuple, Value,
+};
 use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
@@ -76,7 +78,6 @@ fn encode_row(cols: &[Arc<ColumnVec>], row: usize, out: &mut Vec<u8>) {
                 out.extend_from_slice(&v[row].to_le_bytes());
             }
             ColumnData::Str(a) => encode_str(a.bytes_at(row), out),
-            ColumnData::Mixed(v) => encode_value(&v[row], out),
         }
     }
 }
@@ -212,8 +213,10 @@ pub fn decode_page(data: &[u8]) -> Result<Vec<Tuple>> {
 /// `decode_fixed_width`); any other page cell by cell. Both leave the
 /// builders in the same state and fail on the same pages.
 ///
-/// Every tuple on the page must have arity `builders.len()`; returns the
-/// number of rows decoded.
+/// Every tuple on the page must have arity `builders.len()`, and every
+/// cell must be NULL or of its builder's type: a cell tagged with another
+/// type is a [`PyroError::Storage`] naming the column, never a re-typed
+/// column. Returns the number of rows decoded.
 pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) -> Result<usize> {
     let mut pos = 0usize;
     let count = read_u16(data, &mut pos)? as usize;
@@ -228,16 +231,20 @@ pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) ->
                 builders.len()
             )));
         }
-        for b in builders.iter_mut() {
+        for (c, b) in builders.iter_mut().enumerate() {
             let tag = *data
                 .get(pos)
                 .ok_or_else(|| PyroError::Storage("truncated page: missing tag".into()))?;
             pos += 1;
-            match tag {
-                TAG_NULL => b.push_null(),
-                TAG_INT => b.push_int(i64::from_le_bytes(read_arr(data, &mut pos)?)),
-                TAG_DOUBLE => b.push_double(f64::from_le_bytes(read_arr(data, &mut pos)?)),
-                TAG_STR => {
+            match (tag, b.data_type()) {
+                (TAG_NULL, _) => b.push_null(),
+                (TAG_INT, DataType::Int) => {
+                    b.push_int(i64::from_le_bytes(read_arr(data, &mut pos)?))
+                }
+                (TAG_DOUBLE, DataType::Double) => {
+                    b.push_double(f64::from_le_bytes(read_arr(data, &mut pos)?))
+                }
+                (TAG_STR, DataType::Str) => {
                     let len = read_u16(data, &mut pos)? as usize;
                     let bytes = data
                         .get(pos..pos + len)
@@ -247,7 +254,13 @@ pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) ->
                         .map_err(|e| PyroError::Storage(format!("bad utf8: {e}")))?;
                     b.push_str_bytes(bytes);
                 }
-                other => {
+                (TAG_INT | TAG_DOUBLE | TAG_STR, ty) => {
+                    let found = [DataType::Int, DataType::Double, DataType::Str][tag as usize - 1];
+                    return Err(PyroError::Storage(format!(
+                        "column {c} is {ty} but holds a cell tagged {found}"
+                    )));
+                }
+                (other, _) => {
                     return Err(PyroError::Storage(format!("unknown value tag {other}")));
                 }
             }
@@ -257,18 +270,15 @@ pub fn decode_page_into_builders(data: &[u8], builders: &mut [ColumnBuilder]) ->
 }
 
 /// The column-at-a-time half of [`decode_page_into_builders`], for `count`
-/// rows starting at the front of `rows`.
+/// rows starting at the front of `rows`, over INT and DOUBLE builders.
 ///
 /// When every cell of a row is tagged INT or DOUBLE, the row is
 /// `2 + 9·k` bytes long, so row `r` starts at `r·(2 + 9·k)`. One pass
 /// checks exactly what the cell-by-cell decoder would read at those
-/// offsets — the rows fit the bytes, every arity is `k`, and each column
-/// keeps the INT or DOUBLE tag of the first row — and then each column
-/// appends its payloads in one typed extend. Returns `false`, having
-/// touched no builder, when any check fails. A builder holding another
-/// representation receives the same cells through
-/// [`ColumnBuilder::extend_ints`] / [`ColumnBuilder::extend_doubles`],
-/// one push at a time, just as cell-by-cell decoding would give them.
+/// offsets — the rows fit the bytes, every arity is `k`, and every cell
+/// carries its builder's tag — and then each column appends its payloads
+/// in one typed extend. Returns `false`, having touched no builder, when
+/// any check fails.
 fn decode_fixed_width(rows: &[u8], count: usize, builders: &mut [ColumnBuilder]) -> bool {
     let k = builders.len();
     let stride = 2 + 9 * k;
@@ -282,7 +292,12 @@ fn decode_fixed_width(rows: &[u8], count: usize, builders: &mut [ColumnBuilder])
         return true; // no rows
     };
     let tag = |row: &[u8], c: usize| row[2 + 9 * c];
-    let fixed = (0..k).all(|c| matches!(tag(first, c), TAG_INT | TAG_DOUBLE))
+    let typed = |(c, b): (usize, &ColumnBuilder)| match b.data_type() {
+        DataType::Int => tag(first, c) == TAG_INT,
+        DataType::Double => tag(first, c) == TAG_DOUBLE,
+        DataType::Str => false,
+    };
+    let fixed = builders.iter().enumerate().all(typed)
         && rows.chunks_exact(stride).all(|row| {
             row[..2] == arity.to_le_bytes() && (0..k).all(|c| tag(row, c) == tag(first, c))
         });
@@ -294,8 +309,8 @@ fn decode_fixed_width(rows: &[u8], count: usize, builders: &mut [ColumnBuilder])
         let payloads = rows
             .chunks_exact(stride)
             .map(|row| <[u8; 8]>::try_from(&row[at..at + 8]).expect("an 8-byte payload"));
-        match tag(first, c) {
-            TAG_INT => b.extend_ints(payloads.map(i64::from_le_bytes)),
+        match b.data_type() {
+            DataType::Int => b.extend_ints(payloads.map(i64::from_le_bytes)),
             _ => b.extend_doubles(payloads.map(f64::from_le_bytes)),
         }
     }
@@ -325,7 +340,7 @@ fn read_arr<const N: usize>(data: &[u8], pos: &mut usize) -> Result<[u8; N]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pyro_common::{CellRef, ColumnarBatch};
+    use pyro_common::{CellRef, Column, ColumnarBatch, Schema};
 
     fn t(values: Vec<Value>) -> Tuple {
         Tuple::new(values)
@@ -452,32 +467,30 @@ mod tests {
         Value::Str(s)
     }
 
-    /// One cell of a column whose cells on this page are of `kind`: 0 INT,
-    /// 1 DOUBLE, 2 INT or NULL, 3 STR, 4 INT or DOUBLE, anything else any
-    /// of those.
-    fn cell(r: &mut Lcg, kind: u64) -> Value {
-        let kind = match kind {
-            0..=3 => kind,
-            4 => r.below(2),
-            _ => r.below(4),
-        };
-        match kind {
-            0 => Value::Int(r.next() as i64 - (1 << 47)),
-            1 => Value::Double(double(r)),
-            2 if r.below(4) == 0 => Value::Null,
-            2 => Value::Int(r.below(100) as i64),
-            _ => string(r),
+    /// One cell of a column of type `ty`: NULL one time in four when
+    /// `nulls` is set.
+    fn cell(r: &mut Lcg, ty: DataType, nulls: bool) -> Value {
+        if nulls && r.below(4) == 0 {
+            return Value::Null;
+        }
+        match ty {
+            DataType::Int if r.below(2) == 0 => Value::Int(r.below(100) as i64),
+            DataType::Int => Value::Int(r.next() as i64 - (1 << 47)),
+            DataType::Double => Value::Double(double(r)),
+            DataType::Str => string(r),
         }
     }
 
+    fn schema(types: &[DataType]) -> Schema {
+        let cols = types.iter().enumerate();
+        Schema::new(
+            cols.map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        )
+    }
+
     /// A column's representation and every cell, doubles by their bits.
-    fn picture(col: &ColumnVec) -> (&'static str, Vec<String>) {
-        let rep = match col.data() {
-            ColumnData::Int(_) => "int",
-            ColumnData::Double(_) => "double",
-            ColumnData::Str(_) => "str",
-            ColumnData::Mixed(_) => "mixed",
-        };
+    fn picture(col: &ColumnVec) -> (DataType, Vec<String>) {
         let cells = (0..col.len())
             .map(|i| match col.cell(i) {
                 CellRef::Null => "null".to_string(),
@@ -486,42 +499,41 @@ mod tests {
                 CellRef::Str(s) => format!("str {s:?}"),
             })
             .collect();
-        (rep, cells)
+        (col.data_type(), cells)
     }
 
     /// Decoding a page into builders leaves them exactly as pushing the
     /// page's decoded tuples one value at a time does — on random pages of
-    /// fixed-width and variable-width rows, with column types flipping from
-    /// page to page, into builders already holding another representation
-    /// — and takes the column-at-a-time path on exactly the pages whose
-    /// cells are all INT or DOUBLE with one tag per column.
+    /// fixed-width and variable-width rows, into builders already holding
+    /// cells — and takes the column-at-a-time path on exactly the pages
+    /// whose cells are all INT or DOUBLE.
     #[test]
     fn builder_decode_equals_row_decode_on_random_pages() {
         let mut r = Lcg(0x5eed);
         let mut fixed_pages = 0;
         for case in 0..300 {
             let k = 1 + r.below(4) as usize;
-            // Cells already in the builders: nothing, a NULL, an INT, a
-            // DOUBLE, a STR, or two that make the column Mixed.
-            let seeded: Vec<Tuple> = (0..r.below(3))
-                .map(|_| t((0..k).map(|_| cell(&mut r, 5)).collect()))
+            let types: Vec<DataType> = (0..k)
+                .map(|_| [DataType::Int, DataType::Double, DataType::Str][r.below(3) as usize])
                 .collect();
-            let mut builders: Vec<ColumnBuilder> = (0..k).map(|_| ColumnBuilder::new()).collect();
+            let schema = schema(&types);
+            // Cells already in the builders: nothing, or a row or two.
+            let seeded: Vec<Tuple> = (0..r.below(3))
+                .map(|_| t(types.iter().map(|&ty| cell(&mut r, ty, true)).collect()))
+                .collect();
+            let mut builders = ColumnBuilder::for_schema(&schema);
             for row in &seeded {
                 for (b, v) in builders.iter_mut().zip(row.values()) {
-                    b.push_value(v);
+                    b.push_value(v).unwrap();
                 }
             }
             let mut all = seeded.clone();
             for _ in 0..1 + r.below(3) {
-                let fixed = r.below(2) == 0;
-                let kinds: Vec<u64> = (0..k)
-                    .map(|_| if fixed { r.below(2) } else { r.below(7) })
-                    .collect();
+                let nulls = r.below(2) == 0;
                 let mut page = PageBuilder::new(128 + r.below(400) as usize);
                 let mut rows = Vec::new();
                 loop {
-                    let row = t(kinds.iter().map(|&kind| cell(&mut r, kind)).collect());
+                    let row = t(types.iter().map(|&ty| cell(&mut r, ty, nulls)).collect());
                     if !page.try_push(&row).unwrap() {
                         break;
                     }
@@ -529,14 +541,11 @@ mod tests {
                 }
                 let bytes = page.take();
                 let fixed_width = rows.iter().all(|row| {
-                    row.values().iter().zip(rows[0].values()).all(|(v, first)| {
-                        matches!(
-                            (v, first),
-                            (Value::Int(_), Value::Int(_)) | (Value::Double(_), Value::Double(_))
-                        )
-                    })
+                    row.values()
+                        .iter()
+                        .all(|v| matches!(v, Value::Int(_) | Value::Double(_)))
                 });
-                let mut fresh: Vec<ColumnBuilder> = (0..k).map(|_| ColumnBuilder::new()).collect();
+                let mut fresh = ColumnBuilder::for_schema(&schema);
                 assert_eq!(
                     decode_fixed_width(&bytes[2..], rows.len(), &mut fresh),
                     fixed_width,
@@ -550,7 +559,7 @@ mod tests {
                 all.extend(decode_page(&bytes).unwrap());
             }
             let got = ColumnarBatch::from_builders(builders);
-            let expect = ColumnarBatch::from_rows(&all);
+            let expect = ColumnarBatch::from_rows(&schema, &all).unwrap();
             assert_eq!(got.num_rows(), all.len());
             for (c, (g, e)) in got.columns().iter().zip(expect.columns()).enumerate() {
                 assert_eq!(picture(g), picture(e), "case {case}, column {c}");
@@ -560,10 +569,12 @@ mod tests {
         assert!(fixed_pages > 100, "only {fixed_pages} fixed-width pages");
     }
 
-    /// An all-INT page goes column at a time; one NULL sends it cell by
-    /// cell without the fast path touching a builder.
+    /// An all-INT/DOUBLE page goes column at a time; one NULL, or builders
+    /// of other types, send it cell by cell without the fast path touching
+    /// a builder.
     #[test]
     fn fixed_width_path_is_taken_and_refuses_untouched() {
+        use DataType::{Double, Int};
         let mut page = PageBuilder::new(4096);
         let rows: Vec<Tuple> = (0..100)
             .map(|i| t(vec![Value::Int(i), Value::Double(i as f64 / 4.0)]))
@@ -572,22 +583,67 @@ mod tests {
             assert!(page.try_push(row).unwrap());
         }
         let bytes = page.take();
-        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        let mut builders = ColumnBuilder::for_schema(&schema(&[Int, Double]));
         assert!(decode_fixed_width(&bytes[2..], 100, &mut builders));
         let got = ColumnarBatch::from_builders(builders);
         assert!(matches!(got.column(0).data(), ColumnData::Int(v) if v.len() == 100));
         assert!(matches!(got.column(1).data(), ColumnData::Double(_)));
         assert_eq!(got.to_rows(), rows);
+        let mut builders = ColumnBuilder::for_schema(&schema(&[Double, Double]));
+        assert!(!decode_fixed_width(&bytes[2..], 100, &mut builders));
+        assert!(builders.iter().all(ColumnBuilder::is_empty));
 
         assert!(page.try_push(&t(vec![Value::Int(7), Value::Null])).unwrap());
         let bytes = page.take();
-        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        let mut builders = ColumnBuilder::for_schema(&schema(&[Int, Double]));
         assert!(!decode_fixed_width(&bytes[2..], 1, &mut builders));
         assert!(builders.iter().all(ColumnBuilder::is_empty));
         // No columns at all: every row is its two-byte arity.
         let mut page = PageBuilder::new(64);
         assert!(page.try_push(&t(vec![])).unwrap());
         assert_eq!(decode_page_into_builders(&page.take(), &mut []).unwrap(), 1);
+    }
+
+    /// A cell tagged with a type that is not its column's is a storage
+    /// error naming the column, on the column-at-a-time path's pages and
+    /// on the cell-by-cell path's alike.
+    #[test]
+    fn a_cell_of_another_type_is_a_storage_error() {
+        use DataType::{Double, Int, Str};
+        let page_of = |rows: &[Tuple]| {
+            let mut page = PageBuilder::new(4096);
+            rows.iter()
+                .for_each(|row| assert!(page.try_push(row).unwrap()));
+            page.take()
+        };
+        let ints = page_of(&[t(vec![Value::Int(1), Value::Int(2)])]);
+        let strs = page_of(&[
+            t(vec![Value::Int(1), Value::Null]),
+            t(vec![Value::Null, Value::Str("x".into())]),
+        ]);
+        for (bytes, types, says) in [
+            (
+                &ints,
+                [Int, Double],
+                "column 1 is DOUBLE but holds a cell tagged INT",
+            ),
+            (
+                &ints,
+                [Str, Int],
+                "column 0 is VARCHAR but holds a cell tagged INT",
+            ),
+            (
+                &strs,
+                [Int, Int],
+                "column 1 is INT but holds a cell tagged VARCHAR",
+            ),
+        ] {
+            let mut builders = ColumnBuilder::for_schema(&schema(&types));
+            assert_eq!(
+                decode_page_into_builders(bytes, &mut builders),
+                Err(PyroError::Storage(says.into()))
+            );
+        }
     }
 
     /// Malformed pages of fixed-width rows — each one a page the
@@ -617,7 +673,7 @@ mod tests {
             ("unknown tag in a middle row", unknown_tag),
             ("payload truncated in the last cell", truncated),
         ] {
-            let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+            let mut builders = ColumnBuilder::for_schema(&Schema::ints(&["a", "b"]));
             assert!(
                 matches!(
                     decode_page_into_builders(&bytes, &mut builders),
@@ -630,7 +686,7 @@ mod tests {
                 "{what}"
             );
         }
-        let mut builders = vec![ColumnBuilder::new(), ColumnBuilder::new()];
+        let mut builders = ColumnBuilder::for_schema(&Schema::ints(&["a", "b"]));
         assert_eq!(decode_page_into_builders(&good, &mut builders).unwrap(), 10);
     }
 }

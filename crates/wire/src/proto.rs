@@ -536,8 +536,8 @@ mod tests {
         b
     }
 
-    /// Rows whose columns are INT with NULLs, DOUBLE, STR, and mixed
-    /// (INT, DOUBLE, STR and NULL in one column), over the edge cells.
+    /// Rows whose columns are INT with NULLs, DOUBLE, STR, and a DOUBLE
+    /// column that is NULL for its first rows, over the edge cells.
     fn edge_rows() -> Vec<Tuple> {
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
         let doubles = [-0.0, 0.0, nan, f64::INFINITY, f64::MIN_POSITIVE, 2.0];
@@ -546,14 +546,6 @@ mod tests {
             "\0\t\n\r\u{1b}[0m",
             "héllo\u{1f}",
             "a much longer string",
-        ];
-        let mixed = [
-            Value::Int(2),
-            Value::Double(2.0),
-            Value::Null,
-            Value::Str(String::new()),
-            Value::Double(-0.0),
-            Value::Int(i64::MIN),
         ];
         (0..24_i64)
             .map(|i| {
@@ -567,7 +559,10 @@ mod tests {
                     int,
                     Value::Double(doubles[i as usize % doubles.len()]),
                     Value::Str(strs[i as usize % strs.len()].into()),
-                    mixed[i as usize % mixed.len()].clone(),
+                    match i < 9 {
+                        true => Value::Null,
+                        false => Value::Double(doubles[i as usize % 4]),
+                    },
                 ])
             })
             .collect()
@@ -577,11 +572,18 @@ mod tests {
     fn rows_frames_from_columns_match_the_row_encoder_byte_for_byte() {
         let rows = edge_rows();
         let expect = reference_enc_rows(&rows);
-        let dense = ColumnarBatch::from_rows(&rows);
-        assert!(matches!(
-            dense.column(3).data(),
-            pyro_common::ColumnData::Mixed(_)
-        ));
+        let schema = Schema::new(
+            [
+                ("a", DataType::Int),
+                ("b", DataType::Double),
+                ("c", DataType::Str),
+                ("d", DataType::Double),
+            ]
+            .map(|(name, ty)| Column::new(name, ty))
+            .to_vec(),
+        );
+        let batch = |rows: &[Tuple]| ColumnarBatch::from_rows(&schema, rows).unwrap();
+        let dense = batch(&rows);
         assert_eq!(enc_batch(&dense), expect);
         assert_eq!(enc_rows(&rows), expect);
         assert_eq!(enc_rows(&[]), reference_enc_rows(&[]));
@@ -594,18 +596,18 @@ mod tests {
                 Value::Int(i) => Value::Int(i.wrapping_add(7)),
                 Value::Double(d) => Value::Double(d + 1.5),
                 Value::Str(s) => Value::Str(format!("{s}~")),
-                Value::Null => Value::Int(99),
+                Value::Null => Value::Null,
             });
             padded.push(Tuple::new(decoy.collect()));
             padded.push(t.clone());
         }
-        let mut selected = ColumnarBatch::from_rows(&padded);
+        let mut selected = batch(&padded);
         selected.set_sel((1..padded.len() as u32).step_by(2).collect());
         assert_eq!(enc_batch(&selected), expect);
-        let mut none = ColumnarBatch::from_rows(&padded);
+        let mut none = batch(&padded);
         none.set_sel(Vec::new());
         assert_eq!(enc_batch(&none), reference_enc_rows(&[]));
-        let mut some = ColumnarBatch::from_rows(&padded);
+        let mut some = batch(&padded);
         some.set_sel(vec![0, 5, 6, 47]);
         let picked: Vec<Tuple> = [0, 5, 6, 47].map(|i| padded[i].clone()).to_vec();
         assert_eq!(enc_batch(&some), reference_enc_rows(&picked));

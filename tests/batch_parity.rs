@@ -13,7 +13,7 @@
 //! (nested loops) and for spill paths (external SRS, oversized MRS
 //! segments).
 
-use pyro::common::{KeySpec, Schema, Tuple, Value};
+use pyro::common::{Column, DataType, KeySpec, Schema, Tuple, Value};
 use pyro::core::CompileOptions;
 use pyro::datagen::{consolidation, qtables, tpch};
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
@@ -300,7 +300,6 @@ fn join_operators_parity() {
 /// at every batch size over every input layout.
 #[test]
 fn hash_join_building_right_equals_nested_loops_row_for_row() {
-    use pyro::common::{Column, DataType};
     // Duplicate keys on both sides, NULL keys on both sides, unmatched keys
     // on both sides; neither side arrives sorted.
     let keyed = |n: i64, modulus: i64, null_every: i64, base: i64, key: &dyn Fn(i64) -> Value| {
@@ -367,6 +366,7 @@ fn aggregate_and_distinct_parity() {
                 AggExpr::new(AggFunc::Count, Expr::col(1), "c"),
                 AggExpr::new(AggFunc::Sum, Expr::col(1), "s"),
             ],
+            Schema::ints(&["a", "c", "s"]),
         );
         (Box::new(op), m)
     });
@@ -376,18 +376,32 @@ fn aggregate_and_distinct_parity() {
             v.ab(sorted.clone()),
             vec![0],
             vec![AggExpr::new(AggFunc::Avg, Expr::col(1), "m")],
+            Schema::new(vec![
+                Column::new("a", DataType::Int),
+                Column::new("m", DataType::Double),
+            ]),
         );
         (Box::new(op), m)
     });
     // A DISTINCT is a grouping on every column with no aggregates.
     assert_op_parity("group_aggregate without aggregates", &|v| {
         let m = ExecMetrics::new();
-        let op = GroupAggregate::new(v.ab(sorted.clone()), vec![0, 1], vec![]);
+        let op = GroupAggregate::new(
+            v.ab(sorted.clone()),
+            vec![0, 1],
+            vec![],
+            Schema::ints(&["a", "b"]),
+        );
         (Box::new(op), m)
     });
     assert_op_parity("hash_aggregate without aggregates", &|v| {
         let m = ExecMetrics::new();
-        let op = HashAggregate::new(v.ab(sorted.clone()), vec![0, 1], vec![]);
+        let op = HashAggregate::new(
+            v.ab(sorted.clone()),
+            vec![0, 1],
+            vec![],
+            Schema::ints(&["a", "b"]),
+        );
         (Box::new(op), m)
     });
 }

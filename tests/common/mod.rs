@@ -111,7 +111,7 @@ impl Operator for Source {
             rows.push(decoy(&t));
             rows.push(t);
         }
-        let mut out = ColumnarBatch::from_rows(&rows);
+        let mut out = ColumnarBatch::from_rows(self.rows.schema(), &rows)?;
         out.set_sel((1..rows.len() as u32).step_by(2).collect());
         Ok(Some(out))
     }

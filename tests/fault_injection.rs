@@ -319,7 +319,12 @@ impl Operator for DyingInput {
             };
             self.buffered = batch.to_rows().into_iter();
         }
-        Ok(self.buffered.next().map(|t| ColumnarBatch::from_rows(&[t])))
+        let schema = self.child.schema();
+        let batch = self
+            .buffered
+            .next()
+            .map(|t| ColumnarBatch::from_rows(schema, &[t]));
+        batch.transpose()
     }
 }
 
@@ -401,6 +406,8 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
             let device = || pyro::storage::SimDevice::with_block_size(256);
             let m = ExecMetrics::new;
             let count = || vec![AggExpr::new(AggFunc::Count, Expr::col(1), "n")];
+            // Both aggregates' output: the grouping column(s), then COUNT's.
+            let ab = || Schema::ints(&["a", "b"]);
             let k0 = || KeySpec::new(vec![0]);
             let other =
                 || -> BoxOp { Box::new(ValuesOp::new(Schema::ints(&["c", "d"]), data.clone())) };
@@ -453,19 +460,19 @@ fn a_sort_that_failed_stays_failed_on_every_pull_path() {
                 ),
                 (
                     "hash aggregate",
-                    Box::new(HashAggregate::new(dying(), vec![0], count())),
+                    Box::new(HashAggregate::new(dying(), vec![0], count(), ab())),
                 ),
                 (
                     "group aggregate",
-                    Box::new(GroupAggregate::new(dying(), vec![0], count())),
+                    Box::new(GroupAggregate::new(dying(), vec![0], count(), ab())),
                 ),
                 (
                     "group aggregate without aggregates",
-                    Box::new(GroupAggregate::new(dying(), vec![0, 1], vec![])),
+                    Box::new(GroupAggregate::new(dying(), vec![0, 1], vec![], ab())),
                 ),
                 (
                     "hash aggregate without aggregates",
-                    Box::new(HashAggregate::new(dying(), vec![0, 1], vec![])),
+                    Box::new(HashAggregate::new(dying(), vec![0, 1], vec![], ab())),
                 ),
             ];
             for (what, op) in ops {

@@ -6,7 +6,7 @@
 //! (`pyro::datagen::rng::StdRng`). The cases are fixed across runs, so any
 //! failure reproduces exactly.
 
-use pyro::common::{KeySpec, Schema, Tuple, Value};
+use pyro::common::{Column, DataType, KeySpec, Schema, Tuple, Value};
 use pyro::datagen::rng::StdRng;
 use pyro::exec::agg::{AggExpr, AggFunc, GroupAggregate, HashAggregate};
 use pyro::exec::join::{HashJoin, JoinKind, MergeJoin, NestedLoopsJoin, Side};
@@ -225,12 +225,14 @@ fn aggregates_agree() {
             Box::new(ValuesOp::new(Schema::ints(&["g", "v"]), tuples2(&rows))),
             vec![0],
             aggs(),
+            Schema::ints(&["g", "c", "s", "lo", "hi"]),
         );
         rows.sort();
         let sortagg = GroupAggregate::new(
             Box::new(ValuesOp::new(Schema::ints(&["g", "v"]), tuples2(&rows))),
             vec![0],
             aggs(),
+            Schema::ints(&["g", "c", "s", "lo", "hi"]),
         );
         let mut a = collect(Box::new(hash)).unwrap();
         let mut b = collect(Box::new(sortagg)).unwrap();
@@ -400,29 +402,19 @@ use pyro::exec::limit::Limit;
 use pyro::exec::{BoxOp, MetricsRef};
 use std::cell::Cell;
 
-/// What a generated column holds.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    /// Integers from a small domain: heavy duplicates.
-    Int,
-    /// Doubles including both zeros, infinities and a NaN.
-    Double,
-    /// Strings that agree on their first 8+ bytes.
-    Str,
-    /// All of the above in one column.
-    Mixed,
-}
-
-fn cell(rng: &mut StdRng, kind: Kind, nulls: bool) -> Value {
+/// A generated column's cell of type `ty`: INTs from a small domain (heavy
+/// duplicates), DOUBLEs including both zeros, infinities and a NaN, strings
+/// that agree on their first 8+ bytes.
+fn cell(rng: &mut StdRng, ty: DataType, nulls: bool) -> Value {
     if nulls && rng.gen_bool(0.15) {
         return Value::Null;
     }
-    match kind {
-        Kind::Int => Value::Int(rng.gen_range(-3i64..4)),
-        Kind::Double => Value::Double(
+    match ty {
+        DataType::Int => Value::Int(rng.gen_range(-3i64..4)),
+        DataType::Double => Value::Double(
             [-1.5, -0.0, 0.0, 2.0, 2.5, f64::INFINITY, f64::NAN][rng.gen_range(0..7usize)],
         ),
-        Kind::Str => Value::Str(
+        DataType::Str => Value::Str(
             [
                 "",
                 "a",
@@ -434,44 +426,48 @@ fn cell(rng: &mut StdRng, kind: Kind, nulls: bool) -> Value {
             ][rng.gen_range(0..7usize)]
             .to_string(),
         ),
-        Kind::Mixed => {
-            let kind = [Kind::Int, Kind::Double, Kind::Str][rng.gen_range(0..3usize)];
-            cell(rng, kind, false)
-        }
     }
 }
 
+/// A generated table: its column types and its rows.
+type Table = ([DataType; 4], Vec<Tuple>);
+
 /// Up to `max_rows` rows (often none or one) of three generated key columns
-/// plus the row's ordinal.
-fn table(rng: &mut StdRng, max_rows: usize) -> Vec<Tuple> {
-    let kinds: Vec<Kind> = (0..3)
-        .map(|_| [Kind::Int, Kind::Double, Kind::Str, Kind::Mixed][rng.gen_range(0..4usize)])
-        .collect();
+/// of random types plus the row's (INT) ordinal.
+fn table(rng: &mut StdRng, max_rows: usize) -> Table {
+    let types =
+        [(); 4].map(|_| [DataType::Int, DataType::Double, DataType::Str][rng.gen_range(0..3usize)]);
+    let types = [types[0], types[1], types[2], DataType::Int];
     let nulls = rng.gen_bool(0.5);
     let len = match rng.gen_range(0..8u64) {
         0 => 0,
         1 => 1,
         _ => rng.gen_range(2..=max_rows),
     };
-    (0..len)
+    let rows = (0..len)
         .map(|i| {
-            let mut v: Vec<Value> = kinds.iter().map(|&k| cell(rng, k, nulls)).collect();
+            let mut v: Vec<Value> = types[..3].iter().map(|&ty| cell(rng, ty, nulls)).collect();
             v.push(Value::Int(i as i64));
             Tuple::new(v)
         })
-        .collect()
+        .collect();
+    (types, rows)
 }
 
-fn schema4(prefix: &str) -> Schema {
-    let names: Vec<String> = (0..4).map(|i| format!("{prefix}{i}")).collect();
-    Schema::ints(&names.iter().map(String::as_str).collect::<Vec<_>>())
+/// Columns `{prefix}0`, `{prefix}1`, … of `types`.
+fn typed(prefix: &str, types: &[DataType]) -> Schema {
+    let cols = types.iter().enumerate();
+    Schema::new(
+        cols.map(|(i, &ty)| Column::new(format!("{prefix}{i}"), ty))
+            .collect(),
+    )
 }
 
 /// `rows` as an operator handing them on `input_batch` at a time, so that
 /// segments, groups and runs straddle input batches, in `layout`.
-fn source(prefix: &str, rows: &[Tuple], input_batch: usize, layout: Layout) -> BoxOp {
+fn source(prefix: &str, (types, rows): &Table, input_batch: usize, layout: Layout) -> BoxOp {
     Box::new(Source::new(
-        schema4(prefix),
+        typed(prefix, types),
         rows.to_vec(),
         input_batch,
         layout,
@@ -597,7 +593,7 @@ fn partial_sort_pull_paths_agree() {
         let (key, budget, ib) = (random_key(rng), budget(rng), input_batch(rng));
         let prefix_len = rng.gen_range(0..=key.len());
         let (prefix, _) = key.split_at(prefix_len);
-        rows.sort_by(|a, b| prefix.compare(a, b));
+        rows.1.sort_by(|a, b| prefix.compare(a, b));
         let build = |layout| {
             let m = ExecMetrics::new();
             let op = PartialSort::new(
@@ -626,8 +622,8 @@ fn merge_join_pull_paths_agree() {
     for_all_cases(|rng| {
         let (mut left, mut right) = (table(rng, 60), table(rng, 60));
         let (key, ib) = (random_key(rng), input_batch(rng));
-        left.sort_by(|a, b| key.compare(a, b));
-        right.sort_by(|a, b| key.compare(a, b));
+        left.1.sort_by(|a, b| key.compare(a, b));
+        right.1.sort_by(|a, b| key.compare(a, b));
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
             assert_pull_paths_agree(&format!("merge join {kind:?} on {key:?}"), &|layout| {
                 let m = ExecMetrics::new();
@@ -650,8 +646,15 @@ fn group_aggregate_pull_paths_agree() {
     for_all_cases(|rng| {
         let mut rows = table(rng, 160);
         let (key, ib) = (random_key(rng), input_batch(rng));
-        rows.sort_by(|a, b| key.compare(a, b));
+        rows.1.sort_by(|a, b| key.compare(a, b));
         let arg = rng.gen_range(0..4usize);
+        // The grouping columns, then COUNT, SUM, MIN, MAX and AVG: the
+        // types a plan gives them.
+        let ty = rows.0[arg];
+        let group = key.cols().iter().map(|&c| rows.0[c]);
+        let out: Vec<DataType> = group
+            .chain([DataType::Int, ty, ty, ty, DataType::Double])
+            .collect();
         assert_pull_paths_agree(&format!("group by {key:?} over column {arg}"), &|layout| {
             let m = ExecMetrics::new();
             let aggs = [
@@ -664,7 +667,12 @@ fn group_aggregate_pull_paths_agree() {
             .into_iter()
             .map(|f| AggExpr::new(f, Expr::col(arg), format!("{f:?}")))
             .collect();
-            let op = GroupAggregate::new(source("a", &rows, ib, layout), key.cols().to_vec(), aggs);
+            let op = GroupAggregate::new(
+                source("a", &rows, ib, layout),
+                key.cols().to_vec(),
+                aggs,
+                typed("g", &out),
+            );
             (Box::new(op), m)
         });
     });
@@ -681,12 +689,12 @@ fn limit_cuts_every_pull_path_at_the_same_work() {
         let (mut left, mut right) = (table(rng, 120), table(rng, 120));
         let key = KeySpec::new(vec![0, 1]);
         let (sorted_on, _) = key.split_at(1);
-        left.sort_by(|a, b| sorted_on.compare(a, b));
-        right.sort_by(|a, b| sorted_on.compare(a, b));
+        left.1.sort_by(|a, b| sorted_on.compare(a, b));
+        right.1.sort_by(|a, b| sorted_on.compare(a, b));
         let (k, ib) = (rng.gen_range(0..12u64), input_batch(rng));
         assert_pull_paths_agree(&format!("limit {k}"), &|layout| {
             let m = ExecMetrics::new();
-            let sort = |prefix: &str, rows: &[Tuple]| -> BoxOp {
+            let sort = |prefix: &str, rows: &Table| -> BoxOp {
                 Box::new(PartialSort::new(
                     source(prefix, rows, ib, layout),
                     key.clone(),
@@ -708,6 +716,7 @@ fn limit_cuts_every_pull_path_at_the_same_work() {
                 Box::new(join),
                 vec![0, 1],
                 vec![AggExpr::new(AggFunc::Count, Expr::col(3), "n")],
+                typed("g", &[left.0[0], left.0[1], DataType::Int]),
             );
             (Box::new(Limit::new(Box::new(agg), k)), m.clone())
         });
@@ -722,7 +731,7 @@ fn limit_cuts_every_pull_path_at_the_same_work() {
 // with an oracle that shares no code with them, on every numeric edge.
 // ---------------------------------------------------------------------
 
-use pyro::common::{CellRef, Column, ColumnarBatch, DataType};
+use pyro::common::{CellRef, ColumnarBatch};
 use pyro::exec::{CmpOp, VecPredicate};
 use std::cmp::Ordering;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -978,7 +987,7 @@ fn hash_join_pairs(
     pairs
 }
 
-/// The columnar compare (typed and mixed columns), the vector filter
+/// The columnar compare (an INT column against a DOUBLE one), the vector filter
 /// kernels (INT and DOUBLE columns against literals of either type, and
 /// against each other) and the hash join (an INT build probed by DOUBLE
 /// key words, a DOUBLE build hashing `Value`s, over dense and selected
@@ -1000,15 +1009,21 @@ fn columnar_filter_and_hash_join_paths_agree_with_value() {
             .cloned()
             .collect();
 
-        // Columnar compare: an INT, a DOUBLE and a mixed column, each with
-        // a NULL, every cell against every cell.
-        let column = |vals: &[Value]| {
+        // Columnar compare: an INT and a DOUBLE column, each with a NULL,
+        // every cell against every cell.
+        let column = |ty: DataType, vals: &[Value]| {
             let mut vals = vals.to_vec();
             vals.push(Value::Null);
             let rows: Vec<Tuple> = vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
-            (vals, ColumnarBatch::from_rows(&rows))
+            (
+                vals,
+                ColumnarBatch::from_rows(&typed("c", &[ty]), &rows).unwrap(),
+            )
         };
-        let columns = [column(&ints), column(&doubles), column(&pool)];
+        let columns = [
+            column(DataType::Int, &ints),
+            column(DataType::Double, &doubles),
+        ];
         for (va, ba) in &columns {
             for (vb, bb) in &columns {
                 for (i, a) in va.iter().enumerate() {
@@ -1030,7 +1045,9 @@ fn columnar_filter_and_hash_join_paths_agree_with_value() {
         let rows: Vec<Tuple> = (0..n)
             .map(|_| Tuple::new(vec![draw(rng, &ints), draw(rng, &doubles)]))
             .collect();
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch =
+            ColumnarBatch::from_rows(&typed("c", &[DataType::Int, DataType::Double]), &rows)
+                .unwrap();
         let passing = |pred: &Expr, test: &dyn Fn(&Tuple) -> Option<Ordering>| {
             let got = VecPredicate::compile(pred).refine(&batch);
             let Expr::Cmp(op, ..) = pred else {

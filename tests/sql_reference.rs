@@ -25,7 +25,9 @@
 //! DOUBLE literal or parameter (and the reverse), strings that share more
 //! than eight leading bytes, random clustering orders, covering secondary
 //! indexes, and on some cases a 128-byte page with a three-block sort
-//! budget so that the sorts spill. A debug build
+//! budget so that the sorts spill. One case in eight loads its first table
+//! long on 128-byte pages, past one morsel, so that its two-worker runs go
+//! through an exchange; the test prints how many cases did. A debug build
 //! runs [`DEBUG_CASES`] cases, a release build [`RELEASE_CASES`]; the test
 //! asserts that every grammar form and every hazard was generated. Seeds
 //! that once failed are kept in [`REGRESSION_SEEDS`] and run first.
@@ -389,13 +391,18 @@ struct Table {
     index: Option<(Vec<usize>, Vec<usize>)>,
 }
 
-/// Which grammar forms and data hazards the generated cases reached.
+/// Which grammar forms and data hazards the generated cases reached, and
+/// how many cases had a table of more than one morsel (whose two-worker
+/// runs go through an exchange).
 #[derive(Default)]
-struct Seen(BTreeSet<&'static str>);
+struct Seen {
+    what: BTreeSet<&'static str>,
+    multi_morsel: u64,
+}
 
 impl Seen {
     fn note(&mut self, what: &'static str) {
-        self.0.insert(what);
+        self.what.insert(what);
     }
 }
 
@@ -450,7 +457,9 @@ fn literal(rng: &mut StdRng, ty: Ty) -> Value {
     }
 }
 
-fn table(rng: &mut StdRng, seen: &mut Seen) -> Table {
+/// A random table: 0–10 rows, or 260–320 when `long` (on 128-byte pages,
+/// more than `MORSEL_PAGES` of them).
+fn table(rng: &mut StdRng, seen: &mut Seen, long: bool) -> Table {
     let width = rng.gen_range(2..=4usize);
     // Two integer columns always, so any two tables have a join key.
     let types: Vec<Ty> = (0..width)
@@ -461,6 +470,7 @@ fn table(rng: &mut StdRng, seen: &mut Seen) -> Table {
         .collect();
     let nulls = rng.gen_bool(0.5);
     let len = match rng.gen_range(0..6u64) {
+        _ if long => rng.gen_range(260..=320usize),
         0 => 0,
         1 => 1,
         _ => rng.gen_range(2..=10usize),
@@ -520,6 +530,8 @@ struct Case {
     params: Vec<Value>,
     /// Small pages and a three-block sort budget: the sorts spill.
     spilling: bool,
+    /// Small pages and a long first table: two workers run an exchange.
+    long: bool,
 }
 
 impl Case {
@@ -629,7 +641,7 @@ fn op(rng: &mut StdRng, seen: &mut Seen) -> Op {
 /// The case for `seed`. With `mixed`, some numeric comparisons and join
 /// keys pair an INT with a DOUBLE; those choices come from a second
 /// generator, so the case is otherwise the one `seed` makes without them.
-fn case(seed: u64, mixed: bool, seen: &mut Seen) -> Case {
+fn case(seed: u64, mixed: bool, long: bool, seen: &mut Seen) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let rng = &mut rng;
     let mut mix = StdRng::seed_from_u64(seed.rotate_left(32));
@@ -641,7 +653,7 @@ fn case(seed: u64, mixed: bool, seen: &mut Seen) -> Case {
         6..=7 => (3, false),
         _ => (2, true),
     };
-    let tables: Vec<Table> = (0..n).map(|_| table(rng, seen)).collect();
+    let tables: Vec<Table> = (0..n).map(|i| table(rng, seen, long && i == 0)).collect();
     let stmt = Stmt {
         from: (0..n).collect(),
         widths: tables.iter().map(|t| t.types.len()).collect(),
@@ -653,6 +665,7 @@ fn case(seed: u64, mixed: bool, seen: &mut Seen) -> Case {
         stmt,
         params: Vec::new(),
         spilling: rng.gen_bool(0.25),
+        long,
     };
     if case.spilling {
         seen.note("spilling sort budget");
@@ -983,8 +996,10 @@ fn render(case: &Case) -> String {
 
 fn session(case: &Case) -> Session {
     let mut session = Session::new();
-    if case.spilling {
+    if case.spilling || case.long {
         *session.catalog_mut() = Catalog::on_device(SimDevice::with_block_size(128));
+    }
+    if case.spilling {
         session.set_sort_memory_blocks(3);
     }
     for (i, t) in case.tables.iter().enumerate() {
@@ -1141,16 +1156,27 @@ fn flip_build_sides(node: &Arc<PhysNode>, ordered: bool, flipped: &mut bool) -> 
 }
 
 /// Runs one case; `Err` describes the first disagreement.
-fn check(seed: u64, mixed: bool, seen: &mut Seen) -> Result<(), String> {
-    let case = case(seed, mixed, seen);
+fn check(seed: u64, mixed: bool, long: bool, seen: &mut Seen) -> Result<(), String> {
+    let case = case(seed, mixed, long, seen);
     let sql = render(&case);
     let tables: Vec<Vec<Vec<Value>>> = case.tables.iter().map(|t| t.rows.clone()).collect();
     let expect = reference::run(&case.stmt, &tables, &case.params);
     let fail = |what: String| {
         let params = &case.params;
-        format!("seed {seed} mixed={mixed}: {what}\n  {sql}\n  params {params:?}")
+        format!("seed {seed} mixed={mixed} long={long}: {what}\n  {sql}\n  params {params:?}")
     };
     let mut session = session(&case);
+    let pages = |i: usize| {
+        session
+            .catalog()
+            .table(&format!("t{i}"))
+            .unwrap()
+            .heap
+            .block_count()
+    };
+    if (0..case.tables.len()).any(|i| pages(i) > MORSEL_PAGES as u64) {
+        seen.multi_morsel += 1;
+    }
     for strategy in Strategy::all() {
         for hash in [false, true] {
             session.set_strategy(strategy);
@@ -1278,18 +1304,29 @@ fn pyro_agrees_with_the_reference_evaluator() {
     let mut failures = Vec::new();
     let seeds = REGRESSION_SEEDS
         .iter()
-        .flat_map(|&seed| [(seed, false), (seed, true)])
-        .chain((0..cases).map(|i| (0x5EED_0000 + i, true)));
-    for (seed, mixed) in seeds {
+        .flat_map(|&seed| [(seed, false, false), (seed, true, false)])
+        .chain((0..cases).map(|i| (0x5EED_0000 + i, true, i % 8 == 5)));
+    for (seed, mixed, long) in seeds {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            check(seed, mixed, &mut seen)
+            check(seed, mixed, long, &mut seen)
         }));
         match run {
             Ok(Ok(())) => {}
             Ok(Err(e)) => failures.push(e),
-            Err(_) => failures.push(format!("seed {seed} mixed={mixed}: panicked")),
+            Err(_) => failures.push(format!("seed {seed} mixed={mixed} long={long}: panicked")),
         }
     }
+    // One case in eight is long: its two-worker runs go through an
+    // exchange, which must hand on the one-worker row sequence.
+    println!(
+        "{} of {cases} cases had a table of more than one morsel",
+        seen.multi_morsel
+    );
+    assert!(
+        seen.multi_morsel * 10 >= cases,
+        "only {} cases spanned more than one morsel",
+        seen.multi_morsel
+    );
     assert!(
         failures.is_empty(),
         "{} of {cases} cases disagree; the first:\n{}",
@@ -1348,7 +1385,7 @@ fn pyro_agrees_with_the_reference_evaluator() {
     let missing: Vec<&&str> = forms
         .iter()
         .chain(&hazards)
-        .filter(|f| !seen.0.contains(**f))
+        .filter(|f| !seen.what.contains(**f))
         .collect();
     assert!(missing.is_empty(), "never generated: {missing:?}");
 }
@@ -1539,6 +1576,101 @@ fn int_column_against_a_double_past_two_to_the_53_is_exact() {
                     assert_eq!(rows.len(), 1, "{what}");
                     assert!(matches!(rows.rows()[0].get(0), Value::Int(BIG)), "{what}");
                 }
+            }
+        }
+    }
+}
+
+/// A VARCHAR and a DOUBLE column whose first pages hold only NULLs (the
+/// scan's first batches are all NULL) joined, grouped and sorted on, under
+/// every strategy with hash operators off and on: every plan returns the
+/// rows a nested loop over the registered rows gives, in order.
+#[test]
+fn leading_null_columns_join_group_and_sort_under_every_plan() {
+    let str_or_null = |null: bool, s: String| if null { Value::Null } else { Value::Str(s) };
+    let double_or_null = |null: bool, d: f64| if null { Value::Null } else { Value::Double(d) };
+    let a: Vec<Tuple> = (0..120i64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Int(i),
+                str_or_null(i < 60, format!("k{}", i % 7)),
+                double_or_null(i < 60, (i % 5) as f64 / 2.0),
+            ])
+        })
+        .collect();
+    let b: Vec<Tuple> = (0..30i64)
+        .map(|j| {
+            Tuple::new(vec![
+                Value::Int(j),
+                str_or_null(j < 12, format!("k{}", j % 9)),
+                double_or_null(j < 12, (j % 4) as f64 / 2.0),
+            ])
+        })
+        .collect();
+    let mut session = Session::new();
+    *session.catalog_mut() = Catalog::on_device(SimDevice::with_block_size(128));
+    let schema = |cols: &[(&str, DataType)]| {
+        Schema::new(cols.iter().map(|&(n, ty)| Column::new(n, ty)).collect())
+    };
+    let (int, double, str) = (DataType::Int, DataType::Double, DataType::Str);
+    let tables = [
+        ("a", schema(&[("id", int), ("s", str), ("d", double)]), &a),
+        ("b", schema(&[("id", int), ("k", str), ("w", double)]), &b),
+    ];
+    for (name, schema, rows) in tables {
+        session
+            .register_table(name, schema, SortOrder::new(["id"]), rows)
+            .unwrap();
+        let pages = session.catalog().table(name).unwrap().heap.block_count();
+        assert!(pages > 2, "{name}: {pages} pages");
+    }
+    let pairs = || a.iter().flat_map(|x| b.iter().map(move |y| (x, y)));
+    let eq = |x: &Value, y: &Value| !x.is_null() && x == y;
+    // Joined on the VARCHAR column, grouped and sorted on it.
+    let mut groups: Vec<(String, i64, f64)> = Vec::new();
+    for (x, _) in pairs().filter(|(x, y)| eq(x.get(1), y.get(1))) {
+        let (Value::Str(s), Value::Double(d)) = (x.get(1), x.get(2)) else {
+            unreachable!("a non-NULL s has a d")
+        };
+        match groups.iter_mut().find(|g| &g.0 == s) {
+            Some(g) => (g.1, g.2) = (g.1 + 1, g.2.max(*d)),
+            None => groups.push((s.clone(), 1, *d)),
+        }
+    }
+    groups.sort_by(|x, y| x.0.cmp(&y.0));
+    let by_str: Vec<Tuple> = groups
+        .into_iter()
+        .map(|(s, n, d)| Tuple::new(vec![Value::Str(s), Value::Int(n), Value::Double(d)]))
+        .collect();
+    // Joined on the DOUBLE column, sorted on the output.
+    let mut by_double: Vec<Tuple> = pairs()
+        .filter(|(x, y)| eq(x.get(2), y.get(2)))
+        .map(|(x, y)| Tuple::new(vec![x.get(0).clone(), y.get(1).clone(), y.get(2).clone()]))
+        .collect();
+    by_double.sort();
+    assert!(by_str.len() > 3 && by_double.len() > 20);
+    let statements = [
+        (
+            "SELECT a.s, COUNT(*), MAX(a.d) FROM a, b WHERE a.s = b.k GROUP BY a.s ORDER BY a.s",
+            by_str,
+        ),
+        (
+            "SELECT a.id, b.k, b.w FROM a, b WHERE a.d = b.w ORDER BY a.id, b.k, b.w",
+            by_double,
+        ),
+    ];
+    for (sql, expect) in &statements {
+        for strategy in Strategy::all() {
+            for hash in [false, true] {
+                session.set_strategy(strategy);
+                session.set_hash_operators(hash);
+                let got = session.prepare(sql).unwrap().execute(&[]).unwrap();
+                assert!(
+                    exact(got.rows()) == exact(expect),
+                    "{} hash={hash}: {sql}\n{}",
+                    strategy.name(),
+                    got.explain()
+                );
             }
         }
     }
